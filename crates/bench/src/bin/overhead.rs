@@ -9,7 +9,7 @@
 
 use gretel_bench::precision::PrecisionParams;
 use gretel_bench::{arg, results, Workbench};
-use gretel_core::{run_service, Analyzer, GretelConfig};
+use gretel_core::{run_service_cfg, Analyzer, GretelConfig, ServiceConfig};
 use gretel_model::{NodeId, OperationSpec};
 use gretel_sim::{secs, FaultPlan, RunConfig, Runner};
 use serde::Serialize;
@@ -60,8 +60,9 @@ fn main() {
     let mut analyzer = Analyzer::new(&wb.library, cfg);
     let nodes: Vec<NodeId> = wb.deployment.nodes().iter().map(|n| n.id).collect();
 
+    let scfg = ServiceConfig { channel_capacity: 1024, ..ServiceConfig::default() };
     let t0 = Instant::now();
-    let (diagnoses, svc, stats) = run_service(&mut analyzer, &nodes, &exec.messages, 1024);
+    let (diagnoses, svc, stats) = run_service_cfg(&mut analyzer, &nodes, &exec.messages, &scfg);
     let wall = t0.elapsed();
 
     let out = Overhead {

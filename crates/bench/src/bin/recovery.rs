@@ -5,7 +5,7 @@
 //! pipeline (the oracle), then repeatedly through the fault-tolerant
 //! service under increasing failure pressure, in two modes:
 //!
-//! * **in-process** (`run_service_recoverable`): scheduled service
+//! * **in-process** (`run_service_durable` over a `MemStore`): scheduled service
 //!   crashes with checkpoint/replay restarts, chaos that kills every
 //!   worker's first two attempts at a job, and an arm that corrupts every
 //!   checkpoint record so restores fall back to older (or cold) state.
@@ -26,15 +26,14 @@
 
 use gretel_bench::{arg, flag, results, Workbench};
 use gretel_core::{
-    run_service_cfg, run_service_durable, run_service_recoverable, Analyzer, AnalyzerChaos,
-    Diagnosis, DurableConfig, DurableOutcome, GretelConfig, RecoveryConfig, RecoveryStats,
-    ServiceConfig,
+    run_service_cfg, run_service_durable, Analyzer, AnalyzerChaos, Diagnosis, DurableConfig,
+    DurableOutcome, GretelConfig, RecoveryConfig, RecoveryStats, ServiceConfig,
 };
 use gretel_model::NodeId;
 use gretel_netcap::CaptureImpairment;
 use gretel_sim::scenario::operational_suite;
 use gretel_sim::CrashSchedule;
-use gretel_store::{FileStore, FileStoreConfig, Store};
+use gretel_store::{FileStore, FileStoreConfig, MemStore, Store};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -224,7 +223,7 @@ fn main() {
                     corrupt_prob: if corrupt { 1.0 } else { 0.0 },
                     seed: seed ^ (si as u64) << 8,
                 };
-                let cfg = RecoveryConfig {
+                let recovery = RecoveryConfig {
                     service: base.clone(),
                     checkpoint_every: (n_msgs / 8).max(32),
                     chaos,
@@ -237,10 +236,20 @@ fn main() {
                     .points,
                     ..RecoveryConfig::default()
                 };
-                let mut analyzer = Analyzer::new(&wb.library, gcfg);
-                let (got, _, _, rec) =
-                    run_service_recoverable(&mut analyzer, &nodes, &exec.messages, &cfg)
-                        .expect("recovery run completes");
+                let cfg = DurableConfig { recovery, ..DurableConfig::default() };
+                let mut store = MemStore::new();
+                let out = run_service_durable(
+                    &wb.library,
+                    gcfg,
+                    &nodes,
+                    &exec.messages,
+                    &cfg,
+                    &mut store,
+                )
+                .expect("recovery run completes");
+                let DurableOutcome::Completed { diagnoses: got, recovery: rec, .. } = out else {
+                    unreachable!("no kill point configured")
+                };
                 let (lost, duplicated) = diff(&expected, &got);
                 rows.push(Row {
                     scenario: sc.name.to_string(),

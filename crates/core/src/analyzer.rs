@@ -196,29 +196,20 @@ impl<'a> Analyzer<'a> {
 
     /// The per-message fast path: scan, pair, window-push — everything
     /// *stateful* — and return the snapshot jobs this message completed,
-    /// without analyzing them. [`Self::process`] analyzes inline; a
-    /// sharded service ships the jobs to a worker pool instead (see
-    /// [`crate::service::run_service_sharded`]).
+    /// without analyzing them. [`Self::process`] analyzes inline; the
+    /// threaded service ships the jobs to a worker pool instead (see
+    /// [`crate::service::run_service_cfg`]).
     pub fn ingest(&mut self, msg: &Message) -> Vec<SnapshotJob> {
-        self.ingest_observed(msg, None)
-    }
-
-    /// [`Self::ingest`] with an optional metrics registry: snapshot
-    /// freezes (window stage) are counted and timed into it. The analyzer
-    /// cannot hold the registry itself — its lifetime parameter is pinned
-    /// to the fingerprint library — so the caller threads it through each
-    /// call. Passing `None` (or a disabled registry) is the exact fast
-    /// path of [`Self::ingest`].
-    pub fn ingest_observed(
-        &mut self,
-        msg: &Message,
-        metrics: Option<&gretel_obs::PipelineMetrics>,
-    ) -> Vec<SnapshotJob> {
         // 1. Byte-level fault scan (never the structured fields).
-        self.ingest_marked(msg, scan_message(msg), metrics)
+        self.ingest_marked(msg, scan_message(msg), None)
     }
 
-    /// [`Self::ingest_observed`] for a message whose byte scan already ran.
+    /// [`Self::ingest`] for a message whose byte scan already ran, with an
+    /// optional metrics registry: snapshot freezes (window stage) are
+    /// counted and timed into it. The analyzer cannot hold the registry
+    /// itself — its lifetime parameter is pinned to the fingerprint
+    /// library — so the caller threads it through each call. Passing `None`
+    /// (or a disabled registry) is the exact fast path of [`Self::ingest`].
     ///
     /// [`scan_message`] is pure, so a batched receiver can scan a whole
     /// decoded [`gretel_netcap::FrameBatch`] in one tight loop as frames
@@ -335,20 +326,15 @@ impl<'a> Analyzer<'a> {
     /// Flush at stream end: complete pending snapshots with the context
     /// available.
     pub fn finish(&mut self) -> Vec<Diagnosis> {
-        let jobs = self.finish_jobs();
+        let jobs = self.finish_jobs_observed(None);
         let sa = self.snapshot_analyzer();
         jobs.iter().flat_map(|job| sa.analyze(job)).collect()
     }
 
-    /// Stream-end counterpart of [`Self::ingest`]: flush pending snapshots
-    /// into jobs without analyzing them.
-    pub fn finish_jobs(&mut self) -> Vec<SnapshotJob> {
-        self.finish_jobs_observed(None)
-    }
-
-    /// [`Self::finish_jobs`] with an optional metrics registry; the
-    /// flushed snapshots count toward the window stage like mid-stream
-    /// freezes do (see [`Self::ingest_observed`]).
+    /// Stream-end counterpart of [`Self::ingest_marked`]: flush pending
+    /// snapshots into jobs without analyzing them. The flushed snapshots
+    /// count toward the window stage of `metrics` (when given) like
+    /// mid-stream freezes do.
     pub fn finish_jobs_observed(
         &mut self,
         metrics: Option<&gretel_obs::PipelineMetrics>,
@@ -1203,7 +1189,7 @@ mod tests {
         for m in &exec.messages {
             jobs.extend(analyzer.ingest(m));
         }
-        jobs.extend(analyzer.finish_jobs());
+        jobs.extend(analyzer.finish_jobs_observed(None));
         let job = jobs
             .iter()
             .find(|j| !j.snapshot().events.is_empty())

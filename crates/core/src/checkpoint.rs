@@ -11,10 +11,9 @@
 //! resequencers discard the already-delivered prefix as duplicates, so the
 //! diagnosis stream continues exactly where the checkpoint left it.
 //!
-//! The [`Journal`] kept its PR 3 name and API but is now a thin veneer
-//! over [`gretel_store::MemStore`]; the record format lives in
-//! `gretel-store` so the [`gretel_store::FileStore`] backend can persist
-//! the same log across whole-process restarts.
+//! The record format lives in `gretel-store`, so the in-memory
+//! [`gretel_store::MemStore`] and the [`gretel_store::FileStore`] backend
+//! (which persists the same log across whole-process restarts) share it.
 //!
 //! Everything here is deliberately dependency-free hand-rolled little-endian
 //! encoding: the journal must be readable by a *different* build of the
@@ -26,7 +25,6 @@ use crate::rca::{CauseKind, RootCause};
 use crate::report::{CaptureConfidence, Diagnosis, FaultKind};
 use gretel_model::{ApiId, Dependency, Direction, MessageId, NodeId, OpSpecId, Service};
 use gretel_sim::ResourceKind;
-use gretel_store::{MemStore, Store, StoreError};
 
 /// Why a checkpoint could not be restored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -213,103 +211,6 @@ pub(crate) fn read_event(r: &mut Reader<'_>) -> Result<Event, CheckpointError> {
 /// FNV-1a 64-bit over a byte slice — the record checksum. Re-exported
 /// from [`gretel_store`], which owns the record format.
 pub use gretel_store::fnv1a;
-
-/// An append-only log of length-prefixed, checksummed records, held in
-/// memory — a veneer over [`gretel_store::MemStore`] that keeps the PR 3
-/// name and call sites.
-///
-/// Records are `u32 len | u64 fnv1a(payload) | u8 kind | payload`. The
-/// length prefix keeps the scan aligned even when a payload is corrupted,
-/// so one bad record never takes down the records after it; the checksum
-/// makes corruption detectable, so restore uses the newest record that
-/// still verifies. A journal with no valid record restores nothing — the
-/// service cold-starts, which is safe (just slower) because agents replay
-/// their whole stream anyway.
-///
-/// [`Journal::append`] rejects payloads that do not fit the u32 length
-/// prefix (or the bound set by [`Journal::with_max_record`]) with
-/// [`StoreError::Oversized`] instead of silently truncating the prefix
-/// and desynchronizing the scan.
-///
-/// ```
-/// use gretel_core::Journal;
-///
-/// let mut j = Journal::new();
-/// j.append(1, b"first").unwrap();
-/// j.append(1, b"second").unwrap();
-/// assert_eq!(j.latest_valid(1), Some(&b"second"[..]));
-/// assert_eq!(j.record_counts(), (2, 0));
-///
-/// // Payloads that cannot fit the length prefix are rejected up front.
-/// let mut small = gretel_core::Journal::with_max_record(4);
-/// assert!(small.append(1, b"too long").is_err());
-/// assert!(small.is_empty());
-/// ```
-#[derive(Debug, Default, Clone)]
-pub struct Journal {
-    store: MemStore,
-}
-
-impl Journal {
-    /// An empty journal.
-    pub fn new() -> Journal {
-        Journal::default()
-    }
-
-    /// An empty journal rejecting payloads longer than `max` bytes —
-    /// mainly so the oversized-append path is testable without
-    /// multi-gigabyte allocations.
-    pub fn with_max_record(max: usize) -> Journal {
-        Journal { store: MemStore::with_max_record(max) }
-    }
-
-    /// Rebuild from raw bytes (e.g. read back from disk). No validation
-    /// happens here; corrupt records surface during [`Journal::latest_valid`].
-    pub fn from_bytes(buf: Vec<u8>) -> Journal {
-        Journal { store: MemStore::from_bytes(buf) }
-    }
-
-    /// The raw journal bytes (what would be persisted).
-    pub fn bytes(&self) -> &[u8] {
-        self.store.bytes()
-    }
-
-    /// Append one record. The journal is unchanged on error.
-    pub fn append(&mut self, kind: u8, payload: &[u8]) -> Result<(), StoreError> {
-        self.store.append(kind, payload)
-    }
-
-    /// The payload of the newest record of `kind` whose checksum verifies.
-    pub fn latest_valid(&self, kind: u8) -> Option<&[u8]> {
-        self.store.latest_valid(kind)
-    }
-
-    /// `(valid, corrupt)` record counts across the whole journal.
-    pub fn record_counts(&self) -> (usize, usize) {
-        self.store.record_counts()
-    }
-
-    /// Number of structurally complete records (valid or not).
-    pub fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    /// Whether the journal holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
-    }
-
-    /// Chaos hook: flip one payload byte of record `index` (0-based, oldest
-    /// first), leaving the length prefix intact so the scan stays aligned.
-    /// Returns `false` when the record does not exist or has an empty
-    /// payload. This models torn checkpoint writes; it is compiled only
-    /// for tests and the `chaos` feature (the chaos experiment binaries),
-    /// not into the default public API.
-    #[cfg(any(test, feature = "chaos"))]
-    pub fn corrupt_record(&mut self, index: usize, byte: usize) -> bool {
-        self.store.corrupt_record(index, byte)
-    }
-}
 
 /// Service index in the stable [`Service::ALL`] order — the wire tag for
 /// services inside diagnosis records.
@@ -517,65 +418,6 @@ pub(crate) fn read_diagnosis(r: &mut Reader<'_>) -> Result<Diagnosis, Checkpoint
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn journal_round_trips_records_in_order() {
-        let mut j = Journal::new();
-        j.append(1, b"alpha").unwrap();
-        j.append(2, b"beta").unwrap();
-        j.append(1, b"gamma").unwrap();
-        assert_eq!(j.len(), 3);
-        assert_eq!(j.record_counts(), (3, 0));
-        assert_eq!(j.latest_valid(1), Some(&b"gamma"[..]));
-        assert_eq!(j.latest_valid(2), Some(&b"beta"[..]));
-        assert_eq!(j.latest_valid(9), None);
-
-        // Survives a serialize/deserialize cycle.
-        let j2 = Journal::from_bytes(j.bytes().to_vec());
-        assert_eq!(j2.latest_valid(1), Some(&b"gamma"[..]));
-    }
-
-    #[test]
-    fn corrupt_record_is_skipped_not_fatal() {
-        let mut j = Journal::new();
-        j.append(1, b"good-old").unwrap();
-        j.append(1, b"good-new").unwrap();
-        assert!(j.corrupt_record(1, 3));
-        assert_eq!(j.record_counts(), (1, 1));
-        // Restore falls back to the older valid record; records *after* a
-        // corrupt one stay reachable thanks to the length prefix.
-        assert_eq!(j.latest_valid(1), Some(&b"good-old"[..]));
-        j.append(1, b"newest").unwrap();
-        assert_eq!(j.latest_valid(1), Some(&b"newest"[..]));
-    }
-
-    #[test]
-    fn empty_and_truncated_journals_restore_nothing() {
-        assert!(Journal::new().is_empty());
-        assert_eq!(Journal::new().latest_valid(1), None);
-        let mut j = Journal::new();
-        j.append(1, b"payload").unwrap();
-        // Chop off the tail: the truncated record is not yielded at all.
-        let cut = Journal::from_bytes(j.bytes()[..j.bytes().len() - 3].to_vec());
-        assert_eq!(cut.latest_valid(1), None);
-        assert!(cut.is_empty());
-    }
-
-    #[test]
-    fn oversized_append_is_a_typed_error_not_a_truncated_prefix() {
-        // The PR 3 journal cast `payload.len() as u32` unchecked; a
-        // payload over u32::MAX would have written a wrapped length
-        // prefix and desynchronized every later record. Now it is a
-        // typed error and the journal is untouched.
-        let mut j = Journal::with_max_record(16);
-        j.append(1, &[7u8; 16]).unwrap();
-        let err = j.append(1, &[7u8; 17]).unwrap_err();
-        assert_eq!(err, StoreError::Oversized { len: 17, max: 16 });
-        assert_eq!(j.record_counts(), (1, 0));
-        assert_eq!(j.latest_valid(1), Some(&[7u8; 16][..]));
-        // The default bound is the record format's u32 limit.
-        Journal::new().append(1, b"any reasonable payload").unwrap();
-    }
 
     #[test]
     fn diagnosis_codec_round_trips_every_variant() {

@@ -1,0 +1,972 @@
+//! The pipeline engine: the one receive → resequence → k-way merge →
+//! ingest → analysis-pool loop behind every `run_*` entry point (paper
+//! Fig 3: one event receiver feeding one analyzer).
+//!
+//! One capture-agent thread per node encodes its egress traffic into
+//! frames, packs them into arena-backed [`FrameBatch`]es and ships them over
+//! a bounded link; the receiver thread decodes each batch zero-copy,
+//! resequences it when frames are sequence-stamped, scans it for failure
+//! patterns in one batch-wide pass, k-way merges the per-agent streams on
+//! `(ts, id)` and drives the [`Analyzer`]. Completed snapshots ship as jobs
+//! to a supervised worker [`Pool`]; results are released in job-sequence
+//! order, so the output equals inline analysis whatever the scheduling.
+//!
+//! The engine runs with or without a [`Store`]:
+//!
+//! * **without** ([`run_plain`], i.e. `run_service_cfg` and the plain
+//!   shards) it never checkpoints or restores and releases every diagnosis
+//!   at end of stream;
+//! * **with** one (`run_service_durable`, the durable shards) it restores
+//!   the newest usable checkpoint, writes a checkpoint boundary every
+//!   [`RecoveryConfig::checkpoint_every`] merged messages, and honours the
+//!   crash / kill / library-reload arms. Released diagnoses travel as their
+//!   own [`KIND_DIAGNOSES`] records, written immediately *before* the
+//!   checkpoint that makes them unrepeatable — so a crash can neither lose
+//!   nor duplicate a diagnosis.
+//!
+//! Whether frames are sequence-stamped is derived, never set: a store
+//! (replay dedups the re-shipped prefix by sequence number), an impairment
+//! or a lossy link (the receiver must see what went missing) each need it;
+//! the lossless store-less shape streams unsequenced frames straight from
+//! encode into the batch arena.
+
+use crate::analyzer::{Analyzer, AnalyzerStats, JobBudget, SnapshotAnalyzer, SnapshotJob};
+use crate::anomaly::scan_message;
+use crate::checkpoint::{codec, put_diagnosis, read_diagnosis, CheckpointError};
+use crate::event::FaultMark;
+use crate::recover::{
+    AnalyzerChaos, LibraryReload, RecoveryConfig, RecoveryStats, KIND_CHECKPOINT, KIND_DIAGNOSES,
+    KIND_LIBRARY,
+};
+use crate::report::Diagnosis;
+use crate::service::{BackpressurePolicy, ServiceConfig, ServiceError, ServiceStats};
+use crossbeam_channel::{bounded, unbounded, Receiver, Sender, TrySendError};
+use gretel_model::{Message, NodeId};
+use gretel_netcap::{
+    batch_frames, decode_one, encode, CaptureAgent, CaptureStats, FrameBatch, FrameBatchBuilder,
+    Resequencer,
+};
+use gretel_obs::{Meter, PipelineMetrics, Stage, StageTimer};
+use gretel_store::Store;
+use std::collections::{BTreeMap, VecDeque};
+use std::thread::Scope;
+use std::time::Duration;
+
+/// One agent's decoded stream at the receiver: batches are decoded
+/// zero-copy out of their arena, resequenced (when sequenced) into
+/// `(gap_before, message)` pairs, scanned for failure patterns in one
+/// batch-wide pass, and buffered until the k-way merge consumes them.
+struct AgentStream {
+    reseq: Option<Resequencer>,
+    ready: VecDeque<(u32, Message, FaultMark)>,
+    done: bool,
+}
+
+impl AgentStream {
+    fn new(reseq: Option<Resequencer>) -> AgentStream {
+        AgentStream { reseq, ready: VecDeque::new(), done: false }
+    }
+
+    /// Scan a run of released messages (one decoded batch's worth) and
+    /// queue them for the merge. This is the batch-wide fault-scan pass:
+    /// the SWAR scanners run back to back over the released messages
+    /// while they are cache-hot, instead of interleaving with merge and
+    /// window work per message. The scan is pure, so the marks are the
+    /// ones inline ingest would have computed — and the ones a restore
+    /// recomputes.
+    fn admit(&mut self, released: impl IntoIterator<Item = (u32, Message)>) {
+        for (gap, msg) in released {
+            let mark = scan_message(&msg);
+            self.ready.push_back((gap, msg, mark));
+        }
+    }
+
+    /// Pull batches until at least one message is ready or the stream ends.
+    fn refill(
+        &mut self,
+        rx: &Receiver<FrameBatch>,
+        stats: &mut ServiceStats,
+        metrics: Option<&PipelineMetrics>,
+    ) -> Result<(), ServiceError> {
+        while self.ready.is_empty() && !self.done {
+            match rx.recv() {
+                Ok(batch) => {
+                    stats.channel_ops += 1;
+                    stats.frames += batch.frames() as u64;
+                    stats.bytes += batch.byte_len() as u64;
+                    let decoded = batch.decode_all()?;
+                    match &mut self.reseq {
+                        Some(r) => {
+                            // One timing sample per batch, one counted
+                            // event per frame: stage latencies show the
+                            // batch-level dispatch cost while event counts
+                            // stay per-item (see gretel-obs).
+                            let n = decoded.len() as u64;
+                            let mut released = Vec::with_capacity(decoded.len());
+                            let t = StageTimer::start(metrics, Stage::Resequence);
+                            for (msg, seq) in decoded {
+                                released.extend(r.push(seq, msg));
+                            }
+                            t.finish();
+                            if let Some(m) = metrics {
+                                m.count(Stage::Resequence, n);
+                            }
+                            self.admit(released);
+                        }
+                        None => self.admit(decoded.into_iter().map(|(msg, _)| (0, msg))),
+                    }
+                }
+                Err(_) => {
+                    self.done = true;
+                    if let Some(r) = &mut self.reseq {
+                        let released = r.flush();
+                        self.admit(released);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The stream whose head is next in `(ts, id)` order. Each stream is
+/// already ordered (the resequencer restores per-agent order under
+/// impairment), so the k-way merge only compares stream heads.
+fn next_head(streams: &[AgentStream]) -> Option<usize> {
+    let mut best = None;
+    for (i, st) in streams.iter().enumerate() {
+        if let Some((_, m, _)) = st.ready.front() {
+            let key = (m.ts_us, m.id);
+            if best.is_none_or(|(_, b)| key < b) {
+                best = Some((i, key));
+            }
+        }
+    }
+    best.map(|(i, _)| i)
+}
+
+/// Ship one frame batch; returns `false` if the receiver went away. With an
+/// eviction handle ([`BackpressurePolicy::DropOldest`]) a full link sheds
+/// its oldest batch to make room; without one
+/// ([`BackpressurePolicy::Block`]) the send blocks — a blocking agent must
+/// not hold a receiver clone, or its own handle would keep the link alive
+/// (and its sends blocked forever) after the real receiver hung up.
+fn ship_batch(
+    mut batch: FrameBatch,
+    tx: &Sender<FrameBatch>,
+    evict_rx: Option<&Receiver<FrameBatch>>,
+    drops: &mut u64,
+) -> bool {
+    let Some(evict_rx) = evict_rx else {
+        return tx.send(batch).is_ok();
+    };
+    loop {
+        match tx.try_send(batch) {
+            Ok(()) => return true,
+            Err(TrySendError::Full(b)) => {
+                batch = b;
+                // Evict the oldest queued batch. The receiver may race us
+                // to it — then the queue has room anyway; yield and retry.
+                // Eviction granularity is the batch, but drops are
+                // accounted per frame so the capture arithmetic is
+                // batch-size independent.
+                if let Ok(evicted) = evict_rx.try_recv() {
+                    *drops += evicted.frames() as u64;
+                } else {
+                    std::thread::yield_now();
+                }
+            }
+            Err(TrySendError::Disconnected(_)) => return false,
+        }
+    }
+}
+
+/// Spawn `node`'s capture agent and return the receiver end of its bounded
+/// link (batches, not frames). The agent ships its whole deterministic
+/// stream, reports `(capture stats, backpressure drops)` on `stat_tx`, then
+/// closes the link.
+fn spawn_agent<'sc, 'env>(
+    scope: &'sc Scope<'sc, 'env>,
+    node: NodeId,
+    traffic: &'env [Message],
+    cfg: &ServiceConfig,
+    sequenced: bool,
+    stat_tx: Sender<(CaptureStats, u64)>,
+) -> Receiver<FrameBatch> {
+    let (tx, rx) = bounded::<FrameBatch>(cfg.channel_capacity);
+    // Under Block the agent must not hold a receiver handle — see
+    // [`ship_batch`].
+    let evict_rx = (cfg.backpressure == BackpressurePolicy::DropOldest).then(|| rx.clone());
+    let impairment = cfg.impairment;
+    let ingest_batch = cfg.ingest_batch;
+    scope.spawn(move || {
+        let agent = CaptureAgent::new(node);
+        let mut capture = CaptureStats::default();
+        let mut drops = 0u64;
+        if sequenced {
+            // Whole-stream capture first: impairment coins key on
+            // per-agent frame indices, so the impairment must see the
+            // flat frame list before it is packed into arenas.
+            let frames = agent.capture_seq(traffic.iter(), 0);
+            let frames = match impairment {
+                Some(imp) => imp.apply(node, frames, &mut capture),
+                None => {
+                    capture.frames += frames.len() as u64;
+                    frames
+                }
+            };
+            for batch in batch_frames(&frames, ingest_batch) {
+                if !ship_batch(batch, &tx, evict_rx.as_ref(), &mut drops) {
+                    break; // receiver gone
+                }
+            }
+        } else {
+            // Lossless unsequenced path: stream capture, packing each
+            // batch arena as frames arrive.
+            let mut builder = FrameBatchBuilder::new(ingest_batch);
+            let mut alive = true;
+            for msg in traffic {
+                if agent.observes(msg) {
+                    capture.frames += 1;
+                    if let Some(batch) = builder.push(&encode(msg)) {
+                        if !ship_batch(batch, &tx, evict_rx.as_ref(), &mut drops) {
+                            alive = false;
+                            break; // receiver gone
+                        }
+                    }
+                }
+            }
+            if alive {
+                if let Some(batch) = builder.finish() {
+                    ship_batch(batch, &tx, evict_rx.as_ref(), &mut drops);
+                }
+            }
+        }
+        let _ = stat_tx.send((capture, drops));
+        // tx drops here, closing the stream.
+    });
+    rx
+}
+
+/// Serialize the receiver+analyzer state into one checkpoint payload.
+/// `lib_len` records the library size the checkpoint was written under,
+/// so a restart can skip checkpoints whose (hot-reloaded) library it
+/// failed to load.
+fn encode_checkpoint(
+    analyzer_state: &[u8],
+    next_seq: u64,
+    streams: &[AgentStream],
+    lib_len: u32,
+) -> Vec<u8> {
+    use codec::{put_u32, put_u64};
+    let mut out = Vec::new();
+    put_u32(&mut out, lib_len);
+    put_u32(&mut out, analyzer_state.len() as u32);
+    out.extend_from_slice(analyzer_state);
+    put_u64(&mut out, next_seq);
+    put_u32(&mut out, streams.len() as u32);
+    for st in streams {
+        let rs = st.reseq.as_ref().expect("store-backed runs are sequenced").export_state();
+        put_u32(&mut out, rs.len() as u32);
+        out.extend_from_slice(&rs);
+        // Messages released by the resequencer but not yet merged: they
+        // will come back from replay only as discarded duplicates, so they
+        // MUST travel with the checkpoint.
+        put_u32(&mut out, st.ready.len() as u32);
+        // The fault marks are NOT serialized: the scan is a pure function
+        // of the message, so restore recomputes identical marks — the
+        // checkpoint format is unchanged from the per-message service.
+        for (gap, msg, _mark) in &st.ready {
+            put_u32(&mut out, *gap);
+            let frame = encode(msg);
+            put_u32(&mut out, frame.len() as u32);
+            out.extend_from_slice(&frame);
+        }
+    }
+    out
+}
+
+/// Decoded checkpoint: analyzer state bytes, next job sequence number,
+/// per-agent receiver stream state, and the library size at write time.
+/// `done` is recomputed, not stored — replay closes every stream again.
+#[allow(clippy::type_complexity)]
+fn decode_checkpoint(
+    payload: &[u8],
+    n_agents: usize,
+) -> Result<(Vec<u8>, u64, Vec<AgentStream>, u32), ServiceError> {
+    let mut r = codec::Reader::new(payload);
+    let lib_len = r.u32()?;
+    let analyzer_state = r.bytes()?.to_vec();
+    let next_seq = r.u64()?;
+    let n = r.u32()? as usize;
+    if n != n_agents {
+        return Err(CheckpointError::Invalid("checkpoint agent count").into());
+    }
+    let mut streams = Vec::with_capacity(n);
+    for _ in 0..n {
+        let mut st = AgentStream::new(Some(Resequencer::restore_state(r.bytes()?)?));
+        for _ in 0..r.u32()? {
+            let gap = r.u32()?;
+            st.admit([(gap, decode_one(r.bytes()?)?)]);
+        }
+        streams.push(st);
+    }
+    r.done()?;
+    Ok((analyzer_state, next_seq, streams, lib_len))
+}
+
+/// Serialize one release batch: the watermark plus `(job seq, diagnoses)`
+/// pairs, each diagnosis in the bit-exact checkpoint codec.
+fn encode_release(up_to: u64, jobs: &[(u64, Vec<Diagnosis>)]) -> Vec<u8> {
+    use codec::{put_u32, put_u64};
+    let mut out = Vec::new();
+    put_u64(&mut out, up_to);
+    put_u32(&mut out, jobs.len() as u32);
+    for (seq, ds) in jobs {
+        put_u64(&mut out, *seq);
+        put_u32(&mut out, ds.len() as u32);
+        for d in ds {
+            put_diagnosis(&mut out, d);
+        }
+    }
+    out
+}
+
+/// Decode a [`KIND_DIAGNOSES`] record back into its watermark and jobs.
+#[allow(clippy::type_complexity)]
+fn decode_release(payload: &[u8]) -> Result<(u64, Vec<(u64, Vec<Diagnosis>)>), ServiceError> {
+    let mut r = codec::Reader::new(payload);
+    let up_to = r.u64()?;
+    let n = r.u32()? as usize;
+    let mut jobs = Vec::with_capacity(n);
+    for _ in 0..n {
+        let seq = r.u64()?;
+        let n_ds = r.u32()? as usize;
+        let mut ds = Vec::with_capacity(n_ds);
+        for _ in 0..n_ds {
+            ds.push(read_diagnosis(&mut r)?);
+        }
+        jobs.push((seq, ds));
+    }
+    r.done()?;
+    Ok((up_to, jobs))
+}
+
+/// The release watermark a restarted process must honor: the maximum
+/// `up_to` over every valid [`KIND_DIAGNOSES`] record on the store.
+fn store_watermark(store: &dyn Store) -> Result<u64, ServiceError> {
+    let mut w = 0u64;
+    for payload in store.records_of(KIND_DIAGNOSES) {
+        let (up_to, _) = decode_release(payload)?;
+        w = w.max(up_to);
+    }
+    Ok(w)
+}
+
+/// Collect the run's output from the store: every released diagnosis,
+/// ordered by job sequence number. Jobs are deduplicated by sequence
+/// (first record wins) as defense in depth; the watermark protocol means
+/// duplicates never reach the store in the first place.
+fn read_diagnoses(store: &dyn Store) -> Result<Vec<Diagnosis>, ServiceError> {
+    let mut by_seq: BTreeMap<u64, Vec<Diagnosis>> = BTreeMap::new();
+    for payload in store.records_of(KIND_DIAGNOSES) {
+        let (_, jobs) = decode_release(payload)?;
+        for (seq, ds) in jobs {
+            by_seq.entry(seq).or_insert(ds);
+        }
+    }
+    Ok(by_seq.into_values().flatten().collect())
+}
+
+type JobMsg = (u64, u32, SnapshotJob);
+type ResMsg = (u64, Vec<Diagnosis>, bool);
+
+/// Marker panic payload for a chaos-killed worker; raised with
+/// `resume_unwind` so the panic hook (and its stderr backtrace) is
+/// skipped — the supervisor handles the crash, nobody needs the noise.
+struct ChaosKill;
+
+/// The worker pool plus its supervisor state. The receiver thread owns
+/// this and *is* the supervisor: it pumps crash reports around job
+/// submissions, restarts dead workers with capped exponential backoff, and
+/// requeues their in-flight jobs. With [`AnalyzerChaos::none`] and
+/// [`JobBudget::Unlimited`] a worker is plain
+/// [`SnapshotAnalyzer::analyze`] inside a panic boundary.
+struct Pool<'sc, 'env> {
+    scope: &'sc Scope<'sc, 'env>,
+    job_tx: Sender<JobMsg>,
+    /// Held only to hand clones to respawned workers (never received
+    /// from), so the job channel cannot disconnect while jobs are queued.
+    job_rx: Receiver<JobMsg>,
+    /// Unbounded, like `crash_tx`: the supervisor drains them only around
+    /// submissions, so a bounded link could wedge the pool (workers
+    /// blocked on full results ⇒ jobs pile up ⇒ receiver blocked).
+    res_tx: Sender<ResMsg>,
+    res_rx: Receiver<ResMsg>,
+    crash_tx: Sender<JobMsg>,
+    crash_rx: Receiver<JobMsg>,
+    sa: SnapshotAnalyzer<'env>,
+    chaos: AnalyzerChaos,
+    budget: JobBudget,
+    max_attempts: u32,
+    metrics: Option<&'env PipelineMetrics>,
+    /// Jobs submitted but not yet resolved into `pending`.
+    outstanding: usize,
+    /// Resolved results by job sequence number: `(diagnoses, cancelled)`.
+    pending: BTreeMap<u64, (Vec<Diagnosis>, bool)>,
+    worker_crashes: u64,
+    jobs_requeued: u64,
+}
+
+impl<'sc, 'env> Pool<'sc, 'env> {
+    /// Bring up `workers` supervised workers on `scope`.
+    fn start(
+        scope: &'sc Scope<'sc, 'env>,
+        sa: SnapshotAnalyzer<'env>,
+        cfg: &RecoveryConfig,
+        workers: usize,
+        metrics: Option<&'env PipelineMetrics>,
+    ) -> Pool<'sc, 'env> {
+        let (job_tx, job_rx) = bounded::<JobMsg>(cfg.service.channel_capacity);
+        let (res_tx, res_rx) = unbounded::<ResMsg>();
+        let (crash_tx, crash_rx) = unbounded::<JobMsg>();
+        let pool = Pool {
+            scope,
+            job_tx,
+            job_rx,
+            res_tx,
+            res_rx,
+            crash_tx,
+            crash_rx,
+            sa,
+            chaos: cfg.chaos,
+            budget: cfg.budget,
+            max_attempts: cfg.max_attempts,
+            metrics,
+            outstanding: 0,
+            pending: BTreeMap::new(),
+            worker_crashes: 0,
+            jobs_requeued: 0,
+        };
+        for _ in 0..workers {
+            pool.spawn_worker();
+        }
+        pool
+    }
+
+    fn spawn_worker(&self) {
+        let job_rx = self.job_rx.clone();
+        let res_tx = self.res_tx.clone();
+        let crash_tx = self.crash_tx.clone();
+        let sa = self.sa;
+        let chaos = self.chaos;
+        let budget = self.budget;
+        self.scope.spawn(move || {
+            while let Ok((seq, attempt, job)) = job_rx.recv() {
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    if chaos.kill(seq, attempt) {
+                        std::panic::resume_unwind(Box::new(ChaosKill));
+                    }
+                    // A stalled job is modeled as one whose budget is
+                    // already gone: analyze_bounded cancels it. Zero
+                    // passes, not a zero duration — the stall coin is
+                    // seeded, so the cancellation replays identically.
+                    let b = if chaos.stall(seq, attempt) { JobBudget::Passes(0) } else { budget };
+                    sa.analyze_bounded(&job, b)
+                }));
+                match outcome {
+                    Ok((ds, cancelled)) => {
+                        if res_tx.send((seq, ds, cancelled)).is_err() {
+                            return; // collector gone (teardown)
+                        }
+                    }
+                    Err(_) => {
+                        // The worker is now considered crashed: report the
+                        // in-flight job and die. The supervisor restarts us.
+                        let _ = crash_tx.send((seq, attempt, job));
+                        return;
+                    }
+                }
+            }
+        });
+    }
+
+    /// Handle one crash report: restart the worker (after backoff) and
+    /// requeue or abandon the job.
+    fn handle_crash(&mut self, (seq, attempt, job): JobMsg) -> Result<(), ServiceError> {
+        self.worker_crashes += 1;
+        // Capped exponential backoff before the replacement worker comes
+        // up: 100µs · 2^attempt, at most 10ms — enough to not hot-loop on
+        // a deterministic crasher, short enough for tests.
+        let backoff = Duration::from_micros(100 << attempt.min(7)).min(Duration::from_millis(10));
+        std::thread::sleep(backoff);
+        self.spawn_worker();
+        if attempt + 1 < self.max_attempts {
+            self.jobs_requeued += 1;
+            self.submit_raw(seq, attempt + 1, job)
+        } else {
+            // Retry budget exhausted: abandon visibly. The supervisor
+            // produces the cancellation surface itself — no worker needed.
+            self.pending.insert(seq, (self.sa.cancel(&job), true));
+            self.outstanding -= 1;
+            Ok(())
+        }
+    }
+
+    /// Drain whatever results and crash reports are immediately available.
+    /// Runs after each submission, inside the full-queue retry and in
+    /// [`Pool::quiesce`] — not per merged message: both channels are
+    /// unbounded, so deferring cannot wedge a worker.
+    fn pump(&mut self) -> Result<(), ServiceError> {
+        loop {
+            if let Ok(crash) = self.crash_rx.try_recv() {
+                self.handle_crash(crash)?;
+                continue;
+            }
+            match self.res_rx.try_recv() {
+                Ok((seq, ds, cancelled)) => {
+                    self.pending.insert(seq, (ds, cancelled));
+                    self.outstanding -= 1;
+                }
+                Err(_) => return Ok(()),
+            }
+        }
+    }
+
+    fn submit_raw(&mut self, seq: u64, attempt: u32, job: SnapshotJob) -> Result<(), ServiceError> {
+        let mut msg = (seq, attempt, job);
+        loop {
+            match self.job_tx.try_send(msg) {
+                Ok(()) => return Ok(()),
+                Err(TrySendError::Full(m)) => {
+                    msg = m;
+                    // Make room: resolve results / crashes while the pool
+                    // catches up.
+                    self.pump()?;
+                    std::thread::yield_now();
+                }
+                Err(TrySendError::Disconnected(_)) => return Err(ServiceError::PoolDisconnected),
+            }
+        }
+    }
+
+    /// Submit a fresh job (attempt 0).
+    fn submit(&mut self, seq: u64, job: SnapshotJob) -> Result<(), ServiceError> {
+        self.outstanding += 1;
+        self.submit_raw(seq, 0, job)?;
+        if let Some(m) = self.metrics {
+            m.record_max(Meter::JobQueueDepthMax, self.job_tx.len() as u64);
+        }
+        self.pump()
+    }
+
+    /// Block until every submitted job has resolved into `pending`.
+    fn quiesce(&mut self) -> Result<(), ServiceError> {
+        loop {
+            self.pump()?;
+            if self.outstanding == 0 {
+                return Ok(());
+            }
+            // Nothing ready: nap briefly, then re-check (workers are
+            // either computing or a report is in flight).
+            std::thread::sleep(Duration::from_micros(50));
+        }
+    }
+}
+
+/// Cross-cycle supervisor state threaded through [`run_cycles`].
+pub(crate) struct RunState<'a> {
+    /// `None` on the store-less path: no checkpoint, no restore, and
+    /// releases go straight to `diagnoses`.
+    store: Option<&'a mut dyn Store>,
+    pub(crate) stats: RecoveryStats,
+    pub(crate) service_stats: ServiceStats,
+    /// The run's output, complete once [`run_cycles`] returns
+    /// [`RunEnd::Completed`]: every released diagnosis in job-sequence
+    /// order (read back from the [`KIND_DIAGNOSES`] records when there is a
+    /// store).
+    pub(crate) diagnoses: Vec<Diagnosis>,
+    /// Job seqs below this have been released; replay must not re-release.
+    released_watermark: u64,
+    crash_points: VecDeque<u64>,
+    /// Chaos corrupt-coin index: counts every checkpoint record ever
+    /// appended to this store, corrupt ones included.
+    ckpt_index: u64,
+    first_cycle: bool,
+    kill_point: Option<u64>,
+    reloads: VecDeque<LibraryReload>,
+    /// Pristine analyzer state for cold replay (a store, but no usable
+    /// checkpoint on it); the caller sets it per library epoch.
+    pub(crate) initial_state: Vec<u8>,
+}
+
+impl<'a> RunState<'a> {
+    pub(crate) fn new(
+        store: Option<&'a mut dyn Store>,
+        cfg: &RecoveryConfig,
+        kill_point: Option<u64>,
+        reloads: Vec<LibraryReload>,
+    ) -> Result<RunState<'a>, ServiceError> {
+        let (released_watermark, ckpt_index) = match &store {
+            Some(s) => (
+                store_watermark(&**s)?,
+                gretel_store::records(s.bytes()).filter(|r| r.kind == KIND_CHECKPOINT).count()
+                    as u64,
+            ),
+            None => (0, 0),
+        };
+        Ok(RunState {
+            store,
+            stats: RecoveryStats::default(),
+            service_stats: ServiceStats::default(),
+            diagnoses: Vec::new(),
+            released_watermark,
+            crash_points: cfg.crash_points.iter().copied().collect(),
+            ckpt_index,
+            first_cycle: true,
+            kill_point,
+            reloads: reloads.into(),
+            initial_state: Vec::new(),
+        })
+    }
+}
+
+/// How one service cycle ended.
+enum CycleEnd {
+    /// A scheduled in-process crash point fired; uncommitted state was
+    /// discarded and the next cycle restores from the store.
+    Crashed,
+    /// The cycle ended the whole [`run_cycles`] invocation.
+    Run(RunEnd),
+}
+
+/// How [`run_cycles`] ended.
+pub(crate) enum RunEnd {
+    /// Stream fully merged, all jobs resolved and committed.
+    Completed,
+    /// The scheduled whole-process kill fired (nothing was committed).
+    Killed,
+    /// A library reload fired after a clean checkpoint boundary; the
+    /// payload is the snapshot to re-enter with.
+    Reload(Vec<u8>),
+}
+
+/// Release every pending result below `up_to`, suppressing
+/// already-released duplicates: as one [`KIND_DIAGNOSES`] store record, or
+/// straight into [`RunState::diagnoses`] without a store. The record is
+/// written even when the batch is empty: the watermark it carries must
+/// survive a process restart.
+fn commit_release(
+    pool: &mut Pool<'_, '_>,
+    up_to: u64,
+    st: &mut RunState<'_>,
+) -> Result<(), ServiceError> {
+    let metrics = pool.metrics;
+    let t = StageTimer::start(metrics, Stage::Commit);
+    let mut released = 0u64;
+    let mut jobs: Vec<(u64, Vec<Diagnosis>)> = Vec::new();
+    while pool.pending.first_key_value().is_some_and(|(&seq, _)| seq < up_to) {
+        let (seq, (ds, cancelled)) = pool.pending.pop_first().expect("checked non-empty");
+        if seq < st.released_watermark {
+            st.stats.duplicate_releases_suppressed += 1;
+            continue;
+        }
+        if cancelled {
+            st.stats.jobs_cancelled += 1;
+        }
+        released += ds.len() as u64;
+        jobs.push((seq, ds));
+    }
+    match &mut st.store {
+        Some(store) => {
+            let payload = encode_release(up_to, &jobs);
+            store.append(KIND_DIAGNOSES, &payload)?;
+            if let Some(m) = metrics {
+                m.add(Meter::StoreBytes, payload.len() as u64);
+            }
+        }
+        None => st.diagnoses.extend(jobs.into_iter().flat_map(|(_, ds)| ds)),
+    }
+    st.released_watermark = st.released_watermark.max(up_to);
+    t.finish();
+    if let Some(m) = metrics {
+        m.count(Stage::Commit, released);
+    }
+    Ok(())
+}
+
+/// One checkpoint boundary on `store`: quiesce the pool, release pending
+/// diagnoses ([`KIND_DIAGNOSES`] first — a torn tail then loses at most the
+/// checkpoint, and replay regenerates nothing that was released), append
+/// the checkpoint, maybe chaos-corrupt it, and sync the store.
+fn write_boundary(
+    pool: &mut Pool<'_, '_>,
+    analyzer: &Analyzer<'_>,
+    streams: &[AgentStream],
+    seq: u64,
+    st: &mut RunState<'_>,
+) -> Result<(), ServiceError> {
+    pool.quiesce()?;
+    commit_release(pool, seq, st)?;
+    let metrics = pool.metrics;
+    let store = st.store.as_mut().expect("boundaries are only written to a store");
+    let t = StageTimer::start(metrics, Stage::Checkpoint);
+    let astate = analyzer.export_state().ok_or(ServiceError::NotCheckpointable)?;
+    let payload = encode_checkpoint(&astate, seq, streams, analyzer.library_len() as u32);
+    store.append(KIND_CHECKPOINT, &payload)?;
+    t.finish();
+    if let Some(m) = metrics {
+        m.count(Stage::Checkpoint, 1);
+        m.add(Meter::CheckpointsWritten, 1);
+        m.add(Meter::CheckpointBytes, payload.len() as u64);
+        m.add(Meter::StoreBytes, payload.len() as u64);
+    }
+    st.stats.checkpoints_written += 1;
+    if let Some(byte) = pool.chaos.corrupt(st.ckpt_index) {
+        // The checkpoint is the record just appended — the last one on
+        // the store, whatever mix of kinds precedes it.
+        let last = store.len().saturating_sub(1);
+        let corrupt_ok = store.corrupt_record(last, byte);
+        debug_assert!(corrupt_ok, "just-appended record exists");
+        st.stats.checkpoints_corrupt += 1;
+    }
+    st.ckpt_index += 1;
+    store.sync()?;
+    Ok(())
+}
+
+/// The engine. Restore from the newest usable checkpoint (store-backed
+/// runs), run one cycle — agents ship their deterministic streams, restored
+/// resequencers dedup the already-consumed prefix — and repeat across
+/// in-process crash points until the stream completes, or a kill/reload arm
+/// ends the invocation early.
+///
+/// With no chaos and no crash points the output is byte-identical with or
+/// without a store; with worker-kill chaos and crashes it *stays*
+/// identical — the oracle the recovery experiment checks. Note that
+/// [`ServiceStats::frames`] counts every shipped frame including replays
+/// (replayed frames also show up in [`RecoveryStats::replayed_frames`] and
+/// the capture stats' `dup_discarded`), so transport stats inflate with
+/// each crash while the diagnosis stream and [`AnalyzerStats`] do not.
+pub(crate) fn run_cycles(
+    analyzer: &mut Analyzer<'_>,
+    nodes: &[NodeId],
+    traffic: &[Message],
+    cfg: &RecoveryConfig,
+    state: &mut RunState<'_>,
+) -> Result<RunEnd, ServiceError> {
+    assert!(cfg.service.channel_capacity > 0);
+    assert!(cfg.service.ingest_batch >= 1, "a batch holds at least one frame");
+    let metrics = cfg.service.metrics.as_deref();
+    let sequenced = state.store.is_some() || cfg.service.sequenced();
+    let workers = cfg.service.effective_workers();
+    let lib_len = analyzer.library_len();
+
+    loop {
+        // ---- Restore ----------------------------------------------------
+        // Newest valid checkpoint written under a library we actually
+        // have; one written under a larger (hot-reloaded) library whose
+        // snapshot record was lost or corrupted references fingerprints
+        // we cannot match — fall back past it.
+        let mut restored: Option<(Vec<u8>, u64, Vec<AgentStream>)> = None;
+        if let Some(store) = &state.store {
+            for payload in store.records_of(KIND_CHECKPOINT).into_iter().rev() {
+                let (astate, next_seq, streams, ck_lib) = decode_checkpoint(payload, nodes.len())?;
+                if ck_lib as usize <= lib_len {
+                    restored = Some((astate, next_seq, streams));
+                    break;
+                }
+            }
+        }
+        let (next_seq_start, mut streams) = match restored {
+            Some((astate, next_seq, streams)) => {
+                analyzer.restore_state(&astate)?;
+                (next_seq, streams)
+            }
+            None => {
+                if state.store.is_some() {
+                    analyzer.restore_state(&state.initial_state)?;
+                }
+                let fresh = || sequenced.then(|| Resequencer::new(cfg.service.resequence_depth));
+                (0, nodes.iter().map(|_| AgentStream::new(fresh())).collect())
+            }
+        };
+        if !state.first_cycle {
+            state.stats.restores += 1;
+        }
+        state.first_cycle = false;
+        let dup_discarded = |streams: &[AgentStream]| -> u64 {
+            streams.iter().filter_map(|s| s.reseq.as_ref()).map(|r| r.stats().dup_discarded).sum()
+        };
+        let replay_base = dup_discarded(&streams);
+        let crash_point = state.crash_points.pop_front();
+
+        // ---- One cycle --------------------------------------------------
+        let snapshot_analyzer = analyzer.snapshot_analyzer().with_metrics(metrics);
+        let end = std::thread::scope(|scope| -> Result<CycleEnd, ServiceError> {
+            let mut pool = Pool::start(scope, snapshot_analyzer, cfg, workers, metrics);
+
+            // Agents re-ship the whole deterministic stream every cycle
+            // and report their capture-side stats at end of stream.
+            let (stat_tx, stat_rx) = unbounded::<(CaptureStats, u64)>();
+            let rxs: Vec<Receiver<FrameBatch>> = nodes
+                .iter()
+                .map(|&n| spawn_agent(scope, n, traffic, &cfg.service, sequenced, stat_tx.clone()))
+                .collect();
+            drop(stat_tx);
+
+            let mut seq = next_seq_start;
+            let mut merged = 0u64;
+            let mut ended = CycleEnd::Run(RunEnd::Completed);
+            for (st, rx) in streams.iter_mut().zip(&rxs) {
+                st.refill(rx, &mut state.service_stats, metrics)?;
+            }
+            loop {
+                // A whole-process kill is a SIGKILL model: nothing gets
+                // checkpointed or committed, the uncommitted tail dies.
+                if state.kill_point.is_some_and(|p| merged >= p) {
+                    ended = CycleEnd::Run(RunEnd::Killed);
+                    break;
+                }
+                if crash_point.is_some_and(|p| merged >= p) {
+                    ended = CycleEnd::Crashed;
+                    break;
+                }
+                // A reload, by contrast, is graceful: full checkpoint
+                // boundary first, then the snapshot record — a tear
+                // between the two loses only the reload, never state.
+                if state.reloads.front().is_some_and(|r| merged >= r.at_merged) {
+                    write_boundary(&mut pool, analyzer, &streams, seq, state)?;
+                    let reload = state.reloads.pop_front().expect("checked non-empty");
+                    let store = state.store.as_mut().expect("reloads need a store");
+                    store.append(KIND_LIBRARY, &reload.snapshot)?;
+                    store.sync()?;
+                    state.stats.library_reloads += 1;
+                    if let Some(m) = metrics {
+                        m.add(Meter::LibraryReloads, 1);
+                        m.add(Meter::StoreBytes, reload.snapshot.len() as u64);
+                    }
+                    ended = CycleEnd::Run(RunEnd::Reload(reload.snapshot));
+                    break;
+                }
+                let Some(i) = next_head(&streams) else { break };
+                let (gap, msg, mark) =
+                    streams[i].ready.pop_front().expect("chosen head is nonempty");
+                streams[i].refill(&rxs[i], &mut state.service_stats, metrics)?;
+                if gap > 0 {
+                    analyzer.note_capture_gap(gap);
+                }
+                let t = StageTimer::start(metrics, Stage::Ingest);
+                let jobs = analyzer.ingest_marked(&msg, mark, metrics);
+                t.finish();
+                if let Some(m) = metrics {
+                    m.count(Stage::Ingest, 1);
+                }
+                for job in jobs {
+                    pool.submit(seq, job)?;
+                    seq += 1;
+                }
+                merged += 1;
+
+                if state.store.is_some() && merged.is_multiple_of(cfg.checkpoint_every) {
+                    write_boundary(&mut pool, analyzer, &streams, seq, state)?;
+                }
+            }
+
+            if matches!(ended, CycleEnd::Run(RunEnd::Completed)) {
+                for job in analyzer.finish_jobs_observed(metrics) {
+                    pool.submit(seq, job)?;
+                    seq += 1;
+                }
+                pool.quiesce()?;
+                // Final release: the stream is exhausted, nothing can be
+                // regenerated — no checkpoint needed to make it safe, but
+                // the diagnoses themselves must reach the store durably.
+                commit_release(&mut pool, seq, state)?;
+                if let Some(store) = &mut state.store {
+                    store.sync()?;
+                    state.diagnoses = read_diagnoses(&**store)?;
+                }
+                for r in streams.iter().filter_map(|s| s.reseq.as_ref()) {
+                    state.service_stats.capture.merge(&r.stats());
+                }
+            }
+            state.stats.worker_crashes += pool.worker_crashes;
+            state.stats.jobs_requeued += pool.jobs_requeued;
+            state.stats.replayed_frames += dup_discarded(&streams).saturating_sub(replay_base);
+
+            // Teardown (on crash/kill this abandons in-flight work):
+            // dropping the receiver ends of the agent links unblocks the
+            // agents; dropping the pool's job channel ends the workers.
+            // Uncommitted pending results die with `pool`. Every agent
+            // reports exactly once before closing its link.
+            drop(rxs);
+            drop(pool);
+            while let Ok((capture, drops)) = stat_rx.recv() {
+                state.service_stats.capture.merge(&capture);
+                state.service_stats.backpressure_drops += drops;
+            }
+            Ok(ended)
+        })?;
+
+        match end {
+            CycleEnd::Crashed => continue,
+            CycleEnd::Run(RunEnd::Completed) => {
+                // One end-of-run flush: by now both halves of the capture
+                // picture (injector counters, receiver inference) are
+                // merged. Replay inflates these like it inflates
+                // `ServiceStats`: the meters describe what the transport
+                // actually did, crashes included.
+                if let Some(m) = metrics {
+                    state.service_stats.capture.record_into(m);
+                    m.add(Meter::BackpressureDrops, state.service_stats.backpressure_drops);
+                }
+                return Ok(RunEnd::Completed);
+            }
+            CycleEnd::Run(end) => return Ok(end),
+        }
+    }
+}
+
+/// The engine without a store: `analyzer` is driven as given (it may carry
+/// RCA or an opaque perf detector — nothing is exported or restored),
+/// workers run unbudgeted and chaos-free, and the diagnoses are released in
+/// job-sequence order at end of stream. A job whose analysis genuinely
+/// panics is retried and, past the default
+/// [`RecoveryConfig::max_attempts`], surfaced as `Cancelled` diagnoses.
+pub(crate) fn run_plain(
+    analyzer: &mut Analyzer<'_>,
+    nodes: &[NodeId],
+    traffic: &[Message],
+    cfg: &ServiceConfig,
+) -> Result<(Vec<Diagnosis>, ServiceStats, AnalyzerStats), ServiceError> {
+    let cfg = RecoveryConfig {
+        service: cfg.clone(),
+        budget: JobBudget::Unlimited,
+        ..RecoveryConfig::default()
+    };
+    let mut state = RunState::new(None, &cfg, None, Vec::new())?;
+    let end = run_cycles(analyzer, nodes, traffic, &cfg, &mut state)?;
+    debug_assert!(matches!(end, RunEnd::Completed), "no crash, kill or reload arm without a store");
+    Ok((state.diagnoses, state.service_stats, analyzer.stats()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gretel_store::MemStore;
+
+    #[test]
+    fn release_records_carry_the_watermark_across_restarts() {
+        let mut store = MemStore::new();
+        assert_eq!(store_watermark(&store).unwrap(), 0);
+        store
+            .append(KIND_DIAGNOSES, &encode_release(3, &[(0, vec![]), (2, vec![])]))
+            .unwrap();
+        store.append(KIND_DIAGNOSES, &encode_release(5, &[(4, vec![])])).unwrap();
+        // An empty release still advances the durable watermark.
+        store.append(KIND_DIAGNOSES, &encode_release(9, &[])).unwrap();
+        assert_eq!(store_watermark(&store).unwrap(), 9);
+        assert!(read_diagnoses(&store).unwrap().is_empty());
+    }
+}

@@ -39,6 +39,7 @@ pub mod anomaly;
 pub mod checkpoint;
 pub mod config;
 pub mod detect;
+mod engine;
 pub mod event;
 pub mod explain;
 pub mod fasthash;
@@ -60,7 +61,7 @@ pub use analyzer::{
     analyze_stream, Analyzer, AnalyzerStats, JobBudget, RcaContext, SnapshotAnalyzer, SnapshotJob,
 };
 pub use anomaly::{scan_message, scan_rest_error, scan_rpc_error, LatencyObs, LatencyPairer};
-pub use checkpoint::{CheckpointError, Journal};
+pub use checkpoint::CheckpointError;
 pub use config::{theta, GretelConfig};
 pub use detect::{DetectionOutcome, Detector, SnapshotIndex};
 pub use event::{Event, FaultMark};
@@ -75,16 +76,13 @@ pub use matcher::PositionIndex;
 pub use perf::{PerfFault, PerfMonitor};
 pub use rca::{CauseKind, RcaEngine, RootCause};
 pub use recover::{
-    run_service_durable, run_service_recoverable, AnalyzerChaos, DurableConfig, DurableOutcome,
-    LibraryReload, RecoveryConfig, RecoveryStats, KIND_CHECKPOINT, KIND_DIAGNOSES, KIND_LIBRARY,
+    run_service_durable, AnalyzerChaos, DurableConfig, DurableOutcome, LibraryReload, RecoveryConfig, RecoveryStats, KIND_CHECKPOINT, KIND_DIAGNOSES, KIND_LIBRARY,
 };
 pub use report::{CaptureConfidence, Diagnosis, FaultKind};
 pub use selfwatch::{self_watch_api, self_watch_stage, SelfWatch, SELF_WATCH_API_BASE};
-#[allow(deprecated)] // re-exported so downstream deprecation warnings point here
-pub use service::run_service_sharded;
 pub use service::{
-    resolve_shard_workers, run_service, run_service_cfg, run_service_checked, BackpressurePolicy,
-    ServiceConfig, ServiceError, ServiceStats,
+    resolve_shard_workers, run_service_cfg, BackpressurePolicy, ServiceConfig, ServiceError,
+    ServiceStats,
 };
 pub use shard::{
     canonical_order, encode_diagnoses, run_sharded, run_sharded_durable, ShardReport,

@@ -2,23 +2,23 @@
 //! recovery, durable state, and honest degradation under analysis
 //! overload.
 //!
-//! [`run_service_cfg`](crate::service::run_service_cfg) assumes its worker
-//! pool never fails. This module drops that assumption and rebuilds the
-//! pipeline around four mechanisms:
+//! [`run_service_cfg`](crate::service::run_service_cfg) drives the pipeline
+//! engine without a store; [`run_service_durable`] drives the same engine
+//! with one, which switches on four mechanisms:
 //!
-//! * **Supervision** — each [`SnapshotAnalyzer`] worker runs jobs inside a
-//!   panic boundary. A crashed worker reports its in-flight job and dies;
-//!   the supervisor (the receiver thread) restarts it after a capped
-//!   exponential backoff and requeues the job. A job that keeps crashing
-//!   past [`RecoveryConfig::max_attempts`] is abandoned *visibly*: every
-//!   fault it covered surfaces as a
+//! * **Supervision** — each [`SnapshotAnalyzer`](crate::SnapshotAnalyzer)
+//!   worker runs jobs inside a panic boundary. A crashed worker reports its
+//!   in-flight job and dies; the supervisor (the receiver thread) restarts
+//!   it after a capped exponential backoff and requeues the job. A job that
+//!   keeps crashing past [`RecoveryConfig::max_attempts`] is abandoned
+//!   *visibly*: every fault it covered surfaces as a
 //!   [`CaptureConfidence::Cancelled`](crate::CaptureConfidence::Cancelled)
-//!   diagnosis.
+//!   diagnosis. (The store-less path is supervised the same way.)
 //! * **Checkpoint/replay** — every [`RecoveryConfig::checkpoint_every`]
 //!   merged messages the service quiesces the pool and appends the full
-//!   ingest state (analyzer window, pairer, perf detectors, per-agent
-//!   resequencer positions and ready queues, next job sequence number) to
-//!   a checksummed [`Store`]. After a crash the
+//!   ingest state (analyzer window, pairer, perf detectors, traffic graph,
+//!   per-agent resequencer positions and ready queues, next job sequence
+//!   number) to a checksummed [`Store`]. After a crash the
 //!   service restores the latest valid record and the agents re-ship
 //!   their deterministic streams; the restored resequencers discard the
 //!   already-consumed prefix as duplicates, so replay resumes exactly
@@ -26,10 +26,10 @@
 //!   own store records ([`KIND_DIAGNOSES`]), written immediately *before*
 //!   the checkpoint that makes them unrepeatable — so a crash (in-process
 //!   or whole-process) can neither lose nor duplicate a diagnosis.
-//! * **Durability** — [`run_service_recoverable`] keeps its store in
-//!   memory ([`MemStore`]); [`run_service_durable`] takes any
-//!   [`Store`] — in practice a
-//!   [`FileStore`](gretel_store::FileStore) — and survives whole-process
+//! * **Durability** — [`run_service_durable`] takes any [`Store`]. Over a
+//!   [`MemStore`](gretel_store::MemStore) it is the in-process recoverable
+//!   service (scheduled crash points restore from memory); over a
+//!   [`FileStore`](gretel_store::FileStore) it survives whole-process
 //!   kills: a fresh process pointed at the same store restores the newest
 //!   valid checkpoint, re-derives the released-diagnosis watermark from
 //!   the [`KIND_DIAGNOSES`] records, and replays to byte-identical
@@ -38,38 +38,32 @@
 //!   library adopted mid-run takes effect at the next checkpoint boundary
 //!   without dropping in-flight windows.
 //! * **Budgets** — snapshot analysis runs under a per-job budget
-//!   ([`SnapshotAnalyzer::analyze_bounded`]); a stalled job is cancelled
-//!   and reported, never allowed to wedge its worker.
+//!   ([`SnapshotAnalyzer::analyze_bounded`](crate::SnapshotAnalyzer::analyze_bounded));
+//!   a stalled job is cancelled and reported, never allowed to wedge its
+//!   worker.
 //!
 //! [`AnalyzerChaos`] is the analysis-plane twin of
-//! [`CaptureImpairment`]: a seeded injector that kills workers, stalls
-//! jobs, and corrupts checkpoint records, each decision a pure function of
-//! `(seed, job, attempt)` so every run is reproducible.
+//! [`CaptureImpairment`](gretel_netcap::CaptureImpairment): a seeded
+//! injector that kills workers, stalls jobs, and corrupts checkpoint
+//! records, each decision a pure function of `(seed, job, attempt)` so
+//! every run is reproducible.
 
-use crate::analyzer::{Analyzer, AnalyzerStats, JobBudget, SnapshotAnalyzer, SnapshotJob};
-use crate::anomaly::scan_message;
-use crate::checkpoint::{codec, put_diagnosis, read_diagnosis};
+use crate::analyzer::{Analyzer, AnalyzerStats, JobBudget};
 use crate::config::GretelConfig;
-use crate::event::FaultMark;
+use crate::engine::{run_cycles, RunEnd, RunState};
 use crate::fingerprint::FingerprintLibrary;
+use crate::graph::ServiceGraph;
 use crate::report::Diagnosis;
-use crate::service::{
-    ship_batches, BackpressurePolicy, ServiceConfig, ServiceError, ServiceStats,
-};
-use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
+use crate::service::{BackpressurePolicy, ServiceConfig, ServiceError, ServiceStats};
 use gretel_model::{Message, NodeId};
-use gretel_netcap::{
-    batch_frames, decode_one, encode, CaptureAgent, CaptureImpairment, CaptureStats, FrameBatch,
-    Resequencer,
-};
-use gretel_store::{MemStore, Store};
-use std::collections::{BTreeMap, VecDeque};
-use std::time::Duration;
+use gretel_netcap::{coin, mix64};
+use gretel_store::Store;
 
 /// Seeded fault injection for the *analysis* plane — the counterpart of
-/// the capture-plane [`CaptureImpairment`]. Every decision is a pure
-/// function of the seed and the job's identity, so runs are reproducible
-/// regardless of thread scheduling.
+/// the capture-plane [`gretel_netcap::CaptureImpairment`], drawing the same
+/// [`gretel_netcap::coin`]. Every decision is a pure function of the seed
+/// and the job's identity, so runs are reproducible regardless of thread
+/// scheduling.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalyzerChaos {
     /// Probability that a worker is killed (panics) when it picks up a
@@ -96,26 +90,6 @@ const SALT_STALL: u64 = 22;
 const SALT_CORRUPT: u64 = 23;
 const SALT_CORRUPT_BYTE: u64 = 24;
 
-/// Splitmix64 finalizer over `(seed, a, b, salt)` — the same coin family
-/// the capture-plane injector uses, so chaos decisions are pure functions
-/// of their inputs.
-fn mix64(seed: u64, a: u64, b: u64, salt: u64) -> u64 {
-    let mut x = seed
-        ^ (a + 1).wrapping_mul(0xA076_1D64_78BD_642F)
-        ^ (b + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (salt + 1).wrapping_mul(0xE703_7ED1_A0B4_28DB);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    x
-}
-
-fn coin(seed: u64, a: u64, b: u64, salt: u64) -> f64 {
-    (mix64(seed, a, b, salt) >> 11) as f64 / (1u64 << 53) as f64
-}
-
 impl AnalyzerChaos {
     /// No chaos at all.
     pub fn none() -> AnalyzerChaos {
@@ -127,16 +101,16 @@ impl AnalyzerChaos {
         self.kill_prob <= 0.0 && self.stall_prob <= 0.0 && self.corrupt_prob <= 0.0
     }
 
-    fn kill(&self, seq: u64, attempt: u32) -> bool {
+    pub(crate) fn kill(&self, seq: u64, attempt: u32) -> bool {
         attempt < self.kill_attempts
             && coin(self.seed, seq, attempt as u64, SALT_KILL) < self.kill_prob
     }
 
-    fn stall(&self, seq: u64, attempt: u32) -> bool {
+    pub(crate) fn stall(&self, seq: u64, attempt: u32) -> bool {
         coin(self.seed, seq, attempt as u64, SALT_STALL) < self.stall_prob
     }
 
-    fn corrupt(&self, ckpt_index: u64) -> Option<usize> {
+    pub(crate) fn corrupt(&self, ckpt_index: u64) -> Option<usize> {
         (coin(self.seed, ckpt_index, 0, SALT_CORRUPT) < self.corrupt_prob)
             .then(|| mix64(self.seed, ckpt_index, 1, SALT_CORRUPT_BYTE) as usize)
     }
@@ -148,23 +122,22 @@ impl Default for AnalyzerChaos {
     }
 }
 
-/// Configuration for [`run_service_recoverable`].
+/// The supervision and checkpoint/replay shape of a [`run_service_durable`]
+/// run ([`DurableConfig::recovery`]).
 #[derive(Debug, Clone)]
 pub struct RecoveryConfig {
     /// The underlying pipeline shape. `backpressure` must be
     /// [`BackpressurePolicy::Block`] (lossy eviction is nondeterministic
     /// across restarts, so replay could not reproduce the pre-crash
-    /// stream); frames are always sequence-stamped, adding
-    /// [`CaptureImpairment::none`] when no impairment is configured.
+    /// stream); frames are always sequence-stamped, impaired or not.
     pub service: ServiceConfig,
     /// Checkpoint the full ingest state every this many merged messages.
     pub checkpoint_every: u64,
     /// Per-job analysis budget; a job exhausting it is cancelled. Must be
     /// deterministic ([`JobBudget::is_deterministic`]): a wall-clock
     /// budget could cancel different jobs on replay than in the original
-    /// run, breaking byte-identical recovery —
-    /// [`run_service_recoverable`] rejects it with
-    /// [`ServiceError::NondeterministicBudget`].
+    /// run, breaking byte-identical recovery — [`run_service_durable`]
+    /// rejects it with [`ServiceError::NondeterministicBudget`].
     pub budget: JobBudget,
     /// Seeded analysis-plane fault injection.
     pub chaos: AnalyzerChaos,
@@ -196,7 +169,7 @@ impl Default for RecoveryConfig {
 }
 
 /// What the supervision and recovery machinery did during one
-/// [`run_service_recoverable`] (or [`run_service_durable`]) run.
+/// [`run_service_durable`] invocation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Workers killed (by chaos or a real panic) and restarted.
@@ -237,345 +210,6 @@ pub const KIND_DIAGNOSES: u8 = 2;
 /// library a durable restart runs with.
 pub const KIND_LIBRARY: u8 = 3;
 
-/// One agent's receiver-side stream state (always sequenced here).
-struct RecvStream {
-    reseq: Resequencer,
-    ready: VecDeque<(u32, Message, FaultMark)>,
-    done: bool,
-}
-
-impl RecvStream {
-    /// Queue released messages for the merge, scanning the run in one
-    /// batch-wide pass (the marks are pure functions of the messages, so
-    /// replay after a restore recomputes identical ones).
-    fn admit(&mut self, released: impl IntoIterator<Item = (u32, Message)>) {
-        for (gap, msg) in released {
-            let mark = scan_message(&msg);
-            self.ready.push_back((gap, msg, mark));
-        }
-    }
-
-    fn refill(
-        &mut self,
-        rx: &Receiver<FrameBatch>,
-        stats: &mut ServiceStats,
-    ) -> Result<(), ServiceError> {
-        while self.ready.is_empty() && !self.done {
-            match rx.recv() {
-                Ok(batch) => {
-                    stats.channel_ops += 1;
-                    stats.frames += batch.frames() as u64;
-                    stats.bytes += batch.byte_len() as u64;
-                    let mut released = Vec::with_capacity(batch.frames());
-                    for (msg, seq) in batch.decode_all()? {
-                        released.extend(self.reseq.push(seq, msg));
-                    }
-                    self.admit(released);
-                }
-                Err(_) => {
-                    self.done = true;
-                    let released = self.reseq.flush();
-                    self.admit(released);
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Serialize the receiver+analyzer state into one checkpoint payload.
-/// `lib_len` records the library size the checkpoint was written under,
-/// so a restart can skip checkpoints whose (hot-reloaded) library it
-/// failed to load.
-fn encode_checkpoint(
-    analyzer_state: &[u8],
-    next_seq: u64,
-    streams: &[RecvStream],
-    lib_len: u32,
-) -> Vec<u8> {
-    use codec::{put_u32, put_u64};
-    let mut out = Vec::new();
-    put_u32(&mut out, lib_len);
-    put_u32(&mut out, analyzer_state.len() as u32);
-    out.extend_from_slice(analyzer_state);
-    put_u64(&mut out, next_seq);
-    put_u32(&mut out, streams.len() as u32);
-    for st in streams {
-        let rs = st.reseq.export_state();
-        put_u32(&mut out, rs.len() as u32);
-        out.extend_from_slice(&rs);
-        // Messages released by the resequencer but not yet merged: they
-        // will come back from replay only as discarded duplicates, so they
-        // MUST travel with the checkpoint.
-        put_u32(&mut out, st.ready.len() as u32);
-        // The fault marks are NOT serialized: the scan is a pure function
-        // of the message, so restore recomputes identical marks — the
-        // checkpoint format is unchanged from the per-message service.
-        for (gap, msg, _mark) in &st.ready {
-            put_u32(&mut out, *gap);
-            let frame = encode(msg);
-            put_u32(&mut out, frame.len() as u32);
-            out.extend_from_slice(&frame);
-        }
-    }
-    out
-}
-
-/// Decoded checkpoint: analyzer state bytes, next job sequence number,
-/// per-agent receiver stream state, and the library size at write time.
-/// `done` is recomputed, not stored — replay closes every stream again.
-#[allow(clippy::type_complexity)]
-fn decode_checkpoint(
-    payload: &[u8],
-    n_agents: usize,
-) -> Result<(Vec<u8>, u64, Vec<RecvStream>, u32), ServiceError> {
-    use crate::checkpoint::CheckpointError;
-    let mut r = codec::Reader::new(payload);
-    let lib_len = r.u32()?;
-    let analyzer_state = r.bytes()?.to_vec();
-    let next_seq = r.u64()?;
-    let n = r.u32()? as usize;
-    if n != n_agents {
-        return Err(CheckpointError::Invalid("checkpoint agent count").into());
-    }
-    let mut streams = Vec::with_capacity(n);
-    for _ in 0..n {
-        let reseq = Resequencer::restore_state(r.bytes()?)?;
-        let n_ready = r.u32()? as usize;
-        let mut ready = VecDeque::with_capacity(n_ready);
-        for _ in 0..n_ready {
-            let gap = r.u32()?;
-            let msg = decode_one(r.bytes()?)?;
-            let mark = scan_message(&msg);
-            ready.push_back((gap, msg, mark));
-        }
-        streams.push(RecvStream { reseq, ready, done: false });
-    }
-    r.done()?;
-    Ok((analyzer_state, next_seq, streams, lib_len))
-}
-
-/// Serialize one release batch: the watermark plus `(job seq, diagnoses)`
-/// pairs, each diagnosis in the bit-exact checkpoint codec.
-fn encode_release(up_to: u64, jobs: &[(u64, Vec<Diagnosis>)]) -> Vec<u8> {
-    use codec::{put_u32, put_u64};
-    let mut out = Vec::new();
-    put_u64(&mut out, up_to);
-    put_u32(&mut out, jobs.len() as u32);
-    for (seq, ds) in jobs {
-        put_u64(&mut out, *seq);
-        put_u32(&mut out, ds.len() as u32);
-        for d in ds {
-            put_diagnosis(&mut out, d);
-        }
-    }
-    out
-}
-
-/// Decode a [`KIND_DIAGNOSES`] record back into its watermark and jobs.
-#[allow(clippy::type_complexity)]
-fn decode_release(payload: &[u8]) -> Result<(u64, Vec<(u64, Vec<Diagnosis>)>), ServiceError> {
-    let mut r = codec::Reader::new(payload);
-    let up_to = r.u64()?;
-    let n = r.u32()? as usize;
-    let mut jobs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let seq = r.u64()?;
-        let n_ds = r.u32()? as usize;
-        let mut ds = Vec::with_capacity(n_ds);
-        for _ in 0..n_ds {
-            ds.push(read_diagnosis(&mut r)?);
-        }
-        jobs.push((seq, ds));
-    }
-    r.done()?;
-    Ok((up_to, jobs))
-}
-
-/// The release watermark a restarted process must honor: the maximum
-/// `up_to` over every valid [`KIND_DIAGNOSES`] record on the store.
-fn store_watermark(store: &dyn Store) -> Result<u64, ServiceError> {
-    let mut w = 0u64;
-    for payload in store.records_of(KIND_DIAGNOSES) {
-        let (up_to, _) = decode_release(payload)?;
-        w = w.max(up_to);
-    }
-    Ok(w)
-}
-
-/// Collect the run's output from the store: every released diagnosis,
-/// ordered by job sequence number. Jobs are deduplicated by sequence
-/// (first record wins) as defense in depth; the watermark protocol means
-/// duplicates never reach the store in the first place.
-fn read_diagnoses(store: &dyn Store) -> Result<Vec<Diagnosis>, ServiceError> {
-    let mut by_seq: BTreeMap<u64, Vec<Diagnosis>> = BTreeMap::new();
-    for payload in store.records_of(KIND_DIAGNOSES) {
-        let (_, jobs) = decode_release(payload)?;
-        for (seq, ds) in jobs {
-            by_seq.entry(seq).or_insert(ds);
-        }
-    }
-    Ok(by_seq.into_values().flatten().collect())
-}
-
-type JobMsg = (u64, u32, SnapshotJob);
-type ResMsg = (u64, Vec<Diagnosis>, bool);
-
-/// Marker panic payload for a chaos-killed worker; raised with
-/// `resume_unwind` so the panic hook (and its stderr backtrace) is
-/// skipped — the supervisor handles the crash, nobody needs the noise.
-struct ChaosKill;
-
-/// The worker pool plus its supervisor state. The receiver thread owns
-/// this and *is* the supervisor: it pumps crash reports between merge
-/// steps, restarts dead workers with capped exponential backoff, and
-/// requeues their in-flight jobs.
-struct Pool<'sc, 'env> {
-    scope: &'sc std::thread::Scope<'sc, 'env>,
-    job_tx: Sender<JobMsg>,
-    /// Held only to hand clones to respawned workers (never received
-    /// from), so the job channel cannot disconnect while jobs are queued.
-    job_rx: Receiver<JobMsg>,
-    res_tx: Sender<ResMsg>,
-    res_rx: Receiver<ResMsg>,
-    crash_tx: Sender<JobMsg>,
-    crash_rx: Receiver<JobMsg>,
-    sa: SnapshotAnalyzer<'env>,
-    chaos: AnalyzerChaos,
-    budget: JobBudget,
-    max_attempts: u32,
-    /// Jobs submitted but not yet resolved into `pending`.
-    outstanding: usize,
-    /// Resolved results by job sequence number: `(diagnoses, cancelled)`.
-    pending: BTreeMap<u64, (Vec<Diagnosis>, bool)>,
-    worker_crashes: u64,
-    jobs_requeued: u64,
-}
-
-impl<'sc, 'env> Pool<'sc, 'env> {
-    fn spawn_worker(&self) {
-        let job_rx = self.job_rx.clone();
-        let res_tx = self.res_tx.clone();
-        let crash_tx = self.crash_tx.clone();
-        let sa = self.sa;
-        let chaos = self.chaos;
-        let budget = self.budget;
-        self.scope.spawn(move || {
-            while let Ok((seq, attempt, job)) = job_rx.recv() {
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    if chaos.kill(seq, attempt) {
-                        std::panic::resume_unwind(Box::new(ChaosKill));
-                    }
-                    // A stalled job is modeled as one whose budget is
-                    // already gone: analyze_bounded cancels it. Zero
-                    // passes, not a zero duration — the stall coin is
-                    // seeded, so the cancellation replays identically.
-                    let b = if chaos.stall(seq, attempt) { JobBudget::Passes(0) } else { budget };
-                    sa.analyze_bounded(&job, b)
-                }));
-                match outcome {
-                    Ok((ds, cancelled)) => {
-                        if res_tx.send((seq, ds, cancelled)).is_err() {
-                            return; // collector gone (teardown)
-                        }
-                    }
-                    Err(_) => {
-                        // The worker is now considered crashed: report the
-                        // in-flight job and die. The supervisor restarts us.
-                        let _ = crash_tx.send((seq, attempt, job));
-                        return;
-                    }
-                }
-            }
-        });
-    }
-
-    /// Handle one crash report: restart the worker (after backoff) and
-    /// requeue or abandon the job.
-    fn handle_crash(&mut self, (seq, attempt, job): JobMsg) -> Result<(), ServiceError> {
-        self.worker_crashes += 1;
-        // Capped exponential backoff before the replacement worker comes
-        // up: 100µs · 2^attempt, at most 10ms — enough to not hot-loop on
-        // a deterministic crasher, short enough for tests.
-        let backoff = Duration::from_micros(100 << attempt.min(7)).min(Duration::from_millis(10));
-        std::thread::sleep(backoff);
-        self.spawn_worker();
-        if attempt + 1 < self.max_attempts {
-            self.jobs_requeued += 1;
-            self.submit_raw(seq, attempt + 1, job)
-        } else {
-            // Retry budget exhausted: abandon visibly. The supervisor
-            // produces the cancellation surface itself — no worker needed.
-            self.pending.insert(seq, (self.sa.cancel(&job), true));
-            self.outstanding -= 1;
-            Ok(())
-        }
-    }
-
-    /// Drain whatever results and crash reports are immediately available.
-    fn pump(&mut self) -> Result<(), ServiceError> {
-        loop {
-            if let Ok(crash) = self.crash_rx.try_recv() {
-                self.handle_crash(crash)?;
-                continue;
-            }
-            match self.res_rx.try_recv() {
-                Ok((seq, ds, cancelled)) => {
-                    self.pending.insert(seq, (ds, cancelled));
-                    self.outstanding -= 1;
-                }
-                Err(_) => return Ok(()),
-            }
-        }
-    }
-
-    fn submit_raw(&mut self, seq: u64, attempt: u32, job: SnapshotJob) -> Result<(), ServiceError> {
-        let mut job = Some((seq, attempt, job));
-        while let Some(j) = job.take() {
-            match self.job_tx.try_send(j) {
-                Ok(()) => return Ok(()),
-                Err(crossbeam_channel::TrySendError::Full(j)) => {
-                    job = Some(j);
-                    // Make room: resolve results / crashes while the pool
-                    // catches up.
-                    self.pump()?;
-                    std::thread::yield_now();
-                }
-                Err(crossbeam_channel::TrySendError::Disconnected(_)) => {
-                    return Err(ServiceError::PoolDisconnected);
-                }
-            }
-        }
-        unreachable!("loop exits via return")
-    }
-
-    /// Submit a fresh job (attempt 0).
-    fn submit(&mut self, seq: u64, job: SnapshotJob) -> Result<(), ServiceError> {
-        self.outstanding += 1;
-        self.submit_raw(seq, 0, job)
-    }
-
-    /// Block until every submitted job has resolved into `pending`.
-    fn quiesce(&mut self) -> Result<(), ServiceError> {
-        while self.outstanding > 0 {
-            if let Ok(crash) = self.crash_rx.try_recv() {
-                self.handle_crash(crash)?;
-                continue;
-            }
-            match self.res_rx.try_recv() {
-                Ok((seq, ds, cancelled)) => {
-                    self.pending.insert(seq, (ds, cancelled));
-                    self.outstanding -= 1;
-                }
-                // Nothing ready: nap briefly, then re-check crash reports
-                // (workers are either computing or a report is in flight).
-                Err(_) => std::thread::sleep(Duration::from_micros(50)),
-            }
-        }
-        Ok(())
-    }
-}
-
 /// A fingerprint-library hot-reload scheduled into a durable run: once
 /// this many messages have merged in the current cycle, the service
 /// checkpoints, appends the snapshot to the store ([`KIND_LIBRARY`]), and
@@ -597,7 +231,7 @@ pub struct LibraryReload {
 #[derive(Debug, Clone, Default)]
 pub struct DurableConfig {
     /// Supervision, checkpoint cadence, budget, chaos, in-process crash
-    /// points — exactly as for [`run_service_recoverable`].
+    /// points.
     pub recovery: RecoveryConfig,
     /// Simulated whole-process kill (SIGKILL model): once this many
     /// messages have merged in a cycle, the function returns
@@ -618,13 +252,19 @@ pub enum DurableOutcome {
         /// Released diagnoses, ordered by job sequence (read back from
         /// the store's [`KIND_DIAGNOSES`] records).
         diagnoses: Vec<Diagnosis>,
-        /// Transport statistics (replay-inflated, as documented on
-        /// [`run_service_recoverable`]).
+        /// Transport statistics. Replay-inflated: `frames` counts every
+        /// shipped frame including those re-shipped after a crash (also
+        /// visible as [`RecoveryStats::replayed_frames`] and the capture
+        /// stats' `dup_discarded`); diagnoses and analyzer counters are not.
         service: ServiceStats,
         /// Analyzer counters from the final library epoch.
         analyzer: AnalyzerStats,
         /// Supervision/recovery counters for this invocation.
         recovery: RecoveryStats,
+        /// The traffic graph the analyzer mined from what it actually
+        /// observed. It rides in every checkpoint, so crash points, kills
+        /// and library-reload epochs neither lose nor double-count an edge.
+        graph: ServiceGraph,
     },
     /// The scheduled [`DurableConfig::kill_point`] fired; uncommitted
     /// state was discarded. Re-invoke with the same store to restart.
@@ -636,154 +276,7 @@ pub enum DurableOutcome {
     },
 }
 
-/// Cross-cycle supervisor state threaded through [`run_cycles`].
-struct RunState<'a> {
-    store: &'a mut dyn Store,
-    stats: RecoveryStats,
-    service_stats: ServiceStats,
-    /// Job seqs below this have been released; replay must not re-release.
-    released_watermark: u64,
-    crash_points: VecDeque<u64>,
-    /// Chaos corrupt-coin index: counts every checkpoint record ever
-    /// appended to this store, corrupt ones included.
-    ckpt_index: u64,
-    first_cycle: bool,
-    kill_point: Option<u64>,
-    reloads: VecDeque<LibraryReload>,
-    /// Pristine analyzer state for cold replay (no usable checkpoint).
-    initial_state: Vec<u8>,
-}
-
-impl<'a> RunState<'a> {
-    fn new(
-        store: &'a mut dyn Store,
-        cfg: &RecoveryConfig,
-        initial_state: Vec<u8>,
-        kill_point: Option<u64>,
-        reloads: Vec<LibraryReload>,
-    ) -> Result<RunState<'a>, ServiceError> {
-        let released_watermark = store_watermark(store)?;
-        let ckpt_index = gretel_store::records(store.bytes())
-            .filter(|r| r.kind == KIND_CHECKPOINT)
-            .count() as u64;
-        Ok(RunState {
-            store,
-            stats: RecoveryStats::default(),
-            service_stats: ServiceStats::default(),
-            released_watermark,
-            crash_points: cfg.crash_points.iter().copied().collect(),
-            ckpt_index,
-            first_cycle: true,
-            kill_point,
-            reloads: reloads.into(),
-            initial_state,
-        })
-    }
-}
-
-/// How one service cycle ended.
-enum CycleEnd {
-    /// Stream fully merged, all jobs resolved and committed.
-    Completed,
-    /// A scheduled in-process crash point fired; uncommitted state was
-    /// discarded and the next cycle restores from the store.
-    Crashed,
-    /// The scheduled whole-process kill fired (nothing was committed).
-    Killed,
-    /// A library reload fired after a clean checkpoint boundary; the
-    /// payload is the snapshot to re-enter with.
-    Reload(Vec<u8>),
-}
-
-/// How [`run_cycles`] ended (a [`CycleEnd`] minus the internal `Crashed`,
-/// which restarts the cycle loop instead of returning).
-enum RunEnd {
-    Completed,
-    Killed,
-    Reload(Vec<u8>),
-}
-
-/// Release every pending result below `up_to` as one [`KIND_DIAGNOSES`]
-/// store record, suppressing already-released duplicates. The record is
-/// written even when the batch is empty: the watermark it carries must
-/// survive a process restart.
-fn commit_release(
-    pool: &mut Pool<'_, '_>,
-    up_to: u64,
-    st: &mut RunState<'_>,
-    metrics: Option<&gretel_obs::PipelineMetrics>,
-) -> Result<(), ServiceError> {
-    let t = gretel_obs::StageTimer::start(metrics, gretel_obs::Stage::Commit);
-    let mut released = 0u64;
-    let mut jobs: Vec<(u64, Vec<Diagnosis>)> = Vec::new();
-    while let Some((&seq, _)) = pool.pending.first_key_value() {
-        if seq >= up_to {
-            break;
-        }
-        let (seq, (ds, cancelled)) = pool.pending.pop_first().expect("checked non-empty");
-        if seq < st.released_watermark {
-            st.stats.duplicate_releases_suppressed += 1;
-            continue;
-        }
-        if cancelled {
-            st.stats.jobs_cancelled += 1;
-        }
-        released += ds.len() as u64;
-        jobs.push((seq, ds));
-    }
-    let payload = encode_release(up_to, &jobs);
-    st.store.append(KIND_DIAGNOSES, &payload)?;
-    st.released_watermark = st.released_watermark.max(up_to);
-    t.finish();
-    if let Some(m) = metrics {
-        m.count(gretel_obs::Stage::Commit, released);
-        m.add(gretel_obs::Meter::StoreBytes, payload.len() as u64);
-    }
-    Ok(())
-}
-
-/// One checkpoint boundary: quiesce the pool, release pending diagnoses
-/// ([`KIND_DIAGNOSES`] first — a torn tail then loses at most the
-/// checkpoint, and replay regenerates nothing that was released), append
-/// the checkpoint, maybe chaos-corrupt it, and sync the store.
-fn write_boundary(
-    pool: &mut Pool<'_, '_>,
-    analyzer: &Analyzer<'_>,
-    streams: &[RecvStream],
-    seq: u64,
-    chaos: &AnalyzerChaos,
-    st: &mut RunState<'_>,
-    metrics: Option<&gretel_obs::PipelineMetrics>,
-) -> Result<(), ServiceError> {
-    pool.quiesce()?;
-    commit_release(pool, seq, st, metrics)?;
-    let t = gretel_obs::StageTimer::start(metrics, gretel_obs::Stage::Checkpoint);
-    let astate = analyzer.export_state().ok_or(ServiceError::NotCheckpointable)?;
-    let payload = encode_checkpoint(&astate, seq, streams, analyzer.library_len() as u32);
-    st.store.append(KIND_CHECKPOINT, &payload)?;
-    t.finish();
-    if let Some(m) = metrics {
-        m.count(gretel_obs::Stage::Checkpoint, 1);
-        m.add(gretel_obs::Meter::CheckpointsWritten, 1);
-        m.add(gretel_obs::Meter::CheckpointBytes, payload.len() as u64);
-        m.add(gretel_obs::Meter::StoreBytes, payload.len() as u64);
-    }
-    st.stats.checkpoints_written += 1;
-    if let Some(byte) = chaos.corrupt(st.ckpt_index) {
-        // The checkpoint is the record just appended — the last one on
-        // the store, whatever mix of kinds precedes it.
-        let last = st.store.len().saturating_sub(1);
-        let corrupt_ok = st.store.corrupt_record(last, byte);
-        debug_assert!(corrupt_ok, "just-appended record exists");
-        st.stats.checkpoints_corrupt += 1;
-    }
-    st.ckpt_index += 1;
-    st.store.sync()?;
-    Ok(())
-}
-
 fn validate(cfg: &RecoveryConfig) -> Result<(), ServiceError> {
-    assert!(cfg.service.channel_capacity > 0);
     assert!(cfg.checkpoint_every > 0);
     assert!(cfg.max_attempts > 0);
     if cfg.service.backpressure == BackpressurePolicy::DropOldest {
@@ -797,288 +290,19 @@ fn validate(cfg: &RecoveryConfig) -> Result<(), ServiceError> {
     Ok(())
 }
 
-/// The supervisor loop shared by [`run_service_recoverable`] and
-/// [`run_service_durable`]: restore from the newest usable checkpoint,
-/// run one cycle (agents re-ship, restored resequencers dedup the
-/// consumed prefix), and repeat across in-process crash points until the
-/// stream completes — or a kill/reload arm ends the invocation early.
-fn run_cycles(
-    analyzer: &mut Analyzer<'_>,
-    nodes: &[NodeId],
-    traffic: &[Message],
-    cfg: &RecoveryConfig,
-    state: &mut RunState<'_>,
-) -> Result<RunEnd, ServiceError> {
-    let metrics = cfg.service.metrics.as_deref();
-    // Replay needs sequence numbers to dedup the re-shipped prefix.
-    let mut service_cfg = cfg.service.clone();
-    if service_cfg.impairment.is_none() {
-        service_cfg.impairment = Some(CaptureImpairment::none());
-    }
-    let lib_len = analyzer.library_len();
-
-    loop {
-        // ---- Restore ----------------------------------------------------
-        // Newest valid checkpoint written under a library we actually
-        // have; one written under a larger (hot-reloaded) library whose
-        // snapshot record was lost or corrupted references fingerprints
-        // we cannot match — fall back past it.
-        let mut restored: Option<(Vec<u8>, u64, Vec<RecvStream>)> = None;
-        for payload in state.store.records_of(KIND_CHECKPOINT).into_iter().rev() {
-            let (astate, next_seq, streams, ck_lib) = decode_checkpoint(payload, nodes.len())?;
-            if ck_lib as usize <= lib_len {
-                restored = Some((astate, next_seq, streams));
-                break;
-            }
-        }
-        let (next_seq_start, mut streams) = match restored {
-            Some((astate, next_seq, streams)) => {
-                analyzer.restore_state(&astate)?;
-                (next_seq, streams)
-            }
-            None => {
-                analyzer.restore_state(&state.initial_state)?;
-                let streams = nodes
-                    .iter()
-                    .map(|_| RecvStream {
-                        reseq: Resequencer::new(service_cfg.resequence_depth),
-                        ready: VecDeque::new(),
-                        done: false,
-                    })
-                    .collect();
-                (0, streams)
-            }
-        };
-        if !state.first_cycle {
-            state.stats.restores += 1;
-        }
-        state.first_cycle = false;
-        let replay_base: u64 = streams.iter().map(|s| s.reseq.stats().dup_discarded).sum();
-        let crash_point = state.crash_points.pop_front();
-
-        // ---- One cycle --------------------------------------------------
-        let workers = service_cfg.effective_workers();
-        let snapshot_analyzer = analyzer.snapshot_analyzer().with_metrics(metrics);
-        let (job_tx, job_rx) = bounded::<JobMsg>(service_cfg.channel_capacity);
-        let (res_tx, res_rx) = unbounded::<ResMsg>();
-        let (crash_tx, crash_rx) = unbounded::<JobMsg>();
-        let (stat_tx, stat_rx) = unbounded::<CaptureStats>();
-
-        let end = std::thread::scope(|scope| -> Result<CycleEnd, ServiceError> {
-            let mut pool = Pool {
-                scope,
-                job_tx,
-                job_rx,
-                res_tx,
-                res_rx,
-                crash_tx,
-                crash_rx,
-                sa: snapshot_analyzer,
-                chaos: cfg.chaos,
-                budget: cfg.budget,
-                max_attempts: cfg.max_attempts,
-                outstanding: 0,
-                pending: BTreeMap::new(),
-                worker_crashes: 0,
-                jobs_requeued: 0,
-            };
-            for _ in 0..workers {
-                pool.spawn_worker();
-            }
-
-            // Agents re-ship the whole deterministic stream every cycle;
-            // the restored resequencers turn the consumed prefix into
-            // discarded duplicates.
-            let mut rxs: Vec<Receiver<FrameBatch>> = Vec::with_capacity(nodes.len());
-            for &node in nodes {
-                let (tx, rx) = bounded::<FrameBatch>(service_cfg.channel_capacity);
-                rxs.push(rx);
-                let agent = CaptureAgent::new(node);
-                let stat_tx = stat_tx.clone();
-                let impairment = service_cfg.impairment;
-                let ingest_batch = service_cfg.ingest_batch;
-                scope.spawn(move || {
-                    let mut capture = CaptureStats::default();
-                    let mut drops = 0u64;
-                    // Impair the flat frame list first (coins key on
-                    // per-agent frame indices), then pack into arenas.
-                    let frames = agent.capture_seq(traffic.iter(), 0);
-                    let frames = match impairment {
-                        Some(imp) => imp.apply(node, frames, &mut capture),
-                        None => unreachable!("recoverable runs are always sequenced"),
-                    };
-                    let batches = batch_frames(&frames, ingest_batch);
-                    ship_batches(batches, &tx, None, BackpressurePolicy::Block, &mut drops);
-                    let _ = stat_tx.send(capture);
-                });
-            }
-            drop(stat_tx);
-
-            let mut seq = next_seq_start;
-            let mut merged = 0u64;
-            let mut ended = CycleEnd::Completed;
-            for (st, rx) in streams.iter_mut().zip(&rxs) {
-                st.refill(rx, &mut state.service_stats)?;
-            }
-            loop {
-                // A whole-process kill is a SIGKILL model: nothing gets
-                // checkpointed or committed, the uncommitted tail dies.
-                if state.kill_point.is_some_and(|p| merged >= p) {
-                    ended = CycleEnd::Killed;
-                    break;
-                }
-                if crash_point.is_some_and(|p| merged >= p) {
-                    ended = CycleEnd::Crashed;
-                    break;
-                }
-                // A reload, by contrast, is graceful: full checkpoint
-                // boundary first, then the snapshot record — a tear
-                // between the two loses only the reload, never state.
-                if state.reloads.front().is_some_and(|r| merged >= r.at_merged) {
-                    write_boundary(&mut pool, analyzer, &streams, seq, &cfg.chaos, state, metrics)?;
-                    let reload = state.reloads.pop_front().expect("checked non-empty");
-                    state.store.append(KIND_LIBRARY, &reload.snapshot)?;
-                    state.store.sync()?;
-                    state.stats.library_reloads += 1;
-                    if let Some(m) = metrics {
-                        m.add(gretel_obs::Meter::LibraryReloads, 1);
-                        m.add(gretel_obs::Meter::StoreBytes, reload.snapshot.len() as u64);
-                    }
-                    ended = CycleEnd::Reload(reload.snapshot);
-                    break;
-                }
-                let mut best: Option<usize> = None;
-                for (i, st) in streams.iter().enumerate() {
-                    if let Some((_, m, _)) = st.ready.front() {
-                        let better = match best {
-                            None => true,
-                            Some(b) => {
-                                let (_, bm, _) =
-                                    streams[b].ready.front().expect("best is nonempty");
-                                (m.ts_us, m.id) < (bm.ts_us, bm.id)
-                            }
-                        };
-                        if better {
-                            best = Some(i);
-                        }
-                    }
-                }
-                let Some(i) = best else { break };
-                let (gap, msg, mark) =
-                    streams[i].ready.pop_front().expect("chosen head is nonempty");
-                streams[i].refill(&rxs[i], &mut state.service_stats)?;
-                if gap > 0 {
-                    analyzer.note_capture_gap(gap);
-                }
-                let t = gretel_obs::StageTimer::start(metrics, gretel_obs::Stage::Ingest);
-                let jobs = analyzer.ingest_marked(&msg, mark, metrics);
-                t.finish();
-                if let Some(m) = metrics {
-                    m.count(gretel_obs::Stage::Ingest, 1);
-                }
-                for job in jobs {
-                    pool.submit(seq, job)?;
-                    seq += 1;
-                }
-                pool.pump()?;
-                merged += 1;
-
-                if merged.is_multiple_of(cfg.checkpoint_every) {
-                    write_boundary(&mut pool, analyzer, &streams, seq, &cfg.chaos, state, metrics)?;
-                }
-            }
-
-            if matches!(ended, CycleEnd::Completed) {
-                for job in analyzer.finish_jobs_observed(metrics) {
-                    pool.submit(seq, job)?;
-                    seq += 1;
-                }
-                pool.quiesce()?;
-                // Final release: the stream is exhausted, nothing can be
-                // regenerated — no checkpoint needed to make it safe, but
-                // the diagnoses themselves must reach the store durably.
-                commit_release(&mut pool, seq, state, metrics)?;
-                state.store.sync()?;
-                for st in &streams {
-                    state.service_stats.capture.merge(&st.reseq.stats());
-                }
-            }
-            state.stats.worker_crashes += pool.worker_crashes;
-            state.stats.jobs_requeued += pool.jobs_requeued;
-            let replay_now: u64 = streams.iter().map(|s| s.reseq.stats().dup_discarded).sum();
-            state.stats.replayed_frames += replay_now.saturating_sub(replay_base);
-
-            // Teardown (on crash/kill this abandons in-flight work):
-            // dropping the receiver ends of the agent links unblocks the
-            // agents; dropping the pool's job channel ends the workers.
-            // Uncommitted pending results die with `pool`.
-            drop(rxs);
-            drop(pool);
-            while let Ok(capture) = stat_rx.recv() {
-                state.service_stats.capture.merge(&capture);
-            }
-            Ok(ended)
-        })?;
-
-        match end {
-            CycleEnd::Completed => return Ok(RunEnd::Completed),
-            CycleEnd::Crashed => continue,
-            CycleEnd::Killed => return Ok(RunEnd::Killed),
-            CycleEnd::Reload(snap) => return Ok(RunEnd::Reload(snap)),
-        }
-    }
-}
-
-/// [`run_service_cfg`](crate::service::run_service_cfg) hardened against
-/// analysis-plane failure: supervised workers, periodic checkpoints to an
-/// in-memory [`MemStore`], deterministic replay after scheduled crashes,
-/// and per-job budgets. Returns the committed diagnoses (exactly-once:
-/// replay can neither lose nor duplicate one) plus transport, analyzer,
-/// and recovery statistics.
-///
-/// With no chaos and no crash points the output is byte-identical to
+/// The pipeline engine over a caller-provided [`Store`]: supervised
+/// workers, periodic checkpoints, deterministic replay after scheduled
+/// crashes, and per-job budgets, with the committed diagnoses exactly-once
+/// (replay can neither lose nor duplicate one). With no chaos and no crash
+/// points the output is byte-identical to
 /// [`run_service_cfg`](crate::service::run_service_cfg); with worker-kill
-/// chaos and crashes it *stays* identical — that is the oracle the
-/// recovery experiment checks. Note that [`ServiceStats::frames`] counts
-/// every shipped frame including replays (replayed frames also show up in
-/// [`RecoveryStats::replayed_frames`] and the capture stats'
-/// `dup_discarded`), so transport stats inflate with each crash while the
-/// diagnosis stream and [`AnalyzerStats`] do not.
+/// chaos and crashes it *stays* identical — the oracle the recovery
+/// experiment checks.
 ///
-/// For a store that outlives the process — surviving whole-process kills
-/// and carrying the fingerprint library — see [`run_service_durable`].
-pub fn run_service_recoverable(
-    analyzer: &mut Analyzer<'_>,
-    nodes: &[NodeId],
-    traffic: &[Message],
-    cfg: &RecoveryConfig,
-) -> Result<(Vec<Diagnosis>, ServiceStats, AnalyzerStats, RecoveryStats), ServiceError> {
-    validate(cfg)?;
-    let initial_state = analyzer.export_state().ok_or(ServiceError::NotCheckpointable)?;
-    let mut store = MemStore::new();
-    let mut state = RunState::new(&mut store, cfg, initial_state, None, Vec::new())?;
-    let end = run_cycles(analyzer, nodes, traffic, cfg, &mut state)?;
-    debug_assert!(
-        matches!(end, RunEnd::Completed),
-        "no kill or reload arms are configured here"
-    );
-
-    // One end-of-run flush of the merged capture picture. Replay inflates
-    // these like it inflates `ServiceStats` (documented above): the meters
-    // describe what the transport actually did, crashes included.
-    if let Some(m) = cfg.service.metrics.as_deref() {
-        state.service_stats.capture.record_into(m);
-    }
-
-    let diagnoses = read_diagnoses(&*state.store)?;
-    let (service_stats, stats) = (state.service_stats, state.stats);
-    Ok((diagnoses, service_stats, analyzer.stats(), stats))
-}
-
-/// The durable twin of [`run_service_recoverable`]: the same supervised,
-/// checkpointed pipeline over a caller-provided [`Store`] — in practice a
-/// [`FileStore`](gretel_store::FileStore) — so recovery survives the
-/// death of the whole process, not just a worker or a cycle.
+/// Over a [`MemStore`](gretel_store::MemStore) this is the in-process
+/// recoverable service; over a [`FileStore`](gretel_store::FileStore)
+/// recovery survives the death of the whole process, not just a worker or
+/// a cycle.
 ///
 /// One invocation models one process lifetime:
 ///
@@ -1141,38 +365,21 @@ pub fn run_service_durable(
         }
     }
 
-    let mut state = {
-        // Placeholder; each epoch overwrites it with that epoch's pristine
-        // export before any cycle runs.
-        let initial_state = Vec::new();
-        RunState::new(store, &cfg.recovery, initial_state, cfg.kill_point, cfg.reloads.clone())?
-    };
+    let mut state =
+        RunState::new(Some(store), &cfg.recovery, cfg.kill_point, cfg.reloads.clone())?;
 
     // ---- Library epochs --------------------------------------------------
-    let mut final_astats: Option<AnalyzerStats> = None;
     loop {
-        let end = {
-            let lib_ref = cur.as_ref().unwrap_or(lib);
-            let mut analyzer = Analyzer::new(lib_ref, gcfg);
-            state.initial_state =
-                analyzer.export_state().ok_or(ServiceError::NotCheckpointable)?;
-            let end = run_cycles(&mut analyzer, nodes, traffic, &cfg.recovery, &mut state)?;
-            if matches!(end, RunEnd::Completed) {
-                final_astats = Some(analyzer.stats());
-            }
-            end
-        };
-        match end {
+        let mut analyzer = Analyzer::new(cur.as_ref().unwrap_or(lib), gcfg);
+        state.initial_state = analyzer.export_state().ok_or(ServiceError::NotCheckpointable)?;
+        match run_cycles(&mut analyzer, nodes, traffic, &cfg.recovery, &mut state)? {
             RunEnd::Completed => {
-                if let Some(m) = metrics {
-                    state.service_stats.capture.record_into(m);
-                }
-                let diagnoses = read_diagnoses(&*state.store)?;
                 return Ok(DurableOutcome::Completed {
-                    diagnoses,
+                    diagnoses: state.diagnoses,
                     service: state.service_stats,
-                    analyzer: final_astats.expect("set on Completed"),
+                    analyzer: analyzer.stats(),
                     recovery: state.stats,
+                    graph: analyzer.traffic_graph().clone(),
                 });
             }
             RunEnd::Killed => {
@@ -1181,10 +388,10 @@ pub fn run_service_durable(
                     recovery: state.stats,
                 });
             }
+            // Next epoch restores from the boundary checkpoint the reload
+            // just wrote — in-flight windows survive.
             RunEnd::Reload(snapshot) => {
                 cur = Some(FingerprintLibrary::from_snapshot(lib.catalog().clone(), &snapshot)?);
-                // Next epoch restores from the boundary checkpoint the
-                // reload just wrote — in-flight windows survive.
             }
         }
     }
@@ -1193,6 +400,7 @@ pub fn run_service_durable(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gretel_store::MemStore;
 
     #[test]
     fn chaos_coins_are_deterministic_and_gated() {
@@ -1216,20 +424,6 @@ mod tests {
         assert_eq!(fired, (0..32).map(|i| chaos.corrupt(i).is_some()).collect::<Vec<_>>());
     }
 
-    #[test]
-    fn release_records_carry_the_watermark_across_restarts() {
-        let mut store = MemStore::new();
-        assert_eq!(store_watermark(&store).unwrap(), 0);
-        store
-            .append(KIND_DIAGNOSES, &encode_release(3, &[(0, vec![]), (2, vec![])]))
-            .unwrap();
-        store.append(KIND_DIAGNOSES, &encode_release(5, &[(4, vec![])])).unwrap();
-        // An empty release still advances the durable watermark.
-        store.append(KIND_DIAGNOSES, &encode_release(9, &[])).unwrap();
-        assert_eq!(store_watermark(&store).unwrap(), 9);
-        assert!(read_diagnoses(&store).unwrap().is_empty());
-    }
-
     fn test_lib() -> FingerprintLibrary {
         let cat = gretel_model::Catalog::openstack();
         let dep = gretel_sim::Deployment::standard();
@@ -1241,38 +435,33 @@ mod tests {
     #[test]
     fn drop_oldest_backpressure_is_rejected() {
         let lib = test_lib();
-        let mut analyzer = Analyzer::new(
-            &lib,
-            crate::config::GretelConfig { alpha: 8, ..Default::default() },
-        );
-        let cfg = RecoveryConfig {
-            service: ServiceConfig {
-                backpressure: BackpressurePolicy::DropOldest,
-                ..ServiceConfig::default()
-            },
-            ..RecoveryConfig::default()
-        };
-        let err = run_service_recoverable(&mut analyzer, &[NodeId(0)], &[], &cfg).unwrap_err();
+        let gcfg = crate::config::GretelConfig { alpha: 8, ..Default::default() };
+        let mut cfg = DurableConfig::default();
+        cfg.recovery.service.backpressure = BackpressurePolicy::DropOldest;
+        let err = run_service_durable(&lib, gcfg, &[NodeId(0)], &[], &cfg, &mut MemStore::new())
+            .unwrap_err();
         assert!(matches!(err, ServiceError::UnsupportedBackpressure));
     }
 
     #[test]
     fn empty_traffic_completes_without_checkpoints() {
         let lib = test_lib();
-        let mut analyzer = Analyzer::new(
+        let gcfg = crate::config::GretelConfig { alpha: 8, ..Default::default() };
+        let out = run_service_durable(
             &lib,
-            crate::config::GretelConfig { alpha: 8, ..Default::default() },
-        );
-        let (diags, svc, _, rec) = run_service_recoverable(
-            &mut analyzer,
+            gcfg,
             &[NodeId(0), NodeId(1)],
             &[],
-            &RecoveryConfig::default(),
+            &DurableConfig::default(),
+            &mut MemStore::new(),
         )
         .expect("empty run completes");
-        assert!(diags.is_empty());
-        assert_eq!(svc.frames, 0);
-        assert_eq!(rec, RecoveryStats::default());
+        let DurableOutcome::Completed { diagnoses, service, recovery, .. } = out else {
+            panic!("no kill point configured")
+        };
+        assert!(diagnoses.is_empty());
+        assert_eq!(service.frames, 0);
+        assert_eq!(recovery, RecoveryStats::default());
     }
 
     #[test]

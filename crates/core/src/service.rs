@@ -1,7 +1,8 @@
 //! The distributed monitoring service (paper Fig 3), threaded.
 //!
 //! One capture-agent thread per node encodes its egress traffic into
-//! frames, packs them into arena-backed [`FrameBatch`]es
+//! frames, packs them into arena-backed
+//! [`FrameBatch`](gretel_netcap::FrameBatch)es
 //! ([`ServiceConfig::ingest_batch`] frames per channel operation), and
 //! ships the batches over a bounded channel; the event receiver performs
 //! a k-way merge (each agent's stream is in timestamp order, like a TCP
@@ -17,26 +18,20 @@
 //! `ingest_batch` value, including under impairment and crash replay
 //! (`tests/batched_ingest.rs` holds that oracle).
 //!
-//! [`run_service_cfg`] is the full-featured entry point: it can stamp
+//! [`run_service_cfg`] is the store-less entry point: it can stamp
 //! per-agent sequence numbers, impair the capture plane with a seeded
 //! [`CaptureImpairment`], resequence at the receiver (turning inferred
 //! losses into window gap markers), and shed load under a
 //! [`BackpressurePolicy::DropOldest`] policy instead of blocking agents.
-//! [`run_service`] / [`run_service_sharded`] are the unimpaired legacy
-//! shapes, expressed in terms of the same machinery.
+//! The loop itself lives once in the crate-private `engine` module, shared
+//! with the store-backed [`run_service_durable`](crate::run_service_durable)
+//! and the shard driver.
 
-use crate::analyzer::{Analyzer, AnalyzerStats, SnapshotJob};
-use crate::anomaly::scan_message;
+use crate::analyzer::{Analyzer, AnalyzerStats};
 use crate::checkpoint::CheckpointError;
-use crate::event::FaultMark;
 use crate::report::Diagnosis;
-use crossbeam_channel::{bounded, Receiver, Sender, TrySendError};
 use gretel_model::{Message, NodeId};
-use gretel_netcap::{
-    batch_frames, CaptureAgent, CaptureImpairment, CaptureStats, CodecError, FrameBatch,
-    FrameBatchBuilder, Resequencer,
-};
-use std::collections::VecDeque;
+use gretel_netcap::{CaptureImpairment, CaptureStats, CodecError};
 
 /// Why a service run could not complete (or start).
 #[derive(Debug)]
@@ -121,7 +116,7 @@ impl From<gretel_store::StoreError> for ServiceError {
 
 /// Resolve a raw `GRETEL_WORKERS` value to a pool width. `None` (variable
 /// unset) and `Some(valid positive integer)` behave as documented on
-/// [`run_service`]; anything else — unparseable text, zero — is rejected
+/// [`run_service_cfg`]; anything else — unparseable text, zero — is rejected
 /// with a warning on stderr and an explicit fall back to the machine
 /// default, never silently treated as "unset".
 fn parse_workers_env(raw: Option<&str>) -> Option<usize> {
@@ -145,7 +140,7 @@ fn parse_workers_env(raw: Option<&str>) -> Option<usize> {
     }
 }
 
-/// Default analysis-pool width for [`run_service`]: the `GRETEL_WORKERS`
+/// Default analysis-pool width for [`run_service_cfg`]: the `GRETEL_WORKERS`
 /// environment variable when set to a positive integer, otherwise the
 /// machine's parallelism capped at 4 (a laptop-friendly default — set the
 /// variable to use every core of a big box).
@@ -160,7 +155,7 @@ fn default_workers() -> usize {
 /// pipeline (see [`crate::shard`]).
 ///
 /// `raw_env` is the raw `GRETEL_WORKERS` value (the *total* worker budget
-/// across all shards, same meaning as for [`run_service`]); `available` is
+/// across all shards, same meaning as for [`run_service_cfg`]); `available` is
 /// the machine parallelism. The result is clamped so the product
 /// `shards × per-shard workers` can neither silently oversubscribe the
 /// machine nor drop to zero:
@@ -228,7 +223,7 @@ pub struct ServiceConfig {
     /// Receiver-side resequencer depth: how many out-of-order frames to
     /// park per agent before force-advancing past a hole.
     pub resequence_depth: usize,
-    /// Frames packed per [`FrameBatch`] channel operation on each agent
+    /// Frames packed per [`gretel_netcap::FrameBatch`] channel operation on each agent
     /// link (≥ 1). `1` is the per-message shape — one frame per send;
     /// larger values amortize channel synchronization and per-frame
     /// allocation across the batch. Purely a transport-granularity knob:
@@ -264,7 +259,9 @@ impl ServiceConfig {
 
     /// Whether frames carry per-agent sequence numbers in this
     /// configuration (any impairment, or a lossy backpressure policy —
-    /// both need the receiver to detect what went missing).
+    /// both need the receiver to detect what went missing). A store-backed
+    /// run ([`crate::run_service_durable`]) sequences regardless: replay
+    /// dedups the re-shipped prefix by sequence number.
     pub fn sequenced(&self) -> bool {
         self.impairment.is_some() || self.backpressure == BackpressurePolicy::DropOldest
     }
@@ -290,188 +287,6 @@ pub struct ServiceStats {
     pub capture: CaptureStats,
 }
 
-/// Run the full agents → receiver → analyzer pipeline over a captured
-/// traffic log, returning all diagnoses plus transport and analyzer
-/// statistics.
-///
-/// `channel_capacity` bounds each agent link (back-pressure, like the TCP
-/// connections in the paper's deployment).
-pub fn run_service(
-    analyzer: &mut Analyzer<'_>,
-    nodes: &[NodeId],
-    traffic: &[Message],
-    channel_capacity: usize,
-) -> (Vec<Diagnosis>, ServiceStats, AnalyzerStats) {
-    run_service_cfg(
-        analyzer,
-        nodes,
-        traffic,
-        &ServiceConfig { channel_capacity, ..ServiceConfig::default() },
-    )
-}
-
-/// [`run_service`] with an explicit analysis-pool width.
-///
-/// Historical name: this predates tenant sharding and only widens the
-/// worker pool of a single pipeline — it never partitioned anything. The
-/// tenant-sharded pipeline lives in [`crate::shard`]; for a wider pool use
-/// [`run_service_cfg`] with [`ServiceConfig::workers`], which is exactly
-/// what this shim does. Keeping one underlying entry point means the
-/// inline/threaded/pool-width byte-identity oracles all exercise the same
-/// code path.
-#[deprecated(
-    since = "0.1.0",
-    note = "worker pools are a ServiceConfig concern: use run_service_cfg with \
-            ServiceConfig::workers; for tenant sharding see gretel_core::shard"
-)]
-pub fn run_service_sharded(
-    analyzer: &mut Analyzer<'_>,
-    nodes: &[NodeId],
-    traffic: &[Message],
-    channel_capacity: usize,
-    workers: usize,
-) -> (Vec<Diagnosis>, ServiceStats, AnalyzerStats) {
-    run_service_cfg(
-        analyzer,
-        nodes,
-        traffic,
-        &ServiceConfig { channel_capacity, workers: Some(workers), ..ServiceConfig::default() },
-    )
-}
-
-/// One agent's decoded stream at the receiver: batches are decoded
-/// zero-copy out of their arena, resequenced (when sequenced) into
-/// `(gap_before, message)` pairs, scanned for failure patterns in one
-/// batch-wide pass, and buffered until the k-way merge consumes them.
-struct AgentStream {
-    reseq: Option<Resequencer>,
-    ready: VecDeque<(u32, Message, FaultMark)>,
-    done: bool,
-}
-
-impl AgentStream {
-    /// Scan a run of released messages (one decoded batch's worth) and
-    /// queue them for the merge. This is the batch-wide fault-scan pass:
-    /// the SWAR scanners run back to back over the released messages
-    /// while they are cache-hot, instead of interleaving with merge and
-    /// window work per message. The scan is pure, so the marks are the
-    /// ones inline ingest would have computed.
-    fn admit(&mut self, released: impl IntoIterator<Item = (u32, Message)>) {
-        for (gap, msg) in released {
-            let mark = scan_message(&msg);
-            self.ready.push_back((gap, msg, mark));
-        }
-    }
-
-    /// Pull batches until at least one message is ready or the stream ends.
-    fn refill(
-        &mut self,
-        rx: &Receiver<FrameBatch>,
-        stats: &mut ServiceStats,
-        metrics: Option<&gretel_obs::PipelineMetrics>,
-    ) -> Result<(), ServiceError> {
-        while self.ready.is_empty() && !self.done {
-            match rx.recv() {
-                Ok(batch) => {
-                    stats.channel_ops += 1;
-                    stats.frames += batch.frames() as u64;
-                    stats.bytes += batch.byte_len() as u64;
-                    let decoded = batch.decode_all()?;
-                    match &mut self.reseq {
-                        Some(r) => {
-                            // One timing sample per batch, one counted
-                            // event per frame: stage latencies show the
-                            // batch-level dispatch cost while event counts
-                            // stay per-item (see gretel-obs).
-                            let n = decoded.len() as u64;
-                            let mut released = Vec::with_capacity(decoded.len());
-                            let t = gretel_obs::StageTimer::start(
-                                metrics,
-                                gretel_obs::Stage::Resequence,
-                            );
-                            for (msg, seq) in decoded {
-                                released.extend(r.push(seq, msg));
-                            }
-                            t.finish();
-                            if let Some(m) = metrics {
-                                m.count(gretel_obs::Stage::Resequence, n);
-                            }
-                            self.admit(released);
-                        }
-                        None => self.admit(decoded.into_iter().map(|(msg, _)| (0, msg))),
-                    }
-                }
-                Err(_) => {
-                    self.done = true;
-                    if let Some(r) = &mut self.reseq {
-                        let released = r.flush();
-                        self.admit(released);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Ship one frame batch under a backpressure policy. Returns `false` if
-/// the receiver went away. `evict_rx` must be `Some` under
-/// [`BackpressurePolicy::DropOldest`] and `None` under
-/// [`BackpressurePolicy::Block`] — a blocking agent must not hold a
-/// receiver clone, or its own handle would keep the link alive (and its
-/// sends blocked forever) after the real receiver hung up.
-pub(crate) fn ship_batch(
-    batch: FrameBatch,
-    tx: &Sender<FrameBatch>,
-    evict_rx: Option<&Receiver<FrameBatch>>,
-    policy: BackpressurePolicy,
-    drops: &mut u64,
-) -> bool {
-    match policy {
-        BackpressurePolicy::Block => tx.send(batch).is_ok(),
-        BackpressurePolicy::DropOldest => {
-            let evict_rx = evict_rx.expect("DropOldest requires an eviction handle");
-            let mut batch = batch;
-            loop {
-                match tx.try_send(batch) {
-                    Ok(()) => return true,
-                    Err(TrySendError::Full(b)) => {
-                        batch = b;
-                        // Evict the oldest queued batch. The receiver may
-                        // race us to it — then the queue has room anyway;
-                        // yield and retry. Eviction granularity is the
-                        // batch, but drops are accounted per frame so the
-                        // capture arithmetic is batch-size independent.
-                        if let Ok(evicted) = evict_rx.try_recv() {
-                            *drops += evicted.frames() as u64;
-                        } else {
-                            std::thread::yield_now();
-                        }
-                    }
-                    Err(TrySendError::Disconnected(_)) => return false,
-                }
-            }
-        }
-    }
-}
-
-/// Ship one agent's (possibly impaired) pre-built batches under a
-/// backpressure policy; see [`ship_batch`].
-pub(crate) fn ship_batches(
-    batches: Vec<FrameBatch>,
-    tx: &Sender<FrameBatch>,
-    evict_rx: Option<&Receiver<FrameBatch>>,
-    policy: BackpressurePolicy,
-    drops: &mut u64,
-) -> bool {
-    for batch in batches {
-        if !ship_batch(batch, tx, evict_rx, policy, drops) {
-            return false;
-        }
-    }
-    true
-}
-
 /// The configurable pipeline: agents (optionally sequence-stamping and
 /// impaired) → bounded links (optionally lossy) → resequencing receiver →
 /// k-way merge → analyzer, with snapshot analysis on a worker pool.
@@ -487,10 +302,14 @@ pub(crate) fn ship_batches(
 /// The per-message fast path (byte scan, latency pairing, window push)
 /// stays on the receiver thread — it is stateful and cheap. Completed
 /// snapshots are the expensive, stateless part (Algorithm 2 over every
-/// claimed error, plus RCA); they ship as [`SnapshotJob`]s to the worker
-/// pool. Each job carries a sequence number and the collected diagnoses are
-/// re-ordered by it, so the output is identical to inline analysis
-/// regardless of worker scheduling.
+/// claimed error, plus RCA); they ship as [`crate::SnapshotJob`]s to the
+/// worker pool. Each job carries a sequence number and the collected
+/// diagnoses are released in that order at end of stream, so the output is
+/// identical to inline analysis regardless of worker scheduling. The pool
+/// is supervised: a job whose analysis panics is retried on a fresh worker
+/// and, past the default [`crate::RecoveryConfig::max_attempts`], surfaced
+/// as [`crate::CaptureConfidence::Cancelled`] diagnoses rather than
+/// aborting the run.
 pub fn run_service_cfg(
     analyzer: &mut Analyzer<'_>,
     nodes: &[NodeId],
@@ -498,216 +317,10 @@ pub fn run_service_cfg(
     cfg: &ServiceConfig,
 ) -> (Vec<Diagnosis>, ServiceStats, AnalyzerStats) {
     // In-process agents encode with the same codec the receiver decodes
-    // with and the pool only exits once the job channel closes, so neither
-    // error source can fire in this legacy shape.
-    run_service_checked(analyzer, nodes, traffic, cfg)
+    // with, the pool holds its own job channel open, and there is no store
+    // to fail: no error source can fire in this shape.
+    crate::engine::run_plain(analyzer, nodes, traffic, cfg)
         .expect("in-process pipeline cannot hit transport errors")
-}
-
-/// [`run_service_cfg`] with transport errors surfaced instead of panicking:
-/// a frame that fails to decode or an analysis pool that vanishes
-/// mid-stream comes back as a [`ServiceError`] so a supervising caller
-/// (e.g. the crash-recovery service) can react.
-pub fn run_service_checked(
-    analyzer: &mut Analyzer<'_>,
-    nodes: &[NodeId],
-    traffic: &[Message],
-    cfg: &ServiceConfig,
-) -> Result<(Vec<Diagnosis>, ServiceStats, AnalyzerStats), ServiceError> {
-    assert!(cfg.channel_capacity > 0);
-    assert!(cfg.ingest_batch >= 1, "a batch holds at least one frame");
-    let workers = cfg.effective_workers();
-    let sequenced = cfg.sequenced();
-    let metrics = cfg.metrics.as_deref();
-    let mut service_stats = ServiceStats::default();
-    let mut diagnoses = Vec::new();
-
-    let snapshot_analyzer = analyzer.snapshot_analyzer().with_metrics(metrics);
-    let (job_tx, job_rx) = bounded::<(u64, SnapshotJob)>(cfg.channel_capacity);
-    // Results are unbounded: the collector drains only after the merge
-    // loop finishes, so a bounded link could wedge the pool (workers
-    // blocked on full results ⇒ jobs pile up ⇒ receiver blocked).
-    let (res_tx, res_rx) = crossbeam_channel::unbounded::<(u64, Vec<Diagnosis>)>();
-    // Agents report their capture-side stats here at end of stream.
-    let (stat_tx, stat_rx) = crossbeam_channel::unbounded::<(CaptureStats, u64)>();
-
-    std::thread::scope(|scope| -> Result<(), ServiceError> {
-        // The analysis pool: stateless workers over shared MPMC channels.
-        for _ in 0..workers {
-            let job_rx = job_rx.clone();
-            let res_tx = res_tx.clone();
-            scope.spawn(move || {
-                while let Ok((seq, job)) = job_rx.recv() {
-                    if res_tx.send((seq, snapshot_analyzer.analyze(&job))).is_err() {
-                        return; // collector gone
-                    }
-                }
-            });
-        }
-        drop(job_rx);
-        drop(res_tx);
-
-        // One bounded link per agent (batches, not frames).
-        let mut rxs: Vec<Receiver<FrameBatch>> = Vec::with_capacity(nodes.len());
-        for &node in nodes {
-            let (tx, rx) = bounded::<FrameBatch>(cfg.channel_capacity);
-            rxs.push(rx.clone());
-            let agent = CaptureAgent::new(node);
-            let stat_tx = stat_tx.clone();
-            let impairment = cfg.impairment;
-            let policy = cfg.backpressure;
-            let ingest_batch = cfg.ingest_batch;
-            scope.spawn(move || {
-                // Under Block the agent must not hold a receiver handle —
-                // see [`ship_batch`]; drop it before the first send.
-                let evict_rx = (policy == BackpressurePolicy::DropOldest).then_some(rx);
-                let mut capture = CaptureStats::default();
-                let mut drops = 0u64;
-                if sequenced {
-                    // Whole-stream capture first: impairment coins key on
-                    // per-agent frame indices, so the impairment must see
-                    // the flat frame list before it is packed into arenas.
-                    let frames = agent.capture_seq(traffic.iter(), 0);
-                    let frames = match impairment {
-                        Some(imp) => imp.apply(node, frames, &mut capture),
-                        None => {
-                            capture.frames += frames.len() as u64;
-                            frames
-                        }
-                    };
-                    let batches = batch_frames(&frames, ingest_batch);
-                    ship_batches(batches, &tx, evict_rx.as_ref(), policy, &mut drops);
-                } else {
-                    // Legacy lossless path: stream capture, packing each
-                    // batch arena as frames arrive.
-                    let mut builder = FrameBatchBuilder::new(ingest_batch);
-                    let mut alive = true;
-                    for msg in traffic {
-                        if agent.observes(msg) {
-                            capture.frames += 1;
-                            if let Some(batch) = builder.push(&gretel_netcap::encode(msg)) {
-                                if !ship_batch(batch, &tx, evict_rx.as_ref(), policy, &mut drops)
-                                {
-                                    alive = false;
-                                    break; // receiver gone
-                                }
-                            }
-                        }
-                    }
-                    if alive {
-                        if let Some(batch) = builder.finish() {
-                            ship_batch(batch, &tx, evict_rx.as_ref(), policy, &mut drops);
-                        }
-                    }
-                }
-                let _ = stat_tx.send((capture, drops));
-                // tx drops here, closing the stream.
-            });
-        }
-        drop(stat_tx);
-
-        // Event receiver: k-way merge on (ts, id). Each stream is already
-        // ordered (the resequencer restores per-agent order under
-        // impairment), so we only compare stream heads.
-        let mut seq = 0u64;
-        let mut streams: Vec<AgentStream> = rxs
-            .iter()
-            .map(|_| AgentStream {
-                reseq: sequenced.then(|| Resequencer::new(cfg.resequence_depth)),
-                ready: VecDeque::new(),
-                done: false,
-            })
-            .collect();
-        for (st, rx) in streams.iter_mut().zip(&rxs) {
-            st.refill(rx, &mut service_stats, metrics)?;
-        }
-        loop {
-            let mut best: Option<usize> = None;
-            for (i, st) in streams.iter().enumerate() {
-                if let Some((_, m, _)) = st.ready.front() {
-                    let better = match best {
-                        None => true,
-                        Some(b) => {
-                            let (_, bm, _) = streams[b].ready.front().expect("best is nonempty");
-                            (m.ts_us, m.id) < (bm.ts_us, bm.id)
-                        }
-                    };
-                    if better {
-                        best = Some(i);
-                    }
-                }
-            }
-            let Some(i) = best else { break };
-            let (gap, msg, mark) =
-                streams[i].ready.pop_front().expect("chosen head is nonempty");
-            streams[i].refill(&rxs[i], &mut service_stats, metrics)?;
-            if gap > 0 {
-                analyzer.note_capture_gap(gap);
-            }
-            let t = gretel_obs::StageTimer::start(metrics, gretel_obs::Stage::Ingest);
-            let jobs = analyzer.ingest_marked(&msg, mark, metrics);
-            t.finish();
-            if let Some(m) = metrics {
-                m.count(gretel_obs::Stage::Ingest, 1);
-            }
-            for job in jobs {
-                if job_tx.send((seq, job)).is_err() {
-                    return Err(ServiceError::PoolDisconnected);
-                }
-                seq += 1;
-                if let Some(m) = metrics {
-                    m.record_max(gretel_obs::Meter::JobQueueDepthMax, job_tx.len() as u64);
-                }
-            }
-        }
-        for st in &streams {
-            if let Some(r) = &st.reseq {
-                service_stats.capture.merge(&r.stats());
-            }
-        }
-        for job in analyzer.finish_jobs_observed(metrics) {
-            if job_tx.send((seq, job)).is_err() {
-                return Err(ServiceError::PoolDisconnected);
-            }
-            seq += 1;
-        }
-        drop(job_tx); // pool drains and exits
-
-        // Agent-side capture stats: every agent sends exactly once before
-        // dropping its tx, and the merge loop only ends after all links
-        // closed, so this drains without blocking indefinitely.
-        while let Ok((capture, drops)) = stat_rx.recv() {
-            service_stats.capture.merge(&capture);
-            service_stats.backpressure_drops += drops;
-        }
-
-        // Deterministic merge: job order == the order inline analysis
-        // would have produced, so sorting by sequence number restores it.
-        let mut results: Vec<(u64, Vec<Diagnosis>)> = Vec::with_capacity(seq as usize);
-        while let Ok(r) = res_rx.recv() {
-            results.push(r);
-        }
-        let t = gretel_obs::StageTimer::start(metrics, gretel_obs::Stage::Commit);
-        results.sort_by_key(|&(s, _)| s);
-        for (_, ds) in results {
-            diagnoses.extend(ds);
-        }
-        t.finish();
-        if let Some(m) = metrics {
-            m.count(gretel_obs::Stage::Commit, diagnoses.len() as u64);
-        }
-        Ok(())
-    })?;
-
-    // One end-of-run flush: by now both halves of the capture picture
-    // (injector counters, receiver inference) are merged.
-    if let Some(m) = metrics {
-        service_stats.capture.record_into(m);
-        m.add(gretel_obs::Meter::BackpressureDrops, service_stats.backpressure_drops);
-    }
-
-    let analyzer_stats = analyzer.stats();
-    Ok((diagnoses, service_stats, analyzer_stats))
 }
 
 #[cfg(test)]
@@ -749,7 +362,8 @@ mod tests {
         // Threaded pipeline.
         let nodes: Vec<NodeId> = dep.nodes().iter().map(|n| n.id).collect();
         let mut threaded = Analyzer::new(&lib, gcfg);
-        let (got, svc, astats) = run_service(&mut threaded, &nodes, &exec.messages, 64);
+        let (got, svc, astats) =
+            run_service_cfg(&mut threaded, &nodes, &exec.messages, &ServiceConfig::default());
 
         assert_eq!(got, expected, "threaded pipeline must be semantically identical");
         assert!(svc.frames > 0);
@@ -802,11 +416,12 @@ mod tests {
         let nodes: Vec<NodeId> = dep.nodes().iter().map(|n| n.id).collect();
         for workers in [1, 2, 4, 8] {
             let mut threaded = Analyzer::new(&lib, gcfg);
-            // The deprecated shim must keep delegating to run_service_cfg
-            // until it is removed outright.
-            #[allow(deprecated)]
-            let (got, _, astats) =
-                run_service_sharded(&mut threaded, &nodes, &exec.messages, 32, workers);
+            let cfg = ServiceConfig {
+                channel_capacity: 32,
+                workers: Some(workers),
+                ..ServiceConfig::default()
+            };
+            let (got, _, astats) = run_service_cfg(&mut threaded, &nodes, &exec.messages, &cfg);
             assert_eq!(got, expected, "pool width {workers}");
             assert_eq!(astats, inline.stats(), "pool width {workers}");
         }
@@ -821,7 +436,8 @@ mod tests {
         let (lib, _) = FingerprintLibrary::characterize(cat.clone(), &specs, &dep, 1, 1);
         let mut analyzer = Analyzer::new(&lib, GretelConfig { alpha: 8, ..Default::default() });
         let nodes: Vec<NodeId> = dep.nodes().iter().map(|n| n.id).collect();
-        let (diags, svc, _) = run_service(&mut analyzer, &nodes, &[], 4);
+        let cfg = ServiceConfig { channel_capacity: 4, ..ServiceConfig::default() };
+        let (diags, svc, _) = run_service_cfg(&mut analyzer, &nodes, &[], &cfg);
         assert!(diags.is_empty());
         assert_eq!(svc.frames, 0);
     }
@@ -854,7 +470,8 @@ mod tests {
         let nodes: Vec<NodeId> = dep.nodes().iter().map(|n| n.id).collect();
 
         let mut plain = Analyzer::new(&lib, gcfg);
-        let (expected, _, _) = run_service(&mut plain, &nodes, &messages, 64);
+        let (expected, _, _) =
+            run_service_cfg(&mut plain, &nodes, &messages, &ServiceConfig::default());
 
         for enabled in [false, true] {
             let metrics = std::sync::Arc::new(if enabled {
@@ -887,6 +504,21 @@ mod tests {
             assert_eq!(metrics.stage_latency(Stage::Ingest).count, astats.messages);
             assert!(metrics.stage_latency(Stage::Detect).max_us >= metrics.stage_latency(Stage::Detect).p50_us);
         }
+
+        // The store-backed path runs the same receiver: every frame it took
+        // went through the (timed, counted) resequencer.
+        let metrics = std::sync::Arc::new(PipelineMetrics::enabled());
+        let mut dcfg = crate::DurableConfig::default();
+        dcfg.recovery.service.metrics = Some(metrics.clone());
+        let mut store = gretel_store::MemStore::new();
+        match crate::run_service_durable(&lib, gcfg, &nodes, &messages, &dcfg, &mut store).unwrap() {
+            crate::DurableOutcome::Completed { diagnoses, service, .. } => {
+                assert_eq!(diagnoses, expected, "durable run, metrics enabled");
+                assert!(service.frames > 0);
+                assert_eq!(metrics.stage_events(Stage::Resequence), service.frames);
+            }
+            crate::DurableOutcome::Killed { .. } => panic!("no kill point configured"),
+        }
     }
 
     #[test]
@@ -896,7 +528,8 @@ mod tests {
         let nodes: Vec<NodeId> = dep.nodes().iter().map(|n| n.id).collect();
 
         let mut plain = Analyzer::new(&lib, gcfg);
-        let (expected, _, _) = run_service(&mut plain, &nodes, &messages, 64);
+        let (expected, _, _) =
+            run_service_cfg(&mut plain, &nodes, &messages, &ServiceConfig::default());
 
         // Sequence-stamped frames + resequencer + zero-rate impairment:
         // the extra machinery must be invisible in the output.

@@ -8,7 +8,7 @@
 //! exactly one of N partitions, and each partition owns the full pipeline
 //! privately — its own capture agents and resequencers, its own
 //! [`Analyzer`] with windows and detection state, its own checkpoint
-//! journal (durable variant) and its own [`PipelineMetrics`] registry.
+//! store (durable variant) and its own [`PipelineMetrics`] registry.
 //! Shards share nothing and never synchronize while running.
 //!
 //! After the shards drain, the driver merges:
@@ -18,9 +18,10 @@
 //!   bytes as the total-order tiebreak), so the merged report is a pure
 //!   function of the diagnosis *set*, independent of shard count;
 //! * **traffic graphs** — [`ServiceGraph::merge`] folds the per-shard
-//!   dependency graphs into the graph an unsharded pass would have mined
-//!   (observation is additive per message, and every message belongs to
-//!   exactly one shard);
+//!   dependency graphs — each one what that shard's analyzer actually
+//!   observed, durable or not — into the graph an unsharded pass would have
+//!   mined (observation is additive per message, and every message belongs
+//!   to exactly one shard);
 //! * **cascades** — when [`ShardedConfig::cascades`] is set,
 //!   [`attribute_cascades`] re-runs over the merged diagnoses and merged
 //!   graph, so a cascade whose root is tenant-A traffic on shard 0 and
@@ -45,18 +46,15 @@
 //! counts 1/2/4/8.
 
 use crate::analyzer::{Analyzer, AnalyzerStats};
-use crate::anomaly::scan_message;
 use crate::config::GretelConfig;
-use crate::event::FaultMark;
+use crate::engine::run_plain;
 use crate::fingerprint::FingerprintLibrary;
 use crate::graph::{attribute_cascades, CascadeParams, ServiceGraph};
 use crate::recover::{run_service_durable, DurableConfig, DurableOutcome, RecoveryStats};
 use crate::report::Diagnosis;
-use crate::service::{
-    resolve_shard_workers, run_service_checked, ServiceConfig, ServiceError, ServiceStats,
-};
-use gretel_model::{Catalog, Message, NodeId};
-use gretel_netcap::{is_relevant, partition_messages};
+use crate::service::{resolve_shard_workers, ServiceConfig, ServiceError, ServiceStats};
+use gretel_model::{Message, NodeId};
+use gretel_netcap::partition_messages;
 use gretel_obs::{MetricsSnapshot, PipelineMetrics};
 use gretel_store::Store;
 use std::sync::Arc;
@@ -157,21 +155,6 @@ pub fn canonical_order(diagnoses: &mut Vec<Diagnosis>) {
     *diagnoses = keyed.into_iter().map(|(_, _, _, d)| d).collect();
 }
 
-/// Mine the cross-service traffic graph from a message stream exactly as
-/// the analyzer does in-line: agent relevance filter, catalog noise
-/// classification, byte-scan error verdict — never ground truth. Used by
-/// the durable shard path, where the analyzer (and its graph) lives and
-/// dies inside [`run_service_durable`].
-fn mine_graph(catalog: &Catalog, traffic: &[Message]) -> ServiceGraph {
-    let mut g = ServiceGraph::new();
-    for msg in traffic.iter().filter(|m| is_relevant(m)) {
-        let def = catalog.get(msg.api);
-        let fault = scan_message(msg);
-        g.observe(msg, def.noise.is_some(), !matches!(fault, FaultMark::None));
-    }
-    g
-}
-
 /// The per-shard service template with the worker budget resolved: when
 /// the template leaves `workers` unset, the total `GRETEL_WORKERS` budget
 /// is *divided* across shards ([`resolve_shard_workers`]) — N shards must
@@ -188,15 +171,6 @@ fn resolved_service(cfg: &ShardedConfig) -> ServiceConfig {
     sc
 }
 
-fn validate(cfg: &ShardedConfig) {
-    assert!(cfg.shards > 0, "need at least one shard");
-    assert!(
-        cfg.service.metrics.is_none(),
-        "ShardedConfig::service.metrics must be None: each shard owns a private registry \
-         (set ShardedConfig::metrics = true for per-shard + aggregated registries)"
-    );
-}
-
 struct ShardRun {
     diagnoses: Vec<Diagnosis>,
     graph: ServiceGraph,
@@ -205,18 +179,73 @@ struct ShardRun {
     recovery: Option<RecoveryStats>,
 }
 
-/// Assemble the merged outcome from per-shard results.
-fn merge(
+/// One partition's pipeline: the engine without a store, or — given the
+/// recovery shape and this shard's private store — [`run_service_durable`].
+fn run_shard(
+    lib: &FingerprintLibrary,
+    gcfg: GretelConfig,
+    nodes: &[NodeId],
+    part: &[Message],
+    service: ServiceConfig,
+    durable: Option<(&DurableConfig, &mut &mut (dyn Store + Send))>,
+) -> Result<ShardRun, ServiceError> {
+    let Some((dcfg, store)) = durable else {
+        let mut analyzer = Analyzer::new(lib, gcfg);
+        let (diagnoses, service, astats) = run_plain(&mut analyzer, nodes, part, &service)?;
+        let graph = analyzer.traffic_graph().clone();
+        return Ok(ShardRun { diagnoses, graph, service, analyzer: astats, recovery: None });
+    };
+    let mut dcfg = dcfg.clone();
+    dcfg.recovery.service = service;
+    match run_service_durable(lib, gcfg, nodes, part, &dcfg, *store)? {
+        DurableOutcome::Completed { diagnoses, service, analyzer, recovery, graph } => {
+            Ok(ShardRun { diagnoses, graph, service, analyzer, recovery: Some(recovery) })
+        }
+        DurableOutcome::Killed { .. } => unreachable!("kill points are rejected up front"),
+    }
+}
+
+/// The shard driver: route `traffic` onto [`ShardedConfig::shards`]
+/// partitions, run each partition's pipeline on its own thread (over
+/// `stores[i]` when `durable`), then merge diagnoses, graphs and metrics.
+fn drive_shards(
+    lib: &FingerprintLibrary,
+    gcfg: GretelConfig,
+    nodes: &[NodeId],
+    traffic: &[Message],
     cfg: &ShardedConfig,
-    catalog: &Catalog,
-    parts: &[Vec<Message>],
-    runs: Vec<ShardRun>,
-    registries: Vec<Option<Arc<PipelineMetrics>>>,
-) -> ShardedOutcome {
+    durable: Option<(&DurableConfig, &mut [&mut (dyn Store + Send)])>,
+) -> Result<ShardedOutcome, ServiceError> {
+    assert!(cfg.shards > 0, "need at least one shard");
+    assert!(
+        cfg.service.metrics.is_none(),
+        "ShardedConfig::service.metrics must be None: each shard owns a private registry \
+         (set ShardedConfig::metrics = true for per-shard + aggregated registries)"
+    );
+    let parts = partition_messages(traffic, cfg.shards);
+    let registries: Vec<Option<Arc<PipelineMetrics>>> = (0..cfg.shards)
+        .map(|_| cfg.metrics.then(|| Arc::new(PipelineMetrics::enabled())))
+        .collect();
+
+    let base = resolved_service(cfg);
+    let (dcfg, stores) = durable.unzip();
+    let mut stores = stores.into_iter().flatten();
+    let mut results: Vec<Option<Result<ShardRun, ServiceError>>> =
+        (0..cfg.shards).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        for ((part, registry), slot) in parts.iter().zip(&registries).zip(&mut results) {
+            let mut sc = base.clone();
+            sc.metrics = registry.clone();
+            let durable = dcfg.zip(stores.next());
+            scope.spawn(move || *slot = Some(run_shard(lib, gcfg, nodes, part, sc, durable)));
+        }
+    });
+
     let mut graph = ServiceGraph::new();
     let mut diagnoses = Vec::new();
-    let mut shards = Vec::with_capacity(runs.len());
-    for (i, run) in runs.into_iter().enumerate() {
+    let mut shards = Vec::with_capacity(cfg.shards);
+    for (i, run) in results.into_iter().enumerate() {
+        let run = run.expect("every shard thread reports")?;
         graph.merge(&run.graph);
         shards.push(ShardReport {
             shard: i,
@@ -231,7 +260,7 @@ fn merge(
     }
     canonical_order(&mut diagnoses);
     if let Some(params) = cfg.cascades {
-        attribute_cascades(&mut diagnoses, &graph, catalog, params);
+        attribute_cascades(&mut diagnoses, &graph, lib.catalog(), params);
     }
     let metrics = cfg.metrics.then(|| {
         let agg = PipelineMetrics::enabled();
@@ -240,7 +269,7 @@ fn merge(
         }
         agg.snapshot()
     });
-    ShardedOutcome { diagnoses, graph, shards, metrics }
+    Ok(ShardedOutcome { diagnoses, graph, shards, metrics })
 }
 
 /// Run the pipeline sharded by tenant: route `traffic` onto
@@ -259,41 +288,10 @@ pub fn run_sharded(
     traffic: &[Message],
     cfg: &ShardedConfig,
 ) -> Result<ShardedOutcome, ServiceError> {
-    validate(cfg);
-    let parts = partition_messages(traffic, cfg.shards);
-    let registries: Vec<Option<Arc<PipelineMetrics>>> = (0..cfg.shards)
-        .map(|_| cfg.metrics.then(|| Arc::new(PipelineMetrics::enabled())))
-        .collect();
-
-    let base = resolved_service(cfg);
-    let mut results: Vec<Option<Result<ShardRun, ServiceError>>> =
-        (0..cfg.shards).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for ((part, registry), slot) in parts.iter().zip(&registries).zip(&mut results) {
-            let mut sc = base.clone();
-            sc.metrics = registry.clone();
-            scope.spawn(move || {
-                let mut analyzer = Analyzer::new(lib, gcfg);
-                *slot = Some(run_service_checked(&mut analyzer, nodes, part, &sc).map(
-                    |(diagnoses, service, astats)| ShardRun {
-                        diagnoses,
-                        graph: analyzer.traffic_graph().clone(),
-                        service,
-                        analyzer: astats,
-                        recovery: None,
-                    },
-                ));
-            });
-        }
-    });
-    let runs = results
-        .into_iter()
-        .map(|r| r.expect("every shard thread reports"))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(merge(cfg, lib.catalog(), &parts, runs, registries))
+    drive_shards(lib, gcfg, nodes, traffic, cfg, None)
 }
 
-/// [`run_sharded`] with a durable checkpoint journal per shard: partition
+/// [`run_sharded`] with a durable checkpoint store per shard: partition
 /// `i` runs [`run_service_durable`] against `stores[i]`, so each shard
 /// owns a private `gretel-store` backend it can crash-recover from
 /// independently.
@@ -318,58 +316,12 @@ pub fn run_sharded_durable(
     dcfg: &DurableConfig,
     stores: &mut [&mut (dyn Store + Send)],
 ) -> Result<ShardedOutcome, ServiceError> {
-    validate(cfg);
     assert_eq!(stores.len(), cfg.shards, "one store per shard");
     assert!(
         dcfg.kill_point.is_none(),
         "kill points are per-pipeline: model process kills through run_service_durable"
     );
-    let parts = partition_messages(traffic, cfg.shards);
-    let registries: Vec<Option<Arc<PipelineMetrics>>> = (0..cfg.shards)
-        .map(|_| cfg.metrics.then(|| Arc::new(PipelineMetrics::enabled())))
-        .collect();
-
-    let base = resolved_service(cfg);
-    let mut results: Vec<Option<Result<ShardRun, ServiceError>>> =
-        (0..cfg.shards).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (((part, registry), store), slot) in
-            parts.iter().zip(&registries).zip(stores.iter_mut()).zip(&mut results)
-        {
-            let mut shard_dcfg = dcfg.clone();
-            shard_dcfg.recovery.service = base.clone();
-            shard_dcfg.recovery.service.metrics = registry.clone();
-            let catalog = lib.catalog();
-            scope.spawn(move || {
-                let run = run_service_durable(lib, gcfg, nodes, part, &shard_dcfg, *store).map(
-                    |outcome| match outcome {
-                        DurableOutcome::Completed { diagnoses, service, analyzer, recovery } => {
-                            ShardRun {
-                                diagnoses,
-                                // The durable runner owns its analyzer;
-                                // re-mine the graph from this shard's
-                                // traffic with the identical observation
-                                // rule.
-                                graph: mine_graph(catalog, part),
-                                service,
-                                analyzer,
-                                recovery: Some(recovery),
-                            }
-                        }
-                        DurableOutcome::Killed { .. } => {
-                            unreachable!("kill points are rejected above")
-                        }
-                    },
-                );
-                *slot = Some(run);
-            });
-        }
-    });
-    let runs = results
-        .into_iter()
-        .map(|r| r.expect("every shard thread reports"))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(merge(cfg, lib.catalog(), &parts, runs, registries))
+    drive_shards(lib, gcfg, nodes, traffic, cfg, Some((dcfg, stores)))
 }
 
 #[cfg(test)]
@@ -459,30 +411,48 @@ mod tests {
     #[test]
     fn durable_shards_match_the_in_memory_path() {
         let (lib, gcfg, nodes, traffic) = multi_tenant_run();
-        let cfg = ShardedConfig { shards: 4, metrics: true, ..ShardedConfig::default() };
-        let plain = run_sharded(&lib, gcfg, &nodes, &traffic, &cfg).expect("in-memory");
+        // Lossless, then a lossy capture plane: the durable shards must
+        // report the graph their analyzers observed (dropped frames
+        // missing), exactly as the in-memory shards do.
+        let lossy = gretel_netcap::CaptureImpairment {
+            drop_prob: 0.2,
+            seed: 5,
+            ..gretel_netcap::CaptureImpairment::none()
+        };
+        for impairment in [None, Some(lossy)] {
+            let cfg = ShardedConfig {
+                shards: 4,
+                service: ServiceConfig { impairment, ..ServiceConfig::default() },
+                metrics: true,
+                ..ShardedConfig::default()
+            };
+            let plain = run_sharded(&lib, gcfg, &nodes, &traffic, &cfg).expect("in-memory");
+            if impairment.is_some() {
+                assert!(plain.shards.iter().any(|s| s.service.capture.dropped > 0));
+            }
 
-        let mut stores: Vec<MemStore> = (0..4).map(|_| MemStore::new()).collect();
-        let mut store_refs: Vec<&mut (dyn Store + Send)> =
-            stores.iter_mut().map(|s| s as &mut (dyn Store + Send)).collect();
-        let out = run_sharded_durable(
-            &lib,
-            gcfg,
-            &nodes,
-            &traffic,
-            &cfg,
-            &DurableConfig::default(),
-            &mut store_refs,
-        )
-        .expect("durable");
-        assert_eq!(encode_diagnoses(&out.diagnoses), encode_diagnoses(&plain.diagnoses));
-        assert_eq!(out.graph, plain.graph, "re-mined graphs equal analyzer graphs");
-        for s in &out.shards {
-            assert!(s.recovery.is_some(), "durable shards report recovery stats");
+            let mut stores: Vec<MemStore> = (0..4).map(|_| MemStore::new()).collect();
+            let mut store_refs: Vec<&mut (dyn Store + Send)> =
+                stores.iter_mut().map(|s| s as &mut (dyn Store + Send)).collect();
+            let out = run_sharded_durable(
+                &lib,
+                gcfg,
+                &nodes,
+                &traffic,
+                &cfg,
+                &DurableConfig::default(),
+                &mut store_refs,
+            )
+            .expect("durable");
+            assert_eq!(encode_diagnoses(&out.diagnoses), encode_diagnoses(&plain.diagnoses));
+            assert_eq!(out.graph, plain.graph, "durable shards report the observed graph");
+            for s in &out.shards {
+                assert!(s.recovery.is_some(), "durable shards report recovery stats");
+            }
+            let agg = out.metrics.expect("metrics requested");
+            let events: u64 = agg.stages.iter().map(|st| st.events).sum();
+            assert!(events > 0, "aggregated registry saw traffic");
         }
-        let agg = out.metrics.expect("metrics requested");
-        let events: u64 = agg.stages.iter().map(|st| st.events).sum();
-        assert!(events > 0, "aggregated registry saw traffic");
     }
 
     #[test]

@@ -448,14 +448,16 @@ mod skew_tests {
     }
 }
 
-/// Deterministic 64-bit hash of (seed, agent, index, salt) — splitmix64
-/// finalizer, same family as [`degrade`]'s per-message coin. Every
-/// impairment decision is a pure function of these four values, so a run is
-/// reproducible regardless of thread scheduling or batch boundaries.
-fn mix64(seed: u64, agent: u8, idx: u64, salt: u64) -> u64 {
+/// Deterministic 64-bit hash of `(seed, a, b, salt)` — splitmix64
+/// finalizer, same family as [`degrade`]'s per-message coin. The one seeded
+/// coin of the pipeline: capture impairment keys it on `(agent, frame
+/// index)`, the analysis-plane chaos injector in `gretel-core` on `(job,
+/// attempt)`. Every decision is a pure function of these four values, so a
+/// run is reproducible regardless of thread scheduling or batch boundaries.
+pub fn mix64(seed: u64, a: u64, b: u64, salt: u64) -> u64 {
     let mut x = seed
-        ^ (agent as u64 + 1).wrapping_mul(0xA076_1D64_78BD_642F)
-        ^ (idx + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        ^ (a + 1).wrapping_mul(0xA076_1D64_78BD_642F)
+        ^ (b + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
         ^ (salt + 1).wrapping_mul(0xE703_7ED1_A0B4_28DB);
     x ^= x >> 30;
     x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -465,8 +467,9 @@ fn mix64(seed: u64, agent: u8, idx: u64, salt: u64) -> u64 {
     x
 }
 
-fn coin(seed: u64, agent: u8, idx: u64, salt: u64) -> f64 {
-    (mix64(seed, agent, idx, salt) >> 11) as f64 / (1u64 << 53) as f64
+/// [`mix64`] as a uniform draw in `[0, 1)`: compare against a probability.
+pub fn coin(seed: u64, a: u64, b: u64, salt: u64) -> f64 {
+    (mix64(seed, a, b, salt) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// An agent outage: the agent captures nothing for a window of frames and
@@ -563,11 +566,11 @@ impl CaptureImpairment {
                     continue;
                 }
             }
-            if self.drop_prob > 0.0 && coin(self.seed, agent.0, idx, 1) < self.drop_prob {
+            if self.drop_prob > 0.0 && coin(self.seed, agent.0 as u64, idx, 1) < self.drop_prob {
                 stats.dropped += 1;
                 continue;
             }
-            if self.dup_prob > 0.0 && coin(self.seed, agent.0, idx, 2) < self.dup_prob {
+            if self.dup_prob > 0.0 && coin(self.seed, agent.0 as u64, idx, 2) < self.dup_prob {
                 stats.duplicated += 1;
                 survivors.push(f.clone());
             }
@@ -581,8 +584,8 @@ impl CaptureImpairment {
                 .into_iter()
                 .enumerate()
                 .map(|(j, f)| {
-                    let jitter = if coin(self.seed, agent.0, j as u64, 3) < self.reorder_prob {
-                        1 + (mix64(self.seed, agent.0, j as u64, 4) as usize % self.reorder_span)
+                    let jitter = if coin(self.seed, agent.0 as u64, j as u64, 3) < self.reorder_prob {
+                        1 + (mix64(self.seed, agent.0 as u64, j as u64, 4) as usize % self.reorder_span)
                     } else {
                         0
                     };

@@ -28,7 +28,7 @@ pub mod shard;
 pub mod stats;
 
 pub use agent::{
-    capture_and_merge, degrade, is_relevant, merge_captures, skew_clocks, AgentLink,
+    capture_and_merge, coin, degrade, is_relevant, merge_captures, mix64, skew_clocks, AgentLink,
     CaptureAgent, CaptureImpairment, Degradation, Resequencer, StallSpec,
 };
 pub use batch::{batch_frames, FrameBatch, FrameBatchBuilder};

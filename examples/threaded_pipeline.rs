@@ -9,7 +9,7 @@
 //! one ordered stream and drives the analyzer — the deployment shape the
 //! paper's Bro + Broccoli + analyzer service has.
 
-use gretel::core::run_service;
+use gretel::core::{run_service_cfg, ServiceConfig};
 use gretel::model::OpInstanceId;
 use gretel::prelude::*;
 
@@ -51,7 +51,8 @@ fn main() {
     // Run the Fig-3 pipeline: 7 agent threads -> merge -> analyzer.
     let nodes: Vec<_> = deployment.nodes().iter().map(|n| n.id).collect();
     let mut analyzer = Analyzer::new(&library, GretelConfig::default());
-    let (diagnoses, svc, stats) = run_service(&mut analyzer, &nodes, &exec.messages, 256);
+    let scfg = ServiceConfig { channel_capacity: 256, ..ServiceConfig::default() };
+    let (diagnoses, svc, stats) = run_service_cfg(&mut analyzer, &nodes, &exec.messages, &scfg);
 
     println!(
         "{} agents shipped {} frames ({} KB) to the analyzer; {} messages processed",

@@ -12,9 +12,15 @@ cargo test -q --offline --workspace
 # must be clippy-clean.
 cargo clippy --offline --all-targets -- -D warnings
 
-# The chaos feature (test-only corruption hooks compiled into non-test
-# builds) has no default consumer; keep it compiling and lint-clean.
-cargo clippy --offline -p gretel-core --features chaos --all-targets -- -D warnings
+# The standalone benchmark package (its own workspace, excluded from the
+# one above) only sees the crates' public API: build and test it against
+# the workspace as it now is, then smoke every workload, so an API change
+# that breaks it fails here instead of at the perf gate. Writes only
+# git-ignored files under benchmark/.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline -q --manifest-path benchmark/Cargo.toml \
+  --bin gretel-benchmark -- run --check
 
 # Crash-recovery smoke: one §7.2 scenario under worker kills, scheduled
 # service crashes, store corruption, plus FileStore-backed whole-process

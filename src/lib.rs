@@ -63,7 +63,7 @@ pub use gretel_telemetry as telemetry;
 /// | §5 key observations, Fig 3 architecture | [`core::analyzer`], [`core::service`] |
 /// | Algorithm 1 (fingerprint generation) | [`core::fingerprint::generate_fingerprint`], [`core::noise_filter`], [`core::lcs`] |
 /// | §5.1 distributed state monitoring | [`netcap::agent`], [`telemetry`] |
-/// | §5.2 event receiver | [`core::service::run_service`] |
+/// | §5.2 event receiver | [`core::service::run_service_cfg`] |
 /// | §5.3 anomaly detection (byte scans, latency pairing) | [`core::anomaly`] |
 /// | §5.3.1 sliding window α, context buffer β/δ, θ | [`core::window`], [`core::detect`], [`core::config`] |
 /// | Algorithm 2 (operation detection, truncation) | [`core::detect::Detector`], [`core::fingerprint::Fingerprint::truncate_at_each`] |

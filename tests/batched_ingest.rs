@@ -9,9 +9,10 @@
 //! impairment, and across crash/replay cycles. These tests pin that
 //! oracle and the channel-operation economics the fast path exists for.
 
+use gretel::core::store::MemStore;
 use gretel::core::{
-    analyze_stream, run_service_cfg, run_service_recoverable, Analyzer, GretelConfig,
-    RecoveryConfig, ServiceConfig,
+    analyze_stream, run_service_cfg, run_service_durable, Analyzer, DurableConfig,
+    DurableOutcome, GretelConfig, RecoveryConfig, ServiceConfig,
 };
 use gretel::model::{
     Catalog, HttpMethod, Message, NodeId, OpSpecId, OperationSpec, Service, Workflows,
@@ -187,7 +188,7 @@ fn crash_replay_is_batch_size_invariant() {
     });
 
     for batch in [1, 64] {
-        let cfg = RecoveryConfig {
+        let recovery = RecoveryConfig {
             service: ServiceConfig {
                 ingest_batch: batch,
                 impairment: Some(CaptureImpairment::none()),
@@ -204,12 +205,15 @@ fn crash_replay_is_batch_size_invariant() {
             crash_points: CrashSchedule::at(vec![150, 80]).points,
             ..RecoveryConfig::default()
         };
-        let mut analyzer = Analyzer::new(&fx.lib, gcfg());
-        let (diags, _, _, rec) =
-            run_service_recoverable(&mut analyzer, &fx.nodes, &fx.messages, &cfg)
-                .expect("chaotic batched run completes");
-        assert_eq!(diags, expected, "recovery at ingest_batch={batch}");
-        assert_eq!(rec.restores, 2, "one restore per scheduled crash");
+        let cfg = DurableConfig { recovery, ..DurableConfig::default() };
+        let mut store = MemStore::new();
+        let out = run_service_durable(&fx.lib, gcfg(), &fx.nodes, &fx.messages, &cfg, &mut store)
+            .expect("chaotic batched run completes");
+        let DurableOutcome::Completed { diagnoses, recovery, .. } = out else {
+            panic!("no kill point configured")
+        };
+        assert_eq!(diagnoses, expected, "recovery at ingest_batch={batch}");
+        assert_eq!(recovery.restores, 2, "one restore per scheduled crash");
     }
 }
 

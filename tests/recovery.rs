@@ -11,9 +11,9 @@
 
 use gretel::core::store::{FileStore, FileStoreConfig, MemStore, Store};
 use gretel::core::{
-    run_service_cfg, run_service_durable, run_service_recoverable, Analyzer, AnalyzerChaos,
-    CaptureConfidence, DurableConfig, DurableOutcome, GretelConfig, JobBudget, LibraryReload,
-    RecoveryConfig, RecoveryStats, ServiceConfig, ServiceError,
+    run_service_cfg, run_service_durable, Analyzer, AnalyzerChaos, AnalyzerStats,
+    CaptureConfidence, Diagnosis, DurableConfig, DurableOutcome, GretelConfig, JobBudget,
+    LibraryReload, RecoveryConfig, RecoveryStats, ServiceConfig, ServiceError, ServiceStats,
 };
 use gretel::model::{
     Catalog, HttpMethod, Message, NodeId, OpSpecId, OperationSpec, Service, Workflows,
@@ -85,17 +85,29 @@ fn reference(impairment: Option<CaptureImpairment>) -> Vec<gretel::core::Diagnos
     diags
 }
 
+/// The in-process recoverable service: `run_service_durable` over a fresh
+/// `MemStore`, run to completion.
+fn run_recoverable(
+    recovery: RecoveryConfig,
+) -> Result<(Vec<Diagnosis>, ServiceStats, AnalyzerStats, RecoveryStats), ServiceError> {
+    let fx = fixture();
+    let cfg = DurableConfig { recovery, ..DurableConfig::default() };
+    let mut store = MemStore::new();
+    match run_service_durable(&fx.lib, gcfg(), &fx.nodes, &fx.messages, &cfg, &mut store)? {
+        DurableOutcome::Completed { diagnoses, service, analyzer, recovery, .. } => {
+            Ok((diagnoses, service, analyzer, recovery))
+        }
+        DurableOutcome::Killed { .. } => panic!("no kill point configured"),
+    }
+}
+
 #[test]
 fn no_chaos_recoverable_equals_plain_pipeline() {
-    let fx = fixture();
     let expected = reference(None);
     assert!(expected.len() >= 2, "fixture produces diagnoses");
 
-    let mut analyzer = Analyzer::new(&fx.lib, gcfg());
     let cfg = RecoveryConfig { checkpoint_every: 64, ..RecoveryConfig::default() };
-    let (diags, _, astats, rec) =
-        run_service_recoverable(&mut analyzer, &fx.nodes, &fx.messages, &cfg)
-            .expect("clean run completes");
+    let (diags, _, astats, rec) = run_recoverable(cfg).expect("clean run completes");
     assert_eq!(diags, expected);
     assert!(rec.checkpoints_written > 0);
     assert_eq!(rec.worker_crashes, 0);
@@ -106,7 +118,6 @@ fn no_chaos_recoverable_equals_plain_pipeline() {
 
 #[test]
 fn worker_kills_and_service_crashes_preserve_the_output_exactly() {
-    let fx = fixture();
     let expected = reference(None);
 
     // Every job crashes its worker twice (attempts 0 and 1) and then
@@ -119,10 +130,7 @@ fn worker_kills_and_service_crashes_preserve_the_output_exactly() {
         crash_points: CrashSchedule::at(vec![150, 80]).points,
         ..RecoveryConfig::default()
     };
-    let mut analyzer = Analyzer::new(&fx.lib, gcfg());
-    let (diags, svc, _, rec) =
-        run_service_recoverable(&mut analyzer, &fx.nodes, &fx.messages, &cfg)
-            .expect("chaotic run completes");
+    let (diags, svc, _, rec) = run_recoverable(cfg).expect("chaotic run completes");
 
     assert_eq!(diags, expected, "zero diagnoses lost, zero duplicated");
     assert!(rec.worker_crashes > 0, "kill chaos fired: {rec:?}");
@@ -136,7 +144,6 @@ fn worker_kills_and_service_crashes_preserve_the_output_exactly() {
 
 #[test]
 fn stalled_jobs_are_cancelled_never_exact() {
-    let fx = fixture();
     let expected = reference(None);
 
     let cfg = RecoveryConfig {
@@ -145,10 +152,7 @@ fn stalled_jobs_are_cancelled_never_exact() {
         chaos: AnalyzerChaos { stall_prob: 1.0, seed: 23, ..AnalyzerChaos::none() },
         ..RecoveryConfig::default()
     };
-    let mut analyzer = Analyzer::new(&fx.lib, gcfg());
-    let (diags, _, _, rec) =
-        run_service_recoverable(&mut analyzer, &fx.nodes, &fx.messages, &cfg)
-            .expect("stalled run completes");
+    let (diags, _, _, rec) = run_recoverable(cfg).expect("stalled run completes");
 
     assert!(rec.jobs_cancelled > 0, "stall chaos fired: {rec:?}");
     // Honesty: every fault still surfaces, each marked Cancelled — a
@@ -169,7 +173,6 @@ fn budget_cancellations_replay_identically_across_crashes() {
     // recovery oracle. A pass budget is a pure function of the job, so a
     // run that cancels everything must commit the *same* stream whether
     // or not the service crashed and replayed in the middle.
-    let fx = fixture();
 
     let run = |crash_points: Vec<u64>| {
         let cfg = RecoveryConfig {
@@ -178,9 +181,7 @@ fn budget_cancellations_replay_identically_across_crashes() {
             crash_points,
             ..RecoveryConfig::default()
         };
-        let mut analyzer = Analyzer::new(&fx.lib, gcfg());
-        run_service_recoverable(&mut analyzer, &fx.nodes, &fx.messages, &cfg)
-            .expect("budget-starved run completes")
+        run_recoverable(cfg).expect("budget-starved run completes")
     };
 
     let (diags_plain, _, _, rec_plain) = run(Vec::new());
@@ -198,20 +199,17 @@ fn budget_cancellations_replay_identically_across_crashes() {
 
 #[test]
 fn wall_clock_budgets_are_rejected_by_the_recoverable_service() {
-    let fx = fixture();
     let cfg = RecoveryConfig {
         budget: JobBudget::WallClock(Duration::from_secs(5)),
         ..RecoveryConfig::default()
     };
-    let mut analyzer = Analyzer::new(&fx.lib, gcfg());
-    let err = run_service_recoverable(&mut analyzer, &fx.nodes, &fx.messages, &cfg)
-        .expect_err("wall-clock budgets cannot be replayed identically");
+    let err =
+        run_recoverable(cfg).expect_err("wall-clock budgets cannot be replayed identically");
     assert!(matches!(err, ServiceError::NondeterministicBudget), "{err}");
 }
 
 #[test]
 fn corrupt_checkpoints_fall_back_and_suppress_duplicate_releases() {
-    let fx = fixture();
     let expected = reference(None);
 
     // Every checkpoint record is corrupted, so the post-crash restore
@@ -223,10 +221,7 @@ fn corrupt_checkpoints_fall_back_and_suppress_duplicate_releases() {
         crash_points: vec![200],
         ..RecoveryConfig::default()
     };
-    let mut analyzer = Analyzer::new(&fx.lib, gcfg());
-    let (diags, _, _, rec) =
-        run_service_recoverable(&mut analyzer, &fx.nodes, &fx.messages, &cfg)
-            .expect("corrupted-journal run completes");
+    let (diags, _, _, rec) = run_recoverable(cfg).expect("corrupted-journal run completes");
 
     assert_eq!(diags, expected, "cold replay still neither loses nor duplicates");
     assert!(rec.checkpoints_corrupt > 0, "corruption chaos fired: {rec:?}");
@@ -363,7 +358,6 @@ proptest! {
         crashes in 1usize..3,
         kill in any::<bool>(),
     ) {
-        let fx = fixture();
         let imp = CaptureImpairment {
             drop_prob, dup_prob, reorder_prob, reorder_span: 3, stall: None, seed,
         };
@@ -382,10 +376,7 @@ proptest! {
             crash_points: CrashSchedule::seeded(seed, crashes, 300).points,
             ..RecoveryConfig::default()
         };
-        let mut analyzer = Analyzer::new(&fx.lib, gcfg());
-        let (diags, _, _, rec) =
-            run_service_recoverable(&mut analyzer, &fx.nodes, &fx.messages, &cfg)
-                .expect("impaired chaotic run completes");
+        let (diags, _, _, rec) = run_recoverable(cfg).expect("impaired chaotic run completes");
         prop_assert_eq!(diags, expected);
         prop_assert_eq!(rec.jobs_cancelled, 0);
     }

@@ -14,7 +14,7 @@
 //!   total).
 
 use gretel::core::{
-    analyze_stream, run_service, run_service_cfg, Analyzer, CaptureConfidence, GretelConfig,
+    analyze_stream, run_service_cfg, Analyzer, CaptureConfidence, GretelConfig,
     ServiceConfig,
 };
 use gretel::model::{
@@ -73,7 +73,8 @@ fn zero_impairment_is_identical_to_the_legacy_pipeline() {
 
     // Legacy threaded pipeline.
     let mut legacy = Analyzer::new(&fx.lib, gcfg());
-    let (legacy_diags, _, _) = run_service(&mut legacy, &fx.nodes, &fx.messages, 64);
+    let (legacy_diags, _, _) =
+        run_service_cfg(&mut legacy, &fx.nodes, &fx.messages, &ServiceConfig::default());
     assert_eq!(legacy_diags, expected);
 
     // Sequence-stamped pipeline with a no-op impairment: the whole

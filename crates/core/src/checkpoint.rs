@@ -53,35 +53,41 @@ impl std::fmt::Display for CheckpointError {
 impl std::error::Error for CheckpointError {}
 
 /// Little-endian primitives shared by every state codec in the crate.
-pub(crate) mod codec {
+pub mod codec {
     use super::CheckpointError;
 
-    pub(crate) fn put_u8(out: &mut Vec<u8>, v: u8) {
+    /// Append one byte.
+    pub fn put_u8(out: &mut Vec<u8>, v: u8) {
         out.push(v);
     }
-    pub(crate) fn put_u16(out: &mut Vec<u8>, v: u16) {
+    /// Append a little-endian u16.
+    pub fn put_u16(out: &mut Vec<u8>, v: u16) {
         out.extend_from_slice(&v.to_le_bytes());
     }
-    pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
+    /// Append a little-endian u32.
+    pub fn put_u32(out: &mut Vec<u8>, v: u32) {
         out.extend_from_slice(&v.to_le_bytes());
     }
-    pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
+    /// Append a little-endian u64.
+    pub fn put_u64(out: &mut Vec<u8>, v: u64) {
         out.extend_from_slice(&v.to_le_bytes());
     }
-    pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
+    /// Append an f64 as its little-endian bits.
+    pub fn put_f64(out: &mut Vec<u8>, v: f64) {
         out.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Bounds-checked sequential reader over a state buffer. `Clone` marks
     /// a position so a block can be skipped now and decoded later.
     #[derive(Clone)]
-    pub(crate) struct Reader<'a> {
+    pub struct Reader<'a> {
         buf: &'a [u8],
         pos: usize,
     }
 
     impl<'a> Reader<'a> {
-        pub(crate) fn new(buf: &'a [u8]) -> Reader<'a> {
+        /// Reader over `buf`, positioned at its start.
+        pub fn new(buf: &'a [u8]) -> Reader<'a> {
             Reader { buf, pos: 0 }
         }
 
@@ -94,31 +100,36 @@ pub(crate) mod codec {
             Ok(s)
         }
 
-        pub(crate) fn u8(&mut self) -> Result<u8, CheckpointError> {
+        /// Read one little-endian `u8`.
+        pub fn u8(&mut self) -> Result<u8, CheckpointError> {
             Ok(self.take(1)?[0])
         }
-        pub(crate) fn u16(&mut self) -> Result<u16, CheckpointError> {
+        /// Read one little-endian `u16`.
+        pub fn u16(&mut self) -> Result<u16, CheckpointError> {
             Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len 2")))
         }
-        pub(crate) fn u32(&mut self) -> Result<u32, CheckpointError> {
+        /// Read one little-endian `u32`.
+        pub fn u32(&mut self) -> Result<u32, CheckpointError> {
             Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len 4")))
         }
-        pub(crate) fn u64(&mut self) -> Result<u64, CheckpointError> {
+        /// Read one little-endian `u64`.
+        pub fn u64(&mut self) -> Result<u64, CheckpointError> {
             Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
         }
-        pub(crate) fn f64(&mut self) -> Result<f64, CheckpointError> {
+        /// Read one little-endian `f64`.
+        pub fn f64(&mut self) -> Result<f64, CheckpointError> {
             Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
         }
 
         /// A length-prefixed byte run (u32 length).
-        pub(crate) fn bytes(&mut self) -> Result<&'a [u8], CheckpointError> {
+        pub fn bytes(&mut self) -> Result<&'a [u8], CheckpointError> {
             let n = self.u32()? as usize;
             self.take(n)
         }
 
         /// Items remaining? Call at the end of a full decode to reject
         /// trailing garbage.
-        pub(crate) fn done(&self) -> Result<(), CheckpointError> {
+        pub fn done(&self) -> Result<(), CheckpointError> {
             if self.pos == self.buf.len() {
                 Ok(())
             } else {
@@ -130,8 +141,8 @@ pub(crate) mod codec {
 
 use codec::{put_f64, put_u16, put_u32, put_u64, put_u8, Reader};
 
-/// Encode one [`Event`] (fixed layout, 36 bytes).
-pub(crate) fn put_event(out: &mut Vec<u8>, ev: &Event) {
+/// Encode one [`Event`] (fixed layout, 38 bytes).
+pub fn put_event(out: &mut Vec<u8>, ev: &Event) {
     put_u64(out, ev.id.0);
     put_u64(out, ev.ts);
     put_u16(out, ev.api.0);
@@ -162,7 +173,7 @@ pub(crate) fn put_event(out: &mut Vec<u8>, ev: &Event) {
 }
 
 /// Decode one [`Event`] written by [`put_event`].
-pub(crate) fn read_event(r: &mut Reader<'_>) -> Result<Event, CheckpointError> {
+pub fn read_event(r: &mut Reader<'_>) -> Result<Event, CheckpointError> {
     let id = MessageId(r.u64()?);
     let ts = r.u64()?;
     let api = ApiId(r.u16()?);
@@ -269,7 +280,7 @@ fn read_string(r: &mut Reader<'_>) -> Result<String, CheckpointError> {
 /// Encode one [`Diagnosis`] bit-exactly (f64 fields as raw little-endian
 /// bits), so a diagnosis released before a crash and one read back from
 /// the store after a restart compare equal byte for byte.
-pub(crate) fn put_diagnosis(out: &mut Vec<u8>, d: &Diagnosis) {
+pub fn put_diagnosis(out: &mut Vec<u8>, d: &Diagnosis) {
     match d.kind {
         FaultKind::Operational { status, rpc } => {
             put_u8(out, 0);
@@ -338,7 +349,7 @@ pub(crate) fn put_diagnosis(out: &mut Vec<u8>, d: &Diagnosis) {
 }
 
 /// Decode one [`Diagnosis`] written by [`put_diagnosis`].
-pub(crate) fn read_diagnosis(r: &mut Reader<'_>) -> Result<Diagnosis, CheckpointError> {
+pub fn read_diagnosis(r: &mut Reader<'_>) -> Result<Diagnosis, CheckpointError> {
     let kind = match r.u8()? {
         0 => {
             let has_status = r.u8()?;
@@ -413,6 +424,42 @@ pub(crate) fn read_diagnosis(r: &mut Reader<'_>) -> Result<Diagnosis, Checkpoint
         // traffic graph after replay; it is not persisted per-diagnosis.
         attribution: None,
     })
+}
+
+/// Serialize one release batch: the watermark plus `(job seq, diagnoses)`
+/// pairs, each diagnosis in the bit-exact checkpoint codec.
+pub fn encode_release(up_to: u64, jobs: &[(u64, Vec<Diagnosis>)]) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_u64(&mut out, up_to);
+    put_u32(&mut out, jobs.len() as u32);
+    for (seq, ds) in jobs {
+        put_u64(&mut out, *seq);
+        put_u32(&mut out, ds.len() as u32);
+        for d in ds {
+            put_diagnosis(&mut out, d);
+        }
+    }
+    out
+}
+
+/// Decode a [`crate::KIND_DIAGNOSES`] record back into its watermark and jobs.
+#[allow(clippy::type_complexity)]
+pub fn decode_release(payload: &[u8]) -> Result<(u64, Vec<(u64, Vec<Diagnosis>)>), CheckpointError> {
+    let mut r = codec::Reader::new(payload);
+    let up_to = r.u64()?;
+    let n = r.u32()? as usize;
+    let mut jobs = Vec::with_capacity(n);
+    for _ in 0..n {
+        let seq = r.u64()?;
+        let n_ds = r.u32()? as usize;
+        let mut ds = Vec::with_capacity(n_ds);
+        for _ in 0..n_ds {
+            ds.push(read_diagnosis(&mut r)?);
+        }
+        jobs.push((seq, ds));
+    }
+    r.done()?;
+    Ok((up_to, jobs))
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@
 
 use crate::analyzer::{Analyzer, AnalyzerStats, JobBudget, SnapshotAnalyzer, SnapshotJob};
 use crate::anomaly::scan_message;
-use crate::checkpoint::{codec, put_diagnosis, read_diagnosis, CheckpointError};
+use crate::checkpoint::{codec, decode_release, encode_release, CheckpointError};
 use crate::event::FaultMark;
 use crate::recover::{
     AnalyzerChaos, LibraryReload, RecoveryConfig, RecoveryStats, KIND_CHECKPOINT, KIND_DIAGNOSES,
@@ -313,43 +313,6 @@ fn decode_checkpoint(
     }
     r.done()?;
     Ok((analyzer_state, next_seq, streams, lib_len))
-}
-
-/// Serialize one release batch: the watermark plus `(job seq, diagnoses)`
-/// pairs, each diagnosis in the bit-exact checkpoint codec.
-fn encode_release(up_to: u64, jobs: &[(u64, Vec<Diagnosis>)]) -> Vec<u8> {
-    use codec::{put_u32, put_u64};
-    let mut out = Vec::new();
-    put_u64(&mut out, up_to);
-    put_u32(&mut out, jobs.len() as u32);
-    for (seq, ds) in jobs {
-        put_u64(&mut out, *seq);
-        put_u32(&mut out, ds.len() as u32);
-        for d in ds {
-            put_diagnosis(&mut out, d);
-        }
-    }
-    out
-}
-
-/// Decode a [`KIND_DIAGNOSES`] record back into its watermark and jobs.
-#[allow(clippy::type_complexity)]
-fn decode_release(payload: &[u8]) -> Result<(u64, Vec<(u64, Vec<Diagnosis>)>), ServiceError> {
-    let mut r = codec::Reader::new(payload);
-    let up_to = r.u64()?;
-    let n = r.u32()? as usize;
-    let mut jobs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let seq = r.u64()?;
-        let n_ds = r.u32()? as usize;
-        let mut ds = Vec::with_capacity(n_ds);
-        for _ in 0..n_ds {
-            ds.push(read_diagnosis(&mut r)?);
-        }
-        jobs.push((seq, ds));
-    }
-    r.done()?;
-    Ok((up_to, jobs))
 }
 
 /// The release watermark a restarted process must honor: the maximum

@@ -85,17 +85,15 @@ fn predicted_labels(diagnoses: &[Diagnosis]) -> (Vec<Service>, Vec<(Service, Ser
     let mut symptoms: Vec<(Service, Service)> = Vec::new();
     for d in diagnoses {
         match &d.attribution {
-            Some(Attribution::Root { service, .. }) => {
-                if !roots.contains(service) {
-                    roots.push(*service);
-                }
+            Some(Attribution::Root { service, .. }) if !roots.contains(service) => {
+                roots.push(*service);
             }
-            Some(Attribution::Symptom { service, of, .. }) => {
-                if !symptoms.contains(&(*service, *of)) {
-                    symptoms.push((*service, *of));
-                }
+            Some(Attribution::Symptom { service, of, .. })
+                if !symptoms.contains(&(*service, *of)) =>
+            {
+                symptoms.push((*service, *of));
             }
-            None => {}
+            _ => {}
         }
     }
     roots.sort_by_key(|s| s.index());

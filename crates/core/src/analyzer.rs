@@ -18,6 +18,7 @@
 //! throughput experiments run).
 
 use crate::anomaly::{scan_message, LatencyPairer};
+use crate::checkpoint::CheckpointError;
 use crate::config::GretelConfig;
 use crate::detect::{Detector, SnapshotIndex};
 use crate::event::{Event, FaultMark};
@@ -27,9 +28,12 @@ use crate::perf::{PerfFault, PerfMonitor};
 use crate::rca::RcaEngine;
 use crate::report::{CaptureConfidence, Diagnosis, FaultKind};
 use crate::window::{SlidingWindow, Snapshot};
+use gretel_model::codec::{
+    put_count, put_f64, put_u16, put_u32, put_u64, put_u8, DecodeError, Reader,
+};
 use gretel_model::{Message, MessageId, NodeId, OperationSpec};
 use gretel_sim::Deployment;
-use gretel_telemetry::{LevelShiftConfig, TelemetryStore};
+use gretel_telemetry::{Anomaly, AnomalyKind, LevelShiftConfig, TelemetryStore};
 
 /// Everything RCA needs; optional on the analyzer.
 #[derive(Clone, Copy)]
@@ -373,7 +377,6 @@ impl<'a> Analyzer<'a> {
     /// *not* serialized: restore targets an analyzer constructed the same
     /// way, and only replaces its dynamic state.
     pub fn export_state(&self) -> Option<Vec<u8>> {
-        use crate::checkpoint::codec::{put_f64, put_u16, put_u32, put_u64, put_u8};
         let mut out = Vec::with_capacity(1024);
         self.window.export_state(&mut out);
         self.pairer.export_state(&mut out);
@@ -382,21 +385,18 @@ impl<'a> Analyzer<'a> {
         }
         let mut errs: Vec<u64> = self.analyzed_errors.iter().map(|id| id.0).collect();
         errs.sort_unstable();
-        put_u32(&mut out, errs.len() as u32);
+        put_count(&mut out, errs.len());
         for e in errs {
             put_u64(&mut out, e);
         }
-        put_u32(&mut out, self.pending_perf.len() as u32);
+        put_count(&mut out, self.pending_perf.len());
         for (msg_id, pf) in &self.pending_perf {
             put_u64(&mut out, msg_id.0);
             put_u16(&mut out, pf.api.0);
             put_u64(&mut out, pf.anomaly.ts);
             put_f64(&mut out, pf.anomaly.value);
             put_f64(&mut out, pf.anomaly.baseline);
-            put_u8(
-                &mut out,
-                matches!(pf.anomaly.kind, gretel_telemetry::AnomalyKind::LevelShiftDown) as u8,
-            );
+            put_u8(&mut out, matches!(pf.anomaly.kind, AnomalyKind::LevelShiftDown) as u8);
         }
         for v in [
             self.stats.messages,
@@ -436,24 +436,16 @@ impl<'a> Analyzer<'a> {
     /// library, config, perf factory, RCA — the same way as the one that
     /// exported; only the dynamic state transfers. All-or-nothing: on any
     /// decode error the analyzer is left unchanged.
-    pub fn restore_state(
-        &mut self,
-        bytes: &[u8],
-    ) -> Result<(), crate::checkpoint::CheckpointError> {
-        use crate::checkpoint::CheckpointError;
-        let mut r = crate::checkpoint::codec::Reader::new(bytes);
+    pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
+        let mut r = Reader::new(bytes);
         let window = SlidingWindow::import_state(&mut r)?;
         let pairer = LatencyPairer::import_state(&mut r)?;
-        // Perf import mutates the monitor in place (it needs the factory),
-        // so decode everything else first and only commit at the end.
-        let perf_mark = r.clone();
-        Self::skip_perf_state(&mut r)?;
-        let n_errs = r.u32()? as usize;
+        let perf = self.perf.decode_state(&mut r)?;
         let mut analyzed_errors = FastSet::default();
-        for _ in 0..n_errs {
+        for _ in 0..r.count(8)? {
             analyzed_errors.insert(MessageId(r.u64()?));
         }
-        let n_perf = r.u32()? as usize;
+        let n_perf = r.count(8 + 2 + 8 + 8 + 8 + 1)?;
         let mut pending_perf = Vec::with_capacity(n_perf);
         for _ in 0..n_perf {
             let msg_id = MessageId(r.u64()?);
@@ -462,14 +454,12 @@ impl<'a> Analyzer<'a> {
             let value = r.f64()?;
             let baseline = r.f64()?;
             let kind = match r.u8()? {
-                0 => gretel_telemetry::AnomalyKind::LevelShiftUp,
-                1 => gretel_telemetry::AnomalyKind::LevelShiftDown,
-                _ => return Err(CheckpointError::Invalid("anomaly kind")),
+                0 => AnomalyKind::LevelShiftUp,
+                1 => AnomalyKind::LevelShiftDown,
+                _ => return Err(DecodeError::Invalid("anomaly kind").into()),
             };
-            pending_perf.push((
-                msg_id,
-                PerfFault { api, anomaly: gretel_telemetry::Anomaly { ts, value, baseline, kind } },
-            ));
+            let anomaly = Anomaly { ts, value, baseline, kind };
+            pending_perf.push((msg_id, PerfFault { api, anomaly }));
         }
         let stats = AnalyzerStats {
             messages: r.u64()?,
@@ -489,47 +479,22 @@ impl<'a> Analyzer<'a> {
         let auto_alpha = match auto_tag {
             0 => None,
             1 => Some(AutoAlpha { t_secs, interval_us, window_start, count }),
-            _ => return Err(CheckpointError::Invalid("auto-alpha tag")),
+            _ => return Err(DecodeError::Invalid("auto-alpha tag").into()),
         };
         let pending_gap = r.u32()?;
         let graph = crate::graph::ServiceGraph::import_state(&mut r)?;
         r.done()?;
 
-        // Everything decoded: commit, perf last (its import validates too).
-        let mut perf_reader = perf_mark;
-        self.perf.import_state(&mut perf_reader)?;
+        // Everything decoded: commit.
         self.window = window;
         self.pairer = pairer;
+        self.perf.install(perf);
         self.analyzed_errors = analyzed_errors;
         self.pending_perf = pending_perf;
         self.stats = stats;
         self.auto_alpha = auto_alpha;
         self.pending_gap = pending_gap;
         self.graph = graph;
-        Ok(())
-    }
-
-    /// Advance a reader past a perf-monitor state block without applying
-    /// it (the block is applied separately via [`PerfMonitor::import_state`]
-    /// once the rest of the analyzer state has validated).
-    fn skip_perf_state(
-        r: &mut crate::checkpoint::codec::Reader<'_>,
-    ) -> Result<(), crate::checkpoint::CheckpointError> {
-        r.u8()?; // keep_history
-        let n_det = r.u32()? as usize;
-        for _ in 0..n_det {
-            r.u16()?;
-            r.bytes()?;
-        }
-        let n_hist = r.u32()? as usize;
-        for _ in 0..n_hist {
-            r.u16()?;
-            let n = r.u32()? as usize;
-            for _ in 0..n {
-                r.u64()?;
-                r.f64()?;
-            }
-        }
         Ok(())
     }
 
@@ -1168,6 +1133,21 @@ mod tests {
         assert!(analyzer.restore_state(&[]).is_err());
         // A failed restore leaves the analyzer usable.
         assert!(analyzer.finish().is_empty());
+    }
+
+    #[test]
+    fn inflated_pending_perf_count_is_rejected() {
+        let (_, _, _, lib) = setup();
+        let mut analyzer = Analyzer::new(&lib, GretelConfig { alpha: 8, ..Default::default() });
+        let state = analyzer.export_state().unwrap();
+        // Empty state: window 8+4+4, pairer 4+4, perf 1+4+4, errors 4,
+        // then the pending-perf count.
+        let n_perf_at = 16 + 8 + 9 + 4;
+        assert_eq!(state[n_perf_at..n_perf_at + 4], [0; 4]);
+        let mut bad = state.clone();
+        bad[n_perf_at..n_perf_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(analyzer.restore_state(&bad), Err(CheckpointError(DecodeError::Truncated)));
+        analyzer.restore_state(&state).expect("the honest state still restores");
     }
 
     #[test]

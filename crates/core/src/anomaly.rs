@@ -9,6 +9,7 @@
 
 use crate::event::FaultMark;
 use crate::fasthash::FastMap;
+use gretel_model::codec::{put_count, put_u16, put_u64, put_u8, DecodeError, Reader};
 use gretel_model::{ApiId, ConnKey, Message, WireKind};
 use gretel_sim::SimTime;
 
@@ -97,6 +98,7 @@ pub fn scan_message(msg: &Message) -> FaultMark {
 /// First position of `b` in `hay`, scanning a 64-bit word per step (the
 /// usual SWAR zero-byte trick).
 #[inline]
+#[allow(clippy::disallowed_methods)] // SWAR word load, not a format decode (see clippy.toml)
 fn find_byte(hay: &[u8], b: u8) -> Option<usize> {
     const LO: u64 = 0x0101_0101_0101_0101;
     const HI: u64 = 0x8080_8080_8080_8080;
@@ -189,10 +191,9 @@ impl LatencyPairer {
     /// Entries are written in sorted key order so the bytes are a pure
     /// function of the pairer's logical state, not of hash iteration.
     pub(crate) fn export_state(&self, out: &mut Vec<u8>) {
-        use crate::checkpoint::codec::{put_u16, put_u32, put_u64, put_u8};
         let mut rest: Vec<(&(ConnKey, ApiId), &SimTime)> = self.rest.iter().collect();
         rest.sort_by_key(|((c, a), _)| (c.src.0, c.src_port, c.dst.0, c.dst_port, a.0));
-        put_u32(out, rest.len() as u32);
+        put_count(out, rest.len());
         for ((conn, api), &ts) in rest {
             put_u8(out, conn.src.0);
             put_u16(out, conn.src_port);
@@ -203,7 +204,7 @@ impl LatencyPairer {
         }
         let mut rpc: Vec<(&u64, &(ApiId, SimTime))> = self.rpc.iter().collect();
         rpc.sort_by_key(|(&id, _)| id);
-        put_u32(out, rpc.len() as u32);
+        put_count(out, rpc.len());
         for (&msg_id, &(api, ts)) in rpc {
             put_u64(out, msg_id);
             put_u16(out, api.0);
@@ -212,13 +213,10 @@ impl LatencyPairer {
     }
 
     /// Rebuild a pairer from [`LatencyPairer::export_state`] bytes.
-    pub(crate) fn import_state(
-        r: &mut crate::checkpoint::codec::Reader<'_>,
-    ) -> Result<LatencyPairer, crate::checkpoint::CheckpointError> {
+    pub(crate) fn import_state(r: &mut Reader<'_>) -> Result<LatencyPairer, DecodeError> {
         use gretel_model::NodeId;
         let mut pairer = LatencyPairer::new();
-        let n_rest = r.u32()? as usize;
-        for _ in 0..n_rest {
+        for _ in 0..r.count(1 + 2 + 1 + 2 + 2 + 8)? {
             let conn = ConnKey {
                 src: NodeId(r.u8()?),
                 src_port: r.u16()?,
@@ -229,8 +227,7 @@ impl LatencyPairer {
             let ts = r.u64()?;
             pairer.rest.insert((conn, api), ts);
         }
-        let n_rpc = r.u32()? as usize;
-        for _ in 0..n_rpc {
+        for _ in 0..r.count(8 + 2 + 8)? {
             let msg_id = r.u64()?;
             let api = ApiId(r.u16()?);
             let ts = r.u64()?;

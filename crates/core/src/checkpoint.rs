@@ -1,145 +1,58 @@
-//! Checkpointing primitives for the fault-tolerant analyzer service.
+//! Checkpoint, release-record and event/diagnosis byte codecs.
 //!
-//! The recoverable service ([`crate::recover`]) periodically serializes the
-//! analyzer's ingest state — sliding window, latency pairer, perf
-//! detectors, error dedup set — together with the receiver-side
-//! [`gretel_netcap::Resequencer`] positions into a [`gretel_store::Store`]:
-//! an append-only log of length-prefixed, checksummed records. After a
-//! crash the service restores the newest *valid* record (corrupted records
-//! are detected by checksum and skipped, never half-applied) and the
-//! agents replay their streams from the beginning; the restored
-//! resequencers discard the already-delivered prefix as duplicates, so the
-//! diagnosis stream continues exactly where the checkpoint left it.
+//! A store-backed run ([`crate::recover::run_service_durable`])
+//! periodically serializes the analyzer's ingest state — sliding window,
+//! latency pairer, perf detectors, error dedup set — together with the
+//! receiver-side [`gretel_netcap::Resequencer`] positions into a
+//! [`gretel_store::Store`]: an append-only log of length-prefixed,
+//! checksummed records. After a crash the run restores the newest *valid*
+//! checkpoint record (corrupted records are detected by checksum and
+//! skipped, never half-applied) and the agents replay their streams from
+//! the beginning; the restored resequencers discard the already-delivered
+//! prefix as duplicates, so the diagnosis stream continues exactly where
+//! the checkpoint left it. Diagnoses travel in release records, written
+//! before they are handed downstream.
 //!
-//! The record format lives in `gretel-store`, so the in-memory
-//! [`gretel_store::MemStore`] and the [`gretel_store::FileStore`] backend
-//! (which persists the same log across whole-process restarts) share it.
-//!
-//! Everything here is deliberately dependency-free hand-rolled little-endian
-//! encoding: the journal must be readable by a *different* build of the
-//! service than the one that wrote it, so the format is explicit rather
-//! than derived.
+//! The record envelope lives in `gretel-store`; this module owns the
+//! payload pieces shared across records — [`Event`], [`Diagnosis`], the
+//! release batch — and every other state block (`window`, `anomaly`,
+//! `perf`, `graph`, `analyzer`, `engine`) composes them. All of it is
+//! explicit little-endian encoding over the one bounded reader in
+//! [`gretel_model::codec`]: a record must be readable by a *different*
+//! build than the one that wrote it, so the format is written down rather
+//! than derived. DESIGN.md §16 is the index; the golden
+//! fixtures under `tests/golden/` pin the bytes.
 
 use crate::event::{Event, FaultMark};
 use crate::rca::{CauseKind, RootCause};
 use crate::report::{CaptureConfidence, Diagnosis, FaultKind};
+use gretel_model::codec::{
+    put_bytes, put_count, put_f64, put_u16, put_u32, put_u64, put_u8, DecodeError, Reader,
+};
 use gretel_model::{ApiId, Dependency, Direction, MessageId, NodeId, OpSpecId, Service};
 use gretel_sim::ResourceKind;
 
-/// Why a checkpoint could not be restored.
+/// Why a checkpoint, release record or library snapshot could not be
+/// restored: the shared [`DecodeError`], named for where it surfaced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckpointError {
-    /// The record ended before a field was complete.
-    Truncated,
-    /// A field decoded to an impossible value (the message names it).
-    Invalid(&'static str),
-    /// A perf detector in the monitor does not implement state export, so
-    /// the analyzer cannot be checkpointed at all.
-    UnsupportedDetector,
-}
+pub struct CheckpointError(pub DecodeError);
 
 impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CheckpointError::Truncated => write!(f, "checkpoint record truncated"),
-            CheckpointError::Invalid(what) => write!(f, "invalid checkpoint field: {what}"),
-            CheckpointError::UnsupportedDetector => {
-                write!(f, "a perf detector does not support state export")
-            }
-        }
+        write!(f, "checkpoint record: {}", self.0)
     }
 }
 
 impl std::error::Error for CheckpointError {}
 
-/// Little-endian primitives shared by every state codec in the crate.
-pub mod codec {
-    use super::CheckpointError;
-
-    /// Append one byte.
-    pub fn put_u8(out: &mut Vec<u8>, v: u8) {
-        out.push(v);
-    }
-    /// Append a little-endian u16.
-    pub fn put_u16(out: &mut Vec<u8>, v: u16) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    /// Append a little-endian u32.
-    pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    /// Append a little-endian u64.
-    pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    /// Append an f64 as its little-endian bits.
-    pub fn put_f64(out: &mut Vec<u8>, v: f64) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Bounds-checked sequential reader over a state buffer. `Clone` marks
-    /// a position so a block can be skipped now and decoded later.
-    #[derive(Clone)]
-    pub struct Reader<'a> {
-        buf: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Reader<'a> {
-        /// Reader over `buf`, positioned at its start.
-        pub fn new(buf: &'a [u8]) -> Reader<'a> {
-            Reader { buf, pos: 0 }
-        }
-
-        fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-            if self.buf.len() - self.pos < n {
-                return Err(CheckpointError::Truncated);
-            }
-            let s = &self.buf[self.pos..self.pos + n];
-            self.pos += n;
-            Ok(s)
-        }
-
-        /// Read one little-endian `u8`.
-        pub fn u8(&mut self) -> Result<u8, CheckpointError> {
-            Ok(self.take(1)?[0])
-        }
-        /// Read one little-endian `u16`.
-        pub fn u16(&mut self) -> Result<u16, CheckpointError> {
-            Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len 2")))
-        }
-        /// Read one little-endian `u32`.
-        pub fn u32(&mut self) -> Result<u32, CheckpointError> {
-            Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len 4")))
-        }
-        /// Read one little-endian `u64`.
-        pub fn u64(&mut self) -> Result<u64, CheckpointError> {
-            Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
-        }
-        /// Read one little-endian `f64`.
-        pub fn f64(&mut self) -> Result<f64, CheckpointError> {
-            Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
-        }
-
-        /// A length-prefixed byte run (u32 length).
-        pub fn bytes(&mut self) -> Result<&'a [u8], CheckpointError> {
-            let n = self.u32()? as usize;
-            self.take(n)
-        }
-
-        /// Items remaining? Call at the end of a full decode to reject
-        /// trailing garbage.
-        pub fn done(&self) -> Result<(), CheckpointError> {
-            if self.pos == self.buf.len() {
-                Ok(())
-            } else {
-                Err(CheckpointError::Invalid("trailing bytes"))
-            }
-        }
+impl From<DecodeError> for CheckpointError {
+    fn from(e: DecodeError) -> CheckpointError {
+        CheckpointError(e)
     }
 }
 
-use codec::{put_f64, put_u16, put_u32, put_u64, put_u8, Reader};
+/// Encoded size of one [`Event`].
+pub(crate) const EVENT_BYTES: usize = 38;
 
 /// Encode one [`Event`] (fixed layout, 38 bytes).
 pub fn put_event(out: &mut Vec<u8>, ev: &Event) {
@@ -173,18 +86,18 @@ pub fn put_event(out: &mut Vec<u8>, ev: &Event) {
 }
 
 /// Decode one [`Event`] written by [`put_event`].
-pub fn read_event(r: &mut Reader<'_>) -> Result<Event, CheckpointError> {
+pub fn read_event(r: &mut Reader<'_>) -> Result<Event, DecodeError> {
     let id = MessageId(r.u64()?);
     let ts = r.u64()?;
     let api = ApiId(r.u16()?);
     let direction = match r.u8()? {
         0 => Direction::Request,
         1 => Direction::Response,
-        _ => return Err(CheckpointError::Invalid("event direction")),
+        _ => return Err(DecodeError::Invalid("event direction")),
     };
     let flags = r.u8()?;
     if flags > 0b111 {
-        return Err(CheckpointError::Invalid("event flags"));
+        return Err(DecodeError::Invalid("event flags"));
     }
     let src_node = NodeId(r.u8()?);
     let dst_node = NodeId(r.u8()?);
@@ -193,7 +106,7 @@ pub fn read_event(r: &mut Reader<'_>) -> Result<Event, CheckpointError> {
     let corr = match corr_tag {
         0 => None,
         1 => Some(corr_val),
-        _ => return Err(CheckpointError::Invalid("event correlation tag")),
+        _ => return Err(DecodeError::Invalid("event correlation tag")),
     };
     let fault_tag = r.u8()?;
     let status = r.u16()?;
@@ -201,7 +114,7 @@ pub fn read_event(r: &mut Reader<'_>) -> Result<Event, CheckpointError> {
         0 => FaultMark::None,
         1 => FaultMark::RestError(status),
         2 => FaultMark::RpcError,
-        _ => return Err(CheckpointError::Invalid("event fault tag")),
+        _ => return Err(DecodeError::Invalid("event fault tag")),
     };
     Ok(Event {
         id,
@@ -229,18 +142,18 @@ fn service_index(s: Service) -> u8 {
     Service::ALL.iter().position(|&x| x == s).expect("service in ALL") as u8
 }
 
-fn read_service(r: &mut Reader<'_>) -> Result<Service, CheckpointError> {
+fn read_service(r: &mut Reader<'_>) -> Result<Service, DecodeError> {
     let i = r.u8()? as usize;
-    Service::ALL.get(i).copied().ok_or(CheckpointError::Invalid("service index"))
+    Service::ALL.get(i).copied().ok_or(DecodeError::Invalid("service index"))
 }
 
 fn resource_index(k: ResourceKind) -> u8 {
     ResourceKind::ALL.iter().position(|&x| x == k).expect("resource in ALL") as u8
 }
 
-fn read_resource(r: &mut Reader<'_>) -> Result<ResourceKind, CheckpointError> {
+fn read_resource(r: &mut Reader<'_>) -> Result<ResourceKind, DecodeError> {
     let i = r.u8()? as usize;
-    ResourceKind::ALL.get(i).copied().ok_or(CheckpointError::Invalid("resource index"))
+    ResourceKind::ALL.get(i).copied().ok_or(DecodeError::Invalid("resource index"))
 }
 
 fn put_dependency(out: &mut Vec<u8>, d: Dependency) {
@@ -256,25 +169,24 @@ fn put_dependency(out: &mut Vec<u8>, d: Dependency) {
     }
 }
 
-fn read_dependency(r: &mut Reader<'_>) -> Result<Dependency, CheckpointError> {
+fn read_dependency(r: &mut Reader<'_>) -> Result<Dependency, DecodeError> {
     Ok(match r.u8()? {
         0 => Dependency::ServiceProcess(read_service(r)?),
         1 => Dependency::MySqlReachable,
         2 => Dependency::RabbitMqReachable,
         3 => Dependency::NtpAgent,
         4 => Dependency::Libvirt,
-        _ => return Err(CheckpointError::Invalid("dependency tag")),
+        _ => return Err(DecodeError::Invalid("dependency tag")),
     })
 }
 
 fn put_string(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
+    put_bytes(out, s.as_bytes());
 }
 
-fn read_string(r: &mut Reader<'_>) -> Result<String, CheckpointError> {
+fn read_string(r: &mut Reader<'_>) -> Result<String, DecodeError> {
     let bytes = r.bytes()?;
-    String::from_utf8(bytes.to_vec()).map_err(|_| CheckpointError::Invalid("string utf8"))
+    String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::Invalid("string utf8"))
 }
 
 /// Encode one [`Diagnosis`] bit-exactly (f64 fields as raw little-endian
@@ -304,14 +216,14 @@ pub fn put_diagnosis(out: &mut Vec<u8>, d: &Diagnosis) {
     }
     put_u16(out, d.api.0);
     put_u64(out, d.ts);
-    put_u32(out, d.matched.len() as u32);
+    put_count(out, d.matched.len());
     for m in &d.matched {
         put_u16(out, m.0);
     }
     put_f64(out, d.theta);
     put_u64(out, d.beta_used as u64);
     put_u64(out, d.candidates as u64);
-    put_u32(out, d.root_causes.len() as u32);
+    put_count(out, d.root_causes.len());
     for rc in &d.root_causes {
         put_u8(out, rc.node.0);
         match &rc.cause {
@@ -325,11 +237,11 @@ pub fn put_diagnosis(out: &mut Vec<u8>, d: &Diagnosis) {
             }
             CauseKind::StaleTelemetry { stale_resources, stale_watchers } => {
                 put_u8(out, 2);
-                put_u32(out, stale_resources.len() as u32);
+                put_count(out, stale_resources.len());
                 for k in stale_resources {
                     put_u8(out, resource_index(*k));
                 }
-                put_u32(out, stale_watchers.len() as u32);
+                put_count(out, stale_watchers.len());
                 for dep in stale_watchers {
                     put_dependency(out, *dep);
                 }
@@ -349,7 +261,7 @@ pub fn put_diagnosis(out: &mut Vec<u8>, d: &Diagnosis) {
 }
 
 /// Decode one [`Diagnosis`] written by [`put_diagnosis`].
-pub fn read_diagnosis(r: &mut Reader<'_>) -> Result<Diagnosis, CheckpointError> {
+pub fn read_diagnosis(r: &mut Reader<'_>) -> Result<Diagnosis, DecodeError> {
     let kind = match r.u8()? {
         0 => {
             let has_status = r.u8()?;
@@ -357,49 +269,40 @@ pub fn read_diagnosis(r: &mut Reader<'_>) -> Result<Diagnosis, CheckpointError> 
             let status = match has_status {
                 0 => None,
                 1 => Some(status_val),
-                _ => return Err(CheckpointError::Invalid("status tag")),
+                _ => return Err(DecodeError::Invalid("status tag")),
             };
             let rpc = match r.u8()? {
                 0 => false,
                 1 => true,
-                _ => return Err(CheckpointError::Invalid("rpc flag")),
+                _ => return Err(DecodeError::Invalid("rpc flag")),
             };
             FaultKind::Operational { status, rpc }
         }
         1 => FaultKind::Performance { observed_ms: r.f64()?, baseline_ms: r.f64()? },
-        _ => return Err(CheckpointError::Invalid("fault kind tag")),
+        _ => return Err(DecodeError::Invalid("fault kind tag")),
     };
     let api = ApiId(r.u16()?);
     let ts = r.u64()?;
-    let n_matched = r.u32()? as usize;
-    let mut matched = Vec::with_capacity(n_matched.min(1024));
-    for _ in 0..n_matched {
-        matched.push(OpSpecId(r.u16()?));
-    }
+    let matched = (0..r.count(2)?).map(|_| r.u16().map(OpSpecId)).collect::<Result<_, _>>()?;
     let theta = r.f64()?;
     let beta_used = r.u64()? as usize;
     let candidates = r.u64()? as usize;
-    let n_causes = r.u32()? as usize;
-    let mut root_causes = Vec::with_capacity(n_causes.min(1024));
+    let n_causes = r.count(ROOT_CAUSE_MIN_BYTES)?;
+    let mut root_causes = Vec::with_capacity(n_causes);
     for _ in 0..n_causes {
         let node = NodeId(r.u8()?);
         let cause = match r.u8()? {
             0 => CauseKind::Resource(read_resource(r)?),
             1 => CauseKind::Dependency(read_dependency(r)?),
-            2 => {
-                let n_res = r.u32()? as usize;
-                let mut stale_resources = Vec::with_capacity(n_res.min(1024));
-                for _ in 0..n_res {
-                    stale_resources.push(read_resource(r)?);
-                }
-                let n_dep = r.u32()? as usize;
-                let mut stale_watchers = Vec::with_capacity(n_dep.min(1024));
-                for _ in 0..n_dep {
-                    stale_watchers.push(read_dependency(r)?);
-                }
-                CauseKind::StaleTelemetry { stale_resources, stale_watchers }
-            }
-            _ => return Err(CheckpointError::Invalid("cause tag")),
+            2 => CauseKind::StaleTelemetry {
+                stale_resources: (0..r.count(1)?)
+                    .map(|_| read_resource(r))
+                    .collect::<Result<_, _>>()?,
+                stale_watchers: (0..r.count(1)?)
+                    .map(|_| read_dependency(r))
+                    .collect::<Result<_, _>>()?,
+            },
+            _ => return Err(DecodeError::Invalid("cause tag")),
         };
         let why = read_string(r)?;
         root_causes.push(RootCause { node, cause, why });
@@ -408,7 +311,7 @@ pub fn read_diagnosis(r: &mut Reader<'_>) -> Result<Diagnosis, CheckpointError> 
         0 => CaptureConfidence::Exact,
         1 => CaptureConfidence::Degraded { gaps: r.u32()?, lost: r.u32()? },
         2 => CaptureConfidence::Cancelled,
-        _ => return Err(CheckpointError::Invalid("confidence tag")),
+        _ => return Err(DecodeError::Invalid("confidence tag")),
     };
     Ok(Diagnosis {
         kind,
@@ -426,15 +329,23 @@ pub fn read_diagnosis(r: &mut Reader<'_>) -> Result<Diagnosis, CheckpointError> 
     })
 }
 
+/// Smallest encoding of one root cause: node, cause tag, one tag byte of
+/// cause body, empty `why`.
+const ROOT_CAUSE_MIN_BYTES: usize = 1 + 1 + 1 + 4;
+
+/// Smallest encoding of one [`Diagnosis`]: an operational kind with no
+/// matches, no root causes and exact confidence.
+const DIAGNOSIS_MIN_BYTES: usize = 5 + 2 + 8 + 4 + 8 + 8 + 8 + 4 + 1;
+
 /// Serialize one release batch: the watermark plus `(job seq, diagnoses)`
 /// pairs, each diagnosis in the bit-exact checkpoint codec.
 pub fn encode_release(up_to: u64, jobs: &[(u64, Vec<Diagnosis>)]) -> Vec<u8> {
     let mut out = Vec::new();
     put_u64(&mut out, up_to);
-    put_u32(&mut out, jobs.len() as u32);
+    put_count(&mut out, jobs.len());
     for (seq, ds) in jobs {
         put_u64(&mut out, *seq);
-        put_u32(&mut out, ds.len() as u32);
+        put_count(&mut out, ds.len());
         for d in ds {
             put_diagnosis(&mut out, d);
         }
@@ -442,16 +353,18 @@ pub fn encode_release(up_to: u64, jobs: &[(u64, Vec<Diagnosis>)]) -> Vec<u8> {
     out
 }
 
+/// A decoded release batch: the watermark and its `(job seq, diagnoses)` pairs.
+pub type Release = (u64, Vec<(u64, Vec<Diagnosis>)>);
+
 /// Decode a [`crate::KIND_DIAGNOSES`] record back into its watermark and jobs.
-#[allow(clippy::type_complexity)]
-pub fn decode_release(payload: &[u8]) -> Result<(u64, Vec<(u64, Vec<Diagnosis>)>), CheckpointError> {
-    let mut r = codec::Reader::new(payload);
+pub fn decode_release(payload: &[u8]) -> Result<Release, CheckpointError> {
+    let mut r = Reader::new(payload);
     let up_to = r.u64()?;
-    let n = r.u32()? as usize;
+    let n = r.count(8 + 4)?;
     let mut jobs = Vec::with_capacity(n);
     for _ in 0..n {
         let seq = r.u64()?;
-        let n_ds = r.u32()? as usize;
+        let n_ds = r.count(DIAGNOSIS_MIN_BYTES)?;
         let mut ds = Vec::with_capacity(n_ds);
         for _ in 0..n_ds {
             ds.push(read_diagnosis(&mut r)?);
@@ -547,6 +460,32 @@ mod tests {
             let back = read_event(&mut r).unwrap();
             r.done().unwrap();
             assert_eq!(back, ev);
+        }
+    }
+
+    #[test]
+    fn release_record_counts_are_bounded() {
+        let d = Diagnosis {
+            kind: FaultKind::Operational { status: Some(500), rpc: false },
+            api: ApiId(1),
+            ts: 2,
+            matched: vec![],
+            theta: 1.0,
+            beta_used: 0,
+            candidates: 0,
+            root_causes: vec![],
+            confidence: CaptureConfidence::Exact,
+            attribution: None,
+        };
+        let jobs = vec![(7u64, vec![d])];
+        let bytes = encode_release(9, &jobs);
+        assert_eq!(bytes.len(), 8 + 4 + 8 + 4 + DIAGNOSIS_MIN_BYTES, "the minimum is tight");
+        assert_eq!(decode_release(&bytes), Ok((9, jobs)));
+        // Job count at 8, that job's diagnosis count at 20.
+        for at in [8usize, 20] {
+            let mut bad = bytes.clone();
+            bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert_eq!(decode_release(&bad), Err(CheckpointError(DecodeError::Truncated)));
         }
     }
 

@@ -32,7 +32,7 @@
 
 use crate::analyzer::{Analyzer, AnalyzerStats, JobBudget, SnapshotAnalyzer, SnapshotJob};
 use crate::anomaly::scan_message;
-use crate::checkpoint::{codec, decode_release, encode_release, CheckpointError};
+use crate::checkpoint::{decode_release, encode_release};
 use crate::event::FaultMark;
 use crate::recover::{
     AnalyzerChaos, LibraryReload, RecoveryConfig, RecoveryStats, KIND_CHECKPOINT, KIND_DIAGNOSES,
@@ -41,6 +41,7 @@ use crate::recover::{
 use crate::report::Diagnosis;
 use crate::service::{BackpressurePolicy, ServiceConfig, ServiceError, ServiceStats};
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender, TrySendError};
+use gretel_model::codec::{put_bytes, put_count, put_u32, put_u64, DecodeError, Reader};
 use gretel_model::{Message, NodeId};
 use gretel_netcap::{
     batch_frames, decode_one, encode, CaptureAgent, CaptureStats, FrameBatch, FrameBatchBuilder,
@@ -258,29 +259,24 @@ fn encode_checkpoint(
     streams: &[AgentStream],
     lib_len: u32,
 ) -> Vec<u8> {
-    use codec::{put_u32, put_u64};
     let mut out = Vec::new();
     put_u32(&mut out, lib_len);
-    put_u32(&mut out, analyzer_state.len() as u32);
-    out.extend_from_slice(analyzer_state);
+    put_bytes(&mut out, analyzer_state);
     put_u64(&mut out, next_seq);
-    put_u32(&mut out, streams.len() as u32);
+    put_count(&mut out, streams.len());
     for st in streams {
         let rs = st.reseq.as_ref().expect("store-backed runs are sequenced").export_state();
-        put_u32(&mut out, rs.len() as u32);
-        out.extend_from_slice(&rs);
+        put_bytes(&mut out, &rs);
         // Messages released by the resequencer but not yet merged: they
         // will come back from replay only as discarded duplicates, so they
         // MUST travel with the checkpoint.
-        put_u32(&mut out, st.ready.len() as u32);
+        put_count(&mut out, st.ready.len());
         // The fault marks are NOT serialized: the scan is a pure function
         // of the message, so restore recomputes identical marks — the
         // checkpoint format is unchanged from the per-message service.
         for (gap, msg, _mark) in &st.ready {
             put_u32(&mut out, *gap);
-            let frame = encode(msg);
-            put_u32(&mut out, frame.len() as u32);
-            out.extend_from_slice(&frame);
+            put_bytes(&mut out, &encode(msg));
         }
     }
     out
@@ -294,18 +290,19 @@ fn decode_checkpoint(
     payload: &[u8],
     n_agents: usize,
 ) -> Result<(Vec<u8>, u64, Vec<AgentStream>, u32), ServiceError> {
-    let mut r = codec::Reader::new(payload);
+    let mut r = Reader::new(payload);
     let lib_len = r.u32()?;
     let analyzer_state = r.bytes()?.to_vec();
     let next_seq = r.u64()?;
-    let n = r.u32()? as usize;
+    // Each agent block is at least two length prefixes.
+    let n = r.count(4 + 4)?;
     if n != n_agents {
-        return Err(CheckpointError::Invalid("checkpoint agent count").into());
+        return Err(DecodeError::Invalid("checkpoint agent count").into());
     }
     let mut streams = Vec::with_capacity(n);
     for _ in 0..n {
         let mut st = AgentStream::new(Some(Resequencer::restore_state(r.bytes()?)?));
-        for _ in 0..r.u32()? {
+        for _ in 0..r.count(4 + 4)? {
             let gap = r.u32()?;
             st.admit([(gap, decode_one(r.bytes()?)?)]);
         }

@@ -6,6 +6,9 @@
 //! multiply and a rotate instead. Not DoS-resistant — only for maps keyed
 //! by simulator-controlled values, never by raw attacker-controlled bytes.
 
+// Loads words to hash them, not to decode a format (see clippy.toml).
+#![allow(clippy::disallowed_methods)]
+
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// `2^64 / φ`, the usual Fibonacci-hashing multiplier.

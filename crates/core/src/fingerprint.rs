@@ -11,6 +11,7 @@
 use crate::checkpoint::CheckpointError;
 use crate::lcs::lcs;
 use crate::noise_filter::filter_noise;
+use gretel_model::codec::{put_count, put_u16, put_u8, DecodeError, Reader};
 use gretel_model::{symbol, ApiId, Catalog, OpSpecId, OperationSpec};
 use gretel_sim::{Deployment, Execution, FaultPlan, RunConfig, Runner};
 use serde::{Deserialize, Serialize};
@@ -619,12 +620,11 @@ impl FingerprintLibrary {
     /// is exactly "snapshot bytes equal" — which is what the hot-reload
     /// machinery compares.
     pub fn to_snapshot(&self) -> Vec<u8> {
-        use crate::checkpoint::codec::{put_u16, put_u32, put_u8};
         let mut out = Vec::new();
-        put_u32(&mut out, self.fps.len() as u32);
+        put_count(&mut out, self.fps.len());
         for fp in &self.fps {
             put_u16(&mut out, fp.op.0);
-            put_u32(&mut out, fp.atoms.len() as u32);
+            put_count(&mut out, fp.atoms.len());
             for atom in &fp.atoms {
                 put_u16(&mut out, atom.api.0);
                 put_u8(&mut out, atom.starred as u8);
@@ -641,26 +641,25 @@ impl FingerprintLibrary {
         catalog: Arc<Catalog>,
         bytes: &[u8],
     ) -> Result<FingerprintLibrary, CheckpointError> {
-        use crate::checkpoint::codec::Reader;
         let mut r = Reader::new(bytes);
-        let n = r.u32()? as usize;
-        let mut fps = Vec::with_capacity(n.min(4096));
+        let n = r.count(2 + 4)?;
+        let mut fps = Vec::with_capacity(n);
         for i in 0..n {
             let op = OpSpecId(r.u16()?);
             if op.index() != i {
-                return Err(CheckpointError::Invalid("snapshot op ids must be dense"));
+                return Err(DecodeError::Invalid("snapshot op ids must be dense").into());
             }
-            let n_atoms = r.u32()? as usize;
-            let mut atoms = Vec::with_capacity(n_atoms.min(4096));
+            let n_atoms = r.count(2 + 1)?;
+            let mut atoms = Vec::with_capacity(n_atoms);
             for _ in 0..n_atoms {
                 let api = ApiId(r.u16()?);
                 if api.index() >= catalog.len() {
-                    return Err(CheckpointError::Invalid("snapshot API outside catalog"));
+                    return Err(DecodeError::Invalid("snapshot API outside catalog").into());
                 }
                 let starred = match r.u8()? {
                     0 => false,
                     1 => true,
-                    _ => return Err(CheckpointError::Invalid("snapshot starred flag")),
+                    _ => return Err(DecodeError::Invalid("snapshot starred flag").into()),
                 };
                 atoms.push(Atom { api, starred });
             }

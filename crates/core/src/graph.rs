@@ -28,6 +28,7 @@
 
 use crate::rca::CauseKind;
 use crate::report::Diagnosis;
+use gretel_model::codec::{put_count, put_u64, put_u8, DecodeError, Reader};
 use gretel_model::{Catalog, Direction, Message, Service};
 use gretel_sim::SimTime;
 
@@ -179,10 +180,9 @@ impl ServiceGraph {
     /// Append the graph to a checkpoint byte stream (sparse: only
     /// observed edges).
     pub(crate) fn export_state(&self, out: &mut Vec<u8>) {
-        use crate::checkpoint::codec::{put_u32, put_u64, put_u8};
         let observed: Vec<(usize, &EdgeStats)> =
             self.edges.iter().enumerate().filter(|(_, e)| e.observed()).collect();
-        put_u32(out, observed.len() as u32);
+        put_count(out, observed.len());
         for (i, e) in observed {
             put_u8(out, (i / N) as u8);
             put_u8(out, (i % N) as u8);
@@ -194,20 +194,17 @@ impl ServiceGraph {
     }
 
     /// Decode a graph previously written by [`ServiceGraph::export_state`].
-    pub(crate) fn import_state(
-        r: &mut crate::checkpoint::codec::Reader<'_>,
-    ) -> Result<ServiceGraph, crate::checkpoint::CheckpointError> {
-        use crate::checkpoint::CheckpointError;
+    pub(crate) fn import_state(r: &mut Reader<'_>) -> Result<ServiceGraph, DecodeError> {
         let mut g = ServiceGraph::new();
-        let n = r.u32()? as usize;
+        let n = r.count(1 + 1 + 4 * 8)?;
         if n > N * N {
-            return Err(CheckpointError::Invalid("service graph edge count"));
+            return Err(DecodeError::Invalid("service graph edge count"));
         }
         for _ in 0..n {
             let caller = r.u8()? as usize;
             let callee = r.u8()? as usize;
             if caller >= N || callee >= N {
-                return Err(CheckpointError::Invalid("service graph edge index"));
+                return Err(DecodeError::Invalid("service graph edge index"));
             }
             let e = &mut g.edges[caller * N + callee];
             e.requests = r.u64()?;
@@ -709,7 +706,7 @@ mod tests {
         );
         let mut bytes = Vec::new();
         g.export_state(&mut bytes);
-        let mut r = crate::checkpoint::codec::Reader::new(&bytes);
+        let mut r = Reader::new(&bytes);
         let g2 = ServiceGraph::import_state(&mut r).expect("roundtrip");
         r.done().expect("fully consumed");
         assert_eq!(g, g2);
@@ -729,12 +726,9 @@ mod tests {
         for idx_byte in [4usize, 5] {
             let mut bad = bytes.clone();
             bad[idx_byte] = 0xFF;
-            let mut r = crate::checkpoint::codec::Reader::new(&bad);
+            let mut r = Reader::new(&bad);
             let err = ServiceGraph::import_state(&mut r).expect_err("corrupt index must fail");
-            assert!(matches!(
-                err,
-                crate::checkpoint::CheckpointError::Invalid("service graph edge index")
-            ));
+            assert_eq!(err, DecodeError::Invalid("service graph edge index"));
         }
     }
 
@@ -742,14 +736,17 @@ mod tests {
     /// up front instead of driving a multi-gigabyte read loop.
     #[test]
     fn corrupt_snapshot_edge_count_is_rejected() {
+        // Backed by enough bytes to pass the reader's own count bound, so
+        // the matrix bound is what rejects it.
         let mut bytes = Vec::new();
-        crate::checkpoint::codec::put_u32(&mut bytes, (N * N + 1) as u32);
-        let mut r = crate::checkpoint::codec::Reader::new(&bytes);
+        put_count(&mut bytes, N * N + 1);
+        bytes.resize(4 + (N * N + 1) * 34, 0);
+        let mut r = Reader::new(&bytes);
         let err = ServiceGraph::import_state(&mut r).expect_err("oversized count must fail");
-        assert!(matches!(
-            err,
-            crate::checkpoint::CheckpointError::Invalid("service graph edge count")
-        ));
+        assert_eq!(err, DecodeError::Invalid("service graph edge count"));
+        // Unbacked, the reader refuses it before the graph looks at it.
+        let mut r = Reader::new(&bytes[..4]);
+        assert_eq!(ServiceGraph::import_state(&mut r), Err(DecodeError::Truncated));
     }
 
     /// Regression: a snapshot truncated mid-edge surfaces `Truncated`, not
@@ -761,12 +758,10 @@ mod tests {
         let mut bytes = Vec::new();
         g.export_state(&mut bytes);
         for cut in 1..bytes.len() {
-            let mut r = crate::checkpoint::codec::Reader::new(&bytes[..bytes.len() - cut]);
-            assert!(
-                matches!(
-                    ServiceGraph::import_state(&mut r),
-                    Err(crate::checkpoint::CheckpointError::Truncated)
-                ),
+            let mut r = Reader::new(&bytes[..bytes.len() - cut]);
+            assert_eq!(
+                ServiceGraph::import_state(&mut r),
+                Err(DecodeError::Truncated),
                 "cut {cut} bytes: truncation must be detected"
             );
         }

@@ -10,6 +10,9 @@
 
 use crate::anomaly::LatencyObs;
 use crate::fasthash::FastMap;
+use gretel_model::codec::{
+    put_bytes, put_count, put_f64, put_u16, put_u64, put_u8, DecodeError, Reader,
+};
 use gretel_model::ApiId;
 use gretel_telemetry::{Anomaly, LevelShiftConfig, LevelShiftDetector, OutlierDetector};
 
@@ -74,85 +77,84 @@ impl PerfMonitor {
 
     /// Serialize the monitor's state — per-API detector state and (when
     /// kept) latency history — for an analyzer checkpoint. Returns `false`
-    /// (writing nothing) when any detector does not implement
+    /// (leaving `out` as it was) when any detector does not implement
     /// [`OutlierDetector::export_state`]: a monitor with an opaque plug-in
     /// detector cannot be checkpointed.
     pub(crate) fn export_state(&self, out: &mut Vec<u8>) -> bool {
-        use crate::checkpoint::codec::{put_f64, put_u16, put_u32, put_u64, put_u8};
+        let start = out.len();
         let mut dets: Vec<(&ApiId, &Box<dyn OutlierDetector + Send>)> =
             self.detectors.iter().collect();
         dets.sort_by_key(|(a, _)| a.0);
-        let mut body = Vec::new();
-        put_u8(&mut body, self.keep_history as u8);
-        put_u32(&mut body, dets.len() as u32);
+        put_u8(out, self.keep_history as u8);
+        put_count(out, dets.len());
         for (api, det) in dets {
             let Some(state) = det.export_state() else {
+                out.truncate(start);
                 return false;
             };
-            put_u16(&mut body, api.0);
-            put_u32(&mut body, state.len() as u32);
-            body.extend_from_slice(&state);
+            put_u16(out, api.0);
+            put_bytes(out, &state);
         }
         let mut hist: Vec<(&ApiId, &Vec<(u64, f64)>)> = self.history.iter().collect();
         hist.sort_by_key(|(a, _)| a.0);
-        put_u32(&mut body, hist.len() as u32);
+        put_count(out, hist.len());
         for (api, series) in hist {
-            put_u16(&mut body, api.0);
-            put_u32(&mut body, series.len() as u32);
+            put_u16(out, api.0);
+            put_count(out, series.len());
             for &(ts, v) in series {
-                put_u64(&mut body, ts);
-                put_f64(&mut body, v);
+                put_u64(out, ts);
+                put_f64(out, v);
             }
         }
-        out.extend_from_slice(&body);
         true
     }
 
-    /// Replace this monitor's state with [`PerfMonitor::export_state`]
-    /// bytes. Detectors are re-created through the monitor's own factory
-    /// and fed the serialized state, so the restoring monitor must be
-    /// configured with the same factory as the one checkpointed.
-    pub(crate) fn import_state(
-        &mut self,
-        r: &mut crate::checkpoint::codec::Reader<'_>,
-    ) -> Result<(), crate::checkpoint::CheckpointError> {
-        use crate::checkpoint::CheckpointError;
+    /// Decode [`PerfMonitor::export_state`] bytes into a [`PerfState`]
+    /// without touching the monitor, so a caller restoring several blocks
+    /// can validate them all before committing any. Detectors are
+    /// re-created through the monitor's own factory and fed the serialized
+    /// state, so the restoring monitor must be configured with the same
+    /// factory as the one checkpointed.
+    pub(crate) fn decode_state(&self, r: &mut Reader<'_>) -> Result<PerfState, DecodeError> {
         let keep_history = match r.u8()? {
             0 => false,
             1 => true,
-            _ => return Err(CheckpointError::Invalid("perf keep_history flag")),
+            _ => return Err(DecodeError::Invalid("perf keep_history flag")),
         };
         if keep_history != self.keep_history {
-            return Err(CheckpointError::Invalid("perf keep_history mismatch"));
+            return Err(DecodeError::Invalid("perf keep_history mismatch"));
         }
-        let n_det = r.u32()? as usize;
-        let mut detectors = FastMap::default();
-        for _ in 0..n_det {
+        let mut state = PerfState { detectors: FastMap::default(), history: FastMap::default() };
+        for _ in 0..r.count(2 + 4)? {
             let api = ApiId(r.u16()?);
-            let state = r.bytes()?;
             let mut det = (self.factory)();
-            if !det.import_state(state) {
-                return Err(CheckpointError::Invalid("perf detector state rejected"));
-            }
-            detectors.insert(api, det);
+            det.import_state(r.bytes()?)?;
+            state.detectors.insert(api, det);
         }
-        let n_hist = r.u32()? as usize;
-        let mut history: FastMap<ApiId, Vec<(u64, f64)>> = FastMap::default();
-        for _ in 0..n_hist {
+        for _ in 0..r.count(2 + 4)? {
             let api = ApiId(r.u16()?);
-            let n = r.u32()? as usize;
+            let n = r.count(8 + 8)?;
             let mut series = Vec::with_capacity(n);
             for _ in 0..n {
-                let ts = r.u64()?;
-                let v = r.f64()?;
-                series.push((ts, v));
+                series.push((r.u64()?, r.f64()?));
             }
-            history.insert(api, series);
+            state.history.insert(api, series);
         }
-        self.detectors = detectors;
-        self.history = history;
-        Ok(())
+        Ok(state)
     }
+
+    /// Replace this monitor's state with a decoded [`PerfState`].
+    pub(crate) fn install(&mut self, state: PerfState) {
+        self.detectors = state.detectors;
+        self.history = state.history;
+    }
+}
+
+/// A monitor's dynamic state, decoded by [`PerfMonitor::decode_state`] and
+/// not yet installed.
+pub(crate) struct PerfState {
+    detectors: FastMap<ApiId, Box<dyn OutlierDetector + Send>>,
+    history: FastMap<ApiId, Vec<(u64, f64)>>,
 }
 
 #[cfg(test)]
@@ -215,6 +217,23 @@ mod tests {
             }
         }
         assert!(alarms >= 1, "EWMA plug-in detects the shift");
+    }
+
+    #[test]
+    fn inflated_history_series_length_is_rejected() {
+        let mut mon = PerfMonitor::new(LevelShiftConfig::default(), true);
+        mon.observe(obs(3, 0, 5.0));
+        let mut state = Vec::new();
+        assert!(mon.export_state(&mut state));
+        let restored = mon.decode_state(&mut Reader::new(&state)).expect("round trip");
+        assert_eq!(restored.history[&ApiId(3)], [(0, 5000.0)]);
+        // The block ends with the one series: u32 length, then (ts, value).
+        let n_at = state.len() - 16 - 4;
+        state[n_at..n_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            mon.decode_state(&mut Reader::new(&state)).err(),
+            Some(DecodeError::Truncated)
+        );
     }
 
     #[test]

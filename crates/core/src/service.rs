@@ -102,6 +102,12 @@ impl From<CodecError> for ServiceError {
     }
 }
 
+impl From<gretel_model::codec::DecodeError> for ServiceError {
+    fn from(e: gretel_model::codec::DecodeError) -> ServiceError {
+        ServiceError::Checkpoint(e.into())
+    }
+}
+
 impl From<CheckpointError> for ServiceError {
     fn from(e: CheckpointError) -> ServiceError {
         ServiceError::Checkpoint(e)

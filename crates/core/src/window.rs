@@ -8,7 +8,9 @@
 //! messages with a freeze between them — is exactly what the ring +
 //! armed-fault bookkeeping below implements.
 
+use crate::checkpoint::{put_event, read_event, EVENT_BYTES};
 use crate::event::Event;
+use gretel_model::codec::{put_count, put_u64, DecodeError, Reader};
 use std::collections::VecDeque;
 
 /// A frozen snapshot around one fault.
@@ -166,43 +168,39 @@ impl SlidingWindow {
     /// Serialize the full window state — α, ring contents, and armed
     /// snapshots with their countdowns — for an analyzer checkpoint.
     pub(crate) fn export_state(&self, out: &mut Vec<u8>) {
-        use crate::checkpoint::codec::{put_u32, put_u64};
         put_u64(out, self.alpha as u64);
-        put_u32(out, self.buf.len() as u32);
+        put_count(out, self.buf.len());
         for ev in &self.buf {
-            crate::checkpoint::put_event(out, ev);
+            put_event(out, ev);
         }
-        put_u32(out, self.armed.len() as u32);
+        put_count(out, self.armed.len());
         for a in &self.armed {
-            crate::checkpoint::put_event(out, &a.fault);
+            put_event(out, &a.fault);
             put_u64(out, a.remaining as u64);
         }
     }
 
     /// Rebuild a window from [`SlidingWindow::export_state`] bytes.
-    pub(crate) fn import_state(
-        r: &mut crate::checkpoint::codec::Reader<'_>,
-    ) -> Result<SlidingWindow, crate::checkpoint::CheckpointError> {
-        use crate::checkpoint::CheckpointError;
+    pub(crate) fn import_state(r: &mut Reader<'_>) -> Result<SlidingWindow, DecodeError> {
         let alpha = r.u64()? as usize;
         if !(2..=(1 << 24)).contains(&alpha) {
-            return Err(CheckpointError::Invalid("window alpha"));
+            return Err(DecodeError::Invalid("window alpha"));
         }
-        let n = r.u32()? as usize;
+        let n = r.count(EVENT_BYTES)?;
         if n > alpha {
-            return Err(CheckpointError::Invalid("window overfull"));
+            return Err(DecodeError::Invalid("window overfull"));
         }
         let mut buf = VecDeque::with_capacity(n);
         for _ in 0..n {
-            buf.push_back(crate::checkpoint::read_event(r)?);
+            buf.push_back(read_event(r)?);
         }
-        let n_armed = r.u32()? as usize;
+        let n_armed = r.count(EVENT_BYTES + 8)?;
         let mut armed = Vec::with_capacity(n_armed);
         for _ in 0..n_armed {
-            let fault = crate::checkpoint::read_event(r)?;
+            let fault = read_event(r)?;
             let remaining = r.u64()? as usize;
             if remaining == 0 {
-                return Err(CheckpointError::Invalid("armed snapshot with zero countdown"));
+                return Err(DecodeError::Invalid("armed snapshot with zero countdown"));
             }
             armed.push(Armed { fault, remaining });
         }
@@ -231,6 +229,35 @@ mod tests {
             fault: FaultMark::None,
             gap_before: 0,
         }
+    }
+
+    #[test]
+    fn import_bounds_both_counts_by_the_bytes_that_back_them() {
+        let mut w = SlidingWindow::new(8);
+        for i in 0..5 {
+            w.push(ev(i));
+        }
+        w.arm(ev(4));
+        let mut state = Vec::new();
+        w.export_state(&mut state);
+        assert!(SlidingWindow::import_state(&mut Reader::new(&state)).is_ok());
+        // Armed-snapshot count (after α, the ring count and five events).
+        let armed_at = 8 + 4 + 5 * EVENT_BYTES;
+        let mut bad = state.clone();
+        bad[armed_at..armed_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            SlidingWindow::import_state(&mut Reader::new(&bad)).err(),
+            Some(DecodeError::Truncated)
+        );
+        // Ring count: α = n = 2^24 passes the α bound but nothing backs
+        // 2^24 events, so nothing may be reserved for them.
+        let mut bad = state;
+        bad[..8].copy_from_slice(&(1u64 << 24).to_le_bytes());
+        bad[8..12].copy_from_slice(&(1u32 << 24).to_le_bytes());
+        assert_eq!(
+            SlidingWindow::import_state(&mut Reader::new(&bad)).err(),
+            Some(DecodeError::Truncated)
+        );
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! * [`service`] — OpenStack component services, nodes and dependencies;
 //! * [`api`] — the finite REST/RPC API alphabet;
 //! * [`catalog`] — the full 643-public-API OpenStack catalog;
+//! * [`codec`] — the one bounded byte reader/writer layer every wire,
+//!   checkpoint and snapshot format is built on;
 //! * [`symbol`] — API ↔ Unicode symbol encoding for regex matching;
 //! * [`message`] — captured network messages and payload rendering;
 //! * [`operation`] — high-level administrative operations as API sequences;
@@ -19,6 +21,7 @@
 
 pub mod api;
 pub mod catalog;
+pub mod codec;
 pub mod dsl;
 pub mod message;
 pub mod operation;

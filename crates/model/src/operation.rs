@@ -197,14 +197,21 @@ impl OperationSpec {
 
     /// The set of services participating in this operation (callers and
     /// callees). RCA uses this to map an operation onto deployment nodes.
+    ///
+    /// Services come out in first-seen order. RCA calls this once per
+    /// candidate operation of every diagnosis, so membership is one bit per
+    /// [`Service`] variant rather than a rescan of `out` at every step.
     pub fn services(&self) -> Vec<Service> {
+        const _: () = assert!(Service::ALL.len() <= u32::BITS as usize);
+        let mut seen = 0u32;
         let mut out: Vec<Service> = Vec::new();
         for s in &self.steps {
-            if !out.contains(&s.src) {
-                out.push(s.src);
-            }
-            if !out.contains(&s.dst) {
-                out.push(s.dst);
+            for service in [s.src, s.dst] {
+                let bit = 1u32 << service as u32;
+                if seen & bit == 0 {
+                    seen |= bit;
+                    out.push(service);
+                }
             }
         }
         out
@@ -242,11 +249,8 @@ mod tests {
 
     #[test]
     fn services_deduplicate() {
-        let s = spec().services();
-        assert_eq!(s.len(), 3);
-        assert!(s.contains(&Service::Horizon));
-        assert!(s.contains(&Service::Nova));
-        assert!(s.contains(&Service::Glance));
+        // First-seen order, each service once.
+        assert_eq!(spec().services(), [Service::Horizon, Service::Nova, Service::Glance]);
     }
 
     #[test]

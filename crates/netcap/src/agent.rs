@@ -12,6 +12,7 @@ use crate::frame;
 use crate::stats::CaptureStats;
 use bytes::Bytes;
 use crossbeam_channel::{bounded, Receiver, Sender};
+use gretel_model::codec::{finalize, put_bytes, put_count, put_u64, Reader};
 use gretel_model::{Message, NodeId, Service};
 use std::collections::BTreeMap;
 
@@ -269,12 +270,7 @@ pub fn degrade(
             out.push(m.clone());
             continue;
         }
-        let mut x = degradation.seed ^ m.id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^= x >> 31;
+        let x = finalize(degradation.seed ^ m.id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let coin = (x >> 11) as f64 / (1u64 << 53) as f64;
         if coin >= degradation.drop_prob {
             out.push(m.clone());
@@ -455,16 +451,11 @@ mod skew_tests {
 /// attempt)`. Every decision is a pure function of these four values, so a
 /// run is reproducible regardless of thread scheduling or batch boundaries.
 pub fn mix64(seed: u64, a: u64, b: u64, salt: u64) -> u64 {
-    let mut x = seed
-        ^ (a + 1).wrapping_mul(0xA076_1D64_78BD_642F)
-        ^ (b + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (salt + 1).wrapping_mul(0xE703_7ED1_A0B4_28DB);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    x
+    finalize(
+        seed ^ (a + 1).wrapping_mul(0xA076_1D64_78BD_642F)
+            ^ (b + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            ^ (salt + 1).wrapping_mul(0xE703_7ED1_A0B4_28DB),
+    )
 }
 
 /// [`mix64`] as a uniform draw in `[0, 1)`: compare against a probability.
@@ -721,8 +712,8 @@ impl Resequencer {
     /// duplicates, so the downstream merge sees each message once.
     pub fn export_state(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.pending.len() * 64);
-        out.extend_from_slice(&self.next.to_le_bytes());
-        out.extend_from_slice(&(self.depth as u64).to_le_bytes());
+        put_u64(&mut out, self.next);
+        put_u64(&mut out, self.depth as u64);
         for v in [
             self.stats.frames,
             self.stats.dropped,
@@ -733,14 +724,12 @@ impl Resequencer {
             self.stats.lost,
             self.stats.dup_discarded,
         ] {
-            out.extend_from_slice(&v.to_le_bytes());
+            put_u64(&mut out, v);
         }
-        out.extend_from_slice(&(self.pending.len() as u32).to_le_bytes());
+        put_count(&mut out, self.pending.len());
         for (&seq, msg) in &self.pending {
-            let encoded = frame::encode(msg);
-            out.extend_from_slice(&seq.to_le_bytes());
-            out.extend_from_slice(&(encoded.len() as u32).to_le_bytes());
-            out.extend_from_slice(&encoded);
+            put_u64(&mut out, seq);
+            put_bytes(&mut out, &frame::encode(msg));
         }
         out
     }
@@ -748,47 +737,26 @@ impl Resequencer {
     /// Rebuild a resequencer from [`Resequencer::export_state`] bytes.
     /// Malformed input is a [`frame::CodecError`], never a partial restore.
     pub fn restore_state(bytes: &[u8]) -> Result<Resequencer, frame::CodecError> {
-        use frame::CodecError;
-        fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], CodecError> {
-            if buf.len() < N {
-                return Err(CodecError::Truncated);
-            }
-            let (head, rest) = buf.split_at(N);
-            *buf = rest;
-            Ok(head.try_into().expect("split_at length"))
-        }
-        let mut buf = bytes;
-        let next = u64::from_le_bytes(take(&mut buf)?);
-        let depth = u64::from_le_bytes(take(&mut buf)?) as usize;
-        let mut fields = [0u64; 8];
-        for f in &mut fields {
-            *f = u64::from_le_bytes(take(&mut buf)?);
-        }
+        let mut r = Reader::new(bytes);
+        let next = r.u64()?;
+        let depth = r.u64()? as usize;
         let stats = CaptureStats {
-            frames: fields[0],
-            dropped: fields[1],
-            duplicated: fields[2],
-            reordered: fields[3],
-            stalled: fields[4],
-            gaps: fields[5],
-            lost: fields[6],
-            dup_discarded: fields[7],
+            frames: r.u64()?,
+            dropped: r.u64()?,
+            duplicated: r.u64()?,
+            reordered: r.u64()?,
+            stalled: r.u64()?,
+            gaps: r.u64()?,
+            lost: r.u64()?,
+            dup_discarded: r.u64()?,
         };
-        let count = u32::from_le_bytes(take(&mut buf)?) as usize;
         let mut pending = BTreeMap::new();
-        for _ in 0..count {
-            let seq = u64::from_le_bytes(take(&mut buf)?);
-            let len = u32::from_le_bytes(take(&mut buf)?) as usize;
-            if buf.len() < len {
-                return Err(CodecError::Truncated);
-            }
-            let (head, rest) = buf.split_at(len);
-            buf = rest;
-            pending.insert(seq, frame::decode_one(head)?);
+        // Each parked frame is at least its seq and a length prefix.
+        for _ in 0..r.count(8 + 4)? {
+            let seq = r.u64()?;
+            pending.insert(seq, frame::decode_one(r.bytes()?)?);
         }
-        if !buf.is_empty() {
-            return Err(CodecError::InvalidField("trailing bytes after resequencer state"));
-        }
+        r.done()?;
         Ok(Resequencer { next, pending, depth, stats })
     }
 }
@@ -1023,17 +991,15 @@ mod impairment_tests {
     /// live push sequence can produce).
     fn crafted_state(next: u64, depth: u64, pending: &[(u64, Message)]) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(&next.to_le_bytes());
-        out.extend_from_slice(&depth.to_le_bytes());
+        put_u64(&mut out, next);
+        put_u64(&mut out, depth);
         for _ in 0..8 {
-            out.extend_from_slice(&0u64.to_le_bytes());
+            put_u64(&mut out, 0);
         }
-        out.extend_from_slice(&(pending.len() as u32).to_le_bytes());
+        put_count(&mut out, pending.len());
         for (seq, m) in pending {
-            let enc = frame::encode(m);
-            out.extend_from_slice(&seq.to_le_bytes());
-            out.extend_from_slice(&(enc.len() as u32).to_le_bytes());
-            out.extend_from_slice(&enc);
+            put_u64(&mut out, *seq);
+            put_bytes(&mut out, &frame::encode(m));
         }
         out
     }
@@ -1089,6 +1055,10 @@ mod impairment_tests {
         let mut trailing = state.clone();
         trailing.push(0xFF);
         assert!(Resequencer::restore_state(&trailing).is_err());
+        // The parked-frame count sits after next, depth and eight stats.
+        let mut inflated = state;
+        inflated[80..84].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(Resequencer::restore_state(&inflated).is_err());
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! u16  api id
 //! u8×2 conn: src node, dst node   u16×2 conn: src port, dst port
 //! u32  project id (only when bit6 set; fixed offset 36 in the frame, so
-//!      shard routers can peek it without a full decode)
+//!      a router could read it without a full decode)
 //! -- REST (bit1 clear):
 //!   u8   method  | u16 status (0 = none) | u16 uri len | uri bytes
 //! -- RPC (bit1 set):
@@ -37,7 +37,8 @@
 //! loss (gaps), duplicates, and reordering per agent. Frames without bit5
 //! (pre-existing dumps) decode as "no sequence information".
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
+use gretel_model::codec::{DecodeError, Reader};
 use gretel_model::{
     ApiId, ConnKey, Direction, HttpMethod, Message, MessageId, NodeId, OpInstanceId, ProjectId,
     Service, WireKind,
@@ -49,31 +50,35 @@ pub const MAGIC: u16 = 0x4752;
 /// Current codec version.
 pub const VERSION: u8 = 1;
 
-/// Decoding failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Frame decoding failure: the shared [`DecodeError`] plus the two header
+/// checks only a frame has.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CodecError {
-    /// Fewer bytes than the frame header demands.
-    Truncated,
+    /// The frame is truncated or a field holds an invalid value.
+    Decode(DecodeError),
     /// Bad magic value.
     BadMagic(u16),
     /// Unsupported version.
     BadVersion(u8),
-    /// A field held an invalid value.
-    InvalidField(&'static str),
 }
 
 impl fmt::Display for CodecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CodecError::Truncated => write!(f, "truncated frame"),
+            CodecError::Decode(e) => write!(f, "bad frame: {e}"),
             CodecError::BadMagic(m) => write!(f, "bad magic 0x{m:04x}"),
             CodecError::BadVersion(v) => write!(f, "unsupported version {v}"),
-            CodecError::InvalidField(name) => write!(f, "invalid field: {name}"),
         }
     }
 }
 
 impl std::error::Error for CodecError {}
+
+impl From<DecodeError> for CodecError {
+    fn from(e: DecodeError) -> CodecError {
+        CodecError::Decode(e)
+    }
+}
 
 const FLAG_RESPONSE: u8 = 1 << 0;
 const FLAG_RPC: u8 = 1 << 1;
@@ -82,10 +87,6 @@ const FLAG_NOISE: u8 = 1 << 3;
 const FLAG_CORR_ID: u8 = 1 << 4;
 const FLAG_SEQ: u8 = 1 << 5;
 const FLAG_PROJECT: u8 = 1 << 6;
-
-/// Byte offset of the optional project id within a framed message (after
-/// the 4-byte length prefix and the 32-byte fixed header).
-const PROJECT_OFFSET: usize = 4 + 32;
 
 fn method_to_u8(m: HttpMethod) -> u8 {
     match m {
@@ -117,8 +118,8 @@ pub fn encode(msg: &Message) -> Bytes {
 
 /// Encode one message with a per-agent frame sequence number.
 ///
-/// The receiver recovers the number with [`decode_seq`]/[`decode_one_seq`]
-/// and uses it to detect capture gaps and duplicates per agent.
+/// The receiver recovers the number with [`decode_one_seq`] and uses it
+/// to detect capture gaps and duplicates per agent.
 pub fn encode_seq(msg: &Message, seq: u64) -> Bytes {
     encode_inner(msg, Some(seq))
 }
@@ -199,119 +200,53 @@ fn encode_inner(msg: &Message, seq: Option<u64>) -> Bytes {
     framed.freeze()
 }
 
-fn need(buf: &impl Buf, n: usize) -> Result<(), CodecError> {
-    if buf.remaining() < n {
-        Err(CodecError::Truncated)
-    } else {
-        Ok(())
-    }
+fn get_string(r: &mut Reader<'_>) -> Result<String, DecodeError> {
+    let len = r.u16()? as usize;
+    String::from_utf8(r.take(len)?.to_vec()).map_err(|_| DecodeError::Invalid("utf8 string"))
 }
 
-fn get_string(buf: &mut impl Buf) -> Result<String, CodecError> {
-    need(buf, 2)?;
-    let len = buf.get_u16_le() as usize;
-    need(buf, len)?;
-    let mut bytes = vec![0u8; len];
-    buf.copy_to_slice(&mut bytes);
-    String::from_utf8(bytes).map_err(|_| CodecError::InvalidField("utf8 string"))
-}
-
-/// Decode one framed message from `buf`, consuming exactly one frame.
-///
-/// Returns `Ok(None)` when the buffer does not yet hold a complete frame
-/// (stream decoding); errors are permanent for the frame.
-pub fn decode(buf: &mut BytesMut) -> Result<Option<Message>, CodecError> {
-    Ok(decode_seq(buf)?.map(|(msg, _)| msg))
-}
-
-/// Decode one framed message plus its sequence number, if present.
-///
-/// Behaves exactly like [`decode`], additionally returning the per-agent
-/// frame sequence number for frames written by [`encode_seq`] (`None` for
-/// frames written by [`encode`]).
-pub fn decode_seq(buf: &mut BytesMut) -> Result<Option<(Message, Option<u64>)>, CodecError> {
-    if buf.len() < 4 {
-        return Ok(None);
-    }
-    let frame_len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-    if buf.len() < 4 + frame_len {
-        return Ok(None);
-    }
-    buf.advance(4);
-    let mut frame = buf.split_to(frame_len);
-    let decoded = decode_body(&mut frame)?;
-    Ok(Some(decoded))
-}
-
-fn decode_body(buf: &mut impl Buf) -> Result<(Message, Option<u64>), CodecError> {
-    need(buf, 2 + 1 + 1 + 8 + 8 + 4 + 2 + 2 + 4)?;
-    let magic = buf.get_u16_le();
+fn decode_body(r: &mut Reader<'_>) -> Result<(Message, Option<u64>), CodecError> {
+    let magic = r.u16()?;
     if magic != MAGIC {
         return Err(CodecError::BadMagic(magic));
     }
-    let version = buf.get_u8();
+    let version = r.u8()?;
     if version != VERSION {
         return Err(CodecError::BadVersion(version));
     }
-    let flags = buf.get_u8();
-    let id = MessageId(buf.get_u64_le());
-    let ts_us = buf.get_u64_le();
-    let src_node = NodeId(buf.get_u8());
-    let dst_node = NodeId(buf.get_u8());
-    let src_service = Service::from_index(buf.get_u8())
-        .ok_or(CodecError::InvalidField("src service"))?;
-    let dst_service = Service::from_index(buf.get_u8())
-        .ok_or(CodecError::InvalidField("dst service"))?;
-    let api = ApiId(buf.get_u16_le());
+    let flags = r.u8()?;
+    let id = MessageId(r.u64()?);
+    let ts_us = r.u64()?;
+    let src_node = NodeId(r.u8()?);
+    let dst_node = NodeId(r.u8()?);
+    let src_service =
+        Service::from_index(r.u8()?).ok_or(DecodeError::Invalid("src service"))?;
+    let dst_service =
+        Service::from_index(r.u8()?).ok_or(DecodeError::Invalid("dst service"))?;
+    let api = ApiId(r.u16()?);
     let conn = ConnKey {
-        src: NodeId(buf.get_u8()),
-        dst: NodeId(buf.get_u8()),
-        src_port: buf.get_u16_le(),
-        dst_port: buf.get_u16_le(),
+        src: NodeId(r.u8()?),
+        dst: NodeId(r.u8()?),
+        src_port: r.u16()?,
+        dst_port: r.u16()?,
     };
-    let project = if flags & FLAG_PROJECT != 0 {
-        need(buf, 4)?;
-        Some(ProjectId(buf.get_u32_le()))
-    } else {
-        None
-    };
+    let project = if flags & FLAG_PROJECT != 0 { Some(ProjectId(r.u32()?)) } else { None };
     let wire = if flags & FLAG_RPC != 0 {
-        need(buf, 8)?;
-        let msg_id = buf.get_u64_le();
-        let err = get_string(buf)?;
-        let method = get_string(buf)?;
+        let msg_id = r.u64()?;
+        let err = get_string(r)?;
+        let method = get_string(r)?;
         WireKind::Rpc { method, msg_id, error: (!err.is_empty()).then_some(err) }
     } else {
-        need(buf, 3)?;
-        let method =
-            method_from_u8(buf.get_u8()).ok_or(CodecError::InvalidField("http method"))?;
-        let status = buf.get_u16_le();
-        let uri = get_string(buf)?;
+        let method = method_from_u8(r.u8()?).ok_or(DecodeError::Invalid("http method"))?;
+        let status = r.u16()?;
+        let uri = get_string(r)?;
         WireKind::Rest { method, uri, status: (status != 0).then_some(status) }
     };
-    need(buf, 4)?;
-    let payload_len = buf.get_u32_le() as usize;
-    need(buf, payload_len)?;
-    let mut payload = vec![0u8; payload_len];
-    buf.copy_to_slice(&mut payload);
-    let truth_op = if flags & FLAG_TRUTH_OP != 0 {
-        need(buf, 8)?;
-        Some(OpInstanceId(buf.get_u64_le()))
-    } else {
-        None
-    };
-    let correlation_id = if flags & FLAG_CORR_ID != 0 {
-        need(buf, 8)?;
-        Some(buf.get_u64_le())
-    } else {
-        None
-    };
-    let seq = if flags & FLAG_SEQ != 0 {
-        need(buf, 8)?;
-        Some(buf.get_u64_le())
-    } else {
-        None
-    };
+    let payload = r.bytes()?.to_vec();
+    let truth_op =
+        if flags & FLAG_TRUTH_OP != 0 { Some(OpInstanceId(r.u64()?)) } else { None };
+    let correlation_id = if flags & FLAG_CORR_ID != 0 { Some(r.u64()?) } else { None };
+    let seq = if flags & FLAG_SEQ != 0 { Some(r.u64()?) } else { None };
     let msg = Message {
         id,
         ts_us,
@@ -332,60 +267,27 @@ fn decode_body(buf: &mut impl Buf) -> Result<(Message, Option<u64>), CodecError>
     Ok((msg, seq))
 }
 
-/// Convenience: decode a buffer holding exactly one frame.
+/// Decode a buffer holding exactly one frame.
 pub fn decode_one(bytes: &[u8]) -> Result<Message, CodecError> {
     decode_one_seq(bytes).map(|(msg, _)| msg)
 }
 
-/// Convenience: decode a buffer holding exactly one frame, returning the
-/// per-agent sequence number when the frame carries one.
+/// Decode a buffer holding exactly one frame, returning the per-agent
+/// sequence number when the frame carries one (`None` for frames written
+/// by [`encode`]).
 ///
-/// Decodes in place (`&[u8]` is itself a [`Buf`] cursor): no staging copy
-/// into a `BytesMut`, so a frame sliced out of a shared batch arena is
-/// parsed straight from the arena's allocation.
+/// Decodes in place: a frame sliced out of a shared batch arena is parsed
+/// straight from the arena's allocation, with no staging copy.
 pub fn decode_one_seq(bytes: &[u8]) -> Result<(Message, Option<u64>), CodecError> {
-    if bytes.len() < 4 {
-        return Err(CodecError::Truncated);
+    let mut r = Reader::new(bytes);
+    let frame_len = r.u32()? as usize;
+    if r.remaining() < frame_len {
+        return Err(DecodeError::Truncated.into());
     }
-    let frame_len = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as usize;
-    if bytes.len() < 4 + frame_len {
-        return Err(CodecError::Truncated);
+    if r.remaining() > frame_len {
+        return Err(DecodeError::Invalid("trailing bytes").into());
     }
-    if bytes.len() > 4 + frame_len {
-        return Err(CodecError::InvalidField("trailing bytes"));
-    }
-    let mut frame = &bytes[4..];
-    decode_body(&mut frame)
-}
-
-/// Read the tenant routing key from a framed message without decoding it.
-///
-/// The project id sits at a fixed offset in the frame (directly after the
-/// connection block), so a shard router can fan frames out of a
-/// [`crate::batch::FrameBatch`] with a 40-byte peek instead of a full
-/// decode. Returns `Ok(None)` for frames carrying no project scope. The
-/// header is validated exactly as [`decode_one`] would (magic, version,
-/// truncation), so a frame accepted here decodes to a [`Message`] whose
-/// `project` equals the peeked value.
-pub fn peek_project(frame: &[u8]) -> Result<Option<ProjectId>, CodecError> {
-    if frame.len() < 8 {
-        return Err(CodecError::Truncated);
-    }
-    let magic = u16::from_le_bytes([frame[4], frame[5]]);
-    if magic != MAGIC {
-        return Err(CodecError::BadMagic(magic));
-    }
-    if frame[6] != VERSION {
-        return Err(CodecError::BadVersion(frame[6]));
-    }
-    if frame[7] & FLAG_PROJECT == 0 {
-        return Ok(None);
-    }
-    if frame.len() < PROJECT_OFFSET + 4 {
-        return Err(CodecError::Truncated);
-    }
-    let raw: [u8; 4] = frame[PROJECT_OFFSET..PROJECT_OFFSET + 4].try_into().unwrap();
-    Ok(Some(ProjectId(u32::from_le_bytes(raw))))
+    decode_body(&mut r)
 }
 
 /// Encoded size of a message, including the length prefix.
@@ -477,27 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_decoding_handles_partial_frames() {
-        let m1 = sample_rest();
-        let m2 = sample_rpc();
-        let mut wire = BytesMut::new();
-        wire.extend_from_slice(&encode(&m1));
-        wire.extend_from_slice(&encode(&m2));
-
-        // Feed the stream one byte at a time.
-        let total = wire.len();
-        let mut rx = BytesMut::new();
-        let mut decoded = Vec::new();
-        for i in 0..total {
-            rx.extend_from_slice(&wire[i..i + 1]);
-            while let Some(m) = decode(&mut rx).unwrap() {
-                decoded.push(m);
-            }
-        }
-        assert_eq!(decoded, vec![m1, m2]);
-    }
-
-    #[test]
     fn bad_magic_is_rejected() {
         let m = sample_rest();
         let enc = encode(&m);
@@ -516,12 +397,37 @@ mod tests {
 
     #[test]
     fn truncation_is_detected() {
+        let bytes = encode(&sample_rest());
+        for keep in [0, 3, 4, bytes.len() - 3, bytes.len() - 1] {
+            assert_eq!(
+                decode_one(&bytes[..keep]),
+                Err(CodecError::Decode(DecodeError::Truncated)),
+                "prefix of {keep} bytes"
+            );
+        }
+        let mut long = bytes.to_vec();
+        long.push(0);
+        assert_eq!(
+            decode_one(&long),
+            Err(CodecError::Decode(DecodeError::Invalid("trailing bytes")))
+        );
+    }
+
+    #[test]
+    fn inflated_lengths_are_rejected_without_allocating() {
+        // The uri length (u16 after method + status) and the payload
+        // length (u32 after the uri) set to MAX inside a frame whose outer
+        // length is still honest.
         let m = sample_rest();
-        let bytes = encode(&m);
-        // Chop the tail: the frame length no longer matches, so stream
-        // decode reports "incomplete".
-        let mut buf = BytesMut::from(&bytes[..bytes.len() - 3]);
-        assert_eq!(decode(&mut buf).unwrap(), None);
+        let bytes = encode(&m).to_vec();
+        let uri_len_at = 4 + 32 + 3;
+        let mut bad = bytes.clone();
+        bad[uri_len_at..uri_len_at + 2].copy_from_slice(&u16::MAX.to_le_bytes());
+        assert_eq!(decode_one(&bad), Err(CodecError::Decode(DecodeError::Truncated)));
+        let payload_len_at = uri_len_at + 2 + "/v2.0/ports.json".len();
+        let mut bad = bytes;
+        bad[payload_len_at..payload_len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(decode_one(&bad), Err(CodecError::Decode(DecodeError::Truncated)));
     }
 
     #[test]
@@ -557,38 +463,13 @@ mod tests {
     fn project_round_trips() {
         let mut m = sample_rest();
         m.project = Some(ProjectId(1234));
-        assert_eq!(decode_one(&encode(&m)).unwrap(), m);
+        let framed = encode(&m);
+        assert_eq!(decode_one(&framed).unwrap(), m);
+        // Fixed offset: 4-byte length prefix + 32-byte fixed header.
+        assert_eq!(framed[36..40], 1234u32.to_le_bytes());
         let mut r = sample_rpc();
         r.project = Some(ProjectId(u32::MAX));
         assert_eq!(decode_one(&encode(&r)).unwrap(), r);
-    }
-
-    #[test]
-    fn peek_project_matches_decode() {
-        let mut m = sample_rest();
-        m.project = Some(ProjectId(77));
-        let framed = encode(&m);
-        assert_eq!(peek_project(&framed).unwrap(), Some(ProjectId(77)));
-        assert_eq!(decode_one(&framed).unwrap().project, Some(ProjectId(77)));
-        // Seq-stamped frames peek identically (the tail does not move the
-        // fixed header).
-        assert_eq!(peek_project(&encode_seq(&m, 3)).unwrap(), Some(ProjectId(77)));
-        // Frames without a project scope peek as None.
-        assert_eq!(peek_project(&encode(&sample_rpc())).unwrap(), None);
-    }
-
-    #[test]
-    fn peek_project_validates_the_header() {
-        let mut m = sample_rest();
-        m.project = Some(ProjectId(9));
-        let framed = encode(&m);
-        assert!(matches!(peek_project(&framed[..7]), Err(CodecError::Truncated)));
-        let mut bad = framed.to_vec();
-        bad[4] = 0xFF;
-        assert!(matches!(peek_project(&bad), Err(CodecError::BadMagic(_))));
-        let mut bad = framed.to_vec();
-        bad[6] = 42;
-        assert!(matches!(peek_project(&bad), Err(CodecError::BadVersion(42))));
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   capture-loss machinery: seeded [`CaptureImpairment`] injection and the
 //!   receiver-side [`Resequencer`] that turns sequence holes into explicit
 //!   gap markers;
-//! * [`shard`] — tenant-hash routing of messages and frames onto the
-//!   partitions of the sharded pipeline (DESIGN.md §15);
+//! * [`shard`] — tenant-hash routing of messages onto the partitions of
+//!   the sharded pipeline (DESIGN.md §15);
 //! * [`pcap`] — libpcap-flavoured dump files for captured traffic;
 //! * [`stats`] — wall-clock throughput meters (events/s, Mbps) and
 //!   [`CaptureStats`] capture-quality counters.
@@ -32,10 +32,7 @@ pub use agent::{
     CaptureAgent, CaptureImpairment, Degradation, Resequencer, StallSpec,
 };
 pub use batch::{batch_frames, FrameBatch, FrameBatchBuilder};
-pub use frame::{
-    decode, decode_one, decode_one_seq, decode_seq, encode, encode_seq, encoded_len, peek_project,
-    CodecError,
-};
+pub use frame::{decode_one, decode_one_seq, encode, encode_seq, encoded_len, CodecError};
 pub use pcap::PcapReader;
-pub use shard::{partition_messages, shard_of, ShardRouter};
+pub use shard::{partition_messages, shard_of};
 pub use stats::{CaptureStats, ThroughputMeter};

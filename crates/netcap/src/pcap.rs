@@ -7,7 +7,7 @@
 //! frames, not Ethernet.
 
 use crate::frame::{self, CodecError};
-use bytes::BytesMut;
+use gretel_model::codec::{put_u16, put_u32, Reader};
 use gretel_model::Message;
 use std::io::{self, Read, Write};
 
@@ -16,29 +16,32 @@ pub const PCAP_MAGIC: u32 = 0xA1B2_C3D4;
 /// Private link type for GRETEL frames (matches LINKTYPE_USER0).
 pub const LINKTYPE_GRETEL: u32 = 147;
 
+const GLOBAL_HEADER: usize = 24;
+const RECORD_HEADER: usize = 16;
+
 /// Write a pcap global header.
 pub fn write_header<W: Write>(w: &mut W) -> io::Result<()> {
-    w.write_all(&PCAP_MAGIC.to_le_bytes())?;
-    w.write_all(&2u16.to_le_bytes())?; // version major
-    w.write_all(&4u16.to_le_bytes())?; // version minor
-    w.write_all(&0i32.to_le_bytes())?; // thiszone
-    w.write_all(&0u32.to_le_bytes())?; // sigfigs
-    w.write_all(&65_535u32.to_le_bytes())?; // snaplen
-    w.write_all(&LINKTYPE_GRETEL.to_le_bytes())?;
-    Ok(())
+    let mut h = Vec::with_capacity(GLOBAL_HEADER);
+    put_u32(&mut h, PCAP_MAGIC);
+    put_u16(&mut h, 2); // version major
+    put_u16(&mut h, 4); // version minor
+    put_u32(&mut h, 0); // thiszone
+    put_u32(&mut h, 0); // sigfigs
+    put_u32(&mut h, 65_535); // snaplen
+    put_u32(&mut h, LINKTYPE_GRETEL);
+    w.write_all(&h)
 }
 
 /// Append one message as a pcap record.
 pub fn write_record<W: Write>(w: &mut W, msg: &Message) -> io::Result<()> {
     let data = frame::encode(msg);
-    let ts_sec = (msg.ts_us / 1_000_000) as u32;
-    let ts_usec = (msg.ts_us % 1_000_000) as u32;
-    w.write_all(&ts_sec.to_le_bytes())?;
-    w.write_all(&ts_usec.to_le_bytes())?;
-    w.write_all(&(data.len() as u32).to_le_bytes())?;
-    w.write_all(&(data.len() as u32).to_le_bytes())?;
-    w.write_all(&data)?;
-    Ok(())
+    let mut h = Vec::with_capacity(RECORD_HEADER);
+    put_u32(&mut h, (msg.ts_us / 1_000_000) as u32);
+    put_u32(&mut h, (msg.ts_us % 1_000_000) as u32);
+    put_u32(&mut h, data.len() as u32); // incl_len
+    put_u32(&mut h, data.len() as u32); // orig_len
+    w.write_all(&h)?;
+    w.write_all(&data)
 }
 
 /// Write a whole capture (header + records).
@@ -108,16 +111,36 @@ impl<R: Read> PcapReader<R> {
     }
 
     fn read_header(&mut self) -> Result<(), PcapError> {
-        let mut header = [0u8; 24];
+        let mut header = [0u8; GLOBAL_HEADER];
         if !read_exact_or_eof(&mut self.inner, &mut header)? {
             return Err(PcapError::Truncated);
         }
-        let magic = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
+        let magic = Reader::new(&header).u32().expect("header holds the magic");
         if magic != PCAP_MAGIC {
             return Err(PcapError::BadMagic(magic));
         }
         self.header_done = true;
         Ok(())
+    }
+
+    fn read_record(&mut self) -> Result<Option<Message>, PcapError> {
+        if !self.header_done {
+            self.read_header()?;
+        }
+        let mut rec = [0u8; RECORD_HEADER];
+        if !read_exact_or_eof(&mut self.inner, &mut rec)? {
+            return Ok(None);
+        }
+        // ts_sec, ts_usec, incl_len, orig_len
+        let incl_len = Reader::new(&rec[8..]).u32().expect("record header holds incl_len") as u64;
+        // `incl_len` comes from the file: read at most that many bytes
+        // rather than allocating for a length the file may not back.
+        let mut data = Vec::new();
+        self.inner.by_ref().take(incl_len).read_to_end(&mut data)?;
+        if (data.len() as u64) < incl_len {
+            return Err(PcapError::Truncated);
+        }
+        frame::decode_one(&data).map(Some).map_err(PcapError::Frame)
     }
 }
 
@@ -125,61 +148,13 @@ impl<R: Read> Iterator for PcapReader<R> {
     type Item = Result<Message, PcapError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if !self.header_done {
-            if let Err(e) = self.read_header() {
-                return Some(Err(e));
-            }
-        }
-        let mut rec = [0u8; 16];
-        match read_exact_or_eof(&mut self.inner, &mut rec) {
-            Ok(false) => return None,
-            Ok(true) => {}
-            Err(e) => return Some(Err(e)),
-        }
-        let incl_len = u32::from_le_bytes([rec[8], rec[9], rec[10], rec[11]]) as usize;
-        let mut data = vec![0u8; incl_len];
-        match read_exact_or_eof(&mut self.inner, &mut data) {
-            Ok(true) => {}
-            Ok(false) => return Some(Err(PcapError::Truncated)),
-            Err(e) => return Some(Err(e)),
-        }
-        let mut buf = BytesMut::from(&data[..]);
-        match frame::decode(&mut buf) {
-            Ok(Some(msg)) => Some(Ok(msg)),
-            Ok(None) => Some(Err(PcapError::Truncated)),
-            Err(e) => Some(Err(PcapError::Frame(e))),
-        }
+        self.read_record().transpose()
     }
 }
 
 /// Read a whole capture back into messages.
 pub fn read_capture<R: Read>(r: &mut R) -> Result<Vec<Message>, PcapError> {
-    let mut header = [0u8; 24];
-    if !read_exact_or_eof(r, &mut header)? {
-        return Err(PcapError::Truncated);
-    }
-    let magic = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-    if magic != PCAP_MAGIC {
-        return Err(PcapError::BadMagic(magic));
-    }
-    let mut out = Vec::new();
-    loop {
-        let mut rec = [0u8; 16];
-        if !read_exact_or_eof(r, &mut rec)? {
-            break;
-        }
-        let incl_len = u32::from_le_bytes([rec[8], rec[9], rec[10], rec[11]]) as usize;
-        let mut data = vec![0u8; incl_len];
-        if !read_exact_or_eof(r, &mut data)? {
-            return Err(PcapError::Truncated);
-        }
-        let mut buf = BytesMut::from(&data[..]);
-        match frame::decode(&mut buf).map_err(PcapError::Frame)? {
-            Some(msg) => out.push(msg),
-            None => return Err(PcapError::Truncated),
-        }
-    }
-    Ok(out)
+    PcapReader::new(r).collect()
 }
 
 #[cfg(test)]
@@ -229,7 +204,7 @@ mod tests {
         let mut file = Vec::new();
         write_capture(&mut file, &[]).unwrap();
         assert_eq!(file.len(), 24);
-        assert_eq!(u32::from_le_bytes([file[0], file[1], file[2], file[3]]), PCAP_MAGIC);
+        assert_eq!(file[..4], PCAP_MAGIC.to_le_bytes());
     }
 
     #[test]
@@ -243,6 +218,16 @@ mod tests {
         let mut file = Vec::new();
         write_capture(&mut file, &msgs()).unwrap();
         file.truncate(file.len() - 4);
+        assert!(matches!(read_capture(&mut file.as_slice()), Err(PcapError::Truncated)));
+    }
+
+    #[test]
+    fn inflated_record_length_is_an_error_not_an_allocation() {
+        // A 16-byte record header claiming a 4 GiB frame, backed by
+        // nothing: the reader must not size a buffer from it.
+        let mut file = Vec::new();
+        write_capture(&mut file, &msgs()[..1]).unwrap();
+        file[24 + 8..24 + 12].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(read_capture(&mut file.as_slice()), Err(PcapError::Truncated)));
     }
 

@@ -4,8 +4,8 @@
 //! ingest→resequence→window→detect partitions; this module owns the one
 //! policy they all must agree on: **which shard a message belongs to**.
 //! Routing hashes the wire-visible Keystone project id
-//! ([`gretel_model::ProjectId`], carried in every framed request — see
-//! [`crate::frame::peek_project`]) so that all traffic of one tenant, and
+//! ([`gretel_model::ProjectId`], carried in every framed request at a
+//! fixed offset — see [`crate::frame`]) so that all traffic of one tenant, and
 //! therefore every event of one operation instance, lands on the same
 //! shard. Traffic with no project scope (heartbeats, token issuance) hashes
 //! under a fixed sentinel and so also stays on a single, stable shard.
@@ -16,27 +16,23 @@
 //! platform-independent: the same message routes identically on every run,
 //! which the byte-identity oracles in `gretel-bench --bin soak` rely on.
 
-use crate::batch::{FrameBatch, FrameBatchBuilder};
-use crate::frame::{peek_project, CodecError};
+use gretel_model::codec::finalize;
 use gretel_model::{Message, ProjectId};
 
 /// Hash seed distinguishing "no project" from project 0.
 const NO_PROJECT_KEY: u64 = 0;
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// One SplitMix64 step: golden-ratio increment, then the finalizer.
+fn splitmix64(x: u64) -> u64 {
+    finalize(x.wrapping_add(0x9E37_79B9_7F4A_7C15))
 }
 
 /// Shard index for a message scoped to `project`, out of `shards`
 /// partitions.
 ///
 /// Pure and deterministic: the routing table is the function itself, so
-/// agents, the soak driver, and the analyzer-side router never need to
-/// exchange assignments. `None` (no project scope) routes to a fixed shard
+/// agents, the soak driver, and the shard driver never need to exchange
+/// assignments. `None` (no project scope) routes to a fixed shard
 /// distinct from any particular tenant's.
 ///
 /// # Panics
@@ -67,57 +63,9 @@ pub fn partition_messages(traffic: &[Message], shards: usize) -> Vec<Vec<Message
     parts
 }
 
-/// Routes encoded frames into per-shard [`FrameBatch`]es.
-///
-/// The router peeks the project id at its fixed frame offset
-/// ([`peek_project`]) — no full decode — and appends the frame to the
-/// owning shard's arena builder. Full batches are handed back as they
-/// close, so a capture loop can forward them downstream while the router
-/// keeps filling the others.
-pub struct ShardRouter {
-    builders: Vec<FrameBatchBuilder>,
-}
-
-impl ShardRouter {
-    /// Create a router for `shards` partitions, closing each shard's batch
-    /// after `max_frames` frames.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0` (`max_frames` is validated by
-    /// [`FrameBatchBuilder::new`]).
-    pub fn new(shards: usize, max_frames: usize) -> ShardRouter {
-        assert!(shards > 0, "need at least one shard");
-        ShardRouter { builders: (0..shards).map(|_| FrameBatchBuilder::new(max_frames)).collect() }
-    }
-
-    /// Number of shards this router fans out to.
-    pub fn shards(&self) -> usize {
-        self.builders.len()
-    }
-
-    /// Route one framed message. Returns the owning shard plus the shard's
-    /// batch if this frame filled it.
-    pub fn push(&mut self, frame: &[u8]) -> Result<(usize, Option<FrameBatch>), CodecError> {
-        let shard = shard_of(peek_project(frame)?, self.builders.len());
-        Ok((shard, self.builders[shard].push(frame)))
-    }
-
-    /// Close all open batches, returning the non-empty ones with their
-    /// shard indices.
-    pub fn finish(&mut self) -> Vec<(usize, FrameBatch)> {
-        self.builders
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, b)| b.finish().map(|batch| (i, batch)))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::encode;
     use gretel_model::{
         ApiId, ConnKey, Direction, HttpMethod, MessageId, NodeId, Service, WireKind,
     };
@@ -168,35 +116,18 @@ mod tests {
     }
 
     #[test]
-    fn message_partitions_agree_with_frame_routing() {
+    fn partitions_keep_every_message_on_its_tenant_shard_in_order() {
         let traffic: Vec<Message> = (0..100u32)
-            .map(|i| msg((i % 7 != 0).then_some(ProjectId(i % 13))))
+            .map(|i| Message {
+                id: MessageId(i as u64),
+                ..msg((i % 7 != 0).then_some(ProjectId(i % 13)))
+            })
             .collect();
         let parts = partition_messages(&traffic, 4);
         assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), traffic.len());
-
-        let mut router = ShardRouter::new(4, 1024);
-        for m in &traffic {
-            let (shard, closed) = router.push(&encode(m)).unwrap();
-            assert_eq!(shard, shard_of(m.project, 4));
-            assert!(closed.is_none());
+        for (shard, part) in parts.iter().enumerate() {
+            assert!(part.iter().all(|m| shard_of(m.project, 4) == shard));
+            assert!(part.windows(2).all(|w| w[0].id < w[1].id), "input order kept");
         }
-        let batches = router.finish();
-        let mut from_frames: Vec<Vec<Message>> = vec![Vec::new(); 4];
-        for (i, b) in batches {
-            from_frames[i] =
-                b.decode_all().unwrap().into_iter().map(|(m, _)| m).collect();
-        }
-        assert_eq!(parts, from_frames);
-    }
-
-    #[test]
-    fn full_batches_are_handed_back_eagerly() {
-        let mut router = ShardRouter::new(1, 2);
-        let f = encode(&msg(Some(ProjectId(5))));
-        assert!(router.push(&f).unwrap().1.is_none());
-        let (_, closed) = router.push(&f).unwrap();
-        assert_eq!(closed.expect("batch closes at max_frames").frames(), 2);
-        assert!(router.finish().is_empty());
     }
 }

@@ -32,15 +32,10 @@ pub const fn secs(v: u64) -> SimTime {
 /// a plan cannot perturb the rest of a seeded run.
 #[inline]
 pub const fn splitmix64(seed: u64, a: u64, salt: u64) -> u64 {
-    let mut x = seed
-        ^ (a + 1).wrapping_mul(0xA076_1D64_78BD_642F)
-        ^ (salt + 1).wrapping_mul(0xE703_7ED1_A0B4_28DB);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    x
+    gretel_model::codec::finalize(
+        seed ^ (a + 1).wrapping_mul(0xA076_1D64_78BD_642F)
+            ^ (salt + 1).wrapping_mul(0xE703_7ED1_A0B4_28DB),
+    )
 }
 
 struct Entry<T> {

@@ -130,6 +130,9 @@ pub struct Records<'a> {
 impl<'a> Iterator for Records<'a> {
     type Item = Record<'a>;
 
+    // The crate is dependency-free, so the 13-byte record header is read
+    // here rather than through gretel_model::codec (see clippy.toml).
+    #[allow(clippy::disallowed_methods)]
     fn next(&mut self) -> Option<Record<'a>> {
         if self.buf.len() - self.pos < RECORD_HEADER {
             return None;

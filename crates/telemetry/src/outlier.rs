@@ -20,6 +20,7 @@
 //! [`OutlierDetector`] can replace the default.
 
 use crate::series::{mad_sigma_of, median_of};
+use gretel_model::codec::{put_count, put_f64, put_u32, DecodeError, Reader};
 use gretel_sim::SimTime;
 use std::collections::VecDeque;
 
@@ -66,65 +67,30 @@ pub trait OutlierDetector {
 
     /// Restore dynamic state previously produced by
     /// [`OutlierDetector::export_state`] on an identically configured
-    /// detector. Returns `false` (leaving the detector untouched or reset)
-    /// when the bytes do not decode; a checkpoint restore treats that as a
-    /// hard error.
-    fn import_state(&mut self, _bytes: &[u8]) -> bool {
-        false
+    /// detector. On error the detector is left untouched; a checkpoint
+    /// restore treats that as a hard error.
+    fn import_state(&mut self, _bytes: &[u8]) -> Result<(), DecodeError> {
+        Err(DecodeError::Invalid("detector does not support state import"))
     }
 }
 
-/// Minimal byte writer/reader for detector state (checkpoint payloads are
-/// internal, versioned by the journal that carries them).
-mod statebuf {
-    pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-        out.extend_from_slice(&v.to_le_bytes());
+fn put_f64_seq<'a>(out: &mut Vec<u8>, vals: impl ExactSizeIterator<Item = &'a f64>) {
+    put_count(out, vals.len());
+    for &v in vals {
+        put_f64(out, v);
     }
+}
 
-    pub fn put_f64(out: &mut Vec<u8>, v: f64) {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
+fn read_f64_seq(r: &mut Reader<'_>) -> Result<VecDeque<f64>, DecodeError> {
+    (0..r.count(8)?).map(|_| r.f64()).collect()
+}
 
-    pub fn put_f64_seq<'a>(out: &mut Vec<u8>, vals: impl ExactSizeIterator<Item = &'a f64>) {
-        put_u32(out, vals.len() as u32);
-        for &v in vals {
-            put_f64(out, v);
-        }
-    }
-
-    pub struct Reader<'a> {
-        buf: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Reader<'a> {
-        pub fn new(buf: &'a [u8]) -> Reader<'a> {
-            Reader { buf, pos: 0 }
-        }
-
-        pub fn u32(&mut self) -> Option<u32> {
-            let b = self.buf.get(self.pos..self.pos + 4)?;
-            self.pos += 4;
-            Some(u32::from_le_bytes(b.try_into().ok()?))
-        }
-
-        pub fn f64(&mut self) -> Option<f64> {
-            let b = self.buf.get(self.pos..self.pos + 8)?;
-            self.pos += 8;
-            Some(f64::from_bits(u64::from_le_bytes(b.try_into().ok()?)))
-        }
-
-        pub fn f64_seq(&mut self) -> Option<Vec<f64>> {
-            let n = self.u32()? as usize;
-            if n > self.buf.len().saturating_sub(self.pos) / 8 {
-                return None; // length prefix inconsistent with remaining bytes
-            }
-            (0..n).map(|_| self.f64()).collect()
-        }
-
-        pub fn done(&self) -> bool {
-            self.pos == self.buf.len()
-        }
+/// `u32` presence tag (0 = `None`, 1 = `Some`) ahead of an optional block.
+fn read_some_tag(r: &mut Reader<'_>) -> Result<bool, DecodeError> {
+    match r.u32()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(DecodeError::Invalid("detector option tag")),
     }
 }
 
@@ -297,7 +263,6 @@ impl OutlierDetector for LevelShiftDetector {
     }
 
     fn export_state(&self) -> Option<Vec<u8>> {
-        use statebuf::{put_f64, put_f64_seq, put_u32};
         let mut out = Vec::new();
         put_f64_seq(&mut out, self.baseline.iter());
         put_f64_seq(&mut out, self.test.iter());
@@ -313,27 +278,15 @@ impl OutlierDetector for LevelShiftDetector {
         Some(out)
     }
 
-    fn import_state(&mut self, bytes: &[u8]) -> bool {
-        let mut r = statebuf::Reader::new(bytes);
-        let Some(baseline) = r.f64_seq() else { return false };
-        let Some(test) = r.f64_seq() else { return false };
-        let cached = match r.u32() {
-            Some(0) => None,
-            Some(1) => match (r.f64(), r.f64()) {
-                (Some(m), Some(s)) => Some((m, s)),
-                _ => return false,
-            },
-            _ => return false,
-        };
-        let Some(staleness) = r.u32() else { return false };
-        if !r.done() {
-            return false;
-        }
-        self.baseline = baseline.into();
-        self.test = test.into();
-        self.cached_stats = cached;
-        self.staleness = staleness as usize;
-        true
+    fn import_state(&mut self, bytes: &[u8]) -> Result<(), DecodeError> {
+        let mut r = Reader::new(bytes);
+        let baseline = read_f64_seq(&mut r)?;
+        let test = read_f64_seq(&mut r)?;
+        let cached_stats = if read_some_tag(&mut r)? { Some((r.f64()?, r.f64()?)) } else { None };
+        let staleness = r.u32()? as usize;
+        r.done()?;
+        *self = LevelShiftDetector { cfg: self.cfg, baseline, test, cached_stats, staleness };
+        Ok(())
     }
 }
 
@@ -545,7 +498,6 @@ impl OutlierDetector for EwmaDetector {
     }
 
     fn export_state(&self) -> Option<Vec<u8>> {
-        use statebuf::{put_f64, put_u32};
         let mut out = Vec::new();
         match self.mean {
             Some(m) => {
@@ -559,24 +511,14 @@ impl OutlierDetector for EwmaDetector {
         Some(out)
     }
 
-    fn import_state(&mut self, bytes: &[u8]) -> bool {
-        let mut r = statebuf::Reader::new(bytes);
-        let mean = match r.u32() {
-            Some(0) => None,
-            Some(1) => match r.f64() {
-                Some(m) => Some(m),
-                None => return false,
-            },
-            _ => return false,
-        };
-        let (Some(var), Some(seen)) = (r.f64(), r.u32()) else { return false };
-        if !r.done() {
-            return false;
-        }
-        self.mean = mean;
-        self.var = var;
-        self.seen = seen as usize;
-        true
+    fn import_state(&mut self, bytes: &[u8]) -> Result<(), DecodeError> {
+        let mut r = Reader::new(bytes);
+        let mean = if read_some_tag(&mut r)? { Some(r.f64()?) } else { None };
+        let var = r.f64()?;
+        let seen = r.u32()? as usize;
+        r.done()?;
+        (self.mean, self.var, self.seen) = (mean, var, seen);
+        Ok(())
     }
 }
 
@@ -645,18 +587,16 @@ impl OutlierDetector for SpikeDetector {
 
     fn export_state(&self) -> Option<Vec<u8>> {
         let mut out = Vec::new();
-        statebuf::put_f64_seq(&mut out, self.window.iter());
+        put_f64_seq(&mut out, self.window.iter());
         Some(out)
     }
 
-    fn import_state(&mut self, bytes: &[u8]) -> bool {
-        let mut r = statebuf::Reader::new(bytes);
-        let Some(window) = r.f64_seq() else { return false };
-        if !r.done() {
-            return false;
-        }
-        self.window = window.into();
-        true
+    fn import_state(&mut self, bytes: &[u8]) -> Result<(), DecodeError> {
+        let mut r = Reader::new(bytes);
+        let window = read_f64_seq(&mut r)?;
+        r.done()?;
+        self.window = window;
+        Ok(())
     }
 }
 
@@ -732,7 +672,7 @@ mod more_detector_tests {
                 det.update(i, 25.0 + (i % 7) as f64);
             }
             let state = det.export_state().expect("checkpointable");
-            assert!(fresh.import_state(&state), "state imports");
+            fresh.import_state(&state).expect("state imports");
             for i in 137..400u64 {
                 let v = if i < 200 { 25.0 + (i % 7) as f64 } else { 180.0 };
                 assert_eq!(det.update(i, v), fresh.update(i, v), "diverged at {i}");
@@ -746,12 +686,12 @@ mod more_detector_tests {
     #[test]
     fn detector_state_import_rejects_garbage() {
         let mut det = LevelShiftDetector::default();
-        assert!(!det.import_state(&[1, 2, 3]));
-        assert!(!det.import_state(&[0xFF; 64]));
+        assert!(det.import_state(&[1, 2, 3]).is_err());
+        assert!(det.import_state(&[0xFF; 64]).is_err());
         let mut ew = EwmaDetector::default();
-        assert!(!ew.import_state(&[9]));
+        assert!(ew.import_state(&[9]).is_err());
         let mut sp = SpikeDetector::default();
-        assert!(!sp.import_state(&[1, 0, 0]));
+        assert!(sp.import_state(&[1, 0, 0]).is_err());
         // A valid export with trailing junk is rejected too.
         let mut good = LevelShiftDetector::default();
         for i in 0..50 {
@@ -759,7 +699,7 @@ mod more_detector_tests {
         }
         let mut bytes = good.export_state().unwrap();
         bytes.push(0);
-        assert!(!det.import_state(&bytes));
+        assert_eq!(det.import_state(&bytes), Err(DecodeError::Invalid("trailing bytes")));
     }
 
     #[test]

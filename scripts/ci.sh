@@ -8,9 +8,16 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 
-# Lint gate: the workspace (all targets — libs, bins, tests, examples)
-# must be clippy-clean.
-cargo clippy --offline --all-targets -- -D warnings
+# Lint gate: every first-party crate and every target — libs, bins,
+# tests, examples, benches (so a bench that stops compiling fails here) —
+# must be clippy-clean, including clippy.toml's ban on hand-rolled
+# `from_le_bytes` decoding. vendor/* are stand-ins for published crates
+# and are not linted (--exclude drops them as targets, --no-deps as path
+# dependencies).
+# shellcheck disable=SC2046
+cargo clippy --offline --workspace --all-targets --no-deps \
+  $(for v in vendor/*/; do printf -- '--exclude %s ' "$(basename "$v")"; done) \
+  -- -D warnings
 
 # The standalone benchmark package (its own workspace, excluded from the
 # one above) only sees the crates' public API: build and test it against

@@ -9,8 +9,13 @@
 //! To add or deliberately change a format: run the test, copy the
 //! "actual" hex from the failure message into the fixture file, and say
 //! why in the commit.
+//!
+//! [`hostile_bytes_never_panic`] then breaks every fixture on purpose —
+//! every strict prefix, every single-bit flip, every 2- and 4-byte run
+//! forced to `0xFF` (which covers every `u16`/`u32` length and count
+//! field set to MAX) — and requires each decoder to answer `Ok` or `Err`:
+//! no panic, no abort, and no strict prefix accepted.
 
-use gretel::core::checkpoint::codec::Reader;
 use gretel::core::checkpoint::{
     decode_release, encode_release, put_diagnosis, put_event, read_diagnosis, read_event,
 };
@@ -18,6 +23,7 @@ use gretel::core::{
     Analyzer, CaptureConfidence, CauseKind, Diagnosis, Event, FaultKind, FaultMark,
     FingerprintLibrary, GretelConfig, RootCause, KIND_DIAGNOSES,
 };
+use gretel::model::codec::Reader;
 use gretel::model::message::{
     render_rest_request_payload, render_rest_response_payload, render_rpc_payload,
 };
@@ -38,8 +44,10 @@ use std::sync::OnceLock;
 struct Case {
     name: &'static str,
     encoded: Vec<u8>,
-    decode: Box<dyn Fn(&[u8]) -> Result<bool, String>>,
+    decode: Box<DecodeFn>,
 }
+
+type DecodeFn = dyn Fn(&[u8]) -> Result<bool, String>;
 
 fn case<T: PartialEq + 'static>(
     name: &'static str,
@@ -292,9 +300,7 @@ fn parked_resequencer() -> Resequencer {
 
 fn detector_restore<D: OutlierDetector + Default>(bytes: &[u8]) -> Result<Vec<u8>, String> {
     let mut d = D::default();
-    if !d.import_state(bytes) {
-        return Err("detector state rejected".into());
-    }
+    d.import_state(bytes).map_err(err)?;
     Ok(d.export_state().expect("built-in detectors checkpoint"))
 }
 
@@ -306,7 +312,7 @@ fn fed<D: OutlierDetector + Default>(n: u64) -> Vec<u8> {
     d.export_state().expect("built-in detectors checkpoint")
 }
 
-fn release() -> (u64, Vec<(u64, Vec<Diagnosis>)>) {
+fn release() -> gretel::core::checkpoint::Release {
     let [a, b, c] = diagnoses();
     (17, vec![(15, vec![a, b]), (16, vec![]), (17, vec![c])])
 }
@@ -392,7 +398,12 @@ fn cases() -> Vec<Case> {
             Vec::clone,
             detector_restore::<LevelShiftDetector>,
         ),
-        case("detector_ewma", fed::<EwmaDetector>(137), Vec::clone, detector_restore::<EwmaDetector>),
+        case(
+            "detector_ewma",
+            fed::<EwmaDetector>(137),
+            Vec::clone,
+            detector_restore::<EwmaDetector>,
+        ),
         case(
             "detector_spike",
             fed::<SpikeDetector>(137),
@@ -440,9 +451,9 @@ fn fixture(name: &str) -> Vec<u8> {
     let path = format!("{}/tests/golden/{name}.hex", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
     let digits: Vec<u8> = text.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
-    assert!(digits.len() % 2 == 0, "{path}: odd number of hex digits");
-    digits
-        .chunks(2)
+    let pairs = digits.chunks_exact(2);
+    assert!(pairs.remainder().is_empty(), "{path}: odd number of hex digits");
+    pairs
         .map(|d| {
             let s = std::str::from_utf8(d).expect("ascii");
             u8::from_str_radix(s, 16).unwrap_or_else(|_| panic!("{path}: bad hex {s:?}"))
@@ -483,6 +494,65 @@ fn fixtures_cover_the_interesting_state() {
     assert_eq!(parked_resequencer().flush().len(), 3, "frames are parked");
     assert_eq!(fixture("event").len(), 38);
     assert_eq!(fixture("store_record").len(), RECORD_HEADER + b"golden payload".len());
+}
+
+/// Decode hostile bytes, turning a decoder panic into a test failure
+/// that names the case and the mutation. (An allocation-failure abort
+/// cannot be caught; it fails the whole test binary, which is the point.)
+fn decode_hostile(c: &Case, bytes: &[u8], what: impl Fn() -> String) -> Result<bool, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (c.decode)(bytes)))
+        .unwrap_or_else(|_| panic!("{}: decoder panicked on {}", c.name, what()))
+}
+
+#[test]
+fn hostile_bytes_never_panic() {
+    let mut decodes = 0usize;
+    for c in cases() {
+        let golden = fixture(c.name);
+        for keep in 0..golden.len() {
+            let got = decode_hostile(&c, &golden[..keep], || format!("prefix {keep}"));
+            assert!(got.is_err(), "{}: strict prefix of {keep} bytes decoded {got:?}", c.name);
+        }
+        let mut bytes = golden.clone();
+        for i in 0..golden.len() {
+            for bit in 0..8 {
+                bytes[i] ^= 1 << bit;
+                let _ = decode_hostile(&c, &bytes, || format!("bit {bit} of byte {i} flipped"));
+                bytes[i] = golden[i];
+            }
+            for width in [2usize, 4] {
+                let end = (i + width).min(golden.len());
+                bytes[i..end].fill(0xFF);
+                let _ = decode_hostile(&c, &bytes, || format!("{width} bytes at {i} set to 0xFF"));
+                bytes[i..end].copy_from_slice(&golden[i..end]);
+            }
+        }
+        decodes += golden.len() * 11;
+    }
+    assert!(decodes > 30_000, "the sweep covers every fixture ({decodes} decodes)");
+}
+
+/// The checkpoint from ISSUE 14: a valid analyzer state whose armed-
+/// snapshot count is overwritten with `u32::MAX` used to size a
+/// `Vec::with_capacity` and abort the process.
+#[test]
+fn inflated_armed_count_is_an_error_and_the_analyzer_stays_usable() {
+    let state = fixture("analyzer_state");
+    // alpha u64 | n u32 | n events | n_armed u32
+    let n = Reader::new(&state[8..]).u32().unwrap() as usize;
+    let armed_at = 12 + n * 38;
+    assert_eq!(state[armed_at..armed_at + 4], 1u32.to_le_bytes(), "the armed count");
+    let mut bad = state.clone();
+    bad[armed_at..armed_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    let mut a = mid_stream_analyzer();
+    assert!(a.restore_state(&bad).is_err());
+    // Also the window count itself, which α bounds but bytes must back.
+    let mut bad = state.clone();
+    bad[0..8].copy_from_slice(&(1u64 << 24).to_le_bytes());
+    bad[8..12].copy_from_slice(&(1u32 << 24).to_le_bytes());
+    assert!(a.restore_state(&bad).is_err());
+    // A failed restore changed nothing.
+    assert_eq!(a.export_state().expect("exports"), state);
 }
 
 /// The seeded keyings every schedule, coin and shard assignment depends

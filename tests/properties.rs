@@ -87,10 +87,15 @@ proptest! {
     fn truncated_frames_never_panic(msg in arb_message(), cut in 0usize..64) {
         let bytes = encode(&msg);
         let keep = bytes.len().saturating_sub(cut);
-        // Either decodes to the message (cut == 0) or reports an error /
-        // incompleteness; never panics.
-        let mut buf = bytes::BytesMut::from(&bytes[..keep]);
-        let _ = gretel::netcap::decode(&mut buf);
+        // Decodes to the message when nothing was cut, reports an error
+        // otherwise; never panics.
+        match decode_one(&bytes[..keep]) {
+            Ok(decoded) => {
+                prop_assert_eq!(cut, 0);
+                prop_assert_eq!(decoded, msg);
+            }
+            Err(_) => prop_assert!(cut > 0),
+        }
     }
 
     #[test]

@@ -1,26 +1,22 @@
 //! Crash-recovery experiment: exactly-once diagnosis under analysis-plane
-//! failure — in-process crashes and whole-process kills.
+//! failure, from one kill driver over both store backends.
 //!
 //! Each §7.2 operational case study is first run through the plain
-//! pipeline (the oracle), then repeatedly through the fault-tolerant
-//! service under increasing failure pressure, in two modes:
-//!
-//! * **in-process** (`run_service_durable` over a `MemStore`): scheduled service
-//!   crashes with checkpoint/replay restarts, chaos that kills every
-//!   worker's first two attempts at a job, and an arm that corrupts every
-//!   checkpoint record so restores fall back to older (or cold) state.
-//! * **process-kill** (`run_service_durable` over a `FileStore`): the
-//!   entire service is killed mid-stream (SIGKILL model — nothing since
-//!   the last checkpoint boundary survives) and a fresh invocation
-//!   restarts from the on-disk segments. Arms cover clean restarts, small
-//!   segments (restart reads back through sealed files), a corrupted
-//!   newest record, and a torn tail (the in-flight write is cut mid-
-//!   record, as after power loss).
+//! pipeline (the oracle), then through `run_service_durable` under chaos
+//! that kills every worker's first two attempts at a job, with the whole
+//! service killed 0/1/2/4 times mid-stream (SIGKILL model — nothing since
+//! the last checkpoint boundary survives). One driver loop re-invokes the
+//! service over the same log until it completes: the same `MemStore` value,
+//! or a `FileStore` directory reopened cold. Between two lifetimes the
+//! driver leaves the log alone, tears its last record mid-payload (the
+//! in-flight write cut short, as after power loss), or flips a byte of its
+//! newest record (restore must fall back to an older checkpoint, or cold
+//! replay).
 //!
 //! For every run the committed diagnosis stream is compared against the
 //! oracle as a multiset: the headline numbers are **diagnoses lost** and
 //! **diagnoses duplicated**, and the acceptance target for both is zero
-//! at every crash rate, in every mode.
+//! at every kill count, on either backend, under either kind of damage.
 //!
 //! Usage: `cargo run --release -p gretel-bench --bin recovery [--seed N] [--smoke] [--store-dir PATH]`
 
@@ -33,60 +29,109 @@ use gretel_model::NodeId;
 use gretel_netcap::CaptureImpairment;
 use gretel_sim::scenario::operational_suite;
 use gretel_sim::CrashSchedule;
-use gretel_store::{FileStore, FileStoreConfig, MemStore, Store};
+use gretel_store::{records, FileStore, FileStoreConfig, MemStore, Store};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
-/// Service crashes scheduled per in-process run.
-const CRASH_COUNTS: [usize; 4] = [0, 1, 2, 4];
+/// Service kills scheduled per run.
+const KILL_COUNTS: [usize; 4] = [0, 1, 2, 4];
 
-/// One whole-process kill-restart arm.
-struct DurableArm {
-    name: &'static str,
-    /// Scheduled process kills (one per invocation, via `seeded_kills`).
-    kills: usize,
-    /// Segment rotation threshold; small values force restarts to read
-    /// back through several sealed segment files.
-    rotate_bytes: usize,
-    /// Corrupt the newest on-disk record between invocations (restore
-    /// must fall back to an older checkpoint, or cold replay).
-    corrupt_between: bool,
-    /// Tear the active segment's tail mid-record between invocations
-    /// (power-loss model; open truncates the torn write away).
-    tear_between: bool,
+/// What the driver does to the log between two lifetimes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+enum Damage {
+    Clean,
+    /// Cut the last record in half. The newest record after a kill is
+    /// always a checkpoint or library snapshot (never released diagnoses —
+    /// those are written *before* the checkpoint that covers them), so a
+    /// torn tail can delay recovery but never lose output.
+    TornTail,
+    /// Flip one payload byte of the newest record.
+    CorruptNewest,
 }
 
-const DURABLE_ARMS: [DurableArm; 4] = [
-    DurableArm {
-        name: "kill-clean",
-        kills: 1,
-        rotate_bytes: 1 << 20,
-        corrupt_between: false,
-        tear_between: false,
-    },
-    DurableArm {
-        name: "kill-segments",
-        kills: 2,
-        rotate_bytes: 4096,
-        corrupt_between: false,
-        tear_between: false,
-    },
-    DurableArm {
-        name: "kill-corrupt",
-        kills: 1,
-        rotate_bytes: 8192,
-        corrupt_between: true,
-        tear_between: false,
-    },
-    DurableArm {
-        name: "kill-torn",
-        kills: 1,
-        rotate_bytes: 1 << 20,
-        corrupt_between: false,
-        tear_between: true,
-    },
-];
+const DAMAGES: [Damage; 3] = [Damage::Clean, Damage::TornTail, Damage::CorruptNewest];
+
+/// Where a run's log lives between lifetimes.
+enum Backend {
+    Mem(MemStore),
+    File(PathBuf),
+}
+
+fn open(dir: &Path) -> FileStore {
+    // One open models one process start: read the log, truncate a torn tail.
+    FileStore::open(dir, FileStoreConfig::default()).expect("open durable store")
+}
+
+/// The byte offset that cuts the last record of `log` in half.
+fn tear_at(log: &[u8]) -> usize {
+    records(log).last().map_or(0, |r| (r.offset + r.end()) / 2)
+}
+
+impl Backend {
+    fn name(&self) -> &'static str {
+        match self {
+            Backend::Mem(_) => "MemStore",
+            Backend::File(_) => "FileStore",
+        }
+    }
+
+    fn damage(&mut self, damage: Damage, byte: usize) {
+        match (self, damage) {
+            (_, Damage::Clean) => {}
+            (Backend::Mem(s), Damage::TornTail) => {
+                *s = MemStore::from_bytes(s.bytes()[..tear_at(s.bytes())].to_vec());
+            }
+            (Backend::File(dir), Damage::TornTail) => {
+                let path = FileStore::log_path(dir);
+                let cut = tear_at(&std::fs::read(&path).expect("read log"));
+                let f = std::fs::OpenOptions::new().write(true).open(path).expect("open log");
+                f.set_len(cut as u64).expect("tear log tail");
+            }
+            (Backend::Mem(s), Damage::CorruptNewest) => {
+                s.corrupt_record(s.len() - 1, byte);
+            }
+            (Backend::File(dir), Damage::CorruptNewest) => {
+                let mut s = open(dir);
+                s.corrupt_record(s.len() - 1, byte);
+            }
+        }
+    }
+
+    /// The kill driver: one lifetime per kill point, `damage` applied after
+    /// each kill, until a lifetime completes (the last has no kill point; a
+    /// point past the end of the remaining stream completes early). Returns
+    /// the committed diagnoses, the counters summed over the lifetimes, the
+    /// kills that fired and the final log length.
+    fn drive(
+        &mut self,
+        damage: Damage,
+        kill_points: &[u64],
+        lifetime: impl Fn(&mut dyn Store, Option<u64>) -> DurableOutcome,
+    ) -> (Vec<Diagnosis>, RecoveryStats, usize, usize) {
+        let mut totals = RecoveryStats::default();
+        for (fired, kill) in kill_points.iter().copied().map(Some).chain([None]).enumerate() {
+            let (out, log_bytes) = match self {
+                Backend::Mem(s) => (lifetime(s, kill), s.bytes().len()),
+                Backend::File(dir) => {
+                    let mut s = open(dir);
+                    (lifetime(&mut s, kill), s.bytes().len())
+                }
+            };
+            match out {
+                DurableOutcome::Completed { diagnoses, recovery, .. } => {
+                    totals.merge(&recovery);
+                    return (diagnoses, totals, fired, log_bytes);
+                }
+                DurableOutcome::Killed { recovery, .. } => {
+                    totals.merge(&recovery);
+                    self.damage(damage, fired.wrapping_mul(0x9E37));
+                }
+            }
+        }
+        unreachable!("the last lifetime has no kill point")
+    }
+}
 
 /// Multiset difference between the oracle's diagnoses and a recovery
 /// run's: `(lost, duplicated)`.
@@ -103,56 +148,22 @@ fn diff(expected: &[Diagnosis], got: &[Diagnosis]) -> (usize, usize) {
     (lost, duplicated)
 }
 
-fn add_stats(total: &mut RecoveryStats, r: &RecoveryStats) {
-    total.worker_crashes += r.worker_crashes;
-    total.jobs_requeued += r.jobs_requeued;
-    total.jobs_cancelled += r.jobs_cancelled;
-    total.checkpoints_written += r.checkpoints_written;
-    total.checkpoints_corrupt += r.checkpoints_corrupt;
-    total.restores += r.restores;
-    total.replayed_frames += r.replayed_frames;
-    total.duplicate_releases_suppressed += r.duplicate_releases_suppressed;
-    total.library_reloads += r.library_reloads;
-}
-
-/// Cut the active segment mid-record: the newest record on disk is always
-/// a checkpoint or library snapshot (never released diagnoses — those are
-/// written *before* the checkpoint that covers them), so a torn tail can
-/// delay recovery but never lose output.
-fn tear_tail(dir: &Path) {
-    let cur = dir.join("current.seg");
-    let Ok(buf) = std::fs::read(&cur) else { return };
-    let mut last: Option<(usize, usize)> = None;
-    for r in gretel_store::records(&buf) {
-        let end = r.offset + gretel_store::RECORD_HEADER + r.payload.len();
-        last = Some((r.offset, end));
-    }
-    // An empty active segment (kill landed right after a rotation) has
-    // nothing to tear this round.
-    let Some((off, end)) = last else { return };
-    let cut = off + (end - off) / 2;
-    let f = std::fs::OpenOptions::new().write(true).open(&cur).expect("open active segment");
-    f.set_len(cut as u64).expect("tear active segment tail");
-}
-
 #[derive(Serialize)]
 struct Row {
     scenario: String,
-    /// `in-process` or a whole-process kill arm name.
-    mode: String,
-    crashes_scheduled: usize,
-    process_kills: usize,
-    corrupt_store: bool,
-    torn_tail: bool,
+    backend: &'static str,
+    kills_scheduled: usize,
+    kills_fired: usize,
+    damage: Damage,
     diagnoses: usize,
     lost: usize,
     duplicated: usize,
     identical: bool,
+    log_bytes: usize,
     worker_crashes: u64,
     jobs_requeued: u64,
     restores: u64,
     checkpoints_written: u64,
-    checkpoints_corrupt: u64,
     replayed_frames: u64,
     duplicate_releases_suppressed: u64,
 }
@@ -166,7 +177,7 @@ struct Output {
     rows: Vec<Row>,
     total_lost: usize,
     total_duplicated: usize,
-    total_process_kills: usize,
+    total_kills: usize,
     all_identical: bool,
 }
 
@@ -176,7 +187,9 @@ fn main() {
     let store_dir: String = arg("--store-dir", String::new());
     let wb = Workbench::new(seed);
 
-    let store_base: PathBuf = if store_dir.is_empty() {
+    // A caller-provided directory is the caller's to inspect and clean up.
+    let own_store_base = store_dir.is_empty();
+    let store_base: PathBuf = if own_store_base {
         std::env::temp_dir().join(format!("gretel-recovery-{}-{seed}", std::process::id()))
     } else {
         PathBuf::from(store_dir)
@@ -184,15 +197,7 @@ fn main() {
 
     let suite = operational_suite(&wb.catalog, seed, 6);
     let suite = if smoke { &suite[..1] } else { &suite[..] };
-    let crash_counts: &[usize] = if smoke { &[2] } else { &CRASH_COUNTS };
-    // Smoke keeps one clean kill and the torn-tail arm: together they
-    // cover restart-from-disk and torn-write truncation, the two FileStore
-    // paths the in-process arms cannot reach.
-    let durable_arms: Vec<&DurableArm> = if smoke {
-        DURABLE_ARMS.iter().filter(|a| a.name == "kill-clean" || a.name == "kill-torn").collect()
-    } else {
-        DURABLE_ARMS.iter().collect()
-    };
+    let kill_counts: &[usize] = if smoke { &[2] } else { &KILL_COUNTS };
 
     let mut rows = Vec::new();
     for (si, sc) in suite.iter().enumerate() {
@@ -210,168 +215,66 @@ fn main() {
         let mut oracle = Analyzer::new(&wb.library, gcfg);
         let (expected, _, _) = run_service_cfg(&mut oracle, &nodes, &exec.messages, &base);
 
-        // ---- In-process crash/replay arms -------------------------------
-        for &crashes in crash_counts {
-            for corrupt in [false, true] {
-                if corrupt && crashes == 0 {
-                    continue; // corruption only matters when a restore happens
+        let recovery = RecoveryConfig {
+            service: base.clone(),
+            checkpoint_every: (n_msgs / 8).max(32),
+            chaos: AnalyzerChaos {
+                kill_prob: 1.0, // every job kills its worker twice, then completes
+                kill_attempts: 2,
+                stall_prob: 0.0,
+                seed: seed ^ (si as u64) << 8,
+            },
+            max_attempts: 5,
+            ..RecoveryConfig::default()
+        };
+        let lifetime = |store: &mut dyn Store, kill_point: Option<u64>| {
+            let cfg = DurableConfig { recovery: recovery.clone(), kill_point, reloads: Vec::new() };
+            run_service_durable(&wb.library, gcfg, &nodes, &exec.messages, &cfg, store)
+                .expect("a lifetime completes or is killed")
+        };
+
+        for &kills in kill_counts {
+            let kill_points =
+                CrashSchedule::seeded(seed ^ 0xC4A5 ^ (si as u64), kills, n_msgs).points;
+            for damage in DAMAGES {
+                if damage != Damage::Clean && kills == 0 {
+                    continue; // damage is applied after a kill
                 }
-                let chaos = AnalyzerChaos {
-                    kill_prob: 1.0, // every job kills its worker twice, then completes
-                    kill_attempts: 2,
-                    stall_prob: 0.0,
-                    corrupt_prob: if corrupt { 1.0 } else { 0.0 },
-                    seed: seed ^ (si as u64) << 8,
-                };
-                let recovery = RecoveryConfig {
-                    service: base.clone(),
-                    checkpoint_every: (n_msgs / 8).max(32),
-                    chaos,
-                    max_attempts: 5,
-                    crash_points: CrashSchedule::seeded(
-                        seed ^ 0xC4A5 ^ (si as u64),
-                        crashes,
-                        n_msgs,
-                    )
-                    .points,
-                    ..RecoveryConfig::default()
-                };
-                let cfg = DurableConfig { recovery, ..DurableConfig::default() };
-                let mut store = MemStore::new();
-                let out = run_service_durable(
-                    &wb.library,
-                    gcfg,
-                    &nodes,
-                    &exec.messages,
-                    &cfg,
-                    &mut store,
-                )
-                .expect("recovery run completes");
-                let DurableOutcome::Completed { diagnoses: got, recovery: rec, .. } = out else {
-                    unreachable!("no kill point configured")
-                };
-                let (lost, duplicated) = diff(&expected, &got);
-                rows.push(Row {
-                    scenario: sc.name.to_string(),
-                    mode: "in-process".to_string(),
-                    crashes_scheduled: crashes,
-                    process_kills: 0,
-                    corrupt_store: corrupt,
-                    torn_tail: false,
-                    diagnoses: got.len(),
-                    lost,
-                    duplicated,
-                    identical: got == expected,
-                    worker_crashes: rec.worker_crashes,
-                    jobs_requeued: rec.jobs_requeued,
-                    restores: rec.restores,
-                    checkpoints_written: rec.checkpoints_written,
-                    checkpoints_corrupt: rec.checkpoints_corrupt,
-                    replayed_frames: rec.replayed_frames,
-                    duplicate_releases_suppressed: rec.duplicate_releases_suppressed,
-                });
+                let dir = store_base.join(format!("s{si}-k{kills}-{damage:?}"));
+                std::fs::remove_dir_all(&dir).ok();
+                for mut backend in [Backend::Mem(MemStore::new()), Backend::File(dir)] {
+                    let (got, rec, kills_fired, log_bytes) =
+                        backend.drive(damage, &kill_points, lifetime);
+                    let (lost, duplicated) = diff(&expected, &got);
+                    rows.push(Row {
+                        scenario: sc.name.to_string(),
+                        backend: backend.name(),
+                        kills_scheduled: kills,
+                        kills_fired,
+                        damage,
+                        diagnoses: got.len(),
+                        lost,
+                        duplicated,
+                        identical: got == expected,
+                        log_bytes,
+                        worker_crashes: rec.worker_crashes,
+                        jobs_requeued: rec.jobs_requeued,
+                        restores: rec.restores,
+                        checkpoints_written: rec.checkpoints_written,
+                        replayed_frames: rec.replayed_frames,
+                        duplicate_releases_suppressed: rec.duplicate_releases_suppressed,
+                    });
+                }
             }
         }
-
-        // ---- Whole-process kill-restart arms (durable FileStore) --------
-        for (ai, armref) in durable_arms.iter().enumerate() {
-            let arm = *armref;
-            let dir = store_base.join(format!("s{si}-{}", arm.name));
-            std::fs::remove_dir_all(&dir).ok();
-            let fcfg = FileStoreConfig { rotate_bytes: arm.rotate_bytes, ..Default::default() };
-            let kill_points = CrashSchedule::seeded_kills(
-                seed ^ 0xD007 ^ ((si as u64) << 4) ^ ai as u64,
-                arm.kills,
-                n_msgs,
-            )
-            .points;
-
-            let mut totals = RecoveryStats::default();
-            let mut invocations = 0usize;
-            let got = loop {
-                // Each FileStore::open models one process start: inventory
-                // the segments, truncate any torn tail, replay.
-                let mut store = FileStore::open(&dir, fcfg).expect("open durable store");
-                let dcfg = DurableConfig {
-                    recovery: RecoveryConfig {
-                        service: base.clone(),
-                        checkpoint_every: (n_msgs / 8).max(32),
-                        ..RecoveryConfig::default()
-                    },
-                    kill_point: kill_points.get(invocations).copied(),
-                    reloads: Vec::new(),
-                };
-                let out = run_service_durable(
-                    &wb.library,
-                    gcfg,
-                    &nodes,
-                    &exec.messages,
-                    &dcfg,
-                    &mut store,
-                )
-                .expect("durable run completes or is killed");
-                invocations += 1;
-                assert!(
-                    invocations <= arm.kills + 2,
-                    "kill arm must converge once the schedule is exhausted"
-                );
-                match out {
-                    DurableOutcome::Completed { diagnoses, recovery, .. } => {
-                        add_stats(&mut totals, &recovery);
-                        break diagnoses;
-                    }
-                    DurableOutcome::Killed { recovery, .. } => {
-                        add_stats(&mut totals, &recovery);
-                        drop(store);
-                        if arm.corrupt_between {
-                            // Flip a byte in the newest record — always a
-                            // checkpoint or library snapshot, so recovery
-                            // falls back without losing released output.
-                            let mut s =
-                                FileStore::open(&dir, fcfg).expect("reopen for corruption");
-                            let n = s.len();
-                            if n > 0 {
-                                s.corrupt_record(
-                                    n - 1,
-                                    (seed as usize) ^ invocations.wrapping_mul(0x9E37),
-                                );
-                            }
-                        }
-                        if arm.tear_between {
-                            tear_tail(&dir);
-                        }
-                    }
-                }
-            };
-            std::fs::remove_dir_all(&dir).ok();
-
-            let (lost, duplicated) = diff(&expected, &got);
-            rows.push(Row {
-                scenario: sc.name.to_string(),
-                mode: arm.name.to_string(),
-                crashes_scheduled: 0,
-                process_kills: invocations - 1,
-                corrupt_store: arm.corrupt_between,
-                torn_tail: arm.tear_between,
-                diagnoses: got.len(),
-                lost,
-                duplicated,
-                identical: got == expected,
-                worker_crashes: totals.worker_crashes,
-                jobs_requeued: totals.jobs_requeued,
-                restores: totals.restores,
-                checkpoints_written: totals.checkpoints_written,
-                checkpoints_corrupt: totals.checkpoints_corrupt,
-                replayed_frames: totals.replayed_frames,
-                duplicate_releases_suppressed: totals.duplicate_releases_suppressed,
-            });
-        }
     }
-    std::fs::remove_dir_all(&store_base).ok();
+    if own_store_base {
+        std::fs::remove_dir_all(&store_base).ok();
+    }
 
     let total_lost: usize = rows.iter().map(|r| r.lost).sum();
     let total_duplicated: usize = rows.iter().map(|r| r.duplicated).sum();
-    let total_process_kills: usize = rows.iter().map(|r| r.process_kills).sum();
+    let total_kills: usize = rows.iter().map(|r| r.kills_fired).sum();
     let all_identical = rows.iter().all(|r| r.identical);
 
     let table: Vec<Vec<String>> = rows
@@ -379,35 +282,45 @@ fn main() {
         .map(|r| {
             vec![
                 r.scenario.clone(),
-                r.mode.clone(),
-                format!("{}", r.crashes_scheduled),
-                format!("{}", r.process_kills),
-                format!("{}", r.corrupt_store),
+                r.backend.to_string(),
+                format!("{}/{}", r.kills_fired, r.kills_scheduled),
+                format!("{:?}", r.damage),
                 format!("{}", r.diagnoses),
                 format!("{}/{}", r.lost, r.duplicated),
                 format!("{}", r.worker_crashes),
                 format!("{}", r.restores),
                 format!("{}", r.replayed_frames),
+                format!("{}", r.duplicate_releases_suppressed),
             ]
         })
         .collect();
     results::print_table(
         "Crash recovery: diagnoses lost/duplicated under supervision + checkpoint/replay",
         &[
-            "scenario", "mode", "crashes", "pkills", "corrupt", "diags", "lost/dup", "kills",
-            "restores", "replayed",
+            "scenario", "backend", "kills", "damage", "diags", "lost/dup", "wkills", "restores",
+            "replayed", "suppressed",
         ],
         &table,
     );
     println!(
         "total lost: {total_lost}  total duplicated: {total_duplicated}  \
-         process kills: {total_process_kills}  all identical: {all_identical}"
+         service kills: {total_kills}  all identical: {all_identical}"
     );
 
-    // Smoke runs cover a reduced arm matrix; writing them out would
-    // clobber the committed full-sweep artifact (it happened: PR 5 had
-    // to restore stale --smoke output).
-    if !smoke {
+    // Smoke runs cover a reduced matrix; writing them out would clobber
+    // the committed full-sweep artifact (it happened: PR 5 had to restore
+    // stale --smoke output).
+    if smoke {
+        assert_eq!(total_lost, 0, "smoke: no diagnosis may be lost");
+        assert_eq!(total_duplicated, 0, "smoke: no diagnosis may be duplicated");
+        assert!(all_identical, "smoke: recovered output must be byte-identical");
+        for damage in DAMAGES {
+            assert!(
+                rows.iter().any(|r| r.damage == damage && r.kills_fired > 0),
+                "smoke: a kill must fire under {damage:?}"
+            );
+        }
+    } else {
         results::write_json(
             "recovery",
             &Output {
@@ -418,16 +331,9 @@ fn main() {
                 rows,
                 total_lost,
                 total_duplicated,
-                total_process_kills,
+                total_kills,
                 all_identical,
             },
         );
-    }
-
-    if smoke {
-        assert_eq!(total_lost, 0, "smoke: no diagnosis may be lost");
-        assert_eq!(total_duplicated, 0, "smoke: no diagnosis may be duplicated");
-        assert!(all_identical, "smoke: recovered output must be byte-identical");
-        assert!(total_process_kills > 0, "smoke: at least one process kill must fire");
     }
 }

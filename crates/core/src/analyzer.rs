@@ -540,15 +540,10 @@ impl SnapshotJob {
 ///
 /// A budget bounds how much detection work a single snapshot job may
 /// consume before it is cancelled. [`JobBudget::Passes`] counts per-fault
-/// detection passes — a pure function of the job's contents — so the same
-/// job under the same budget always cancels (or completes) identically,
-/// which is what checkpoint/replay needs for byte-identical re-execution.
-/// [`JobBudget::WallClock`] reads the machine clock and is therefore
-/// *non-deterministic*: a replayed run may cancel different jobs than the
-/// original. The recoverable service rejects it
-/// ([`crate::ServiceError::NondeterministicBudget`]); it remains available
-/// for interactive / best-effort pipelines that genuinely want wall-clock
-/// bounds.
+/// detection passes — a pure function of the job's contents, never of the
+/// machine clock — so the same job under the same budget always cancels (or
+/// completes) identically, which is what checkpoint/replay needs for
+/// byte-identical re-execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobBudget {
     /// No bound: analysis always runs to completion.
@@ -558,17 +553,6 @@ pub enum JobBudget {
     /// every non-clean job immediately (deterministic stand-in for a
     /// stalled worker).
     Passes(u64),
-    /// Wall-clock bound checked between detection passes. Replay-unsafe:
-    /// see the type-level docs.
-    WallClock(std::time::Duration),
-}
-
-impl JobBudget {
-    /// True when cancellation decisions depend only on the job's contents,
-    /// never on the machine clock — the property checkpoint/replay needs.
-    pub fn is_deterministic(&self) -> bool {
-        !matches!(self, JobBudget::WallClock(_))
-    }
 }
 
 /// The stateless half of the analyzer: runs Algorithm 2 + RCA over a
@@ -671,9 +655,6 @@ impl<'a> SnapshotAnalyzer<'a> {
         if job.perf.is_empty() && job.errors.is_empty() {
             return Some(Vec::new()); // clean snapshot: nothing to detect
         }
-        // Only a wall-clock budget reads the clock; the deterministic
-        // variants must never touch it (replay-stability).
-        let started = matches!(budget, JobBudget::WallClock(_)).then(std::time::Instant::now);
         let mut passes: u64 = 0;
         let mut over_budget = || match budget {
             JobBudget::Unlimited => false,
@@ -682,7 +663,6 @@ impl<'a> SnapshotAnalyzer<'a> {
                 passes += 1;
                 over
             }
-            JobBudget::WallClock(d) => started.is_some_and(|t0| t0.elapsed() > d),
         };
         let detector = Detector::new(self.lib, self.cfg);
         let snap = &job.snap;
@@ -1204,15 +1184,5 @@ mod tests {
             let b = sa.analyze_bounded(job, budget);
             assert_eq!(a, b, "budget {budget:?} must be replay-stable");
         }
-
-        // The wall-clock variant still exists for best-effort pipelines but
-        // self-reports as non-deterministic.
-        assert!(!JobBudget::WallClock(std::time::Duration::ZERO).is_deterministic());
-        assert!(JobBudget::Unlimited.is_deterministic());
-        assert!(JobBudget::Passes(7).is_deterministic());
-        let (out, cancelled) =
-            sa.analyze_bounded(job, JobBudget::WallClock(std::time::Duration::ZERO));
-        assert!(cancelled);
-        assert!(out.iter().all(|d| d.confidence == CaptureConfidence::Cancelled));
     }
 }

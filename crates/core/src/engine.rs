@@ -19,7 +19,7 @@
 //! * **with** one (`run_service_durable`, the durable shards) it restores
 //!   the newest usable checkpoint, writes a checkpoint boundary every
 //!   [`RecoveryConfig::checkpoint_every`] merged messages, and honours the
-//!   crash / kill / library-reload arms. Released diagnoses travel as their
+//!   kill and library-reload arms. Released diagnoses travel as their
 //!   own [`KIND_DIAGNOSES`] records, written immediately *before* the
 //!   checkpoint that makes them unrepeatable — so a crash can neither lose
 //!   nor duplicate a diagnosis.
@@ -339,7 +339,14 @@ fn read_diagnoses(store: &dyn Store) -> Result<Vec<Diagnosis>, ServiceError> {
 }
 
 type JobMsg = (u64, u32, SnapshotJob);
-type ResMsg = (u64, Vec<Diagnosis>, bool);
+
+/// What a worker tells the supervisor about one job.
+enum Report {
+    /// `(seq, diagnoses, cancelled)`: the job resolved.
+    Done(u64, Vec<Diagnosis>, bool),
+    /// The worker died holding this job.
+    Crashed(JobMsg),
+}
 
 /// Marker panic payload for a chaos-killed worker; raised with
 /// `resume_unwind` so the panic hook (and its stderr backtrace) is
@@ -347,7 +354,7 @@ type ResMsg = (u64, Vec<Diagnosis>, bool);
 struct ChaosKill;
 
 /// The worker pool plus its supervisor state. The receiver thread owns
-/// this and *is* the supervisor: it pumps crash reports around job
+/// this and *is* the supervisor: it handles worker reports around job
 /// submissions, restarts dead workers with capped exponential backoff, and
 /// requeues their in-flight jobs. With [`AnalyzerChaos::none`] and
 /// [`JobBudget::Unlimited`] a worker is plain
@@ -358,13 +365,12 @@ struct Pool<'sc, 'env> {
     /// Held only to hand clones to respawned workers (never received
     /// from), so the job channel cannot disconnect while jobs are queued.
     job_rx: Receiver<JobMsg>,
-    /// Unbounded, like `crash_tx`: the supervisor drains them only around
-    /// submissions, so a bounded link could wedge the pool (workers
-    /// blocked on full results ⇒ jobs pile up ⇒ receiver blocked).
-    res_tx: Sender<ResMsg>,
-    res_rx: Receiver<ResMsg>,
-    crash_tx: Sender<JobMsg>,
-    crash_rx: Receiver<JobMsg>,
+    /// Unbounded: the supervisor drains it only around submissions, so a
+    /// bounded link could wedge the pool (workers blocked on full reports
+    /// ⇒ jobs pile up ⇒ receiver blocked). The pool's own sender keeps it
+    /// connected, and is what respawned workers clone.
+    report_tx: Sender<Report>,
+    report_rx: Receiver<Report>,
     sa: SnapshotAnalyzer<'env>,
     chaos: AnalyzerChaos,
     budget: JobBudget,
@@ -388,16 +394,13 @@ impl<'sc, 'env> Pool<'sc, 'env> {
         metrics: Option<&'env PipelineMetrics>,
     ) -> Pool<'sc, 'env> {
         let (job_tx, job_rx) = bounded::<JobMsg>(cfg.service.channel_capacity);
-        let (res_tx, res_rx) = unbounded::<ResMsg>();
-        let (crash_tx, crash_rx) = unbounded::<JobMsg>();
+        let (report_tx, report_rx) = unbounded::<Report>();
         let pool = Pool {
             scope,
             job_tx,
             job_rx,
-            res_tx,
-            res_rx,
-            crash_tx,
-            crash_rx,
+            report_tx,
+            report_rx,
             sa,
             chaos: cfg.chaos,
             budget: cfg.budget,
@@ -416,8 +419,7 @@ impl<'sc, 'env> Pool<'sc, 'env> {
 
     fn spawn_worker(&self) {
         let job_rx = self.job_rx.clone();
-        let res_tx = self.res_tx.clone();
-        let crash_tx = self.crash_tx.clone();
+        let report_tx = self.report_tx.clone();
         let sa = self.sa;
         let chaos = self.chaos;
         let budget = self.budget;
@@ -436,14 +438,14 @@ impl<'sc, 'env> Pool<'sc, 'env> {
                 }));
                 match outcome {
                     Ok((ds, cancelled)) => {
-                        if res_tx.send((seq, ds, cancelled)).is_err() {
+                        if report_tx.send(Report::Done(seq, ds, cancelled)).is_err() {
                             return; // collector gone (teardown)
                         }
                     }
                     Err(_) => {
                         // The worker is now considered crashed: report the
                         // in-flight job and die. The supervisor restarts us.
-                        let _ = crash_tx.send((seq, attempt, job));
+                        let _ = report_tx.send(Report::Crashed((seq, attempt, job)));
                         return;
                     }
                 }
@@ -473,24 +475,25 @@ impl<'sc, 'env> Pool<'sc, 'env> {
         }
     }
 
-    /// Drain whatever results and crash reports are immediately available.
-    /// Runs after each submission, inside the full-queue retry and in
-    /// [`Pool::quiesce`] — not per merged message: both channels are
-    /// unbounded, so deferring cannot wedge a worker.
-    fn pump(&mut self) -> Result<(), ServiceError> {
-        loop {
-            if let Ok(crash) = self.crash_rx.try_recv() {
-                self.handle_crash(crash)?;
-                continue;
+    fn handle(&mut self, report: Report) -> Result<(), ServiceError> {
+        match report {
+            Report::Done(seq, ds, cancelled) => {
+                self.pending.insert(seq, (ds, cancelled));
+                self.outstanding -= 1;
+                Ok(())
             }
-            match self.res_rx.try_recv() {
-                Ok((seq, ds, cancelled)) => {
-                    self.pending.insert(seq, (ds, cancelled));
-                    self.outstanding -= 1;
-                }
-                Err(_) => return Ok(()),
-            }
+            Report::Crashed(job) => self.handle_crash(job),
         }
+    }
+
+    /// Handle whatever reports are immediately available. Runs after each
+    /// submission and inside the full-queue retry — not per merged message:
+    /// the report channel is unbounded, so deferring cannot wedge a worker.
+    fn pump(&mut self) -> Result<(), ServiceError> {
+        while let Ok(report) = self.report_rx.try_recv() {
+            self.handle(report)?;
+        }
+        Ok(())
     }
 
     fn submit_raw(&mut self, seq: u64, attempt: u32, job: SnapshotJob) -> Result<(), ServiceError> {
@@ -520,39 +523,34 @@ impl<'sc, 'env> Pool<'sc, 'env> {
         self.pump()
     }
 
-    /// Block until every submitted job has resolved into `pending`.
+    /// Block until every submitted job has resolved into `pending`. Every
+    /// outstanding job is held by a live worker or sits in a queue one will
+    /// drain, and a worker always reports before it lets go of a job, so the
+    /// blocking receive cannot wait forever.
     fn quiesce(&mut self) -> Result<(), ServiceError> {
-        loop {
-            self.pump()?;
-            if self.outstanding == 0 {
-                return Ok(());
-            }
-            // Nothing ready: nap briefly, then re-check (workers are
-            // either computing or a report is in flight).
-            std::thread::sleep(Duration::from_micros(50));
+        while self.outstanding > 0 {
+            let report = self.report_rx.recv().map_err(|_| ServiceError::PoolDisconnected)?;
+            self.handle(report)?;
         }
+        Ok(())
     }
 }
 
-/// Cross-cycle supervisor state threaded through [`run_cycles`].
+/// Supervisor state threaded through [`run_cycle`]: it outlives the cycle
+/// across library-reload epochs.
 pub(crate) struct RunState<'a> {
     /// `None` on the store-less path: no checkpoint, no restore, and
     /// releases go straight to `diagnoses`.
     store: Option<&'a mut dyn Store>,
     pub(crate) stats: RecoveryStats,
     pub(crate) service_stats: ServiceStats,
-    /// The run's output, complete once [`run_cycles`] returns
+    /// The run's output, complete once [`run_cycle`] returns
     /// [`RunEnd::Completed`]: every released diagnosis in job-sequence
     /// order (read back from the [`KIND_DIAGNOSES`] records when there is a
     /// store).
     pub(crate) diagnoses: Vec<Diagnosis>,
     /// Job seqs below this have been released; replay must not re-release.
     released_watermark: u64,
-    crash_points: VecDeque<u64>,
-    /// Chaos corrupt-coin index: counts every checkpoint record ever
-    /// appended to this store, corrupt ones included.
-    ckpt_index: u64,
-    first_cycle: bool,
     kill_point: Option<u64>,
     reloads: VecDeque<LibraryReload>,
     /// Pristine analyzer state for cold replay (a store, but no usable
@@ -563,17 +561,12 @@ pub(crate) struct RunState<'a> {
 impl<'a> RunState<'a> {
     pub(crate) fn new(
         store: Option<&'a mut dyn Store>,
-        cfg: &RecoveryConfig,
         kill_point: Option<u64>,
         reloads: Vec<LibraryReload>,
     ) -> Result<RunState<'a>, ServiceError> {
-        let (released_watermark, ckpt_index) = match &store {
-            Some(s) => (
-                store_watermark(&**s)?,
-                gretel_store::records(s.bytes()).filter(|r| r.kind == KIND_CHECKPOINT).count()
-                    as u64,
-            ),
-            None => (0, 0),
+        let released_watermark = match &store {
+            Some(s) => store_watermark(&**s)?,
+            None => 0,
         };
         Ok(RunState {
             store,
@@ -581,9 +574,6 @@ impl<'a> RunState<'a> {
             service_stats: ServiceStats::default(),
             diagnoses: Vec::new(),
             released_watermark,
-            crash_points: cfg.crash_points.iter().copied().collect(),
-            ckpt_index,
-            first_cycle: true,
             kill_point,
             reloads: reloads.into(),
             initial_state: Vec::new(),
@@ -591,20 +581,12 @@ impl<'a> RunState<'a> {
     }
 }
 
-/// How one service cycle ended.
-enum CycleEnd {
-    /// A scheduled in-process crash point fired; uncommitted state was
-    /// discarded and the next cycle restores from the store.
-    Crashed,
-    /// The cycle ended the whole [`run_cycles`] invocation.
-    Run(RunEnd),
-}
-
-/// How [`run_cycles`] ended.
+/// How [`run_cycle`] ended.
 pub(crate) enum RunEnd {
     /// Stream fully merged, all jobs resolved and committed.
     Completed,
-    /// The scheduled whole-process kill fired (nothing was committed).
+    /// The scheduled kill fired: uncommitted state was discarded, and the
+    /// next lifetime restores from the store.
     Killed,
     /// A library reload fired after a clean checkpoint boundary; the
     /// payload is the snapshot to re-enter with.
@@ -658,7 +640,7 @@ fn commit_release(
 /// One checkpoint boundary on `store`: quiesce the pool, release pending
 /// diagnoses ([`KIND_DIAGNOSES`] first — a torn tail then loses at most the
 /// checkpoint, and replay regenerates nothing that was released), append
-/// the checkpoint, maybe chaos-corrupt it, and sync the store.
+/// the checkpoint, and sync the store.
 fn write_boundary(
     pool: &mut Pool<'_, '_>,
     analyzer: &Analyzer<'_>,
@@ -682,33 +664,23 @@ fn write_boundary(
         m.add(Meter::StoreBytes, payload.len() as u64);
     }
     st.stats.checkpoints_written += 1;
-    if let Some(byte) = pool.chaos.corrupt(st.ckpt_index) {
-        // The checkpoint is the record just appended — the last one on
-        // the store, whatever mix of kinds precedes it.
-        let last = store.len().saturating_sub(1);
-        let corrupt_ok = store.corrupt_record(last, byte);
-        debug_assert!(corrupt_ok, "just-appended record exists");
-        st.stats.checkpoints_corrupt += 1;
-    }
-    st.ckpt_index += 1;
     store.sync()?;
     Ok(())
 }
 
 /// The engine. Restore from the newest usable checkpoint (store-backed
-/// runs), run one cycle — agents ship their deterministic streams, restored
-/// resequencers dedup the already-consumed prefix — and repeat across
-/// in-process crash points until the stream completes, or a kill/reload arm
-/// ends the invocation early.
+/// runs), then run one cycle — agents ship their deterministic streams,
+/// restored resequencers dedup the already-consumed prefix — until the
+/// stream completes, or the kill or reload arm ends the cycle early.
 ///
-/// With no chaos and no crash points the output is byte-identical with or
-/// without a store; with worker-kill chaos and crashes it *stays*
+/// With no chaos and no kill the output is byte-identical with or without a
+/// store; with worker-kill chaos and kill-and-reinvoke it *stays*
 /// identical — the oracle the recovery experiment checks. Note that
 /// [`ServiceStats::frames`] counts every shipped frame including replays
 /// (replayed frames also show up in [`RecoveryStats::replayed_frames`] and
 /// the capture stats' `dup_discarded`), so transport stats inflate with
-/// each crash while the diagnosis stream and [`AnalyzerStats`] do not.
-pub(crate) fn run_cycles(
+/// each restart while the diagnosis stream and [`AnalyzerStats`] do not.
+pub(crate) fn run_cycle(
     analyzer: &mut Analyzer<'_>,
     nodes: &[NodeId],
     traffic: &[Message],
@@ -722,170 +694,154 @@ pub(crate) fn run_cycles(
     let workers = cfg.service.effective_workers();
     let lib_len = analyzer.library_len();
 
-    loop {
-        // ---- Restore ----------------------------------------------------
-        // Newest valid checkpoint written under a library we actually
-        // have; one written under a larger (hot-reloaded) library whose
-        // snapshot record was lost or corrupted references fingerprints
-        // we cannot match — fall back past it.
-        let mut restored: Option<(Vec<u8>, u64, Vec<AgentStream>)> = None;
-        if let Some(store) = &state.store {
-            for payload in store.records_of(KIND_CHECKPOINT).into_iter().rev() {
-                let (astate, next_seq, streams, ck_lib) = decode_checkpoint(payload, nodes.len())?;
-                if ck_lib as usize <= lib_len {
-                    restored = Some((astate, next_seq, streams));
-                    break;
-                }
+    // ---- Restore --------------------------------------------------------
+    // Newest valid checkpoint written under a library we actually have; one
+    // written under a larger (hot-reloaded) library whose snapshot record
+    // was lost or corrupted references fingerprints we cannot match — fall
+    // back past it.
+    let mut restored: Option<(Vec<u8>, u64, Vec<AgentStream>)> = None;
+    if let Some(store) = &state.store {
+        for payload in store.records_of(KIND_CHECKPOINT).into_iter().rev() {
+            let (astate, next_seq, streams, ck_lib) = decode_checkpoint(payload, nodes.len())?;
+            if ck_lib as usize <= lib_len {
+                restored = Some((astate, next_seq, streams));
+                break;
             }
-        }
-        let (next_seq_start, mut streams) = match restored {
-            Some((astate, next_seq, streams)) => {
-                analyzer.restore_state(&astate)?;
-                (next_seq, streams)
-            }
-            None => {
-                if state.store.is_some() {
-                    analyzer.restore_state(&state.initial_state)?;
-                }
-                let fresh = || sequenced.then(|| Resequencer::new(cfg.service.resequence_depth));
-                (0, nodes.iter().map(|_| AgentStream::new(fresh())).collect())
-            }
-        };
-        if !state.first_cycle {
-            state.stats.restores += 1;
-        }
-        state.first_cycle = false;
-        let dup_discarded = |streams: &[AgentStream]| -> u64 {
-            streams.iter().filter_map(|s| s.reseq.as_ref()).map(|r| r.stats().dup_discarded).sum()
-        };
-        let replay_base = dup_discarded(&streams);
-        let crash_point = state.crash_points.pop_front();
-
-        // ---- One cycle --------------------------------------------------
-        let snapshot_analyzer = analyzer.snapshot_analyzer().with_metrics(metrics);
-        let end = std::thread::scope(|scope| -> Result<CycleEnd, ServiceError> {
-            let mut pool = Pool::start(scope, snapshot_analyzer, cfg, workers, metrics);
-
-            // Agents re-ship the whole deterministic stream every cycle
-            // and report their capture-side stats at end of stream.
-            let (stat_tx, stat_rx) = unbounded::<(CaptureStats, u64)>();
-            let rxs: Vec<Receiver<FrameBatch>> = nodes
-                .iter()
-                .map(|&n| spawn_agent(scope, n, traffic, &cfg.service, sequenced, stat_tx.clone()))
-                .collect();
-            drop(stat_tx);
-
-            let mut seq = next_seq_start;
-            let mut merged = 0u64;
-            let mut ended = CycleEnd::Run(RunEnd::Completed);
-            for (st, rx) in streams.iter_mut().zip(&rxs) {
-                st.refill(rx, &mut state.service_stats, metrics)?;
-            }
-            loop {
-                // A whole-process kill is a SIGKILL model: nothing gets
-                // checkpointed or committed, the uncommitted tail dies.
-                if state.kill_point.is_some_and(|p| merged >= p) {
-                    ended = CycleEnd::Run(RunEnd::Killed);
-                    break;
-                }
-                if crash_point.is_some_and(|p| merged >= p) {
-                    ended = CycleEnd::Crashed;
-                    break;
-                }
-                // A reload, by contrast, is graceful: full checkpoint
-                // boundary first, then the snapshot record — a tear
-                // between the two loses only the reload, never state.
-                if state.reloads.front().is_some_and(|r| merged >= r.at_merged) {
-                    write_boundary(&mut pool, analyzer, &streams, seq, state)?;
-                    let reload = state.reloads.pop_front().expect("checked non-empty");
-                    let store = state.store.as_mut().expect("reloads need a store");
-                    store.append(KIND_LIBRARY, &reload.snapshot)?;
-                    store.sync()?;
-                    state.stats.library_reloads += 1;
-                    if let Some(m) = metrics {
-                        m.add(Meter::LibraryReloads, 1);
-                        m.add(Meter::StoreBytes, reload.snapshot.len() as u64);
-                    }
-                    ended = CycleEnd::Run(RunEnd::Reload(reload.snapshot));
-                    break;
-                }
-                let Some(i) = next_head(&streams) else { break };
-                let (gap, msg, mark) =
-                    streams[i].ready.pop_front().expect("chosen head is nonempty");
-                streams[i].refill(&rxs[i], &mut state.service_stats, metrics)?;
-                if gap > 0 {
-                    analyzer.note_capture_gap(gap);
-                }
-                let t = StageTimer::start(metrics, Stage::Ingest);
-                let jobs = analyzer.ingest_marked(&msg, mark, metrics);
-                t.finish();
-                if let Some(m) = metrics {
-                    m.count(Stage::Ingest, 1);
-                }
-                for job in jobs {
-                    pool.submit(seq, job)?;
-                    seq += 1;
-                }
-                merged += 1;
-
-                if state.store.is_some() && merged.is_multiple_of(cfg.checkpoint_every) {
-                    write_boundary(&mut pool, analyzer, &streams, seq, state)?;
-                }
-            }
-
-            if matches!(ended, CycleEnd::Run(RunEnd::Completed)) {
-                for job in analyzer.finish_jobs_observed(metrics) {
-                    pool.submit(seq, job)?;
-                    seq += 1;
-                }
-                pool.quiesce()?;
-                // Final release: the stream is exhausted, nothing can be
-                // regenerated — no checkpoint needed to make it safe, but
-                // the diagnoses themselves must reach the store durably.
-                commit_release(&mut pool, seq, state)?;
-                if let Some(store) = &mut state.store {
-                    store.sync()?;
-                    state.diagnoses = read_diagnoses(&**store)?;
-                }
-                for r in streams.iter().filter_map(|s| s.reseq.as_ref()) {
-                    state.service_stats.capture.merge(&r.stats());
-                }
-            }
-            state.stats.worker_crashes += pool.worker_crashes;
-            state.stats.jobs_requeued += pool.jobs_requeued;
-            state.stats.replayed_frames += dup_discarded(&streams).saturating_sub(replay_base);
-
-            // Teardown (on crash/kill this abandons in-flight work):
-            // dropping the receiver ends of the agent links unblocks the
-            // agents; dropping the pool's job channel ends the workers.
-            // Uncommitted pending results die with `pool`. Every agent
-            // reports exactly once before closing its link.
-            drop(rxs);
-            drop(pool);
-            while let Ok((capture, drops)) = stat_rx.recv() {
-                state.service_stats.capture.merge(&capture);
-                state.service_stats.backpressure_drops += drops;
-            }
-            Ok(ended)
-        })?;
-
-        match end {
-            CycleEnd::Crashed => continue,
-            CycleEnd::Run(RunEnd::Completed) => {
-                // One end-of-run flush: by now both halves of the capture
-                // picture (injector counters, receiver inference) are
-                // merged. Replay inflates these like it inflates
-                // `ServiceStats`: the meters describe what the transport
-                // actually did, crashes included.
-                if let Some(m) = metrics {
-                    state.service_stats.capture.record_into(m);
-                    m.add(Meter::BackpressureDrops, state.service_stats.backpressure_drops);
-                }
-                return Ok(RunEnd::Completed);
-            }
-            CycleEnd::Run(end) => return Ok(end),
         }
     }
+    let (next_seq_start, mut streams) = match restored {
+        Some((astate, next_seq, streams)) => {
+            analyzer.restore_state(&astate)?;
+            state.stats.restores += 1;
+            (next_seq, streams)
+        }
+        None => {
+            if state.store.is_some() {
+                analyzer.restore_state(&state.initial_state)?;
+            }
+            let fresh = || sequenced.then(|| Resequencer::new(cfg.service.resequence_depth));
+            (0, nodes.iter().map(|_| AgentStream::new(fresh())).collect())
+        }
+    };
+    let dup_discarded = |streams: &[AgentStream]| -> u64 {
+        streams.iter().filter_map(|s| s.reseq.as_ref()).map(|r| r.stats().dup_discarded).sum()
+    };
+    let replay_base = dup_discarded(&streams);
+
+    // ---- One cycle ------------------------------------------------------
+    let snapshot_analyzer = analyzer.snapshot_analyzer().with_metrics(metrics);
+    let end = std::thread::scope(|scope| -> Result<RunEnd, ServiceError> {
+        let mut pool = Pool::start(scope, snapshot_analyzer, cfg, workers, metrics);
+
+        // Agents re-ship the whole deterministic stream every cycle and
+        // report their capture-side stats at end of stream.
+        let (stat_tx, stat_rx) = unbounded::<(CaptureStats, u64)>();
+        let rxs: Vec<Receiver<FrameBatch>> = nodes
+            .iter()
+            .map(|&n| spawn_agent(scope, n, traffic, &cfg.service, sequenced, stat_tx.clone()))
+            .collect();
+        drop(stat_tx);
+
+        let mut seq = next_seq_start;
+        let mut merged = 0u64;
+        let mut ended = RunEnd::Completed;
+        for (st, rx) in streams.iter_mut().zip(&rxs) {
+            st.refill(rx, &mut state.service_stats, metrics)?;
+        }
+        loop {
+            // A kill is a SIGKILL model: nothing gets checkpointed or
+            // committed, the uncommitted tail dies.
+            if state.kill_point.is_some_and(|p| merged >= p) {
+                ended = RunEnd::Killed;
+                break;
+            }
+            // A reload, by contrast, is graceful: full checkpoint boundary
+            // first, then the snapshot record — a tear between the two
+            // loses only the reload, never state.
+            if state.reloads.front().is_some_and(|r| merged >= r.at_merged) {
+                write_boundary(&mut pool, analyzer, &streams, seq, state)?;
+                let reload = state.reloads.pop_front().expect("checked non-empty");
+                let store = state.store.as_mut().expect("reloads need a store");
+                store.append(KIND_LIBRARY, &reload.snapshot)?;
+                store.sync()?;
+                state.stats.library_reloads += 1;
+                if let Some(m) = metrics {
+                    m.add(Meter::LibraryReloads, 1);
+                    m.add(Meter::StoreBytes, reload.snapshot.len() as u64);
+                }
+                ended = RunEnd::Reload(reload.snapshot);
+                break;
+            }
+            let Some(i) = next_head(&streams) else { break };
+            let (gap, msg, mark) = streams[i].ready.pop_front().expect("chosen head is nonempty");
+            streams[i].refill(&rxs[i], &mut state.service_stats, metrics)?;
+            if gap > 0 {
+                analyzer.note_capture_gap(gap);
+            }
+            let t = StageTimer::start(metrics, Stage::Ingest);
+            let jobs = analyzer.ingest_marked(&msg, mark, metrics);
+            t.finish();
+            if let Some(m) = metrics {
+                m.count(Stage::Ingest, 1);
+            }
+            for job in jobs {
+                pool.submit(seq, job)?;
+                seq += 1;
+            }
+            merged += 1;
+
+            if state.store.is_some() && merged.is_multiple_of(cfg.checkpoint_every) {
+                write_boundary(&mut pool, analyzer, &streams, seq, state)?;
+            }
+        }
+
+        if matches!(ended, RunEnd::Completed) {
+            for job in analyzer.finish_jobs_observed(metrics) {
+                pool.submit(seq, job)?;
+                seq += 1;
+            }
+            pool.quiesce()?;
+            // Final release: the stream is exhausted, nothing can be
+            // regenerated — no checkpoint needed to make it safe, but the
+            // diagnoses themselves must reach the store durably.
+            commit_release(&mut pool, seq, state)?;
+            if let Some(store) = &mut state.store {
+                store.sync()?;
+                state.diagnoses = read_diagnoses(&**store)?;
+            }
+            for r in streams.iter().filter_map(|s| s.reseq.as_ref()) {
+                state.service_stats.capture.merge(&r.stats());
+            }
+        }
+        state.stats.worker_crashes += pool.worker_crashes;
+        state.stats.jobs_requeued += pool.jobs_requeued;
+        state.stats.replayed_frames += dup_discarded(&streams).saturating_sub(replay_base);
+
+        // Teardown (on a kill this abandons in-flight work): dropping the
+        // receiver ends of the agent links unblocks the agents; dropping
+        // the pool's job channel ends the workers. Uncommitted pending
+        // results die with `pool`. Every agent reports exactly once before
+        // closing its link.
+        drop(rxs);
+        drop(pool);
+        while let Ok((capture, drops)) = stat_rx.recv() {
+            state.service_stats.capture.merge(&capture);
+            state.service_stats.backpressure_drops += drops;
+        }
+        Ok(ended)
+    })?;
+
+    if matches!(end, RunEnd::Completed) {
+        // One end-of-run flush: by now both halves of the capture picture
+        // (injector counters, receiver inference) are merged. Replay
+        // inflates these like it inflates `ServiceStats`: the meters
+        // describe what the transport actually did, restarts included.
+        if let Some(m) = metrics {
+            state.service_stats.capture.record_into(m);
+            m.add(Meter::BackpressureDrops, state.service_stats.backpressure_drops);
+        }
+    }
+    Ok(end)
 }
 
 /// The engine without a store: `analyzer` is driven as given (it may carry
@@ -905,9 +861,9 @@ pub(crate) fn run_plain(
         budget: JobBudget::Unlimited,
         ..RecoveryConfig::default()
     };
-    let mut state = RunState::new(None, &cfg, None, Vec::new())?;
-    let end = run_cycles(analyzer, nodes, traffic, &cfg, &mut state)?;
-    debug_assert!(matches!(end, RunEnd::Completed), "no crash, kill or reload arm without a store");
+    let mut state = RunState::new(None, None, Vec::new())?;
+    let end = run_cycle(analyzer, nodes, traffic, &cfg, &mut state)?;
+    debug_assert!(matches!(end, RunEnd::Completed), "no kill or reload arm without a store");
     Ok((state.diagnoses, state.service_stats, analyzer.stats()))
 }
 
@@ -928,5 +884,52 @@ mod tests {
         store.append(KIND_DIAGNOSES, &encode_release(9, &[])).unwrap();
         assert_eq!(store_watermark(&store).unwrap(), 9);
         assert!(read_diagnoses(&store).unwrap().is_empty());
+    }
+
+    #[test]
+    fn quiesce_returns_after_kill_respawn_requeue_with_one_worker() {
+        use gretel_model::{Catalog, HttpMethod, OpSpecId, Service, Workflows};
+        use gretel_sim::{ApiFault, Deployment, FaultPlan, FaultScope, InjectedError, Runner};
+
+        let cat = Catalog::openstack();
+        let dep = Deployment::standard();
+        let spec = Workflows::new(cat.clone()).vm_create_spec(OpSpecId(0));
+        let specs = std::slice::from_ref(&spec);
+        let (lib, _) =
+            crate::fingerprint::FingerprintLibrary::characterize(cat.clone(), specs, &dep, 2, 21);
+        let plan = FaultPlan::none().with_api_fault(ApiFault {
+            api: cat.rest_expect(Service::Neutron, HttpMethod::Post, "/v2.0/ports.json"),
+            scope: FaultScope::AllInstances,
+            occurrence: 0,
+            error: InjectedError::RestStatus { status: 500, reason: None },
+            abort_op: true,
+        });
+        let exec = Runner::new(cat, &dep, &plan, Default::default()).run(&[&spec]);
+        let gcfg = crate::config::GretelConfig { alpha: 32, ..Default::default() };
+        let mut analyzer = Analyzer::new(&lib, gcfg);
+        let mut jobs: Vec<SnapshotJob> =
+            exec.messages.iter().flat_map(|m| analyzer.ingest(m)).collect();
+        jobs.extend(analyzer.finish_jobs_observed(None));
+        let job = jobs.pop().expect("a faulted run freezes a snapshot");
+        let sa = analyzer.snapshot_analyzer();
+        let expected = sa.analyze(&job);
+
+        // The lone worker dies on attempts 0 and 1; each time the only way
+        // forward is the supervisor's respawn + requeue, which now happens
+        // inside quiesce's blocking receive.
+        let cfg = RecoveryConfig {
+            chaos: AnalyzerChaos { kill_prob: 1.0, kill_attempts: 2, ..AnalyzerChaos::none() },
+            ..RecoveryConfig::default()
+        };
+        std::thread::scope(|scope| {
+            let mut pool = Pool::start(scope, sa, &cfg, 1, None);
+            pool.submit(0, job).unwrap();
+            pool.quiesce().unwrap();
+            assert_eq!(pool.outstanding, 0);
+            assert_eq!((pool.worker_crashes, pool.jobs_requeued), (2, 2));
+            assert_eq!(pool.pending.remove(&0), Some((expected, false)));
+            // Dropping the pool closes the job channel: the worker exits and
+            // the scope can join it.
+        });
     }
 }

@@ -24,16 +24,19 @@
 //!   already-consumed prefix as duplicates, so replay resumes exactly
 //!   where the checkpoint left off. Released diagnoses travel as their
 //!   own store records ([`KIND_DIAGNOSES`]), written immediately *before*
-//!   the checkpoint that makes them unrepeatable — so a crash (in-process
-//!   or whole-process) can neither lose nor duplicate a diagnosis.
-//! * **Durability** — [`run_service_durable`] takes any [`Store`]. Over a
-//!   [`MemStore`](gretel_store::MemStore) it is the in-process recoverable
-//!   service (scheduled crash points restore from memory); over a
-//!   [`FileStore`](gretel_store::FileStore) it survives whole-process
-//!   kills: a fresh process pointed at the same store restores the newest
-//!   valid checkpoint, re-derives the released-diagnosis watermark from
-//!   the [`KIND_DIAGNOSES`] records, and replays to byte-identical
-//!   output. The durable store also carries the fingerprint library
+//!   the checkpoint that makes them unrepeatable — so a crash can neither
+//!   lose nor duplicate a diagnosis.
+//! * **Durability** — [`run_service_durable`] takes any [`Store`] and one
+//!   invocation is one process lifetime. There is one crash arm,
+//!   [`DurableConfig::kill_point`]: the invocation dies with nothing
+//!   committed since the last boundary, and the driver re-invokes over the
+//!   same store — the same [`MemStore`](gretel_store::MemStore) value, or a
+//!   reopened [`FileStore`](gretel_store::FileStore) directory. The new
+//!   lifetime restores the newest valid checkpoint, re-derives the
+//!   released-diagnosis watermark from the [`KIND_DIAGNOSES`] records, and
+//!   replays to byte-identical output. Store corruption is not an engine
+//!   arm at all: a driver flips or tears bytes between two lifetimes, as a
+//!   bad disk would. The durable store also carries the fingerprint library
 //!   ([`KIND_LIBRARY`] snapshots), enabling live hot-reload: a grown
 //!   library adopted mid-run takes effect at the next checkpoint boundary
 //!   without dropping in-flight windows.
@@ -44,19 +47,18 @@
 //!
 //! [`AnalyzerChaos`] is the analysis-plane twin of
 //! [`CaptureImpairment`](gretel_netcap::CaptureImpairment): a seeded
-//! injector that kills workers, stalls jobs, and corrupts checkpoint
-//! records, each decision a pure function of `(seed, job, attempt)` so
-//! every run is reproducible.
+//! injector that kills workers and stalls jobs, each decision a pure
+//! function of `(seed, job, attempt)` so every run is reproducible.
 
 use crate::analyzer::{Analyzer, AnalyzerStats, JobBudget};
 use crate::config::GretelConfig;
-use crate::engine::{run_cycles, RunEnd, RunState};
+use crate::engine::{run_cycle, RunEnd, RunState};
 use crate::fingerprint::FingerprintLibrary;
 use crate::graph::ServiceGraph;
 use crate::report::Diagnosis;
 use crate::service::{BackpressurePolicy, ServiceConfig, ServiceError, ServiceStats};
 use gretel_model::{Message, NodeId};
-use gretel_netcap::{coin, mix64};
+use gretel_netcap::coin;
 use gretel_store::Store;
 
 /// Seeded fault injection for the *analysis* plane — the counterpart of
@@ -77,28 +79,22 @@ pub struct AnalyzerChaos {
     pub kill_attempts: u32,
     /// Probability that a job stalls past its budget and is cancelled.
     pub stall_prob: f64,
-    /// Probability that a checkpoint record is corrupted on the store
-    /// (flipping one payload byte), forcing restore to fall back to an
-    /// older record.
-    pub corrupt_prob: f64,
     /// Seed for all coins.
     pub seed: u64,
 }
 
 const SALT_KILL: u64 = 21;
 const SALT_STALL: u64 = 22;
-const SALT_CORRUPT: u64 = 23;
-const SALT_CORRUPT_BYTE: u64 = 24;
 
 impl AnalyzerChaos {
     /// No chaos at all.
     pub fn none() -> AnalyzerChaos {
-        AnalyzerChaos { kill_prob: 0.0, kill_attempts: 2, stall_prob: 0.0, corrupt_prob: 0.0, seed: 0 }
+        AnalyzerChaos { kill_prob: 0.0, kill_attempts: 2, stall_prob: 0.0, seed: 0 }
     }
 
     /// Whether this injector can never fire.
     pub fn is_noop(&self) -> bool {
-        self.kill_prob <= 0.0 && self.stall_prob <= 0.0 && self.corrupt_prob <= 0.0
+        self.kill_prob <= 0.0 && self.stall_prob <= 0.0
     }
 
     pub(crate) fn kill(&self, seq: u64, attempt: u32) -> bool {
@@ -108,11 +104,6 @@ impl AnalyzerChaos {
 
     pub(crate) fn stall(&self, seq: u64, attempt: u32) -> bool {
         coin(self.seed, seq, attempt as u64, SALT_STALL) < self.stall_prob
-    }
-
-    pub(crate) fn corrupt(&self, ckpt_index: u64) -> Option<usize> {
-        (coin(self.seed, ckpt_index, 0, SALT_CORRUPT) < self.corrupt_prob)
-            .then(|| mix64(self.seed, ckpt_index, 1, SALT_CORRUPT_BYTE) as usize)
     }
 }
 
@@ -133,11 +124,9 @@ pub struct RecoveryConfig {
     pub service: ServiceConfig,
     /// Checkpoint the full ingest state every this many merged messages.
     pub checkpoint_every: u64,
-    /// Per-job analysis budget; a job exhausting it is cancelled. Must be
-    /// deterministic ([`JobBudget::is_deterministic`]): a wall-clock
-    /// budget could cancel different jobs on replay than in the original
-    /// run, breaking byte-identical recovery — [`run_service_durable`]
-    /// rejects it with [`ServiceError::NondeterministicBudget`].
+    /// Per-job analysis budget; a job exhausting it is cancelled. Every
+    /// budget is a pure function of the job, so replay cancels exactly the
+    /// jobs the original run did.
     pub budget: JobBudget,
     /// Seeded analysis-plane fault injection.
     pub chaos: AnalyzerChaos,
@@ -146,11 +135,6 @@ pub struct RecoveryConfig {
     /// [`AnalyzerChaos::kill_attempts`] for the chaos oracle (identical
     /// output) to hold.
     pub max_attempts: u32,
-    /// Scheduled service crashes: the n-th cycle crashes after merging
-    /// this many messages (one point consumed per cycle, in order). The
-    /// service then restores from the store and replays. An exhausted
-    /// or oversized list simply lets the run complete.
-    pub crash_points: Vec<u64>,
 }
 
 impl Default for RecoveryConfig {
@@ -163,7 +147,6 @@ impl Default for RecoveryConfig {
             budget: JobBudget::Passes(1 << 20),
             chaos: AnalyzerChaos::none(),
             max_attempts: 5,
-            crash_points: Vec::new(),
         }
     }
 }
@@ -181,12 +164,9 @@ pub struct RecoveryStats {
     pub jobs_cancelled: u64,
     /// Checkpoint records appended to the store.
     pub checkpoints_written: u64,
-    /// Checkpoint records corrupted by chaos (restore skips them).
-    pub checkpoints_corrupt: u64,
-    /// State restorations after a crash within this process — in-process
-    /// crash-point restores and post-reload re-entries. Restoring state
-    /// at *process* start (the whole-process kill arm) is counted by the
-    /// driver as a process restart, not here.
+    /// Times this invocation resumed from a checkpoint record: at start,
+    /// when the store held a usable one (a restart after a kill), and at
+    /// each post-reload re-entry. A cold start is not a restore.
     pub restores: u64,
     /// Replayed frames discarded by restored resequencers as
     /// already-consumed duplicates.
@@ -197,6 +177,21 @@ pub struct RecoveryStats {
     pub duplicate_releases_suppressed: u64,
     /// Fingerprint-library snapshots adopted by a live hot-reload.
     pub library_reloads: u64,
+}
+
+impl RecoveryStats {
+    /// Add another lifetime's counters: a kill driver sums them over the
+    /// invocations of one run.
+    pub fn merge(&mut self, other: &RecoveryStats) {
+        self.worker_crashes += other.worker_crashes;
+        self.jobs_requeued += other.jobs_requeued;
+        self.jobs_cancelled += other.jobs_cancelled;
+        self.checkpoints_written += other.checkpoints_written;
+        self.restores += other.restores;
+        self.replayed_frames += other.replayed_frames;
+        self.duplicate_releases_suppressed += other.duplicate_releases_suppressed;
+        self.library_reloads += other.library_reloads;
+    }
 }
 
 /// Store record kind: one full ingest-state checkpoint.
@@ -211,7 +206,7 @@ pub const KIND_DIAGNOSES: u8 = 2;
 pub const KIND_LIBRARY: u8 = 3;
 
 /// A fingerprint-library hot-reload scheduled into a durable run: once
-/// this many messages have merged in the current cycle, the service
+/// this many messages have merged since the last restore, the service
 /// checkpoints, appends the snapshot to the store ([`KIND_LIBRARY`]), and
 /// re-enters with the new library — in-flight windows survive via the
 /// checkpoint, and the matcher uses the new fingerprints from the next
@@ -220,21 +215,22 @@ pub const KIND_LIBRARY: u8 = 3;
 /// back past every checkpoint written under the larger library.
 #[derive(Debug, Clone)]
 pub struct LibraryReload {
-    /// Fire once this cycle's merged-message count reaches this value.
+    /// Fire once the merged-message count since the last restore reaches
+    /// this value.
     pub at_merged: u64,
     /// The full library snapshot ([`FingerprintLibrary::to_snapshot`]).
     pub snapshot: Vec<u8>,
 }
 
 /// Configuration for [`run_service_durable`]: the recovery shape plus the
-/// durable-only arms (whole-process kill, library hot-reload).
+/// kill and library hot-reload arms.
 #[derive(Debug, Clone, Default)]
 pub struct DurableConfig {
-    /// Supervision, checkpoint cadence, budget, chaos, in-process crash
-    /// points.
+    /// Supervision, checkpoint cadence, budget, chaos.
     pub recovery: RecoveryConfig,
-    /// Simulated whole-process kill (SIGKILL model): once this many
-    /// messages have merged in a cycle, the function returns
+    /// The crash arm — a simulated whole-process kill (SIGKILL model):
+    /// once this many messages have merged since the restore, the function
+    /// returns
     /// [`DurableOutcome::Killed`] *without* checkpointing or committing —
     /// everything since the last checkpoint boundary dies. The driver
     /// re-invokes with the same store to model the process restart. One
@@ -262,8 +258,8 @@ pub enum DurableOutcome {
         /// Supervision/recovery counters for this invocation.
         recovery: RecoveryStats,
         /// The traffic graph the analyzer mined from what it actually
-        /// observed. It rides in every checkpoint, so crash points, kills
-        /// and library-reload epochs neither lose nor double-count an edge.
+        /// observed. It rides in every checkpoint, so kills and
+        /// library-reload epochs neither lose nor double-count an edge.
         graph: ServiceGraph,
     },
     /// The scheduled [`DurableConfig::kill_point`] fired; uncommitted
@@ -282,27 +278,17 @@ fn validate(cfg: &RecoveryConfig) -> Result<(), ServiceError> {
     if cfg.service.backpressure == BackpressurePolicy::DropOldest {
         return Err(ServiceError::UnsupportedBackpressure);
     }
-    // A wall-clock budget cancels by machine speed, not job content;
-    // replay after a crash could then diverge from the original run.
-    if !cfg.budget.is_deterministic() {
-        return Err(ServiceError::NondeterministicBudget);
-    }
     Ok(())
 }
 
 /// The pipeline engine over a caller-provided [`Store`]: supervised
-/// workers, periodic checkpoints, deterministic replay after scheduled
-/// crashes, and per-job budgets, with the committed diagnoses exactly-once
-/// (replay can neither lose nor duplicate one). With no chaos and no crash
-/// points the output is byte-identical to
-/// [`run_service_cfg`](crate::service::run_service_cfg); with worker-kill
-/// chaos and crashes it *stays* identical — the oracle the recovery
-/// experiment checks.
-///
-/// Over a [`MemStore`](gretel_store::MemStore) this is the in-process
-/// recoverable service; over a [`FileStore`](gretel_store::FileStore)
-/// recovery survives the death of the whole process, not just a worker or
-/// a cycle.
+/// workers, periodic checkpoints, deterministic replay after a kill, and
+/// per-job budgets, with the committed diagnoses exactly-once (replay can
+/// neither lose nor duplicate one). With no chaos and no kill the output is
+/// byte-identical to [`run_service_cfg`](crate::service::run_service_cfg);
+/// with worker-kill chaos and kills it *stays* identical — the oracle the
+/// recovery experiment checks, over a [`MemStore`](gretel_store::MemStore)
+/// and a [`FileStore`](gretel_store::FileStore) alike.
 ///
 /// One invocation models one process lifetime:
 ///
@@ -365,14 +351,13 @@ pub fn run_service_durable(
         }
     }
 
-    let mut state =
-        RunState::new(Some(store), &cfg.recovery, cfg.kill_point, cfg.reloads.clone())?;
+    let mut state = RunState::new(Some(store), cfg.kill_point, cfg.reloads.clone())?;
 
     // ---- Library epochs --------------------------------------------------
     loop {
         let mut analyzer = Analyzer::new(cur.as_ref().unwrap_or(lib), gcfg);
         state.initial_state = analyzer.export_state().ok_or(ServiceError::NotCheckpointable)?;
-        match run_cycles(&mut analyzer, nodes, traffic, &cfg.recovery, &mut state)? {
+        match run_cycle(&mut analyzer, nodes, traffic, &cfg.recovery, &mut state)? {
             RunEnd::Completed => {
                 return Ok(DurableOutcome::Completed {
                     diagnoses: state.diagnoses,
@@ -414,14 +399,6 @@ mod tests {
         for seq in 0..64 {
             assert_eq!(a.stall(seq, 0), a.stall(seq, 0));
         }
-    }
-
-    #[test]
-    fn corrupt_coin_keys_on_checkpoint_index() {
-        let chaos = AnalyzerChaos { corrupt_prob: 0.5, seed: 3, ..AnalyzerChaos::none() };
-        let fired: Vec<bool> = (0..32).map(|i| chaos.corrupt(i).is_some()).collect();
-        assert!(fired.iter().any(|&b| b) && fired.iter().any(|&b| !b));
-        assert_eq!(fired, (0..32).map(|i| chaos.corrupt(i).is_some()).collect::<Vec<_>>());
     }
 
     fn test_lib() -> FingerprintLibrary {

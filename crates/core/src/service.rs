@@ -53,12 +53,6 @@ pub enum ServiceError {
     NotCheckpointable,
     /// A checkpoint journal failed to restore.
     Checkpoint(CheckpointError),
-    /// The requested recovery configuration uses a wall-clock analysis
-    /// budget ([`crate::JobBudget::WallClock`]), whose cancellation
-    /// decisions depend on machine speed — replay after a crash could
-    /// diverge from the original run. Use a deterministic budget
-    /// ([`crate::JobBudget::Passes`] or [`crate::JobBudget::Unlimited`]).
-    NondeterministicBudget,
     /// The durable state store failed (oversized record or file I/O).
     Store(gretel_store::StoreError),
 }
@@ -77,9 +71,6 @@ impl std::fmt::Display for ServiceError {
                 write!(f, "analyzer state is not serializable (opaque plug-in perf detector)")
             }
             ServiceError::Checkpoint(e) => write!(f, "checkpoint restore failed: {e}"),
-            ServiceError::NondeterministicBudget => {
-                write!(f, "recovery requires a deterministic analysis budget (JobBudget::WallClock cannot be replayed identically)")
-            }
             ServiceError::Store(e) => write!(f, "durable state store failed: {e}"),
         }
     }
@@ -120,83 +111,25 @@ impl From<gretel_store::StoreError> for ServiceError {
     }
 }
 
-/// Resolve a raw `GRETEL_WORKERS` value to a pool width. `None` (variable
-/// unset) and `Some(valid positive integer)` behave as documented on
-/// [`run_service_cfg`]; anything else — unparseable text, zero — is rejected
-/// with a warning on stderr and an explicit fall back to the machine
-/// default, never silently treated as "unset".
-fn parse_workers_env(raw: Option<&str>) -> Option<usize> {
-    let raw = raw?;
-    match raw.trim().parse::<usize>() {
-        Ok(0) => {
-            eprintln!(
-                "gretel: GRETEL_WORKERS=0 is not a valid pool width; \
-                 falling back to the machine default"
-            );
-            None
-        }
-        Ok(n) => Some(n),
-        Err(_) => {
-            eprintln!(
-                "gretel: GRETEL_WORKERS={raw:?} is not a positive integer; \
-                 falling back to the machine default"
-            );
-            None
-        }
-    }
-}
-
-/// Default analysis-pool width for [`run_service_cfg`]: the `GRETEL_WORKERS`
-/// environment variable when set to a positive integer, otherwise the
-/// machine's parallelism capped at 4 (a laptop-friendly default — set the
-/// variable to use every core of a big box).
+/// Default analysis-pool width for [`run_service_cfg`]: the machine's
+/// parallelism capped at 4 (a laptop-friendly default —
+/// [`ServiceConfig::workers`] sets any other width).
 fn default_workers() -> usize {
-    if let Some(n) = parse_workers_env(std::env::var("GRETEL_WORKERS").ok().as_deref()) {
-        return n;
-    }
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(4)
 }
 
-/// Resolve the per-shard analysis-pool width for an `shards`-way sharded
-/// pipeline (see [`crate::shard`]).
-///
-/// `raw_env` is the raw `GRETEL_WORKERS` value (the *total* worker budget
-/// across all shards, same meaning as for [`run_service_cfg`]); `available` is
-/// the machine parallelism. The result is clamped so the product
-/// `shards × per-shard workers` can neither silently oversubscribe the
-/// machine nor drop to zero:
-///
-/// * unset / `0` / unparseable → the unsharded default budget
-///   (`min(available, 4)`), spread over the shards;
-/// * a budget below the shard count would give some shard zero workers →
-///   warn and give every shard one worker;
-/// * a budget above `available` would oversubscribe → warn and clamp the
-///   budget to `available` before dividing.
+/// The per-shard analysis-pool width for a `shards`-way sharded pipeline
+/// (see [`crate::shard`]) on a machine of `available` parallelism: the
+/// unsharded default budget, `min(available, 4)`, *divided* across the
+/// shards — N shards must not multiply the thread count N× — and never
+/// below one worker per shard.
 ///
 /// # Panics
 ///
-/// Panics if `shards == 0` or `available == 0`.
-pub fn resolve_shard_workers(shards: usize, raw_env: Option<&str>, available: usize) -> usize {
+/// Panics if `shards == 0`.
+pub fn resolve_shard_workers(shards: usize, available: usize) -> usize {
     assert!(shards > 0, "need at least one shard");
-    assert!(available > 0, "need at least one core");
-    let mut budget = parse_workers_env(raw_env).unwrap_or_else(|| available.min(4));
-    if budget > available {
-        eprintln!(
-            "gretel: GRETEL_WORKERS={budget} oversubscribes the machine \
-             ({available} cores) across {shards} shard(s); clamping to {available}"
-        );
-        budget = available;
-    }
-    if budget < shards {
-        // Reached with the machine-default budget too, so don't claim the
-        // env var was set.
-        eprintln!(
-            "gretel: worker budget {budget} is below the shard count \
-             ({shards}); every shard gets one worker"
-        );
-        return 1;
-    }
-    budget / shards
+    (available.min(4) / shards).max(1)
 }
 
 /// What an agent does when its link to the analyzer is full.
@@ -218,8 +151,8 @@ pub enum BackpressurePolicy {
 pub struct ServiceConfig {
     /// Bound of each agent→receiver link (frames).
     pub channel_capacity: usize,
-    /// Analysis-pool width; `None` uses `GRETEL_WORKERS` or the capped
-    /// machine default (see [`ServiceConfig::effective_workers`]).
+    /// Analysis-pool width; `None` uses the capped machine default (see
+    /// [`ServiceConfig::effective_workers`]).
     pub workers: Option<usize>,
     /// Full-link behavior.
     pub backpressure: BackpressurePolicy,
@@ -602,63 +535,21 @@ mod tests {
     }
 
     #[test]
-    fn workers_knob_and_env_override_resolve() {
+    fn workers_knob_resolves() {
         assert_eq!(ServiceConfig { workers: Some(7), ..Default::default() }.effective_workers(), 7);
         assert!(ServiceConfig::default().effective_workers() >= 1);
     }
 
-    // parse_workers_env is tested against raw values, not the real
-    // environment: tests run in parallel and the process environment is
-    // shared mutable state.
     #[test]
-    fn workers_env_valid_values_parse() {
-        assert_eq!(parse_workers_env(None), None);
-        assert_eq!(parse_workers_env(Some("8")), Some(8));
-        assert_eq!(parse_workers_env(Some("  3 ")), Some(3));
-    }
-
-    #[test]
-    fn workers_env_unparseable_value_falls_back_with_warning() {
-        assert_eq!(parse_workers_env(Some("many")), None);
-        assert_eq!(parse_workers_env(Some("")), None);
-        assert_eq!(parse_workers_env(Some("-2")), None);
-    }
-
-    #[test]
-    fn workers_env_zero_falls_back_with_warning() {
-        assert_eq!(parse_workers_env(Some("0")), None);
-        assert!(ServiceConfig::default().effective_workers() >= 1);
-    }
-
-    // resolve_shard_workers, like parse_workers_env above, is tested
-    // against raw values rather than the real environment.
-    #[test]
-    fn shard_workers_zero_and_unparseable_fall_back_to_the_default_budget() {
-        // Default budget on an 8-core box is min(8, 4) = 4, split 2 ways.
-        assert_eq!(resolve_shard_workers(2, Some("0"), 8), 2);
-        assert_eq!(resolve_shard_workers(2, Some("many"), 8), 2);
-        assert_eq!(resolve_shard_workers(2, None, 8), 2);
+    fn shard_workers_divide_the_default_budget_and_never_drop_to_zero() {
+        // Default budget on an 8-core box is min(8, 4) = 4, split 2 ways...
+        assert_eq!(resolve_shard_workers(2, 8), 2);
+        assert_eq!(resolve_shard_workers(1, 8), 4);
         // ... and on a 2-core box the budget is 2.
-        assert_eq!(resolve_shard_workers(2, Some("0"), 2), 1);
-    }
-
-    #[test]
-    fn shard_workers_oversubscription_is_clamped() {
-        // A 64-worker budget on 8 cores clamps to 8, split over 4 shards.
-        assert_eq!(resolve_shard_workers(4, Some("64"), 8), 2);
-        // Clamping can then trip the below-shard-count floor.
-        assert_eq!(resolve_shard_workers(4, Some("64"), 2), 1);
-    }
-
-    #[test]
-    fn shard_workers_never_drop_to_zero() {
-        // Budget below the shard count: every shard still gets one worker.
-        assert_eq!(resolve_shard_workers(16, Some("8"), 32), 1);
-        assert_eq!(resolve_shard_workers(3, Some("2"), 8), 1);
-        // Exact division stays exact.
-        assert_eq!(resolve_shard_workers(4, Some("8"), 8), 2);
+        assert_eq!(resolve_shard_workers(2, 2), 1);
+        // More shards than budget: every shard still gets one worker.
         for shards in 1..40 {
-            assert!(resolve_shard_workers(shards, None, 4) >= 1, "shards={shards}");
+            assert!(resolve_shard_workers(shards, 4) >= 1, "shards={shards}");
         }
     }
 }

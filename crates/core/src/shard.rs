@@ -65,8 +65,8 @@ pub struct ShardedConfig {
     /// Number of independent pipeline partitions (≥ 1).
     pub shards: usize,
     /// Per-shard pipeline template. `workers: None` resolves via
-    /// [`resolve_shard_workers`], so the *total* `GRETEL_WORKERS` budget
-    /// is divided across shards instead of multiplied by them; `metrics`
+    /// [`resolve_shard_workers`], so the default worker budget is
+    /// divided across shards instead of multiplied by them; `metrics`
     /// must be `None` — per-shard registries are created internally (a
     /// shared registry would break per-shard ownership).
     pub service: ServiceConfig,
@@ -156,15 +156,14 @@ pub fn canonical_order(diagnoses: &mut Vec<Diagnosis>) {
 }
 
 /// The per-shard service template with the worker budget resolved: when
-/// the template leaves `workers` unset, the total `GRETEL_WORKERS` budget
-/// is *divided* across shards ([`resolve_shard_workers`]) — N shards must
-/// not multiply the thread count N×.
+/// the template leaves `workers` unset, the default worker budget is
+/// *divided* across shards ([`resolve_shard_workers`]) — N shards must not
+/// multiply the thread count N×.
 fn resolved_service(cfg: &ShardedConfig) -> ServiceConfig {
     let mut sc = cfg.service.clone();
     if sc.workers.is_none() {
         sc.workers = Some(resolve_shard_workers(
             cfg.shards,
-            std::env::var("GRETEL_WORKERS").ok().as_deref(),
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
         ));
     }

@@ -1,65 +1,52 @@
-//! Crash schedules for the recovery experiment.
+//! Kill schedules for the recovery experiment.
 //!
-//! The fault-tolerant analyzer service (`gretel-core::recover`) accepts a
-//! list of scheduled crash points: the n-th service cycle crashes after
-//! merging that many messages, then restores from its checkpoint journal
-//! and replays. This module generates those schedules deterministically
-//! from a seed, so a recovery run — like every other experiment in this
+//! The durable analyzer service (`gretel-core::recover`) has one crash
+//! arm: an invocation is killed after merging a given number of messages,
+//! and the driver re-invokes it over the same store, which restores and
+//! replays. This module generates those kill points deterministically from
+//! a seed, so a recovery run — like every other experiment in this
 //! repository — is reproducible bit for bit.
 
-/// A deterministic schedule of service crashes. `points[n]` is how many
-/// messages the n-th cycle merges before crashing; one point is consumed
-/// per cycle, and a finite schedule always lets the run complete.
+/// A deterministic schedule of kills. `points[n]` is how many messages
+/// the n-th lifetime merges before it is killed; the driver hands one
+/// point to each invocation, and a finite schedule always lets the run
+/// complete.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrashSchedule {
-    /// Per-cycle crash points (merged-message counts).
+    /// Per-lifetime kill points (merged-message counts).
     pub points: Vec<u64>,
 }
 
 use crate::engine::splitmix64 as mix64;
 
 impl CrashSchedule {
-    /// No crashes: the service runs uninterrupted.
+    /// No kills: the service runs uninterrupted.
     pub fn none() -> CrashSchedule {
         CrashSchedule { points: Vec::new() }
     }
 
-    /// Explicit crash points (merged-message count per cycle, in cycle
-    /// order).
+    /// Explicit kill points (merged-message count per lifetime, in
+    /// lifetime order).
     pub fn at(points: Vec<u64>) -> CrashSchedule {
         CrashSchedule { points }
     }
 
-    /// `crashes` seeded crash points, each uniform in `[1, span]` — a
-    /// cycle never crashes before merging at least one message, so every
-    /// cycle makes progress and the run terminates. `span` should be on
-    /// the order of the stream length; points past the end of a cycle's
-    /// remaining stream simply let that cycle complete.
+    /// `crashes` seeded kill points, each uniform in `[1, span]` — a
+    /// lifetime is never killed before merging at least one message.
+    /// `span` should be on the order of the stream length; a point past
+    /// the end of a lifetime's remaining stream simply lets it complete.
     pub fn seeded(seed: u64, crashes: usize, span: u64) -> CrashSchedule {
         let span = span.max(1);
         let points = (0..crashes as u64).map(|i| 1 + mix64(seed, i, 31) % span).collect();
         CrashSchedule { points }
     }
 
-    /// `kills` seeded whole-process kill points, each uniform in
-    /// `[1, span]` — same guarantees as [`CrashSchedule::seeded`] but on
-    /// an independent salt, so a run can layer in-process crashes and
-    /// process kills from one seed without the schedules correlating.
-    /// One point is consumed per process lifetime: the driver passes
-    /// `points[n]` to the n-th invocation and re-invokes against the same
-    /// durable store until the run completes.
-    pub fn seeded_kills(seed: u64, kills: usize, span: u64) -> CrashSchedule {
-        let span = span.max(1);
-        let points = (0..kills as u64).map(|i| 1 + mix64(seed, i, 37) % span).collect();
-        CrashSchedule { points }
-    }
-
-    /// Number of scheduled crashes.
+    /// Number of scheduled kills.
     pub fn len(&self) -> usize {
         self.points.len()
     }
 
-    /// Whether the schedule is empty (no crashes).
+    /// Whether the schedule is empty (no kills).
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
@@ -78,19 +65,6 @@ mod tests {
         assert!(a.points.iter().all(|&p| (1..=1000).contains(&p)));
         let c = CrashSchedule::seeded(43, 8, 1000);
         assert_ne!(a, c, "different seed, different schedule");
-    }
-
-    #[test]
-    fn kill_schedules_are_independent_of_crash_schedules() {
-        let kills = CrashSchedule::seeded_kills(42, 8, 1000);
-        assert_eq!(kills, CrashSchedule::seeded_kills(42, 8, 1000));
-        assert!(kills.points.iter().all(|&p| (1..=1000).contains(&p)));
-        assert_ne!(
-            kills,
-            CrashSchedule::seeded(42, 8, 1000),
-            "kill and crash salts must not correlate"
-        );
-        assert!(CrashSchedule::seeded_kills(7, 4, 0).points.iter().all(|&p| p == 1));
     }
 
     #[test]

@@ -1,108 +1,41 @@
-//! Segment-file backend: the record log as a directory of append-only
-//! files.
+//! File backend: the record log as one append-only file, `log`, in the
+//! store directory.
 //!
-//! Layout inside the store directory:
+//! A file offset is a log offset: the file holds exactly the bytes
+//! [`Store::bytes`] returns. Appends write whole records at the end;
+//! [`Store::sync`] is `fdatasync`. Nothing rotates, seals or compacts the
+//! file — a checkpointing writer's records are each larger than any sensible
+//! rotation threshold, so a byte-count cut only ever produced one file per
+//! checkpoint that nothing read separately (DESIGN.md §13).
 //!
-//! * `current.seg` — the active segment; every append goes here.
-//! * `seg-000000.seg`, `seg-000001.seg`, ... — sealed segments, oldest
-//!   first. Sealed files are never written again.
-//! * `seg-NNNNNN.tmp` — an in-flight rotation (see below); at most one
-//!   exists, and only across a crash.
-//!
-//! **Rotation** seals the active segment with a two-step rename protocol:
-//! sync `current.seg`, rename it to `seg-NNNNNN.tmp`, then rename the tmp
-//! to its final `seg-NNNNNN.seg` name and start a fresh `current.seg`.
-//! Each rename is atomic, and the `.seg` suffix is the publication marker:
-//! [`FileStore::open`] treats `.seg` files as sealed-and-complete, and
-//! adopts a leftover `.tmp` (a rotation the process died inside) by
-//! completing the rename. Records never span files — an append writes a
-//! whole record to the active segment, and rotation seals whole files —
-//! so the logical log is simply the sealed segments concatenated in index
-//! order followed by the active segment.
-//!
-//! **Torn-tail truncation**: a crash mid-append can leave the active
-//! segment ending in a structurally incomplete record. On open, the
-//! active segment is physically truncated back to its last complete
-//! record ([`crate::complete_len`]); sealed segments were synced before
-//! publication, so only their mirror copy is defensively clamped. A torn
-//! *payload* that is structurally complete but checksum-invalid is kept
-//! on disk and skipped by readers, exactly like the in-memory journal.
+//! **Torn-tail truncation**: a crash mid-append can leave the file ending in
+//! a structurally incomplete record. [`FileStore::open`] physically truncates
+//! the file back to its last complete record ([`crate::complete_len`]). A
+//! torn *payload* that is structurally complete but checksum-invalid is kept
+//! on disk and skipped by readers, exactly as in a [`crate::MemStore`].
 
 use crate::{complete_len, corrupt_offset, encode_record, Store, StoreError};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-/// When the file backend calls `fsync`.
-///
-/// Sealing always syncs file *data* before publishing a segment,
-/// regardless of policy — a published `.seg` name must mean "complete".
-/// The policy governs the active segment and the directory entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SyncPolicy {
-    /// Never fsync. Fastest; a crash can lose everything since the last
-    /// rotation. Fine for tests and throwaway runs.
-    Never,
-    /// Fsync the active segment after every append. Strongest: a crash
-    /// loses at most the record being written (a torn tail).
-    EveryAppend,
-    /// Fsync only when sealing a segment and on explicit [`Store::sync`].
-    /// The middle ground: the recoverable service calls [`Store::sync`]
-    /// at each checkpoint boundary, so committed state is durable while
-    /// per-record appends stay cheap.
-    #[default]
-    OnRotate,
-}
-
 /// Tunables for [`FileStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileStoreConfig {
-    /// Seal the active segment once it reaches this many bytes. Appends
-    /// are never split: the segment that crosses the threshold is sealed
-    /// after the append completes.
-    pub rotate_bytes: usize,
-    /// When to fsync (see [`SyncPolicy`]).
-    pub sync: SyncPolicy,
     /// Largest accepted payload, clamped to the format's u32 bound.
     pub max_record: usize,
 }
 
 impl Default for FileStoreConfig {
     fn default() -> FileStoreConfig {
-        FileStoreConfig {
-            rotate_bytes: 1 << 20,
-            sync: SyncPolicy::default(),
-            max_record: u32::MAX as usize,
-        }
+        FileStoreConfig { max_record: u32::MAX as usize }
     }
 }
 
-const CURRENT: &str = "current.seg";
+const LOG: &str = "log";
 
-fn sealed_name(index: u64) -> String {
-    format!("seg-{index:06}.seg")
-}
-
-fn tmp_name(index: u64) -> String {
-    format!("seg-{index:06}.tmp")
-}
-
-/// Parse `seg-NNNNNN.<ext>` into its index.
-fn parse_segment(name: &str, ext: &str) -> Option<u64> {
-    let rest = name.strip_prefix("seg-")?.strip_suffix(ext)?;
-    rest.parse().ok()
-}
-
-/// One sealed segment's slice of the logical mirror.
-#[derive(Debug)]
-struct Span {
-    path: PathBuf,
-    start: usize,
-    len: usize,
-}
-
-/// The record log as append-only segment files in a directory. See the
-/// module docs for the on-disk protocol.
+/// The record log as one append-only file in a directory. See the module
+/// docs for the on-disk protocol.
 ///
 /// ```no_run
 /// use gretel_store::{FileStore, FileStoreConfig, Store};
@@ -116,215 +49,85 @@ struct Span {
 /// ```
 #[derive(Debug)]
 pub struct FileStore {
-    dir: PathBuf,
     cfg: FileStoreConfig,
-    /// Logical mirror: sealed segments (complete prefixes) concatenated,
-    /// then the active segment. All reads are served from here.
+    /// Mirror of the file's bytes. All reads are served from here.
     buf: Vec<u8>,
-    /// Sealed segments, oldest first, with their mirror spans.
-    sealed: Vec<Span>,
-    /// Mirror bytes belonging to sealed segments (= active segment start).
-    sealed_len: usize,
-    current: File,
-    current_path: PathBuf,
-    next_seal: u64,
+    log: File,
+    path: PathBuf,
     truncated_on_open: usize,
 }
 
 impl FileStore {
-    /// Open (creating if needed) a store directory: adopt any interrupted
-    /// rotation, load every sealed segment plus the active one into the
-    /// mirror, and truncate a torn tail off the active segment.
+    /// Open (creating if needed) a store directory: read the log file into
+    /// the mirror and truncate a torn tail off it. A directory that still
+    /// holds segment files of the old rotating layout is refused
+    /// ([`StoreError::OldLayout`]) rather than opened without their records.
     pub fn open(dir: impl AsRef<Path>, cfg: FileStoreConfig) -> Result<FileStore, StoreError> {
-        let dir = dir.as_ref().to_path_buf();
-        fs::create_dir_all(&dir).map_err(|e| StoreError::io("create dir", e))?;
-
-        // Inventory: sealed indices and interrupted-rotation leftovers.
-        let mut sealed_idx = Vec::new();
-        let mut tmp_idx = Vec::new();
-        let entries = fs::read_dir(&dir).map_err(|e| StoreError::io("read dir", e))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| StoreError::io("read dir", e))?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(i) = parse_segment(name, ".seg") {
-                sealed_idx.push(i);
-            } else if let Some(i) = parse_segment(name, ".tmp") {
-                tmp_idx.push(i);
+        let dir = dir.as_ref();
+        fs::create_dir_all(dir).map_err(|e| StoreError::io("create dir", e))?;
+        for entry in fs::read_dir(dir).map_err(|e| StoreError::io("read dir", e))? {
+            let name = entry.map_err(|e| StoreError::io("read dir", e))?.file_name();
+            let name = name.to_string_lossy();
+            if name.starts_with("seg-") || name.ends_with(".seg") {
+                return Err(StoreError::OldLayout { file: name.into_owned() });
             }
         }
-        // Adopt interrupted rotations: the rename to `.seg` is the only
-        // step that was missing, so finish it (unless a same-index `.seg`
-        // somehow exists already — then the tmp is stale and dropped).
-        for i in tmp_idx {
-            let tmp = dir.join(tmp_name(i));
-            if sealed_idx.contains(&i) {
-                fs::remove_file(&tmp).map_err(|e| StoreError::io("drop stale tmp", e))?;
-            } else {
-                fs::rename(&tmp, dir.join(sealed_name(i)))
-                    .map_err(|e| StoreError::io("adopt tmp segment", e))?;
-                sealed_idx.push(i);
-            }
-        }
-        sealed_idx.sort_unstable();
 
-        let mut buf = Vec::new();
-        let mut sealed = Vec::new();
-        for &i in &sealed_idx {
-            let path = dir.join(sealed_name(i));
-            let bytes = fs::read(&path).map_err(|e| StoreError::io("read segment", e))?;
-            // Sealed files were synced before publication; clamping the
-            // mirror to the complete prefix is pure defense in depth.
-            let keep = complete_len(&bytes);
-            let start = buf.len();
-            buf.extend_from_slice(&bytes[..keep]);
-            sealed.push(Span { path, start, len: keep });
-        }
-        let sealed_len = buf.len();
-
-        let current_path = dir.join(CURRENT);
-        let mut current = OpenOptions::new()
+        let path = FileStore::log_path(dir);
+        let created = !path.exists();
+        let mut log = OpenOptions::new()
             .read(true)
             .append(true)
             .create(true)
-            .open(&current_path)
-            .map_err(|e| StoreError::io("open active segment", e))?;
-        let mut active = Vec::new();
-        current
-            .read_to_end(&mut active)
-            .map_err(|e| StoreError::io("read active segment", e))?;
-        let keep = complete_len(&active);
-        let mut truncated_on_open = 0;
-        if keep < active.len() {
+            .open(&path)
+            .map_err(|e| StoreError::io("open log", e))?;
+        if created {
+            // Make the new directory entry durable: without it a crash
+            // could lose the file, and every synced record in it.
+            File::open(dir)
+                .and_then(|d| d.sync_all())
+                .map_err(|e| StoreError::io("sync dir", e))?;
+        }
+        let mut buf = Vec::new();
+        log.read_to_end(&mut buf).map_err(|e| StoreError::io("read log", e))?;
+        let keep = complete_len(&buf);
+        let truncated_on_open = buf.len() - keep;
+        if truncated_on_open > 0 {
             // Torn tail: physically cut the incomplete record so future
             // appends extend a clean log.
-            truncated_on_open = active.len() - keep;
-            current.set_len(keep as u64).map_err(|e| StoreError::io("truncate torn tail", e))?;
-            current
-                .seek(SeekFrom::End(0))
+            log.set_len(keep as u64)
+                .and_then(|()| log.sync_data())
                 .map_err(|e| StoreError::io("truncate torn tail", e))?;
-            if cfg.sync != SyncPolicy::Never {
-                current.sync_data().map_err(|e| StoreError::io("truncate torn tail", e))?;
-            }
+            buf.truncate(keep);
         }
-        buf.extend_from_slice(&active[..keep]);
-
-        let next_seal = sealed_idx.last().map_or(0, |&i| i + 1);
-        Ok(FileStore {
-            dir,
-            cfg,
-            buf,
-            sealed,
-            sealed_len,
-            current,
-            current_path,
-            next_seal,
-            truncated_on_open,
-        })
+        Ok(FileStore { cfg, buf, log, path, truncated_on_open })
     }
 
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Path of the active segment (`current.seg`) — exposed so chaos
+    /// Path of the log file of the store in `dir` — exposed so chaos
     /// harnesses can tear its tail between process lifetimes.
-    pub fn current_segment_path(&self) -> PathBuf {
-        self.current_path.clone()
+    pub fn log_path(dir: impl AsRef<Path>) -> PathBuf {
+        dir.as_ref().join(LOG)
     }
 
-    /// Number of sealed segments.
-    pub fn sealed_segments(&self) -> usize {
-        self.sealed.len()
-    }
-
-    /// Bytes of torn tail [`FileStore::open`] cut off the active segment.
+    /// Bytes of torn tail [`FileStore::open`] cut off the log file.
     pub fn truncated_on_open(&self) -> usize {
         self.truncated_on_open
     }
 
-    /// Sync the directory itself so renames/creates are durable. Failure
-    /// is reported; some filesystems reject directory fsync, so callers
-    /// of last resort may ignore it — we never do, tests run on a real fs.
-    fn sync_dir(&self) -> Result<(), StoreError> {
-        File::open(&self.dir)
-            .and_then(|d| d.sync_all())
-            .map_err(|e| StoreError::io("sync dir", e))
-    }
-}
-
-impl Store for FileStore {
-    fn append(&mut self, kind: u8, payload: &[u8]) -> Result<(), StoreError> {
-        let start = self.buf.len();
-        encode_record(&mut self.buf, kind, payload, self.cfg.max_record)?;
-        if let Err(e) = self.current.write_all(&self.buf[start..]) {
-            // Keep the mirror honest: the failed record is not on disk.
-            self.buf.truncate(start);
-            return Err(StoreError::io("append", e));
-        }
-        if self.cfg.sync == SyncPolicy::EveryAppend {
-            self.current.sync_data().map_err(|e| StoreError::io("append sync", e))?;
-        }
-        if self.buf.len() - self.sealed_len >= self.cfg.rotate_bytes {
-            self.rotate()?;
-        }
-        Ok(())
-    }
-
-    fn bytes(&self) -> &[u8] {
-        &self.buf
-    }
-
-    fn sync(&mut self) -> Result<(), StoreError> {
-        self.current.sync_data().map_err(|e| StoreError::io("sync", e))
-    }
-
-    fn rotate(&mut self) -> Result<(), StoreError> {
-        if self.buf.len() == self.sealed_len {
-            return Ok(()); // Empty active segment: nothing to seal.
-        }
-        // A published segment must be complete on disk: sync data before
-        // the rename, whatever the policy says about appends.
-        if self.cfg.sync != SyncPolicy::Never {
-            self.current.sync_data().map_err(|e| StoreError::io("rotate sync", e))?;
-        }
-        let index = self.next_seal;
-        let tmp = self.dir.join(tmp_name(index));
-        let fin = self.dir.join(sealed_name(index));
-        fs::rename(&self.current_path, &tmp).map_err(|e| StoreError::io("rotate", e))?;
-        fs::rename(&tmp, &fin).map_err(|e| StoreError::io("rotate", e))?;
-        self.current = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .create_new(true)
-            .open(&self.current_path)
-            .map_err(|e| StoreError::io("rotate", e))?;
-        if self.cfg.sync != SyncPolicy::Never {
-            self.sync_dir()?;
-        }
-        self.sealed.push(Span {
-            path: fin,
-            start: self.sealed_len,
-            len: self.buf.len() - self.sealed_len,
-        });
-        self.sealed_len = self.buf.len();
-        self.next_seal = index + 1;
-        Ok(())
-    }
-
-    fn corrupt_record(&mut self, index: usize, byte: usize) -> bool {
+    /// Chaos hook: flip one payload byte of record `index` (0-based,
+    /// oldest first) on disk and in the mirror, leaving the length prefix
+    /// intact so the scan stays aligned — a reopen sees the corruption.
+    /// Returns `false` when the record does not exist, has an empty
+    /// payload, or the write fails.
+    pub fn corrupt_record(&mut self, index: usize, byte: usize) -> bool {
         let Some(off) = corrupt_offset(&self.buf, index, byte) else {
             return false;
         };
-        // Patch the byte on disk first, then mirror the flip in memory.
-        let (path, file_off) = match self.sealed.iter().find(|s| off < s.start + s.len) {
-            Some(span) => (span.path.clone(), off - span.start),
-            None => (self.current_path.clone(), off - self.sealed_len),
-        };
         let flipped = self.buf[off] ^ 0x40;
-        let patched = OpenOptions::new().write(true).open(&path).and_then(|mut f| {
-            f.seek(SeekFrom::Start(file_off as u64))?;
+        // The append-mode handle only writes at the end; patch the byte
+        // through a second handle, then mirror the flip in memory.
+        let patched = OpenOptions::new().write(true).open(&self.path).and_then(|mut f| {
+            f.seek(SeekFrom::Start(off as u64))?;
             f.write_all(&[flipped])?;
             f.sync_data()
         });
@@ -336,9 +139,31 @@ impl Store for FileStore {
     }
 }
 
+impl Store for FileStore {
+    fn append(&mut self, kind: u8, payload: &[u8]) -> Result<(), StoreError> {
+        let start = self.buf.len();
+        encode_record(&mut self.buf, kind, payload, self.cfg.max_record)?;
+        if let Err(e) = self.log.write_all(&self.buf[start..]) {
+            // Keep the mirror honest: the failed record is not on disk.
+            self.buf.truncate(start);
+            return Err(StoreError::io("append", e));
+        }
+        Ok(())
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    fn sync(&mut self) -> Result<(), StoreError> {
+        self.log.sync_data().map_err(|e| StoreError::io("sync", e))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MemStore;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir()
@@ -348,10 +173,10 @@ mod tests {
     }
 
     #[test]
-    fn survives_reopen_across_rotations() {
+    fn reopen_reads_back_the_one_log_file() {
         let dir = tmpdir("reopen");
-        let cfg = FileStoreConfig { rotate_bytes: 64, ..FileStoreConfig::default() };
-        let mut mem = crate::MemStore::new();
+        let cfg = FileStoreConfig::default();
+        let mut mem = MemStore::new();
         {
             let mut s = FileStore::open(&dir, cfg).unwrap();
             for i in 0..20u8 {
@@ -359,11 +184,13 @@ mod tests {
                 s.append(1 + i % 3, &payload).unwrap();
                 mem.append(1 + i % 3, &payload).unwrap();
             }
-            assert!(s.sealed_segments() > 1, "rotation threshold must trip");
             assert_eq!(s.bytes(), mem.bytes());
         }
+        // A file offset is a log offset, and nothing else is in the directory.
+        assert_eq!(fs::read(FileStore::log_path(&dir)).unwrap(), mem.bytes());
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1);
         let s = FileStore::open(&dir, cfg).unwrap();
-        assert_eq!(s.bytes(), mem.bytes(), "reopen reconstructs the logical log");
+        assert_eq!(s.bytes(), mem.bytes(), "reopen reconstructs the log");
         assert_eq!(s.truncated_on_open(), 0);
         for k in 1..=3 {
             assert_eq!(s.latest_valid(k), mem.latest_valid(k));
@@ -375,16 +202,16 @@ mod tests {
     fn torn_tail_is_truncated_on_open() {
         let dir = tmpdir("torn");
         let cfg = FileStoreConfig::default();
-        let cur = {
+        {
             let mut s = FileStore::open(&dir, cfg).unwrap();
             s.append(1, b"kept-record").unwrap();
             s.append(1, b"doomed-record").unwrap();
             s.sync().unwrap();
-            s.current_segment_path()
-        };
+        }
         // Tear the last record mid-payload, as a crash mid-write would.
-        let len = fs::metadata(&cur).unwrap().len();
-        let f = OpenOptions::new().write(true).open(&cur).unwrap();
+        let log = FileStore::log_path(&dir);
+        let len = fs::metadata(&log).unwrap().len();
+        let f = OpenOptions::new().write(true).open(&log).unwrap();
         f.set_len(len - 5).unwrap();
         drop(f);
 
@@ -399,52 +226,43 @@ mod tests {
     }
 
     #[test]
-    fn interrupted_rotation_tmp_is_adopted() {
-        let dir = tmpdir("adopt");
-        let cfg = FileStoreConfig::default();
-        let mut s = FileStore::open(&dir, cfg).unwrap();
-        s.append(7, b"sealed payload").unwrap();
-        s.rotate().unwrap();
-        s.append(7, b"active payload").unwrap();
-        drop(s);
-        // Simulate dying between the two rotation renames: demote the
-        // sealed segment back to its tmp name.
-        fs::rename(dir.join(sealed_name(0)), dir.join(tmp_name(0))).unwrap();
-
-        let s = FileStore::open(&dir, cfg).unwrap();
-        assert_eq!(s.sealed_segments(), 1, "tmp segment adopted as sealed");
-        assert!(dir.join(sealed_name(0)).exists());
-        assert!(!dir.join(tmp_name(0)).exists());
-        assert_eq!(
-            s.records_of(7),
-            vec![&b"sealed payload"[..], &b"active payload"[..]]
-        );
-        fs::remove_dir_all(&dir).unwrap();
+    fn old_layout_directory_is_a_typed_error() {
+        for old in ["seg-000000.seg", "current.seg", "seg-000003.tmp"] {
+            let dir = tmpdir("old-layout");
+            fs::create_dir_all(&dir).unwrap();
+            fs::write(dir.join(old), b"committed records of the rotating layout").unwrap();
+            let err = FileStore::open(&dir, FileStoreConfig::default()).unwrap_err();
+            assert_eq!(err, StoreError::OldLayout { file: old.to_string() });
+            assert!(err.to_string().contains(old));
+            assert!(!FileStore::log_path(&dir).exists(), "refused before creating a log");
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
-    fn corruption_reaches_disk_in_any_segment() {
+    fn corruption_reaches_disk() {
         let dir = tmpdir("corrupt");
-        let cfg = FileStoreConfig { rotate_bytes: 32, ..FileStoreConfig::default() };
+        let cfg = FileStoreConfig::default();
         let mut s = FileStore::open(&dir, cfg).unwrap();
-        s.append(1, b"record-zero-payload-is-long").unwrap(); // rotates
+        s.append(1, b"record-zero-payload-is-long").unwrap();
         s.append(1, b"record-one").unwrap();
-        assert_eq!(s.sealed_segments(), 1);
-        // Corrupt one record in the sealed segment and one in the active.
         assert!(s.corrupt_record(0, 4));
         assert!(s.corrupt_record(1, 2));
+        assert!(!s.corrupt_record(2, 0), "no such record");
         assert_eq!(s.record_counts(), (0, 2));
+        // The patch went through a second handle; appends still land at the end.
+        s.append(1, b"record-two").unwrap();
         drop(s);
         let s = FileStore::open(&dir, cfg).unwrap();
-        assert_eq!(s.record_counts(), (0, 2), "corruption persisted to disk");
-        assert_eq!(s.latest_valid(1), None);
+        assert_eq!(s.record_counts(), (1, 2), "corruption persisted to disk");
+        assert_eq!(s.latest_valid(1), Some(&b"record-two"[..]));
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn oversized_append_leaves_store_and_disk_unchanged() {
         let dir = tmpdir("oversize");
-        let cfg = FileStoreConfig { max_record: 16, ..FileStoreConfig::default() };
+        let cfg = FileStoreConfig { max_record: 16 };
         let mut s = FileStore::open(&dir, cfg).unwrap();
         s.append(1, b"fits").unwrap();
         let err = s.append(1, &[0u8; 17]).unwrap_err();

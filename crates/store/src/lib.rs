@@ -5,13 +5,12 @@
 //! that log: a common record format (length-prefixed, FNV-1a-checksummed),
 //! a [`Store`] trait over it, and two backends —
 //!
-//! * [`MemStore`]: the whole log in one `Vec<u8>`. This is the PR 3
-//!   in-process journal behavior; tests and the in-process recovery
-//!   experiment arms use it.
-//! * [`FileStore`]: the log as append-only segment files in a directory,
-//!   with atomic tmp+rename rotation, torn-tail truncation on open and a
-//!   configurable [`SyncPolicy`]. This is what lets the *whole process*
-//!   die and restart without losing committed state.
+//! * [`MemStore`]: the whole log in one `Vec<u8>`; tests and the
+//!   in-memory arms of the recovery experiment use it.
+//! * [`FileStore`]: the same bytes in one append-only file, with
+//!   torn-tail truncation on open and `fdatasync` on [`Store::sync`]. This
+//!   is what lets the *whole process* die and restart without losing
+//!   committed state.
 //!
 //! ## Record format
 //!
@@ -42,7 +41,7 @@
 
 mod file;
 
-pub use file::{FileStore, FileStoreConfig, SyncPolicy};
+pub use file::{FileStore, FileStoreConfig};
 
 /// Why a store operation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,10 +58,18 @@ pub enum StoreError {
     },
     /// A filesystem operation failed.
     Io {
-        /// Which operation (`"open"`, `"write"`, `"rotate"`, ...).
+        /// Which operation (`"open"`, `"append"`, `"sync"`, ...).
         op: &'static str,
         /// The underlying error, rendered.
         detail: String,
+    },
+    /// The directory holds segment files (`seg-NNNNNN.seg`, `current.seg`)
+    /// written by the rotating layout this crate used to have. Their
+    /// records are committed state; opening the directory as a one-file
+    /// log would silently start over without them.
+    OldLayout {
+        /// The first such file found.
+        file: String,
     },
 }
 
@@ -73,6 +80,9 @@ impl std::fmt::Display for StoreError {
                 write!(f, "record payload of {len} bytes exceeds the store bound of {max}")
             }
             StoreError::Io { op, detail } => write!(f, "store {op} failed: {detail}"),
+            StoreError::OldLayout { file } => {
+                write!(f, "store directory holds a segment file of the old layout ({file})")
+            }
         }
     }
 }
@@ -107,15 +117,29 @@ pub struct Record<'a> {
     pub offset: usize,
     /// The caller-defined record kind byte.
     pub kind: u8,
-    /// The payload bytes (possibly corrupt — see `valid`).
+    /// The payload bytes (possibly corrupt — see [`Record::valid`]).
     pub payload: &'a [u8],
-    /// Whether the payload checksum verifies.
-    pub valid: bool,
+    /// The checksum the header claims for `payload`.
+    sum: u64,
 }
 
-/// Walk all structurally complete records in a log buffer, oldest first.
-/// A torn tail (bytes that end before the record they start is complete)
-/// is not yielded.
+impl Record<'_> {
+    /// Whether the payload checksum verifies. This hashes the payload, so
+    /// walks that only need structure (offsets, kinds, counts) never pay
+    /// for it.
+    pub fn valid(&self) -> bool {
+        fnv1a(self.payload) == self.sum
+    }
+
+    /// Byte offset just past this record in the scanned buffer.
+    pub fn end(&self) -> usize {
+        self.offset + RECORD_HEADER + self.payload.len()
+    }
+}
+
+/// Walk all structurally complete records in a log buffer, oldest first,
+/// reading headers only. A torn tail (bytes that end before the record they
+/// start is complete) is not yielded.
 pub fn records(buf: &[u8]) -> Records<'_> {
     Records { buf, pos: 0 }
 }
@@ -149,15 +173,15 @@ impl<'a> Iterator for Records<'a> {
         let payload = &self.buf[start..end];
         let offset = self.pos;
         self.pos = end;
-        Some(Record { offset, kind, payload, valid: fnv1a(payload) == sum })
+        Some(Record { offset, kind, payload, sum })
     }
 }
 
 /// Length of the structurally complete prefix of a log buffer: everything
 /// up to (but excluding) a torn tail record. This is what
-/// [`FileStore::open`] truncates the newest segment file to.
+/// [`FileStore::open`] truncates the log file to.
 pub fn complete_len(buf: &[u8]) -> usize {
-    records(buf).last().map_or(0, |r| r.offset + RECORD_HEADER + r.payload.len())
+    records(buf).last().map_or(0, |r| r.end())
 }
 
 /// Encode one record onto `out`, rejecting payloads over `max`.
@@ -180,9 +204,8 @@ pub(crate) fn encode_record(
 }
 
 /// Absolute buffer offset of the byte to flip for a chaos corruption of
-/// record `index` (0-based, oldest first): payload byte `byte % len`, the
-/// same convention the PR 3 in-memory journal used. `None` when the record
-/// does not exist or has an empty payload.
+/// record `index` (0-based, oldest first): payload byte `byte % len`.
+/// `None` when the record does not exist or has an empty payload.
 pub(crate) fn corrupt_offset(buf: &[u8], index: usize, byte: usize) -> Option<usize> {
     let r = records(buf).nth(index)?;
     if r.payload.is_empty() {
@@ -196,35 +219,23 @@ pub(crate) fn corrupt_offset(buf: &[u8], index: usize, byte: usize) -> Option<us
 /// Writers take `&mut self`; reads borrow from the store's logical byte
 /// mirror, so both backends serve them without I/O. The trait is
 /// object-safe — the analyzer service takes `&mut dyn Store`, so callers
-/// pick durability per run (in-memory for tests and in-process chaos,
-/// segment files for whole-process crash recovery).
+/// pick durability per run (in-memory for tests, a log file for
+/// whole-process crash recovery).
 pub trait Store {
     /// Append one record. The store is unchanged on error.
     fn append(&mut self, kind: u8, payload: &[u8]) -> Result<(), StoreError>;
 
-    /// The logical log bytes, oldest record first (all segments
-    /// concatenated for a file-backed store).
+    /// The log bytes, oldest record first.
     fn bytes(&self) -> &[u8];
 
     /// Flush buffered writes to durable storage (no-op for [`MemStore`]).
     fn sync(&mut self) -> Result<(), StoreError>;
 
-    /// Seal the active segment and start a new one (no-op for
-    /// [`MemStore`], which has no segments).
-    fn rotate(&mut self) -> Result<(), StoreError>;
-
-    /// Chaos hook: flip one payload byte of record `index` (0-based,
-    /// oldest first), leaving the length prefix intact so the scan stays
-    /// aligned. Returns `false` when the record does not exist or has an
-    /// empty payload. File-backed stores flip the byte on disk too, so a
-    /// reopen sees the corruption.
-    fn corrupt_record(&mut self, index: usize, byte: usize) -> bool;
-
     /// The payload of the newest record of `kind` whose checksum verifies.
     fn latest_valid(&self, kind: u8) -> Option<&[u8]> {
         let mut best = None;
         for r in records(self.bytes()) {
-            if r.valid && r.kind == kind {
+            if r.kind == kind && r.valid() {
                 best = Some(r.payload);
             }
         }
@@ -234,7 +245,7 @@ pub trait Store {
     /// Payloads of every checksum-valid record of `kind`, oldest first.
     fn records_of(&self, kind: u8) -> Vec<&[u8]> {
         records(self.bytes())
-            .filter(|r| r.valid && r.kind == kind)
+            .filter(|r| r.kind == kind && r.valid())
             .map(|r| r.payload)
             .collect()
     }
@@ -244,7 +255,7 @@ pub trait Store {
         let mut valid = 0;
         let mut corrupt = 0;
         for r in records(self.bytes()) {
-            if r.valid {
+            if r.valid() {
                 valid += 1;
             } else {
                 corrupt += 1;
@@ -264,7 +275,7 @@ pub trait Store {
     }
 }
 
-/// The whole log in one in-memory buffer — the PR 3 journal behavior.
+/// The whole log in one in-memory buffer.
 ///
 /// [`MemStore::with_max_record`] tightens the accepted payload size below
 /// the format's u32 bound, mainly so the oversized-append path is testable
@@ -286,11 +297,24 @@ impl MemStore {
         MemStore { buf: Vec::new(), max_record: max.min(u32::MAX as usize) }
     }
 
-    /// Rebuild from raw log bytes (e.g. read back from elsewhere). No
-    /// validation happens here; corrupt records surface during
-    /// [`Store::latest_valid`], and a torn tail is simply never yielded.
-    pub fn from_bytes(buf: Vec<u8>) -> MemStore {
+    /// Reopen raw log bytes, as [`FileStore::open`] reopens a file: a torn
+    /// tail is cut off so later appends extend a clean log; corrupt records
+    /// stay and surface during [`Store::latest_valid`].
+    pub fn from_bytes(mut buf: Vec<u8>) -> MemStore {
+        buf.truncate(complete_len(&buf));
         MemStore { buf, max_record: u32::MAX as usize }
+    }
+
+    /// Chaos hook: flip one payload byte of record `index` (0-based,
+    /// oldest first), leaving the length prefix intact so the scan stays
+    /// aligned. Returns `false` when the record does not exist or has an
+    /// empty payload.
+    pub fn corrupt_record(&mut self, index: usize, byte: usize) -> bool {
+        let Some(off) = corrupt_offset(&self.buf, index, byte) else {
+            return false;
+        };
+        self.buf[off] ^= 0x40;
+        true
     }
 }
 
@@ -311,20 +335,6 @@ impl Store for MemStore {
 
     fn sync(&mut self) -> Result<(), StoreError> {
         Ok(())
-    }
-
-    fn rotate(&mut self) -> Result<(), StoreError> {
-        Ok(())
-    }
-
-    fn corrupt_record(&mut self, index: usize, byte: usize) -> bool {
-        match corrupt_offset(&self.buf, index, byte) {
-            Some(off) => {
-                self.buf[off] ^= 0x40;
-                true
-            }
-            None => false,
-        }
     }
 }
 
@@ -376,6 +386,45 @@ mod tests {
         assert!(cut.is_empty());
         assert_eq!(complete_len(cut.bytes()), 0);
         assert_eq!(complete_len(&full), full.len());
+    }
+
+    #[test]
+    fn header_walk_and_checksummed_walk_agree_on_offsets() {
+        let payloads: [&[u8]; 3] = [b"first", b"middle-record", b"last"];
+        let mut s = MemStore::new();
+        for p in payloads {
+            s.append(1, p).unwrap();
+        }
+        assert!(s.corrupt_record(1, 0));
+        let mut image = s.bytes().to_vec();
+        let complete = image.len();
+        // A torn fourth record: a whole header, half its payload.
+        encode_record(&mut image, 1, b"torn-away", usize::MAX).unwrap();
+        image.truncate(image.len() - 4);
+
+        let mut expected = Vec::new();
+        let mut off = 0;
+        for p in payloads {
+            expected.push(off);
+            off += RECORD_HEADER + p.len();
+        }
+        // The structural walk reads no payload byte, the checksummed one
+        // hashes all of them; both see the same three records.
+        let header_walk: Vec<usize> = records(&image).map(|r| r.offset).collect();
+        let checksummed: Vec<(usize, bool)> =
+            records(&image).map(|r| (r.offset, r.valid())).collect();
+        assert_eq!(header_walk, expected);
+        assert_eq!(checksummed, vec![(expected[0], true), (expected[1], false), (expected[2], true)]);
+        assert_eq!(records(&image).last().unwrap().end(), complete);
+        assert_eq!(complete_len(&image), complete);
+
+        // Reopening cuts the torn tail, so appends extend an aligned log.
+        let mut reopened = MemStore::from_bytes(image);
+        assert_eq!(reopened.bytes().len(), complete);
+        reopened.append(2, b"after-the-tear").unwrap();
+        assert_eq!(reopened.len(), 4);
+        assert_eq!(reopened.record_counts(), (3, 1));
+        assert_eq!(reopened.latest_valid(2), Some(&b"after-the-tear"[..]));
     }
 
     #[test]

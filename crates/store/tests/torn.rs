@@ -50,17 +50,17 @@ fn record_set(seed: u64) -> Vec<(u8, Vec<u8>)> {
 /// computed independently of the store's own read path.
 fn oracle_latest(image: &[u8], kind: u8) -> Option<Vec<u8>> {
     records(image)
-        .filter(|r| r.valid && r.kind == kind)
+        .filter(|r| r.kind == kind && r.valid())
         .last()
         .map(|r| r.payload.to_vec())
 }
 
-/// Write `image` as the active segment of a fresh store directory and
+/// Write `image` as the log file of a fresh store directory and
 /// open it. The open itself must not panic or error for any image.
 fn open_image(dir: &PathBuf, image: &[u8]) -> FileStore {
     let _ = fs::remove_dir_all(dir);
     fs::create_dir_all(dir).unwrap();
-    fs::write(dir.join("current.seg"), image).unwrap();
+    fs::write(FileStore::log_path(dir), image).unwrap();
     FileStore::open(dir, FileStoreConfig::default()).unwrap()
 }
 
@@ -98,7 +98,7 @@ proptest! {
             // Open physically removed the torn tail: what remains on disk
             // is exactly the structurally complete prefix.
             prop_assert_eq!(
-                fs::metadata(dir.join("current.seg")).unwrap().len() as usize,
+                fs::metadata(FileStore::log_path(&dir)).unwrap().len() as usize,
                 s.bytes().len()
             );
             prop_assert_eq!(s.truncated_on_open() > 0, cut != s.bytes().len());

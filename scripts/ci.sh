@@ -29,26 +29,34 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo run --release --offline -q --manifest-path benchmark/Cargo.toml \
   --bin gretel-benchmark -- run --check
 
-# Crash-recovery smoke: one §7.2 scenario under worker kills, scheduled
-# service crashes, store corruption, plus FileStore-backed whole-process
-# kill/restart arms (clean tail and torn tail); asserts zero diagnoses
-# lost/duplicated and byte-identical output (see EXPERIMENTS.md). The
-# durable arms persist segments under an explicit tmpdir cleaned on exit.
-RECOVERY_STORE_DIR="$(mktemp -d)"
-trap 'rm -rf "$RECOVERY_STORE_DIR"' EXIT
+# One tmp root for every store the smokes below put on disk, removed on
+# exit.
+STORE_ROOT="$(mktemp -d)"
+trap 'rm -rf "$STORE_ROOT"' EXIT
+
+# Crash-recovery smoke: one §7.2 scenario under worker kills, through the
+# one kill driver over both backends (MemStore, FileStore) — two service
+# kills with the log left clean, its tail torn, or its newest record
+# corrupted between lifetimes; asserts zero diagnoses lost/duplicated and
+# byte-identical output (see EXPERIMENTS.md). A store is one log file:
+# every FileStore directory the run leaves behind must hold exactly one.
 cargo run --release --offline -q -p gretel-bench --bin recovery -- \
-  --smoke --store-dir "$RECOVERY_STORE_DIR"
+  --smoke --store-dir "$STORE_ROOT/recovery"
+for d in "$STORE_ROOT"/recovery/*/; do
+  files="$(find "$d" -mindepth 1 | wc -l)"
+  if [[ "$files" -ne 1 ]]; then
+    echo "ci: store directory $d holds $files entries, expected one log file" >&2
+    exit 1
+  fi
+done
 
 # Tenant-sharded soak smoke: multi-tenant traffic through 1/2/4/8
 # pipeline shards plus a FileStore-per-shard durable arm; asserts the
 # merged diagnosis stream is byte-identical to the unsharded analyzer at
 # every shard count and that peak RSS stays bounded (see EXPERIMENTS.md).
-# Does not clobber results/soak.json; journals live under a tmpdir
-# cleaned by the same EXIT trap as the recovery stores.
-SOAK_STORE_DIR="$(mktemp -d)"
-trap 'rm -rf "$RECOVERY_STORE_DIR" "$SOAK_STORE_DIR"' EXIT
+# Does not clobber results/soak.json.
 cargo run --release --offline -q -p gretel-bench --bin soak -- \
-  --smoke --store-dir "$SOAK_STORE_DIR"
+  --smoke --store-dir "$STORE_ROOT/soak"
 
 # Observability smoke: one §7.2 scenario with metrics off/disabled/enabled;
 # asserts identical diagnoses, deterministic snapshots, export round trips

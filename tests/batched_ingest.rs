@@ -19,7 +19,7 @@ use gretel::model::{
 };
 use gretel::netcap::{CaptureImpairment, StallSpec};
 use gretel::sim::{
-    ApiFault, CrashSchedule, Deployment, FaultPlan, FaultScope, InjectedError, RunConfig, Runner,
+    ApiFault, Deployment, FaultPlan, FaultScope, InjectedError, RunConfig, Runner,
 };
 use gretel_core::{AnalyzerChaos, Diagnosis, FingerprintLibrary, ServiceStats};
 use proptest::prelude::*;
@@ -202,18 +202,26 @@ fn crash_replay_is_batch_size_invariant() {
                 ..AnalyzerChaos::none()
             },
             max_attempts: 5,
-            crash_points: CrashSchedule::at(vec![150, 80]).points,
             ..RecoveryConfig::default()
         };
-        let cfg = DurableConfig { recovery, ..DurableConfig::default() };
+        // Two kills, then a lifetime that completes, all over one store.
         let mut store = MemStore::new();
-        let out = run_service_durable(&fx.lib, gcfg(), &fx.nodes, &fx.messages, &cfg, &mut store)
-            .expect("chaotic batched run completes");
-        let DurableOutcome::Completed { diagnoses, recovery, .. } = out else {
-            panic!("no kill point configured")
-        };
-        assert_eq!(diagnoses, expected, "recovery at ingest_batch={batch}");
-        assert_eq!(recovery.restores, 2, "one restore per scheduled crash");
+        let mut restores = 0;
+        let mut done = None;
+        for kill_point in [Some(150), Some(80), None] {
+            let cfg = DurableConfig { recovery: recovery.clone(), kill_point, reloads: Vec::new() };
+            match run_service_durable(&fx.lib, gcfg(), &fx.nodes, &fx.messages, &cfg, &mut store)
+                .expect("chaotic batched lifetime completes or is killed")
+            {
+                DurableOutcome::Killed { recovery, .. } => restores += recovery.restores,
+                DurableOutcome::Completed { diagnoses, recovery, .. } => {
+                    restores += recovery.restores;
+                    done = Some(diagnoses);
+                }
+            }
+        }
+        assert_eq!(done.as_ref(), Some(&expected), "recovery at ingest_batch={batch}");
+        assert_eq!(restores, 2, "one restore per kill");
     }
 }
 

@@ -383,7 +383,7 @@ fn cases() -> Vec<Case> {
             },
             |b| {
                 let rec = records(b).next().ok_or("no complete record")?;
-                if !rec.valid {
+                if !rec.valid() {
                     return Err("checksum mismatch".into());
                 }
                 if RECORD_HEADER + rec.payload.len() != b.len() {

@@ -1,19 +1,23 @@
 //! Crash-recovery invariants (DESIGN.md §11).
 //!
 //! The fault-tolerant service must be *transparent*: whatever the
-//! analysis plane suffers — killed workers, service crashes with
-//! checkpoint/replay restarts, corrupted checkpoint records — the
-//! committed diagnosis stream is byte-identical to the uninterrupted
-//! run's, with zero diagnoses lost and zero duplicated. Budget
+//! analysis plane suffers — killed workers, whole-service kills with
+//! checkpoint/replay restarts, store records corrupted or torn between
+//! two lifetimes — the committed diagnosis stream is byte-identical to the
+//! uninterrupted run's, with zero diagnoses lost and zero duplicated.
+//! Every crash is the one kill arm: a driver loop re-invokes
+//! `run_service_durable` over the same store, a `MemStore` value or a
+//! reopened `FileStore` directory alike. Budget
 //! cancellation is the one visible degradation, and it must be honest:
 //! a cancelled job's faults surface as `Cancelled`, never as `Exact` —
 //! and, since budgets are deterministic, identically across replays.
 
-use gretel::core::store::{FileStore, FileStoreConfig, MemStore, Store};
+use gretel::core::store::{records, FileStore, FileStoreConfig, MemStore, Store};
 use gretel::core::{
     run_service_cfg, run_service_durable, Analyzer, AnalyzerChaos, AnalyzerStats,
     CaptureConfidence, Diagnosis, DurableConfig, DurableOutcome, GretelConfig, JobBudget,
-    LibraryReload, RecoveryConfig, RecoveryStats, ServiceConfig, ServiceError, ServiceStats,
+    LibraryReload, RecoveryConfig, RecoveryStats, ServiceConfig, ServiceStats, KIND_CHECKPOINT,
+    KIND_DIAGNOSES,
 };
 use gretel::model::{
     Catalog, HttpMethod, Message, NodeId, OpSpecId, OperationSpec, Service, Workflows,
@@ -25,7 +29,6 @@ use gretel::sim::{
 use gretel_core::FingerprintLibrary;
 use proptest::prelude::*;
 use std::sync::OnceLock;
-use std::time::Duration;
 
 struct Fixture {
     lib: FingerprintLibrary,
@@ -85,20 +88,38 @@ fn reference(impairment: Option<CaptureImpairment>) -> Vec<gretel::core::Diagnos
     diags
 }
 
-/// The in-process recoverable service: `run_service_durable` over a fresh
-/// `MemStore`, run to completion.
+/// One process lifetime of the durable service over `store`.
+fn lifetime(
+    recovery: &RecoveryConfig,
+    kill_point: Option<u64>,
+    store: &mut dyn Store,
+) -> DurableOutcome {
+    let fx = fixture();
+    let cfg = DurableConfig { recovery: recovery.clone(), kill_point, reloads: Vec::new() };
+    run_service_durable(&fx.lib, gcfg(), &fx.nodes, &fx.messages, &cfg, store)
+        .expect("a lifetime completes or is killed")
+}
+
+/// The kill driver over one `MemStore`: a lifetime per entry of `kills`,
+/// then one with no kill point. A kill point past the end of a lifetime's
+/// remaining stream lets it complete, which ends the run early. The
+/// recovery counters are summed over the lifetimes.
 fn run_recoverable(
     recovery: RecoveryConfig,
-) -> Result<(Vec<Diagnosis>, ServiceStats, AnalyzerStats, RecoveryStats), ServiceError> {
-    let fx = fixture();
-    let cfg = DurableConfig { recovery, ..DurableConfig::default() };
+    kills: &[u64],
+) -> (Vec<Diagnosis>, ServiceStats, AnalyzerStats, RecoveryStats) {
     let mut store = MemStore::new();
-    match run_service_durable(&fx.lib, gcfg(), &fx.nodes, &fx.messages, &cfg, &mut store)? {
-        DurableOutcome::Completed { diagnoses, service, analyzer, recovery, .. } => {
-            Ok((diagnoses, service, analyzer, recovery))
+    let mut total = RecoveryStats::default();
+    for kill in kills.iter().copied().map(Some).chain([None]) {
+        match lifetime(&recovery, kill, &mut store) {
+            DurableOutcome::Killed { recovery, .. } => total.merge(&recovery),
+            DurableOutcome::Completed { diagnoses, service, analyzer, recovery, .. } => {
+                total.merge(&recovery);
+                return (diagnoses, service, analyzer, total);
+            }
         }
-        DurableOutcome::Killed { .. } => panic!("no kill point configured"),
     }
+    unreachable!("the last lifetime has no kill point")
 }
 
 #[test]
@@ -107,7 +128,7 @@ fn no_chaos_recoverable_equals_plain_pipeline() {
     assert!(expected.len() >= 2, "fixture produces diagnoses");
 
     let cfg = RecoveryConfig { checkpoint_every: 64, ..RecoveryConfig::default() };
-    let (diags, _, astats, rec) = run_recoverable(cfg).expect("clean run completes");
+    let (diags, _, astats, rec) = run_recoverable(cfg, &[]);
     assert_eq!(diags, expected);
     assert!(rec.checkpoints_written > 0);
     assert_eq!(rec.worker_crashes, 0);
@@ -121,21 +142,20 @@ fn worker_kills_and_service_crashes_preserve_the_output_exactly() {
     let expected = reference(None);
 
     // Every job crashes its worker twice (attempts 0 and 1) and then
-    // completes; on top of that the service itself crashes twice and
+    // completes; on top of that the service itself is killed twice and
     // replays from its checkpoints.
     let cfg = RecoveryConfig {
         checkpoint_every: 64,
         chaos: AnalyzerChaos { kill_prob: 1.0, kill_attempts: 2, seed: 17, ..AnalyzerChaos::none() },
         max_attempts: 5,
-        crash_points: CrashSchedule::at(vec![150, 80]).points,
         ..RecoveryConfig::default()
     };
-    let (diags, svc, _, rec) = run_recoverable(cfg).expect("chaotic run completes");
+    let (diags, svc, _, rec) = run_recoverable(cfg, &[150, 80]);
 
     assert_eq!(diags, expected, "zero diagnoses lost, zero duplicated");
     assert!(rec.worker_crashes > 0, "kill chaos fired: {rec:?}");
     assert_eq!(rec.jobs_requeued, rec.worker_crashes, "every crashed job was requeued");
-    assert_eq!(rec.restores, 2, "one restore per scheduled crash");
+    assert_eq!(rec.restores, 2, "one restore per kill");
     assert!(rec.replayed_frames > 0, "replay re-shipped the consumed prefix");
     assert_eq!(rec.jobs_cancelled, 0, "retry budget outlives the kill coin");
     // Replay inflates transport stats (documented) but never the analysis.
@@ -152,7 +172,7 @@ fn stalled_jobs_are_cancelled_never_exact() {
         chaos: AnalyzerChaos { stall_prob: 1.0, seed: 23, ..AnalyzerChaos::none() },
         ..RecoveryConfig::default()
     };
-    let (diags, _, _, rec) = run_recoverable(cfg).expect("stalled run completes");
+    let (diags, _, _, rec) = run_recoverable(cfg, &[]);
 
     assert!(rec.jobs_cancelled > 0, "stall chaos fired: {rec:?}");
     // Honesty: every fault still surfaces, each marked Cancelled — a
@@ -172,24 +192,23 @@ fn budget_cancellations_replay_identically_across_crashes() {
     // set of jobs than the original — breaking the byte-identical
     // recovery oracle. A pass budget is a pure function of the job, so a
     // run that cancels everything must commit the *same* stream whether
-    // or not the service crashed and replayed in the middle.
+    // or not the service was killed and replayed in the middle.
 
-    let run = |crash_points: Vec<u64>| {
+    let run = |kills: &[u64]| {
         let cfg = RecoveryConfig {
             checkpoint_every: 64,
             budget: JobBudget::Passes(0),
-            crash_points,
             ..RecoveryConfig::default()
         };
-        run_recoverable(cfg).expect("budget-starved run completes")
+        run_recoverable(cfg, kills)
     };
 
-    let (diags_plain, _, _, rec_plain) = run(Vec::new());
-    let (diags_crashed, _, _, rec_crashed) = run(vec![150, 80]);
+    let (diags_plain, _, _, rec_plain) = run(&[]);
+    let (diags_crashed, _, _, rec_crashed) = run(&[150, 80]);
 
     assert!(rec_plain.jobs_cancelled > 0, "zero-pass budget cancels: {rec_plain:?}");
     assert!(rec_crashed.jobs_cancelled > 0);
-    assert_eq!(rec_crashed.restores, 2, "one restore per scheduled crash");
+    assert_eq!(rec_crashed.restores, 2, "one restore per kill");
     assert_eq!(
         diags_crashed, diags_plain,
         "cancellations must be a pure function of the jobs, not of crash timing"
@@ -198,35 +217,42 @@ fn budget_cancellations_replay_identically_across_crashes() {
 }
 
 #[test]
-fn wall_clock_budgets_are_rejected_by_the_recoverable_service() {
-    let cfg = RecoveryConfig {
-        budget: JobBudget::WallClock(Duration::from_secs(5)),
-        ..RecoveryConfig::default()
-    };
-    let err =
-        run_recoverable(cfg).expect_err("wall-clock budgets cannot be replayed identically");
-    assert!(matches!(err, ServiceError::NondeterministicBudget), "{err}");
-}
-
-#[test]
 fn corrupt_checkpoints_fall_back_and_suppress_duplicate_releases() {
     let expected = reference(None);
+    let recovery = RecoveryConfig { checkpoint_every: 64, ..RecoveryConfig::default() };
 
-    // Every checkpoint record is corrupted, so the post-crash restore
-    // finds no valid record and replays from scratch. Already-released
+    // A lifetime killed past three boundaries; then, before the restart,
+    // every checkpoint record on the store is corrupted, so the restore
+    // finds no valid one and replays from scratch. Already-released
     // diagnoses are regenerated — the watermark must suppress them.
-    let cfg = RecoveryConfig {
-        checkpoint_every: 64,
-        chaos: AnalyzerChaos { corrupt_prob: 1.0, seed: 31, ..AnalyzerChaos::none() },
-        crash_points: vec![200],
-        ..RecoveryConfig::default()
-    };
-    let (diags, _, _, rec) = run_recoverable(cfg).expect("corrupted-journal run completes");
+    let mut store = MemStore::new();
+    assert!(matches!(lifetime(&recovery, Some(200), &mut store), DurableOutcome::Killed { .. }));
+    let checkpoints: Vec<usize> = records(store.bytes())
+        .enumerate()
+        .filter_map(|(i, r)| (r.kind == KIND_CHECKPOINT).then_some(i))
+        .collect();
+    assert_eq!(checkpoints.len(), 3);
+    for (n, &i) in checkpoints.iter().enumerate() {
+        assert!(store.corrupt_record(i, 31 + n * 7919));
+    }
+    assert!(store.latest_valid(KIND_CHECKPOINT).is_none());
 
-    assert_eq!(diags, expected, "cold replay still neither loses nor duplicates");
-    assert!(rec.checkpoints_corrupt > 0, "corruption chaos fired: {rec:?}");
-    assert_eq!(rec.checkpoints_corrupt, rec.checkpoints_written);
-    assert_eq!(rec.restores, 1);
+    let DurableOutcome::Completed { diagnoses, recovery: rec, .. } =
+        lifetime(&recovery, None, &mut store)
+    else {
+        panic!("no kill point configured")
+    };
+    assert_eq!(diagnoses, expected, "cold replay still neither loses nor duplicates");
+    assert_eq!(rec.restores, 0, "no usable checkpoint: a cold start");
+    assert_eq!(rec.replayed_frames, 0, "nothing restored, nothing to dedup");
+    assert!(rec.duplicate_releases_suppressed > 0, "the watermark held: {rec:?}");
+}
+
+/// A fresh per-test scratch directory for a `FileStore`.
+fn scratch(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("gretel-test-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
 }
 
 /// One complete durable run over `store`, panicking on a kill.
@@ -251,48 +277,85 @@ fn run_durable_to_completion(
 
 #[test]
 fn durable_filestore_kill_restart_is_exactly_once() {
-    // Whole-process SIGKILL model: each invocation is one process
-    // lifetime over the same on-disk store. Two kills mid-stream, then a
-    // clean third lifetime — the final diagnosis stream must be
-    // byte-identical to the uninterrupted pipeline's.
-    let fx = fixture();
+    // Whole-process SIGKILL model: each lifetime reopens the same on-disk
+    // store. Two kills mid-stream, then a clean third lifetime — the final
+    // diagnosis stream must be byte-identical to the uninterrupted
+    // pipeline's. The same schedule runs over a `MemStore` in lockstep as
+    // the backend-equivalence oracle: identical log bytes after every
+    // lifetime, identical outcome.
     let expected = reference(None);
-    let dir = std::env::temp_dir()
-        .join(format!("gretel-test-durable-kill-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = scratch("durable-kill");
+    let recovery = RecoveryConfig { checkpoint_every: 64, ..RecoveryConfig::default() };
+    let mut mem = MemStore::new();
 
-    let kill_points = [150u64, 80];
-    // Small segments so the restarts also read back through sealed files.
-    let fcfg = FileStoreConfig { rotate_bytes: 4096, ..Default::default() };
-    let mut invocations = 0usize;
-    let last_recovery;
-    let diags = loop {
-        let mut store = FileStore::open(&dir, fcfg).expect("open durable store");
-        let cfg = DurableConfig {
-            recovery: RecoveryConfig { checkpoint_every: 64, ..RecoveryConfig::default() },
-            kill_point: kill_points.get(invocations).copied(),
-            reloads: Vec::new(),
-        };
-        let out = run_service_durable(&fx.lib, gcfg(), &fx.nodes, &fx.messages, &cfg, &mut store)
-            .expect("durable run completes or is killed");
-        invocations += 1;
-        assert!(invocations <= kill_points.len() + 1, "kill schedule must converge");
-        match out {
-            DurableOutcome::Completed { diagnoses, recovery, .. } => {
-                last_recovery = recovery;
-                break diagnoses;
+    for kill in [Some(150u64), Some(80), None] {
+        let mut file = FileStore::open(&dir, FileStoreConfig::default()).expect("open store");
+        let on_file = lifetime(&recovery, kill, &mut file);
+        let on_mem = lifetime(&recovery, kill, &mut mem);
+        assert_eq!(file.bytes(), mem.bytes(), "log bytes diverged at kill {kill:?}");
+        assert_eq!(
+            std::fs::read(FileStore::log_path(&dir)).unwrap(),
+            mem.bytes(),
+            "the file holds exactly the log"
+        );
+        match (kill, on_file, on_mem) {
+            (Some(_), DurableOutcome::Killed { .. }, DurableOutcome::Killed { .. }) => {}
+            (
+                None,
+                DurableOutcome::Completed { diagnoses, recovery: rec, .. },
+                DurableOutcome::Completed { diagnoses: mem_diagnoses, recovery: mem_rec, .. },
+            ) => {
+                assert_eq!(diagnoses, expected, "zero diagnoses lost, zero duplicated");
+                assert_eq!(diagnoses, mem_diagnoses);
+                assert_eq!(rec, mem_rec);
+                assert_eq!(rec.restores, 1);
+                assert!(rec.replayed_frames > 0, "the restart replayed the prefix: {rec:?}");
             }
-            DurableOutcome::Killed { .. } => {} // next loop iteration restarts
+            (kill, a, b) => panic!("kill {kill:?} ended as {a:?} / {b:?}"),
         }
-    };
+    }
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "one log file, nothing else");
     std::fs::remove_dir_all(&dir).ok();
+}
 
-    assert_eq!(invocations, 3, "both kills fired before completion");
-    assert_eq!(diags, expected, "zero diagnoses lost, zero duplicated");
-    assert!(
-        last_recovery.replayed_frames > 0,
-        "the restarted process replayed the consumed prefix: {last_recovery:?}"
-    );
+#[test]
+fn kill_between_release_and_checkpoint_survives_every_torn_tail() {
+    // A boundary appends the released diagnoses, then the checkpoint that
+    // makes them unrepeatable. Die between the two and the release record
+    // is the log's tail, covered by no checkpoint; a crash mid-write then
+    // tears that tail anywhere. Whatever survives, the process that reopens
+    // the file commits the uninterrupted run's stream.
+    let expected = reference(None);
+    let recovery = RecoveryConfig { checkpoint_every: 64, ..RecoveryConfig::default() };
+    let mut killed = MemStore::new();
+    assert!(matches!(lifetime(&recovery, Some(200), &mut killed), DurableOutcome::Killed { .. }));
+    let log = killed.bytes();
+    let release = records(log)
+        .filter(|r| r.kind == KIND_DIAGNOSES && r.payload.len() > 16)
+        .last()
+        .expect("a boundary before the kill released diagnoses");
+    assert_eq!(records(&log[release.end()..]).next().map(|r| r.kind), Some(KIND_CHECKPOINT));
+
+    let dir = scratch("torn-release");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut suppressed = 0;
+    for cut in release.offset..=release.end() {
+        std::fs::write(FileStore::log_path(&dir), &log[..cut]).unwrap();
+        let mut store = FileStore::open(&dir, FileStoreConfig::default()).expect("open torn log");
+        let torn = if cut < release.end() { cut - release.offset } else { 0 };
+        assert_eq!(store.truncated_on_open(), torn);
+        let DurableOutcome::Completed { diagnoses, recovery: rec, .. } =
+            lifetime(&recovery, None, &mut store)
+        else {
+            panic!("no kill point configured")
+        };
+        assert_eq!(diagnoses, expected, "tail cut at {cut}");
+        suppressed = rec.duplicate_releases_suppressed;
+    }
+    // The last cut kept the whole release record: its diagnoses were
+    // regenerated from the older checkpoint and suppressed, not re-released.
+    assert!(suppressed > 0);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -347,7 +410,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// For ANY capture impairment composed with ANY schedule of service
-    /// crashes and worker kills, checkpoint/replay is transparent: the
+    /// kills and worker kills, checkpoint/replay is transparent: the
     /// committed diagnoses equal the uninterrupted impaired run's.
     #[test]
     fn recovery_is_transparent_under_capture_impairment(
@@ -373,10 +436,10 @@ proptest! {
             checkpoint_every: 48,
             chaos,
             max_attempts: 5,
-            crash_points: CrashSchedule::seeded(seed, crashes, 300).points,
             ..RecoveryConfig::default()
         };
-        let (diags, _, _, rec) = run_recoverable(cfg).expect("impaired chaotic run completes");
+        let kills = CrashSchedule::seeded(seed, crashes, 300).points;
+        let (diags, _, _, rec) = run_recoverable(cfg, &kills);
         prop_assert_eq!(diags, expected);
         prop_assert_eq!(rec.jobs_cancelled, 0);
     }

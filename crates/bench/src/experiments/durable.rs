@@ -1,33 +1,13 @@
-//! Crash-recovery experiment: exactly-once diagnosis under analysis-plane
-//! failure, from one kill driver over both store backends.
-//!
-//! Each §7.2 operational case study is first run through the plain
-//! pipeline (the oracle), then through `run_service_durable` under chaos
-//! that kills every worker's first two attempts at a job, with the whole
-//! service killed 0/1/2/4 times mid-stream (SIGKILL model — nothing since
-//! the last checkpoint boundary survives). One driver loop re-invokes the
-//! service over the same log until it completes: the same `MemStore` value,
-//! or a `FileStore` directory reopened cold. Between two lifetimes the
-//! driver leaves the log alone, tears its last record mid-payload (the
-//! in-flight write cut short, as after power loss), or flips a byte of its
-//! newest record (restore must fall back to an older checkpoint, or cold
-//! replay).
-//!
-//! For every run the committed diagnosis stream is compared against the
-//! oracle as a multiset: the headline numbers are **diagnoses lost** and
-//! **diagnoses duplicated**, and the acceptance target for both is zero
-//! at every kill count, on either backend, under either kind of damage.
-//!
-//! Usage: `cargo run --release -p gretel-bench --bin recovery [--seed N] [--smoke] [--store-dir PATH]`
+//! Crash recovery (DESIGN.md §11 & §13): exactly-once diagnosis under
+//! analysis-plane failure, from one kill driver over both store backends.
 
-use gretel_bench::{arg, flag, results, Workbench};
+use crate::workload::operational_runs;
+use crate::{Artifact, Ctx};
 use gretel_core::{
-    run_service_cfg, run_service_durable, Analyzer, AnalyzerChaos, Diagnosis, DurableConfig,
-    DurableOutcome, GretelConfig, RecoveryConfig, RecoveryStats, ServiceConfig,
+    run_service_durable, AnalyzerChaos, Diagnosis, DurableConfig, DurableOutcome, RecoveryConfig,
+    RecoveryStats, ServiceConfig,
 };
-use gretel_model::NodeId;
 use gretel_netcap::CaptureImpairment;
-use gretel_sim::scenario::operational_suite;
 use gretel_sim::CrashSchedule;
 use gretel_store::{records, FileStore, FileStoreConfig, MemStore, Store};
 use serde::Serialize;
@@ -181,65 +161,58 @@ struct Output {
     all_identical: bool,
 }
 
-fn main() {
-    let seed: u64 = arg("--seed", 42);
-    let smoke = flag("--smoke");
-    let store_dir: String = arg("--store-dir", String::new());
-    let wb = Workbench::new(seed);
-
-    // A caller-provided directory is the caller's to inspect and clean up.
-    let own_store_base = store_dir.is_empty();
-    let store_base: PathBuf = if own_store_base {
-        std::env::temp_dir().join(format!("gretel-recovery-{}-{seed}", std::process::id()))
-    } else {
-        PathBuf::from(store_dir)
+/// Crash recovery — each §7.2 operational case study runs through the
+/// plain pipeline (the oracle), then through `run_service_durable` under
+/// chaos that kills every worker's first two attempts at a job, with the
+/// whole service killed 0/1/2/4 times mid-stream (SIGKILL model — nothing
+/// since the last checkpoint boundary survives). One driver loop
+/// re-invokes the service over the same log until it completes: the same
+/// `MemStore` value, or a `FileStore` directory reopened cold. Between two
+/// lifetimes the driver leaves the log alone, tears its last record
+/// mid-payload, or flips a byte of its newest record.
+///
+/// Gates: zero diagnoses lost, zero duplicated, every committed stream
+/// byte-identical to the oracle's, and a kill fired under each kind of
+/// damage.
+pub fn recovery(ctx: &Ctx) -> Vec<Artifact> {
+    let (wb, seed) = (&ctx.wb, ctx.seed);
+    let store_base = ctx.store_base("recovery");
+    let chaos = AnalyzerChaos {
+        kill_prob: 1.0, // every job kills its worker twice, then completes
+        kill_attempts: 2,
+        stall_prob: 0.0,
+        seed,
     };
-
-    let suite = operational_suite(&wb.catalog, seed, 6);
-    let suite = if smoke { &suite[..1] } else { &suite[..] };
-    let kill_counts: &[usize] = if smoke { &[2] } else { &KILL_COUNTS };
+    let max_attempts = 5;
 
     let mut rows = Vec::new();
-    for (si, sc) in suite.iter().enumerate() {
-        let exec = sc.run(wb.catalog.clone());
-        let n_msgs = exec.messages.len() as u64;
-        let p_rate = exec.messages.len() as f64 / (exec.duration.max(1) as f64 / 1e6).max(1e-6);
-        let gcfg = GretelConfig::auto(wb.library.fp_max(), p_rate, 2.0);
-        let nodes: Vec<NodeId> = sc.deployment.nodes().iter().map(|n| n.id).collect();
-
+    for (si, run) in operational_runs(wb, seed).iter().enumerate() {
+        let n_msgs = run.exec.messages.len() as u64;
         // Oracle: the plain sequenced pipeline, no failures.
-        let base = ServiceConfig {
+        let service = ServiceConfig {
             impairment: Some(CaptureImpairment::none()),
             ..ServiceConfig::default()
         };
-        let mut oracle = Analyzer::new(&wb.library, gcfg);
-        let (expected, _, _) = run_service_cfg(&mut oracle, &nodes, &exec.messages, &base);
+        let (expected, _, _) = wb.serve(run.gcfg, &run.nodes, &run.exec.messages, &service);
 
         let recovery = RecoveryConfig {
-            service: base.clone(),
+            service,
             checkpoint_every: (n_msgs / 8).max(32),
-            chaos: AnalyzerChaos {
-                kill_prob: 1.0, // every job kills its worker twice, then completes
-                kill_attempts: 2,
-                stall_prob: 0.0,
-                seed: seed ^ (si as u64) << 8,
-            },
-            max_attempts: 5,
+            chaos: AnalyzerChaos { seed: seed ^ ((si as u64) << 8), ..chaos },
+            max_attempts,
             ..RecoveryConfig::default()
         };
         let lifetime = |store: &mut dyn Store, kill_point: Option<u64>| {
             let cfg = DurableConfig { recovery: recovery.clone(), kill_point, reloads: Vec::new() };
-            run_service_durable(&wb.library, gcfg, &nodes, &exec.messages, &cfg, store)
+            run_service_durable(&wb.library, run.gcfg, &run.nodes, &run.exec.messages, &cfg, store)
                 .expect("a lifetime completes or is killed")
         };
 
-        for &kills in kill_counts {
+        for kills in KILL_COUNTS {
             let kill_points =
                 CrashSchedule::seeded(seed ^ 0xC4A5 ^ (si as u64), kills, n_msgs).points;
-            for damage in DAMAGES {
-                if damage != Damage::Clean && kills == 0 {
-                    continue; // damage is applied after a kill
-                }
+            // Damage is applied after a kill.
+            for damage in DAMAGES.into_iter().filter(|&d| d == Damage::Clean || kills > 0) {
                 let dir = store_base.join(format!("s{si}-k{kills}-{damage:?}"));
                 std::fs::remove_dir_all(&dir).ok();
                 for mut backend in [Backend::Mem(MemStore::new()), Backend::File(dir)] {
@@ -247,7 +220,7 @@ fn main() {
                         backend.drive(damage, &kill_points, lifetime);
                     let (lost, duplicated) = diff(&expected, &got);
                     rows.push(Row {
-                        scenario: sc.name.to_string(),
+                        scenario: run.scenario.name.to_string(),
                         backend: backend.name(),
                         kills_scheduled: kills,
                         kills_fired,
@@ -268,72 +241,27 @@ fn main() {
             }
         }
     }
-    if own_store_base {
-        std::fs::remove_dir_all(&store_base).ok();
-    }
+    ctx.release_store(&store_base);
 
-    let total_lost: usize = rows.iter().map(|r| r.lost).sum();
-    let total_duplicated: usize = rows.iter().map(|r| r.duplicated).sum();
-    let total_kills: usize = rows.iter().map(|r| r.kills_fired).sum();
-    let all_identical = rows.iter().all(|r| r.identical);
-
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.scenario.clone(),
-                r.backend.to_string(),
-                format!("{}/{}", r.kills_fired, r.kills_scheduled),
-                format!("{:?}", r.damage),
-                format!("{}", r.diagnoses),
-                format!("{}/{}", r.lost, r.duplicated),
-                format!("{}", r.worker_crashes),
-                format!("{}", r.restores),
-                format!("{}", r.replayed_frames),
-                format!("{}", r.duplicate_releases_suppressed),
-            ]
-        })
-        .collect();
-    results::print_table(
-        "Crash recovery: diagnoses lost/duplicated under supervision + checkpoint/replay",
-        &[
-            "scenario", "backend", "kills", "damage", "diags", "lost/dup", "wkills", "restores",
-            "replayed", "suppressed",
-        ],
-        &table,
-    );
-    println!(
-        "total lost: {total_lost}  total duplicated: {total_duplicated}  \
-         service kills: {total_kills}  all identical: {all_identical}"
-    );
-
-    // Smoke runs cover a reduced matrix; writing them out would clobber
-    // the committed full-sweep artifact (it happened: PR 5 had to restore
-    // stale --smoke output).
-    if smoke {
-        assert_eq!(total_lost, 0, "smoke: no diagnosis may be lost");
-        assert_eq!(total_duplicated, 0, "smoke: no diagnosis may be duplicated");
-        assert!(all_identical, "smoke: recovered output must be byte-identical");
-        for damage in DAMAGES {
-            assert!(
-                rows.iter().any(|r| r.damage == damage && r.kills_fired > 0),
-                "smoke: a kill must fire under {damage:?}"
-            );
-        }
-    } else {
-        results::write_json(
-            "recovery",
-            &Output {
-                seed,
-                kill_prob: 1.0,
-                kill_attempts: 2,
-                max_attempts: 5,
-                rows,
-                total_lost,
-                total_duplicated,
-                total_kills,
-                all_identical,
-            },
+    let out = Output {
+        seed,
+        kill_prob: chaos.kill_prob,
+        kill_attempts: chaos.kill_attempts,
+        max_attempts,
+        total_lost: rows.iter().map(|r| r.lost).sum(),
+        total_duplicated: rows.iter().map(|r| r.duplicated).sum(),
+        total_kills: rows.iter().map(|r| r.kills_fired).sum(),
+        all_identical: rows.iter().all(|r| r.identical),
+        rows,
+    };
+    assert_eq!(out.total_lost, 0, "no diagnosis may be lost");
+    assert_eq!(out.total_duplicated, 0, "no diagnosis may be duplicated");
+    assert!(out.all_identical, "recovered output must be byte-identical");
+    for damage in DAMAGES {
+        assert!(
+            out.rows.iter().any(|r| r.damage == damage && r.kills_fired > 0),
+            "a kill must fire under {damage:?}"
         );
     }
+    vec![Artifact::new("recovery", &out)]
 }

@@ -7,15 +7,20 @@
 //! θ = (N − n)/(N − 1) over the full 1200-fingerprint library per injected
 //! fault.
 
-use crate::workload::{build_fault_plan, diagnosis_for, faulty_pool, pick_fault_step};
-use crate::Workbench;
+use crate::workload::{
+    build_fault_plan, faulty_pool, pick_fault_step, score_faults, summarize, FaultScore,
+};
+use crate::{p_rate, Workbench};
 use gretel_core::{analyze_stream, Analyzer, GretelConfig};
 use gretel_model::{Category, OperationSpec};
-use gretel_sim::{secs, NoiseConfig, RunConfig, Runner};
+use gretel_sim::{secs, Deployment, NoiseConfig, RunConfig, Runner};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
+
+/// Seeded runs averaged per cell by [`sweep`] in the paper's figures.
+pub const SEEDS: u64 = 3;
 
 /// Parameters of one precision run.
 #[derive(Debug, Clone, Copy)]
@@ -32,14 +37,15 @@ pub struct PrecisionParams {
     pub prune_rpcs: Option<bool>,
     /// Window over which instance starts are spread.
     pub start_window_secs: u64,
-    /// The `t` of the α formula (seconds of traffic the window covers).
-    pub t_secs: f64,
     /// Propagate (and exploit) per-operation correlation ids — the
     /// §5.3.1 enhancement the paper leaves to OpenStack's rollout.
     pub correlation_ids: bool,
     /// Full analyzer-config override (applied after `auto`; `prune_rpcs`
     /// still wins). For ablations.
     pub config_override: Option<fn(&mut GretelConfig)>,
+    /// Run on `Deployment::scaled(n)` instead of the workbench's testbed
+    /// (the `scale` experiment; fingerprints stay the testbed's).
+    pub compute_nodes: Option<usize>,
 }
 
 impl Default for PrecisionParams {
@@ -51,29 +57,11 @@ impl Default for PrecisionParams {
             seed: 1,
             prune_rpcs: None,
             start_window_secs: 20,
-            t_secs: 2.0,
             correlation_ids: false,
             config_override: None,
+            compute_nodes: None,
         }
     }
-}
-
-/// Scoring for one injected fault.
-#[derive(Debug, Clone, Serialize)]
-pub struct FaultScore {
-    /// Ground-truth spec name.
-    pub truth: String,
-    /// Whether a diagnosis was produced for this fault at all.
-    pub diagnosed: bool,
-    /// Whether the truth operation is among the matched set.
-    pub hit: bool,
-    /// Number of operations matched (`n`).
-    pub matched: usize,
-    /// θ over the full library.
-    pub theta: f64,
-    /// Operations matching on the API error alone (no snapshot) — the
-    /// "With API error" baseline of Figs 7b/7c.
-    pub candidates: usize,
 }
 
 /// Aggregate result of one precision run.
@@ -103,19 +91,16 @@ pub fn run(wb: &Workbench, params: PrecisionParams) -> PrecisionResult {
 
     // Category-proportional sample of non-faulty tests.
     let mut background: Vec<&OperationSpec> = Vec::with_capacity(params.concurrent);
-    let by_cat: Vec<(Category, Vec<&OperationSpec>)> = Category::ALL
-        .iter()
-        .map(|&c| (c, wb.suite.by_category(c).collect::<Vec<_>>()))
-        .collect();
-    let total_tests: usize = by_cat.iter().map(|(_, v)| v.len()).sum();
-    for (cat, specs) in &by_cat {
+    let by_cat: Vec<Vec<&OperationSpec>> =
+        Category::ALL.iter().map(|&c| wb.suite.by_category(c).collect()).collect();
+    let total_tests: usize = by_cat.iter().map(Vec::len).sum();
+    for specs in &by_cat {
         let share = (params.concurrent * specs.len()).div_ceil(total_tests);
         for _ in 0..share {
             if background.len() >= params.concurrent {
                 break;
             }
             background.push(specs[rng.gen_range(0..specs.len())]);
-            let _ = cat;
         }
     }
     background.shuffle(&mut rng);
@@ -150,15 +135,12 @@ pub fn run(wb: &Workbench, params: PrecisionParams) -> PrecisionResult {
         correlation_ids: params.correlation_ids,
         ..RunConfig::default()
     };
-    let exec = Runner::new(wb.catalog.clone(), &wb.deployment, &plan, run_cfg).run(&all);
+    let scaled = params.compute_nodes.map(Deployment::scaled);
+    let deployment = scaled.as_ref().unwrap_or(&wb.deployment);
+    let exec = Runner::new(wb.catalog.clone(), deployment, &plan, run_cfg).run(&all);
 
     // Analyzer with α derived from the observed rate (paper §5.3.1).
-    let p_rate = if exec.duration > 0 {
-        exec.messages.len() as f64 / (exec.duration as f64 / 1e6)
-    } else {
-        150.0
-    };
-    let mut cfg = GretelConfig::auto(wb.library.fp_max(), p_rate, params.t_secs);
+    let mut cfg = wb.config_at(p_rate(&exec));
     if let Some(f) = params.config_override {
         f(&mut cfg);
     }
@@ -170,40 +152,29 @@ pub fn run(wb: &Workbench, params: PrecisionParams) -> PrecisionResult {
 
     // Score each injected fault: the diagnosis whose offending API matches
     // and whose fault message belongs to the faulty instance.
-    let scores: Vec<FaultScore> = truth
-        .iter()
-        .map(|fault| match diagnosis_for(&diagnoses, &exec.messages, fault) {
-            Some(d) => FaultScore {
-                truth: fault.name.clone(),
-                diagnosed: true,
-                hit: d.matched.contains(&fault.spec),
-                matched: d.matched.len(),
-                theta: gretel_core::theta(d.matched.len(), wb.library.len()),
-                candidates: d.candidates,
-            },
-            None => FaultScore {
-                truth: fault.name.clone(),
-                diagnosed: false,
-                hit: false,
-                matched: 0,
-                theta: 0.0,
-                candidates: 0,
-            },
-        })
-        .collect();
-
-    let diagnosed: Vec<&FaultScore> = scores.iter().filter(|s| s.diagnosed).collect();
-    let m = diagnosed.len().max(1) as f64;
+    let scores = score_faults(wb, &diagnoses, &exec.messages, &truth);
+    let summary = summarize(&scores);
     PrecisionResult {
         concurrent: params.concurrent,
         faults: params.faults,
-        mean_theta: diagnosed.iter().map(|s| s.theta).sum::<f64>() / m,
-        mean_matched: diagnosed.iter().map(|s| s.matched as f64).sum::<f64>() / m,
-        mean_candidates: diagnosed.iter().map(|s| s.candidates as f64).sum::<f64>() / m,
-        recall: scores.iter().filter(|s| s.hit).count() as f64 / scores.len().max(1) as f64,
+        mean_theta: summary.theta,
+        mean_matched: summary.matched,
+        mean_candidates: summary.candidates,
+        recall: summary.recall,
         messages: analyzer.stats().messages,
         scores,
     }
+}
+
+/// [`run`] over `seeds` derived seeds (`params.seed ^ 1`, `^ 2`, …): the
+/// seed-averaged cell every precision figure and ablation reports.
+pub fn sweep(wb: &Workbench, params: PrecisionParams, seeds: u64) -> Vec<PrecisionResult> {
+    (0..seeds).map(|s| run(wb, PrecisionParams { seed: params.seed ^ (s + 1), ..params })).collect()
+}
+
+/// Mean of one field over a [`sweep`].
+pub fn mean(runs: &[PrecisionResult], field: impl Fn(&PrecisionResult) -> f64) -> f64 {
+    runs.iter().map(field).sum::<f64>() / runs.len() as f64
 }
 
 #[cfg(test)]

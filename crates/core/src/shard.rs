@@ -41,8 +41,8 @@
 //! the window to the traffic rate ([`GretelConfig::auto`]) so an
 //! operation's events are never evicted before its fault arrives — an
 //! undersized α evicts under full load but not under a shard's 1/N load,
-//! skewing the context-buffer accounting between regimes. The soak binary
-//! (`gretel-bench --bin soak`) gates on exactly this equality for shard
+//! skewing the context-buffer accounting between regimes. The soak
+//! experiment (`gretel-bench`) gates on exactly this equality for shard
 //! counts 1/2/4/8.
 
 use crate::analyzer::{Analyzer, AnalyzerStats};

@@ -11,14 +11,13 @@
 use crate::frame;
 use crate::stats::CaptureStats;
 use bytes::Bytes;
-use crossbeam_channel::{bounded, Receiver, Sender};
 use gretel_model::codec::{finalize, put_bytes, put_count, put_u64, Reader};
 use gretel_model::{Message, NodeId, Service};
 use std::collections::BTreeMap;
 
 /// Traffic filter applied by agents: GRETEL monitors REST/RPC control
 /// traffic only; database and NTP chatter is out of scope.
-pub fn is_relevant(msg: &Message) -> bool {
+fn is_relevant(msg: &Message) -> bool {
     !matches!(msg.dst_service, Service::MySql | Service::Ntp)
         && !matches!(msg.src_service, Service::MySql | Service::Ntp)
 }
@@ -111,27 +110,11 @@ impl CaptureAgent {
     }
 }
 
-/// An agent-to-analyzer link: bounded, in-order frame transport.
-pub struct AgentLink {
-    /// Sending half (held by the agent).
-    pub tx: Sender<Bytes>,
-    /// Receiving half (held by the event receiver).
-    pub rx: Receiver<Bytes>,
-}
-
-impl AgentLink {
-    /// Create a link with the given channel capacity.
-    pub fn new(capacity: usize) -> AgentLink {
-        let (tx, rx) = bounded(capacity);
-        AgentLink { tx, rx }
-    }
-}
-
 /// Deterministically merge per-agent capture batches back into one
 /// timestamp-ordered stream (k-way merge; ties broken by message id, which
 /// is globally unique). This mirrors the analyzer-side event receiver
 /// reassembling one logical stream from many agent TCP connections.
-pub fn merge_captures(batches: Vec<Vec<Message>>) -> Vec<Message> {
+fn merge_captures(batches: Vec<Vec<Message>>) -> Vec<Message> {
     let mut merged: Vec<Message> = batches.into_iter().flatten().collect();
     merged.sort_by_key(|m| (m.ts_us, m.id));
     merged
@@ -228,17 +211,6 @@ mod tests {
         let merged = merge_captures(batches);
         assert_eq!(merged[0].id, MessageId(2));
         assert_eq!(merged[1].id, MessageId(5));
-    }
-
-    #[test]
-    fn agent_link_is_fifo() {
-        let link = AgentLink::new(16);
-        for i in 0..10u8 {
-            link.tx.send(Bytes::from(vec![i])).unwrap();
-        }
-        for i in 0..10u8 {
-            assert_eq!(link.rx.recv().unwrap()[0], i);
-        }
     }
 }
 
@@ -662,14 +634,6 @@ impl Resequencer {
     /// `dup_discarded`; the injector-side counters stay zero).
     pub fn stats(&self) -> CaptureStats {
         self.stats
-    }
-
-    /// Flow this resequencer's counters into a pipeline metrics registry
-    /// (see [`CaptureStats::record_into`]). Call once at end of stream —
-    /// the registry's meters are cumulative, so flushing mid-stream and
-    /// again at the end would double-count.
-    pub fn record_stats_into(&self, m: &gretel_obs::PipelineMetrics) {
-        self.stats.record_into(m);
     }
 
     fn force_advance(&mut self, out: &mut Vec<(u32, Message)>) {

@@ -6,9 +6,9 @@
 //! both: frames are packed back-to-back into a single contiguous **arena**
 //! (`Bytes`, one allocation per batch) with an offset table, and the whole
 //! batch crosses the agent→receiver link in one send. Frame views
-//! ([`FrameBatch::frame`]) and decode ([`FrameBatch::decode_all`]) are
-//! zero-copy: views are `Bytes::slice` handles into the shared arena, and
-//! the codec parses straight out of it (`&[u8]` is a `Buf` cursor).
+//! ([`FrameBatch::frame_slice`]) and decode ([`FrameBatch::decode_all`]) are
+//! zero-copy: views borrow the shared arena, and the codec parses straight
+//! out of it (`&[u8]` is a `Buf` cursor).
 //!
 //! Batching never changes *what* is shipped, only the channel-operation
 //! granularity: frames keep their per-agent order inside the arena, so a
@@ -63,13 +63,6 @@ impl FrameBatch {
     /// Total encoded bytes across every frame (the arena length).
     pub fn byte_len(&self) -> usize {
         self.buf.len()
-    }
-
-    /// Zero-copy view of the `i`-th frame: a `Bytes` handle sharing the
-    /// arena allocation. Panics when `i >= frames()`.
-    pub fn frame(&self, i: usize) -> Bytes {
-        let (start, end) = self.offsets[i];
-        self.buf.slice(start as usize..end as usize)
     }
 
     /// Borrowed view of the `i`-th frame's bytes.
@@ -211,14 +204,10 @@ mod tests {
     }
 
     #[test]
-    fn frame_views_share_the_arena() {
+    fn frame_slices_borrow_the_arena() {
         let frames: Vec<Bytes> = msgs(3).iter().map(encode).collect();
         let [batch] = &batch_frames(&frames, 8)[..] else { panic!("one batch") };
-        let view = batch.frame(1);
-        assert_eq!(&view[..], &frames[1][..]);
-        // A view is a slice of the arena, not a fresh allocation: its
-        // length and content match without the batch being consumed.
-        assert_eq!(batch.frame(1), view.clone());
+        assert_eq!(batch.frame_slice(1), &frames[1][..]);
     }
 
     #[test]

@@ -15,8 +15,7 @@
 //! * [`shard`] — tenant-hash routing of messages onto the partitions of
 //!   the sharded pipeline (DESIGN.md §15);
 //! * [`pcap`] — libpcap-flavoured dump files for captured traffic;
-//! * [`stats`] — wall-clock throughput meters (events/s, Mbps) and
-//!   [`CaptureStats`] capture-quality counters.
+//! * [`stats`] — [`CaptureStats`] capture-quality counters.
 
 #![deny(missing_docs)]
 
@@ -28,11 +27,11 @@ pub mod shard;
 pub mod stats;
 
 pub use agent::{
-    capture_and_merge, coin, degrade, is_relevant, merge_captures, mix64, skew_clocks, AgentLink,
-    CaptureAgent, CaptureImpairment, Degradation, Resequencer, StallSpec,
+    capture_and_merge, coin, degrade, mix64, skew_clocks, CaptureAgent, CaptureImpairment,
+    Degradation, Resequencer, StallSpec,
 };
 pub use batch::{batch_frames, FrameBatch, FrameBatchBuilder};
 pub use frame::{decode_one, decode_one_seq, encode, encode_seq, encoded_len, CodecError};
 pub use pcap::PcapReader;
 pub use shard::{partition_messages, shard_of};
-pub use stats::{CaptureStats, ThroughputMeter};
+pub use stats::CaptureStats;

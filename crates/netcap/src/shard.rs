@@ -14,7 +14,7 @@
 //! count. SplitMix64 passes avalanche tests, so consecutive project ids do
 //! not clump onto consecutive shards, yet the function is pure and
 //! platform-independent: the same message routes identically on every run,
-//! which the byte-identity oracles in `gretel-bench --bin soak` rely on.
+//! which the byte-identity oracles in gretel-bench's `soak` rely on.
 
 use gretel_model::codec::finalize;
 use gretel_model::{Message, ProjectId};

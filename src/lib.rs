@@ -67,15 +67,15 @@ pub use gretel_telemetry as telemetry;
 /// | §5.3 anomaly detection (byte scans, latency pairing) | [`core::anomaly`] |
 /// | §5.3.1 sliding window α, context buffer β/δ, θ | [`core::window`], [`core::detect`], [`core::config`] |
 /// | Algorithm 2 (operation detection, truncation) | [`core::detect::Detector`], [`core::fingerprint::Fingerprint::truncate_at_each`] |
-/// | §5.3.1 correlation ids (future work) | `GretelConfig::use_correlation_ids`, `--bin corr_ablation` |
+/// | §5.3.1 correlation ids (future work) | `GretelConfig::use_correlation_ids`, `experiments corr_ablation` |
 /// | Algorithm 3 (root cause analysis) | [`core::rca::RcaEngine`] |
 /// | §6 implementation (symbols, RPC pruning, dual buffer, LS) | [`model::symbol`], `GretelConfig::prune_rpcs`, [`core::window`], [`telemetry::outlier`] |
-/// | §7.1 characterization, Table 1, Fig 5 | [`model::tempest`], `--bin table1`, `--bin fig5` |
-/// | §7.2 case studies | [`sim::scenario`], `--bin case_studies` |
-/// | §7.3 precision, Figs 7a–c, 8a, 8b | `gretel-bench::precision`, `--bin fig7a..fig8b` |
-/// | §7.4 throughput & overhead, Fig 8c | [`sim::stream`], [`netcap::stats`], `--bin fig8c`, `--bin overhead` |
-/// | §8 limitations | quantified: `--bin loss_ablation` (1), `interfering_operations` scenario (5), [`model::dsl`] + `FingerprintLibrary::extend_characterize` (4, 7) |
-/// | §9.2 HANSEL comparison | [`hansel`], `--bin fig8c` |
+/// | §7.1 characterization, Table 1, Fig 5 | [`model::tempest`], `experiments table1 fig5` |
+/// | §7.2 case studies | [`sim::scenario`], `experiments case_studies` |
+/// | §7.3 precision, Figs 7a–c, 8a, 8b | `gretel-bench::precision`, `experiments fig7a fig7b fig7c fig8a fig8b` |
+/// | §7.4 throughput & overhead, Fig 8c | [`sim::stream`], `experiments fig8c`, `benchmark/` (`steady`, `storm`, `wire`) |
+/// | §8 limitations | quantified: `experiments loss_ablation` (1), `interfering_operations` scenario (5), [`model::dsl`] + `FingerprintLibrary::extend_characterize` (4, 7) |
+/// | §9.2 HANSEL comparison | [`hansel`], `experiments fig8c` |
 pub mod paper_map {}
 
 /// The most common imports, for examples and quick experiments.

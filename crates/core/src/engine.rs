@@ -1,15 +1,27 @@
-//! The pipeline engine: the one receive → resequence → k-way merge →
-//! ingest → analysis-pool loop behind every `run_*` entry point (paper
-//! Fig 3: one event receiver feeding one analyzer).
+//! The pipeline engine: the one capture → receive → resequence → k-way
+//! merge → ingest → analysis-pool loop behind every `run_*` entry point
+//! (paper Fig 3: agents that filter at the tap, one event receiver feeding
+//! one analyzer).
 //!
-//! One capture-agent thread per node encodes its egress traffic into
-//! frames, packs them into arena-backed [`FrameBatch`]es and ships them over
-//! a bounded link; the receiver thread decodes each batch zero-copy,
-//! resequences it when frames are sequence-stamped, scans it for failure
-//! patterns in one batch-wide pass, k-way merges the per-agent streams on
-//! `(ts, id)` and drives the [`Analyzer`]. Completed snapshots ship as jobs
-//! to a supervised worker [`Pool`]; results are released in job-sequence
-//! order, so the output equals inline analysis whatever the scheduling.
+//! **Capture is one pass.** One capture-agent thread per node walks the
+//! traffic slice once. It is a filter: it forwards a message iff it
+//! observes it (egress capture, relevance) *and* the message routes to this
+//! pipeline's partition ([`Route`]; [`UNSHARDED`] forwards everything), so a
+//! sharded run hands every shard the same slice and copies nothing. Each
+//! forwarded message is encoded exactly once, straight into the arena of the
+//! [`FrameBatch`] it ships in, and the batch goes out over a bounded link
+//! the moment it fills — there is one such loop ([`spawn_agent`]). Only a
+//! configured [`CaptureImpairment`](gretel_netcap::CaptureImpairment) takes
+//! a detour: its coins key on whole-stream frame indices, so the agent
+//! encodes its flat frame list first, impairs it, and feeds *that* to the
+//! same loop.
+//!
+//! The receiver thread decodes each batch zero-copy, resequences it when
+//! frames are sequence-stamped, scans it for failure patterns in one
+//! batch-wide pass, k-way merges the per-agent streams on `(ts, id)` and
+//! drives the [`Analyzer`]. Completed snapshots ship as jobs to a supervised
+//! worker [`Pool`]; results are released in job-sequence order, so the
+//! output equals inline analysis whatever the scheduling.
 //!
 //! The engine runs with or without a [`Store`]:
 //!
@@ -26,9 +38,8 @@
 //!
 //! Whether frames are sequence-stamped is derived, never set: a store
 //! (replay dedups the re-shipped prefix by sequence number), an impairment
-//! or a lossy link (the receiver must see what went missing) each need it;
-//! the lossless store-less shape streams unsequenced frames straight from
-//! encode into the batch arena.
+//! or a lossy link (the receiver must see what went missing) each need it.
+//! Stamping is an argument to the encoder, not a second capture path.
 
 use crate::analyzer::{Analyzer, AnalyzerStats, JobBudget, SnapshotAnalyzer, SnapshotJob};
 use crate::anomaly::scan_message;
@@ -44,11 +55,11 @@ use crossbeam_channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use gretel_model::codec::{put_bytes, put_count, put_u32, put_u64, DecodeError, Reader};
 use gretel_model::{Message, NodeId};
 use gretel_netcap::{
-    batch_frames, decode_one, encode, CaptureAgent, CaptureStats, FrameBatch, FrameBatchBuilder,
-    Resequencer,
+    decode_one, encode, encode_seq, shard_of, CaptureAgent, CaptureStats, FrameBatch,
+    FrameBatchBuilder, Resequencer,
 };
 use gretel_obs::{Meter, PipelineMetrics, Stage, StageTimer};
-use gretel_store::Store;
+use gretel_store::{records, Record, Store};
 use std::collections::{BTreeMap, VecDeque};
 use std::thread::Scope;
 use std::time::Duration;
@@ -106,7 +117,7 @@ impl AgentStream {
                             let mut released = Vec::with_capacity(decoded.len());
                             let t = StageTimer::start(metrics, Stage::Resequence);
                             for (msg, seq) in decoded {
-                                released.extend(r.push(seq, msg));
+                                released.extend(r.try_push(seq, msg)?);
                             }
                             t.finish();
                             if let Some(m) = metrics {
@@ -182,16 +193,27 @@ fn ship_batch(
     }
 }
 
+/// Which tenants a pipeline's agents forward: `(shard, of)` — the messages
+/// [`shard_of`] routes to partition `shard` out of `of`.
+pub(crate) type Route = (usize, usize);
+
+/// The unsharded pipeline: one partition, which every message routes to.
+pub(crate) const UNSHARDED: Route = (0, 1);
+
 /// Spawn `node`'s capture agent and return the receiver end of its bounded
-/// link (batches, not frames). The agent ships its whole deterministic
-/// stream, reports `(capture stats, backpressure drops)` on `stat_tx`, then
-/// closes the link.
+/// link (batches, not frames). The agent is a filter over the tap: it walks
+/// `traffic` once and forwards a message iff it observes it *and* the
+/// message routes to this pipeline's partition, so a sharded run hands every
+/// shard the same slice and nothing is copied per shard. It ships its whole
+/// deterministic stream, reports `(capture stats, backpressure drops)` on
+/// `stat_tx`, then closes the link.
 fn spawn_agent<'sc, 'env>(
     scope: &'sc Scope<'sc, 'env>,
     node: NodeId,
     traffic: &'env [Message],
     cfg: &ServiceConfig,
     sequenced: bool,
+    (shard, of): Route,
     stat_tx: Sender<(CaptureStats, u64)>,
 ) -> Receiver<FrameBatch> {
     let (tx, rx) = bounded::<FrameBatch>(cfg.channel_capacity);
@@ -204,43 +226,32 @@ fn spawn_agent<'sc, 'env>(
         let agent = CaptureAgent::new(node);
         let mut capture = CaptureStats::default();
         let mut drops = 0u64;
-        if sequenced {
-            // Whole-stream capture first: impairment coins key on
-            // per-agent frame indices, so the impairment must see the
-            // flat frame list before it is packed into arenas.
-            let frames = agent.capture_seq(traffic.iter(), 0);
-            let frames = match impairment {
-                Some(imp) => imp.apply(node, frames, &mut capture),
-                None => {
-                    capture.frames += frames.len() as u64;
-                    frames
-                }
-            };
-            for batch in batch_frames(&frames, ingest_batch) {
-                if !ship_batch(batch, &tx, evict_rx.as_ref(), &mut drops) {
-                    break; // receiver gone
-                }
-            }
-        } else {
-            // Lossless unsequenced path: stream capture, packing each
-            // batch arena as frames arrive.
-            let mut builder = FrameBatchBuilder::new(ingest_batch);
-            let mut alive = true;
-            for msg in traffic {
-                if agent.observes(msg) {
-                    capture.frames += 1;
-                    if let Some(batch) = builder.push(&encode(msg)) {
-                        if !ship_batch(batch, &tx, evict_rx.as_ref(), &mut drops) {
-                            alive = false;
-                            break; // receiver gone
-                        }
-                    }
-                }
-            }
-            if alive {
-                if let Some(batch) = builder.finish() {
-                    ship_batch(batch, &tx, evict_rx.as_ref(), &mut drops);
-                }
+        let mine = traffic
+            .iter()
+            .filter(|m| agent.observes(m) && shard_of(m.project, of) == shard)
+            .enumerate();
+        // An impairment's coins key on whole-stream frame indices, so it —
+        // and nothing else — needs the flat frame list before packing.
+        let impaired = impairment.map(|imp| {
+            let frames = mine.clone().map(|(i, m)| encode_seq(m, i as u64)).collect();
+            imp.apply(node, frames, &mut capture)
+        });
+        // Every other frame is written once, straight into the arena it
+        // ships in.
+        let mut builder = FrameBatchBuilder::new(ingest_batch);
+        let filled: Box<dyn Iterator<Item = Option<FrameBatch>> + '_> = match &impaired {
+            Some(frames) => Box::new(frames.iter().map(|f| builder.push(f))),
+            None => Box::new(mine.map(|(i, m)| {
+                capture.frames += 1;
+                builder.encode(m, sequenced.then_some(i as u64))
+            })),
+        };
+        // The one pack-and-ship loop; it stops early only if the receiver
+        // went away.
+        let mut ship = |batch| ship_batch(batch, &tx, evict_rx.as_ref(), &mut drops);
+        if filled.flatten().all(&mut ship) {
+            if let Some(batch) = builder.finish() {
+                ship(batch);
             }
         }
         let _ = stat_tx.send((capture, drops));
@@ -685,6 +696,7 @@ pub(crate) fn run_cycle(
     nodes: &[NodeId],
     traffic: &[Message],
     cfg: &RecoveryConfig,
+    route: Route,
     state: &mut RunState<'_>,
 ) -> Result<RunEnd, ServiceError> {
     assert!(cfg.service.channel_capacity > 0);
@@ -701,8 +713,13 @@ pub(crate) fn run_cycle(
     // back past it.
     let mut restored: Option<(Vec<u8>, u64, Vec<AgentStream>)> = None;
     if let Some(store) = &state.store {
-        for payload in store.records_of(KIND_CHECKPOINT).into_iter().rev() {
-            let (astate, next_seq, streams, ck_lib) = decode_checkpoint(payload, nodes.len())?;
+        // Find the checkpoints by header, then checksum and decode from the
+        // newest back: a restart pays for the record it uses, not the log.
+        let checkpoints: Vec<Record<'_>> =
+            records(store.bytes()).filter(|r| r.kind == KIND_CHECKPOINT).collect();
+        for rec in checkpoints.iter().rev().filter(|r| r.valid()) {
+            let (astate, next_seq, streams, ck_lib) =
+                decode_checkpoint(rec.payload, nodes.len())?;
             if ck_lib as usize <= lib_len {
                 restored = Some((astate, next_seq, streams));
                 break;
@@ -738,7 +755,9 @@ pub(crate) fn run_cycle(
         let (stat_tx, stat_rx) = unbounded::<(CaptureStats, u64)>();
         let rxs: Vec<Receiver<FrameBatch>> = nodes
             .iter()
-            .map(|&n| spawn_agent(scope, n, traffic, &cfg.service, sequenced, stat_tx.clone()))
+            .map(|&n| {
+                spawn_agent(scope, n, traffic, &cfg.service, sequenced, route, stat_tx.clone())
+            })
             .collect();
         drop(stat_tx);
 
@@ -855,6 +874,7 @@ pub(crate) fn run_plain(
     nodes: &[NodeId],
     traffic: &[Message],
     cfg: &ServiceConfig,
+    route: Route,
 ) -> Result<(Vec<Diagnosis>, ServiceStats, AnalyzerStats), ServiceError> {
     let cfg = RecoveryConfig {
         service: cfg.clone(),
@@ -862,7 +882,7 @@ pub(crate) fn run_plain(
         ..RecoveryConfig::default()
     };
     let mut state = RunState::new(None, None, Vec::new())?;
-    let end = run_cycle(analyzer, nodes, traffic, &cfg, &mut state)?;
+    let end = run_cycle(analyzer, nodes, traffic, &cfg, route, &mut state)?;
     debug_assert!(matches!(end, RunEnd::Completed), "no kill or reload arm without a store");
     Ok((state.diagnoses, state.service_stats, analyzer.stats()))
 }

@@ -16,7 +16,8 @@ use gretel_model::{symbol, ApiId, Catalog, OpSpecId, OperationSpec};
 use gretel_sim::{Deployment, Execution, FaultPlan, RunConfig, Runner};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// One element of a fingerprint's regex representation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -347,6 +348,11 @@ impl FingerprintLibrary {
     /// isolation on `deployment` (noise enabled — the filter must earn its
     /// keep) and learn its fingerprint. Returns the library plus the raw
     /// event counts per operation (for Table 1's Events columns).
+    ///
+    /// Specs are characterized on as many scoped workers as the machine
+    /// has cores. Each spec's simulator seeds depend only on its index and
+    /// fingerprint generation is a pure function of the traces, so the
+    /// result is the same bytes at any width.
     pub fn characterize(
         catalog: Arc<Catalog>,
         specs: &[OperationSpec],
@@ -354,65 +360,47 @@ impl FingerprintLibrary {
         runs: usize,
         seed: u64,
     ) -> (FingerprintLibrary, Vec<CharacterizationStats>) {
-        assert!(runs >= 1);
-        let mut all_traces = Vec::with_capacity(specs.len());
-        let mut stats = Vec::with_capacity(specs.len());
-        for (i, spec) in specs.iter().enumerate() {
-            assert_eq!(spec.id.index(), i, "specs must be in dense id order");
-            let (traces, st) = Self::run_spec_traces(&catalog, deployment, spec, runs, |r| {
-                seed ^ ((i as u64) << 20) ^ r as u64
-            });
-            stats.push(st);
-            all_traces.push((spec.id, traces));
-        }
-        (Self::from_traces(catalog, all_traces), stats)
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Self::characterize_on(threads, catalog, specs, deployment, runs, seed)
     }
 
-    /// [`Self::characterize`] sharded across `threads` scoped workers.
-    /// Each spec's simulator seeds depend only on its index, and
-    /// fingerprint generation is a pure function of the traces, so the
-    /// result is identical to the sequential build regardless of how the
-    /// scheduler interleaves workers (asserted in tests).
-    pub fn characterize_parallel(
+    /// [`Self::characterize`] on at most `threads` workers.
+    fn characterize_on(
+        threads: usize,
         catalog: Arc<Catalog>,
         specs: &[OperationSpec],
         deployment: &Deployment,
         runs: usize,
         seed: u64,
-        threads: usize,
     ) -> (FingerprintLibrary, Vec<CharacterizationStats>) {
         assert!(runs >= 1);
-        let threads = threads.max(1).min(specs.len().max(1));
-        if threads <= 1 {
-            return Self::characterize(catalog, specs, deployment, runs, seed);
-        }
         for (i, spec) in specs.iter().enumerate() {
             assert_eq!(spec.id.index(), i, "specs must be in dense id order");
         }
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let done: std::sync::Mutex<Vec<(usize, Fingerprint, CharacterizationStats)>> =
-            std::sync::Mutex::new(Vec::with_capacity(specs.len()));
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= specs.len() {
-                            break;
-                        }
-                        let spec = &specs[i];
-                        let (traces, st) =
-                            Self::run_spec_traces(&catalog, deployment, spec, runs, |r| {
-                                seed ^ ((i as u64) << 20) ^ r as u64
-                            });
-                        local.push((i, generate_fingerprint(&catalog, spec.id, &traces), st));
-                    }
-                    done.lock().unwrap().extend(local);
+        let next = AtomicUsize::new(0);
+        let done: Mutex<Vec<(usize, Fingerprint, CharacterizationStats)>> =
+            Mutex::new(Vec::with_capacity(specs.len()));
+        let worker = || {
+            let mut local = Vec::new();
+            loop {
+                // A work counter publishes nothing but itself.
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(spec) = specs.get(i) else { break };
+                let (traces, st) = Self::run_spec_traces(&catalog, deployment, spec, runs, |r| {
+                    seed ^ ((i as u64) << 20) ^ r as u64
                 });
+                local.push((i, generate_fingerprint(&catalog, spec.id, &traces), st));
             }
+            done.lock().expect("no worker panics holding the lock").extend(local);
+        };
+        // The caller is the first worker, so one thread spawns nothing.
+        std::thread::scope(|scope| {
+            for _ in 1..threads.min(specs.len()) {
+                scope.spawn(worker);
+            }
+            worker();
         });
-        let mut done = done.into_inner().unwrap();
+        let mut done = done.into_inner().expect("workers are joined");
         done.sort_by_key(|&(i, ..)| i);
         let mut fps = Vec::with_capacity(done.len());
         let mut stats = Vec::with_capacity(done.len());
@@ -996,16 +984,11 @@ mod tests {
             wf.image_upload_spec(OpSpecId(1)),
             wf.cinder_list_spec(OpSpecId(2)),
         ];
-        let (seq, seq_stats) = FingerprintLibrary::characterize(cat.clone(), &specs, &dep, 2, 11);
+        let (seq, seq_stats) =
+            FingerprintLibrary::characterize_on(1, cat.clone(), &specs, &dep, 2, 11);
         for threads in [2usize, 4, 8] {
-            let (par, par_stats) = FingerprintLibrary::characterize_parallel(
-                cat.clone(),
-                &specs,
-                &dep,
-                2,
-                11,
-                threads,
-            );
+            let (par, par_stats) =
+                FingerprintLibrary::characterize_on(threads, cat.clone(), &specs, &dep, 2, 11);
             assert_eq!(par.to_json(), seq.to_json(), "threads={threads}");
             assert_eq!(par_stats, seq_stats);
             assert_eq!(par.fp_max(), seq.fp_max());

@@ -52,7 +52,7 @@
 
 use crate::analyzer::{Analyzer, AnalyzerStats, JobBudget};
 use crate::config::GretelConfig;
-use crate::engine::{run_cycle, RunEnd, RunState};
+use crate::engine::{run_cycle, Route, RunEnd, RunState, UNSHARDED};
 use crate::fingerprint::FingerprintLibrary;
 use crate::graph::ServiceGraph;
 use crate::report::Diagnosis;
@@ -319,6 +319,20 @@ pub fn run_service_durable(
     cfg: &DurableConfig,
     store: &mut dyn Store,
 ) -> Result<DurableOutcome, ServiceError> {
+    run_durable_routed(lib, gcfg, nodes, traffic, cfg, store, UNSHARDED)
+}
+
+/// [`run_service_durable`] for one partition of a sharded run: the agents
+/// forward only what routes to `route`.
+pub(crate) fn run_durable_routed(
+    lib: &FingerprintLibrary,
+    gcfg: GretelConfig,
+    nodes: &[NodeId],
+    traffic: &[Message],
+    cfg: &DurableConfig,
+    store: &mut dyn Store,
+    route: Route,
+) -> Result<DurableOutcome, ServiceError> {
     validate(&cfg.recovery)?;
     let metrics = cfg.recovery.service.metrics.as_deref();
 
@@ -357,7 +371,7 @@ pub fn run_service_durable(
     loop {
         let mut analyzer = Analyzer::new(cur.as_ref().unwrap_or(lib), gcfg);
         state.initial_state = analyzer.export_state().ok_or(ServiceError::NotCheckpointable)?;
-        match run_cycle(&mut analyzer, nodes, traffic, &cfg.recovery, &mut state)? {
+        match run_cycle(&mut analyzer, nodes, traffic, &cfg.recovery, route, &mut state)? {
             RunEnd::Completed => {
                 return Ok(DurableOutcome::Completed {
                     diagnoses: state.diagnoses,

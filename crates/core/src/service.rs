@@ -1,8 +1,8 @@
 //! The distributed monitoring service (paper Fig 3), threaded.
 //!
-//! One capture-agent thread per node encodes its egress traffic into
-//! frames, packs them into arena-backed
-//! [`FrameBatch`](gretel_netcap::FrameBatch)es
+//! One capture-agent thread per node filters its egress traffic out of the
+//! stream, encodes each message once, straight into the arena of the
+//! [`FrameBatch`](gretel_netcap::FrameBatch) it ships in
 //! ([`ServiceConfig::ingest_batch`] frames per channel operation), and
 //! ships the batches over a bounded channel; the event receiver performs
 //! a k-way merge (each agent's stream is in timestamp order, like a TCP
@@ -258,7 +258,7 @@ pub fn run_service_cfg(
     // In-process agents encode with the same codec the receiver decodes
     // with, the pool holds its own job channel open, and there is no store
     // to fail: no error source can fire in this shape.
-    crate::engine::run_plain(analyzer, nodes, traffic, cfg)
+    crate::engine::run_plain(analyzer, nodes, traffic, cfg, crate::engine::UNSHARDED)
         .expect("in-process pipeline cannot hit transport errors")
 }
 

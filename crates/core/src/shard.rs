@@ -1,15 +1,19 @@
 //! Tenant-sharded pipeline: N independent partitions, one merged report.
 //!
 //! The single-pipeline entry points ([`run_service_cfg`](crate::run_service_cfg),
-//! [`run_service_durable`]) run one ingest→resequence→window→detect
-//! pipeline no matter how much traffic arrives. This module scales that
-//! shape out by *Keystone project* (DESIGN.md §15): traffic is routed with
-//! [`gretel_netcap::shard::shard_of`] so each tenant's operations land on
-//! exactly one of N partitions, and each partition owns the full pipeline
-//! privately — its own capture agents and resequencers, its own
-//! [`Analyzer`] with windows and detection state, its own checkpoint
-//! store (durable variant) and its own [`PipelineMetrics`] registry.
-//! Shards share nothing and never synchronize while running.
+//! [`run_service_durable`](crate::run_service_durable)) run one
+//! ingest→resequence→window→detect pipeline no matter how much traffic
+//! arrives. This module scales that shape out by *Keystone project*
+//! (DESIGN.md §15): each of N partitions owns the full pipeline privately —
+//! its own capture agents and resequencers, its own [`Analyzer`] with
+//! windows and detection state, its own checkpoint store (durable variant)
+//! and its own [`PipelineMetrics`] registry — and all of them read the one
+//! traffic slice. **Shards are
+//! filters, not copies:** partition `i`'s agents forward a message iff
+//! [`gretel_netcap::shard::shard_of`] routes its project to `i`, so each
+//! tenant's operations land on exactly one partition and the stream is
+//! never split, cloned or re-encoded per shard. Shards share nothing
+//! mutable and never synchronize while running.
 //!
 //! After the shards drain, the driver merges:
 //!
@@ -47,14 +51,14 @@
 
 use crate::analyzer::{Analyzer, AnalyzerStats};
 use crate::config::GretelConfig;
-use crate::engine::run_plain;
+use crate::engine::{run_plain, Route};
 use crate::fingerprint::FingerprintLibrary;
 use crate::graph::{attribute_cascades, CascadeParams, ServiceGraph};
-use crate::recover::{run_service_durable, DurableConfig, DurableOutcome, RecoveryStats};
+use crate::recover::{run_durable_routed, DurableConfig, DurableOutcome, RecoveryStats};
 use crate::report::Diagnosis;
 use crate::service::{resolve_shard_workers, ServiceConfig, ServiceError, ServiceStats};
 use gretel_model::{Message, NodeId};
-use gretel_netcap::partition_messages;
+use gretel_netcap::shard_of;
 use gretel_obs::{MetricsSnapshot, PipelineMetrics};
 use gretel_store::Store;
 use std::sync::Arc;
@@ -178,25 +182,29 @@ struct ShardRun {
     recovery: Option<RecoveryStats>,
 }
 
-/// One partition's pipeline: the engine without a store, or — given the
-/// recovery shape and this shard's private store — [`run_service_durable`].
+/// One partition's pipeline over the whole of `traffic`, of which its
+/// agents forward what routes to `route`: the engine without a store, or —
+/// given the recovery shape and this shard's private store — the durable
+/// one.
 fn run_shard(
     lib: &FingerprintLibrary,
     gcfg: GretelConfig,
     nodes: &[NodeId],
-    part: &[Message],
+    traffic: &[Message],
     service: ServiceConfig,
+    route: Route,
     durable: Option<(&DurableConfig, &mut &mut (dyn Store + Send))>,
 ) -> Result<ShardRun, ServiceError> {
     let Some((dcfg, store)) = durable else {
         let mut analyzer = Analyzer::new(lib, gcfg);
-        let (diagnoses, service, astats) = run_plain(&mut analyzer, nodes, part, &service)?;
+        let (diagnoses, service, astats) =
+            run_plain(&mut analyzer, nodes, traffic, &service, route)?;
         let graph = analyzer.traffic_graph().clone();
         return Ok(ShardRun { diagnoses, graph, service, analyzer: astats, recovery: None });
     };
     let mut dcfg = dcfg.clone();
     dcfg.recovery.service = service;
-    match run_service_durable(lib, gcfg, nodes, part, &dcfg, *store)? {
+    match run_durable_routed(lib, gcfg, nodes, traffic, &dcfg, *store, route)? {
         DurableOutcome::Completed { diagnoses, service, analyzer, recovery, graph } => {
             Ok(ShardRun { diagnoses, graph, service, analyzer, recovery: Some(recovery) })
         }
@@ -204,9 +212,10 @@ fn run_shard(
     }
 }
 
-/// The shard driver: route `traffic` onto [`ShardedConfig::shards`]
-/// partitions, run each partition's pipeline on its own thread (over
-/// `stores[i]` when `durable`), then merge diagnoses, graphs and metrics.
+/// The shard driver: run [`ShardedConfig::shards`] pipelines over the one
+/// `traffic` slice, each on its own thread (over `stores[i]` when
+/// `durable`) with agents that forward only their partition's tenants, then
+/// merge diagnoses, graphs and metrics.
 fn drive_shards(
     lib: &FingerprintLibrary,
     gcfg: GretelConfig,
@@ -221,7 +230,10 @@ fn drive_shards(
         "ShardedConfig::service.metrics must be None: each shard owns a private registry \
          (set ShardedConfig::metrics = true for per-shard + aggregated registries)"
     );
-    let parts = partition_messages(traffic, cfg.shards);
+    let mut routed = vec![0usize; cfg.shards];
+    for m in traffic {
+        routed[shard_of(m.project, cfg.shards)] += 1;
+    }
     let registries: Vec<Option<Arc<PipelineMetrics>>> = (0..cfg.shards)
         .map(|_| cfg.metrics.then(|| Arc::new(PipelineMetrics::enabled())))
         .collect();
@@ -232,11 +244,14 @@ fn drive_shards(
     let mut results: Vec<Option<Result<ShardRun, ServiceError>>> =
         (0..cfg.shards).map(|_| None).collect();
     std::thread::scope(|scope| {
-        for ((part, registry), slot) in parts.iter().zip(&registries).zip(&mut results) {
+        for (i, (registry, slot)) in registries.iter().zip(&mut results).enumerate() {
             let mut sc = base.clone();
             sc.metrics = registry.clone();
+            let route = (i, cfg.shards);
             let durable = dcfg.zip(stores.next());
-            scope.spawn(move || *slot = Some(run_shard(lib, gcfg, nodes, part, sc, durable)));
+            scope.spawn(move || {
+                *slot = Some(run_shard(lib, gcfg, nodes, traffic, sc, route, durable))
+            });
         }
     });
 
@@ -248,7 +263,7 @@ fn drive_shards(
         graph.merge(&run.graph);
         shards.push(ShardReport {
             shard: i,
-            messages: parts[i].len(),
+            messages: routed[i],
             diagnoses: run.diagnoses.len(),
             service: run.service,
             analyzer: run.analyzer,
@@ -276,10 +291,10 @@ fn drive_shards(
 /// agents→receiver→analyzer pipeline on its own threads, then merge
 /// diagnoses, graphs and metrics (see the module docs).
 ///
-/// Every shard sees the complete `nodes` list: a node's capture agent
-/// exists on every shard but only receives the frames of that shard's
-/// tenants (in a real deployment the agent applies the same project hash
-/// at capture time, so per-shard agents are filters, not copies).
+/// Every shard sees the complete `nodes` list and the complete `traffic`
+/// slice: a node's capture agent exists on every shard and applies the
+/// project hash at capture time, forwarding only the frames of that shard's
+/// tenants — per-shard agents are filters, not copies.
 pub fn run_sharded(
     lib: &FingerprintLibrary,
     gcfg: GretelConfig,
@@ -306,6 +321,8 @@ pub fn run_sharded(
 /// # Panics
 ///
 /// Panics if `stores.len() != cfg.shards` or a kill point is configured.
+///
+/// [`run_service_durable`]: crate::run_service_durable
 pub fn run_sharded_durable(
     lib: &FingerprintLibrary,
     gcfg: GretelConfig,
@@ -405,6 +422,58 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The shard agents are filters over the whole stream;
+    /// `partition_messages` — the materialised split they replaced — is the
+    /// routing reference: shard `i` of `n` must count, ship and diagnose
+    /// exactly what a single pipeline over `partition_messages(..)[i]` does.
+    #[test]
+    fn shard_filters_route_like_partition_messages() {
+        use crate::service::run_service_cfg;
+        use gretel_netcap::{partition_messages, CaptureImpairment};
+
+        let (lib, gcfg, nodes, traffic) = multi_tenant_run();
+        // Drop / dup / reorder coins key on the per-shard frame index, so an
+        // impaired shard only matches its partition if the filter numbers
+        // frames the way the partition's own agents would.
+        let impaired = ServiceConfig {
+            ingest_batch: 1,
+            workers: Some(1),
+            impairment: Some(CaptureImpairment {
+                drop_prob: 0.05,
+                dup_prob: 0.05,
+                reorder_prob: 0.1,
+                reorder_span: 4,
+                seed: 17,
+                ..CaptureImpairment::none()
+            }),
+            ..ServiceConfig::default()
+        };
+        let single = |part: &[Message], cfg: &ServiceConfig| {
+            let (diagnoses, service, _) =
+                run_service_cfg(&mut Analyzer::new(&lib, gcfg), &nodes, part, cfg);
+            (encode_diagnoses(&diagnoses), service)
+        };
+        let mut dropped = 0;
+        for n in [1usize, 2, 4, 8] {
+            let parts = partition_messages(&traffic, n);
+            let cfg = ShardedConfig { shards: n, ..ShardedConfig::default() };
+            let out = run_sharded(&lib, gcfg, &nodes, &traffic, &cfg).expect("sharded run");
+            for (i, part) in parts.iter().enumerate() {
+                let (_, shipped) = single(part, &cfg.service);
+                assert_eq!(out.shards[i].messages, part.len(), "shard {i}/{n}: messages");
+                assert_eq!(out.shards[i].service.frames, shipped.frames, "shard {i}/{n}: frames");
+
+                let got = run_shard(&lib, gcfg, &nodes, &traffic, impaired.clone(), (i, n), None)
+                    .expect("impaired shard");
+                let (want, want_service) = single(part, &impaired);
+                assert_eq!(encode_diagnoses(&got.diagnoses), want, "shard {i}/{n}: diagnoses");
+                assert_eq!(got.service, want_service, "shard {i}/{n}: transport and capture");
+                dropped += got.service.capture.dropped;
+            }
+        }
+        assert!(dropped > 0, "the impairment must actually bite");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use crate::frame;
 use crate::stats::CaptureStats;
 use bytes::Bytes;
-use gretel_model::codec::{finalize, put_bytes, put_count, put_u64, Reader};
+use gretel_model::codec::{finalize, put_bytes, put_count, put_u64, DecodeError, Reader};
 use gretel_model::{Message, NodeId, Service};
 use std::collections::BTreeMap;
 
@@ -31,7 +31,7 @@ fn is_relevant(msg: &Message) -> bool {
 /// use gretel_model::{
 ///     ApiId, ConnKey, Direction, HttpMethod, Message, MessageId, NodeId, Service, WireKind,
 /// };
-/// use gretel_netcap::{decode_one, CaptureAgent};
+/// use gretel_netcap::{decode_one, encode, CaptureAgent};
 ///
 /// let msg = Message {
 ///     id: MessageId(7),
@@ -55,7 +55,8 @@ fn is_relevant(msg: &Message) -> bool {
 /// assert!(agent.observes(&msg)); // egress: the source node's agent owns it
 /// assert!(!CaptureAgent::new(NodeId(0)).observes(&msg));
 ///
-/// let frames = agent.capture([&msg]);
+/// // It forwards what it observes, one frame per message.
+/// let frames: Vec<_> = [&msg].into_iter().filter(|m| agent.observes(m)).map(encode).collect();
 /// assert_eq!(decode_one(&frames[0]).unwrap(), msg);
 /// ```
 #[derive(Debug, Clone)]
@@ -69,44 +70,10 @@ impl CaptureAgent {
         CaptureAgent { node }
     }
 
-    /// The node this agent watches.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
     /// Whether this agent observes (and is responsible for forwarding)
     /// `msg`: egress capture, so exactly one agent owns each message.
     pub fn observes(&self, msg: &Message) -> bool {
         msg.src_node == self.node && is_relevant(msg)
-    }
-
-    /// Capture a slice of wire traffic: the frames this agent forwards.
-    pub fn capture<'m>(
-        &self,
-        traffic: impl IntoIterator<Item = &'m Message>,
-    ) -> Vec<Bytes> {
-        traffic
-            .into_iter()
-            .filter(|m| self.observes(m))
-            .map(frame::encode)
-            .collect()
-    }
-
-    /// Like [`CaptureAgent::capture`], but stamp each frame with a
-    /// consecutive per-agent sequence number starting at `start_seq` (see
-    /// [`frame::encode_seq`]). The receiver uses the numbers to detect
-    /// capture loss.
-    pub fn capture_seq<'m>(
-        &self,
-        traffic: impl IntoIterator<Item = &'m Message>,
-        start_seq: u64,
-    ) -> Vec<Bytes> {
-        traffic
-            .into_iter()
-            .filter(|m| self.observes(m))
-            .enumerate()
-            .map(|(i, m)| frame::encode_seq(m, start_seq + i as u64))
-            .collect()
     }
 }
 
@@ -134,9 +101,9 @@ pub fn capture_and_merge(
     let mut batches = Vec::with_capacity(nodes.len());
     for &node in nodes {
         let agent = CaptureAgent::new(node);
-        let frames = agent.capture(traffic.iter());
-        let mut decoded = Vec::with_capacity(frames.len());
-        for f in frames {
+        let mut decoded = Vec::new();
+        for m in traffic.iter().filter(|m| agent.observes(m)) {
+            let f = frame::encode(m);
             bytes_total += f.len();
             decoded.push(frame::decode_one(&f)?);
         }
@@ -176,10 +143,11 @@ mod tests {
     fn egress_capture_owns_each_message_once() {
         let traffic =
             [msg(0, 10, 0, Service::Neutron), msg(1, 20, 1, Service::Nova), msg(2, 30, 0, Service::Glance)];
-        let a0 = CaptureAgent::new(NodeId(0));
-        let a1 = CaptureAgent::new(NodeId(1));
-        assert_eq!(a0.capture(traffic.iter()).len(), 2);
-        assert_eq!(a1.capture(traffic.iter()).len(), 1);
+        let owned = |node| {
+            let agent = CaptureAgent::new(NodeId(node));
+            traffic.iter().filter(|m| agent.observes(m)).count()
+        };
+        assert_eq!((owned(0), owned(1), owned(2)), (2, 1, 0));
     }
 
     #[test]
@@ -564,6 +532,9 @@ impl CaptureImpairment {
     }
 }
 
+/// A frame stamped `u64::MAX`: `next` would have to become 2⁶⁴.
+const UNFOLLOWABLE: DecodeError = DecodeError::Invalid("sequence number cannot be followed");
+
 /// Receiver-side per-agent sequence tracking.
 ///
 /// Consumes `(seq, message)` pairs as decoded off one agent's link and
@@ -595,17 +566,28 @@ impl Resequencer {
 
     /// Feed one decoded frame. Returns the messages released in sequence
     /// order, each tagged with the count of frames lost immediately before
-    /// it (0 = no gap).
-    pub fn push(&mut self, seq: Option<u64>, msg: Message) -> Vec<(u32, Message)> {
+    /// it (0 = no gap, saturating at `u32::MAX`).
+    ///
+    /// Sequence number `u64::MAX` is refused and the resequencer left as
+    /// it was: no delivery position can follow it, so accepting it would
+    /// leave every replayed frame looking new.
+    pub fn try_push(
+        &mut self,
+        seq: Option<u64>,
+        msg: Message,
+    ) -> Result<Vec<(u32, Message)>, frame::CodecError> {
         let mut out = Vec::with_capacity(1);
         let Some(seq) = seq else {
             // Unsequenced frame: nothing to infer, pass through.
             out.push((0, msg));
-            return out;
+            return Ok(out);
         };
+        if seq == u64::MAX {
+            return Err(UNFOLLOWABLE.into());
+        }
         if seq < self.next || self.pending.contains_key(&seq) {
             self.stats.dup_discarded += 1;
-            return out;
+            return Ok(out);
         }
         if seq == self.next {
             self.next += 1;
@@ -617,7 +599,18 @@ impl Resequencer {
                 self.force_advance(&mut out);
             }
         }
-        out
+        Ok(out)
+    }
+
+    /// [`Resequencer::try_push`] for a stream whose sequence numbers the
+    /// caller stamped itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics on sequence number `u64::MAX`; feed frames that came off a
+    /// link through [`Resequencer::try_push`].
+    pub fn push(&mut self, seq: Option<u64>, msg: Message) -> Vec<(u32, Message)> {
+        self.try_push(seq, msg).expect("caller-stamped sequence numbers stay below u64::MAX")
     }
 
     /// Release everything still pending (end of stream), reporting the
@@ -648,13 +641,16 @@ impl Resequencer {
                 self.stats.dup_discarded += 1;
                 continue;
             }
+            // No overflow: every tracked `seq` is below `u64::MAX`, and the
+            // holes counted into `lost` are disjoint runs below `next`
+            // (`try_push` and `restore_state` refuse anything else).
             let gap = seq - self.next;
             if gap > 0 {
                 self.stats.gaps += 1;
                 self.stats.lost += gap;
             }
             self.next = seq + 1;
-            out.push((gap as u32, msg));
+            out.push((u32::try_from(gap).unwrap_or(u32::MAX), msg));
             self.drain_ready(out);
             return;
         }
@@ -699,10 +695,17 @@ impl Resequencer {
     }
 
     /// Rebuild a resequencer from [`Resequencer::export_state`] bytes.
-    /// Malformed input is a [`frame::CodecError`], never a partial restore.
+    /// Malformed input — including a delivery position or parked sequence
+    /// number of `u64::MAX`, or more frames lost than the delivery position
+    /// has passed, which is what could overflow the arithmetic above — is
+    /// a [`frame::CodecError`], never a partial restore.
     pub fn restore_state(bytes: &[u8]) -> Result<Resequencer, frame::CodecError> {
         let mut r = Reader::new(bytes);
         let next = r.u64()?;
+        if next == u64::MAX {
+            // The stream would be waiting for a frame no link may carry.
+            return Err(UNFOLLOWABLE.into());
+        }
         let depth = r.u64()? as usize;
         let stats = CaptureStats {
             frames: r.u64()?,
@@ -718,9 +721,15 @@ impl Resequencer {
         // Each parked frame is at least its seq and a length prefix.
         for _ in 0..r.count(8 + 4)? {
             let seq = r.u64()?;
+            if seq == u64::MAX {
+                return Err(UNFOLLOWABLE.into());
+            }
             pending.insert(seq, frame::decode_one(r.bytes()?)?);
         }
         r.done()?;
+        if stats.lost > next {
+            return Err(DecodeError::Invalid("lost count past the delivery position").into());
+        }
         Ok(Resequencer { next, pending, depth, stats })
     }
 }
@@ -1006,6 +1015,42 @@ mod impairment_tests {
         assert_eq!(rsq.stats().dup_discarded, 1);
         assert_eq!(rsq.stats().gaps, 1);
         assert_eq!(rsq.stats().lost, 4);
+    }
+
+    #[test]
+    fn resequencer_refuses_a_sequence_number_it_cannot_follow() {
+        // `next = u64::MAX + 1` used to panic in debug and wrap to 0 in
+        // release, after which every replayed frame was accepted as new.
+        let mut rsq = Resequencer::new(0);
+        assert!(rsq.try_push(Some(u64::MAX), msg(9)).is_err());
+        assert!(rsq.stats().is_clean(), "a refused frame leaves no trace");
+        assert_eq!(rsq.push(Some(0), msg(0)).len(), 1);
+        assert!(rsq.push(Some(0), msg(0)).is_empty(), "replay dedup still works");
+        assert_eq!(rsq.stats().dup_discarded, 1);
+
+        // The same number, or a state only it could produce, in a checkpoint.
+        assert!(Resequencer::restore_state(&crafted_state(0, 4, &[(u64::MAX, msg(1))])).is_err());
+        assert!(Resequencer::restore_state(&crafted_state(u64::MAX, 4, &[])).is_err());
+        let mut lost_past_next = crafted_state(5, 4, &[]);
+        lost_past_next[64..72].copy_from_slice(&6u64.to_le_bytes()); // stats.lost
+        assert!(Resequencer::restore_state(&lost_past_next).is_err());
+        lost_past_next[64..72].copy_from_slice(&5u64.to_le_bytes());
+        assert!(Resequencer::restore_state(&lost_past_next).is_ok());
+    }
+
+    #[test]
+    fn resequencer_saturates_the_marker_of_a_gap_wider_than_u32() {
+        // `gap as u32` reported a 2^32-frame hole as marker 0 — "nothing
+        // lost" — while the stats said 4 294 967 296.
+        let mut rsq = Resequencer::new(0);
+        rsq.push(Some(0), msg(0));
+        let got = rsq.push(Some((1 << 32) + 1), msg(1));
+        assert_eq!(got.iter().map(|(gap, _)| *gap).collect::<Vec<_>>(), vec![u32::MAX]);
+        assert_eq!((rsq.stats().gaps, rsq.stats().lost), (1, 1 << 32));
+        // One short of the u32 range is still exact.
+        let mut rsq = Resequencer::new(0);
+        assert_eq!(rsq.push(Some(u32::MAX as u64), msg(0))[0].0, u32::MAX);
+        assert_eq!(rsq.stats().lost, u32::MAX as u64);
     }
 
     #[test]

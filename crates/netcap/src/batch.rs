@@ -17,7 +17,7 @@
 //! per-message path, one arena per frame.
 //!
 //! ```
-//! use gretel_netcap::{batch_frames, encode, FrameBatch};
+//! use gretel_netcap::FrameBatchBuilder;
 //! # use gretel_model::*;
 //! # let msg = Message {
 //! #     id: MessageId(1), ts_us: 0, src_node: NodeId(0), dst_node: NodeId(1),
@@ -27,15 +27,16 @@
 //! #     conn: ConnKey::default(), payload: vec![], correlation_id: None, project: None, truth_op: None,
 //! #     truth_noise: false,
 //! # };
-//! let frames = vec![encode(&msg), encode(&msg), encode(&msg)];
-//! let batches = batch_frames(&frames, 2);
-//! assert_eq!(batches.len(), 2); // 2 + 1 frames
-//! assert_eq!(batches[0].frames(), 2);
-//! let decoded = batches[0].decode_all().unwrap();
-//! assert_eq!(decoded[0].0, msg);
+//! let mut builder = FrameBatchBuilder::new(2);
+//! assert!(builder.encode(&msg, None).is_none());
+//! let full = builder.encode(&msg, None).expect("the second frame fills the batch");
+//! assert_eq!(full.frames(), 2);
+//! assert_eq!(full.decode_all().unwrap()[0].0, msg);
+//! assert!(builder.encode(&msg, None).is_none());
+//! assert_eq!(builder.finish().expect("2 + 1 frames").frames(), 1);
 //! ```
 
-use crate::frame::{decode_one_seq, CodecError};
+use crate::frame::{decode_one_seq, encode_into, CodecError};
 use bytes::Bytes;
 use gretel_model::Message;
 
@@ -89,10 +90,12 @@ impl FrameBatch {
     }
 }
 
-/// Incrementally packs encoded frames into bounded [`FrameBatch`]es.
-/// Streaming agents push frames as they capture them and ship whatever
-/// [`FrameBatchBuilder::push`] completes; [`FrameBatchBuilder::finish`]
-/// flushes the remainder at end of stream.
+/// Incrementally packs frames into bounded [`FrameBatch`]es. A streaming
+/// agent encodes each message it captures straight into the arena
+/// ([`FrameBatchBuilder::encode`]; [`FrameBatchBuilder::push`] takes a
+/// frame that already exists as bytes) and ships whatever batch that
+/// completes; [`FrameBatchBuilder::finish`] flushes the remainder at end
+/// of stream.
 #[derive(Debug)]
 pub struct FrameBatchBuilder {
     max_frames: usize,
@@ -108,11 +111,22 @@ impl FrameBatchBuilder {
         FrameBatchBuilder { max_frames, data: Vec::new(), offsets: Vec::new() }
     }
 
-    /// Append one encoded frame to the current batch; returns the
+    /// Encode `msg` (sequence-stamped when `seq` is given) straight into
+    /// the arena — the frame's bytes are written once, where they ship
+    /// from; returns the completed batch once it reaches `max_frames`.
+    pub fn encode(&mut self, msg: &Message, seq: Option<u64>) -> Option<FrameBatch> {
+        self.append(|arena| encode_into(arena, msg, seq))
+    }
+
+    /// Append one already-encoded frame to the current batch; returns the
     /// completed batch once it reaches `max_frames`.
     pub fn push(&mut self, frame: &[u8]) -> Option<FrameBatch> {
+        self.append(|arena| arena.extend_from_slice(frame))
+    }
+
+    fn append(&mut self, write: impl FnOnce(&mut Vec<u8>)) -> Option<FrameBatch> {
         let start = self.data.len() as u32;
-        self.data.extend_from_slice(frame);
+        write(&mut self.data);
         self.offsets.push((start, self.data.len() as u32));
         (self.offsets.len() >= self.max_frames).then(|| self.take())
     }
@@ -123,25 +137,15 @@ impl FrameBatchBuilder {
     }
 
     fn take(&mut self) -> FrameBatch {
-        FrameBatch {
-            buf: Bytes::from(std::mem::take(&mut self.data)),
-            offsets: std::mem::take(&mut self.offsets),
-        }
+        // The next batch starts at this one's size — a stream's batches are
+        // alike — so doubling growth does not copy its frames again, nor
+        // re-enter the allocator a dozen times per batch just as the
+        // receiver hands the previous arena back to it.
+        let (bytes, frames) = (self.data.len(), self.offsets.len());
+        let data = std::mem::replace(&mut self.data, Vec::with_capacity(bytes));
+        let offsets = std::mem::replace(&mut self.offsets, Vec::with_capacity(frames));
+        FrameBatch { buf: Bytes::from(data), offsets }
     }
-}
-
-/// Pack an already-captured (and possibly impaired) frame list into
-/// batches of at most `max_frames`. Impairment must be applied to the flat
-/// frame list *before* batching — its drop/dup/reorder coins key on
-/// per-agent frame indices, which batching must not renumber.
-pub fn batch_frames(frames: &[Bytes], max_frames: usize) -> Vec<FrameBatch> {
-    let mut builder = FrameBatchBuilder::new(max_frames);
-    let mut out = Vec::with_capacity(frames.len().div_ceil(max_frames.max(1)));
-    for frame in frames {
-        out.extend(builder.push(frame));
-    }
-    out.extend(builder.finish());
-    out
 }
 
 #[cfg(test)]
@@ -151,6 +155,13 @@ mod tests {
     use gretel_model::{
         ApiId, ConnKey, Direction, HttpMethod, Message, MessageId, NodeId, Service, WireKind,
     };
+
+    fn pack(frames: &[Bytes], max_frames: usize) -> Vec<FrameBatch> {
+        let mut builder = FrameBatchBuilder::new(max_frames);
+        let mut out: Vec<FrameBatch> = frames.iter().filter_map(|f| builder.push(f)).collect();
+        out.extend(builder.finish());
+        out
+    }
 
     fn msgs(n: u64) -> Vec<Message> {
         (0..n)
@@ -181,7 +192,7 @@ mod tests {
     #[test]
     fn batches_preserve_order_and_bytes() {
         let frames: Vec<Bytes> = msgs(10).iter().map(encode).collect();
-        let batches = batch_frames(&frames, 4);
+        let batches = pack(&frames, 4);
         assert_eq!(batches.iter().map(FrameBatch::frames).collect::<Vec<_>>(), vec![4, 4, 2]);
         let total: usize = batches.iter().map(FrameBatch::byte_len).sum();
         assert_eq!(total, frames.iter().map(Bytes::len).sum::<usize>());
@@ -195,7 +206,7 @@ mod tests {
     fn decode_all_round_trips_with_seq() {
         let ms = msgs(5);
         let frames: Vec<Bytes> = ms.iter().enumerate().map(|(i, m)| encode_seq(m, i as u64)).collect();
-        let [batch] = &batch_frames(&frames, 64)[..] else { panic!("one batch") };
+        let [batch] = &pack(&frames, 64)[..] else { panic!("one batch") };
         let decoded = batch.decode_all().unwrap();
         for (i, (m, seq)) in decoded.iter().enumerate() {
             assert_eq!(m, &ms[i]);
@@ -204,16 +215,34 @@ mod tests {
     }
 
     #[test]
+    fn encoding_into_the_arena_equals_pushing_encoded_frames() {
+        let ms = msgs(10);
+        for seq_base in [None, Some(7u64)] {
+            let mut direct = FrameBatchBuilder::new(4);
+            let mut copied = FrameBatchBuilder::new(4);
+            for (i, m) in ms.iter().enumerate() {
+                let seq = seq_base.map(|b| b + i as u64);
+                let frame = seq.map_or_else(|| encode(m), |s| encode_seq(m, s));
+                // Same arena bytes, same offset table, same batch boundaries.
+                assert_eq!(direct.encode(m, seq), copied.push(&frame));
+            }
+            let tail = direct.finish();
+            assert_eq!(tail.as_ref().map(FrameBatch::frames), Some(2));
+            assert_eq!(tail, copied.finish());
+        }
+    }
+
+    #[test]
     fn frame_slices_borrow_the_arena() {
         let frames: Vec<Bytes> = msgs(3).iter().map(encode).collect();
-        let [batch] = &batch_frames(&frames, 8)[..] else { panic!("one batch") };
+        let [batch] = &pack(&frames, 8)[..] else { panic!("one batch") };
         assert_eq!(batch.frame_slice(1), &frames[1][..]);
     }
 
     #[test]
     fn batch_size_one_is_the_per_message_path() {
         let frames: Vec<Bytes> = msgs(3).iter().map(encode).collect();
-        let batches = batch_frames(&frames, 1);
+        let batches = pack(&frames, 1);
         assert_eq!(batches.len(), 3);
         assert!(batches.iter().all(|b| b.frames() == 1));
     }
@@ -224,7 +253,7 @@ mod tests {
         let mut bad = frames[1].to_vec();
         bad[4] = 0xFF; // clobber the magic
         let all = vec![frames[0].clone(), Bytes::from(bad)];
-        let [batch] = &batch_frames(&all, 8)[..] else { panic!("one batch") };
+        let [batch] = &pack(&all, 8)[..] else { panic!("one batch") };
         assert!(batch.decode_all().is_err());
     }
 
@@ -237,6 +266,6 @@ mod tests {
         assert_eq!(flushed.frames(), 1);
         assert_eq!(flushed.frame_slice(0), b"xyzw");
         assert!(b.finish().is_none(), "flush drains the builder");
-        assert!(batch_frames(&[], 8).is_empty());
+        assert!(pack(&[], 8).is_empty());
     }
 }

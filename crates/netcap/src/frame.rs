@@ -37,8 +37,8 @@
 //! loss (gaps), duplicates, and reordering per agent. Frames without bit5
 //! (pre-existing dumps) decode as "no sequence information".
 
-use bytes::{BufMut, Bytes, BytesMut};
-use gretel_model::codec::{DecodeError, Reader};
+use bytes::Bytes;
+use gretel_model::codec::{put_u16, put_u32, put_u64, put_u8, DecodeError, Reader};
 use gretel_model::{
     ApiId, ConnKey, Direction, HttpMethod, Message, MessageId, NodeId, OpInstanceId, ProjectId,
     Service, WireKind,
@@ -88,6 +88,10 @@ const FLAG_CORR_ID: u8 = 1 << 4;
 const FLAG_SEQ: u8 = 1 << 5;
 const FLAG_PROJECT: u8 = 1 << 6;
 
+/// Capacity hint for a lone frame beyond its payload: the fixed fields
+/// come to at most 80 bytes, the rest is room for a URI or method name.
+const FRAME_HINT: usize = 128;
+
 fn method_to_u8(m: HttpMethod) -> u8 {
     match m {
         HttpMethod::Get => 0,
@@ -111,21 +115,12 @@ fn method_from_u8(v: u8) -> Option<HttpMethod> {
     })
 }
 
-/// Encode one message as a framed byte buffer.
-pub fn encode(msg: &Message) -> Bytes {
-    encode_inner(msg, None)
-}
-
-/// Encode one message with a per-agent frame sequence number.
-///
-/// The receiver recovers the number with [`decode_one_seq`] and uses it
-/// to detect capture gaps and duplicates per agent.
-pub fn encode_seq(msg: &Message, seq: u64) -> Bytes {
-    encode_inner(msg, Some(seq))
-}
-
-fn encode_inner(msg: &Message, seq: Option<u64>) -> Bytes {
-    let mut body = BytesMut::with_capacity(64 + msg.payload.len());
+/// Append one message's frame — length prefix included — to `out`, with a
+/// per-agent sequence number when `seq` is given. This is the only frame
+/// writer: the body is written straight behind a placeholder prefix that
+/// is patched once the length is known, so a frame packed into a batch
+/// arena ([`crate::FrameBatchBuilder::encode`]) is written exactly once.
+pub fn encode_into(out: &mut Vec<u8>, msg: &Message, seq: Option<u64>) {
     let mut flags = 0u8;
     if msg.direction == Direction::Response {
         flags |= FLAG_RESPONSE;
@@ -148,56 +143,71 @@ fn encode_inner(msg: &Message, seq: Option<u64>) -> Bytes {
     if msg.project.is_some() {
         flags |= FLAG_PROJECT;
     }
-    body.put_u16_le(MAGIC);
-    body.put_u8(VERSION);
-    body.put_u8(flags);
-    body.put_u64_le(msg.id.0);
-    body.put_u64_le(msg.ts_us);
-    body.put_u8(msg.src_node.0);
-    body.put_u8(msg.dst_node.0);
-    body.put_u8(msg.src_service.index());
-    body.put_u8(msg.dst_service.index());
-    body.put_u16_le(msg.api.0);
-    body.put_u8(msg.conn.src.0);
-    body.put_u8(msg.conn.dst.0);
-    body.put_u16_le(msg.conn.src_port);
-    body.put_u16_le(msg.conn.dst_port);
+    let prefix_at = out.len();
+    put_u32(out, 0);
+    put_u16(out, MAGIC);
+    put_u8(out, VERSION);
+    put_u8(out, flags);
+    put_u64(out, msg.id.0);
+    put_u64(out, msg.ts_us);
+    put_u8(out, msg.src_node.0);
+    put_u8(out, msg.dst_node.0);
+    put_u8(out, msg.src_service.index());
+    put_u8(out, msg.dst_service.index());
+    put_u16(out, msg.api.0);
+    put_u8(out, msg.conn.src.0);
+    put_u8(out, msg.conn.dst.0);
+    put_u16(out, msg.conn.src_port);
+    put_u16(out, msg.conn.dst_port);
     if let Some(p) = msg.project {
-        body.put_u32_le(p.0);
+        put_u32(out, p.0);
     }
     match &msg.wire {
         WireKind::Rest { method, uri, status } => {
-            body.put_u8(method_to_u8(*method));
-            body.put_u16_le(status.unwrap_or(0));
-            let uri = uri.as_bytes();
-            body.put_u16_le(uri.len() as u16);
-            body.put_slice(uri);
+            put_u8(out, method_to_u8(*method));
+            put_u16(out, status.unwrap_or(0));
+            put_u16(out, uri.len() as u16);
+            out.extend_from_slice(uri.as_bytes());
         }
         WireKind::Rpc { method, msg_id, error } => {
-            body.put_u64_le(*msg_id);
+            put_u64(out, *msg_id);
             let err = error.as_deref().unwrap_or("");
-            body.put_u16_le(err.len() as u16);
-            body.put_slice(err.as_bytes());
-            body.put_u16_le(method.len() as u16);
-            body.put_slice(method.as_bytes());
+            put_u16(out, err.len() as u16);
+            out.extend_from_slice(err.as_bytes());
+            put_u16(out, method.len() as u16);
+            out.extend_from_slice(method.as_bytes());
         }
     }
-    body.put_u32_le(msg.payload.len() as u32);
-    body.put_slice(&msg.payload);
+    put_u32(out, msg.payload.len() as u32);
+    out.extend_from_slice(&msg.payload);
     if let Some(op) = msg.truth_op {
-        body.put_u64_le(op.0);
+        put_u64(out, op.0);
     }
     if let Some(corr) = msg.correlation_id {
-        body.put_u64_le(corr);
+        put_u64(out, corr);
     }
     if let Some(seq) = seq {
-        body.put_u64_le(seq);
+        put_u64(out, seq);
     }
+    let body_len = (out.len() - prefix_at - 4) as u32;
+    out[prefix_at..prefix_at + 4].copy_from_slice(&body_len.to_le_bytes());
+}
 
-    let mut framed = BytesMut::with_capacity(4 + body.len());
-    framed.put_u32_le(body.len() as u32);
-    framed.extend_from_slice(&body);
-    framed.freeze()
+/// Encode one message as a framed byte buffer.
+pub fn encode(msg: &Message) -> Bytes {
+    let mut out = Vec::with_capacity(FRAME_HINT + msg.payload.len());
+    encode_into(&mut out, msg, None);
+    Bytes::from(out)
+}
+
+/// Encode one message with a per-agent frame sequence number.
+///
+/// The receiver recovers the number with [`decode_one_seq`] and uses it
+/// to detect capture gaps and duplicates per agent.
+pub fn encode_seq(msg: &Message, seq: u64) -> Bytes {
+    let mut out = Vec::with_capacity(FRAME_HINT + msg.payload.len());
+    encode_into(&mut out, msg, Some(seq));
+    Bytes::from(out)
 }
 
 fn get_string(r: &mut Reader<'_>) -> Result<String, DecodeError> {

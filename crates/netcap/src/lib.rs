@@ -30,7 +30,7 @@ pub use agent::{
     capture_and_merge, coin, degrade, mix64, skew_clocks, CaptureAgent, CaptureImpairment,
     Degradation, Resequencer, StallSpec,
 };
-pub use batch::{batch_frames, FrameBatch, FrameBatchBuilder};
+pub use batch::{FrameBatch, FrameBatchBuilder};
 pub use frame::{decode_one, decode_one_seq, encode, encode_seq, encoded_len, CodecError};
 pub use pcap::PcapReader;
 pub use shard::{partition_messages, shard_of};

@@ -49,9 +49,15 @@ pub fn shard_of(project: Option<ProjectId>, shards: usize) -> usize {
 
 /// Partition a decoded message stream into per-shard streams by tenant.
 ///
+/// The materialised form of the routing rule, and its reference: the
+/// sharded pipeline never calls this — each shard's capture agents apply
+/// [`shard_of`] as a filter while they walk the one shared stream — but
+/// what shard `i` counts, ships and diagnoses must equal a single pipeline
+/// over `partition_messages(traffic, n)[i]` (gretel-core's
+/// `shard_filters_route_like_partition_messages`).
+///
 /// Relative order within each shard is the order of the input stream, so a
-/// time-ordered input yields N time-ordered partitions — exactly what each
-/// shard's resequencer expects.
+/// time-ordered input yields N time-ordered partitions.
 pub fn partition_messages(traffic: &[Message], shards: usize) -> Vec<Vec<Message>> {
     assert!(shards > 0, "need at least one shard");
     let mut parts: Vec<Vec<Message>> = (0..shards)

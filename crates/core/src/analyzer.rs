@@ -539,19 +539,19 @@ impl SnapshotJob {
 /// Per-job analysis budget for [`SnapshotAnalyzer::analyze_bounded`].
 ///
 /// A budget bounds how much detection work a single snapshot job may
-/// consume before it is cancelled. [`JobBudget::Passes`] counts per-fault
-/// detection passes — a pure function of the job's contents, never of the
-/// machine clock — so the same job under the same budget always cancels (or
-/// completes) identically, which is what checkpoint/replay needs for
-/// byte-identical re-execution.
+/// consume. [`JobBudget::Passes`] counts per-fault detection passes — a
+/// pure function of the job's contents, never of the machine clock — so
+/// the same job under the same budget always cancels (or completes)
+/// identically, which is what checkpoint/replay needs for byte-identical
+/// re-execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobBudget {
     /// No bound: analysis always runs to completion.
     Unlimited,
-    /// At most this many per-fault detection passes; the job is cancelled
-    /// when the next pass would exceed the count. `Passes(0)` cancels
-    /// every non-clean job immediately (deterministic stand-in for a
-    /// stalled worker).
+    /// At most this many per-fault detection passes: a job with more
+    /// faults (performance and operational) than that is cancelled before
+    /// any detection runs. `Passes(0)` cancels every non-clean job
+    /// (deterministic stand-in for a stalled worker).
     Passes(u64),
 }
 
@@ -585,13 +585,12 @@ impl<'a> SnapshotAnalyzer<'a> {
     }
 
     /// [`SnapshotAnalyzer::analyze`] under a per-job [`JobBudget`]. A job
-    /// whose analysis exhausts the budget is cancelled: the second return
-    /// value is `true` and every fault in the job is surfaced as a
+    /// whose analysis would exceed the budget is cancelled: the second
+    /// return value is `true` and every fault in the job is surfaced as a
     /// [`CaptureConfidence::Cancelled`] diagnosis (the fault is reported,
     /// never silently swallowed — but no matching evidence backs it). The
-    /// budget is checked between per-fault detection passes, so a
-    /// cancelled job stops within one pass of the budget instead of
-    /// wedging its worker.
+    /// pass count is known from the job alone, so a cancelled job is
+    /// refused before any detection runs instead of wedging its worker.
     pub fn analyze_bounded(&self, job: &SnapshotJob, budget: JobBudget) -> (Vec<Diagnosis>, bool) {
         match self.analyze_inner(job, budget) {
             Some(out) => (out, false),
@@ -655,15 +654,13 @@ impl<'a> SnapshotAnalyzer<'a> {
         if job.perf.is_empty() && job.errors.is_empty() {
             return Some(Vec::new()); // clean snapshot: nothing to detect
         }
-        let mut passes: u64 = 0;
-        let mut over_budget = || match budget {
-            JobBudget::Unlimited => false,
-            JobBudget::Passes(n) => {
-                let over = passes >= n;
-                passes += 1;
-                over
+        // One detection pass per fault, so whether the budget covers the
+        // job is known before any work.
+        if let JobBudget::Passes(n) = budget {
+            if (job.perf.len() + job.errors.len()) as u64 > n {
+                return None;
             }
-        };
+        }
         let detector = Detector::new(self.lib, self.cfg);
         let snap = &job.snap;
         // One shared O(α) pass; every detection below is sub-linear in the
@@ -682,9 +679,6 @@ impl<'a> SnapshotAnalyzer<'a> {
         let mut out = Vec::new();
 
         for (msg_id, pf) in &job.perf {
-            if over_budget() {
-                return None;
-            }
             let idx = snap.events.iter().position(|e| e.id == *msg_id);
             let Some(idx) = idx else {
                 continue; // anomaly's event already slid out; skip
@@ -703,23 +697,38 @@ impl<'a> SnapshotAnalyzer<'a> {
             out.push(self.finalize(kind, pf.api, &snap.events, snap.events[idx], outcome, confidence));
         }
 
-        for &idx in &job.errors {
-            if over_budget() {
-                return None;
-            }
-            let ev = &snap.events[idx];
+        // Operational faults: one detector call per offending API, which
+        // searches the snapshot once for all of that API's faults; the
+        // diagnoses still come out in claim order.
+        let mut by_api: Vec<(gretel_model::ApiId, usize)> =
+            job.errors.iter().enumerate().map(|(k, &idx)| (snap.events[idx].api, k)).collect();
+        by_api.sort_unstable();
+        let mut outcomes: Vec<Option<crate::detect::DetectionOutcome>> =
+            vec![None; job.errors.len()];
+        let mut anchors = Vec::new();
+        for group in by_api.chunk_by(|a, b| a.0 == b.0) {
+            anchors.clear();
+            anchors.extend(group.iter().map(|&(_, k)| job.errors[k]));
             let t = gretel_obs::StageTimer::start(self.metrics, gretel_obs::Stage::Detect);
-            let outcome = detector.detect_operational_indexed(&snap.events, &sidx, idx, ev.api);
+            let api = group[0].0;
+            let found = detector.detect_operational_group(&snap.events, &sidx, api, &anchors);
             t.finish();
-            if let Some(m) = self.metrics {
-                m.count(gretel_obs::Stage::Detect, 1);
-                m.count(gretel_obs::Stage::Match, outcome.matched.len() as u64);
+            for (&(_, k), outcome) in group.iter().zip(found) {
+                if let Some(m) = self.metrics {
+                    m.count(gretel_obs::Stage::Detect, 1);
+                    m.count(gretel_obs::Stage::Match, outcome.matched.len() as u64);
+                }
+                outcomes[k] = Some(outcome);
             }
+        }
+        for (&idx, outcome) in job.errors.iter().zip(outcomes) {
+            let ev = &snap.events[idx];
             let kind = match ev.fault {
                 FaultMark::RestError(s) => FaultKind::Operational { status: Some(s), rpc: false },
                 FaultMark::RpcError => FaultKind::Operational { status: None, rpc: true },
                 FaultMark::None => unreachable!("jobs only claim error events"),
             };
+            let outcome = outcome.expect("every claimed error detected");
             out.push(self.finalize(kind, ev.api, &snap.events, *ev, outcome, confidence));
         }
         Some(out)
@@ -1128,6 +1137,68 @@ mod tests {
         bad[n_perf_at..n_perf_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(analyzer.restore_state(&bad), Err(CheckpointError(DecodeError::Truncated)));
         analyzer.restore_state(&state).expect("the honest state still restores");
+    }
+
+    #[test]
+    fn one_detect_call_per_api_still_counts_per_fault() {
+        // Two aborted vm-creates (same offending API) and an aborted image
+        // upload in one frozen window: detection runs once per offending
+        // API, but the detect stage counts one event per fault, the match
+        // stage one per matched operation, and each diagnosis equals a
+        // one-fault detection.
+        let (cat, _, _, lib) = setup();
+        let ports_post = cat.rest_expect(Service::Neutron, HttpMethod::Post, "/v2.0/ports.json");
+        let put_file = cat.rest_expect(Service::Glance, HttpMethod::Put, "/v2/images/{id}/file");
+        let mut events: Vec<Event> = Vec::new();
+        let mut errors = Vec::new();
+        for (op, offending) in [(0, ports_post), (0, ports_post), (1, put_file)] {
+            for atom in &lib.get(OpSpecId(op)).atoms {
+                let def = cat.get(atom.api);
+                let i = events.len();
+                let hit = atom.api == offending;
+                let fault = if hit { FaultMark::RestError(500) } else { FaultMark::None };
+                events.push(Event {
+                    id: MessageId(i as u64),
+                    ts: i as u64,
+                    api: atom.api,
+                    direction: gretel_model::Direction::Request,
+                    is_rpc: def.is_rpc(),
+                    state_change: def.is_state_change(),
+                    noise_api: false,
+                    src_node: NodeId(0),
+                    dst_node: NodeId(1),
+                    corr: None,
+                    fault,
+                    gap_before: 0,
+                });
+                if hit {
+                    errors.push(i);
+                    break; // the operation aborts at its fault
+                }
+            }
+        }
+        let snap = Snapshot { fault: events[errors[0]], events, fault_index: errors[0] };
+        let job = SnapshotJob { snap, perf: Vec::new(), errors };
+        let cfg = GretelConfig { alpha: 64, ..Default::default() };
+        let metrics = gretel_obs::PipelineMetrics::enabled();
+        let sa = Analyzer::new(&lib, cfg).snapshot_analyzer().with_metrics(Some(&metrics));
+        let diagnoses = sa.analyze(&job);
+
+        assert_eq!(diagnoses.len(), 3);
+        assert_eq!(metrics.stage_events(gretel_obs::Stage::Detect), 3);
+        let matched: usize = diagnoses.iter().map(|d| d.matched.len()).sum();
+        assert!(matched > 0);
+        assert_eq!(metrics.stage_events(gretel_obs::Stage::Match), matched as u64);
+        let events = &job.snapshot().events;
+        let sidx = SnapshotIndex::new(events);
+        let detector = Detector::new(&lib, cfg);
+        for (d, &idx) in diagnoses.iter().zip(&job.errors) {
+            let one = detector.detect_operational_indexed(events, &sidx, idx, events[idx].api);
+            assert_eq!((d.api, d.ts), (events[idx].api, events[idx].ts), "claim order kept");
+            assert_eq!(d.matched, one.matched);
+            assert_eq!(d.theta, one.theta);
+            assert_eq!((d.beta_used, d.candidates), (one.beta_used, one.candidates));
+        }
     }
 
     #[test]

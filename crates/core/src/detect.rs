@@ -158,9 +158,8 @@ impl<'a> Detector<'a> {
         self.detect_operational_indexed(events, &sidx, fault_index, offending)
     }
 
-    /// [`Self::detect_operational`] against a prebuilt [`SnapshotIndex`] —
-    /// the analyzer builds the index once per snapshot and runs every
-    /// claimed error through it.
+    /// [`Self::detect_operational`] against a prebuilt [`SnapshotIndex`]:
+    /// [`Self::detect_operational_group`] with one anchor.
     pub fn detect_operational_indexed(
         &self,
         events: &[Event],
@@ -168,13 +167,59 @@ impl<'a> Detector<'a> {
         fault_index: usize,
         offending: ApiId,
     ) -> DetectionOutcome {
-        // All pattern slices come precomputed from the library's pattern
-        // cache — nothing is derived (or allocated) per fault.
-        let patterns = self.lib.candidate_patterns(offending, self.cfg.truncate);
+        let mut out = self.detect_operational_group(events, sidx, offending, &[fault_index]);
+        out.pop().expect("one outcome per anchor")
+    }
+
+    /// Algorithm 2 for every operational fault of one snapshot that hit
+    /// the same offending API; `anchors` are the faults' event indices and
+    /// the outcomes come back in their order, each equal to a one-anchor
+    /// call. The analyzer builds the [`SnapshotIndex`] once per snapshot
+    /// and makes one such call per offending API.
+    ///
+    /// Faults whose buffer the policy restricts per fault (a correlation
+    /// id, or the presence policy's growth loop) run one by one. The rest
+    /// share one scored search: the API's candidate patterns are
+    /// deduplicated and resolved against the index once, then walked from
+    /// each anchor.
+    pub fn detect_operational_group(
+        &self,
+        events: &[Event],
+        sidx: &SnapshotIndex,
+        offending: ApiId,
+        anchors: &[usize],
+    ) -> Vec<DetectionOutcome> {
+        let mut out: Vec<Option<DetectionOutcome>> = vec![None; anchors.len()];
+        // The shared search's anchors, as (center, miss budget), and where
+        // their outcomes go in `out`.
+        let (mut shared, mut slots) = (Vec::new(), Vec::new());
+        let mut patterns = Vec::new();
+        for (slot, &fault_index) in anchors.iter().enumerate() {
+            if self.corr_filter(events, fault_index).is_none() && self.cfg.scored_slack.is_some() {
+                let center = sidx.prefix.get(fault_index).map_or(0, |&p| p as usize);
+                // Degraded-mode budget: only losses inside the anchored
+                // evidence region (positions up to the fault) can have
+                // swallowed pattern literals.
+                shared.push((center, sidx.lost_before(center + 1) as usize));
+                slots.push(slot);
+                continue;
+            }
+            if patterns.is_empty() {
+                patterns = self.lib.candidate_patterns(offending, self.cfg.truncate);
+            }
+            out[slot] =
+                Some(self.match_with_context(events, sidx, fault_index, offending, &patterns));
+        }
+        if !shared.is_empty() {
+            let scored = self.match_scored(&sidx.index, offending, &shared);
+            for (slot, outcome) in slots.into_iter().zip(scored) {
+                out[slot] = Some(outcome);
+            }
+        }
         let candidates = self.lib.candidates(offending).len();
-        let mut out = self.match_with_context(events, sidx, fault_index, &patterns);
-        out.candidates = candidates;
-        out
+        out.into_iter()
+            .map(|o| DetectionOutcome { candidates, ..o.expect("every anchor detected") })
+            .collect()
     }
 
     /// Convenience wrapper over a [`Snapshot`].
@@ -272,22 +317,27 @@ impl<'a> Detector<'a> {
         matched
     }
 
-    /// The context-buffer growth loop.
+    /// When the deployment propagates correlation ids and the fault
+    /// message carries one, the buffer is restricted to the faulty
+    /// operation's own messages — the §5.3.1 precision enhancement.
+    fn corr_filter(&self, events: &[Event], fault_index: usize) -> Option<u64> {
+        if self.cfg.use_correlation_ids {
+            events.get(fault_index).and_then(|e| e.corr)
+        } else {
+            None
+        }
+    }
+
+    /// The context-buffer growth loop for one fault.
     ///
     /// Two policies:
     ///
     /// * `scored_slack = Some(slack)` (default) — **earliest completion
-    ///   with a length floor and a grace period**, computed analytically:
-    ///   for every candidate pattern the minimal half-width `h*` at which
-    ///   its whole literal sequence is present (in order, anchored at the
-    ///   fault — operational faults abort, so all evidence precedes the
-    ///   fault) is derived by greedy backward matching over per-API
-    ///   occurrence indexes. The search "stops" at the first growth step
-    ///   where a pattern of at least `min_pattern` literals completes,
-    ///   plus `grace_steps` further increments so longer patterns can
-    ///   assemble; the longest complete candidates (within `slack`) are
-    ///   reported. Equivalent to growing β by δ per side and re-matching,
-    ///   but O(patterns · len · log) instead of O(patterns · β · steps).
+    ///   with a length floor and a grace period**, computed analytically
+    ///   by [`Self::match_scored`]. The snapshot-wide buffer is searched
+    ///   for a whole group of faults at once
+    ///   ([`Self::detect_operational_group`]); only the corr-restricted
+    ///   buffer comes through here.
     /// * `scored_slack = None` — the plain presence predicate driven by
     ///   the paper's stop-on-θ-drop rule (§5.3.1), with `grow_full`
     ///   optionally disabling the early stop (ablation path).
@@ -296,16 +346,10 @@ impl<'a> Detector<'a> {
         events: &[Event],
         sidx: &SnapshotIndex,
         fault_index: usize,
+        offending: ApiId,
         patterns: &[CandidatePattern<'_>],
     ) -> DetectionOutcome {
-        // When the deployment propagates correlation ids and the fault
-        // message carries one, restrict the buffer to the faulty
-        // operation's own messages — the §5.3.1 precision enhancement.
-        let corr_filter = if self.cfg.use_correlation_ids {
-            events.get(fault_index).and_then(|e| e.corr)
-        } else {
-            None
-        };
+        let corr_filter = self.corr_filter(events, fault_index);
         let h0 = (self.cfg.beta0() / 2).max(1);
         let delta = self.cfg.delta();
 
@@ -367,37 +411,24 @@ impl<'a> Detector<'a> {
             // Normal-form mismatch (e.g. the window clipped mid-pair):
             // fall through to subsequence matching over the (already
             // corr-restricted, and therefore small) buffer, with a local
-            // index. The scored path is anchored at the fault, so it only
-            // ever consults positions <= center — index exactly those.
-            if let Some(slack) = self.cfg.scored_slack {
-                let upper = (center + 1).min(filtered.len());
-                let index = PositionIndex::new(&filtered[..upper]);
+            // index. The scored walk is anchored at the fault, so it never
+            // consults positions past it.
+            let index = PositionIndex::new(&filtered);
+            if self.cfg.scored_slack.is_some() {
                 // Budget with the whole window's losses: the corr
                 // restriction hides which positions the gaps fell between.
                 let budget = sidx.lost_total() as usize;
-                return self
-                    .match_scored(&filtered, &index, center, patterns, slack, h0, delta, budget);
+                let mut out = self.match_scored(&index, offending, &[(center, budget)]);
+                return out.pop().expect("one outcome per anchor");
             }
-            let index = PositionIndex::new(&filtered);
             return self.match_presence(&filtered, &index, center, patterns, h0, delta);
         }
 
         // No corr restriction: the snapshot-wide projection and occurrence
-        // index are shared across every detection in the snapshot. Both
-        // query kinds bound their own search range, so the one full index
-        // serves the anchored scored path and every presence growth step
-        // alike.
-        let filtered = sidx.apis();
-        let center = sidx.prefix.get(fault_index).map(|&p| p as usize).unwrap_or(0);
-        if let Some(slack) = self.cfg.scored_slack {
-            // Degraded-mode budget: only losses inside the anchored
-            // evidence region (positions up to the fault) can have
-            // swallowed pattern literals.
-            let budget = sidx.lost_before(center + 1) as usize;
-            return self
-                .match_scored(filtered, &sidx.index, center, patterns, slack, h0, delta, budget);
-        }
-        self.match_presence(filtered, &sidx.index, center, patterns, h0, delta)
+        // index are shared across every detection in the snapshot; the
+        // presence query bounds its own range at each growth step.
+        let center = sidx.prefix.get(fault_index).map_or(0, |&p| p as usize);
+        self.match_presence(sidx.apis(), &sidx.index, center, patterns, h0, delta)
     }
 
     /// Presence policy with the paper's θ-drop stop rule (iterative).
@@ -449,121 +480,180 @@ impl<'a> Detector<'a> {
         }
     }
 
-    /// Analytic earliest-complete scoring (see [`Self::match_with_context`]).
+    /// Analytic earliest-complete scoring, for every `(center, miss
+    /// budget)` anchor of one offending API over one indexed buffer. The
+    /// outcomes come back in anchor order, `candidates` left for the
+    /// caller.
     ///
-    /// `miss_budget` is the degraded-mode widening: when the snapshot
+    /// For every candidate pattern the minimal half-width `h*` at which its
+    /// whole (bounded) literal sequence is present — in order, anchored at
+    /// the fault: operational faults abort, so all evidence precedes the
+    /// fault — is derived by greedy backward matching over the occurrence
+    /// index. The search "stops" at the first growth step where a pattern
+    /// of at least `min_pattern` literals completes, plus `grace_steps`
+    /// further increments so longer patterns can assemble; the longest
+    /// complete candidates (within `slack`) are reported. Equivalent to
+    /// growing β by δ per side and re-matching, but O(patterns · len ·
+    /// log) instead of O(patterns · β · steps).
+    ///
+    /// Many candidates share a bounded literal sequence, so each distinct
+    /// sequence is resolved against the index once and walked once per
+    /// anchor; its result stands for every operation that carries it.
+    ///
+    /// The miss budget is the degraded-mode widening: when the snapshot
     /// window spans capture gaps, a candidate whose literal sequence never
     /// completes exactly may still match by skipping up to that many
     /// literals (bounded per pattern at `len − 1` so at least one literal
-    /// is real evidence). Exact completions are always preferred — a
-    /// pattern is only retried with misses after exact matching fails, its
-    /// effective length is discounted by the misses, and with
-    /// `miss_budget == 0` (complete capture) this function is byte-for-
-    /// byte the exact scorer.
-    #[allow(clippy::too_many_arguments)]
+    /// is real evidence). The greedy walk only spends a miss where exact
+    /// matching fails, a pattern's effective length is discounted by its
+    /// misses, and with budget 0 (complete capture) this is exactly the
+    /// exact scorer.
     fn match_scored(
         &self,
-        filtered: &[ApiId],
         index: &PositionIndex,
-        center: usize,
-        patterns: &[CandidatePattern<'_>],
-        slack: usize,
-        h0: usize,
-        delta: usize,
-        miss_budget: usize,
-    ) -> DetectionOutcome {
-        // Anchored at the fault: only positions <= center count as
-        // evidence (operational faults abort, so nothing after the fault
-        // belongs to the faulty operation).
-        let upper = (center + 1).min(filtered.len());
+        offending: ApiId,
+        anchors: &[(usize, usize)],
+    ) -> Vec<DetectionOutcome> {
+        let slack = self.cfg.scored_slack.unwrap_or(0);
+        let h0 = (self.cfg.beta0() / 2).max(1);
+        let delta = self.cfg.delta();
 
-        let mut long: Vec<(usize, usize, OpSpecId, usize)> = Vec::new(); // (h*, eff_len, op, misses)
-        let mut short: Vec<(usize, OpSpecId, usize)> = Vec::new();
-        for p in patterns {
-            let pattern = self.bounded(p.literals(self.cfg.prune_rpcs));
+        // The distinct bounded sequences: sequence `s` is the literals
+        // resolved in `rows[seqs[s].0..seqs[s + 1].0]`, carried by the
+        // operations `ops[seqs[s].1..seqs[s + 1].1]`.
+        let patterns =
+            self.lib.suffix_sorted_literals(offending, self.cfg.truncate, self.cfg.prune_rpcs);
+        let mut rows = Vec::new();
+        let mut ops = Vec::with_capacity(patterns.len());
+        let mut seqs: Vec<(usize, usize)> = Vec::new();
+        let mut last: Option<&[ApiId]> = None;
+        for (op, lits) in patterns {
+            let pattern = self.bounded(lits);
             if pattern.is_empty() {
                 continue;
             }
-            // Greedy backward match: the minimal past half-width at which
-            // the pattern is fully present, or None when it never
-            // completes. Degraded mode retries with the miss budget only
-            // after the exact match fails.
-            let hit = index
-                .min_anchored_half(pattern, center, upper)
-                .map(|h| (h, 0usize))
-                .or_else(|| {
-                    if miss_budget == 0 {
-                        return None;
-                    }
-                    let budget = miss_budget.min(pattern.len() - 1);
-                    index.min_anchored_half_with_misses(pattern, center, upper, budget)
-                });
-            if let Some((h, misses)) = hit {
-                // A bridged literal is absent evidence: score the pattern
-                // by what was actually observed.
-                let eff_len = pattern.len() - misses;
-                if eff_len >= self.cfg.min_pattern {
-                    long.push((h, eff_len, p.op, misses));
-                } else {
-                    short.push((h, p.op, misses));
-                }
+            if last != Some(pattern) {
+                seqs.push((rows.len(), ops.len()));
+                rows.extend(pattern.iter().map(|&a| index.resolve(a)));
+                last = Some(pattern);
             }
+            ops.push(op);
         }
+        seqs.push((rows.len(), ops.len()));
 
-        if let Some(&(h_min, _, _, _)) = long.iter().min_by_key(|&&(h, _, _, _)| h) {
-            // First growth step reaching h_min, plus the grace period.
-            let k_first = h_min.saturating_sub(h0).div_ceil(delta.max(1));
-            let h_stop = (h0 + (k_first + self.cfg.grace_steps) * delta).min(center.max(h0));
-            let eligible: Vec<(usize, OpSpecId, usize)> = long
-                .iter()
-                .filter(|&&(h, _, _, _)| h <= h_stop)
-                .map(|&(_, l, op, m)| (l, op, m))
-                .collect();
-            let max_len = eligible.iter().map(|&(l, _, _)| l).max().unwrap_or(0);
-            let selected: Vec<(OpSpecId, usize)> = eligible
-                .into_iter()
-                .filter(|&(l, _, _)| l + slack >= max_len)
-                .map(|(_, op, m)| (op, m))
-                .collect();
-            let (matched, misses) = collapse_by_op(selected);
-            return DetectionOutcome {
+        // Per anchor: (h*, effective length, misses, sequence) of every
+        // sequence that completes.
+        let mut hits: Vec<(usize, usize, usize, usize)> = Vec::new();
+        let mut selected = Selection::new(self.lib.len());
+        let mut out = Vec::with_capacity(anchors.len());
+        for &(center, miss_budget) in anchors {
+            // Anchored at the fault: only positions <= center count.
+            let upper = (center + 1).min(index.len());
+            let long = |l: usize| l >= self.cfg.min_pattern;
+            hits.clear();
+            let walk = |hits: &mut Vec<_>, short: bool| {
+                for (s, w) in seqs.windows(2).enumerate() {
+                    let lits = &rows[w[0].0..w[1].0];
+                    if long(lits.len()) == short {
+                        continue;
+                    }
+                    let budget = miss_budget.min(lits.len() - 1);
+                    if let Some((h, misses)) =
+                        index.anchored_walk(lits.iter().copied(), center, upper, budget)
+                    {
+                        // A bridged literal is absent evidence: score the
+                        // pattern by what was actually observed.
+                        hits.push((h, lits.len() - misses, misses, s));
+                    }
+                }
+            };
+            // A sequence shorter than `min_pattern` can only matter in the
+            // fallback below, so it is walked only when nothing long
+            // completes.
+            walk(&mut hits, false);
+            if !hits.iter().any(|hit| long(hit.1)) {
+                walk(&mut hits, true);
+            }
+            let carriers = |s: usize| &ops[seqs[s].1..seqs[s + 1].1];
+            let beta_used = match hits.iter().filter(|hit| long(hit.1)).map(|hit| hit.0).min() {
+                Some(h_min) => {
+                    // First growth step reaching h_min, plus the grace
+                    // period; the longest eligible patterns win.
+                    let k_first = h_min.saturating_sub(h0).div_ceil(delta.max(1));
+                    let h_stop =
+                        (h0 + (k_first + self.cfg.grace_steps) * delta).min(center.max(h0));
+                    let eligible =
+                        |&(h, l, ..): &(usize, usize, usize, usize)| long(l) && h <= h_stop;
+                    let max_len = hits.iter().filter(|hit| eligible(hit)).map(|hit| hit.1).max();
+                    let max_len = max_len.unwrap_or(0);
+                    for hit @ &(_, l, misses, s) in &hits {
+                        if eligible(hit) && l + slack >= max_len {
+                            selected.insert(carriers(s), misses);
+                        }
+                    }
+                    (2 * h_stop + 1).min(index.len())
+                }
+                // Nothing substantial ever completed: fall back to the
+                // trivially complete candidates (ops for which the
+                // offending API is their opening state change).
+                None => {
+                    for &(_, _, misses, s) in &hits {
+                        selected.insert(carriers(s), misses);
+                    }
+                    index.len()
+                }
+            };
+            let (matched, misses) = selected.take();
+            out.push(DetectionOutcome {
                 theta: theta(matched.len(), self.lib.len()),
-                beta_used: (2 * h_stop + 1).min(filtered.len()),
-                candidates: patterns.len(),
+                beta_used,
+                candidates: 0,
                 matched,
                 misses,
-            };
+            });
         }
-
-        // Nothing substantial ever completed: fall back to the trivially
-        // complete candidates (ops for which the offending API is their
-        // opening state change).
-        let (matched, misses) = collapse_by_op(short.into_iter().map(|(_, op, m)| (op, m)).collect());
-        DetectionOutcome {
-            theta: theta(matched.len(), self.lib.len()),
-            beta_used: filtered.len(),
-            candidates: patterns.len(),
-            matched,
-            misses,
-        }
+        out
     }
 }
 
-/// Deduplicate `(op, misses)` pairs by operation, keeping each operation's
-/// cheapest match, and report the maximum misses any surviving operation
-/// needed (how far degraded matching had to stretch).
-fn collapse_by_op(mut pairs: Vec<(OpSpecId, usize)>) -> (Vec<OpSpecId>, usize) {
-    pairs.sort();
-    let mut matched: Vec<OpSpecId> = Vec::with_capacity(pairs.len());
-    let mut worst = 0usize;
-    for (op, m) in pairs {
-        if matched.last() == Some(&op) {
-            continue; // sorted: the kept entry has the smaller miss count
-        }
-        matched.push(op);
-        worst = worst.max(m);
+/// The operations one anchor selects, deduplicated: a bit per library
+/// operation, plus each selected operation's fewest misses.
+struct Selection {
+    bits: Vec<u64>,
+    fewest: Vec<usize>,
+}
+
+impl Selection {
+    fn new(n_ops: usize) -> Selection {
+        Selection { bits: vec![0; n_ops.div_ceil(64)], fewest: vec![usize::MAX; n_ops] }
     }
-    (matched, worst)
+
+    /// Select `ops`, each matched with `misses` bridged literals.
+    fn insert(&mut self, ops: &[OpSpecId], misses: usize) {
+        for op in ops {
+            let i = op.index();
+            self.bits[i / 64] |= 1 << (i % 64);
+            self.fewest[i] = self.fewest[i].min(misses);
+        }
+    }
+
+    /// Empty the set into its operations, ascending, and the most misses
+    /// any of them needed at best (how far degraded matching had to
+    /// stretch).
+    fn take(&mut self) -> (Vec<OpSpecId>, usize) {
+        let mut matched = Vec::new();
+        let mut worst = 0;
+        for (w, word) in self.bits.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                matched.push(OpSpecId(i as u16));
+                worst = worst.max(std::mem::replace(&mut self.fewest[i], usize::MAX));
+            }
+        }
+        (matched, worst)
+    }
 }
 
 /// Collapse consecutive duplicate symbols (a serial operation's REST

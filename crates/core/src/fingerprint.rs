@@ -215,9 +215,8 @@ pub fn generate_fingerprint(
 /// Key observation: `Fingerprint::literals` is an order-preserving
 /// projection of the atoms, so the literal sequence of *any* truncated
 /// prefix is itself a prefix of the full literal sequence, and a centred
-/// literal window is a contiguous slice of it. Per occurrence of each API
-/// it therefore suffices to record how many literals precede it and
-/// whether the occurrence itself is a literal.
+/// literal window is a contiguous slice of it. A truncation point is
+/// therefore just three prefix lengths ([`PatternEntry`]).
 #[derive(Debug, Clone)]
 struct FpPatterns {
     /// Full atom API sequence (strict / correlation matching).
@@ -225,43 +224,115 @@ struct FpPatterns {
     /// Literal sequences: `[0]` with RPC symbols kept, `[1]` with RPCs
     /// pruned (§6).
     lits: [Vec<ApiId>; 2],
-    /// Per API appearing in the fingerprint: one entry per occurrence, in
-    /// atom order (the order `truncate_at_each` visits).
-    occ: HashMap<ApiId, Vec<OccEntry>>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct OccEntry {
-    /// Atom index of the occurrence.
-    pos: usize,
-    /// Literal count strictly before the occurrence (`[kept, pruned]`).
-    before: [usize; 2],
-    /// Whether the occurrence itself is a literal (`[kept, pruned]`).
-    literal: [bool; 2],
 }
 
 impl FpPatterns {
     fn build(catalog: &Catalog, fp: &Fingerprint) -> FpPatterns {
-        let mut apis = Vec::with_capacity(fp.atoms.len());
-        let mut lits = [Vec::new(), Vec::new()];
-        let mut occ: HashMap<ApiId, Vec<OccEntry>> = HashMap::new();
-        for (pos, a) in fp.atoms.iter().enumerate() {
-            apis.push(a.api);
-            let keep_all = !a.starred;
-            let keep_pruned = keep_all && !catalog.get(a.api).is_rpc();
-            occ.entry(a.api).or_default().push(OccEntry {
-                pos,
-                before: [lits[0].len(), lits[1].len()],
-                literal: [keep_all, keep_pruned],
-            });
-            if keep_all {
-                lits[0].push(a.api);
+        let apis = fp.api_seq();
+        let lits = [fp.literals(catalog, false), fp.literals(catalog, true)];
+        FpPatterns { apis, lits }
+    }
+}
+
+/// Literals a [`PatternTable`] orders its suffix-sorted lists by.
+const SUFFIX_KEY: usize = 8;
+
+/// The last [`SUFFIX_KEY`] literals of `lits`, newest first, one 16-bit
+/// lane each (id + 1; 0 where the sequence is shorter): keys compare the
+/// way those bounded suffixes do.
+fn suffix_key(lits: &[ApiId]) -> u128 {
+    let newest_first = lits.iter().rev().take(SUFFIX_KEY).enumerate();
+    newest_first.fold(0, |key, (i, a)| {
+        key | u128::from(a.0.saturating_add(1)) << (16 * (SUFFIX_KEY - 1 - i))
+    })
+}
+
+/// One candidate pattern: an operation cut at one truncation point, as
+/// prefix lengths of its cached sequences.
+#[derive(Debug, Clone, Copy)]
+struct PatternEntry {
+    op: OpSpecId,
+    /// Atoms kept.
+    apis: u32,
+    /// Literals kept, `[RPCs kept, RPCs pruned]`.
+    lits: [u32; 2],
+}
+
+/// Every candidate pattern of every API, derived once per library (never
+/// per fault or per job): one flat table, CSR-indexed by `ApiId`.
+#[derive(Debug, Clone, Default)]
+struct PatternTable {
+    /// API `a`'s entries are `entries[start[a]..start[a + 1]]`.
+    start: Vec<u32>,
+    /// Candidate order: ascending operation, then the API's occurrences
+    /// in atom order (the order `truncate_at_each` visits).
+    entries: Vec<PatternEntry>,
+    /// Per pruning mode, the same ranges as `(op, literals kept)`, sorted
+    /// by their last [`SUFFIX_KEY`] literals, newest first. The patterns
+    /// sharing their last `k ≤ SUFFIX_KEY` literals are then adjacent, so a
+    /// detector deduplicates bounded patterns under the default
+    /// `max_literals` in one linear pass (a longer bound only dedups less).
+    by_suffix: [Vec<(OpSpecId, u32)>; 2],
+}
+
+impl PatternTable {
+    /// The table over `fps`: with `truncate`, one entry per occurrence of
+    /// each API; without, one untruncated entry per distinct API.
+    fn build(
+        catalog: &Catalog,
+        fps: &[Fingerprint],
+        cache: &[FpPatterns],
+        truncate: bool,
+    ) -> PatternTable {
+        let n_api = fps.iter().flat_map(|fp| &fp.atoms).map(|a| a.api.index() + 1).max();
+        let mut per_api: Vec<Vec<PatternEntry>> = vec![Vec::new(); n_api.unwrap_or(0)];
+        let mut distinct: Vec<ApiId> = Vec::new();
+        for fp in fps {
+            let mut cut = PatternEntry { op: fp.op, apis: 0, lits: [0, 0] };
+            distinct.clear();
+            for a in &fp.atoms {
+                cut.apis += 1;
+                if !a.starred {
+                    cut.lits[0] += 1;
+                    cut.lits[1] += !catalog.get(a.api).is_rpc() as u32;
+                }
+                let bucket = &mut per_api[a.api.index()];
+                if truncate {
+                    bucket.push(cut);
+                } else if bucket.last().is_none_or(|e| e.op != fp.op) {
+                    // Placeholder, completed below with the whole lengths.
+                    bucket.push(cut);
+                    distinct.push(a.api);
+                }
             }
-            if keep_pruned {
-                lits[1].push(a.api);
+            for api in &distinct {
+                *per_api[api.index()].last_mut().expect("pushed above") = cut;
             }
         }
-        FpPatterns { apis, lits, occ }
+        let mut table = PatternTable { start: vec![0], ..PatternTable::default() };
+        let mut keyed: Vec<(u128, OpSpecId, u32)> = Vec::new();
+        for bucket in per_api {
+            for (m, sorted) in table.by_suffix.iter_mut().enumerate() {
+                keyed.clear();
+                keyed.extend(bucket.iter().map(|e| {
+                    let lits = &cache[e.op.index()].lits[m][..e.lits[m] as usize];
+                    (suffix_key(lits), e.op, e.lits[m])
+                }));
+                keyed.sort_unstable();
+                sorted.extend(keyed.iter().map(|&(_, op, n)| (op, n)));
+            }
+            table.entries.extend(bucket);
+            table.start.push(u32::try_from(table.entries.len()).expect("table fits u32 offsets"));
+        }
+        table
+    }
+
+    /// Where `api`'s entries sit in `entries` and each `by_suffix` list.
+    fn range(&self, api: ApiId) -> std::ops::Range<usize> {
+        match (self.start.get(api.index()), self.start.get(api.index() + 1)) {
+            (Some(&lo), Some(&hi)) => lo as usize..hi as usize,
+            _ => 0..0,
+        }
     }
 }
 
@@ -300,6 +371,8 @@ pub struct FingerprintLibrary {
     fp_max: usize,
     /// Pattern cache, parallel to `fps`.
     cache: Vec<FpPatterns>,
+    /// Candidate patterns per API, `[untruncated, truncated]`.
+    tables: [PatternTable; 2],
 }
 
 impl FingerprintLibrary {
@@ -323,15 +396,24 @@ impl FingerprintLibrary {
             by_api: HashMap::new(),
             fp_max: 0,
             cache: Vec::with_capacity(fps.len()),
+            tables: Default::default(),
         };
         for fp in fps {
             lib.index_one(fp);
         }
+        lib.build_tables();
         lib
     }
 
+    /// (Re)derive the per-API candidate tables from every fingerprint.
+    fn build_tables(&mut self) {
+        self.tables = [false, true]
+            .map(|truncate| PatternTable::build(&self.catalog, &self.fps, &self.cache, truncate));
+    }
+
     /// Register one fingerprint: candidate index, `FPmax`, pattern cache.
-    /// Shared by the batch constructors and [`Self::extend_characterize`].
+    /// Shared by the batch constructors and [`Self::extend_characterize`],
+    /// which rebuild the candidate tables afterwards.
     fn index_one(&mut self, fp: Fingerprint) {
         self.fp_max = self.fp_max.max(fp.len());
         let mut seen = std::collections::HashSet::new();
@@ -466,6 +548,7 @@ impl FingerprintLibrary {
             self.index_one(fp);
             stats.push(st);
         }
+        self.build_tables();
         stats
     }
 
@@ -500,35 +583,45 @@ impl FingerprintLibrary {
     /// occurrences of `offending` in its fingerprint, in atom order), or
     /// one untruncated entry per candidate when `truncate` is false. Same
     /// order and content as deriving `candidates()` × `truncate_at_each()`
-    /// × `literals()`/`api_seq()` fresh, without the per-fault allocation.
+    /// × `literals()`/`api_seq()` fresh, read from the library's per-API
+    /// table.
     pub fn candidate_patterns(
         &self,
         offending: ApiId,
         truncate: bool,
     ) -> Vec<CandidatePattern<'_>> {
-        let candidates = self.candidates(offending);
-        let mut out = Vec::with_capacity(candidates.len());
-        for &op in candidates {
-            let pats = &self.cache[op.index()];
-            if truncate {
-                for e in pats.occ.get(&offending).map(Vec::as_slice).unwrap_or(&[]) {
-                    out.push(CandidatePattern {
-                        op,
-                        apis: &pats.apis[..=e.pos],
-                        lits_all: &pats.lits[0][..e.before[0] + e.literal[0] as usize],
-                        lits_pruned: &pats.lits[1][..e.before[1] + e.literal[1] as usize],
-                    });
+        let table = &self.tables[truncate as usize];
+        table.entries[table.range(offending)]
+            .iter()
+            .map(|e| {
+                let pats = &self.cache[e.op.index()];
+                CandidatePattern {
+                    op: e.op,
+                    apis: &pats.apis[..e.apis as usize],
+                    lits_all: &pats.lits[0][..e.lits[0] as usize],
+                    lits_pruned: &pats.lits[1][..e.lits[1] as usize],
                 }
-            } else {
-                out.push(CandidatePattern {
-                    op,
-                    apis: &pats.apis,
-                    lits_all: &pats.lits[0],
-                    lits_pruned: &pats.lits[1],
-                });
-            }
-        }
-        out
+            })
+            .collect()
+    }
+
+    /// The same candidate patterns as [`Self::candidate_patterns`], reduced
+    /// to `(operation, literal sequence)` under `prune_rpcs` and ordered by
+    /// their last eight literals, newest first: for every `k ≤ 8` the
+    /// patterns whose last `k` literals agree are adjacent, so bounded
+    /// patterns deduplicate in one pass. Borrowed from the per-API table;
+    /// nothing is allocated.
+    pub fn suffix_sorted_literals(
+        &self,
+        offending: ApiId,
+        truncate: bool,
+        prune_rpcs: bool,
+    ) -> impl ExactSizeIterator<Item = (OpSpecId, &[ApiId])> + '_ {
+        let m = prune_rpcs as usize;
+        let table = &self.tables[truncate as usize];
+        table.by_suffix[m][table.range(offending)]
+            .iter()
+            .map(move |&(op, n)| (op, &self.cache[op.index()].lits[m][..n as usize]))
     }
 
     /// Cached full literal sequence of `op`
@@ -543,20 +636,19 @@ impl FingerprintLibrary {
     /// performance-fault pattern; RPC symbols kept, §3.1.2). Each window
     /// is a contiguous slice of the cached literal sequence.
     pub fn centered_patterns(&self, op: OpSpecId, api: ApiId, k: usize) -> Vec<&[ApiId]> {
-        let pats = &self.cache[op.index()];
-        let Some(occ) = pats.occ.get(&api) else {
-            return Vec::new();
-        };
+        // `api`'s truncation points, ascending by operation.
+        let cuts = &self.tables[1].entries[self.tables[1].range(api)];
+        let cuts = &cuts[cuts.partition_point(|e| e.op < op)..];
+        let atoms = &self.fps[op.index()].atoms;
+        let lits = &self.cache[op.index()].lits[0];
         let half = (k / 2).max(1);
-        let lits = &pats.lits[0];
-        occ.iter()
+        cuts.iter()
+            .take_while(|e| e.op == op)
             .map(|e| {
-                let lo = e.before[0].saturating_sub(half);
-                let hi = e.before[0]
-                    .saturating_add(e.literal[0] as usize)
-                    .saturating_add(half)
-                    .min(lits.len());
-                &lits[lo..hi]
+                // Literals through the occurrence, itself included if literal.
+                let through = e.lits[0] as usize;
+                let before = through - !atoms[e.apis as usize - 1].starred as usize;
+                &lits[before.saturating_sub(half)..through.saturating_add(half).min(lits.len())]
             })
             .collect()
     }
@@ -926,6 +1018,47 @@ mod tests {
                     assert_eq!(c.apis, &f.1[..]);
                     assert_eq!(c.lits_all, &f.2[..]);
                     assert_eq!(c.lits_pruned, &f.3[..]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn suffix_sorted_literals_group_every_bounded_pattern() {
+        let (cat, wf, dep) = setup();
+        let specs = vec![
+            wf.vm_create_spec(OpSpecId(0)),
+            wf.image_upload_spec(OpSpecId(1)),
+            wf.cinder_list_spec(OpSpecId(2)),
+            OperationSpec { id: OpSpecId(3), ..vm_snapshot_specish(&wf) },
+        ];
+        let (lib, _) = FingerprintLibrary::characterize(cat.clone(), &specs, &dep, 2, 7);
+        for api in (0..cat.len() as u16).map(ApiId) {
+            for (truncate, prune) in [(true, true), (true, false), (false, true), (false, false)] {
+                let sorted: Vec<(OpSpecId, &[ApiId])> =
+                    lib.suffix_sorted_literals(api, truncate, prune).collect();
+                // The candidate patterns, reordered.
+                let mut fresh: Vec<(OpSpecId, &[ApiId])> = lib
+                    .candidate_patterns(api, truncate)
+                    .iter()
+                    .map(|p| (p.op, p.literals(prune)))
+                    .collect();
+                let mut again = sorted.clone();
+                fresh.sort();
+                again.sort();
+                assert_eq!(again, fresh, "api {api} truncate {truncate} prune {prune}");
+                // Under every bound up to eight literals, equal bounded
+                // patterns are adjacent.
+                for k in [1usize, 2, 3, 8] {
+                    let bounded = |lits: &[ApiId]| lits[lits.len().saturating_sub(k)..].to_vec();
+                    let mut runs: Vec<Vec<ApiId>> = Vec::new();
+                    for (_, lits) in &sorted {
+                        let b = bounded(lits);
+                        if runs.last() != Some(&b) {
+                            assert!(!runs.contains(&b), "api {api} k {k}: {b:?} split");
+                            runs.push(b);
+                        }
+                    }
                 }
             }
         }

@@ -71,6 +71,9 @@ pub fn suffix_match_score(
     (score, pattern.len())
 }
 
+/// log2 of the positions per block of [`PositionIndex`]'s rank directory.
+const BLOCK_SHIFT: usize = 7;
+
 /// Per-API occurrence index over a frozen buffer.
 ///
 /// A frozen snapshot is matched against *many* candidate patterns (one per
@@ -78,30 +81,69 @@ pub fn suffix_match_score(
 /// path, over many context-buffer growth steps. Scanning the buffer once
 /// per (pattern, step) pair is O(patterns · β · steps); indexing each API's
 /// sorted positions once turns every subsequence query into a chain of
-/// binary searches — O(|pattern| · log β) per query, buffer bytes touched
-/// once.
+/// successor / predecessor searches, buffer bytes touched once.
+///
+/// The layout is dense: every API that occurs gets a row, and a row is its
+/// `u32` positions (CSR, rows back to back) plus a block rank directory
+/// that says where in the row each 128-position block of the buffer
+/// starts. A greedy step therefore binary-searches the handful of
+/// occurrences inside one block instead of the API's whole list, and a
+/// literal resolved to its row once costs no lookup per step.
 #[derive(Debug, Clone, Default)]
 pub struct PositionIndex {
-    positions: crate::fasthash::FastMap<ApiId, Vec<usize>>,
+    /// `row_of[api]`: the API's row number, `u32::MAX` when it never occurs.
+    row_of: Vec<u32>,
+    /// Directory entries per row: blocks + 1.
+    stride: usize,
+    /// `dir[r * stride + b]`: index into `positions` of row `r`'s first
+    /// occurrence at or after block `b`; `dir[r * stride + stride - 1]`
+    /// ends the row.
+    dir: Vec<u32>,
+    /// Occurrence positions, grouped by row, ascending within a row.
+    positions: Vec<u32>,
     len: usize,
 }
+
+/// A pattern literal resolved against one [`PositionIndex`]: the start of
+/// its row in the directory, or `usize::MAX` when the API never occurs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Row(usize);
 
 impl PositionIndex {
     /// Index `buffer`; position `i` is `buffer[i]`.
     pub fn new(buffer: &[ApiId]) -> PositionIndex {
-        let mut idx = PositionIndex::default();
-        idx.extend(buffer);
-        idx
-    }
-
-    /// Append more symbols (δ context growth): positions continue from the
-    /// current length, so `idx.extend(tail)` over a split buffer equals
-    /// `PositionIndex::new(whole)`.
-    pub fn extend(&mut self, more: &[ApiId]) {
-        for &api in more {
-            self.positions.entry(api).or_default().push(self.len);
-            self.len += 1;
+        let len = buffer.len();
+        assert!(u32::try_from(len).is_ok(), "positions are u32");
+        let stride = len.div_ceil(1 << BLOCK_SHIFT).max(1) + 1;
+        let n_api = buffer.iter().map(|a| a.index() + 1).max().unwrap_or(0);
+        let mut row_of = vec![u32::MAX; n_api];
+        let mut rows = 0u32;
+        for &a in buffer {
+            if row_of[a.index()] == u32::MAX {
+                row_of[a.index()] = rows;
+                rows += 1;
+            }
         }
+        // Count each row's occurrences per block one slot to the right,
+        // then one running sum over the whole directory turns the counts
+        // into absolute starts (a row's start is every earlier row's total).
+        let mut dir = vec![0u32; rows as usize * stride];
+        for (i, &a) in buffer.iter().enumerate() {
+            dir[row_of[a.index()] as usize * stride + (i >> BLOCK_SHIFT) + 1] += 1;
+        }
+        let mut total = 0u32;
+        for d in &mut dir {
+            total += *d;
+            *d = total;
+        }
+        let mut next: Vec<u32> = dir.iter().step_by(stride).copied().collect();
+        let mut positions = vec![0u32; len];
+        for (i, &a) in buffer.iter().enumerate() {
+            let cursor = &mut next[row_of[a.index()] as usize];
+            positions[*cursor as usize] = i as u32;
+            *cursor += 1;
+        }
+        PositionIndex { row_of, stride, dir, positions, len }
     }
 
     /// Number of indexed symbols.
@@ -114,6 +156,43 @@ impl PositionIndex {
         self.len == 0
     }
 
+    /// `api`'s row, for queries that look the same literal up many times.
+    pub(crate) fn resolve(&self, api: ApiId) -> Row {
+        match self.row_of.get(api.index()) {
+            Some(&r) if r != u32::MAX => Row(r as usize * self.stride),
+            _ => Row(usize::MAX),
+        }
+    }
+
+    /// The row's occurrences inside the block holding `pos` (which must be
+    /// below `len`), as `(lo, hi)` indices into `positions`.
+    fn block(&self, row: Row, pos: usize) -> (usize, usize) {
+        let at = row.0 + (pos >> BLOCK_SHIFT);
+        (self.dir[at] as usize, self.dir[at + 1] as usize)
+    }
+
+    /// The row's last occurrence before `bound`.
+    fn last_before(&self, row: Row, bound: usize) -> Option<usize> {
+        if row.0 == usize::MAX || bound == 0 {
+            return None;
+        }
+        let (lo, hi) = self.block(row, bound - 1);
+        let i = lo + self.positions[lo..hi].partition_point(|&p| (p as usize) < bound);
+        // `i == lo` falls back to the last occurrence of an earlier block.
+        (i > self.dir[row.0] as usize).then(|| self.positions[i - 1] as usize)
+    }
+
+    /// The row's first occurrence at or after `cursor`.
+    fn first_from(&self, row: Row, cursor: usize) -> Option<usize> {
+        if row.0 == usize::MAX || cursor >= self.len {
+            return None;
+        }
+        let (lo, hi) = self.block(row, cursor);
+        let i = lo + self.positions[lo..hi].partition_point(|&p| (p as usize) < cursor);
+        // `i == hi` moves on to the first occurrence of a later block.
+        (i < self.dir[row.0 + self.stride - 1] as usize).then(|| self.positions[i] as usize)
+    }
+
     /// Is `pattern` a subsequence of the indexed buffer restricted to
     /// positions in `lo..hi`? Equivalent to
     /// `is_subsequence(pattern, &buffer[lo..hi])`, via greedy successor
@@ -122,12 +201,8 @@ impl PositionIndex {
         let hi = hi.min(self.len);
         let mut cursor = lo;
         for &api in pattern {
-            let Some(occ) = self.positions.get(&api) else {
-                return false;
-            };
-            let i = occ.partition_point(|&p| p < cursor);
-            match occ.get(i) {
-                Some(&p) if p < hi => cursor = p + 1,
+            match self.first_from(self.resolve(api), cursor) {
+                Some(p) if p < hi => cursor = p + 1,
                 _ => return false,
             }
         }
@@ -137,28 +212,17 @@ impl PositionIndex {
     /// Minimal anchored half-width: the smallest `h` such that `pattern`
     /// is a subsequence of positions `(center − h)..bound`, computed by
     /// greedy backward matching (the last literal as late as possible
-    /// before `bound`, the one before it earlier still, …). `None` when
-    /// the pattern never completes before `bound`. An empty pattern is
-    /// trivially present: `Some(0)`.
+    /// before `bound`, the one before it earlier still, …). The evidence
+    /// is anchored at `center`, so `bound` is clamped to `center + 1`.
+    /// `None` when the pattern never completes before `bound`. An empty
+    /// pattern is trivially present: `Some(0)`.
     pub fn min_anchored_half(
         &self,
         pattern: &[ApiId],
         center: usize,
         bound: usize,
     ) -> Option<usize> {
-        if pattern.is_empty() {
-            return Some(0);
-        }
-        let mut bound = bound.min(self.len);
-        for &lit in pattern.iter().rev() {
-            let occ = self.positions.get(&lit)?;
-            let i = occ.partition_point(|&p| p < bound);
-            if i == 0 {
-                return None;
-            }
-            bound = occ[i - 1];
-        }
-        Some(center - bound)
+        self.min_anchored_half_with_misses(pattern, center, bound, 0).map(|(h, _)| h)
     }
 
     /// Degraded-mode variant of [`PositionIndex::min_anchored_half`]: up to
@@ -177,18 +241,25 @@ impl PositionIndex {
         bound: usize,
         max_misses: usize,
     ) -> Option<(usize, usize)> {
-        if pattern.is_empty() {
-            return Some((0, 0));
-        }
-        let mut bound = bound.min(self.len);
+        let rows = pattern.iter().map(|&a| self.resolve(a));
+        self.anchored_walk(rows, center, bound, max_misses)
+    }
+
+    /// [`PositionIndex::min_anchored_half_with_misses`] over literals
+    /// already resolved to rows — the one greedy walk behind both anchored
+    /// queries.
+    pub(crate) fn anchored_walk(
+        &self,
+        rows: impl DoubleEndedIterator<Item = Row>,
+        center: usize,
+        bound: usize,
+        max_misses: usize,
+    ) -> Option<(usize, usize)> {
+        let mut bound = bound.min(self.len).min(center + 1);
         let mut misses = 0usize;
         let mut matched = 0usize;
-        for &lit in pattern.iter().rev() {
-            let hit = self.positions.get(&lit).and_then(|occ| {
-                let i = occ.partition_point(|&p| p < bound);
-                (i > 0).then(|| occ[i - 1])
-            });
-            match hit {
+        for row in rows.rev() {
+            match self.last_before(row, bound) {
                 Some(p) => {
                     bound = p;
                     matched += 1;
@@ -202,7 +273,8 @@ impl PositionIndex {
             }
         }
         if matched == 0 {
-            return None;
+            // Only the empty pattern completes without evidence.
+            return (misses == 0).then_some((0, 0));
         }
         Some((center - bound, misses))
     }
@@ -370,29 +442,112 @@ mod tests {
         }
     }
 
+    /// Greedy backward matching by linear scans of the buffer itself.
+    fn scan_with_misses(
+        pattern: &[ApiId],
+        buffer: &[ApiId],
+        center: usize,
+        bound: usize,
+        max_misses: usize,
+    ) -> Option<(usize, usize)> {
+        let mut bound = bound.min(buffer.len()).min(center + 1);
+        let (mut matched, mut misses) = (0, 0);
+        for lit in pattern.iter().rev() {
+            match buffer[..bound].iter().rposition(|a| a == lit) {
+                Some(p) => (bound, matched) = (p, matched + 1),
+                None if misses < max_misses => misses += 1,
+                None => return None,
+            }
+        }
+        match matched {
+            0 if !pattern.is_empty() => None,
+            0 => Some((0, 0)),
+            _ => Some((center - bound, misses)),
+        }
+    }
+
     #[test]
-    fn position_index_extend_equals_bulk_build() {
+    fn dense_index_agrees_with_scans_across_block_edges() {
         use rand::prelude::*;
         let f = fx();
-        let pool = pool(&f);
-        let mut rng = StdRng::seed_from_u64(7);
-        let buffer: Vec<ApiId> = (0..64).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
-        let bulk = PositionIndex::new(&buffer);
-        // Build the same index in three increments (δ context growth).
-        let mut grown = PositionIndex::new(&buffer[..20]);
-        grown.extend(&buffer[20..50]);
-        grown.extend(&buffer[50..]);
-        assert_eq!(grown.len(), bulk.len());
-        for _ in 0..200 {
-            let pattern: Vec<ApiId> =
-                (0..rng.gen_range(0usize..5)).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
-            let lo = rng.gen_range(0..=buffer.len());
-            let hi = rng.gen_range(lo..=buffer.len());
-            assert_eq!(
-                grown.contains_subsequence(&pattern, lo, hi),
-                bulk.contains_subsequence(&pattern, lo, hi)
-            );
+        let common = pool(&f);
+        // Two rare APIs, so some rows have blocks with no occurrence and a
+        // search must fall back to an earlier (or on to a later) block.
+        let rare = [
+            f.catalog.rest_expect(Service::Glance, HttpMethod::Get, "/v2/images"),
+            f.catalog.rest_expect(Service::Nova, HttpMethod::Get, "/v2.1/flavors"),
+        ];
+        let mut rng = StdRng::seed_from_u64(0xB10C);
+        for _ in 0..6 {
+            let n = rng.gen_range(2_049usize..5_000);
+            let buffer: Vec<ApiId> = (0..n)
+                .map(|_| match rng.gen_range(0..1000) {
+                    0..=2 => rare[rng.gen_range(0..2usize)],
+                    _ => common[rng.gen_range(0..common.len())],
+                })
+                .collect();
+            let idx = PositionIndex::new(&buffer);
+            let any = |rng: &mut StdRng| match rng.gen_range(0..4) {
+                0 => rare[rng.gen_range(0..2usize)],
+                _ => common[rng.gen_range(0..common.len())],
+            };
+            for _ in 0..150 {
+                let len = rng.gen_range(0usize..7);
+                let pattern: Vec<ApiId> = (0..len).map(|_| any(&mut rng)).collect();
+                let lo = rng.gen_range(0..=n);
+                let hi = rng.gen_range(lo..=n);
+                assert_eq!(
+                    idx.contains_subsequence(&pattern, lo, hi),
+                    is_subsequence(&pattern, &buffer[lo..hi]),
+                    "pattern {pattern:?} window {lo}..{hi}"
+                );
+                // Bounds past the anchor are clamped to it.
+                let center = rng.gen_range(0..n);
+                let bound = rng.gen_range(0..=n);
+                let upper = bound.min(center + 1);
+                // The minimal half-width by bisection over plain
+                // subsequence scans (presence only grows with h).
+                let naive = if upper == 0 || !is_subsequence(&pattern, &buffer[..upper]) {
+                    None
+                } else {
+                    let (mut lo_h, mut hi_h) = (center + 1 - upper, center);
+                    while lo_h < hi_h {
+                        let mid = (lo_h + hi_h) / 2;
+                        if is_subsequence(&pattern, &buffer[center - mid..upper]) {
+                            hi_h = mid;
+                        } else {
+                            lo_h = mid + 1;
+                        }
+                    }
+                    Some(lo_h)
+                };
+                let naive = if pattern.is_empty() { Some(0) } else { naive };
+                let half = idx.min_anchored_half(&pattern, center, bound);
+                assert_eq!(half, naive, "{pattern:?} @ {center}");
+                let m = rng.gen_range(0..3);
+                assert_eq!(
+                    idx.min_anchored_half_with_misses(&pattern, center, bound, m),
+                    scan_with_misses(&pattern, &buffer, center, bound, m),
+                    "{pattern:?} @ {center} bound {bound} misses {m}"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn a_bound_past_the_anchor_never_underflows() {
+        // Regression: with `bound > center + 1` the greedy walk could land
+        // on a literal after the anchor, and `center - bound` underflowed
+        // (a debug panic, a huge half-width in release).
+        let f = fx();
+        let (a, b) = (f.post_ports, f.post_servers);
+        let idx = PositionIndex::new(&[b, b, a]);
+        assert_eq!(idx.min_anchored_half(&[a], 0, 3), None);
+        assert_eq!(idx.min_anchored_half(&[b], 0, 3), Some(0));
+        assert_eq!(idx.min_anchored_half(&[b, b], 1, 3), Some(1));
+        assert_eq!(idx.min_anchored_half_with_misses(&[a], 0, 3, 1), None);
+        assert_eq!(idx.min_anchored_half_with_misses(&[a, b], 0, 3, 1), Some((0, 1)));
+        assert_eq!(idx.min_anchored_half_with_misses(&[b, a, b], 1, 3, 1), Some((1, 1)));
     }
 
     #[test]

@@ -67,8 +67,10 @@ pub fn table1(ctx: &Ctx) -> Vec<Artifact> {
         total(|r| r.rpc_events),
         total(|r| r.rest_events)
     );
-    let largest =
-        (0..wb.suite.len()).map(|i| wb.library.get(OpSpecId(i as u16)).len()).max().unwrap_or(0);
+    let largest = (0..wb.suite.len())
+        .map(|i| wb.library.get(OpSpecId(i as u16)).len())
+        .max()
+        .unwrap_or(0);
     println!(
         "FPmax = {} (paper: 384); largest fingerprint {largest} atoms; catalog: {} public REST APIs",
         wb.library.fp_max(),
@@ -111,7 +113,11 @@ pub fn fig5(ctx: &Ctx) -> Vec<Artifact> {
         .take(REPRESENTATIVES)
         .map(|spec| {
             let set = symbol_set(wb, spec.id);
-            let max_inter = others.iter().map(|o| set.intersection(o).count()).max().unwrap_or(0);
+            let max_inter = others
+                .iter()
+                .map(|o| set.intersection(o).count())
+                .max()
+                .unwrap_or(0);
             100.0 * max_inter as f64 / set.len().max(1) as f64
         })
         .collect();
@@ -120,7 +126,10 @@ pub fn fig5(ctx: &Ctx) -> Vec<Artifact> {
     let cdf: Vec<CdfPoint> = overlaps
         .iter()
         .enumerate()
-        .map(|(i, &o)| CdfPoint { overlap_pct: o, cdf: (i + 1) as f64 / overlaps.len() as f64 })
+        .map(|(i, &o)| CdfPoint {
+            overlap_pct: o,
+            cdf: (i + 1) as f64 / overlaps.len() as f64,
+        })
         .collect();
     let below15 = overlaps.iter().filter(|&&o| o < 15.0).count() as f64 / overlaps.len() as f64;
     println!(

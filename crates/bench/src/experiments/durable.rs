@@ -65,7 +65,10 @@ impl Backend {
             (Backend::File(dir), Damage::TornTail) => {
                 let path = FileStore::log_path(dir);
                 let cut = tear_at(&std::fs::read(&path).expect("read log"));
-                let f = std::fs::OpenOptions::new().write(true).open(path).expect("open log");
+                let f = std::fs::OpenOptions::new()
+                    .write(true)
+                    .open(path)
+                    .expect("open log");
                 f.set_len(cut as u64).expect("tear log tail");
             }
             (Backend::Mem(s), Damage::CorruptNewest) => {
@@ -90,7 +93,13 @@ impl Backend {
         lifetime: impl Fn(&mut dyn Store, Option<u64>) -> DurableOutcome,
     ) -> (Vec<Diagnosis>, RecoveryStats, usize, usize) {
         let mut totals = RecoveryStats::default();
-        for (fired, kill) in kill_points.iter().copied().map(Some).chain([None]).enumerate() {
+        for (fired, kill) in kill_points
+            .iter()
+            .copied()
+            .map(Some)
+            .chain([None])
+            .enumerate()
+        {
             let (out, log_bytes) = match self {
                 Backend::Mem(s) => (lifetime(s, kill), s.bytes().len()),
                 Backend::File(dir) => {
@@ -99,7 +108,11 @@ impl Backend {
                 }
             };
             match out {
-                DurableOutcome::Completed { diagnoses, recovery, .. } => {
+                DurableOutcome::Completed {
+                    diagnoses,
+                    recovery,
+                    ..
+                } => {
                     totals.merge(&recovery);
                     return (diagnoses, totals, fired, log_bytes);
                 }
@@ -198,21 +211,38 @@ pub fn recovery(ctx: &Ctx) -> Vec<Artifact> {
         let recovery = RecoveryConfig {
             service,
             checkpoint_every: (n_msgs / 8).max(32),
-            chaos: AnalyzerChaos { seed: seed ^ ((si as u64) << 8), ..chaos },
+            chaos: AnalyzerChaos {
+                seed: seed ^ ((si as u64) << 8),
+                ..chaos
+            },
             max_attempts,
             ..RecoveryConfig::default()
         };
         let lifetime = |store: &mut dyn Store, kill_point: Option<u64>| {
-            let cfg = DurableConfig { recovery: recovery.clone(), kill_point, reloads: Vec::new() };
-            run_service_durable(&wb.library, run.gcfg, &run.nodes, &run.exec.messages, &cfg, store)
-                .expect("a lifetime completes or is killed")
+            let cfg = DurableConfig {
+                recovery: recovery.clone(),
+                kill_point,
+                reloads: Vec::new(),
+            };
+            run_service_durable(
+                &wb.library,
+                run.gcfg,
+                &run.nodes,
+                &run.exec.messages,
+                &cfg,
+                store,
+            )
+            .expect("a lifetime completes or is killed")
         };
 
         for kills in KILL_COUNTS {
             let kill_points =
                 CrashSchedule::seeded(seed ^ 0xC4A5 ^ (si as u64), kills, n_msgs).points;
             // Damage is applied after a kill.
-            for damage in DAMAGES.into_iter().filter(|&d| d == Damage::Clean || kills > 0) {
+            for damage in DAMAGES
+                .into_iter()
+                .filter(|&d| d == Damage::Clean || kills > 0)
+            {
                 let dir = store_base.join(format!("s{si}-k{kills}-{damage:?}"));
                 std::fs::remove_dir_all(&dir).ok();
                 for mut backend in [Backend::Mem(MemStore::new()), Backend::File(dir)] {
@@ -259,7 +289,9 @@ pub fn recovery(ctx: &Ctx) -> Vec<Artifact> {
     assert!(out.all_identical, "recovered output must be byte-identical");
     for damage in DAMAGES {
         assert!(
-            out.rows.iter().any(|r| r.damage == damage && r.kills_fired > 0),
+            out.rows
+                .iter()
+                .any(|r| r.damage == damage && r.kills_fired > 0),
             "a kill must fire under {damage:?}"
         );
     }

@@ -14,8 +14,22 @@ use serde::Serialize;
 const CONCURRENCY: [usize; 4] = [100, 200, 300, 400];
 
 /// One seed-averaged cell at `concurrent` tests × `faults` faults.
-fn cell(ctx: &Ctx, concurrent: usize, faults: usize, rest: PrecisionParams) -> Vec<PrecisionResult> {
-    sweep(&ctx.wb, PrecisionParams { concurrent, faults, seed: ctx.seed, ..rest }, SEEDS)
+fn cell(
+    ctx: &Ctx,
+    concurrent: usize,
+    faults: usize,
+    rest: PrecisionParams,
+) -> Vec<PrecisionResult> {
+    sweep(
+        &ctx.wb,
+        PrecisionParams {
+            concurrent,
+            faults,
+            seed: ctx.seed,
+            ..rest
+        },
+        SEEDS,
+    )
 }
 
 #[derive(Serialize)]
@@ -46,7 +60,9 @@ pub fn fig7a(ctx: &Ctx) -> Vec<Artifact> {
     let min_theta = cells.iter().map(|c| c.theta).fold(1.0f64, f64::min);
     let mean_recall = cells.iter().map(|c| c.recall).sum::<f64>() / cells.len() as f64;
     println!("minimum theta = {min_theta:.4} (paper: >98% in all scenarios)");
-    println!("mean recall (truth op in matched set) = {mean_recall:.2} — not reported by the paper");
+    println!(
+        "mean recall (truth op in matched set) = {mean_recall:.2} — not reported by the paper"
+    );
     vec![Artifact::new("fig7a", &cells)]
 }
 
@@ -76,7 +92,9 @@ pub fn fig7b(ctx: &Ctx) -> Vec<Artifact> {
         .collect();
     println!(
         "snapshot matching reduces the candidate set by {:.0}x on average",
-        rows.iter().map(|r| r.with_api_error / r.with_snapshot.max(1.0)).sum::<f64>()
+        rows.iter()
+            .map(|r| r.with_api_error / r.with_snapshot.max(1.0))
+            .sum::<f64>()
             / rows.len() as f64
     );
     vec![Artifact::new("fig7b", &rows)]
@@ -97,7 +115,10 @@ pub fn fig7c(ctx: &Ctx) -> Vec<Artifact> {
     let rows: Vec<Fig7cRow> = [("without RPCs (pruned)", true), ("with RPCs", false)]
         .into_iter()
         .map(|(variant, prune)| {
-            let params = PrecisionParams { prune_rpcs: Some(prune), ..Default::default() };
+            let params = PrecisionParams {
+                prune_rpcs: Some(prune),
+                ..Default::default()
+            };
             let runs = cell(ctx, 100, 8, params);
             Fig7cRow {
                 variant: variant.to_string(),
@@ -129,7 +150,10 @@ pub fn fig8a(ctx: &Ctx) -> Vec<Artifact> {
     let rows: Vec<Fig8aRow> = CONCURRENCY
         .iter()
         .map(|&concurrent| {
-            let params = PrecisionParams { identical_faults: true, ..Default::default() };
+            let params = PrecisionParams {
+                identical_faults: true,
+                ..Default::default()
+            };
             let runs = cell(ctx, concurrent, 16, params);
             Fig8aRow {
                 concurrent,
@@ -161,11 +185,19 @@ pub fn corr_ablation(ctx: &Ctx) -> Vec<Artifact> {
     let mut rows = Vec::new();
     for concurrent in [100usize, 400] {
         for correlation_ids in [false, true] {
-            let params = PrecisionParams { correlation_ids, ..Default::default() };
+            let params = PrecisionParams {
+                correlation_ids,
+                ..Default::default()
+            };
             let runs = cell(ctx, concurrent, 8, params);
             let mut all_matched: Vec<f64> = runs
                 .iter()
-                .flat_map(|r| r.scores.iter().filter(|f| f.diagnosed).map(|f| f.matched as f64))
+                .flat_map(|r| {
+                    r.scores
+                        .iter()
+                        .filter(|f| f.diagnosed)
+                        .map(|f| f.matched as f64)
+                })
                 .collect();
             all_matched.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
             rows.push(CorrRow {
@@ -173,7 +205,10 @@ pub fn corr_ablation(ctx: &Ctx) -> Vec<Artifact> {
                 correlation_ids,
                 theta: mean(&runs, |r| r.mean_theta),
                 matched: mean(&runs, |r| r.mean_matched),
-                median_matched: all_matched.get(all_matched.len() / 2).copied().unwrap_or(0.0),
+                median_matched: all_matched
+                    .get(all_matched.len() / 2)
+                    .copied()
+                    .unwrap_or(0.0),
                 recall: mean(&runs, |r| r.recall),
             });
         }
@@ -218,7 +253,10 @@ pub fn policy_ablation(ctx: &Ctx) -> Vec<Artifact> {
     let mut rows = Vec::new();
     for (policy, patch) in policies {
         for concurrent in [100usize, 400] {
-            let params = PrecisionParams { config_override: Some(patch), ..Default::default() };
+            let params = PrecisionParams {
+                config_override: Some(patch),
+                ..Default::default()
+            };
             let runs = cell(ctx, concurrent, 8, params);
             rows.push(PolicyRow {
                 policy: policy.to_string(),
@@ -283,7 +321,9 @@ fn synth_events(ctx: &Ctx, n: usize, offending: ApiId) -> (Vec<Event>, usize) {
 /// independent of deployment scale).
 pub fn scale(ctx: &Ctx) -> Vec<Artifact> {
     let wb = &ctx.wb;
-    let offending = wb.catalog.rest_expect(Service::Neutron, HttpMethod::Post, "/v2.0/ports.json");
+    let offending = wb
+        .catalog
+        .rest_expect(Service::Neutron, HttpMethod::Post, "/v2.0/ports.json");
     let all: Vec<gretel_core::Fingerprint> =
         serde_json::from_str(&wb.library.to_json()).expect("json");
     let (events, center) = synth_events(ctx, 8192, offending);
@@ -293,9 +333,15 @@ pub fn scale(ctx: &Ctx) -> Vec<Artifact> {
             // A prefix library (ids stay dense).
             let subset = serde_json::to_string(&all[..n]).expect("json");
             let lib = FingerprintLibrary::from_json(wb.catalog.clone(), &subset).expect("load");
-            let cfg = GretelConfig { alpha: events.len(), ..GretelConfig::default() };
+            let cfg = GretelConfig {
+                alpha: events.len(),
+                ..GretelConfig::default()
+            };
             let outcome = Detector::new(&lib, cfg).detect_operational(&events, center, offending);
-            LibraryRow { fingerprints: n, matched: outcome.matched.len() }
+            LibraryRow {
+                fingerprints: n,
+                matched: outcome.matched.len(),
+            }
         })
         .collect();
 
@@ -317,5 +363,8 @@ pub fn scale(ctx: &Ctx) -> Vec<Artifact> {
             }
         })
         .collect();
-    vec![Artifact::new("scale_library", &lib_rows), Artifact::new("scale_deployment", &dep_rows)]
+    vec![
+        Artifact::new("scale_library", &lib_rows),
+        Artifact::new("scale_deployment", &dep_rows),
+    ]
 }

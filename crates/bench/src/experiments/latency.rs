@@ -11,11 +11,18 @@ use serde::Serialize;
 
 /// The level-shift tuning both figures use.
 fn level_shift() -> LevelShiftConfig {
-    LevelShiftConfig { baseline_window: 20, test_window: 4, ..Default::default() }
+    LevelShiftConfig {
+        baseline_window: 20,
+        test_window: 4,
+        ..Default::default()
+    }
 }
 
 fn performance_faults(diagnoses: &[Diagnosis]) -> Vec<&Diagnosis> {
-    diagnoses.iter().filter(|d| matches!(d.kind, FaultKind::Performance { .. })).collect()
+    diagnoses
+        .iter()
+        .filter(|d| matches!(d.kind, FaultKind::Performance { .. }))
+        .collect()
 }
 
 #[derive(Serialize)]
@@ -40,12 +47,17 @@ pub fn fig6(ctx: &Ctx) -> Vec<Artifact> {
     let sc = neutron_api_latency_with_window(&wb.catalog, ctx.seed, 150, secs(40), secs(90));
     let exec = sc.run(wb.catalog.clone());
     let telemetry = TelemetryStore::from_execution(&exec);
-    let ports_post = wb.catalog.rest_expect(Service::Neutron, HttpMethod::Post, "/v2.0/ports.json");
+    let ports_post = wb
+        .catalog
+        .rest_expect(Service::Neutron, HttpMethod::Post, "/v2.0/ports.json");
 
     let cfg = wb.config_at(p_rate(&exec));
-    let mut analyzer = Analyzer::with_perf_config(&wb.library, cfg, level_shift(), true).with_rca(
-        RcaContext { deployment: &sc.deployment, telemetry: &telemetry, specs: wb.suite.specs() },
-    );
+    let mut analyzer =
+        Analyzer::with_perf_config(&wb.library, cfg, level_shift(), true).with_rca(RcaContext {
+            deployment: &sc.deployment,
+            telemetry: &telemetry,
+            specs: wb.suite.specs(),
+        });
     let diagnoses = analyze_stream(&mut analyzer, exec.messages.iter());
     let perf = performance_faults(&diagnoses);
 
@@ -55,7 +67,11 @@ pub fn fig6(ctx: &Ctx) -> Vec<Artifact> {
     }
     let mut root_causes: Vec<String> = perf
         .iter()
-        .flat_map(|d| d.root_causes.iter().map(|rc| format!("{}: {}", rc.node, rc.why)))
+        .flat_map(|d| {
+            d.root_causes
+                .iter()
+                .map(|rc| format!("{}: {}", rc.node, rc.why))
+        })
         .collect();
     root_causes.sort();
     root_causes.dedup();
@@ -64,15 +80,28 @@ pub fn fig6(ctx: &Ctx) -> Vec<Artifact> {
         ExpectedCause::Dependency(node, dep) => format!("{node} ({dep})"),
     };
     let found = root_causes.iter().any(|c| c.contains("CPU"));
-    println!("expected root cause: CPU surge on {expected} — {}", if found { "FOUND" } else { "NOT FOUND" });
+    println!(
+        "expected root cause: CPU surge on {expected} — {}",
+        if found { "FOUND" } else { "NOT FOUND" }
+    );
 
     let series = analyzer
         .latency_history(ports_post)
         .iter()
-        .map(|&(ts, lat)| SeriesPoint { t_s: ts as f64 / 1e6, latency_ms: lat / 1e3 })
+        .map(|&(ts, lat)| SeriesPoint {
+            t_s: ts as f64 / 1e6,
+            latency_ms: lat / 1e3,
+        })
         .collect();
     let alarms = perf.iter().map(|d| d.ts as f64 / 1e6).collect();
-    vec![Artifact::new("fig6", &Fig6Out { series, alarms, root_causes })]
+    vec![Artifact::new(
+        "fig6",
+        &Fig6Out {
+            series,
+            alarms,
+            root_causes,
+        },
+    )]
 }
 
 #[derive(Serialize)]
@@ -98,12 +127,17 @@ pub fn fig8b(ctx: &Ctx) -> Vec<Artifact> {
     let sc = glance_latency_injection(&wb.catalog, ctx.seed, 200, from, until);
     let exec = sc.run(wb.catalog.clone());
     let cfg = wb.config_at(p_rate(&exec));
-    let image_get = wb.catalog.rest_expect(Service::Glance, HttpMethod::Get, "/v2/images/{id}");
+    let image_get = wb
+        .catalog
+        .rest_expect(Service::Glance, HttpMethod::Get, "/v2/images/{id}");
 
     let spike = || Box::new(SpikeDetector::new(30, 8.0)) as Box<dyn OutlierDetector + Send>;
     let monitors = [
         ("fig8b", PerfMonitor::new(level_shift(), true)),
-        ("fig8b_spike", PerfMonitor::with_factory(Box::new(spike), true)),
+        (
+            "fig8b_spike",
+            PerfMonitor::with_factory(Box::new(spike), true),
+        ),
     ];
     monitors
         .into_iter()
@@ -112,8 +146,10 @@ pub fn fig8b(ctx: &Ctx) -> Vec<Artifact> {
             let diagnoses = analyze_stream(&mut analyzer, exec.messages.iter());
             let perf = performance_faults(&diagnoses);
             let margin = secs(20);
-            let alarms_in_window =
-                perf.iter().filter(|d| d.ts + margin >= from && d.ts < until + margin).count();
+            let alarms_in_window = perf
+                .iter()
+                .filter(|d| d.ts + margin >= from && d.ts < until + margin)
+                .count();
             let out = Fig8bOut {
                 inject_from_s: from / 1_000_000,
                 inject_until_s: until / 1_000_000,

@@ -29,7 +29,10 @@ pub fn loss_ablation(ctx: &Ctx) -> Vec<Artifact> {
     let rows: Vec<LossRow> = [0.0f64, 0.05, 0.1, 0.2, 0.35, 0.5]
         .into_iter()
         .map(|drop_prob| {
-            let degradation = Degradation { drop_prob, seed: ctx.seed ^ 0xD207 };
+            let degradation = Degradation {
+                drop_prob,
+                seed: ctx.seed ^ 0xD207,
+            };
             let observed = degrade(&load.exec.messages, degradation, true);
             let cfg = wb.config_at(p_rate(&load.exec) * (1.0 - drop_prob));
             let mut analyzer = Analyzer::new(&wb.library, cfg);
@@ -113,8 +116,16 @@ pub fn robustness(ctx: &Ctx) -> Vec<Artifact> {
             let gcfg = wb.config_at(p_rate(&load.exec) * (1.0 - rate));
             let (diagnoses, svc, astats) =
                 wb.serve(gcfg, &nodes, &load.exec.messages, &impaired(rate, ctx.seed));
-            let s = summarize(&score_faults(wb, &diagnoses, &load.exec.messages, &load.truth));
-            let degraded = diagnoses.iter().filter(|d| !d.confidence.is_exact()).count();
+            let s = summarize(&score_faults(
+                wb,
+                &diagnoses,
+                &load.exec.messages,
+                &load.truth,
+            ));
+            let degraded = diagnoses
+                .iter()
+                .filter(|d| !d.confidence.is_exact())
+                .count();
             SweepRow {
                 drop_prob: rate,
                 dup_prob: rate / 2.0,
@@ -137,13 +148,20 @@ pub fn robustness(ctx: &Ctx) -> Vec<Artifact> {
     for run in operational_runs(wb, ctx.seed) {
         for rate in [0.0, 0.01, 0.05] {
             let gcfg = wb.config_at(p_rate(&run.exec) * (1.0 - rate));
-            let (diagnoses, _, _) =
-                wb.serve(gcfg, &run.nodes, &run.exec.messages, &impaired(rate, ctx.seed));
+            let (diagnoses, _, _) = wb.serve(
+                gcfg,
+                &run.nodes,
+                &run.exec.messages,
+                &impaired(rate, ctx.seed),
+            );
             scenarios.push(ScenarioRow {
                 scenario: run.scenario.name.to_string(),
                 drop_prob: rate,
                 diagnosed: !diagnoses.is_empty(),
-                degraded_diagnoses: diagnoses.iter().filter(|d| !d.confidence.is_exact()).count(),
+                degraded_diagnoses: diagnoses
+                    .iter()
+                    .filter(|d| !d.confidence.is_exact())
+                    .count(),
                 total_diagnoses: diagnoses.len(),
             });
         }

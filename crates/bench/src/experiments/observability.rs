@@ -35,13 +35,21 @@ fn self_watch_demo() -> (usize, Option<String>) {
     let mut faults = Vec::new();
     for i in 0..200u64 {
         let stalled = i >= 100;
-        metrics.observe(Stage::Detect, if stalled { 20_000 } else { 2_000 } + (i % 3));
+        metrics.observe(
+            Stage::Detect,
+            if stalled { 20_000 } else { 2_000 } + (i % 3),
+        );
         metrics.observe(Stage::Commit, 50);
         faults.extend(watch.poll(&metrics, (i + 1) * 1_000));
-        assert!(stalled || faults.is_empty(), "self-watch must not alarm on a steady baseline");
+        assert!(
+            stalled || faults.is_empty(),
+            "self-watch must not alarm on a steady baseline"
+        );
     }
-    let stage =
-        faults.first().and_then(|f| self_watch_stage(f.api)).map(|s| s.name().to_string());
+    let stage = faults
+        .first()
+        .and_then(|f| self_watch_stage(f.api))
+        .map(|s| s.name().to_string());
     (faults.len(), stage)
 }
 
@@ -90,7 +98,11 @@ pub fn observability(ctx: &Ctx) -> Vec<Artifact> {
         let disabled = Arc::new(PipelineMetrics::disabled());
         let (diagnoses, _) = run_arm(wb, run, Some(disabled.clone()));
         let disabled_identical = diagnoses == expected;
-        assert_eq!(disabled.stage_events(Stage::Ingest), 0, "disabled registry must stay empty");
+        assert_eq!(
+            disabled.stage_events(Stage::Ingest),
+            0,
+            "disabled registry must stay empty"
+        );
 
         let enabled = [(); 2].map(|()| {
             let registry = Arc::new(PipelineMetrics::enabled());
@@ -140,17 +152,35 @@ pub fn observability(ctx: &Ctx) -> Vec<Artifact> {
 
     let out = Output {
         seed: ctx.seed,
-        all_identical: rows.iter().all(|r| r.disabled_identical && r.enabled_identical),
+        all_identical: rows
+            .iter()
+            .all(|r| r.disabled_identical && r.enabled_identical),
         all_deterministic: rows.iter().all(|r| r.snapshots_deterministic),
         rows,
         json_roundtrip: back == snap,
         self_watch_faults,
         self_watch_stage,
     };
-    assert!(out.all_identical, "metrics must never perturb the diagnosis stream");
-    assert!(out.all_deterministic, "enabled-run snapshots must agree modulo wall clock");
-    assert!(out.json_roundtrip, "JSON snapshot must survive a serde round trip");
-    assert_eq!(out.self_watch_faults, 1, "the injected stall must raise exactly one fault");
-    assert_eq!(out.self_watch_stage.as_deref(), Some("detect"), "the fault must map to detect");
+    assert!(
+        out.all_identical,
+        "metrics must never perturb the diagnosis stream"
+    );
+    assert!(
+        out.all_deterministic,
+        "enabled-run snapshots must agree modulo wall clock"
+    );
+    assert!(
+        out.json_roundtrip,
+        "JSON snapshot must survive a serde round trip"
+    );
+    assert_eq!(
+        out.self_watch_faults, 1,
+        "the injected stall must raise exactly one fault"
+    );
+    assert_eq!(
+        out.self_watch_stage.as_deref(),
+        Some("detect"),
+        "the fault must map to detect"
+    );
     vec![Artifact::new("observability", &out)]
 }

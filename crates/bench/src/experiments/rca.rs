@@ -13,7 +13,7 @@ use gretel_sim::scenario::{
     failed_image_upload, linuxbridge_crash, mysql_outage, neutron_api_latency,
     no_compute_available, ntp_failure, rabbitmq_outage, Scenario,
 };
-use gretel_sim::{Deployment, ExpectedCause, Execution};
+use gretel_sim::{Deployment, Execution, ExpectedCause};
 use gretel_telemetry::TelemetryStore;
 use serde::Serialize;
 
@@ -29,8 +29,11 @@ fn diagnose(
 ) -> Vec<Diagnosis> {
     let telemetry = TelemetryStore::from_execution(exec);
     let cfg = GretelConfig::auto(library.fp_max(), p_rate(exec), 2.0);
-    let mut analyzer = Analyzer::new(library, cfg)
-        .with_rca(RcaContext { deployment, telemetry: &telemetry, specs });
+    let mut analyzer = Analyzer::new(library, cfg).with_rca(RcaContext {
+        deployment,
+        telemetry: &telemetry,
+        specs,
+    });
     let mut diagnoses = analyze_stream(&mut analyzer, exec.messages.iter());
     if cascades {
         let graph = analyzer.traffic_graph();
@@ -43,8 +46,20 @@ fn diagnose(
 /// operations against the specs the library was trained on (the suite);
 /// the scenario's canonical specs share ids with the first suite entries
 /// only by coincidence.
-fn diagnose_scenario(wb: &Workbench, sc: &Scenario, exec: &Execution, cascades: bool) -> Vec<Diagnosis> {
-    diagnose(wb, &wb.library, &sc.deployment, wb.suite.specs(), exec, cascades)
+fn diagnose_scenario(
+    wb: &Workbench,
+    sc: &Scenario,
+    exec: &Execution,
+    cascades: bool,
+) -> Vec<Diagnosis> {
+    diagnose(
+        wb,
+        &wb.library,
+        &sc.deployment,
+        wb.suite.specs(),
+        exec,
+        cascades,
+    )
 }
 
 #[derive(Serialize)]
@@ -109,7 +124,10 @@ pub fn case_studies(ctx: &Ctx) -> Vec<Artifact> {
     ];
     let cases: Vec<CaseResult> = scenarios.iter().map(|sc| run_case(&ctx.wb, sc)).collect();
     let found = cases.iter().filter(|c| c.root_cause_found).count();
-    println!("\n{found}/{} scenarios reached the paper's root cause", cases.len());
+    println!(
+        "\n{found}/{} scenarios reached the paper's root cause",
+        cases.len()
+    );
     vec![Artifact::new("case_studies", &cases)]
 }
 
@@ -143,7 +161,14 @@ struct PropagationReport {
 fn diagnose_cascade(wb: &Workbench, sc: &CascadeScenario) -> Vec<Diagnosis> {
     let (library, _) =
         FingerprintLibrary::characterize(wb.catalog.clone(), &sc.specs, &sc.deployment, 2, 7);
-    diagnose(wb, &library, &sc.deployment, &sc.specs, &sc.run(wb.catalog.clone()), true)
+    diagnose(
+        wb,
+        &library,
+        &sc.deployment,
+        &sc.specs,
+        &sc.run(wb.catalog.clone()),
+        true,
+    )
 }
 
 /// The per-service labels the post-pass assigned.
@@ -183,7 +208,10 @@ fn run_cascade(wb: &Workbench, sc: &CascadeScenario) -> CascadeResult {
         .count();
     let true_positives = true_roots + true_symptoms;
     let false_negatives = truth_roots.iter().filter(|r| !roots.contains(r)).count()
-        + truth_symptoms.iter().filter(|s| !symptoms.iter().any(|(ps, _)| ps == *s)).count();
+        + truth_symptoms
+            .iter()
+            .filter(|s| !symptoms.iter().any(|(ps, _)| ps == *s))
+            .count();
 
     println!("\n--- {} ---\n{}", sc.name, sc.description);
     for d in diagnoses.iter().filter(|d| d.attribution.is_some()).take(2) {
@@ -222,7 +250,13 @@ pub fn propagation(ctx: &Ctx) -> Vec<Artifact> {
 
     let sum = |f: fn(&CascadeResult) -> usize| cascades.iter().map(f).sum::<usize>();
     let tp = sum(|c| c.true_positives);
-    let ratio = |rest: usize| if tp + rest == 0 { 0.0 } else { tp as f64 / (tp + rest) as f64 };
+    let ratio = |rest: usize| {
+        if tp + rest == 0 {
+            0.0
+        } else {
+            tp as f64 / (tp + rest) as f64
+        }
+    };
     let precision = ratio(sum(|c| c.false_positives));
     let recall = ratio(sum(|c| c.false_negatives));
 
@@ -233,16 +267,29 @@ pub fn propagation(ctx: &Ctx) -> Vec<Artifact> {
             let name = run.scenario.name;
             let flat = diagnose_scenario(wb, &run.scenario, &run.exec, false);
             let graphed = diagnose_scenario(wb, &run.scenario, &run.exec, true);
-            assert_eq!(json(&flat), json(&graphed), "graph post-pass changed the report for {name}");
+            assert_eq!(
+                json(&flat),
+                json(&graphed),
+                "graph post-pass changed the report for {name}"
+            );
             name.to_string()
         })
         .collect();
     let replay_deterministic =
         json(&diagnose_cascade(wb, &suite[0])) == json(&diagnose_cascade(wb, &suite[0]));
 
-    assert!(replay_deterministic, "cascade attribution must be replay-deterministic");
-    assert!(precision >= 0.9, "root-vs-symptom precision {precision:.3} below 0.9");
-    assert!(recall >= 0.9, "root-vs-symptom recall {recall:.3} below 0.9");
+    assert!(
+        replay_deterministic,
+        "cascade attribution must be replay-deterministic"
+    );
+    assert!(
+        precision >= 0.9,
+        "root-vs-symptom precision {precision:.3} below 0.9"
+    );
+    assert!(
+        recall >= 0.9,
+        "root-vs-symptom recall {recall:.3} below 0.9"
+    );
     let report = PropagationReport {
         seed: ctx.seed,
         precision,

@@ -57,7 +57,11 @@ pub fn fig8c(ctx: &Ctx) -> Vec<Artifact> {
             let hansel_lat_us: u64 = reports.iter().map(|r| r.latency_us()).sum();
 
             let mean_s = |total_us: u64, n: usize| {
-                if n > 0 { total_us as f64 / n as f64 / 1e6 } else { 0.0 }
+                if n > 0 {
+                    total_us as f64 / n as f64 / 1e6
+                } else {
+                    0.0
+                }
             };
             Fig8cRow {
                 fault_every,
@@ -140,7 +144,10 @@ pub fn soak(ctx: &Ctx) -> Vec<Artifact> {
     }
     let max_op_span = spans.values().map(|(a, b)| b - a + 1).max().unwrap_or(1);
     let alpha = (4 * max_op_span).max(2 * wb.library.fp_max());
-    let gcfg = GretelConfig { alpha, ..GretelConfig::default() };
+    let gcfg = GretelConfig {
+        alpha,
+        ..GretelConfig::default()
+    };
 
     // The oracle: the plain inline analyzer over the whole stream, in the
     // same canonical order the sharded merge produces.
@@ -153,14 +160,29 @@ pub fn soak(ctx: &Ctx) -> Vec<Artifact> {
     let rows: Vec<ShardRow> = [1usize, 2, 4, 8]
         .into_iter()
         .map(|shards| {
-            let cfg = ShardedConfig { shards, metrics: true, ..ShardedConfig::default() };
+            let cfg = ShardedConfig {
+                shards,
+                metrics: true,
+                ..ShardedConfig::default()
+            };
             let out =
                 run_sharded(&wb.library, gcfg, &nodes, &traffic, &cfg).expect("sharded soak run");
             let identical = encode_diagnoses(&out.diagnoses) == expected_bytes;
-            assert!(identical, "{shards} shard(s): merged diagnoses differ from the unsharded run");
-            assert_eq!(&out.graph, inline.traffic_graph(), "{shards} shard(s): merged traffic graph");
+            assert!(
+                identical,
+                "{shards} shard(s): merged diagnoses differ from the unsharded run"
+            );
+            assert_eq!(
+                &out.graph,
+                inline.traffic_graph(),
+                "{shards} shard(s): merged traffic graph"
+            );
             let per_shard = || out.shards.iter().map(|s| s.messages);
-            assert_eq!(per_shard().sum::<usize>(), traffic.len(), "one shard per message");
+            assert_eq!(
+                per_shard().sum::<usize>(),
+                traffic.len(),
+                "one shard per message"
+            );
             ShardRow {
                 shards,
                 messages: traffic.len(),
@@ -172,7 +194,8 @@ pub fn soak(ctx: &Ctx) -> Vec<Artifact> {
         })
         .collect();
     assert!(
-        rows.last().is_some_and(|r| r.max_shard_messages < traffic.len()),
+        rows.last()
+            .is_some_and(|r| r.max_shard_messages < traffic.len()),
         "8 shards: traffic must not all land on one shard"
     );
 
@@ -186,21 +209,29 @@ pub fn soak(ctx: &Ctx) -> Vec<Artifact> {
                 FileStore::open(&dir, FileStoreConfig::default()).expect("open shard journal")
             })
             .collect();
-        let mut store_refs: Vec<&mut (dyn Store + Send)> =
-            stores.iter_mut().map(|s| s as &mut (dyn Store + Send)).collect();
+        let mut store_refs: Vec<&mut (dyn Store + Send)> = stores
+            .iter_mut()
+            .map(|s| s as &mut (dyn Store + Send))
+            .collect();
         let out = run_sharded_durable(
             &wb.library,
             gcfg,
             &nodes,
             &traffic,
-            &ShardedConfig { shards, ..ShardedConfig::default() },
+            &ShardedConfig {
+                shards,
+                ..ShardedConfig::default()
+            },
             &DurableConfig::default(),
             &mut store_refs,
         )
         .expect("durable sharded soak run");
         ctx.release_store(&store_base);
         let identical = encode_diagnoses(&out.diagnoses) == expected_bytes;
-        assert!(identical, "durable shards must reproduce the unsharded diagnosis stream");
+        assert!(
+            identical,
+            "durable shards must reproduce the unsharded diagnosis stream"
+        );
         DurableRow {
             shards,
             diagnoses: out.diagnoses.len(),

@@ -20,8 +20,8 @@ pub use results::Artifact;
 
 use experiments::{characterization, durable, grids, latency, loss, observability, rca, stream};
 use gretel_core::{
-    run_service_cfg, Analyzer, AnalyzerStats, CharacterizationStats, Diagnosis,
-    FingerprintLibrary, GretelConfig, ServiceConfig, ServiceStats,
+    run_service_cfg, Analyzer, AnalyzerStats, CharacterizationStats, Diagnosis, FingerprintLibrary,
+    GretelConfig, ServiceConfig, ServiceStats,
 };
 use gretel_model::{Catalog, Message, NodeId, TempestSuite};
 use gretel_sim::{Deployment, Execution};
@@ -73,7 +73,13 @@ impl Workbench {
             2,
             seed ^ 0xF1F1,
         );
-        Workbench { catalog, suite, deployment, library, char_stats }
+        Workbench {
+            catalog,
+            suite,
+            deployment,
+            library,
+            char_stats,
+        }
     }
 
     /// The analyzer configuration with α derived from a message rate
@@ -91,7 +97,12 @@ impl Workbench {
         messages: &[Message],
         cfg: &ServiceConfig,
     ) -> (Vec<Diagnosis>, ServiceStats, AnalyzerStats) {
-        run_service_cfg(&mut Analyzer::new(&self.library, gcfg), nodes, messages, cfg)
+        run_service_cfg(
+            &mut Analyzer::new(&self.library, gcfg),
+            nodes,
+            messages,
+            cfg,
+        )
     }
 }
 
@@ -117,8 +128,11 @@ impl Ctx {
     pub fn store_base(&self, experiment: &str) -> PathBuf {
         match &self.store_dir {
             Some(dir) => dir.join(experiment),
-            None => std::env::temp_dir()
-                .join(format!("gretel-{experiment}-{}-{}", std::process::id(), self.seed)),
+            None => std::env::temp_dir().join(format!(
+                "gretel-{experiment}-{}-{}",
+                std::process::id(),
+                self.seed
+            )),
         }
     }
 
@@ -144,44 +158,112 @@ pub struct Experiment {
 
 /// Every experiment, in the order the full battery runs them.
 pub const EXPERIMENTS: &[Experiment] = &[
-    Experiment { name: "table1", artifacts: &["table1"], run: characterization::table1 },
-    Experiment { name: "fig5", artifacts: &["fig5"], run: characterization::fig5 },
-    Experiment { name: "fig6", artifacts: &["fig6"], run: latency::fig6 },
-    Experiment { name: "fig7a", artifacts: &["fig7a"], run: grids::fig7a },
-    Experiment { name: "fig7b", artifacts: &["fig7b"], run: grids::fig7b },
-    Experiment { name: "fig7c", artifacts: &["fig7c"], run: grids::fig7c },
-    Experiment { name: "fig8a", artifacts: &["fig8a"], run: grids::fig8a },
-    Experiment { name: "fig8b", artifacts: &["fig8b", "fig8b_spike"], run: latency::fig8b },
-    Experiment { name: "fig8c", artifacts: &["fig8c"], run: stream::fig8c },
-    Experiment { name: "case_studies", artifacts: &["case_studies"], run: rca::case_studies },
-    Experiment { name: "corr_ablation", artifacts: &["corr_ablation"], run: grids::corr_ablation },
+    Experiment {
+        name: "table1",
+        artifacts: &["table1"],
+        run: characterization::table1,
+    },
+    Experiment {
+        name: "fig5",
+        artifacts: &["fig5"],
+        run: characterization::fig5,
+    },
+    Experiment {
+        name: "fig6",
+        artifacts: &["fig6"],
+        run: latency::fig6,
+    },
+    Experiment {
+        name: "fig7a",
+        artifacts: &["fig7a"],
+        run: grids::fig7a,
+    },
+    Experiment {
+        name: "fig7b",
+        artifacts: &["fig7b"],
+        run: grids::fig7b,
+    },
+    Experiment {
+        name: "fig7c",
+        artifacts: &["fig7c"],
+        run: grids::fig7c,
+    },
+    Experiment {
+        name: "fig8a",
+        artifacts: &["fig8a"],
+        run: grids::fig8a,
+    },
+    Experiment {
+        name: "fig8b",
+        artifacts: &["fig8b", "fig8b_spike"],
+        run: latency::fig8b,
+    },
+    Experiment {
+        name: "fig8c",
+        artifacts: &["fig8c"],
+        run: stream::fig8c,
+    },
+    Experiment {
+        name: "case_studies",
+        artifacts: &["case_studies"],
+        run: rca::case_studies,
+    },
+    Experiment {
+        name: "corr_ablation",
+        artifacts: &["corr_ablation"],
+        run: grids::corr_ablation,
+    },
     Experiment {
         name: "policy_ablation",
         artifacts: &["policy_ablation"],
         run: grids::policy_ablation,
     },
-    Experiment { name: "loss_ablation", artifacts: &["loss_ablation"], run: loss::loss_ablation },
-    Experiment { name: "robustness", artifacts: &["robustness"], run: loss::robustness },
+    Experiment {
+        name: "loss_ablation",
+        artifacts: &["loss_ablation"],
+        run: loss::loss_ablation,
+    },
+    Experiment {
+        name: "robustness",
+        artifacts: &["robustness"],
+        run: loss::robustness,
+    },
     Experiment {
         name: "scale",
         artifacts: &["scale_library", "scale_deployment"],
         run: grids::scale,
     },
-    Experiment { name: "propagation", artifacts: &["propagation"], run: rca::propagation },
-    Experiment { name: "recovery", artifacts: &["recovery"], run: durable::recovery },
+    Experiment {
+        name: "propagation",
+        artifacts: &["propagation"],
+        run: rca::propagation,
+    },
+    Experiment {
+        name: "recovery",
+        artifacts: &["recovery"],
+        run: durable::recovery,
+    },
     Experiment {
         name: "observability",
         artifacts: &["observability"],
         run: observability::observability,
     },
-    Experiment { name: "soak", artifacts: &["soak"], run: stream::soak },
+    Experiment {
+        name: "soak",
+        artifacts: &["soak"],
+        run: stream::soak,
+    },
 ];
 
 /// Run one entry and check it produced exactly the artifacts it declares.
 pub fn run_experiment(exp: &Experiment, ctx: &Ctx) -> Vec<Artifact> {
     let artifacts = (exp.run)(ctx);
     let stems: Vec<&str> = artifacts.iter().map(|a| a.stem).collect();
-    assert_eq!(stems, exp.artifacts, "{}: artifacts differ from its table entry", exp.name);
+    assert_eq!(
+        stems, exp.artifacts,
+        "{}: artifacts differ from its table entry",
+        exp.name
+    );
     artifacts
 }
 
@@ -197,21 +279,30 @@ pub fn main(mut args: impl Iterator<Item = String>) -> Result<(), String> {
         match arg.as_str() {
             "--seed" => {
                 let v = value()?;
-                seed = v.parse().map_err(|_| format!("--seed: not a number: {v}"))?;
+                seed = v
+                    .parse()
+                    .map_err(|_| format!("--seed: not a number: {v}"))?;
             }
             "--store-dir" => store_dir = Some(PathBuf::from(value()?)),
-            name => selected.push(EXPERIMENTS.iter().find(|e| e.name == name).ok_or_else(
-                || {
+            name => {
+                selected.push(EXPERIMENTS.iter().find(|e| e.name == name).ok_or_else(|| {
                     let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
-                    format!("unknown experiment or option `{name}`; experiments: {}", names.join(" "))
-                },
-            )?),
+                    format!(
+                        "unknown experiment or option `{name}`; experiments: {}",
+                        names.join(" ")
+                    )
+                })?)
+            }
         }
     }
     if selected.is_empty() {
         selected.extend(EXPERIMENTS);
     }
-    let ctx = Ctx { wb: Workbench::new(seed), seed, store_dir };
+    let ctx = Ctx {
+        wb: Workbench::new(seed),
+        seed,
+        store_dir,
+    };
     for exp in selected {
         println!("\n#### {} ####", exp.name);
         for artifact in run_experiment(exp, &ctx) {
@@ -240,7 +331,11 @@ mod tests {
     #[test]
     fn table_names_and_stems_are_unique_and_match_results_on_disk() {
         let names: BTreeSet<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
-        assert_eq!(names.len(), EXPERIMENTS.len(), "experiment names are unique");
+        assert_eq!(
+            names.len(),
+            EXPERIMENTS.len(),
+            "experiment names are unique"
+        );
         let stems: Vec<String> = EXPERIMENTS
             .iter()
             .flat_map(|e| e.artifacts.iter().map(|s| s.to_string()))
@@ -249,18 +344,37 @@ mod tests {
         assert_eq!(unique.len(), stems.len(), "artifact stems are unique");
         let on_disk: BTreeSet<String> = std::fs::read_dir(results::dir())
             .expect("results/ exists")
-            .filter_map(|e| e.ok()?.file_name().to_str()?.strip_suffix(".json").map(String::from))
+            .filter_map(|e| {
+                e.ok()?
+                    .file_name()
+                    .to_str()?
+                    .strip_suffix(".json")
+                    .map(String::from)
+            })
             .collect();
-        assert_eq!(unique, on_disk, "results/*.json is exactly what the table produces");
+        assert_eq!(
+            unique, on_disk,
+            "results/*.json is exactly what the table produces"
+        );
     }
 
     #[test]
     fn experiments_are_a_pure_function_of_the_seed() {
-        let ctx = Ctx { wb: Workbench::small(3, 4), seed: 3, store_dir: None };
+        let ctx = Ctx {
+            wb: Workbench::small(3, 4),
+            seed: 3,
+            store_dir: None,
+        };
         for name in ["table1", "fig5"] {
-            let exp = EXPERIMENTS.iter().find(|e| e.name == name).expect("in the table");
+            let exp = EXPERIMENTS
+                .iter()
+                .find(|e| e.name == name)
+                .expect("in the table");
             let json = |a: Vec<Artifact>| a.into_iter().map(|a| a.json).collect::<Vec<_>>();
-            assert_eq!(json(run_experiment(exp, &ctx)), json(run_experiment(exp, &ctx)));
+            assert_eq!(
+                json(run_experiment(exp, &ctx)),
+                json(run_experiment(exp, &ctx))
+            );
         }
     }
 
@@ -268,8 +382,12 @@ mod tests {
     fn unknown_names_flags_and_bad_values_are_errors() {
         let run = |args: &[&str]| main(args.iter().map(|s| s.to_string()));
         assert!(run(&["fig99"]).unwrap_err().contains("unknown experiment"));
-        assert!(run(&["--quick"]).unwrap_err().contains("unknown experiment or option"));
-        assert!(run(&["--seed", "abc"]).unwrap_err().contains("not a number"));
+        assert!(run(&["--quick"])
+            .unwrap_err()
+            .contains("unknown experiment or option"));
+        assert!(run(&["--seed", "abc"])
+            .unwrap_err()
+            .contains("not a number"));
         assert!(run(&["--store-dir"]).unwrap_err().contains("needs a value"));
     }
 }

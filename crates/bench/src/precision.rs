@@ -91,8 +91,10 @@ pub fn run(wb: &Workbench, params: PrecisionParams) -> PrecisionResult {
 
     // Category-proportional sample of non-faulty tests.
     let mut background: Vec<&OperationSpec> = Vec::with_capacity(params.concurrent);
-    let by_cat: Vec<Vec<&OperationSpec>> =
-        Category::ALL.iter().map(|&c| wb.suite.by_category(c).collect()).collect();
+    let by_cat: Vec<Vec<&OperationSpec>> = Category::ALL
+        .iter()
+        .map(|&c| wb.suite.by_category(c).collect())
+        .collect();
     let total_tests: usize = by_cat.iter().map(Vec::len).sum();
     for specs in &by_cat {
         let share = (params.concurrent * specs.len()).div_ceil(total_tests);
@@ -169,7 +171,17 @@ pub fn run(wb: &Workbench, params: PrecisionParams) -> PrecisionResult {
 /// [`run`] over `seeds` derived seeds (`params.seed ^ 1`, `^ 2`, …): the
 /// seed-averaged cell every precision figure and ablation reports.
 pub fn sweep(wb: &Workbench, params: PrecisionParams, seeds: u64) -> Vec<PrecisionResult> {
-    (0..seeds).map(|s| run(wb, PrecisionParams { seed: params.seed ^ (s + 1), ..params })).collect()
+    (0..seeds)
+        .map(|s| {
+            run(
+                wb,
+                PrecisionParams {
+                    seed: params.seed ^ (s + 1),
+                    ..params
+                },
+            )
+        })
+        .collect()
 }
 
 /// Mean of one field over a [`sweep`].
@@ -195,7 +207,11 @@ mod tests {
             },
         );
         assert_eq!(res.scores.len(), 2);
-        assert!(res.recall > 0.0, "at least one fault matched its truth op: {:?}", res.scores);
+        assert!(
+            res.recall > 0.0,
+            "at least one fault matched its truth op: {:?}",
+            res.scores
+        );
         assert!(res.mean_theta > 0.0);
         assert!(res.messages > 0);
     }

@@ -24,7 +24,11 @@ impl Artifact {
     /// Render `value` as the artifact `stem`.
     pub fn new<T: Serialize>(stem: &'static str, value: &T) -> Artifact {
         let json = serde_json::to_string_pretty(value).expect("result rows serialize");
-        Artifact { stem, json, value: value.to_value() }
+        Artifact {
+            stem,
+            json,
+            value: value.to_value(),
+        }
     }
 
     /// Write `<dir>/<stem>.json`.
@@ -62,7 +66,8 @@ pub fn dir() -> PathBuf {
 
 /// `v` as table rows: a non-empty array of objects.
 fn rows_of(v: &Value) -> Option<&[Value]> {
-    v.as_array().filter(|rows| rows.first().is_some_and(|r| r.as_object().is_some()))
+    v.as_array()
+        .filter(|rows| rows.first().is_some_and(|r| r.as_object().is_some()))
 }
 
 fn cell(v: &Value) -> String {
@@ -84,8 +89,12 @@ fn fields(row: &Value) -> &[(String, Value)] {
 }
 
 fn print_rows(title: &str, rows: &[Value]) {
-    let header: Vec<&str> =
-        rows.first().map_or(&[][..], fields).iter().map(|(k, _)| k.as_str()).collect();
+    let header: Vec<&str> = rows
+        .first()
+        .map_or(&[][..], fields)
+        .iter()
+        .map(|(k, _)| k.as_str())
+        .collect();
     let step = rows.len().div_ceil(MAX_TABLE_ROWS).max(1);
     let body: Vec<Vec<String>> = rows
         .iter()
@@ -116,8 +125,18 @@ fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
             .collect::<Vec<_>>()
             .join("  ")
     };
-    println!("{}", fmt_row(&header.iter().map(|s| s.to_string()).collect::<Vec<_>>()));
-    println!("{}", widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>().join("  "));
+    println!(
+        "{}",
+        fmt_row(&header.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    );
+    println!(
+        "{}",
+        widths
+            .iter()
+            .map(|w| "-".repeat(*w))
+            .collect::<Vec<_>>()
+            .join("  ")
+    );
     for row in rows {
         println!("{}", fmt_row(row));
     }
@@ -141,20 +160,36 @@ mod tests {
     }
 
     fn rows() -> Vec<Row> {
-        vec![Row { x: 7, theta: 0.5, tags: vec!["a".into(), "b".into()] }]
+        vec![Row {
+            x: 7,
+            theta: 0.5,
+            tags: vec!["a".into(), "b".into()],
+        }]
     }
 
     #[test]
     fn rows_and_reports_print_without_panicking() {
         Artifact::new("demo", &rows()).print();
-        Artifact::new("demo", &Report { seed: 1, rows: rows() }).print();
+        Artifact::new(
+            "demo",
+            &Report {
+                seed: 1,
+                rows: rows(),
+            },
+        )
+        .print();
         Artifact::new("demo", &Vec::<Row>::new()).print();
     }
 
     #[test]
     fn cells_render_scalars_and_lists() {
         let row = rows().remove(0).to_value();
-        let cells: Vec<String> = row.as_object().unwrap().iter().map(|(_, v)| cell(v)).collect();
+        let cells: Vec<String> = row
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(_, v)| cell(v))
+            .collect();
         assert_eq!(cells, ["7", "0.5000", "a, b"]);
     }
 

@@ -56,7 +56,10 @@ pub fn pick_fault_step(
     }
     let step_idx = rest_sc[rng.gen_range(0..rest_sc.len())];
     let api = spec.steps[step_idx].api;
-    let occurrence = spec.steps[..step_idx].iter().filter(|s| s.api == api).count() as u32;
+    let occurrence = spec.steps[..step_idx]
+        .iter()
+        .filter(|s| s.api == api)
+        .count() as u32;
     Some((api, occurrence))
 }
 
@@ -89,10 +92,18 @@ pub fn build_fault_plan(
             api,
             scope: FaultScope::Instance(inst),
             occurrence,
-            error: InjectedError::RestStatus { status: 500, reason: None },
+            error: InjectedError::RestStatus {
+                status: 500,
+                reason: None,
+            },
             abort_op: true,
         });
-        truth.push(InjectedFault { inst, spec: spec.id, name: spec.name.clone(), api });
+        truth.push(InjectedFault {
+            inst,
+            spec: spec.id,
+            name: spec.name.clone(),
+            api,
+        });
     }
     (plan, truth)
 }
@@ -152,7 +163,9 @@ pub fn score_faults(
                 diagnosed: d.is_some(),
                 hit: d.is_some_and(|d| d.matched.contains(&fault.spec)),
                 matched: d.map_or(0, |d| d.matched.len()),
-                theta: d.map_or(0.0, |d| gretel_core::theta(d.matched.len(), wb.library.len())),
+                theta: d.map_or(0.0, |d| {
+                    gretel_core::theta(d.matched.len(), wb.library.len())
+                }),
                 candidates: d.map_or(0, |d| d.candidates),
             }
         })
@@ -208,10 +221,15 @@ pub fn fault_workload(wb: &Workbench, seed: u64) -> FaultWorkload {
     const CONCURRENT: usize = 100;
     let mut rng = StdRng::seed_from_u64(seed ^ 0x10C0);
     let pool = faulty_pool(wb);
-    let specs: Vec<&OperationSpec> =
-        (0..FAULTS + CONCURRENT).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
+    let specs: Vec<&OperationSpec> = (0..FAULTS + CONCURRENT)
+        .map(|_| pool[rng.gen_range(0..pool.len())])
+        .collect();
     let (plan, truth) = build_fault_plan(wb, &specs[..FAULTS], &mut rng, None);
-    let cfg = RunConfig { seed, start_window: secs(20), ..RunConfig::default() };
+    let cfg = RunConfig {
+        seed,
+        start_window: secs(20),
+        ..RunConfig::default()
+    };
     let exec = Runner::new(wb.catalog.clone(), &wb.deployment, &plan, cfg).run(&specs);
     FaultWorkload { exec, truth }
 }
@@ -255,7 +273,12 @@ pub fn operational_runs(wb: &Workbench, seed: u64) -> Vec<SuiteRun> {
             let exec = scenario.run(wb.catalog.clone());
             let gcfg = wb.config_at(p_rate(&exec));
             let nodes = scenario.deployment.nodes().iter().map(|n| n.id).collect();
-            SuiteRun { scenario, exec, gcfg, nodes }
+            SuiteRun {
+                scenario,
+                exec,
+                gcfg,
+                nodes,
+            }
         })
         .collect()
 }
@@ -269,7 +292,10 @@ mod tests {
     fn fault_pool_is_compute_and_network_only() {
         let wb = Workbench::small(1, 6);
         for spec in faulty_pool(&wb) {
-            assert!(matches!(spec.category, Category::Compute | Category::Network));
+            assert!(matches!(
+                spec.category,
+                Category::Compute | Category::Network
+            ));
         }
     }
 

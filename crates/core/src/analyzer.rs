@@ -241,10 +241,16 @@ impl<'a> Analyzer<'a> {
         // Mine the cross-service dependency graph from the same observed
         // traffic: catalog noise classification, byte-scan error verdict —
         // never ground truth.
-        self.graph.observe(msg, def.noise.is_some(), !matches!(fault, FaultMark::None));
+        self.graph
+            .observe(msg, def.noise.is_some(), !matches!(fault, FaultMark::None));
 
-        let mut ev =
-            Event::new(msg, def.is_rpc(), def.is_state_change(), def.noise.is_some(), fault);
+        let mut ev = Event::new(
+            msg,
+            def.is_rpc(),
+            def.is_state_change(),
+            def.noise.is_some(),
+            fault,
+        );
         // Attach any gap reported since the previous ingest: this event is
         // the first to arrive after the hole.
         ev.gap_before = std::mem::take(&mut self.pending_gap);
@@ -270,12 +276,8 @@ impl<'a> Analyzer<'a> {
             let elapsed = msg.ts_us.saturating_sub(auto.window_start);
             if elapsed >= auto.interval_us {
                 let rate = auto.count as f64 / (elapsed as f64 / 1e6);
-                let alpha = crate::config::GretelConfig::auto(
-                    self.lib.fp_max(),
-                    rate,
-                    auto.t_secs,
-                )
-                .alpha;
+                let alpha =
+                    crate::config::GretelConfig::auto(self.lib.fp_max(), rate, auto.t_secs).alpha;
                 self.window.resize(alpha);
                 auto.window_start = msg.ts_us;
                 auto.count = 0;
@@ -363,7 +365,12 @@ impl<'a> Analyzer<'a> {
     /// (lifetime `'a`), not the analyzer itself, so jobs can be analyzed on
     /// other threads while the analyzer keeps ingesting.
     pub fn snapshot_analyzer(&self) -> SnapshotAnalyzer<'a> {
-        SnapshotAnalyzer { cfg: self.cfg, lib: self.lib, rca: self.rca, metrics: None }
+        SnapshotAnalyzer {
+            cfg: self.cfg,
+            lib: self.lib,
+            rca: self.rca,
+            metrics: None,
+        }
     }
 
     /// Serialize the analyzer's full ingest state — window, pairer, perf
@@ -396,7 +403,10 @@ impl<'a> Analyzer<'a> {
             put_u64(&mut out, pf.anomaly.ts);
             put_f64(&mut out, pf.anomaly.value);
             put_f64(&mut out, pf.anomaly.baseline);
-            put_u8(&mut out, matches!(pf.anomaly.kind, AnomalyKind::LevelShiftDown) as u8);
+            put_u8(
+                &mut out,
+                matches!(pf.anomaly.kind, AnomalyKind::LevelShiftDown) as u8,
+            );
         }
         for v in [
             self.stats.messages,
@@ -458,7 +468,12 @@ impl<'a> Analyzer<'a> {
                 1 => AnomalyKind::LevelShiftDown,
                 _ => return Err(DecodeError::Invalid("anomaly kind").into()),
             };
-            let anomaly = Anomaly { ts, value, baseline, kind };
+            let anomaly = Anomaly {
+                ts,
+                value,
+                baseline,
+                kind,
+            };
             pending_perf.push((msg_id, PerfFault { api, anomaly }));
         }
         let stats = AnalyzerStats {
@@ -478,7 +493,12 @@ impl<'a> Analyzer<'a> {
         let count = r.u64()?;
         let auto_alpha = match auto_tag {
             0 => None,
-            1 => Some(AutoAlpha { t_secs, interval_us, window_start, count }),
+            1 => Some(AutoAlpha {
+                t_secs,
+                interval_us,
+                window_start,
+                count,
+            }),
             _ => return Err(DecodeError::Invalid("auto-alpha tag").into()),
         };
         let pending_gap = r.u32()?;
@@ -581,7 +601,8 @@ impl<'a> SnapshotAnalyzer<'a> {
     /// Analyze one prepared snapshot job; pure aside from the borrowed
     /// read-only context, so calls from different threads commute.
     pub fn analyze(&self, job: &SnapshotJob) -> Vec<Diagnosis> {
-        self.analyze_inner(job, JobBudget::Unlimited).expect("unlimited budget never cancels")
+        self.analyze_inner(job, JobBudget::Unlimited)
+            .expect("unlimited budget never cancels")
     }
 
     /// [`SnapshotAnalyzer::analyze`] under a per-job [`JobBudget`]. A job
@@ -628,8 +649,14 @@ impl<'a> SnapshotAnalyzer<'a> {
         for &idx in &job.errors {
             let ev = &snap.events[idx];
             let kind = match ev.fault {
-                FaultMark::RestError(s) => FaultKind::Operational { status: Some(s), rpc: false },
-                FaultMark::RpcError => FaultKind::Operational { status: None, rpc: true },
+                FaultMark::RestError(s) => FaultKind::Operational {
+                    status: Some(s),
+                    rpc: false,
+                },
+                FaultMark::RpcError => FaultKind::Operational {
+                    status: None,
+                    rpc: true,
+                },
                 FaultMark::None => unreachable!("jobs only claim error events"),
             };
             out.push(Diagnosis {
@@ -694,14 +721,25 @@ impl<'a> SnapshotAnalyzer<'a> {
                 observed_ms: pf.anomaly.value / 1000.0,
                 baseline_ms: pf.anomaly.baseline / 1000.0,
             };
-            out.push(self.finalize(kind, pf.api, &snap.events, snap.events[idx], outcome, confidence));
+            out.push(self.finalize(
+                kind,
+                pf.api,
+                &snap.events,
+                snap.events[idx],
+                outcome,
+                confidence,
+            ));
         }
 
         // Operational faults: one detector call per offending API, which
         // searches the snapshot once for all of that API's faults; the
         // diagnoses still come out in claim order.
-        let mut by_api: Vec<(gretel_model::ApiId, usize)> =
-            job.errors.iter().enumerate().map(|(k, &idx)| (snap.events[idx].api, k)).collect();
+        let mut by_api: Vec<(gretel_model::ApiId, usize)> = job
+            .errors
+            .iter()
+            .enumerate()
+            .map(|(k, &idx)| (snap.events[idx].api, k))
+            .collect();
         by_api.sort_unstable();
         let mut outcomes: Vec<Option<crate::detect::DetectionOutcome>> =
             vec![None; job.errors.len()];
@@ -724,8 +762,14 @@ impl<'a> SnapshotAnalyzer<'a> {
         for (&idx, outcome) in job.errors.iter().zip(outcomes) {
             let ev = &snap.events[idx];
             let kind = match ev.fault {
-                FaultMark::RestError(s) => FaultKind::Operational { status: Some(s), rpc: false },
-                FaultMark::RpcError => FaultKind::Operational { status: None, rpc: true },
+                FaultMark::RestError(s) => FaultKind::Operational {
+                    status: Some(s),
+                    rpc: false,
+                },
+                FaultMark::RpcError => FaultKind::Operational {
+                    status: None,
+                    rpc: true,
+                },
                 FaultMark::None => unreachable!("jobs only claim error events"),
             };
             let outcome = outcome.expect("every claimed error detected");
@@ -803,7 +847,12 @@ mod tests {
     };
     use std::sync::Arc;
 
-    fn setup() -> (Arc<Catalog>, Deployment, Vec<OperationSpec>, FingerprintLibrary) {
+    fn setup() -> (
+        Arc<Catalog>,
+        Deployment,
+        Vec<OperationSpec>,
+        FingerprintLibrary,
+    ) {
         let cat = Catalog::openstack();
         let dep = Deployment::standard();
         let wf = Workflows::new(cat.clone());
@@ -824,14 +873,24 @@ mod tests {
             api: ports_post,
             scope: FaultScope::AllInstances,
             occurrence: 0,
-            error: InjectedError::RestStatus { status: 500, reason: None },
+            error: InjectedError::RestStatus {
+                status: 500,
+                reason: None,
+            },
             abort_op: true,
         });
-        let cfg = RunConfig { seed: 3, noise: NoiseConfig::default(), ..RunConfig::default() };
+        let cfg = RunConfig {
+            seed: 3,
+            noise: NoiseConfig::default(),
+            ..RunConfig::default()
+        };
         let refs: Vec<&OperationSpec> = specs.iter().collect();
         let exec = Runner::new(cat.clone(), &dep, &plan, cfg).run(&refs);
 
-        let gcfg = GretelConfig { alpha: 64, ..GretelConfig::default() };
+        let gcfg = GretelConfig {
+            alpha: 64,
+            ..GretelConfig::default()
+        };
         let mut analyzer = Analyzer::new(&lib, gcfg);
         let diagnoses = analyze_stream(&mut analyzer, exec.messages.iter());
 
@@ -839,9 +898,21 @@ mod tests {
         // one operational diagnosis naming op 0.
         let hit = diagnoses
             .iter()
-            .find(|d| matches!(d.kind, FaultKind::Operational { status: Some(500), .. }))
+            .find(|d| {
+                matches!(
+                    d.kind,
+                    FaultKind::Operational {
+                        status: Some(500),
+                        ..
+                    }
+                )
+            })
             .expect("operational diagnosis for the injected 500");
-        assert!(hit.matched.contains(&OpSpecId(0)), "matched: {:?}", hit.matched);
+        assert!(
+            hit.matched.contains(&OpSpecId(0)),
+            "matched: {:?}",
+            hit.matched
+        );
         assert!(analyzer.stats().rest_errors >= 1);
     }
 
@@ -854,10 +925,19 @@ mod tests {
             cat,
             &dep,
             &plan,
-            RunConfig { seed: 5, ..RunConfig::default() },
+            RunConfig {
+                seed: 5,
+                ..RunConfig::default()
+            },
         )
         .run(&refs);
-        let mut analyzer = Analyzer::new(&lib, GretelConfig { alpha: 64, ..Default::default() });
+        let mut analyzer = Analyzer::new(
+            &lib,
+            GretelConfig {
+                alpha: 64,
+                ..Default::default()
+            },
+        );
         let diagnoses = analyze_stream(&mut analyzer, exec.messages.iter());
         assert!(diagnoses.is_empty(), "got {diagnoses:?}");
         assert_eq!(analyzer.stats().rest_errors, 0);
@@ -873,7 +953,9 @@ mod tests {
             api: rpc,
             scope: FaultScope::Instance(gretel_model::OpInstanceId(0)),
             occurrence: 0,
-            error: InjectedError::RpcException { class: "NoValidHost".into() },
+            error: InjectedError::RpcException {
+                class: "NoValidHost".into(),
+            },
             abort_op: true,
         });
         let refs: Vec<&OperationSpec> = specs.iter().collect();
@@ -881,18 +963,31 @@ mod tests {
             cat,
             &dep,
             &plan,
-            RunConfig { seed: 7, ..RunConfig::default() },
+            RunConfig {
+                seed: 7,
+                ..RunConfig::default()
+            },
         )
         .run(&refs);
-        let mut analyzer = Analyzer::new(&lib, GretelConfig { alpha: 64, ..Default::default() });
+        let mut analyzer = Analyzer::new(
+            &lib,
+            GretelConfig {
+                alpha: 64,
+                ..Default::default()
+            },
+        );
         let diagnoses = analyze_stream(&mut analyzer, exec.messages.iter());
         // Both the REST relay (500) and the RPC exception analyzed.
         assert!(diagnoses
             .iter()
             .any(|d| matches!(d.kind, FaultKind::Operational { rpc: true, .. })));
-        assert!(diagnoses
-            .iter()
-            .any(|d| matches!(d.kind, FaultKind::Operational { status: Some(500), .. })));
+        assert!(diagnoses.iter().any(|d| matches!(
+            d.kind,
+            FaultKind::Operational {
+                status: Some(500),
+                ..
+            }
+        )));
     }
 
     #[test]
@@ -903,17 +998,38 @@ mod tests {
         let telemetry = TelemetryStore::from_execution(&exec);
         // NOTE: the scenario has its own specs (image upload first);
         // library trained on `specs` covers the same canonical op ids 0-2.
-        let mut analyzer = Analyzer::new(&lib, GretelConfig { alpha: 64, ..Default::default() })
-            .with_rca(RcaContext { deployment: &sc.deployment, telemetry: &telemetry, specs: &specs });
+        let mut analyzer = Analyzer::new(
+            &lib,
+            GretelConfig {
+                alpha: 64,
+                ..Default::default()
+            },
+        )
+        .with_rca(RcaContext {
+            deployment: &sc.deployment,
+            telemetry: &telemetry,
+            specs: &specs,
+        });
         let diagnoses = analyze_stream(&mut analyzer, exec.messages.iter());
         let d = diagnoses
             .iter()
-            .find(|d| matches!(d.kind, FaultKind::Operational { status: Some(413), .. }))
+            .find(|d| {
+                matches!(
+                    d.kind,
+                    FaultKind::Operational {
+                        status: Some(413),
+                        ..
+                    }
+                )
+            })
             .expect("413 diagnosed");
         assert!(
             d.root_causes.iter().any(|rc| {
                 rc.node == gretel_model::NodeId(2)
-                    && matches!(rc.cause, crate::rca::CauseKind::Resource(gretel_sim::ResourceKind::DiskFreeGb))
+                    && matches!(
+                        rc.cause,
+                        crate::rca::CauseKind::Resource(gretel_sim::ResourceKind::DiskFreeGb)
+                    )
             }),
             "causes: {:?}",
             d.root_causes
@@ -923,7 +1039,13 @@ mod tests {
     #[test]
     fn empty_stream_is_a_noop() {
         let (_, _, _, lib) = setup();
-        let mut analyzer = Analyzer::new(&lib, GretelConfig { alpha: 8, ..Default::default() });
+        let mut analyzer = Analyzer::new(
+            &lib,
+            GretelConfig {
+                alpha: 8,
+                ..Default::default()
+            },
+        );
         assert!(analyzer.finish().is_empty());
         assert_eq!(analyzer.stats().messages, 0);
     }
@@ -938,7 +1060,10 @@ mod tests {
             api: first_api,
             scope: FaultScope::Instance(gretel_model::OpInstanceId(0)),
             occurrence: 0,
-            error: InjectedError::RestStatus { status: 500, reason: None },
+            error: InjectedError::RestStatus {
+                status: 500,
+                reason: None,
+            },
             abort_op: true,
         });
         let refs: Vec<&OperationSpec> = specs.iter().collect();
@@ -946,20 +1071,41 @@ mod tests {
             cat,
             &dep,
             &plan,
-            RunConfig { seed: 1, start_window: 0, noise: NoiseConfig::off(), ..Default::default() },
+            RunConfig {
+                seed: 1,
+                start_window: 0,
+                noise: NoiseConfig::off(),
+                ..Default::default()
+            },
         )
         .run(&refs);
-        let mut analyzer = Analyzer::new(&lib, GretelConfig { alpha: 64, ..Default::default() });
+        let mut analyzer = Analyzer::new(
+            &lib,
+            GretelConfig {
+                alpha: 64,
+                ..Default::default()
+            },
+        );
         let diagnoses = analyze_stream(&mut analyzer, exec.messages.iter());
-        assert!(diagnoses
-            .iter()
-            .any(|d| matches!(d.kind, FaultKind::Operational { status: Some(500), .. })));
+        assert!(diagnoses.iter().any(|d| matches!(
+            d.kind,
+            FaultKind::Operational {
+                status: Some(500),
+                ..
+            }
+        )));
     }
 
     #[test]
     fn malformed_payloads_never_panic() {
         let (_, _, _, lib) = setup();
-        let mut analyzer = Analyzer::new(&lib, GretelConfig { alpha: 8, ..Default::default() });
+        let mut analyzer = Analyzer::new(
+            &lib,
+            GretelConfig {
+                alpha: 8,
+                ..Default::default()
+            },
+        );
         let payloads: Vec<Vec<u8>> = vec![
             vec![],
             vec![0xFF; 3],
@@ -1003,13 +1149,30 @@ mod tests {
             api: ports_post,
             scope: FaultScope::AllInstances,
             occurrence: 0,
-            error: InjectedError::RestStatus { status: 500, reason: None },
+            error: InjectedError::RestStatus {
+                status: 500,
+                reason: None,
+            },
             abort_op: true,
         });
         let refs: Vec<&OperationSpec> = specs.iter().collect();
-        let exec = Runner::new(cat, &dep, &plan, RunConfig { seed: 3, ..Default::default() })
-            .run(&refs);
-        let mut analyzer = Analyzer::new(&lib, GretelConfig { alpha: 32, ..Default::default() });
+        let exec = Runner::new(
+            cat,
+            &dep,
+            &plan,
+            RunConfig {
+                seed: 3,
+                ..Default::default()
+            },
+        )
+        .run(&refs);
+        let mut analyzer = Analyzer::new(
+            &lib,
+            GretelConfig {
+                alpha: 32,
+                ..Default::default()
+            },
+        );
         // Feed the stream TWICE (e.g. an operator replaying a capture into
         // a live analyzer): the error dedup keeps each error analyzed once.
         let mut diagnoses = Vec::new();
@@ -1017,13 +1180,15 @@ mod tests {
             diagnoses.extend(analyzer.process(m));
         }
         diagnoses.extend(analyzer.finish());
-        let errors_on_wire =
-            exec.messages.iter().filter(|m| m.is_rest_error()).count();
+        let errors_on_wire = exec.messages.iter().filter(|m| m.is_rest_error()).count();
         let operational = diagnoses
             .iter()
             .filter(|d| matches!(d.kind, FaultKind::Operational { .. }))
             .count();
-        assert!(operational <= errors_on_wire, "{operational} <= {errors_on_wire}");
+        assert!(
+            operational <= errors_on_wire,
+            "{operational} <= {errors_on_wire}"
+        );
     }
 
     #[test]
@@ -1034,19 +1199,30 @@ mod tests {
             cat,
             &dep,
             &FaultPlan::none(),
-            RunConfig { seed: 4, ..RunConfig::default() },
+            RunConfig {
+                seed: 4,
+                ..RunConfig::default()
+            },
         )
         .run(&refs);
-        let mut analyzer =
-            Analyzer::new(&lib, GretelConfig { alpha: 768, ..Default::default() })
-                .with_auto_alpha(1.0, gretel_sim::SECOND);
+        let mut analyzer = Analyzer::new(
+            &lib,
+            GretelConfig {
+                alpha: 768,
+                ..Default::default()
+            },
+        )
+        .with_auto_alpha(1.0, gretel_sim::SECOND);
         for m in &exec.messages {
             analyzer.process(m);
         }
         // The low-rate stream shrinks the window toward 2·FPmax.
         let alpha = analyzer.alpha();
         assert!(alpha < 768, "alpha adapted down: {alpha}");
-        assert!(alpha >= 2 * lib.fp_max().min(400), "alpha floored by FPmax: {alpha}");
+        assert!(
+            alpha >= 2 * lib.fp_max().min(400),
+            "alpha floored by FPmax: {alpha}"
+        );
     }
 
     #[test]
@@ -1057,10 +1233,19 @@ mod tests {
             cat,
             &dep,
             &FaultPlan::none(),
-            RunConfig { seed: 1, ..RunConfig::default() },
+            RunConfig {
+                seed: 1,
+                ..RunConfig::default()
+            },
         )
         .run(&refs);
-        let mut analyzer = Analyzer::new(&lib, GretelConfig { alpha: 64, ..Default::default() });
+        let mut analyzer = Analyzer::new(
+            &lib,
+            GretelConfig {
+                alpha: 64,
+                ..Default::default()
+            },
+        );
         analyze_stream(&mut analyzer, exec.messages.iter());
         assert_eq!(analyzer.stats().messages as usize, exec.messages.len());
         assert_eq!(analyzer.stats().bytes as usize, exec.total_payload_bytes());
@@ -1074,13 +1259,27 @@ mod tests {
             api: ports_post,
             scope: FaultScope::AllInstances,
             occurrence: 0,
-            error: InjectedError::RestStatus { status: 500, reason: None },
+            error: InjectedError::RestStatus {
+                status: 500,
+                reason: None,
+            },
             abort_op: true,
         });
         let refs: Vec<&OperationSpec> = specs.iter().collect();
-        let exec = Runner::new(cat, &dep, &plan, RunConfig { seed: 3, ..Default::default() })
-            .run(&refs);
-        let cfg = GretelConfig { alpha: 32, ..GretelConfig::default() };
+        let exec = Runner::new(
+            cat,
+            &dep,
+            &plan,
+            RunConfig {
+                seed: 3,
+                ..Default::default()
+            },
+        )
+        .run(&refs);
+        let cfg = GretelConfig {
+            alpha: 32,
+            ..GretelConfig::default()
+        };
 
         // Uninterrupted reference run.
         let mut reference = Analyzer::new(&lib, cfg);
@@ -1117,7 +1316,13 @@ mod tests {
     #[test]
     fn restore_rejects_garbage_state() {
         let (_, _, _, lib) = setup();
-        let mut analyzer = Analyzer::new(&lib, GretelConfig { alpha: 8, ..Default::default() });
+        let mut analyzer = Analyzer::new(
+            &lib,
+            GretelConfig {
+                alpha: 8,
+                ..Default::default()
+            },
+        );
         assert!(analyzer.restore_state(&[0xFF; 16]).is_err());
         assert!(analyzer.restore_state(&[]).is_err());
         // A failed restore leaves the analyzer usable.
@@ -1127,7 +1332,13 @@ mod tests {
     #[test]
     fn inflated_pending_perf_count_is_rejected() {
         let (_, _, _, lib) = setup();
-        let mut analyzer = Analyzer::new(&lib, GretelConfig { alpha: 8, ..Default::default() });
+        let mut analyzer = Analyzer::new(
+            &lib,
+            GretelConfig {
+                alpha: 8,
+                ..Default::default()
+            },
+        );
         let state = analyzer.export_state().unwrap();
         // Empty state: window 8+4+4, pairer 4+4, perf 1+4+4, errors 4,
         // then the pending-perf count.
@@ -1135,8 +1346,13 @@ mod tests {
         assert_eq!(state[n_perf_at..n_perf_at + 4], [0; 4]);
         let mut bad = state.clone();
         bad[n_perf_at..n_perf_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(analyzer.restore_state(&bad), Err(CheckpointError(DecodeError::Truncated)));
-        analyzer.restore_state(&state).expect("the honest state still restores");
+        assert_eq!(
+            analyzer.restore_state(&bad),
+            Err(CheckpointError(DecodeError::Truncated))
+        );
+        analyzer
+            .restore_state(&state)
+            .expect("the honest state still restores");
     }
 
     #[test]
@@ -1156,7 +1372,11 @@ mod tests {
                 let def = cat.get(atom.api);
                 let i = events.len();
                 let hit = atom.api == offending;
-                let fault = if hit { FaultMark::RestError(500) } else { FaultMark::None };
+                let fault = if hit {
+                    FaultMark::RestError(500)
+                } else {
+                    FaultMark::None
+                };
                 events.push(Event {
                     id: MessageId(i as u64),
                     ts: i as u64,
@@ -1177,24 +1397,44 @@ mod tests {
                 }
             }
         }
-        let snap = Snapshot { fault: events[errors[0]], events, fault_index: errors[0] };
-        let job = SnapshotJob { snap, perf: Vec::new(), errors };
-        let cfg = GretelConfig { alpha: 64, ..Default::default() };
+        let snap = Snapshot {
+            fault: events[errors[0]],
+            events,
+            fault_index: errors[0],
+        };
+        let job = SnapshotJob {
+            snap,
+            perf: Vec::new(),
+            errors,
+        };
+        let cfg = GretelConfig {
+            alpha: 64,
+            ..Default::default()
+        };
         let metrics = gretel_obs::PipelineMetrics::enabled();
-        let sa = Analyzer::new(&lib, cfg).snapshot_analyzer().with_metrics(Some(&metrics));
+        let sa = Analyzer::new(&lib, cfg)
+            .snapshot_analyzer()
+            .with_metrics(Some(&metrics));
         let diagnoses = sa.analyze(&job);
 
         assert_eq!(diagnoses.len(), 3);
         assert_eq!(metrics.stage_events(gretel_obs::Stage::Detect), 3);
         let matched: usize = diagnoses.iter().map(|d| d.matched.len()).sum();
         assert!(matched > 0);
-        assert_eq!(metrics.stage_events(gretel_obs::Stage::Match), matched as u64);
+        assert_eq!(
+            metrics.stage_events(gretel_obs::Stage::Match),
+            matched as u64
+        );
         let events = &job.snapshot().events;
         let sidx = SnapshotIndex::new(events);
         let detector = Detector::new(&lib, cfg);
         for (d, &idx) in diagnoses.iter().zip(&job.errors) {
             let one = detector.detect_operational_indexed(events, &sidx, idx, events[idx].api);
-            assert_eq!((d.api, d.ts), (events[idx].api, events[idx].ts), "claim order kept");
+            assert_eq!(
+                (d.api, d.ts),
+                (events[idx].api, events[idx].ts),
+                "claim order kept"
+            );
             assert_eq!(d.matched, one.matched);
             assert_eq!(d.theta, one.theta);
             assert_eq!((d.beta_used, d.candidates), (one.beta_used, one.candidates));
@@ -1209,13 +1449,30 @@ mod tests {
             api: ports_post,
             scope: FaultScope::AllInstances,
             occurrence: 0,
-            error: InjectedError::RestStatus { status: 500, reason: None },
+            error: InjectedError::RestStatus {
+                status: 500,
+                reason: None,
+            },
             abort_op: true,
         });
         let refs: Vec<&OperationSpec> = specs.iter().collect();
-        let exec = Runner::new(cat, &dep, &plan, RunConfig { seed: 3, ..Default::default() })
-            .run(&refs);
-        let mut analyzer = Analyzer::new(&lib, GretelConfig { alpha: 32, ..Default::default() });
+        let exec = Runner::new(
+            cat,
+            &dep,
+            &plan,
+            RunConfig {
+                seed: 3,
+                ..Default::default()
+            },
+        )
+        .run(&refs);
+        let mut analyzer = Analyzer::new(
+            &lib,
+            GretelConfig {
+                alpha: 32,
+                ..Default::default()
+            },
+        );
         let mut jobs = Vec::new();
         for m in &exec.messages {
             jobs.extend(analyzer.ingest(m));
@@ -1250,7 +1507,11 @@ mod tests {
         // Regression: cancellation under a deterministic budget is a pure
         // function of the job — repeated runs agree bit-for-bit, which the
         // old Instant-based deadline could not guarantee.
-        for budget in [JobBudget::Passes(0), JobBudget::Passes(1), JobBudget::Passes(2)] {
+        for budget in [
+            JobBudget::Passes(0),
+            JobBudget::Passes(1),
+            JobBudget::Passes(2),
+        ] {
             let a = sa.analyze_bounded(job, budget);
             let b = sa.analyze_bounded(job, budget);
             assert_eq!(a, b, "budget {budget:?} must be replay-stable");

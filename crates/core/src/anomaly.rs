@@ -116,7 +116,11 @@ fn find_byte(hay: &[u8], b: u8) -> Option<usize> {
         }
         base += 8;
     }
-    chunks.remainder().iter().position(|&x| x == b).map(|j| base + j)
+    chunks
+        .remainder()
+        .iter()
+        .position(|&x| x == b)
+        .map(|j| base + j)
 }
 
 /// One latency observation produced by pairing.
@@ -321,8 +325,15 @@ mod tests {
     #[test]
     fn rest_pairing_by_connection() {
         let mut p = LatencyPairer::new();
-        let conn = ConnKey { src: NodeId(0), src_port: 31000, dst: NodeId(1), dst_port: 8774 };
-        assert!(p.observe(&rest_msg(0, 1_000, Direction::Request, conn)).is_none());
+        let conn = ConnKey {
+            src: NodeId(0),
+            src_port: 31000,
+            dst: NodeId(1),
+            dst_port: 8774,
+        };
+        assert!(p
+            .observe(&rest_msg(0, 1_000, Direction::Request, conn))
+            .is_none());
         let obs = p
             .observe(&rest_msg(1, 26_000, Direction::Response, conn.reversed()))
             .expect("pair completes");
@@ -343,7 +354,11 @@ mod tests {
             dst_service: Service::Nova,
             api: ApiId(700),
             direction: dir,
-            wire: WireKind::Rpc { method: "attach_volume".into(), msg_id: 55, error: None },
+            wire: WireKind::Rpc {
+                method: "attach_volume".into(),
+                msg_id: 55,
+                error: None,
+            },
             conn: ConnKey::default(),
             payload: vec![],
             correlation_id: None,
@@ -359,14 +374,26 @@ mod tests {
     #[test]
     fn unmatched_response_is_ignored() {
         let mut p = LatencyPairer::new();
-        let conn = ConnKey { src: NodeId(0), src_port: 1, dst: NodeId(1), dst_port: 2 };
-        assert!(p.observe(&rest_msg(0, 10, Direction::Response, conn)).is_none());
+        let conn = ConnKey {
+            src: NodeId(0),
+            src_port: 1,
+            dst: NodeId(1),
+            dst_port: 2,
+        };
+        assert!(p
+            .observe(&rest_msg(0, 10, Direction::Response, conn))
+            .is_none());
     }
 
     #[test]
     fn expire_drops_stale_requests() {
         let mut p = LatencyPairer::new();
-        let conn = ConnKey { src: NodeId(0), src_port: 1, dst: NodeId(1), dst_port: 2 };
+        let conn = ConnKey {
+            src: NodeId(0),
+            src_port: 1,
+            dst: NodeId(1),
+            dst_port: 2,
+        };
         p.observe(&rest_msg(0, 10, Direction::Request, conn));
         assert_eq!(p.outstanding(), 1);
         p.expire_before(1_000);

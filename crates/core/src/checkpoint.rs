@@ -60,8 +60,7 @@ pub fn put_event(out: &mut Vec<u8>, ev: &Event) {
     put_u64(out, ev.ts);
     put_u16(out, ev.api.0);
     put_u8(out, matches!(ev.direction, Direction::Response) as u8);
-    let flags =
-        (ev.is_rpc as u8) | ((ev.state_change as u8) << 1) | ((ev.noise_api as u8) << 2);
+    let flags = (ev.is_rpc as u8) | ((ev.state_change as u8) << 1) | ((ev.noise_api as u8) << 2);
     put_u8(out, flags);
     put_u8(out, ev.src_node.0);
     put_u8(out, ev.dst_node.0);
@@ -139,21 +138,33 @@ pub use gretel_store::fnv1a;
 /// Service index in the stable [`Service::ALL`] order — the wire tag for
 /// services inside diagnosis records.
 fn service_index(s: Service) -> u8 {
-    Service::ALL.iter().position(|&x| x == s).expect("service in ALL") as u8
+    Service::ALL
+        .iter()
+        .position(|&x| x == s)
+        .expect("service in ALL") as u8
 }
 
 fn read_service(r: &mut Reader<'_>) -> Result<Service, DecodeError> {
     let i = r.u8()? as usize;
-    Service::ALL.get(i).copied().ok_or(DecodeError::Invalid("service index"))
+    Service::ALL
+        .get(i)
+        .copied()
+        .ok_or(DecodeError::Invalid("service index"))
 }
 
 fn resource_index(k: ResourceKind) -> u8 {
-    ResourceKind::ALL.iter().position(|&x| x == k).expect("resource in ALL") as u8
+    ResourceKind::ALL
+        .iter()
+        .position(|&x| x == k)
+        .expect("resource in ALL") as u8
 }
 
 fn read_resource(r: &mut Reader<'_>) -> Result<ResourceKind, DecodeError> {
     let i = r.u8()? as usize;
-    ResourceKind::ALL.get(i).copied().ok_or(DecodeError::Invalid("resource index"))
+    ResourceKind::ALL
+        .get(i)
+        .copied()
+        .ok_or(DecodeError::Invalid("resource index"))
 }
 
 fn put_dependency(out: &mut Vec<u8>, d: Dependency) {
@@ -208,7 +219,10 @@ pub fn put_diagnosis(out: &mut Vec<u8>, d: &Diagnosis) {
             }
             put_u8(out, rpc as u8);
         }
-        FaultKind::Performance { observed_ms, baseline_ms } => {
+        FaultKind::Performance {
+            observed_ms,
+            baseline_ms,
+        } => {
             put_u8(out, 1);
             put_f64(out, observed_ms);
             put_f64(out, baseline_ms);
@@ -235,7 +249,10 @@ pub fn put_diagnosis(out: &mut Vec<u8>, d: &Diagnosis) {
                 put_u8(out, 1);
                 put_dependency(out, *dep);
             }
-            CauseKind::StaleTelemetry { stale_resources, stale_watchers } => {
+            CauseKind::StaleTelemetry {
+                stale_resources,
+                stale_watchers,
+            } => {
                 put_u8(out, 2);
                 put_count(out, stale_resources.len());
                 for k in stale_resources {
@@ -278,12 +295,17 @@ pub fn read_diagnosis(r: &mut Reader<'_>) -> Result<Diagnosis, DecodeError> {
             };
             FaultKind::Operational { status, rpc }
         }
-        1 => FaultKind::Performance { observed_ms: r.f64()?, baseline_ms: r.f64()? },
+        1 => FaultKind::Performance {
+            observed_ms: r.f64()?,
+            baseline_ms: r.f64()?,
+        },
         _ => return Err(DecodeError::Invalid("fault kind tag")),
     };
     let api = ApiId(r.u16()?);
     let ts = r.u64()?;
-    let matched = (0..r.count(2)?).map(|_| r.u16().map(OpSpecId)).collect::<Result<_, _>>()?;
+    let matched = (0..r.count(2)?)
+        .map(|_| r.u16().map(OpSpecId))
+        .collect::<Result<_, _>>()?;
     let theta = r.f64()?;
     let beta_used = r.u64()? as usize;
     let candidates = r.u64()? as usize;
@@ -309,7 +331,10 @@ pub fn read_diagnosis(r: &mut Reader<'_>) -> Result<Diagnosis, DecodeError> {
     }
     let confidence = match r.u8()? {
         0 => CaptureConfidence::Exact,
-        1 => CaptureConfidence::Degraded { gaps: r.u32()?, lost: r.u32()? },
+        1 => CaptureConfidence::Degraded {
+            gaps: r.u32()?,
+            lost: r.u32()?,
+        },
         2 => CaptureConfidence::Cancelled,
         _ => return Err(DecodeError::Invalid("confidence tag")),
     };
@@ -399,17 +424,26 @@ mod tests {
         };
         let cases = [
             mk(
-                FaultKind::Operational { status: Some(503), rpc: false },
+                FaultKind::Operational {
+                    status: Some(503),
+                    rpc: false,
+                },
                 CaptureConfidence::Exact,
                 CauseKind::Resource(ResourceKind::ALL[4]),
             ),
             mk(
-                FaultKind::Operational { status: None, rpc: true },
+                FaultKind::Operational {
+                    status: None,
+                    rpc: true,
+                },
                 CaptureConfidence::Degraded { gaps: 2, lost: 9 },
                 CauseKind::Dependency(Dependency::ServiceProcess(Service::ALL[11])),
             ),
             mk(
-                FaultKind::Performance { observed_ms: 123.456, baseline_ms: 7.5 },
+                FaultKind::Performance {
+                    observed_ms: 123.456,
+                    baseline_ms: 7.5,
+                },
                 CaptureConfidence::Cancelled,
                 CauseKind::StaleTelemetry {
                     stale_resources: vec![ResourceKind::ALL[0], ResourceKind::ALL[2]],
@@ -466,7 +500,10 @@ mod tests {
     #[test]
     fn release_record_counts_are_bounded() {
         let d = Diagnosis {
-            kind: FaultKind::Operational { status: Some(500), rpc: false },
+            kind: FaultKind::Operational {
+                status: Some(500),
+                rpc: false,
+            },
             api: ApiId(1),
             ts: 2,
             matched: vec![],
@@ -479,13 +516,20 @@ mod tests {
         };
         let jobs = vec![(7u64, vec![d])];
         let bytes = encode_release(9, &jobs);
-        assert_eq!(bytes.len(), 8 + 4 + 8 + 4 + DIAGNOSIS_MIN_BYTES, "the minimum is tight");
+        assert_eq!(
+            bytes.len(),
+            8 + 4 + 8 + 4 + DIAGNOSIS_MIN_BYTES,
+            "the minimum is tight"
+        );
         assert_eq!(decode_release(&bytes), Ok((9, jobs)));
         // Job count at 8, that job's diagnosis count at 20.
         for at in [8usize, 20] {
             let mut bad = bytes.clone();
             bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-            assert_eq!(decode_release(&bad), Err(CheckpointError(DecodeError::Truncated)));
+            assert_eq!(
+                decode_release(&bad),
+                Err(CheckpointError(DecodeError::Truncated))
+            );
         }
     }
 

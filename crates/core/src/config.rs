@@ -86,7 +86,10 @@ impl GretelConfig {
     /// (paper: `α = 2·max{FPmax, Prate·t}` with t in seconds).
     pub fn auto(fp_max: usize, p_rate_pps: f64, t_secs: f64) -> GretelConfig {
         let alpha = 2 * (fp_max.max((p_rate_pps * t_secs).ceil() as usize)).max(1);
-        GretelConfig { alpha, ..GretelConfig::default() }
+        GretelConfig {
+            alpha,
+            ..GretelConfig::default()
+        }
     }
 
     /// Sanity-check the configuration; returns all problems (empty = ok).
@@ -102,7 +105,11 @@ impl GretelConfig {
             problems.push(format!("c2 {} must be in (0, 1]", self.c2));
         }
         if self.beta0() > self.alpha {
-            problems.push(format!("beta0 {} exceeds alpha {}", self.beta0(), self.alpha));
+            problems.push(format!(
+                "beta0 {} exceeds alpha {}",
+                self.beta0(),
+                self.alpha
+            ));
         }
         if self.min_pattern == 0 {
             problems.push("min_pattern must be >= 1".to_string());
@@ -189,7 +196,12 @@ mod tests {
 
     #[test]
     fn beta_delta_floors() {
-        let c = GretelConfig { alpha: 4, c1: 0.1, c2: 0.01, ..GretelConfig::default() };
+        let c = GretelConfig {
+            alpha: 4,
+            c1: 0.1,
+            c2: 0.01,
+            ..GretelConfig::default()
+        };
         assert!(c.beta0() >= 2);
         assert!(c.delta() >= 1);
     }

@@ -93,7 +93,13 @@ impl SnapshotIndex {
         }
         gap_prefix.push(gap_cum);
         let index = PositionIndex::new(&apis);
-        SnapshotIndex { apis, index, prefix, by_corr, gap_prefix }
+        SnapshotIndex {
+            apis,
+            index,
+            prefix,
+            by_corr,
+            gap_prefix,
+        }
     }
 
     /// The noise-filtered API projection.
@@ -218,7 +224,10 @@ impl<'a> Detector<'a> {
         }
         let candidates = self.lib.candidates(offending).len();
         out.into_iter()
-            .map(|o| DetectionOutcome { candidates, ..o.expect("every anchor detected") })
+            .map(|o| DetectionOutcome {
+                candidates,
+                ..o.expect("every anchor detected")
+            })
             .collect()
     }
 
@@ -255,7 +264,11 @@ impl<'a> Detector<'a> {
         // mid-operation and only nearby steps are reliably inside the
         // window. RPC symbols are kept — performance faults frequently
         // *are* RPC latencies (§3.1.2), so pruning would erase the anchor.
-        let k = self.cfg.max_literals.map(|k| (k / 2).max(2)).unwrap_or(usize::MAX);
+        let k = self
+            .cfg
+            .max_literals
+            .map(|k| (k / 2).max(2))
+            .unwrap_or(usize::MAX);
         let candidates = self.lib.candidates(offending);
         let mut matched: Vec<OpSpecId> = candidates
             .iter()
@@ -377,8 +390,11 @@ impl<'a> Detector<'a> {
             // no interleaving — so starred atoms participate too.
             let raw: Vec<ApiId> = dedup_consecutive(filtered.iter().copied());
             let buf_seq = crate::noise_filter::filter_noise(catalog, &raw);
-            let buf_literals: Vec<ApiId> =
-                buf_seq.iter().copied().filter(|&a| catalog.get(a).is_state_change()).collect();
+            let buf_literals: Vec<ApiId> = buf_seq
+                .iter()
+                .copied()
+                .filter(|&a| catalog.get(a).is_state_change())
+                .collect();
             // Two conditions, both exploiting that every buffered symbol
             // genuinely belongs to the faulty operation:
             // 1. the observed state-change sequence is a contiguous
@@ -522,7 +538,8 @@ impl<'a> Detector<'a> {
         // resolved in `rows[seqs[s].0..seqs[s + 1].0]`, carried by the
         // operations `ops[seqs[s].1..seqs[s + 1].1]`.
         let patterns =
-            self.lib.suffix_sorted_literals(offending, self.cfg.truncate, self.cfg.prune_rpcs);
+            self.lib
+                .suffix_sorted_literals(offending, self.cfg.truncate, self.cfg.prune_rpcs);
         let mut rows = Vec::new();
         let mut ops = Vec::with_capacity(patterns.len());
         let mut seqs: Vec<(usize, usize)> = Vec::new();
@@ -584,7 +601,11 @@ impl<'a> Detector<'a> {
                         (h0 + (k_first + self.cfg.grace_steps) * delta).min(center.max(h0));
                     let eligible =
                         |&(h, l, ..): &(usize, usize, usize, usize)| long(l) && h <= h_stop;
-                    let max_len = hits.iter().filter(|hit| eligible(hit)).map(|hit| hit.1).max();
+                    let max_len = hits
+                        .iter()
+                        .filter(|hit| eligible(hit))
+                        .map(|hit| hit.1)
+                        .max();
                     let max_len = max_len.unwrap_or(0);
                     for hit @ &(_, l, misses, s) in &hits {
                         if eligible(hit) && l + slack >= max_len {
@@ -625,7 +646,10 @@ struct Selection {
 
 impl Selection {
     fn new(n_ops: usize) -> Selection {
-        Selection { bits: vec![0; n_ops.div_ceil(64)], fewest: vec![usize::MAX; n_ops] }
+        Selection {
+            bits: vec![0; n_ops.div_ceil(64)],
+            fewest: vec![usize::MAX; n_ops],
+        }
     }
 
     /// Select `ops`, each matched with `misses` bridged literals.
@@ -713,25 +737,42 @@ mod tests {
     }
 
     fn snapshot_from(events: Vec<Event>, fault_index: usize) -> Snapshot {
-        Snapshot { fault: events[fault_index], events, fault_index }
+        Snapshot {
+            fault: events[fault_index],
+            events,
+            fault_index,
+        }
     }
 
     #[test]
     fn detects_vm_create_from_ports_fault() {
         let (cat, lib) = library();
-        let detector = Detector::new(&lib, GretelConfig { alpha: 16, ..Default::default() });
+        let detector = Detector::new(
+            &lib,
+            GretelConfig {
+                alpha: 16,
+                ..Default::default()
+            },
+        );
         let spec_events: Vec<Event> = lib
             .get(gretel_model::OpSpecId(0))
             .atoms
             .iter()
             .enumerate()
             .map(|(i, a)| {
-                event(i as u64, a.api, cat.get(a.api).is_state_change(), cat.get(a.api).is_rpc())
+                event(
+                    i as u64,
+                    a.api,
+                    cat.get(a.api).is_state_change(),
+                    cat.get(a.api).is_rpc(),
+                )
             })
             .collect();
         let ports_post = cat.rest_expect(Service::Neutron, HttpMethod::Post, "/v2.0/ports.json");
-        let fault_index =
-            spec_events.iter().position(|e| e.api == ports_post).expect("ports step present");
+        let fault_index = spec_events
+            .iter()
+            .position(|e| e.api == ports_post)
+            .expect("ports step present");
         // Operation aborted at the fault: nothing after it on the wire.
         let events: Vec<Event> = spec_events[..=fault_index].to_vec();
         let snap = snapshot_from(events, fault_index);
@@ -745,7 +786,13 @@ mod tests {
     #[test]
     fn unrelated_operation_does_not_match() {
         let (cat, lib) = library();
-        let detector = Detector::new(&lib, GretelConfig { alpha: 16, ..Default::default() });
+        let detector = Detector::new(
+            &lib,
+            GretelConfig {
+                alpha: 16,
+                ..Default::default()
+            },
+        );
         // Buffer holds only the image-upload sequence; fault on its PUT.
         let put_file = cat.rest_expect(Service::Glance, HttpMethod::Put, "/v2/images/{id}/file");
         let fp = lib.get(gretel_model::OpSpecId(1));
@@ -754,7 +801,12 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, a)| {
-                event(i as u64, a.api, cat.get(a.api).is_state_change(), cat.get(a.api).is_rpc())
+                event(
+                    i as u64,
+                    a.api,
+                    cat.get(a.api).is_state_change(),
+                    cat.get(a.api).is_rpc(),
+                )
             })
             .collect();
         let fault_index = events.iter().position(|e| e.api == put_file).unwrap();
@@ -784,17 +836,24 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, a)| {
-                event(i as u64, a.api, cat.get(a.api).is_state_change(), cat.get(a.api).is_rpc())
+                event(
+                    i as u64,
+                    a.api,
+                    cat.get(a.api).is_state_change(),
+                    cat.get(a.api).is_rpc(),
+                )
             })
             .collect();
         let ports_post = cat.rest_expect(Service::Neutron, HttpMethod::Post, "/v2.0/ports.json");
-        let fault_index = spec_events.iter().position(|e| e.api == ports_post).unwrap();
+        let fault_index = spec_events
+            .iter()
+            .position(|e| e.api == ports_post)
+            .unwrap();
         let mut events: Vec<Event> = spec_events[..=fault_index].to_vec();
         // Simulate a lost frame: remove a mid-stream *required* literal
         // (non-starred — starred atoms may be absent anyway) that occurs
         // exactly once in the fingerprint.
-        let once =
-            |api: gretel_model::ApiId| fp.atoms.iter().filter(|a| a.api == api).count() == 1;
+        let once = |api: gretel_model::ApiId| fp.atoms.iter().filter(|a| a.api == api).count() == 1;
         let hole = (1..fault_index)
             .rev()
             .find(|&i| !fp.atoms[i].starred && once(events[i].api))
@@ -806,7 +865,11 @@ mod tests {
         // fingerprint cannot be present and the match fails.
         let snap = snapshot_from(events.clone(), fault_index);
         let out = detector.detect_operational_snapshot(&snap, ports_post);
-        assert!(out.matched.is_empty(), "no marker, no widening: {:?}", out.matched);
+        assert!(
+            out.matched.is_empty(),
+            "no marker, no widening: {:?}",
+            out.matched
+        );
         assert_eq!(out.misses, 0);
 
         // The receiver noticed the loss: the event after the hole carries a
@@ -823,7 +886,11 @@ mod tests {
         let (cat, lib) = library();
         // Without truncation, the full fingerprint (with steps after the
         // fault) cannot be present in an aborted trace.
-        let cfg_no_trunc = GretelConfig { alpha: 16, truncate: false, ..Default::default() };
+        let cfg_no_trunc = GretelConfig {
+            alpha: 16,
+            truncate: false,
+            ..Default::default()
+        };
         let detector = Detector::new(&lib, cfg_no_trunc);
         let ports_post = cat.rest_expect(Service::Neutron, HttpMethod::Post, "/v2.0/ports.json");
         let fp = lib.get(gretel_model::OpSpecId(0));
@@ -832,7 +899,12 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, a)| {
-                event(i as u64, a.api, cat.get(a.api).is_state_change(), cat.get(a.api).is_rpc())
+                event(
+                    i as u64,
+                    a.api,
+                    cat.get(a.api).is_state_change(),
+                    cat.get(a.api).is_rpc(),
+                )
             })
             .collect();
         let fault_index = events.iter().position(|e| e.api == ports_post).unwrap();
@@ -841,13 +913,22 @@ mod tests {
         let out = detector.detect_operational_snapshot(&snap, ports_post);
         // The PUT attach after the fault never happened, so the
         // untruncated literal sequence is absent.
-        assert!(out.matched.is_empty(), "ablation: no truncation → false negative");
+        assert!(
+            out.matched.is_empty(),
+            "ablation: no truncation → false negative"
+        );
     }
 
     #[test]
     fn performance_detection_uses_full_fingerprints() {
         let (cat, lib) = library();
-        let detector = Detector::new(&lib, GretelConfig { alpha: 32, ..Default::default() });
+        let detector = Detector::new(
+            &lib,
+            GretelConfig {
+                alpha: 32,
+                ..Default::default()
+            },
+        );
         // Full successful vm-create trace; perf fault on the image GET.
         let fp = lib.get(gretel_model::OpSpecId(0));
         let events: Vec<Event> = fp
@@ -855,7 +936,12 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, a)| {
-                event(i as u64, a.api, cat.get(a.api).is_state_change(), cat.get(a.api).is_rpc())
+                event(
+                    i as u64,
+                    a.api,
+                    cat.get(a.api).is_state_change(),
+                    cat.get(a.api).is_rpc(),
+                )
             })
             .collect();
         let image_get = cat.rest_expect(Service::Glance, HttpMethod::Get, "/v2/images/{id}");
@@ -868,7 +954,13 @@ mod tests {
     #[test]
     fn noise_events_are_excluded_from_buffers() {
         let (cat, lib) = library();
-        let detector = Detector::new(&lib, GretelConfig { alpha: 16, ..Default::default() });
+        let detector = Detector::new(
+            &lib,
+            GretelConfig {
+                alpha: 16,
+                ..Default::default()
+            },
+        );
         let ports_post = cat.rest_expect(Service::Neutron, HttpMethod::Post, "/v2.0/ports.json");
         let fp = lib.get(gretel_model::OpSpecId(0));
         let mut events: Vec<Event> = Vec::new();
@@ -894,7 +986,13 @@ mod tests {
     #[test]
     fn candidates_counts_api_error_baseline() {
         let (cat, lib) = library();
-        let detector = Detector::new(&lib, GretelConfig { alpha: 16, ..Default::default() });
+        let detector = Detector::new(
+            &lib,
+            GretelConfig {
+                alpha: 16,
+                ..Default::default()
+            },
+        );
         let ports_post = cat.rest_expect(Service::Neutron, HttpMethod::Post, "/v2.0/ports.json");
         let fault = event(0, ports_post, true, false);
         let snap = snapshot_from(vec![fault], 0);

@@ -76,7 +76,11 @@ struct AgentStream {
 
 impl AgentStream {
     fn new(reseq: Option<Resequencer>) -> AgentStream {
-        AgentStream { reseq, ready: VecDeque::new(), done: false }
+        AgentStream {
+            reseq,
+            ready: VecDeque::new(),
+            done: false,
+        }
     }
 
     /// Scan a run of released messages (one decoded batch's worth) and
@@ -276,7 +280,11 @@ fn encode_checkpoint(
     put_u64(&mut out, next_seq);
     put_count(&mut out, streams.len());
     for st in streams {
-        let rs = st.reseq.as_ref().expect("store-backed runs are sequenced").export_state();
+        let rs = st
+            .reseq
+            .as_ref()
+            .expect("store-backed runs are sequenced")
+            .export_state();
         put_bytes(&mut out, &rs);
         // Messages released by the resequencer but not yet merged: they
         // will come back from replay only as discarded duplicates, so they
@@ -444,7 +452,11 @@ impl<'sc, 'env> Pool<'sc, 'env> {
                     // already gone: analyze_bounded cancels it. Zero
                     // passes, not a zero duration — the stall coin is
                     // seeded, so the cancellation replays identically.
-                    let b = if chaos.stall(seq, attempt) { JobBudget::Passes(0) } else { budget };
+                    let b = if chaos.stall(seq, attempt) {
+                        JobBudget::Passes(0)
+                    } else {
+                        budget
+                    };
                     sa.analyze_bounded(&job, b)
                 }));
                 match outcome {
@@ -540,7 +552,10 @@ impl<'sc, 'env> Pool<'sc, 'env> {
     /// blocking receive cannot wait forever.
     fn quiesce(&mut self) -> Result<(), ServiceError> {
         while self.outstanding > 0 {
-            let report = self.report_rx.recv().map_err(|_| ServiceError::PoolDisconnected)?;
+            let report = self
+                .report_rx
+                .recv()
+                .map_err(|_| ServiceError::PoolDisconnected)?;
             self.handle(report)?;
         }
         Ok(())
@@ -618,7 +633,11 @@ fn commit_release(
     let t = StageTimer::start(metrics, Stage::Commit);
     let mut released = 0u64;
     let mut jobs: Vec<(u64, Vec<Diagnosis>)> = Vec::new();
-    while pool.pending.first_key_value().is_some_and(|(&seq, _)| seq < up_to) {
+    while pool
+        .pending
+        .first_key_value()
+        .is_some_and(|(&seq, _)| seq < up_to)
+    {
         let (seq, (ds, cancelled)) = pool.pending.pop_first().expect("checked non-empty");
         if seq < st.released_watermark {
             st.stats.duplicate_releases_suppressed += 1;
@@ -662,9 +681,14 @@ fn write_boundary(
     pool.quiesce()?;
     commit_release(pool, seq, st)?;
     let metrics = pool.metrics;
-    let store = st.store.as_mut().expect("boundaries are only written to a store");
+    let store = st
+        .store
+        .as_mut()
+        .expect("boundaries are only written to a store");
     let t = StageTimer::start(metrics, Stage::Checkpoint);
-    let astate = analyzer.export_state().ok_or(ServiceError::NotCheckpointable)?;
+    let astate = analyzer
+        .export_state()
+        .ok_or(ServiceError::NotCheckpointable)?;
     let payload = encode_checkpoint(&astate, seq, streams, analyzer.library_len() as u32);
     store.append(KIND_CHECKPOINT, &payload)?;
     t.finish();
@@ -700,7 +724,10 @@ pub(crate) fn run_cycle(
     state: &mut RunState<'_>,
 ) -> Result<RunEnd, ServiceError> {
     assert!(cfg.service.channel_capacity > 0);
-    assert!(cfg.service.ingest_batch >= 1, "a batch holds at least one frame");
+    assert!(
+        cfg.service.ingest_batch >= 1,
+        "a batch holds at least one frame"
+    );
     let metrics = cfg.service.metrics.as_deref();
     let sequenced = state.store.is_some() || cfg.service.sequenced();
     let workers = cfg.service.effective_workers();
@@ -715,11 +742,11 @@ pub(crate) fn run_cycle(
     if let Some(store) = &state.store {
         // Find the checkpoints by header, then checksum and decode from the
         // newest back: a restart pays for the record it uses, not the log.
-        let checkpoints: Vec<Record<'_>> =
-            records(store.bytes()).filter(|r| r.kind == KIND_CHECKPOINT).collect();
+        let checkpoints: Vec<Record<'_>> = records(store.bytes())
+            .filter(|r| r.kind == KIND_CHECKPOINT)
+            .collect();
         for rec in checkpoints.iter().rev().filter(|r| r.valid()) {
-            let (astate, next_seq, streams, ck_lib) =
-                decode_checkpoint(rec.payload, nodes.len())?;
+            let (astate, next_seq, streams, ck_lib) = decode_checkpoint(rec.payload, nodes.len())?;
             if ck_lib as usize <= lib_len {
                 restored = Some((astate, next_seq, streams));
                 break;
@@ -741,7 +768,11 @@ pub(crate) fn run_cycle(
         }
     };
     let dup_discarded = |streams: &[AgentStream]| -> u64 {
-        streams.iter().filter_map(|s| s.reseq.as_ref()).map(|r| r.stats().dup_discarded).sum()
+        streams
+            .iter()
+            .filter_map(|s| s.reseq.as_ref())
+            .map(|r| r.stats().dup_discarded)
+            .sum()
     };
     let replay_base = dup_discarded(&streams);
 
@@ -756,7 +787,15 @@ pub(crate) fn run_cycle(
         let rxs: Vec<Receiver<FrameBatch>> = nodes
             .iter()
             .map(|&n| {
-                spawn_agent(scope, n, traffic, &cfg.service, sequenced, route, stat_tx.clone())
+                spawn_agent(
+                    scope,
+                    n,
+                    traffic,
+                    &cfg.service,
+                    sequenced,
+                    route,
+                    stat_tx.clone(),
+                )
             })
             .collect();
         drop(stat_tx);
@@ -792,7 +831,10 @@ pub(crate) fn run_cycle(
                 break;
             }
             let Some(i) = next_head(&streams) else { break };
-            let (gap, msg, mark) = streams[i].ready.pop_front().expect("chosen head is nonempty");
+            let (gap, msg, mark) = streams[i]
+                .ready
+                .pop_front()
+                .expect("chosen head is nonempty");
             streams[i].refill(&rxs[i], &mut state.service_stats, metrics)?;
             if gap > 0 {
                 analyzer.note_capture_gap(gap);
@@ -857,7 +899,10 @@ pub(crate) fn run_cycle(
         // describe what the transport actually did, restarts included.
         if let Some(m) = metrics {
             state.service_stats.capture.record_into(m);
-            m.add(Meter::BackpressureDrops, state.service_stats.backpressure_drops);
+            m.add(
+                Meter::BackpressureDrops,
+                state.service_stats.backpressure_drops,
+            );
         }
     }
     Ok(end)
@@ -883,7 +928,10 @@ pub(crate) fn run_plain(
     };
     let mut state = RunState::new(None, None, Vec::new())?;
     let end = run_cycle(analyzer, nodes, traffic, &cfg, route, &mut state)?;
-    debug_assert!(matches!(end, RunEnd::Completed), "no kill or reload arm without a store");
+    debug_assert!(
+        matches!(end, RunEnd::Completed),
+        "no kill or reload arm without a store"
+    );
     Ok((state.diagnoses, state.service_stats, analyzer.stats()))
 }
 
@@ -897,11 +945,18 @@ mod tests {
         let mut store = MemStore::new();
         assert_eq!(store_watermark(&store).unwrap(), 0);
         store
-            .append(KIND_DIAGNOSES, &encode_release(3, &[(0, vec![]), (2, vec![])]))
+            .append(
+                KIND_DIAGNOSES,
+                &encode_release(3, &[(0, vec![]), (2, vec![])]),
+            )
             .unwrap();
-        store.append(KIND_DIAGNOSES, &encode_release(5, &[(4, vec![])])).unwrap();
+        store
+            .append(KIND_DIAGNOSES, &encode_release(5, &[(4, vec![])]))
+            .unwrap();
         // An empty release still advances the durable watermark.
-        store.append(KIND_DIAGNOSES, &encode_release(9, &[])).unwrap();
+        store
+            .append(KIND_DIAGNOSES, &encode_release(9, &[]))
+            .unwrap();
         assert_eq!(store_watermark(&store).unwrap(), 9);
         assert!(read_diagnoses(&store).unwrap().is_empty());
     }
@@ -921,14 +976,23 @@ mod tests {
             api: cat.rest_expect(Service::Neutron, HttpMethod::Post, "/v2.0/ports.json"),
             scope: FaultScope::AllInstances,
             occurrence: 0,
-            error: InjectedError::RestStatus { status: 500, reason: None },
+            error: InjectedError::RestStatus {
+                status: 500,
+                reason: None,
+            },
             abort_op: true,
         });
         let exec = Runner::new(cat, &dep, &plan, Default::default()).run(&[&spec]);
-        let gcfg = crate::config::GretelConfig { alpha: 32, ..Default::default() };
+        let gcfg = crate::config::GretelConfig {
+            alpha: 32,
+            ..Default::default()
+        };
         let mut analyzer = Analyzer::new(&lib, gcfg);
-        let mut jobs: Vec<SnapshotJob> =
-            exec.messages.iter().flat_map(|m| analyzer.ingest(m)).collect();
+        let mut jobs: Vec<SnapshotJob> = exec
+            .messages
+            .iter()
+            .flat_map(|m| analyzer.ingest(m))
+            .collect();
         jobs.extend(analyzer.finish_jobs_observed(None));
         let job = jobs.pop().expect("a faulted run freezes a snapshot");
         let sa = analyzer.snapshot_analyzer();
@@ -938,7 +1002,11 @@ mod tests {
         // forward is the supervisor's respawn + requeue, which now happens
         // inside quiesce's blocking receive.
         let cfg = RecoveryConfig {
-            chaos: AnalyzerChaos { kill_prob: 1.0, kill_attempts: 2, ..AnalyzerChaos::none() },
+            chaos: AnalyzerChaos {
+                kill_prob: 1.0,
+                kill_attempts: 2,
+                ..AnalyzerChaos::none()
+            },
             ..RecoveryConfig::default()
         };
         std::thread::scope(|scope| {

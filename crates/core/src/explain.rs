@@ -40,7 +40,10 @@ impl MatchExplanation {
             "candidate {}: {} ({} of {} literals matched, span {} events)\n",
             self.op,
             if self.complete { "COMPLETE" } else { "partial" },
-            self.literals.iter().filter(|l| l.event_index.is_some()).count(),
+            self.literals
+                .iter()
+                .filter(|l| l.event_index.is_some())
+                .count(),
             self.literals.len(),
             self.span
         );
@@ -124,12 +127,18 @@ impl Detector<'_> {
                     }
                     None => {
                         exhausted = true;
-                        assignment.push(LiteralMatch { api: lit, event_index: None });
+                        assignment.push(LiteralMatch {
+                            api: lit,
+                            event_index: None,
+                        });
                     }
                 }
             }
             assignment.reverse();
-            let matched = assignment.iter().filter(|l| l.event_index.is_some()).count();
+            let matched = assignment
+                .iter()
+                .filter(|l| l.event_index.is_some())
+                .count();
             let complete = matched == assignment.len();
             let span = assignment
                 .iter()
@@ -137,11 +146,20 @@ impl Detector<'_> {
                 .min()
                 .map(|lo| fault_index - lo + 1)
                 .unwrap_or(0);
-            let candidate = MatchExplanation { op, literals: assignment, complete, span };
+            let candidate = MatchExplanation {
+                op,
+                literals: assignment,
+                complete,
+                span,
+            };
             let better = match &best {
                 None => true,
                 Some(b) => {
-                    let bm = b.literals.iter().filter(|l| l.event_index.is_some()).count();
+                    let bm = b
+                        .literals
+                        .iter()
+                        .filter(|l| l.event_index.is_some())
+                        .count();
                     matched > bm || (matched == bm && candidate.span < b.span)
                 }
             };
@@ -186,9 +204,14 @@ mod tests {
         let wf = Workflows::new(cat.clone());
         let dep = Deployment::standard();
         let spec = wf.vm_create_spec(gretel_model::OpSpecId(0));
-        let (lib, _) =
-            FingerprintLibrary::characterize(cat.clone(), &[spec], &dep, 2, 3);
-        let detector = Detector::new(&lib, GretelConfig { alpha: 32, ..Default::default() });
+        let (lib, _) = FingerprintLibrary::characterize(cat.clone(), &[spec], &dep, 2, 3);
+        let detector = Detector::new(
+            &lib,
+            GretelConfig {
+                alpha: 32,
+                ..Default::default()
+            },
+        );
 
         let fp = lib.get(gretel_model::OpSpecId(0)).clone();
         let ports_post = cat.rest_expect(Service::Neutron, HttpMethod::Post, "/v2.0/ports.json");
@@ -200,7 +223,12 @@ mod tests {
             .collect();
         let fault_index = events.iter().position(|e| e.api == ports_post).unwrap();
         let ex = detector
-            .explain_operational(&events[..=fault_index], fault_index, ports_post, gretel_model::OpSpecId(0))
+            .explain_operational(
+                &events[..=fault_index],
+                fault_index,
+                ports_post,
+                gretel_model::OpSpecId(0),
+            )
             .expect("explanation");
         assert!(ex.complete, "{}", ex.render(&cat));
         assert!(ex.span >= ex.literals.len());
@@ -220,9 +248,14 @@ mod tests {
         let wf = Workflows::new(cat.clone());
         let dep = Deployment::standard();
         let spec = wf.vm_create_spec(gretel_model::OpSpecId(0));
-        let (lib, _) =
-            FingerprintLibrary::characterize(cat.clone(), &[spec], &dep, 2, 5);
-        let detector = Detector::new(&lib, GretelConfig { alpha: 32, ..Default::default() });
+        let (lib, _) = FingerprintLibrary::characterize(cat.clone(), &[spec], &dep, 2, 5);
+        let detector = Detector::new(
+            &lib,
+            GretelConfig {
+                alpha: 32,
+                ..Default::default()
+            },
+        );
 
         let ports_post = cat.rest_expect(Service::Neutron, HttpMethod::Post, "/v2.0/ports.json");
         // Snapshot holds ONLY the fault message: everything else missing.
@@ -245,7 +278,13 @@ mod tests {
             wf.cinder_list_spec(gretel_model::OpSpecId(1)),
         ];
         let (lib, _) = FingerprintLibrary::characterize(cat.clone(), &specs, &dep, 2, 7);
-        let detector = Detector::new(&lib, GretelConfig { alpha: 32, ..Default::default() });
+        let detector = Detector::new(
+            &lib,
+            GretelConfig {
+                alpha: 32,
+                ..Default::default()
+            },
+        );
         let ports_post = cat.rest_expect(Service::Neutron, HttpMethod::Post, "/v2.0/ports.json");
         let events = vec![event(0, ports_post, &cat)];
         // cinder_list never touches ports.json.

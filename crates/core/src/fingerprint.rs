@@ -83,7 +83,10 @@ impl Fingerprint {
     /// Number of atoms excluding RPCs (the "w/o RPC" fingerprint size of
     /// Table 1).
     pub fn len_without_rpcs(&self, catalog: &Catalog) -> usize {
-        self.atoms.iter().filter(|a| !catalog.get(a.api).is_rpc()).count()
+        self.atoms
+            .iter()
+            .filter(|a| !catalog.get(a.api).is_rpc())
+            .count()
     }
 
     /// Truncate at the **last** occurrence of `api` (inclusive) —
@@ -91,7 +94,10 @@ impl Fingerprint {
     /// when `api` is absent.
     pub fn truncate_at_last(&self, api: ApiId) -> Option<Fingerprint> {
         let idx = self.atoms.iter().rposition(|a| a.api == api)?;
-        Some(Fingerprint { op: self.op, atoms: self.atoms[..=idx].to_vec() })
+        Some(Fingerprint {
+            op: self.op,
+            atoms: self.atoms[..=idx].to_vec(),
+        })
     }
 
     /// Truncations at **every** occurrence of `api`. Algorithm 2 truncates
@@ -104,7 +110,10 @@ impl Fingerprint {
             .iter()
             .enumerate()
             .filter(|(_, a)| a.api == api)
-            .map(|(idx, _)| Fingerprint { op: self.op, atoms: self.atoms[..=idx].to_vec() })
+            .map(|(idx, _)| Fingerprint {
+                op: self.op,
+                atoms: self.atoms[..=idx].to_vec(),
+            })
             .collect()
     }
 
@@ -123,9 +132,7 @@ impl Fingerprint {
     ) -> Vec<Vec<ApiId>> {
         // Work over atom positions so starred anomalous APIs (reads) can
         // anchor too; patterns keep only literal symbols.
-        let keep = |a: &Atom| {
-            !(a.starred || prune_rpcs && catalog.get(a.api).is_rpc())
-        };
+        let keep = |a: &Atom| !(a.starred || prune_rpcs && catalog.get(a.api).is_rpc());
         let occurrences: Vec<usize> = self
             .atoms
             .iter()
@@ -185,11 +192,7 @@ impl Fingerprint {
 /// Traces are API-id sequences (one id per invocation). They are sorted by
 /// length, noise-filtered, and intersected pairwise by LCS; the surviving
 /// sequence becomes the atoms, starred according to state-change priority.
-pub fn generate_fingerprint(
-    catalog: &Catalog,
-    op: OpSpecId,
-    traces: &[Vec<ApiId>],
-) -> Fingerprint {
+pub fn generate_fingerprint(catalog: &Catalog, op: OpSpecId, traces: &[Vec<ApiId>]) -> Fingerprint {
     assert!(!traces.is_empty(), "need at least one trace");
     let mut sorted: Vec<&Vec<ApiId>> = traces.iter().collect();
     sorted.sort_by_key(|t| t.len());
@@ -201,7 +204,10 @@ pub fn generate_fingerprint(
     }
     let atoms = f
         .into_iter()
-        .map(|api| Atom { api, starred: !catalog.get(api).is_state_change() })
+        .map(|api| Atom {
+            api,
+            starred: !catalog.get(api).is_state_change(),
+        })
         .collect();
     Fingerprint { op, atoms }
 }
@@ -284,11 +290,19 @@ impl PatternTable {
         cache: &[FpPatterns],
         truncate: bool,
     ) -> PatternTable {
-        let n_api = fps.iter().flat_map(|fp| &fp.atoms).map(|a| a.api.index() + 1).max();
+        let n_api = fps
+            .iter()
+            .flat_map(|fp| &fp.atoms)
+            .map(|a| a.api.index() + 1)
+            .max();
         let mut per_api: Vec<Vec<PatternEntry>> = vec![Vec::new(); n_api.unwrap_or(0)];
         let mut distinct: Vec<ApiId> = Vec::new();
         for fp in fps {
-            let mut cut = PatternEntry { op: fp.op, apis: 0, lits: [0, 0] };
+            let mut cut = PatternEntry {
+                op: fp.op,
+                apis: 0,
+                lits: [0, 0],
+            };
             distinct.clear();
             for a in &fp.atoms {
                 cut.apis += 1;
@@ -309,7 +323,10 @@ impl PatternTable {
                 *per_api[api.index()].last_mut().expect("pushed above") = cut;
             }
         }
-        let mut table = PatternTable { start: vec![0], ..PatternTable::default() };
+        let mut table = PatternTable {
+            start: vec![0],
+            ..PatternTable::default()
+        };
         let mut keyed: Vec<(u128, OpSpecId, u32)> = Vec::new();
         for bucket in per_api {
             for (m, sorted) in table.by_suffix.iter_mut().enumerate() {
@@ -322,7 +339,9 @@ impl PatternTable {
                 sorted.extend(keyed.iter().map(|&(_, op, n)| (op, n)));
             }
             table.entries.extend(bucket);
-            table.start.push(u32::try_from(table.entries.len()).expect("table fits u32 offsets"));
+            table
+                .start
+                .push(u32::try_from(table.entries.len()).expect("table fits u32 offsets"));
         }
         table
     }
@@ -383,7 +402,11 @@ impl FingerprintLibrary {
     ) -> FingerprintLibrary {
         let mut fps = Vec::with_capacity(traces.len());
         for (i, (op, trace_set)) in traces.into_iter().enumerate() {
-            assert_eq!(op.index(), i, "fingerprints must be supplied in dense id order");
+            assert_eq!(
+                op.index(),
+                i,
+                "fingerprints must be supplied in dense id order"
+            );
             fps.push(generate_fingerprint(&catalog, op, &trace_set));
         }
         Self::index(catalog, fps)
@@ -473,7 +496,9 @@ impl FingerprintLibrary {
                 });
                 local.push((i, generate_fingerprint(&catalog, spec.id, &traces), st));
             }
-            done.lock().expect("no worker panics holding the lock").extend(local);
+            done.lock()
+                .expect("no worker panics holding the lock")
+                .extend(local);
         };
         // The caller is the first worker, so one thread spawns nothing.
         std::thread::scope(|scope| {
@@ -507,7 +532,11 @@ impl FingerprintLibrary {
         let mut rest_events = 0usize;
         let mut rpc_events = 0usize;
         for r in 0..runs {
-            let cfg = RunConfig { seed: run_seed(r), start_window: 0, ..RunConfig::default() };
+            let cfg = RunConfig {
+                seed: run_seed(r),
+                start_window: 0,
+                ..RunConfig::default()
+            };
             let exec = Runner::new(catalog.clone(), deployment, &plan, cfg).run(&[spec]);
             traces.push(trace_of(&exec));
             for m in &exec.messages {
@@ -518,7 +547,14 @@ impl FingerprintLibrary {
                 }
             }
         }
-        (traces, CharacterizationStats { op: spec.id, rest_events, rpc_events })
+        (
+            traces,
+            CharacterizationStats {
+                op: spec.id,
+                rest_events,
+                rpc_events,
+            },
+        )
     }
 
     /// Incrementally learn fingerprints for newly introduced operations
@@ -803,7 +839,10 @@ mod tests {
     #[test]
     fn noise_never_survives_into_fingerprints() {
         let (cat, wf, dep) = setup();
-        let specs = vec![wf.vm_create_spec(OpSpecId(0)), wf.image_upload_spec(OpSpecId(1))];
+        let specs = vec![
+            wf.vm_create_spec(OpSpecId(0)),
+            wf.image_upload_spec(OpSpecId(1)),
+        ];
         let (lib, _) = FingerprintLibrary::characterize(cat.clone(), &specs, &dep, 3, 9);
         for fp in lib.iter() {
             for atom in &fp.atoms {
@@ -820,11 +859,26 @@ mod tests {
         let fp = Fingerprint {
             op: OpSpecId(0),
             atoms: vec![
-                Atom { api: get, starred: true },
-                Atom { api: post, starred: false },
-                Atom { api: get, starred: true },
-                Atom { api: post, starred: false },
-                Atom { api: get, starred: true },
+                Atom {
+                    api: get,
+                    starred: true,
+                },
+                Atom {
+                    api: post,
+                    starred: false,
+                },
+                Atom {
+                    api: get,
+                    starred: true,
+                },
+                Atom {
+                    api: post,
+                    starred: false,
+                },
+                Atom {
+                    api: get,
+                    starred: true,
+                },
             ],
         };
         let t = fp.truncate_at_last(post).unwrap();
@@ -848,7 +902,10 @@ mod tests {
     #[test]
     fn candidates_index_covers_every_atom() {
         let (cat, wf, dep) = setup();
-        let specs = vec![wf.vm_create_spec(OpSpecId(0)), wf.cinder_list_spec(OpSpecId(1))];
+        let specs = vec![
+            wf.vm_create_spec(OpSpecId(0)),
+            wf.cinder_list_spec(OpSpecId(1)),
+        ];
         let (lib, _) = FingerprintLibrary::characterize(cat, &specs, &dep, 2, 3);
         for fp in lib.iter() {
             for atom in &fp.atoms {
@@ -879,7 +936,11 @@ mod tests {
         let plan = FaultPlan::none();
         let mut traces = Vec::new();
         for r in 0..4 {
-            let cfg = RunConfig { seed: r, start_window: 0, ..RunConfig::default() };
+            let cfg = RunConfig {
+                seed: r,
+                start_window: 0,
+                ..RunConfig::default()
+            };
             let exec = Runner::new(cat.clone(), &dep, &plan, cfg).run(&[&spec]);
             traces.push(trace_of(&exec));
         }
@@ -944,7 +1005,10 @@ mod tests {
     #[test]
     fn library_round_trips_through_json() {
         let (cat, wf, dep) = setup();
-        let specs = vec![wf.vm_create_spec(OpSpecId(0)), wf.cinder_list_spec(OpSpecId(1))];
+        let specs = vec![
+            wf.vm_create_spec(OpSpecId(0)),
+            wf.cinder_list_spec(OpSpecId(1)),
+        ];
         let (lib, _) = FingerprintLibrary::characterize(cat.clone(), &specs, &dep, 2, 3);
         let json = lib.to_json();
         let restored = FingerprintLibrary::from_json(cat, &json).expect("round trip");
@@ -961,7 +1025,10 @@ mod tests {
         let (cat, ..) = setup();
         assert!(FingerprintLibrary::from_json(cat.clone(), "not json").is_err());
         // Non-dense ids.
-        let fp = Fingerprint { op: OpSpecId(5), atoms: vec![] };
+        let fp = Fingerprint {
+            op: OpSpecId(5),
+            atoms: vec![],
+        };
         let json = serde_json::to_string(&vec![fp]).unwrap();
         assert!(FingerprintLibrary::from_json(cat.clone(), &json)
             .unwrap_err()
@@ -969,16 +1036,24 @@ mod tests {
         // Unknown API id.
         let fp = Fingerprint {
             op: OpSpecId(0),
-            atoms: vec![Atom { api: ApiId(u16::MAX), starred: false }],
+            atoms: vec![Atom {
+                api: ApiId(u16::MAX),
+                starred: false,
+            }],
         };
         let json = serde_json::to_string(&vec![fp]).unwrap();
-        assert!(FingerprintLibrary::from_json(cat, &json).unwrap_err().contains("unknown API"));
+        assert!(FingerprintLibrary::from_json(cat, &json)
+            .unwrap_err()
+            .contains("unknown API"));
     }
 
     #[test]
     fn fp_max_tracks_largest() {
         let (cat, wf, dep) = setup();
-        let specs = vec![wf.vm_create_spec(OpSpecId(0)), wf.cinder_list_spec(OpSpecId(1))];
+        let specs = vec![
+            wf.vm_create_spec(OpSpecId(0)),
+            wf.cinder_list_spec(OpSpecId(1)),
+        ];
         let (lib, _) = FingerprintLibrary::characterize(cat, &specs, &dep, 2, 3);
         assert_eq!(lib.fp_max(), lib.iter().map(|f| f.len()).max().unwrap());
     }
@@ -1001,8 +1076,11 @@ mod tests {
                 let mut fresh: Vec<(OpSpecId, Vec<ApiId>, Vec<ApiId>, Vec<ApiId>)> = Vec::new();
                 for &op in lib.candidates(api) {
                     let fp = lib.get(op);
-                    let truncs =
-                        if truncate { fp.truncate_at_each(api) } else { vec![fp.clone()] };
+                    let truncs = if truncate {
+                        fp.truncate_at_each(api)
+                    } else {
+                        vec![fp.clone()]
+                    };
                     for t in truncs {
                         fresh.push((
                             op,
@@ -1030,7 +1108,10 @@ mod tests {
             wf.vm_create_spec(OpSpecId(0)),
             wf.image_upload_spec(OpSpecId(1)),
             wf.cinder_list_spec(OpSpecId(2)),
-            OperationSpec { id: OpSpecId(3), ..vm_snapshot_specish(&wf) },
+            OperationSpec {
+                id: OpSpecId(3),
+                ..vm_snapshot_specish(&wf)
+            },
         ];
         let (lib, _) = FingerprintLibrary::characterize(cat.clone(), &specs, &dep, 2, 7);
         for api in (0..cat.len() as u16).map(ApiId) {
@@ -1067,13 +1148,15 @@ mod tests {
     #[test]
     fn centered_patterns_equal_fresh_derivation() {
         let (cat, wf, dep) = setup();
-        let specs = vec![wf.vm_create_spec(OpSpecId(0)), wf.image_upload_spec(OpSpecId(1))];
+        let specs = vec![
+            wf.vm_create_spec(OpSpecId(0)),
+            wf.image_upload_spec(OpSpecId(1)),
+        ];
         let (lib, _) = FingerprintLibrary::characterize(cat.clone(), &specs, &dep, 2, 5);
         for op_i in 0..lib.len() {
             let op = OpSpecId(op_i as u16);
             let fp = lib.get(op).clone();
-            let apis: std::collections::HashSet<ApiId> =
-                fp.atoms.iter().map(|a| a.api).collect();
+            let apis: std::collections::HashSet<ApiId> = fp.atoms.iter().map(|a| a.api).collect();
             for api in apis {
                 for k in [1usize, 2, 4, 9, usize::MAX] {
                     let cached = lib.centered_patterns(op, api, k);
@@ -1086,7 +1169,9 @@ mod tests {
             }
         }
         // An API absent from the fingerprint yields no patterns.
-        assert!(lib.centered_patterns(OpSpecId(0), ApiId(9999), 4).is_empty());
+        assert!(lib
+            .centered_patterns(OpSpecId(0), ApiId(9999), 4)
+            .is_empty());
     }
 
     #[test]
@@ -1101,7 +1186,10 @@ mod tests {
         );
         let fp = lib.get(OpSpecId(0));
         for prune in [false, true] {
-            assert_eq!(lib.literal_seq(OpSpecId(0), prune), &fp.literals(&cat, prune)[..]);
+            assert_eq!(
+                lib.literal_seq(OpSpecId(0), prune),
+                &fp.literals(&cat, prune)[..]
+            );
             assert_eq!(
                 fp.literals_iter(&cat, prune).collect::<Vec<_>>(),
                 fp.literals(&cat, prune)
@@ -1140,7 +1228,12 @@ mod tests {
         );
         lib.extend_characterize(&[wf.image_upload_spec(OpSpecId(1))], &dep, 2, 9);
         let fp = lib.get(OpSpecId(1)).clone();
-        let api = fp.atoms.iter().find(|a| !a.starred).map(|a| a.api).expect("literal atom");
+        let api = fp
+            .atoms
+            .iter()
+            .find(|a| !a.starred)
+            .map(|a| a.api)
+            .expect("literal atom");
         let pats = lib.candidate_patterns(api, true);
         let hits: Vec<_> = pats.iter().filter(|p| p.op == OpSpecId(1)).collect();
         assert_eq!(hits.len(), fp.truncate_at_each(api).len());

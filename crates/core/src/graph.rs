@@ -49,7 +49,12 @@ pub struct EdgeStats {
 
 impl Default for EdgeStats {
     fn default() -> Self {
-        EdgeStats { requests: 0, errors: 0, first_error_ts: u64::MAX, last_error_ts: 0 }
+        EdgeStats {
+            requests: 0,
+            errors: 0,
+            first_error_ts: u64::MAX,
+            last_error_ts: 0,
+        }
     }
 }
 
@@ -74,7 +79,9 @@ pub struct ServiceGraph {
 
 impl Default for ServiceGraph {
     fn default() -> Self {
-        ServiceGraph { edges: vec![EdgeStats::default(); N * N] }
+        ServiceGraph {
+            edges: vec![EdgeStats::default(); N * N],
+        }
     }
 }
 
@@ -132,7 +139,11 @@ impl ServiceGraph {
 
     /// Services `caller` was observed calling, in stable service order.
     pub fn callees(&self, caller: Service) -> Vec<Service> {
-        Service::ALL.iter().copied().filter(|&s| self.at(caller, s).observed()).collect()
+        Service::ALL
+            .iter()
+            .copied()
+            .filter(|&s| self.at(caller, s).observed())
+            .collect()
     }
 
     /// Number of observed (non-empty) edges.
@@ -180,8 +191,12 @@ impl ServiceGraph {
     /// Append the graph to a checkpoint byte stream (sparse: only
     /// observed edges).
     pub(crate) fn export_state(&self, out: &mut Vec<u8>) {
-        let observed: Vec<(usize, &EdgeStats)> =
-            self.edges.iter().enumerate().filter(|(_, e)| e.observed()).collect();
+        let observed: Vec<(usize, &EdgeStats)> = self
+            .edges
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.observed())
+            .collect();
         put_count(out, observed.len());
         for (i, e) in observed {
             put_u8(out, (i / N) as u8);
@@ -289,7 +304,10 @@ pub struct CascadeParams {
 
 impl Default for CascadeParams {
     fn default() -> Self {
-        CascadeParams { min_lead: 2_000_000, max_hops: 3 }
+        CascadeParams {
+            min_lead: 2_000_000,
+            max_hops: 3,
+        }
     }
 }
 
@@ -309,7 +327,9 @@ impl Default for CascadeParams {
 ///   graph walk must not crown the intermediate service.
 fn root_eligible(d: &Diagnosis, own: Service) -> bool {
     let substantive = d.root_causes.is_empty()
-        || d.root_causes.iter().any(|rc| !matches!(rc.cause, CauseKind::StaleTelemetry { .. }));
+        || d.root_causes
+            .iter()
+            .any(|rc| !matches!(rc.cause, CauseKind::StaleTelemetry { .. }));
     let blames_other = d.root_causes.iter().any(|rc| {
         matches!(rc.cause,
             CauseKind::Dependency(gretel_model::Dependency::ServiceProcess(x)) if x != own)
@@ -359,7 +379,9 @@ pub fn attribute_cascades(
             if r_onset.saturating_add(params.min_lead) > s_onset {
                 continue;
             }
-            let Some(p) = graph.path(s, r, params.max_hops) else { continue };
+            let Some(p) = graph.path(s, r, params.max_hops) else {
+                continue;
+            };
             let cand = (r_onset, p.len(), r);
             if best.is_none_or(|b| cand < b) {
                 best = Some(cand);
@@ -400,8 +422,9 @@ pub fn attribute_cascades(
             }
             // A chain-collapsed root can sit further away than one
             // candidate-search radius; allow the full collapsed depth.
-            let path =
-                graph.path(s, r, params.max_hops * N).unwrap_or_else(|| vec![s, r]);
+            let path = graph
+                .path(s, r, params.max_hops * N)
+                .unwrap_or_else(|| vec![s, r]);
             let evidence = path
                 .windows(2)
                 .map(|w| {
@@ -415,10 +438,16 @@ pub fn attribute_cascades(
                     }
                 })
                 .collect();
-            d.attribution = Some(Attribution::Symptom { service: s, of: r, evidence });
+            d.attribution = Some(Attribution::Symptom {
+                service: s,
+                of: r,
+                evidence,
+            });
         } else if !symptoms_of[si].is_empty() && root_eligible(d, s) {
-            d.attribution =
-                Some(Attribution::Root { service: s, symptoms: symptoms_of[si].clone() });
+            d.attribution = Some(Attribution::Root {
+                service: s,
+                symptoms: symptoms_of[si].clone(),
+            });
         }
     }
 }
@@ -435,7 +464,11 @@ impl Attribution {
                     names.join(", ")
                 )
             }
-            Attribution::Symptom { service, of, evidence } => {
+            Attribution::Symptom {
+                service,
+                of,
+                evidence,
+            } => {
                 let mut out = format!(
                     "  cascade SYMPTOM: {} failing downstream of {} — fix the root\n",
                     service.name(),
@@ -483,7 +516,11 @@ mod tests {
             dst_service: dst,
             api: ApiId(0),
             direction,
-            wire: WireKind::Rest { method: HttpMethod::Get, uri: "/x".into(), status },
+            wire: WireKind::Rest {
+                method: HttpMethod::Get,
+                uri: "/x".into(),
+                status,
+            },
             conn: Default::default(),
             payload: Vec::new(),
             correlation_id: None,
@@ -493,14 +530,22 @@ mod tests {
         }
     }
 
-    fn diag(catalog: &Catalog, service: Service, ts: SimTime, causes: Vec<crate::rca::RootCause>) -> Diagnosis {
+    fn diag(
+        catalog: &Catalog,
+        service: Service,
+        ts: SimTime,
+        causes: Vec<crate::rca::RootCause>,
+    ) -> Diagnosis {
         // Any API owned by the service will do.
         let api = (0..catalog.len() as u16)
             .map(ApiId)
             .find(|&a| catalog.get(a).service == service)
             .expect("service has APIs");
         Diagnosis {
-            kind: FaultKind::Operational { status: Some(500), rpc: false },
+            kind: FaultKind::Operational {
+                status: Some(500),
+                rpc: false,
+            },
             api,
             ts,
             matched: vec![],
@@ -524,7 +569,10 @@ mod tests {
     fn stale_cause() -> crate::rca::RootCause {
         crate::rca::RootCause {
             node: NodeId(3),
-            cause: CauseKind::StaleTelemetry { stale_resources: vec![], stale_watchers: vec![] },
+            cause: CauseKind::StaleTelemetry {
+                stale_resources: vec![],
+                stale_watchers: vec![],
+            },
             why: "telemetry went silent".into(),
         }
     }
@@ -532,10 +580,20 @@ mod tests {
     #[test]
     fn mining_requests_and_errors_follows_call_direction() {
         let mut g = ServiceGraph::new();
-        g.observe(&msg(Service::Nova, Service::Cinder, Direction::Request, 10, None), false, false);
+        g.observe(
+            &msg(Service::Nova, Service::Cinder, Direction::Request, 10, None),
+            false,
+            false,
+        );
         // Error response travels Cinder -> Nova; the edge is Nova -> Cinder.
         g.observe(
-            &msg(Service::Cinder, Service::Nova, Direction::Response, 20, Some(503)),
+            &msg(
+                Service::Cinder,
+                Service::Nova,
+                Direction::Response,
+                20,
+                Some(503),
+            ),
             false,
             true,
         );
@@ -544,7 +602,11 @@ mod tests {
         assert_eq!((e.first_error_ts, e.last_error_ts), (20, 20));
         assert!(!g.edge(Service::Cinder, Service::Nova).observed());
         // Noise never lands in the graph.
-        g.observe(&msg(Service::Nova, Service::Glance, Direction::Request, 30, None), true, false);
+        g.observe(
+            &msg(Service::Nova, Service::Glance, Direction::Request, 30, None),
+            true,
+            false,
+        );
         assert!(!g.edge(Service::Nova, Service::Glance).observed());
         assert_eq!(g.edge_count(), 1);
     }
@@ -552,9 +614,19 @@ mod tests {
     #[test]
     fn path_walks_observed_edges_only() {
         let mut g = ServiceGraph::new();
-        g.observe(&msg(Service::Nova, Service::Neutron, Direction::Request, 1, None), false, false);
         g.observe(
-            &msg(Service::Neutron, Service::Cinder, Direction::Request, 2, None),
+            &msg(Service::Nova, Service::Neutron, Direction::Request, 1, None),
+            false,
+            false,
+        );
+        g.observe(
+            &msg(
+                Service::Neutron,
+                Service::Cinder,
+                Direction::Request,
+                2,
+                None,
+            ),
             false,
             false,
         );
@@ -562,22 +634,45 @@ mod tests {
             g.path(Service::Nova, Service::Cinder, 3),
             Some(vec![Service::Nova, Service::Neutron, Service::Cinder])
         );
-        assert_eq!(g.path(Service::Nova, Service::Cinder, 1), None, "hop cap respected");
-        assert_eq!(g.path(Service::Cinder, Service::Nova, 3), None, "edges are directed");
+        assert_eq!(
+            g.path(Service::Nova, Service::Cinder, 1),
+            None,
+            "hop cap respected"
+        );
+        assert_eq!(
+            g.path(Service::Cinder, Service::Nova, 3),
+            None,
+            "edges are directed"
+        );
     }
 
     #[test]
     fn attribution_labels_root_and_symptom_with_evidence() {
         let catalog = Catalog::openstack();
         let mut g = ServiceGraph::new();
-        g.observe(&msg(Service::Nova, Service::Cinder, Direction::Request, 1, None), false, false);
         g.observe(
-            &msg(Service::Cinder, Service::Nova, Direction::Response, 2, Some(503)),
+            &msg(Service::Nova, Service::Cinder, Direction::Request, 1, None),
+            false,
+            false,
+        );
+        g.observe(
+            &msg(
+                Service::Cinder,
+                Service::Nova,
+                Direction::Response,
+                2,
+                Some(503),
+            ),
             false,
             true,
         );
         let mut ds = vec![
-            diag(&catalog, Service::Cinder, 10_000_000, vec![crash_cause(Service::Cinder)]),
+            diag(
+                &catalog,
+                Service::Cinder,
+                10_000_000,
+                vec![crash_cause(Service::Cinder)],
+            ),
             diag(&catalog, Service::Nova, 20_000_000, vec![]),
         ];
         attribute_cascades(&mut ds, &g, &catalog, CascadeParams::default());
@@ -589,16 +684,23 @@ mod tests {
             other => panic!("expected Root, got {other:?}"),
         }
         match ds[1].attribution.as_ref().expect("symptom labelled") {
-            Attribution::Symptom { service, of, evidence } => {
+            Attribution::Symptom {
+                service,
+                of,
+                evidence,
+            } => {
                 assert_eq!((*service, *of), (Service::Nova, Service::Cinder));
                 assert_eq!(evidence.len(), 1);
                 assert_eq!(evidence[0].errors, 1);
                 assert_eq!(evidence[0].onset, Some(10_000_000));
-                assert!(ds[1].attribution.as_ref().unwrap() == &Attribution::Symptom {
-                    service: Service::Nova,
-                    of: Service::Cinder,
-                    evidence: evidence.clone(),
-                });
+                assert!(
+                    ds[1].attribution.as_ref().unwrap()
+                        == &Attribution::Symptom {
+                            service: Service::Nova,
+                            of: Service::Cinder,
+                            evidence: evidence.clone(),
+                        }
+                );
             }
             other => panic!("expected Symptom, got {other:?}"),
         }
@@ -612,13 +714,25 @@ mod tests {
     fn simultaneous_failures_are_not_a_cascade() {
         let catalog = Catalog::openstack();
         let mut g = ServiceGraph::new();
-        g.observe(&msg(Service::Nova, Service::Cinder, Direction::Request, 1, None), false, false);
+        g.observe(
+            &msg(Service::Nova, Service::Cinder, Direction::Request, 1, None),
+            false,
+            false,
+        );
         let mut ds = vec![
-            diag(&catalog, Service::Cinder, 10_000_000, vec![crash_cause(Service::Cinder)]),
+            diag(
+                &catalog,
+                Service::Cinder,
+                10_000_000,
+                vec![crash_cause(Service::Cinder)],
+            ),
             diag(&catalog, Service::Nova, 11_000_000, vec![]),
         ];
         attribute_cascades(&mut ds, &g, &catalog, CascadeParams::default());
-        assert!(ds.iter().all(|d| d.attribution.is_none()), "1s apart < min_lead");
+        assert!(
+            ds.iter().all(|d| d.attribution.is_none()),
+            "1s apart < min_lead"
+        );
     }
 
     #[test]
@@ -626,7 +740,12 @@ mod tests {
         let catalog = Catalog::openstack();
         let g = ServiceGraph::new(); // no traffic observed at all
         let mut ds = vec![
-            diag(&catalog, Service::Cinder, 10_000_000, vec![crash_cause(Service::Cinder)]),
+            diag(
+                &catalog,
+                Service::Cinder,
+                10_000_000,
+                vec![crash_cause(Service::Cinder)],
+            ),
             diag(&catalog, Service::Nova, 30_000_000, vec![]),
         ];
         attribute_cascades(&mut ds, &g, &catalog, CascadeParams::default());
@@ -637,7 +756,11 @@ mod tests {
     fn stale_only_services_are_never_promoted_to_root() {
         let catalog = Catalog::openstack();
         let mut g = ServiceGraph::new();
-        g.observe(&msg(Service::Nova, Service::Cinder, Direction::Request, 1, None), false, false);
+        g.observe(
+            &msg(Service::Nova, Service::Cinder, Direction::Request, 1, None),
+            false,
+            false,
+        );
         let mut ds = vec![
             diag(&catalog, Service::Cinder, 10_000_000, vec![stale_cause()]),
             diag(&catalog, Service::Nova, 30_000_000, vec![]),
@@ -657,10 +780,24 @@ mod tests {
         // later failures — the run keeps its flat-path report.
         let catalog = Catalog::openstack();
         let mut g = ServiceGraph::new();
-        g.observe(&msg(Service::Nova, Service::Neutron, Direction::Request, 1, None), false, false);
+        g.observe(
+            &msg(Service::Nova, Service::Neutron, Direction::Request, 1, None),
+            false,
+            false,
+        );
         let mut ds = vec![
-            diag(&catalog, Service::Neutron, 10_000_000, vec![crash_cause(Service::NeutronAgent)]),
-            diag(&catalog, Service::Nova, 30_000_000, vec![crash_cause(Service::NeutronAgent)]),
+            diag(
+                &catalog,
+                Service::Neutron,
+                10_000_000,
+                vec![crash_cause(Service::NeutronAgent)],
+            ),
+            diag(
+                &catalog,
+                Service::Nova,
+                30_000_000,
+                vec![crash_cause(Service::NeutronAgent)],
+            ),
         ];
         attribute_cascades(&mut ds, &g, &catalog, CascadeParams::default());
         assert!(ds.iter().all(|d| d.attribution.is_none()));
@@ -672,18 +809,37 @@ mod tests {
         let mut g = ServiceGraph::new();
         // NovaCompute -> Nova -> Neutron call chain observed.
         g.observe(
-            &msg(Service::NovaCompute, Service::Nova, Direction::Request, 1, None),
+            &msg(
+                Service::NovaCompute,
+                Service::Nova,
+                Direction::Request,
+                1,
+                None,
+            ),
             false,
             false,
         );
-        g.observe(&msg(Service::Nova, Service::Neutron, Direction::Request, 2, None), false, false);
+        g.observe(
+            &msg(Service::Nova, Service::Neutron, Direction::Request, 2, None),
+            false,
+            false,
+        );
         let mut ds = vec![
-            diag(&catalog, Service::Neutron, 10_000_000, vec![crash_cause(Service::Neutron)]),
+            diag(
+                &catalog,
+                Service::Neutron,
+                10_000_000,
+                vec![crash_cause(Service::Neutron)],
+            ),
             diag(&catalog, Service::Nova, 20_000_000, vec![]),
             diag(&catalog, Service::NovaCompute, 30_000_000, vec![]),
         ];
         attribute_cascades(&mut ds, &g, &catalog, CascadeParams::default());
-        match ds[2].attribution.as_ref().expect("depth-2 symptom labelled") {
+        match ds[2]
+            .attribution
+            .as_ref()
+            .expect("depth-2 symptom labelled")
+        {
             Attribution::Symptom { of, .. } => assert_eq!(*of, Service::Neutron),
             other => panic!("expected Symptom, got {other:?}"),
         }
@@ -698,9 +854,19 @@ mod tests {
     #[test]
     fn graph_state_roundtrips_through_the_codec() {
         let mut g = ServiceGraph::new();
-        g.observe(&msg(Service::Nova, Service::Cinder, Direction::Request, 5, None), false, false);
         g.observe(
-            &msg(Service::Cinder, Service::Nova, Direction::Response, 9, Some(500)),
+            &msg(Service::Nova, Service::Cinder, Direction::Request, 5, None),
+            false,
+            false,
+        );
+        g.observe(
+            &msg(
+                Service::Cinder,
+                Service::Nova,
+                Direction::Response,
+                9,
+                Some(500),
+            ),
             false,
             true,
         );
@@ -718,7 +884,11 @@ mod tests {
     #[test]
     fn corrupt_snapshot_edge_index_is_rejected() {
         let mut g = ServiceGraph::new();
-        g.observe(&msg(Service::Nova, Service::Cinder, Direction::Request, 5, None), false, false);
+        g.observe(
+            &msg(Service::Nova, Service::Cinder, Direction::Request, 5, None),
+            false,
+            false,
+        );
         let mut bytes = Vec::new();
         g.export_state(&mut bytes);
         // One observed edge: the caller index is the first byte after the
@@ -746,7 +916,10 @@ mod tests {
         assert_eq!(err, DecodeError::Invalid("service graph edge count"));
         // Unbacked, the reader refuses it before the graph looks at it.
         let mut r = Reader::new(&bytes[..4]);
-        assert_eq!(ServiceGraph::import_state(&mut r), Err(DecodeError::Truncated));
+        assert_eq!(
+            ServiceGraph::import_state(&mut r),
+            Err(DecodeError::Truncated)
+        );
     }
 
     /// Regression: a snapshot truncated mid-edge surfaces `Truncated`, not
@@ -754,7 +927,11 @@ mod tests {
     #[test]
     fn truncated_snapshot_is_rejected() {
         let mut g = ServiceGraph::new();
-        g.observe(&msg(Service::Nova, Service::Cinder, Direction::Request, 5, None), false, false);
+        g.observe(
+            &msg(Service::Nova, Service::Cinder, Direction::Request, 5, None),
+            false,
+            false,
+        );
         let mut bytes = Vec::new();
         g.export_state(&mut bytes);
         for cut in 1..bytes.len() {
@@ -773,16 +950,38 @@ mod tests {
         // the result must equal one graph observing everything.
         let msgs = [
             msg(Service::Nova, Service::Cinder, Direction::Request, 5, None),
-            msg(Service::Cinder, Service::Nova, Direction::Response, 9, Some(500)),
+            msg(
+                Service::Cinder,
+                Service::Nova,
+                Direction::Response,
+                9,
+                Some(500),
+            ),
             msg(Service::Nova, Service::Glance, Direction::Request, 11, None),
-            msg(Service::Glance, Service::Nova, Direction::Response, 12, Some(200)),
-            msg(Service::Cinder, Service::Nova, Direction::Response, 20, Some(500)),
+            msg(
+                Service::Glance,
+                Service::Nova,
+                Direction::Response,
+                12,
+                Some(200),
+            ),
+            msg(
+                Service::Cinder,
+                Service::Nova,
+                Direction::Response,
+                20,
+                Some(500),
+            ),
         ];
         let mut whole = ServiceGraph::new();
         for (i, m) in msgs.iter().enumerate() {
             whole.observe(m, false, i == 1 || i == 4);
         }
-        let mut parts = [ServiceGraph::new(), ServiceGraph::new(), ServiceGraph::new()];
+        let mut parts = [
+            ServiceGraph::new(),
+            ServiceGraph::new(),
+            ServiceGraph::new(),
+        ];
         for (i, m) in msgs.iter().enumerate() {
             parts[i % 3].observe(m, false, i == 1 || i == 4);
         }
@@ -793,7 +992,13 @@ mod tests {
         assert_eq!(whole, merged);
         // min/max semantics: the first/last error stamps survive no matter
         // which partition saw them.
-        assert_eq!(merged.edge(Service::Nova, Service::Cinder).first_error_ts, 9);
-        assert_eq!(merged.edge(Service::Nova, Service::Cinder).last_error_ts, 20);
+        assert_eq!(
+            merged.edge(Service::Nova, Service::Cinder).first_error_ts,
+            9
+        );
+        assert_eq!(
+            merged.edge(Service::Nova, Service::Cinder).last_error_ts,
+            20
+        );
     }
 }

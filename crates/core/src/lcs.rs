@@ -51,7 +51,11 @@ pub fn lcs_len(a: &[ApiId], b: &[ApiId]) -> usize {
     let mut cur = vec![0u32; short.len() + 1];
     for &x in long {
         for (j, &y) in short.iter().enumerate() {
-            cur[j + 1] = if x == y { prev[j] + 1 } else { prev[j + 1].max(cur[j]) };
+            cur[j + 1] = if x == y {
+                prev[j] + 1
+            } else {
+                prev[j + 1].max(cur[j])
+            };
         }
         std::mem::swap(&mut prev, &mut cur);
     }

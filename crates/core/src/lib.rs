@@ -71,12 +71,15 @@ pub use fingerprint::{
     generate_fingerprint, trace_of, Atom, CandidatePattern, CharacterizationStats, Fingerprint,
     FingerprintLibrary,
 };
-pub use graph::{attribute_cascades, Attribution, CascadeParams, EdgeStats, EvidenceHop, ServiceGraph};
+pub use graph::{
+    attribute_cascades, Attribution, CascadeParams, EdgeStats, EvidenceHop, ServiceGraph,
+};
 pub use matcher::PositionIndex;
 pub use perf::{PerfFault, PerfMonitor};
 pub use rca::{CauseKind, RcaEngine, RootCause};
 pub use recover::{
-    run_service_durable, AnalyzerChaos, DurableConfig, DurableOutcome, LibraryReload, RecoveryConfig, RecoveryStats, KIND_CHECKPOINT, KIND_DIAGNOSES, KIND_LIBRARY,
+    run_service_durable, AnalyzerChaos, DurableConfig, DurableOutcome, LibraryReload,
+    RecoveryConfig, RecoveryStats, KIND_CHECKPOINT, KIND_DIAGNOSES, KIND_LIBRARY,
 };
 pub use report::{CaptureConfidence, Diagnosis, FaultKind};
 pub use selfwatch::{self_watch_api, self_watch_stage, SelfWatch, SELF_WATCH_API_BASE};

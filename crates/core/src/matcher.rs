@@ -143,7 +143,13 @@ impl PositionIndex {
             positions[*cursor as usize] = i as u32;
             *cursor += 1;
         }
-        PositionIndex { row_of, stride, dir, positions, len }
+        PositionIndex {
+            row_of,
+            stride,
+            dir,
+            positions,
+            len,
+        }
     }
 
     /// Number of indexed symbols.
@@ -222,7 +228,8 @@ impl PositionIndex {
         center: usize,
         bound: usize,
     ) -> Option<usize> {
-        self.min_anchored_half_with_misses(pattern, center, bound, 0).map(|(h, _)| h)
+        self.min_anchored_half_with_misses(pattern, center, bound, 0)
+            .map(|(h, _)| h)
     }
 
     /// Degraded-mode variant of [`PositionIndex::min_anchored_half`]: up to
@@ -300,8 +307,11 @@ mod tests {
         let catalog = Catalog::openstack();
         Fixture {
             get_nets: catalog.rest_expect(Service::Neutron, HttpMethod::Get, "/v2.0/networks.json"),
-            get_sg: catalog
-                .rest_expect(Service::Neutron, HttpMethod::Get, "/v2.0/security-groups.json"),
+            get_sg: catalog.rest_expect(
+                Service::Neutron,
+                HttpMethod::Get,
+                "/v2.0/security-groups.json",
+            ),
             post_servers: catalog.rest_expect(Service::Nova, HttpMethod::Post, "/v2.1/servers"),
             post_ports: catalog.rest_expect(Service::Neutron, HttpMethod::Post, "/v2.0/ports.json"),
             rpc_boot: catalog.rpc_expect(Service::NovaCompute, "build_and_run_instance"),
@@ -314,11 +324,26 @@ mod tests {
         Fingerprint {
             op: OpSpecId(0),
             atoms: vec![
-                Atom { api: fx.post_servers, starred: false },
-                Atom { api: fx.get_nets, starred: true },
-                Atom { api: fx.rpc_boot, starred: false },
-                Atom { api: fx.get_sg, starred: true },
-                Atom { api: fx.post_ports, starred: false },
+                Atom {
+                    api: fx.post_servers,
+                    starred: false,
+                },
+                Atom {
+                    api: fx.get_nets,
+                    starred: true,
+                },
+                Atom {
+                    api: fx.rpc_boot,
+                    starred: false,
+                },
+                Atom {
+                    api: fx.get_sg,
+                    starred: true,
+                },
+                Atom {
+                    api: fx.post_ports,
+                    starred: false,
+                },
             ],
         }
     }
@@ -349,7 +374,9 @@ mod tests {
     fn interleaved_foreign_symbols_are_ignored() {
         let f = fx();
         let fp = fp(&f);
-        let noise = f.catalog.rest_expect(Service::Glance, HttpMethod::Get, "/v2/images");
+        let noise = f
+            .catalog
+            .rest_expect(Service::Glance, HttpMethod::Get, "/v2/images");
         let buffer = vec![noise, f.post_servers, noise, noise, f.post_ports, noise];
         assert!(matches_relaxed(&fp, &f.catalog, true, None, &buffer));
     }
@@ -360,8 +387,7 @@ mod tests {
         // subsequence matching skips the extras.
         let f = fx();
         let fp = fp(&f);
-        let buffer =
-            vec![f.post_servers, f.post_servers, f.post_ports, f.post_ports];
+        let buffer = vec![f.post_servers, f.post_servers, f.post_ports, f.post_ports];
         assert!(matches_relaxed(&fp, &f.catalog, true, None, &buffer));
     }
 
@@ -371,7 +397,13 @@ mod tests {
         let fp = fp(&f);
         let without_gets = vec![f.post_servers, f.rpc_boot, f.post_ports];
         assert!(!matches_strict(&fp, &without_gets));
-        let all = vec![f.post_servers, f.get_nets, f.rpc_boot, f.get_sg, f.post_ports];
+        let all = vec![
+            f.post_servers,
+            f.get_nets,
+            f.rpc_boot,
+            f.get_sg,
+            f.post_ports,
+        ];
         assert!(matches_strict(&fp, &all));
     }
 
@@ -392,7 +424,10 @@ mod tests {
     #[test]
     fn empty_pattern_matches_anything() {
         let f = fx();
-        let empty = Fingerprint { op: OpSpecId(1), atoms: vec![] };
+        let empty = Fingerprint {
+            op: OpSpecId(1),
+            atoms: vec![],
+        };
         assert!(matches_relaxed(&empty, &f.catalog, true, None, &[]));
         assert!(matches_strict(&empty, &[f.post_servers]));
         let (score, plen) = suffix_match_score(&empty, &f.catalog, true, None, &[]);
@@ -408,13 +443,25 @@ mod tests {
         let f = fx();
         let fp = fp(&f);
         assert!(matches_relaxed(&fp, &f.catalog, true, Some(0), &[]));
-        assert!(matches_relaxed(&fp, &f.catalog, false, Some(0), &[f.get_nets]));
+        assert!(matches_relaxed(
+            &fp,
+            &f.catalog,
+            false,
+            Some(0),
+            &[f.get_nets]
+        ));
         let (score, plen) = suffix_match_score(&fp, &f.catalog, true, Some(0), &[f.post_ports]);
         assert_eq!((score, plen), (0, 0));
     }
 
     fn pool(f: &Fixture) -> [ApiId; 5] {
-        [f.get_nets, f.get_sg, f.post_servers, f.post_ports, f.rpc_boot]
+        [
+            f.get_nets,
+            f.get_sg,
+            f.post_servers,
+            f.post_ports,
+            f.rpc_boot,
+        ]
     }
 
     #[test]
@@ -424,13 +471,15 @@ mod tests {
         let pool = pool(&f);
         let mut rng = StdRng::seed_from_u64(0xC0FFEE);
         for _ in 0..50 {
-            let buffer: Vec<ApiId> =
-                (0..rng.gen_range(0usize..40)).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
+            let buffer: Vec<ApiId> = (0..rng.gen_range(0usize..40))
+                .map(|_| pool[rng.gen_range(0..pool.len())])
+                .collect();
             let idx = PositionIndex::new(&buffer);
             assert_eq!(idx.len(), buffer.len());
             for _ in 0..20 {
-                let pattern: Vec<ApiId> =
-                    (0..rng.gen_range(0usize..6)).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
+                let pattern: Vec<ApiId> = (0..rng.gen_range(0usize..6))
+                    .map(|_| pool[rng.gen_range(0..pool.len())])
+                    .collect();
                 let lo = rng.gen_range(0..=buffer.len());
                 let hi = rng.gen_range(lo..=buffer.len());
                 assert_eq!(
@@ -474,8 +523,10 @@ mod tests {
         // Two rare APIs, so some rows have blocks with no occurrence and a
         // search must fall back to an earlier (or on to a later) block.
         let rare = [
-            f.catalog.rest_expect(Service::Glance, HttpMethod::Get, "/v2/images"),
-            f.catalog.rest_expect(Service::Nova, HttpMethod::Get, "/v2.1/flavors"),
+            f.catalog
+                .rest_expect(Service::Glance, HttpMethod::Get, "/v2/images"),
+            f.catalog
+                .rest_expect(Service::Nova, HttpMethod::Get, "/v2.1/flavors"),
         ];
         let mut rng = StdRng::seed_from_u64(0xB10C);
         for _ in 0..6 {
@@ -546,8 +597,14 @@ mod tests {
         assert_eq!(idx.min_anchored_half(&[b], 0, 3), Some(0));
         assert_eq!(idx.min_anchored_half(&[b, b], 1, 3), Some(1));
         assert_eq!(idx.min_anchored_half_with_misses(&[a], 0, 3, 1), None);
-        assert_eq!(idx.min_anchored_half_with_misses(&[a, b], 0, 3, 1), Some((0, 1)));
-        assert_eq!(idx.min_anchored_half_with_misses(&[b, a, b], 1, 3, 1), Some((1, 1)));
+        assert_eq!(
+            idx.min_anchored_half_with_misses(&[a, b], 0, 3, 1),
+            Some((0, 1))
+        );
+        assert_eq!(
+            idx.min_anchored_half_with_misses(&[b, a, b], 1, 3, 1),
+            Some((1, 1))
+        );
     }
 
     #[test]
@@ -557,17 +614,19 @@ mod tests {
         let pool = pool(&f);
         let mut rng = StdRng::seed_from_u64(99);
         for _ in 0..60 {
-            let buffer: Vec<ApiId> =
-                (0..rng.gen_range(1usize..48)).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
+            let buffer: Vec<ApiId> = (0..rng.gen_range(1usize..48))
+                .map(|_| pool[rng.gen_range(0..pool.len())])
+                .collect();
             let idx = PositionIndex::new(&buffer);
             let center = rng.gen_range(0..buffer.len());
             let bound = center + 1; // anchored at the fault
-            let pattern: Vec<ApiId> =
-                (0..rng.gen_range(1usize..5)).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
+            let pattern: Vec<ApiId> = (0..rng.gen_range(1usize..5))
+                .map(|_| pool[rng.gen_range(0..pool.len())])
+                .collect();
             // Reference: the smallest h with the pattern embedded in
             // buffer[center-h..bound].
-            let naive = (0..=center)
-                .find(|&h| is_subsequence(&pattern, &buffer[center - h..bound]));
+            let naive =
+                (0..=center).find(|&h| is_subsequence(&pattern, &buffer[center - h..bound]));
             assert_eq!(
                 idx.min_anchored_half(&pattern, center, bound),
                 naive,
@@ -586,16 +645,22 @@ mod tests {
         let pool = pool(&f);
         let mut rng = StdRng::seed_from_u64(1234);
         for _ in 0..80 {
-            let buffer: Vec<ApiId> =
-                (0..rng.gen_range(1usize..48)).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
+            let buffer: Vec<ApiId> = (0..rng.gen_range(1usize..48))
+                .map(|_| pool[rng.gen_range(0..pool.len())])
+                .collect();
             let idx = PositionIndex::new(&buffer);
             let center = rng.gen_range(0..buffer.len());
             let bound = center + 1;
-            let pattern: Vec<ApiId> =
-                (0..rng.gen_range(1usize..5)).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
+            let pattern: Vec<ApiId> = (0..rng.gen_range(1usize..5))
+                .map(|_| pool[rng.gen_range(0..pool.len())])
+                .collect();
             let exact = idx.min_anchored_half(&pattern, center, bound);
             let degraded = idx.min_anchored_half_with_misses(&pattern, center, bound, 0);
-            assert_eq!(degraded, exact.map(|h| (h, 0)), "pattern {pattern:?} of {buffer:?}");
+            assert_eq!(
+                degraded,
+                exact.map(|h| (h, 0)),
+                "pattern {pattern:?} of {buffer:?}"
+            );
         }
     }
 
@@ -609,9 +674,15 @@ mod tests {
         let pattern = [f.post_servers, f.rpc_boot, f.post_ports];
         assert_eq!(idx.min_anchored_half(&pattern, 2, 3), None);
         assert_eq!(idx.min_anchored_half_with_misses(&pattern, 2, 3, 0), None);
-        assert_eq!(idx.min_anchored_half_with_misses(&pattern, 2, 3, 1), Some((2, 1)));
+        assert_eq!(
+            idx.min_anchored_half_with_misses(&pattern, 2, 3, 1),
+            Some((2, 1))
+        );
         // A bigger budget does not inflate the reported misses.
-        assert_eq!(idx.min_anchored_half_with_misses(&pattern, 2, 3, 5), Some((2, 1)));
+        assert_eq!(
+            idx.min_anchored_half_with_misses(&pattern, 2, 3, 5),
+            Some((2, 1))
+        );
     }
 
     #[test]

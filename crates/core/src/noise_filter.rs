@@ -51,7 +51,10 @@ mod tests {
     #[test]
     fn drops_noise_class_apis() {
         let (cat, get, post, _, noise) = setup();
-        assert_eq!(filter_noise(&cat, &[noise, get, noise, post, noise]), vec![get, post]);
+        assert_eq!(
+            filter_noise(&cat, &[noise, get, noise, post, noise]),
+            vec![get, post]
+        );
     }
 
     #[test]
@@ -64,7 +67,10 @@ mod tests {
     fn keeps_state_change_repeats() {
         // Two POSTs are two distinct actions — never collapsed.
         let (cat, _, post, _, _) = setup();
-        assert_eq!(filter_noise(&cat, &[post, post, post]), vec![post, post, post]);
+        assert_eq!(
+            filter_noise(&cat, &[post, post, post]),
+            vec![post, post, post]
+        );
     }
 
     #[test]

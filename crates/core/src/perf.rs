@@ -51,17 +51,28 @@ impl PerfMonitor {
 
     /// New monitor with a custom detector factory.
     pub fn with_factory(factory: DetectorFactory, keep_history: bool) -> PerfMonitor {
-        PerfMonitor { factory, detectors: FastMap::default(), history: FastMap::default(), keep_history }
+        PerfMonitor {
+            factory,
+            detectors: FastMap::default(),
+            history: FastMap::default(),
+            keep_history,
+        }
     }
 
     /// Feed one latency observation.
     pub fn observe(&mut self, obs: LatencyObs) -> Option<PerfFault> {
         if self.keep_history {
-            self.history.entry(obs.api).or_default().push((obs.ts, obs.latency_us as f64));
+            self.history
+                .entry(obs.api)
+                .or_default()
+                .push((obs.ts, obs.latency_us as f64));
         }
         let det = self.detectors.entry(obs.api).or_insert_with(&self.factory);
         det.update(obs.ts, obs.latency_us as f64)
-            .map(|anomaly| PerfFault { api: obs.api, anomaly })
+            .map(|anomaly| PerfFault {
+                api: obs.api,
+                anomaly,
+            })
     }
 
     /// Raw latency series collected for `api` (empty unless history is
@@ -124,7 +135,10 @@ impl PerfMonitor {
         if keep_history != self.keep_history {
             return Err(DecodeError::Invalid("perf keep_history mismatch"));
         }
-        let mut state = PerfState { detectors: FastMap::default(), history: FastMap::default() };
+        let mut state = PerfState {
+            detectors: FastMap::default(),
+            history: FastMap::default(),
+        };
         for _ in 0..r.count(2 + 4)? {
             let api = ApiId(r.u16()?);
             let mut det = (self.factory)();
@@ -162,7 +176,11 @@ mod tests {
     use super::*;
 
     fn obs(api: u16, ts: u64, latency_ms: f64) -> LatencyObs {
-        LatencyObs { api: ApiId(api), ts, latency_us: (latency_ms * 1000.0) as u64 }
+        LatencyObs {
+            api: ApiId(api),
+            ts,
+            latency_us: (latency_ms * 1000.0) as u64,
+        }
     }
 
     #[test]
@@ -205,10 +223,8 @@ mod tests {
     #[test]
     fn custom_detector_factory_is_honored() {
         use gretel_telemetry::EwmaDetector;
-        let mut mon = PerfMonitor::with_factory(
-            Box::new(|| Box::new(EwmaDetector::default())),
-            false,
-        );
+        let mut mon =
+            PerfMonitor::with_factory(Box::new(|| Box::new(EwmaDetector::default())), false);
         let mut alarms = 0;
         for i in 0..200 {
             let l = if i < 100 { 25.0 } else { 250.0 };
@@ -225,7 +241,9 @@ mod tests {
         mon.observe(obs(3, 0, 5.0));
         let mut state = Vec::new();
         assert!(mon.export_state(&mut state));
-        let restored = mon.decode_state(&mut Reader::new(&state)).expect("round trip");
+        let restored = mon
+            .decode_state(&mut Reader::new(&state))
+            .expect("round trip");
         assert_eq!(restored.history[&ApiId(3)], [(0, 5000.0)]);
         // The block ends with the one series: u32 length, then (ts, value).
         let n_at = state.len() - 16 - 4;

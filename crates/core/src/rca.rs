@@ -52,7 +52,10 @@ pub struct RcaEngine<'a> {
 impl<'a> RcaEngine<'a> {
     /// New engine over a deployment and its collected telemetry.
     pub fn new(deployment: &'a Deployment, telemetry: &'a TelemetryStore) -> RcaEngine<'a> {
-        RcaEngine { deployment, telemetry }
+        RcaEngine {
+            deployment,
+            telemetry,
+        }
     }
 
     /// Algorithm 3 (`GET_ROOT_CAUSE`): analyze the fault window.
@@ -114,7 +117,10 @@ impl<'a> RcaEngine<'a> {
             );
             out.push(RootCause {
                 node,
-                cause: CauseKind::StaleTelemetry { stale_resources, stale_watchers },
+                cause: CauseKind::StaleTelemetry {
+                    stale_resources,
+                    stale_watchers,
+                },
                 why,
             });
         }
@@ -134,7 +140,11 @@ impl<'a> RcaEngine<'a> {
             for ResourceEvidence { kind, why, .. } in
                 self.telemetry.resource_anomalies(node, from, until)
             {
-                out.push(RootCause { node, cause: CauseKind::Resource(kind), why });
+                out.push(RootCause {
+                    node,
+                    cause: CauseKind::Resource(kind),
+                    why,
+                });
             }
             for dep in self.telemetry.unhealthy_deps(node, from, until) {
                 out.push(RootCause {
@@ -204,7 +214,10 @@ mod tests {
         let causes = engine.analyze(&[], &[NodeId(2), NodeId(0)], secs(10), secs(50));
         assert_eq!(causes.len(), 1);
         assert_eq!(causes[0].node, NodeId(2));
-        assert_eq!(causes[0].cause, CauseKind::Resource(ResourceKind::DiskFreeGb));
+        assert_eq!(
+            causes[0].cause,
+            CauseKind::Resource(ResourceKind::DiskFreeGb)
+        );
     }
 
     #[test]
@@ -240,7 +253,9 @@ mod tests {
         let dep = Deployment::standard();
         let t = telemetry_with(baseline_cpu(NodeId(1), 60), vec![]);
         let engine = RcaEngine::new(&dep, &t);
-        assert!(engine.analyze(&[], &[NodeId(1)], secs(10), secs(50)).is_empty());
+        assert!(engine
+            .analyze(&[], &[NodeId(1)], secs(10), secs(50))
+            .is_empty());
     }
 
     #[test]
@@ -255,7 +270,10 @@ mod tests {
         assert_eq!(causes.len(), 1);
         assert_eq!(causes[0].node, NodeId(1));
         match &causes[0].cause {
-            CauseKind::StaleTelemetry { stale_resources, stale_watchers } => {
+            CauseKind::StaleTelemetry {
+                stale_resources,
+                stale_watchers,
+            } => {
                 assert_eq!(stale_resources, &vec![ResourceKind::CpuPercent]);
                 assert!(stale_watchers.is_empty());
             }
@@ -264,7 +282,9 @@ mod tests {
         // With live coverage of the window the verdict stays a clean empty.
         let fresh = telemetry_with(baseline_cpu(NodeId(1), 60), vec![]);
         let engine = RcaEngine::new(&dep, &fresh);
-        assert!(engine.analyze(&[], &[NodeId(1)], secs(10), secs(50)).is_empty());
+        assert!(engine
+            .analyze(&[], &[NodeId(1)], secs(10), secs(50))
+            .is_empty());
     }
 
     #[test]
@@ -313,7 +333,11 @@ mod tests {
         let engine = RcaEngine::new(&dep, &t);
         let causes = engine.analyze(&[], &[NodeId(1)], secs(40), secs(50));
         assert_eq!(causes.len(), 2);
-        assert!(causes.iter().any(|c| matches!(c.cause, CauseKind::Resource(_))));
-        assert!(causes.iter().any(|c| matches!(c.cause, CauseKind::Dependency(_))));
+        assert!(causes
+            .iter()
+            .any(|c| matches!(c.cause, CauseKind::Resource(_))));
+        assert!(causes
+            .iter()
+            .any(|c| matches!(c.cause, CauseKind::Dependency(_))));
     }
 }

@@ -89,7 +89,12 @@ const SALT_STALL: u64 = 22;
 impl AnalyzerChaos {
     /// No chaos at all.
     pub fn none() -> AnalyzerChaos {
-        AnalyzerChaos { kill_prob: 0.0, kill_attempts: 2, stall_prob: 0.0, seed: 0 }
+        AnalyzerChaos {
+            kill_prob: 0.0,
+            kill_attempts: 2,
+            stall_prob: 0.0,
+            seed: 0,
+        }
     }
 
     /// Whether this injector can never fire.
@@ -370,8 +375,17 @@ pub(crate) fn run_durable_routed(
     // ---- Library epochs --------------------------------------------------
     loop {
         let mut analyzer = Analyzer::new(cur.as_ref().unwrap_or(lib), gcfg);
-        state.initial_state = analyzer.export_state().ok_or(ServiceError::NotCheckpointable)?;
-        match run_cycle(&mut analyzer, nodes, traffic, &cfg.recovery, route, &mut state)? {
+        state.initial_state = analyzer
+            .export_state()
+            .ok_or(ServiceError::NotCheckpointable)?;
+        match run_cycle(
+            &mut analyzer,
+            nodes,
+            traffic,
+            &cfg.recovery,
+            route,
+            &mut state,
+        )? {
             RunEnd::Completed => {
                 return Ok(DurableOutcome::Completed {
                     diagnoses: state.diagnoses,
@@ -390,7 +404,10 @@ pub(crate) fn run_durable_routed(
             // Next epoch restores from the boundary checkpoint the reload
             // just wrote — in-flight windows survive.
             RunEnd::Reload(snapshot) => {
-                cur = Some(FingerprintLibrary::from_snapshot(lib.catalog().clone(), &snapshot)?);
+                cur = Some(FingerprintLibrary::from_snapshot(
+                    lib.catalog().clone(),
+                    &snapshot,
+                )?);
             }
         }
     }
@@ -403,13 +420,23 @@ mod tests {
 
     #[test]
     fn chaos_coins_are_deterministic_and_gated() {
-        let chaos = AnalyzerChaos { kill_prob: 1.0, ..AnalyzerChaos::none() };
+        let chaos = AnalyzerChaos {
+            kill_prob: 1.0,
+            ..AnalyzerChaos::none()
+        };
         assert!(chaos.kill(7, 0));
         assert!(chaos.kill(7, 1));
-        assert!(!chaos.kill(7, 2), "kill coin never fires past kill_attempts");
+        assert!(
+            !chaos.kill(7, 2),
+            "kill coin never fires past kill_attempts"
+        );
         assert!(!AnalyzerChaos::none().kill(7, 0));
         assert!(AnalyzerChaos::none().is_noop());
-        let a = AnalyzerChaos { stall_prob: 0.5, seed: 9, ..AnalyzerChaos::none() };
+        let a = AnalyzerChaos {
+            stall_prob: 0.5,
+            seed: 9,
+            ..AnalyzerChaos::none()
+        };
         for seq in 0..64 {
             assert_eq!(a.stall(seq, 0), a.stall(seq, 0));
         }
@@ -426,7 +453,10 @@ mod tests {
     #[test]
     fn drop_oldest_backpressure_is_rejected() {
         let lib = test_lib();
-        let gcfg = crate::config::GretelConfig { alpha: 8, ..Default::default() };
+        let gcfg = crate::config::GretelConfig {
+            alpha: 8,
+            ..Default::default()
+        };
         let mut cfg = DurableConfig::default();
         cfg.recovery.service.backpressure = BackpressurePolicy::DropOldest;
         let err = run_service_durable(&lib, gcfg, &[NodeId(0)], &[], &cfg, &mut MemStore::new())
@@ -437,7 +467,10 @@ mod tests {
     #[test]
     fn empty_traffic_completes_without_checkpoints() {
         let lib = test_lib();
-        let gcfg = crate::config::GretelConfig { alpha: 8, ..Default::default() };
+        let gcfg = crate::config::GretelConfig {
+            alpha: 8,
+            ..Default::default()
+        };
         let out = run_service_durable(
             &lib,
             gcfg,
@@ -447,7 +480,13 @@ mod tests {
             &mut MemStore::new(),
         )
         .expect("empty run completes");
-        let DurableOutcome::Completed { diagnoses, service, recovery, .. } = out else {
+        let DurableOutcome::Completed {
+            diagnoses,
+            service,
+            recovery,
+            ..
+        } = out
+        else {
             panic!("no kill point configured")
         };
         assert!(diagnoses.is_empty());
@@ -458,7 +497,10 @@ mod tests {
     #[test]
     fn durable_empty_run_bootstraps_the_library_record_once() {
         let lib = test_lib();
-        let gcfg = crate::config::GretelConfig { alpha: 8, ..Default::default() };
+        let gcfg = crate::config::GretelConfig {
+            alpha: 8,
+            ..Default::default()
+        };
         let mut store = MemStore::new();
         for _ in 0..2 {
             let out = run_service_durable(
@@ -471,7 +513,11 @@ mod tests {
             )
             .expect("empty durable run completes");
             match out {
-                DurableOutcome::Completed { diagnoses, recovery, .. } => {
+                DurableOutcome::Completed {
+                    diagnoses,
+                    recovery,
+                    ..
+                } => {
                     assert!(diagnoses.is_empty());
                     assert_eq!(recovery.library_reloads, 0);
                 }
@@ -481,6 +527,9 @@ mod tests {
         // Re-running over the same store adopts the existing base record
         // instead of appending a duplicate.
         assert_eq!(store.records_of(KIND_LIBRARY).len(), 1);
-        assert_eq!(store.latest_valid(KIND_LIBRARY).unwrap(), lib.to_snapshot().as_slice());
+        assert_eq!(
+            store.latest_valid(KIND_LIBRARY).unwrap(),
+            lib.to_snapshot().as_slice()
+        );
     }
 }

@@ -138,7 +138,10 @@ impl Diagnosis {
                     }
                 ));
             }
-            FaultKind::Performance { observed_ms, baseline_ms } => {
+            FaultKind::Performance {
+                observed_ms,
+                baseline_ms,
+            } => {
                 out.push_str(&format!(
                     "PERFORMANCE fault at t={:.3}s on {}: latency {:.1} ms (baseline {:.1} ms)\n",
                     self.ts as f64 / 1e6,
@@ -206,7 +209,10 @@ mod tests {
     #[test]
     fn render_operational() {
         let d = Diagnosis {
-            kind: FaultKind::Operational { status: Some(413), rpc: false },
+            kind: FaultKind::Operational {
+                status: Some(413),
+                rpc: false,
+            },
             api: ApiId(5),
             ts: 1_500_000,
             matched: vec![OpSpecId(0)],
@@ -233,7 +239,10 @@ mod tests {
     #[test]
     fn render_mentions_degraded_capture() {
         let d = Diagnosis {
-            kind: FaultKind::Operational { status: Some(500), rpc: false },
+            kind: FaultKind::Operational {
+                status: Some(500),
+                rpc: false,
+            },
             api: ApiId(5),
             ts: 0,
             matched: vec![OpSpecId(0)],
@@ -253,7 +262,10 @@ mod tests {
     #[test]
     fn render_mentions_cancelled_analysis() {
         let d = Diagnosis {
-            kind: FaultKind::Operational { status: Some(503), rpc: false },
+            kind: FaultKind::Operational {
+                status: Some(503),
+                rpc: false,
+            },
             api: ApiId(2),
             ts: 0,
             matched: vec![],
@@ -272,7 +284,10 @@ mod tests {
     #[test]
     fn render_performance_without_cause() {
         let d = Diagnosis {
-            kind: FaultKind::Performance { observed_ms: 130.0, baseline_ms: 28.0 },
+            kind: FaultKind::Performance {
+                observed_ms: 130.0,
+                baseline_ms: 28.0,
+            },
             api: ApiId(9),
             ts: 0,
             matched: vec![],

@@ -25,7 +25,10 @@ pub const SELF_WATCH_API_BASE: u16 = 0xFF00;
 /// The synthetic [`ApiId`] a pipeline stage's latency stream reports
 /// under: `SELF_WATCH_API_BASE` + the stage's position in [`Stage::ALL`].
 pub fn self_watch_api(stage: Stage) -> ApiId {
-    let pos = Stage::ALL.iter().position(|s| *s == stage).expect("ALL covers every stage");
+    let pos = Stage::ALL
+        .iter()
+        .position(|s| *s == stage)
+        .expect("ALL covers every stage");
     ApiId(SELF_WATCH_API_BASE + pos as u16)
 }
 
@@ -82,7 +85,11 @@ impl SelfWatch {
             if d_count == 0 {
                 continue;
             }
-            let obs = LatencyObs { api: self_watch_api(stage), ts, latency_us: d_sum / d_count };
+            let obs = LatencyObs {
+                api: self_watch_api(stage),
+                ts,
+                latency_us: d_sum / d_count,
+            };
             faults.extend(self.monitor.observe(obs));
         }
         faults
@@ -102,7 +109,10 @@ mod tests {
         }
         assert_eq!(self_watch_stage(ApiId(3)), None);
         let n_catalog = gretel_model::Catalog::openstack().len();
-        assert!(n_catalog < SELF_WATCH_API_BASE as usize, "synthetic range is disjoint");
+        assert!(
+            n_catalog < SELF_WATCH_API_BASE as usize,
+            "synthetic range is disjoint"
+        );
     }
 
     #[test]
@@ -116,7 +126,10 @@ mod tests {
             metrics.observe(Stage::Detect, 2_000 + (i % 3));
             metrics.observe(Stage::Commit, 50);
             ts += 1_000;
-            assert!(watch.poll(&metrics, ts).is_empty(), "baseline must not alarm");
+            assert!(
+                watch.poll(&metrics, ts).is_empty(),
+                "baseline must not alarm"
+            );
         }
 
         // The detect stage stalls: per-pass latency jumps 10×.

@@ -68,7 +68,10 @@ impl std::fmt::Display for ServiceError {
                 write!(f, "recovery requires BackpressurePolicy::Block (lossy eviction cannot be replayed deterministically)")
             }
             ServiceError::NotCheckpointable => {
-                write!(f, "analyzer state is not serializable (opaque plug-in perf detector)")
+                write!(
+                    f,
+                    "analyzer state is not serializable (opaque plug-in perf detector)"
+                )
             }
             ServiceError::Checkpoint(e) => write!(f, "checkpoint restore failed: {e}"),
             ServiceError::Store(e) => write!(f, "durable state store failed: {e}"),
@@ -115,7 +118,10 @@ impl From<gretel_store::StoreError> for ServiceError {
 /// parallelism capped at 4 (a laptop-friendly default —
 /// [`ServiceConfig::workers`] sets any other width).
 fn default_workers() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(4)
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .min(4)
 }
 
 /// The per-shard analysis-pool width for a `shards`-way sharded pipeline
@@ -277,7 +283,10 @@ mod tests {
         let cat = Catalog::openstack();
         let dep = Deployment::standard();
         let wf = Workflows::new(cat.clone());
-        let specs = vec![wf.vm_create_spec(OpSpecId(0)), wf.image_upload_spec(OpSpecId(1))];
+        let specs = vec![
+            wf.vm_create_spec(OpSpecId(0)),
+            wf.image_upload_spec(OpSpecId(1)),
+        ];
         let (lib, _) = FingerprintLibrary::characterize(cat.clone(), &specs, &dep, 2, 21);
 
         let ports_post = cat.rest_expect(Service::Neutron, HttpMethod::Post, "/v2.0/ports.json");
@@ -285,14 +294,28 @@ mod tests {
             api: ports_post,
             scope: FaultScope::AllInstances,
             occurrence: 0,
-            error: InjectedError::RestStatus { status: 500, reason: None },
+            error: InjectedError::RestStatus {
+                status: 500,
+                reason: None,
+            },
             abort_op: true,
         });
         let refs: Vec<&OperationSpec> = specs.iter().collect();
-        let exec = Runner::new(cat.clone(), &dep, &plan, RunConfig { seed: 2, ..Default::default() })
-            .run(&refs);
+        let exec = Runner::new(
+            cat.clone(),
+            &dep,
+            &plan,
+            RunConfig {
+                seed: 2,
+                ..Default::default()
+            },
+        )
+        .run(&refs);
 
-        let gcfg = GretelConfig { alpha: 64, ..GretelConfig::default() };
+        let gcfg = GretelConfig {
+            alpha: 64,
+            ..GretelConfig::default()
+        };
 
         // Inline reference.
         let mut inline = Analyzer::new(&lib, gcfg);
@@ -301,10 +324,17 @@ mod tests {
         // Threaded pipeline.
         let nodes: Vec<NodeId> = dep.nodes().iter().map(|n| n.id).collect();
         let mut threaded = Analyzer::new(&lib, gcfg);
-        let (got, svc, astats) =
-            run_service_cfg(&mut threaded, &nodes, &exec.messages, &ServiceConfig::default());
+        let (got, svc, astats) = run_service_cfg(
+            &mut threaded,
+            &nodes,
+            &exec.messages,
+            &ServiceConfig::default(),
+        );
 
-        assert_eq!(got, expected, "threaded pipeline must be semantically identical");
+        assert_eq!(
+            got, expected,
+            "threaded pipeline must be semantically identical"
+        );
         assert!(svc.frames > 0);
         assert!(svc.bytes > 0);
         assert_eq!(svc.backpressure_drops, 0);
@@ -322,7 +352,10 @@ mod tests {
         let cat = Catalog::openstack();
         let dep = Deployment::standard();
         let wf = Workflows::new(cat.clone());
-        let specs = vec![wf.vm_create_spec(OpSpecId(0)), wf.image_upload_spec(OpSpecId(1))];
+        let specs = vec![
+            wf.vm_create_spec(OpSpecId(0)),
+            wf.image_upload_spec(OpSpecId(1)),
+        ];
         let (lib, _) = FingerprintLibrary::characterize(cat.clone(), &specs, &dep, 2, 21);
 
         let ports_post = cat.rest_expect(Service::Neutron, HttpMethod::Post, "/v2.0/ports.json");
@@ -332,25 +365,45 @@ mod tests {
                 api: ports_post,
                 scope: FaultScope::AllInstances,
                 occurrence: 0,
-                error: InjectedError::RestStatus { status: 500, reason: None },
+                error: InjectedError::RestStatus {
+                    status: 500,
+                    reason: None,
+                },
                 abort_op: true,
             })
             .with_api_fault(ApiFault {
                 api: put_file,
                 scope: FaultScope::AllInstances,
                 occurrence: 0,
-                error: InjectedError::RestStatus { status: 503, reason: None },
+                error: InjectedError::RestStatus {
+                    status: 503,
+                    reason: None,
+                },
                 abort_op: true,
             });
         let refs: Vec<&OperationSpec> = specs.iter().collect();
-        let exec =
-            Runner::new(cat.clone(), &dep, &plan, RunConfig { seed: 6, ..Default::default() })
-                .run(&refs);
+        let exec = Runner::new(
+            cat.clone(),
+            &dep,
+            &plan,
+            RunConfig {
+                seed: 6,
+                ..Default::default()
+            },
+        )
+        .run(&refs);
 
-        let gcfg = GretelConfig { alpha: 48, ..GretelConfig::default() };
+        let gcfg = GretelConfig {
+            alpha: 48,
+            ..GretelConfig::default()
+        };
         let mut inline = Analyzer::new(&lib, gcfg);
         let expected = crate::analyzer::analyze_stream(&mut inline, exec.messages.iter());
-        assert!(expected.len() >= 2, "want several diagnoses, got {}", expected.len());
+        assert!(
+            expected.len() >= 2,
+            "want several diagnoses, got {}",
+            expected.len()
+        );
 
         let nodes: Vec<NodeId> = dep.nodes().iter().map(|n| n.id).collect();
         for workers in [1, 2, 4, 8] {
@@ -373,9 +426,18 @@ mod tests {
         let wf = Workflows::new(cat.clone());
         let specs = vec![wf.vm_create_spec(OpSpecId(0))];
         let (lib, _) = FingerprintLibrary::characterize(cat.clone(), &specs, &dep, 1, 1);
-        let mut analyzer = Analyzer::new(&lib, GretelConfig { alpha: 8, ..Default::default() });
+        let mut analyzer = Analyzer::new(
+            &lib,
+            GretelConfig {
+                alpha: 8,
+                ..Default::default()
+            },
+        );
         let nodes: Vec<NodeId> = dep.nodes().iter().map(|n| n.id).collect();
-        let cfg = ServiceConfig { channel_capacity: 4, ..ServiceConfig::default() };
+        let cfg = ServiceConfig {
+            channel_capacity: 4,
+            ..ServiceConfig::default()
+        };
         let (diags, svc, _) = run_service_cfg(&mut analyzer, &nodes, &[], &cfg);
         assert!(diags.is_empty());
         assert_eq!(svc.frames, 0);
@@ -385,19 +447,33 @@ mod tests {
         let cat = Catalog::openstack();
         let dep = Deployment::standard();
         let wf = Workflows::new(cat.clone());
-        let specs = vec![wf.vm_create_spec(OpSpecId(0)), wf.image_upload_spec(OpSpecId(1))];
+        let specs = vec![
+            wf.vm_create_spec(OpSpecId(0)),
+            wf.image_upload_spec(OpSpecId(1)),
+        ];
         let (lib, _) = FingerprintLibrary::characterize(cat.clone(), &specs, &dep, 2, 21);
         let ports_post = cat.rest_expect(Service::Neutron, HttpMethod::Post, "/v2.0/ports.json");
         let plan = FaultPlan::none().with_api_fault(ApiFault {
             api: ports_post,
             scope: FaultScope::AllInstances,
             occurrence: 0,
-            error: InjectedError::RestStatus { status: 500, reason: None },
+            error: InjectedError::RestStatus {
+                status: 500,
+                reason: None,
+            },
             abort_op: true,
         });
         let refs: Vec<&OperationSpec> = specs.iter().collect();
-        let exec = Runner::new(cat, &dep, &plan, RunConfig { seed, ..Default::default() })
-            .run(&refs);
+        let exec = Runner::new(
+            cat,
+            &dep,
+            &plan,
+            RunConfig {
+                seed,
+                ..Default::default()
+            },
+        )
+        .run(&refs);
         (lib, dep, exec.messages)
     }
 
@@ -405,7 +481,10 @@ mod tests {
     fn metrics_observe_the_pipeline_without_perturbing_it() {
         use gretel_obs::{Meter, PipelineMetrics, Stage};
         let (lib, dep, messages) = faulted_execution(2);
-        let gcfg = GretelConfig { alpha: 64, ..GretelConfig::default() };
+        let gcfg = GretelConfig {
+            alpha: 64,
+            ..GretelConfig::default()
+        };
         let nodes: Vec<NodeId> = dep.nodes().iter().map(|n| n.id).collect();
 
         let mut plain = Analyzer::new(&lib, gcfg);
@@ -425,10 +504,17 @@ mod tests {
             };
             let mut observed = Analyzer::new(&lib, gcfg);
             let (got, svc, astats) = run_service_cfg(&mut observed, &nodes, &messages, &cfg);
-            assert_eq!(got, expected, "metrics (enabled={enabled}) must not change diagnoses");
+            assert_eq!(
+                got, expected,
+                "metrics (enabled={enabled}) must not change diagnoses"
+            );
 
             if !enabled {
-                assert_eq!(metrics.stage_events(Stage::Ingest), 0, "disabled registry records nothing");
+                assert_eq!(
+                    metrics.stage_events(Stage::Ingest),
+                    0,
+                    "disabled registry records nothing"
+                );
                 continue;
             }
             // Stage events line up with the run's own accounting.
@@ -436,12 +522,18 @@ mod tests {
             assert_eq!(metrics.stage_events(Stage::Resequence), svc.frames);
             assert_eq!(metrics.stage_events(Stage::Window), astats.snapshots);
             assert_eq!(metrics.stage_events(Stage::Commit), got.len() as u64);
-            assert!(metrics.stage_events(Stage::Detect) > 0, "faulted run detects");
+            assert!(
+                metrics.stage_events(Stage::Detect) > 0,
+                "faulted run detects"
+            );
             assert_eq!(metrics.meter(Meter::CaptureFrames), svc.capture.frames);
             assert_eq!(metrics.meter(Meter::BackpressureDrops), 0);
             // Latency histograms saw one sample per counted event.
             assert_eq!(metrics.stage_latency(Stage::Ingest).count, astats.messages);
-            assert!(metrics.stage_latency(Stage::Detect).max_us >= metrics.stage_latency(Stage::Detect).p50_us);
+            assert!(
+                metrics.stage_latency(Stage::Detect).max_us
+                    >= metrics.stage_latency(Stage::Detect).p50_us
+            );
         }
 
         // The store-backed path runs the same receiver: every frame it took
@@ -450,8 +542,11 @@ mod tests {
         let mut dcfg = crate::DurableConfig::default();
         dcfg.recovery.service.metrics = Some(metrics.clone());
         let mut store = gretel_store::MemStore::new();
-        match crate::run_service_durable(&lib, gcfg, &nodes, &messages, &dcfg, &mut store).unwrap() {
-            crate::DurableOutcome::Completed { diagnoses, service, .. } => {
+        match crate::run_service_durable(&lib, gcfg, &nodes, &messages, &dcfg, &mut store).unwrap()
+        {
+            crate::DurableOutcome::Completed {
+                diagnoses, service, ..
+            } => {
                 assert_eq!(diagnoses, expected, "durable run, metrics enabled");
                 assert!(service.frames > 0);
                 assert_eq!(metrics.stage_events(Stage::Resequence), service.frames);
@@ -463,7 +558,10 @@ mod tests {
     #[test]
     fn noop_impairment_reproduces_the_lossless_diagnoses() {
         let (lib, dep, messages) = faulted_execution(2);
-        let gcfg = GretelConfig { alpha: 64, ..GretelConfig::default() };
+        let gcfg = GretelConfig {
+            alpha: 64,
+            ..GretelConfig::default()
+        };
         let nodes: Vec<NodeId> = dep.nodes().iter().map(|n| n.id).collect();
 
         let mut plain = Analyzer::new(&lib, gcfg);
@@ -487,7 +585,10 @@ mod tests {
     #[test]
     fn impaired_capture_degrades_but_does_not_lie() {
         let (lib, dep, messages) = faulted_execution(2);
-        let gcfg = GretelConfig { alpha: 64, ..GretelConfig::default() };
+        let gcfg = GretelConfig {
+            alpha: 64,
+            ..GretelConfig::default()
+        };
         let nodes: Vec<NodeId> = dep.nodes().iter().map(|n| n.id).collect();
         let cfg = ServiceConfig {
             impairment: Some(CaptureImpairment {
@@ -502,7 +603,11 @@ mod tests {
         };
         let mut analyzer = Analyzer::new(&lib, gcfg);
         let (diags, svc, astats) = run_service_cfg(&mut analyzer, &nodes, &messages, &cfg);
-        assert!(svc.capture.dropped > 0, "5% drop over {} frames", svc.frames);
+        assert!(
+            svc.capture.dropped > 0,
+            "5% drop over {} frames",
+            svc.frames
+        );
         assert_eq!(astats.lost_frames, svc.capture.lost);
         // Every diagnosis is either exact or admits its window's gaps.
         for d in &diags {
@@ -515,7 +620,10 @@ mod tests {
     #[test]
     fn drop_oldest_sheds_load_instead_of_blocking() {
         let (lib, dep, messages) = faulted_execution(2);
-        let gcfg = GretelConfig { alpha: 64, ..GretelConfig::default() };
+        let gcfg = GretelConfig {
+            alpha: 64,
+            ..GretelConfig::default()
+        };
         let nodes: Vec<NodeId> = dep.nodes().iter().map(|n| n.id).collect();
         // A tiny link under DropOldest: the run must complete (no wedge)
         // and account for every frame — shipped ones reach the analyzer,
@@ -536,7 +644,14 @@ mod tests {
 
     #[test]
     fn workers_knob_resolves() {
-        assert_eq!(ServiceConfig { workers: Some(7), ..Default::default() }.effective_workers(), 7);
+        assert_eq!(
+            ServiceConfig {
+                workers: Some(7),
+                ..Default::default()
+            }
+            .effective_workers(),
+            7
+        );
         assert!(ServiceConfig::default().effective_workers() >= 1);
     }
 

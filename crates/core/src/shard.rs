@@ -168,7 +168,9 @@ fn resolved_service(cfg: &ShardedConfig) -> ServiceConfig {
     if sc.workers.is_none() {
         sc.workers = Some(resolve_shard_workers(
             cfg.shards,
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
         ));
     }
     sc
@@ -200,14 +202,30 @@ fn run_shard(
         let (diagnoses, service, astats) =
             run_plain(&mut analyzer, nodes, traffic, &service, route)?;
         let graph = analyzer.traffic_graph().clone();
-        return Ok(ShardRun { diagnoses, graph, service, analyzer: astats, recovery: None });
+        return Ok(ShardRun {
+            diagnoses,
+            graph,
+            service,
+            analyzer: astats,
+            recovery: None,
+        });
     };
     let mut dcfg = dcfg.clone();
     dcfg.recovery.service = service;
     match run_durable_routed(lib, gcfg, nodes, traffic, &dcfg, *store, route)? {
-        DurableOutcome::Completed { diagnoses, service, analyzer, recovery, graph } => {
-            Ok(ShardRun { diagnoses, graph, service, analyzer, recovery: Some(recovery) })
-        }
+        DurableOutcome::Completed {
+            diagnoses,
+            service,
+            analyzer,
+            recovery,
+            graph,
+        } => Ok(ShardRun {
+            diagnoses,
+            graph,
+            service,
+            analyzer,
+            recovery: Some(recovery),
+        }),
         DurableOutcome::Killed { .. } => unreachable!("kill points are rejected up front"),
     }
 }
@@ -283,7 +301,12 @@ fn drive_shards(
         }
         agg.snapshot()
     });
-    Ok(ShardedOutcome { diagnoses, graph, shards, metrics })
+    Ok(ShardedOutcome {
+        diagnoses,
+        graph,
+        shards,
+        metrics,
+    })
 }
 
 /// Run the pipeline sharded by tenant: route `traffic` onto
@@ -371,11 +394,13 @@ mod tests {
             api: ports_post,
             scope: FaultScope::AllInstances,
             occurrence: 0,
-            error: InjectedError::RestStatus { status: 500, reason: None },
+            error: InjectedError::RestStatus {
+                status: 500,
+                reason: None,
+            },
             abort_op: true,
         });
-        let refs: Vec<&OperationSpec> =
-            (0..12).flat_map(|_| specs.iter()).collect();
+        let refs: Vec<&OperationSpec> = (0..12).flat_map(|_| specs.iter()).collect();
         let cfg = RunConfig {
             seed: 29,
             correlation_ids: true,
@@ -389,7 +414,10 @@ mod tests {
         // operation events under full load but not under a shard's 1/N
         // load, skewing `beta_used` between the two regimes.
         let alpha = (2 * exec.messages.len()).max(64);
-        let gcfg = GretelConfig { alpha, ..GretelConfig::default() };
+        let gcfg = GretelConfig {
+            alpha,
+            ..GretelConfig::default()
+        };
         (lib, gcfg, nodes, exec.messages)
     }
 
@@ -404,7 +432,10 @@ mod tests {
         let expected_graph = inline.traffic_graph().clone();
 
         for shards in [1usize, 2, 4, 8] {
-            let cfg = ShardedConfig { shards, ..ShardedConfig::default() };
+            let cfg = ShardedConfig {
+                shards,
+                ..ShardedConfig::default()
+            };
             let out = run_sharded(&lib, gcfg, &nodes, &traffic, &cfg).expect("sharded run");
             assert_eq!(
                 encode_diagnoses(&out.diagnoses),
@@ -458,18 +489,35 @@ mod tests {
         let mut dropped = 0;
         for n in [1usize, 2, 4, 8] {
             let parts = partition_messages(&traffic, n);
-            let cfg = ShardedConfig { shards: n, ..ShardedConfig::default() };
+            let cfg = ShardedConfig {
+                shards: n,
+                ..ShardedConfig::default()
+            };
             let out = run_sharded(&lib, gcfg, &nodes, &traffic, &cfg).expect("sharded run");
             for (i, part) in parts.iter().enumerate() {
                 let (_, shipped) = single(part, &cfg.service);
-                assert_eq!(out.shards[i].messages, part.len(), "shard {i}/{n}: messages");
-                assert_eq!(out.shards[i].service.frames, shipped.frames, "shard {i}/{n}: frames");
+                assert_eq!(
+                    out.shards[i].messages,
+                    part.len(),
+                    "shard {i}/{n}: messages"
+                );
+                assert_eq!(
+                    out.shards[i].service.frames, shipped.frames,
+                    "shard {i}/{n}: frames"
+                );
 
                 let got = run_shard(&lib, gcfg, &nodes, &traffic, impaired.clone(), (i, n), None)
                     .expect("impaired shard");
                 let (want, want_service) = single(part, &impaired);
-                assert_eq!(encode_diagnoses(&got.diagnoses), want, "shard {i}/{n}: diagnoses");
-                assert_eq!(got.service, want_service, "shard {i}/{n}: transport and capture");
+                assert_eq!(
+                    encode_diagnoses(&got.diagnoses),
+                    want,
+                    "shard {i}/{n}: diagnoses"
+                );
+                assert_eq!(
+                    got.service, want_service,
+                    "shard {i}/{n}: transport and capture"
+                );
                 dropped += got.service.capture.dropped;
             }
         }
@@ -490,7 +538,10 @@ mod tests {
         for impairment in [None, Some(lossy)] {
             let cfg = ShardedConfig {
                 shards: 4,
-                service: ServiceConfig { impairment, ..ServiceConfig::default() },
+                service: ServiceConfig {
+                    impairment,
+                    ..ServiceConfig::default()
+                },
                 metrics: true,
                 ..ShardedConfig::default()
             };
@@ -500,8 +551,10 @@ mod tests {
             }
 
             let mut stores: Vec<MemStore> = (0..4).map(|_| MemStore::new()).collect();
-            let mut store_refs: Vec<&mut (dyn Store + Send)> =
-                stores.iter_mut().map(|s| s as &mut (dyn Store + Send)).collect();
+            let mut store_refs: Vec<&mut (dyn Store + Send)> = stores
+                .iter_mut()
+                .map(|s| s as &mut (dyn Store + Send))
+                .collect();
             let out = run_sharded_durable(
                 &lib,
                 gcfg,
@@ -512,8 +565,14 @@ mod tests {
                 &mut store_refs,
             )
             .expect("durable");
-            assert_eq!(encode_diagnoses(&out.diagnoses), encode_diagnoses(&plain.diagnoses));
-            assert_eq!(out.graph, plain.graph, "durable shards report the observed graph");
+            assert_eq!(
+                encode_diagnoses(&out.diagnoses),
+                encode_diagnoses(&plain.diagnoses)
+            );
+            assert_eq!(
+                out.graph, plain.graph,
+                "durable shards report the observed graph"
+            );
             for s in &out.shards {
                 assert!(s.recovery.is_some(), "durable shards report recovery stats");
             }

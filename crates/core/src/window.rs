@@ -78,7 +78,11 @@ impl SlidingWindow {
     /// Window of size `alpha` (≥ 2).
     pub fn new(alpha: usize) -> SlidingWindow {
         assert!(alpha >= 2, "window must hold at least two messages");
-        SlidingWindow { alpha, buf: VecDeque::with_capacity(alpha + 1), armed: Vec::new() }
+        SlidingWindow {
+            alpha,
+            buf: VecDeque::with_capacity(alpha + 1),
+            armed: Vec::new(),
+        }
     }
 
     /// Configured α.
@@ -109,7 +113,10 @@ impl SlidingWindow {
     /// Arm a snapshot for `fault` (must be the most recently pushed
     /// event). It completes after α/2 further events arrive.
     pub fn arm(&mut self, fault: Event) {
-        self.armed.push(Armed { fault, remaining: self.alpha / 2 });
+        self.armed.push(Armed {
+            fault,
+            remaining: self.alpha / 2,
+        });
     }
 
     /// Resize the window to a new α (the paper recomputes α when the
@@ -158,11 +165,12 @@ impl SlidingWindow {
 
     fn freeze(&self, fault: Event) -> Snapshot {
         let events: Vec<Event> = self.buf.iter().copied().collect();
-        let fault_index = events
-            .iter()
-            .position(|e| e.id == fault.id)
-            .unwrap_or(0); // fault already evicted (tiny α): anchor at start
-        Snapshot { fault, events, fault_index }
+        let fault_index = events.iter().position(|e| e.id == fault.id).unwrap_or(0); // fault already evicted (tiny α): anchor at start
+        Snapshot {
+            fault,
+            events,
+            fault_index,
+        }
     }
 
     /// Serialize the full window state — α, ring contents, and armed

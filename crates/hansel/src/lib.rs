@@ -34,7 +34,10 @@ pub struct HanselConfig {
 
 impl Default for HanselConfig {
     fn default() -> Self {
-        HanselConfig { bucket_window_us: 30_000_000, max_chain: 4096 }
+        HanselConfig {
+            bucket_window_us: 30_000_000,
+            max_chain: 4096,
+        }
     }
 }
 
@@ -193,7 +196,9 @@ impl Hansel {
         }
         let tokens = extract_identifiers(&msg.payload);
         self.tokens_seen += tokens.len() as u64;
-        let chain = self.chains.add_message(msg.id, msg.ts_us, &tokens, self.cfg.max_chain);
+        let chain = self
+            .chains
+            .add_message(msg.id, msg.ts_us, &tokens, self.cfg.max_chain);
 
         if msg.is_rest_error() || msg.is_rpc_error() {
             self.pending.push((
@@ -303,8 +308,16 @@ mod tests {
             src_service: Service::Horizon,
             dst_service: Service::Nova,
             api: ApiId(1),
-            direction: if status.is_some() { Direction::Response } else { Direction::Request },
-            wire: WireKind::Rest { method: HttpMethod::Get, uri: uri.into(), status },
+            direction: if status.is_some() {
+                Direction::Response
+            } else {
+                Direction::Request
+            },
+            wire: WireKind::Rest {
+                method: HttpMethod::Get,
+                uri: uri.into(),
+                status,
+            },
             conn: ConnKey::default(),
             payload,
             correlation_id: None,
@@ -325,7 +338,10 @@ mod tests {
 
     #[test]
     fn messages_sharing_an_id_stitch_into_one_chain() {
-        let mut h = Hansel::new(HanselConfig { bucket_window_us: 1_000, ..Default::default() });
+        let mut h = Hansel::new(HanselConfig {
+            bucket_window_us: 1_000,
+            ..Default::default()
+        });
         h.process(&msg(0, 0, "/v2.1/servers/i7a", None));
         h.process(&msg(1, 10, "/v2.0/ports/i7a", None));
         h.process(&msg(2, 20, "/v2.1/servers/i99x", None)); // unrelated op
@@ -337,7 +353,10 @@ mod tests {
         assert_eq!(r.error, MessageId(3));
         assert!(r.chain.contains(&MessageId(0)));
         assert!(r.chain.contains(&MessageId(1)));
-        assert!(!r.chain.contains(&MessageId(2)), "unrelated op not in chain");
+        assert!(
+            !r.chain.contains(&MessageId(2)),
+            "unrelated op not in chain"
+        );
         assert!(r.latency_us() >= 1_000);
     }
 
@@ -347,14 +366,21 @@ mod tests {
         h.process(&msg(0, 1_000_000, "/v2.1/servers/i1b", Some(500)));
         let reports = h.finish();
         assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].latency_us(), 30_000_000, "paper: ~30 s reporting delay");
+        assert_eq!(
+            reports[0].latency_us(),
+            30_000_000,
+            "paper: ~30 s reporting delay"
+        );
     }
 
     #[test]
     fn shared_common_identifier_overlinks() {
         // The paper's criticism: common identifiers (like tenant ids) link
         // the faulty operation with unrelated successful ones.
-        let mut h = Hansel::new(HanselConfig { bucket_window_us: 0, ..Default::default() });
+        let mut h = Hansel::new(HanselConfig {
+            bucket_window_us: 0,
+            ..Default::default()
+        });
         h.process(&msg(0, 0, "/tenants/t5x/servers/i1a", None));
         h.process(&msg(1, 1, "/tenants/t5x/volumes/i2b", None));
         let mut reports = h.process(&msg(2, 2, "/tenants/t5x/servers/i1a", Some(500)));
@@ -362,12 +388,18 @@ mod tests {
             reports = h.finish();
         }
         assert_eq!(reports.len(), 1);
-        assert!(reports[0].chain.contains(&MessageId(1)), "volume op pulled in via tenant id");
+        assert!(
+            reports[0].chain.contains(&MessageId(1)),
+            "volume op pulled in via tenant id"
+        );
     }
 
     #[test]
     fn chains_are_capped() {
-        let mut h = Hansel::new(HanselConfig { bucket_window_us: 0, max_chain: 10 });
+        let mut h = Hansel::new(HanselConfig {
+            bucket_window_us: 0,
+            max_chain: 10,
+        });
         for i in 0..100 {
             h.process(&msg(i, i, "/x/shared9z/y", None));
         }
@@ -389,7 +421,10 @@ mod tests {
 
     #[test]
     fn expiry_bounds_chain_memory() {
-        let mut h = Hansel::new(HanselConfig { bucket_window_us: 1_000, ..Default::default() });
+        let mut h = Hansel::new(HanselConfig {
+            bucket_window_us: 1_000,
+            ..Default::default()
+        });
         for i in 0..5_000u64 {
             h.process(&msg(i, i * 10, "/x/shared7k/y", None));
         }
@@ -407,7 +442,10 @@ mod tests {
 
     #[test]
     fn rpc_errors_are_reported_too() {
-        let mut h = Hansel::new(HanselConfig { bucket_window_us: 0, ..Default::default() });
+        let mut h = Hansel::new(HanselConfig {
+            bucket_window_us: 0,
+            ..Default::default()
+        });
         let mut m = msg(0, 5, "/x", None);
         m.wire = WireKind::Rpc {
             method: "create_volume".into(),

@@ -49,7 +49,10 @@ impl HttpMethod {
     /// Whether this method mutates state. GRETEL prioritises state-change
     /// APIs when generating and matching fingerprints (paper §5.3.1).
     pub fn is_state_change(self) -> bool {
-        matches!(self, HttpMethod::Post | HttpMethod::Put | HttpMethod::Delete | HttpMethod::Patch)
+        matches!(
+            self,
+            HttpMethod::Post | HttpMethod::Put | HttpMethod::Delete | HttpMethod::Patch
+        )
     }
 
     /// Whether repeat invocations for the same URI are idempotent and
@@ -192,7 +195,10 @@ mod tests {
         ApiDef {
             id: ApiId(0),
             service: Service::Nova,
-            kind: ApiKind::Rest { method, uri: uri.to_string() },
+            kind: ApiKind::Rest {
+                method,
+                uri: uri.to_string(),
+            },
             noise: None,
         }
     }
@@ -211,7 +217,10 @@ mod tests {
         let def = ApiDef {
             id: ApiId(1),
             service: Service::NovaCompute,
-            kind: ApiKind::Rpc { method: "build_and_run_instance".into(), style: RpcStyle::Cast },
+            kind: ApiKind::Rpc {
+                method: "build_and_run_instance".into(),
+                style: RpcStyle::Cast,
+            },
             noise: None,
         };
         assert!(def.is_state_change());
@@ -225,7 +234,10 @@ mod tests {
         let rpc = ApiDef {
             id: ApiId(2),
             service: Service::Neutron,
-            kind: ApiKind::Rpc { method: "get_devices_details_list".into(), style: RpcStyle::Call },
+            kind: ApiKind::Rpc {
+                method: "get_devices_details_list".into(),
+                style: RpcStyle::Call,
+            },
             noise: None,
         };
         assert!(rpc.label().contains("get_devices_details_list"));

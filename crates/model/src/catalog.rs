@@ -81,7 +81,9 @@ impl Catalog {
 
     /// Look up a REST API by exposing service, method and URI template.
     pub fn rest(&self, service: Service, method: HttpMethod, uri: &str) -> Option<ApiId> {
-        self.rest_index.get(&(service, method, uri.to_string())).copied()
+        self.rest_index
+            .get(&(service, method, uri.to_string()))
+            .copied()
     }
 
     /// Like [`Catalog::rest`] but panics with a useful message; for use in
@@ -124,7 +126,11 @@ impl Catalog {
 
     /// Ids of all noise APIs (heartbeats, status updates, Keystone common).
     pub fn noise_apis(&self) -> Vec<ApiId> {
-        self.defs.iter().filter(|d| d.noise.is_some()).map(|d| d.id).collect()
+        self.defs
+            .iter()
+            .filter(|d| d.noise.is_some())
+            .map(|d| d.id)
+            .collect()
     }
 
     /// Whether the id denotes background noise.
@@ -162,12 +168,24 @@ impl Builder {
                 ApiKind::Rpc { .. } => self.rpc_count += 1,
             }
         }
-        self.defs.push(ApiDef { id, service, kind, noise });
+        self.defs.push(ApiDef {
+            id,
+            service,
+            kind,
+            noise,
+        });
         id
     }
 
     fn rest(&mut self, service: Service, method: HttpMethod, uri: &str) -> ApiId {
-        self.push(service, ApiKind::Rest { method, uri: uri.to_string() }, None)
+        self.push(
+            service,
+            ApiKind::Rest {
+                method,
+                uri: uri.to_string(),
+            },
+            None,
+        )
     }
 
     /// Add GET(list) + POST + GET(show) + PUT + DELETE for a resource.
@@ -185,19 +203,36 @@ impl Builder {
     }
 
     fn rpc(&mut self, service: Service, method: &str, style: RpcStyle) -> ApiId {
-        self.push(service, ApiKind::Rpc { method: method.to_string(), style }, None)
+        self.push(
+            service,
+            ApiKind::Rpc {
+                method: method.to_string(),
+                style,
+            },
+            None,
+        )
     }
 
     fn noise_rpc(&mut self, service: Service, method: &str, class: NoiseClass) {
         self.push(
             service,
-            ApiKind::Rpc { method: method.to_string(), style: RpcStyle::Cast },
+            ApiKind::Rpc {
+                method: method.to_string(),
+                style: RpcStyle::Cast,
+            },
             Some(class),
         );
     }
 
     fn noise_rest(&mut self, service: Service, method: HttpMethod, uri: &str, class: NoiseClass) {
-        self.push(service, ApiKind::Rest { method, uri: uri.to_string() }, Some(class));
+        self.push(
+            service,
+            ApiKind::Rest {
+                method,
+                uri: uri.to_string(),
+            },
+            Some(class),
+        );
     }
 
     fn add_keystone(&mut self) {
@@ -424,11 +459,7 @@ impl Builder {
                     } else {
                         self.rest(service, HttpMethod::Get, &resource);
                         if self.public_rest < PUBLIC_REST_APIS {
-                            self.rest(
-                                service,
-                                HttpMethod::Get,
-                                &format!("{resource}/detail"),
-                            );
+                            self.rest(service, HttpMethod::Get, &format!("{resource}/detail"));
                         }
                     }
                 }
@@ -539,7 +570,12 @@ impl Builder {
         ] {
             self.rpc(cinder, m, Cast);
         }
-        for m in ["initialize_connection", "terminate_connection", "attach_volume_rpc", "detach_volume_rpc"] {
+        for m in [
+            "initialize_connection",
+            "terminate_connection",
+            "attach_volume_rpc",
+            "detach_volume_rpc",
+        ] {
             self.rpc(cinder, m, Call);
         }
         let glance = Service::Glance;
@@ -554,7 +590,11 @@ impl Builder {
         self.noise_rpc(Service::NeutronAgent, "report_state", Heartbeat);
         self.noise_rpc(Service::Cinder, "report_state", Heartbeat);
         self.noise_rpc(Service::Nova, "update_service_capabilities", StatusUpdate);
-        self.noise_rpc(Service::NovaCompute, "update_available_resource", StatusUpdate);
+        self.noise_rpc(
+            Service::NovaCompute,
+            "update_available_resource",
+            StatusUpdate,
+        );
         self.noise_rpc(Service::Neutron, "state_report", StatusUpdate);
         self.noise_rest(
             Service::Keystone,
@@ -635,12 +675,24 @@ mod tests {
     #[test]
     fn well_known_endpoints_resolve() {
         let cat = Catalog::openstack();
-        assert!(cat.rest(Service::Nova, HttpMethod::Post, "/v2.1/servers").is_some());
-        assert!(cat.rest(Service::Neutron, HttpMethod::Post, "/v2.0/ports.json").is_some());
-        assert!(cat.rest(Service::Glance, HttpMethod::Put, "/v2/images/{id}/file").is_some());
-        assert!(cat.rpc(Service::NovaCompute, "build_and_run_instance").is_some());
-        assert!(cat.rpc(Service::Neutron, "get_devices_details_list").is_some());
-        assert!(cat.rpc(Service::Neutron, "security_group_info_for_devices").is_some());
+        assert!(cat
+            .rest(Service::Nova, HttpMethod::Post, "/v2.1/servers")
+            .is_some());
+        assert!(cat
+            .rest(Service::Neutron, HttpMethod::Post, "/v2.0/ports.json")
+            .is_some());
+        assert!(cat
+            .rest(Service::Glance, HttpMethod::Put, "/v2/images/{id}/file")
+            .is_some());
+        assert!(cat
+            .rpc(Service::NovaCompute, "build_and_run_instance")
+            .is_some());
+        assert!(cat
+            .rpc(Service::Neutron, "get_devices_details_list")
+            .is_some());
+        assert!(cat
+            .rpc(Service::Neutron, "security_group_info_for_devices")
+            .is_some());
     }
 
     #[test]
@@ -679,15 +731,15 @@ mod tests {
         // entries. Pin a few anchors; if this test fails, bump the frame
         // codec VERSION and invalidate persisted libraries.
         let cat = Catalog::openstack();
-        let post_tokens =
-            cat.rest_expect(Service::Keystone, HttpMethod::Post, "/v3/auth/tokens");
+        let post_tokens = cat.rest_expect(Service::Keystone, HttpMethod::Post, "/v3/auth/tokens");
         assert_eq!(post_tokens, ApiId(0), "keystone is built first");
-        let first_nova =
-            cat.rest_expect(Service::Nova, HttpMethod::Get, "/v2.1/servers");
-        assert_eq!(first_nova.0, 59, "nova REST starts right after the 59 keystone APIs");
+        let first_nova = cat.rest_expect(Service::Nova, HttpMethod::Get, "/v2.1/servers");
+        assert_eq!(
+            first_nova.0, 59,
+            "nova REST starts right after the 59 keystone APIs"
+        );
         // RPCs come after all 643 public REST APIs.
-        let first_rpc =
-            cat.rpc_expect(Service::NovaCompute, "build_and_run_instance");
+        let first_rpc = cat.rpc_expect(Service::NovaCompute, "build_and_run_instance");
         assert_eq!(first_rpc.0 as usize, PUBLIC_REST_APIS);
         // Noise APIs are last.
         let noise_min = cat.noise_apis().iter().map(|a| a.0).min().unwrap();

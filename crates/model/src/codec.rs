@@ -73,7 +73,10 @@ pub fn put_f64(out: &mut Vec<u8>, v: f64) {
 /// truncating it would write bytes that decode to a different value.
 #[inline]
 pub fn put_count(out: &mut Vec<u8>, n: usize) {
-    put_u32(out, u32::try_from(n).expect("sequence length fits the u32 count field"));
+    put_u32(
+        out,
+        u32::try_from(n).expect("sequence length fits the u32 count field"),
+    );
 }
 
 /// Append a `u32`-length-prefixed byte run — the writer side of
@@ -117,7 +120,10 @@ impl<'a> Reader<'a> {
 
     #[inline]
     fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
-        let (head, rest) = self.buf.split_first_chunk::<N>().ok_or(DecodeError::Truncated)?;
+        let (head, rest) = self
+            .buf
+            .split_first_chunk::<N>()
+            .ok_or(DecodeError::Truncated)?;
         self.buf = rest;
         Ok(*head)
     }
@@ -233,7 +239,10 @@ mod tests {
         assert_eq!(r.take(4), Err(DecodeError::Truncated));
         assert_eq!(r.take(3), Ok(&buf[..]));
         assert_eq!(r.done(), Ok(()));
-        assert_eq!(Reader::new(&buf).done(), Err(DecodeError::Invalid("trailing bytes")));
+        assert_eq!(
+            Reader::new(&buf).done(),
+            Err(DecodeError::Invalid("trailing bytes"))
+        );
     }
 
     #[test]

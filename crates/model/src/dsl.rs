@@ -43,11 +43,17 @@ impl fmt::Display for DslError {
 impl std::error::Error for DslError {}
 
 fn err(line: usize, message: impl Into<String>) -> DslError {
-    DslError { line, message: message.into() }
+    DslError {
+        line,
+        message: message.into(),
+    }
 }
 
 fn parse_category(s: &str) -> Option<Category> {
-    Category::ALL.iter().copied().find(|c| c.name().eq_ignore_ascii_case(s))
+    Category::ALL
+        .iter()
+        .copied()
+        .find(|c| c.name().eq_ignore_ascii_case(s))
 }
 
 fn parse_latency(s: &str) -> Option<LatencyClass> {
@@ -108,8 +114,12 @@ fn parse_step(lineno: usize, catalog: &Catalog, line: &str) -> Result<Step, DslE
     };
 
     let mut parts = invocation.split_whitespace();
-    let kind = parts.next().ok_or_else(|| err(lineno, "missing invocation"))?;
-    let target = parts.next().ok_or_else(|| err(lineno, "missing URI or RPC method"))?;
+    let kind = parts
+        .next()
+        .ok_or_else(|| err(lineno, "missing invocation"))?;
+    let target = parts
+        .next()
+        .ok_or_else(|| err(lineno, "missing URI or RPC method"))?;
     if parts.next().is_some() {
         return Err(err(lineno, "trailing tokens after invocation"));
     }
@@ -160,7 +170,7 @@ pub fn parse(
     let mut current: Option<(usize, OperationSpec)> = None;
 
     let finish = |current: &mut Option<(usize, OperationSpec)>,
-                      specs: &mut Vec<OperationSpec>|
+                  specs: &mut Vec<OperationSpec>|
      -> Result<(), DslError> {
         if let Some((header_line, spec)) = current.take() {
             let problems = spec.validate(catalog);
@@ -185,14 +195,24 @@ pub fn parse(
                 .next()
                 .ok_or_else(|| err(lineno, "operation needs a name"))?
                 .to_string();
-            let cat_s = parts.next().ok_or_else(|| err(lineno, "operation needs a category"))?;
+            let cat_s = parts
+                .next()
+                .ok_or_else(|| err(lineno, "operation needs a category"))?;
             let category = parse_category(cat_s)
                 .ok_or_else(|| err(lineno, format!("unknown category '{cat_s}'")))?;
             if parts.next().is_some() {
                 return Err(err(lineno, "trailing tokens after operation header"));
             }
             let id = OpSpecId(first_id.0 + specs.len() as u16);
-            current = Some((lineno, OperationSpec { id, name, category, steps: Vec::new() }));
+            current = Some((
+                lineno,
+                OperationSpec {
+                    id,
+                    name,
+                    category,
+                    steps: Vec::new(),
+                },
+            ));
         } else {
             let (_, spec) = current
                 .as_mut()
@@ -260,12 +280,20 @@ operation storage.quick_list storage
         let e = parse(&cat, "operation x nowhere\n", OpSpecId(0)).unwrap_err();
         assert!(e.message.contains("unknown category"));
 
-        let e = parse(&cat, "operation x compute\n  mars -> nova: GET /v2.1/servers\n", OpSpecId(0))
-            .unwrap_err();
+        let e = parse(
+            &cat,
+            "operation x compute\n  mars -> nova: GET /v2.1/servers\n",
+            OpSpecId(0),
+        )
+        .unwrap_err();
         assert!(e.message.contains("unknown service 'mars'"));
 
-        let e = parse(&cat, "operation x compute\n  horizon -> nova: GET /no/such\n", OpSpecId(0))
-            .unwrap_err();
+        let e = parse(
+            &cat,
+            "operation x compute\n  horizon -> nova: GET /no/such\n",
+            OpSpecId(0),
+        )
+        .unwrap_err();
         assert!(e.message.contains("no REST API"));
     }
 

@@ -193,7 +193,11 @@ impl Message {
 impl fmt::Display for Message {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.wire {
-            WireKind::Rest { method, uri, status } => write!(
+            WireKind::Rest {
+                method,
+                uri,
+                status,
+            } => write!(
                 f,
                 "[{} us] {}->{} {method} {uri}{}",
                 self.ts_us,
@@ -201,7 +205,11 @@ impl fmt::Display for Message {
                 self.dst_service,
                 status.map(|s| format!(" => {s}")).unwrap_or_default()
             ),
-            WireKind::Rpc { method, msg_id, error } => write!(
+            WireKind::Rpc {
+                method,
+                msg_id,
+                error,
+            } => write!(
                 f,
                 "[{} us] {}->{} RPC {method} (msg {msg_id}){}",
                 self.ts_us,
@@ -238,7 +246,12 @@ pub fn render_rest_request_payload(method: HttpMethod, uri: &str, body_len: usiz
 /// Render an oslo.messaging payload. Errors are embedded the way oslo
 /// serializes exceptions, so GRETEL's byte-pattern check can find them
 /// without JSON parsing.
-pub fn render_rpc_payload(method: &str, msg_id: u64, error: Option<&str>, body_len: usize) -> Vec<u8> {
+pub fn render_rpc_payload(
+    method: &str,
+    msg_id: u64,
+    error: Option<&str>,
+    body_len: usize,
+) -> Vec<u8> {
     let mut out = match error {
         Some(e) => format!(
             "{{\"oslo.message\": {{\"method\": \"{method}\", \"_msg_id\": \"{msg_id}\", \"failure\": {{\"class\": \"{e}\", \"kwargs\": {{}}}}"
@@ -279,7 +292,12 @@ mod tests {
 
     #[test]
     fn conn_key_reversal_and_canonicalisation() {
-        let k = ConnKey { src: NodeId(1), src_port: 5000, dst: NodeId(2), dst_port: 80 };
+        let k = ConnKey {
+            src: NodeId(1),
+            src_port: 5000,
+            dst: NodeId(2),
+            dst_port: 80,
+        };
         let r = k.reversed();
         assert_eq!(r.src, NodeId(2));
         assert_eq!(r.dst_port, 5000);
@@ -298,7 +316,11 @@ mod tests {
             dst_service: Service::Horizon,
             api: ApiId(0),
             direction: Direction::Response,
-            wire: WireKind::Rest { method: HttpMethod::Post, uri: "/v2.1/servers".into(), status: Some(500) },
+            wire: WireKind::Rest {
+                method: HttpMethod::Post,
+                uri: "/v2.1/servers".into(),
+                status: Some(500),
+            },
             conn: ConnKey::default(),
             payload: vec![],
             correlation_id: None,
@@ -307,7 +329,11 @@ mod tests {
             truth_noise: false,
         };
         assert!(m.is_rest_error());
-        m.wire = WireKind::Rest { method: HttpMethod::Post, uri: "/v2.1/servers".into(), status: Some(202) };
+        m.wire = WireKind::Rest {
+            method: HttpMethod::Post,
+            uri: "/v2.1/servers".into(),
+            status: Some(202),
+        };
         assert!(!m.is_rest_error());
         assert!(!m.is_rpc_error());
     }
@@ -347,7 +373,11 @@ mod tests {
             dst_service: Service::Nova,
             api: ApiId(3),
             direction: Direction::Request,
-            wire: WireKind::Rest { method: HttpMethod::Post, uri: "/v2.1/servers".into(), status: None },
+            wire: WireKind::Rest {
+                method: HttpMethod::Post,
+                uri: "/v2.1/servers".into(),
+                status: None,
+            },
             conn: ConnKey::default(),
             payload: vec![],
             correlation_id: None,

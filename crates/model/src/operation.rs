@@ -45,8 +45,13 @@ pub enum Category {
 
 impl Category {
     /// All categories in Table 1 order.
-    pub const ALL: [Category; 5] =
-        [Category::Compute, Category::Image, Category::Network, Category::Storage, Category::Misc];
+    pub const ALL: [Category; 5] = [
+        Category::Compute,
+        Category::Image,
+        Category::Network,
+        Category::Storage,
+        Category::Misc,
+    ];
 
     /// Table 1 test counts per category (sums to 1200).
     pub fn table1_tests(self) -> usize {
@@ -111,7 +116,13 @@ pub struct Step {
 impl Step {
     /// Construct a step with a default small request body.
     pub fn new(api: ApiId, src: Service, dst: Service, latency: LatencyClass) -> Step {
-        Step { api, src, dst, latency, request_bytes: 128 }
+        Step {
+            api,
+            src,
+            dst,
+            latency,
+            request_bytes: 128,
+        }
     }
 
     /// Builder-style request size override.
@@ -229,9 +240,19 @@ mod tests {
             name: "test.op".into(),
             category: Category::Compute,
             steps: vec![
-                Step::new(ApiId(1), Service::Horizon, Service::Nova, LatencyClass::Medium),
+                Step::new(
+                    ApiId(1),
+                    Service::Horizon,
+                    Service::Nova,
+                    LatencyClass::Medium,
+                ),
                 Step::new(ApiId(2), Service::Nova, Service::Glance, LatencyClass::Slow),
-                Step::new(ApiId(1), Service::Horizon, Service::Nova, LatencyClass::Fast),
+                Step::new(
+                    ApiId(1),
+                    Service::Horizon,
+                    Service::Nova,
+                    LatencyClass::Fast,
+                ),
             ],
         }
     }
@@ -250,7 +271,10 @@ mod tests {
     #[test]
     fn services_deduplicate() {
         // First-seen order, each service once.
-        assert_eq!(spec().services(), [Service::Horizon, Service::Nova, Service::Glance]);
+        assert_eq!(
+            spec().services(),
+            [Service::Horizon, Service::Nova, Service::Glance]
+        );
     }
 
     #[test]
@@ -277,8 +301,18 @@ mod tests {
             name: "bad".into(),
             category: Category::Misc,
             steps: vec![
-                Step::new(ApiId(u16::MAX), Service::Horizon, Service::Nova, LatencyClass::Fast),
-                Step::new(noise, Service::Horizon, cat.get(noise).service, LatencyClass::Fast),
+                Step::new(
+                    ApiId(u16::MAX),
+                    Service::Horizon,
+                    Service::Nova,
+                    LatencyClass::Fast,
+                ),
+                Step::new(
+                    noise,
+                    Service::Horizon,
+                    cat.get(noise).service,
+                    LatencyClass::Fast,
+                ),
             ],
         };
         let problems = bad.validate(&cat);
@@ -297,8 +331,13 @@ mod tests {
 
     #[test]
     fn with_bytes_overrides_request_size() {
-        let s = Step::new(ApiId(1), Service::Horizon, Service::Nova, LatencyClass::Fast)
-            .with_bytes(4096);
+        let s = Step::new(
+            ApiId(1),
+            Service::Horizon,
+            Service::Nova,
+            LatencyClass::Fast,
+        )
+        .with_bytes(4096);
         assert_eq!(s.request_bytes, 4096);
     }
 }

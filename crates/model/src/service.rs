@@ -75,7 +75,10 @@ impl Service {
     /// Dense index of this service in [`Service::ALL`] (stable; used by
     /// wire codecs).
     pub fn index(self) -> u8 {
-        Service::ALL.iter().position(|&s| s == self).expect("service in ALL") as u8
+        Service::ALL
+            .iter()
+            .position(|&s| s == self)
+            .expect("service in ALL") as u8
     }
 
     /// Inverse of [`Service::index`].

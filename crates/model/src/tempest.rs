@@ -42,7 +42,11 @@ impl CategoryPools {
     /// State-change REST APIs in the pool (used for discriminators and for
     /// fault injection into state-change calls).
     pub fn state_change_rest(&self, cat: &Catalog) -> Vec<ApiId> {
-        self.rest.iter().copied().filter(|&id| cat.get(id).is_state_change()).collect()
+        self.rest
+            .iter()
+            .copied()
+            .filter(|&id| cat.get(id).is_state_change())
+            .collect()
     }
 }
 
@@ -120,8 +124,10 @@ pub struct TempestSuite {
 impl TempestSuite {
     /// Generate the full 1200-test suite.
     pub fn generate(catalog: Arc<Catalog>, seed: u64) -> TempestSuite {
-        let counts: Vec<(Category, usize)> =
-            Category::ALL.iter().map(|&c| (c, table1_targets(c).tests)).collect();
+        let counts: Vec<(Category, usize)> = Category::ALL
+            .iter()
+            .map(|&c| (c, table1_targets(c).tests))
+            .collect();
         Self::generate_with_counts(catalog, seed, &counts)
     }
 
@@ -160,7 +166,11 @@ impl TempestSuite {
                 global_idx += 1;
             }
         }
-        TempestSuite { catalog, specs, pools }
+        TempestSuite {
+            catalog,
+            specs,
+            pools,
+        }
     }
 
     /// All specs, indexable by [`OpSpecId`].
@@ -190,7 +200,12 @@ impl TempestSuite {
 
     /// The unique-API pools for a category.
     pub fn pools(&self, cat: Category) -> &CategoryPools {
-        &self.pools.iter().find(|(c, _)| *c == cat).expect("pools for all categories").1
+        &self
+            .pools
+            .iter()
+            .find(|(c, _)| *c == cat)
+            .expect("pools for all categories")
+            .1
     }
 
     /// The catalog the suite was generated against.
@@ -243,8 +258,14 @@ fn latency_for(def: &ApiDef) -> LatencyClass {
     match &def.kind {
         ApiKind::Rest { method, .. } if method.is_idempotent_read() => LatencyClass::Fast,
         ApiKind::Rest { .. } => LatencyClass::Medium,
-        ApiKind::Rpc { style: RpcStyle::Call, .. } => LatencyClass::Medium,
-        ApiKind::Rpc { style: RpcStyle::Cast, .. } => LatencyClass::Medium,
+        ApiKind::Rpc {
+            style: RpcStyle::Call,
+            ..
+        } => LatencyClass::Medium,
+        ApiKind::Rpc {
+            style: RpcStyle::Cast,
+            ..
+        } => LatencyClass::Medium,
     }
 }
 
@@ -461,9 +482,15 @@ fn generate_test(
         rng.gen_range(lo..hi)
     };
     let rest_goal = jitter(&mut rng, targets.avg_fp_without_rpc);
-    let rpc_goal = jitter(&mut rng, targets.avg_fp_with_rpc - targets.avg_fp_without_rpc);
+    let rpc_goal = jitter(
+        &mut rng,
+        targets.avg_fp_with_rpc - targets.avg_fp_without_rpc,
+    );
 
-    let rest_have = steps.iter().filter(|s| !catalog.get(s.api).is_rpc()).count();
+    let rest_have = steps
+        .iter()
+        .filter(|s| !catalog.get(s.api).is_rpc())
+        .count();
     let rpc_have = steps.len() - rest_have;
     // Reserve 2 REST slots for the uniqueness discriminator.
     let rest_fill = rest_goal.saturating_sub(rest_have).saturating_sub(2);
@@ -487,12 +514,18 @@ fn generate_test(
         fill.push(pool.rpc[rng.gen_range(0..pool.rpc.len())]);
     }
     fill.shuffle(&mut rng);
-    steps.extend(fill.into_iter().map(|api| make_step(catalog, category, api)));
+    steps.extend(
+        fill.into_iter()
+            .map(|api| make_step(catalog, category, api)),
+    );
 
     // Uniqueness discriminator: append a pair of state-change REST steps
     // chosen so the test's full state-change subsequence is globally unique.
     let sc_pool = pool.state_change_rest(catalog);
-    assert!(sc_pool.len() >= 2, "{category}: need state-change APIs for discriminators");
+    assert!(
+        sc_pool.len() >= 2,
+        "{category}: need state-change APIs for discriminators"
+    );
     let l = sc_pool.len();
     let mut k = 0usize;
     loop {
@@ -528,8 +561,7 @@ mod tests {
     use std::collections::HashSet;
 
     fn small_suite() -> TempestSuite {
-        let counts: Vec<(Category, usize)> =
-            Category::ALL.iter().map(|&c| (c, 12)).collect();
+        let counts: Vec<(Category, usize)> = Category::ALL.iter().map(|&c| (c, 12)).collect();
         TempestSuite::generate_with_counts(Catalog::openstack(), 7, &counts)
     }
 
@@ -589,8 +621,7 @@ mod tests {
     #[test]
     fn average_lengths_track_table1() {
         // Use a moderately sized suite so the averages stabilise.
-        let counts: Vec<(Category, usize)> =
-            Category::ALL.iter().map(|&c| (c, 40)).collect();
+        let counts: Vec<(Category, usize)> = Category::ALL.iter().map(|&c| (c, 40)).collect();
         let suite = TempestSuite::generate_with_counts(Catalog::openstack(), 3, &counts);
         let cat = suite.catalog();
         for &c in &Category::ALL {
@@ -600,7 +631,12 @@ mod tests {
                 specs.iter().map(|s| s.len() as f64).sum::<f64>() / specs.len() as f64;
             let avg_rest: f64 = specs
                 .iter()
-                .map(|s| s.steps.iter().filter(|st| !cat.get(st.api).is_rpc()).count() as f64)
+                .map(|s| {
+                    s.steps
+                        .iter()
+                        .filter(|st| !cat.get(st.api).is_rpc())
+                        .count() as f64
+                })
                 .sum::<f64>()
                 / specs.len() as f64;
             let tol_total = (t.avg_fp_with_rpc as f64 * 0.35).max(6.0);

@@ -57,15 +57,43 @@ impl Workflows {
             self.rest(Horizon, Nova, Post, "/v2.1/servers", LatencyClass::Medium)
                 .with_bytes(1024),
             // (2) Controller hands off to the compute agent.
-            self.rpc(Nova, NovaCompute, "build_and_run_instance", LatencyClass::Boot),
+            self.rpc(
+                Nova,
+                NovaCompute,
+                "build_and_run_instance",
+                LatencyClass::Boot,
+            ),
             // (3) Image fetch.
-            self.rest(NovaCompute, Glance, Get, "/v2/images/{id}", LatencyClass::Slow),
+            self.rest(
+                NovaCompute,
+                Glance,
+                Get,
+                "/v2/images/{id}",
+                LatencyClass::Slow,
+            ),
             // (4) Network/port/security-group discovery.
-            self.rest(Nova, Neutron, Get, "/v2.0/networks.json", LatencyClass::Fast),
-            self.rest(Nova, Neutron, Get, "/v2.0/security-groups.json", LatencyClass::Fast),
+            self.rest(
+                Nova,
+                Neutron,
+                Get,
+                "/v2.0/networks.json",
+                LatencyClass::Fast,
+            ),
+            self.rest(
+                Nova,
+                Neutron,
+                Get,
+                "/v2.0/security-groups.json",
+                LatencyClass::Fast,
+            ),
             // L2 agent asks the Neutron server for device details — the two
             // RPCs the paper's §3.1.2 bottleneck scenario slows down.
-            self.rpc(NeutronAgent, Neutron, "get_devices_details_list", LatencyClass::Medium),
+            self.rpc(
+                NeutronAgent,
+                Neutron,
+                "get_devices_details_list",
+                LatencyClass::Medium,
+            ),
             self.rpc(
                 NeutronAgent,
                 Neutron,
@@ -73,11 +101,23 @@ impl Workflows {
                 LatencyClass::Medium,
             ),
             // (5) Create and attach the port.
-            self.rest(Nova, Neutron, Post, "/v2.0/ports.json", LatencyClass::Medium)
-                .with_bytes(512),
+            self.rest(
+                Nova,
+                Neutron,
+                Post,
+                "/v2.0/ports.json",
+                LatencyClass::Medium,
+            )
+            .with_bytes(512),
             self.rest(Nova, Neutron, Put, "/v2.0/ports/{id}", LatencyClass::Medium),
             // (7) Neutron signals VIF plug completion back to Nova.
-            self.rest(Neutron, Nova, Post, "/v2.1/os-server-external-events", LatencyClass::Fast),
+            self.rest(
+                Neutron,
+                Nova,
+                Post,
+                "/v2.1/os-server-external-events",
+                LatencyClass::Fast,
+            ),
         ]
     }
 
@@ -86,10 +126,22 @@ impl Workflows {
     pub fn vm_delete(&self) -> Vec<Step> {
         use Service::*;
         vec![
-            self.rest(Horizon, Nova, Delete, "/v2.1/servers/{id}", LatencyClass::Medium),
+            self.rest(
+                Horizon,
+                Nova,
+                Delete,
+                "/v2.1/servers/{id}",
+                LatencyClass::Medium,
+            ),
             self.rpc(Nova, NovaCompute, "terminate_instance", LatencyClass::Slow),
             self.rest(Nova, Neutron, Get, "/v2.0/ports.json", LatencyClass::Fast),
-            self.rest(Nova, Neutron, Delete, "/v2.0/ports/{id}", LatencyClass::Medium),
+            self.rest(
+                Nova,
+                Neutron,
+                Delete,
+                "/v2.0/ports/{id}",
+                LatencyClass::Medium,
+            ),
             self.rpc(Neutron, NeutronAgent, "port_delete", LatencyClass::Fast),
         ]
     }
@@ -98,7 +150,13 @@ impl Workflows {
     pub fn vm_reboot(&self) -> Vec<Step> {
         use Service::*;
         vec![
-            self.rest(Horizon, Nova, Post, "/v2.1/servers/{id}/action", LatencyClass::Medium),
+            self.rest(
+                Horizon,
+                Nova,
+                Post,
+                "/v2.1/servers/{id}/action",
+                LatencyClass::Medium,
+            ),
             self.rpc(Nova, NovaCompute, "reboot_instance", LatencyClass::Slow),
             self.rest(Horizon, Nova, Get, "/v2.1/servers/{id}", LatencyClass::Fast),
         ]
@@ -109,9 +167,21 @@ impl Workflows {
     pub fn vm_snapshot(&self) -> Vec<Step> {
         use Service::*;
         let mut steps = vec![
-            self.rest(Horizon, Nova, Post, "/v2.1/servers/{id}/action", LatencyClass::Medium),
+            self.rest(
+                Horizon,
+                Nova,
+                Post,
+                "/v2.1/servers/{id}/action",
+                LatencyClass::Medium,
+            ),
             self.rpc(Nova, NovaCompute, "snapshot_instance", LatencyClass::Boot),
-            self.rest(NovaCompute, Glance, Post, "/v2/images", LatencyClass::Medium),
+            self.rest(
+                NovaCompute,
+                Glance,
+                Post,
+                "/v2/images",
+                LatencyClass::Medium,
+            ),
         ];
         steps.extend(self.volume_snapshot());
         steps.push(self.rest(
@@ -129,12 +199,24 @@ impl Workflows {
     pub fn vm_migrate(&self) -> Vec<Step> {
         use Service::*;
         vec![
-            self.rest(Horizon, Nova, Post, "/v2.1/servers/{id}/action", LatencyClass::Medium),
+            self.rest(
+                Horizon,
+                Nova,
+                Post,
+                "/v2.1/servers/{id}/action",
+                LatencyClass::Medium,
+            ),
             self.rpc(Nova, Nova, "select_destinations", LatencyClass::Medium),
             self.rpc(Nova, NovaCompute, "prep_resize", LatencyClass::Slow),
             self.rpc(Nova, NovaCompute, "resize_instance", LatencyClass::Boot),
             self.rpc(Nova, NovaCompute, "finish_resize", LatencyClass::Slow),
-            self.rest(Neutron, Nova, Post, "/v2.1/os-server-external-events", LatencyClass::Fast),
+            self.rest(
+                Neutron,
+                Nova,
+                Post,
+                "/v2.1/os-server-external-events",
+                LatencyClass::Fast,
+            ),
             self.rest(Horizon, Nova, Get, "/v2.1/servers/{id}", LatencyClass::Fast),
         ]
     }
@@ -143,9 +225,21 @@ impl Workflows {
     pub fn volume_create(&self) -> Vec<Step> {
         use Service::*;
         vec![
-            self.rest(Horizon, Cinder, Post, "/v2/{tenant}/volumes", LatencyClass::Medium),
+            self.rest(
+                Horizon,
+                Cinder,
+                Post,
+                "/v2/{tenant}/volumes",
+                LatencyClass::Medium,
+            ),
             self.rpc(Cinder, Cinder, "create_volume", LatencyClass::Slow),
-            self.rest(Horizon, Cinder, Get, "/v2/{tenant}/volumes/{id}", LatencyClass::Fast),
+            self.rest(
+                Horizon,
+                Cinder,
+                Get,
+                "/v2/{tenant}/volumes/{id}",
+                LatencyClass::Fast,
+            ),
         ]
     }
 
@@ -153,9 +247,21 @@ impl Workflows {
     pub fn volume_snapshot(&self) -> Vec<Step> {
         use Service::*;
         vec![
-            self.rest(Horizon, Cinder, Post, "/v2/{tenant}/snapshots", LatencyClass::Medium),
+            self.rest(
+                Horizon,
+                Cinder,
+                Post,
+                "/v2/{tenant}/snapshots",
+                LatencyClass::Medium,
+            ),
             self.rpc(Cinder, Cinder, "create_snapshot", LatencyClass::Slow),
-            self.rest(Horizon, Cinder, Get, "/v2/{tenant}/snapshots/{id}", LatencyClass::Fast),
+            self.rest(
+                Horizon,
+                Cinder,
+                Get,
+                "/v2/{tenant}/snapshots/{id}",
+                LatencyClass::Fast,
+            ),
         ]
     }
 
@@ -170,10 +276,26 @@ impl Workflows {
                 "/v2.1/servers/{id}/os-volume_attachments",
                 LatencyClass::Medium,
             ),
-            self.rpc(Nova, NovaCompute, "reserve_block_device_name", LatencyClass::Fast),
-            self.rpc(Cinder, Cinder, "initialize_connection", LatencyClass::Medium),
+            self.rpc(
+                Nova,
+                NovaCompute,
+                "reserve_block_device_name",
+                LatencyClass::Fast,
+            ),
+            self.rpc(
+                Cinder,
+                Cinder,
+                "initialize_connection",
+                LatencyClass::Medium,
+            ),
             self.rpc(Nova, NovaCompute, "attach_volume", LatencyClass::Slow),
-            self.rest(Nova, Cinder, Post, "/v2/{tenant}/volumes/{id}/action", LatencyClass::Fast),
+            self.rest(
+                Nova,
+                Cinder,
+                Post,
+                "/v2/{tenant}/volumes/{id}/action",
+                LatencyClass::Fast,
+            ),
         ]
     }
 
@@ -183,8 +305,14 @@ impl Workflows {
         use Service::*;
         vec![
             self.rest(Horizon, Glance, Post, "/v2/images", LatencyClass::Medium),
-            self.rest(Horizon, Glance, Put, "/v2/images/{id}/file", LatencyClass::Slow)
-                .with_bytes(1 << 20),
+            self.rest(
+                Horizon,
+                Glance,
+                Put,
+                "/v2/images/{id}/file",
+                LatencyClass::Slow,
+            )
+            .with_bytes(1 << 20),
             self.rest(Horizon, Glance, Get, "/v2/images/{id}", LatencyClass::Fast),
         ]
     }
@@ -194,7 +322,13 @@ impl Workflows {
         use Service::*;
         vec![
             self.rest(Horizon, Glance, Get, "/v2/images", LatencyClass::Fast),
-            self.rest(Horizon, Glance, Get, "/v2/schemas/images", LatencyClass::Fast),
+            self.rest(
+                Horizon,
+                Glance,
+                Get,
+                "/v2/schemas/images",
+                LatencyClass::Fast,
+            ),
         ]
     }
 
@@ -202,10 +336,28 @@ impl Workflows {
     pub fn network_create(&self) -> Vec<Step> {
         use Service::*;
         vec![
-            self.rest(Horizon, Neutron, Post, "/v2.0/networks.json", LatencyClass::Medium),
+            self.rest(
+                Horizon,
+                Neutron,
+                Post,
+                "/v2.0/networks.json",
+                LatencyClass::Medium,
+            ),
             self.rpc(Neutron, NeutronAgent, "network_update", LatencyClass::Fast),
-            self.rest(Horizon, Neutron, Post, "/v2.0/subnets.json", LatencyClass::Medium),
-            self.rest(Horizon, Neutron, Get, "/v2.0/networks/{id}", LatencyClass::Fast),
+            self.rest(
+                Horizon,
+                Neutron,
+                Post,
+                "/v2.0/subnets.json",
+                LatencyClass::Medium,
+            ),
+            self.rest(
+                Horizon,
+                Neutron,
+                Get,
+                "/v2.0/networks/{id}",
+                LatencyClass::Fast,
+            ),
         ]
     }
 
@@ -213,7 +365,13 @@ impl Workflows {
     pub fn router_create(&self) -> Vec<Step> {
         use Service::*;
         vec![
-            self.rest(Horizon, Neutron, Post, "/v2.0/routers.json", LatencyClass::Medium),
+            self.rest(
+                Horizon,
+                Neutron,
+                Post,
+                "/v2.0/routers.json",
+                LatencyClass::Medium,
+            ),
             self.rest(
                 Horizon,
                 Neutron,
@@ -222,7 +380,13 @@ impl Workflows {
                 LatencyClass::Medium,
             ),
             self.rpc(Neutron, NeutronAgent, "port_update", LatencyClass::Fast),
-            self.rest(Horizon, Neutron, Get, "/v2.0/routers/{id}", LatencyClass::Fast),
+            self.rest(
+                Horizon,
+                Neutron,
+                Get,
+                "/v2.0/routers/{id}",
+                LatencyClass::Fast,
+            ),
         ]
     }
 
@@ -230,8 +394,20 @@ impl Workflows {
     pub fn floating_ip_associate(&self) -> Vec<Step> {
         use Service::*;
         vec![
-            self.rest(Horizon, Neutron, Post, "/v2.0/floatingips.json", LatencyClass::Medium),
-            self.rest(Horizon, Neutron, Put, "/v2.0/floatingips/{id}", LatencyClass::Medium),
+            self.rest(
+                Horizon,
+                Neutron,
+                Post,
+                "/v2.0/floatingips.json",
+                LatencyClass::Medium,
+            ),
+            self.rest(
+                Horizon,
+                Neutron,
+                Put,
+                "/v2.0/floatingips/{id}",
+                LatencyClass::Medium,
+            ),
             self.rpc(Neutron, NeutronAgent, "port_update", LatencyClass::Fast),
         ]
     }
@@ -240,7 +416,13 @@ impl Workflows {
     pub fn security_group_create(&self) -> Vec<Step> {
         use Service::*;
         vec![
-            self.rest(Horizon, Neutron, Post, "/v2.0/security-groups.json", LatencyClass::Fast),
+            self.rest(
+                Horizon,
+                Neutron,
+                Post,
+                "/v2.0/security-groups.json",
+                LatencyClass::Fast,
+            ),
             self.rest(
                 Horizon,
                 Neutron,
@@ -248,7 +430,12 @@ impl Workflows {
                 "/v2.0/security-group-rules.json",
                 LatencyClass::Fast,
             ),
-            self.rpc(Neutron, NeutronAgent, "security_groups_member_updated", LatencyClass::Fast),
+            self.rpc(
+                Neutron,
+                NeutronAgent,
+                "security_groups_member_updated",
+                LatencyClass::Fast,
+            ),
         ]
     }
 
@@ -257,7 +444,13 @@ impl Workflows {
         use Service::*;
         vec![
             self.rest(Horizon, Nova, Post, "/v2.1/os-keypairs", LatencyClass::Fast),
-            self.rest(Horizon, Nova, Get, "/v2.1/os-keypairs/{id}", LatencyClass::Fast),
+            self.rest(
+                Horizon,
+                Nova,
+                Get,
+                "/v2.1/os-keypairs/{id}",
+                LatencyClass::Fast,
+            ),
         ]
     }
 
@@ -267,8 +460,20 @@ impl Workflows {
     pub fn cinder_list(&self) -> Vec<Step> {
         use Service::*;
         vec![
-            self.rest(Cinder, Keystone, Post, "/v3/auth/tokens", LatencyClass::Fast),
-            self.rest(Horizon, Cinder, Get, "/v2/{tenant}/volumes/detail", LatencyClass::Fast),
+            self.rest(
+                Cinder,
+                Keystone,
+                Post,
+                "/v3/auth/tokens",
+                LatencyClass::Fast,
+            ),
+            self.rest(
+                Horizon,
+                Cinder,
+                Get,
+                "/v2/{tenant}/volumes/detail",
+                LatencyClass::Fast,
+            ),
         ]
     }
 
@@ -276,7 +481,13 @@ impl Workflows {
     pub fn swift_put_object(&self) -> Vec<Step> {
         use Service::*;
         vec![
-            self.rest(Horizon, Swift, Put, "/v1/{account}/{container}", LatencyClass::Fast),
+            self.rest(
+                Horizon,
+                Swift,
+                Put,
+                "/v1/{account}/{container}",
+                LatencyClass::Fast,
+            ),
             self.rest(
                 Horizon,
                 Swift,
@@ -300,7 +511,13 @@ impl Workflows {
     pub fn admin_queries(&self) -> Vec<Step> {
         use Service::*;
         vec![
-            self.rest(Horizon, Nova, Get, "/v2.1/os-availability-zone", LatencyClass::Fast),
+            self.rest(
+                Horizon,
+                Nova,
+                Get,
+                "/v2.1/os-availability-zone",
+                LatencyClass::Fast,
+            ),
             self.rest(Horizon, Nova, Get, "/v2.1/os-services", LatencyClass::Fast),
             self.rest(Horizon, Nova, Get, "/v2.1/limits", LatencyClass::Fast),
             self.rest(Horizon, Keystone, Get, "/v3/catalog", LatencyClass::Fast),
@@ -312,14 +529,32 @@ impl Workflows {
     pub fn vm_resize(&self) -> Vec<Step> {
         use Service::*;
         vec![
-            self.rest(Horizon, Nova, Get, "/v2.1/flavors/detail", LatencyClass::Fast),
-            self.rest(Horizon, Nova, Post, "/v2.1/servers/{id}/action", LatencyClass::Medium),
+            self.rest(
+                Horizon,
+                Nova,
+                Get,
+                "/v2.1/flavors/detail",
+                LatencyClass::Fast,
+            ),
+            self.rest(
+                Horizon,
+                Nova,
+                Post,
+                "/v2.1/servers/{id}/action",
+                LatencyClass::Medium,
+            ),
             self.rpc(Nova, Nova, "select_destinations", LatencyClass::Medium),
             self.rpc(Nova, NovaCompute, "prep_resize", LatencyClass::Slow),
             self.rpc(Nova, NovaCompute, "resize_instance", LatencyClass::Boot),
             self.rpc(Nova, NovaCompute, "finish_resize", LatencyClass::Slow),
             self.rest(Horizon, Nova, Get, "/v2.1/servers/{id}", LatencyClass::Fast),
-            self.rest(Horizon, Nova, Post, "/v2.1/servers/{id}/action", LatencyClass::Medium),
+            self.rest(
+                Horizon,
+                Nova,
+                Post,
+                "/v2.1/servers/{id}/action",
+                LatencyClass::Medium,
+            ),
             self.rpc(Nova, NovaCompute, "confirm_resize", LatencyClass::Medium),
         ]
     }
@@ -328,11 +563,29 @@ impl Workflows {
     pub fn vm_rescue(&self) -> Vec<Step> {
         use Service::*;
         vec![
-            self.rest(Horizon, Nova, Post, "/v2.1/servers/{id}/action", LatencyClass::Medium),
+            self.rest(
+                Horizon,
+                Nova,
+                Post,
+                "/v2.1/servers/{id}/action",
+                LatencyClass::Medium,
+            ),
             self.rpc(Nova, NovaCompute, "rescue_instance", LatencyClass::Boot),
-            self.rest(NovaCompute, Glance, Get, "/v2/images/{id}", LatencyClass::Slow),
+            self.rest(
+                NovaCompute,
+                Glance,
+                Get,
+                "/v2/images/{id}",
+                LatencyClass::Slow,
+            ),
             self.rest(Horizon, Nova, Get, "/v2.1/servers/{id}", LatencyClass::Fast),
-            self.rest(Horizon, Nova, Post, "/v2.1/servers/{id}/action", LatencyClass::Medium),
+            self.rest(
+                Horizon,
+                Nova,
+                Post,
+                "/v2.1/servers/{id}/action",
+                LatencyClass::Medium,
+            ),
             self.rpc(Nova, NovaCompute, "unrescue_instance", LatencyClass::Slow),
         ]
     }
@@ -341,14 +594,44 @@ impl Workflows {
     pub fn vm_shelve_unshelve(&self) -> Vec<Step> {
         use Service::*;
         vec![
-            self.rest(Horizon, Nova, Post, "/v2.1/servers/{id}/action", LatencyClass::Medium),
+            self.rest(
+                Horizon,
+                Nova,
+                Post,
+                "/v2.1/servers/{id}/action",
+                LatencyClass::Medium,
+            ),
             self.rpc(Nova, NovaCompute, "shelve_instance", LatencyClass::Boot),
-            self.rest(NovaCompute, Glance, Post, "/v2/images", LatencyClass::Medium),
-            self.rest(NovaCompute, Glance, Put, "/v2/images/{id}/file", LatencyClass::Slow),
-            self.rest(Horizon, Nova, Post, "/v2.1/servers/{id}/action", LatencyClass::Medium),
+            self.rest(
+                NovaCompute,
+                Glance,
+                Post,
+                "/v2/images",
+                LatencyClass::Medium,
+            ),
+            self.rest(
+                NovaCompute,
+                Glance,
+                Put,
+                "/v2/images/{id}/file",
+                LatencyClass::Slow,
+            ),
+            self.rest(
+                Horizon,
+                Nova,
+                Post,
+                "/v2.1/servers/{id}/action",
+                LatencyClass::Medium,
+            ),
             self.rpc(Nova, Nova, "select_destinations", LatencyClass::Medium),
             self.rpc(Nova, NovaCompute, "unshelve_instance", LatencyClass::Boot),
-            self.rest(NovaCompute, Glance, Get, "/v2/images/{id}/file", LatencyClass::Slow),
+            self.rest(
+                NovaCompute,
+                Glance,
+                Get,
+                "/v2/images/{id}/file",
+                LatencyClass::Slow,
+            ),
         ]
     }
 
@@ -356,9 +639,21 @@ impl Workflows {
     pub fn volume_extend(&self) -> Vec<Step> {
         use Service::*;
         vec![
-            self.rest(Horizon, Cinder, Post, "/v2/{tenant}/volumes/{id}/action", LatencyClass::Medium),
+            self.rest(
+                Horizon,
+                Cinder,
+                Post,
+                "/v2/{tenant}/volumes/{id}/action",
+                LatencyClass::Medium,
+            ),
             self.rpc(Cinder, Cinder, "extend_volume", LatencyClass::Slow),
-            self.rest(Horizon, Cinder, Get, "/v2/{tenant}/volumes/{id}", LatencyClass::Fast),
+            self.rest(
+                Horizon,
+                Cinder,
+                Get,
+                "/v2/{tenant}/volumes/{id}",
+                LatencyClass::Fast,
+            ),
         ]
     }
 
@@ -366,13 +661,49 @@ impl Workflows {
     pub fn volume_backup_restore(&self) -> Vec<Step> {
         use Service::*;
         vec![
-            self.rest(Horizon, Cinder, Post, "/v2/{tenant}/backups", LatencyClass::Medium),
-            self.rest(Cinder, Swift, Put, "/v1/{account}/{container}", LatencyClass::Fast),
-            self.rest(Cinder, Swift, Put, "/v1/{account}/{container}/{object}", LatencyClass::Slow)
-                .with_bytes(1 << 20),
-            self.rest(Horizon, Cinder, Get, "/v2/{tenant}/backups/{id}", LatencyClass::Fast),
-            self.rest(Horizon, Cinder, Post, "/v2/{tenant}/backups/{id}/restore", LatencyClass::Medium),
-            self.rest(Cinder, Swift, Get, "/v1/{account}/{container}/{object}", LatencyClass::Slow),
+            self.rest(
+                Horizon,
+                Cinder,
+                Post,
+                "/v2/{tenant}/backups",
+                LatencyClass::Medium,
+            ),
+            self.rest(
+                Cinder,
+                Swift,
+                Put,
+                "/v1/{account}/{container}",
+                LatencyClass::Fast,
+            ),
+            self.rest(
+                Cinder,
+                Swift,
+                Put,
+                "/v1/{account}/{container}/{object}",
+                LatencyClass::Slow,
+            )
+            .with_bytes(1 << 20),
+            self.rest(
+                Horizon,
+                Cinder,
+                Get,
+                "/v2/{tenant}/backups/{id}",
+                LatencyClass::Fast,
+            ),
+            self.rest(
+                Horizon,
+                Cinder,
+                Post,
+                "/v2/{tenant}/backups/{id}/restore",
+                LatencyClass::Medium,
+            ),
+            self.rest(
+                Cinder,
+                Swift,
+                Get,
+                "/v1/{account}/{container}/{object}",
+                LatencyClass::Slow,
+            ),
             self.rpc(Cinder, Cinder, "create_volume", LatencyClass::Slow),
         ]
     }
@@ -381,9 +712,27 @@ impl Workflows {
     pub fn image_share(&self) -> Vec<Step> {
         use Service::*;
         vec![
-            self.rest(Horizon, Glance, Post, "/v2/images/{id}/members", LatencyClass::Fast),
-            self.rest(Horizon, Glance, Get, "/v2/images/{id}/members", LatencyClass::Fast),
-            self.rest(Horizon, Glance, Put, "/v2/images/{id}/members/{mid}", LatencyClass::Fast),
+            self.rest(
+                Horizon,
+                Glance,
+                Post,
+                "/v2/images/{id}/members",
+                LatencyClass::Fast,
+            ),
+            self.rest(
+                Horizon,
+                Glance,
+                Get,
+                "/v2/images/{id}/members",
+                LatencyClass::Fast,
+            ),
+            self.rest(
+                Horizon,
+                Glance,
+                Put,
+                "/v2/images/{id}/members/{mid}",
+                LatencyClass::Fast,
+            ),
         ]
     }
 
@@ -401,7 +750,13 @@ impl Workflows {
                 "/v3/projects/{id}/users/{uid}/roles/{rid}",
                 LatencyClass::Fast,
             ),
-            self.rest(Horizon, Keystone, Get, "/v3/role_assignments", LatencyClass::Fast),
+            self.rest(
+                Horizon,
+                Keystone,
+                Get,
+                "/v3/role_assignments",
+                LatencyClass::Fast,
+            ),
         ]
     }
 
@@ -410,13 +765,49 @@ impl Workflows {
     pub fn swift_container_lifecycle(&self) -> Vec<Step> {
         use Service::*;
         vec![
-            self.rest(Horizon, Swift, Put, "/v1/{account}/{container}", LatencyClass::Fast),
-            self.rest(Horizon, Swift, Put, "/v1/{account}/{container}/{object}", LatencyClass::Medium)
-                .with_bytes(256 << 10),
-            self.rest(Horizon, Swift, Get, "/v1/{account}/{container}", LatencyClass::Fast),
-            self.rest(Horizon, Swift, Get, "/v1/{account}/{container}/{object}", LatencyClass::Medium),
-            self.rest(Horizon, Swift, Delete, "/v1/{account}/{container}/{object}", LatencyClass::Fast),
-            self.rest(Horizon, Swift, Delete, "/v1/{account}/{container}", LatencyClass::Fast),
+            self.rest(
+                Horizon,
+                Swift,
+                Put,
+                "/v1/{account}/{container}",
+                LatencyClass::Fast,
+            ),
+            self.rest(
+                Horizon,
+                Swift,
+                Put,
+                "/v1/{account}/{container}/{object}",
+                LatencyClass::Medium,
+            )
+            .with_bytes(256 << 10),
+            self.rest(
+                Horizon,
+                Swift,
+                Get,
+                "/v1/{account}/{container}",
+                LatencyClass::Fast,
+            ),
+            self.rest(
+                Horizon,
+                Swift,
+                Get,
+                "/v1/{account}/{container}/{object}",
+                LatencyClass::Medium,
+            ),
+            self.rest(
+                Horizon,
+                Swift,
+                Delete,
+                "/v1/{account}/{container}/{object}",
+                LatencyClass::Fast,
+            ),
+            self.rest(
+                Horizon,
+                Swift,
+                Delete,
+                "/v1/{account}/{container}",
+                LatencyClass::Fast,
+            ),
         ]
     }
 
@@ -432,7 +823,13 @@ impl Workflows {
                 LatencyClass::Medium,
             ),
             self.rpc(Neutron, NeutronAgent, "port_delete", LatencyClass::Fast),
-            self.rest(Horizon, Neutron, Delete, "/v2.0/routers/{id}", LatencyClass::Medium),
+            self.rest(
+                Horizon,
+                Neutron,
+                Delete,
+                "/v2.0/routers/{id}",
+                LatencyClass::Medium,
+            ),
         ]
     }
 
@@ -481,9 +878,18 @@ mod tests {
     fn vm_create_matches_paper_shape() {
         let w = wf();
         let steps = w.vm_create();
-        let rest = steps.iter().filter(|s| !w.catalog().get(s.api).is_rpc()).count();
-        let rpc = steps.iter().filter(|s| w.catalog().get(s.api).is_rpc()).count();
-        assert_eq!(rest, 7, "paper: VM create fingerprint has 7 REST invocations");
+        let rest = steps
+            .iter()
+            .filter(|s| !w.catalog().get(s.api).is_rpc())
+            .count();
+        let rpc = steps
+            .iter()
+            .filter(|s| w.catalog().get(s.api).is_rpc())
+            .count();
+        assert_eq!(
+            rest, 7,
+            "paper: VM create fingerprint has 7 REST invocations"
+        );
         assert_eq!(rpc, 3, "paper: VM create fingerprint has 3 RPC invocations");
     }
 
@@ -499,7 +905,10 @@ mod tests {
             .position(|win| win == vol.as_slice())
             .expect("volume_snapshot embedded in vm_snapshot");
         assert!(pos > 0, "subsumed operation is preceded by extra terminals");
-        assert!(pos + vol.len() < snap.len(), "and followed by extra terminals");
+        assert!(
+            pos + vol.len() < snap.len(),
+            "and followed by extra terminals"
+        );
     }
 
     #[test]
@@ -549,8 +958,12 @@ mod tests {
         // §3.1.2 detects latency anomalies on exactly these two RPCs.
         let w = wf();
         let ids: Vec<_> = w.vm_create().iter().map(|s| s.api).collect();
-        let g = w.catalog().rpc_expect(Service::Neutron, "get_devices_details_list");
-        let s = w.catalog().rpc_expect(Service::Neutron, "security_group_info_for_devices");
+        let g = w
+            .catalog()
+            .rpc_expect(Service::Neutron, "get_devices_details_list");
+        let s = w
+            .catalog()
+            .rpc_expect(Service::Neutron, "security_group_info_for_devices");
         assert!(ids.contains(&g));
         assert!(ids.contains(&s));
     }
@@ -560,7 +973,12 @@ mod tests {
         // prep -> resize -> finish -> confirm must appear in that order.
         let w = wf();
         let ids: Vec<_> = w.vm_resize().iter().map(|s| s.api).collect();
-        let order = ["prep_resize", "resize_instance", "finish_resize", "confirm_resize"];
+        let order = [
+            "prep_resize",
+            "resize_instance",
+            "finish_resize",
+            "confirm_resize",
+        ];
         let pos: Vec<usize> = order
             .iter()
             .map(|m| {
@@ -568,7 +986,10 @@ mod tests {
                 ids.iter().position(|&a| a == api).expect("rpc present")
             })
             .collect();
-        assert!(pos.windows(2).all(|w| w[0] < w[1]), "resize chain out of order: {pos:?}");
+        assert!(
+            pos.windows(2).all(|w| w[0] < w[1]),
+            "resize chain out of order: {pos:?}"
+        );
     }
 
     #[test]
@@ -576,8 +997,16 @@ mod tests {
         let w = wf();
         let c = w.catalog();
         let ids: Vec<_> = w.vm_shelve_unshelve().iter().map(|s| s.api).collect();
-        let up = c.rest_expect(Service::Glance, crate::api::HttpMethod::Put, "/v2/images/{id}/file");
-        let down = c.rest_expect(Service::Glance, crate::api::HttpMethod::Get, "/v2/images/{id}/file");
+        let up = c.rest_expect(
+            Service::Glance,
+            crate::api::HttpMethod::Put,
+            "/v2/images/{id}/file",
+        );
+        let down = c.rest_expect(
+            Service::Glance,
+            crate::api::HttpMethod::Get,
+            "/v2/images/{id}/file",
+        );
         assert!(ids.contains(&up), "shelve uploads the snapshot");
         assert!(ids.contains(&down), "unshelve downloads it back");
     }

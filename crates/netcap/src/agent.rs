@@ -115,9 +115,7 @@ pub fn capture_and_merge(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gretel_model::{
-        ApiId, ConnKey, Direction, HttpMethod, Message, MessageId, WireKind,
-    };
+    use gretel_model::{ApiId, ConnKey, Direction, HttpMethod, Message, MessageId, WireKind};
 
     fn msg(id: u64, ts: u64, src: u8, dst_service: Service) -> Message {
         Message {
@@ -129,7 +127,11 @@ mod tests {
             dst_service,
             api: ApiId(1),
             direction: Direction::Request,
-            wire: WireKind::Rest { method: HttpMethod::Get, uri: "/x".into(), status: None },
+            wire: WireKind::Rest {
+                method: HttpMethod::Get,
+                uri: "/x".into(),
+                status: None,
+            },
             conn: ConnKey::default(),
             payload: vec![1, 2, 3],
             correlation_id: None,
@@ -141,8 +143,11 @@ mod tests {
 
     #[test]
     fn egress_capture_owns_each_message_once() {
-        let traffic =
-            [msg(0, 10, 0, Service::Neutron), msg(1, 20, 1, Service::Nova), msg(2, 30, 0, Service::Glance)];
+        let traffic = [
+            msg(0, 10, 0, Service::Neutron),
+            msg(1, 20, 1, Service::Nova),
+            msg(2, 30, 0, Service::Glance),
+        ];
         let owned = |node| {
             let agent = CaptureAgent::new(NodeId(node));
             traffic.iter().filter(|m| agent.observes(m)).count()
@@ -175,7 +180,10 @@ mod tests {
 
     #[test]
     fn merge_breaks_ties_by_message_id() {
-        let batches = vec![vec![msg(5, 100, 0, Service::Nova)], vec![msg(2, 100, 1, Service::Nova)]];
+        let batches = vec![
+            vec![msg(5, 100, 0, Service::Nova)],
+            vec![msg(2, 100, 1, Service::Nova)],
+        ];
         let merged = merge_captures(batches);
         assert_eq!(merged[0].id, MessageId(2));
         assert_eq!(merged[1].id, MessageId(5));
@@ -197,11 +205,7 @@ pub struct Degradation {
 /// Apply capture loss to a traffic log. Error messages are never dropped
 /// when `keep_errors` is set (a convenient way to isolate the effect of
 /// losing *context* from the effect of losing the fault itself).
-pub fn degrade(
-    traffic: &[Message],
-    degradation: Degradation,
-    keep_errors: bool,
-) -> Vec<Message> {
+pub fn degrade(traffic: &[Message], degradation: Degradation, keep_errors: bool) -> Vec<Message> {
     // Deterministic per-message coin flips via splitmix64 so degradation
     // does not depend on iteration patterns.
     let mut out = Vec::with_capacity(traffic.len());
@@ -237,7 +241,11 @@ mod degradation_tests {
             dst_service: Service::Nova,
             api: ApiId(1),
             direction: Direction::Response,
-            wire: WireKind::Rest { method: HttpMethod::Get, uri: "/x".into(), status },
+            wire: WireKind::Rest {
+                method: HttpMethod::Get,
+                uri: "/x".into(),
+                status,
+            },
             conn: ConnKey::default(),
             payload: status
                 .map(|s| render_rest_response_payload(s, "x", 8))
@@ -252,14 +260,28 @@ mod degradation_tests {
     #[test]
     fn zero_loss_is_identity() {
         let traffic: Vec<Message> = (0..100).map(|i| msg(i, Some(200))).collect();
-        let out = degrade(&traffic, Degradation { drop_prob: 0.0, seed: 1 }, false);
+        let out = degrade(
+            &traffic,
+            Degradation {
+                drop_prob: 0.0,
+                seed: 1,
+            },
+            false,
+        );
         assert_eq!(out, traffic);
     }
 
     #[test]
     fn loss_rate_is_approximately_honored() {
         let traffic: Vec<Message> = (0..10_000).map(|i| msg(i, Some(200))).collect();
-        let out = degrade(&traffic, Degradation { drop_prob: 0.3, seed: 2 }, false);
+        let out = degrade(
+            &traffic,
+            Degradation {
+                drop_prob: 0.3,
+                seed: 2,
+            },
+            false,
+        );
         let kept = out.len() as f64 / traffic.len() as f64;
         assert!((kept - 0.7).abs() < 0.03, "kept {kept}");
     }
@@ -267,18 +289,47 @@ mod degradation_tests {
     #[test]
     fn degradation_is_deterministic() {
         let traffic: Vec<Message> = (0..1_000).map(|i| msg(i, Some(200))).collect();
-        let a = degrade(&traffic, Degradation { drop_prob: 0.5, seed: 3 }, false);
-        let b = degrade(&traffic, Degradation { drop_prob: 0.5, seed: 3 }, false);
+        let a = degrade(
+            &traffic,
+            Degradation {
+                drop_prob: 0.5,
+                seed: 3,
+            },
+            false,
+        );
+        let b = degrade(
+            &traffic,
+            Degradation {
+                drop_prob: 0.5,
+                seed: 3,
+            },
+            false,
+        );
         assert_eq!(a, b);
-        let c = degrade(&traffic, Degradation { drop_prob: 0.5, seed: 4 }, false);
+        let c = degrade(
+            &traffic,
+            Degradation {
+                drop_prob: 0.5,
+                seed: 4,
+            },
+            false,
+        );
         assert_ne!(a, c);
     }
 
     #[test]
     fn errors_survive_when_requested() {
-        let traffic: Vec<Message> =
-            (0..1_000).map(|i| msg(i, Some(if i % 10 == 0 { 500 } else { 200 }))).collect();
-        let out = degrade(&traffic, Degradation { drop_prob: 0.9, seed: 5 }, true);
+        let traffic: Vec<Message> = (0..1_000)
+            .map(|i| msg(i, Some(if i % 10 == 0 { 500 } else { 200 })))
+            .collect();
+        let out = degrade(
+            &traffic,
+            Degradation {
+                drop_prob: 0.9,
+                seed: 5,
+            },
+            true,
+        );
         let errors = out.iter().filter(|m| m.is_rest_error()).count();
         assert_eq!(errors, 100, "all errors kept");
     }
@@ -286,7 +337,14 @@ mod degradation_tests {
     #[test]
     fn order_is_preserved() {
         let traffic: Vec<Message> = (0..500).map(|i| msg(i, Some(200))).collect();
-        let out = degrade(&traffic, Degradation { drop_prob: 0.4, seed: 6 }, false);
+        let out = degrade(
+            &traffic,
+            Degradation {
+                drop_prob: 0.4,
+                seed: 6,
+            },
+            false,
+        );
         for w in out.windows(2) {
             assert!(w[0].id < w[1].id);
         }
@@ -337,7 +395,11 @@ mod skew_tests {
             dst_service: Service::Horizon,
             api: ApiId(1),
             direction: Direction::Request,
-            wire: WireKind::Rest { method: HttpMethod::Get, uri: "/x".into(), status: None },
+            wire: WireKind::Rest {
+                method: HttpMethod::Get,
+                uri: "/x".into(),
+                status: None,
+            },
             conn: ConnKey::default(),
             payload: vec![],
             correlation_id: None,
@@ -355,7 +417,9 @@ mod skew_tests {
 
     #[test]
     fn skew_is_per_node_and_bounded() {
-        let traffic: Vec<Message> = (0..200).map(|i| msg(i, 1_000_000 + i, (i % 7) as u8)).collect();
+        let traffic: Vec<Message> = (0..200)
+            .map(|i| msg(i, 1_000_000 + i, (i % 7) as u8))
+            .collect();
         let skewed = skew_clocks(&traffic, 500, 9);
         for m in &skewed {
             let orig = traffic.iter().find(|o| o.id == m.id).unwrap();
@@ -515,8 +579,10 @@ impl CaptureImpairment {
                 .into_iter()
                 .enumerate()
                 .map(|(j, f)| {
-                    let jitter = if coin(self.seed, agent.0 as u64, j as u64, 3) < self.reorder_prob {
-                        1 + (mix64(self.seed, agent.0 as u64, j as u64, 4) as usize % self.reorder_span)
+                    let jitter = if coin(self.seed, agent.0 as u64, j as u64, 3) < self.reorder_prob
+                    {
+                        1 + (mix64(self.seed, agent.0 as u64, j as u64, 4) as usize
+                            % self.reorder_span)
                     } else {
                         0
                     };
@@ -524,8 +590,11 @@ impl CaptureImpairment {
                 })
                 .collect();
             keyed.sort_by_key(|&(key, _, _)| key);
-            stats.reordered +=
-                keyed.iter().enumerate().filter(|&(out_j, &(_, j, _))| out_j != j).count() as u64;
+            stats.reordered += keyed
+                .iter()
+                .enumerate()
+                .filter(|&(out_j, &(_, j, _))| out_j != j)
+                .count() as u64;
             survivors = keyed.into_iter().map(|(_, _, f)| f).collect();
         }
         survivors
@@ -561,7 +630,12 @@ impl Resequencer {
     /// Depth 0 never reorders: any forward jump is reported as a gap
     /// immediately.
     pub fn new(depth: usize) -> Resequencer {
-        Resequencer { next: 0, pending: BTreeMap::new(), depth, stats: CaptureStats::default() }
+        Resequencer {
+            next: 0,
+            pending: BTreeMap::new(),
+            depth,
+            stats: CaptureStats::default(),
+        }
     }
 
     /// Feed one decoded frame. Returns the messages released in sequence
@@ -610,7 +684,8 @@ impl Resequencer {
     /// Panics on sequence number `u64::MAX`; feed frames that came off a
     /// link through [`Resequencer::try_push`].
     pub fn push(&mut self, seq: Option<u64>, msg: Message) -> Vec<(u32, Message)> {
-        self.try_push(seq, msg).expect("caller-stamped sequence numbers stay below u64::MAX")
+        self.try_push(seq, msg)
+            .expect("caller-stamped sequence numbers stay below u64::MAX")
     }
 
     /// Release everything still pending (end of stream), reporting the
@@ -730,7 +805,12 @@ impl Resequencer {
         if stats.lost > next {
             return Err(DecodeError::Invalid("lost count past the delivery position").into());
         }
-        Ok(Resequencer { next, pending, depth, stats })
+        Ok(Resequencer {
+            next,
+            pending,
+            depth,
+            stats,
+        })
     }
 }
 
@@ -740,7 +820,9 @@ mod impairment_tests {
     use gretel_model::{ApiId, ConnKey, Direction, HttpMethod, MessageId, Service, WireKind};
 
     fn frames(n: u64) -> Vec<Bytes> {
-        (0..n).map(|i| Bytes::from(i.to_le_bytes().to_vec())).collect()
+        (0..n)
+            .map(|i| Bytes::from(i.to_le_bytes().to_vec()))
+            .collect()
     }
 
     fn msg(id: u64) -> Message {
@@ -753,7 +835,11 @@ mod impairment_tests {
             dst_service: Service::Neutron,
             api: ApiId(1),
             direction: Direction::Request,
-            wire: WireKind::Rest { method: HttpMethod::Get, uri: "/x".into(), status: None },
+            wire: WireKind::Rest {
+                method: HttpMethod::Get,
+                uri: "/x".into(),
+                status: None,
+            },
             conn: ConnKey::default(),
             payload: vec![],
             correlation_id: None,
@@ -777,7 +863,11 @@ mod impairment_tests {
     fn drop_rate_is_approximately_honored() {
         let f = frames(10_000);
         let mut stats = CaptureStats::default();
-        let imp = CaptureImpairment { drop_prob: 0.1, seed: 11, ..CaptureImpairment::none() };
+        let imp = CaptureImpairment {
+            drop_prob: 0.1,
+            seed: 11,
+            ..CaptureImpairment::none()
+        };
         let out = imp.apply(NodeId(0), f, &mut stats);
         let kept = out.len() as f64 / 10_000.0;
         assert!((kept - 0.9).abs() < 0.02, "kept {kept}");
@@ -788,7 +878,11 @@ mod impairment_tests {
     fn duplication_emits_adjacent_copies() {
         let f = frames(5_000);
         let mut stats = CaptureStats::default();
-        let imp = CaptureImpairment { dup_prob: 0.2, seed: 12, ..CaptureImpairment::none() };
+        let imp = CaptureImpairment {
+            dup_prob: 0.2,
+            seed: 12,
+            ..CaptureImpairment::none()
+        };
         let out = imp.apply(NodeId(0), f, &mut stats);
         assert_eq!(out.len() as u64, stats.frames + stats.duplicated);
         assert!(stats.duplicated > 0);
@@ -822,7 +916,10 @@ mod impairment_tests {
         let f = frames(100);
         let mut stats = CaptureStats::default();
         let imp = CaptureImpairment {
-            stall: Some(StallSpec { start_frame: 10, frames: 25 }),
+            stall: Some(StallSpec {
+                start_frame: 10,
+                frames: 25,
+            }),
             ..CaptureImpairment::none()
         };
         let out = imp.apply(NodeId(0), f.clone(), &mut stats);
@@ -1025,7 +1122,10 @@ mod impairment_tests {
         assert!(rsq.try_push(Some(u64::MAX), msg(9)).is_err());
         assert!(rsq.stats().is_clean(), "a refused frame leaves no trace");
         assert_eq!(rsq.push(Some(0), msg(0)).len(), 1);
-        assert!(rsq.push(Some(0), msg(0)).is_empty(), "replay dedup still works");
+        assert!(
+            rsq.push(Some(0), msg(0)).is_empty(),
+            "replay dedup still works"
+        );
         assert_eq!(rsq.stats().dup_discarded, 1);
 
         // The same number, or a state only it could produce, in a checkpoint.
@@ -1045,7 +1145,10 @@ mod impairment_tests {
         let mut rsq = Resequencer::new(0);
         rsq.push(Some(0), msg(0));
         let got = rsq.push(Some((1 << 32) + 1), msg(1));
-        assert_eq!(got.iter().map(|(gap, _)| *gap).collect::<Vec<_>>(), vec![u32::MAX]);
+        assert_eq!(
+            got.iter().map(|(gap, _)| *gap).collect::<Vec<_>>(),
+            vec![u32::MAX]
+        );
         assert_eq!((rsq.stats().gaps, rsq.stats().lost), (1, 1 << 32));
         // One short of the u32 range is still exact.
         let mut rsq = Resequencer::new(0);

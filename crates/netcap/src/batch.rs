@@ -108,7 +108,11 @@ impl FrameBatchBuilder {
     /// `max_frames == 1` reproduces the per-message path).
     pub fn new(max_frames: usize) -> FrameBatchBuilder {
         assert!(max_frames >= 1, "a batch holds at least one frame");
-        FrameBatchBuilder { max_frames, data: Vec::new(), offsets: Vec::new() }
+        FrameBatchBuilder {
+            max_frames,
+            data: Vec::new(),
+            offsets: Vec::new(),
+        }
     }
 
     /// Encode `msg` (sequence-stamped when `seq` is given) straight into
@@ -144,7 +148,10 @@ impl FrameBatchBuilder {
         let (bytes, frames) = (self.data.len(), self.offsets.len());
         let data = std::mem::replace(&mut self.data, Vec::with_capacity(bytes));
         let offsets = std::mem::replace(&mut self.offsets, Vec::with_capacity(frames));
-        FrameBatch { buf: Bytes::from(data), offsets }
+        FrameBatch {
+            buf: Bytes::from(data),
+            offsets,
+        }
     }
 }
 
@@ -193,7 +200,10 @@ mod tests {
     fn batches_preserve_order_and_bytes() {
         let frames: Vec<Bytes> = msgs(10).iter().map(encode).collect();
         let batches = pack(&frames, 4);
-        assert_eq!(batches.iter().map(FrameBatch::frames).collect::<Vec<_>>(), vec![4, 4, 2]);
+        assert_eq!(
+            batches.iter().map(FrameBatch::frames).collect::<Vec<_>>(),
+            vec![4, 4, 2]
+        );
         let total: usize = batches.iter().map(FrameBatch::byte_len).sum();
         assert_eq!(total, frames.iter().map(Bytes::len).sum::<usize>());
         let rejoined: Vec<&[u8]> = batches.iter().flat_map(FrameBatch::iter).collect();
@@ -205,8 +215,14 @@ mod tests {
     #[test]
     fn decode_all_round_trips_with_seq() {
         let ms = msgs(5);
-        let frames: Vec<Bytes> = ms.iter().enumerate().map(|(i, m)| encode_seq(m, i as u64)).collect();
-        let [batch] = &pack(&frames, 64)[..] else { panic!("one batch") };
+        let frames: Vec<Bytes> = ms
+            .iter()
+            .enumerate()
+            .map(|(i, m)| encode_seq(m, i as u64))
+            .collect();
+        let [batch] = &pack(&frames, 64)[..] else {
+            panic!("one batch")
+        };
         let decoded = batch.decode_all().unwrap();
         for (i, (m, seq)) in decoded.iter().enumerate() {
             assert_eq!(m, &ms[i]);
@@ -235,7 +251,9 @@ mod tests {
     #[test]
     fn frame_slices_borrow_the_arena() {
         let frames: Vec<Bytes> = msgs(3).iter().map(encode).collect();
-        let [batch] = &pack(&frames, 8)[..] else { panic!("one batch") };
+        let [batch] = &pack(&frames, 8)[..] else {
+            panic!("one batch")
+        };
         assert_eq!(batch.frame_slice(1), &frames[1][..]);
     }
 
@@ -253,7 +271,9 @@ mod tests {
         let mut bad = frames[1].to_vec();
         bad[4] = 0xFF; // clobber the magic
         let all = vec![frames[0].clone(), Bytes::from(bad)];
-        let [batch] = &pack(&all, 8)[..] else { panic!("one batch") };
+        let [batch] = &pack(&all, 8)[..] else {
+            panic!("one batch")
+        };
         assert!(batch.decode_all().is_err());
     }
 

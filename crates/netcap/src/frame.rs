@@ -163,13 +163,21 @@ pub fn encode_into(out: &mut Vec<u8>, msg: &Message, seq: Option<u64>) {
         put_u32(out, p.0);
     }
     match &msg.wire {
-        WireKind::Rest { method, uri, status } => {
+        WireKind::Rest {
+            method,
+            uri,
+            status,
+        } => {
             put_u8(out, method_to_u8(*method));
             put_u16(out, status.unwrap_or(0));
             put_u16(out, uri.len() as u16);
             out.extend_from_slice(uri.as_bytes());
         }
-        WireKind::Rpc { method, msg_id, error } => {
+        WireKind::Rpc {
+            method,
+            msg_id,
+            error,
+        } => {
             put_u64(out, *msg_id);
             let err = error.as_deref().unwrap_or("");
             put_u16(out, err.len() as u16);
@@ -229,10 +237,8 @@ fn decode_body(r: &mut Reader<'_>) -> Result<(Message, Option<u64>), CodecError>
     let ts_us = r.u64()?;
     let src_node = NodeId(r.u8()?);
     let dst_node = NodeId(r.u8()?);
-    let src_service =
-        Service::from_index(r.u8()?).ok_or(DecodeError::Invalid("src service"))?;
-    let dst_service =
-        Service::from_index(r.u8()?).ok_or(DecodeError::Invalid("dst service"))?;
+    let src_service = Service::from_index(r.u8()?).ok_or(DecodeError::Invalid("src service"))?;
+    let dst_service = Service::from_index(r.u8()?).ok_or(DecodeError::Invalid("dst service"))?;
     let api = ApiId(r.u16()?);
     let conn = ConnKey {
         src: NodeId(r.u8()?),
@@ -240,23 +246,46 @@ fn decode_body(r: &mut Reader<'_>) -> Result<(Message, Option<u64>), CodecError>
         src_port: r.u16()?,
         dst_port: r.u16()?,
     };
-    let project = if flags & FLAG_PROJECT != 0 { Some(ProjectId(r.u32()?)) } else { None };
+    let project = if flags & FLAG_PROJECT != 0 {
+        Some(ProjectId(r.u32()?))
+    } else {
+        None
+    };
     let wire = if flags & FLAG_RPC != 0 {
         let msg_id = r.u64()?;
         let err = get_string(r)?;
         let method = get_string(r)?;
-        WireKind::Rpc { method, msg_id, error: (!err.is_empty()).then_some(err) }
+        WireKind::Rpc {
+            method,
+            msg_id,
+            error: (!err.is_empty()).then_some(err),
+        }
     } else {
         let method = method_from_u8(r.u8()?).ok_or(DecodeError::Invalid("http method"))?;
         let status = r.u16()?;
         let uri = get_string(r)?;
-        WireKind::Rest { method, uri, status: (status != 0).then_some(status) }
+        WireKind::Rest {
+            method,
+            uri,
+            status: (status != 0).then_some(status),
+        }
     };
     let payload = r.bytes()?.to_vec();
-    let truth_op =
-        if flags & FLAG_TRUTH_OP != 0 { Some(OpInstanceId(r.u64()?)) } else { None };
-    let correlation_id = if flags & FLAG_CORR_ID != 0 { Some(r.u64()?) } else { None };
-    let seq = if flags & FLAG_SEQ != 0 { Some(r.u64()?) } else { None };
+    let truth_op = if flags & FLAG_TRUTH_OP != 0 {
+        Some(OpInstanceId(r.u64()?))
+    } else {
+        None
+    };
+    let correlation_id = if flags & FLAG_CORR_ID != 0 {
+        Some(r.u64()?)
+    } else {
+        None
+    };
+    let seq = if flags & FLAG_SEQ != 0 {
+        Some(r.u64()?)
+    } else {
+        None
+    };
     let msg = Message {
         id,
         ts_us,
@@ -265,7 +294,11 @@ fn decode_body(r: &mut Reader<'_>) -> Result<(Message, Option<u64>), CodecError>
         src_service,
         dst_service,
         api,
-        direction: if flags & FLAG_RESPONSE != 0 { Direction::Response } else { Direction::Request },
+        direction: if flags & FLAG_RESPONSE != 0 {
+            Direction::Response
+        } else {
+            Direction::Request
+        },
         wire,
         conn,
         payload,
@@ -325,7 +358,12 @@ mod tests {
                 uri: "/v2.0/ports.json".into(),
                 status: Some(500),
             },
-            conn: ConnKey { src: NodeId(2), src_port: 9696, dst: NodeId(1), dst_port: 33000 },
+            conn: ConnKey {
+                src: NodeId(2),
+                src_port: 9696,
+                dst: NodeId(1),
+                dst_port: 33000,
+            },
             payload: render_rest_response_payload(500, "Internal Server Error", 128),
             correlation_id: None,
             project: None,
@@ -349,7 +387,12 @@ mod tests {
                 msg_id: 991,
                 error: None,
             },
-            conn: ConnKey { src: NodeId(4), src_port: 21000, dst: NodeId(0), dst_port: 5672 },
+            conn: ConnKey {
+                src: NodeId(4),
+                src_port: 21000,
+                dst: NodeId(0),
+                dst_port: 5672,
+            },
             payload: b"oslo".to_vec(),
             correlation_id: None,
             project: None,
@@ -402,7 +445,10 @@ mod tests {
         let m = sample_rest();
         let mut bytes = encode(&m).to_vec();
         bytes[6] = 99;
-        assert!(matches!(decode_one(&bytes), Err(CodecError::BadVersion(99))));
+        assert!(matches!(
+            decode_one(&bytes),
+            Err(CodecError::BadVersion(99))
+        ));
     }
 
     #[test]
@@ -433,18 +479,28 @@ mod tests {
         let uri_len_at = 4 + 32 + 3;
         let mut bad = bytes.clone();
         bad[uri_len_at..uri_len_at + 2].copy_from_slice(&u16::MAX.to_le_bytes());
-        assert_eq!(decode_one(&bad), Err(CodecError::Decode(DecodeError::Truncated)));
+        assert_eq!(
+            decode_one(&bad),
+            Err(CodecError::Decode(DecodeError::Truncated))
+        );
         let payload_len_at = uri_len_at + 2 + "/v2.0/ports.json".len();
         let mut bad = bytes;
         bad[payload_len_at..payload_len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(decode_one(&bad), Err(CodecError::Decode(DecodeError::Truncated)));
+        assert_eq!(
+            decode_one(&bad),
+            Err(CodecError::Decode(DecodeError::Truncated))
+        );
     }
 
     #[test]
     fn status_none_round_trips() {
         let mut m = sample_rest();
         m.direction = Direction::Request;
-        m.wire = WireKind::Rest { method: HttpMethod::Get, uri: "/v2.1/servers".into(), status: None };
+        m.wire = WireKind::Rest {
+            method: HttpMethod::Get,
+            uri: "/v2.1/servers".into(),
+            status: None,
+        };
         assert_eq!(decode_one(&encode(&m)).unwrap(), m);
     }
 
@@ -497,7 +553,10 @@ mod tests {
         let mut m = sample_rest();
         m.correlation_id = Some(0xC0FFEE);
         let framed = encode_seq(&m, u64::MAX);
-        assert_eq!(decode_one_seq(&framed).unwrap(), (m.clone(), Some(u64::MAX)));
+        assert_eq!(
+            decode_one_seq(&framed).unwrap(),
+            (m.clone(), Some(u64::MAX))
+        );
         assert_eq!(framed.len(), encode(&m).len() + 8);
     }
 }

@@ -90,7 +90,11 @@ fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<bool, PcapErr
     while filled < buf.len() {
         let n = r.read(&mut buf[filled..])?;
         if n == 0 {
-            return if filled == 0 { Ok(false) } else { Err(PcapError::Truncated) };
+            return if filled == 0 {
+                Ok(false)
+            } else {
+                Err(PcapError::Truncated)
+            };
         }
         filled += n;
     }
@@ -107,7 +111,10 @@ pub struct PcapReader<R: Read> {
 impl<R: Read> PcapReader<R> {
     /// Wrap a reader positioned at the start of a capture file.
     pub fn new(inner: R) -> PcapReader<R> {
-        PcapReader { inner, header_done: false }
+        PcapReader {
+            inner,
+            header_done: false,
+        }
     }
 
     fn read_header(&mut self) -> Result<(), PcapError> {
@@ -132,7 +139,9 @@ impl<R: Read> PcapReader<R> {
             return Ok(None);
         }
         // ts_sec, ts_usec, incl_len, orig_len
-        let incl_len = Reader::new(&rec[8..]).u32().expect("record header holds incl_len") as u64;
+        let incl_len = Reader::new(&rec[8..])
+            .u32()
+            .expect("record header holds incl_len") as u64;
         // `incl_len` comes from the file: read at most that many bytes
         // rather than allocating for a length the file may not back.
         let mut data = Vec::new();
@@ -210,7 +219,10 @@ mod tests {
     #[test]
     fn bad_magic_rejected() {
         let file = vec![0u8; 24];
-        assert!(matches!(read_capture(&mut file.as_slice()), Err(PcapError::BadMagic(0))));
+        assert!(matches!(
+            read_capture(&mut file.as_slice()),
+            Err(PcapError::BadMagic(0))
+        ));
     }
 
     #[test]
@@ -218,7 +230,10 @@ mod tests {
         let mut file = Vec::new();
         write_capture(&mut file, &msgs()).unwrap();
         file.truncate(file.len() - 4);
-        assert!(matches!(read_capture(&mut file.as_slice()), Err(PcapError::Truncated)));
+        assert!(matches!(
+            read_capture(&mut file.as_slice()),
+            Err(PcapError::Truncated)
+        ));
     }
 
     #[test]
@@ -228,7 +243,10 @@ mod tests {
         let mut file = Vec::new();
         write_capture(&mut file, &msgs()[..1]).unwrap();
         file[24 + 8..24 + 12].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(read_capture(&mut file.as_slice()), Err(PcapError::Truncated)));
+        assert!(matches!(
+            read_capture(&mut file.as_slice()),
+            Err(PcapError::Truncated)
+        ));
     }
 
     #[test]

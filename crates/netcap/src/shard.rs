@@ -86,7 +86,11 @@ mod tests {
             dst_service: Service::Neutron,
             api: ApiId(3),
             direction: Direction::Request,
-            wire: WireKind::Rest { method: HttpMethod::Get, uri: "/v2.1/servers".into(), status: None },
+            wire: WireKind::Rest {
+                method: HttpMethod::Get,
+                uri: "/v2.1/servers".into(),
+                status: None,
+            },
             conn: ConnKey::default(),
             payload: vec![1, 2, 3],
             correlation_id: None,
@@ -133,7 +137,10 @@ mod tests {
         assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), traffic.len());
         for (shard, part) in parts.iter().enumerate() {
             assert!(part.iter().all(|m| shard_of(m.project, 4) == shard));
-            assert!(part.windows(2).all(|w| w[0].id < w[1].id), "input order kept");
+            assert!(
+                part.windows(2).all(|w| w[0].id < w[1].id),
+                "input order kept"
+            );
         }
     }
 }

@@ -65,8 +65,16 @@ impl CaptureStats {
 
     /// True when no impairment or loss was observed at all.
     pub fn is_clean(&self) -> bool {
-        let CaptureStats { frames: _, dropped, duplicated, reordered, stalled, gaps, lost, dup_discarded } =
-            *self;
+        let CaptureStats {
+            frames: _,
+            dropped,
+            duplicated,
+            reordered,
+            stalled,
+            gaps,
+            lost,
+            dup_discarded,
+        } = *self;
         dropped == 0
             && duplicated == 0
             && reordered == 0
@@ -83,15 +91,28 @@ mod tests {
 
     #[test]
     fn capture_stats_merge_and_cleanliness() {
-        let mut a = CaptureStats { frames: 10, dropped: 1, ..Default::default() };
-        let b = CaptureStats { frames: 5, gaps: 2, lost: 3, ..Default::default() };
+        let mut a = CaptureStats {
+            frames: 10,
+            dropped: 1,
+            ..Default::default()
+        };
+        let b = CaptureStats {
+            frames: 5,
+            gaps: 2,
+            lost: 3,
+            ..Default::default()
+        };
         a.merge(&b);
         assert_eq!(a.frames, 15);
         assert_eq!(a.dropped, 1);
         assert_eq!(a.gaps, 2);
         assert_eq!(a.lost, 3);
         assert!(!a.is_clean());
-        assert!(CaptureStats { frames: 100, ..Default::default() }.is_clean());
+        assert!(CaptureStats {
+            frames: 100,
+            ..Default::default()
+        }
+        .is_clean());
     }
 
     #[test]

@@ -286,7 +286,11 @@ impl Histogram {
         }
         let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
         let bucket = cum.iter().position(|&c| c >= rank).unwrap_or(BUCKETS - 1);
-        let edge = if bucket == 0 { 0 } else { (1u64 << bucket.min(63)) - 1 };
+        let edge = if bucket == 0 {
+            0
+        } else {
+            (1u64 << bucket.min(63)) - 1
+        };
         edge.min(self.max.load(Relaxed))
     }
 
@@ -510,7 +514,11 @@ impl PipelineMetrics {
             let (cum, total) = h.cumulative();
             // Emit cumulative buckets up to the highest non-empty one;
             // everything above it repeats the total, which `+Inf` covers.
-            let top = h.buckets.iter().rposition(|b| b.load(Relaxed) > 0).unwrap_or(0);
+            let top = h
+                .buckets
+                .iter()
+                .rposition(|b| b.load(Relaxed) > 0)
+                .unwrap_or(0);
             for (i, &c) in cum.iter().enumerate().take(top + 1) {
                 let le = if i == 0 { 0 } else { (1u64 << i.min(63)) - 1 };
                 let _ = writeln!(
@@ -566,10 +574,14 @@ impl<'a> StageTimer<'a> {
     #[inline]
     pub fn start(metrics: Option<&'a PipelineMetrics>, stage: Stage) -> StageTimer<'a> {
         match metrics {
-            Some(m) if m.enabled => {
-                StageTimer { target: Some((m, stage)), t0: Some(Instant::now()) }
-            }
-            _ => StageTimer { target: None, t0: None },
+            Some(m) if m.enabled => StageTimer {
+                target: Some((m, stage)),
+                t0: Some(Instant::now()),
+            },
+            _ => StageTimer {
+                target: None,
+                t0: None,
+            },
         }
     }
 
@@ -625,21 +637,13 @@ impl MetricsSnapshot {
     pub fn deterministic_eq(&self, other: &MetricsSnapshot) -> bool {
         self.enabled == other.enabled
             && self.stages.len() == other.stages.len()
-            && self
-                .stages
-                .iter()
-                .zip(&other.stages)
-                .all(|(a, b)| {
-                    a.stage == b.stage
-                        && a.events == b.events
-                        && a.latency.count == b.latency.count
-                })
+            && self.stages.iter().zip(&other.stages).all(|(a, b)| {
+                a.stage == b.stage && a.events == b.events && a.latency.count == b.latency.count
+            })
             && self.meters.len() == other.meters.len()
-            && self
-                .meters
-                .iter()
-                .zip(&other.meters)
-                .all(|(a, b)| a.name == b.name && a.gauge == b.gauge && (a.gauge || a.value == b.value))
+            && self.meters.iter().zip(&other.meters).all(|(a, b)| {
+                a.name == b.name && a.gauge == b.gauge && (a.gauge || a.value == b.value)
+            })
     }
 }
 
@@ -694,10 +698,18 @@ pub fn parse_prometheus_text(text: &str) -> Result<Vec<PromSample>, String> {
                 (name.to_string(), labels)
             }
         };
-        if name.is_empty() || !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':') {
+        if name.is_empty()
+            || !name
+                .chars()
+                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+        {
             return Err(format!("line {}: bad metric name {name:?}", ln + 1));
         }
-        out.push(PromSample { name, labels, value });
+        out.push(PromSample {
+            name,
+            labels,
+            value,
+        });
     }
     Ok(out)
 }
@@ -749,7 +761,14 @@ mod tests {
         let s = Histogram::new().summary();
         assert_eq!(
             s,
-            LatencySummary { count: 0, sum_us: 0, max_us: 0, p50_us: 0, p95_us: 0, p99_us: 0 }
+            LatencySummary {
+                count: 0,
+                sum_us: 0,
+                max_us: 0,
+                p50_us: 0,
+                p95_us: 0,
+                p99_us: 0
+            }
         );
     }
 
@@ -763,7 +782,10 @@ mod tests {
         StageTimer::start(Some(&m), Stage::Rca).finish();
         assert!(!m.is_enabled());
         let snap = m.snapshot();
-        assert!(snap.stages.iter().all(|s| s.events == 0 && s.latency.count == 0));
+        assert!(snap
+            .stages
+            .iter()
+            .all(|s| s.events == 0 && s.latency.count == 0));
         assert!(snap.meters.iter().all(|s| s.value == 0));
     }
 
@@ -832,7 +854,10 @@ mod tests {
         assert_ne!(sa, sb, "full snapshots differ on wall-clock fields");
         assert!(sa.deterministic_eq(&sb), "deterministic view agrees");
         b.add(Meter::CaptureLost, 1);
-        assert!(!sa.deterministic_eq(&b.snapshot()), "counter divergence is detected");
+        assert!(
+            !sa.deterministic_eq(&b.snapshot()),
+            "counter divergence is detected"
+        );
         b2_events_diverge();
     }
 
@@ -869,7 +894,10 @@ mod tests {
         assert_eq!(agg.snapshot(), whole.snapshot());
         // The percentile summary comes from merged buckets, not averaged
         // summaries.
-        assert_eq!(agg.stage_latency(Stage::Detect), whole.stage_latency(Stage::Detect));
+        assert_eq!(
+            agg.stage_latency(Stage::Detect),
+            whole.stage_latency(Stage::Detect)
+        );
     }
 
     #[test]
@@ -899,16 +927,24 @@ mod tests {
                 .iter()
                 .find(|s| {
                     s.name == name
-                        && label.is_none_or(|(k, v)| {
-                            s.labels.iter().any(|(lk, lv)| lk == k && lv == v)
-                        })
+                        && label
+                            .is_none_or(|(k, v)| s.labels.iter().any(|(lk, lv)| lk == k && lv == v))
                 })
                 .unwrap_or_else(|| panic!("sample {name} {label:?}"))
                 .value
         };
-        assert_eq!(find("gretel_stage_events_total", Some(("stage", "ingest"))), 2.0);
-        assert_eq!(find("gretel_stage_latency_us_count", Some(("stage", "ingest"))), 2.0);
-        assert_eq!(find("gretel_stage_latency_us_sum", Some(("stage", "ingest"))), 303.0);
+        assert_eq!(
+            find("gretel_stage_events_total", Some(("stage", "ingest"))),
+            2.0
+        );
+        assert_eq!(
+            find("gretel_stage_latency_us_count", Some(("stage", "ingest"))),
+            2.0
+        );
+        assert_eq!(
+            find("gretel_stage_latency_us_sum", Some(("stage", "ingest"))),
+            303.0
+        );
         assert_eq!(find("gretel_capture_frames", None), 7.0);
         assert_eq!(find("gretel_job_queue_depth_max", None), 2.0);
 
@@ -936,7 +972,10 @@ mod tests {
     fn parser_rejects_malformed_lines() {
         assert!(parse_prometheus_text("metric_without_value").is_err());
         assert!(parse_prometheus_text("name{unterminated 1").is_err());
-        assert!(parse_prometheus_text("name{k=v} 1").is_err(), "unquoted label value");
+        assert!(
+            parse_prometheus_text("name{k=v} 1").is_err(),
+            "unquoted label value"
+        );
         assert!(parse_prometheus_text("bad name 1").is_err());
         assert!(parse_prometheus_text("ok_name 1.5\n# comment\n").is_ok());
     }

@@ -243,7 +243,11 @@ impl Cascade {
                             });
                         }
                     }
-                    SecondaryEffect::Latency { service, extra, duration } => {
+                    SecondaryEffect::Latency {
+                        service,
+                        extra,
+                        duration,
+                    } => {
                         plan.latency.push(LatencyFault {
                             node: deployment.node_of(*service, 0),
                             extra: *extra,
@@ -307,11 +311,28 @@ fn storage_mix(wf: &Workflows, n: usize) -> Vec<OperationSpec> {
     (0..n)
         .map(|i| {
             let (name, steps, category) = match i % 3 {
-                0 => ("storage.volume_attach", wf.volume_attach(), gretel_model::Category::Storage),
-                1 => ("storage.volume_create", wf.volume_create(), gretel_model::Category::Storage),
-                _ => ("image.image_list", wf.image_list(), gretel_model::Category::Image),
+                0 => (
+                    "storage.volume_attach",
+                    wf.volume_attach(),
+                    gretel_model::Category::Storage,
+                ),
+                1 => (
+                    "storage.volume_create",
+                    wf.volume_create(),
+                    gretel_model::Category::Storage,
+                ),
+                _ => (
+                    "image.image_list",
+                    wf.image_list(),
+                    gretel_model::Category::Image,
+                ),
             };
-            OperationSpec { id: OpSpecId(i as u16), name: format!("{name}.{i}"), category, steps }
+            OperationSpec {
+                id: OpSpecId(i as u16),
+                name: format!("{name}.{i}"),
+                category,
+                steps,
+            }
         })
         .collect()
 }
@@ -408,7 +429,10 @@ pub fn ntp_skew_cascade(catalog: &Arc<Catalog>, seed: u64) -> CascadeScenario {
     let cascade = Cascade {
         seed: seed ^ 0xCA5C_ADE2,
         primaries: vec![Primary {
-            fault: PrimaryFault::Crash(DepFault::NtpStop { node: neutron_node, at: secs(8) }),
+            fault: PrimaryFault::Crash(DepFault::NtpStop {
+                node: neutron_node,
+                at: secs(8),
+            }),
             trigger: Service::Neutron,
         }],
         rules: vec![
@@ -453,7 +477,9 @@ pub fn ntp_skew_cascade(catalog: &Arc<Catalog>, seed: u64) -> CascadeScenario {
                 prob: 1.0,
                 effect: timed_all(
                     port_delete_rpc,
-                    InjectedError::RpcException { class: "AgentUnreachable".into() },
+                    InjectedError::RpcException {
+                        class: "AgentUnreachable".into(),
+                    },
                 ),
             },
         ],
@@ -464,11 +490,28 @@ pub fn ntp_skew_cascade(catalog: &Arc<Catalog>, seed: u64) -> CascadeScenario {
     let specs = (0..36)
         .map(|i| {
             let (name, steps, category) = match i % 3 {
-                0 => ("compute.vm_create", wf.vm_create(), gretel_model::Category::Compute),
-                1 => ("compute.vm_delete", wf.vm_delete(), gretel_model::Category::Compute),
-                _ => ("image.image_list", wf.image_list(), gretel_model::Category::Image),
+                0 => (
+                    "compute.vm_create",
+                    wf.vm_create(),
+                    gretel_model::Category::Compute,
+                ),
+                1 => (
+                    "compute.vm_delete",
+                    wf.vm_delete(),
+                    gretel_model::Category::Compute,
+                ),
+                _ => (
+                    "image.image_list",
+                    wf.image_list(),
+                    gretel_model::Category::Image,
+                ),
             };
-            OperationSpec { id: OpSpecId(i as u16), name: format!("{name}.{i}"), category, steps }
+            OperationSpec {
+                id: OpSpecId(i as u16),
+                name: format!("{name}.{i}"),
+                category,
+                steps,
+            }
         })
         .collect();
 
@@ -563,8 +606,11 @@ mod tests {
     #[test]
     fn compile_is_deterministic() {
         let cat = Catalog::openstack();
-        let fns: [fn(&Arc<Catalog>, u64) -> CascadeScenario; 3] =
-            [cinder_crash_cascade, ntp_skew_cascade, partition_split_cascade];
+        let fns: [fn(&Arc<Catalog>, u64) -> CascadeScenario; 3] = [
+            cinder_crash_cascade,
+            ntp_skew_cascade,
+            partition_split_cascade,
+        ];
         for f in fns {
             let a: CascadeScenario = f(&cat, 42);
             let b: CascadeScenario = f(&cat, 42);
@@ -584,7 +630,11 @@ mod tests {
         let t = &sc.truth.cascade[0];
         assert_eq!(t.service, Service::Nova);
         assert_eq!(t.depth, 1);
-        assert!(t.at >= secs(20) && t.at <= secs(21), "delay 10s + jitter <= 1s, got {}", t.at);
+        assert!(
+            t.at >= secs(20) && t.at <= secs(21),
+            "delay 10s + jitter <= 1s, got {}",
+            t.at
+        );
         assert_eq!(sc.plan.timed_api_faults.len(), 1);
         assert_eq!(sc.plan.timed_api_faults[0].from, t.at);
     }
@@ -634,9 +684,11 @@ mod tests {
             .deps
             .iter()
             .filter_map(|d| match d {
-                DepFault::ServiceCrash { service: Service::NeutronAgent, at, node } => {
-                    Some((*node, *at))
-                }
+                DepFault::ServiceCrash {
+                    service: Service::NeutronAgent,
+                    at,
+                    node,
+                } => Some((*node, *at)),
                 _ => None,
             })
             .collect();
@@ -653,7 +705,10 @@ mod tests {
         let mk = |seed| Cascade {
             seed,
             primaries: vec![Primary {
-                fault: PrimaryFault::Crash(DepFault::NtpStop { node: NodeId(3), at: 0 }),
+                fault: PrimaryFault::Crash(DepFault::NtpStop {
+                    node: NodeId(3),
+                    at: 0,
+                }),
                 trigger: Service::Cinder,
             }],
             rules: (0..16)
@@ -677,7 +732,11 @@ mod tests {
         assert_eq!(p1, p2);
         assert_eq!(t1, t2);
         // prob 0.5 over 16 draws: some fire, some don't.
-        assert!(!t1.cascade.is_empty() && t1.cascade.len() < 16, "got {}", t1.cascade.len());
+        assert!(
+            !t1.cascade.is_empty() && t1.cascade.len() < 16,
+            "got {}",
+            t1.cascade.len()
+        );
         let (_, t3) = mk(12).compile(&dep);
         assert_ne!(t1.cascade, t3.cascade, "different seed, different firings");
     }
@@ -734,6 +793,9 @@ mod tests {
         assert_eq!(deep.cascade[1].service, Service::Swift);
         assert_eq!(deep.cascade[1].depth, 2);
         assert_eq!(deep.cascade[1].at, secs(5), "1s onset + 2s + 2s");
-        assert_eq!(deep.symptom_services(), vec![Service::Glance, Service::Swift]);
+        assert_eq!(
+            deep.symptom_services(),
+            vec![Service::Glance, Service::Swift]
+        );
     }
 }

@@ -37,7 +37,9 @@ impl CrashSchedule {
     /// the end of a lifetime's remaining stream simply lets it complete.
     pub fn seeded(seed: u64, crashes: usize, span: u64) -> CrashSchedule {
         let span = span.max(1);
-        let points = (0..crashes as u64).map(|i| 1 + mix64(seed, i, 31) % span).collect();
+        let points = (0..crashes as u64)
+            .map(|i| 1 + mix64(seed, i, 31) % span)
+            .collect();
         CrashSchedule { points }
     }
 

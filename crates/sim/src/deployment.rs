@@ -132,12 +132,19 @@ impl Deployment {
 
     /// The compute nodes.
     pub fn compute_nodes(&self) -> Vec<NodeId> {
-        self.nodes.iter().filter(|n| n.is_compute).map(|n| n.id).collect()
+        self.nodes
+            .iter()
+            .filter(|n| n.is_compute)
+            .map(|n| n.id)
+            .collect()
     }
 
     /// All nodes hosting `service` (empty if unplaced).
     pub fn nodes_of(&self, service: Service) -> &[NodeId] {
-        self.placement.get(&service).map(Vec::as_slice).unwrap_or(&[])
+        self.placement
+            .get(&service)
+            .map(Vec::as_slice)
+            .unwrap_or(&[])
     }
 
     /// The node hosting `service`, using `hint` to pick among replicas
@@ -145,7 +152,10 @@ impl Deployment {
     /// service is unplaced — topology bugs should fail loudly.
     pub fn node_of(&self, service: Service, hint: u64) -> NodeId {
         let nodes = self.nodes_of(service);
-        assert!(!nodes.is_empty(), "service {service} not placed in deployment");
+        assert!(
+            !nodes.is_empty(),
+            "service {service} not placed in deployment"
+        );
         nodes[(hint % nodes.len() as u64) as usize]
     }
 
@@ -221,7 +231,10 @@ mod tests {
     #[test]
     fn singleton_services_ignore_hint() {
         let d = Deployment::standard();
-        assert_eq!(d.node_of(Service::Neutron, 0), d.node_of(Service::Neutron, 99));
+        assert_eq!(
+            d.node_of(Service::Neutron, 0),
+            d.node_of(Service::Neutron, 99)
+        );
     }
 
     #[test]
@@ -232,7 +245,10 @@ mod tests {
 
     #[test]
     fn service_ports_are_unique_per_service() {
-        let mut ports: Vec<u16> = Service::ALL.iter().map(|&s| Deployment::service_port(s)).collect();
+        let mut ports: Vec<u16> = Service::ALL
+            .iter()
+            .map(|&s| Deployment::service_port(s))
+            .collect();
         ports.sort_unstable();
         ports.dedup();
         assert_eq!(ports.len(), Service::ALL.len());
@@ -248,8 +264,9 @@ mod tests {
             assert!(!d.nodes_of(s).is_empty(), "{s} unplaced");
         }
         // Instances spread across all replicas.
-        let picks: std::collections::HashSet<_> =
-            (0..40).map(|h| d.node_of(Service::NovaCompute, h)).collect();
+        let picks: std::collections::HashSet<_> = (0..40)
+            .map(|h| d.node_of(Service::NovaCompute, h))
+            .collect();
         assert_eq!(picks.len(), 10);
     }
 

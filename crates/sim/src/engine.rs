@@ -58,7 +58,10 @@ impl<T> PartialOrd for Entry<T> {
 impl<T> Ord for Entry<T> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse ordering: BinaryHeap is a max-heap, we need earliest-first.
-        other.ts.cmp(&self.ts).then_with(|| other.seq.cmp(&self.seq))
+        other
+            .ts
+            .cmp(&self.ts)
+            .then_with(|| other.seq.cmp(&self.seq))
     }
 }
 
@@ -71,7 +74,11 @@ pub struct EventQueue<T> {
 
 impl<T> Default for EventQueue<T> {
     fn default() -> Self {
-        EventQueue { heap: BinaryHeap::new(), seq: 0, now: 0 }
+        EventQueue {
+            heap: BinaryHeap::new(),
+            seq: 0,
+            now: 0,
+        }
     }
 }
 
@@ -84,8 +91,16 @@ impl<T> EventQueue<T> {
     /// Schedule `item` at absolute time `ts`. Scheduling in the past is a
     /// logic error and panics (it would silently reorder causality).
     pub fn schedule(&mut self, ts: SimTime, item: T) {
-        assert!(ts >= self.now, "scheduling into the past: {ts} < {}", self.now);
-        self.heap.push(Entry { ts, seq: self.seq, item });
+        assert!(
+            ts >= self.now,
+            "scheduling into the past: {ts} < {}",
+            self.now
+        );
+        self.heap.push(Entry {
+            ts,
+            seq: self.seq,
+            item,
+        });
         self.seq += 1;
     }
 

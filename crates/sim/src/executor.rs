@@ -76,7 +76,10 @@ impl NoiseConfig {
     /// fingerprinting still *captures* noise; this is for tests that want
     /// pure operation traffic.
     pub fn off() -> NoiseConfig {
-        NoiseConfig { enabled: false, ..NoiseConfig::default() }
+        NoiseConfig {
+            enabled: false,
+            ..NoiseConfig::default()
+        }
     }
 }
 
@@ -238,10 +241,15 @@ impl RunState {
         // Every call an operation makes is scoped to its tenant's Keystone
         // token, so idempotent GET repeats of the op carry the project too;
         // pure background traffic (heartbeats, token issuance) has none.
-        msg.project =
-            msg.truth_op.map(|o| ProjectId(o.0 as u32 % self.projects.max(1)));
+        msg.project = msg
+            .truth_op
+            .map(|o| ProjectId(o.0 as u32 % self.projects.max(1)));
         debug_assert!(
-            self.out.messages.last().map(|m| m.ts_us <= msg.ts_us).unwrap_or(true),
+            self.out
+                .messages
+                .last()
+                .map(|m| m.ts_us <= msg.ts_us)
+                .unwrap_or(true),
             "messages must be emitted in time order"
         );
         self.out.messages.push(msg);
@@ -264,7 +272,12 @@ impl<'a> Runner<'a> {
         plan: &'a FaultPlan,
         config: RunConfig,
     ) -> Runner<'a> {
-        Runner { catalog, deployment, plan, config }
+        Runner {
+            catalog,
+            deployment,
+            plan,
+            config,
+        }
     }
 
     /// Tenant project of instance `inst` (round-robin over
@@ -336,10 +349,18 @@ impl<'a> Runner<'a> {
         if self.config.noise.enabled {
             for node in self.deployment.nodes() {
                 for &svc in &node.services {
-                    if matches!(svc, Service::NovaCompute | Service::NeutronAgent | Service::Cinder)
-                    {
+                    if matches!(
+                        svc,
+                        Service::NovaCompute | Service::NeutronAgent | Service::Cinder
+                    ) {
                         let jitter = rng.gen_range(0..self.config.noise.heartbeat_interval);
-                        q.schedule(jitter, Ev::Heartbeat { node: node.id, service: svc });
+                        q.schedule(
+                            jitter,
+                            Ev::Heartbeat {
+                                node: node.id,
+                                service: svc,
+                            },
+                        );
                     }
                 }
                 if node.is_compute {
@@ -399,7 +420,10 @@ impl<'a> Runner<'a> {
                 Ev::StatusUpdate { node } => {
                     self.emit_status_update(&mut st, t, node);
                     if st.remaining > 0 {
-                        q.schedule(t + self.config.noise.status_interval, Ev::StatusUpdate { node });
+                        q.schedule(
+                            t + self.config.noise.status_interval,
+                            Ev::StatusUpdate { node },
+                        );
                     }
                 }
             }
@@ -458,45 +482,58 @@ impl<'a> Runner<'a> {
         // Decide the step's fate. Infrastructure outages dominate: every
         // RPC transits RabbitMQ and every API service is backed by MySQL
         // (paper §2, Dependencies).
-        let broker_down = def.is_rpc()
-            && self.plan.is_singleton_down(Service::RabbitMq, t);
+        let broker_down = def.is_rpc() && self.plan.is_singleton_down(Service::RabbitMq, t);
         let db_down = !def.is_rpc()
             && !step.dst.is_infrastructure()
             && self.plan.is_singleton_down(Service::MySql, t);
         let project = self.project_of(inst);
-        let (error, abort) = if let Some(f) =
-            self.plan.api_error(step.api, inst_id, project, occ, t)
-        {
-            (Some(f.error.clone()), f.abort_op)
-        } else if self.plan.partition_cut(step.src, step.dst, inst_id, t) {
-            // The link between the two services is (possibly partially)
-            // severed: the caller's connection attempt or RPC cast times
-            // out. Both processes stay up, so no watcher ever flags this —
-            // the cascade RCA graph walk is what has to find it.
-            let e = match &def.kind {
-                ApiKind::Rest { .. } => InjectedError::RestStatus { status: 503, reason: None },
-                ApiKind::Rpc { .. } => {
-                    InjectedError::RpcException { class: "MessagingTimeout".to_string() }
-                }
+        let (error, abort) =
+            if let Some(f) = self.plan.api_error(step.api, inst_id, project, occ, t) {
+                (Some(f.error.clone()), f.abort_op)
+            } else if self.plan.partition_cut(step.src, step.dst, inst_id, t) {
+                // The link between the two services is (possibly partially)
+                // severed: the caller's connection attempt or RPC cast times
+                // out. Both processes stay up, so no watcher ever flags this —
+                // the cascade RCA graph walk is what has to find it.
+                let e = match &def.kind {
+                    ApiKind::Rest { .. } => InjectedError::RestStatus {
+                        status: 503,
+                        reason: None,
+                    },
+                    ApiKind::Rpc { .. } => InjectedError::RpcException {
+                        class: "MessagingTimeout".to_string(),
+                    },
+                };
+                (Some(e), true)
+            } else if broker_down {
+                (
+                    Some(InjectedError::RpcException {
+                        class: "MessagingTimeout".to_string(),
+                    }),
+                    true,
+                )
+            } else if db_down {
+                (
+                    Some(InjectedError::RestStatus {
+                        status: 500,
+                        reason: Some("DBConnectionError".into()),
+                    }),
+                    true,
+                )
+            } else if self.plan.is_service_down(dst_node, step.dst, t) {
+                let e = match &def.kind {
+                    ApiKind::Rest { .. } => InjectedError::RestStatus {
+                        status: 503,
+                        reason: None,
+                    },
+                    ApiKind::Rpc { .. } => InjectedError::RpcException {
+                        class: "MessagingTimeout".to_string(),
+                    },
+                };
+                (Some(e), true)
+            } else {
+                (None, false)
             };
-            (Some(e), true)
-        } else if broker_down {
-            (Some(InjectedError::RpcException { class: "MessagingTimeout".to_string() }), true)
-        } else if db_down {
-            (Some(InjectedError::RestStatus { status: 500, reason: Some("DBConnectionError".into()) }), true)
-        } else if self.plan.is_service_down(dst_node, step.dst, t) {
-            let e = match &def.kind {
-                ApiKind::Rest { .. } => {
-                    InjectedError::RestStatus { status: 503, reason: None }
-                }
-                ApiKind::Rpc { .. } => {
-                    InjectedError::RpcException { class: "MessagingTimeout".to_string() }
-                }
-            };
-            (Some(e), true)
-        } else {
-            (None, false)
-        };
 
         // Sample service time: class base x lognormal jitter x load factor
         // + tc-style injected latency on both ends, both directions.
@@ -509,8 +546,7 @@ impl<'a> Runner<'a> {
         let jitter = lognormal(rng, 0.25);
         let load = *st.active.get(&dst_node).unwrap_or(&0);
         let load_factor = if load > self.config.load_capacity {
-            1.0 + 0.8 * (load - self.config.load_capacity) as f64
-                / self.config.load_capacity as f64
+            1.0 + 0.8 * (load - self.config.load_capacity) as f64 / self.config.load_capacity as f64
         } else {
             1.0
         };
@@ -539,7 +575,11 @@ impl<'a> Runner<'a> {
                     dst_service: step.dst,
                     api: step.api,
                     direction: Direction::Request,
-                    wire: WireKind::Rest { method: *method, uri: concrete.clone(), status: None },
+                    wire: WireKind::Rest {
+                        method: *method,
+                        uri: concrete.clone(),
+                        status: None,
+                    },
                     conn,
                     payload: render_rest_request_payload(
                         *method,
@@ -586,7 +626,11 @@ impl<'a> Runner<'a> {
                     dst_service: step.dst,
                     api: step.api,
                     direction: Direction::Request,
-                    wire: WireKind::Rpc { method: method.clone(), msg_id, error: None },
+                    wire: WireKind::Rpc {
+                        method: method.clone(),
+                        msg_id,
+                        error: None,
+                    },
                     conn,
                     payload: render_rpc_payload(method, msg_id, None, step.request_bytes as usize),
                     correlation_id: None,
@@ -646,10 +690,16 @@ impl<'a> Runner<'a> {
                     None => success_status(*method),
                 };
                 let reason = match &p.error {
-                    Some(InjectedError::RestStatus { reason: Some(r), .. }) => r.clone(),
+                    Some(InjectedError::RestStatus {
+                        reason: Some(r), ..
+                    }) => r.clone(),
                     _ => reason_phrase(status).to_string(),
                 };
-                let body = if status >= 400 { 256 } else { response_body_len(*method) };
+                let body = if status >= 400 {
+                    256
+                } else {
+                    response_body_len(*method)
+                };
                 st.emit(Message {
                     id: MessageId(0),
                     ts_us: t,
@@ -748,9 +798,11 @@ impl<'a> Runner<'a> {
         inst_id: OpInstanceId,
         inst: usize,
     ) {
-        let Some(origin) = spec.steps.iter().find(|s| {
-            matches!(self.catalog.get(s.api).kind, ApiKind::Rest { .. })
-        }) else {
+        let Some(origin) = spec
+            .steps
+            .iter()
+            .find(|s| matches!(self.catalog.get(s.api).kind, ApiKind::Rest { .. }))
+        else {
             return;
         };
         let ApiKind::Rest { uri, .. } = &self.catalog.get(origin.api).kind else {
@@ -776,7 +828,11 @@ impl<'a> Runner<'a> {
             dst_service: origin.dst,
             api: origin.api,
             direction: Direction::Request,
-            wire: WireKind::Rest { method: HttpMethod::Get, uri: concrete.clone(), status: None },
+            wire: WireKind::Rest {
+                method: HttpMethod::Get,
+                uri: concrete.clone(),
+                status: None,
+            },
             conn,
             payload: render_rest_request_payload(HttpMethod::Get, &concrete, 0),
             correlation_id: None,
@@ -793,7 +849,11 @@ impl<'a> Runner<'a> {
             dst_service: Service::Horizon,
             api: origin.api,
             direction: Direction::Response,
-            wire: WireKind::Rest { method: HttpMethod::Get, uri: concrete.clone(), status: Some(500) },
+            wire: WireKind::Rest {
+                method: HttpMethod::Get,
+                uri: concrete.clone(),
+                status: Some(500),
+            },
             conn: conn.reversed(),
             payload: render_rest_response_payload(500, "Internal Server Error", 200),
             correlation_id: None,
@@ -814,7 +874,11 @@ impl<'a> Runner<'a> {
             dst_service: p.dst_service,
             api: p.api,
             direction: Direction::Request,
-            wire: WireKind::Rest { method, uri: p.uri.clone(), status: None },
+            wire: WireKind::Rest {
+                method,
+                uri: p.uri.clone(),
+                status: None,
+            },
             conn: p.conn,
             payload: render_rest_request_payload(method, &p.uri, 0),
             correlation_id: None,
@@ -831,7 +895,11 @@ impl<'a> Runner<'a> {
             dst_service: p.src_service,
             api: p.api,
             direction: Direction::Response,
-            wire: WireKind::Rest { method, uri: p.uri.clone(), status: Some(success_status(method)) },
+            wire: WireKind::Rest {
+                method,
+                uri: p.uri.clone(),
+                status: Some(success_status(method)),
+            },
             conn: p.conn.reversed(),
             payload: render_rest_response_payload(success_status(method), "OK", 256),
             correlation_id: None,
@@ -906,9 +974,7 @@ impl<'a> Runner<'a> {
         let Some(api) = self
             .catalog
             .iter()
-            .find(|d| {
-                d.noise == Some(gretel_model::NoiseClass::Heartbeat) && d.service == service
-            })
+            .find(|d| d.noise == Some(gretel_model::NoiseClass::Heartbeat) && d.service == service)
             .map(|d| d.id)
         else {
             return;
@@ -925,7 +991,11 @@ impl<'a> Runner<'a> {
             dst_service: service.controller(),
             api,
             direction: Direction::Request,
-            wire: WireKind::Rpc { method: "report_state".to_string(), msg_id, error: None },
+            wire: WireKind::Rpc {
+                method: "report_state".to_string(),
+                msg_id,
+                error: None,
+            },
             conn: ConnKey {
                 src: node,
                 src_port: 21_000,
@@ -998,7 +1068,12 @@ impl<'a> Runner<'a> {
                     Some(v) => v,
                     None => sample_value(rng, baseline, kind, active),
                 };
-                st.out.resources.push(ResourceSample { ts: t, node: node.id, kind, value });
+                st.out.resources.push(ResourceSample {
+                    ts: t,
+                    node: node.id,
+                    kind,
+                    value,
+                });
             }
             // Watchers: each hosted service process, NTP, and reachability
             // of the shared infrastructure.
@@ -1010,11 +1085,21 @@ impl<'a> Runner<'a> {
                 };
                 let healthy = self.plan.dependency_healthy(node.id, dep, t)
                     && !self.plan.is_service_down(node.id, svc, t);
-                st.out.watchers.push(WatcherSample { ts: t, node: node.id, dep, healthy });
+                st.out.watchers.push(WatcherSample {
+                    ts: t,
+                    node: node.id,
+                    dep,
+                    healthy,
+                });
             }
             for dep in [Dependency::MySqlReachable, Dependency::RabbitMqReachable] {
                 let healthy = self.plan.dependency_healthy(node.id, dep, t);
-                st.out.watchers.push(WatcherSample { ts: t, node: node.id, dep, healthy });
+                st.out.watchers.push(WatcherSample {
+                    ts: t,
+                    node: node.id,
+                    dep,
+                    healthy,
+                });
             }
         }
     }
@@ -1084,7 +1169,11 @@ mod tests {
     }
 
     fn quiet_config(seed: u64) -> RunConfig {
-        RunConfig { seed, noise: NoiseConfig::off(), ..RunConfig::default() }
+        RunConfig {
+            seed,
+            noise: NoiseConfig::off(),
+            ..RunConfig::default()
+        }
     }
 
     #[test]
@@ -1110,9 +1199,11 @@ mod tests {
     #[test]
     fn messages_are_time_ordered() {
         let (cat, dep, wf) = setup();
-        let specs = [wf.vm_create_spec(gretel_model::OpSpecId(0)),
+        let specs = [
+            wf.vm_create_spec(gretel_model::OpSpecId(0)),
             wf.image_upload_spec(gretel_model::OpSpecId(1)),
-            wf.cinder_list_spec(gretel_model::OpSpecId(2))];
+            wf.cinder_list_spec(gretel_model::OpSpecId(2)),
+        ];
         let refs: Vec<&OperationSpec> = specs.iter().collect();
         let plan = FaultPlan::none();
         let runner = Runner::new(cat, &dep, &plan, RunConfig::default());
@@ -1130,16 +1221,15 @@ mod tests {
     fn injected_rest_error_aborts_operation() {
         let (cat, dep, wf) = setup();
         let spec = wf.vm_create_spec(gretel_model::OpSpecId(0));
-        let ports_post = cat.rest_expect(
-            Service::Neutron,
-            HttpMethod::Post,
-            "/v2.0/ports.json",
-        );
+        let ports_post = cat.rest_expect(Service::Neutron, HttpMethod::Post, "/v2.0/ports.json");
         let plan = FaultPlan::none().with_api_fault(ApiFault {
             api: ports_post,
             scope: FaultScope::AllInstances,
             occurrence: 0,
-            error: InjectedError::RestStatus { status: 500, reason: None },
+            error: InjectedError::RestStatus {
+                status: 500,
+                reason: None,
+            },
             abort_op: true,
         });
         let runner = Runner::new(cat.clone(), &dep, &plan, quiet_config(2));
@@ -1148,7 +1238,10 @@ mod tests {
         assert!(exec.outcomes[0].aborted);
         assert_eq!(exec.outcomes[0].failed_api, Some(ports_post));
         // An error response for the API is on the wire.
-        assert!(exec.messages.iter().any(|m| m.api == ports_post && m.is_rest_error()));
+        assert!(exec
+            .messages
+            .iter()
+            .any(|m| m.api == ports_post && m.is_rest_error()));
         // No step after the failed one fired: the PUT attach never appears.
         let put_attach = cat.rest_expect(Service::Neutron, HttpMethod::Put, "/v2.0/ports/{id}");
         assert!(!exec.messages.iter().any(|m| m.api == put_attach));
@@ -1163,7 +1256,9 @@ mod tests {
             api: rpc,
             scope: FaultScope::AllInstances,
             occurrence: 0,
-            error: InjectedError::RpcException { class: "NoValidHost".into() },
+            error: InjectedError::RpcException {
+                class: "NoValidHost".into(),
+            },
             abort_op: true,
         });
         let runner = Runner::new(cat.clone(), &dep, &plan, quiet_config(3));
@@ -1192,25 +1287,40 @@ mod tests {
         let runner = Runner::new(cat, &dep, &plan, quiet_config(4));
         let exec = runner.run(&[&spec]);
         assert!(exec.outcomes[0].aborted);
-        assert!(exec
-            .watchers
-            .iter()
-            .any(|w| w.node == NodeId(1)
-                && w.dep == Dependency::ServiceProcess(Service::Neutron)
-                && !w.healthy));
+        assert!(exec.watchers.iter().any(|w| w.node == NodeId(1)
+            && w.dep == Dependency::ServiceProcess(Service::Neutron)
+            && !w.healthy));
     }
 
     #[test]
     fn runs_are_deterministic() {
         let (cat, dep, wf) = setup();
-        let specs = [wf.vm_create_spec(gretel_model::OpSpecId(0)),
-            wf.image_upload_spec(gretel_model::OpSpecId(1))];
+        let specs = [
+            wf.vm_create_spec(gretel_model::OpSpecId(0)),
+            wf.image_upload_spec(gretel_model::OpSpecId(1)),
+        ];
         let refs: Vec<&OperationSpec> = specs.iter().collect();
         let plan = FaultPlan::none();
-        let a = Runner::new(cat.clone(), &dep, &plan, RunConfig { seed: 9, ..RunConfig::default() })
-            .run(&refs);
-        let b = Runner::new(cat, &dep, &plan, RunConfig { seed: 9, ..RunConfig::default() })
-            .run(&refs);
+        let a = Runner::new(
+            cat.clone(),
+            &dep,
+            &plan,
+            RunConfig {
+                seed: 9,
+                ..RunConfig::default()
+            },
+        )
+        .run(&refs);
+        let b = Runner::new(
+            cat,
+            &dep,
+            &plan,
+            RunConfig {
+                seed: 9,
+                ..RunConfig::default()
+            },
+        )
+        .run(&refs);
         assert_eq!(a.messages, b.messages);
         assert_eq!(a.outcomes, b.outcomes);
     }
@@ -1220,7 +1330,15 @@ mod tests {
         let (cat, dep, wf) = setup();
         let spec = wf.vm_create_spec(gretel_model::OpSpecId(0));
         let plan = FaultPlan::none();
-        let runner = Runner::new(cat.clone(), &dep, &plan, RunConfig { seed: 5, ..RunConfig::default() });
+        let runner = Runner::new(
+            cat.clone(),
+            &dep,
+            &plan,
+            RunConfig {
+                seed: 5,
+                ..RunConfig::default()
+            },
+        );
         let exec = runner.run(&[&spec]);
         let noise: Vec<&Message> = exec.messages.iter().filter(|m| m.truth_noise).collect();
         assert!(!noise.is_empty(), "default config generates noise");
@@ -1295,7 +1413,10 @@ mod tests {
     #[test]
     fn concretize_substitutes_placeholders() {
         assert_eq!(concretize("/v2.1/servers/{id}", 3, 1), "/v2.1/servers/i3");
-        assert_eq!(concretize("/v2/{tenant}/volumes/{id}", 10, 0), "/v2/ia/volumes/ia");
+        assert_eq!(
+            concretize("/v2/{tenant}/volumes/{id}", 10, 0),
+            "/v2/ia/volumes/ia"
+        );
         assert_eq!(concretize("/plain", 1, 0), "/plain");
     }
 
@@ -1335,7 +1456,11 @@ mod tests {
         let spec = wf.vm_create_spec(gretel_model::OpSpecId(0));
         let plan = FaultPlan::none();
         let exec = Runner::new(cat, &dep, &plan, quiet_config(8)).run(&[&spec]);
-        for m in exec.messages.iter().filter(|m| m.direction == Direction::Response) {
+        for m in exec
+            .messages
+            .iter()
+            .filter(|m| m.direction == Direction::Response)
+        {
             if let WireKind::Rest { .. } = m.wire {
                 let req = exec
                     .messages

@@ -259,18 +259,14 @@ impl FaultPlan {
     ) -> Option<&ApiFault> {
         self.api_faults
             .iter()
-            .find(|f| {
-                f.api == api && f.scope.matches(inst, project) && f.occurrence == occurrence
-            })
+            .find(|f| f.api == api && f.scope.matches(inst, project) && f.occurrence == occurrence)
             .or_else(|| {
                 self.timed_api_faults
                     .iter()
                     .filter(|tf| t >= tf.from && t < tf.until)
                     .map(|tf| &tf.fault)
                     .find(|f| {
-                        f.api == api
-                            && f.scope.matches(inst, project)
-                            && f.occurrence == occurrence
+                        f.api == api && f.scope.matches(inst, project) && f.occurrence == occurrence
                     })
             })
     }
@@ -299,12 +295,12 @@ impl FaultPlan {
     /// Whether `service` on `node` is down at time `t`.
     pub fn is_service_down(&self, node: NodeId, service: Service, t: SimTime) -> bool {
         self.deps.iter().any(|d| match d {
-            DepFault::ServiceCrash { node: n, service: s, at } => {
-                *n == node && *s == service && t >= *at
-            }
-            DepFault::NtpStop { node: n, at } => {
-                *n == node && service == Service::Ntp && t >= *at
-            }
+            DepFault::ServiceCrash {
+                node: n,
+                service: s,
+                at,
+            } => *n == node && *s == service && t >= *at,
+            DepFault::NtpStop { node: n, at } => *n == node && service == Service::Ntp && t >= *at,
         })
     }
 
@@ -353,13 +349,24 @@ mod tests {
             api: ApiId(5),
             scope: FaultScope::Instance(OpInstanceId(3)),
             occurrence: 1,
-            error: InjectedError::RestStatus { status: 500, reason: None },
+            error: InjectedError::RestStatus {
+                status: 500,
+                reason: None,
+            },
             abort_op: true,
         });
-        assert!(plan.api_error(ApiId(5), OpInstanceId(3), P0, 1, 0).is_some());
-        assert!(plan.api_error(ApiId(5), OpInstanceId(3), P0, 0, 0).is_none());
-        assert!(plan.api_error(ApiId(5), OpInstanceId(4), P0, 1, 0).is_none());
-        assert!(plan.api_error(ApiId(6), OpInstanceId(3), P0, 1, 0).is_none());
+        assert!(plan
+            .api_error(ApiId(5), OpInstanceId(3), P0, 1, 0)
+            .is_some());
+        assert!(plan
+            .api_error(ApiId(5), OpInstanceId(3), P0, 0, 0)
+            .is_none());
+        assert!(plan
+            .api_error(ApiId(5), OpInstanceId(4), P0, 1, 0)
+            .is_none());
+        assert!(plan
+            .api_error(ApiId(6), OpInstanceId(3), P0, 1, 0)
+            .is_none());
     }
 
     #[test]
@@ -368,11 +375,17 @@ mod tests {
             api: ApiId(1),
             scope: FaultScope::AllInstances,
             occurrence: 0,
-            error: InjectedError::RpcException { class: "Boom".into() },
+            error: InjectedError::RpcException {
+                class: "Boom".into(),
+            },
             abort_op: true,
         });
-        assert!(plan.api_error(ApiId(1), OpInstanceId(0), P0, 0, 0).is_some());
-        assert!(plan.api_error(ApiId(1), OpInstanceId(77), P0, 0, 0).is_some());
+        assert!(plan
+            .api_error(ApiId(1), OpInstanceId(0), P0, 0, 0)
+            .is_some());
+        assert!(plan
+            .api_error(ApiId(1), OpInstanceId(77), P0, 0, 0)
+            .is_some());
     }
 
     #[test]
@@ -381,15 +394,26 @@ mod tests {
             api: ApiId(2),
             scope: FaultScope::Project(ProjectId(7)),
             occurrence: 0,
-            error: InjectedError::RestStatus { status: 503, reason: None },
+            error: InjectedError::RestStatus {
+                status: 503,
+                reason: None,
+            },
             abort_op: true,
         });
         // Any instance of project 7 is hit, regardless of instance id.
-        assert!(plan.api_error(ApiId(2), OpInstanceId(0), ProjectId(7), 0, 0).is_some());
-        assert!(plan.api_error(ApiId(2), OpInstanceId(99), ProjectId(7), 0, 0).is_some());
+        assert!(plan
+            .api_error(ApiId(2), OpInstanceId(0), ProjectId(7), 0, 0)
+            .is_some());
+        assert!(plan
+            .api_error(ApiId(2), OpInstanceId(99), ProjectId(7), 0, 0)
+            .is_some());
         // Other tenants are untouched, even with the same instance ids.
-        assert!(plan.api_error(ApiId(2), OpInstanceId(0), ProjectId(8), 0, 0).is_none());
-        assert!(plan.api_error(ApiId(2), OpInstanceId(99), ProjectId(0), 0, 0).is_none());
+        assert!(plan
+            .api_error(ApiId(2), OpInstanceId(0), ProjectId(8), 0, 0)
+            .is_none());
+        assert!(plan
+            .api_error(ApiId(2), OpInstanceId(99), ProjectId(0), 0, 0)
+            .is_none());
     }
 
     #[test]
@@ -409,7 +433,10 @@ mod tests {
                 api: ApiId(4),
                 scope: FaultScope::AllInstances,
                 occurrence: 0,
-                error: InjectedError::RestStatus { status: 500, reason: None },
+                error: InjectedError::RestStatus {
+                    status: 500,
+                    reason: None,
+                },
                 abort_op: true,
             },
             from: secs(10),
@@ -459,10 +486,19 @@ mod tests {
             .filter(|&k| p.severs(Service::Nova, Service::Cinder, OpInstanceId(k), secs(k)))
             .count();
         assert_eq!(drops, again);
-        assert!((300..700).contains(&drops), "~half of 1000 coins drop, got {drops}");
+        assert!(
+            (300..700).contains(&drops),
+            "~half of 1000 coins drop, got {drops}"
+        );
         // Degenerate probabilities short-circuit the coin entirely.
-        let never = PartitionFault { drop_prob: 0.0, ..p };
-        let always = PartitionFault { drop_prob: 1.0, ..p };
+        let never = PartitionFault {
+            drop_prob: 0.0,
+            ..p
+        };
+        let always = PartitionFault {
+            drop_prob: 1.0,
+            ..p
+        };
         assert!(!never.severs(Service::Nova, Service::Cinder, OpInstanceId(1), 0));
         assert!(always.severs(Service::Nova, Service::Cinder, OpInstanceId(1), 0));
     }
@@ -485,8 +521,18 @@ mod tests {
     #[test]
     fn overlapping_latency_faults_stack() {
         let plan = FaultPlan::none()
-            .with_latency(LatencyFault { node: NodeId(1), extra: 10, from: 0, until: 100 })
-            .with_latency(LatencyFault { node: NodeId(1), extra: 5, from: 50, until: 100 });
+            .with_latency(LatencyFault {
+                node: NodeId(1),
+                extra: 10,
+                from: 0,
+                until: 100,
+            })
+            .with_latency(LatencyFault {
+                node: NodeId(1),
+                extra: 5,
+                from: 50,
+                until: 100,
+            });
         assert_eq!(plan.extra_latency(NodeId(1), 60), 15);
         assert_eq!(plan.extra_latency(NodeId(1), 10), 10);
     }
@@ -506,8 +552,10 @@ mod tests {
 
     #[test]
     fn ntp_stop_reports_unhealthy_watcher() {
-        let plan = FaultPlan::none()
-            .with_dep(DepFault::NtpStop { node: NodeId(3), at: secs(5) });
+        let plan = FaultPlan::none().with_dep(DepFault::NtpStop {
+            node: NodeId(3),
+            at: secs(5),
+        });
         assert!(plan.dependency_healthy(NodeId(3), Dependency::NtpAgent, secs(4)));
         assert!(!plan.dependency_healthy(NodeId(3), Dependency::NtpAgent, secs(6)));
         assert!(plan.dependency_healthy(
@@ -526,8 +574,14 @@ mod tests {
             from: 0,
             until: SimTime::MAX,
         });
-        assert_eq!(plan.resource_override(NodeId(2), ResourceKind::DiskFreeGb, secs(50)), Some(0.2));
-        assert_eq!(plan.resource_override(NodeId(2), ResourceKind::CpuPercent, secs(50)), None);
+        assert_eq!(
+            plan.resource_override(NodeId(2), ResourceKind::DiskFreeGb, secs(50)),
+            Some(0.2)
+        );
+        assert_eq!(
+            plan.resource_override(NodeId(2), ResourceKind::CpuPercent, secs(50)),
+            None
+        );
     }
 }
 

@@ -23,7 +23,11 @@ pub fn instance_timeline(exec: &Execution, catalog: &Catalog, inst: OpInstanceId
             Direction::Request => "->",
             Direction::Response => "<-",
         };
-        let marker = if m.is_rest_error() || m.is_rpc_error() { " !!" } else { "" };
+        let marker = if m.is_rest_error() || m.is_rpc_error() {
+            " !!"
+        } else {
+            ""
+        };
         let noise = if m.truth_noise { " (repeat)" } else { "" };
         out.push_str(&format!(
             "  +{:>8.3}s  {:<12} {arrow} {:<12} {}{marker}{noise}\n",
@@ -83,7 +87,11 @@ mod tests {
             cat.clone(),
             &dep,
             &FaultPlan::none(),
-            RunConfig { seed: 1, noise: NoiseConfig::off(), ..RunConfig::default() },
+            RunConfig {
+                seed: 1,
+                noise: NoiseConfig::off(),
+                ..RunConfig::default()
+            },
         )
         .run(&[&spec]);
         let ladder = instance_timeline(&exec, &cat, gretel_model::OpInstanceId(0));
@@ -93,7 +101,10 @@ mod tests {
         let lines = ladder.lines().count();
         assert_eq!(
             lines,
-            exec.messages.iter().filter(|m| m.truth_op.is_some()).count()
+            exec.messages
+                .iter()
+                .filter(|m| m.truth_op.is_some())
+                .count()
         );
     }
 
@@ -108,14 +119,21 @@ mod tests {
             api: put,
             scope: FaultScope::AllInstances,
             occurrence: 0,
-            error: InjectedError::RestStatus { status: 413, reason: None },
+            error: InjectedError::RestStatus {
+                status: 413,
+                reason: None,
+            },
             abort_op: true,
         });
         let exec = Runner::new(
             cat.clone(),
             &dep,
             &plan,
-            RunConfig { seed: 2, noise: NoiseConfig::off(), ..RunConfig::default() },
+            RunConfig {
+                seed: 2,
+                noise: NoiseConfig::off(),
+                ..RunConfig::default()
+            },
         )
         .run(&[&spec]);
         let ladder = instance_timeline(&exec, &cat, gretel_model::OpInstanceId(0));
@@ -127,8 +145,10 @@ mod tests {
         let cat = Catalog::openstack();
         let dep = Deployment::standard();
         let wf = Workflows::new(cat.clone());
-        let specs =
-            [wf.vm_create_spec(OpSpecId(0)), wf.cinder_list_spec(OpSpecId(1))];
+        let specs = [
+            wf.vm_create_spec(OpSpecId(0)),
+            wf.cinder_list_spec(OpSpecId(1)),
+        ];
         let refs: Vec<_> = specs.iter().collect();
         let exec = Runner::new(cat, &dep, &FaultPlan::none(), RunConfig::default()).run(&refs);
         let s = summary(&exec);

@@ -90,11 +90,41 @@ impl Baseline {
     /// [`crate::deployment::NodeSpec::role`]).
     pub fn for_role(role: &str) -> Baseline {
         match role {
-            "controller" => Baseline { cpu: 12.0, mem_mb: 6_000.0, disk_free_gb: 400.0, net_mbps: 18.0, disk_io: 180.0 },
-            "network" => Baseline { cpu: 8.0, mem_mb: 3_000.0, disk_free_gb: 450.0, net_mbps: 25.0, disk_io: 60.0 },
-            "image" => Baseline { cpu: 5.0, mem_mb: 2_500.0, disk_free_gb: 800.0, net_mbps: 12.0, disk_io: 220.0 },
-            "storage" => Baseline { cpu: 6.0, mem_mb: 2_800.0, disk_free_gb: 900.0, net_mbps: 10.0, disk_io: 300.0 },
-            _ => Baseline { cpu: 10.0, mem_mb: 4_000.0, disk_free_gb: 350.0, net_mbps: 15.0, disk_io: 90.0 },
+            "controller" => Baseline {
+                cpu: 12.0,
+                mem_mb: 6_000.0,
+                disk_free_gb: 400.0,
+                net_mbps: 18.0,
+                disk_io: 180.0,
+            },
+            "network" => Baseline {
+                cpu: 8.0,
+                mem_mb: 3_000.0,
+                disk_free_gb: 450.0,
+                net_mbps: 25.0,
+                disk_io: 60.0,
+            },
+            "image" => Baseline {
+                cpu: 5.0,
+                mem_mb: 2_500.0,
+                disk_free_gb: 800.0,
+                net_mbps: 12.0,
+                disk_io: 220.0,
+            },
+            "storage" => Baseline {
+                cpu: 6.0,
+                mem_mb: 2_800.0,
+                disk_free_gb: 900.0,
+                net_mbps: 10.0,
+                disk_io: 300.0,
+            },
+            _ => Baseline {
+                cpu: 10.0,
+                mem_mb: 4_000.0,
+                disk_free_gb: 350.0,
+                net_mbps: 15.0,
+                disk_io: 90.0,
+            },
         }
     }
 

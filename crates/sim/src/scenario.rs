@@ -8,7 +8,9 @@
 use crate::deployment::Deployment;
 use crate::engine::{ms, secs, SimTime};
 use crate::executor::{Execution, RunConfig, Runner};
-use crate::faults::{ApiFault, DepFault, FaultPlan, FaultScope, InjectedError, LatencyFault, ResourceFault};
+use crate::faults::{
+    ApiFault, DepFault, FaultPlan, FaultScope, InjectedError, LatencyFault, ResourceFault,
+};
 use crate::resources::ResourceKind;
 use gretel_model::{
     Catalog, Dependency, HttpMethod, NodeId, OpSpecId, OperationSpec, Service, Workflows,
@@ -105,11 +107,15 @@ pub fn failed_image_upload(catalog: &Arc<Catalog>, seed: u64, background: usize)
 
     Scenario {
         name: "7.2.1-failed-image-upload",
-        description: "Image upload fails with REST 413; root cause is low free disk on the Glance server",
+        description:
+            "Image upload fails with REST 413; root cause is low free disk on the Glance server",
         deployment,
         specs,
         plan,
-        config: RunConfig { seed, ..RunConfig::default() },
+        config: RunConfig {
+            seed,
+            ..RunConfig::default()
+        },
         expected_failed_spec: "image.upload.canonical".into(),
         expected_cause: ExpectedCause::Resource(image_node, ResourceKind::DiskFreeGb),
     }
@@ -238,22 +244,32 @@ pub fn ntp_failure(catalog: &Arc<Catalog>, seed: u64, background: usize) -> Scen
 
     let auth = catalog.rest_expect(Service::Keystone, HttpMethod::Post, "/v3/auth/tokens");
     let plan = FaultPlan::none()
-        .with_dep(DepFault::NtpStop { node: storage_node, at: 0 })
+        .with_dep(DepFault::NtpStop {
+            node: storage_node,
+            at: 0,
+        })
         .with_api_fault(ApiFault {
             api: auth,
             scope: FaultScope::Instance(gretel_model::OpInstanceId(0)),
             occurrence: 0,
-            error: InjectedError::RestStatus { status: 401, reason: Some("Unauthorized".into()) },
+            error: InjectedError::RestStatus {
+                status: 401,
+                reason: Some("Unauthorized".into()),
+            },
             abort_op: true,
         });
 
     Scenario {
         name: "7.2.4-ntp-failure",
-        description: "Keystone relays 401 to Cinder; root cause is the stopped NTP agent on the Cinder host",
+        description:
+            "Keystone relays 401 to Cinder; root cause is the stopped NTP agent on the Cinder host",
         deployment,
         specs,
         plan,
-        config: RunConfig { seed, ..RunConfig::default() },
+        config: RunConfig {
+            seed,
+            ..RunConfig::default()
+        },
         expected_failed_spec: "storage.cinder_list.canonical".into(),
         expected_cause: ExpectedCause::Dependency(storage_node, Dependency::NtpAgent),
     }
@@ -273,7 +289,11 @@ pub fn no_compute_available(catalog: &Arc<Catalog>, seed: u64, background: usize
 
     let mut plan = FaultPlan::none();
     for node in computes {
-        plan = plan.with_dep(DepFault::ServiceCrash { node, service: Service::NovaCompute, at: 0 });
+        plan = plan.with_dep(DepFault::ServiceCrash {
+            node,
+            service: Service::NovaCompute,
+            at: 0,
+        });
     }
 
     Scenario {
@@ -282,7 +302,10 @@ pub fn no_compute_available(catalog: &Arc<Catalog>, seed: u64, background: usize
         deployment,
         specs,
         plan,
-        config: RunConfig { seed, ..RunConfig::default() },
+        config: RunConfig {
+            seed,
+            ..RunConfig::default()
+        },
         expected_failed_spec: "compute.vm_create.canonical".into(),
         expected_cause: ExpectedCause::Dependency(
             first_compute,
@@ -360,11 +383,15 @@ pub fn mysql_outage(catalog: &Arc<Catalog>, seed: u64, background: usize) -> Sce
 
     Scenario {
         name: "infra-mysql-outage",
-        description: "The shared MySQL database is down; every API call fails with DBConnectionError",
+        description:
+            "The shared MySQL database is down; every API call fails with DBConnectionError",
         deployment,
         specs,
         plan,
-        config: RunConfig { seed, ..RunConfig::default() },
+        config: RunConfig {
+            seed,
+            ..RunConfig::default()
+        },
         expected_failed_spec: "compute.vm_create.canonical".into(),
         expected_cause: ExpectedCause::Dependency(db_node, Dependency::MySqlReachable),
     }
@@ -388,11 +415,15 @@ pub fn rabbitmq_outage(catalog: &Arc<Catalog>, seed: u64, background: usize) -> 
 
     Scenario {
         name: "infra-rabbitmq-outage",
-        description: "The RabbitMQ broker is down; every RPC times out and RPC-bearing operations abort",
+        description:
+            "The RabbitMQ broker is down; every RPC times out and RPC-bearing operations abort",
         deployment,
         specs,
         plan,
-        config: RunConfig { seed, ..RunConfig::default() },
+        config: RunConfig {
+            seed,
+            ..RunConfig::default()
+        },
         expected_failed_spec: "compute.vm_create.canonical".into(),
         expected_cause: ExpectedCause::Dependency(broker_node, Dependency::RabbitMqReachable),
     }
@@ -427,7 +458,10 @@ pub fn interfering_operations(catalog: &Arc<Catalog>, seed: u64, background: usi
         api: put_attach,
         scope: FaultScope::Instance(gretel_model::OpInstanceId(0)),
         occurrence: 0,
-        error: InjectedError::RestStatus { status: 404, reason: Some("PortNotFound".into()) },
+        error: InjectedError::RestStatus {
+            status: 404,
+            reason: Some("PortNotFound".into()),
+        },
         abort_op: true,
     });
 
@@ -477,7 +511,13 @@ mod tests {
         let failed = &exec.outcomes[0];
         assert!(failed.aborted);
         assert!(exec.messages.iter().any(|m| {
-            matches!(m.wire, gretel_model::WireKind::Rest { status: Some(413), .. })
+            matches!(
+                m.wire,
+                gretel_model::WireKind::Rest {
+                    status: Some(413),
+                    ..
+                }
+            )
         }));
         // Background ops succeed.
         assert!(exec.outcomes[1..].iter().all(|o| !o.aborted));
@@ -493,9 +533,7 @@ mod tests {
         let down = exec
             .watchers
             .iter()
-            .filter(|w| {
-                w.dep == Dependency::ServiceProcess(Service::NeutronAgent) && !w.healthy
-            })
+            .filter(|w| w.dep == Dependency::ServiceProcess(Service::NeutronAgent) && !w.healthy)
             .count();
         assert!(down > 0);
         // A REST error reached the dashboard.
@@ -511,7 +549,13 @@ mod tests {
         let sc = ntp_failure(&cat, 3, 2);
         let exec = sc.run(cat.clone());
         assert!(exec.messages.iter().any(|m| {
-            matches!(m.wire, gretel_model::WireKind::Rest { status: Some(401), .. })
+            matches!(
+                m.wire,
+                gretel_model::WireKind::Rest {
+                    status: Some(401),
+                    ..
+                }
+            )
         }));
         assert!(exec
             .watchers
@@ -556,7 +600,10 @@ mod tests {
             .iter()
             .find(|o| o.spec_name.contains("image_list"))
             .expect("image_list background op present");
-        assert!(!rest_only.aborted, "REST-only operations ride out a broker outage");
+        assert!(
+            !rest_only.aborted,
+            "REST-only operations ride out a broker outage"
+        );
     }
 
     #[test]
@@ -578,7 +625,9 @@ mod tests {
         for sc in suite {
             let exec = sc.run(cat.clone());
             assert!(
-                exec.messages.iter().any(|m| m.is_rest_error() || m.is_rpc_error()),
+                exec.messages
+                    .iter()
+                    .any(|m| m.is_rest_error() || m.is_rpc_error()),
                 "{}: an error message on the wire",
                 sc.name
             );

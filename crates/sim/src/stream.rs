@@ -180,7 +180,11 @@ impl Iterator for SyntheticStream<'_> {
                         dst_service: step.dst,
                         api: step.api,
                         direction: Direction::Request,
-                        wire: WireKind::Rest { method: *method, uri: uri.clone(), status: None },
+                        wire: WireKind::Rest {
+                            method: *method,
+                            uri: uri.clone(),
+                            status: None,
+                        },
                         conn,
                         payload: render_rest_request_payload(*method, uri, 128),
                         correlation_id,
@@ -211,7 +215,11 @@ impl Iterator for SyntheticStream<'_> {
                         dst_service: step.src,
                         api: step.api,
                         direction: Direction::Response,
-                        wire: WireKind::Rest { method: *method, uri: uri.clone(), status: Some(status) },
+                        wire: WireKind::Rest {
+                            method: *method,
+                            uri: uri.clone(),
+                            status: Some(status),
+                        },
                         conn: conn.reversed(),
                         payload: render_rest_response_payload(status, reason_phrase(status), 512),
                         correlation_id,
@@ -239,7 +247,11 @@ impl Iterator for SyntheticStream<'_> {
                     dst_service: step.dst,
                     api: step.api,
                     direction: Direction::Request,
-                    wire: WireKind::Rpc { method: method.clone(), msg_id, error: error.clone() },
+                    wire: WireKind::Rpc {
+                        method: method.clone(),
+                        msg_id,
+                        error: error.clone(),
+                    },
                     conn,
                     payload: render_rpc_payload(method, msg_id, error.as_deref(), 256),
                     correlation_id,
@@ -283,7 +295,10 @@ mod tests {
     fn produces_exactly_total_messages() {
         let cat = Catalog::openstack();
         let specs = specs();
-        let cfg = StreamConfig { total_messages: 5_000, ..StreamConfig::default() };
+        let cfg = StreamConfig {
+            total_messages: 5_000,
+            ..StreamConfig::default()
+        };
         let stream = SyntheticStream::new(cat, &specs, cfg);
         assert_eq!(stream.count(), 5_000);
     }
@@ -331,7 +346,11 @@ mod tests {
     fn no_faults_when_disabled() {
         let cat = Catalog::openstack();
         let specs = specs();
-        let cfg = StreamConfig { total_messages: 3_000, fault_every: 0, ..StreamConfig::default() };
+        let cfg = StreamConfig {
+            total_messages: 3_000,
+            fault_every: 0,
+            ..StreamConfig::default()
+        };
         assert_eq!(
             SyntheticStream::new(cat, &specs, cfg)
                 .filter(|m| m.is_rest_error() || m.is_rpc_error())

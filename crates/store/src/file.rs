@@ -28,7 +28,9 @@ pub struct FileStoreConfig {
 
 impl Default for FileStoreConfig {
     fn default() -> FileStoreConfig {
-        FileStoreConfig { max_record: u32::MAX as usize }
+        FileStoreConfig {
+            max_record: u32::MAX as usize,
+        }
     }
 }
 
@@ -66,10 +68,14 @@ impl FileStore {
         let dir = dir.as_ref();
         fs::create_dir_all(dir).map_err(|e| StoreError::io("create dir", e))?;
         for entry in fs::read_dir(dir).map_err(|e| StoreError::io("read dir", e))? {
-            let name = entry.map_err(|e| StoreError::io("read dir", e))?.file_name();
+            let name = entry
+                .map_err(|e| StoreError::io("read dir", e))?
+                .file_name();
             let name = name.to_string_lossy();
             if name.starts_with("seg-") || name.ends_with(".seg") {
-                return Err(StoreError::OldLayout { file: name.into_owned() });
+                return Err(StoreError::OldLayout {
+                    file: name.into_owned(),
+                });
             }
         }
 
@@ -89,7 +95,8 @@ impl FileStore {
                 .map_err(|e| StoreError::io("sync dir", e))?;
         }
         let mut buf = Vec::new();
-        log.read_to_end(&mut buf).map_err(|e| StoreError::io("read log", e))?;
+        log.read_to_end(&mut buf)
+            .map_err(|e| StoreError::io("read log", e))?;
         let keep = complete_len(&buf);
         let truncated_on_open = buf.len() - keep;
         if truncated_on_open > 0 {
@@ -100,7 +107,13 @@ impl FileStore {
                 .map_err(|e| StoreError::io("truncate torn tail", e))?;
             buf.truncate(keep);
         }
-        Ok(FileStore { cfg, buf, log, path, truncated_on_open })
+        Ok(FileStore {
+            cfg,
+            buf,
+            log,
+            path,
+            truncated_on_open,
+        })
     }
 
     /// Path of the log file of the store in `dir` — exposed so chaos
@@ -126,11 +139,14 @@ impl FileStore {
         let flipped = self.buf[off] ^ 0x40;
         // The append-mode handle only writes at the end; patch the byte
         // through a second handle, then mirror the flip in memory.
-        let patched = OpenOptions::new().write(true).open(&self.path).and_then(|mut f| {
-            f.seek(SeekFrom::Start(off as u64))?;
-            f.write_all(&[flipped])?;
-            f.sync_data()
-        });
+        let patched = OpenOptions::new()
+            .write(true)
+            .open(&self.path)
+            .and_then(|mut f| {
+                f.seek(SeekFrom::Start(off as u64))?;
+                f.write_all(&[flipped])?;
+                f.sync_data()
+            });
         if patched.is_err() {
             return false;
         }
@@ -166,8 +182,7 @@ mod tests {
     use crate::MemStore;
 
     fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir()
-            .join(format!("gretel-store-{tag}-{}", std::process::id()));
+        let d = std::env::temp_dir().join(format!("gretel-store-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&d);
         d
     }
@@ -232,9 +247,17 @@ mod tests {
             fs::create_dir_all(&dir).unwrap();
             fs::write(dir.join(old), b"committed records of the rotating layout").unwrap();
             let err = FileStore::open(&dir, FileStoreConfig::default()).unwrap_err();
-            assert_eq!(err, StoreError::OldLayout { file: old.to_string() });
+            assert_eq!(
+                err,
+                StoreError::OldLayout {
+                    file: old.to_string()
+                }
+            );
             assert!(err.to_string().contains(old));
-            assert!(!FileStore::log_path(&dir).exists(), "refused before creating a log");
+            assert!(
+                !FileStore::log_path(&dir).exists(),
+                "refused before creating a log"
+            );
             fs::remove_dir_all(&dir).unwrap();
         }
     }

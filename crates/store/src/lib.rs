@@ -77,11 +77,17 @@ impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StoreError::Oversized { len, max } => {
-                write!(f, "record payload of {len} bytes exceeds the store bound of {max}")
+                write!(
+                    f,
+                    "record payload of {len} bytes exceeds the store bound of {max}"
+                )
             }
             StoreError::Io { op, detail } => write!(f, "store {op} failed: {detail}"),
             StoreError::OldLayout { file } => {
-                write!(f, "store directory holds a segment file of the old layout ({file})")
+                write!(
+                    f,
+                    "store directory holds a segment file of the old layout ({file})"
+                )
             }
         }
     }
@@ -91,7 +97,10 @@ impl std::error::Error for StoreError {}
 
 impl StoreError {
     pub(crate) fn io(op: &'static str, e: std::io::Error) -> StoreError {
-        StoreError::Io { op, detail: e.to_string() }
+        StoreError::Io {
+            op,
+            detail: e.to_string(),
+        }
     }
 }
 
@@ -162,10 +171,14 @@ impl<'a> Iterator for Records<'a> {
             return None;
         }
         let len = u32::from_le_bytes(
-            self.buf[self.pos..self.pos + 4].try_into().expect("len prefix"),
+            self.buf[self.pos..self.pos + 4]
+                .try_into()
+                .expect("len prefix"),
         ) as usize;
         let sum = u64::from_le_bytes(
-            self.buf[self.pos + 4..self.pos + 12].try_into().expect("checksum"),
+            self.buf[self.pos + 4..self.pos + 12]
+                .try_into()
+                .expect("checksum"),
         );
         let kind = self.buf[self.pos + 12];
         let start = self.pos + RECORD_HEADER;
@@ -173,7 +186,12 @@ impl<'a> Iterator for Records<'a> {
         let payload = &self.buf[start..end];
         let offset = self.pos;
         self.pos = end;
-        Some(Record { offset, kind, payload, sum })
+        Some(Record {
+            offset,
+            kind,
+            payload,
+            sum,
+        })
     }
 }
 
@@ -193,7 +211,10 @@ pub(crate) fn encode_record(
 ) -> Result<(), StoreError> {
     let max = max.min(u32::MAX as usize);
     if payload.len() > max {
-        return Err(StoreError::Oversized { len: payload.len(), max });
+        return Err(StoreError::Oversized {
+            len: payload.len(),
+            max,
+        });
     }
     out.reserve(RECORD_HEADER + payload.len());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -289,12 +310,18 @@ pub struct MemStore {
 impl MemStore {
     /// An empty store accepting any payload the record format can hold.
     pub fn new() -> MemStore {
-        MemStore { buf: Vec::new(), max_record: u32::MAX as usize }
+        MemStore {
+            buf: Vec::new(),
+            max_record: u32::MAX as usize,
+        }
     }
 
     /// An empty store rejecting payloads longer than `max` bytes.
     pub fn with_max_record(max: usize) -> MemStore {
-        MemStore { buf: Vec::new(), max_record: max.min(u32::MAX as usize) }
+        MemStore {
+            buf: Vec::new(),
+            max_record: max.min(u32::MAX as usize),
+        }
     }
 
     /// Reopen raw log bytes, as [`FileStore::open`] reopens a file: a torn
@@ -302,7 +329,10 @@ impl MemStore {
     /// stay and surface during [`Store::latest_valid`].
     pub fn from_bytes(mut buf: Vec<u8>) -> MemStore {
         buf.truncate(complete_len(&buf));
-        MemStore { buf, max_record: u32::MAX as usize }
+        MemStore {
+            buf,
+            max_record: u32::MAX as usize,
+        }
     }
 
     /// Chaos hook: flip one payload byte of record `index` (0-based,
@@ -414,7 +444,14 @@ mod tests {
         let checksummed: Vec<(usize, bool)> =
             records(&image).map(|r| (r.offset, r.valid())).collect();
         assert_eq!(header_walk, expected);
-        assert_eq!(checksummed, vec![(expected[0], true), (expected[1], false), (expected[2], true)]);
+        assert_eq!(
+            checksummed,
+            vec![
+                (expected[0], true),
+                (expected[1], false),
+                (expected[2], true)
+            ]
+        );
         assert_eq!(records(&image).last().unwrap().end(), complete);
         assert_eq!(complete_len(&image), complete);
 

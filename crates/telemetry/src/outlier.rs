@@ -70,7 +70,9 @@ pub trait OutlierDetector {
     /// detector. On error the detector is left untouched; a checkpoint
     /// restore treats that as a hard error.
     fn import_state(&mut self, _bytes: &[u8]) -> Result<(), DecodeError> {
-        Err(DecodeError::Invalid("detector does not support state import"))
+        Err(DecodeError::Invalid(
+            "detector does not support state import",
+        ))
     }
 }
 
@@ -282,10 +284,20 @@ impl OutlierDetector for LevelShiftDetector {
         let mut r = Reader::new(bytes);
         let baseline = read_f64_seq(&mut r)?;
         let test = read_f64_seq(&mut r)?;
-        let cached_stats = if read_some_tag(&mut r)? { Some((r.f64()?, r.f64()?)) } else { None };
+        let cached_stats = if read_some_tag(&mut r)? {
+            Some((r.f64()?, r.f64()?))
+        } else {
+            None
+        };
         let staleness = r.u32()? as usize;
         r.done()?;
-        *self = LevelShiftDetector { cfg: self.cfg, baseline, test, cached_stats, staleness };
+        *self = LevelShiftDetector {
+            cfg: self.cfg,
+            baseline,
+            test,
+            cached_stats,
+            staleness,
+        };
         Ok(())
     }
 }
@@ -295,7 +307,10 @@ pub fn detect_all<D: OutlierDetector>(
     detector: &mut D,
     points: impl IntoIterator<Item = (SimTime, f64)>,
 ) -> Vec<Anomaly> {
-    points.into_iter().filter_map(|(t, v)| detector.update(t, v)).collect()
+    points
+        .into_iter()
+        .filter_map(|(t, v)| detector.update(t, v))
+        .collect()
 }
 
 #[cfg(test)]
@@ -312,8 +327,9 @@ mod tests {
     fn stationary_series_never_alarms() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut det = LevelShiftDetector::default();
-        let pts: Vec<(SimTime, f64)> =
-            (0..500).map(|i| (i as u64, noisy(&mut rng, 25.0, 2.0))).collect();
+        let pts: Vec<(SimTime, f64)> = (0..500)
+            .map(|i| (i as u64, noisy(&mut rng, 25.0, 2.0)))
+            .collect();
         assert!(detect_all(&mut det, pts).is_empty());
     }
 
@@ -321,11 +337,16 @@ mod tests {
     fn sustained_shift_raises_exactly_one_alarm() {
         let mut rng = StdRng::seed_from_u64(2);
         let mut det = LevelShiftDetector::default();
-        let mut pts: Vec<(SimTime, f64)> =
-            (0..100).map(|i| (i as u64, noisy(&mut rng, 25.0, 2.0))).collect();
+        let mut pts: Vec<(SimTime, f64)> = (0..100)
+            .map(|i| (i as u64, noisy(&mut rng, 25.0, 2.0)))
+            .collect();
         pts.extend((100..300).map(|i| (i as u64, noisy(&mut rng, 125.0, 2.0))));
         let alarms = detect_all(&mut det, pts);
-        assert_eq!(alarms.len(), 1, "adaptive LS: one alarm per shift, got {alarms:?}");
+        assert_eq!(
+            alarms.len(),
+            1,
+            "adaptive LS: one alarm per shift, got {alarms:?}"
+        );
         assert_eq!(alarms[0].kind, AnomalyKind::LevelShiftUp);
         assert!(alarms[0].ts >= 100 && alarms[0].ts <= 115);
     }
@@ -334,8 +355,9 @@ mod tests {
     fn shift_down_is_detected_when_level_recovers() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut det = LevelShiftDetector::default();
-        let mut pts: Vec<(SimTime, f64)> =
-            (0..100).map(|i| (i as u64, noisy(&mut rng, 25.0, 2.0))).collect();
+        let mut pts: Vec<(SimTime, f64)> = (0..100)
+            .map(|i| (i as u64, noisy(&mut rng, 25.0, 2.0)))
+            .collect();
         pts.extend((100..200).map(|i| (i as u64, noisy(&mut rng, 125.0, 2.0))));
         pts.extend((200..300).map(|i| (i as u64, noisy(&mut rng, 25.0, 2.0))));
         let alarms = detect_all(&mut det, pts);
@@ -348,8 +370,9 @@ mod tests {
     fn single_spike_does_not_alarm() {
         let mut rng = StdRng::seed_from_u64(4);
         let mut det = LevelShiftDetector::default();
-        let mut pts: Vec<(SimTime, f64)> =
-            (0..200).map(|i| (i as u64, noisy(&mut rng, 25.0, 2.0))).collect();
+        let mut pts: Vec<(SimTime, f64)> = (0..200)
+            .map(|i| (i as u64, noisy(&mut rng, 25.0, 2.0)))
+            .collect();
         pts[120].1 = 500.0; // one isolated spike — LS is about shifts
         assert!(detect_all(&mut det, pts).is_empty());
     }
@@ -360,8 +383,9 @@ mod tests {
         // are smaller than the initial observed spike."
         let mut rng = StdRng::seed_from_u64(5);
         let mut det = LevelShiftDetector::default();
-        let mut pts: Vec<(SimTime, f64)> =
-            (0..100).map(|i| (i as u64, noisy(&mut rng, 25.0, 2.0))).collect();
+        let mut pts: Vec<(SimTime, f64)> = (0..100)
+            .map(|i| (i as u64, noisy(&mut rng, 25.0, 2.0)))
+            .collect();
         pts.extend((100..200).map(|i| (i as u64, noisy(&mut rng, 125.0, 2.0))));
         // After adaptation, ±10ms wiggle around the new 125ms level.
         pts.extend((200..400).map(|i| (i as u64, noisy(&mut rng, 125.0, 10.0))));
@@ -446,7 +470,14 @@ impl EwmaDetector {
     /// New detector with smoothing `lambda` and threshold `k_sigma`.
     pub fn new(lambda: f64, k_sigma: f64) -> EwmaDetector {
         assert!(lambda > 0.0 && lambda <= 1.0);
-        EwmaDetector { lambda, k_sigma, mean: None, var: 0.0, warmup: 20, seen: 0 }
+        EwmaDetector {
+            lambda,
+            k_sigma,
+            mean: None,
+            var: 0.0,
+            warmup: 20,
+            seen: 0,
+        }
     }
 }
 
@@ -513,7 +544,11 @@ impl OutlierDetector for EwmaDetector {
 
     fn import_state(&mut self, bytes: &[u8]) -> Result<(), DecodeError> {
         let mut r = Reader::new(bytes);
-        let mean = if read_some_tag(&mut r)? { Some(r.f64()?) } else { None };
+        let mean = if read_some_tag(&mut r)? {
+            Some(r.f64()?)
+        } else {
+            None
+        };
         let var = r.f64()?;
         let seen = r.u32()? as usize;
         r.done()?;
@@ -537,7 +572,11 @@ impl SpikeDetector {
     /// New detector over a rolling window of `capacity` points.
     pub fn new(capacity: usize, k_sigma: f64) -> SpikeDetector {
         assert!(capacity >= 4);
-        SpikeDetector { window: VecDeque::new(), capacity, k_sigma }
+        SpikeDetector {
+            window: VecDeque::new(),
+            capacity,
+            k_sigma,
+        }
     }
 }
 
@@ -638,7 +677,11 @@ mod more_detector_tests {
         let mut spike_alarms = 0;
         let mut ls_alarms = 0;
         for i in 0..300u64 {
-            let v = if i % 50 == 49 { 500.0 } else { 25.0 + (i % 3) as f64 };
+            let v = if i % 50 == 49 {
+                500.0
+            } else {
+                25.0 + (i % 3) as f64
+            };
             if spike.update(i, v).is_some() {
                 spike_alarms += 1;
             }
@@ -646,7 +689,10 @@ mod more_detector_tests {
                 ls_alarms += 1;
             }
         }
-        assert!(spike_alarms >= 4, "each isolated spike alarms: {spike_alarms}");
+        assert!(
+            spike_alarms >= 4,
+            "each isolated spike alarms: {spike_alarms}"
+        );
         assert_eq!(ls_alarms, 0, "LS ignores isolated spikes (paper §7.3)");
     }
 
@@ -674,11 +720,18 @@ mod more_detector_tests {
             let state = det.export_state().expect("checkpointable");
             fresh.import_state(&state).expect("state imports");
             for i in 137..400u64 {
-                let v = if i < 200 { 25.0 + (i % 7) as f64 } else { 180.0 };
+                let v = if i < 200 {
+                    25.0 + (i % 7) as f64
+                } else {
+                    180.0
+                };
                 assert_eq!(det.update(i, v), fresh.update(i, v), "diverged at {i}");
             }
         }
-        check(LevelShiftDetector::default(), &mut LevelShiftDetector::default());
+        check(
+            LevelShiftDetector::default(),
+            &mut LevelShiftDetector::default(),
+        );
         check(EwmaDetector::default(), &mut EwmaDetector::default());
         check(SpikeDetector::default(), &mut SpikeDetector::default());
     }
@@ -699,7 +752,10 @@ mod more_detector_tests {
         }
         let mut bytes = good.export_state().unwrap();
         bytes.push(0);
-        assert_eq!(det.import_state(&bytes), Err(DecodeError::Invalid("trailing bytes")));
+        assert_eq!(
+            det.import_state(&bytes),
+            Err(DecodeError::Invalid("trailing bytes"))
+        );
     }
 
     #[test]
@@ -709,6 +765,9 @@ mod more_detector_tests {
             det.update(i, 10.0);
         }
         det.reset();
-        assert!(det.update(51, 500.0).is_none(), "fresh detector has no baseline");
+        assert!(
+            det.update(51, 500.0).is_none(),
+            "fresh detector has no baseline"
+        );
     }
 }

@@ -88,7 +88,11 @@ pub fn median_of(values: &[f64]) -> Option<f64> {
     let mut v: Vec<f64> = values.to_vec();
     v.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in series"));
     let mid = v.len() / 2;
-    Some(if v.len().is_multiple_of(2) { (v[mid - 1] + v[mid]) / 2.0 } else { v[mid] })
+    Some(if v.len().is_multiple_of(2) {
+        (v[mid - 1] + v[mid]) / 2.0
+    } else {
+        v[mid]
+    })
 }
 
 /// MAD-based sigma estimate (1.4826 × median |x − median|).

@@ -64,8 +64,7 @@ impl TelemetryStore {
 
     /// All nodes with any telemetry.
     pub fn nodes(&self) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> =
-            self.resources.keys().map(|&(n, _)| n).collect();
+        let mut nodes: Vec<NodeId> = self.resources.keys().map(|&(n, _)| n).collect();
         nodes.extend(self.watchers.keys().map(|&(n, _)| n));
         nodes.sort();
         nodes.dedup();
@@ -80,7 +79,10 @@ impl TelemetryStore {
             if n != node {
                 continue;
             }
-            if states.iter().any(|&(ts, healthy)| ts >= from && ts < until && !healthy) {
+            if states
+                .iter()
+                .any(|&(ts, healthy)| ts >= from && ts < until && !healthy)
+            {
                 out.push(dep);
             }
         }
@@ -209,8 +211,11 @@ impl TelemetryStore {
             if n != node {
                 continue;
             }
-            let ts: Vec<SimTime> =
-                states.iter().map(|&(t, _)| t).filter(|&t| t < until).collect();
+            let ts: Vec<SimTime> = states
+                .iter()
+                .map(|&(t, _)| t)
+                .filter(|&t| t < until)
+                .collect();
             if series_went_silent(&ts, from, until, horizon) {
                 out.push(dep);
             }
@@ -226,14 +231,22 @@ impl TelemetryStore {
     /// stopped (end of run).
     fn collection_horizon(&self) -> SimTime {
         let res = self.resources.values().filter_map(|s| s.last_ts()).max();
-        let wat = self.watchers.values().filter_map(|s| s.last().map(|&(t, _)| t)).max();
+        let wat = self
+            .watchers
+            .values()
+            .filter_map(|s| s.last().map(|&(t, _)| t))
+            .max();
         res.max(wat).unwrap_or(0)
     }
 
     /// Latest watcher verdict for `(node, dep)` at or before `ts`.
     pub fn dependency_state(&self, node: NodeId, dep: Dependency, ts: SimTime) -> Option<bool> {
         let states = self.watchers.get(&(node, dep))?;
-        states.iter().rev().find(|&&(t, _)| t <= ts).map(|&(_, h)| h)
+        states
+            .iter()
+            .rev()
+            .find(|&&(t, _)| t <= ts)
+            .map(|&(_, h)| h)
     }
 }
 
@@ -279,7 +292,12 @@ mod tests {
     fn store_with_cpu(node: NodeId, values: &[(SimTime, f64)]) -> TelemetryStore {
         let samples: Vec<ResourceSample> = values
             .iter()
-            .map(|&(ts, value)| ResourceSample { ts, node, kind: ResourceKind::CpuPercent, value })
+            .map(|&(ts, value)| ResourceSample {
+                ts,
+                node,
+                kind: ResourceKind::CpuPercent,
+                value,
+            })
             .collect();
         TelemetryStore::from_samples(&samples, &[])
     }
@@ -293,7 +311,9 @@ mod tests {
         assert_eq!(anomalies.len(), 1);
         assert_eq!(anomalies[0].kind, ResourceKind::CpuPercent);
         // And the quiet window is clean.
-        assert!(store.resource_anomalies(NodeId(1), secs(10), secs(50)).is_empty());
+        assert!(store
+            .resource_anomalies(NodeId(1), secs(10), secs(50))
+            .is_empty());
     }
 
     #[test]
@@ -364,13 +384,32 @@ mod tests {
     #[test]
     fn dependency_state_returns_latest_before_ts() {
         let watchers = vec![
-            WatcherSample { ts: secs(1), node: NodeId(0), dep: Dependency::NtpAgent, healthy: true },
-            WatcherSample { ts: secs(5), node: NodeId(0), dep: Dependency::NtpAgent, healthy: false },
+            WatcherSample {
+                ts: secs(1),
+                node: NodeId(0),
+                dep: Dependency::NtpAgent,
+                healthy: true,
+            },
+            WatcherSample {
+                ts: secs(5),
+                node: NodeId(0),
+                dep: Dependency::NtpAgent,
+                healthy: false,
+            },
         ];
         let store = TelemetryStore::from_samples(&[], &watchers);
-        assert_eq!(store.dependency_state(NodeId(0), Dependency::NtpAgent, secs(3)), Some(true));
-        assert_eq!(store.dependency_state(NodeId(0), Dependency::NtpAgent, secs(7)), Some(false));
-        assert_eq!(store.dependency_state(NodeId(0), Dependency::NtpAgent, 0), None);
+        assert_eq!(
+            store.dependency_state(NodeId(0), Dependency::NtpAgent, secs(3)),
+            Some(true)
+        );
+        assert_eq!(
+            store.dependency_state(NodeId(0), Dependency::NtpAgent, secs(7)),
+            Some(false)
+        );
+        assert_eq!(
+            store.dependency_state(NodeId(0), Dependency::NtpAgent, 0),
+            None
+        );
     }
 
     #[test]
@@ -380,15 +419,21 @@ mod tests {
         let store = store_with_cpu(NodeId(7), &pts);
         // Fault window after the silence: no anomaly (empty window skipped)
         // but the series is reported stale rather than healthy.
-        assert!(store.resource_anomalies(NodeId(7), secs(60), secs(80)).is_empty());
+        assert!(store
+            .resource_anomalies(NodeId(7), secs(60), secs(80))
+            .is_empty());
         assert_eq!(
             store.resource_staleness(NodeId(7), secs(60), secs(80)),
             vec![ResourceKind::CpuPercent]
         );
         // Window with live samples: not stale.
-        assert!(store.resource_staleness(NodeId(7), secs(10), secs(20)).is_empty());
+        assert!(store
+            .resource_staleness(NodeId(7), secs(10), secs(20))
+            .is_empty());
         // A node that never reported anything is absent, not stale.
-        assert!(store.resource_staleness(NodeId(8), secs(60), secs(80)).is_empty());
+        assert!(store
+            .resource_staleness(NodeId(8), secs(60), secs(80))
+            .is_empty());
     }
 
     #[test]
@@ -420,7 +465,9 @@ mod tests {
         );
         // A window ending within three intervals of the last sample is
         // still considered covered.
-        assert!(store.resource_staleness(NodeId(7), secs(20), secs(32)).is_empty());
+        assert!(store
+            .resource_staleness(NodeId(7), secs(20), secs(32))
+            .is_empty());
     }
 
     #[test]
@@ -440,14 +487,26 @@ mod tests {
         // Window covering the report: fresh.
         assert!(store.watcher_staleness(NodeId(9), 0, secs(10)).is_empty());
         // Never-reporting node: absent, not stale.
-        assert!(store.watcher_staleness(NodeId(10), secs(10), secs(20)).is_empty());
+        assert!(store
+            .watcher_staleness(NodeId(10), secs(10), secs(20))
+            .is_empty());
     }
 
     #[test]
     fn nodes_lists_all_sampled_nodes() {
         let samples = vec![
-            ResourceSample { ts: 0, node: NodeId(1), kind: ResourceKind::CpuPercent, value: 1.0 },
-            ResourceSample { ts: 0, node: NodeId(3), kind: ResourceKind::CpuPercent, value: 1.0 },
+            ResourceSample {
+                ts: 0,
+                node: NodeId(1),
+                kind: ResourceKind::CpuPercent,
+                value: 1.0,
+            },
+            ResourceSample {
+                ts: 0,
+                node: NodeId(3),
+                kind: ResourceKind::CpuPercent,
+                value: 1.0,
+            },
         ];
         let store = TelemetryStore::from_samples(&samples, &[]);
         assert_eq!(store.nodes(), vec![NodeId(1), NodeId(3)]);

@@ -12,11 +12,18 @@ fn main() {
     let catalog = Catalog::openstack();
     let deployment = Deployment::standard();
     let wf = Workflows::new(catalog.clone());
-    let specs =
-        [wf.vm_create_spec(OpSpecId(0)), wf.image_upload_spec(OpSpecId(1))];
+    let specs = [
+        wf.vm_create_spec(OpSpecId(0)),
+        wf.image_upload_spec(OpSpecId(1)),
+    ];
     let refs: Vec<&OperationSpec> = specs.iter().collect();
-    let exec = Runner::new(catalog.clone(), &deployment, &FaultPlan::none(), RunConfig::default())
-        .run(&refs);
+    let exec = Runner::new(
+        catalog.clone(),
+        &deployment,
+        &FaultPlan::none(),
+        RunConfig::default(),
+    )
+    .run(&refs);
 
     // Per-node egress agents capture and the receiver merges.
     let nodes: Vec<_> = deployment.nodes().iter().map(|n| n.id).collect();

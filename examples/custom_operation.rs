@@ -34,7 +34,10 @@ fn main() {
     let wf = Workflows::new(catalog.clone());
 
     // Start from an existing library of canonical operations...
-    let mut specs = vec![wf.vm_create_spec(OpSpecId(0)), wf.image_upload_spec(OpSpecId(1))];
+    let mut specs = vec![
+        wf.vm_create_spec(OpSpecId(0)),
+        wf.image_upload_spec(OpSpecId(1)),
+    ];
     let (mut library, _) =
         FingerprintLibrary::characterize(catalog.clone(), &specs, &deployment, 3, 7);
     println!("baseline library: {} fingerprints", library.len());
@@ -55,7 +58,10 @@ fn main() {
         api: put_file,
         scope: FaultScope::Instance(OpInstanceId(2)),
         occurrence: 0,
-        error: InjectedError::RestStatus { status: 413, reason: None },
+        error: InjectedError::RestStatus {
+            status: 413,
+            reason: None,
+        },
         abort_op: true,
     });
     let refs: Vec<&OperationSpec> = specs.iter().collect();

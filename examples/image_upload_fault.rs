@@ -43,7 +43,10 @@ fn main() {
     }
 
     let found_disk = diagnoses.iter().flat_map(|d| &d.root_causes).any(|rc| {
-        matches!(rc.cause, CauseKind::Resource(gretel::sim::ResourceKind::DiskFreeGb))
+        matches!(
+            rc.cause,
+            CauseKind::Resource(gretel::sim::ResourceKind::DiskFreeGb)
+        )
     });
     assert!(found_disk, "root cause analysis finds the full disk");
     println!("\nroot cause confirmed: low free disk on the Glance server (paper §7.2.1)");

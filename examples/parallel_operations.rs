@@ -45,7 +45,10 @@ fn main() {
         api: ports_post,
         scope: FaultScope::Instance(OpInstanceId(0)),
         occurrence: 0,
-        error: InjectedError::RestStatus { status: 500, reason: None },
+        error: InjectedError::RestStatus {
+            status: 500,
+            reason: None,
+        },
         abort_op: true,
     });
     let refs: Vec<&OperationSpec> = specs.iter().collect();
@@ -62,7 +65,10 @@ fn main() {
     let p_rate = exec.messages.len() as f64 / (exec.duration.max(1) as f64 / 1e6);
     let auto = GretelConfig::auto(library.fp_max(), p_rate, 2.0);
     // Never go below the paper's default window.
-    let cfg = GretelConfig { alpha: auto.alpha.max(768), ..auto };
+    let cfg = GretelConfig {
+        alpha: auto.alpha.max(768),
+        ..auto
+    };
     let mut analyzer = Analyzer::new(&library, cfg);
     let mut gretel_latency_us: Option<u64> = None;
     let mut hit = false;
@@ -83,7 +89,10 @@ fn main() {
             print!("{}", d.render(&kinds));
         }
     }
-    assert!(hit, "GRETEL identified the failed VM create among 60 parallel ops");
+    assert!(
+        hit,
+        "GRETEL identified the failed VM create among 60 parallel ops"
+    );
 
     // HANSEL on the same capture.
     let mut hansel = Hansel::new(HanselConfig::default());
@@ -101,6 +110,9 @@ fn main() {
         );
     }
     if let Some(lat) = gretel_latency_us {
-        println!("GRETEL: named the operation {:.2}s after the error", lat as f64 / 1e6);
+        println!(
+            "GRETEL: named the operation {:.2}s after the error",
+            lat as f64 / 1e6
+        );
     }
 }

@@ -32,14 +32,21 @@ fn main() {
     let exec = scenario.run(catalog.clone());
     // No operation aborted: this is not an operational fault.
     assert!(exec.outcomes.iter().all(|o| !o.aborted));
-    println!("all {} operations completed (slowly) — no error anywhere", exec.outcomes.len());
+    println!(
+        "all {} operations completed (slowly) — no error anywhere",
+        exec.outcomes.len()
+    );
 
     let telemetry = TelemetryStore::from_execution(&exec);
     let p_rate = exec.messages.len() as f64 / (exec.duration.max(1) as f64 / 1e6);
     let cfg = GretelConfig::auto(library.fp_max(), p_rate, 2.0);
-    let ls = LevelShiftConfig { baseline_window: 20, test_window: 4, ..Default::default() };
-    let mut analyzer = gretel::core::Analyzer::with_perf_config(&library, cfg, ls, true)
-        .with_rca(RcaContext {
+    let ls = LevelShiftConfig {
+        baseline_window: 20,
+        test_window: 4,
+        ..Default::default()
+    };
+    let mut analyzer =
+        gretel::core::Analyzer::with_perf_config(&library, cfg, ls, true).with_rca(RcaContext {
             deployment: &scenario.deployment,
             telemetry: &telemetry,
             specs: &scenario.specs,
@@ -56,7 +63,10 @@ fn main() {
     }
 
     let cpu_found = perf.iter().flat_map(|d| &d.root_causes).any(|rc| {
-        matches!(rc.cause, CauseKind::Resource(gretel::sim::ResourceKind::CpuPercent))
+        matches!(
+            rc.cause,
+            CauseKind::Resource(gretel::sim::ResourceKind::CpuPercent)
+        )
     });
     assert!(!perf.is_empty(), "latency anomaly detected");
     assert!(cpu_found, "CPU surge identified");

@@ -28,9 +28,12 @@ fn main() {
         wf.image_upload_spec(OpSpecId(1)),
         wf.cinder_list_spec(OpSpecId(2)),
     ];
-    let (library, _) =
-        FingerprintLibrary::characterize(catalog.clone(), &specs, &deployment, 3, 7);
-    println!("learned {} fingerprints (largest: {} atoms)", library.len(), library.fp_max());
+    let (library, _) = FingerprintLibrary::characterize(catalog.clone(), &specs, &deployment, 3, 7);
+    println!(
+        "learned {} fingerprints (largest: {} atoms)",
+        library.len(),
+        library.fp_max()
+    );
     for fp in library.iter() {
         println!("  {} -> {}", specs[fp.op.index()].name, fp.regex_string());
     }
@@ -43,7 +46,10 @@ fn main() {
         api: ports_post,
         scope: FaultScope::Instance(OpInstanceId(0)),
         occurrence: 0,
-        error: InjectedError::RestStatus { status: 500, reason: None },
+        error: InjectedError::RestStatus {
+            status: 500,
+            reason: None,
+        },
         abort_op: true,
     });
     let refs: Vec<&OperationSpec> = specs.iter().collect();
@@ -75,5 +81,8 @@ fn main() {
         diagnoses.iter().any(|d| d.matched.contains(&OpSpecId(0))),
         "GRETEL identifies the failed VM create"
     );
-    println!("\nGRETEL correctly identified the failed operation: {}", specs[0].name);
+    println!(
+        "\nGRETEL correctly identified the failed operation: {}",
+        specs[0].name
+    );
 }

@@ -34,15 +34,17 @@ fn main() {
         wf.image_upload_spec(OpSpecId(1)),
         wf.cinder_list_spec(OpSpecId(2)),
     ];
-    let (library, _) =
-        FingerprintLibrary::characterize(catalog.clone(), &kinds, &deployment, 3, 7);
+    let (library, _) = FingerprintLibrary::characterize(catalog.clone(), &kinds, &deployment, 3, 7);
 
     let ports_post = catalog.rest_expect(Service::Neutron, HttpMethod::Post, "/v2.0/ports.json");
     let plan = FaultPlan::none().with_api_fault(ApiFault {
         api: ports_post,
         scope: FaultScope::Instance(OpInstanceId(0)),
         occurrence: 0,
-        error: InjectedError::RestStatus { status: 500, reason: None },
+        error: InjectedError::RestStatus {
+            status: 500,
+            reason: None,
+        },
         abort_op: true,
     });
     let refs: Vec<&OperationSpec> = specs.iter().collect();
@@ -51,7 +53,10 @@ fn main() {
     // Run the Fig-3 pipeline: 7 agent threads -> merge -> analyzer.
     let nodes: Vec<_> = deployment.nodes().iter().map(|n| n.id).collect();
     let mut analyzer = Analyzer::new(&library, GretelConfig::default());
-    let scfg = ServiceConfig { channel_capacity: 256, ..ServiceConfig::default() };
+    let scfg = ServiceConfig {
+        channel_capacity: 256,
+        ..ServiceConfig::default()
+    };
     let (diagnoses, svc, stats) = run_service_cfg(&mut analyzer, &nodes, &exec.messages, &scfg);
 
     println!(

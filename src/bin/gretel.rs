@@ -31,7 +31,10 @@ fn arg<T: std::str::FromStr>(name: &str, default: T) -> T {
 }
 
 fn positional(idx: usize) -> Option<String> {
-    std::env::args().skip(1).filter(|a| !a.starts_with("--")).nth(idx)
+    std::env::args()
+        .skip(1)
+        .filter(|a| !a.starts_with("--"))
+        .nth(idx)
 }
 
 fn usage() -> ExitCode {
@@ -84,7 +87,10 @@ fn cmd_timeline(name: &str, seed: u64) -> ExitCode {
     println!("== {} ==\n", sc.name);
     println!("{}", gretel::sim::summary(&exec));
     println!("faulty instance ladder:");
-    print!("{}", gretel::sim::instance_timeline(&exec, &catalog, gretel::model::OpInstanceId(0)));
+    print!(
+        "{}",
+        gretel::sim::instance_timeline(&exec, &catalog, gretel::model::OpInstanceId(0))
+    );
     ExitCode::SUCCESS
 }
 
@@ -187,7 +193,11 @@ fn cmd_scenario(name: &str, seed: u64) -> ExitCode {
         FingerprintLibrary::characterize(catalog.clone(), &sc.specs, &sc.deployment, 2, seed);
     let exec = sc.run(catalog);
     let telemetry = TelemetryStore::from_execution(&exec);
-    let ls = LevelShiftConfig { baseline_window: 20, test_window: 4, ..Default::default() };
+    let ls = LevelShiftConfig {
+        baseline_window: 20,
+        test_window: 4,
+        ..Default::default()
+    };
     let mut analyzer =
         gretel::core::Analyzer::with_perf_config(&library, GretelConfig::default(), ls, false)
             .with_rca(RcaContext {
@@ -211,15 +221,20 @@ fn cmd_capture(path: &str, seed: u64) -> ExitCode {
     let catalog = Catalog::openstack();
     let deployment = Deployment::standard();
     let wf = Workflows::new(catalog.clone());
-    let specs = [wf.vm_create_spec(OpSpecId(0)),
+    let specs = [
+        wf.vm_create_spec(OpSpecId(0)),
         wf.image_upload_spec(OpSpecId(1)),
-        wf.cinder_list_spec(OpSpecId(2))];
+        wf.cinder_list_spec(OpSpecId(2)),
+    ];
     let refs: Vec<&OperationSpec> = specs.iter().collect();
     let exec = Runner::new(
         catalog,
         &deployment,
         &FaultPlan::none(),
-        RunConfig { seed, ..RunConfig::default() },
+        RunConfig {
+            seed,
+            ..RunConfig::default()
+        },
     )
     .run(&refs);
     let mut file = match std::fs::File::create(path) {
@@ -246,8 +261,7 @@ fn cmd_analyze(path: &str, seed: u64) -> ExitCode {
         wf.image_upload_spec(OpSpecId(1)),
         wf.cinder_list_spec(OpSpecId(2)),
     ];
-    let (library, _) =
-        FingerprintLibrary::characterize(catalog, &specs, &deployment, 3, seed);
+    let (library, _) = FingerprintLibrary::characterize(catalog, &specs, &deployment, 3, seed);
     let mut file = match std::fs::File::open(path) {
         Ok(f) => f,
         Err(e) => {
@@ -264,7 +278,11 @@ fn cmd_analyze(path: &str, seed: u64) -> ExitCode {
     };
     let mut analyzer = Analyzer::new(&library, GretelConfig::default());
     let diagnoses = analyze_stream(&mut analyzer, messages.iter());
-    println!("{} messages, {} diagnosis/es", messages.len(), diagnoses.len());
+    println!(
+        "{} messages, {} diagnosis/es",
+        messages.len(),
+        diagnoses.len()
+    );
     for d in &diagnoses {
         print!("{}", d.render(&specs));
     }

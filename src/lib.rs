@@ -81,8 +81,8 @@ pub mod paper_map {}
 /// The most common imports, for examples and quick experiments.
 pub mod prelude {
     pub use gretel_core::{
-        analyze_stream, Analyzer, CauseKind, Diagnosis, FaultKind, Fingerprint,
-        FingerprintLibrary, GretelConfig, RcaContext, RootCause,
+        analyze_stream, Analyzer, CauseKind, Diagnosis, FaultKind, Fingerprint, FingerprintLibrary,
+        GretelConfig, RcaContext, RootCause,
     };
     pub use gretel_model::{
         ApiId, Catalog, Category, HttpMethod, Message, OpSpecId, OperationSpec, Service,

@@ -11,16 +11,14 @@
 
 use gretel::core::store::MemStore;
 use gretel::core::{
-    analyze_stream, run_service_cfg, run_service_durable, Analyzer, DurableConfig,
-    DurableOutcome, GretelConfig, RecoveryConfig, ServiceConfig,
+    analyze_stream, run_service_cfg, run_service_durable, Analyzer, DurableConfig, DurableOutcome,
+    GretelConfig, RecoveryConfig, ServiceConfig,
 };
 use gretel::model::{
     Catalog, HttpMethod, Message, NodeId, OpSpecId, OperationSpec, Service, Workflows,
 };
 use gretel::netcap::{CaptureImpairment, StallSpec};
-use gretel::sim::{
-    ApiFault, Deployment, FaultPlan, FaultScope, InjectedError, RunConfig, Runner,
-};
+use gretel::sim::{ApiFault, Deployment, FaultPlan, FaultScope, InjectedError, RunConfig, Runner};
 use gretel_core::{AnalyzerChaos, Diagnosis, FingerprintLibrary, ServiceStats};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -39,7 +37,10 @@ fn fixture() -> &'static Fixture {
         let cat = Catalog::openstack();
         let dep = Deployment::standard();
         let wf = Workflows::new(cat.clone());
-        let specs = vec![wf.vm_create_spec(OpSpecId(0)), wf.image_upload_spec(OpSpecId(1))];
+        let specs = vec![
+            wf.vm_create_spec(OpSpecId(0)),
+            wf.image_upload_spec(OpSpecId(1)),
+        ];
         let (lib, _) = FingerprintLibrary::characterize(cat.clone(), &specs, &dep, 2, 21);
         let ports_post = cat.rest_expect(Service::Neutron, HttpMethod::Post, "/v2.0/ports.json");
         let put_file = cat.rest_expect(Service::Glance, HttpMethod::Put, "/v2/images/{id}/file");
@@ -48,28 +49,49 @@ fn fixture() -> &'static Fixture {
                 api: ports_post,
                 scope: FaultScope::AllInstances,
                 occurrence: 0,
-                error: InjectedError::RestStatus { status: 500, reason: None },
+                error: InjectedError::RestStatus {
+                    status: 500,
+                    reason: None,
+                },
                 abort_op: true,
             })
             .with_api_fault(ApiFault {
                 api: put_file,
                 scope: FaultScope::AllInstances,
                 occurrence: 0,
-                error: InjectedError::RestStatus { status: 503, reason: None },
+                error: InjectedError::RestStatus {
+                    status: 503,
+                    reason: None,
+                },
                 abort_op: true,
             });
         // Enough stream that every agent fills several maximum-size
         // batches and the recoverable runs cross checkpoint intervals.
         let refs: Vec<&OperationSpec> = specs.iter().cycle().take(24).collect();
-        let exec = Runner::new(cat, &dep, &plan, RunConfig { seed: 9, ..Default::default() })
-            .run(&refs);
+        let exec = Runner::new(
+            cat,
+            &dep,
+            &plan,
+            RunConfig {
+                seed: 9,
+                ..Default::default()
+            },
+        )
+        .run(&refs);
         let nodes = dep.nodes().iter().map(|n| n.id).collect();
-        Fixture { lib, nodes, messages: exec.messages }
+        Fixture {
+            lib,
+            nodes,
+            messages: exec.messages,
+        }
     })
 }
 
 fn gcfg() -> GretelConfig {
-    GretelConfig { alpha: 48, ..GretelConfig::default() }
+    GretelConfig {
+        alpha: 48,
+        ..GretelConfig::default()
+    }
 }
 
 fn run_batched(cfg: &ServiceConfig) -> (Vec<Diagnosis>, ServiceStats) {
@@ -156,7 +178,10 @@ fn batching_amortizes_channel_operations() {
 #[test]
 fn partial_batches_flush_under_stall() {
     let imp = CaptureImpairment {
-        stall: Some(StallSpec { start_frame: 6, frames: 4 }),
+        stall: Some(StallSpec {
+            start_frame: 6,
+            frames: 4,
+        }),
         ..CaptureImpairment::none()
     };
     let baseline = run_batched(&ServiceConfig {
@@ -171,7 +196,10 @@ fn partial_batches_flush_under_stall() {
             ..ServiceConfig::default()
         });
         assert_eq!(diags, baseline.0, "stalled capture, ingest_batch={batch}");
-        assert_eq!(svc.frames, baseline.1.frames, "no frame stranded in a builder");
+        assert_eq!(
+            svc.frames, baseline.1.frames,
+            "no frame stranded in a builder"
+        );
     }
 }
 
@@ -209,18 +237,30 @@ fn crash_replay_is_batch_size_invariant() {
         let mut restores = 0;
         let mut done = None;
         for kill_point in [Some(150), Some(80), None] {
-            let cfg = DurableConfig { recovery: recovery.clone(), kill_point, reloads: Vec::new() };
+            let cfg = DurableConfig {
+                recovery: recovery.clone(),
+                kill_point,
+                reloads: Vec::new(),
+            };
             match run_service_durable(&fx.lib, gcfg(), &fx.nodes, &fx.messages, &cfg, &mut store)
                 .expect("chaotic batched lifetime completes or is killed")
             {
                 DurableOutcome::Killed { recovery, .. } => restores += recovery.restores,
-                DurableOutcome::Completed { diagnoses, recovery, .. } => {
+                DurableOutcome::Completed {
+                    diagnoses,
+                    recovery,
+                    ..
+                } => {
                     restores += recovery.restores;
                     done = Some(diagnoses);
                 }
             }
         }
-        assert_eq!(done.as_ref(), Some(&expected), "recovery at ingest_batch={batch}");
+        assert_eq!(
+            done.as_ref(),
+            Some(&expected),
+            "recovery at ingest_batch={batch}"
+        );
         assert_eq!(restores, 2, "one restore per kill");
     }
 }

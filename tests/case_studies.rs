@@ -14,7 +14,11 @@ fn root_cause_found(sc: &Scenario, catalog: &std::sync::Arc<Catalog>) -> bool {
         FingerprintLibrary::characterize(catalog.clone(), &sc.specs, &sc.deployment, 2, 7);
     let exec = sc.run(catalog.clone());
     let telemetry = TelemetryStore::from_execution(&exec);
-    let ls = LevelShiftConfig { baseline_window: 20, test_window: 4, ..Default::default() };
+    let ls = LevelShiftConfig {
+        baseline_window: 20,
+        test_window: 4,
+        ..Default::default()
+    };
     let mut analyzer =
         gretel::core::Analyzer::with_perf_config(&library, GretelConfig::default(), ls, false)
             .with_rca(RcaContext {
@@ -23,32 +27,44 @@ fn root_cause_found(sc: &Scenario, catalog: &std::sync::Arc<Catalog>) -> bool {
                 specs: &sc.specs,
             });
     let diagnoses = analyze_stream(&mut analyzer, exec.messages.iter());
-    diagnoses.iter().flat_map(|d| &d.root_causes).any(|rc| match &sc.expected_cause {
-        ExpectedCause::Resource(node, kind) => {
-            rc.node == *node && matches!(&rc.cause, CauseKind::Resource(k) if k == kind)
-        }
-        ExpectedCause::Dependency(node, dep) => {
-            rc.node == *node && matches!(&rc.cause, CauseKind::Dependency(d) if d == dep)
-        }
-    })
+    diagnoses
+        .iter()
+        .flat_map(|d| &d.root_causes)
+        .any(|rc| match &sc.expected_cause {
+            ExpectedCause::Resource(node, kind) => {
+                rc.node == *node && matches!(&rc.cause, CauseKind::Resource(k) if k == kind)
+            }
+            ExpectedCause::Dependency(node, dep) => {
+                rc.node == *node && matches!(&rc.cause, CauseKind::Dependency(d) if d == dep)
+            }
+        })
 }
 
 #[test]
 fn failed_image_upload_finds_full_disk() {
     let catalog = Catalog::openstack();
-    assert!(root_cause_found(&failed_image_upload(&catalog, 1, 4), &catalog));
+    assert!(root_cause_found(
+        &failed_image_upload(&catalog, 1, 4),
+        &catalog
+    ));
 }
 
 #[test]
 fn neutron_latency_finds_cpu_surge() {
     let catalog = Catalog::openstack();
-    assert!(root_cause_found(&neutron_api_latency(&catalog, 2, 60), &catalog));
+    assert!(root_cause_found(
+        &neutron_api_latency(&catalog, 2, 60),
+        &catalog
+    ));
 }
 
 #[test]
 fn linuxbridge_crash_finds_dead_agent() {
     let catalog = Catalog::openstack();
-    assert!(root_cause_found(&linuxbridge_crash(&catalog, 3, 4), &catalog));
+    assert!(root_cause_found(
+        &linuxbridge_crash(&catalog, 3, 4),
+        &catalog
+    ));
 }
 
 #[test]
@@ -60,7 +76,10 @@ fn ntp_failure_found_upstream_of_the_error() {
 #[test]
 fn no_compute_available_finds_dead_nova_compute() {
     let catalog = Catalog::openstack();
-    assert!(root_cause_found(&no_compute_available(&catalog, 5, 4), &catalog));
+    assert!(root_cause_found(
+        &no_compute_available(&catalog, 5, 4),
+        &catalog
+    ));
 }
 
 #[test]
@@ -87,8 +106,8 @@ fn limitation5_interference_names_the_operation_but_finds_no_cause() {
         FingerprintLibrary::characterize(catalog.clone(), &sc.specs, &sc.deployment, 2, 7);
     let exec = sc.run(catalog.clone());
     let telemetry = TelemetryStore::from_execution(&exec);
-    let mut analyzer = gretel::core::Analyzer::new(&library, GretelConfig::default())
-        .with_rca(RcaContext {
+    let mut analyzer =
+        gretel::core::Analyzer::new(&library, GretelConfig::default()).with_rca(RcaContext {
             deployment: &sc.deployment,
             telemetry: &telemetry,
             specs: &sc.specs,
@@ -96,8 +115,23 @@ fn limitation5_interference_names_the_operation_but_finds_no_cause() {
     let diagnoses = analyze_stream(&mut analyzer, exec.messages.iter());
     let d = diagnoses
         .iter()
-        .find(|d| matches!(d.kind, FaultKind::Operational { status: Some(404), .. }))
+        .find(|d| {
+            matches!(
+                d.kind,
+                FaultKind::Operational {
+                    status: Some(404),
+                    ..
+                }
+            )
+        })
         .expect("the 404 is diagnosed");
-    assert!(d.matched.contains(&OpSpecId(0)), "the failed operation is named");
-    assert!(d.root_causes.is_empty(), "but no node-state root cause exists: {:?}", d.root_causes);
+    assert!(
+        d.matched.contains(&OpSpecId(0)),
+        "the failed operation is named"
+    );
+    assert!(
+        d.root_causes.is_empty(),
+        "but no node-state root cause exists: {:?}",
+        d.root_causes
+    );
 }

@@ -56,7 +56,11 @@ fn case<T: PartialEq + 'static>(
     decode: impl Fn(&[u8]) -> Result<T, String> + 'static,
 ) -> Case {
     let encoded = encode(&value);
-    Case { name, encoded, decode: Box::new(move |bytes| Ok(decode(bytes)? == value)) }
+    Case {
+        name,
+        encoded,
+        decode: Box::new(move |bytes| Ok(decode(bytes)? == value)),
+    }
 }
 
 fn err(e: impl std::fmt::Display) -> String {
@@ -66,7 +70,12 @@ fn err(e: impl std::fmt::Display) -> String {
 // ---- values -------------------------------------------------------------
 
 fn ports_conn() -> ConnKey {
-    ConnKey { src: NodeId(1), src_port: 40_000, dst: NodeId(2), dst_port: 9696 }
+    ConnKey {
+        src: NodeId(1),
+        src_port: 40_000,
+        dst: NodeId(2),
+        dst_port: 9696,
+    }
 }
 
 fn rest_message() -> Message {
@@ -108,7 +117,12 @@ fn rpc_message() -> Message {
             msg_id: 991,
             error: Some("NoValidHost".into()),
         },
-        conn: ConnKey { src: NodeId(4), src_port: 21_000, dst: NodeId(0), dst_port: 5672 },
+        conn: ConnKey {
+            src: NodeId(4),
+            src_port: 21_000,
+            dst: NodeId(0),
+            dst_port: 5672,
+        },
         payload: render_rpc_payload("build_and_run_instance", 991, Some("NoValidHost"), 16),
         correlation_id: Some(5),
         project: Some(ProjectId(u32::MAX)),
@@ -155,17 +169,26 @@ fn diagnoses() -> [Diagnosis; 3] {
     };
     [
         mk(
-            FaultKind::Operational { status: Some(503), rpc: false },
+            FaultKind::Operational {
+                status: Some(503),
+                rpc: false,
+            },
             CaptureConfidence::Exact,
             CauseKind::Resource(ResourceKind::DiskFreeGb),
         ),
         mk(
-            FaultKind::Operational { status: None, rpc: true },
+            FaultKind::Operational {
+                status: None,
+                rpc: true,
+            },
             CaptureConfidence::Degraded { gaps: 2, lost: 9 },
             CauseKind::Dependency(Dependency::ServiceProcess(Service::NovaCompute)),
         ),
         mk(
-            FaultKind::Performance { observed_ms: 123.456, baseline_ms: 7.5 },
+            FaultKind::Performance {
+                observed_ms: 123.456,
+                baseline_ms: 7.5,
+            },
             CaptureConfidence::Cancelled,
             CauseKind::StaleTelemetry {
                 stale_resources: vec![ResourceKind::CpuPercent, ResourceKind::NetMbps],
@@ -203,12 +226,20 @@ fn library() -> &'static FingerprintLibrary {
 }
 
 fn fresh_analyzer() -> Analyzer<'static> {
-    let cfg = GretelConfig { alpha: 8, ..GretelConfig::default() };
+    let cfg = GretelConfig {
+        alpha: 8,
+        ..GretelConfig::default()
+    };
     Analyzer::new(library(), cfg).with_auto_alpha(2.0, 60_000_000)
 }
 
 fn rest_pair_msg(id: u64, ts: u64, api: ApiId, port: u16, status: Option<u16>) -> Message {
-    let conn = ConnKey { src: NodeId(1), src_port: port, dst: NodeId(2), dst_port: 9696 };
+    let conn = ConnKey {
+        src: NodeId(1),
+        src_port: port,
+        dst: NodeId(2),
+        dst_port: 9696,
+    };
     let (direction, conn, payload, src, dst) = match status {
         None => (
             Direction::Request,
@@ -234,7 +265,11 @@ fn rest_pair_msg(id: u64, ts: u64, api: ApiId, port: u16, status: Option<u16>) -
         dst_service: dst.1,
         api,
         direction,
-        wire: WireKind::Rest { method: HttpMethod::Post, uri: "/v2.0/ports.json".into(), status },
+        wire: WireKind::Rest {
+            method: HttpMethod::Post,
+            uri: "/v2.0/ports.json".into(),
+            status,
+        },
         conn,
         payload,
         correlation_id: Some(id / 2),
@@ -262,7 +297,13 @@ fn mid_stream_analyzer() -> Analyzer<'static> {
         let latency = if pair < 45 { 25_000 } else { 125_000 };
         let status = if pair == 10 { 500 } else { 200 };
         a.ingest(&rest_pair_msg(id, ts, api, 40_000, None));
-        a.ingest(&rest_pair_msg(id + 1, ts + latency, api, 40_000, Some(status)));
+        a.ingest(&rest_pair_msg(
+            id + 1,
+            ts + latency,
+            api,
+            40_000,
+            Some(status),
+        ));
         id += 2;
         ts += 200_000;
         if a.stats().perf_faults == 1 {
@@ -348,7 +389,9 @@ fn cases() -> Vec<Case> {
         ),
         case(
             "analyzer_state",
-            mid_stream_analyzer().export_state().expect("default detectors checkpoint"),
+            mid_stream_analyzer()
+                .export_state()
+                .expect("default detectors checkpoint"),
             Vec::clone,
             analyzer_restore,
         ),
@@ -411,9 +454,13 @@ fn cases() -> Vec<Case> {
             detector_restore::<SpikeDetector>,
         ),
     ];
-    for (name, d) in ["diagnosis_operational", "diagnosis_rpc_degraded", "diagnosis_performance"]
-        .into_iter()
-        .zip(diagnoses())
+    for (name, d) in [
+        "diagnosis_operational",
+        "diagnosis_rpc_degraded",
+        "diagnosis_performance",
+    ]
+    .into_iter()
+    .zip(diagnoses())
     {
         cases.push(case(
             name,
@@ -452,7 +499,10 @@ fn fixture(name: &str) -> Vec<u8> {
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
     let digits: Vec<u8> = text.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
     let pairs = digits.chunks_exact(2);
-    assert!(pairs.remainder().is_empty(), "{path}: odd number of hex digits");
+    assert!(
+        pairs.remainder().is_empty(),
+        "{path}: odd number of hex digits"
+    );
     pairs
         .map(|d| {
             let s = std::str::from_utf8(d).expect("ascii");
@@ -472,7 +522,12 @@ fn golden_bytes_are_stable() {
             c.name,
             to_hex(&c.encoded)
         );
-        assert_eq!((c.decode)(&golden), Ok(true), "{}: fixture must decode to the value", c.name);
+        assert_eq!(
+            (c.decode)(&golden),
+            Ok(true),
+            "{}: fixture must decode to the value",
+            c.name
+        );
     }
 }
 
@@ -482,18 +537,25 @@ fn fixtures_cover_the_interesting_state() {
     // populated; pin that here so a later edit cannot hollow it out.
     let mut a = mid_stream_analyzer();
     let s = a.stats();
-    assert_eq!((s.rest_errors, s.snapshots, s.perf_faults, s.capture_gaps), (1, 1, 1, 2));
+    assert_eq!(
+        (s.rest_errors, s.snapshots, s.perf_faults, s.capture_gaps),
+        (1, 1, 1, 2)
+    );
     let jobs = a.finish_jobs_observed(None);
     assert_eq!(jobs.len(), 1, "one snapshot is still armed");
     assert!(jobs[0].snapshot().events.iter().any(|e| e.gap_before == 2));
     let perf = a.snapshot_analyzer().analyze(&jobs[0]);
     assert!(
-        perf.iter().any(|d| matches!(d.kind, FaultKind::Performance { .. })),
+        perf.iter()
+            .any(|d| matches!(d.kind, FaultKind::Performance { .. })),
         "with the perf fault pending on it"
     );
     assert_eq!(parked_resequencer().flush().len(), 3, "frames are parked");
     assert_eq!(fixture("event").len(), 38);
-    assert_eq!(fixture("store_record").len(), RECORD_HEADER + b"golden payload".len());
+    assert_eq!(
+        fixture("store_record").len(),
+        RECORD_HEADER + b"golden payload".len()
+    );
 }
 
 /// Decode hostile bytes, turning a decoder panic into a test failure
@@ -511,7 +573,11 @@ fn hostile_bytes_never_panic() {
         let golden = fixture(c.name);
         for keep in 0..golden.len() {
             let got = decode_hostile(&c, &golden[..keep], || format!("prefix {keep}"));
-            assert!(got.is_err(), "{}: strict prefix of {keep} bytes decoded {got:?}", c.name);
+            assert!(
+                got.is_err(),
+                "{}: strict prefix of {keep} bytes decoded {got:?}",
+                c.name
+            );
         }
         let mut bytes = golden.clone();
         for i in 0..golden.len() {
@@ -529,7 +595,10 @@ fn hostile_bytes_never_panic() {
         }
         decodes += golden.len() * 11;
     }
-    assert!(decodes > 30_000, "the sweep covers every fixture ({decodes} decodes)");
+    assert!(
+        decodes > 30_000,
+        "the sweep covers every fixture ({decodes} decodes)"
+    );
 }
 
 /// The checkpoint from ISSUE 14: a valid analyzer state whose armed-
@@ -541,7 +610,11 @@ fn inflated_armed_count_is_an_error_and_the_analyzer_stays_usable() {
     // alpha u64 | n u32 | n events | n_armed u32
     let n = Reader::new(&state[8..]).u32().unwrap() as usize;
     let armed_at = 12 + n * 38;
-    assert_eq!(state[armed_at..armed_at + 4], 1u32.to_le_bytes(), "the armed count");
+    assert_eq!(
+        state[armed_at..armed_at + 4],
+        1u32.to_le_bytes(),
+        "the armed count"
+    );
     let mut bad = state.clone();
     bad[armed_at..armed_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
     let mut a = mid_stream_analyzer();
@@ -564,19 +637,38 @@ fn hash_keyings_are_pinned() {
     use gretel::sim::splitmix64;
     assert_eq!(splitmix64(0, 0, 0), 0xd9b4_4a58_3647_07bc);
     assert_eq!(splitmix64(42, 7, 3), 0xc974_4e51_1a29_6081);
-    assert_eq!(splitmix64(u64::MAX, 1 << 40, 0xDEAD_BEEF), 0x6bfc_be62_c8f6_4129);
+    assert_eq!(
+        splitmix64(u64::MAX, 1 << 40, 0xDEAD_BEEF),
+        0x6bfc_be62_c8f6_4129
+    );
     assert_eq!(mix64(0, 0, 0, 5), 0x2ba2_3c21_976b_ecb8);
     assert_eq!(mix64(42, 7, 3, 5), 0x8a4e_2926_aedd_9651);
-    assert_eq!(mix64(u64::MAX, 1 << 40, 0xDEAD_BEEF, 5), 0x4388_7222_a85b_7219);
+    assert_eq!(
+        mix64(u64::MAX, 1 << 40, 0xDEAD_BEEF, 5),
+        0x4388_7222_a85b_7219
+    );
     let shards: Vec<usize> = (0..16).map(|p| shard_of(Some(ProjectId(p)), 8)).collect();
     assert_eq!(shards, [1, 6, 5, 2, 2, 0, 7, 6, 4, 2, 5, 3, 7, 6, 5, 7]);
     assert_eq!(shard_of(None, 8), 7);
     let traffic: Vec<Message> = (0..32)
-        .map(|i| Message { id: MessageId(i), ..rpc_message() })
+        .map(|i| Message {
+            id: MessageId(i),
+            ..rpc_message()
+        })
         .collect();
-    let kept: Vec<u64> = degrade(&traffic, Degradation { drop_prob: 0.5, seed: 9 }, false)
-        .iter()
-        .map(|m| m.id.0)
-        .collect();
-    assert_eq!(kept, [0, 4, 5, 6, 9, 10, 13, 16, 17, 19, 20, 24, 25, 26, 28, 29, 30, 31]);
+    let kept: Vec<u64> = degrade(
+        &traffic,
+        Degradation {
+            drop_prob: 0.5,
+            seed: 9,
+        },
+        false,
+    )
+    .iter()
+    .map(|m| m.id.0)
+    .collect();
+    assert_eq!(
+        kept,
+        [0, 4, 5, 6, 9, 10, 13, 16, 17, 19, 20, 24, 25, 26, 28, 29, 30, 31]
+    );
 }

@@ -4,7 +4,9 @@ use gretel::core::{
     theta, DetectionOutcome, Detector, Event, FaultMark, FingerprintLibrary, GretelConfig,
     PositionIndex, SnapshotIndex,
 };
-use gretel::model::{ApiId, Catalog, Category, Direction, MessageId, NodeId, OpSpecId, TempestSuite};
+use gretel::model::{
+    ApiId, Catalog, Category, Direction, MessageId, NodeId, OpSpecId, TempestSuite,
+};
 use gretel::sim::Deployment;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -49,8 +51,11 @@ fn build_events(
     fault_pos: usize,
     offending: ApiId,
 ) -> Vec<Event> {
-    let mut events: Vec<Event> =
-        apis.iter().enumerate().map(|(i, &api)| event(catalog, i, api)).collect();
+    let mut events: Vec<Event> = apis
+        .iter()
+        .enumerate()
+        .map(|(i, &api)| event(catalog, i, api))
+        .collect();
     events[fault_pos] = Event {
         fault: FaultMark::RestError(500),
         noise_api: false,
@@ -72,7 +77,10 @@ fn per_pattern_scored(
     let sidx = SnapshotIndex::new(events);
     let buffer = sidx.apis();
     let index = PositionIndex::new(buffer);
-    let center = events[..fault_index].iter().filter(|e| !e.noise_api).count();
+    let center = events[..fault_index]
+        .iter()
+        .filter(|e| !e.noise_api)
+        .count();
     let upper = (center + 1).min(buffer.len());
     let miss_budget = sidx.lost_before(center + 1) as usize;
     let (h0, delta) = ((cfg.beta0() / 2).max(1), cfg.delta());
@@ -86,17 +94,24 @@ fn per_pattern_scored(
         if pattern.is_empty() {
             continue;
         }
-        let hit = index.min_anchored_half(pattern, center, upper).map(|h| (h, 0)).or_else(|| {
-            let budget = miss_budget.min(pattern.len() - 1);
-            (miss_budget > 0)
-                .then(|| index.min_anchored_half_with_misses(pattern, center, upper, budget))
-                .flatten()
-        });
+        let hit = index
+            .min_anchored_half(pattern, center, upper)
+            .map(|h| (h, 0))
+            .or_else(|| {
+                let budget = miss_budget.min(pattern.len() - 1);
+                (miss_budget > 0)
+                    .then(|| index.min_anchored_half_with_misses(pattern, center, upper, budget))
+                    .flatten()
+            });
         if let Some((h, misses)) = hit {
             hits.push((h, pattern.len() - misses, p.op, misses));
         }
     }
-    let long: Vec<_> = hits.iter().filter(|h| h.1 >= cfg.min_pattern).copied().collect();
+    let long: Vec<_> = hits
+        .iter()
+        .filter(|h| h.1 >= cfg.min_pattern)
+        .copied()
+        .collect();
     let (mut selected, beta_used): (Vec<(OpSpecId, usize)>, usize) =
         match long.iter().map(|h| h.0).min() {
             Some(h_min) => {
@@ -106,7 +121,10 @@ fn per_pattern_scored(
                 let max_len = eligible.iter().map(|h| h.1).max().unwrap_or(0);
                 let slack = cfg.scored_slack.unwrap_or(0);
                 let kept = eligible.into_iter().filter(|h| h.1 + slack >= max_len);
-                (kept.map(|h| (h.2, h.3)).collect(), (2 * h_stop + 1).min(buffer.len()))
+                (
+                    kept.map(|h| (h.2, h.3)).collect(),
+                    (2 * h_stop + 1).min(buffer.len()),
+                )
             }
             None => (hits.iter().map(|h| (h.2, h.3)).collect(), buffer.len()),
         };

@@ -25,7 +25,10 @@ fn dsl_operation_is_learned_and_diagnosed() {
     let deployment = Deployment::standard();
     let wf = Workflows::new(catalog.clone());
 
-    let mut specs = vec![wf.vm_create_spec(OpSpecId(0)), wf.image_upload_spec(OpSpecId(1))];
+    let mut specs = vec![
+        wf.vm_create_spec(OpSpecId(0)),
+        wf.image_upload_spec(OpSpecId(1)),
+    ];
     let (mut library, _) =
         FingerprintLibrary::characterize(catalog.clone(), &specs, &deployment, 2, 7);
 
@@ -46,7 +49,10 @@ fn dsl_operation_is_learned_and_diagnosed() {
         api: put_file,
         scope: FaultScope::Instance(OpInstanceId(2)),
         occurrence: 0,
-        error: InjectedError::RestStatus { status: 413, reason: None },
+        error: InjectedError::RestStatus {
+            status: 413,
+            reason: None,
+        },
         abort_op: true,
     });
     let refs: Vec<&OperationSpec> = specs.iter().collect();
@@ -56,7 +62,15 @@ fn dsl_operation_is_learned_and_diagnosed() {
     let diagnoses = analyze_stream(&mut analyzer, exec.messages.iter());
     let d = diagnoses
         .iter()
-        .find(|d| matches!(d.kind, FaultKind::Operational { status: Some(413), .. }))
+        .find(|d| {
+            matches!(
+                d.kind,
+                FaultKind::Operational {
+                    status: Some(413),
+                    ..
+                }
+            )
+        })
         .expect("413 diagnosed");
     assert!(d.matched.contains(&OpSpecId(2)), "matched {:?}", d.matched);
     assert!(

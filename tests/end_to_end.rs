@@ -4,8 +4,7 @@ use gretel::model::OpInstanceId;
 use gretel::prelude::*;
 
 fn small_suite(catalog: &std::sync::Arc<Catalog>, per_category: usize) -> TempestSuite {
-    let counts: Vec<(Category, usize)> =
-        Category::ALL.iter().map(|&c| (c, per_category)).collect();
+    let counts: Vec<(Category, usize)> = Category::ALL.iter().map(|&c| (c, per_category)).collect();
     TempestSuite::generate_with_counts(catalog.clone(), 2, &counts)
 }
 
@@ -31,20 +30,25 @@ fn characterize_then_diagnose_injected_fault() {
         .find_map(|(i, st)| {
             let def = catalog.get(st.api);
             (!def.is_rpc() && def.is_state_change()).then(|| {
-                let occ =
-                    victim.steps[..i].iter().filter(|s| s.api == st.api).count() as u32;
+                let occ = victim.steps[..i].iter().filter(|s| s.api == st.api).count() as u32;
                 (st.api, occ)
             })
         })
         .expect("state-change REST step");
 
-    let victim_index =
-        suite.specs().iter().position(|s| s.id == victim.id).expect("victim in suite");
+    let victim_index = suite
+        .specs()
+        .iter()
+        .position(|s| s.id == victim.id)
+        .expect("victim in suite");
     let plan = FaultPlan::none().with_api_fault(ApiFault {
         api,
         scope: FaultScope::Instance(OpInstanceId(victim_index as u64)),
         occurrence,
-        error: InjectedError::RestStatus { status: 500, reason: None },
+        error: InjectedError::RestStatus {
+            status: 500,
+            reason: None,
+        },
         abort_op: true,
     });
 
@@ -66,7 +70,16 @@ fn characterize_then_diagnose_injected_fault() {
 
     let diag = diagnoses
         .iter()
-        .find(|d| d.api == api && matches!(d.kind, FaultKind::Operational { status: Some(500), .. }))
+        .find(|d| {
+            d.api == api
+                && matches!(
+                    d.kind,
+                    FaultKind::Operational {
+                        status: Some(500),
+                        ..
+                    }
+                )
+        })
         .expect("diagnosis for the injected fault");
     assert!(
         diag.matched.contains(&victim.id),
@@ -89,12 +102,15 @@ fn characterize_then_diagnose_injected_fault() {
         .iter()
         .filter(|s| {
             let seq = library.get(s.id).api_seq();
-            seq.iter().position(|&a| a == api).is_some_and(|cut| {
-                gretel::core::lcs::is_subsequence(&seq[..cut], &filtered)
-            })
+            seq.iter()
+                .position(|&a| a == api)
+                .is_some_and(|cut| gretel::core::lcs::is_subsequence(&seq[..cut], &filtered))
         })
         .count();
-    assert!(candidate_bound >= 1, "the victim itself must be a candidate");
+    assert!(
+        candidate_bound >= 1,
+        "the victim itself must be a candidate"
+    );
     let floor = gretel::core::theta(candidate_bound, library.len());
     assert!(
         diag.theta >= floor,
@@ -104,7 +120,11 @@ fn characterize_then_diagnose_injected_fault() {
         candidate_bound,
         library.len()
     );
-    assert!(diag.theta > 0.0, "fault must be narrowed at all: theta {}", diag.theta);
+    assert!(
+        diag.theta > 0.0,
+        "fault must be narrowed at all: theta {}",
+        diag.theta
+    );
 }
 
 #[test]
@@ -115,12 +135,19 @@ fn clean_concurrent_run_produces_no_operational_diagnoses() {
     let (library, _) =
         FingerprintLibrary::characterize(catalog.clone(), suite.specs(), &deployment, 2, 3);
     let refs: Vec<&OperationSpec> = suite.specs().iter().collect();
-    let exec = Runner::new(catalog.clone(), &deployment, &FaultPlan::none(), RunConfig::default())
-        .run(&refs);
+    let exec = Runner::new(
+        catalog.clone(),
+        &deployment,
+        &FaultPlan::none(),
+        RunConfig::default(),
+    )
+    .run(&refs);
     let mut analyzer = Analyzer::new(&library, GretelConfig::default());
     let diagnoses = analyze_stream(&mut analyzer, exec.messages.iter());
     assert!(
-        diagnoses.iter().all(|d| !matches!(d.kind, FaultKind::Operational { .. })),
+        diagnoses
+            .iter()
+            .all(|d| !matches!(d.kind, FaultKind::Operational { .. })),
         "no operational faults in a clean run: {diagnoses:?}"
     );
 }
@@ -139,7 +166,11 @@ fn fingerprints_embed_in_their_own_execution_traces() {
             catalog.clone(),
             &deployment,
             &FaultPlan::none(),
-            RunConfig { seed: 999, start_window: 0, ..RunConfig::default() },
+            RunConfig {
+                seed: 999,
+                start_window: 0,
+                ..RunConfig::default()
+            },
         )
         .run(&[spec]);
         let trace = gretel::core::trace_of(&exec);
@@ -175,7 +206,10 @@ fn threaded_service_agrees_with_inline_analysis_on_suite_traffic() {
         api,
         scope: FaultScope::Instance(OpInstanceId(0)),
         occurrence: 0,
-        error: InjectedError::RestStatus { status: 503, reason: None },
+        error: InjectedError::RestStatus {
+            status: 503,
+            reason: None,
+        },
         abort_op: true,
     });
     let refs: Vec<&OperationSpec> = suite.specs().iter().collect();
@@ -187,7 +221,10 @@ fn threaded_service_agrees_with_inline_analysis_on_suite_traffic() {
 
     let nodes: Vec<_> = deployment.nodes().iter().map(|n| n.id).collect();
     let mut threaded = Analyzer::new(&library, cfg);
-    let scfg = gretel::core::ServiceConfig { channel_capacity: 256, ..Default::default() };
+    let scfg = gretel::core::ServiceConfig {
+        channel_capacity: 256,
+        ..Default::default()
+    };
     let (got, _, _) = gretel::core::run_service_cfg(&mut threaded, &nodes, &exec.messages, &scfg);
     assert_eq!(got, expected);
 }
@@ -206,8 +243,16 @@ fn modest_monitoring_clock_skew_does_not_break_detection() {
     let (library, _) =
         FingerprintLibrary::characterize(catalog.clone(), suite.specs(), &deployment, 2, 21);
 
-    let victim = suite.specs().iter().find(|s| s.category == Category::Compute).unwrap();
-    let victim_index = suite.specs().iter().position(|s| s.id == victim.id).unwrap();
+    let victim = suite
+        .specs()
+        .iter()
+        .find(|s| s.category == Category::Compute)
+        .unwrap();
+    let victim_index = suite
+        .specs()
+        .iter()
+        .position(|s| s.id == victim.id)
+        .unwrap();
     let (api, occ) = victim
         .steps
         .iter()
@@ -215,7 +260,10 @@ fn modest_monitoring_clock_skew_does_not_break_detection() {
         .find_map(|(i, st)| {
             let def = catalog.get(st.api);
             (!def.is_rpc() && def.is_state_change()).then(|| {
-                (st.api, victim.steps[..i].iter().filter(|s| s.api == st.api).count() as u32)
+                (
+                    st.api,
+                    victim.steps[..i].iter().filter(|s| s.api == st.api).count() as u32,
+                )
             })
         })
         .unwrap();
@@ -223,7 +271,10 @@ fn modest_monitoring_clock_skew_does_not_break_detection() {
         api,
         scope: FaultScope::Instance(OpInstanceId(victim_index as u64)),
         occurrence: occ,
-        error: InjectedError::RestStatus { status: 500, reason: None },
+        error: InjectedError::RestStatus {
+            status: 500,
+            reason: None,
+        },
         abort_op: true,
     });
     let refs: Vec<&OperationSpec> = suite.specs().iter().collect();

@@ -79,25 +79,43 @@ fn cinder_crash_cascade_names_cinder_root_and_nova_symptom() {
     let sc = cinder_crash_cascade(&catalog, 42);
     let diagnoses = diagnose(&sc, &catalog, None);
 
-    assert_eq!(roots_of(&diagnoses), vec![Service::Cinder], "the crashed service is the root");
+    assert_eq!(
+        roots_of(&diagnoses),
+        vec![Service::Cinder],
+        "the crashed service is the root"
+    );
     let symptom = diagnoses
         .iter()
         .find_map(|d| match &d.attribution {
-            Some(Attribution::Symptom { service: Service::Nova, of, evidence }) => {
-                Some((*of, evidence.clone()))
-            }
+            Some(Attribution::Symptom {
+                service: Service::Nova,
+                of,
+                evidence,
+            }) => Some((*of, evidence.clone())),
             _ => None,
         })
         .expect("Nova's attach failures are marked as symptoms");
     assert_eq!(symptom.0, Service::Cinder);
-    assert!(!symptom.1.is_empty(), "symptom carries an observed-traffic evidence chain");
     assert!(
-        symptom.1.iter().any(|h| h.from == Service::Nova && h.to == Service::Cinder),
+        !symptom.1.is_empty(),
+        "symptom carries an observed-traffic evidence chain"
+    );
+    assert!(
+        symptom
+            .1
+            .iter()
+            .any(|h| h.from == Service::Nova && h.to == Service::Cinder),
         "evidence walks the mined Nova->Cinder edge"
     );
     // No Nova diagnosis claims to be a root.
     assert!(diagnoses.iter().all(|d| {
-        !matches!(&d.attribution, Some(Attribution::Root { service: Service::Nova, .. }))
+        !matches!(
+            &d.attribution,
+            Some(Attribution::Root {
+                service: Service::Nova,
+                ..
+            })
+        )
     }));
 }
 
@@ -113,7 +131,11 @@ fn partition_cascade_attributes_root_with_all_nodes_healthy() {
     assert_eq!(roots_of(&diagnoses), sc.truth.root_services());
     assert!(diagnoses.iter().any(|d| matches!(
         &d.attribution,
-        Some(Attribution::Symptom { service: Service::Nova, of: Service::Cinder, .. })
+        Some(Attribution::Symptom {
+            service: Service::Nova,
+            of: Service::Cinder,
+            ..
+        })
     )));
 }
 
@@ -146,7 +168,9 @@ fn telemetry_silent_node_reports_stale_and_is_never_promoted_to_root() {
         "the silent node is reported as stale"
     );
     assert!(
-        diagnoses.iter().all(|d| !matches!(&d.attribution, Some(Attribution::Root { .. }))),
+        diagnoses
+            .iter()
+            .all(|d| !matches!(&d.attribution, Some(Attribution::Root { .. }))),
         "stale-only evidence never anchors a cascade root"
     );
 }
@@ -156,17 +180,19 @@ fn non_cascade_scenarios_serialize_byte_identically_to_the_flat_path() {
     // The graph post-pass must be invisible on single-fault runs: same
     // diagnoses, same bytes.
     let catalog = Catalog::openstack();
-    for sc in [failed_image_upload(&catalog, 1, 4), rabbitmq_outage(&catalog, 9, 4)] {
+    for sc in [
+        failed_image_upload(&catalog, 1, 4),
+        rabbitmq_outage(&catalog, 9, 4),
+    ] {
         let (library, _) =
             FingerprintLibrary::characterize(catalog.clone(), &sc.specs, &sc.deployment, 2, 7);
         let exec = sc.run(catalog.clone());
         let telemetry = TelemetryStore::from_execution(&exec);
-        let mut analyzer =
-            Analyzer::new(&library, GretelConfig::default()).with_rca(RcaContext {
-                deployment: &sc.deployment,
-                telemetry: &telemetry,
-                specs: &sc.specs,
-            });
+        let mut analyzer = Analyzer::new(&library, GretelConfig::default()).with_rca(RcaContext {
+            deployment: &sc.deployment,
+            telemetry: &telemetry,
+            specs: &sc.specs,
+        });
         let mut diagnoses = analyze_stream(&mut analyzer, exec.messages.iter());
         let flat = serde_json::to_string(&diagnoses).unwrap();
         attribute_cascades(
@@ -176,7 +202,11 @@ fn non_cascade_scenarios_serialize_byte_identically_to_the_flat_path() {
             CascadeParams::default(),
         );
         let graphed = serde_json::to_string(&diagnoses).unwrap();
-        assert_eq!(flat, graphed, "graph pass changed the report for {}", sc.name);
+        assert_eq!(
+            flat, graphed,
+            "graph pass changed the report for {}",
+            sc.name
+        );
     }
 }
 

@@ -42,7 +42,10 @@ fn fixture() -> &'static Fixture {
         let cat = Catalog::openstack();
         let dep = Deployment::standard();
         let wf = Workflows::new(cat.clone());
-        let specs = vec![wf.vm_create_spec(OpSpecId(0)), wf.image_upload_spec(OpSpecId(1))];
+        let specs = vec![
+            wf.vm_create_spec(OpSpecId(0)),
+            wf.image_upload_spec(OpSpecId(1)),
+        ];
         let (lib, _) = FingerprintLibrary::characterize(cat.clone(), &specs, &dep, 2, 21);
         let ports_post = cat.rest_expect(Service::Neutron, HttpMethod::Post, "/v2.0/ports.json");
         let put_file = cat.rest_expect(Service::Glance, HttpMethod::Put, "/v2/images/{id}/file");
@@ -51,28 +54,49 @@ fn fixture() -> &'static Fixture {
                 api: ports_post,
                 scope: FaultScope::AllInstances,
                 occurrence: 0,
-                error: InjectedError::RestStatus { status: 500, reason: None },
+                error: InjectedError::RestStatus {
+                    status: 500,
+                    reason: None,
+                },
                 abort_op: true,
             })
             .with_api_fault(ApiFault {
                 api: put_file,
                 scope: FaultScope::AllInstances,
                 occurrence: 0,
-                error: InjectedError::RestStatus { status: 503, reason: None },
+                error: InjectedError::RestStatus {
+                    status: 503,
+                    reason: None,
+                },
                 abort_op: true,
             });
         // Several hundred messages: enough stream for multiple checkpoint
         // intervals and mid-stream crash points.
         let refs: Vec<&OperationSpec> = specs.iter().cycle().take(24).collect();
-        let exec = Runner::new(cat, &dep, &plan, RunConfig { seed: 6, ..Default::default() })
-            .run(&refs);
+        let exec = Runner::new(
+            cat,
+            &dep,
+            &plan,
+            RunConfig {
+                seed: 6,
+                ..Default::default()
+            },
+        )
+        .run(&refs);
         let nodes = dep.nodes().iter().map(|n| n.id).collect();
-        Fixture { lib, nodes, messages: exec.messages }
+        Fixture {
+            lib,
+            nodes,
+            messages: exec.messages,
+        }
     })
 }
 
 fn gcfg() -> GretelConfig {
-    GretelConfig { alpha: 48, ..GretelConfig::default() }
+    GretelConfig {
+        alpha: 48,
+        ..GretelConfig::default()
+    }
 }
 
 /// The plain (non-recoverable) pipeline's output for a given impairment —
@@ -95,7 +119,11 @@ fn lifetime(
     store: &mut dyn Store,
 ) -> DurableOutcome {
     let fx = fixture();
-    let cfg = DurableConfig { recovery: recovery.clone(), kill_point, reloads: Vec::new() };
+    let cfg = DurableConfig {
+        recovery: recovery.clone(),
+        kill_point,
+        reloads: Vec::new(),
+    };
     run_service_durable(&fx.lib, gcfg(), &fx.nodes, &fx.messages, &cfg, store)
         .expect("a lifetime completes or is killed")
 }
@@ -113,7 +141,13 @@ fn run_recoverable(
     for kill in kills.iter().copied().map(Some).chain([None]) {
         match lifetime(&recovery, kill, &mut store) {
             DurableOutcome::Killed { recovery, .. } => total.merge(&recovery),
-            DurableOutcome::Completed { diagnoses, service, analyzer, recovery, .. } => {
+            DurableOutcome::Completed {
+                diagnoses,
+                service,
+                analyzer,
+                recovery,
+                ..
+            } => {
                 total.merge(&recovery);
                 return (diagnoses, service, analyzer, total);
             }
@@ -127,7 +161,10 @@ fn no_chaos_recoverable_equals_plain_pipeline() {
     let expected = reference(None);
     assert!(expected.len() >= 2, "fixture produces diagnoses");
 
-    let cfg = RecoveryConfig { checkpoint_every: 64, ..RecoveryConfig::default() };
+    let cfg = RecoveryConfig {
+        checkpoint_every: 64,
+        ..RecoveryConfig::default()
+    };
     let (diags, _, astats, rec) = run_recoverable(cfg, &[]);
     assert_eq!(diags, expected);
     assert!(rec.checkpoints_written > 0);
@@ -146,7 +183,12 @@ fn worker_kills_and_service_crashes_preserve_the_output_exactly() {
     // replays from its checkpoints.
     let cfg = RecoveryConfig {
         checkpoint_every: 64,
-        chaos: AnalyzerChaos { kill_prob: 1.0, kill_attempts: 2, seed: 17, ..AnalyzerChaos::none() },
+        chaos: AnalyzerChaos {
+            kill_prob: 1.0,
+            kill_attempts: 2,
+            seed: 17,
+            ..AnalyzerChaos::none()
+        },
         max_attempts: 5,
         ..RecoveryConfig::default()
     };
@@ -154,9 +196,15 @@ fn worker_kills_and_service_crashes_preserve_the_output_exactly() {
 
     assert_eq!(diags, expected, "zero diagnoses lost, zero duplicated");
     assert!(rec.worker_crashes > 0, "kill chaos fired: {rec:?}");
-    assert_eq!(rec.jobs_requeued, rec.worker_crashes, "every crashed job was requeued");
+    assert_eq!(
+        rec.jobs_requeued, rec.worker_crashes,
+        "every crashed job was requeued"
+    );
     assert_eq!(rec.restores, 2, "one restore per kill");
-    assert!(rec.replayed_frames > 0, "replay re-shipped the consumed prefix");
+    assert!(
+        rec.replayed_frames > 0,
+        "replay re-shipped the consumed prefix"
+    );
     assert_eq!(rec.jobs_cancelled, 0, "retry budget outlives the kill coin");
     // Replay inflates transport stats (documented) but never the analysis.
     assert!(svc.frames > 0);
@@ -169,7 +217,11 @@ fn stalled_jobs_are_cancelled_never_exact() {
     let cfg = RecoveryConfig {
         checkpoint_every: 64,
         budget: JobBudget::Passes(1 << 20),
-        chaos: AnalyzerChaos { stall_prob: 1.0, seed: 23, ..AnalyzerChaos::none() },
+        chaos: AnalyzerChaos {
+            stall_prob: 1.0,
+            seed: 23,
+            ..AnalyzerChaos::none()
+        },
         ..RecoveryConfig::default()
     };
     let (diags, _, _, rec) = run_recoverable(cfg, &[]);
@@ -206,27 +258,38 @@ fn budget_cancellations_replay_identically_across_crashes() {
     let (diags_plain, _, _, rec_plain) = run(&[]);
     let (diags_crashed, _, _, rec_crashed) = run(&[150, 80]);
 
-    assert!(rec_plain.jobs_cancelled > 0, "zero-pass budget cancels: {rec_plain:?}");
+    assert!(
+        rec_plain.jobs_cancelled > 0,
+        "zero-pass budget cancels: {rec_plain:?}"
+    );
     assert!(rec_crashed.jobs_cancelled > 0);
     assert_eq!(rec_crashed.restores, 2, "one restore per kill");
     assert_eq!(
         diags_crashed, diags_plain,
         "cancellations must be a pure function of the jobs, not of crash timing"
     );
-    assert!(diags_plain.iter().all(|d| d.confidence == CaptureConfidence::Cancelled));
+    assert!(diags_plain
+        .iter()
+        .all(|d| d.confidence == CaptureConfidence::Cancelled));
 }
 
 #[test]
 fn corrupt_checkpoints_fall_back_and_suppress_duplicate_releases() {
     let expected = reference(None);
-    let recovery = RecoveryConfig { checkpoint_every: 64, ..RecoveryConfig::default() };
+    let recovery = RecoveryConfig {
+        checkpoint_every: 64,
+        ..RecoveryConfig::default()
+    };
 
     // A lifetime killed past three boundaries; then, before the restart,
     // every checkpoint record on the store is corrupted, so the restore
     // finds no valid one and replays from scratch. Already-released
     // diagnoses are regenerated — the watermark must suppress them.
     let mut store = MemStore::new();
-    assert!(matches!(lifetime(&recovery, Some(200), &mut store), DurableOutcome::Killed { .. }));
+    assert!(matches!(
+        lifetime(&recovery, Some(200), &mut store),
+        DurableOutcome::Killed { .. }
+    ));
     let checkpoints: Vec<usize> = records(store.bytes())
         .enumerate()
         .filter_map(|(i, r)| (r.kind == KIND_CHECKPOINT).then_some(i))
@@ -237,15 +300,24 @@ fn corrupt_checkpoints_fall_back_and_suppress_duplicate_releases() {
     }
     assert!(store.latest_valid(KIND_CHECKPOINT).is_none());
 
-    let DurableOutcome::Completed { diagnoses, recovery: rec, .. } =
-        lifetime(&recovery, None, &mut store)
+    let DurableOutcome::Completed {
+        diagnoses,
+        recovery: rec,
+        ..
+    } = lifetime(&recovery, None, &mut store)
     else {
         panic!("no kill point configured")
     };
-    assert_eq!(diagnoses, expected, "cold replay still neither loses nor duplicates");
+    assert_eq!(
+        diagnoses, expected,
+        "cold replay still neither loses nor duplicates"
+    );
     assert_eq!(rec.restores, 0, "no usable checkpoint: a cold start");
     assert_eq!(rec.replayed_frames, 0, "nothing restored, nothing to dedup");
-    assert!(rec.duplicate_releases_suppressed > 0, "the watermark held: {rec:?}");
+    assert!(
+        rec.duplicate_releases_suppressed > 0,
+        "the watermark held: {rec:?}"
+    );
 }
 
 /// A fresh per-test scratch directory for a `FileStore`.
@@ -263,14 +335,21 @@ fn run_durable_to_completion(
 ) -> (Vec<gretel::core::Diagnosis>, RecoveryStats) {
     let fx = fixture();
     let cfg = DurableConfig {
-        recovery: RecoveryConfig { checkpoint_every: 64, ..RecoveryConfig::default() },
+        recovery: RecoveryConfig {
+            checkpoint_every: 64,
+            ..RecoveryConfig::default()
+        },
         kill_point: None,
         reloads,
     };
     match run_service_durable(lib, gcfg(), &fx.nodes, &fx.messages, &cfg, store)
         .expect("durable run completes")
     {
-        DurableOutcome::Completed { diagnoses, recovery, .. } => (diagnoses, recovery),
+        DurableOutcome::Completed {
+            diagnoses,
+            recovery,
+            ..
+        } => (diagnoses, recovery),
         DurableOutcome::Killed { .. } => panic!("no kill point configured"),
     }
 }
@@ -285,14 +364,21 @@ fn durable_filestore_kill_restart_is_exactly_once() {
     // lifetime, identical outcome.
     let expected = reference(None);
     let dir = scratch("durable-kill");
-    let recovery = RecoveryConfig { checkpoint_every: 64, ..RecoveryConfig::default() };
+    let recovery = RecoveryConfig {
+        checkpoint_every: 64,
+        ..RecoveryConfig::default()
+    };
     let mut mem = MemStore::new();
 
     for kill in [Some(150u64), Some(80), None] {
         let mut file = FileStore::open(&dir, FileStoreConfig::default()).expect("open store");
         let on_file = lifetime(&recovery, kill, &mut file);
         let on_mem = lifetime(&recovery, kill, &mut mem);
-        assert_eq!(file.bytes(), mem.bytes(), "log bytes diverged at kill {kill:?}");
+        assert_eq!(
+            file.bytes(),
+            mem.bytes(),
+            "log bytes diverged at kill {kill:?}"
+        );
         assert_eq!(
             std::fs::read(FileStore::log_path(&dir)).unwrap(),
             mem.bytes(),
@@ -302,19 +388,34 @@ fn durable_filestore_kill_restart_is_exactly_once() {
             (Some(_), DurableOutcome::Killed { .. }, DurableOutcome::Killed { .. }) => {}
             (
                 None,
-                DurableOutcome::Completed { diagnoses, recovery: rec, .. },
-                DurableOutcome::Completed { diagnoses: mem_diagnoses, recovery: mem_rec, .. },
+                DurableOutcome::Completed {
+                    diagnoses,
+                    recovery: rec,
+                    ..
+                },
+                DurableOutcome::Completed {
+                    diagnoses: mem_diagnoses,
+                    recovery: mem_rec,
+                    ..
+                },
             ) => {
                 assert_eq!(diagnoses, expected, "zero diagnoses lost, zero duplicated");
                 assert_eq!(diagnoses, mem_diagnoses);
                 assert_eq!(rec, mem_rec);
                 assert_eq!(rec.restores, 1);
-                assert!(rec.replayed_frames > 0, "the restart replayed the prefix: {rec:?}");
+                assert!(
+                    rec.replayed_frames > 0,
+                    "the restart replayed the prefix: {rec:?}"
+                );
             }
             (kill, a, b) => panic!("kill {kill:?} ended as {a:?} / {b:?}"),
         }
     }
-    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "one log file, nothing else");
+    assert_eq!(
+        std::fs::read_dir(&dir).unwrap().count(),
+        1,
+        "one log file, nothing else"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -326,15 +427,24 @@ fn kill_between_release_and_checkpoint_survives_every_torn_tail() {
     // tears that tail anywhere. Whatever survives, the process that reopens
     // the file commits the uninterrupted run's stream.
     let expected = reference(None);
-    let recovery = RecoveryConfig { checkpoint_every: 64, ..RecoveryConfig::default() };
+    let recovery = RecoveryConfig {
+        checkpoint_every: 64,
+        ..RecoveryConfig::default()
+    };
     let mut killed = MemStore::new();
-    assert!(matches!(lifetime(&recovery, Some(200), &mut killed), DurableOutcome::Killed { .. }));
+    assert!(matches!(
+        lifetime(&recovery, Some(200), &mut killed),
+        DurableOutcome::Killed { .. }
+    ));
     let log = killed.bytes();
     let release = records(log)
         .filter(|r| r.kind == KIND_DIAGNOSES && r.payload.len() > 16)
         .last()
         .expect("a boundary before the kill released diagnoses");
-    assert_eq!(records(&log[release.end()..]).next().map(|r| r.kind), Some(KIND_CHECKPOINT));
+    assert_eq!(
+        records(&log[release.end()..]).next().map(|r| r.kind),
+        Some(KIND_CHECKPOINT)
+    );
 
     let dir = scratch("torn-release");
     std::fs::create_dir_all(&dir).unwrap();
@@ -342,10 +452,17 @@ fn kill_between_release_and_checkpoint_survives_every_torn_tail() {
     for cut in release.offset..=release.end() {
         std::fs::write(FileStore::log_path(&dir), &log[..cut]).unwrap();
         let mut store = FileStore::open(&dir, FileStoreConfig::default()).expect("open torn log");
-        let torn = if cut < release.end() { cut - release.offset } else { 0 };
+        let torn = if cut < release.end() {
+            cut - release.offset
+        } else {
+            0
+        };
         assert_eq!(store.truncated_on_open(), torn);
-        let DurableOutcome::Completed { diagnoses, recovery: rec, .. } =
-            lifetime(&recovery, None, &mut store)
+        let DurableOutcome::Completed {
+            diagnoses,
+            recovery: rec,
+            ..
+        } = lifetime(&recovery, None, &mut store)
         else {
             panic!("no kill point configured")
         };
@@ -364,14 +481,26 @@ fn empty_library_delta_reload_is_byte_identical() {
     // leave the committed stream byte-identical to never reloading.
     let fx = fixture();
     let (no_reload, _) = run_durable_to_completion(&fx.lib, Vec::new(), &mut MemStore::new());
-    assert_eq!(no_reload, reference(None), "durable == plain pipeline with no failures");
+    assert_eq!(
+        no_reload,
+        reference(None),
+        "durable == plain pipeline with no failures"
+    );
 
-    let reloads = vec![LibraryReload { at_merged: 100, snapshot: fx.lib.to_snapshot() }];
-    let (with_reload, rec) =
-        run_durable_to_completion(&fx.lib, reloads, &mut MemStore::new());
+    let reloads = vec![LibraryReload {
+        at_merged: 100,
+        snapshot: fx.lib.to_snapshot(),
+    }];
+    let (with_reload, rec) = run_durable_to_completion(&fx.lib, reloads, &mut MemStore::new());
     assert_eq!(rec.library_reloads, 1, "the reload fired: {rec:?}");
-    assert!(rec.restores >= 1, "a reload re-enters from its boundary checkpoint");
-    assert_eq!(with_reload, no_reload, "an empty delta must be invisible in the output");
+    assert!(
+        rec.restores >= 1,
+        "a reload re-enters from its boundary checkpoint"
+    );
+    assert_eq!(
+        with_reload, no_reload,
+        "an empty delta must be invisible in the output"
+    );
 }
 
 #[test]
@@ -389,7 +518,10 @@ fn mid_run_library_addition_is_matched_at_next_freeze() {
 
     let (full_diags, _) = run_durable_to_completion(&fx.lib, Vec::new(), &mut MemStore::new());
     let (control, _) = run_durable_to_completion(&base_lib, Vec::new(), &mut MemStore::new());
-    let reloads = vec![LibraryReload { at_merged: 1, snapshot: fx.lib.to_snapshot() }];
+    let reloads = vec![LibraryReload {
+        at_merged: 1,
+        snapshot: fx.lib.to_snapshot(),
+    }];
     let (reloaded, rec) = run_durable_to_completion(&base_lib, reloads, &mut MemStore::new());
 
     assert_eq!(rec.library_reloads, 1, "the reload fired: {rec:?}");

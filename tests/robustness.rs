@@ -14,16 +14,13 @@
 //!   total).
 
 use gretel::core::{
-    analyze_stream, run_service_cfg, Analyzer, CaptureConfidence, GretelConfig,
-    ServiceConfig,
+    analyze_stream, run_service_cfg, Analyzer, CaptureConfidence, GretelConfig, ServiceConfig,
 };
 use gretel::model::{
     Catalog, HttpMethod, Message, NodeId, OpSpecId, OperationSpec, Service, Workflows,
 };
 use gretel::netcap::{CaptureImpairment, StallSpec};
-use gretel::sim::{
-    ApiFault, Deployment, FaultPlan, FaultScope, InjectedError, RunConfig, Runner,
-};
+use gretel::sim::{ApiFault, Deployment, FaultPlan, FaultScope, InjectedError, RunConfig, Runner};
 use gretel_core::FingerprintLibrary;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -40,26 +37,47 @@ fn fixture() -> &'static Fixture {
         let cat = Catalog::openstack();
         let dep = Deployment::standard();
         let wf = Workflows::new(cat.clone());
-        let specs = vec![wf.vm_create_spec(OpSpecId(0)), wf.image_upload_spec(OpSpecId(1))];
+        let specs = vec![
+            wf.vm_create_spec(OpSpecId(0)),
+            wf.image_upload_spec(OpSpecId(1)),
+        ];
         let (lib, _) = FingerprintLibrary::characterize(cat.clone(), &specs, &dep, 2, 21);
         let ports_post = cat.rest_expect(Service::Neutron, HttpMethod::Post, "/v2.0/ports.json");
         let plan = FaultPlan::none().with_api_fault(ApiFault {
             api: ports_post,
             scope: FaultScope::AllInstances,
             occurrence: 0,
-            error: InjectedError::RestStatus { status: 500, reason: None },
+            error: InjectedError::RestStatus {
+                status: 500,
+                reason: None,
+            },
             abort_op: true,
         });
         let refs: Vec<&OperationSpec> = specs.iter().collect();
-        let exec = Runner::new(cat, &dep, &plan, RunConfig { seed: 2, ..Default::default() })
-            .run(&refs);
+        let exec = Runner::new(
+            cat,
+            &dep,
+            &plan,
+            RunConfig {
+                seed: 2,
+                ..Default::default()
+            },
+        )
+        .run(&refs);
         let nodes = dep.nodes().iter().map(|n| n.id).collect();
-        Fixture { lib, nodes, messages: exec.messages }
+        Fixture {
+            lib,
+            nodes,
+            messages: exec.messages,
+        }
     })
 }
 
 fn gcfg() -> GretelConfig {
-    GretelConfig { alpha: 64, ..GretelConfig::default() }
+    GretelConfig {
+        alpha: 64,
+        ..GretelConfig::default()
+    }
 }
 
 #[test]
@@ -73,14 +91,20 @@ fn zero_impairment_is_identical_to_the_legacy_pipeline() {
 
     // Legacy threaded pipeline.
     let mut legacy = Analyzer::new(&fx.lib, gcfg());
-    let (legacy_diags, _, _) =
-        run_service_cfg(&mut legacy, &fx.nodes, &fx.messages, &ServiceConfig::default());
+    let (legacy_diags, _, _) = run_service_cfg(
+        &mut legacy,
+        &fx.nodes,
+        &fx.messages,
+        &ServiceConfig::default(),
+    );
     assert_eq!(legacy_diags, expected);
 
     // Sequence-stamped pipeline with a no-op impairment: the whole
     // loss-tolerance machinery engaged, nothing lost, same answer.
-    let cfg =
-        ServiceConfig { impairment: Some(CaptureImpairment::none()), ..ServiceConfig::default() };
+    let cfg = ServiceConfig {
+        impairment: Some(CaptureImpairment::none()),
+        ..ServiceConfig::default()
+    };
     let mut seq = Analyzer::new(&fx.lib, gcfg());
     let (seq_diags, svc, astats) = run_service_cfg(&mut seq, &fx.nodes, &fx.messages, &cfg);
     assert_eq!(seq_diags, expected);
@@ -94,7 +118,10 @@ fn agent_stall_is_reported_as_degraded_not_hidden() {
     let fx = fixture();
     let cfg = ServiceConfig {
         impairment: Some(CaptureImpairment {
-            stall: Some(StallSpec { start_frame: 6, frames: 4 }),
+            stall: Some(StallSpec {
+                start_frame: 6,
+                frames: 4,
+            }),
             ..CaptureImpairment::none()
         }),
         ..ServiceConfig::default()

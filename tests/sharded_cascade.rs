@@ -33,9 +33,10 @@ fn label_of(d: &Diagnosis) -> Label {
     match &d.attribution {
         None => Label::Plain,
         Some(Attribution::Root { service, .. }) => Label::Root(*service),
-        Some(Attribution::Symptom { service, of, .. }) => {
-            Label::Symptom { service: *service, of: *of }
-        }
+        Some(Attribution::Symptom { service, of, .. }) => Label::Symptom {
+            service: *service,
+            of: *of,
+        },
     }
 }
 

@@ -216,7 +216,6 @@ pub fn recovery(ctx: &Ctx) -> Vec<Artifact> {
                 ..chaos
             },
             max_attempts,
-            ..RecoveryConfig::default()
         };
         let lifetime = |store: &mut dyn Store, kill_point: Option<u64>| {
             let cfg = DurableConfig {

@@ -79,7 +79,6 @@ struct SweepRow {
     capture_gaps: u64,
     lost_frames: u64,
     frames: u64,
-    backpressure_drops: u64,
 }
 
 #[derive(Serialize)]
@@ -139,7 +138,6 @@ pub fn robustness(ctx: &Ctx) -> Vec<Artifact> {
                 capture_gaps: astats.capture_gaps,
                 lost_frames: astats.lost_frames,
                 frames: svc.frames,
-                backpressure_drops: svc.backpressure_drops,
             }
         })
         .collect();

@@ -554,25 +554,21 @@ impl SnapshotJob {
     pub fn snapshot(&self) -> &Snapshot {
         &self.snap
     }
-}
 
-/// Per-job analysis budget for [`SnapshotAnalyzer::analyze_bounded`].
-///
-/// A budget bounds how much detection work a single snapshot job may
-/// consume. [`JobBudget::Passes`] counts per-fault detection passes — a
-/// pure function of the job's contents, never of the machine clock — so
-/// the same job under the same budget always cancels (or completes)
-/// identically, which is what checkpoint/replay needs for byte-identical
-/// re-execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobBudget {
-    /// No bound: analysis always runs to completion.
-    Unlimited,
-    /// At most this many per-fault detection passes: a job with more
-    /// faults (performance and operational) than that is cancelled before
-    /// any detection runs. `Passes(0)` cancels every non-clean job
-    /// (deterministic stand-in for a stalled worker).
-    Passes(u64),
+    /// Whether the job claimed any fault (performance or operational); a
+    /// job without one has nothing to detect, and nothing to cancel.
+    pub(crate) fn has_faults(&self) -> bool {
+        !self.perf.is_empty() || !self.errors.is_empty()
+    }
+
+    /// This job with its claimed faults dropped: the clean job a freeze
+    /// produces when every error in its window was already claimed.
+    #[cfg(test)]
+    pub(crate) fn without_faults(mut self) -> SnapshotJob {
+        self.perf.clear();
+        self.errors.clear();
+        self
+    }
 }
 
 /// The stateless half of the analyzer: runs Algorithm 2 + RCA over a
@@ -598,31 +594,10 @@ impl<'a> SnapshotAnalyzer<'a> {
         self.metrics = metrics;
         self
     }
-    /// Analyze one prepared snapshot job; pure aside from the borrowed
-    /// read-only context, so calls from different threads commute.
-    pub fn analyze(&self, job: &SnapshotJob) -> Vec<Diagnosis> {
-        self.analyze_inner(job, JobBudget::Unlimited)
-            .expect("unlimited budget never cancels")
-    }
-
-    /// [`SnapshotAnalyzer::analyze`] under a per-job [`JobBudget`]. A job
-    /// whose analysis would exceed the budget is cancelled: the second
-    /// return value is `true` and every fault in the job is surfaced as a
-    /// [`CaptureConfidence::Cancelled`] diagnosis (the fault is reported,
-    /// never silently swallowed — but no matching evidence backs it). The
-    /// pass count is known from the job alone, so a cancelled job is
-    /// refused before any detection runs instead of wedging its worker.
-    pub fn analyze_bounded(&self, job: &SnapshotJob, budget: JobBudget) -> (Vec<Diagnosis>, bool) {
-        match self.analyze_inner(job, budget) {
-            Some(out) => (out, false),
-            None => (self.cancel(job), true),
-        }
-    }
-
     /// The cancellation surface: one [`CaptureConfidence::Cancelled`]
     /// diagnosis per fault in the job, with no matching or RCA evidence.
-    /// Used when a job exceeds its deadline or exhausts its crash-retry
-    /// budget — the operator still learns the fault happened.
+    /// Used when a job stalls or exhausts its crash-retry budget — the
+    /// operator still learns the fault happened.
     pub fn cancel(&self, job: &SnapshotJob) -> Vec<Diagnosis> {
         let snap = &job.snap;
         let mut out = Vec::new();
@@ -675,18 +650,11 @@ impl<'a> SnapshotAnalyzer<'a> {
         out
     }
 
-    /// Shared body of [`SnapshotAnalyzer::analyze`] /
-    /// [`SnapshotAnalyzer::analyze_bounded`]; `None` = budget exhausted.
-    fn analyze_inner(&self, job: &SnapshotJob, budget: JobBudget) -> Option<Vec<Diagnosis>> {
-        if job.perf.is_empty() && job.errors.is_empty() {
-            return Some(Vec::new()); // clean snapshot: nothing to detect
-        }
-        // One detection pass per fault, so whether the budget covers the
-        // job is known before any work.
-        if let JobBudget::Passes(n) = budget {
-            if (job.perf.len() + job.errors.len()) as u64 > n {
-                return None;
-            }
+    /// Analyze one prepared snapshot job; pure aside from the borrowed
+    /// read-only context, so calls from different threads commute.
+    pub fn analyze(&self, job: &SnapshotJob) -> Vec<Diagnosis> {
+        if !job.has_faults() {
+            return Vec::new(); // clean snapshot: nothing to detect
         }
         let detector = Detector::new(self.lib, self.cfg);
         let snap = &job.snap;
@@ -775,7 +743,7 @@ impl<'a> SnapshotAnalyzer<'a> {
             let outcome = outcome.expect("every claimed error detected");
             out.push(self.finalize(kind, ev.api, &snap.events, *ev, outcome, confidence));
         }
-        Some(out)
+        out
     }
 
     fn finalize(
@@ -1442,7 +1410,7 @@ mod tests {
     }
 
     #[test]
-    fn bounded_analysis_cancels_past_budget() {
+    fn cancel_reports_every_claimed_fault_without_evidence() {
         let (cat, dep, specs, lib) = setup();
         let ports_post = cat.rest_expect(Service::Neutron, HttpMethod::Post, "/v2.0/ports.json");
         let plan = FaultPlan::none().with_api_fault(ApiFault {
@@ -1480,41 +1448,26 @@ mod tests {
         jobs.extend(analyzer.finish_jobs_observed(None));
         let job = jobs
             .iter()
-            .find(|j| !j.snapshot().events.is_empty())
-            .expect("faulted run produces jobs");
+            .find(|j| j.has_faults())
+            .expect("faulted run claims a fault");
         let sa = analyzer.snapshot_analyzer();
 
-        // An unlimited budget completes normally…
-        let (full, cancelled) = sa.analyze_bounded(job, JobBudget::Unlimited);
-        assert!(!cancelled);
-        assert_eq!(full, sa.analyze(job));
-
-        // …as does a pass budget large enough for every fault in the job…
-        let (full2, cancelled) = sa.analyze_bounded(job, JobBudget::Passes(1 << 20));
-        assert!(!cancelled);
-        assert_eq!(full2, full);
-
-        // …but a zero-pass budget cancels, and every fault still surfaces —
-        // honestly marked, never as Exact.
-        let (out, cancelled) = sa.analyze_bounded(job, JobBudget::Passes(0));
-        assert!(cancelled);
+        // One diagnosis per claimed fault, for the faults analysis reports,
+        // in the same order — honestly marked, never as Exact, and backed by
+        // no matching or root-cause evidence.
+        let full = sa.analyze(job);
+        let out = sa.cancel(job);
         assert!(!out.is_empty(), "cancelled job still reports its faults");
-        for d in &out {
-            assert_eq!(d.confidence, CaptureConfidence::Cancelled);
-            assert!(d.matched.is_empty() && d.root_causes.is_empty());
+        assert_eq!(out.len(), full.len());
+        for (c, d) in out.iter().zip(&full) {
+            assert_eq!((&c.kind, c.api, c.ts), (&d.kind, d.api, d.ts));
+            assert_eq!(c.confidence, CaptureConfidence::Cancelled);
+            assert!(c.matched.is_empty() && c.root_causes.is_empty());
+            assert_eq!((c.theta, c.beta_used, c.candidates), (0.0, 0, 0));
         }
-
-        // Regression: cancellation under a deterministic budget is a pure
-        // function of the job — repeated runs agree bit-for-bit, which the
-        // old Instant-based deadline could not guarantee.
-        for budget in [
-            JobBudget::Passes(0),
-            JobBudget::Passes(1),
-            JobBudget::Passes(2),
-        ] {
-            let a = sa.analyze_bounded(job, budget);
-            let b = sa.analyze_bounded(job, budget);
-            assert_eq!(a, b, "budget {budget:?} must be replay-stable");
-        }
+        // A pure function of the job, so replay cancels identically; a job
+        // without faults has nothing to cancel.
+        assert_eq!(sa.cancel(job), out);
+        assert!(sa.cancel(&job.clone().without_faults()).is_empty());
     }
 }

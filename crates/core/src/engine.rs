@@ -10,11 +10,13 @@
 //! sharded run hands every shard the same slice and copies nothing. Each
 //! forwarded message is encoded exactly once, straight into the arena of the
 //! [`FrameBatch`] it ships in, and the batch goes out over a bounded link
-//! the moment it fills — there is one such loop ([`spawn_agent`]). Only a
-//! configured [`CaptureImpairment`](gretel_netcap::CaptureImpairment) takes
-//! a detour: its coins key on whole-stream frame indices, so the agent
-//! encodes its flat frame list first, impairs it, and feeds *that* to the
-//! same loop.
+//! the moment it fills; a full link blocks the agent, as TCP does. There is
+//! one such loop ([`ship_frames`]). A configured
+//! [`CaptureImpairment`](gretel_netcap::CaptureImpairment) permutes the
+//! agent's `(sequence number, message)` pairs before they reach it — its
+//! coins key on whole-stream positions, never on bytes — so an impaired
+//! agent encodes its survivors exactly as an unimpaired one encodes its
+//! whole capture.
 //!
 //! The receiver thread decodes each batch zero-copy, resequences it when
 //! frames are sequence-stamped, scans it for failure patterns in one
@@ -37,11 +39,11 @@
 //!   nor duplicate a diagnosis.
 //!
 //! Whether frames are sequence-stamped is derived, never set: a store
-//! (replay dedups the re-shipped prefix by sequence number), an impairment
-//! or a lossy link (the receiver must see what went missing) each need it.
-//! Stamping is an argument to the encoder, not a second capture path.
+//! (replay dedups the re-shipped prefix by sequence number) or an
+//! impairment (the receiver must see what went missing) needs it. Stamping
+//! is an argument to the encoder, not a second capture path.
 
-use crate::analyzer::{Analyzer, AnalyzerStats, JobBudget, SnapshotAnalyzer, SnapshotJob};
+use crate::analyzer::{Analyzer, AnalyzerStats, SnapshotAnalyzer, SnapshotJob};
 use crate::anomaly::scan_message;
 use crate::checkpoint::{decode_release, encode_release};
 use crate::event::FaultMark;
@@ -50,13 +52,13 @@ use crate::recover::{
     KIND_LIBRARY,
 };
 use crate::report::Diagnosis;
-use crate::service::{BackpressurePolicy, ServiceConfig, ServiceError, ServiceStats};
+use crate::service::{ServiceConfig, ServiceError, ServiceStats};
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use gretel_model::codec::{put_bytes, put_count, put_u32, put_u64, DecodeError, Reader};
 use gretel_model::{Message, NodeId};
 use gretel_netcap::{
-    decode_one, encode, encode_seq, shard_of, CaptureAgent, CaptureStats, FrameBatch,
-    FrameBatchBuilder, Resequencer,
+    decode_one, encode, shard_of, CaptureAgent, CaptureStats, FrameBatch, FrameBatchBuilder,
+    Resequencer,
 };
 use gretel_obs::{Meter, PipelineMetrics, Stage, StageTimer};
 use gretel_store::{records, Record, Store};
@@ -161,42 +163,6 @@ fn next_head(streams: &[AgentStream]) -> Option<usize> {
     best.map(|(i, _)| i)
 }
 
-/// Ship one frame batch; returns `false` if the receiver went away. With an
-/// eviction handle ([`BackpressurePolicy::DropOldest`]) a full link sheds
-/// its oldest batch to make room; without one
-/// ([`BackpressurePolicy::Block`]) the send blocks — a blocking agent must
-/// not hold a receiver clone, or its own handle would keep the link alive
-/// (and its sends blocked forever) after the real receiver hung up.
-fn ship_batch(
-    mut batch: FrameBatch,
-    tx: &Sender<FrameBatch>,
-    evict_rx: Option<&Receiver<FrameBatch>>,
-    drops: &mut u64,
-) -> bool {
-    let Some(evict_rx) = evict_rx else {
-        return tx.send(batch).is_ok();
-    };
-    loop {
-        match tx.try_send(batch) {
-            Ok(()) => return true,
-            Err(TrySendError::Full(b)) => {
-                batch = b;
-                // Evict the oldest queued batch. The receiver may race us
-                // to it — then the queue has room anyway; yield and retry.
-                // Eviction granularity is the batch, but drops are
-                // accounted per frame so the capture arithmetic is
-                // batch-size independent.
-                if let Ok(evicted) = evict_rx.try_recv() {
-                    *drops += evicted.frames() as u64;
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-            Err(TrySendError::Disconnected(_)) => return false,
-        }
-    }
-}
-
 /// Which tenants a pipeline's agents forward: `(shard, of)` — the messages
 /// [`shard_of`] routes to partition `shard` out of `of`.
 pub(crate) type Route = (usize, usize);
@@ -204,13 +170,37 @@ pub(crate) type Route = (usize, usize);
 /// The unsharded pipeline: one partition, which every message routes to.
 pub(crate) const UNSHARDED: Route = (0, 1);
 
+/// The one pack-and-ship loop: encode each `(seq, message)` straight into
+/// the arena of the batch it ships in (stamped when `sequenced`) and send
+/// every batch the moment it fills. A full link blocks the send; the loop
+/// stops early only if the receiver went away.
+fn ship_frames<'m>(
+    frames: impl IntoIterator<Item = (u64, &'m Message)>,
+    sequenced: bool,
+    ingest_batch: usize,
+    tx: &Sender<FrameBatch>,
+) {
+    let mut builder = FrameBatchBuilder::new(ingest_batch);
+    for (seq, msg) in frames {
+        if let Some(batch) = builder.encode(msg, sequenced.then_some(seq)) {
+            if tx.send(batch).is_err() {
+                return;
+            }
+        }
+    }
+    if let Some(batch) = builder.finish() {
+        let _ = tx.send(batch);
+    }
+}
+
 /// Spawn `node`'s capture agent and return the receiver end of its bounded
 /// link (batches, not frames). The agent is a filter over the tap: it walks
 /// `traffic` once and forwards a message iff it observes it *and* the
 /// message routes to this pipeline's partition, so a sharded run hands every
 /// shard the same slice and nothing is copied per shard. It ships its whole
-/// deterministic stream, reports `(capture stats, backpressure drops)` on
-/// `stat_tx`, then closes the link.
+/// deterministic stream, reports its capture stats on `stat_tx`, then
+/// closes the link. The agent holds no receiver handle, so a receiver that
+/// hangs up unblocks it.
 fn spawn_agent<'sc, 'env>(
     scope: &'sc Scope<'sc, 'env>,
     node: NodeId,
@@ -218,47 +208,32 @@ fn spawn_agent<'sc, 'env>(
     cfg: &ServiceConfig,
     sequenced: bool,
     (shard, of): Route,
-    stat_tx: Sender<(CaptureStats, u64)>,
+    stat_tx: Sender<CaptureStats>,
 ) -> Receiver<FrameBatch> {
     let (tx, rx) = bounded::<FrameBatch>(cfg.channel_capacity);
-    // Under Block the agent must not hold a receiver handle — see
-    // [`ship_batch`].
-    let evict_rx = (cfg.backpressure == BackpressurePolicy::DropOldest).then(|| rx.clone());
     let impairment = cfg.impairment;
     let ingest_batch = cfg.ingest_batch;
     scope.spawn(move || {
         let agent = CaptureAgent::new(node);
         let mut capture = CaptureStats::default();
-        let mut drops = 0u64;
         let mine = traffic
             .iter()
             .filter(|m| agent.observes(m) && shard_of(m.project, of) == shard)
-            .enumerate();
-        // An impairment's coins key on whole-stream frame indices, so it —
-        // and nothing else — needs the flat frame list before packing.
-        let impaired = impairment.map(|imp| {
-            let frames = mine.clone().map(|(i, m)| encode_seq(m, i as u64)).collect();
-            imp.apply(node, frames, &mut capture)
-        });
-        // Every other frame is written once, straight into the arena it
-        // ships in.
-        let mut builder = FrameBatchBuilder::new(ingest_batch);
-        let filled: Box<dyn Iterator<Item = Option<FrameBatch>> + '_> = match &impaired {
-            Some(frames) => Box::new(frames.iter().map(|f| builder.push(f))),
-            None => Box::new(mine.map(|(i, m)| {
-                capture.frames += 1;
-                builder.encode(m, sequenced.then_some(i as u64))
-            })),
-        };
-        // The one pack-and-ship loop; it stops early only if the receiver
-        // went away.
-        let mut ship = |batch| ship_batch(batch, &tx, evict_rx.as_ref(), &mut drops);
-        if filled.flatten().all(&mut ship) {
-            if let Some(batch) = builder.finish() {
-                ship(batch);
+            .enumerate()
+            .map(|(i, m)| (i as u64, m));
+        match impairment {
+            // The impairment's coins key on whole-stream positions, so it
+            // sees the agent's pairs at once; it never reads a byte.
+            Some(imp) => {
+                let survivors = imp.apply(node, mine.collect(), &mut capture);
+                ship_frames(survivors, sequenced, ingest_batch, &tx);
+            }
+            None => {
+                let counted = mine.inspect(|_| capture.frames += 1);
+                ship_frames(counted, sequenced, ingest_batch, &tx);
             }
         }
-        let _ = stat_tx.send((capture, drops));
+        let _ = stat_tx.send(capture);
         // tx drops here, closing the stream.
     });
     rx
@@ -375,9 +350,8 @@ struct ChaosKill;
 /// The worker pool plus its supervisor state. The receiver thread owns
 /// this and *is* the supervisor: it handles worker reports around job
 /// submissions, restarts dead workers with capped exponential backoff, and
-/// requeues their in-flight jobs. With [`AnalyzerChaos::none`] and
-/// [`JobBudget::Unlimited`] a worker is plain
-/// [`SnapshotAnalyzer::analyze`] inside a panic boundary.
+/// requeues their in-flight jobs. With [`AnalyzerChaos::none`] a worker is
+/// plain [`SnapshotAnalyzer::analyze`] inside a panic boundary.
 struct Pool<'sc, 'env> {
     scope: &'sc Scope<'sc, 'env>,
     job_tx: Sender<JobMsg>,
@@ -392,7 +366,6 @@ struct Pool<'sc, 'env> {
     report_rx: Receiver<Report>,
     sa: SnapshotAnalyzer<'env>,
     chaos: AnalyzerChaos,
-    budget: JobBudget,
     max_attempts: u32,
     metrics: Option<&'env PipelineMetrics>,
     /// Jobs submitted but not yet resolved into `pending`.
@@ -422,7 +395,6 @@ impl<'sc, 'env> Pool<'sc, 'env> {
             report_rx,
             sa,
             chaos: cfg.chaos,
-            budget: cfg.budget,
             max_attempts: cfg.max_attempts,
             metrics,
             outstanding: 0,
@@ -441,23 +413,20 @@ impl<'sc, 'env> Pool<'sc, 'env> {
         let report_tx = self.report_tx.clone();
         let sa = self.sa;
         let chaos = self.chaos;
-        let budget = self.budget;
         self.scope.spawn(move || {
             while let Ok((seq, attempt, job)) = job_rx.recv() {
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     if chaos.kill(seq, attempt) {
                         std::panic::resume_unwind(Box::new(ChaosKill));
                     }
-                    // A stalled job is modeled as one whose budget is
-                    // already gone: analyze_bounded cancels it. Zero
-                    // passes, not a zero duration — the stall coin is
-                    // seeded, so the cancellation replays identically.
-                    let b = if chaos.stall(seq, attempt) {
-                        JobBudget::Passes(0)
+                    // A stalled job is cancelled. The stall coin is
+                    // seeded, so the cancellation replays identically; a
+                    // job without faults has nothing to cancel.
+                    if chaos.stall(seq, attempt) && job.has_faults() {
+                        (sa.cancel(&job), true)
                     } else {
-                        budget
-                    };
-                    sa.analyze_bounded(&job, b)
+                        (sa.analyze(&job), false)
+                    }
                 }));
                 match outcome {
                     Ok((ds, cancelled)) => {
@@ -729,7 +698,7 @@ pub(crate) fn run_cycle(
         "a batch holds at least one frame"
     );
     let metrics = cfg.service.metrics.as_deref();
-    let sequenced = state.store.is_some() || cfg.service.sequenced();
+    let sequenced = state.store.is_some() || cfg.service.impairment.is_some();
     let workers = cfg.service.effective_workers();
     let lib_len = analyzer.library_len();
 
@@ -783,7 +752,7 @@ pub(crate) fn run_cycle(
 
         // Agents re-ship the whole deterministic stream every cycle and
         // report their capture-side stats at end of stream.
-        let (stat_tx, stat_rx) = unbounded::<(CaptureStats, u64)>();
+        let (stat_tx, stat_rx) = unbounded::<CaptureStats>();
         let rxs: Vec<Receiver<FrameBatch>> = nodes
             .iter()
             .map(|&n| {
@@ -885,9 +854,8 @@ pub(crate) fn run_cycle(
         // closing its link.
         drop(rxs);
         drop(pool);
-        while let Ok((capture, drops)) = stat_rx.recv() {
+        while let Ok(capture) = stat_rx.recv() {
             state.service_stats.capture.merge(&capture);
-            state.service_stats.backpressure_drops += drops;
         }
         Ok(ended)
     })?;
@@ -899,10 +867,6 @@ pub(crate) fn run_cycle(
         // describe what the transport actually did, restarts included.
         if let Some(m) = metrics {
             state.service_stats.capture.record_into(m);
-            m.add(
-                Meter::BackpressureDrops,
-                state.service_stats.backpressure_drops,
-            );
         }
     }
     Ok(end)
@@ -910,7 +874,7 @@ pub(crate) fn run_cycle(
 
 /// The engine without a store: `analyzer` is driven as given (it may carry
 /// RCA or an opaque perf detector — nothing is exported or restored),
-/// workers run unbudgeted and chaos-free, and the diagnoses are released in
+/// workers run chaos-free, and the diagnoses are released in
 /// job-sequence order at end of stream. A job whose analysis genuinely
 /// panics is retried and, past the default
 /// [`RecoveryConfig::max_attempts`], surfaced as `Cancelled` diagnoses.
@@ -923,7 +887,6 @@ pub(crate) fn run_plain(
 ) -> Result<(Vec<Diagnosis>, ServiceStats, AnalyzerStats), ServiceError> {
     let cfg = RecoveryConfig {
         service: cfg.clone(),
-        budget: JobBudget::Unlimited,
         ..RecoveryConfig::default()
     };
     let mut state = RunState::new(None, None, Vec::new())?;
@@ -961,8 +924,9 @@ mod tests {
         assert!(read_diagnoses(&store).unwrap().is_empty());
     }
 
-    #[test]
-    fn quiesce_returns_after_kill_respawn_requeue_with_one_worker() {
+    /// The fingerprint library and the last snapshot job of a faulted
+    /// vm-create run.
+    fn faulted_job() -> (crate::fingerprint::FingerprintLibrary, SnapshotJob) {
         use gretel_model::{Catalog, HttpMethod, OpSpecId, Service, Workflows};
         use gretel_sim::{ApiFault, Deployment, FaultPlan, FaultScope, InjectedError, Runner};
 
@@ -983,11 +947,7 @@ mod tests {
             abort_op: true,
         });
         let exec = Runner::new(cat, &dep, &plan, Default::default()).run(&[&spec]);
-        let gcfg = crate::config::GretelConfig {
-            alpha: 32,
-            ..Default::default()
-        };
-        let mut analyzer = Analyzer::new(&lib, gcfg);
+        let mut analyzer = Analyzer::new(&lib, gcfg());
         let mut jobs: Vec<SnapshotJob> = exec
             .messages
             .iter()
@@ -995,7 +955,48 @@ mod tests {
             .collect();
         jobs.extend(analyzer.finish_jobs_observed(None));
         let job = jobs.pop().expect("a faulted run freezes a snapshot");
-        let sa = analyzer.snapshot_analyzer();
+        (lib, job)
+    }
+
+    fn gcfg() -> crate::config::GretelConfig {
+        crate::config::GretelConfig {
+            alpha: 32,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn a_stall_cancels_a_faulted_job_and_spares_a_clean_one() {
+        let (lib, job) = faulted_job();
+        assert!(job.has_faults());
+        let sa = Analyzer::new(&lib, gcfg()).snapshot_analyzer();
+        let cfg = RecoveryConfig {
+            chaos: AnalyzerChaos {
+                stall_prob: 1.0,
+                ..AnalyzerChaos::none()
+            },
+            ..RecoveryConfig::default()
+        };
+        std::thread::scope(|scope| {
+            let mut pool = Pool::start(scope, sa, &cfg, 1, None);
+            pool.submit(0, job.clone()).unwrap();
+            pool.submit(1, job.clone().without_faults()).unwrap();
+            pool.quiesce().unwrap();
+            assert_eq!(pool.pending.get(&0), Some(&(sa.cancel(&job), true)));
+            // Every job stalls, but one without faults has nothing to
+            // cancel: it completes, and no cancellation is counted for it.
+            assert_eq!(pool.pending.get(&1), Some(&(Vec::new(), false)));
+            let mut state = RunState::new(None, None, Vec::new()).unwrap();
+            commit_release(&mut pool, 2, &mut state).unwrap();
+            assert_eq!(state.stats.jobs_cancelled, 1);
+            assert_eq!(state.diagnoses, sa.cancel(&job));
+        });
+    }
+
+    #[test]
+    fn quiesce_returns_after_kill_respawn_requeue_with_one_worker() {
+        let (lib, job) = faulted_job();
+        let sa = Analyzer::new(&lib, gcfg()).snapshot_analyzer();
         let expected = sa.analyze(&job);
 
         // The lone worker dies on attempts 0 and 1; each time the only way

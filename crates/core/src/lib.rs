@@ -58,7 +58,7 @@ pub mod shard;
 pub mod window;
 
 pub use analyzer::{
-    analyze_stream, Analyzer, AnalyzerStats, JobBudget, RcaContext, SnapshotAnalyzer, SnapshotJob,
+    analyze_stream, Analyzer, AnalyzerStats, RcaContext, SnapshotAnalyzer, SnapshotJob,
 };
 pub use anomaly::{scan_message, scan_rest_error, scan_rpc_error, LatencyObs, LatencyPairer};
 pub use checkpoint::CheckpointError;
@@ -84,8 +84,7 @@ pub use recover::{
 pub use report::{CaptureConfidence, Diagnosis, FaultKind};
 pub use selfwatch::{self_watch_api, self_watch_stage, SelfWatch, SELF_WATCH_API_BASE};
 pub use service::{
-    resolve_shard_workers, run_service_cfg, BackpressurePolicy, ServiceConfig, ServiceError,
-    ServiceStats,
+    resolve_shard_workers, run_service_cfg, ServiceConfig, ServiceError, ServiceStats,
 };
 pub use shard::{
     canonical_order, encode_diagnoses, run_sharded, run_sharded_durable, ShardReport,

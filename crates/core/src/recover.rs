@@ -4,16 +4,18 @@
 //!
 //! [`run_service_cfg`](crate::service::run_service_cfg) drives the pipeline
 //! engine without a store; [`run_service_durable`] drives the same engine
-//! with one, which switches on four mechanisms:
+//! with one. Three mechanisms make it fault-tolerant; the first runs on
+//! both paths:
 //!
-//! * **Supervision** — each [`SnapshotAnalyzer`](crate::SnapshotAnalyzer)
-//!   worker runs jobs inside a panic boundary. A crashed worker reports its
-//!   in-flight job and dies; the supervisor (the receiver thread) restarts
-//!   it after a capped exponential backoff and requeues the job. A job that
-//!   keeps crashing past [`RecoveryConfig::max_attempts`] is abandoned
-//!   *visibly*: every fault it covered surfaces as a
+//! * **Supervision** — each
+//!   [`SnapshotAnalyzer`](crate::SnapshotAnalyzer) worker runs jobs inside
+//!   a panic boundary. A crashed worker reports its in-flight job and dies;
+//!   the supervisor (the receiver thread) restarts it after a capped
+//!   exponential backoff and requeues the job. A job that keeps crashing
+//!   past [`RecoveryConfig::max_attempts`] is abandoned *visibly*: every
+//!   fault it covered surfaces as a
 //!   [`CaptureConfidence::Cancelled`](crate::CaptureConfidence::Cancelled)
-//!   diagnosis. (The store-less path is supervised the same way.)
+//!   diagnosis.
 //! * **Checkpoint/replay** — every [`RecoveryConfig::checkpoint_every`]
 //!   merged messages the service quiesces the pool and appends the full
 //!   ingest state (analyzer window, pairer, perf detectors, traffic graph,
@@ -40,23 +42,22 @@
 //!   ([`KIND_LIBRARY`] snapshots), enabling live hot-reload: a grown
 //!   library adopted mid-run takes effect at the next checkpoint boundary
 //!   without dropping in-flight windows.
-//! * **Budgets** — snapshot analysis runs under a per-job budget
-//!   ([`SnapshotAnalyzer::analyze_bounded`](crate::SnapshotAnalyzer::analyze_bounded));
-//!   a stalled job is cancelled and reported, never allowed to wedge its
-//!   worker.
 //!
 //! [`AnalyzerChaos`] is the analysis-plane twin of
 //! [`CaptureImpairment`](gretel_netcap::CaptureImpairment): a seeded
 //! injector that kills workers and stalls jobs, each decision a pure
-//! function of `(seed, job, attempt)` so every run is reproducible.
+//! function of `(seed, job, attempt)` so every run is reproducible. A
+//! stalled job that claimed a fault is cancelled through
+//! [`SnapshotAnalyzer::cancel`](crate::SnapshotAnalyzer::cancel) and
+//! reported, never allowed to wedge its worker.
 
-use crate::analyzer::{Analyzer, AnalyzerStats, JobBudget};
+use crate::analyzer::{Analyzer, AnalyzerStats};
 use crate::config::GretelConfig;
 use crate::engine::{run_cycle, Route, RunEnd, RunState, UNSHARDED};
 use crate::fingerprint::FingerprintLibrary;
 use crate::graph::ServiceGraph;
 use crate::report::Diagnosis;
-use crate::service::{BackpressurePolicy, ServiceConfig, ServiceError, ServiceStats};
+use crate::service::{ServiceConfig, ServiceError, ServiceStats};
 use gretel_model::{Message, NodeId};
 use gretel_netcap::coin;
 use gretel_store::Store;
@@ -77,7 +78,8 @@ pub struct AnalyzerChaos {
     /// default 2, a job can crash its worker at attempts 0 and 1 and then
     /// completes normally at attempt 2.
     pub kill_attempts: u32,
-    /// Probability that a job stalls past its budget and is cancelled.
+    /// Probability that a job stalls and is cancelled (a job without
+    /// faults has nothing to cancel and completes as usual).
     pub stall_prob: f64,
     /// Seed for all coins.
     pub seed: u64,
@@ -122,18 +124,15 @@ impl Default for AnalyzerChaos {
 /// run ([`DurableConfig::recovery`]).
 #[derive(Debug, Clone)]
 pub struct RecoveryConfig {
-    /// The underlying pipeline shape. `backpressure` must be
-    /// [`BackpressurePolicy::Block`] (lossy eviction is nondeterministic
-    /// across restarts, so replay could not reproduce the pre-crash
-    /// stream); frames are always sequence-stamped, impaired or not.
+    /// The underlying pipeline shape. With a store, frames are always
+    /// sequence-stamped, impaired or not: replay dedups the re-shipped
+    /// prefix by sequence number.
     pub service: ServiceConfig,
     /// Checkpoint the full ingest state every this many merged messages.
     pub checkpoint_every: u64,
-    /// Per-job analysis budget; a job exhausting it is cancelled. Every
-    /// budget is a pure function of the job, so replay cancels exactly the
-    /// jobs the original run did.
-    pub budget: JobBudget,
-    /// Seeded analysis-plane fault injection.
+    /// Seeded analysis-plane fault injection. Its coins are pure functions
+    /// of `(job, attempt)`, so replay kills and cancels exactly the jobs
+    /// the original run did.
     pub chaos: AnalyzerChaos,
     /// Give up on a job after this many attempts; the abandoned job's
     /// faults surface as `Cancelled` diagnoses. Must exceed
@@ -147,9 +146,6 @@ impl Default for RecoveryConfig {
         RecoveryConfig {
             service: ServiceConfig::default(),
             checkpoint_every: 256,
-            // Orders of magnitude above any real job's pass count, yet a
-            // pure function of the job — replay-stable by construction.
-            budget: JobBudget::Passes(1 << 20),
             chaos: AnalyzerChaos::none(),
             max_attempts: 5,
         }
@@ -164,8 +160,8 @@ pub struct RecoveryStats {
     pub worker_crashes: u64,
     /// In-flight jobs requeued after their worker crashed.
     pub jobs_requeued: u64,
-    /// Jobs cancelled — analysis budget exhausted or retry budget spent —
-    /// and surfaced as `Cancelled` diagnoses.
+    /// Jobs cancelled — stalled by chaos or out of retries — and surfaced
+    /// as `Cancelled` diagnoses.
     pub jobs_cancelled: u64,
     /// Checkpoint records appended to the store.
     pub checkpoints_written: u64,
@@ -231,7 +227,7 @@ pub struct LibraryReload {
 /// kill and library hot-reload arms.
 #[derive(Debug, Clone, Default)]
 pub struct DurableConfig {
-    /// Supervision, checkpoint cadence, budget, chaos.
+    /// Supervision, checkpoint cadence, chaos.
     pub recovery: RecoveryConfig,
     /// The crash arm — a simulated whole-process kill (SIGKILL model):
     /// once this many messages have merged since the restore, the function
@@ -277,19 +273,10 @@ pub enum DurableOutcome {
     },
 }
 
-fn validate(cfg: &RecoveryConfig) -> Result<(), ServiceError> {
-    assert!(cfg.checkpoint_every > 0);
-    assert!(cfg.max_attempts > 0);
-    if cfg.service.backpressure == BackpressurePolicy::DropOldest {
-        return Err(ServiceError::UnsupportedBackpressure);
-    }
-    Ok(())
-}
-
 /// The pipeline engine over a caller-provided [`Store`]: supervised
-/// workers, periodic checkpoints, deterministic replay after a kill, and
-/// per-job budgets, with the committed diagnoses exactly-once (replay can
-/// neither lose nor duplicate one). With no chaos and no kill the output is
+/// workers, periodic checkpoints and deterministic replay after a kill,
+/// with the committed diagnoses exactly-once (replay can neither lose nor
+/// duplicate one). With no chaos and no kill the output is
 /// byte-identical to [`run_service_cfg`](crate::service::run_service_cfg);
 /// with worker-kill chaos and kills it *stays* identical — the oracle the
 /// recovery experiment checks, over a [`MemStore`](gretel_store::MemStore)
@@ -338,7 +325,8 @@ pub(crate) fn run_durable_routed(
     store: &mut dyn Store,
     route: Route,
 ) -> Result<DurableOutcome, ServiceError> {
-    validate(&cfg.recovery)?;
+    assert!(cfg.recovery.checkpoint_every > 0);
+    assert!(cfg.recovery.max_attempts > 0);
     let metrics = cfg.recovery.service.metrics.as_deref();
 
     // ---- Library bootstrap ----------------------------------------------
@@ -448,20 +436,6 @@ mod tests {
         let wf = gretel_model::Workflows::new(cat.clone());
         let specs = vec![wf.vm_create_spec(gretel_model::OpSpecId(0))];
         crate::fingerprint::FingerprintLibrary::characterize(cat, &specs, &dep, 1, 1).0
-    }
-
-    #[test]
-    fn drop_oldest_backpressure_is_rejected() {
-        let lib = test_lib();
-        let gcfg = crate::config::GretelConfig {
-            alpha: 8,
-            ..Default::default()
-        };
-        let mut cfg = DurableConfig::default();
-        cfg.recovery.service.backpressure = BackpressurePolicy::DropOldest;
-        let err = run_service_durable(&lib, gcfg, &[NodeId(0)], &[], &cfg, &mut MemStore::new())
-            .unwrap_err();
-        assert!(matches!(err, ServiceError::UnsupportedBackpressure));
     }
 
     #[test]

@@ -48,9 +48,9 @@ pub enum CaptureConfidence {
         /// Total frames inferred lost inside the window.
         lost: u32,
     },
-    /// Snapshot analysis exhausted its per-job budget and was cancelled:
-    /// the fault is reported (never silently swallowed) but no matching or
-    /// root-cause evidence backs it.
+    /// Snapshot analysis was cancelled — the job stalled, or its worker
+    /// kept crashing past the retry budget: the fault is reported (never
+    /// silently swallowed) but no matching or root-cause evidence backs it.
     Cancelled,
 }
 
@@ -166,7 +166,7 @@ impl Diagnosis {
             }
             CaptureConfidence::Cancelled => {
                 out.push_str(
-                    "  analysis CANCELLED: per-job budget exhausted; no matching evidence\n",
+                    "  analysis CANCELLED: the job stalled or ran out of retries; no matching evidence\n",
                 );
             }
         }

@@ -18,12 +18,13 @@
 //! `ingest_batch` value, including under impairment and crash replay
 //! (`tests/batched_ingest.rs` holds that oracle).
 //!
-//! [`run_service_cfg`] is the store-less entry point: it can stamp
-//! per-agent sequence numbers, impair the capture plane with a seeded
-//! [`CaptureImpairment`], resequence at the receiver (turning inferred
-//! losses into window gap markers), and shed load under a
-//! [`BackpressurePolicy::DropOldest`] policy instead of blocking agents.
-//! The loop itself lives once in the crate-private `engine` module, shared
+//! A full link blocks its agent until the receiver catches up, as the
+//! paper's TCP links do: the transport never drops a frame. Loss enters only
+//! through a seeded [`CaptureImpairment`], which the store-less entry point
+//! [`run_service_cfg`] applies to every agent's capture; frames are then
+//! sequence-stamped and resequenced at the receiver, which turns inferred
+//! losses into window gap markers. The loop itself lives once in the
+//! crate-private `engine` module, shared
 //! with the store-backed [`run_service_durable`](crate::run_service_durable)
 //! and the shard driver.
 
@@ -42,11 +43,6 @@ pub enum ServiceError {
     /// The analysis pool disappeared while the receiver still had jobs to
     /// hand it (every worker exited or panicked unrecoverably).
     PoolDisconnected,
-    /// The requested recovery configuration needs a backpressure policy
-    /// that preserves the frame stream ([`BackpressurePolicy::Block`]):
-    /// lossy eviction is nondeterministic across restarts, so replay could
-    /// not reproduce the pre-crash stream.
-    UnsupportedBackpressure,
     /// The analyzer's state cannot be serialized (a plug-in perf detector
     /// without [`gretel_telemetry::OutlierDetector::export_state`]), so
     /// checkpointing is impossible with this configuration.
@@ -63,9 +59,6 @@ impl std::fmt::Display for ServiceError {
             ServiceError::Codec(e) => write!(f, "agent frame failed to decode: {e}"),
             ServiceError::PoolDisconnected => {
                 write!(f, "analysis pool disconnected with jobs outstanding")
-            }
-            ServiceError::UnsupportedBackpressure => {
-                write!(f, "recovery requires BackpressurePolicy::Block (lossy eviction cannot be replayed deterministically)")
             }
             ServiceError::NotCheckpointable => {
                 write!(
@@ -138,32 +131,18 @@ pub fn resolve_shard_workers(shards: usize, available: usize) -> usize {
     (available.min(4) / shards).max(1)
 }
 
-/// What an agent does when its link to the analyzer is full.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum BackpressurePolicy {
-    /// Block the agent until the receiver catches up (lossless; the
-    /// paper's TCP links behave this way).
-    #[default]
-    Block,
-    /// Evict the oldest queued frame to make room (lossy but non-blocking;
-    /// an overloaded tap sheds load). Every eviction is counted in
-    /// [`ServiceStats::backpressure_drops`] and, because this policy
-    /// stamps sequence numbers, surfaces at the receiver as a capture gap.
-    DropOldest,
-}
-
 /// Configuration for [`run_service_cfg`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Bound of each agent→receiver link (frames).
+    /// Bound of each agent→receiver link (batches); a full link blocks
+    /// its agent.
     pub channel_capacity: usize,
     /// Analysis-pool width; `None` uses the capped machine default (see
     /// [`ServiceConfig::effective_workers`]).
     pub workers: Option<usize>,
-    /// Full-link behavior.
-    pub backpressure: BackpressurePolicy,
     /// Optional seeded capture-plane impairment applied to every agent's
-    /// frame stream. `None` runs the exact unimpaired legacy pipeline.
+    /// capture; it sequence-stamps the frames so the receiver can see what
+    /// went missing. `None` ships unsequenced frames, losslessly.
     pub impairment: Option<CaptureImpairment>,
     /// Receiver-side resequencer depth: how many out-of-order frames to
     /// park per agent before force-advancing past a hole.
@@ -187,7 +166,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             channel_capacity: 64,
             workers: None,
-            backpressure: BackpressurePolicy::Block,
             impairment: None,
             resequence_depth: 32,
             ingest_batch: 64,
@@ -200,15 +178,6 @@ impl ServiceConfig {
     /// The analysis-pool width this configuration resolves to.
     pub fn effective_workers(&self) -> usize {
         self.workers.unwrap_or_else(default_workers).max(1)
-    }
-
-    /// Whether frames carry per-agent sequence numbers in this
-    /// configuration (any impairment, or a lossy backpressure policy —
-    /// both need the receiver to detect what went missing). A store-backed
-    /// run ([`crate::run_service_durable`]) sequences regardless: replay
-    /// dedups the re-shipped prefix by sequence number.
-    pub fn sequenced(&self) -> bool {
-        self.impairment.is_some() || self.backpressure == BackpressurePolicy::DropOldest
     }
 }
 
@@ -224,22 +193,19 @@ pub struct ServiceStats {
     /// is 1; divided by up to the batch size otherwise — the dispatch
     /// overhead the batched fast path amortizes.
     pub channel_ops: u64,
-    /// Frames evicted by [`BackpressurePolicy::DropOldest`].
-    pub backpressure_drops: u64,
     /// Merged capture-plane picture: injector-side counters (dropped,
     /// duplicated, reordered, stalled) plus receiver-side inference (gaps,
     /// lost, dup_discarded).
     pub capture: CaptureStats,
 }
 
-/// The configurable pipeline: agents (optionally sequence-stamping and
-/// impaired) → bounded links (optionally lossy) → resequencing receiver →
+/// The configurable pipeline: agents (optionally impaired, then
+/// sequence-stamping) → bounded blocking links → resequencing receiver →
 /// k-way merge → analyzer, with snapshot analysis on a worker pool.
 ///
-/// With `cfg.impairment == None` and [`BackpressurePolicy::Block`] this is
-/// exactly the legacy lossless pipeline: frames are unsequenced, the
-/// resequencer is bypassed, and the diagnoses are byte-identical to inline
-/// analysis. With impairment, receivers infer losses from per-agent
+/// With `cfg.impairment == None` this is exactly the lossless pipeline:
+/// frames are unsequenced, the resequencer is bypassed, and the diagnoses
+/// are byte-identical to inline analysis. With impairment, receivers infer losses from per-agent
 /// sequence numbers, feed them to [`Analyzer::note_capture_gap`], and every
 /// diagnosis whose window spans a gap comes back tagged
 /// [`crate::CaptureConfidence::Degraded`].
@@ -337,7 +303,6 @@ mod tests {
         );
         assert!(svc.frames > 0);
         assert!(svc.bytes > 0);
-        assert_eq!(svc.backpressure_drops, 0);
         assert!(svc.capture.is_clean());
         // Relevance filter may drop MySQL/NTP traffic; everything relevant
         // is processed exactly once.
@@ -527,7 +492,6 @@ mod tests {
                 "faulted run detects"
             );
             assert_eq!(metrics.meter(Meter::CaptureFrames), svc.capture.frames);
-            assert_eq!(metrics.meter(Meter::BackpressureDrops), 0);
             // Latency histograms saw one sample per counted event.
             assert_eq!(metrics.stage_latency(Stage::Ingest).count, astats.messages);
             assert!(
@@ -615,31 +579,6 @@ mod tests {
                 assert!(gaps > 0 && lost >= gaps, "gaps={gaps} lost={lost}");
             }
         }
-    }
-
-    #[test]
-    fn drop_oldest_sheds_load_instead_of_blocking() {
-        let (lib, dep, messages) = faulted_execution(2);
-        let gcfg = GretelConfig {
-            alpha: 64,
-            ..GretelConfig::default()
-        };
-        let nodes: Vec<NodeId> = dep.nodes().iter().map(|n| n.id).collect();
-        // A tiny link under DropOldest: the run must complete (no wedge)
-        // and account for every frame — shipped ones reach the analyzer,
-        // evicted ones are counted, nothing disappears silently.
-        let cfg = ServiceConfig {
-            channel_capacity: 2,
-            backpressure: BackpressurePolicy::DropOldest,
-            ..ServiceConfig::default()
-        };
-        let mut analyzer = Analyzer::new(&lib, gcfg);
-        let (_, svc, astats) = run_service_cfg(&mut analyzer, &nodes, &messages, &cfg);
-        assert_eq!(svc.capture.frames, svc.frames + svc.backpressure_drops);
-        // Evictions (if any) surface as receiver-side gaps via sequence
-        // numbers; the analyzer saw exactly the frames that survived.
-        assert_eq!(astats.messages, svc.frames - svc.capture.dup_discarded);
-        assert_eq!(svc.capture.lost, svc.backpressure_drops);
     }
 
     #[test]

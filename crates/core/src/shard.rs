@@ -333,7 +333,7 @@ pub fn run_sharded(
 /// owns a private `gretel-store` backend it can crash-recover from
 /// independently.
 ///
-/// `dcfg` supplies the recovery shape (checkpoint cadence, budget, chaos,
+/// `dcfg` supplies the recovery shape (checkpoint cadence, chaos,
 /// crash points), applied identically to every shard;
 /// `dcfg.recovery.service` is ignored in favour of
 /// [`ShardedConfig::service`]. Whole-process kill modeling

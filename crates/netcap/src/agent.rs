@@ -10,7 +10,6 @@
 
 use crate::frame;
 use crate::stats::CaptureStats;
-use bytes::Bytes;
 use gretel_model::codec::{finalize, put_bytes, put_count, put_u64, DecodeError, Reader};
 use gretel_model::{Message, NodeId, Service};
 use std::collections::BTreeMap;
@@ -77,41 +76,6 @@ impl CaptureAgent {
     }
 }
 
-/// Deterministically merge per-agent capture batches back into one
-/// timestamp-ordered stream (k-way merge; ties broken by message id, which
-/// is globally unique). This mirrors the analyzer-side event receiver
-/// reassembling one logical stream from many agent TCP connections.
-fn merge_captures(batches: Vec<Vec<Message>>) -> Vec<Message> {
-    let mut merged: Vec<Message> = batches.into_iter().flatten().collect();
-    merged.sort_by_key(|m| (m.ts_us, m.id));
-    merged
-}
-
-/// Split deployment-wide traffic into per-agent views, capturing with one
-/// agent per node, and merge back into the analyzer's input order.
-/// Returns the merged decoded stream plus the total encoded byte count
-/// (what actually crossed the monitoring network), or the codec error if a
-/// frame fails to round-trip (a corrupted link, or an agent/analyzer
-/// version mismatch — never silently dropped).
-pub fn capture_and_merge(
-    nodes: &[NodeId],
-    traffic: &[Message],
-) -> Result<(Vec<Message>, usize), frame::CodecError> {
-    let mut bytes_total = 0usize;
-    let mut batches = Vec::with_capacity(nodes.len());
-    for &node in nodes {
-        let agent = CaptureAgent::new(node);
-        let mut decoded = Vec::new();
-        for m in traffic.iter().filter(|m| agent.observes(m)) {
-            let f = frame::encode(m);
-            bytes_total += f.len();
-            decoded.push(frame::decode_one(&f)?);
-        }
-        batches.push(decoded);
-    }
-    Ok((merge_captures(batches), bytes_total))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,32 +125,6 @@ mod tests {
         assert!(!is_relevant(&msg(0, 0, 0, Service::Ntp)));
         assert!(is_relevant(&msg(0, 0, 0, Service::RabbitMq)));
         assert!(is_relevant(&msg(0, 0, 0, Service::Neutron)));
-    }
-
-    #[test]
-    fn capture_and_merge_restores_global_order() {
-        let traffic = vec![
-            msg(0, 30, 2, Service::Nova),
-            msg(1, 10, 0, Service::Neutron),
-            msg(2, 20, 1, Service::Glance),
-        ];
-        let nodes: Vec<NodeId> = (0..3).map(NodeId).collect();
-        let (merged, bytes) = capture_and_merge(&nodes, &traffic).unwrap();
-        assert_eq!(merged.len(), 3);
-        assert!(bytes > 0);
-        let ts: Vec<u64> = merged.iter().map(|m| m.ts_us).collect();
-        assert_eq!(ts, vec![10, 20, 30]);
-    }
-
-    #[test]
-    fn merge_breaks_ties_by_message_id() {
-        let batches = vec![
-            vec![msg(5, 100, 0, Service::Nova)],
-            vec![msg(2, 100, 1, Service::Nova)],
-        ];
-        let merged = merge_captures(batches);
-        assert_eq!(merged[0].id, MessageId(2));
-        assert_eq!(merged[1].id, MessageId(5));
     }
 }
 
@@ -480,12 +418,13 @@ pub struct StallSpec {
 
 /// Seeded, deterministic capture-plane impairment.
 ///
-/// Wraps any agent's encoded frame stream and perturbs it the way an
-/// overloaded tap does: independent probabilistic frame drop and
-/// duplication, bounded reordering (a frame may be delayed by at most
-/// `reorder_span` positions), and an optional agent stall window. All
-/// decisions derive from `(seed, agent, frame index)`, so two runs with the
-/// same seed impair identically.
+/// Wraps any agent's frame stream and perturbs it the way an overloaded tap
+/// does: independent probabilistic frame drop and duplication, bounded
+/// reordering (a frame may be delayed by at most `reorder_span` positions),
+/// and an optional agent stall window. All decisions derive from `(seed,
+/// agent, frame index)` — never from a frame's bytes — so two runs with the
+/// same seed impair identically, and a stream of encoded frames and a
+/// stream of the messages they encode are impaired alike.
 ///
 /// ```
 /// use bytes::Bytes;
@@ -544,15 +483,21 @@ impl CaptureImpairment {
     }
 
     /// Perturb one agent's frame stream, accumulating what happened into
-    /// `stats`. Frame indices continue across calls only if the caller
-    /// passes the whole stream at once; pass a full capture batch for
-    /// reproducible results.
-    pub fn apply(&self, agent: NodeId, frames: Vec<Bytes>, stats: &mut CaptureStats) -> Vec<Bytes> {
+    /// `stats`. A frame is any item — encoded bytes, or the message an agent
+    /// is about to encode — since only its position is read. Frame indices
+    /// continue across calls only if the caller passes the whole stream at
+    /// once; pass a full capture batch for reproducible results.
+    pub fn apply<T: Clone>(
+        &self,
+        agent: NodeId,
+        frames: Vec<T>,
+        stats: &mut CaptureStats,
+    ) -> Vec<T> {
         stats.frames += frames.len() as u64;
         if self.is_noop() {
             return frames;
         }
-        let mut survivors: Vec<Bytes> = Vec::with_capacity(frames.len());
+        let mut survivors: Vec<T> = Vec::with_capacity(frames.len());
         for (i, f) in frames.into_iter().enumerate() {
             let idx = i as u64;
             if let Some(s) = self.stall {
@@ -575,7 +520,7 @@ impl CaptureImpairment {
             // Delay selected frames by a bounded number of positions: give
             // each survivor a sort key of its position plus jitter, then
             // stable-sort. Un-jittered frames keep their relative order.
-            let mut keyed: Vec<(usize, usize, Bytes)> = survivors
+            let mut keyed: Vec<(usize, usize, T)> = survivors
                 .into_iter()
                 .enumerate()
                 .map(|(j, f)| {
@@ -817,6 +762,8 @@ impl Resequencer {
 #[cfg(test)]
 mod impairment_tests {
     use super::*;
+    use crate::batch::{FrameBatch, FrameBatchBuilder};
+    use bytes::Bytes;
     use gretel_model::{ApiId, ConnKey, Direction, HttpMethod, MessageId, Service, WireKind};
 
     fn frames(n: u64) -> Vec<Bytes> {
@@ -950,6 +897,81 @@ mod impairment_tests {
         let mut s3 = CaptureStats::default();
         let c = imp.apply(NodeId(2), f, &mut s3);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn impairing_messages_then_encoding_equals_impairing_encoded_frames() {
+        // An agent impairs its `(seq, message)` pairs and encodes the
+        // survivors straight into the arena; that must ship the very batches
+        // that impairing the `encode_seq` frames and copying them in would.
+        let msgs: Vec<Message> = (0..300).map(msg).collect();
+        let pairs: Vec<(u64, &Message)> = (0..).zip(&msgs).collect();
+        let encoded: Vec<Bytes> = pairs
+            .iter()
+            .map(|&(seq, m)| frame::encode_seq(m, seq))
+            .collect();
+        let none = CaptureImpairment::none();
+        let stall = Some(StallSpec {
+            start_frame: 40,
+            frames: 25,
+        });
+        let mut grid = vec![none];
+        for seed in [1, 7, 42] {
+            let base = CaptureImpairment { seed, ..none };
+            grid.push(CaptureImpairment {
+                drop_prob: 0.1,
+                ..base
+            });
+            grid.push(CaptureImpairment {
+                dup_prob: 0.1,
+                ..base
+            });
+            for reorder_span in 1..=8 {
+                grid.push(CaptureImpairment {
+                    reorder_prob: 0.2,
+                    reorder_span,
+                    ..base
+                });
+            }
+            grid.push(CaptureImpairment { stall, ..base });
+            grid.push(CaptureImpairment {
+                drop_prob: 0.05,
+                dup_prob: 0.05,
+                reorder_prob: 0.1,
+                reorder_span: 3,
+                stall,
+                seed,
+            });
+        }
+        let mut impaired = 0;
+        for imp in &grid {
+            for node in [NodeId(0), NodeId(3), NodeId(7)] {
+                let mut by_pair = CaptureStats::default();
+                let mut direct = FrameBatchBuilder::new(16);
+                let mut shipped: Vec<FrameBatch> = imp
+                    .apply(node, pairs.clone(), &mut by_pair)
+                    .into_iter()
+                    .filter_map(|(seq, m)| direct.encode(m, Some(seq)))
+                    .collect();
+                shipped.extend(direct.finish());
+
+                let mut by_frame = CaptureStats::default();
+                let mut copied = FrameBatchBuilder::new(16);
+                let mut staged: Vec<FrameBatch> = imp
+                    .apply(node, encoded.clone(), &mut by_frame)
+                    .iter()
+                    .filter_map(|f| copied.push(f))
+                    .collect();
+                staged.extend(copied.finish());
+
+                assert_eq!(shipped, staged, "{imp:?} at {node:?}");
+                assert_eq!(by_pair, by_frame, "{imp:?} at {node:?}");
+                impaired += usize::from(!by_pair.is_clean());
+            }
+        }
+        // Span-1 jitter ties with its successor and keeps the order; every
+        // other cell perturbs the stream.
+        assert!(impaired >= 2 * grid.len(), "only {impaired} cells bit");
     }
 
     #[test]

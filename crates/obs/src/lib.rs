@@ -101,8 +101,8 @@ impl Stage {
     }
 }
 
-/// Named scalar meters: capture-plane accounting, backpressure, queue
-/// depth and checkpoint cadence. Everything except the explicit gauges is
+/// Named scalar meters: capture-plane accounting, queue depth, checkpoint
+/// cadence and store volume. Everything except the explicit gauges is
 /// a monotone counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Meter {
@@ -122,8 +122,6 @@ pub enum Meter {
     CaptureLost,
     /// Duplicate frames the receiver discarded on arrival.
     CaptureDupDiscarded,
-    /// Frames evicted by the `DropOldest` backpressure policy.
-    BackpressureDrops,
     /// High-water mark of the snapshot-job queue (gauge: scheduling
     /// dependent, excluded from deterministic comparison).
     JobQueueDepthMax,
@@ -140,7 +138,7 @@ pub enum Meter {
 
 impl Meter {
     /// Every meter.
-    pub const ALL: [Meter; 14] = [
+    pub const ALL: [Meter; 13] = [
         Meter::CaptureFrames,
         Meter::CaptureDropped,
         Meter::CaptureDuplicated,
@@ -149,7 +147,6 @@ impl Meter {
         Meter::CaptureGaps,
         Meter::CaptureLost,
         Meter::CaptureDupDiscarded,
-        Meter::BackpressureDrops,
         Meter::JobQueueDepthMax,
         Meter::CheckpointsWritten,
         Meter::CheckpointBytes,
@@ -171,7 +168,6 @@ impl Meter {
             Meter::CaptureGaps => "capture_gaps",
             Meter::CaptureLost => "capture_lost",
             Meter::CaptureDupDiscarded => "capture_dup_discarded",
-            Meter::BackpressureDrops => "backpressure_drops",
             Meter::JobQueueDepthMax => "job_queue_depth_max",
             Meter::CheckpointsWritten => "checkpoints_written",
             Meter::CheckpointBytes => "checkpoint_bytes",

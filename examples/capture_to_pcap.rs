@@ -5,7 +5,7 @@
 //! cargo run --release --example capture_to_pcap
 //! ```
 
-use gretel::netcap::{capture_and_merge, pcap};
+use gretel::netcap::{encoded_len, pcap, CaptureAgent};
 use gretel::prelude::*;
 
 fn main() {
@@ -25,10 +25,17 @@ fn main() {
     )
     .run(&refs);
 
-    // Per-node egress agents capture and the receiver merges.
+    // Per-node egress agents: each message is captured by exactly one
+    // agent, and the traffic is already in the receiver's (ts, id) order.
     let nodes: Vec<_> = deployment.nodes().iter().map(|n| n.id).collect();
-    let (merged, wire_bytes) =
-        capture_and_merge(&nodes, &exec.messages).expect("agent frames decode");
+    let agents: Vec<CaptureAgent> = nodes.iter().map(|&n| CaptureAgent::new(n)).collect();
+    let merged: Vec<Message> = exec
+        .messages
+        .iter()
+        .filter(|m| agents.iter().any(|a| a.observes(m)))
+        .cloned()
+        .collect();
+    let wire_bytes: usize = merged.iter().map(encoded_len).sum();
     println!(
         "captured {} relevant messages ({} wire bytes) across {} agents",
         merged.len(),

@@ -5,6 +5,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The ten first-party packages are rustfmt-clean. vendor/* are stand-ins
+# for published crates and keep their own layout; benchmark/ is its own
+# workspace.
+FIRST_PARTY=(-p gretel -p gretel-core -p gretel-model -p gretel-netcap
+  -p gretel-sim -p gretel-telemetry -p gretel-bench -p gretel-hansel
+  -p gretel-obs -p gretel-store)
+cargo fmt --check "${FIRST_PARTY[@]}"
+
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 
@@ -54,8 +62,5 @@ scripts/md_hygiene.sh
 
 # Rustdoc must stay warning-free for the first-party crates, and the
 # runnable doc-examples are part of the test surface.
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline \
-  -p gretel -p gretel-core -p gretel-model -p gretel-netcap \
-  -p gretel-sim -p gretel-telemetry -p gretel-bench -p gretel-hansel \
-  -p gretel-obs -p gretel-store
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline "${FIRST_PARTY[@]}"
 cargo test -q --offline --doc --workspace

@@ -230,7 +230,6 @@ fn crash_replay_is_batch_size_invariant() {
                 ..AnalyzerChaos::none()
             },
             max_attempts: 5,
-            ..RecoveryConfig::default()
         };
         // Two kills, then a lifetime that completes, all over one store.
         let mut store = MemStore::new();

@@ -21,7 +21,7 @@ struct Table1Row {
 /// number of tests, unique REST/RPC APIs, REST/RPC events captured during
 /// characterization, and the average fingerprint size with and without
 /// RPCs.
-pub fn table1(ctx: &Ctx) -> Vec<Artifact> {
+pub(crate) fn table1(ctx: &Ctx) -> Vec<Artifact> {
     let wb = &ctx.wb;
     let cat = &wb.catalog;
     let rows: Vec<Table1Row> = Category::ALL
@@ -93,7 +93,7 @@ fn symbol_set(wb: &Workbench, op: OpSpecId) -> HashSet<ApiId> {
 /// operations against all other categories (paper: ~90 % have <15 %).
 /// Overlap of op A vs category C is the largest |sym(A) ∩ sym(B)| / |sym(A)|
 /// over ops B ∈ C.
-pub fn fig5(ctx: &Ctx) -> Vec<Artifact> {
+pub(crate) fn fig5(ctx: &Ctx) -> Vec<Artifact> {
     const REPRESENTATIVES: usize = 70;
     let wb = &ctx.wb;
     // Representative Compute ops: spread evenly across the category.

@@ -43,7 +43,7 @@ struct Fig7aCell {
 
 /// Fig 7a — precision θ over 100–400 concurrent tests × {1, 4, 8, 16}
 /// injected faults (paper: >98 % everywhere).
-pub fn fig7a(ctx: &Ctx) -> Vec<Artifact> {
+pub(crate) fn fig7a(ctx: &Ctx) -> Vec<Artifact> {
     let mut cells = Vec::new();
     for concurrent in CONCURRENCY {
         for faults in [1usize, 4, 8, 16] {
@@ -77,7 +77,7 @@ struct Fig7bRow {
 /// Fig 7b — operations matched with the context-buffer snapshot vs on the
 /// REST error API alone, at 8 faults (paper: the snapshot cuts the matched
 /// set dramatically).
-pub fn fig7b(ctx: &Ctx) -> Vec<Artifact> {
+pub(crate) fn fig7b(ctx: &Ctx) -> Vec<Artifact> {
     let rows: Vec<Fig7bRow> = CONCURRENCY
         .iter()
         .map(|&concurrent| {
@@ -111,7 +111,7 @@ struct Fig7cRow {
 
 /// Fig 7c — 100 tests, 8 faults, matched with the full fingerprints and
 /// with RPC symbols pruned (the §6 optimization; paper: nearly free).
-pub fn fig7c(ctx: &Ctx) -> Vec<Artifact> {
+pub(crate) fn fig7c(ctx: &Ctx) -> Vec<Artifact> {
     let rows: Vec<Fig7cRow> = [("without RPCs (pruned)", true), ("with RPCs", false)]
         .into_iter()
         .map(|(variant, prune)| {
@@ -146,7 +146,7 @@ struct Fig8aRow {
 
 /// Fig 8a — 16 instances of the *same* faulty operation alongside 100–400
 /// tests (paper: matched operations per fault fall as concurrency grows).
-pub fn fig8a(ctx: &Ctx) -> Vec<Artifact> {
+pub(crate) fn fig8a(ctx: &Ctx) -> Vec<Artifact> {
     let rows: Vec<Fig8aRow> = CONCURRENCY
         .iter()
         .map(|&concurrent| {
@@ -181,7 +181,7 @@ struct CorrRow {
 /// faults. With ids the truth operation is always matched and the median
 /// fault narrows to one operation; the mean is skewed by faults striking
 /// an operation's first steps, where any evidence is ambiguous.
-pub fn corr_ablation(ctx: &Ctx) -> Vec<Artifact> {
+pub(crate) fn corr_ablation(ctx: &Ctx) -> Vec<Artifact> {
     let mut rows = Vec::new();
     for concurrent in [100usize, 400] {
         for correlation_ids in [false, true] {
@@ -230,7 +230,7 @@ type Policy = (&'static str, fn(&mut GretelConfig));
 
 /// Matching-policy ablation — the data behind DESIGN.md §7: θ, matched-set
 /// size and recall per policy at 8 faults.
-pub fn policy_ablation(ctx: &Ctx) -> Vec<Artifact> {
+pub(crate) fn policy_ablation(ctx: &Ctx) -> Vec<Artifact> {
     let policies: [Policy; 5] = [
         // Earliest-complete, bounded literals, grace.
         ("default", |_| {}),

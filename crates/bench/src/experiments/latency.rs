@@ -42,7 +42,7 @@ struct Fig6Out {
 /// server inflates its API latencies; the level-shift detector flags the
 /// shift on `POST /v2.0/ports.json` (the port-create the paper's step 6
 /// slows down) and root cause analysis attributes it to the CPU.
-pub fn fig6(ctx: &Ctx) -> Vec<Artifact> {
+pub(crate) fn fig6(ctx: &Ctx) -> Vec<Artifact> {
     let wb = &ctx.wb;
     let sc = neutron_api_latency_with_window(&wb.catalog, ctx.seed, 150, secs(40), secs(90));
     let exec = sc.run(wb.catalog.clone());

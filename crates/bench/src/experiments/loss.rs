@@ -23,7 +23,7 @@ struct LossRow {
 /// captured messages (errors kept, so the fault is still seen) before the
 /// analyzer reads them: θ, matched-set size and recall as loss rises from
 /// 0 to 50 %.
-pub fn loss_ablation(ctx: &Ctx) -> Vec<Artifact> {
+pub(crate) fn loss_ablation(ctx: &Ctx) -> Vec<Artifact> {
     let wb = &ctx.wb;
     let load = fault_workload(wb, ctx.seed);
     let rows: Vec<LossRow> = [0.0f64, 0.05, 0.1, 0.2, 0.35, 0.5]
@@ -105,7 +105,7 @@ struct RobustnessOut {
 /// over rising impairment (θ, recall, localization, and how much of the
 /// output is honestly tagged `Degraded`), and the §7.2 operational suite
 /// re-run under impairment (is the fault still diagnosed at all?).
-pub fn robustness(ctx: &Ctx) -> Vec<Artifact> {
+pub(crate) fn robustness(ctx: &Ctx) -> Vec<Artifact> {
     let wb = &ctx.wb;
     let load = fault_workload(wb, ctx.seed);
     let nodes: Vec<NodeId> = wb.deployment.nodes().iter().map(|n| n.id).collect();

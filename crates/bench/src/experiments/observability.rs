@@ -88,7 +88,7 @@ struct Output {
 /// JSON snapshot survives a serde round trip; an injected 10× detect
 /// stall fed through `SelfWatch` raises exactly one fault, on the detect
 /// stage.
-pub fn observability(ctx: &Ctx) -> Vec<Artifact> {
+pub(crate) fn observability(ctx: &Ctx) -> Vec<Artifact> {
     let wb = &ctx.wb;
     let mut rows = Vec::new();
     let mut last_registry = None;

@@ -243,7 +243,7 @@ fn run_cascade(wb: &Workbench, sc: &CascadeScenario) -> CascadeResult {
 /// serializes byte-identically through the graph path and the flat path
 /// (the post-pass is invisible without cascade structure); a second
 /// identical run reproduces the labeled diagnoses byte for byte.
-pub fn propagation(ctx: &Ctx) -> Vec<Artifact> {
+pub(crate) fn propagation(ctx: &Ctx) -> Vec<Artifact> {
     let wb = &ctx.wb;
     let suite = cascade_suite(&wb.catalog, ctx.seed);
     let cascades: Vec<CascadeResult> = suite.iter().map(|sc| run_cascade(wb, sc)).collect();

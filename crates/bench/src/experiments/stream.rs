@@ -30,7 +30,7 @@ struct Fig8cRow {
 /// system takes to report one (paper: GRETEL <2 s, HANSEL's 30 s bucket).
 /// The throughput axis of the figure is `BENCH_*.json`'s `storm` (1/100)
 /// and `steady` (1/2000) rows.
-pub fn fig8c(ctx: &Ctx) -> Vec<Artifact> {
+pub(crate) fn fig8c(ctx: &Ctx) -> Vec<Artifact> {
     let wb = &ctx.wb;
     let rows: Vec<Fig8cRow> = [100usize, 500, 1000, 1500, 2000]
         .into_iter()
@@ -118,7 +118,7 @@ struct SoakResults {
 /// diagnoses of every arm are byte-identical (checkpoint-codec encoding)
 /// to the inline unsharded analyzer's, the merged traffic graphs are
 /// equal, and every message routes to exactly one shard with real spread.
-pub fn soak(ctx: &Ctx) -> Vec<Artifact> {
+pub(crate) fn soak(ctx: &Ctx) -> Vec<Artifact> {
     let wb = &ctx.wb;
     let projects = 32u32;
     let stream_cfg = StreamConfig {

@@ -1,22 +1,20 @@
 //! # gretel-bench — the experiment driver
 //!
 //! One binary, `experiments [NAME…] [--seed N] [--store-dir DIR]`, runs the
-//! entries of [`EXPERIMENTS`] (all of them when no name is given) over one
-//! shared [`Workbench`] and writes each entry's JSON artifacts under
-//! `results/`. Every artifact is a pure function of (code, seed): nothing
+//! entries of its `EXPERIMENTS` table (all of them when no name is given)
+//! over one shared [`Workbench`] and writes each entry's JSON artifacts
+//! under `results/`. Every artifact is a pure function of (code, seed): nothing
 //! here reads a clock, the process's memory or the host's core count —
 //! time is `benchmark/`'s job — so `scripts/ci.sh` regenerates `results/`
 //! and diffs it against the committed copy. DESIGN.md §3 maps entries to
 //! the paper's tables and figures.
 
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 mod experiments;
-pub mod precision;
-pub mod results;
-pub mod workload;
-
-pub use results::Artifact;
+mod precision;
+mod results;
+mod workload;
 
 use experiments::{characterization, durable, grids, latency, loss, observability, rca, stream};
 use gretel_core::{
@@ -25,6 +23,7 @@ use gretel_core::{
 };
 use gretel_model::{Catalog, Message, NodeId, TempestSuite};
 use gretel_sim::{Deployment, Execution};
+use results::Artifact;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -84,13 +83,13 @@ impl Workbench {
 
     /// The analyzer configuration with α derived from a message rate
     /// (paper §5.3.1, `t` = 2 s of traffic).
-    pub fn config_at(&self, p_rate: f64) -> GretelConfig {
+    pub(crate) fn config_at(&self, p_rate: f64) -> GretelConfig {
         GretelConfig::auto(self.library.fp_max(), p_rate, 2.0)
     }
 
     /// `messages` through the threaded store-less service on a fresh
     /// analyzer over the workbench library.
-    pub fn serve(
+    pub(crate) fn serve(
         &self,
         gcfg: GretelConfig,
         nodes: &[NodeId],
@@ -125,7 +124,7 @@ pub struct Ctx {
 impl Ctx {
     /// The directory `experiment`'s stores live under: inside
     /// `--store-dir` when given, else a per-process temp directory.
-    pub fn store_base(&self, experiment: &str) -> PathBuf {
+    pub(crate) fn store_base(&self, experiment: &str) -> PathBuf {
         match &self.store_dir {
             Some(dir) => dir.join(experiment),
             None => std::env::temp_dir().join(format!(
@@ -139,7 +138,7 @@ impl Ctx {
     /// Remove a [`Ctx::store_base`] directory unless it sits in a
     /// caller-provided `--store-dir`, which is the caller's to inspect and
     /// clean up.
-    pub fn release_store(&self, base: &std::path::Path) {
+    pub(crate) fn release_store(&self, base: &std::path::Path) {
         if self.store_dir.is_none() {
             std::fs::remove_dir_all(base).ok();
         }
@@ -157,7 +156,7 @@ pub struct Experiment {
 }
 
 /// Every experiment, in the order the full battery runs them.
-pub const EXPERIMENTS: &[Experiment] = &[
+pub(crate) const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "table1",
         artifacts: &["table1"],
@@ -256,7 +255,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
 ];
 
 /// Run one entry and check it produced exactly the artifacts it declares.
-pub fn run_experiment(exp: &Experiment, ctx: &Ctx) -> Vec<Artifact> {
+pub(crate) fn run_experiment(exp: &Experiment, ctx: &Ctx) -> Vec<Artifact> {
     let artifacts = (exp.run)(ctx);
     let stems: Vec<&str> = artifacts.iter().map(|a| a.stem).collect();
     assert_eq!(

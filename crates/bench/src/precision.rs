@@ -20,7 +20,7 @@ use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
 /// Seeded runs averaged per cell by [`sweep`] in the paper's figures.
-pub const SEEDS: u64 = 3;
+pub(crate) const SEEDS: u64 = 3;
 
 /// Parameters of one precision run.
 #[derive(Debug, Clone, Copy)]

@@ -36,7 +36,7 @@ pub struct InjectedFault {
 
 /// Pick a state-change REST API (plus its occurrence index within the
 /// spec) to inject a fault into.
-pub fn pick_fault_step(
+pub(crate) fn pick_fault_step(
     wb: &Workbench,
     spec: &OperationSpec,
     rng: &mut StdRng,
@@ -65,7 +65,7 @@ pub fn pick_fault_step(
 
 /// The pool of specs eligible for fault injection (paper §7.3: Compute and
 /// Network only).
-pub fn faulty_pool(wb: &Workbench) -> Vec<&OperationSpec> {
+pub(crate) fn faulty_pool(wb: &Workbench) -> Vec<&OperationSpec> {
     wb.suite
         .specs()
         .iter()
@@ -75,7 +75,7 @@ pub fn faulty_pool(wb: &Workbench) -> Vec<&OperationSpec> {
 
 /// Inject one 500-status abort fault per faulty spec (instance ids
 /// `0..faulty.len()`); returns the plan plus ground truth.
-pub fn build_fault_plan(
+pub(crate) fn build_fault_plan(
     wb: &Workbench,
     faulty: &[&OperationSpec],
     rng: &mut StdRng,
@@ -111,7 +111,7 @@ pub fn build_fault_plan(
 /// Find the diagnosis for an injected fault: an operational diagnosis on
 /// the right API whose fault message was emitted by the faulty instance.
 /// (Ground-truth scoring only — GRETEL itself never reads `truth_op`.)
-pub fn diagnosis_for<'d>(
+pub(crate) fn diagnosis_for<'d>(
     diagnoses: &'d [Diagnosis],
     messages: &[Message],
     fault: &InjectedFault,
@@ -148,7 +148,7 @@ pub struct FaultScore {
 
 /// Score every injected fault against the diagnoses of the `messages` the
 /// analyzer saw.
-pub fn score_faults(
+pub(crate) fn score_faults(
     wb: &Workbench,
     diagnoses: &[Diagnosis],
     messages: &[Message],
@@ -191,7 +191,7 @@ pub struct ScoreSummary {
 }
 
 /// Summarize a run's scores.
-pub fn summarize(scores: &[FaultScore]) -> ScoreSummary {
+pub(crate) fn summarize(scores: &[FaultScore]) -> ScoreSummary {
     let diagnosed: Vec<&FaultScore> = scores.iter().filter(|s| s.diagnosed).collect();
     let hits = scores.iter().filter(|s| s.hit).count() as f64;
     let k = diagnosed.len().max(1) as f64;
@@ -216,7 +216,7 @@ pub struct FaultWorkload {
 }
 
 /// Build the [`FaultWorkload`] for `seed`.
-pub fn fault_workload(wb: &Workbench, seed: u64) -> FaultWorkload {
+pub(crate) fn fault_workload(wb: &Workbench, seed: u64) -> FaultWorkload {
     const FAULTS: usize = 8;
     const CONCURRENT: usize = 100;
     let mut rng = StdRng::seed_from_u64(seed ^ 0x10C0);
@@ -235,7 +235,7 @@ pub fn fault_workload(wb: &Workbench, seed: u64) -> FaultWorkload {
 }
 
 /// The Fig 8c stream shape: 64-way interleaved at 50K pps.
-pub fn stream_config(total_messages: usize, fault_every: usize) -> StreamConfig {
+pub(crate) fn stream_config(total_messages: usize, fault_every: usize) -> StreamConfig {
     StreamConfig {
         total_messages,
         fault_every,
@@ -247,7 +247,7 @@ pub fn stream_config(total_messages: usize, fault_every: usize) -> StreamConfig 
 
 /// A synthetic stream over a representative subset of the suite (every
 /// 13th spec) — the tcpreplay substitute of `fig8c` and `soak`.
-pub fn synthetic_stream(wb: &Workbench, cfg: StreamConfig) -> Vec<Message> {
+pub(crate) fn synthetic_stream(wb: &Workbench, cfg: StreamConfig) -> Vec<Message> {
     let specs: Vec<_> = wb.suite.specs().iter().step_by(13).cloned().collect();
     SyntheticStream::new(wb.catalog.clone(), &specs, cfg).collect()
 }
@@ -266,7 +266,7 @@ pub struct SuiteRun {
 }
 
 /// Simulate the five-scenario operational suite.
-pub fn operational_runs(wb: &Workbench, seed: u64) -> Vec<SuiteRun> {
+pub(crate) fn operational_runs(wb: &Workbench, seed: u64) -> Vec<SuiteRun> {
     operational_suite(&wb.catalog, seed, 6)
         .into_iter()
         .map(|scenario| {

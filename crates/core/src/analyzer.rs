@@ -175,7 +175,7 @@ impl<'a> Analyzer<'a> {
     /// against. Durable checkpoints record this so a restart can tell
     /// whether a checkpoint was written under a larger (hot-reloaded)
     /// library than the one it managed to load.
-    pub fn library_len(&self) -> usize {
+    pub(crate) fn library_len(&self) -> usize {
         self.lib.len()
     }
 
@@ -598,7 +598,7 @@ impl<'a> SnapshotAnalyzer<'a> {
     /// diagnosis per fault in the job, with no matching or RCA evidence.
     /// Used when a job stalls or exhausts its crash-retry budget — the
     /// operator still learns the fault happened.
-    pub fn cancel(&self, job: &SnapshotJob) -> Vec<Diagnosis> {
+    pub(crate) fn cancel(&self, job: &SnapshotJob) -> Vec<Diagnosis> {
         let snap = &job.snap;
         let mut out = Vec::new();
         for (msg_id, pf) in &job.perf {

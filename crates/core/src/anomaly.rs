@@ -34,7 +34,7 @@ pub fn scan_rest_error(payload: &[u8]) -> Option<u16> {
 /// quotes but sparse in `f`s), located with a word-at-a-time byte scan.
 /// The common clean-payload case touches each byte once, eight at a time,
 /// instead of comparing a 9-byte window at every offset.
-pub fn scan_rpc_error(payload: &[u8]) -> bool {
+pub(crate) fn scan_rpc_error(payload: &[u8]) -> bool {
     const NEEDLE: &[u8] = b"\"failure\"";
     if payload.len() < NEEDLE.len() {
         return false;
@@ -53,7 +53,7 @@ pub fn scan_rpc_error(payload: &[u8]) -> bool {
 
 /// The whole byte-level fault scan for one message, as a pure function:
 /// REST payloads go through [`scan_rest_error`], RPC payloads through the
-/// SWAR [`scan_rpc_error`]. No state, no counters — the same message
+/// SWAR `scan_rpc_error`. No state, no counters — the same message
 /// always scans to the same [`FaultMark`], so the scan can run anywhere
 /// in the pipeline (at batch decode, at ingest, or re-derived after a
 /// checkpoint restore) without changing the diagnosis stream.
@@ -135,7 +135,10 @@ pub struct LatencyObs {
 }
 
 /// Pairs REST requests with responses via connection metadata and RPCs via
-/// message ids, emitting [`LatencyObs`] as responses arrive.
+/// message ids, emitting [`LatencyObs`] as responses arrive. Nothing
+/// expires an unpaired request: casts never get a reply, and neither do the
+/// requests of aborted operations, so the pairer (and every checkpoint of
+/// it) grows with the stream.
 #[derive(Debug, Default)]
 pub struct LatencyPairer {
     rest: FastMap<(ConnKey, ApiId), SimTime>,
@@ -177,18 +180,6 @@ impl LatencyPairer {
                 })
             }
         }
-    }
-
-    /// Outstanding unpaired requests (useful for leak checks).
-    pub fn outstanding(&self) -> usize {
-        self.rest.len() + self.rpc.len()
-    }
-
-    /// Drop unpaired requests older than `cutoff` (casts never get replies
-    /// and would otherwise accumulate).
-    pub fn expire_before(&mut self, cutoff: SimTime) {
-        self.rest.retain(|_, &mut ts| ts >= cutoff);
-        self.rpc.retain(|_, &mut (_, ts)| ts >= cutoff);
     }
 
     /// Serialize all outstanding unpaired requests for a checkpoint.
@@ -339,7 +330,10 @@ mod tests {
             .expect("pair completes");
         assert_eq!(obs.latency_us, 25_000);
         assert_eq!(obs.api, ApiId(9));
-        assert_eq!(p.outstanding(), 0);
+        // The request was consumed: a second response pairs with nothing.
+        assert!(p
+            .observe(&rest_msg(2, 27_000, Direction::Response, conn.reversed()))
+            .is_none());
     }
 
     #[test]
@@ -383,20 +377,5 @@ mod tests {
         assert!(p
             .observe(&rest_msg(0, 10, Direction::Response, conn))
             .is_none());
-    }
-
-    #[test]
-    fn expire_drops_stale_requests() {
-        let mut p = LatencyPairer::new();
-        let conn = ConnKey {
-            src: NodeId(0),
-            src_port: 1,
-            dst: NodeId(1),
-            dst_port: 2,
-        };
-        p.observe(&rest_msg(0, 10, Direction::Request, conn));
-        assert_eq!(p.outstanding(), 1);
-        p.expire_before(1_000);
-        assert_eq!(p.outstanding(), 0);
     }
 }

@@ -22,7 +22,6 @@ use crate::config::{theta, GretelConfig};
 use crate::event::Event;
 use crate::fingerprint::{CandidatePattern, FingerprintLibrary};
 use crate::matcher::PositionIndex;
-use crate::window::Snapshot;
 use gretel_model::{ApiId, OpSpecId};
 
 /// Result of one operation-detection run.
@@ -108,12 +107,12 @@ impl SnapshotIndex {
     }
 
     /// Non-noise event indices carrying correlation id `corr`, in order.
-    pub fn corr_events(&self, corr: u64) -> &[u32] {
+    pub(crate) fn corr_events(&self, corr: u64) -> &[u32] {
         self.by_corr.get(&corr).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Total frames inferred lost inside the snapshot window.
-    pub fn lost_total(&self) -> u32 {
+    pub(crate) fn lost_total(&self) -> u32 {
         *self.gap_prefix.last().unwrap_or(&0)
     }
 
@@ -231,28 +230,13 @@ impl<'a> Detector<'a> {
             .collect()
     }
 
-    /// Convenience wrapper over a [`Snapshot`].
-    pub fn detect_operational_snapshot(
-        &self,
-        snapshot: &Snapshot,
-        offending: ApiId,
-    ) -> DetectionOutcome {
-        self.detect_operational(&snapshot.events, snapshot.fault_index, offending)
-    }
-
     /// Detection for a performance fault: the operation proceeds to
     /// completion, so fingerprints are *not* truncated and the evidence
     /// extends on both sides of the anomalous API. The pattern is a
     /// bounded literal slice centred on the API (long operations exceed
     /// any finite window), matched over the whole context buffer (§5.3.1
     /// "Improving precision").
-    pub fn detect_performance(&self, events: &[Event], offending: ApiId) -> DetectionOutcome {
-        let sidx = SnapshotIndex::new(events);
-        self.detect_performance_indexed(events, &sidx, offending)
-    }
-
-    /// [`Self::detect_performance`] against a prebuilt [`SnapshotIndex`].
-    pub fn detect_performance_indexed(
+    pub(crate) fn detect_performance_indexed(
         &self,
         events: &[Event],
         sidx: &SnapshotIndex,
@@ -736,14 +720,6 @@ mod tests {
         (cat, lib)
     }
 
-    fn snapshot_from(events: Vec<Event>, fault_index: usize) -> Snapshot {
-        Snapshot {
-            fault: events[fault_index],
-            events,
-            fault_index,
-        }
-    }
-
     #[test]
     fn detects_vm_create_from_ports_fault() {
         let (cat, lib) = library();
@@ -775,9 +751,7 @@ mod tests {
             .expect("ports step present");
         // Operation aborted at the fault: nothing after it on the wire.
         let events: Vec<Event> = spec_events[..=fault_index].to_vec();
-        let snap = snapshot_from(events, fault_index);
-
-        let out = detector.detect_operational_snapshot(&snap, ports_post);
+        let out = detector.detect_operational(&events, fault_index, ports_post);
         assert_eq!(out.matched, vec![gretel_model::OpSpecId(0)]);
         assert!((out.theta - 1.0).abs() < 1e-9);
         assert!(out.candidates >= 1);
@@ -810,8 +784,7 @@ mod tests {
             })
             .collect();
         let fault_index = events.iter().position(|e| e.api == put_file).unwrap();
-        let snap = snapshot_from(events[..=fault_index].to_vec(), fault_index);
-        let out = detector.detect_operational_snapshot(&snap, put_file);
+        let out = detector.detect_operational(&events[..=fault_index], fault_index, put_file);
         assert_eq!(out.matched, vec![gretel_model::OpSpecId(1)]);
         // VM create is not even a candidate for the Glance PUT.
         assert!(!out.matched.contains(&gretel_model::OpSpecId(0)));
@@ -863,8 +836,7 @@ mod tests {
 
         // Without a gap marker there is no miss budget: the truncated
         // fingerprint cannot be present and the match fails.
-        let snap = snapshot_from(events.clone(), fault_index);
-        let out = detector.detect_operational_snapshot(&snap, ports_post);
+        let out = detector.detect_operational(&events, fault_index, ports_post);
         assert!(
             out.matched.is_empty(),
             "no marker, no widening: {:?}",
@@ -875,8 +847,7 @@ mod tests {
         // The receiver noticed the loss: the event after the hole carries a
         // gap marker, funding one miss — degraded matching bridges it.
         events[hole].gap_before = 1;
-        let snap = snapshot_from(events, fault_index);
-        let out = detector.detect_operational_snapshot(&snap, ports_post);
+        let out = detector.detect_operational(&events, fault_index, ports_post);
         assert_eq!(out.matched, vec![gretel_model::OpSpecId(0)]);
         assert!(out.misses >= 1, "bridged the hole: misses={}", out.misses);
     }
@@ -908,9 +879,7 @@ mod tests {
             })
             .collect();
         let fault_index = events.iter().position(|e| e.api == ports_post).unwrap();
-        let truncated_events = events[..=fault_index].to_vec();
-        let snap = snapshot_from(truncated_events, fault_index);
-        let out = detector.detect_operational_snapshot(&snap, ports_post);
+        let out = detector.detect_operational(&events[..=fault_index], fault_index, ports_post);
         // The PUT attach after the fault never happened, so the
         // untruncated literal sequence is absent.
         assert!(
@@ -945,9 +914,9 @@ mod tests {
             })
             .collect();
         let image_get = cat.rest_expect(Service::Glance, HttpMethod::Get, "/v2/images/{id}");
-        let fault_index = events.iter().position(|e| e.api == image_get).unwrap();
-        let snap = snapshot_from(events, fault_index);
-        let out = detector.detect_performance(&snap.events, image_get);
+        assert!(events.iter().any(|e| e.api == image_get));
+        let out =
+            detector.detect_performance_indexed(&events, &SnapshotIndex::new(&events), image_get);
         assert!(out.matched.contains(&gretel_model::OpSpecId(0)));
     }
 
@@ -978,8 +947,7 @@ mod tests {
             ));
         }
         let fault_index = events.iter().position(|e| e.api == ports_post).unwrap();
-        let snap = snapshot_from(events[..=fault_index].to_vec(), fault_index);
-        let out = detector.detect_operational_snapshot(&snap, ports_post);
+        let out = detector.detect_operational(&events[..=fault_index], fault_index, ports_post);
         assert_eq!(out.matched, vec![gretel_model::OpSpecId(0)]);
     }
 
@@ -995,8 +963,127 @@ mod tests {
         );
         let ports_post = cat.rest_expect(Service::Neutron, HttpMethod::Post, "/v2.0/ports.json");
         let fault = event(0, ports_post, true, false);
-        let snap = snapshot_from(vec![fault], 0);
-        let out = detector.detect_operational_snapshot(&snap, ports_post);
+        let out = detector.detect_operational(&[fault], 0, ports_post);
         assert_eq!(out.candidates, lib.candidates(ports_post).len());
+    }
+
+    /// The paper's Fig 4 fingerprint `E G* B S* F`, learned from one trace:
+    /// E = POST servers, G = GET networks, B = RPC boot, S = GET security
+    /// groups, F = POST ports (G and S are reads, hence starred).
+    struct Fig4 {
+        cat: Arc<Catalog>,
+        lib: FingerprintLibrary,
+        e: ApiId,
+        g: ApiId,
+        b: ApiId,
+        s: ApiId,
+        f: ApiId,
+    }
+
+    fn fig4() -> Fig4 {
+        let cat = Catalog::openstack();
+        let e = cat.rest_expect(Service::Nova, HttpMethod::Post, "/v2.1/servers");
+        let g = cat.rest_expect(Service::Neutron, HttpMethod::Get, "/v2.0/networks.json");
+        let b = cat.rpc_expect(Service::NovaCompute, "build_and_run_instance");
+        let s = cat.rest_expect(
+            Service::Neutron,
+            HttpMethod::Get,
+            "/v2.0/security-groups.json",
+        );
+        let f = cat.rest_expect(Service::Neutron, HttpMethod::Post, "/v2.0/ports.json");
+        let trace = vec![e, g, b, s, f];
+        let lib = FingerprintLibrary::from_traces(cat.clone(), vec![(OpSpecId(0), vec![trace])]);
+        let stars: Vec<bool> = lib
+            .get(OpSpecId(0))
+            .atoms
+            .iter()
+            .map(|a| a.starred)
+            .collect();
+        assert_eq!(stars, [false, true, false, true, false]);
+        Fig4 {
+            cat,
+            lib,
+            e,
+            g,
+            b,
+            s,
+            f,
+        }
+    }
+
+    /// Does the detector's pattern match accept the Fig 4 operation's
+    /// candidate pattern for a fault on F anywhere in `buffer`?
+    fn fig4_matches(fx: &Fig4, cfg: GretelConfig, buffer: &[ApiId]) -> bool {
+        let detector = Detector::new(&fx.lib, cfg);
+        let patterns = fx.lib.candidate_patterns(fx.f, true);
+        let index = PositionIndex::new(buffer);
+        detector.match_patterns(&patterns, &index, 0, buffer.len()) == [OpSpecId(0)]
+    }
+
+    fn relaxed(prune_rpcs: bool, max_literals: Option<usize>) -> GretelConfig {
+        GretelConfig {
+            prune_rpcs,
+            max_literals,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn paper_fig4_missing_starred_symbol_still_matches() {
+        let fx = fig4();
+        // E and F in order, no reads: matches once RPC pruning drops B.
+        assert!(fig4_matches(&fx, relaxed(true, None), &[fx.e, fx.f]));
+        // Without pruning, the RPC literal B is required too.
+        assert!(!fig4_matches(&fx, relaxed(false, None), &[fx.e, fx.f]));
+        assert!(fig4_matches(&fx, relaxed(false, None), &[fx.e, fx.b, fx.f]));
+    }
+
+    #[test]
+    fn literal_order_violation_fails() {
+        let fx = fig4();
+        assert!(!fig4_matches(&fx, relaxed(true, None), &[fx.f, fx.e]));
+    }
+
+    #[test]
+    fn interleaved_foreign_symbols_are_ignored() {
+        let fx = fig4();
+        let noise = fx
+            .cat
+            .rest_expect(Service::Glance, HttpMethod::Get, "/v2/images");
+        let buffer = [noise, fx.e, noise, noise, fx.f, noise];
+        assert!(fig4_matches(&fx, relaxed(true, None), &buffer));
+    }
+
+    #[test]
+    fn duplicate_literals_in_buffer_are_tolerated() {
+        // Interleaved instances of the same operation repeat symbols;
+        // subsequence matching skips the extras.
+        let fx = fig4();
+        let buffer = [fx.e, fx.e, fx.f, fx.f];
+        assert!(fig4_matches(&fx, relaxed(true, None), &buffer));
+    }
+
+    #[test]
+    fn strict_requires_starred_atoms_too() {
+        let fx = fig4();
+        let strict = GretelConfig {
+            relaxed: false,
+            ..Default::default()
+        };
+        assert!(!fig4_matches(&fx, strict, &[fx.e, fx.b, fx.f]));
+        assert!(fig4_matches(&fx, strict, &[fx.e, fx.g, fx.b, fx.s, fx.f]));
+    }
+
+    #[test]
+    fn bounded_literal_context_matches_on_suffix() {
+        let fx = fig4();
+        // Only the most recent literal (F) is in the buffer: a bound of 1
+        // reduces the pattern to [F]; unbounded it needs E too, and a bound
+        // longer than the pattern changes nothing.
+        assert!(fig4_matches(&fx, relaxed(true, Some(1)), &[fx.f]));
+        assert!(!fig4_matches(&fx, relaxed(true, None), &[fx.f]));
+        assert!(!fig4_matches(&fx, relaxed(true, Some(99)), &[fx.f]));
+        // A bound of 0 leaves the empty pattern, present in any buffer.
+        assert!(fig4_matches(&fx, relaxed(false, Some(0)), &[]));
     }
 }

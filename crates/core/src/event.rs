@@ -22,7 +22,7 @@ pub enum FaultMark {
 
 impl FaultMark {
     /// Whether any error was found.
-    pub fn is_error(self) -> bool {
+    pub(crate) fn is_error(self) -> bool {
         !matches!(self, FaultMark::None)
     }
 

@@ -58,21 +58,11 @@ impl Fingerprint {
     /// for a relaxed match. With `prune_rpcs` (the §6 optimization) RPC
     /// symbols are dropped from the pattern.
     pub fn literals(&self, catalog: &Catalog, prune_rpcs: bool) -> Vec<ApiId> {
-        self.literals_iter(catalog, prune_rpcs).collect()
-    }
-
-    /// Iterator form of [`Self::literals`] for callers that only count or
-    /// scan the literal sequence — no intermediate `Vec`.
-    pub fn literals_iter<'a>(
-        &'a self,
-        catalog: &'a Catalog,
-        prune_rpcs: bool,
-    ) -> impl Iterator<Item = ApiId> + 'a {
         self.atoms
             .iter()
-            .filter(|a| !a.starred)
-            .filter(move |a| !(prune_rpcs && catalog.get(a.api).is_rpc()))
+            .filter(|a| !(a.starred || prune_rpcs && catalog.get(a.api).is_rpc()))
             .map(|a| a.api)
+            .collect()
     }
 
     /// All atom APIs in order (for strict matching and set overlap).
@@ -87,17 +77,6 @@ impl Fingerprint {
             .iter()
             .filter(|a| !catalog.get(a.api).is_rpc())
             .count()
-    }
-
-    /// Truncate at the **last** occurrence of `api` (inclusive) —
-    /// Algorithm 2's `TRUNCATE_OPERATION_FINGERPRINTS`. Returns `None`
-    /// when `api` is absent.
-    pub fn truncate_at_last(&self, api: ApiId) -> Option<Fingerprint> {
-        let idx = self.atoms.iter().rposition(|a| a.api == api)?;
-        Some(Fingerprint {
-            op: self.op,
-            atoms: self.atoms[..=idx].to_vec(),
-        })
     }
 
     /// Truncations at **every** occurrence of `api`. Algorithm 2 truncates
@@ -117,13 +96,17 @@ impl Fingerprint {
             .collect()
     }
 
+    /// Test oracle of [`FingerprintLibrary::centered_patterns`], which must
+    /// equal this fresh derivation.
+    ///
     /// Bounded literal patterns centred on each occurrence of `api`:
     /// for every occurrence, up to `k/2` literals before and after it.
     /// Performance faults do not abort their operation, so the evidence
     /// around the anomalous API extends in both directions (§5.3.1:
     /// "GRETEL makes use of the entire context buffer"), but bounding the
     /// pattern keeps long operations matchable within a finite window.
-    pub fn centered_literals(
+    #[cfg(test)]
+    fn centered_literals(
         &self,
         catalog: &Catalog,
         prune_rpcs: bool,
@@ -192,7 +175,11 @@ impl Fingerprint {
 /// Traces are API-id sequences (one id per invocation). They are sorted by
 /// length, noise-filtered, and intersected pairwise by LCS; the surviving
 /// sequence becomes the atoms, starred according to state-change priority.
-pub fn generate_fingerprint(catalog: &Catalog, op: OpSpecId, traces: &[Vec<ApiId>]) -> Fingerprint {
+pub(crate) fn generate_fingerprint(
+    catalog: &Catalog,
+    op: OpSpecId,
+    traces: &[Vec<ApiId>],
+) -> Fingerprint {
     assert!(!traces.is_empty(), "need at least one trace");
     let mut sorted: Vec<&Vec<ApiId>> = traces.iter().collect();
     sorted.sort_by_key(|t| t.len());
@@ -647,7 +634,7 @@ impl FingerprintLibrary {
     /// patterns whose last `k` literals agree are adjacent, so bounded
     /// patterns deduplicate in one pass. Borrowed from the per-API table;
     /// nothing is allocated.
-    pub fn suffix_sorted_literals(
+    pub(crate) fn suffix_sorted_literals(
         &self,
         offending: ApiId,
         truncate: bool,
@@ -660,18 +647,12 @@ impl FingerprintLibrary {
             .map(move |&(op, n)| (op, &self.cache[op.index()].lits[m][..n as usize]))
     }
 
-    /// Cached full literal sequence of `op`
-    /// (= `get(op).literals(catalog, prune_rpcs)`).
-    pub fn literal_seq(&self, op: OpSpecId, prune_rpcs: bool) -> &[ApiId] {
-        &self.cache[op.index()].lits[prune_rpcs as usize]
-    }
-
     /// Cached bounded literal windows centred on each occurrence of `api`
     /// in `op`'s fingerprint — equal to
     /// `get(op).centered_literals(catalog, false, api, k)` (the
     /// performance-fault pattern; RPC symbols kept, §3.1.2). Each window
     /// is a contiguous slice of the cached literal sequence.
-    pub fn centered_patterns(&self, op: OpSpecId, api: ApiId, k: usize) -> Vec<&[ApiId]> {
+    pub(crate) fn centered_patterns(&self, op: OpSpecId, api: ApiId, k: usize) -> Vec<&[ApiId]> {
         // `api`'s truncation points, ascending by operation.
         let cuts = &self.tables[1].entries[self.tables[1].range(api)];
         let cuts = &cuts[cuts.partition_point(|e| e.op < op)..];
@@ -881,10 +862,15 @@ mod tests {
                 },
             ],
         };
-        let t = fp.truncate_at_last(post).unwrap();
-        assert_eq!(t.len(), 4, "prefix through the LAST occurrence, inclusive");
-        assert_eq!(t.atoms.last().unwrap().api, post);
-        assert!(fp.truncate_at_last(ApiId(9999)).is_none());
+        let cuts = fp.truncate_at_each(post);
+        let lens: Vec<usize> = cuts.iter().map(Fingerprint::len).collect();
+        assert_eq!(
+            lens,
+            [2, 4],
+            "one prefix through each occurrence, inclusive"
+        );
+        assert!(cuts.iter().all(|t| t.atoms.last().unwrap().api == post));
+        assert!(fp.truncate_at_each(ApiId(9999)).is_empty());
     }
 
     #[test]
@@ -1172,29 +1158,6 @@ mod tests {
         assert!(lib
             .centered_patterns(OpSpecId(0), ApiId(9999), 4)
             .is_empty());
-    }
-
-    #[test]
-    fn literal_seq_and_literals_iter_agree() {
-        let (cat, wf, dep) = setup();
-        let (lib, _) = FingerprintLibrary::characterize(
-            cat.clone(),
-            &[wf.vm_create_spec(OpSpecId(0))],
-            &dep,
-            2,
-            3,
-        );
-        let fp = lib.get(OpSpecId(0));
-        for prune in [false, true] {
-            assert_eq!(
-                lib.literal_seq(OpSpecId(0), prune),
-                &fp.literals(&cat, prune)[..]
-            );
-            assert_eq!(
-                fp.literals_iter(&cat, prune).collect::<Vec<_>>(),
-                fp.literals(&cat, prune)
-            );
-        }
     }
 
     #[test]

@@ -138,17 +138,12 @@ impl ServiceGraph {
     }
 
     /// Services `caller` was observed calling, in stable service order.
-    pub fn callees(&self, caller: Service) -> Vec<Service> {
+    pub(crate) fn callees(&self, caller: Service) -> Vec<Service> {
         Service::ALL
             .iter()
             .copied()
             .filter(|&s| self.at(caller, s).observed())
             .collect()
-    }
-
-    /// Number of observed (non-empty) edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges.iter().filter(|e| e.observed()).count()
     }
 
     /// Shortest observed call path `from ⇝ to` (inclusive of both ends),
@@ -608,7 +603,6 @@ mod tests {
             false,
         );
         assert!(!g.edge(Service::Nova, Service::Glance).observed());
-        assert_eq!(g.edge_count(), 1);
     }
 
     #[test]

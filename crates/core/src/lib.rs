@@ -6,16 +6,17 @@
 //!
 //! Pipeline (paper Fig 3):
 //!
-//! * offline: [`fingerprint`] learns one fingerprint per operation
-//!   (Algorithm 1 — noise filtering via [`noise_filter`], trace
+//! * offline: [`FingerprintLibrary`] learns one [`Fingerprint`] per
+//!   operation (Algorithm 1 — noise filtering via [`noise_filter`], trace
 //!   intersection via [`lcs`]);
-//! * online: [`analyzer`] scans payload bytes for errors ([`anomaly`]),
-//!   pairs latencies and feeds level-shift detectors ([`perf`]), keeps the
-//!   dual-buffer sliding window ([`window`]), detects the faulty operation
-//!   (Algorithm 2 — [`detect`] + [`matcher`]) and runs root cause
-//!   analysis (Algorithm 3 — [`rca`]);
-//! * [`config`] holds the paper's thresholds (α, β, δ, c1, c2) and the
-//!   precision metric θ; [`report`] renders diagnoses.
+//! * online: [`Analyzer`] scans payload bytes for errors
+//!   ([`scan_message`]), pairs latencies and feeds level-shift detectors
+//!   ([`PerfMonitor`]), keeps the dual-buffer sliding window ([`window`]),
+//!   detects the faulty operation (Algorithm 2 — [`Detector`] over a
+//!   [`PositionIndex`]) and runs root cause analysis (Algorithm 3, yielding
+//!   [`RootCause`]s);
+//! * [`GretelConfig`] holds the paper's thresholds (α, β, δ, c1, c2) and
+//!   [`theta`] is the precision metric θ; a [`Diagnosis`] renders itself.
 //!
 //! The stage-by-stage walkthrough of how these modules compose into the
 //! deployed pipeline lives in `ARCHITECTURE.md` at the repository root.
@@ -34,63 +35,49 @@
 
 #![deny(missing_docs)]
 
-pub mod analyzer;
-pub mod anomaly;
+mod analyzer;
+mod anomaly;
 pub mod checkpoint;
-pub mod config;
-pub mod detect;
+mod config;
+mod detect;
 mod engine;
-pub mod event;
-pub mod explain;
-pub mod fasthash;
-pub mod fingerprint;
+mod event;
+mod fasthash;
+mod fingerprint;
 pub mod graph;
 pub mod lcs;
-pub mod matcher;
+mod matcher;
 pub mod noise_filter;
-pub mod perf;
-pub mod rca;
-pub mod recover;
-pub mod report;
-pub mod selfwatch;
-pub mod service;
-pub mod shard;
+mod perf;
+mod rca;
+mod recover;
+mod report;
+mod selfwatch;
+mod service;
+mod shard;
 pub mod window;
 
-pub use analyzer::{
-    analyze_stream, Analyzer, AnalyzerStats, RcaContext, SnapshotAnalyzer, SnapshotJob,
-};
-pub use anomaly::{scan_message, scan_rest_error, scan_rpc_error, LatencyObs, LatencyPairer};
-pub use checkpoint::CheckpointError;
+pub use analyzer::{analyze_stream, Analyzer, AnalyzerStats, RcaContext};
+pub use anomaly::{scan_message, scan_rest_error};
 pub use config::{theta, GretelConfig};
 pub use detect::{DetectionOutcome, Detector, SnapshotIndex};
 pub use event::{Event, FaultMark};
-pub use explain::{LiteralMatch, MatchExplanation};
-pub use fasthash::{FastMap, FastSet};
-pub use fingerprint::{
-    generate_fingerprint, trace_of, Atom, CandidatePattern, CharacterizationStats, Fingerprint,
-    FingerprintLibrary,
-};
-pub use graph::{
-    attribute_cascades, Attribution, CascadeParams, EdgeStats, EvidenceHop, ServiceGraph,
-};
+pub use fingerprint::{trace_of, CharacterizationStats, Fingerprint, FingerprintLibrary};
+pub use graph::{attribute_cascades, Attribution, CascadeParams, ServiceGraph};
 pub use matcher::PositionIndex;
-pub use perf::{PerfFault, PerfMonitor};
-pub use rca::{CauseKind, RcaEngine, RootCause};
+pub use perf::PerfMonitor;
+pub use rca::{CauseKind, RootCause};
 pub use recover::{
     run_service_durable, AnalyzerChaos, DurableConfig, DurableOutcome, LibraryReload,
-    RecoveryConfig, RecoveryStats, KIND_CHECKPOINT, KIND_DIAGNOSES, KIND_LIBRARY,
+    RecoveryConfig, RecoveryStats, KIND_CHECKPOINT, KIND_DIAGNOSES,
 };
 pub use report::{CaptureConfidence, Diagnosis, FaultKind};
-pub use selfwatch::{self_watch_api, self_watch_stage, SelfWatch, SELF_WATCH_API_BASE};
-pub use service::{
-    resolve_shard_workers, run_service_cfg, ServiceConfig, ServiceError, ServiceStats,
-};
+pub use selfwatch::{self_watch_stage, SelfWatch};
+pub use service::{run_service_cfg, ServiceConfig, ServiceStats};
 pub use shard::{
-    canonical_order, encode_diagnoses, run_sharded, run_sharded_durable, ShardReport,
-    ShardedConfig, ShardedOutcome,
+    canonical_order, encode_diagnoses, run_sharded, run_sharded_durable, ShardedConfig,
 };
-pub use window::{SlidingWindow, Snapshot};
+pub use window::SlidingWindow;
 
 /// The durable state store the recoverable service persists to — see
 /// [`store::Store`], [`store::MemStore`] and [`store::FileStore`].

@@ -1,4 +1,4 @@
-//! Fingerprint-to-snapshot match predicates.
+//! The occurrence index every fingerprint-to-snapshot match runs on.
 //!
 //! GRETEL "relaxes the notion of a fingerprint match, such that a regular
 //! expression matches the snapshot if the sequence of symbols
@@ -7,69 +7,10 @@
 //! from the context buffer, but the state-change literals must appear in
 //! the buffer *in fingerprint order* — i.e. the literal sequence must be a
 //! subsequence of the buffer's symbol sequence. Strict matching (every
-//! atom required, for ablation) uses the full atom sequence instead.
+//! atom required, for ablation) uses the full atom sequence instead. The
+//! detector asks both questions of a [`PositionIndex`] over the buffer.
 
-use crate::fingerprint::Fingerprint;
-use crate::lcs::is_subsequence;
-use gretel_model::{ApiId, Catalog};
-
-/// Relaxed match: the literal (state-change) sequence of `fp` — already
-/// truncated by the caller when applicable — must be a subsequence of the
-/// buffer's API sequence. `prune_rpcs` applies the §6 optimization.
-pub fn matches_relaxed(
-    fp: &Fingerprint,
-    catalog: &Catalog,
-    prune_rpcs: bool,
-    max_literals: Option<usize>,
-    buffer: &[ApiId],
-) -> bool {
-    let literals = fp.literals(catalog, prune_rpcs);
-    let pattern = match max_literals {
-        Some(k) if literals.len() > k => &literals[literals.len() - k..],
-        _ => &literals[..],
-    };
-    is_subsequence(pattern, buffer)
-}
-
-/// Strict match (ablation): every atom, starred or not, must appear in
-/// order.
-pub fn matches_strict(fp: &Fingerprint, buffer: &[ApiId]) -> bool {
-    is_subsequence(&fp.api_seq(), buffer)
-}
-
-/// Scored relaxed match: the length of the longest *suffix* of the
-/// (pruned, bounded) literal pattern that is a subsequence of the buffer.
-/// Candidates sharing the fault API but whose recent history is absent
-/// from the buffer score low; the detector keeps only the top scorers.
-/// Returns `(score, pattern_len)`.
-pub fn suffix_match_score(
-    fp: &Fingerprint,
-    catalog: &Catalog,
-    prune_rpcs: bool,
-    max_literals: Option<usize>,
-    buffer: &[ApiId],
-) -> (usize, usize) {
-    let literals = fp.literals(catalog, prune_rpcs);
-    let pattern: &[ApiId] = match max_literals {
-        Some(k) if literals.len() > k => &literals[literals.len() - k..],
-        _ => &literals[..],
-    };
-    // Greedy from the end: match pattern[-1] to the last occurrence in the
-    // buffer, pattern[-2] before it, and so on.
-    let mut score = 0usize;
-    let mut pos = buffer.len();
-    'outer: for &lit in pattern.iter().rev() {
-        while pos > 0 {
-            pos -= 1;
-            if buffer[pos] == lit {
-                score += 1;
-                continue 'outer;
-            }
-        }
-        break;
-    }
-    (score, pattern.len())
-}
+use gretel_model::ApiId;
 
 /// log2 of the positions per block of [`PositionIndex`]'s rank directory.
 const BLOCK_SHIFT: usize = 7;
@@ -203,7 +144,7 @@ impl PositionIndex {
     /// positions in `lo..hi`? Equivalent to
     /// `is_subsequence(pattern, &buffer[lo..hi])`, via greedy successor
     /// queries instead of a scan.
-    pub fn contains_subsequence(&self, pattern: &[ApiId], lo: usize, hi: usize) -> bool {
+    pub(crate) fn contains_subsequence(&self, pattern: &[ApiId], lo: usize, hi: usize) -> bool {
         let hi = hi.min(self.len);
         let mut cursor = lo;
         for &api in pattern {
@@ -290,17 +231,17 @@ impl PositionIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fingerprint::Atom;
-    use gretel_model::{HttpMethod, OpSpecId, Service};
+    use crate::lcs::is_subsequence;
+    use gretel_model::{Catalog, HttpMethod, Service};
     use std::sync::Arc;
 
     struct Fixture {
         catalog: Arc<Catalog>,
-        get_nets: ApiId,     // starred (GET)
-        get_sg: ApiId,       // starred (GET)
-        post_servers: ApiId, // literal E in the paper's Fig 4
-        post_ports: ApiId,   // literal F
-        rpc_boot: ApiId,     // RPC literal
+        get_nets: ApiId, // starred (GET)
+        get_sg: ApiId,   // starred (GET)
+        post_servers: ApiId,
+        post_ports: ApiId,
+        rpc_boot: ApiId,
     }
 
     fn fx() -> Fixture {
@@ -317,141 +258,6 @@ mod tests {
             rpc_boot: catalog.rpc_expect(Service::NovaCompute, "build_and_run_instance"),
             catalog,
         }
-    }
-
-    fn fp(fx: &Fixture) -> Fingerprint {
-        // E G* B S* F  (E = POST servers, B = RPC boot, F = POST ports)
-        Fingerprint {
-            op: OpSpecId(0),
-            atoms: vec![
-                Atom {
-                    api: fx.post_servers,
-                    starred: false,
-                },
-                Atom {
-                    api: fx.get_nets,
-                    starred: true,
-                },
-                Atom {
-                    api: fx.rpc_boot,
-                    starred: false,
-                },
-                Atom {
-                    api: fx.get_sg,
-                    starred: true,
-                },
-                Atom {
-                    api: fx.post_ports,
-                    starred: false,
-                },
-            ],
-        }
-    }
-
-    #[test]
-    fn paper_fig4_missing_starred_symbol_still_matches() {
-        let f = fx();
-        let fp = fp(&f);
-        // Buffer holds E and F (order preserved) but no GETs: matches with
-        // RPC pruning (B removed from the pattern).
-        let buffer = vec![f.post_servers, f.post_ports];
-        assert!(matches_relaxed(&fp, &f.catalog, true, None, &buffer));
-        // Without pruning, the RPC literal B is required too.
-        assert!(!matches_relaxed(&fp, &f.catalog, false, None, &buffer));
-        let with_rpc = vec![f.post_servers, f.rpc_boot, f.post_ports];
-        assert!(matches_relaxed(&fp, &f.catalog, false, None, &with_rpc));
-    }
-
-    #[test]
-    fn literal_order_violation_fails() {
-        let f = fx();
-        let fp = fp(&f);
-        let buffer = vec![f.post_ports, f.post_servers]; // F before E
-        assert!(!matches_relaxed(&fp, &f.catalog, true, None, &buffer));
-    }
-
-    #[test]
-    fn interleaved_foreign_symbols_are_ignored() {
-        let f = fx();
-        let fp = fp(&f);
-        let noise = f
-            .catalog
-            .rest_expect(Service::Glance, HttpMethod::Get, "/v2/images");
-        let buffer = vec![noise, f.post_servers, noise, noise, f.post_ports, noise];
-        assert!(matches_relaxed(&fp, &f.catalog, true, None, &buffer));
-    }
-
-    #[test]
-    fn duplicate_literals_in_buffer_are_tolerated() {
-        // Interleaved instances of the same operation repeat symbols —
-        // subsequence matching skips the extras.
-        let f = fx();
-        let fp = fp(&f);
-        let buffer = vec![f.post_servers, f.post_servers, f.post_ports, f.post_ports];
-        assert!(matches_relaxed(&fp, &f.catalog, true, None, &buffer));
-    }
-
-    #[test]
-    fn strict_requires_starred_atoms_too() {
-        let f = fx();
-        let fp = fp(&f);
-        let without_gets = vec![f.post_servers, f.rpc_boot, f.post_ports];
-        assert!(!matches_strict(&fp, &without_gets));
-        let all = vec![
-            f.post_servers,
-            f.get_nets,
-            f.rpc_boot,
-            f.get_sg,
-            f.post_ports,
-        ];
-        assert!(matches_strict(&fp, &all));
-    }
-
-    #[test]
-    fn bounded_literal_context_matches_on_suffix() {
-        let f = fx();
-        let fp = fp(&f);
-        // Only the most recent literal (F) is in the buffer; with a bound
-        // of 1 the pattern reduces to [F] and matches; unbounded it needs
-        // E too.
-        let buffer = vec![f.post_ports];
-        assert!(matches_relaxed(&fp, &f.catalog, true, Some(1), &buffer));
-        assert!(!matches_relaxed(&fp, &f.catalog, true, None, &buffer));
-        // A bound larger than the pattern is a no-op.
-        assert!(!matches_relaxed(&fp, &f.catalog, true, Some(99), &buffer));
-    }
-
-    #[test]
-    fn empty_pattern_matches_anything() {
-        let f = fx();
-        let empty = Fingerprint {
-            op: OpSpecId(1),
-            atoms: vec![],
-        };
-        assert!(matches_relaxed(&empty, &f.catalog, true, None, &[]));
-        assert!(matches_strict(&empty, &[f.post_servers]));
-        let (score, plen) = suffix_match_score(&empty, &f.catalog, true, None, &[]);
-        assert_eq!((score, plen), (0, 0));
-    }
-
-    #[test]
-    fn max_literals_zero_reduces_every_pattern_to_empty() {
-        // `max_literals: Some(0)` truncates the literal pattern to its last
-        // zero symbols — the empty pattern, which matches any buffer. A
-        // degenerate but well-defined configuration (it turns relaxed
-        // matching into "is a candidate").
-        let f = fx();
-        let fp = fp(&f);
-        assert!(matches_relaxed(&fp, &f.catalog, true, Some(0), &[]));
-        assert!(matches_relaxed(
-            &fp,
-            &f.catalog,
-            false,
-            Some(0),
-            &[f.get_nets]
-        ));
-        let (score, plen) = suffix_match_score(&fp, &f.catalog, true, Some(0), &[f.post_ports]);
-        assert_eq!((score, plen), (0, 0));
     }
 
     fn pool(f: &Fixture) -> [ApiId; 5] {
@@ -691,63 +497,5 @@ mod tests {
         let idx = PositionIndex::new(&[f.get_nets, f.get_sg]);
         let pattern = [f.post_servers, f.post_ports];
         assert_eq!(idx.min_anchored_half_with_misses(&pattern, 1, 2, 2), None);
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use crate::fingerprint::{Atom, Fingerprint};
-    use gretel_model::{Catalog, HttpMethod, OpSpecId, Service};
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        // The greedy backward score equals the length of the longest
-        // pattern *suffix* that embeds in the buffer (greedy backward
-        // matching is optimal for suffix embedding).
-        #[test]
-        fn suffix_score_equals_longest_embedding_suffix(
-            atom_picks in proptest::collection::vec(0usize..5, 0..10),
-            stars in proptest::collection::vec(any::<bool>(), 10),
-            buf_picks in proptest::collection::vec(0usize..5, 0..24),
-            prune in any::<bool>(),
-            bound_raw in 0usize..10,
-        ) {
-            let catalog = Catalog::openstack();
-            let pool = [
-                catalog.rest_expect(Service::Neutron, HttpMethod::Get, "/v2.0/networks.json"),
-                catalog.rest_expect(Service::Neutron, HttpMethod::Get, "/v2.0/security-groups.json"),
-                catalog.rest_expect(Service::Nova, HttpMethod::Post, "/v2.1/servers"),
-                catalog.rest_expect(Service::Neutron, HttpMethod::Post, "/v2.0/ports.json"),
-                catalog.rpc_expect(Service::NovaCompute, "build_and_run_instance"),
-            ];
-            let fp = Fingerprint {
-                op: OpSpecId(0),
-                atoms: atom_picks
-                    .iter()
-                    .zip(&stars)
-                    .map(|(&i, &starred)| Atom { api: pool[i], starred })
-                    .collect(),
-            };
-            let buffer: Vec<_> = buf_picks.iter().map(|&i| pool[i]).collect();
-            let max_literals = (bound_raw < 9).then_some(bound_raw);
-
-            let (score, plen) =
-                suffix_match_score(&fp, &catalog, prune, max_literals, &buffer);
-
-            let literals = fp.literals(&catalog, prune);
-            let pattern: &[_] = match max_literals {
-                Some(k) if literals.len() > k => &literals[literals.len() - k..],
-                _ => &literals[..],
-            };
-            prop_assert_eq!(plen, pattern.len());
-            let naive = (0..=pattern.len())
-                .rev()
-                .find(|&s| is_subsequence(&pattern[pattern.len() - s..], &buffer))
-                .unwrap_or(0);
-            prop_assert_eq!(score, naive);
-        }
     }
 }

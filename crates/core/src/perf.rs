@@ -81,11 +81,6 @@ impl PerfMonitor {
         self.history.get(&api).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Number of APIs currently tracked.
-    pub fn tracked_apis(&self) -> usize {
-        self.detectors.len()
-    }
-
     /// Serialize the monitor's state — per-API detector state and (when
     /// kept) latency history — for an analyzer checkpoint. Returns `false`
     /// (leaving `out` as it was) when any detector does not implement
@@ -217,7 +212,6 @@ mod tests {
         }
         assert_eq!(faults.len(), 1);
         assert_eq!(faults[0].api, ApiId(1));
-        assert_eq!(mon.tracked_apis(), 2);
     }
 
     #[test]

@@ -97,7 +97,7 @@ impl<'a> RcaEngine<'a> {
     /// [`CauseKind::StaleTelemetry`] entries for every listed node whose
     /// telemetry went silent before `[from, until)`. Empty when coverage
     /// was complete — i.e. when "no anomaly" is actually supported by data.
-    pub fn staleness_report(
+    pub(crate) fn staleness_report(
         &self,
         nodes: &[NodeId],
         from: SimTime,
@@ -129,7 +129,7 @@ impl<'a> RcaEngine<'a> {
 
     /// Algorithm 3 (`FIND_ROOT_CAUSE`): anomalies in resource metadata,
     /// then failed software dependencies, on the listed nodes.
-    pub fn find_root_cause(
+    pub(crate) fn find_root_cause(
         &self,
         nodes: &[NodeId],
         from: SimTime,
@@ -158,7 +158,7 @@ impl<'a> RcaEngine<'a> {
     }
 
     /// Nodes hosting any service that participates in the operations.
-    pub fn operation_nodes(&self, ops: &[&OperationSpec]) -> Vec<NodeId> {
+    pub(crate) fn operation_nodes(&self, ops: &[&OperationSpec]) -> Vec<NodeId> {
         let mut nodes = Vec::new();
         for op in ops {
             for service in op.services() {

@@ -39,7 +39,7 @@
 //!   replays to byte-identical output. Store corruption is not an engine
 //!   arm at all: a driver flips or tears bytes between two lifetimes, as a
 //!   bad disk would. The durable store also carries the fingerprint library
-//!   ([`KIND_LIBRARY`] snapshots), enabling live hot-reload: a grown
+//!   (`KIND_LIBRARY` snapshots), enabling live hot-reload: a grown
 //!   library adopted mid-run takes effect at the next checkpoint boundary
 //!   without dropping in-flight windows.
 //!
@@ -204,11 +204,11 @@ pub const KIND_DIAGNOSES: u8 = 2;
 /// Store record kind: a fingerprint-library snapshot
 /// ([`FingerprintLibrary::to_snapshot`]); the newest valid one is the
 /// library a durable restart runs with.
-pub const KIND_LIBRARY: u8 = 3;
+pub(crate) const KIND_LIBRARY: u8 = 3;
 
 /// A fingerprint-library hot-reload scheduled into a durable run: once
 /// this many messages have merged since the last restore, the service
-/// checkpoints, appends the snapshot to the store ([`KIND_LIBRARY`]), and
+/// checkpoints, appends the snapshot to the store (`KIND_LIBRARY`), and
 /// re-enters with the new library — in-flight windows survive via the
 /// checkpoint, and the matcher uses the new fingerprints from the next
 /// snapshot freeze on. Snapshots should *extend* the running library
@@ -284,7 +284,7 @@ pub enum DurableOutcome {
 ///
 /// One invocation models one process lifetime:
 ///
-/// * **Bootstrap** — the newest valid [`KIND_LIBRARY`] snapshot on the
+/// * **Bootstrap** — the newest valid `KIND_LIBRARY` snapshot on the
 ///   store is adopted when it extends `lib` (a live run characterized new
 ///   operations and a restart must keep matching them); otherwise `lib`'s
 ///   own snapshot is appended as the base record. The analyzer is built

@@ -116,11 +116,6 @@ impl serde::Serialize for Diagnosis {
 }
 
 impl Diagnosis {
-    /// Whether the diagnosis narrowed the fault to exactly one operation.
-    pub fn is_precise(&self) -> bool {
-        self.matched.len() == 1
-    }
-
     /// Render a human-readable report. `specs` resolves operation names;
     /// pass the suite the library was trained on.
     pub fn render(&self, specs: &[OperationSpec]) -> String {
@@ -233,7 +228,6 @@ mod tests {
         assert!(s.contains("image.upload.canonical"));
         assert!(s.contains("glance-service reported down"));
         assert!(!s.contains("DEGRADED"));
-        assert!(d.is_precise());
     }
 
     #[test]
@@ -302,6 +296,5 @@ mod tests {
         assert!(s.contains("PERFORMANCE"));
         assert!(s.contains("130.0 ms"));
         assert!(s.contains("none identified"));
-        assert!(!d.is_precise());
     }
 }

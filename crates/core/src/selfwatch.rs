@@ -6,7 +6,7 @@
 //! histograms on an interval, turns each stage's interval-mean latency
 //! into a [`LatencyObs`] under a synthetic per-stage [`ApiId`], and feeds
 //! it to a [`PerfMonitor`] — so a stall in GRETEL's own detect or
-//! checkpoint stage raises a [`PerfFault`] exactly the way a slow Nova
+//! checkpoint stage raises a `PerfFault` exactly the way a slow Nova
 //! API would. The paper's pitch is that level-shift detection is cheap
 //! and generic; pointing it at the tool's own pipeline costs one extra
 //! observation per stage per poll.
@@ -20,11 +20,11 @@ use gretel_telemetry::LevelShiftConfig;
 /// Base of the synthetic [`ApiId`] range self-watch reports under. Real
 /// catalog ids index a definition table of a few hundred entries, so the
 /// top of the `u16` range cannot collide with them.
-pub const SELF_WATCH_API_BASE: u16 = 0xFF00;
+pub(crate) const SELF_WATCH_API_BASE: u16 = 0xFF00;
 
 /// The synthetic [`ApiId`] a pipeline stage's latency stream reports
 /// under: `SELF_WATCH_API_BASE` + the stage's position in [`Stage::ALL`].
-pub fn self_watch_api(stage: Stage) -> ApiId {
+pub(crate) fn self_watch_api(stage: Stage) -> ApiId {
     let pos = Stage::ALL
         .iter()
         .position(|s| *s == stage)
@@ -39,7 +39,7 @@ pub fn self_watch_stage(api: ApiId) -> Option<Stage> {
 }
 
 /// Feeds per-stage pipeline latencies into a [`PerfMonitor`], raising
-/// [`PerfFault`]s when GRETEL's own pipeline stalls.
+/// `PerfFault`s when GRETEL's own pipeline stalls.
 ///
 /// Call [`SelfWatch::poll`] on a fixed cadence (every N merged messages,
 /// or on a timer). Each poll computes, per stage, the mean latency of the
@@ -50,7 +50,6 @@ pub struct SelfWatch {
     monitor: PerfMonitor,
     /// Per stage: `(count, sum_us)` seen at the previous poll.
     seen: [(u64, u64); Stage::COUNT],
-    polls: u64,
 }
 
 impl SelfWatch {
@@ -59,22 +58,15 @@ impl SelfWatch {
         SelfWatch {
             monitor: PerfMonitor::new(cfg, false),
             seen: [(0, 0); Stage::COUNT],
-            polls: 0,
         }
-    }
-
-    /// Number of polls performed so far.
-    pub fn polls(&self) -> u64 {
-        self.polls
     }
 
     /// Observe the interval since the last poll: for every stage with new
     /// latency samples, feed the interval's mean latency to the monitor at
     /// timestamp `ts` (caller-supplied, µs — the same clock the pipeline's
-    /// message timestamps use). Returns every [`PerfFault`] this interval
+    /// message timestamps use). Returns every `PerfFault` this interval
     /// confirmed; its `api` maps back to a stage via [`self_watch_stage`].
     pub fn poll(&mut self, metrics: &PipelineMetrics, ts: u64) -> Vec<PerfFault> {
-        self.polls += 1;
         let mut faults = Vec::new();
         for (i, &stage) in Stage::ALL.iter().enumerate() {
             let s = metrics.stage_latency(stage);
@@ -143,7 +135,6 @@ mod tests {
         assert_eq!(faults.len(), 1, "exactly one level shift: {faults:?}");
         assert_eq!(self_watch_stage(faults[0].api), Some(Stage::Detect));
         assert!(faults[0].anomaly.value > faults[0].anomaly.baseline);
-        assert_eq!(watch.polls(), 200);
     }
 
     #[test]
@@ -154,9 +145,12 @@ mod tests {
             metrics.observe(Stage::Ingest, 10);
             assert!(watch.poll(&metrics, i * 1_000).is_empty());
         }
-        // Only the ingest stage's detector exists; silent stages trained
-        // nothing, so a later first sample cannot be judged against a
-        // phantom zero baseline.
-        assert_eq!(watch.monitor.tracked_apis(), 1);
+        // Silent stages trained nothing, so a later first sample is not
+        // judged against a phantom zero baseline: a steady detect latency
+        // warms its own detector up without alarming.
+        for i in 50..150u64 {
+            metrics.observe(Stage::Detect, 20_000);
+            assert!(watch.poll(&metrics, i * 1_000).is_empty(), "poll {i}");
+        }
     }
 }

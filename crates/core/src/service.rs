@@ -126,7 +126,7 @@ fn default_workers() -> usize {
 /// # Panics
 ///
 /// Panics if `shards == 0`.
-pub fn resolve_shard_workers(shards: usize, available: usize) -> usize {
+pub(crate) fn resolve_shard_workers(shards: usize, available: usize) -> usize {
     assert!(shards > 0, "need at least one shard");
     (available.min(4) / shards).max(1)
 }
@@ -138,7 +138,7 @@ pub struct ServiceConfig {
     /// its agent.
     pub channel_capacity: usize,
     /// Analysis-pool width; `None` uses the capped machine default (see
-    /// [`ServiceConfig::effective_workers`]).
+    /// `ServiceConfig::effective_workers`).
     pub workers: Option<usize>,
     /// Optional seeded capture-plane impairment applied to every agent's
     /// capture; it sequence-stamps the frames so the receiver can see what
@@ -176,7 +176,7 @@ impl Default for ServiceConfig {
 
 impl ServiceConfig {
     /// The analysis-pool width this configuration resolves to.
-    pub fn effective_workers(&self) -> usize {
+    pub(crate) fn effective_workers(&self) -> usize {
         self.workers.unwrap_or_else(default_workers).max(1)
     }
 }
@@ -213,7 +213,7 @@ pub struct ServiceStats {
 /// The per-message fast path (byte scan, latency pairing, window push)
 /// stays on the receiver thread — it is stateful and cheap. Completed
 /// snapshots are the expensive, stateless part (Algorithm 2 over every
-/// claimed error, plus RCA); they ship as [`crate::SnapshotJob`]s to the
+/// claimed error, plus RCA); they ship as `SnapshotJob`s to the
 /// worker pool. Each job carries a sequence number and the collected
 /// diagnoses are released in that order at end of stream, so the output is
 /// identical to inline analysis regardless of worker scheduling. The pool

@@ -69,7 +69,7 @@ pub struct ShardedConfig {
     /// Number of independent pipeline partitions (≥ 1).
     pub shards: usize,
     /// Per-shard pipeline template. `workers: None` resolves via
-    /// [`resolve_shard_workers`], so the default worker budget is
+    /// `resolve_shard_workers`, so the default worker budget is
     /// divided across shards instead of multiplied by them; `metrics`
     /// must be `None` — per-shard registries are created internally (a
     /// shared registry would break per-shard ownership).
@@ -80,7 +80,7 @@ pub struct ShardedConfig {
     /// unattributed unsharded run.
     pub cascades: Option<CascadeParams>,
     /// Give each shard a live [`PipelineMetrics`] registry and aggregate
-    /// them into [`ShardedOutcome::metrics`].
+    /// them into `ShardedOutcome::metrics`.
     pub metrics: bool,
 }
 

@@ -28,7 +28,7 @@ impl Snapshot {
     /// Number of events in this window carrying a capture-gap marker
     /// (`gap_before > 0`): distinct places where the receiver knows frames
     /// went missing.
-    pub fn gap_markers(&self) -> u32 {
+    pub(crate) fn gap_markers(&self) -> u32 {
         self.events.iter().filter(|e| e.gap_before > 0).count() as u32
     }
 

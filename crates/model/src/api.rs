@@ -112,7 +112,8 @@ pub enum ApiKind {
 }
 
 impl ApiKind {
-    /// See [`ApiDef::is_state_change`].
+    /// Whether the API mutates state (POST/PUT/DELETE/PATCH REST, or any
+    /// RPC): such APIs are the literals of a fingerprint.
     pub fn is_state_change(&self) -> bool {
         match self {
             // All RPCs are treated as state-change-priority symbols

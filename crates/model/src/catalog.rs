@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Number of public REST APIs in the catalog (paper: 643).
-pub const PUBLIC_REST_APIS: usize = 643;
+pub(crate) const PUBLIC_REST_APIS: usize = 643;
 
 /// Immutable API catalog. Build once with [`Catalog::openstack`] and share
 /// (cheaply clonable via `Arc`).
@@ -55,8 +55,8 @@ impl Catalog {
         self.defs.is_empty()
     }
 
-    /// Number of public (non-noise) REST APIs; equals [`PUBLIC_REST_APIS`]
-    /// for the OpenStack catalog.
+    /// Number of public (non-noise) REST APIs; the paper's 643 for the
+    /// OpenStack catalog.
     pub fn public_rest_count(&self) -> usize {
         self.public_rest
     }
@@ -105,7 +105,7 @@ impl Catalog {
     }
 
     /// All non-noise REST API ids exposed by `service`.
-    pub fn service_rest_apis(&self, service: Service) -> Vec<ApiId> {
+    pub(crate) fn service_rest_apis(&self, service: Service) -> Vec<ApiId> {
         self.defs
             .iter()
             .filter(|d| {
@@ -116,7 +116,7 @@ impl Catalog {
     }
 
     /// All non-noise RPC ids exposed by `service`.
-    pub fn service_rpcs(&self, service: Service) -> Vec<ApiId> {
+    pub(crate) fn service_rpcs(&self, service: Service) -> Vec<ApiId> {
         self.defs
             .iter()
             .filter(|d| d.service == service && d.noise.is_none() && d.kind.is_rpc())

@@ -153,11 +153,11 @@ fn parse_step(lineno: usize, catalog: &Catalog, line: &str) -> Result<Step, DslE
 /// `first_id`. Every parsed spec is validated against the catalog.
 ///
 /// ```
-/// use gretel_model::{Catalog, OpSpecId, dsl};
+/// use gretel_model::{parse_dsl, Catalog, OpSpecId};
 ///
 /// let catalog = Catalog::openstack();
 /// let doc = "operation misc.catalog_probe misc\n  horizon -> keystone: GET /v3\n";
-/// let specs = dsl::parse(&catalog, doc, OpSpecId(0)).unwrap();
+/// let specs = parse_dsl(&catalog, doc, OpSpecId(0)).unwrap();
 /// assert_eq!(specs[0].name, "misc.catalog_probe");
 /// assert_eq!(specs[0].len(), 1);
 /// ```

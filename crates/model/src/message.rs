@@ -182,12 +182,6 @@ impl Message {
     pub fn is_rpc_error(&self) -> bool {
         matches!(&self.wire, WireKind::Rpc { error: Some(_), .. })
     }
-
-    /// Total bytes of the message as framed on the wire (payload only;
-    /// framing overhead is added by the codec).
-    pub fn payload_len(&self) -> usize {
-        self.payload.len()
-    }
 }
 
 impl fmt::Display for Message {

@@ -53,17 +53,6 @@ impl Category {
         Category::Misc,
     ];
 
-    /// Table 1 test counts per category (sums to 1200).
-    pub fn table1_tests(self) -> usize {
-        match self {
-            Category::Compute => 517,
-            Category::Image => 55,
-            Category::Network => 251,
-            Category::Storage => 84,
-            Category::Misc => 293,
-        }
-    }
-
     /// Human-readable name.
     pub fn name(self) -> &'static str {
         match self {
@@ -126,7 +115,7 @@ impl Step {
     }
 
     /// Builder-style request size override.
-    pub fn with_bytes(mut self, bytes: u32) -> Step {
+    pub(crate) fn with_bytes(mut self, bytes: u32) -> Step {
         self.request_bytes = bytes;
         self
     }
@@ -255,12 +244,6 @@ mod tests {
                 ),
             ],
         }
-    }
-
-    #[test]
-    fn table1_counts_sum_to_1200() {
-        let total: usize = Category::ALL.iter().map(|c| c.table1_tests()).sum();
-        assert_eq!(total, 1200);
     }
 
     #[test]

@@ -61,17 +61,6 @@ impl Service {
         Service::Ntp,
     ];
 
-    /// Services that expose public REST APIs of their own.
-    pub const API_SERVICES: [Service; 7] = [
-        Service::Horizon,
-        Service::Keystone,
-        Service::Nova,
-        Service::Neutron,
-        Service::Glance,
-        Service::Cinder,
-        Service::Swift,
-    ];
-
     /// Dense index of this service in [`Service::ALL`] (stable; used by
     /// wire codecs).
     pub fn index(self) -> u8 {
@@ -87,7 +76,7 @@ impl Service {
     }
 
     /// Inverse of [`Service::name`].
-    pub fn from_name(name: &str) -> Option<Service> {
+    pub(crate) fn from_name(name: &str) -> Option<Service> {
         Service::ALL.iter().copied().find(|s| s.name() == name)
     }
 
@@ -106,21 +95,6 @@ impl Service {
             Service::RabbitMq => "rabbitmq",
             Service::MySql => "mysql",
             Service::Ntp => "ntp",
-        }
-    }
-
-    /// The Python HTTP client other services use to reach this one
-    /// (paper §2: "each OpenStack component has a corresponding HTTP
-    /// client"). Only API services have one.
-    pub fn http_client(self) -> Option<&'static str> {
-        match self {
-            Service::Nova | Service::NovaCompute => Some("novaclient"),
-            Service::Neutron | Service::NeutronAgent => Some("neutronclient"),
-            Service::Glance => Some("glanceclient"),
-            Service::Cinder => Some("cinderclient"),
-            Service::Swift => Some("swiftclient"),
-            Service::Keystone => Some("keystoneclient"),
-            _ => None,
         }
     }
 
@@ -221,24 +195,10 @@ mod tests {
     }
 
     #[test]
-    fn api_services_are_not_infrastructure() {
-        for s in Service::API_SERVICES {
-            assert!(!s.is_infrastructure(), "{s} should not be infrastructure");
-        }
-    }
-
-    #[test]
     fn agents_resolve_to_controllers() {
         assert_eq!(Service::NovaCompute.controller(), Service::Nova);
         assert_eq!(Service::NeutronAgent.controller(), Service::Neutron);
         assert_eq!(Service::Glance.controller(), Service::Glance);
-    }
-
-    #[test]
-    fn infrastructure_services_have_no_http_client() {
-        assert_eq!(Service::RabbitMq.http_client(), None);
-        assert_eq!(Service::MySql.http_client(), None);
-        assert_eq!(Service::Ntp.http_client(), None);
     }
 
     #[test]

@@ -11,15 +11,15 @@
 use crate::api::ApiId;
 
 /// First code point used for API symbols (CJK Unified Ideographs).
-pub const SYMBOL_BASE: u32 = 0x4E00;
+pub(crate) const SYMBOL_BASE: u32 = 0x4E00;
 
 /// Largest encodable id. The CJK block is contiguous well beyond this.
-pub const MAX_ENCODABLE: u16 = 20_000;
+pub(crate) const MAX_ENCODABLE: u16 = 20_000;
 
 /// Encode an API id as its Unicode symbol.
 ///
 /// # Panics
-/// Panics if `id` exceeds [`MAX_ENCODABLE`]; catalogs are far smaller.
+/// Panics if `id` exceeds 20 000; catalogs are far smaller.
 #[inline]
 pub fn encode(id: ApiId) -> char {
     assert!(id.0 <= MAX_ENCODABLE, "ApiId {} out of symbol range", id.0);
@@ -44,12 +44,6 @@ pub fn decode(c: char) -> Option<ApiId> {
 /// Encode a sequence of API ids as a symbol string.
 pub fn encode_seq(ids: &[ApiId]) -> String {
     ids.iter().map(|&id| encode(id)).collect()
-}
-
-/// Decode a symbol string back into API ids. Non-symbol characters are
-/// skipped (they cannot be produced by [`encode_seq`]).
-pub fn decode_seq(s: &str) -> Vec<ApiId> {
-    s.chars().filter_map(decode).collect()
 }
 
 #[cfg(test)]
@@ -86,7 +80,8 @@ mod tests {
         let ids = vec![ApiId(5), ApiId(0), ApiId(642), ApiId(5)];
         let s = encode_seq(&ids);
         assert_eq!(s.chars().count(), 4);
-        assert_eq!(decode_seq(&s), ids);
+        let back: Vec<ApiId> = s.chars().filter_map(decode).collect();
+        assert_eq!(back, ids);
     }
 
     #[test]

@@ -147,7 +147,7 @@ impl Workflows {
     }
 
     /// Reboot a VM.
-    pub fn vm_reboot(&self) -> Vec<Step> {
+    pub(crate) fn vm_reboot(&self) -> Vec<Step> {
         use Service::*;
         vec![
             self.rest(
@@ -196,7 +196,7 @@ impl Workflows {
     }
 
     /// Cold-migrate a VM between compute hosts.
-    pub fn vm_migrate(&self) -> Vec<Step> {
+    pub(crate) fn vm_migrate(&self) -> Vec<Step> {
         use Service::*;
         vec![
             self.rest(
@@ -244,7 +244,7 @@ impl Workflows {
     }
 
     /// Snapshot an existing volume.
-    pub fn volume_snapshot(&self) -> Vec<Step> {
+    pub(crate) fn volume_snapshot(&self) -> Vec<Step> {
         use Service::*;
         vec![
             self.rest(
@@ -301,7 +301,7 @@ impl Workflows {
 
     /// Upload a new VM image via Glance (the §7.2.1 failed-upload scenario
     /// injects a 413 on the `PUT …/file` step).
-    pub fn image_upload(&self) -> Vec<Step> {
+    pub(crate) fn image_upload(&self) -> Vec<Step> {
         use Service::*;
         vec![
             self.rest(Horizon, Glance, Post, "/v2/images", LatencyClass::Medium),
@@ -333,7 +333,7 @@ impl Workflows {
     }
 
     /// Create a network plus subnet.
-    pub fn network_create(&self) -> Vec<Step> {
+    pub(crate) fn network_create(&self) -> Vec<Step> {
         use Service::*;
         vec![
             self.rest(
@@ -391,7 +391,7 @@ impl Workflows {
     }
 
     /// Associate a floating IP with a port.
-    pub fn floating_ip_associate(&self) -> Vec<Step> {
+    pub(crate) fn floating_ip_associate(&self) -> Vec<Step> {
         use Service::*;
         vec![
             self.rest(
@@ -413,7 +413,7 @@ impl Workflows {
     }
 
     /// Create a security group and one rule.
-    pub fn security_group_create(&self) -> Vec<Step> {
+    pub(crate) fn security_group_create(&self) -> Vec<Step> {
         use Service::*;
         vec![
             self.rest(
@@ -440,7 +440,7 @@ impl Workflows {
     }
 
     /// Create a keypair (Misc-style management task).
-    pub fn keypair_create(&self) -> Vec<Step> {
+    pub(crate) fn keypair_create(&self) -> Vec<Step> {
         use Service::*;
         vec![
             self.rest(Horizon, Nova, Post, "/v2.1/os-keypairs", LatencyClass::Fast),
@@ -478,7 +478,7 @@ impl Workflows {
     }
 
     /// Store an object in Swift.
-    pub fn swift_put_object(&self) -> Vec<Step> {
+    pub(crate) fn swift_put_object(&self) -> Vec<Step> {
         use Service::*;
         vec![
             self.rest(
@@ -508,7 +508,7 @@ impl Workflows {
 
     /// Read-only "query availability zones / services / limits" motif used
     /// by Misc tests.
-    pub fn admin_queries(&self) -> Vec<Step> {
+    pub(crate) fn admin_queries(&self) -> Vec<Step> {
         use Service::*;
         vec![
             self.rest(
@@ -526,7 +526,7 @@ impl Workflows {
 
     /// Resize a VM to a new flavor, then confirm — the full
     /// prep/resize/finish/confirm RPC chain.
-    pub fn vm_resize(&self) -> Vec<Step> {
+    pub(crate) fn vm_resize(&self) -> Vec<Step> {
         use Service::*;
         vec![
             self.rest(
@@ -560,7 +560,7 @@ impl Workflows {
     }
 
     /// Rescue and unrescue a VM (boot from a rescue image to repair it).
-    pub fn vm_rescue(&self) -> Vec<Step> {
+    pub(crate) fn vm_rescue(&self) -> Vec<Step> {
         use Service::*;
         vec![
             self.rest(
@@ -591,7 +591,7 @@ impl Workflows {
     }
 
     /// Shelve a VM (snapshot + free the hypervisor) and unshelve it later.
-    pub fn vm_shelve_unshelve(&self) -> Vec<Step> {
+    pub(crate) fn vm_shelve_unshelve(&self) -> Vec<Step> {
         use Service::*;
         vec![
             self.rest(
@@ -636,7 +636,7 @@ impl Workflows {
     }
 
     /// Extend a volume while detached.
-    pub fn volume_extend(&self) -> Vec<Step> {
+    pub(crate) fn volume_extend(&self) -> Vec<Step> {
         use Service::*;
         vec![
             self.rest(
@@ -658,7 +658,7 @@ impl Workflows {
     }
 
     /// Back a volume up to object storage and restore it.
-    pub fn volume_backup_restore(&self) -> Vec<Step> {
+    pub(crate) fn volume_backup_restore(&self) -> Vec<Step> {
         use Service::*;
         vec![
             self.rest(
@@ -709,7 +709,7 @@ impl Workflows {
     }
 
     /// Share an image with another project (member workflow).
-    pub fn image_share(&self) -> Vec<Step> {
+    pub(crate) fn image_share(&self) -> Vec<Step> {
         use Service::*;
         vec![
             self.rest(
@@ -738,7 +738,7 @@ impl Workflows {
 
     /// Onboard a new project: create the project, a user, and grant a
     /// role (Keystone administration).
-    pub fn project_onboarding(&self) -> Vec<Step> {
+    pub(crate) fn project_onboarding(&self) -> Vec<Step> {
         use Service::*;
         vec![
             self.rest(Horizon, Keystone, Post, "/v3/projects", LatencyClass::Fast),
@@ -762,7 +762,7 @@ impl Workflows {
 
     /// Full Swift container lifecycle: create, upload, list, download,
     /// delete.
-    pub fn swift_container_lifecycle(&self) -> Vec<Step> {
+    pub(crate) fn swift_container_lifecycle(&self) -> Vec<Step> {
         use Service::*;
         vec![
             self.rest(
@@ -812,7 +812,7 @@ impl Workflows {
     }
 
     /// Tear a router down: detach the interface, delete the router.
-    pub fn router_teardown(&self) -> Vec<Step> {
+    pub(crate) fn router_teardown(&self) -> Vec<Step> {
         use Service::*;
         vec![
             self.rest(

@@ -67,7 +67,7 @@ impl FrameBatch {
     }
 
     /// Borrowed view of the `i`-th frame's bytes.
-    pub fn frame_slice(&self, i: usize) -> &[u8] {
+    pub(crate) fn frame_slice(&self, i: usize) -> &[u8] {
         let (start, end) = self.offsets[i];
         &self.buf[start as usize..end as usize]
     }

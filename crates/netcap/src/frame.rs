@@ -46,9 +46,9 @@ use gretel_model::{
 use std::fmt;
 
 /// Frame magic value.
-pub const MAGIC: u16 = 0x4752;
+pub(crate) const MAGIC: u16 = 0x4752;
 /// Current codec version.
-pub const VERSION: u8 = 1;
+pub(crate) const VERSION: u8 = 1;
 
 /// Frame decoding failure: the shared [`DecodeError`] plus the two header
 /// checks only a frame has.
@@ -120,7 +120,7 @@ fn method_from_u8(v: u8) -> Option<HttpMethod> {
 /// writer: the body is written straight behind a placeholder prefix that
 /// is patched once the length is known, so a frame packed into a batch
 /// arena ([`crate::FrameBatchBuilder::encode`]) is written exactly once.
-pub fn encode_into(out: &mut Vec<u8>, msg: &Message, seq: Option<u64>) {
+pub(crate) fn encode_into(out: &mut Vec<u8>, msg: &Message, seq: Option<u64>) {
     let mut flags = 0u8;
     if msg.direction == Direction::Response {
         flags |= FLAG_RESPONSE;

@@ -12,15 +12,15 @@ use gretel_model::Message;
 use std::io::{self, Read, Write};
 
 /// pcap global-header magic (standard little-endian value).
-pub const PCAP_MAGIC: u32 = 0xA1B2_C3D4;
+pub(crate) const PCAP_MAGIC: u32 = 0xA1B2_C3D4;
 /// Private link type for GRETEL frames (matches LINKTYPE_USER0).
-pub const LINKTYPE_GRETEL: u32 = 147;
+pub(crate) const LINKTYPE_GRETEL: u32 = 147;
 
 const GLOBAL_HEADER: usize = 24;
 const RECORD_HEADER: usize = 16;
 
 /// Write a pcap global header.
-pub fn write_header<W: Write>(w: &mut W) -> io::Result<()> {
+pub(crate) fn write_header<W: Write>(w: &mut W) -> io::Result<()> {
     let mut h = Vec::with_capacity(GLOBAL_HEADER);
     put_u32(&mut h, PCAP_MAGIC);
     put_u16(&mut h, 2); // version major
@@ -33,7 +33,7 @@ pub fn write_header<W: Write>(w: &mut W) -> io::Result<()> {
 }
 
 /// Append one message as a pcap record.
-pub fn write_record<W: Write>(w: &mut W, msg: &Message) -> io::Result<()> {
+pub(crate) fn write_record<W: Write>(w: &mut W, msg: &Message) -> io::Result<()> {
     let data = frame::encode(msg);
     let mut h = Vec::with_capacity(RECORD_HEADER);
     put_u32(&mut h, (msg.ts_us / 1_000_000) as u32);

@@ -179,7 +179,7 @@ impl Meter {
     /// Gauges record a high-water mark instead of accumulating; their
     /// value depends on thread scheduling and is excluded from
     /// [`MetricsSnapshot::deterministic_eq`].
-    pub fn is_gauge(self) -> bool {
+    pub(crate) fn is_gauge(self) -> bool {
         matches!(self, Meter::JobQueueDepthMax)
     }
 
@@ -377,11 +377,6 @@ impl PipelineMetrics {
     /// A no-op registry: recording calls return after a bool check.
     pub fn disabled() -> PipelineMetrics {
         Self::with_enabled(false)
-    }
-
-    /// Whether this registry records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Count `n` events at `stage` — one relaxed atomic add when enabled.
@@ -776,7 +771,6 @@ mod tests {
         m.add(Meter::CaptureFrames, 9);
         m.record_max(Meter::JobQueueDepthMax, 7);
         StageTimer::start(Some(&m), Stage::Rca).finish();
-        assert!(!m.is_enabled());
         let snap = m.snapshot();
         assert!(snap
             .stages
@@ -904,7 +898,6 @@ mod tests {
         silent.count(Stage::Commit, 50);
         agg.merge_from(&silent);
         assert_eq!(agg.stage_events(Stage::Commit), 2);
-        assert!(agg.is_enabled());
     }
 
     #[test]

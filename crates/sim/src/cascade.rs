@@ -9,7 +9,7 @@
 //! network partition between a service pair) plus **rules** that schedule
 //! secondary faults on dependent services after a configurable delay.
 //!
-//! [`Cascade::compile`] lowers the whole schedule into an ordinary
+//! `Cascade::compile` lowers the whole schedule into an ordinary
 //! [`FaultPlan`] before the run starts, so the executor needs no new
 //! machinery and the run stays bit-reproducible: every probabilistic
 //! choice (rule firing, delay jitter) draws a [`splitmix64`] coin keyed by
@@ -146,7 +146,7 @@ pub struct TriggeredFault {
     pub depth: u32,
 }
 
-/// Ground truth emitted by [`Cascade::compile`].
+/// Ground truth emitted by `Cascade::compile`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CascadeTruth {
     /// Root services with their fault onsets (one per primary).
@@ -187,7 +187,7 @@ impl Cascade {
     /// Deterministic: rule firing and jitter draw [`splitmix64`] coins
     /// keyed by `(seed, draw index, salt)`, and triggers are processed in
     /// FIFO order, so the same cascade always compiles to the same plan.
-    pub fn compile(&self, deployment: &Deployment) -> (FaultPlan, CascadeTruth) {
+    pub(crate) fn compile(&self, deployment: &Deployment) -> (FaultPlan, CascadeTruth) {
         let mut plan = FaultPlan::none();
         let mut truth = CascadeTruth::default();
         // (degraded service, degradation time, depth)
@@ -406,7 +406,7 @@ pub fn cinder_crash_cascade(catalog: &Arc<Catalog>, seed: u64) -> CascadeScenari
 /// dead NTP agent on its node). Both secondaries manifest as Nova
 /// failures — casts produce no reply on the wire, so the agent-side
 /// fault is only visible through the dashboard relay on Nova's APIs.
-pub fn ntp_skew_cascade(catalog: &Arc<Catalog>, seed: u64) -> CascadeScenario {
+pub(crate) fn ntp_skew_cascade(catalog: &Arc<Catalog>, seed: u64) -> CascadeScenario {
     let wf = Workflows::new(catalog.clone());
     let deployment = Deployment::standard();
     let neutron_node = deployment.node_of(Service::Neutron, 0);

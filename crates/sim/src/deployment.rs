@@ -105,7 +105,7 @@ impl Deployment {
     }
 
     /// Build a deployment from explicit node specs.
-    pub fn from_nodes(nodes: Vec<NodeSpec>) -> Deployment {
+    pub(crate) fn from_nodes(nodes: Vec<NodeSpec>) -> Deployment {
         let mut placement: HashMap<Service, Vec<NodeId>> = HashMap::new();
         for n in &nodes {
             for &s in &n.services {
@@ -159,22 +159,13 @@ impl Deployment {
         nodes[(hint % nodes.len() as u64) as usize]
     }
 
-    /// Services placed on `node`.
-    pub fn services_on(&self, node: NodeId) -> &[Service] {
-        self.nodes
-            .iter()
-            .find(|n| n.id == node)
-            .map(|n| n.services.as_slice())
-            .unwrap_or(&[])
-    }
-
     /// The node hosting the RabbitMQ broker.
-    pub fn broker(&self) -> NodeId {
+    pub(crate) fn broker(&self) -> NodeId {
         self.node_of(Service::RabbitMq, 0)
     }
 
     /// Well-known TCP port of a service's API endpoint.
-    pub fn service_port(service: Service) -> u16 {
+    pub(crate) fn service_port(service: Service) -> u16 {
         match service {
             Service::Horizon => 80,
             Service::Keystone => 5000,
@@ -274,11 +265,5 @@ mod tests {
     #[should_panic(expected = "compute nodes")]
     fn scaled_rejects_zero_compute() {
         Deployment::scaled(0);
-    }
-
-    #[test]
-    fn services_on_unknown_node_is_empty() {
-        let d = Deployment::standard();
-        assert!(d.services_on(NodeId(99)).is_empty());
     }
 }

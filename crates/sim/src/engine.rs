@@ -90,7 +90,7 @@ impl<T> EventQueue<T> {
 
     /// Schedule `item` at absolute time `ts`. Scheduling in the past is a
     /// logic error and panics (it would silently reorder causality).
-    pub fn schedule(&mut self, ts: SimTime, item: T) {
+    pub(crate) fn schedule(&mut self, ts: SimTime, item: T) {
         assert!(
             ts >= self.now,
             "scheduling into the past: {ts} < {}",
@@ -104,11 +104,6 @@ impl<T> EventQueue<T> {
         self.seq += 1;
     }
 
-    /// Schedule `item` `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: SimTime, item: T) {
-        self.schedule(self.now.saturating_add(delay), item);
-    }
-
     /// Pop the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
         self.heap.pop().map(|e| {
@@ -116,26 +111,6 @@ impl<T> EventQueue<T> {
             self.now = e.ts;
             (e.ts, e.item)
         })
-    }
-
-    /// Timestamp of the next event without popping.
-    pub fn peek_ts(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.ts)
-    }
-
-    /// Current simulated time (timestamp of the last popped event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -167,17 +142,6 @@ mod tests {
     }
 
     #[test]
-    fn clock_advances_with_pops() {
-        let mut q = EventQueue::new();
-        q.schedule(100, ());
-        assert_eq!(q.now(), 0);
-        q.pop();
-        assert_eq!(q.now(), 100);
-        q.schedule_in(50, ());
-        assert_eq!(q.pop(), Some((150, ())));
-    }
-
-    #[test]
     #[should_panic(expected = "scheduling into the past")]
     fn scheduling_into_the_past_panics() {
         let mut q = EventQueue::new();
@@ -191,14 +155,5 @@ mod tests {
         assert_eq!(ms(3), 3_000);
         assert_eq!(secs(2), 2_000_000);
         assert_eq!(SECOND, secs(1));
-    }
-
-    #[test]
-    fn len_and_empty() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert!(q.is_empty());
-        q.schedule(1, ());
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
     }
 }

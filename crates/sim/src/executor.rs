@@ -166,11 +166,6 @@ pub struct Execution {
 }
 
 impl Execution {
-    /// Messages excluding ground-truth noise (for assertions in tests).
-    pub fn operation_messages(&self) -> impl Iterator<Item = &Message> {
-        self.messages.iter().filter(|m| !m.truth_noise)
-    }
-
     /// Wire bytes across all messages (payloads only).
     pub fn total_payload_bytes(&self) -> usize {
         self.messages.iter().map(|m| m.payload.len()).sum()

@@ -215,32 +215,20 @@ impl FaultPlan {
         self
     }
 
-    /// Builder-style: add a time-windowed API fault.
-    pub fn with_timed_api_fault(mut self, f: TimedApiFault) -> FaultPlan {
-        self.timed_api_faults.push(f);
-        self
-    }
-
-    /// Builder-style: add a partition fault.
-    pub fn with_partition(mut self, f: PartitionFault) -> FaultPlan {
-        self.partitions.push(f);
-        self
-    }
-
     /// Builder-style: add a latency fault.
-    pub fn with_latency(mut self, f: LatencyFault) -> FaultPlan {
+    pub(crate) fn with_latency(mut self, f: LatencyFault) -> FaultPlan {
         self.latency.push(f);
         self
     }
 
     /// Builder-style: add a dependency fault.
-    pub fn with_dep(mut self, f: DepFault) -> FaultPlan {
+    pub(crate) fn with_dep(mut self, f: DepFault) -> FaultPlan {
         self.deps.push(f);
         self
     }
 
     /// Builder-style: add a resource fault.
-    pub fn with_resource(mut self, f: ResourceFault) -> FaultPlan {
+    pub(crate) fn with_resource(mut self, f: ResourceFault) -> FaultPlan {
         self.resources.push(f);
         self
     }
@@ -249,7 +237,7 @@ impl FaultPlan {
     /// `api` by instance `inst` (running under `project`) at time `t`.
     /// Untimed faults match regardless of `t`; timed faults only inside
     /// their half-open window.
-    pub fn api_error(
+    pub(crate) fn api_error(
         &self,
         api: ApiId,
         inst: OpInstanceId,
@@ -273,7 +261,7 @@ impl FaultPlan {
 
     /// Whether a `src → dst` service invocation by `inst` at time `t` is
     /// severed by an active partition.
-    pub fn partition_cut(
+    pub(crate) fn partition_cut(
         &self,
         src: Service,
         dst: Service,
@@ -284,7 +272,7 @@ impl FaultPlan {
     }
 
     /// Total extra latency injected on traffic touching `node` at time `t`.
-    pub fn extra_latency(&self, node: NodeId, t: SimTime) -> SimTime {
+    pub(crate) fn extra_latency(&self, node: NodeId, t: SimTime) -> SimTime {
         self.latency
             .iter()
             .filter(|f| f.node == node && t >= f.from && t < f.until)
@@ -293,7 +281,7 @@ impl FaultPlan {
     }
 
     /// Whether `service` on `node` is down at time `t`.
-    pub fn is_service_down(&self, node: NodeId, service: Service, t: SimTime) -> bool {
+    pub(crate) fn is_service_down(&self, node: NodeId, service: Service, t: SimTime) -> bool {
         self.deps.iter().any(|d| match d {
             DepFault::ServiceCrash {
                 node: n,
@@ -306,7 +294,7 @@ impl FaultPlan {
 
     /// Whether a dependency is healthy on `node` at time `t` (what the
     /// watchers report).
-    pub fn dependency_healthy(&self, node: NodeId, dep: Dependency, t: SimTime) -> bool {
+    pub(crate) fn dependency_healthy(&self, node: NodeId, dep: Dependency, t: SimTime) -> bool {
         match dep {
             Dependency::ServiceProcess(s) => !self.is_service_down(node, s, t),
             Dependency::NtpAgent => !self.is_service_down(node, Service::Ntp, t),
@@ -320,14 +308,19 @@ impl FaultPlan {
     }
 
     /// Whether a singleton infrastructure service is down on any node.
-    pub fn is_singleton_down(&self, service: Service, t: SimTime) -> bool {
+    pub(crate) fn is_singleton_down(&self, service: Service, t: SimTime) -> bool {
         self.deps.iter().any(|d| {
             matches!(d, DepFault::ServiceCrash { service: s, at, .. } if *s == service && t >= *at)
         })
     }
 
     /// Resource override value for `(node, kind)` at time `t`, if any.
-    pub fn resource_override(&self, node: NodeId, kind: ResourceKind, t: SimTime) -> Option<f64> {
+    pub(crate) fn resource_override(
+        &self,
+        node: NodeId,
+        kind: ResourceKind,
+        t: SimTime,
+    ) -> Option<f64> {
         self.resources
             .iter()
             .find(|f| f.node == node && f.kind == kind && t >= f.from && t < f.until)
@@ -428,20 +421,23 @@ mod tests {
 
     #[test]
     fn timed_api_fault_only_active_in_window() {
-        let plan = FaultPlan::none().with_timed_api_fault(TimedApiFault {
-            fault: ApiFault {
-                api: ApiId(4),
-                scope: FaultScope::AllInstances,
-                occurrence: 0,
-                error: InjectedError::RestStatus {
-                    status: 500,
-                    reason: None,
+        let plan = FaultPlan {
+            timed_api_faults: vec![TimedApiFault {
+                fault: ApiFault {
+                    api: ApiId(4),
+                    scope: FaultScope::AllInstances,
+                    occurrence: 0,
+                    error: InjectedError::RestStatus {
+                        status: 500,
+                        reason: None,
+                    },
+                    abort_op: true,
                 },
-                abort_op: true,
-            },
-            from: secs(10),
-            until: secs(20),
-        });
+                from: secs(10),
+                until: secs(20),
+            }],
+            ..FaultPlan::none()
+        };
         let i = OpInstanceId(0);
         assert!(plan.api_error(ApiId(4), i, P0, 0, secs(9)).is_none());
         assert!(plan.api_error(ApiId(4), i, P0, 0, secs(10)).is_some());
@@ -451,14 +447,17 @@ mod tests {
 
     #[test]
     fn full_partition_severs_both_directions_inside_window() {
-        let plan = FaultPlan::none().with_partition(PartitionFault {
-            a: Service::Nova,
-            b: Service::Cinder,
-            from: secs(5),
-            until: secs(50),
-            drop_prob: 1.0,
-            seed: 1,
-        });
+        let plan = FaultPlan {
+            partitions: vec![PartitionFault {
+                a: Service::Nova,
+                b: Service::Cinder,
+                from: secs(5),
+                until: secs(50),
+                drop_prob: 1.0,
+                seed: 1,
+            }],
+            ..FaultPlan::none()
+        };
         let i = OpInstanceId(0);
         assert!(plan.partition_cut(Service::Nova, Service::Cinder, i, secs(5)));
         assert!(plan.partition_cut(Service::Cinder, Service::Nova, i, secs(30)));

@@ -11,10 +11,10 @@
 //! 2. collectd-style **telemetry**: per-node resource samples and
 //!    dependency-watcher reports.
 //!
-//! Faults are injected through a [`faults::FaultPlan`]: API error statuses,
+//! Faults are injected through a [`FaultPlan`]: API error statuses,
 //! `tc`-style latency, service crashes, NTP stops and resource exhaustion.
 //! [`scenario`] packages the paper's §3.1/§7.2 case studies;
-//! [`stream`] generates the §7.4 stress streams.
+//! [`SyntheticStream`] generates the §7.4 stress streams.
 //!
 //! Everything is deterministic for a given seed.
 //!
@@ -41,29 +41,23 @@
 #![deny(missing_docs)]
 
 pub mod cascade;
-pub mod chaos;
-pub mod deployment;
-pub mod engine;
-pub mod executor;
-pub mod faults;
-pub mod report;
-pub mod resources;
+mod chaos;
+mod deployment;
+mod engine;
+mod executor;
+mod faults;
+mod report;
+mod resources;
 pub mod scenario;
-pub mod stream;
+mod stream;
 
-pub use cascade::{
-    cascade_suite, Cascade, CascadeRule, CascadeScenario, CascadeTruth, Primary, PrimaryFault,
-    SecondaryEffect, TriggeredFault,
-};
+pub use cascade::{cascade_suite, CascadeScenario};
 pub use chaos::CrashSchedule;
-pub use deployment::{Deployment, NodeSpec};
-pub use engine::{ms, secs, splitmix64, EventQueue, SimTime, SECOND};
-pub use executor::{Execution, InstanceOutcome, NoiseConfig, RunConfig, Runner, WatcherSample};
-pub use faults::{
-    ApiFault, DepFault, FaultPlan, FaultScope, InjectedError, LatencyFault, PartitionFault,
-    ResourceFault, TimedApiFault,
-};
+pub use deployment::Deployment;
+pub use engine::{ms, secs, splitmix64, SimTime, SECOND};
+pub use executor::{Execution, NoiseConfig, RunConfig, Runner, WatcherSample};
+pub use faults::{ApiFault, FaultPlan, FaultScope, InjectedError};
 pub use report::{instance_timeline, summary};
-pub use resources::{Baseline, ResourceKind, ResourceSample};
+pub use resources::{ResourceKind, ResourceSample};
 pub use scenario::{ExpectedCause, Scenario};
 pub use stream::{StreamConfig, SyntheticStream};

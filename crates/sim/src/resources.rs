@@ -88,7 +88,7 @@ pub struct Baseline {
 impl Baseline {
     /// Baseline for a node role (as named by
     /// [`crate::deployment::NodeSpec::role`]).
-    pub fn for_role(role: &str) -> Baseline {
+    pub(crate) fn for_role(role: &str) -> Baseline {
         match role {
             "controller" => Baseline {
                 cpu: 12.0,
@@ -143,7 +143,7 @@ impl Baseline {
 ///
 /// `active` is the number of in-flight operation steps currently handled
 /// on the node; load mainly shows up in CPU and network.
-pub fn sample_value<R: Rng>(
+pub(crate) fn sample_value<R: Rng>(
     rng: &mut R,
     baseline: &Baseline,
     kind: ResourceKind,

@@ -198,7 +198,7 @@ impl<'a> Iterator for Records<'a> {
 /// Length of the structurally complete prefix of a log buffer: everything
 /// up to (but excluding) a torn tail record. This is what
 /// [`FileStore::open`] truncates the log file to.
-pub fn complete_len(buf: &[u8]) -> usize {
+pub(crate) fn complete_len(buf: &[u8]) -> usize {
     records(buf).last().map_or(0, |r| r.end())
 }
 
@@ -298,9 +298,9 @@ pub trait Store {
 
 /// The whole log in one in-memory buffer.
 ///
-/// [`MemStore::with_max_record`] tightens the accepted payload size below
-/// the format's u32 bound, mainly so the oversized-append path is testable
-/// without multi-gigabyte allocations.
+/// Its tests tighten the accepted payload size below the format's u32
+/// bound, so the oversized-append path is testable without multi-gigabyte
+/// allocations.
 #[derive(Debug, Clone)]
 pub struct MemStore {
     buf: Vec<u8>,
@@ -317,7 +317,8 @@ impl MemStore {
     }
 
     /// An empty store rejecting payloads longer than `max` bytes.
-    pub fn with_max_record(max: usize) -> MemStore {
+    #[cfg(test)]
+    fn with_max_record(max: usize) -> MemStore {
         MemStore {
             buf: Vec::new(),
             max_record: max.min(u32::MAX as usize),

@@ -5,21 +5,20 @@
 //! level-shift outlier detector GRETEL plugs in where the paper used R's
 //! `tsoutliers` (LS mode).
 //!
-//! * [`series`] — timestamp-ordered series with robust statistics;
-//! * [`outlier`] — pluggable online detectors; [`outlier::LevelShiftDetector`]
-//!   is the default (one alarm per confirmed shift, adaptive re-baselining);
-//! * [`store`] — the analyzer-side [`store::TelemetryStore`] with the
-//!   anomaly queries root cause analysis runs (Algorithm 3).
+//! * [`LevelShiftDetector`] — the default of the pluggable online
+//!   [`OutlierDetector`]s (one alarm per confirmed shift, adaptive
+//!   re-baselining), over timestamp-ordered series with robust statistics;
+//! * [`TelemetryStore`] — the analyzer-side store with the anomaly queries
+//!   root cause analysis runs (Algorithm 3).
 
 #![deny(missing_docs)]
 
-pub mod outlier;
-pub mod series;
-pub mod store;
+mod outlier;
+mod series;
+mod store;
 
 pub use outlier::{
-    detect_all, Anomaly, AnomalyKind, EwmaDetector, LevelShiftConfig, LevelShiftDetector,
-    OutlierDetector, SpikeDetector,
+    Anomaly, AnomalyKind, EwmaDetector, LevelShiftConfig, LevelShiftDetector, OutlierDetector,
+    SpikeDetector,
 };
-pub use series::TimeSeries;
 pub use store::{ResourceEvidence, TelemetryStore};

@@ -181,15 +181,6 @@ impl LevelShiftDetector {
         self.staleness = 0;
         (med, sigma)
     }
-
-    /// Current baseline median, if enough data has been seen.
-    pub fn baseline_median(&self) -> Option<f64> {
-        if self.baseline.is_empty() {
-            None
-        } else {
-            median_of(&self.baseline.iter().copied().collect::<Vec<_>>())
-        }
-    }
 }
 
 impl Default for LevelShiftDetector {
@@ -302,17 +293,6 @@ impl OutlierDetector for LevelShiftDetector {
     }
 }
 
-/// Run a detector over a whole series, collecting all anomalies.
-pub fn detect_all<D: OutlierDetector>(
-    detector: &mut D,
-    points: impl IntoIterator<Item = (SimTime, f64)>,
-) -> Vec<Anomaly> {
-    points
-        .into_iter()
-        .filter_map(|(t, v)| detector.update(t, v))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,6 +301,17 @@ mod tests {
 
     fn noisy(rng: &mut StdRng, level: f64, jitter: f64) -> f64 {
         level + rng.gen_range(-jitter..jitter)
+    }
+
+    /// Run a detector over a whole series, collecting all anomalies.
+    fn detect_all<D: OutlierDetector>(
+        detector: &mut D,
+        points: impl IntoIterator<Item = (SimTime, f64)>,
+    ) -> Vec<Anomaly> {
+        points
+            .into_iter()
+            .filter_map(|(t, v)| detector.update(t, v))
+            .collect()
     }
 
     #[test]
@@ -434,9 +425,10 @@ mod tests {
         for i in 0..100 {
             det.update(i, 25.0);
         }
-        assert!(det.baseline_median().is_some());
+        let fresh = LevelShiftDetector::default().export_state();
+        assert_ne!(det.export_state(), fresh);
         det.reset();
-        assert!(det.baseline_median().is_none());
+        assert_eq!(det.export_state(), fresh);
     }
 
     #[test]

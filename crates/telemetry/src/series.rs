@@ -14,11 +14,6 @@ pub struct TimeSeries {
 }
 
 impl TimeSeries {
-    /// Empty series.
-    pub fn new() -> TimeSeries {
-        TimeSeries::default()
-    }
-
     /// Append an observation. Timestamps must be non-decreasing.
     pub fn push(&mut self, ts: SimTime, value: f64) {
         if let Some(&(last, _)) = self.points.last() {
@@ -27,28 +22,8 @@ impl TimeSeries {
         self.points.push((ts, value));
     }
 
-    /// All points.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Values only.
-    pub fn values(&self) -> impl Iterator<Item = f64> + '_ {
-        self.points.iter().map(|&(_, v)| v)
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the series is empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
     /// Timestamp of the last point.
-    pub fn last_ts(&self) -> Option<SimTime> {
+    pub(crate) fn last_ts(&self) -> Option<SimTime> {
         self.points.last().map(|&(t, _)| t)
     }
 
@@ -58,30 +33,10 @@ impl TimeSeries {
         let hi = self.points.partition_point(|&(t, _)| t < until);
         &self.points[lo..hi]
     }
-
-    /// Arithmetic mean (`None` when empty).
-    pub fn mean(&self) -> Option<f64> {
-        if self.is_empty() {
-            None
-        } else {
-            Some(self.values().sum::<f64>() / self.len() as f64)
-        }
-    }
-
-    /// Median (`None` when empty).
-    pub fn median(&self) -> Option<f64> {
-        median_of(&self.values().collect::<Vec<_>>())
-    }
-
-    /// Median absolute deviation, scaled by 1.4826 to estimate sigma for
-    /// normal data (`None` when empty).
-    pub fn mad_sigma(&self) -> Option<f64> {
-        mad_sigma_of(&self.values().collect::<Vec<_>>())
-    }
 }
 
 /// Median of a slice (not required to be sorted). `None` when empty.
-pub fn median_of(values: &[f64]) -> Option<f64> {
+pub(crate) fn median_of(values: &[f64]) -> Option<f64> {
     if values.is_empty() {
         return None;
     }
@@ -96,7 +51,7 @@ pub fn median_of(values: &[f64]) -> Option<f64> {
 }
 
 /// MAD-based sigma estimate (1.4826 × median |x − median|).
-pub fn mad_sigma_of(values: &[f64]) -> Option<f64> {
+pub(crate) fn mad_sigma_of(values: &[f64]) -> Option<f64> {
     let med = median_of(values)?;
     let deviations: Vec<f64> = values.iter().map(|v| (v - med).abs()).collect();
     median_of(&deviations).map(|mad| 1.4826 * mad)
@@ -108,11 +63,10 @@ mod tests {
 
     #[test]
     fn push_and_query() {
-        let mut s = TimeSeries::new();
+        let mut s = TimeSeries::default();
         for i in 0..10u64 {
             s.push(i * 10, i as f64);
         }
-        assert_eq!(s.len(), 10);
         assert_eq!(s.last_ts(), Some(90));
         assert_eq!(s.window(20, 50).len(), 3);
         assert_eq!(s.window(0, 1000).len(), 10);
@@ -122,7 +76,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-decreasing")]
     fn out_of_order_push_panics() {
-        let mut s = TimeSeries::new();
+        let mut s = TimeSeries::default();
         s.push(10, 1.0);
         s.push(5, 2.0);
     }
@@ -149,16 +103,5 @@ mod tests {
         let with_outlier = mad_sigma_of(&[10.0, 10.2, 9.8, 10.1, 9.9, 1000.0]).unwrap();
         // Unlike stddev, MAD barely moves.
         assert!(with_outlier < clean * 5.0 + 1.0);
-    }
-
-    #[test]
-    fn stats_on_series() {
-        let mut s = TimeSeries::new();
-        for (i, v) in [1.0, 2.0, 3.0, 4.0].iter().enumerate() {
-            s.push(i as u64, *v);
-        }
-        assert_eq!(s.mean(), Some(2.5));
-        assert_eq!(s.median(), Some(2.5));
-        assert!(s.mad_sigma().unwrap() > 0.0);
     }
 }

@@ -58,7 +58,7 @@ impl TelemetryStore {
     }
 
     /// The series for `(node, kind)`, if any samples exist.
-    pub fn resource_series(&self, node: NodeId, kind: ResourceKind) -> Option<&TimeSeries> {
+    pub(crate) fn resource_series(&self, node: NodeId, kind: ResourceKind) -> Option<&TimeSeries> {
         self.resources.get(&(node, kind))
     }
 
@@ -238,16 +238,6 @@ impl TelemetryStore {
             .max();
         res.max(wat).unwrap_or(0)
     }
-
-    /// Latest watcher verdict for `(node, dep)` at or before `ts`.
-    pub fn dependency_state(&self, node: NodeId, dep: Dependency, ts: SimTime) -> Option<bool> {
-        let states = self.watchers.get(&(node, dep))?;
-        states
-            .iter()
-            .rev()
-            .find(|&&(t, _)| t <= ts)
-            .map(|&(_, h)| h)
-    }
 }
 
 /// Whether a sample stream (timestamps before `until`, ascending) went
@@ -379,37 +369,6 @@ mod tests {
         );
         // Other nodes are unaffected.
         assert!(store.unhealthy_deps(NodeId(5), 0, secs(100)).is_empty());
-    }
-
-    #[test]
-    fn dependency_state_returns_latest_before_ts() {
-        let watchers = vec![
-            WatcherSample {
-                ts: secs(1),
-                node: NodeId(0),
-                dep: Dependency::NtpAgent,
-                healthy: true,
-            },
-            WatcherSample {
-                ts: secs(5),
-                node: NodeId(0),
-                dep: Dependency::NtpAgent,
-                healthy: false,
-            },
-        ];
-        let store = TelemetryStore::from_samples(&[], &watchers);
-        assert_eq!(
-            store.dependency_state(NodeId(0), Dependency::NtpAgent, secs(3)),
-            Some(true)
-        );
-        assert_eq!(
-            store.dependency_state(NodeId(0), Dependency::NtpAgent, secs(7)),
-            Some(false)
-        );
-        assert_eq!(
-            store.dependency_state(NodeId(0), Dependency::NtpAgent, 0),
-            None
-        );
     }
 
     #[test]

@@ -26,6 +26,12 @@ cargo clippy --offline --workspace --all-targets --no-deps \
   $(for v in vendor/*/; do printf -- '--exclude %s ' "$(basename "$v")"; done) \
   -- -D warnings
 
+# Public-surface gate: every `pub mod`, re-export and `pub fn` / `const` /
+# `static` of a library crate is named outside it, so anything only the
+# crate itself uses is private and rustc's dead-code lint (denied above)
+# sees it.
+scripts/pub_surface.sh
+
 # The standalone benchmark package (its own workspace, excluded from the
 # one above) only sees the crates' public API: build and test it against
 # the workspace as it now is, then smoke every workload, so an API change

@@ -54,27 +54,27 @@ pub use gretel_telemetry as telemetry;
 ///
 /// | Paper | Code |
 /// |---|---|
-/// | §2 OpenStack architecture, Fig 1 | [`model::service`], [`sim::deployment`] |
-/// | §2 communication (REST/RPC via RabbitMQ) | [`model::message`], [`sim::executor`] |
-/// | §2.1 VM-create walkthrough | [`model::workflows::Workflows::vm_create`] |
-/// | §3 fault model (operational / performance) | [`core::event::FaultMark`], [`core::report::FaultKind`] |
+/// | §2 OpenStack architecture, Fig 1 | [`model::Service`], [`sim::Deployment`] |
+/// | §2 communication (REST/RPC via RabbitMQ) | [`model::message`], [`sim::Runner`] |
+/// | §2.1 VM-create walkthrough | [`model::Workflows::vm_create`] |
+/// | §3 fault model (operational / performance) | [`core::FaultMark`], [`core::FaultKind`] |
 /// | §3.1 representative scenarios | [`sim::scenario`], `examples/` |
-/// | §4 composite operations / CFG subsumption | [`model::operation`], `Workflows::vm_snapshot` |
-/// | §5 key observations, Fig 3 architecture | [`core::analyzer`], [`core::service`] |
-/// | Algorithm 1 (fingerprint generation) | [`core::fingerprint::generate_fingerprint`], [`core::noise_filter`], [`core::lcs`] |
-/// | §5.1 distributed state monitoring | [`netcap::agent`], [`telemetry`] |
-/// | §5.2 event receiver | [`core::service::run_service_cfg`] |
-/// | §5.3 anomaly detection (byte scans, latency pairing) | [`core::anomaly`] |
-/// | §5.3.1 sliding window α, context buffer β/δ, θ | [`core::window`], [`core::detect`], [`core::config`] |
-/// | Algorithm 2 (operation detection, truncation) | [`core::detect::Detector`], [`core::fingerprint::Fingerprint::truncate_at_each`] |
+/// | §4 composite operations / CFG subsumption | [`model::OperationSpec`], `Workflows::vm_snapshot` |
+/// | §5 key observations, Fig 3 architecture | [`core::Analyzer`], [`core::run_service_cfg`] |
+/// | Algorithm 1 (fingerprint generation) | [`core::FingerprintLibrary::characterize`], [`core::noise_filter`], [`core::lcs`] |
+/// | §5.1 distributed state monitoring | [`netcap::CaptureAgent`], [`telemetry`] |
+/// | §5.2 event receiver | [`core::run_service_cfg`] |
+/// | §5.3 anomaly detection (byte scans, latency pairing) | [`core::scan_message`] |
+/// | §5.3.1 sliding window α, context buffer β/δ, θ | [`core::window`], [`core::Detector`], [`core::GretelConfig`] |
+/// | Algorithm 2 (operation detection, truncation) | [`core::Detector`], [`core::Fingerprint::truncate_at_each`] |
 /// | §5.3.1 correlation ids (future work) | `GretelConfig::use_correlation_ids`, `experiments corr_ablation` |
-/// | Algorithm 3 (root cause analysis) | [`core::rca::RcaEngine`] |
-/// | §6 implementation (symbols, RPC pruning, dual buffer, LS) | [`model::symbol`], `GretelConfig::prune_rpcs`, [`core::window`], [`telemetry::outlier`] |
-/// | §7.1 characterization, Table 1, Fig 5 | [`model::tempest`], `experiments table1 fig5` |
+/// | Algorithm 3 (root cause analysis) | [`core::RootCause`] |
+/// | §6 implementation (symbols, RPC pruning, dual buffer, LS) | [`model::symbol`], `GretelConfig::prune_rpcs`, [`core::window`], [`telemetry::LevelShiftDetector`] |
+/// | §7.1 characterization, Table 1, Fig 5 | [`model::TempestSuite`], `experiments table1 fig5` |
 /// | §7.2 case studies | [`sim::scenario`], `experiments case_studies` |
-/// | §7.3 precision, Figs 7a–c, 8a, 8b | `gretel-bench::precision`, `experiments fig7a fig7b fig7c fig8a fig8b` |
-/// | §7.4 throughput & overhead, Fig 8c | [`sim::stream`], `experiments fig8c`, `benchmark/` (`steady`, `storm`, `wire`) |
-/// | §8 limitations | quantified: `experiments loss_ablation` (1), `interfering_operations` scenario (5), [`model::dsl`] + `FingerprintLibrary::extend_characterize` (4, 7) |
+/// | §7.3 precision, Figs 7a–c, 8a, 8b | `crates/bench/src/precision.rs`, `experiments fig7a fig7b fig7c fig8a fig8b` |
+/// | §7.4 throughput & overhead, Fig 8c | [`sim::SyntheticStream`], `experiments fig8c`, `benchmark/` (`steady`, `storm`, `wire`) |
+/// | §8 limitations | quantified: `experiments loss_ablation` (1), `interfering_operations` scenario (5), [`model::parse_dsl`] + `FingerprintLibrary::extend_characterize` (4, 7) |
 /// | §9.2 HANSEL comparison | [`hansel`], `experiments fig8c` |
 pub mod paper_map {}
 

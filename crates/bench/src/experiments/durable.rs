@@ -22,9 +22,9 @@ const KILL_COUNTS: [usize; 4] = [0, 1, 2, 4];
 enum Damage {
     Clean,
     /// Cut the last record in half. The newest record after a kill is
-    /// always a checkpoint or library snapshot (never released diagnoses —
-    /// those are written *before* the checkpoint that covers them), so a
-    /// torn tail can delay recovery but never lose output.
+    /// always a checkpoint (never released diagnoses — those are written
+    /// *before* the checkpoint that covers them), so a torn tail can delay
+    /// recovery but never lose output.
     TornTail,
     /// Flip one payload byte of the newest record.
     CorruptNewest,
@@ -56,7 +56,23 @@ impl Backend {
         }
     }
 
+    /// Whether the log holds no bytes: a kill before the first checkpoint
+    /// boundary leaves it so.
+    fn log_is_empty(&self) -> bool {
+        match self {
+            Backend::Mem(s) => s.bytes().is_empty(),
+            Backend::File(dir) => {
+                std::fs::metadata(FileStore::log_path(dir)).map_or(0, |m| m.len()) == 0
+            }
+        }
+    }
+
+    /// Apply `damage` to the log. An empty log has no record to damage, so
+    /// every kind of damage leaves it as it is.
     fn damage(&mut self, damage: Damage, byte: usize) {
+        if self.log_is_empty() {
+            return;
+        }
         match (self, damage) {
             (_, Damage::Clean) => {}
             (Backend::Mem(s), Damage::TornTail) => {
@@ -221,7 +237,6 @@ pub fn recovery(ctx: &Ctx) -> Vec<Artifact> {
             let cfg = DurableConfig {
                 recovery: recovery.clone(),
                 kill_point,
-                reloads: Vec::new(),
             };
             run_service_durable(
                 &wb.library,
@@ -295,4 +310,23 @@ pub fn recovery(ctx: &Ctx) -> Vec<Artifact> {
         );
     }
     vec![Artifact::new("recovery", &out)]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn damage_to_an_empty_log_is_a_no_op() {
+        let dir = std::env::temp_dir().join(format!("gretel-empty-damage-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        drop(open(&dir));
+        for mut backend in [Backend::Mem(MemStore::new()), Backend::File(dir.clone())] {
+            for damage in DAMAGES {
+                backend.damage(damage, 7);
+                assert!(backend.log_is_empty(), "{} {damage:?}", backend.name());
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -171,14 +171,6 @@ impl<'a> Analyzer<'a> {
         &self.graph
     }
 
-    /// Number of fingerprints in the library this analyzer matches
-    /// against. Durable checkpoints record this so a restart can tell
-    /// whether a checkpoint was written under a larger (hot-reloaded)
-    /// library than the one it managed to load.
-    pub(crate) fn library_len(&self) -> usize {
-        self.lib.len()
-    }
-
     /// Collected latency history for an API (when enabled).
     pub fn latency_history(&self, api: gretel_model::ApiId) -> &[(u64, f64)] {
         self.perf.history(api)

@@ -15,8 +15,9 @@
 //!
 //! The record envelope lives in `gretel-store`; this module owns the
 //! payload pieces shared across records — [`Event`], [`Diagnosis`], the
-//! release batch — and every other state block (`window`, `anomaly`,
-//! `perf`, `graph`, `analyzer`, `engine`) composes them. All of it is
+//! release batch — and both record payloads, the release record and the
+//! [`EngineCheckpoint`]; every other state block (`window`, `anomaly`,
+//! `perf`, `graph`, `analyzer`) composes them. All of it is
 //! explicit little-endian encoding over the one bounded reader in
 //! [`gretel_model::codec`]: a record must be readable by a *different*
 //! build than the one that wrote it, so the format is written down rather
@@ -32,8 +33,8 @@ use gretel_model::codec::{
 use gretel_model::{ApiId, Dependency, Direction, MessageId, NodeId, OpSpecId, Service};
 use gretel_sim::ResourceKind;
 
-/// Why a checkpoint, release record or library snapshot could not be
-/// restored: the shared [`DecodeError`], named for where it surfaced.
+/// Why a checkpoint or release record could not be restored: the shared
+/// [`DecodeError`], named for where it surfaced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointError(pub DecodeError);
 
@@ -398,6 +399,80 @@ pub fn decode_release(payload: &[u8]) -> Result<Release, CheckpointError> {
     }
     r.done()?;
     Ok((up_to, jobs))
+}
+
+/// One capture agent's receiver-side state inside an [`EngineCheckpoint`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AgentCheckpoint {
+    /// The agent's resequencer
+    /// ([`gretel_netcap::Resequencer::export_state`]).
+    pub resequencer: Vec<u8>,
+    /// Messages the resequencer released but the merge had not consumed
+    /// yet, as `(gap before, frame)` with the frame in
+    /// [`gretel_netcap::encode`] form. Replay brings them back only as
+    /// discarded duplicates, so they travel with the checkpoint.
+    pub parked: Vec<(u32, Vec<u8>)>,
+}
+
+/// The engine's [`crate::KIND_CHECKPOINT`] record as plain data: the
+/// analyzer's state ([`crate::Analyzer::export_state`]), the next job
+/// sequence number, and one [`AgentCheckpoint`] per capture agent.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EngineCheckpoint {
+    /// Analyzer state bytes.
+    pub analyzer: Vec<u8>,
+    /// Sequence number the next snapshot job gets.
+    pub next_seq: u64,
+    /// Per-agent receiver state, in agent order.
+    pub agents: Vec<AgentCheckpoint>,
+}
+
+/// Serialize one [`EngineCheckpoint`].
+pub fn encode_checkpoint(ck: &EngineCheckpoint) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_bytes(&mut out, &ck.analyzer);
+    put_u64(&mut out, ck.next_seq);
+    put_count(&mut out, ck.agents.len());
+    for agent in &ck.agents {
+        put_bytes(&mut out, &agent.resequencer);
+        put_count(&mut out, agent.parked.len());
+        for (gap, frame) in &agent.parked {
+            put_u32(&mut out, *gap);
+            put_bytes(&mut out, frame);
+        }
+    }
+    out
+}
+
+/// Decode a [`crate::KIND_CHECKPOINT`] record written by
+/// [`encode_checkpoint`]. The nested resequencer states and frames are
+/// returned as bytes; their own decoders check them.
+pub fn decode_checkpoint(payload: &[u8]) -> Result<EngineCheckpoint, CheckpointError> {
+    let mut r = Reader::new(payload);
+    let analyzer = r.bytes()?.to_vec();
+    let next_seq = r.u64()?;
+    // Each agent block is at least two length prefixes, each parked frame
+    // a gap and a length prefix.
+    let n = r.count(4 + 4)?;
+    let mut agents = Vec::with_capacity(n);
+    for _ in 0..n {
+        let resequencer = r.bytes()?.to_vec();
+        let n_parked = r.count(4 + 4)?;
+        let mut parked = Vec::with_capacity(n_parked);
+        for _ in 0..n_parked {
+            parked.push((r.u32()?, r.bytes()?.to_vec()));
+        }
+        agents.push(AgentCheckpoint {
+            resequencer,
+            parked,
+        });
+    }
+    r.done()?;
+    Ok(EngineCheckpoint {
+        analyzer,
+        next_seq,
+        agents,
+    })
 }
 
 #[cfg(test)]

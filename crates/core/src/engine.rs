@@ -33,7 +33,7 @@
 //! * **with** one (`run_service_durable`, the durable shards) it restores
 //!   the newest usable checkpoint, writes a checkpoint boundary every
 //!   [`RecoveryConfig::checkpoint_every`] merged messages, and honours the
-//!   kill and library-reload arms. Released diagnoses travel as their
+//!   kill arm. Released diagnoses travel as their
 //!   own [`KIND_DIAGNOSES`] records, written immediately *before* the
 //!   checkpoint that makes them unrepeatable — so a crash can neither lose
 //!   nor duplicate a diagnosis.
@@ -45,16 +45,18 @@
 
 use crate::analyzer::{Analyzer, AnalyzerStats, SnapshotAnalyzer, SnapshotJob};
 use crate::anomaly::scan_message;
-use crate::checkpoint::{decode_release, encode_release};
+use crate::checkpoint::{
+    decode_checkpoint, decode_release, encode_checkpoint, encode_release, AgentCheckpoint,
+    EngineCheckpoint,
+};
 use crate::event::FaultMark;
 use crate::recover::{
-    AnalyzerChaos, LibraryReload, RecoveryConfig, RecoveryStats, KIND_CHECKPOINT, KIND_DIAGNOSES,
-    KIND_LIBRARY,
+    AnalyzerChaos, RecoveryConfig, RecoveryStats, KIND_CHECKPOINT, KIND_DIAGNOSES,
 };
 use crate::report::Diagnosis;
 use crate::service::{ServiceConfig, ServiceError, ServiceStats};
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender, TrySendError};
-use gretel_model::codec::{put_bytes, put_count, put_u32, put_u64, DecodeError, Reader};
+use gretel_model::codec::DecodeError;
 use gretel_model::{Message, NodeId};
 use gretel_netcap::{
     decode_one, encode, shard_of, CaptureAgent, CaptureStats, FrameBatch, FrameBatchBuilder,
@@ -239,71 +241,47 @@ fn spawn_agent<'sc, 'env>(
     rx
 }
 
-/// Serialize the receiver+analyzer state into one checkpoint payload.
-/// `lib_len` records the library size the checkpoint was written under,
-/// so a restart can skip checkpoints whose (hot-reloaded) library it
-/// failed to load.
-fn encode_checkpoint(
-    analyzer_state: &[u8],
-    next_seq: u64,
-    streams: &[AgentStream],
-    lib_len: u32,
-) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u32(&mut out, lib_len);
-    put_bytes(&mut out, analyzer_state);
-    put_u64(&mut out, next_seq);
-    put_count(&mut out, streams.len());
-    for st in streams {
-        let rs = st
-            .reseq
-            .as_ref()
-            .expect("store-backed runs are sequenced")
-            .export_state();
-        put_bytes(&mut out, &rs);
-        // Messages released by the resequencer but not yet merged: they
-        // will come back from replay only as discarded duplicates, so they
-        // MUST travel with the checkpoint.
-        put_count(&mut out, st.ready.len());
-        // The fault marks are NOT serialized: the scan is a pure function
-        // of the message, so restore recomputes identical marks — the
-        // checkpoint format is unchanged from the per-message service.
-        for (gap, msg, _mark) in &st.ready {
-            put_u32(&mut out, *gap);
-            put_bytes(&mut out, &encode(msg));
-        }
-    }
-    out
+/// The receiver's half of a checkpoint: each agent's resequencer and the
+/// messages it released that the merge has not consumed yet. Their fault
+/// marks are not stored: the scan is a pure function of the message, so
+/// restore recomputes identical marks.
+fn agent_checkpoints(streams: &[AgentStream]) -> Vec<AgentCheckpoint> {
+    streams
+        .iter()
+        .map(|st| AgentCheckpoint {
+            resequencer: st
+                .reseq
+                .as_ref()
+                .expect("store-backed runs are sequenced")
+                .export_state(),
+            parked: st
+                .ready
+                .iter()
+                .map(|(gap, msg, _mark)| (*gap, encode(msg).to_vec()))
+                .collect(),
+        })
+        .collect()
 }
 
-/// Decoded checkpoint: analyzer state bytes, next job sequence number,
-/// per-agent receiver stream state, and the library size at write time.
-/// `done` is recomputed, not stored — replay closes every stream again.
-#[allow(clippy::type_complexity)]
-fn decode_checkpoint(
-    payload: &[u8],
+/// Rebuild the receiver streams a checkpoint describes. `done` is not
+/// stored: replay closes every stream again.
+fn restore_streams(
+    agents: &[AgentCheckpoint],
     n_agents: usize,
-) -> Result<(Vec<u8>, u64, Vec<AgentStream>, u32), ServiceError> {
-    let mut r = Reader::new(payload);
-    let lib_len = r.u32()?;
-    let analyzer_state = r.bytes()?.to_vec();
-    let next_seq = r.u64()?;
-    // Each agent block is at least two length prefixes.
-    let n = r.count(4 + 4)?;
-    if n != n_agents {
+) -> Result<Vec<AgentStream>, ServiceError> {
+    if agents.len() != n_agents {
         return Err(DecodeError::Invalid("checkpoint agent count").into());
     }
-    let mut streams = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut st = AgentStream::new(Some(Resequencer::restore_state(r.bytes()?)?));
-        for _ in 0..r.count(4 + 4)? {
-            let gap = r.u32()?;
-            st.admit([(gap, decode_one(r.bytes()?)?)]);
-        }
-        streams.push(st);
-    }
-    r.done()?;
-    Ok((analyzer_state, next_seq, streams, lib_len))
+    agents
+        .iter()
+        .map(|agent| {
+            let mut st = AgentStream::new(Some(Resequencer::restore_state(&agent.resequencer)?));
+            for (gap, frame) in &agent.parked {
+                st.admit([(*gap, decode_one(frame)?)]);
+            }
+            Ok(st)
+        })
+        .collect()
 }
 
 /// The release watermark a restarted process must honor: the maximum
@@ -531,8 +509,8 @@ impl<'sc, 'env> Pool<'sc, 'env> {
     }
 }
 
-/// Supervisor state threaded through [`run_cycle`]: it outlives the cycle
-/// across library-reload epochs.
+/// Supervisor state threaded through [`run_cycle`]: the store, the kill
+/// point, the counters and the run's output.
 pub(crate) struct RunState<'a> {
     /// `None` on the store-less path: no checkpoint, no restore, and
     /// releases go straight to `diagnoses`.
@@ -547,17 +525,12 @@ pub(crate) struct RunState<'a> {
     /// Job seqs below this have been released; replay must not re-release.
     released_watermark: u64,
     kill_point: Option<u64>,
-    reloads: VecDeque<LibraryReload>,
-    /// Pristine analyzer state for cold replay (a store, but no usable
-    /// checkpoint on it); the caller sets it per library epoch.
-    pub(crate) initial_state: Vec<u8>,
 }
 
 impl<'a> RunState<'a> {
     pub(crate) fn new(
         store: Option<&'a mut dyn Store>,
         kill_point: Option<u64>,
-        reloads: Vec<LibraryReload>,
     ) -> Result<RunState<'a>, ServiceError> {
         let released_watermark = match &store {
             Some(s) => store_watermark(&**s)?,
@@ -570,8 +543,6 @@ impl<'a> RunState<'a> {
             diagnoses: Vec::new(),
             released_watermark,
             kill_point,
-            reloads: reloads.into(),
-            initial_state: Vec::new(),
         })
     }
 }
@@ -583,9 +554,6 @@ pub(crate) enum RunEnd {
     /// The scheduled kill fired: uncommitted state was discarded, and the
     /// next lifetime restores from the store.
     Killed,
-    /// A library reload fired after a clean checkpoint boundary; the
-    /// payload is the snapshot to re-enter with.
-    Reload(Vec<u8>),
 }
 
 /// Release every pending result below `up_to`, suppressing
@@ -655,10 +623,13 @@ fn write_boundary(
         .as_mut()
         .expect("boundaries are only written to a store");
     let t = StageTimer::start(metrics, Stage::Checkpoint);
-    let astate = analyzer
-        .export_state()
-        .ok_or(ServiceError::NotCheckpointable)?;
-    let payload = encode_checkpoint(&astate, seq, streams, analyzer.library_len() as u32);
+    let payload = encode_checkpoint(&EngineCheckpoint {
+        analyzer: analyzer
+            .export_state()
+            .ok_or(ServiceError::NotCheckpointable)?,
+        next_seq: seq,
+        agents: agent_checkpoints(streams),
+    });
     store.append(KIND_CHECKPOINT, &payload)?;
     t.finish();
     if let Some(m) = metrics {
@@ -675,7 +646,7 @@ fn write_boundary(
 /// The engine. Restore from the newest usable checkpoint (store-backed
 /// runs), then run one cycle — agents ship their deterministic streams,
 /// restored resequencers dedup the already-consumed prefix — until the
-/// stream completes, or the kill or reload arm ends the cycle early.
+/// stream completes or the kill arm ends it early.
 ///
 /// With no chaos and no kill the output is byte-identical with or without a
 /// store; with worker-kill chaos and kill-and-reinvoke it *stays*
@@ -700,38 +671,34 @@ pub(crate) fn run_cycle(
     let metrics = cfg.service.metrics.as_deref();
     let sequenced = state.store.is_some() || cfg.service.impairment.is_some();
     let workers = cfg.service.effective_workers();
-    let lib_len = analyzer.library_len();
 
     // ---- Restore --------------------------------------------------------
-    // Newest valid checkpoint written under a library we actually have; one
-    // written under a larger (hot-reloaded) library whose snapshot record
-    // was lost or corrupted references fingerprints we cannot match — fall
-    // back past it.
-    let mut restored: Option<(Vec<u8>, u64, Vec<AgentStream>)> = None;
-    if let Some(store) = &state.store {
-        // Find the checkpoints by header, then checksum and decode from the
-        // newest back: a restart pays for the record it uses, not the log.
-        let checkpoints: Vec<Record<'_>> = records(store.bytes())
-            .filter(|r| r.kind == KIND_CHECKPOINT)
-            .collect();
-        for rec in checkpoints.iter().rev().filter(|r| r.valid()) {
-            let (astate, next_seq, streams, ck_lib) = decode_checkpoint(rec.payload, nodes.len())?;
-            if ck_lib as usize <= lib_len {
-                restored = Some((astate, next_seq, streams));
-                break;
-            }
+    // The newest checkpoint whose checksum verifies (corrupt or torn ones
+    // fall back to an older one, or to cold replay). Find the checkpoints
+    // by header, then checksum from the newest back: a restart pays for the
+    // record it uses, not the log.
+    let restored = match &state.store {
+        Some(store) => {
+            let checkpoints: Vec<Record<'_>> = records(store.bytes())
+                .filter(|r| r.kind == KIND_CHECKPOINT)
+                .collect();
+            checkpoints
+                .iter()
+                .rev()
+                .find(|r| r.valid())
+                .map(|r| decode_checkpoint(r.payload))
+                .transpose()?
         }
-    }
+        None => None,
+    };
     let (next_seq_start, mut streams) = match restored {
-        Some((astate, next_seq, streams)) => {
-            analyzer.restore_state(&astate)?;
+        Some(ck) => {
+            let streams = restore_streams(&ck.agents, nodes.len())?;
+            analyzer.restore_state(&ck.analyzer)?;
             state.stats.restores += 1;
-            (next_seq, streams)
+            (ck.next_seq, streams)
         }
         None => {
-            if state.store.is_some() {
-                analyzer.restore_state(&state.initial_state)?;
-            }
             let fresh = || sequenced.then(|| Resequencer::new(cfg.service.resequence_depth));
             (0, nodes.iter().map(|_| AgentStream::new(fresh())).collect())
         }
@@ -780,23 +747,6 @@ pub(crate) fn run_cycle(
             // committed, the uncommitted tail dies.
             if state.kill_point.is_some_and(|p| merged >= p) {
                 ended = RunEnd::Killed;
-                break;
-            }
-            // A reload, by contrast, is graceful: full checkpoint boundary
-            // first, then the snapshot record — a tear between the two
-            // loses only the reload, never state.
-            if state.reloads.front().is_some_and(|r| merged >= r.at_merged) {
-                write_boundary(&mut pool, analyzer, &streams, seq, state)?;
-                let reload = state.reloads.pop_front().expect("checked non-empty");
-                let store = state.store.as_mut().expect("reloads need a store");
-                store.append(KIND_LIBRARY, &reload.snapshot)?;
-                store.sync()?;
-                state.stats.library_reloads += 1;
-                if let Some(m) = metrics {
-                    m.add(Meter::LibraryReloads, 1);
-                    m.add(Meter::StoreBytes, reload.snapshot.len() as u64);
-                }
-                ended = RunEnd::Reload(reload.snapshot);
                 break;
             }
             let Some(i) = next_head(&streams) else { break };
@@ -889,11 +839,11 @@ pub(crate) fn run_plain(
         service: cfg.clone(),
         ..RecoveryConfig::default()
     };
-    let mut state = RunState::new(None, None, Vec::new())?;
+    let mut state = RunState::new(None, None)?;
     let end = run_cycle(analyzer, nodes, traffic, &cfg, route, &mut state)?;
     debug_assert!(
         matches!(end, RunEnd::Completed),
-        "no kill or reload arm without a store"
+        "no kill arm without a store"
     );
     Ok((state.diagnoses, state.service_stats, analyzer.stats()))
 }
@@ -986,7 +936,7 @@ mod tests {
             // Every job stalls, but one without faults has nothing to
             // cancel: it completes, and no cancellation is counted for it.
             assert_eq!(pool.pending.get(&1), Some(&(Vec::new(), false)));
-            let mut state = RunState::new(None, None, Vec::new()).unwrap();
+            let mut state = RunState::new(None, None).unwrap();
             commit_release(&mut pool, 2, &mut state).unwrap();
             assert_eq!(state.stats.jobs_cancelled, 1);
             assert_eq!(state.diagnoses, sa.cancel(&job));

@@ -8,10 +8,8 @@
 //! become plain literals and everything else is starred (`X*`, optional):
 //! GRETEL's matching prioritises state-change symbols (§5.3.1).
 
-use crate::checkpoint::CheckpointError;
 use crate::lcs::lcs;
 use crate::noise_filter::filter_noise;
-use gretel_model::codec::{put_count, put_u16, put_u8, DecodeError, Reader};
 use gretel_model::{symbol, ApiId, Catalog, OpSpecId, OperationSpec};
 use gretel_sim::{Deployment, Execution, FaultPlan, RunConfig, Runner};
 use serde::{Deserialize, Serialize};
@@ -706,63 +704,6 @@ impl FingerprintLibrary {
                 }
             }
         }
-        Ok(Self::index(catalog, fps))
-    }
-
-    /// Serialize the fingerprints to the compact binary snapshot format
-    /// the durable store persists (`u32 n | per fingerprint: u16 op,
-    /// u32 n_atoms, per atom: u16 api, u8 starred`). Like
-    /// [`FingerprintLibrary::to_json`] the catalog is not serialized;
-    /// unlike JSON the encoding is byte-stable, so "library unchanged"
-    /// is exactly "snapshot bytes equal" — which is what the hot-reload
-    /// machinery compares.
-    pub fn to_snapshot(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_count(&mut out, self.fps.len());
-        for fp in &self.fps {
-            put_u16(&mut out, fp.op.0);
-            put_count(&mut out, fp.atoms.len());
-            for atom in &fp.atoms {
-                put_u16(&mut out, atom.api.0);
-                put_u8(&mut out, atom.starred as u8);
-            }
-        }
-        out
-    }
-
-    /// Load a snapshot produced by [`FingerprintLibrary::to_snapshot`]
-    /// against a catalog. Fails on truncated bytes, non-dense operation
-    /// ids, API ids outside the catalog, or trailing garbage — the same
-    /// contract as [`FingerprintLibrary::from_json`].
-    pub fn from_snapshot(
-        catalog: Arc<Catalog>,
-        bytes: &[u8],
-    ) -> Result<FingerprintLibrary, CheckpointError> {
-        let mut r = Reader::new(bytes);
-        let n = r.count(2 + 4)?;
-        let mut fps = Vec::with_capacity(n);
-        for i in 0..n {
-            let op = OpSpecId(r.u16()?);
-            if op.index() != i {
-                return Err(DecodeError::Invalid("snapshot op ids must be dense").into());
-            }
-            let n_atoms = r.count(2 + 1)?;
-            let mut atoms = Vec::with_capacity(n_atoms);
-            for _ in 0..n_atoms {
-                let api = ApiId(r.u16()?);
-                if api.index() >= catalog.len() {
-                    return Err(DecodeError::Invalid("snapshot API outside catalog").into());
-                }
-                let starred = match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(DecodeError::Invalid("snapshot starred flag").into()),
-                };
-                atoms.push(Atom { api, starred });
-            }
-            fps.push(Fingerprint { op, atoms });
-        }
-        r.done()?;
         Ok(Self::index(catalog, fps))
     }
 }

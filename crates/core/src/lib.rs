@@ -68,8 +68,8 @@ pub use matcher::PositionIndex;
 pub use perf::PerfMonitor;
 pub use rca::{CauseKind, RootCause};
 pub use recover::{
-    run_service_durable, AnalyzerChaos, DurableConfig, DurableOutcome, LibraryReload,
-    RecoveryConfig, RecoveryStats, KIND_CHECKPOINT, KIND_DIAGNOSES,
+    run_service_durable, AnalyzerChaos, DurableConfig, DurableOutcome, RecoveryConfig,
+    RecoveryStats, KIND_CHECKPOINT, KIND_DIAGNOSES,
 };
 pub use report::{CaptureConfidence, Diagnosis, FaultKind};
 pub use selfwatch::{self_watch_stage, SelfWatch};

@@ -216,9 +216,9 @@ mod tests {
 
     #[test]
     fn custom_detector_factory_is_honored() {
-        use gretel_telemetry::EwmaDetector;
+        use gretel_telemetry::SpikeDetector;
         let mut mon =
-            PerfMonitor::with_factory(Box::new(|| Box::new(EwmaDetector::default())), false);
+            PerfMonitor::with_factory(Box::new(|| Box::new(SpikeDetector::default())), false);
         let mut alarms = 0;
         for i in 0..200 {
             let l = if i < 100 { 25.0 } else { 250.0 };
@@ -226,7 +226,10 @@ mod tests {
                 alarms += 1;
             }
         }
-        assert!(alarms >= 1, "EWMA plug-in detects the shift");
+        // The default level-shift detector alarms once and adapts; the
+        // spike plug-in keeps its baseline clean, so every shifted point
+        // alarms.
+        assert_eq!(alarms, 100, "the spike plug-in judges every point");
     }
 
     #[test]

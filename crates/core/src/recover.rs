@@ -38,10 +38,7 @@
 //!   released-diagnosis watermark from the [`KIND_DIAGNOSES`] records, and
 //!   replays to byte-identical output. Store corruption is not an engine
 //!   arm at all: a driver flips or tears bytes between two lifetimes, as a
-//!   bad disk would. The durable store also carries the fingerprint library
-//!   (`KIND_LIBRARY` snapshots), enabling live hot-reload: a grown
-//!   library adopted mid-run takes effect at the next checkpoint boundary
-//!   without dropping in-flight windows.
+//!   bad disk would.
 //!
 //! [`AnalyzerChaos`] is the analysis-plane twin of
 //! [`CaptureImpairment`](gretel_netcap::CaptureImpairment): a seeded
@@ -165,9 +162,9 @@ pub struct RecoveryStats {
     pub jobs_cancelled: u64,
     /// Checkpoint records appended to the store.
     pub checkpoints_written: u64,
-    /// Times this invocation resumed from a checkpoint record: at start,
-    /// when the store held a usable one (a restart after a kill), and at
-    /// each post-reload re-entry. A cold start is not a restore.
+    /// Times this invocation resumed from a checkpoint record: 1 when the
+    /// store held a valid one (a restart after a kill), else 0. A cold
+    /// start is not a restore.
     pub restores: u64,
     /// Replayed frames discarded by restored resequencers as
     /// already-consumed duplicates.
@@ -176,8 +173,6 @@ pub struct RecoveryStats {
     /// (possible only when a corrupt checkpoint forces an older restore
     /// point); suppressed so the output holds each diagnosis exactly once.
     pub duplicate_releases_suppressed: u64,
-    /// Fingerprint-library snapshots adopted by a live hot-reload.
-    pub library_reloads: u64,
 }
 
 impl RecoveryStats {
@@ -191,7 +186,6 @@ impl RecoveryStats {
         self.restores += other.restores;
         self.replayed_frames += other.replayed_frames;
         self.duplicate_releases_suppressed += other.duplicate_releases_suppressed;
-        self.library_reloads += other.library_reloads;
     }
 }
 
@@ -201,30 +195,8 @@ pub const KIND_CHECKPOINT: u8 = 1;
 /// watermark, written immediately before the checkpoint that makes their
 /// regeneration a suppressed duplicate.
 pub const KIND_DIAGNOSES: u8 = 2;
-/// Store record kind: a fingerprint-library snapshot
-/// ([`FingerprintLibrary::to_snapshot`]); the newest valid one is the
-/// library a durable restart runs with.
-pub(crate) const KIND_LIBRARY: u8 = 3;
-
-/// A fingerprint-library hot-reload scheduled into a durable run: once
-/// this many messages have merged since the last restore, the service
-/// checkpoints, appends the snapshot to the store (`KIND_LIBRARY`), and
-/// re-enters with the new library — in-flight windows survive via the
-/// checkpoint, and the matcher uses the new fingerprints from the next
-/// snapshot freeze on. Snapshots should *extend* the running library
-/// (append new operations); a shrinking snapshot forces restore to fall
-/// back past every checkpoint written under the larger library.
-#[derive(Debug, Clone)]
-pub struct LibraryReload {
-    /// Fire once the merged-message count since the last restore reaches
-    /// this value.
-    pub at_merged: u64,
-    /// The full library snapshot ([`FingerprintLibrary::to_snapshot`]).
-    pub snapshot: Vec<u8>,
-}
-
 /// Configuration for [`run_service_durable`]: the recovery shape plus the
-/// kill and library hot-reload arms.
+/// kill arm.
 #[derive(Debug, Clone, Default)]
 pub struct DurableConfig {
     /// Supervision, checkpoint cadence, chaos.
@@ -237,8 +209,6 @@ pub struct DurableConfig {
     /// re-invokes with the same store to model the process restart. One
     /// kill per invocation.
     pub kill_point: Option<u64>,
-    /// Scheduled library hot-reloads, consumed front to back.
-    pub reloads: Vec<LibraryReload>,
 }
 
 /// How a [`run_service_durable`] invocation ended.
@@ -254,13 +224,13 @@ pub enum DurableOutcome {
         /// visible as [`RecoveryStats::replayed_frames`] and the capture
         /// stats' `dup_discarded`); diagnoses and analyzer counters are not.
         service: ServiceStats,
-        /// Analyzer counters from the final library epoch.
+        /// Analyzer counters.
         analyzer: AnalyzerStats,
         /// Supervision/recovery counters for this invocation.
         recovery: RecoveryStats,
         /// The traffic graph the analyzer mined from what it actually
-        /// observed. It rides in every checkpoint, so kills and
-        /// library-reload epochs neither lose nor double-count an edge.
+        /// observed. It rides in every checkpoint, so kills neither lose
+        /// nor double-count an edge.
         graph: ServiceGraph,
     },
     /// The scheduled [`DurableConfig::kill_point`] fired; uncommitted
@@ -284,25 +254,16 @@ pub enum DurableOutcome {
 ///
 /// One invocation models one process lifetime:
 ///
-/// * **Bootstrap** — the newest valid `KIND_LIBRARY` snapshot on the
-///   store is adopted when it extends `lib` (a live run characterized new
-///   operations and a restart must keep matching them); otherwise `lib`'s
-///   own snapshot is appended as the base record. The analyzer is built
-///   fresh per library epoch, *without* root cause analysis.
 /// * **Restore** — the release watermark is re-derived from the store's
 ///   [`KIND_DIAGNOSES`] records and replay resumes from the newest valid
-///   checkpoint written under a library we have (corrupt or torn records
-///   simply fall back to an older checkpoint, or to cold replay).
+///   checkpoint (corrupt or torn records simply fall back to an older
+///   checkpoint, or to cold replay). The analyzer is built fresh, *without*
+///   root cause analysis.
 /// * **Kill arm** — [`DurableConfig::kill_point`] returns
 ///   [`DurableOutcome::Killed`] mid-stream with nothing committed since
 ///   the last boundary; re-invoking with the same store restarts the
 ///   process and replays to the exact diagnoses an uninterrupted run
 ///   produces — zero lost, zero duplicated.
-/// * **Reload arm** — each [`LibraryReload`] checkpoints, appends the
-///   snapshot, and re-enters with the extended library; in-flight windows
-///   survive in the checkpoint and the new fingerprints match from the
-///   next snapshot freeze on. An *empty* delta (snapshot identical in
-///   coverage) leaves the output byte-identical to no reload at all.
 pub fn run_service_durable(
     lib: &FingerprintLibrary,
     gcfg: GretelConfig,
@@ -327,78 +288,29 @@ pub(crate) fn run_durable_routed(
 ) -> Result<DurableOutcome, ServiceError> {
     assert!(cfg.recovery.checkpoint_every > 0);
     assert!(cfg.recovery.max_attempts > 0);
-    let metrics = cfg.recovery.service.metrics.as_deref();
-
-    // ---- Library bootstrap ----------------------------------------------
-    let latest_snapshot = store.latest_valid(KIND_LIBRARY).map(<[u8]>::to_vec);
-    let base_snapshot = lib.to_snapshot();
-    let mut cur: Option<FingerprintLibrary> = None;
-    let mut need_base_record = true;
-    if let Some(snap) = latest_snapshot {
-        if snap == base_snapshot {
-            need_base_record = false;
-        } else {
-            let stored = FingerprintLibrary::from_snapshot(lib.catalog().clone(), &snap)?;
-            if stored.len() >= lib.len() {
-                // A previous lifetime hot-reloaded past our base: its
-                // library is the truth now.
-                cur = Some(stored);
-                need_base_record = false;
-            }
-            // A stored snapshot *smaller* than the base is stale (the
-            // caller characterized more operations offline): the base
-            // supersedes it below.
-        }
-    }
-    if need_base_record {
-        store.append(KIND_LIBRARY, &base_snapshot)?;
-        store.sync()?;
-        if let Some(m) = metrics {
-            m.add(gretel_obs::Meter::StoreBytes, base_snapshot.len() as u64);
-        }
-    }
-
-    let mut state = RunState::new(Some(store), cfg.kill_point, cfg.reloads.clone())?;
-
-    // ---- Library epochs --------------------------------------------------
-    loop {
-        let mut analyzer = Analyzer::new(cur.as_ref().unwrap_or(lib), gcfg);
-        state.initial_state = analyzer
-            .export_state()
-            .ok_or(ServiceError::NotCheckpointable)?;
-        match run_cycle(
-            &mut analyzer,
-            nodes,
-            traffic,
-            &cfg.recovery,
-            route,
-            &mut state,
-        )? {
-            RunEnd::Completed => {
-                return Ok(DurableOutcome::Completed {
-                    diagnoses: state.diagnoses,
-                    service: state.service_stats,
-                    analyzer: analyzer.stats(),
-                    recovery: state.stats,
-                    graph: analyzer.traffic_graph().clone(),
-                });
-            }
-            RunEnd::Killed => {
-                return Ok(DurableOutcome::Killed {
-                    service: state.service_stats,
-                    recovery: state.stats,
-                });
-            }
-            // Next epoch restores from the boundary checkpoint the reload
-            // just wrote — in-flight windows survive.
-            RunEnd::Reload(snapshot) => {
-                cur = Some(FingerprintLibrary::from_snapshot(
-                    lib.catalog().clone(),
-                    &snapshot,
-                )?);
-            }
-        }
-    }
+    let mut analyzer = Analyzer::new(lib, gcfg);
+    let mut state = RunState::new(Some(store), cfg.kill_point)?;
+    let end = run_cycle(
+        &mut analyzer,
+        nodes,
+        traffic,
+        &cfg.recovery,
+        route,
+        &mut state,
+    )?;
+    Ok(match end {
+        RunEnd::Completed => DurableOutcome::Completed {
+            diagnoses: state.diagnoses,
+            service: state.service_stats,
+            analyzer: analyzer.stats(),
+            recovery: state.stats,
+            graph: analyzer.traffic_graph().clone(),
+        },
+        RunEnd::Killed => DurableOutcome::Killed {
+            service: state.service_stats,
+            recovery: state.stats,
+        },
+    })
 }
 
 #[cfg(test)]
@@ -445,13 +357,14 @@ mod tests {
             alpha: 8,
             ..Default::default()
         };
+        let mut store = MemStore::new();
         let out = run_service_durable(
             &lib,
             gcfg,
             &[NodeId(0), NodeId(1)],
             &[],
             &DurableConfig::default(),
-            &mut MemStore::new(),
+            &mut store,
         )
         .expect("empty run completes");
         let DurableOutcome::Completed {
@@ -466,44 +379,12 @@ mod tests {
         assert!(diagnoses.is_empty());
         assert_eq!(service.frames, 0);
         assert_eq!(recovery, RecoveryStats::default());
-    }
-
-    #[test]
-    fn durable_empty_run_bootstraps_the_library_record_once() {
-        let lib = test_lib();
-        let gcfg = crate::config::GretelConfig {
-            alpha: 8,
-            ..Default::default()
-        };
-        let mut store = MemStore::new();
-        for _ in 0..2 {
-            let out = run_service_durable(
-                &lib,
-                gcfg,
-                &[NodeId(0)],
-                &[],
-                &DurableConfig::default(),
-                &mut store,
-            )
-            .expect("empty durable run completes");
-            match out {
-                DurableOutcome::Completed {
-                    diagnoses,
-                    recovery,
-                    ..
-                } => {
-                    assert!(diagnoses.is_empty());
-                    assert_eq!(recovery.library_reloads, 0);
-                }
-                DurableOutcome::Killed { .. } => panic!("no kill point configured"),
-            }
-        }
-        // Re-running over the same store adopts the existing base record
-        // instead of appending a duplicate.
-        assert_eq!(store.records_of(KIND_LIBRARY).len(), 1);
+        // The log holds what a restart reads and nothing else: here the
+        // one final release record, empty, with its watermark.
+        assert_eq!(store.len(), 1);
         assert_eq!(
-            store.latest_valid(KIND_LIBRARY).unwrap(),
-            lib.to_snapshot().as_slice()
+            store.records_of(KIND_DIAGNOSES),
+            [crate::checkpoint::encode_release(0, &[]).as_slice()]
         );
     }
 }

@@ -13,10 +13,8 @@
 //!   *disabled* registry turns every recording call into a branch on a
 //!   plain bool (no atomics, no clock reads), so instrumentation can stay
 //!   compiled-in everywhere;
-//! * two exporters — [`PipelineMetrics::prometheus_text`] (text
-//!   exposition, re-parseable with [`parse_prometheus_text`]) and
-//!   [`PipelineMetrics::snapshot`] (a serde JSON-roundtrippable
-//!   [`MetricsSnapshot`]).
+//! * one export, [`PipelineMetrics::snapshot`]: a serde
+//!   JSON-roundtrippable [`MetricsSnapshot`].
 //!
 //! Everything is `&self`: one registry is shared by reference (or `Arc`)
 //! across the capture agents, the receiver/merge thread and the analysis
@@ -80,8 +78,7 @@ impl Stage {
     /// Number of stages.
     pub const COUNT: usize = Stage::ALL.len();
 
-    /// Stable lower-case name (used as the Prometheus `stage` label and
-    /// the JSON snapshot key).
+    /// Stable lower-case name (the JSON snapshot key).
     pub fn name(self) -> &'static str {
         match self {
             Stage::Ingest => "ingest",
@@ -129,16 +126,14 @@ pub enum Meter {
     CheckpointsWritten,
     /// Total checkpoint payload bytes journaled.
     CheckpointBytes,
-    /// Total payload bytes appended to the durable state store (all
-    /// record kinds: checkpoints, released diagnoses, library snapshots).
+    /// Total payload bytes appended to the durable state store (both
+    /// record kinds: checkpoints and released diagnoses).
     StoreBytes,
-    /// Fingerprint-library snapshots adopted by a live hot-reload.
-    LibraryReloads,
 }
 
 impl Meter {
     /// Every meter.
-    pub const ALL: [Meter; 13] = [
+    pub const ALL: [Meter; 12] = [
         Meter::CaptureFrames,
         Meter::CaptureDropped,
         Meter::CaptureDuplicated,
@@ -151,13 +146,12 @@ impl Meter {
         Meter::CheckpointsWritten,
         Meter::CheckpointBytes,
         Meter::StoreBytes,
-        Meter::LibraryReloads,
     ];
 
     /// Number of meters.
     pub const COUNT: usize = Meter::ALL.len();
 
-    /// Stable snake_case name (Prometheus metric suffix / JSON key).
+    /// Stable snake_case name (the JSON snapshot key).
     pub fn name(self) -> &'static str {
         match self {
             Meter::CaptureFrames => "capture_frames",
@@ -172,7 +166,6 @@ impl Meter {
             Meter::CheckpointsWritten => "checkpoints_written",
             Meter::CheckpointBytes => "checkpoint_bytes",
             Meter::StoreBytes => "store_bytes",
-            Meter::LibraryReloads => "library_reloads",
         }
     }
 
@@ -261,8 +254,8 @@ impl Histogram {
         self.max.fetch_max(v, Relaxed);
     }
 
-    /// Cumulative count of samples `≤ 2^i − 1` for each bucket index, as
-    /// the Prometheus exposition needs it, plus the total.
+    /// Cumulative count of samples `≤ 2^i − 1` for each bucket index,
+    /// plus the total.
     fn cumulative(&self) -> ([u64; BUCKETS], u64) {
         let mut cum = [0u64; BUCKETS];
         let mut total = 0u64;
@@ -479,69 +472,6 @@ impl PipelineMetrics {
                 .collect(),
         }
     }
-
-    /// Prometheus-style text exposition of the whole registry:
-    /// `gretel_stage_events_total` / `gretel_stage_latency_us` (a
-    /// classic cumulative-`le` histogram per stage) and one
-    /// `gretel_<meter>` sample per [`Meter`]. Parse it back with
-    /// [`parse_prometheus_text`].
-    pub fn prometheus_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(4096);
-        out.push_str("# HELP gretel_stage_events_total Events processed per pipeline stage\n");
-        out.push_str("# TYPE gretel_stage_events_total counter\n");
-        for &s in &Stage::ALL {
-            let _ = writeln!(
-                out,
-                "gretel_stage_events_total{{stage=\"{}\"}} {}",
-                s.name(),
-                self.stage_events(s)
-            );
-        }
-        out.push_str("# HELP gretel_stage_latency_us Per-stage latency in microseconds\n");
-        out.push_str("# TYPE gretel_stage_latency_us histogram\n");
-        for &s in &Stage::ALL {
-            let h = &self.stage_latency[s.idx()];
-            let (cum, total) = h.cumulative();
-            // Emit cumulative buckets up to the highest non-empty one;
-            // everything above it repeats the total, which `+Inf` covers.
-            let top = h
-                .buckets
-                .iter()
-                .rposition(|b| b.load(Relaxed) > 0)
-                .unwrap_or(0);
-            for (i, &c) in cum.iter().enumerate().take(top + 1) {
-                let le = if i == 0 { 0 } else { (1u64 << i.min(63)) - 1 };
-                let _ = writeln!(
-                    out,
-                    "gretel_stage_latency_us_bucket{{stage=\"{}\",le=\"{le}\"}} {c}",
-                    s.name()
-                );
-            }
-            let _ = writeln!(
-                out,
-                "gretel_stage_latency_us_bucket{{stage=\"{}\",le=\"+Inf\"}} {total}",
-                s.name()
-            );
-            let _ = writeln!(
-                out,
-                "gretel_stage_latency_us_sum{{stage=\"{}\"}} {}",
-                s.name(),
-                h.sum.load(Relaxed)
-            );
-            let _ = writeln!(
-                out,
-                "gretel_stage_latency_us_count{{stage=\"{}\"}} {total}",
-                s.name()
-            );
-        }
-        for &m in &Meter::ALL {
-            let kind = if m.is_gauge() { "gauge" } else { "counter" };
-            let _ = writeln!(out, "# TYPE gretel_{} {kind}", m.name());
-            let _ = writeln!(out, "gretel_{} {}", m.name(), self.meter(m));
-        }
-        out
-    }
 }
 
 impl std::fmt::Debug for PipelineMetrics {
@@ -636,73 +566,6 @@ impl MetricsSnapshot {
                 a.name == b.name && a.gauge == b.gauge && (a.gauge || a.value == b.value)
             })
     }
-}
-
-/// One parsed sample line of a Prometheus text exposition.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PromSample {
-    /// Metric name.
-    pub name: String,
-    /// Label pairs, in source order.
-    pub labels: Vec<(String, String)>,
-    /// Sample value (`+Inf`-aware).
-    pub value: f64,
-}
-
-/// Parse a Prometheus text exposition (the subset
-/// [`PipelineMetrics::prometheus_text`] emits: `# HELP`/`# TYPE` comments
-/// and `name{labels} value` samples). Returns every sample, or a
-/// description of the first malformed line.
-pub fn parse_prometheus_text(text: &str) -> Result<Vec<PromSample>, String> {
-    let mut out = Vec::new();
-    for (ln, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (name_part, value_part) = line
-            .rsplit_once(' ')
-            .ok_or_else(|| format!("line {}: no value separator: {line:?}", ln + 1))?;
-        let value = match value_part {
-            "+Inf" => f64::INFINITY,
-            v => v
-                .parse::<f64>()
-                .map_err(|_| format!("line {}: bad value {v:?}", ln + 1))?,
-        };
-        let (name, labels) = match name_part.split_once('{') {
-            None => (name_part.to_string(), Vec::new()),
-            Some((name, rest)) => {
-                let body = rest
-                    .strip_suffix('}')
-                    .ok_or_else(|| format!("line {}: unterminated labels: {line:?}", ln + 1))?;
-                let mut labels = Vec::new();
-                for pair in body.split(',').filter(|p| !p.is_empty()) {
-                    let (k, v) = pair
-                        .split_once('=')
-                        .ok_or_else(|| format!("line {}: bad label {pair:?}", ln + 1))?;
-                    let v = v
-                        .strip_prefix('"')
-                        .and_then(|v| v.strip_suffix('"'))
-                        .ok_or_else(|| format!("line {}: unquoted label value {v:?}", ln + 1))?;
-                    labels.push((k.to_string(), v.to_string()));
-                }
-                (name.to_string(), labels)
-            }
-        };
-        if name.is_empty()
-            || !name
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
-        {
-            return Err(format!("line {}: bad metric name {name:?}", ln + 1));
-        }
-        out.push(PromSample {
-            name,
-            labels,
-            value,
-        });
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -898,74 +761,5 @@ mod tests {
         silent.count(Stage::Commit, 50);
         agg.merge_from(&silent);
         assert_eq!(agg.stage_events(Stage::Commit), 2);
-    }
-
-    #[test]
-    fn prometheus_text_parses_and_matches_registry() {
-        let m = PipelineMetrics::enabled();
-        m.count(Stage::Ingest, 2);
-        m.observe(Stage::Ingest, 3);
-        m.observe(Stage::Ingest, 300);
-        m.add(Meter::CaptureFrames, 7);
-        m.record_max(Meter::JobQueueDepthMax, 2);
-        let text = m.prometheus_text();
-        let samples = parse_prometheus_text(&text).expect("exposition parses");
-
-        let find = |name: &str, label: Option<(&str, &str)>| -> f64 {
-            samples
-                .iter()
-                .find(|s| {
-                    s.name == name
-                        && label
-                            .is_none_or(|(k, v)| s.labels.iter().any(|(lk, lv)| lk == k && lv == v))
-                })
-                .unwrap_or_else(|| panic!("sample {name} {label:?}"))
-                .value
-        };
-        assert_eq!(
-            find("gretel_stage_events_total", Some(("stage", "ingest"))),
-            2.0
-        );
-        assert_eq!(
-            find("gretel_stage_latency_us_count", Some(("stage", "ingest"))),
-            2.0
-        );
-        assert_eq!(
-            find("gretel_stage_latency_us_sum", Some(("stage", "ingest"))),
-            303.0
-        );
-        assert_eq!(find("gretel_capture_frames", None), 7.0);
-        assert_eq!(find("gretel_job_queue_depth_max", None), 2.0);
-
-        // Histogram buckets are cumulative and end in +Inf == count.
-        let inf = samples
-            .iter()
-            .find(|s| {
-                s.name == "gretel_stage_latency_us_bucket"
-                    && s.labels.contains(&("stage".into(), "ingest".into()))
-                    && s.labels.contains(&("le".into(), "+Inf".into()))
-            })
-            .expect("+Inf bucket");
-        assert_eq!(inf.value, 2.0);
-        let mut last = 0.0;
-        for s in samples.iter().filter(|s| {
-            s.name == "gretel_stage_latency_us_bucket"
-                && s.labels.contains(&("stage".into(), "ingest".into()))
-        }) {
-            assert!(s.value >= last, "buckets are cumulative");
-            last = s.value;
-        }
-    }
-
-    #[test]
-    fn parser_rejects_malformed_lines() {
-        assert!(parse_prometheus_text("metric_without_value").is_err());
-        assert!(parse_prometheus_text("name{unterminated 1").is_err());
-        assert!(
-            parse_prometheus_text("name{k=v} 1").is_err(),
-            "unquoted label value"
-        );
-        assert!(parse_prometheus_text("bad name 1").is_err());
-        assert!(parse_prometheus_text("ok_name 1.5\n# comment\n").is_ok());
     }
 }

@@ -18,7 +18,6 @@ mod series;
 mod store;
 
 pub use outlier::{
-    Anomaly, AnomalyKind, EwmaDetector, LevelShiftConfig, LevelShiftDetector, OutlierDetector,
-    SpikeDetector,
+    Anomaly, AnomalyKind, LevelShiftConfig, LevelShiftDetector, OutlierDetector, SpikeDetector,
 };
 pub use store::{ResourceEvidence, TelemetryStore};

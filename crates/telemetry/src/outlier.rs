@@ -52,9 +52,6 @@ pub trait OutlierDetector {
     /// this point.
     fn update(&mut self, ts: SimTime, value: f64) -> Option<Anomaly>;
 
-    /// Reset all internal state.
-    fn reset(&mut self);
-
     /// Serialize the detector's *dynamic* state for checkpointing (the
     /// configuration is not included — a restored detector must be
     /// constructed with the same configuration first). Returns `None` when
@@ -248,13 +245,6 @@ impl OutlierDetector for LevelShiftDetector {
         None
     }
 
-    fn reset(&mut self) {
-        self.baseline.clear();
-        self.test.clear();
-        self.cached_stats = None;
-        self.staleness = 0;
-    }
-
     fn export_state(&self) -> Option<Vec<u8>> {
         let mut out = Vec::new();
         put_f64_seq(&mut out, self.baseline.iter());
@@ -420,132 +410,12 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_state() {
-        let mut det = LevelShiftDetector::default();
-        for i in 0..100 {
-            det.update(i, 25.0);
-        }
-        let fresh = LevelShiftDetector::default().export_state();
-        assert_ne!(det.export_state(), fresh);
-        det.reset();
-        assert_eq!(det.export_state(), fresh);
-    }
-
-    #[test]
     fn warmup_produces_no_alarms() {
         let mut det = LevelShiftDetector::default();
         // Fewer points than the baseline window.
         for i in 0..30 {
             assert!(det.update(i, (i as f64) * 100.0).is_none());
         }
-    }
-}
-
-/// Exponentially-weighted moving-average detector: flags observations
-/// deviating from the EWMA by more than `k` estimated sigmas. Cheaper and
-/// twitchier than [`LevelShiftDetector`]; an alternative plug-in
-/// (the paper: "administrators can leverage any sophisticated detection
-/// mechanism").
-#[derive(Debug, Clone)]
-pub struct EwmaDetector {
-    /// Smoothing factor for the mean (0 < λ ≤ 1).
-    pub lambda: f64,
-    /// Alarm threshold in estimated sigmas.
-    pub k_sigma: f64,
-    mean: Option<f64>,
-    var: f64,
-    warmup: usize,
-    seen: usize,
-}
-
-impl EwmaDetector {
-    /// New detector with smoothing `lambda` and threshold `k_sigma`.
-    pub fn new(lambda: f64, k_sigma: f64) -> EwmaDetector {
-        assert!(lambda > 0.0 && lambda <= 1.0);
-        EwmaDetector {
-            lambda,
-            k_sigma,
-            mean: None,
-            var: 0.0,
-            warmup: 20,
-            seen: 0,
-        }
-    }
-}
-
-impl Default for EwmaDetector {
-    fn default() -> Self {
-        EwmaDetector::new(0.1, 6.0)
-    }
-}
-
-impl OutlierDetector for EwmaDetector {
-    fn update(&mut self, ts: SimTime, value: f64) -> Option<Anomaly> {
-        let mean = match self.mean {
-            None => {
-                self.mean = Some(value);
-                self.seen = 1;
-                return None;
-            }
-            Some(m) => m,
-        };
-        let sigma = self.var.sqrt().max(0.05 * mean.abs()).max(f64::EPSILON);
-        let deviation = (value - mean) / sigma;
-        let out = if self.seen >= self.warmup && deviation.abs() >= self.k_sigma {
-            Some(Anomaly {
-                ts,
-                value,
-                baseline: mean,
-                kind: if deviation > 0.0 {
-                    AnomalyKind::LevelShiftUp
-                } else {
-                    AnomalyKind::LevelShiftDown
-                },
-            })
-        } else {
-            None
-        };
-        // Update the EWMA (the anomalous value is folded in, so a
-        // sustained shift is adapted to rather than re-alarmed forever).
-        let diff = value - mean;
-        self.mean = Some(mean + self.lambda * diff);
-        self.var = (1.0 - self.lambda) * (self.var + self.lambda * diff * diff);
-        self.seen += 1;
-        out
-    }
-
-    fn reset(&mut self) {
-        self.mean = None;
-        self.var = 0.0;
-        self.seen = 0;
-    }
-
-    fn export_state(&self) -> Option<Vec<u8>> {
-        let mut out = Vec::new();
-        match self.mean {
-            Some(m) => {
-                put_u32(&mut out, 1);
-                put_f64(&mut out, m);
-            }
-            None => put_u32(&mut out, 0),
-        }
-        put_f64(&mut out, self.var);
-        put_u32(&mut out, self.seen as u32);
-        Some(out)
-    }
-
-    fn import_state(&mut self, bytes: &[u8]) -> Result<(), DecodeError> {
-        let mut r = Reader::new(bytes);
-        let mean = if read_some_tag(&mut r)? {
-            Some(r.f64()?)
-        } else {
-            None
-        };
-        let var = r.f64()?;
-        let seen = r.u32()? as usize;
-        r.done()?;
-        (self.mean, self.var, self.seen) = (mean, var, seen);
-        Ok(())
     }
 }
 
@@ -612,10 +482,6 @@ impl OutlierDetector for SpikeDetector {
         out
     }
 
-    fn reset(&mut self) {
-        self.window.clear();
-    }
-
     fn export_state(&self) -> Option<Vec<u8>> {
         let mut out = Vec::new();
         put_f64_seq(&mut out, self.window.iter());
@@ -634,33 +500,6 @@ impl OutlierDetector for SpikeDetector {
 #[cfg(test)]
 mod more_detector_tests {
     use super::*;
-
-    #[test]
-    fn ewma_adapts_to_sustained_shift() {
-        let mut det = EwmaDetector::default();
-        let mut alarms = 0;
-        for i in 0..100 {
-            if det.update(i, 25.0 + (i % 3) as f64).is_some() {
-                alarms += 1;
-            }
-        }
-        assert_eq!(alarms, 0, "stationary: quiet");
-        let mut first_alarm = None;
-        for i in 100..400 {
-            if det.update(i, 125.0 + (i % 3) as f64).is_some() && first_alarm.is_none() {
-                first_alarm = Some(i);
-            }
-        }
-        assert!(first_alarm.is_some(), "shift detected");
-        // After adaptation the new level stops alarming.
-        let mut tail_alarms = 0;
-        for i in 400..500 {
-            if det.update(i, 125.0 + (i % 3) as f64).is_some() {
-                tail_alarms += 1;
-            }
-        }
-        assert_eq!(tail_alarms, 0, "adapted to the new level");
-    }
 
     #[test]
     fn spike_detector_fires_per_spike_and_ls_does_not() {
@@ -724,7 +563,6 @@ mod more_detector_tests {
             LevelShiftDetector::default(),
             &mut LevelShiftDetector::default(),
         );
-        check(EwmaDetector::default(), &mut EwmaDetector::default());
         check(SpikeDetector::default(), &mut SpikeDetector::default());
     }
 
@@ -733,8 +571,6 @@ mod more_detector_tests {
         let mut det = LevelShiftDetector::default();
         assert!(det.import_state(&[1, 2, 3]).is_err());
         assert!(det.import_state(&[0xFF; 64]).is_err());
-        let mut ew = EwmaDetector::default();
-        assert!(ew.import_state(&[9]).is_err());
         let mut sp = SpikeDetector::default();
         assert!(sp.import_state(&[1, 0, 0]).is_err());
         // A valid export with trailing junk is rejected too.
@@ -747,19 +583,6 @@ mod more_detector_tests {
         assert_eq!(
             det.import_state(&bytes),
             Err(DecodeError::Invalid("trailing bytes"))
-        );
-    }
-
-    #[test]
-    fn ewma_reset() {
-        let mut det = EwmaDetector::default();
-        for i in 0..50 {
-            det.update(i, 10.0);
-        }
-        det.reset();
-        assert!(
-            det.update(51, 500.0).is_none(),
-            "fresh detector has no baseline"
         );
     }
 }

@@ -15,7 +15,7 @@
 //! * [`netcap`] — capture agents, wire codec, pcap dumps;
 //! * [`telemetry`] — resource/watcher series and level-shift detection;
 //! * [`store`] — the durable append-only state store (checksummed
-//!   records, segment rotation, torn-tail recovery) behind the
+//!   records in one log file, torn-tail recovery) behind the
 //!   fault-tolerant service;
 //! * [`core`] — GRETEL itself: fingerprints, the sliding-window anomaly
 //!   detector, operation detection and root cause analysis;

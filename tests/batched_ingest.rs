@@ -239,7 +239,6 @@ fn crash_replay_is_batch_size_invariant() {
             let cfg = DurableConfig {
                 recovery: recovery.clone(),
                 kill_point,
-                reloads: Vec::new(),
             };
             match run_service_durable(&fx.lib, gcfg(), &fx.nodes, &fx.messages, &cfg, &mut store)
                 .expect("chaotic batched lifetime completes or is killed")

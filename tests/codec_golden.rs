@@ -10,6 +10,10 @@
 //! "actual" hex from the failure message into the fixture file, and say
 //! why in the commit.
 //!
+//! [`every_fixture_is_a_case`] keeps the fixture directory and the case
+//! table in step: a deleted format cannot leave its fixture behind, and a
+//! new fixture cannot skip the sweep.
+//!
 //! [`hostile_bytes_never_panic`] then breaks every fixture on purpose —
 //! every strict prefix, every single-bit flip, every 2- and 4-byte run
 //! forced to `0xFF` (which covers every `u16`/`u32` length and count
@@ -17,7 +21,8 @@
 //! no panic, no abort, and no strict prefix accepted.
 
 use gretel::core::checkpoint::{
-    decode_release, encode_release, put_diagnosis, put_event, read_diagnosis, read_event,
+    decode_checkpoint, decode_release, encode_checkpoint, encode_release, put_diagnosis, put_event,
+    read_diagnosis, read_event, AgentCheckpoint, EngineCheckpoint,
 };
 use gretel::core::{
     Analyzer, CaptureConfidence, CauseKind, Diagnosis, Event, FaultKind, FaultMark,
@@ -31,10 +36,11 @@ use gretel::model::{
     ApiId, Catalog, ConnKey, Dependency, Direction, HttpMethod, Message, MessageId, NodeId,
     OpInstanceId, OpSpecId, ProjectId, Service, WireKind,
 };
-use gretel::netcap::{decode_one_seq, encode_seq, Resequencer};
+use gretel::netcap::{decode_one, decode_one_seq, encode, encode_seq, Resequencer};
 use gretel::sim::ResourceKind;
 use gretel::store::{records, MemStore, Store, RECORD_HEADER};
-use gretel::telemetry::{EwmaDetector, LevelShiftDetector, OutlierDetector, SpikeDetector};
+use gretel::telemetry::{LevelShiftDetector, OutlierDetector, SpikeDetector};
+use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
 /// One format under test: the bytes the current code encodes for a fixed
@@ -339,6 +345,44 @@ fn parked_resequencer() -> Resequencer {
     r
 }
 
+/// An engine checkpoint of two agents: the first parked frames behind a
+/// gap in its resequencer and has one released message the merge has not
+/// taken yet; the second has one such message, released behind a gap.
+fn engine_checkpoint() -> EngineCheckpoint {
+    let mut released = Resequencer::new(4);
+    released.push(Some(0), rpc_message());
+    EngineCheckpoint {
+        analyzer: fresh_analyzer()
+            .export_state()
+            .expect("default detectors checkpoint"),
+        next_seq: 0x0102_0304,
+        agents: vec![
+            AgentCheckpoint {
+                resequencer: parked_resequencer().export_state(),
+                parked: vec![(0, encode(&rest_message()).to_vec())],
+            },
+            AgentCheckpoint {
+                resequencer: released.export_state(),
+                parked: vec![(3, encode(&rpc_message()).to_vec())],
+            },
+        ],
+    }
+}
+
+/// Decode an engine checkpoint and every format nested in it, as a
+/// restore does.
+fn checkpoint_restore(bytes: &[u8]) -> Result<EngineCheckpoint, String> {
+    let ck = decode_checkpoint(bytes).map_err(err)?;
+    analyzer_restore(&ck.analyzer)?;
+    for agent in &ck.agents {
+        Resequencer::restore_state(&agent.resequencer).map_err(err)?;
+        for (_, frame) in &agent.parked {
+            decode_one(frame).map_err(err)?;
+        }
+    }
+    Ok(ck)
+}
+
 fn detector_restore<D: OutlierDetector + Default>(bytes: &[u8]) -> Result<Vec<u8>, String> {
     let mut d = D::default();
     d.import_state(bytes).map_err(err)?;
@@ -402,13 +446,10 @@ fn cases() -> Vec<Case> {
             |b| Ok(Resequencer::restore_state(b).map_err(err)?.export_state()),
         ),
         case(
-            "fingerprint_snapshot",
-            library().iter().cloned().collect::<Vec<_>>(),
-            |_| library().to_snapshot(),
-            |b| {
-                let lib = FingerprintLibrary::from_snapshot(catalog(), b).map_err(err)?;
-                Ok(lib.iter().cloned().collect())
-            },
+            "engine_checkpoint",
+            engine_checkpoint(),
+            encode_checkpoint,
+            checkpoint_restore,
         ),
         case(
             "release_record",
@@ -440,12 +481,6 @@ fn cases() -> Vec<Case> {
             fed::<LevelShiftDetector>(137),
             Vec::clone,
             detector_restore::<LevelShiftDetector>,
-        ),
-        case(
-            "detector_ewma",
-            fed::<EwmaDetector>(137),
-            Vec::clone,
-            detector_restore::<EwmaDetector>,
         ),
         case(
             "detector_spike",
@@ -532,6 +567,22 @@ fn golden_bytes_are_stable() {
 }
 
 #[test]
+fn every_fixture_is_a_case() {
+    let dir = format!("{}/tests/golden", env!("CARGO_MANIFEST_DIR"));
+    let stems: BTreeSet<String> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("{dir}: {e}"))
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "hex"))
+        .map(|path| path.file_stem().unwrap().to_string_lossy().into_owned())
+        .collect();
+    let names: BTreeSet<String> = cases().iter().map(|c| c.name.to_string()).collect();
+    assert_eq!(
+        stems, names,
+        "tests/golden/*.hex and cases() must name the same formats"
+    );
+}
+
+#[test]
 fn fixtures_cover_the_interesting_state() {
     // The analyzer fixture is only worth sweeping if every block is
     // populated; pin that here so a later edit cannot hollow it out.
@@ -551,6 +602,8 @@ fn fixtures_cover_the_interesting_state() {
         "with the perf fault pending on it"
     );
     assert_eq!(parked_resequencer().flush().len(), 3, "frames are parked");
+    let ck = engine_checkpoint();
+    assert!(ck.agents.len() >= 2 && ck.agents.iter().all(|a| !a.parked.is_empty()));
     assert_eq!(fixture("event").len(), 38);
     assert_eq!(
         fixture("store_record").len(),

@@ -15,8 +15,8 @@
 use gretel::core::store::{records, FileStore, FileStoreConfig, MemStore, Store};
 use gretel::core::{
     run_service_cfg, run_service_durable, Analyzer, AnalyzerChaos, AnalyzerStats,
-    CaptureConfidence, Diagnosis, DurableConfig, DurableOutcome, GretelConfig, LibraryReload,
-    RecoveryConfig, RecoveryStats, ServiceConfig, ServiceStats, KIND_CHECKPOINT, KIND_DIAGNOSES,
+    CaptureConfidence, Diagnosis, DurableConfig, DurableOutcome, GretelConfig, RecoveryConfig,
+    RecoveryStats, ServiceConfig, ServiceStats, KIND_CHECKPOINT, KIND_DIAGNOSES,
 };
 use gretel::model::{
     Catalog, HttpMethod, Message, NodeId, OpSpecId, OperationSpec, Service, Workflows,
@@ -121,7 +121,6 @@ fn lifetime(
     let cfg = DurableConfig {
         recovery: recovery.clone(),
         kill_point,
-        reloads: Vec::new(),
     };
     run_service_durable(&fx.lib, gcfg(), &fx.nodes, &fx.messages, &cfg, store)
         .expect("a lifetime completes or is killed")
@@ -164,13 +163,28 @@ fn no_chaos_recoverable_equals_plain_pipeline() {
         checkpoint_every: 64,
         ..RecoveryConfig::default()
     };
-    let (diags, _, astats, rec) = run_recoverable(cfg, &[]);
-    assert_eq!(diags, expected);
+    let mut store = MemStore::new();
+    let DurableOutcome::Completed {
+        diagnoses,
+        analyzer: astats,
+        recovery: rec,
+        ..
+    } = lifetime(&cfg, None, &mut store)
+    else {
+        panic!("no kill point configured")
+    };
+    assert_eq!(
+        diagnoses, expected,
+        "durable == plain pipeline with no failures"
+    );
     assert!(rec.checkpoints_written > 0);
     assert_eq!(rec.worker_crashes, 0);
     assert_eq!(rec.restores, 0);
     assert_eq!(rec.duplicate_releases_suppressed, 0);
     assert!(astats.messages > 0);
+    // The log holds what a restart reads and nothing else.
+    let kinds: std::collections::BTreeSet<u8> = records(store.bytes()).map(|r| r.kind).collect();
+    assert_eq!(kinds, [KIND_CHECKPOINT, KIND_DIAGNOSES].into());
 }
 
 #[test]
@@ -331,33 +345,6 @@ fn scratch(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// One complete durable run over `store`, panicking on a kill.
-fn run_durable_to_completion(
-    lib: &gretel_core::FingerprintLibrary,
-    reloads: Vec<LibraryReload>,
-    store: &mut dyn Store,
-) -> (Vec<gretel::core::Diagnosis>, RecoveryStats) {
-    let fx = fixture();
-    let cfg = DurableConfig {
-        recovery: RecoveryConfig {
-            checkpoint_every: 64,
-            ..RecoveryConfig::default()
-        },
-        kill_point: None,
-        reloads,
-    };
-    match run_service_durable(lib, gcfg(), &fx.nodes, &fx.messages, &cfg, store)
-        .expect("durable run completes")
-    {
-        DurableOutcome::Completed {
-            diagnoses,
-            recovery,
-            ..
-        } => (diagnoses, recovery),
-        DurableOutcome::Killed { .. } => panic!("no kill point configured"),
-    }
-}
-
 #[test]
 fn durable_filestore_kill_restart_is_exactly_once() {
     // Whole-process SIGKILL model: each lifetime reopens the same on-disk
@@ -477,69 +464,6 @@ fn kill_between_release_and_checkpoint_survives_every_torn_tail() {
     // regenerated from the older checkpoint and suppressed, not re-released.
     assert!(suppressed > 0);
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn empty_library_delta_reload_is_byte_identical() {
-    // Hot-reload oracle: adopting a snapshot with no new operations must
-    // leave the committed stream byte-identical to never reloading.
-    let fx = fixture();
-    let (no_reload, _) = run_durable_to_completion(&fx.lib, Vec::new(), &mut MemStore::new());
-    assert_eq!(
-        no_reload,
-        reference(None),
-        "durable == plain pipeline with no failures"
-    );
-
-    let reloads = vec![LibraryReload {
-        at_merged: 100,
-        snapshot: fx.lib.to_snapshot(),
-    }];
-    let (with_reload, rec) = run_durable_to_completion(&fx.lib, reloads, &mut MemStore::new());
-    assert_eq!(rec.library_reloads, 1, "the reload fired: {rec:?}");
-    assert!(
-        rec.restores >= 1,
-        "a reload re-enters from its boundary checkpoint"
-    );
-    assert_eq!(
-        with_reload, no_reload,
-        "an empty delta must be invisible in the output"
-    );
-}
-
-#[test]
-fn mid_run_library_addition_is_matched_at_next_freeze() {
-    use gretel::model::OpSpecId;
-    let fx = fixture();
-
-    // A base library that has never seen image_upload (OpSpecId(1)).
-    let cat = Catalog::openstack();
-    let dep = Deployment::standard();
-    let wf = Workflows::new(cat.clone());
-    let base_specs = vec![wf.vm_create_spec(OpSpecId(0))];
-    let (base_lib, _) =
-        gretel_core::FingerprintLibrary::characterize(cat, &base_specs, &dep, 2, 21);
-
-    let (full_diags, _) = run_durable_to_completion(&fx.lib, Vec::new(), &mut MemStore::new());
-    let (control, _) = run_durable_to_completion(&base_lib, Vec::new(), &mut MemStore::new());
-    let reloads = vec![LibraryReload {
-        at_merged: 1,
-        snapshot: fx.lib.to_snapshot(),
-    }];
-    let (reloaded, rec) = run_durable_to_completion(&base_lib, reloads, &mut MemStore::new());
-
-    assert_eq!(rec.library_reloads, 1, "the reload fired: {rec:?}");
-    // Without the reload the matcher cannot name image_upload at all.
-    assert!(control.iter().all(|d| !d.matched.contains(&OpSpecId(1))));
-    // With it, the image-upload faults match the hot-loaded fingerprint
-    // at their snapshot freeze — and the whole stream equals a run that
-    // had the full library from the start: the in-flight window survived
-    // the swap.
-    assert!(
-        reloaded.iter().any(|d| d.matched.contains(&OpSpecId(1))),
-        "hot-loaded fingerprint must match: {reloaded:?}"
-    );
-    assert_eq!(reloaded, full_diags);
 }
 
 proptest! {

@@ -205,7 +205,7 @@ impl<'a> Analyzer<'a> {
     /// counted and timed into it. The analyzer cannot hold the registry
     /// itself — its lifetime parameter is pinned to the fingerprint
     /// library — so the caller threads it through each call. Passing `None`
-    /// (or a disabled registry) is the exact fast path of [`Self::ingest`].
+    /// is the exact fast path of [`Self::ingest`].
     ///
     /// [`scan_message`] is pure, so a batched receiver can scan a whole
     /// decoded [`gretel_netcap::FrameBatch`] in one tight loop as frames
@@ -278,7 +278,7 @@ impl<'a> Analyzer<'a> {
 
         // 3. Window push; completed snapshots become jobs (the stateful
         // part: stats, perf folding, error dedup), analyzed below. The
-        // window stage meters snapshot freezes: how many windows froze and
+        // window stage counts snapshot freezes: how many windows froze and
         // how long turning each batch into jobs took.
         let snapshots = self.window.push(ev);
         let mut jobs = Vec::with_capacity(snapshots.len());

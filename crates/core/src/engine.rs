@@ -62,7 +62,7 @@ use gretel_netcap::{
     decode_one, encode, shard_of, CaptureAgent, CaptureStats, FrameBatch, FrameBatchBuilder,
     Resequencer,
 };
-use gretel_obs::{Meter, PipelineMetrics, Stage, StageTimer};
+use gretel_obs::{PipelineMetrics, Stage, StageTimer};
 use gretel_store::{records, Record, Store};
 use std::collections::{BTreeMap, VecDeque};
 use std::thread::Scope;
@@ -487,9 +487,6 @@ impl<'sc, 'env> Pool<'sc, 'env> {
     fn submit(&mut self, seq: u64, job: SnapshotJob) -> Result<(), ServiceError> {
         self.outstanding += 1;
         self.submit_raw(seq, 0, job)?;
-        if let Some(m) = self.metrics {
-            m.record_max(Meter::JobQueueDepthMax, self.job_tx.len() as u64);
-        }
         self.pump()
     }
 
@@ -590,9 +587,6 @@ fn commit_release(
         Some(store) => {
             let payload = encode_release(up_to, &jobs);
             store.append(KIND_DIAGNOSES, &payload)?;
-            if let Some(m) = metrics {
-                m.add(Meter::StoreBytes, payload.len() as u64);
-            }
         }
         None => st.diagnoses.extend(jobs.into_iter().flat_map(|(_, ds)| ds)),
     }
@@ -634,9 +628,6 @@ fn write_boundary(
     t.finish();
     if let Some(m) = metrics {
         m.count(Stage::Checkpoint, 1);
-        m.add(Meter::CheckpointsWritten, 1);
-        m.add(Meter::CheckpointBytes, payload.len() as u64);
-        m.add(Meter::StoreBytes, payload.len() as u64);
     }
     st.stats.checkpoints_written += 1;
     store.sync()?;
@@ -714,7 +705,7 @@ pub(crate) fn run_cycle(
 
     // ---- One cycle ------------------------------------------------------
     let snapshot_analyzer = analyzer.snapshot_analyzer().with_metrics(metrics);
-    let end = std::thread::scope(|scope| -> Result<RunEnd, ServiceError> {
+    std::thread::scope(|scope| -> Result<RunEnd, ServiceError> {
         let mut pool = Pool::start(scope, snapshot_analyzer, cfg, workers, metrics);
 
         // Agents re-ship the whole deterministic stream every cycle and
@@ -808,18 +799,7 @@ pub(crate) fn run_cycle(
             state.service_stats.capture.merge(&capture);
         }
         Ok(ended)
-    })?;
-
-    if matches!(end, RunEnd::Completed) {
-        // One end-of-run flush: by now both halves of the capture picture
-        // (injector counters, receiver inference) are merged. Replay
-        // inflates these like it inflates `ServiceStats`: the meters
-        // describe what the transport actually did, restarts included.
-        if let Some(m) = metrics {
-            state.service_stats.capture.record_into(m);
-        }
-    }
-    Ok(end)
+    })
 }
 
 /// The engine without a store: `analyzer` is driven as given (it may carry

@@ -3,7 +3,7 @@
 //!
 //! The observability registry ([`gretel_obs::PipelineMetrics`]) records
 //! how long each pipeline stage takes. [`SelfWatch`] polls those
-//! histograms on an interval, turns each stage's interval-mean latency
+//! per-stage sums on an interval, turns each stage's interval-mean latency
 //! into a [`LatencyObs`] under a synthetic per-stage [`ApiId`], and feeds
 //! it to a [`PerfMonitor`] — so a stall in GRETEL's own detect or
 //! checkpoint stage raises a `PerfFault` exactly the way a slow Nova
@@ -91,6 +91,11 @@ impl SelfWatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    fn us(n: u64) -> Duration {
+        Duration::from_micros(n)
+    }
 
     #[test]
     fn synthetic_api_ids_round_trip_and_stay_clear_of_the_catalog() {
@@ -115,8 +120,8 @@ mod tests {
         // Steady state: detect passes take ~2ms, commits ~50µs.
         let mut ts = 0u64;
         for i in 0..100u64 {
-            metrics.observe(Stage::Detect, 2_000 + (i % 3));
-            metrics.observe(Stage::Commit, 50);
+            metrics.observe(Stage::Detect, us(2_000 + (i % 3)));
+            metrics.observe(Stage::Commit, us(50));
             ts += 1_000;
             assert!(
                 watch.poll(&metrics, ts).is_empty(),
@@ -127,8 +132,8 @@ mod tests {
         // The detect stage stalls: per-pass latency jumps 10×.
         let mut faults = Vec::new();
         for i in 0..100u64 {
-            metrics.observe(Stage::Detect, 20_000 + (i % 3));
-            metrics.observe(Stage::Commit, 50);
+            metrics.observe(Stage::Detect, us(20_000 + (i % 3)));
+            metrics.observe(Stage::Commit, us(50));
             ts += 1_000;
             faults.extend(watch.poll(&metrics, ts));
         }
@@ -142,14 +147,14 @@ mod tests {
         let metrics = PipelineMetrics::enabled();
         let mut watch = SelfWatch::new(LevelShiftConfig::default());
         for i in 0..50u64 {
-            metrics.observe(Stage::Ingest, 10);
+            metrics.observe(Stage::Ingest, us(10));
             assert!(watch.poll(&metrics, i * 1_000).is_empty());
         }
         // Silent stages trained nothing, so a later first sample is not
         // judged against a phantom zero baseline: a steady detect latency
         // warms its own detector up without alarming.
         for i in 50..150u64 {
-            metrics.observe(Stage::Detect, 20_000);
+            metrics.observe(Stage::Detect, us(20_000));
             assert!(watch.poll(&metrics, i * 1_000).is_empty(), "poll {i}");
         }
     }

@@ -6,14 +6,15 @@
 //! arrives. This module scales that shape out by *Keystone project*
 //! (DESIGN.md §15): each of N partitions owns the full pipeline privately —
 //! its own capture agents and resequencers, its own [`Analyzer`] with
-//! windows and detection state, its own checkpoint store (durable variant)
-//! and its own [`PipelineMetrics`] registry — and all of them read the one
-//! traffic slice. **Shards are
+//! windows and detection state and its own checkpoint store (durable
+//! variant) — and all of them read the one traffic slice and, with
+//! [`ShardedConfig::metrics`] on, write the one shared [`PipelineMetrics`]
+//! registry of relaxed atomics. **Shards are
 //! filters, not copies:** partition `i`'s agents forward a message iff
 //! [`gretel_netcap::shard::shard_of`] routes its project to `i`, so each
 //! tenant's operations land on exactly one partition and the stream is
 //! never split, cloned or re-encoded per shard. Shards share nothing
-//! mutable and never synchronize while running.
+//! they read back and never synchronize while running.
 //!
 //! After the shards drain, the driver merges:
 //!
@@ -30,9 +31,9 @@
 //!   [`attribute_cascades`] re-runs over the merged diagnoses and merged
 //!   graph, so a cascade whose root is tenant-A traffic on shard 0 and
 //!   whose symptoms are tenant-B traffic on shard 3 still names the single
-//!   root service — the cross-shard RCA merge;
-//! * **metrics** — per-shard registries are folded bucket-wise into one
-//!   aggregate view ([`PipelineMetrics::merge_from`]).
+//!   root service — the cross-shard RCA merge.
+//!
+//! Metrics need no merge: every shard already wrote the one registry.
 //!
 //! **Determinism.** Within a shard the pipeline inherits the byte-identity
 //! guarantees of [`run_service_cfg`](crate::run_service_cfg). Across shard
@@ -71,16 +72,15 @@ pub struct ShardedConfig {
     /// Per-shard pipeline template. `workers: None` resolves via
     /// `resolve_shard_workers`, so the default worker budget is
     /// divided across shards instead of multiplied by them; `metrics`
-    /// must be `None` — per-shard registries are created internally (a
-    /// shared registry would break per-shard ownership).
+    /// must be `None` — set [`ShardedConfig::metrics`] instead.
     pub service: ServiceConfig,
     /// Re-run cascade attribution over the merged diagnoses and merged
     /// traffic graph after the shards drain. `None` leaves diagnoses
     /// unattributed — required when comparing encoded bytes against an
     /// unattributed unsharded run.
     pub cascades: Option<CascadeParams>,
-    /// Give each shard a live [`PipelineMetrics`] registry and aggregate
-    /// them into `ShardedOutcome::metrics`.
+    /// Hand every shard one shared [`PipelineMetrics`] registry and
+    /// snapshot it into `ShardedOutcome::metrics`.
     pub metrics: bool,
 }
 
@@ -110,9 +110,6 @@ pub struct ShardReport {
     pub analyzer: AnalyzerStats,
     /// Supervision counters (durable runs only).
     pub recovery: Option<RecoveryStats>,
-    /// This partition's private metrics registry, snapshotted after the
-    /// run (when [`ShardedConfig::metrics`] is on).
-    pub metrics: Option<MetricsSnapshot>,
 }
 
 /// Merged result of a sharded run.
@@ -125,7 +122,8 @@ pub struct ShardedOutcome {
     pub graph: ServiceGraph,
     /// Per-shard accounting, indexed by shard.
     pub shards: Vec<ShardReport>,
-    /// Aggregate of the per-shard metrics registries (when enabled).
+    /// Snapshot of the registry every shard wrote (when
+    /// [`ShardedConfig::metrics`] is on).
     pub metrics: Option<MetricsSnapshot>,
 }
 
@@ -233,7 +231,7 @@ fn run_shard(
 /// The shard driver: run [`ShardedConfig::shards`] pipelines over the one
 /// `traffic` slice, each on its own thread (over `stores[i]` when
 /// `durable`) with agents that forward only their partition's tenants, then
-/// merge diagnoses, graphs and metrics.
+/// merge diagnoses and graphs.
 fn drive_shards(
     lib: &FingerprintLibrary,
     gcfg: GretelConfig,
@@ -245,26 +243,22 @@ fn drive_shards(
     assert!(cfg.shards > 0, "need at least one shard");
     assert!(
         cfg.service.metrics.is_none(),
-        "ShardedConfig::service.metrics must be None: each shard owns a private registry \
-         (set ShardedConfig::metrics = true for per-shard + aggregated registries)"
+        "ShardedConfig::service.metrics must be None: set ShardedConfig::metrics instead"
     );
     let mut routed = vec![0usize; cfg.shards];
     for m in traffic {
         routed[shard_of(m.project, cfg.shards)] += 1;
     }
-    let registries: Vec<Option<Arc<PipelineMetrics>>> = (0..cfg.shards)
-        .map(|_| cfg.metrics.then(|| Arc::new(PipelineMetrics::enabled())))
-        .collect();
 
-    let base = resolved_service(cfg);
+    let mut base = resolved_service(cfg);
+    base.metrics = cfg.metrics.then(|| Arc::new(PipelineMetrics::enabled()));
     let (dcfg, stores) = durable.unzip();
     let mut stores = stores.into_iter().flatten();
     let mut results: Vec<Option<Result<ShardRun, ServiceError>>> =
         (0..cfg.shards).map(|_| None).collect();
     std::thread::scope(|scope| {
-        for (i, (registry, slot)) in registries.iter().zip(&mut results).enumerate() {
-            let mut sc = base.clone();
-            sc.metrics = registry.clone();
+        for (i, slot) in results.iter_mut().enumerate() {
+            let sc = base.clone();
             let route = (i, cfg.shards);
             let durable = dcfg.zip(stores.next());
             scope.spawn(move || {
@@ -286,7 +280,6 @@ fn drive_shards(
             service: run.service,
             analyzer: run.analyzer,
             recovery: run.recovery,
-            metrics: registries[i].as_ref().map(|m| m.snapshot()),
         });
         diagnoses.extend(run.diagnoses);
     }
@@ -294,25 +287,18 @@ fn drive_shards(
     if let Some(params) = cfg.cascades {
         attribute_cascades(&mut diagnoses, &graph, lib.catalog(), params);
     }
-    let metrics = cfg.metrics.then(|| {
-        let agg = PipelineMetrics::enabled();
-        for r in registries.iter().flatten() {
-            agg.merge_from(r);
-        }
-        agg.snapshot()
-    });
     Ok(ShardedOutcome {
         diagnoses,
         graph,
         shards,
-        metrics,
+        metrics: base.metrics.map(|r| r.snapshot()),
     })
 }
 
 /// Run the pipeline sharded by tenant: route `traffic` onto
 /// [`ShardedConfig::shards`] partitions, run each partition's full
 /// agents→receiver→analyzer pipeline on its own threads, then merge
-/// diagnoses, graphs and metrics (see the module docs).
+/// diagnoses and graphs (see the module docs).
 ///
 /// Every shard sees the complete `nodes` list and the complete `traffic`
 /// slice: a node's capture agent exists on every shard and applies the
@@ -576,9 +562,45 @@ mod tests {
             for s in &out.shards {
                 assert!(s.recovery.is_some(), "durable shards report recovery stats");
             }
-            let agg = out.metrics.expect("metrics requested");
-            let events: u64 = agg.stages.iter().map(|st| st.events).sum();
-            assert!(events > 0, "aggregated registry saw traffic");
+            let snap = out.metrics.expect("metrics requested");
+            let events: u64 = snap.stages.iter().map(|st| st.events).sum();
+            assert!(events > 0, "the shared registry saw traffic");
+        }
+    }
+
+    /// Every shard writes the one registry: its stage events are the sums
+    /// of what the shards report through their own typed stats.
+    #[test]
+    fn shards_share_one_registry() {
+        use gretel_obs::Stage;
+        let (lib, gcfg, nodes, traffic) = multi_tenant_run();
+        for shards in [1usize, 2, 4] {
+            let cfg = ShardedConfig {
+                shards,
+                metrics: true,
+                ..ShardedConfig::default()
+            };
+            let out = run_sharded(&lib, gcfg, &nodes, &traffic, &cfg).expect("sharded run");
+            let snap = out.metrics.expect("metrics requested");
+            let events = |stage: Stage| snap.stages[stage as usize].events;
+            let sum = |f: fn(&AnalyzerStats) -> u64| -> u64 {
+                out.shards.iter().map(|s| f(&s.analyzer)).sum()
+            };
+            assert_eq!(
+                events(Stage::Ingest),
+                sum(|a| a.messages),
+                "{shards}: ingest"
+            );
+            assert_eq!(
+                events(Stage::Window),
+                sum(|a| a.snapshots),
+                "{shards}: window"
+            );
+            assert_eq!(
+                events(Stage::Commit),
+                out.diagnoses.len() as u64,
+                "{shards}: commit"
+            );
         }
     }
 

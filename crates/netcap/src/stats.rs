@@ -47,22 +47,6 @@ impl CaptureStats {
         self.dup_discarded += other.dup_discarded;
     }
 
-    /// Flow these counters into a pipeline metrics registry (one
-    /// [`gretel_obs::Meter`] per field). Counters are cumulative adds, so
-    /// recording a merged end-of-run picture and recording the halves
-    /// separately land on the same totals.
-    pub fn record_into(&self, m: &gretel_obs::PipelineMetrics) {
-        use gretel_obs::Meter;
-        m.add(Meter::CaptureFrames, self.frames);
-        m.add(Meter::CaptureDropped, self.dropped);
-        m.add(Meter::CaptureDuplicated, self.duplicated);
-        m.add(Meter::CaptureReordered, self.reordered);
-        m.add(Meter::CaptureStalled, self.stalled);
-        m.add(Meter::CaptureGaps, self.gaps);
-        m.add(Meter::CaptureLost, self.lost);
-        m.add(Meter::CaptureDupDiscarded, self.dup_discarded);
-    }
-
     /// True when no impairment or loss was observed at all.
     pub fn is_clean(&self) -> bool {
         let CaptureStats {
@@ -113,31 +97,5 @@ mod tests {
             ..Default::default()
         }
         .is_clean());
-    }
-
-    #[test]
-    fn record_into_flows_every_field() {
-        use gretel_obs::{Meter, PipelineMetrics};
-        let m = PipelineMetrics::enabled();
-        let s = CaptureStats {
-            frames: 10,
-            dropped: 1,
-            duplicated: 2,
-            reordered: 3,
-            stalled: 4,
-            gaps: 5,
-            lost: 6,
-            dup_discarded: 7,
-        };
-        s.record_into(&m);
-        s.record_into(&m); // cumulative: a second flush adds, not replaces
-        assert_eq!(m.meter(Meter::CaptureFrames), 20);
-        assert_eq!(m.meter(Meter::CaptureDropped), 2);
-        assert_eq!(m.meter(Meter::CaptureDuplicated), 4);
-        assert_eq!(m.meter(Meter::CaptureReordered), 6);
-        assert_eq!(m.meter(Meter::CaptureStalled), 8);
-        assert_eq!(m.meter(Meter::CaptureGaps), 10);
-        assert_eq!(m.meter(Meter::CaptureLost), 12);
-        assert_eq!(m.meter(Meter::CaptureDupDiscarded), 14);
     }
 }

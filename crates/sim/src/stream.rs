@@ -343,7 +343,7 @@ mod tests {
     }
 
     #[test]
-    fn no_faults_when_disabled() {
+    fn no_faults_when_fault_every_is_zero() {
         let cat = Catalog::openstack();
         let specs = specs();
         let cfg = StreamConfig {

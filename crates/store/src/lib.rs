@@ -23,8 +23,8 @@
 //! and is not yielded at all.
 //!
 //! Readers never interpret payloads — kinds and payload codecs belong to
-//! the caller (`gretel-core` defines checkpoint, diagnosis-release and
-//! fingerprint-library records on top of this).
+//! the caller (`gretel-core` defines checkpoint and diagnosis-release
+//! records on top of this).
 //!
 //! ```
 //! use gretel_store::{MemStore, Store};

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification, exactly as ROADMAP.md specifies, pinned offline:
 # every dependency is vendored under vendor/, so a network-less container
-# must build and test clean. Run from the repo root.
+# must build and test clean. Every cargo call is --locked: a manifest change
+# that would rewrite Cargo.lock or benchmark/Cargo.lock fails here instead
+# of silently editing the lock file. Run from the repo root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -13,8 +15,8 @@ FIRST_PARTY=(-p gretel -p gretel-core -p gretel-model -p gretel-netcap
   -p gretel-obs -p gretel-store)
 cargo fmt --check "${FIRST_PARTY[@]}"
 
-cargo build --release --offline --workspace
-cargo test -q --offline --workspace
+cargo build --release --offline --locked --workspace
+cargo test -q --offline --locked --workspace
 
 # Lint gate: every first-party crate and every target — libs, bins,
 # tests, examples — must be clippy-clean, including clippy.toml's ban on
@@ -22,7 +24,7 @@ cargo test -q --offline --workspace
 # published crates and are not linted (--exclude drops them as targets,
 # --no-deps as path dependencies).
 # shellcheck disable=SC2046
-cargo clippy --offline --workspace --all-targets --no-deps \
+cargo clippy --offline --locked --workspace --all-targets --no-deps \
   $(for v in vendor/*/; do printf -- '--exclude %s ' "$(basename "$v")"; done) \
   -- -D warnings
 
@@ -37,9 +39,9 @@ scripts/pub_surface.sh
 # the workspace as it now is, then smoke every workload, so an API change
 # that breaks it fails here instead of at the perf gate. Writes only
 # git-ignored files under benchmark/.
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
-cargo test -q --offline --manifest-path benchmark/Cargo.toml
-cargo run --release --offline -q --manifest-path benchmark/Cargo.toml \
+cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --locked -q --manifest-path benchmark/Cargo.toml \
   --bin gretel-benchmark -- run --check
 
 # The experiment battery: every artifact under results/ is a pure function
@@ -50,7 +52,7 @@ cargo run --release --offline -q --manifest-path benchmark/Cargo.toml \
 STORE_ROOT="$(mktemp -d)"
 trap 'rm -rf "$STORE_ROOT"' EXIT
 cp -r results "$STORE_ROOT/committed"
-cargo run --release --offline -q -p gretel-bench --bin experiments -- \
+cargo run --release --offline --locked -q -p gretel-bench --bin experiments -- \
   --store-dir "$STORE_ROOT/stores" >"$STORE_ROOT/experiments.log" ||
   { tail -n 40 "$STORE_ROOT/experiments.log" >&2; exit 1; }
 diff -r "$STORE_ROOT/committed" results ||
@@ -68,5 +70,5 @@ scripts/md_hygiene.sh
 
 # Rustdoc must stay warning-free for the first-party crates, and the
 # runnable doc-examples are part of the test surface.
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline "${FIRST_PARTY[@]}"
-cargo test -q --offline --doc --workspace
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --locked "${FIRST_PARTY[@]}"
+cargo test -q --offline --locked --doc --workspace

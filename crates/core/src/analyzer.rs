@@ -31,7 +31,7 @@ use crate::window::{SlidingWindow, Snapshot};
 use gretel_model::codec::{
     put_count, put_f64, put_u16, put_u32, put_u64, put_u8, DecodeError, Reader,
 };
-use gretel_model::{Message, MessageId, NodeId, OperationSpec};
+use gretel_model::{Message, MessageHead, MessageId, NodeId, OperationSpec};
 use gretel_sim::Deployment;
 use gretel_telemetry::{Anomaly, AnomalyKind, LevelShiftConfig, TelemetryStore};
 
@@ -207,21 +207,35 @@ impl<'a> Analyzer<'a> {
     /// library — so the caller threads it through each call. Passing `None`
     /// is the exact fast path of [`Self::ingest`].
     ///
-    /// [`scan_message`] is pure, so a batched receiver can scan a whole
-    /// decoded [`gretel_netcap::FrameBatch`] in one tight loop as frames
-    /// are released and hand the marks in here with the messages — the
-    /// counters, window pushes and arming decisions all happen at ingest
-    /// time in merge order, exactly as if the scan had run inline.
-    /// `fault` **must** equal `scan_message(msg)`; anything else forks the
-    /// diagnosis stream from the per-message path.
+    /// The scan is pure, so it can run anywhere before ingest: the threaded
+    /// receiver scans each frame's borrowed payload as it parses a
+    /// [`gretel_netcap::FrameBatch`] ([`crate::scan_frame`]) and ingests the
+    /// message's head with the mark — the counters, window pushes and
+    /// arming decisions all happen at ingest time in merge order, exactly as
+    /// if the scan had run inline. `fault` **must** equal
+    /// `scan_message(msg)`; anything else forks the diagnosis stream from
+    /// the per-message path.
     pub fn ingest_marked(
         &mut self,
         msg: &Message,
         fault: FaultMark,
         metrics: Option<&gretel_obs::PipelineMetrics>,
     ) -> Vec<SnapshotJob> {
+        self.ingest_head(&msg.head(), fault, metrics)
+    }
+
+    /// [`Self::ingest_marked`] on a message's head: everything ingest reads
+    /// of a message, which the receiver parses out of a frame without
+    /// building the message.
+    #[inline]
+    pub(crate) fn ingest_head(
+        &mut self,
+        msg: &MessageHead,
+        fault: FaultMark,
+        metrics: Option<&gretel_obs::PipelineMetrics>,
+    ) -> Vec<SnapshotJob> {
         self.stats.messages += 1;
-        self.stats.bytes += msg.payload.len() as u64;
+        self.stats.bytes += u64::from(msg.payload_len);
         match fault {
             FaultMark::RestError(_) => self.stats.rest_errors += 1,
             FaultMark::RpcError => self.stats.rpc_errors += 1,

@@ -10,7 +10,8 @@
 use crate::event::FaultMark;
 use crate::fasthash::FastMap;
 use gretel_model::codec::{put_count, put_u16, put_u64, put_u8, DecodeError, Reader};
-use gretel_model::{ApiId, ConnKey, Message, WireKind};
+use gretel_model::{ApiId, ConnKey, Direction, Message, MessageHead};
+use gretel_netcap::FrameView;
 use gretel_sim::SimTime;
 
 /// Scan an HTTP payload for an error status line (`HTTP/1.1 NNN` with
@@ -34,6 +35,7 @@ pub fn scan_rest_error(payload: &[u8]) -> Option<u16> {
 /// quotes but sparse in `f`s), located with a word-at-a-time byte scan.
 /// The common clean-payload case touches each byte once, eight at a time,
 /// instead of comparing a 9-byte window at every offset.
+#[inline]
 pub(crate) fn scan_rpc_error(payload: &[u8]) -> bool {
     const NEEDLE: &[u8] = b"\"failure\"";
     if payload.len() < NEEDLE.len() {
@@ -55,13 +57,13 @@ pub(crate) fn scan_rpc_error(payload: &[u8]) -> bool {
 /// REST payloads go through [`scan_rest_error`], RPC payloads through the
 /// SWAR `scan_rpc_error`. No state, no counters — the same message
 /// always scans to the same [`FaultMark`], so the scan can run anywhere
-/// in the pipeline (at batch decode, at ingest, or re-derived after a
+/// in the pipeline (at frame parse, at ingest, or re-derived after a
 /// checkpoint restore) without changing the diagnosis stream.
 ///
-/// The batched receiver runs this over every message of a decoded
-/// [`gretel_netcap::FrameBatch`] in one tight loop, so the scanners stay
-/// hot in cache across the batch instead of interleaving with window and
-/// merge work per message.
+/// The threaded receiver runs the same scan ([`scan_frame`]) on each frame's
+/// borrowed payload as it parses a [`gretel_netcap::FrameBatch`], so the
+/// scanners stay hot in cache across the batch instead of interleaving with
+/// window and merge work per message.
 ///
 /// ```
 /// use gretel_core::{scan_message, FaultMark};
@@ -80,18 +82,21 @@ pub(crate) fn scan_rpc_error(payload: &[u8]) -> bool {
 /// assert_eq!(scan_message(&msg), FaultMark::None);
 /// ```
 pub fn scan_message(msg: &Message) -> FaultMark {
-    match &msg.wire {
-        WireKind::Rest { .. } => match scan_rest_error(&msg.payload) {
-            Some(status) => FaultMark::RestError(status),
-            None => FaultMark::None,
-        },
-        WireKind::Rpc { .. } => {
-            if scan_rpc_error(&msg.payload) {
-                FaultMark::RpcError
-            } else {
-                FaultMark::None
-            }
-        }
+    scan_payload(msg.wire.is_rpc(), &msg.payload)
+}
+
+/// [`scan_message`] over a frame parsed in place: the same verdict, read
+/// from the payload the frame borrows.
+pub fn scan_frame(frame: &FrameView<'_>) -> FaultMark {
+    scan_payload(frame.head.rpc_msg_id.is_some(), frame.payload)
+}
+
+#[inline]
+fn scan_payload(is_rpc: bool, payload: &[u8]) -> FaultMark {
+    match is_rpc {
+        true if scan_rpc_error(payload) => FaultMark::RpcError,
+        true => FaultMark::None,
+        false => scan_rest_error(payload).map_or(FaultMark::None, FaultMark::RestError),
     }
 }
 
@@ -153,13 +158,13 @@ impl LatencyPairer {
 
     /// Feed one message; returns a latency observation when it completes a
     /// pair.
-    pub fn observe(&mut self, msg: &Message) -> Option<LatencyObs> {
-        match (&msg.wire, msg.direction) {
-            (WireKind::Rest { .. }, gretel_model::Direction::Request) => {
+    pub fn observe(&mut self, msg: &MessageHead) -> Option<LatencyObs> {
+        match (msg.rpc_msg_id, msg.direction) {
+            (None, Direction::Request) => {
                 self.rest.insert((msg.conn.canonical(), msg.api), msg.ts_us);
                 None
             }
-            (WireKind::Rest { .. }, gretel_model::Direction::Response) => {
+            (None, Direction::Response) => {
                 let start = self.rest.remove(&(msg.conn.canonical(), msg.api))?;
                 Some(LatencyObs {
                     api: msg.api,
@@ -167,12 +172,12 @@ impl LatencyPairer {
                     latency_us: msg.ts_us.saturating_sub(start),
                 })
             }
-            (WireKind::Rpc { msg_id, .. }, gretel_model::Direction::Request) => {
-                self.rpc.insert(*msg_id, (msg.api, msg.ts_us));
+            (Some(msg_id), Direction::Request) => {
+                self.rpc.insert(msg_id, (msg.api, msg.ts_us));
                 None
             }
-            (WireKind::Rpc { msg_id, .. }, gretel_model::Direction::Response) => {
-                let (api, start) = self.rpc.remove(msg_id)?;
+            (Some(msg_id), Direction::Response) => {
+                let (api, start) = self.rpc.remove(&msg_id)?;
                 Some(LatencyObs {
                     api,
                     ts: msg.ts_us,
@@ -239,7 +244,7 @@ mod tests {
         render_rest_request_payload, render_rest_response_payload, render_rpc_payload,
     };
     use gretel_model::{
-        ApiId, ConnKey, Direction, HttpMethod, Message, MessageId, NodeId, Service,
+        ApiId, ConnKey, Direction, HttpMethod, Message, MessageId, NodeId, Service, WireKind,
     };
 
     #[test]
@@ -289,7 +294,7 @@ mod tests {
         assert!(!scan_rpc_error(&good));
     }
 
-    fn rest_msg(id: u64, ts: u64, dir: Direction, conn: ConnKey) -> Message {
+    fn rest_msg(id: u64, ts: u64, dir: Direction, conn: ConnKey) -> MessageHead {
         Message {
             id: MessageId(id),
             ts_us: ts,
@@ -311,6 +316,7 @@ mod tests {
             truth_op: None,
             truth_noise: false,
         }
+        .head()
     }
 
     #[test]
@@ -339,26 +345,29 @@ mod tests {
     #[test]
     fn rpc_pairing_by_msg_id() {
         let mut p = LatencyPairer::new();
-        let mk = |id: u64, ts: u64, dir: Direction| Message {
-            id: MessageId(id),
-            ts_us: ts,
-            src_node: NodeId(4),
-            dst_node: NodeId(0),
-            src_service: Service::NovaCompute,
-            dst_service: Service::Nova,
-            api: ApiId(700),
-            direction: dir,
-            wire: WireKind::Rpc {
-                method: "attach_volume".into(),
-                msg_id: 55,
-                error: None,
-            },
-            conn: ConnKey::default(),
-            payload: vec![],
-            correlation_id: None,
-            project: None,
-            truth_op: None,
-            truth_noise: false,
+        let mk = |id: u64, ts: u64, dir: Direction| {
+            Message {
+                id: MessageId(id),
+                ts_us: ts,
+                src_node: NodeId(4),
+                dst_node: NodeId(0),
+                src_service: Service::NovaCompute,
+                dst_service: Service::Nova,
+                api: ApiId(700),
+                direction: dir,
+                wire: WireKind::Rpc {
+                    method: "attach_volume".into(),
+                    msg_id: 55,
+                    error: None,
+                },
+                conn: ConnKey::default(),
+                payload: vec![],
+                correlation_id: None,
+                project: None,
+                truth_op: None,
+                truth_noise: false,
+            }
+            .head()
         };
         assert!(p.observe(&mk(0, 5_000, Direction::Request)).is_none());
         let obs = p.observe(&mk(1, 65_000, Direction::Response)).unwrap();

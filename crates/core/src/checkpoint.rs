@@ -407,9 +407,9 @@ pub struct AgentCheckpoint {
     /// The agent's resequencer
     /// ([`gretel_netcap::Resequencer::export_state`]).
     pub resequencer: Vec<u8>,
-    /// Messages the resequencer released but the merge had not consumed
+    /// Frames the resequencer released but the merge had not consumed
     /// yet, as `(gap before, frame)` with the frame in
-    /// [`gretel_netcap::encode`] form. Replay brings them back only as
+    /// [`gretel_netcap::encode`] form (no sequence stamp). Replay brings them back only as
     /// discarded duplicates, so they travel with the checkpoint.
     pub parked: Vec<(u32, Vec<u8>)>,
 }

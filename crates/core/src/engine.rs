@@ -18,10 +18,13 @@
 //! agent encodes its survivors exactly as an unimpaired one encodes its
 //! whole capture.
 //!
-//! The receiver thread decodes each batch zero-copy, resequences it when
-//! frames are sequence-stamped, scans it for failure patterns in one
-//! batch-wide pass, k-way merges the per-agent streams on `(ts, id)` and
-//! drives the [`Analyzer`]. Completed snapshots ship as jobs to a supervised
+//! The receiver thread never builds a [`Message`]: it parses each frame in
+//! place ([`decode_view`]), scans the borrowed payload for failure patterns
+//! in one batch-wide pass, resequences the frames when they are
+//! sequence-stamped, k-way merges the per-agent streams on `(ts, id)` and
+//! drives the [`Analyzer`] with each message's fixed-size [`MessageHead`].
+//! A queued frame keeps its bytes as a zero-copy slice of the batch arena,
+//! which only a checkpoint reads again. Completed snapshots ship as jobs to a supervised
 //! worker [`Pool`]; results are released in job-sequence order, so the
 //! output equals inline analysis whatever the scheduling.
 //!
@@ -44,7 +47,7 @@
 //! is an argument to the encoder, not a second capture path.
 
 use crate::analyzer::{Analyzer, AnalyzerStats, SnapshotAnalyzer, SnapshotJob};
-use crate::anomaly::scan_message;
+use crate::anomaly::scan_frame;
 use crate::checkpoint::{
     decode_checkpoint, decode_release, encode_checkpoint, encode_release, AgentCheckpoint,
     EngineCheckpoint,
@@ -55,12 +58,13 @@ use crate::recover::{
 };
 use crate::report::Diagnosis;
 use crate::service::{ServiceConfig, ServiceError, ServiceStats};
+use bytes::Bytes;
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use gretel_model::codec::DecodeError;
-use gretel_model::{Message, NodeId};
+use gretel_model::{Message, MessageHead, NodeId};
 use gretel_netcap::{
-    decode_one, encode, shard_of, CaptureAgent, CaptureStats, FrameBatch, FrameBatchBuilder,
-    Resequencer,
+    decode_one, decode_view, encode, shard_of, CaptureAgent, CaptureStats, CodecError, FrameBatch,
+    FrameBatchBuilder, Framed, Resequencer,
 };
 use gretel_obs::{PipelineMetrics, Stage, StageTimer};
 use gretel_store::{records, Record, Store};
@@ -68,37 +72,90 @@ use std::collections::{BTreeMap, VecDeque};
 use std::thread::Scope;
 use std::time::Duration;
 
-/// One agent's decoded stream at the receiver: batches are decoded
-/// zero-copy out of their arena, resequenced (when sequenced) into
-/// `(gap_before, message)` pairs, scanned for failure patterns in one
-/// batch-wide pass, and buffered until the k-way merge consumes them.
+/// One frame as the receiver keeps it: parsed in place, its payload
+/// scanned, and its bytes a zero-copy slice of the batch arena it arrived in
+/// (read again only by a checkpoint).
+struct Received {
+    head: MessageHead,
+    mark: FaultMark,
+    frame: Bytes,
+}
+
+impl Received {
+    /// Parse and scan one frame, returning its sequence number alongside.
+    fn parse(frame: Bytes) -> Result<(Received, Option<u64>), CodecError> {
+        let view = decode_view(&frame)?;
+        let (head, seq, mark) = (view.head, view.seq, scan_frame(&view));
+        Ok((Received { head, mark, frame }, seq))
+    }
+}
+
+/// A checkpoint stores a parked frame without its sequence stamp, as the
+/// frame of its message: the scan is a pure function of the message, so a
+/// restore recomputes identical marks.
+impl Framed for Received {
+    fn to_frame(&self) -> Bytes {
+        encode(&decode_one(&self.frame).expect("a received frame parsed once already"))
+    }
+
+    fn from_frame(frame: &[u8]) -> Result<Received, CodecError> {
+        Received::parse(Bytes::copy_from_slice(frame)).map(|(r, _)| r)
+    }
+}
+
+/// One agent's stream at the receiver: each batch's frames are parsed in
+/// place and scanned for failure patterns in one batch-wide pass,
+/// resequenced (when sequenced) into `(gap_before, frame)` pairs, and
+/// buffered until the k-way merge consumes them.
 struct AgentStream {
-    reseq: Option<Resequencer>,
-    ready: VecDeque<(u32, Message, FaultMark)>,
+    reseq: Option<Resequencer<Received>>,
+    ready: VecDeque<(u32, Received)>,
+    /// Reused buffer of one batch's parsed frames and sequence numbers.
+    parsed: Vec<(Received, Option<u64>)>,
     done: bool,
 }
 
 impl AgentStream {
-    fn new(reseq: Option<Resequencer>) -> AgentStream {
+    fn new(reseq: Option<Resequencer<Received>>) -> AgentStream {
         AgentStream {
             reseq,
             ready: VecDeque::new(),
+            parsed: Vec::new(),
             done: false,
         }
     }
 
-    /// Scan a run of released messages (one decoded batch's worth) and
-    /// queue them for the merge. This is the batch-wide fault-scan pass:
-    /// the SWAR scanners run back to back over the released messages
-    /// while they are cache-hot, instead of interleaving with merge and
-    /// window work per message. The scan is pure, so the marks are the
-    /// ones inline ingest would have computed — and the ones a restore
-    /// recomputes.
-    fn admit(&mut self, released: impl IntoIterator<Item = (u32, Message)>) {
-        for (gap, msg) in released {
-            let mark = scan_message(&msg);
-            self.ready.push_back((gap, msg, mark));
+    /// Parse, scan and queue one batch. The SWAR scanners run back to back
+    /// over the batch's payloads while they are cache-hot, instead of
+    /// interleaving with merge and window work per message. A corrupt frame
+    /// fails the stream, and the frames before it stay queued.
+    fn admit(
+        &mut self,
+        batch: &FrameBatch,
+        metrics: Option<&PipelineMetrics>,
+    ) -> Result<(), ServiceError> {
+        let parsed = (0..batch.frames()).try_for_each(|i| {
+            self.parsed.push(Received::parse(batch.frame(i))?);
+            Ok::<_, CodecError>(())
+        });
+        let Some(r) = &mut self.reseq else {
+            let frames = self.parsed.drain(..).map(|(frame, _)| (0, frame));
+            self.ready.extend(frames);
+            return Ok(parsed?);
+        };
+        // One timing sample per batch, one counted event per frame: stage
+        // latencies show the batch-level dispatch cost while event counts
+        // stay per-item (see gretel-obs).
+        let t = StageTimer::start(metrics, Stage::Resequence);
+        let n = self.parsed.len() as u64;
+        for (frame, seq) in self.parsed.drain(..) {
+            r.try_push(seq, frame, &mut self.ready)?;
         }
+        t.finish();
+        if let Some(m) = metrics {
+            m.count(Stage::Resequence, n);
+        }
+        Ok(parsed?)
     }
 
     /// Pull batches until at least one message is ready or the stream ends.
@@ -114,33 +171,12 @@ impl AgentStream {
                     stats.channel_ops += 1;
                     stats.frames += batch.frames() as u64;
                     stats.bytes += batch.byte_len() as u64;
-                    let decoded = batch.decode_all()?;
-                    match &mut self.reseq {
-                        Some(r) => {
-                            // One timing sample per batch, one counted
-                            // event per frame: stage latencies show the
-                            // batch-level dispatch cost while event counts
-                            // stay per-item (see gretel-obs).
-                            let n = decoded.len() as u64;
-                            let mut released = Vec::with_capacity(decoded.len());
-                            let t = StageTimer::start(metrics, Stage::Resequence);
-                            for (msg, seq) in decoded {
-                                released.extend(r.try_push(seq, msg)?);
-                            }
-                            t.finish();
-                            if let Some(m) = metrics {
-                                m.count(Stage::Resequence, n);
-                            }
-                            self.admit(released);
-                        }
-                        None => self.admit(decoded.into_iter().map(|(msg, _)| (0, msg))),
-                    }
+                    self.admit(&batch, metrics)?;
                 }
                 Err(_) => {
                     self.done = true;
                     if let Some(r) = &mut self.reseq {
-                        let released = r.flush();
-                        self.admit(released);
+                        self.ready.extend(r.flush());
                     }
                 }
             }
@@ -155,8 +191,8 @@ impl AgentStream {
 fn next_head(streams: &[AgentStream]) -> Option<usize> {
     let mut best = None;
     for (i, st) in streams.iter().enumerate() {
-        if let Some((_, m, _)) = st.ready.front() {
-            let key = (m.ts_us, m.id);
+        if let Some((_, r)) = st.ready.front() {
+            let key = (r.head.ts_us, r.head.id);
             if best.is_none_or(|(_, b)| key < b) {
                 best = Some((i, key));
             }
@@ -242,9 +278,8 @@ fn spawn_agent<'sc, 'env>(
 }
 
 /// The receiver's half of a checkpoint: each agent's resequencer and the
-/// messages it released that the merge has not consumed yet. Their fault
-/// marks are not stored: the scan is a pure function of the message, so
-/// restore recomputes identical marks.
+/// frames it released that the merge has not consumed yet, all as
+/// unstamped frames ([`Framed`]).
 fn agent_checkpoints(streams: &[AgentStream]) -> Vec<AgentCheckpoint> {
     streams
         .iter()
@@ -257,7 +292,7 @@ fn agent_checkpoints(streams: &[AgentStream]) -> Vec<AgentCheckpoint> {
             parked: st
                 .ready
                 .iter()
-                .map(|(gap, msg, _mark)| (*gap, encode(msg).to_vec()))
+                .map(|(gap, r)| (*gap, r.to_frame().to_vec()))
                 .collect(),
         })
         .collect()
@@ -277,7 +312,7 @@ fn restore_streams(
         .map(|agent| {
             let mut st = AgentStream::new(Some(Resequencer::restore_state(&agent.resequencer)?));
             for (gap, frame) in &agent.parked {
-                st.admit([(*gap, decode_one(frame)?)]);
+                st.ready.push_back((*gap, Received::from_frame(frame)?));
             }
             Ok(st)
         })
@@ -741,7 +776,7 @@ pub(crate) fn run_cycle(
                 break;
             }
             let Some(i) = next_head(&streams) else { break };
-            let (gap, msg, mark) = streams[i]
+            let (gap, r) = streams[i]
                 .ready
                 .pop_front()
                 .expect("chosen head is nonempty");
@@ -750,7 +785,7 @@ pub(crate) fn run_cycle(
                 analyzer.note_capture_gap(gap);
             }
             let t = StageTimer::start(metrics, Stage::Ingest);
-            let jobs = analyzer.ingest_marked(&msg, mark, metrics);
+            let jobs = analyzer.ingest_head(&r.head, r.mark, metrics);
             t.finish();
             if let Some(m) = metrics {
                 m.count(Stage::Ingest, 1);
@@ -831,7 +866,59 @@ pub(crate) fn run_plain(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gretel_netcap::encode_seq;
     use gretel_store::MemStore;
+
+    fn rest_message(id: u64) -> Message {
+        use gretel_model::{ApiId, ConnKey, Direction, HttpMethod, MessageId, Service, WireKind};
+        Message {
+            id: MessageId(id),
+            ts_us: id,
+            src_node: NodeId(0),
+            dst_node: NodeId(1),
+            src_service: Service::Nova,
+            dst_service: Service::Neutron,
+            api: ApiId(1),
+            direction: Direction::Request,
+            wire: WireKind::Rest {
+                method: HttpMethod::Get,
+                uri: "/v2.1/servers".into(),
+                status: None,
+            },
+            conn: ConnKey::default(),
+            payload: b"GET /v2.1/servers".to_vec(),
+            correlation_id: None,
+            project: None,
+            truth_op: None,
+            truth_noise: false,
+        }
+    }
+
+    /// A batch whose middle frame is corrupt fails the stream with that
+    /// frame's codec error, and the frame before it is already queued: the
+    /// receiver parses frame by frame, it does not vet the batch first.
+    #[test]
+    fn a_corrupt_frame_mid_batch_fails_with_its_own_error() {
+        for sequenced in [false, true] {
+            let mut bad = encode_seq(&rest_message(1), 1).to_vec();
+            bad[4] = 0xFF; // the low magic byte
+            let mut builder = FrameBatchBuilder::new(8);
+            builder.push(&encode_seq(&rest_message(0), 0));
+            builder.push(&bad);
+            builder.push(&encode_seq(&rest_message(2), 2));
+            let (tx, rx) = bounded(1);
+            tx.send(builder.finish().expect("three frames")).unwrap();
+            let mut st = AgentStream::new(sequenced.then(|| Resequencer::new(4)));
+            let mut stats = ServiceStats::default();
+            let got = st.refill(&rx, &mut stats, None);
+            assert!(
+                matches!(got, Err(ServiceError::Codec(CodecError::BadMagic(0x47FF)))),
+                "sequenced {sequenced}: {got:?}"
+            );
+            let queued: Vec<u64> = st.ready.iter().map(|(_, r)| r.head.id.0).collect();
+            assert_eq!(queued, [0], "sequenced {sequenced}");
+        }
+    }
 
     #[test]
     fn release_records_carry_the_watermark_across_restarts() {

@@ -1,12 +1,12 @@
 //! Compact per-message events.
 //!
-//! The analyzer converts each captured [`Message`] into a small [`Event`]
-//! at ingest time: the symbol, endpoints, and the *result of the byte-level
-//! fault scan* (see [`crate::anomaly`]). Everything downstream — the
+//! The analyzer converts each captured message's [`MessageHead`] into a
+//! small [`Event`] at ingest time: the symbol, endpoints, and the *result of
+//! the byte-level fault scan* (see [`crate::anomaly`]). Everything downstream — the
 //! sliding window, operation detection, RCA — works on events, never on
 //! payloads, which is what keeps GRETEL's per-message cost low (§5.3).
 
-use gretel_model::{ApiId, Direction, Message, MessageId, NodeId};
+use gretel_model::{ApiId, Direction, MessageHead, MessageId, NodeId};
 use gretel_sim::SimTime;
 
 /// Fault classification of one message, from the byte scan.
@@ -66,10 +66,10 @@ pub struct Event {
 }
 
 impl Event {
-    /// Build an event from a message plus the catalog-derived API traits
-    /// and the byte-scan verdict.
+    /// Build an event from a message head plus the catalog-derived API
+    /// traits and the byte-scan verdict.
     pub fn new(
-        msg: &Message,
+        msg: &MessageHead,
         is_rpc: bool,
         state_change: bool,
         noise_api: bool,

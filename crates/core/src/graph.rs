@@ -29,7 +29,7 @@
 use crate::rca::CauseKind;
 use crate::report::Diagnosis;
 use gretel_model::codec::{put_count, put_u64, put_u8, DecodeError, Reader};
-use gretel_model::{Catalog, Direction, Message, Service};
+use gretel_model::{Catalog, Direction, MessageHead, Service};
 use gretel_sim::SimTime;
 
 const N: usize = Service::ALL.len();
@@ -104,7 +104,7 @@ impl ServiceGraph {
     /// Record one observed message. `noise` is the catalog's noise
     /// classification for the message's API (never ground truth); `error`
     /// is the byte-scan verdict ([`crate::event::FaultMark`] is an error).
-    pub fn observe(&mut self, msg: &Message, noise: bool, error: bool) {
+    pub fn observe(&mut self, msg: &MessageHead, noise: bool, error: bool) {
         if noise || msg.src_service == msg.dst_service {
             return;
         }
@@ -493,7 +493,7 @@ impl Attribution {
 mod tests {
     use super::*;
     use crate::report::{CaptureConfidence, FaultKind};
-    use gretel_model::{ApiId, HttpMethod, MessageId, NodeId, WireKind};
+    use gretel_model::{ApiId, HttpMethod, Message, MessageId, NodeId, WireKind};
 
     fn msg(
         src: Service,
@@ -501,7 +501,7 @@ mod tests {
         direction: Direction,
         ts: SimTime,
         status: Option<u16>,
-    ) -> Message {
+    ) -> MessageHead {
         Message {
             id: MessageId(ts),
             ts_us: ts,
@@ -523,6 +523,7 @@ mod tests {
             truth_op: None,
             truth_noise: false,
         }
+        .head()
     }
 
     fn diag(

@@ -6,9 +6,9 @@
 //! ([`ServiceConfig::ingest_batch`] frames per channel operation), and
 //! ships the batches over a bounded channel; the event receiver performs
 //! a k-way merge (each agent's stream is in timestamp order, like a TCP
-//! stream from Bro preserves order, §5.2), decodes each batch zero-copy
-//! out of its arena, scans the whole batch for failure patterns in one
-//! tight pass, and drives the [`Analyzer`]. This is the deployment shape
+//! stream from Bro preserves order, §5.2), parses each frame in place in
+//! its arena, scans the whole batch's payloads for failure patterns in one
+//! tight pass, and drives the [`Analyzer`] with fixed-size message heads. This is the deployment shape
 //! the §7.4.2 overhead experiment measures.
 //!
 //! Batching is a transport-granularity knob, never a semantic one: frames

@@ -34,7 +34,9 @@ mod workflows;
 pub use api::{ApiId, ApiKind, HttpMethod, NoiseClass, RpcStyle};
 pub use catalog::Catalog;
 pub use dsl::parse as parse_dsl;
-pub use message::{ConnKey, Direction, Message, MessageId, OpInstanceId, ProjectId, WireKind};
+pub use message::{
+    ConnKey, Direction, Message, MessageHead, MessageId, OpInstanceId, ProjectId, WireKind,
+};
 pub use operation::{Category, LatencyClass, OpSpecId, OperationSpec, Step};
 pub use service::{Dependency, NodeId, Service};
 pub use tempest::TempestSuite;

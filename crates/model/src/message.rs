@@ -169,7 +169,50 @@ pub struct Message {
     pub truth_noise: bool,
 }
 
+/// The fixed-size part of a [`Message`]: every field ingest, pairing and
+/// the dependency graph read, and nothing that needs an allocation. The
+/// receiver parses it straight out of a frame and queues it by value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[allow(missing_docs)] // the fields are the `Message` fields of the same names
+pub struct MessageHead {
+    pub id: MessageId,
+    pub ts_us: u64,
+    pub src_node: NodeId,
+    pub dst_node: NodeId,
+    pub src_service: Service,
+    pub dst_service: Service,
+    pub api: ApiId,
+    pub direction: Direction,
+    /// The RPC message id; `None` marks a REST message.
+    pub rpc_msg_id: Option<u64>,
+    pub conn: ConnKey,
+    pub correlation_id: Option<u64>,
+    /// Payload length in bytes.
+    pub payload_len: u32,
+}
+
 impl Message {
+    /// The message's fixed-size head.
+    pub fn head(&self) -> MessageHead {
+        MessageHead {
+            id: self.id,
+            ts_us: self.ts_us,
+            src_node: self.src_node,
+            dst_node: self.dst_node,
+            src_service: self.src_service,
+            dst_service: self.dst_service,
+            api: self.api,
+            direction: self.direction,
+            rpc_msg_id: match self.wire {
+                WireKind::Rpc { msg_id, .. } => Some(msg_id),
+                WireKind::Rest { .. } => None,
+            },
+            conn: self.conn,
+            correlation_id: self.correlation_id,
+            payload_len: self.payload.len() as u32,
+        }
+    }
+
     /// Whether this is an HTTP response carrying an error status (>= 400).
     ///
     /// This mirrors what the anomaly detector derives *from the payload

@@ -10,6 +10,7 @@
 
 use crate::frame;
 use crate::stats::CaptureStats;
+use bytes::Bytes;
 use gretel_model::codec::{finalize, put_bytes, put_count, put_u64, DecodeError, Reader};
 use gretel_model::{Message, NodeId, Service};
 use std::collections::BTreeMap;
@@ -549,32 +550,53 @@ impl CaptureImpairment {
 /// A frame stamped `u64::MAX`: `next` would have to become 2⁶⁴.
 const UNFOLLOWABLE: DecodeError = DecodeError::Invalid("sequence number cannot be followed");
 
+/// What a [`Resequencer`] can park in a checkpoint: a value that is one
+/// frame's message, stored as that message's unstamped [`frame::encode`]
+/// bytes.
+pub trait Framed: Sized {
+    /// The value as an unstamped frame.
+    fn to_frame(&self) -> Bytes;
+    /// The value back from a frame [`Framed::to_frame`] wrote.
+    fn from_frame(frame: &[u8]) -> Result<Self, frame::CodecError>;
+}
+
+impl Framed for Message {
+    fn to_frame(&self) -> Bytes {
+        frame::encode(self)
+    }
+
+    fn from_frame(bytes: &[u8]) -> Result<Message, frame::CodecError> {
+        frame::decode_one(bytes)
+    }
+}
+
 /// Receiver-side per-agent sequence tracking.
 ///
-/// Consumes `(seq, message)` pairs as decoded off one agent's link and
-/// restores sequence order where possible: out-of-order frames are parked
-/// in a bounded pending buffer, duplicates (an already-delivered or
-/// already-pending sequence number) are discarded, and once the buffer
-/// exceeds its depth the resequencer force-advances past the missing
-/// numbers, reporting them as a capture gap. Each emitted message carries
-/// the number of frames inferred lost immediately before it — the
-/// "synthetic gap marker" the analyzer turns into degraded-confidence
+/// Consumes `(seq, item)` pairs as parsed off one agent's link — an item
+/// is whatever the receiver keeps of a frame: a [`Message`], or the frame
+/// itself — and restores sequence order where possible: out-of-order
+/// items are parked in a bounded pending buffer, duplicates (an
+/// already-delivered or already-pending sequence number) are discarded,
+/// and once the buffer exceeds its depth the resequencer force-advances
+/// past the missing numbers, reporting them as a capture gap. Each emitted
+/// item carries the number of frames inferred lost immediately before it —
+/// the "synthetic gap marker" the analyzer turns into degraded-confidence
 /// diagnoses.
 ///
 /// Frames with no sequence number (legacy captures) pass straight through.
-#[derive(Debug, Default)]
-pub struct Resequencer {
+#[derive(Debug)]
+pub struct Resequencer<T = Message> {
     next: u64,
-    pending: BTreeMap<u64, Message>,
+    pending: BTreeMap<u64, T>,
     depth: usize,
     stats: CaptureStats,
 }
 
-impl Resequencer {
+impl<T> Resequencer<T> {
     /// A resequencer willing to park up to `depth` out-of-order frames.
     /// Depth 0 never reorders: any forward jump is reported as a gap
     /// immediately.
-    pub fn new(depth: usize) -> Resequencer {
+    pub fn new(depth: usize) -> Resequencer<T> {
         Resequencer {
             next: 0,
             pending: BTreeMap::new(),
@@ -583,9 +605,9 @@ impl Resequencer {
         }
     }
 
-    /// Feed one decoded frame. Returns the messages released in sequence
-    /// order, each tagged with the count of frames lost immediately before
-    /// it (0 = no gap, saturating at `u32::MAX`).
+    /// Feed one parsed frame. Appends the items it releases to `out` in
+    /// sequence order, each tagged with the count of frames lost
+    /// immediately before it (0 = no gap, saturating at `u32::MAX`).
     ///
     /// Sequence number `u64::MAX` is refused and the resequencer left as
     /// it was: no delivery position can follow it, so accepting it would
@@ -593,32 +615,32 @@ impl Resequencer {
     pub fn try_push(
         &mut self,
         seq: Option<u64>,
-        msg: Message,
-    ) -> Result<Vec<(u32, Message)>, frame::CodecError> {
-        let mut out = Vec::with_capacity(1);
+        item: T,
+        out: &mut impl Extend<(u32, T)>,
+    ) -> Result<(), frame::CodecError> {
         let Some(seq) = seq else {
             // Unsequenced frame: nothing to infer, pass through.
-            out.push((0, msg));
-            return Ok(out);
+            out.extend([(0, item)]);
+            return Ok(());
         };
         if seq == u64::MAX {
             return Err(UNFOLLOWABLE.into());
         }
         if seq < self.next || self.pending.contains_key(&seq) {
             self.stats.dup_discarded += 1;
-            return Ok(out);
+            return Ok(());
         }
         if seq == self.next {
             self.next += 1;
-            out.push((0, msg));
-            self.drain_ready(&mut out);
+            out.extend([(0, item)]);
+            self.drain_ready(out);
         } else {
-            self.pending.insert(seq, msg);
+            self.pending.insert(seq, item);
             while self.pending.len() > self.depth {
-                self.force_advance(&mut out);
+                self.force_advance(out);
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// [`Resequencer::try_push`] for a stream whose sequence numbers the
@@ -628,14 +650,16 @@ impl Resequencer {
     ///
     /// Panics on sequence number `u64::MAX`; feed frames that came off a
     /// link through [`Resequencer::try_push`].
-    pub fn push(&mut self, seq: Option<u64>, msg: Message) -> Vec<(u32, Message)> {
-        self.try_push(seq, msg)
-            .expect("caller-stamped sequence numbers stay below u64::MAX")
+    pub fn push(&mut self, seq: Option<u64>, item: T) -> Vec<(u32, T)> {
+        let mut out = Vec::with_capacity(1);
+        self.try_push(seq, item, &mut out)
+            .expect("caller-stamped sequence numbers stay below u64::MAX");
+        out
     }
 
     /// Release everything still pending (end of stream), reporting the
     /// remaining holes as gaps.
-    pub fn flush(&mut self) -> Vec<(u32, Message)> {
+    pub fn flush(&mut self) -> Vec<(u32, T)> {
         let mut out = Vec::with_capacity(self.pending.len());
         while !self.pending.is_empty() {
             self.force_advance(&mut out);
@@ -649,14 +673,14 @@ impl Resequencer {
         self.stats
     }
 
-    fn force_advance(&mut self, out: &mut Vec<(u32, Message)>) {
+    fn force_advance(&mut self, out: &mut impl Extend<(u32, T)>) {
         // Stale entries (seq < next) cannot arise from `push`, which
         // discards them on arrival — but a parked frame restored from a
         // checkpoint taken by older code, or any future caller invariant
         // slip, would make `seq - self.next` underflow into a ~u64::MAX
         // gap (a debug-build panic). Discard them as late duplicates
         // instead of advancing.
-        while let Some((seq, msg)) = self.pending.pop_first() {
+        while let Some((seq, item)) = self.pending.pop_first() {
             if seq < self.next {
                 self.stats.dup_discarded += 1;
                 continue;
@@ -670,26 +694,29 @@ impl Resequencer {
                 self.stats.lost += gap;
             }
             self.next = seq + 1;
-            out.push((u32::try_from(gap).unwrap_or(u32::MAX), msg));
+            out.extend([(u32::try_from(gap).unwrap_or(u32::MAX), item)]);
             self.drain_ready(out);
             return;
         }
     }
 
-    fn drain_ready(&mut self, out: &mut Vec<(u32, Message)>) {
-        while let Some(msg) = self.pending.remove(&self.next) {
+    fn drain_ready(&mut self, out: &mut impl Extend<(u32, T)>) {
+        while let Some(item) = self.pending.remove(&self.next) {
             self.next += 1;
-            out.push((0, msg));
+            out.extend([(0, item)]);
         }
     }
+}
 
+impl<T: Framed> Resequencer<T> {
     /// Serialize the full resequencing state — delivery position, parked
     /// out-of-order frames, depth and accumulated stats — for an analyzer
     /// checkpoint. Restoring with [`Resequencer::restore_state`] and
     /// replaying the agent stream from the beginning yields exactly the
     /// suffix the uninterrupted resequencer would have produced: replayed
     /// frames with `seq < next` (or already parked) are discarded as
-    /// duplicates, so the downstream merge sees each message once.
+    /// duplicates, so the downstream merge sees each message once. A parked
+    /// item is stored as its [`Framed::to_frame`] bytes.
     pub fn export_state(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + self.pending.len() * 64);
         put_u64(&mut out, self.next);
@@ -707,9 +734,9 @@ impl Resequencer {
             put_u64(&mut out, v);
         }
         put_count(&mut out, self.pending.len());
-        for (&seq, msg) in &self.pending {
+        for (&seq, item) in &self.pending {
             put_u64(&mut out, seq);
-            put_bytes(&mut out, &frame::encode(msg));
+            put_bytes(&mut out, &item.to_frame());
         }
         out
     }
@@ -719,7 +746,7 @@ impl Resequencer {
     /// number of `u64::MAX`, or more frames lost than the delivery position
     /// has passed, which is what could overflow the arithmetic above — is
     /// a [`frame::CodecError`], never a partial restore.
-    pub fn restore_state(bytes: &[u8]) -> Result<Resequencer, frame::CodecError> {
+    pub fn restore_state(bytes: &[u8]) -> Result<Resequencer<T>, frame::CodecError> {
         let mut r = Reader::new(bytes);
         let next = r.u64()?;
         if next == u64::MAX {
@@ -744,7 +771,7 @@ impl Resequencer {
             if seq == u64::MAX {
                 return Err(UNFOLLOWABLE.into());
             }
-            pending.insert(seq, frame::decode_one(r.bytes()?)?);
+            pending.insert(seq, T::from_frame(r.bytes()?)?);
         }
         r.done()?;
         if stats.lost > next {
@@ -1051,7 +1078,7 @@ mod impairment_tests {
             live.extend(rsq.push(Some(seq), msg(seq)));
         }
         let state = rsq.export_state();
-        let mut restored = Resequencer::restore_state(&state).unwrap();
+        let mut restored = Resequencer::<Message>::restore_state(&state).unwrap();
         assert_eq!(restored.stats(), rsq.stats());
 
         // Replay the whole stream from the start into the restored copy:
@@ -1105,7 +1132,7 @@ mod impairment_tests {
         // gap/lost count in release. It must be discarded as a late
         // duplicate instead.
         let state = crafted_state(5, 8, &[(2, msg(2)), (7, msg(7))]);
-        let mut rsq = Resequencer::restore_state(&state).unwrap();
+        let mut rsq = Resequencer::<Message>::restore_state(&state).unwrap();
         let got = rsq.flush();
         let seqs: Vec<u64> = got.iter().map(|(_, m)| m.id.0).collect();
         assert_eq!(seqs, vec![7], "stale seq 2 is not re-delivered");
@@ -1141,7 +1168,9 @@ mod impairment_tests {
         // `next = u64::MAX + 1` used to panic in debug and wrap to 0 in
         // release, after which every replayed frame was accepted as new.
         let mut rsq = Resequencer::new(0);
-        assert!(rsq.try_push(Some(u64::MAX), msg(9)).is_err());
+        assert!(rsq
+            .try_push(Some(u64::MAX), msg(9), &mut Vec::new())
+            .is_err());
         assert!(rsq.stats().is_clean(), "a refused frame leaves no trace");
         assert_eq!(rsq.push(Some(0), msg(0)).len(), 1);
         assert!(
@@ -1151,13 +1180,16 @@ mod impairment_tests {
         assert_eq!(rsq.stats().dup_discarded, 1);
 
         // The same number, or a state only it could produce, in a checkpoint.
-        assert!(Resequencer::restore_state(&crafted_state(0, 4, &[(u64::MAX, msg(1))])).is_err());
-        assert!(Resequencer::restore_state(&crafted_state(u64::MAX, 4, &[])).is_err());
+        assert!(
+            Resequencer::<Message>::restore_state(&crafted_state(0, 4, &[(u64::MAX, msg(1))]))
+                .is_err()
+        );
+        assert!(Resequencer::<Message>::restore_state(&crafted_state(u64::MAX, 4, &[])).is_err());
         let mut lost_past_next = crafted_state(5, 4, &[]);
         lost_past_next[64..72].copy_from_slice(&6u64.to_le_bytes()); // stats.lost
-        assert!(Resequencer::restore_state(&lost_past_next).is_err());
+        assert!(Resequencer::<Message>::restore_state(&lost_past_next).is_err());
         lost_past_next[64..72].copy_from_slice(&5u64.to_le_bytes());
-        assert!(Resequencer::restore_state(&lost_past_next).is_ok());
+        assert!(Resequencer::<Message>::restore_state(&lost_past_next).is_ok());
     }
 
     #[test]
@@ -1184,15 +1216,15 @@ mod impairment_tests {
         rsq.push(Some(0), msg(0));
         rsq.push(Some(2), msg(2));
         let state = rsq.export_state();
-        assert!(Resequencer::restore_state(&state[..state.len() - 1]).is_err());
-        assert!(Resequencer::restore_state(&[0u8; 7]).is_err());
+        assert!(Resequencer::<Message>::restore_state(&state[..state.len() - 1]).is_err());
+        assert!(Resequencer::<Message>::restore_state(&[0u8; 7]).is_err());
         let mut trailing = state.clone();
         trailing.push(0xFF);
-        assert!(Resequencer::restore_state(&trailing).is_err());
+        assert!(Resequencer::<Message>::restore_state(&trailing).is_err());
         // The parked-frame count sits after next, depth and eight stats.
         let mut inflated = state;
         inflated[80..84].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(Resequencer::restore_state(&inflated).is_err());
+        assert!(Resequencer::<Message>::restore_state(&inflated).is_err());
     }
 
     #[test]

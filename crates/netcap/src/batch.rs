@@ -4,15 +4,15 @@
 //! so at capture-point rates the pipeline pays one synchronized channel
 //! operation — and one allocation — per message. A [`FrameBatch`] amortizes
 //! both: frames are packed back-to-back into a single contiguous **arena**
-//! (`Bytes`, one allocation per batch) with an offset table, and the whole
-//! batch crosses the agent→receiver link in one send. Frame views
-//! ([`FrameBatch::frame_slice`]) and decode ([`FrameBatch::decode_all`]) are
-//! zero-copy: views borrow the shared arena, and the codec parses straight
-//! out of it (`&[u8]` is a `Buf` cursor).
+//! with an offset table, and the whole batch crosses the agent→receiver
+//! link in one send. Nothing on the way copies a frame: the arena is the
+//! `Vec` the builder encoded into, shared as `Bytes` without a copy; a
+//! frame ([`FrameBatch::frame`]) is a `Bytes` slice of it; and
+//! [`crate::decode_view`] parses a frame where it lies.
 //!
 //! Batching never changes *what* is shipped, only the channel-operation
 //! granularity: frames keep their per-agent order inside the arena, so a
-//! receiver that decodes batches in arrival order sees the byte-identical
+//! receiver that parses batches in arrival order sees the byte-identical
 //! frame stream of the per-message path. A batch size of 1 *is* the
 //! per-message path, one arena per frame.
 //!
@@ -66,21 +66,23 @@ impl FrameBatch {
         self.buf.len()
     }
 
-    /// Borrowed view of the `i`-th frame's bytes.
-    pub(crate) fn frame_slice(&self, i: usize) -> &[u8] {
+    /// The `i`-th frame as a zero-copy slice of the shared arena.
+    pub fn frame(&self, i: usize) -> Bytes {
         let (start, end) = self.offsets[i];
-        &self.buf[start as usize..end as usize]
+        self.buf.slice(start as usize..end as usize)
     }
 
     /// Iterate the frames as borrowed slices, in per-agent order.
     pub fn iter(&self) -> impl Iterator<Item = &[u8]> + '_ {
-        (0..self.frames()).map(|i| self.frame_slice(i))
+        let arena = &self.buf;
+        self.offsets
+            .iter()
+            .map(|&(start, end)| &arena[start as usize..end as usize])
     }
 
-    /// Decode every frame in the batch, in order, straight out of the
-    /// arena (no per-frame staging copy). Errors are permanent for the
-    /// batch — a corrupt frame poisons it exactly like a corrupt frame
-    /// poisons a per-message link.
+    /// Decode every frame in the batch, in order, into owned messages.
+    /// Errors are permanent for the batch — a corrupt frame poisons it
+    /// exactly like a corrupt frame poisons a per-message link.
     pub fn decode_all(&self) -> Result<Vec<(Message, Option<u64>)>, CodecError> {
         let mut out = Vec::with_capacity(self.frames());
         for frame in self.iter() {
@@ -254,7 +256,10 @@ mod tests {
         let [batch] = &pack(&frames, 8)[..] else {
             panic!("one batch")
         };
-        assert_eq!(batch.frame_slice(1), &frames[1][..]);
+        let frame = batch.frame(1);
+        assert_eq!(frame, frames[1]);
+        let borrowed = batch.iter().nth(1).expect("three frames");
+        assert_eq!(frame.as_ptr(), borrowed.as_ptr(), "a slice, not a copy");
     }
 
     #[test]
@@ -284,7 +289,7 @@ mod tests {
         assert!(b.push(b"xyzw").is_none());
         let flushed = b.finish().expect("partial batch flushes");
         assert_eq!(flushed.frames(), 1);
-        assert_eq!(flushed.frame_slice(0), b"xyzw");
+        assert_eq!(&flushed.frame(0)[..], b"xyzw");
         assert!(b.finish().is_none(), "flush drains the builder");
         assert!(pack(&[], 8).is_empty());
     }

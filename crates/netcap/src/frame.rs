@@ -40,8 +40,8 @@
 use bytes::Bytes;
 use gretel_model::codec::{put_u16, put_u32, put_u64, put_u8, DecodeError, Reader};
 use gretel_model::{
-    ApiId, ConnKey, Direction, HttpMethod, Message, MessageId, NodeId, OpInstanceId, ProjectId,
-    Service, WireKind,
+    ApiId, ConnKey, Direction, HttpMethod, Message, MessageHead, MessageId, NodeId, OpInstanceId,
+    ProjectId, Service, WireKind,
 };
 use std::fmt;
 
@@ -218,12 +218,114 @@ pub fn encode_seq(msg: &Message, seq: u64) -> Bytes {
     Bytes::from(out)
 }
 
-fn get_string(r: &mut Reader<'_>) -> Result<String, DecodeError> {
-    let len = r.u16()? as usize;
-    String::from_utf8(r.take(len)?.to_vec()).map_err(|_| DecodeError::Invalid("utf8 string"))
+/// One frame parsed in place by [`decode_view`]: the message's fixed-size
+/// head and sequence number by value, its strings and payload borrowed from
+/// the frame bytes. Building one allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameView<'a> {
+    /// The message's fixed-size fields.
+    pub head: MessageHead,
+    /// The payload bytes.
+    pub payload: &'a [u8],
+    /// The per-agent sequence number, when the frame carries one.
+    pub seq: Option<u64>,
+    wire: WireView<'a>,
+    project: Option<ProjectId>,
+    truth_op: Option<OpInstanceId>,
+    truth_noise: bool,
 }
 
-fn decode_body(r: &mut Reader<'_>) -> Result<(Message, Option<u64>), CodecError> {
+/// [`WireKind`] with borrowed strings; an empty RPC error is no error.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WireView<'a> {
+    Rest {
+        method: HttpMethod,
+        uri: &'a str,
+        status: Option<u16>,
+    },
+    Rpc {
+        method: &'a str,
+        msg_id: u64,
+        error: &'a str,
+    },
+}
+
+impl FrameView<'_> {
+    /// The owned message: the one place a decode allocates.
+    fn to_message(self) -> Message {
+        let h = &self.head;
+        Message {
+            id: h.id,
+            ts_us: h.ts_us,
+            src_node: h.src_node,
+            dst_node: h.dst_node,
+            src_service: h.src_service,
+            dst_service: h.dst_service,
+            api: h.api,
+            direction: h.direction,
+            wire: match self.wire {
+                WireView::Rest {
+                    method,
+                    uri,
+                    status,
+                } => WireKind::Rest {
+                    method,
+                    uri: uri.to_owned(),
+                    status,
+                },
+                WireView::Rpc {
+                    method,
+                    msg_id,
+                    error,
+                } => WireKind::Rpc {
+                    method: method.to_owned(),
+                    msg_id,
+                    error: (!error.is_empty()).then(|| error.to_owned()),
+                },
+            },
+            conn: h.conn,
+            payload: self.payload.to_vec(),
+            correlation_id: h.correlation_id,
+            project: self.project,
+            truth_op: self.truth_op,
+            truth_noise: self.truth_noise,
+        }
+    }
+}
+
+fn get_str<'a>(r: &mut Reader<'a>) -> Result<&'a str, DecodeError> {
+    let len = r.u16()? as usize;
+    std::str::from_utf8(r.take(len)?).map_err(|_| DecodeError::Invalid("utf8 string"))
+}
+
+/// An optional field: read when `bit` is set in `flags`, else `None`.
+fn flag<T>(
+    flags: u8,
+    bit: u8,
+    read: impl FnOnce() -> Result<T, DecodeError>,
+) -> Result<Option<T>, DecodeError> {
+    if flags & bit != 0 {
+        read().map(Some)
+    } else {
+        Ok(None)
+    }
+}
+
+/// Parse a buffer holding exactly one frame in place. This is the one
+/// frame parser: it makes every check — length prefix, truncation and
+/// trailing bytes, magic, version, service and method bytes, UTF-8 of the
+/// URI, method and error strings — and the owned decoders
+/// ([`decode_one`], [`decode_one_seq`], [`crate::FrameBatch::decode_all`])
+/// are this plus a copy into a [`Message`].
+pub fn decode_view(bytes: &[u8]) -> Result<FrameView<'_>, CodecError> {
+    let mut r = Reader::new(bytes);
+    let frame_len = r.u32()? as usize;
+    if r.remaining() < frame_len {
+        return Err(DecodeError::Truncated.into());
+    }
+    if r.remaining() > frame_len {
+        return Err(DecodeError::Invalid("trailing bytes").into());
+    }
     let magic = r.u16()?;
     if magic != MAGIC {
         return Err(CodecError::BadMagic(magic));
@@ -233,81 +335,62 @@ fn decode_body(r: &mut Reader<'_>) -> Result<(Message, Option<u64>), CodecError>
         return Err(CodecError::BadVersion(version));
     }
     let flags = r.u8()?;
-    let id = MessageId(r.u64()?);
-    let ts_us = r.u64()?;
-    let src_node = NodeId(r.u8()?);
-    let dst_node = NodeId(r.u8()?);
-    let src_service = Service::from_index(r.u8()?).ok_or(DecodeError::Invalid("src service"))?;
-    let dst_service = Service::from_index(r.u8()?).ok_or(DecodeError::Invalid("dst service"))?;
-    let api = ApiId(r.u16()?);
-    let conn = ConnKey {
-        src: NodeId(r.u8()?),
-        dst: NodeId(r.u8()?),
-        src_port: r.u16()?,
-        dst_port: r.u16()?,
-    };
-    let project = if flags & FLAG_PROJECT != 0 {
-        Some(ProjectId(r.u32()?))
-    } else {
-        None
-    };
-    let wire = if flags & FLAG_RPC != 0 {
-        let msg_id = r.u64()?;
-        let err = get_string(r)?;
-        let method = get_string(r)?;
-        WireKind::Rpc {
-            method,
-            msg_id,
-            error: (!err.is_empty()).then_some(err),
-        }
-    } else {
-        let method = method_from_u8(r.u8()?).ok_or(DecodeError::Invalid("http method"))?;
-        let status = r.u16()?;
-        let uri = get_string(r)?;
-        WireKind::Rest {
-            method,
-            uri,
-            status: (status != 0).then_some(status),
-        }
-    };
-    let payload = r.bytes()?.to_vec();
-    let truth_op = if flags & FLAG_TRUTH_OP != 0 {
-        Some(OpInstanceId(r.u64()?))
-    } else {
-        None
-    };
-    let correlation_id = if flags & FLAG_CORR_ID != 0 {
-        Some(r.u64()?)
-    } else {
-        None
-    };
-    let seq = if flags & FLAG_SEQ != 0 {
-        Some(r.u64()?)
-    } else {
-        None
-    };
-    let msg = Message {
-        id,
-        ts_us,
-        src_node,
-        dst_node,
-        src_service,
-        dst_service,
-        api,
+    // Fields are read in the order they are written, the layout's order.
+    let mut head = MessageHead {
+        id: MessageId(r.u64()?),
+        ts_us: r.u64()?,
+        src_node: NodeId(r.u8()?),
+        dst_node: NodeId(r.u8()?),
+        src_service: Service::from_index(r.u8()?).ok_or(DecodeError::Invalid("src service"))?,
+        dst_service: Service::from_index(r.u8()?).ok_or(DecodeError::Invalid("dst service"))?,
+        api: ApiId(r.u16()?),
         direction: if flags & FLAG_RESPONSE != 0 {
             Direction::Response
         } else {
             Direction::Request
         },
-        wire,
-        conn,
+        conn: ConnKey {
+            src: NodeId(r.u8()?),
+            dst: NodeId(r.u8()?),
+            src_port: r.u16()?,
+            dst_port: r.u16()?,
+        },
+        rpc_msg_id: None,
+        correlation_id: None,
+        payload_len: 0,
+    };
+    let project = flag(flags, FLAG_PROJECT, || r.u32().map(ProjectId))?;
+    let wire = if flags & FLAG_RPC != 0 {
+        let msg_id = r.u64()?;
+        head.rpc_msg_id = Some(msg_id);
+        let error = get_str(&mut r)?;
+        WireView::Rpc {
+            msg_id,
+            error,
+            method: get_str(&mut r)?,
+        }
+    } else {
+        let method = method_from_u8(r.u8()?).ok_or(DecodeError::Invalid("http method"))?;
+        let status = r.u16()?;
+        WireView::Rest {
+            method,
+            uri: get_str(&mut r)?,
+            status: (status != 0).then_some(status),
+        }
+    };
+    let payload = r.bytes()?;
+    head.payload_len = payload.len() as u32;
+    let truth_op = flag(flags, FLAG_TRUTH_OP, || r.u64().map(OpInstanceId))?;
+    head.correlation_id = flag(flags, FLAG_CORR_ID, || r.u64())?;
+    Ok(FrameView {
+        head,
         payload,
-        correlation_id,
+        seq: flag(flags, FLAG_SEQ, || r.u64())?,
+        wire,
         project,
         truth_op,
         truth_noise: flags & FLAG_NOISE != 0,
-    };
-    Ok((msg, seq))
+    })
 }
 
 /// Decode a buffer holding exactly one frame.
@@ -317,20 +400,9 @@ pub fn decode_one(bytes: &[u8]) -> Result<Message, CodecError> {
 
 /// Decode a buffer holding exactly one frame, returning the per-agent
 /// sequence number when the frame carries one (`None` for frames written
-/// by [`encode`]).
-///
-/// Decodes in place: a frame sliced out of a shared batch arena is parsed
-/// straight from the arena's allocation, with no staging copy.
+/// by [`encode`]): [`decode_view`] plus a copy into an owned [`Message`].
 pub fn decode_one_seq(bytes: &[u8]) -> Result<(Message, Option<u64>), CodecError> {
-    let mut r = Reader::new(bytes);
-    let frame_len = r.u32()? as usize;
-    if r.remaining() < frame_len {
-        return Err(DecodeError::Truncated.into());
-    }
-    if r.remaining() > frame_len {
-        return Err(DecodeError::Invalid("trailing bytes").into());
-    }
-    decode_body(&mut r)
+    decode_view(bytes).map(|view| (view.to_message(), view.seq))
 }
 
 /// Encoded size of a message, including the length prefix.

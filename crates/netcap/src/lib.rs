@@ -3,11 +3,12 @@
 //! The monitoring substrate standing in for the paper's Bro + Broccoli
 //! pipeline (see DESIGN.md §1):
 //!
-//! * [`encode`] / [`decode_one`] — length-delimited binary codec for
+//! * [`encode`] / [`decode_view`] — length-delimited binary codec for
 //!   captured messages (the bytes whose volume the §7.4 throughput numbers
-//!   measure);
+//!   measure); [`decode_view`] is the one parser and allocates nothing,
+//!   [`decode_one`] copies its result into an owned message;
 //! * [`FrameBatch`] — arena-backed batches: many frames per channel
-//!   operation, zero-copy frame views and decode;
+//!   operation, shipped and sliced into frames without a copy;
 //! * [`CaptureAgent`] — per-node egress capture agents and relevance
 //!   filtering, plus the capture-loss machinery: seeded
 //!   [`CaptureImpairment`] injection and the receiver-side [`Resequencer`]
@@ -27,10 +28,12 @@ mod shard;
 mod stats;
 
 pub use agent::{
-    coin, degrade, mix64, skew_clocks, CaptureAgent, CaptureImpairment, Degradation, Resequencer,
-    StallSpec,
+    coin, degrade, mix64, skew_clocks, CaptureAgent, CaptureImpairment, Degradation, Framed,
+    Resequencer, StallSpec,
 };
 pub use batch::{FrameBatch, FrameBatchBuilder};
-pub use frame::{decode_one, decode_one_seq, encode, encode_seq, encoded_len, CodecError};
+pub use frame::{
+    decode_one, decode_one_seq, decode_view, encode, encode_seq, encoded_len, CodecError, FrameView,
+};
 pub use shard::{partition_messages, shard_of};
 pub use stats::CaptureStats;

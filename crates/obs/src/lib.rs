@@ -39,7 +39,7 @@ pub enum Stage {
     /// Receiver-side per-frame sequence restoration (dup discard, reorder
     /// parking, gap inference). With the batched transport this stage is
     /// *timed* once per [`FrameBatch`](../gretel_netcap/struct.FrameBatch.html)
-    /// drained from the channel but *counted* per decoded frame — the
+    /// drained from the channel but *counted* per parsed frame — the
     /// canonical user of the [`count`](PipelineMetrics::count) /
     /// [`observe`](PipelineMetrics::observe) split: events stay per item
     /// while the samples reflect the real unit of work.

@@ -18,15 +18,18 @@
 //! every strict prefix, every single-bit flip, every 2- and 4-byte run
 //! forced to `0xFF` (which covers every `u16`/`u32` length and count
 //! field set to MAX) — and requires each decoder to answer `Ok` or `Err`:
-//! no panic, no abort, and no strict prefix accepted.
+//! no panic, no abort, and no strict prefix accepted. On the two frame
+//! fixtures, [`the_frame_view_is_the_owned_decode_under_hostile_bytes`]
+//! runs the same sweep through the in-place parser and the owned decode
+//! side by side.
 
 use gretel::core::checkpoint::{
     decode_checkpoint, decode_release, encode_checkpoint, encode_release, put_diagnosis, put_event,
     read_diagnosis, read_event, AgentCheckpoint, EngineCheckpoint,
 };
 use gretel::core::{
-    Analyzer, CaptureConfidence, CauseKind, Diagnosis, Event, FaultKind, FaultMark,
-    FingerprintLibrary, GretelConfig, RootCause, KIND_DIAGNOSES,
+    scan_frame, scan_message, Analyzer, CaptureConfidence, CauseKind, Diagnosis, Event, FaultKind,
+    FaultMark, FingerprintLibrary, GretelConfig, RootCause, KIND_DIAGNOSES,
 };
 use gretel::model::codec::Reader;
 use gretel::model::message::{
@@ -36,7 +39,7 @@ use gretel::model::{
     ApiId, Catalog, ConnKey, Dependency, Direction, HttpMethod, Message, MessageId, NodeId,
     OpInstanceId, OpSpecId, ProjectId, Service, WireKind,
 };
-use gretel::netcap::{decode_one, decode_one_seq, encode, encode_seq, Resequencer};
+use gretel::netcap::{decode_one, decode_one_seq, decode_view, encode, encode_seq, Resequencer};
 use gretel::sim::ResourceKind;
 use gretel::store::{records, MemStore, Store, RECORD_HEADER};
 use gretel::telemetry::{LevelShiftDetector, OutlierDetector, SpikeDetector};
@@ -375,7 +378,7 @@ fn checkpoint_restore(bytes: &[u8]) -> Result<EngineCheckpoint, String> {
     let ck = decode_checkpoint(bytes).map_err(err)?;
     analyzer_restore(&ck.analyzer)?;
     for agent in &ck.agents {
-        Resequencer::restore_state(&agent.resequencer).map_err(err)?;
+        Resequencer::<Message>::restore_state(&agent.resequencer).map_err(err)?;
         for (_, frame) in &agent.parked {
             decode_one(frame).map_err(err)?;
         }
@@ -443,7 +446,11 @@ fn cases() -> Vec<Case> {
             "resequencer_state",
             parked_resequencer().export_state(),
             Vec::clone,
-            |b| Ok(Resequencer::restore_state(b).map_err(err)?.export_state()),
+            |b| {
+                Ok(Resequencer::<Message>::restore_state(b)
+                    .map_err(err)?
+                    .export_state())
+            },
         ),
         case(
             "engine_checkpoint",
@@ -619,39 +626,97 @@ fn decode_hostile(c: &Case, bytes: &[u8], what: impl Fn() -> String) -> Result<b
         .unwrap_or_else(|_| panic!("{}: decoder panicked on {}", c.name, what()))
 }
 
+/// One way [`mutations`] breaks a fixture.
+#[derive(Debug, Clone, Copy)]
+enum Mutation {
+    /// Only the first this many bytes.
+    Prefix(usize),
+    /// `(bit, byte)`: one bit flipped.
+    Flip(u8, usize),
+    /// `(width, at)`: a run of bytes forced to `0xFF`.
+    Saturate(usize, usize),
+}
+
+impl std::fmt::Display for Mutation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Mutation::Prefix(keep) => write!(f, "the first {keep} bytes"),
+            Mutation::Flip(bit, i) => write!(f, "bit {bit} of byte {i} flipped"),
+            Mutation::Saturate(width, i) => write!(f, "{width} bytes at {i} set to 0xFF"),
+        }
+    }
+}
+
+/// Hand `visit` every strict prefix of `golden`, every single-bit flip of
+/// it and every 2- and 4-byte run of it forced to `0xFF`; returns how many.
+fn mutations(golden: &[u8], mut visit: impl FnMut(&[u8], Mutation)) -> usize {
+    for keep in 0..golden.len() {
+        visit(&golden[..keep], Mutation::Prefix(keep));
+    }
+    let mut bytes = golden.to_vec();
+    for i in 0..golden.len() {
+        for bit in 0..8 {
+            bytes[i] ^= 1 << bit;
+            visit(&bytes, Mutation::Flip(bit, i));
+            bytes[i] = golden[i];
+        }
+        for width in [2usize, 4] {
+            let end = (i + width).min(golden.len());
+            bytes[i..end].fill(0xFF);
+            visit(&bytes, Mutation::Saturate(width, i));
+            bytes[i..end].copy_from_slice(&golden[i..end]);
+        }
+    }
+    golden.len() * 11
+}
+
 #[test]
 fn hostile_bytes_never_panic() {
     let mut decodes = 0usize;
     for c in cases() {
-        let golden = fixture(c.name);
-        for keep in 0..golden.len() {
-            let got = decode_hostile(&c, &golden[..keep], || format!("prefix {keep}"));
-            assert!(
-                got.is_err(),
-                "{}: strict prefix of {keep} bytes decoded {got:?}",
-                c.name
-            );
-        }
-        let mut bytes = golden.clone();
-        for i in 0..golden.len() {
-            for bit in 0..8 {
-                bytes[i] ^= 1 << bit;
-                let _ = decode_hostile(&c, &bytes, || format!("bit {bit} of byte {i} flipped"));
-                bytes[i] = golden[i];
+        decodes += mutations(&fixture(c.name), |bytes, m| {
+            let got = decode_hostile(&c, bytes, || m.to_string());
+            if let Mutation::Prefix(keep) = m {
+                assert!(
+                    got.is_err(),
+                    "{}: strict prefix of {keep} bytes decoded {got:?}",
+                    c.name
+                );
             }
-            for width in [2usize, 4] {
-                let end = (i + width).min(golden.len());
-                bytes[i..end].fill(0xFF);
-                let _ = decode_hostile(&c, &bytes, || format!("{width} bytes at {i} set to 0xFF"));
-                bytes[i..end].copy_from_slice(&golden[i..end]);
-            }
-        }
-        decodes += golden.len() * 11;
+        });
     }
     assert!(
         decodes > 30_000,
         "the sweep covers every fixture ({decodes} decodes)"
     );
+}
+
+/// The receiver's in-place parse and the owned decode are one parser: on
+/// both frame fixtures and every hostile mutation of them, they fail with
+/// the same error or agree on the head, payload, sequence number and
+/// fault scan.
+#[test]
+fn the_frame_view_is_the_owned_decode_under_hostile_bytes() {
+    for name in ["frame_rest", "frame_rpc"] {
+        let golden = fixture(name);
+        let mut parsed = 0usize;
+        let mut check =
+            |bytes: &[u8], m: Mutation| match (decode_view(bytes), decode_one_seq(bytes)) {
+                (Ok(view), Ok((msg, seq))) => {
+                    assert_eq!(view.head, msg.head(), "{name}, {m}");
+                    assert_eq!(view.payload, &msg.payload[..], "{name}, {m}");
+                    assert_eq!(view.seq, seq, "{name}, {m}");
+                    assert_eq!(scan_frame(&view), scan_message(&msg), "{name}, {m}");
+                    parsed += 1;
+                }
+                (Err(a), Err(b)) => assert_eq!(a, b, "{name}, {m}"),
+                (view, owned) => panic!("{name}, {m}: view {view:?}, owned {owned:?}"),
+            };
+        check(&golden, Mutation::Prefix(golden.len()));
+        let swept = mutations(&golden, &mut check);
+        // Flips in ids, timestamps, ports and payload bytes still parse.
+        assert!(parsed > swept / 4, "{name}: {parsed} of {swept} parsed");
+    }
 }
 
 /// The checkpoint from ISSUE 14: a valid analyzer state whose armed-

@@ -5,7 +5,7 @@ use crate::workload::operational_runs;
 use crate::{Artifact, Ctx};
 use gretel_core::{
     run_service_durable, AnalyzerChaos, Diagnosis, DurableConfig, DurableOutcome, RecoveryConfig,
-    RecoveryStats, ServiceConfig,
+    RecoveryStats, ServiceConfig, KILL_ATTEMPTS, MAX_ATTEMPTS,
 };
 use gretel_netcap::CaptureImpairment;
 use gretel_sim::CrashSchedule;
@@ -208,11 +208,9 @@ pub fn recovery(ctx: &Ctx) -> Vec<Artifact> {
     let store_base = ctx.store_base("recovery");
     let chaos = AnalyzerChaos {
         kill_prob: 1.0, // every job kills its worker twice, then completes
-        kill_attempts: 2,
         stall_prob: 0.0,
         seed,
     };
-    let max_attempts = 5;
 
     let mut rows = Vec::new();
     for (si, run) in operational_runs(wb, seed).iter().enumerate() {
@@ -231,7 +229,6 @@ pub fn recovery(ctx: &Ctx) -> Vec<Artifact> {
                 seed: seed ^ ((si as u64) << 8),
                 ..chaos
             },
-            max_attempts,
         };
         let lifetime = |store: &mut dyn Store, kill_point: Option<u64>| {
             let cfg = DurableConfig {
@@ -290,8 +287,8 @@ pub fn recovery(ctx: &Ctx) -> Vec<Artifact> {
     let out = Output {
         seed,
         kill_prob: chaos.kill_prob,
-        kill_attempts: chaos.kill_attempts,
-        max_attempts,
+        kill_attempts: KILL_ATTEMPTS,
+        max_attempts: MAX_ATTEMPTS,
         total_lost: rows.iter().map(|r| r.lost).sum(),
         total_duplicated: rows.iter().map(|r| r.duplicated).sum(),
         total_kills: rows.iter().map(|r| r.kills_fired).sum(),

@@ -4,13 +4,11 @@
 
 use crate::workload::{operational_runs, SuiteRun};
 use crate::{Artifact, Ctx, Workbench};
-use gretel_core::{self_watch_stage, Diagnosis, SelfWatch, ServiceConfig};
+use gretel_core::{Diagnosis, ServiceConfig};
 use gretel_netcap::CaptureImpairment;
 use gretel_obs::{MetricsSnapshot, PipelineMetrics, Stage};
-use gretel_telemetry::LevelShiftConfig;
 use serde::Serialize;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// One pass of the sequenced service over a scenario's traffic; returns
 /// the diagnoses and the messages merged.
@@ -26,30 +24,6 @@ fn run_arm(
     };
     let (diagnoses, _, astats) = wb.serve(run.gcfg, &run.nodes, &run.exec.messages, &cfg);
     (diagnoses, astats.messages)
-}
-
-/// Synthetic self-watch demo: train on steady detect-stage latencies, then
-/// stall the stage 10× and report what the level-shift monitor raises.
-fn self_watch_demo() -> (usize, Option<String>) {
-    let metrics = PipelineMetrics::enabled();
-    let mut watch = SelfWatch::new(LevelShiftConfig::default());
-    let mut faults = Vec::new();
-    for i in 0..200u64 {
-        let stalled = i >= 100;
-        let detect_us = if stalled { 20_000 } else { 2_000 } + (i % 3);
-        metrics.observe(Stage::Detect, Duration::from_micros(detect_us));
-        metrics.observe(Stage::Commit, Duration::from_micros(50));
-        faults.extend(watch.poll(&metrics, (i + 1) * 1_000));
-        assert!(
-            stalled || faults.is_empty(),
-            "self-watch must not alarm on a steady baseline"
-        );
-    }
-    let stage = faults
-        .first()
-        .and_then(|f| self_watch_stage(f.api))
-        .map(|s| s.name().to_string());
-    (faults.len(), stage)
 }
 
 #[derive(Serialize)]
@@ -71,8 +45,6 @@ struct Output {
     all_identical: bool,
     all_deterministic: bool,
     json_roundtrip: bool,
-    self_watch_faults: usize,
-    self_watch_stage: Option<String>,
 }
 
 /// Observability — each §7.2 operational case study through the sequenced
@@ -81,9 +53,7 @@ struct Output {
 /// streams (metrics are observation only, never control flow); every
 /// merged message is counted at the ingest stage; the two registry runs
 /// agree under `MetricsSnapshot::deterministic_eq`; the
-/// JSON snapshot survives a serde round trip; an injected 10× detect
-/// stall fed through `SelfWatch` raises exactly one fault, on the detect
-/// stage.
+/// JSON snapshot survives a serde round trip.
 pub(crate) fn observability(ctx: &Ctx) -> Vec<Artifact> {
     let wb = &ctx.wb;
     let mut rows = Vec::new();
@@ -119,7 +89,6 @@ pub(crate) fn observability(ctx: &Ctx) -> Vec<Artifact> {
     let snap = registry.snapshot();
     let json = serde_json::to_string(&snap).expect("snapshot serializes");
     let back: MetricsSnapshot = serde_json::from_str(&json).expect("snapshot deserializes");
-    let (self_watch_faults, self_watch_stage) = self_watch_demo();
 
     let out = Output {
         seed: ctx.seed,
@@ -127,8 +96,6 @@ pub(crate) fn observability(ctx: &Ctx) -> Vec<Artifact> {
         all_deterministic: rows.iter().all(|r| r.snapshots_deterministic),
         rows,
         json_roundtrip: back == snap,
-        self_watch_faults,
-        self_watch_stage,
     };
     assert!(
         out.all_identical,
@@ -141,15 +108,6 @@ pub(crate) fn observability(ctx: &Ctx) -> Vec<Artifact> {
     assert!(
         out.json_roundtrip,
         "JSON snapshot must survive a serde round trip"
-    );
-    assert_eq!(
-        out.self_watch_faults, 1,
-        "the injected stall must raise exactly one fault"
-    );
-    assert_eq!(
-        out.self_watch_stage.as_deref(),
-        Some("detect"),
-        "the fault must map to detect"
     );
     vec![Artifact::new("observability", &out)]
 }

@@ -79,20 +79,8 @@ pub struct Analyzer<'a> {
     analyzed_errors: FastSet<MessageId>,
     pending_perf: Vec<(MessageId, PerfFault)>,
     stats: AnalyzerStats,
-    auto_alpha: Option<AutoAlpha>,
     pending_gap: u32,
     graph: crate::graph::ServiceGraph,
-}
-
-/// Dynamic window sizing: the paper derives α from the observed packet
-/// rate (`α = 2·max{FPmax, Prate·t}`) and Prate is "the only dynamic
-/// parameter affecting the value of α". This tracker re-estimates the rate
-/// over a rolling interval and resizes the window accordingly.
-struct AutoAlpha {
-    t_secs: f64,
-    interval_us: u64,
-    window_start: u64,
-    count: u64,
 }
 
 impl<'a> Analyzer<'a> {
@@ -128,24 +116,9 @@ impl<'a> Analyzer<'a> {
             analyzed_errors: FastSet::default(),
             pending_perf: Vec::new(),
             stats: AnalyzerStats::default(),
-            auto_alpha: None,
             pending_gap: 0,
             graph: crate::graph::ServiceGraph::new(),
         }
-    }
-
-    /// Enable dynamic window sizing: every `interval` of stream time the
-    /// observed packet rate re-derives α (paper §5.3.1 / §7). `t_secs` is
-    /// the `t` of the α formula.
-    pub fn with_auto_alpha(mut self, t_secs: f64, interval: gretel_sim::SimTime) -> Analyzer<'a> {
-        assert!(t_secs > 0.0 && interval > 0);
-        self.auto_alpha = Some(AutoAlpha {
-            t_secs,
-            interval_us: interval,
-            window_start: 0,
-            count: 0,
-        });
-        self
     }
 
     /// The currently configured window size α.
@@ -171,7 +144,8 @@ impl<'a> Analyzer<'a> {
         &self.graph
     }
 
-    /// Collected latency history for an API (when enabled).
+    /// Collected latency history for an API (when enabled; a plotting aid
+    /// that checkpoints do not carry).
     pub fn latency_history(&self, api: gretel_model::ApiId) -> &[(u64, f64)] {
         self.perf.history(api)
     }
@@ -273,39 +247,12 @@ impl<'a> Analyzer<'a> {
             }
         }
 
-        // Dynamic α: re-derive the window size from the observed rate.
-        if let Some(auto) = &mut self.auto_alpha {
-            if auto.count == 0 {
-                auto.window_start = msg.ts_us;
-            }
-            auto.count += 1;
-            let elapsed = msg.ts_us.saturating_sub(auto.window_start);
-            if elapsed >= auto.interval_us {
-                let rate = auto.count as f64 / (elapsed as f64 / 1e6);
-                let alpha =
-                    crate::config::GretelConfig::auto(self.lib.fp_max(), rate, auto.t_secs).alpha;
-                self.window.resize(alpha);
-                auto.window_start = msg.ts_us;
-                auto.count = 0;
-            }
-        }
-
         // 3. Window push; completed snapshots become jobs (the stateful
         // part: stats, perf folding, error dedup), analyzed below. The
         // window stage counts snapshot freezes: how many windows froze and
         // how long turning each batch into jobs took.
         let snapshots = self.window.push(ev);
-        let mut jobs = Vec::with_capacity(snapshots.len());
-        if !snapshots.is_empty() {
-            let t = gretel_obs::StageTimer::start(metrics, gretel_obs::Stage::Window);
-            for snap in snapshots {
-                jobs.push(self.prepare_job(snap));
-            }
-            if let Some(m) = metrics {
-                m.count(gretel_obs::Stage::Window, jobs.len() as u64);
-            }
-            t.finish();
-        }
+        let jobs = self.prepare_jobs(snapshots, metrics);
 
         // 4. Arm new snapshots. Operational: REST errors only (§5.3.1);
         // one pending freeze at a time — errors landing inside the pending
@@ -352,18 +299,7 @@ impl<'a> Analyzer<'a> {
         metrics: Option<&gretel_obs::PipelineMetrics>,
     ) -> Vec<SnapshotJob> {
         let snaps = self.window.flush();
-        let mut jobs = Vec::with_capacity(snaps.len());
-        if !snaps.is_empty() {
-            let t = gretel_obs::StageTimer::start(metrics, gretel_obs::Stage::Window);
-            for snap in snaps {
-                jobs.push(self.prepare_job(snap));
-            }
-            if let Some(m) = metrics {
-                m.count(gretel_obs::Stage::Window, jobs.len() as u64);
-            }
-            t.finish();
-        }
-        jobs
+        self.prepare_jobs(snaps, metrics)
     }
 
     /// A detached snapshot analyzer sharing this analyzer's library,
@@ -380,8 +316,8 @@ impl<'a> Analyzer<'a> {
     }
 
     /// Serialize the analyzer's full ingest state — window, pairer, perf
-    /// monitor, error dedup set, pending perf faults, stats, auto-α
-    /// tracker, pending gap marker — for a checkpoint. `None` when the
+    /// detectors, error dedup set, pending perf faults, stats, pending gap
+    /// marker, traffic graph — for a checkpoint. `None` when the
     /// perf monitor holds a detector without state export (the analyzer is
     /// then not checkpointable; see
     /// [`gretel_telemetry::OutlierDetector::export_state`]).
@@ -425,22 +361,6 @@ impl<'a> Analyzer<'a> {
             self.stats.lost_frames,
         ] {
             put_u64(&mut out, v);
-        }
-        match &self.auto_alpha {
-            Some(a) => {
-                put_u8(&mut out, 1);
-                put_f64(&mut out, a.t_secs);
-                put_u64(&mut out, a.interval_us);
-                put_u64(&mut out, a.window_start);
-                put_u64(&mut out, a.count);
-            }
-            None => {
-                put_u8(&mut out, 0);
-                put_f64(&mut out, 0.0);
-                put_u64(&mut out, 0);
-                put_u64(&mut out, 0);
-                put_u64(&mut out, 0);
-            }
         }
         put_u32(&mut out, self.pending_gap);
         self.graph.export_state(&mut out);
@@ -492,21 +412,6 @@ impl<'a> Analyzer<'a> {
             capture_gaps: r.u64()?,
             lost_frames: r.u64()?,
         };
-        let auto_tag = r.u8()?;
-        let t_secs = r.f64()?;
-        let interval_us = r.u64()?;
-        let window_start = r.u64()?;
-        let count = r.u64()?;
-        let auto_alpha = match auto_tag {
-            0 => None,
-            1 => Some(AutoAlpha {
-                t_secs,
-                interval_us,
-                window_start,
-                count,
-            }),
-            _ => return Err(DecodeError::Invalid("auto-alpha tag").into()),
-        };
         let pending_gap = r.u32()?;
         let graph = crate::graph::ServiceGraph::import_state(&mut r)?;
         r.done()?;
@@ -518,10 +423,28 @@ impl<'a> Analyzer<'a> {
         self.analyzed_errors = analyzed_errors;
         self.pending_perf = pending_perf;
         self.stats = stats;
-        self.auto_alpha = auto_alpha;
         self.pending_gap = pending_gap;
         self.graph = graph;
         Ok(())
+    }
+
+    /// Turn frozen snapshots into jobs, timed and counted at the window
+    /// stage of `metrics` (when given).
+    fn prepare_jobs(
+        &mut self,
+        snaps: Vec<Snapshot>,
+        metrics: Option<&gretel_obs::PipelineMetrics>,
+    ) -> Vec<SnapshotJob> {
+        if snaps.is_empty() {
+            return Vec::new();
+        }
+        let t = gretel_obs::StageTimer::start(metrics, gretel_obs::Stage::Window);
+        let jobs: Vec<SnapshotJob> = snaps.into_iter().map(|s| self.prepare_job(s)).collect();
+        if let Some(m) = metrics {
+            m.count(gretel_obs::Stage::Window, jobs.len() as u64);
+        }
+        t.finish();
+        jobs
     }
 
     fn prepare_job(&mut self, snap: Snapshot) -> SnapshotJob {
@@ -577,6 +500,29 @@ impl SnapshotJob {
     }
 }
 
+/// The diagnosis kind of a claimed error event.
+fn operational_kind(fault: FaultMark) -> FaultKind {
+    match fault {
+        FaultMark::RestError(s) => FaultKind::Operational {
+            status: Some(s),
+            rpc: false,
+        },
+        FaultMark::RpcError => FaultKind::Operational {
+            status: None,
+            rpc: true,
+        },
+        FaultMark::None => unreachable!("jobs only claim error events"),
+    }
+}
+
+/// The diagnosis kind of a confirmed latency shift (µs to ms).
+fn perf_kind(pf: &PerfFault) -> FaultKind {
+    FaultKind::Performance {
+        observed_ms: pf.anomaly.value / 1000.0,
+        baseline_ms: pf.anomaly.baseline / 1000.0,
+    }
+}
+
 /// The stateless half of the analyzer: runs Algorithm 2 + RCA over a
 /// prepared [`SnapshotJob`]. `Copy`, and borrows only the library /
 /// telemetry — hand one to each worker of an analysis pool.
@@ -612,10 +558,7 @@ impl<'a> SnapshotAnalyzer<'a> {
                 continue;
             };
             out.push(Diagnosis {
-                kind: FaultKind::Performance {
-                    observed_ms: pf.anomaly.value / 1000.0,
-                    baseline_ms: pf.anomaly.baseline / 1000.0,
-                },
+                kind: perf_kind(pf),
                 api: pf.api,
                 ts: snap.events[idx].ts,
                 matched: Vec::new(),
@@ -629,19 +572,8 @@ impl<'a> SnapshotAnalyzer<'a> {
         }
         for &idx in &job.errors {
             let ev = &snap.events[idx];
-            let kind = match ev.fault {
-                FaultMark::RestError(s) => FaultKind::Operational {
-                    status: Some(s),
-                    rpc: false,
-                },
-                FaultMark::RpcError => FaultKind::Operational {
-                    status: None,
-                    rpc: true,
-                },
-                FaultMark::None => unreachable!("jobs only claim error events"),
-            };
             out.push(Diagnosis {
-                kind,
+                kind: operational_kind(ev.fault),
                 api: ev.api,
                 ts: ev.ts,
                 matched: Vec::new(),
@@ -691,12 +623,8 @@ impl<'a> SnapshotAnalyzer<'a> {
                 m.count(gretel_obs::Stage::Detect, 1);
                 m.count(gretel_obs::Stage::Match, outcome.matched.len() as u64);
             }
-            let kind = FaultKind::Performance {
-                observed_ms: pf.anomaly.value / 1000.0,
-                baseline_ms: pf.anomaly.baseline / 1000.0,
-            };
             out.push(self.finalize(
-                kind,
+                perf_kind(pf),
                 pf.api,
                 &snap.events,
                 snap.events[idx],
@@ -735,18 +663,8 @@ impl<'a> SnapshotAnalyzer<'a> {
         }
         for (&idx, outcome) in job.errors.iter().zip(outcomes) {
             let ev = &snap.events[idx];
-            let kind = match ev.fault {
-                FaultMark::RestError(s) => FaultKind::Operational {
-                    status: Some(s),
-                    rpc: false,
-                },
-                FaultMark::RpcError => FaultKind::Operational {
-                    status: None,
-                    rpc: true,
-                },
-                FaultMark::None => unreachable!("jobs only claim error events"),
-            };
             let outcome = outcome.expect("every claimed error detected");
+            let kind = operational_kind(ev.fault);
             out.push(self.finalize(kind, ev.api, &snap.events, *ev, outcome, confidence));
         }
         out
@@ -1166,40 +1084,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_alpha_tracks_the_observed_rate() {
-        let (cat, dep, specs, lib) = setup();
-        let refs: Vec<&OperationSpec> = specs.iter().collect();
-        let exec = Runner::new(
-            cat,
-            &dep,
-            &FaultPlan::none(),
-            RunConfig {
-                seed: 4,
-                ..RunConfig::default()
-            },
-        )
-        .run(&refs);
-        let mut analyzer = Analyzer::new(
-            &lib,
-            GretelConfig {
-                alpha: 768,
-                ..Default::default()
-            },
-        )
-        .with_auto_alpha(1.0, gretel_sim::SECOND);
-        for m in &exec.messages {
-            analyzer.process(m);
-        }
-        // The low-rate stream shrinks the window toward 2·FPmax.
-        let alpha = analyzer.alpha();
-        assert!(alpha < 768, "alpha adapted down: {alpha}");
-        assert!(
-            alpha >= 2 * lib.fp_max().min(400),
-            "alpha floored by FPmax: {alpha}"
-        );
-    }
-
-    #[test]
     fn stats_count_messages_and_bytes() {
         let (cat, dep, specs, lib) = setup();
         let refs: Vec<&OperationSpec> = specs.iter().collect();
@@ -1314,9 +1198,9 @@ mod tests {
             },
         );
         let state = analyzer.export_state().unwrap();
-        // Empty state: window 8+4+4, pairer 4+4, perf 1+4+4, errors 4,
-        // then the pending-perf count.
-        let n_perf_at = 16 + 8 + 9 + 4;
+        // Empty state: window 8+4+4, pairer 4+4, perf 4, errors 4, then
+        // the pending-perf count.
+        let n_perf_at = 16 + 8 + 4 + 4;
         assert_eq!(state[n_perf_at..n_perf_at + 4], [0; 4]);
         let mut bad = state.clone();
         bad[n_perf_at..n_perf_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());

@@ -414,6 +414,12 @@ pub struct AgentCheckpoint {
     pub parked: Vec<(u32, Vec<u8>)>,
 }
 
+/// The first four bytes of every [`crate::KIND_CHECKPOINT`] payload:
+/// `GCK` and the layout version. A record in any other layout (one written
+/// before the tag existed included) fails restore with its own error
+/// rather than on some later field.
+const CHECKPOINT_TAG: [u8; 4] = *b"GCK\x01";
+
 /// The engine's [`crate::KIND_CHECKPOINT`] record as plain data: the
 /// analyzer's state ([`crate::Analyzer::export_state`]), the next job
 /// sequence number, and one [`AgentCheckpoint`] per capture agent.
@@ -427,9 +433,9 @@ pub struct EngineCheckpoint {
     pub agents: Vec<AgentCheckpoint>,
 }
 
-/// Serialize one [`EngineCheckpoint`].
+/// Serialize one [`EngineCheckpoint`], behind the format tag.
 pub fn encode_checkpoint(ck: &EngineCheckpoint) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = CHECKPOINT_TAG.to_vec();
     put_bytes(&mut out, &ck.analyzer);
     put_u64(&mut out, ck.next_seq);
     put_count(&mut out, ck.agents.len());
@@ -445,10 +451,14 @@ pub fn encode_checkpoint(ck: &EngineCheckpoint) -> Vec<u8> {
 }
 
 /// Decode a [`crate::KIND_CHECKPOINT`] record written by
-/// [`encode_checkpoint`]. The nested resequencer states and frames are
-/// returned as bytes; their own decoders check them.
+/// [`encode_checkpoint`]. A payload without this build's format tag is
+/// `Invalid("checkpoint format")`. The nested resequencer states and
+/// frames are returned as bytes; their own decoders check them.
 pub fn decode_checkpoint(payload: &[u8]) -> Result<EngineCheckpoint, CheckpointError> {
-    let mut r = Reader::new(payload);
+    let Some(body) = payload.strip_prefix(&CHECKPOINT_TAG[..]) else {
+        return Err(DecodeError::Invalid("checkpoint format").into());
+    };
+    let mut r = Reader::new(body);
     let analyzer = r.bytes()?.to_vec();
     let next_seq = r.u64()?;
     // Each agent block is at least two length prefixes, each parked frame

@@ -92,34 +92,6 @@ impl GretelConfig {
         }
     }
 
-    /// Sanity-check the configuration; returns all problems (empty = ok).
-    pub fn validate(&self) -> Vec<String> {
-        let mut problems = Vec::new();
-        if self.alpha < 2 {
-            problems.push(format!("alpha {} must be >= 2", self.alpha));
-        }
-        if !(0.0..=1.0).contains(&self.c1) || self.c1 <= 0.0 {
-            problems.push(format!("c1 {} must be in (0, 1]", self.c1));
-        }
-        if !(0.0..=1.0).contains(&self.c2) || self.c2 <= 0.0 {
-            problems.push(format!("c2 {} must be in (0, 1]", self.c2));
-        }
-        if self.beta0() > self.alpha {
-            problems.push(format!(
-                "beta0 {} exceeds alpha {}",
-                self.beta0(),
-                self.alpha
-            ));
-        }
-        if self.min_pattern == 0 {
-            problems.push("min_pattern must be >= 1".to_string());
-        }
-        if self.max_literals == Some(0) {
-            problems.push("max_literals must be None or >= 1".to_string());
-        }
-        problems
-    }
-
     /// Initial context-buffer size β₀ (≥ 2).
     pub fn beta0(&self) -> usize {
         ((self.c1 * self.alpha as f64).round() as usize).max(2)
@@ -172,26 +144,6 @@ mod tests {
         assert!(theta(24, 1200) > 0.98);
         assert!(theta(25, 1200) < 0.98 + 1e-9);
         assert_eq!(theta(5, 1), 1.0);
-    }
-
-    #[test]
-    fn default_and_auto_configs_validate() {
-        assert!(GretelConfig::default().validate().is_empty());
-        assert!(GretelConfig::auto(384, 150.0, 1.0).validate().is_empty());
-    }
-
-    #[test]
-    fn validate_catches_nonsense() {
-        let bad = GretelConfig {
-            alpha: 1,
-            c1: 0.0,
-            c2: 2.0,
-            min_pattern: 0,
-            max_literals: Some(0),
-            ..GretelConfig::default()
-        };
-        let problems = bad.validate();
-        assert!(problems.len() >= 4, "{problems:?}");
     }
 
     #[test]

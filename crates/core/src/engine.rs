@@ -54,10 +54,10 @@ use crate::checkpoint::{
 };
 use crate::event::FaultMark;
 use crate::recover::{
-    AnalyzerChaos, RecoveryConfig, RecoveryStats, KIND_CHECKPOINT, KIND_DIAGNOSES,
+    AnalyzerChaos, RecoveryConfig, RecoveryStats, KIND_CHECKPOINT, KIND_DIAGNOSES, MAX_ATTEMPTS,
 };
 use crate::report::Diagnosis;
-use crate::service::{ServiceConfig, ServiceError, ServiceStats};
+use crate::service::{ServiceConfig, ServiceError, ServiceStats, CHANNEL_CAPACITY};
 use bytes::Bytes;
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use gretel_model::codec::DecodeError;
@@ -248,7 +248,7 @@ fn spawn_agent<'sc, 'env>(
     (shard, of): Route,
     stat_tx: Sender<CaptureStats>,
 ) -> Receiver<FrameBatch> {
-    let (tx, rx) = bounded::<FrameBatch>(cfg.channel_capacity);
+    let (tx, rx) = bounded::<FrameBatch>(CHANNEL_CAPACITY);
     let impairment = cfg.impairment;
     let ingest_batch = cfg.ingest_batch;
     scope.spawn(move || {
@@ -379,6 +379,8 @@ struct Pool<'sc, 'env> {
     report_rx: Receiver<Report>,
     sa: SnapshotAnalyzer<'env>,
     chaos: AnalyzerChaos,
+    /// Attempts before a job is abandoned: [`MAX_ATTEMPTS`] (a field so a
+    /// test can exhaust it).
     max_attempts: u32,
     metrics: Option<&'env PipelineMetrics>,
     /// Jobs submitted but not yet resolved into `pending`.
@@ -398,7 +400,7 @@ impl<'sc, 'env> Pool<'sc, 'env> {
         workers: usize,
         metrics: Option<&'env PipelineMetrics>,
     ) -> Pool<'sc, 'env> {
-        let (job_tx, job_rx) = bounded::<JobMsg>(cfg.service.channel_capacity);
+        let (job_tx, job_rx) = bounded::<JobMsg>(CHANNEL_CAPACITY);
         let (report_tx, report_rx) = unbounded::<Report>();
         let pool = Pool {
             scope,
@@ -408,7 +410,7 @@ impl<'sc, 'env> Pool<'sc, 'env> {
             report_rx,
             sa,
             chaos: cfg.chaos,
-            max_attempts: cfg.max_attempts,
+            max_attempts: MAX_ATTEMPTS,
             metrics,
             outstanding: 0,
             pending: BTreeMap::new(),
@@ -689,7 +691,6 @@ pub(crate) fn run_cycle(
     route: Route,
     state: &mut RunState<'_>,
 ) -> Result<RunEnd, ServiceError> {
-    assert!(cfg.service.channel_capacity > 0);
     assert!(
         cfg.service.ingest_batch >= 1,
         "a batch holds at least one frame"
@@ -841,8 +842,8 @@ pub(crate) fn run_cycle(
 /// RCA or an opaque perf detector — nothing is exported or restored),
 /// workers run chaos-free, and the diagnoses are released in
 /// job-sequence order at end of stream. A job whose analysis genuinely
-/// panics is retried and, past the default
-/// [`RecoveryConfig::max_attempts`], surfaced as `Cancelled` diagnoses.
+/// panics is retried and, past [`MAX_ATTEMPTS`] attempts, surfaced as
+/// `Cancelled` diagnoses.
 pub(crate) fn run_plain(
     analyzer: &mut Analyzer<'_>,
     nodes: &[NodeId],
@@ -866,6 +867,7 @@ pub(crate) fn run_plain(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recover::KILL_ATTEMPTS;
     use gretel_netcap::encode_seq;
     use gretel_store::MemStore;
 
@@ -1022,7 +1024,6 @@ mod tests {
         let cfg = RecoveryConfig {
             chaos: AnalyzerChaos {
                 kill_prob: 1.0,
-                kill_attempts: 2,
                 ..AnalyzerChaos::none()
             },
             ..RecoveryConfig::default()
@@ -1036,6 +1037,31 @@ mod tests {
             assert_eq!(pool.pending.remove(&0), Some((expected, false)));
             // Dropping the pool closes the job channel: the worker exits and
             // the scope can join it.
+        });
+    }
+
+    /// A job that crashes its worker on every attempt it is given is
+    /// abandoned visibly: its faults come back as the cancellation surface.
+    #[test]
+    fn a_job_out_of_retries_is_cancelled() {
+        let (lib, job) = faulted_job();
+        let sa = Analyzer::new(&lib, gcfg()).snapshot_analyzer();
+        let cfg = RecoveryConfig {
+            chaos: AnalyzerChaos {
+                kill_prob: 1.0,
+                ..AnalyzerChaos::none()
+            },
+            ..RecoveryConfig::default()
+        };
+        std::thread::scope(|scope| {
+            let mut pool = Pool::start(scope, sa, &cfg, 1, None);
+            // Every attempt the budget allows is one the kill coin fires on.
+            pool.max_attempts = KILL_ATTEMPTS;
+            pool.submit(0, job.clone()).unwrap();
+            pool.quiesce().unwrap();
+            assert_eq!(pool.outstanding, 0);
+            assert_eq!(pool.pending[&0], (sa.cancel(&job), true));
+            assert_eq!((pool.worker_crashes, pool.jobs_requeued), (2, 1));
         });
     }
 }

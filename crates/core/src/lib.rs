@@ -52,7 +52,6 @@ mod perf;
 mod rca;
 mod recover;
 mod report;
-mod selfwatch;
 mod service;
 mod shard;
 pub mod window;
@@ -69,10 +68,9 @@ pub use perf::PerfMonitor;
 pub use rca::{CauseKind, RootCause};
 pub use recover::{
     run_service_durable, AnalyzerChaos, DurableConfig, DurableOutcome, RecoveryConfig,
-    RecoveryStats, KIND_CHECKPOINT, KIND_DIAGNOSES,
+    RecoveryStats, KILL_ATTEMPTS, KIND_CHECKPOINT, KIND_DIAGNOSES, MAX_ATTEMPTS,
 };
 pub use report::{CaptureConfidence, Diagnosis, FaultKind};
-pub use selfwatch::{self_watch_stage, SelfWatch};
 pub use service::{run_service_cfg, ServiceConfig, ServiceStats};
 pub use shard::{
     canonical_order, encode_diagnoses, run_sharded, run_sharded_durable, ShardedConfig,

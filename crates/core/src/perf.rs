@@ -10,9 +10,7 @@
 
 use crate::anomaly::LatencyObs;
 use crate::fasthash::FastMap;
-use gretel_model::codec::{
-    put_bytes, put_count, put_f64, put_u16, put_u64, put_u8, DecodeError, Reader,
-};
+use gretel_model::codec::{put_bytes, put_count, put_u16, DecodeError, Reader};
 use gretel_model::ApiId;
 use gretel_telemetry::{Anomaly, LevelShiftConfig, LevelShiftDetector, OutlierDetector};
 
@@ -33,7 +31,7 @@ pub struct PerfFault {
 /// Per-API latency monitoring.
 pub struct PerfMonitor {
     factory: DetectorFactory,
-    detectors: FastMap<ApiId, Box<dyn OutlierDetector + Send>>,
+    detectors: Detectors,
     history: FastMap<ApiId, Vec<(u64, f64)>>,
     keep_history: bool,
 }
@@ -81,8 +79,9 @@ impl PerfMonitor {
         self.history.get(&api).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Serialize the monitor's state — per-API detector state and (when
-    /// kept) latency history — for an analyzer checkpoint. Returns `false`
+    /// Serialize the monitor's per-API detector state for an analyzer
+    /// checkpoint. The latency history is a plotting aid for inline runs
+    /// and is not checkpointed. Returns `false`
     /// (leaving `out` as it was) when any detector does not implement
     /// [`OutlierDetector::export_state`]: a monitor with an opaque plug-in
     /// detector cannot be checkpointed.
@@ -91,7 +90,6 @@ impl PerfMonitor {
         let mut dets: Vec<(&ApiId, &Box<dyn OutlierDetector + Send>)> =
             self.detectors.iter().collect();
         dets.sort_by_key(|(a, _)| a.0);
-        put_u8(out, self.keep_history as u8);
         put_count(out, dets.len());
         for (api, det) in dets {
             let Some(state) = det.export_state() else {
@@ -101,70 +99,36 @@ impl PerfMonitor {
             put_u16(out, api.0);
             put_bytes(out, &state);
         }
-        let mut hist: Vec<(&ApiId, &Vec<(u64, f64)>)> = self.history.iter().collect();
-        hist.sort_by_key(|(a, _)| a.0);
-        put_count(out, hist.len());
-        for (api, series) in hist {
-            put_u16(out, api.0);
-            put_count(out, series.len());
-            for &(ts, v) in series {
-                put_u64(out, ts);
-                put_f64(out, v);
-            }
-        }
         true
     }
 
-    /// Decode [`PerfMonitor::export_state`] bytes into a [`PerfState`]
-    /// without touching the monitor, so a caller restoring several blocks
-    /// can validate them all before committing any. Detectors are
-    /// re-created through the monitor's own factory and fed the serialized
-    /// state, so the restoring monitor must be configured with the same
-    /// factory as the one checkpointed.
-    pub(crate) fn decode_state(&self, r: &mut Reader<'_>) -> Result<PerfState, DecodeError> {
-        let keep_history = match r.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(DecodeError::Invalid("perf keep_history flag")),
-        };
-        if keep_history != self.keep_history {
-            return Err(DecodeError::Invalid("perf keep_history mismatch"));
-        }
-        let mut state = PerfState {
-            detectors: FastMap::default(),
-            history: FastMap::default(),
-        };
+    /// Decode [`PerfMonitor::export_state`] bytes into the per-API
+    /// detectors without touching the monitor, so a caller restoring
+    /// several blocks can validate them all before committing any.
+    /// Detectors are re-created through the monitor's own factory and fed
+    /// the serialized state, so the restoring monitor must be configured
+    /// with the same factory as the one checkpointed.
+    pub(crate) fn decode_state(&self, r: &mut Reader<'_>) -> Result<Detectors, DecodeError> {
+        let mut detectors = FastMap::default();
         for _ in 0..r.count(2 + 4)? {
             let api = ApiId(r.u16()?);
             let mut det = (self.factory)();
             det.import_state(r.bytes()?)?;
-            state.detectors.insert(api, det);
+            detectors.insert(api, det);
         }
-        for _ in 0..r.count(2 + 4)? {
-            let api = ApiId(r.u16()?);
-            let n = r.count(8 + 8)?;
-            let mut series = Vec::with_capacity(n);
-            for _ in 0..n {
-                series.push((r.u64()?, r.f64()?));
-            }
-            state.history.insert(api, series);
-        }
-        Ok(state)
+        Ok(detectors)
     }
 
-    /// Replace this monitor's state with a decoded [`PerfState`].
-    pub(crate) fn install(&mut self, state: PerfState) {
-        self.detectors = state.detectors;
-        self.history = state.history;
+    /// Replace this monitor's detectors with decoded ones. The latency
+    /// history is not checkpointed, so it restarts empty.
+    pub(crate) fn install(&mut self, detectors: Detectors) {
+        self.detectors = detectors;
+        self.history.clear();
     }
 }
 
-/// A monitor's dynamic state, decoded by [`PerfMonitor::decode_state`] and
-/// not yet installed.
-pub(crate) struct PerfState {
-    detectors: FastMap<ApiId, Box<dyn OutlierDetector + Send>>,
-    history: FastMap<ApiId, Vec<(u64, f64)>>,
-}
+/// One level-shift (or plug-in) detector per monitored API.
+pub(crate) type Detectors = FastMap<ApiId, Box<dyn OutlierDetector + Send>>;
 
 #[cfg(test)]
 mod tests {
@@ -233,22 +197,24 @@ mod tests {
     }
 
     #[test]
-    fn inflated_history_series_length_is_rejected() {
-        let mut mon = PerfMonitor::new(LevelShiftConfig::default(), true);
-        mon.observe(obs(3, 0, 5.0));
-        let mut state = Vec::new();
-        assert!(mon.export_state(&mut state));
-        let restored = mon
-            .decode_state(&mut Reader::new(&state))
-            .expect("round trip");
-        assert_eq!(restored.history[&ApiId(3)], [(0, 5000.0)]);
-        // The block ends with the one series: u32 length, then (ts, value).
-        let n_at = state.len() - 16 - 4;
-        state[n_at..n_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(
-            mon.decode_state(&mut Reader::new(&state)).err(),
-            Some(DecodeError::Truncated)
-        );
+    fn history_is_not_checkpointed() {
+        let mut kept = PerfMonitor::new(LevelShiftConfig::default(), true);
+        let mut quiet = PerfMonitor::new(LevelShiftConfig::default(), false);
+        for i in 0..10 {
+            kept.observe(obs(3, i, 5.0));
+            quiet.observe(obs(3, i, 5.0));
+        }
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        assert!(kept.export_state(&mut a) && quiet.export_state(&mut b));
+        assert_eq!(a, b, "the checkpoint carries detectors only");
+        let mut r = Reader::new(&b);
+        let detectors = kept.decode_state(&mut r).expect("round trip");
+        r.done().expect("nothing after the detectors");
+        kept.install(detectors);
+        assert!(kept.history(ApiId(3)).is_empty(), "history restarts");
+        let mut c = Vec::new();
+        assert!(kept.export_state(&mut c));
+        assert_eq!(c, b);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   a panic boundary. A crashed worker reports its in-flight job and dies;
 //!   the supervisor (the receiver thread) restarts it after a capped
 //!   exponential backoff and requeues the job. A job that keeps crashing
-//!   past [`RecoveryConfig::max_attempts`] is abandoned *visibly*: every
+//!   past [`MAX_ATTEMPTS`] attempts is abandoned *visibly*: every
 //!   fault it covered surfaces as a
 //!   [`CaptureConfidence::Cancelled`](crate::CaptureConfidence::Cancelled)
 //!   diagnosis.
@@ -67,20 +67,28 @@ use gretel_store::Store;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalyzerChaos {
     /// Probability that a worker is killed (panics) when it picks up a
-    /// job, per `(job, attempt)` — only while `attempt <
-    /// kill_attempts`, so a job survives its retry budget and the run
-    /// still produces its full output.
+    /// job, per `(job, attempt)` — only on its first [`KILL_ATTEMPTS`]
+    /// attempts, so a job survives its retry budget and the run still
+    /// produces its full output.
     pub kill_prob: f64,
-    /// Number of leading attempts the kill coin may fire on. With the
-    /// default 2, a job can crash its worker at attempts 0 and 1 and then
-    /// completes normally at attempt 2.
-    pub kill_attempts: u32,
     /// Probability that a job stalls and is cancelled (a job without
     /// faults has nothing to cancel and completes as usual).
     pub stall_prob: f64,
     /// Seed for all coins.
     pub seed: u64,
 }
+
+/// Leading attempts at a job the kill coin may fire on: a job can crash
+/// its worker at attempts 0 and 1 and then completes at attempt 2.
+pub const KILL_ATTEMPTS: u32 = 2;
+
+/// Attempts at a job before it is abandoned and its faults surface as
+/// `Cancelled` diagnoses.
+pub const MAX_ATTEMPTS: u32 = 5;
+
+// Chaos kills must leave a job an attempt to complete on, or the chaos
+// oracle (identical output) cannot hold.
+const _: () = assert!(KILL_ATTEMPTS < MAX_ATTEMPTS);
 
 const SALT_KILL: u64 = 21;
 const SALT_STALL: u64 = 22;
@@ -90,20 +98,13 @@ impl AnalyzerChaos {
     pub fn none() -> AnalyzerChaos {
         AnalyzerChaos {
             kill_prob: 0.0,
-            kill_attempts: 2,
             stall_prob: 0.0,
             seed: 0,
         }
     }
 
-    /// Whether this injector can never fire.
-    pub fn is_noop(&self) -> bool {
-        self.kill_prob <= 0.0 && self.stall_prob <= 0.0
-    }
-
     pub(crate) fn kill(&self, seq: u64, attempt: u32) -> bool {
-        attempt < self.kill_attempts
-            && coin(self.seed, seq, attempt as u64, SALT_KILL) < self.kill_prob
+        attempt < KILL_ATTEMPTS && coin(self.seed, seq, attempt as u64, SALT_KILL) < self.kill_prob
     }
 
     pub(crate) fn stall(&self, seq: u64, attempt: u32) -> bool {
@@ -131,11 +132,6 @@ pub struct RecoveryConfig {
     /// of `(job, attempt)`, so replay kills and cancels exactly the jobs
     /// the original run did.
     pub chaos: AnalyzerChaos,
-    /// Give up on a job after this many attempts; the abandoned job's
-    /// faults surface as `Cancelled` diagnoses. Must exceed
-    /// [`AnalyzerChaos::kill_attempts`] for the chaos oracle (identical
-    /// output) to hold.
-    pub max_attempts: u32,
 }
 
 impl Default for RecoveryConfig {
@@ -144,7 +140,6 @@ impl Default for RecoveryConfig {
             service: ServiceConfig::default(),
             checkpoint_every: 256,
             chaos: AnalyzerChaos::none(),
-            max_attempts: 5,
         }
     }
 }
@@ -287,7 +282,6 @@ pub(crate) fn run_durable_routed(
     route: Route,
 ) -> Result<DurableOutcome, ServiceError> {
     assert!(cfg.recovery.checkpoint_every > 0);
-    assert!(cfg.recovery.max_attempts > 0);
     let mut analyzer = Analyzer::new(lib, gcfg);
     let mut state = RunState::new(Some(store), cfg.kill_point)?;
     let end = run_cycle(
@@ -328,10 +322,9 @@ mod tests {
         assert!(chaos.kill(7, 1));
         assert!(
             !chaos.kill(7, 2),
-            "kill coin never fires past kill_attempts"
+            "kill coin never fires past KILL_ATTEMPTS"
         );
         assert!(!AnalyzerChaos::none().kill(7, 0));
-        assert!(AnalyzerChaos::none().is_noop());
         let a = AnalyzerChaos {
             stall_prob: 0.5,
             seed: 9,

@@ -131,12 +131,13 @@ pub(crate) fn resolve_shard_workers(shards: usize, available: usize) -> usize {
     (available.min(4) / shards).max(1)
 }
 
+/// Bound of each agent→receiver link (batches; a full link blocks its
+/// agent) and of the analysis pool's job queue.
+pub(crate) const CHANNEL_CAPACITY: usize = 64;
+
 /// Configuration for [`run_service_cfg`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Bound of each agent→receiver link (batches); a full link blocks
-    /// its agent.
-    pub channel_capacity: usize,
     /// Analysis-pool width; `None` uses the capped machine default (see
     /// `ServiceConfig::effective_workers`).
     pub workers: Option<usize>,
@@ -163,7 +164,6 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> ServiceConfig {
         ServiceConfig {
-            channel_capacity: 64,
             workers: None,
             impairment: None,
             resequence_depth: 32,
@@ -217,7 +217,7 @@ pub struct ServiceStats {
 /// diagnoses are released in that order at end of stream, so the output is
 /// identical to inline analysis regardless of worker scheduling. The pool
 /// is supervised: a job whose analysis panics is retried on a fresh worker
-/// and, past the default [`crate::RecoveryConfig::max_attempts`], surfaced
+/// and, past [`crate::MAX_ATTEMPTS`] attempts, surfaced
 /// as [`crate::CaptureConfidence::Cancelled`] diagnoses rather than
 /// aborting the run.
 pub fn run_service_cfg(
@@ -373,7 +373,6 @@ mod tests {
         for workers in [1, 2, 4, 8] {
             let mut threaded = Analyzer::new(&lib, gcfg);
             let cfg = ServiceConfig {
-                channel_capacity: 32,
                 workers: Some(workers),
                 ..ServiceConfig::default()
             };
@@ -398,10 +397,7 @@ mod tests {
             },
         );
         let nodes: Vec<NodeId> = dep.nodes().iter().map(|n| n.id).collect();
-        let cfg = ServiceConfig {
-            channel_capacity: 4,
-            ..ServiceConfig::default()
-        };
+        let cfg = ServiceConfig::default();
         let (diags, svc, _) = run_service_cfg(&mut analyzer, &nodes, &[], &cfg);
         assert!(diags.is_empty());
         assert_eq!(svc.frames, 0);

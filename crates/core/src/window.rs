@@ -119,18 +119,6 @@ impl SlidingWindow {
         });
     }
 
-    /// Resize the window to a new α (the paper recomputes α when the
-    /// observed packet rate changes — Prate is "the only dynamic
-    /// parameter"). Shrinking evicts the oldest events; pending snapshot
-    /// deadlines are left untouched.
-    pub fn resize(&mut self, alpha: usize) {
-        assert!(alpha >= 2, "window must hold at least two messages");
-        self.alpha = alpha;
-        while self.buf.len() > self.alpha {
-            self.buf.pop_front();
-        }
-    }
-
     /// Push one event; returns any snapshots that completed.
     pub fn push(&mut self, ev: Event) -> Vec<Snapshot> {
         self.buf.push_back(ev);
@@ -340,24 +328,6 @@ mod tests {
         assert_eq!(snaps[0].events.len(), 6);
         assert_eq!(snaps[0].fault_index, 5);
         assert_eq!(w.pending(), 0);
-    }
-
-    #[test]
-    fn resize_grows_and_shrinks() {
-        let mut w = SlidingWindow::new(4);
-        for i in 0..10 {
-            w.push(ev(i));
-        }
-        assert_eq!(w.len(), 4);
-        w.resize(8);
-        for i in 10..20 {
-            w.push(ev(i));
-        }
-        assert_eq!(w.len(), 8);
-        w.resize(3);
-        assert_eq!(w.len(), 3);
-        let ids: Vec<u64> = w.events().map(|e| e.id.0).collect();
-        assert_eq!(ids, vec![17, 18, 19], "shrink keeps the newest");
     }
 
     #[test]

@@ -476,7 +476,7 @@ impl CaptureImpairment {
     }
 
     /// True when applying this impairment cannot change any stream.
-    pub fn is_noop(&self) -> bool {
+    pub(crate) fn is_noop(&self) -> bool {
         self.drop_prob <= 0.0
             && self.dup_prob <= 0.0
             && (self.reorder_prob <= 0.0 || self.reorder_span == 0)

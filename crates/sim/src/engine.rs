@@ -11,7 +11,7 @@ use std::collections::BinaryHeap;
 pub type SimTime = u64;
 
 /// One microsecond-resolution second.
-pub const SECOND: SimTime = 1_000_000;
+pub(crate) const SECOND: SimTime = 1_000_000;
 
 /// Convert milliseconds to [`SimTime`].
 #[inline]

@@ -54,7 +54,7 @@ mod stream;
 pub use cascade::{cascade_suite, CascadeScenario};
 pub use chaos::CrashSchedule;
 pub use deployment::Deployment;
-pub use engine::{ms, secs, splitmix64, SimTime, SECOND};
+pub use engine::{ms, secs, splitmix64, SimTime};
 pub use executor::{Execution, NoiseConfig, RunConfig, Runner, WatcherSample};
 pub use faults::{ApiFault, FaultPlan, FaultScope, InjectedError};
 pub use report::{instance_timeline, summary};

@@ -53,10 +53,7 @@ fn main() {
     // Run the Fig-3 pipeline: 7 agent threads -> merge -> analyzer.
     let nodes: Vec<_> = deployment.nodes().iter().map(|n| n.id).collect();
     let mut analyzer = Analyzer::new(&library, GretelConfig::default());
-    let scfg = ServiceConfig {
-        channel_capacity: 256,
-        ..ServiceConfig::default()
-    };
+    let scfg = ServiceConfig::default();
     let (diagnoses, svc, stats) = run_service_cfg(&mut analyzer, &nodes, &exec.messages, &scfg);
 
     println!(

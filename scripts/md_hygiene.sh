@@ -1,7 +1,16 @@
 #!/usr/bin/env bash
-# Markdown hygiene gate, zero dependencies beyond POSIX tools: every
-# intra-repo markdown link `[text](path)` in the curated docs resolves to a
-# file or directory that exists (anchors and external URLs are skipped).
+# Markdown hygiene gate, zero dependencies beyond POSIX tools:
+#   1. every intra-repo markdown link `[text](path)` in the curated docs
+#      resolves to a file or directory that exists (anchors and external
+#      URLs are skipped);
+#   2. every Rust identifier or path the curated docs put in backticks
+#      still exists. An identifier is a token with `::`, an `_`, or a
+#      CamelCase shape; each `::` segment must occur as a whole word in
+#      crates/ src/ tests/ examples/ benchmark/src/ scripts/, or be the
+#      name of a file in the repository without its extension. A `*` or a `<name>`
+#      placeholder matches any word characters. ROADMAP.md names planned
+#      work and is exempt; a paper name that looks like an identifier is
+#      written as plain text, not code.
 # (That results/*.json is exactly what the experiment table produces is a
 # unit test in crates/bench/src/lib.rs.)
 #
@@ -32,6 +41,35 @@ for doc in "${DOCS[@]}"; do
       fail=1
     fi
   done < <(grep -o '\[[^]]*\]([^)]*)' "$doc" | sed 's/.*(\(.*\))/\1/')
+done
+
+# Rule 2: the words of the code, plus every file's stem.
+words="$(mktemp)"
+trap 'rm -f "$words"' EXIT
+{
+  find crates src tests examples benchmark/src scripts -type f \
+    \( -name '*.rs' -o -name '*.sh' -o -name '*.toml' \) -not -path '*/target/*' \
+    -exec cat {} + | grep -oE '[A-Za-z_][A-Za-z0-9_]*'
+  find . \( -name target -o -name .git \) -prune -o -type f -print |
+    sed -E 's#.*/##; s#\.[^.]*$##'
+} | sort -u >"$words"
+for doc in "${DOCS[@]}"; do
+  [ "$doc" = ROADMAP.md ] && continue
+  [ -f "$doc" ] || continue
+  # Inline code spans outside fenced blocks, then identifier-shaped tokens.
+  while IFS= read -r token; do
+    IFS=: read -ra segments <<<"${token//::/:}"
+    for seg in "${segments[@]}"; do
+      if ! grep -qxE "${seg//\*/[A-Za-z0-9_]*}" "$words"; then
+        echo "md_hygiene: $doc names \`$token\`, which the code does not name ($seg)"
+        fail=1
+        break
+      fi
+    done
+  done < <(awk '/^[ \t]*```/ { fence = !fence; next } !fence' "$doc" |
+    grep -oE '`[^`]+`' | sed -E 's/<[A-Za-z_]+>/*/g' |
+    grep -oE '[A-Za-z_*][A-Za-z0-9_*]*(::[A-Za-z_*][A-Za-z0-9_*]*)*' |
+    grep -E '::|_|^[A-Z][a-z0-9]+[A-Z]' | sort -u)
 done
 
 if [ "$fail" -ne 0 ]; then

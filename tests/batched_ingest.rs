@@ -225,11 +225,9 @@ fn crash_replay_is_batch_size_invariant() {
             checkpoint_every: 64,
             chaos: AnalyzerChaos {
                 kill_prob: 0.5,
-                kill_attempts: 2,
                 seed: 17,
                 ..AnalyzerChaos::none()
             },
-            max_attempts: 5,
         };
         // Two kills, then a lifetime that completes, all over one store.
         let mut store = MemStore::new();

@@ -25,13 +25,13 @@
 
 use gretel::core::checkpoint::{
     decode_checkpoint, decode_release, encode_checkpoint, encode_release, put_diagnosis, put_event,
-    read_diagnosis, read_event, AgentCheckpoint, EngineCheckpoint,
+    read_diagnosis, read_event, AgentCheckpoint, CheckpointError, EngineCheckpoint,
 };
 use gretel::core::{
     scan_frame, scan_message, Analyzer, CaptureConfidence, CauseKind, Diagnosis, Event, FaultKind,
     FaultMark, FingerprintLibrary, GretelConfig, RootCause, KIND_DIAGNOSES,
 };
-use gretel::model::codec::Reader;
+use gretel::model::codec::{DecodeError, Reader};
 use gretel::model::message::{
     render_rest_request_payload, render_rest_response_payload, render_rpc_payload,
 };
@@ -239,7 +239,7 @@ fn fresh_analyzer() -> Analyzer<'static> {
         alpha: 8,
         ..GretelConfig::default()
     };
-    Analyzer::new(library(), cfg).with_auto_alpha(2.0, 60_000_000)
+    Analyzer::new(library(), cfg)
 }
 
 fn rest_pair_msg(id: u64, ts: u64, api: ApiId, port: u16, status: Option<u16>) -> Message {
@@ -292,8 +292,8 @@ fn rest_pair_msg(id: u64, ts: u64, api: ApiId, port: u16, status: Option<u16>) -
 /// populated: a full window holding a gap-marked event, a snapshot armed
 /// by a perf fault that is still pending, unpaired REST and RPC requests,
 /// a perf detector past its level shift, an error claimed by an earlier
-/// snapshot, a pending gap marker, auto-α tracking and a mined traffic
-/// graph with an error edge.
+/// snapshot, a pending gap marker and a mined traffic graph with an error
+/// edge.
 fn mid_stream_analyzer() -> Analyzer<'static> {
     let mut a = fresh_analyzer();
     let api = ports_post();
@@ -744,6 +744,19 @@ fn inflated_armed_count_is_an_error_and_the_analyzer_stays_usable() {
     assert!(a.restore_state(&bad).is_err());
     // A failed restore changed nothing.
     assert_eq!(a.export_state().expect("exports"), state);
+}
+
+/// A checkpoint record in the layout before the format tag (the tagged
+/// fixture without its first four bytes), and one whose tag names another
+/// version, fail on the tag rather than on some later field.
+#[test]
+fn a_checkpoint_without_this_format_tag_is_rejected() {
+    let golden = fixture("engine_checkpoint");
+    let format = Err(CheckpointError(DecodeError::Invalid("checkpoint format")));
+    assert_eq!(decode_checkpoint(&golden[4..]), format, "untagged layout");
+    let mut other = golden.clone();
+    other[3] ^= 0x03;
+    assert_eq!(decode_checkpoint(&other), format, "another version");
 }
 
 /// The seeded keyings every schedule, coin and shard assignment depends

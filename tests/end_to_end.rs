@@ -221,10 +221,7 @@ fn threaded_service_agrees_with_inline_analysis_on_suite_traffic() {
 
     let nodes: Vec<_> = deployment.nodes().iter().map(|n| n.id).collect();
     let mut threaded = Analyzer::new(&library, cfg);
-    let scfg = gretel::core::ServiceConfig {
-        channel_capacity: 256,
-        ..Default::default()
-    };
+    let scfg = gretel::core::ServiceConfig::default();
     let (got, _, _) = gretel::core::run_service_cfg(&mut threaded, &nodes, &exec.messages, &scfg);
     assert_eq!(got, expected);
 }

@@ -198,11 +198,9 @@ fn worker_kills_and_service_crashes_preserve_the_output_exactly() {
         checkpoint_every: 64,
         chaos: AnalyzerChaos {
             kill_prob: 1.0,
-            kill_attempts: 2,
             seed: 17,
             ..AnalyzerChaos::none()
         },
-        max_attempts: 5,
         ..RecoveryConfig::default()
     };
     let (diags, svc, _, rec) = run_recoverable(cfg, &[150, 80]);
@@ -487,7 +485,7 @@ proptest! {
         let expected = reference(Some(imp));
 
         let chaos = if kill {
-            AnalyzerChaos { kill_prob: 0.5, kill_attempts: 2, seed, ..AnalyzerChaos::none() }
+            AnalyzerChaos { kill_prob: 0.5, seed, ..AnalyzerChaos::none() }
         } else {
             AnalyzerChaos::none()
         };
@@ -495,7 +493,6 @@ proptest! {
             service: ServiceConfig { impairment: Some(imp), ..ServiceConfig::default() },
             checkpoint_every: 48,
             chaos,
-            max_attempts: 5,
         };
         let kills = CrashSchedule::seeded(seed, crashes, 300).points;
         let (diags, _, _, rec) = run_recoverable(cfg, &kills);

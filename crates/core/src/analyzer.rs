@@ -31,7 +31,7 @@ use crate::window::{SlidingWindow, Snapshot};
 use gretel_model::codec::{
     put_count, put_f64, put_u16, put_u32, put_u64, put_u8, DecodeError, Reader,
 };
-use gretel_model::{Message, MessageHead, MessageId, NodeId, OperationSpec};
+use gretel_model::{Message, MessageHead, MessageId, OperationSpec};
 use gretel_sim::Deployment;
 use gretel_telemetry::{Anomaly, AnomalyKind, LevelShiftConfig, TelemetryStore};
 
@@ -609,6 +609,13 @@ impl<'a> SnapshotAnalyzer<'a> {
             (0, _) => CaptureConfidence::Exact,
             (gaps, lost) => CaptureConfidence::Degraded { gaps, lost },
         };
+        // Every diagnosis of the job asks RCA about the same window, so
+        // one engine serves them all and reuses its per-node verdicts.
+        let mut rca = self.rca.map(|ctx| {
+            let from = snap.events.first().map(|e| e.ts).unwrap_or(0);
+            let until = snap.events.last().map(|e| e.ts + 1).unwrap_or(1);
+            RcaEngine::new(ctx.deployment, ctx.telemetry, ctx.specs, from, until)
+        });
         let mut out = Vec::new();
 
         for (msg_id, pf) in &job.perf {
@@ -624,9 +631,9 @@ impl<'a> SnapshotAnalyzer<'a> {
                 m.count(gretel_obs::Stage::Match, outcome.matched.len() as u64);
             }
             out.push(self.finalize(
+                rca.as_mut(),
                 perf_kind(pf),
                 pf.api,
-                &snap.events,
                 snap.events[idx],
                 outcome,
                 confidence,
@@ -665,33 +672,24 @@ impl<'a> SnapshotAnalyzer<'a> {
             let ev = &snap.events[idx];
             let outcome = outcome.expect("every claimed error detected");
             let kind = operational_kind(ev.fault);
-            out.push(self.finalize(kind, ev.api, &snap.events, *ev, outcome, confidence));
+            out.push(self.finalize(rca.as_mut(), kind, ev.api, *ev, outcome, confidence));
         }
         out
     }
 
     fn finalize(
         &self,
+        rca: Option<&mut RcaEngine<'_>>,
         kind: FaultKind,
         api: gretel_model::ApiId,
-        events: &[Event],
         fault: Event,
         outcome: crate::detect::DetectionOutcome,
         confidence: CaptureConfidence,
     ) -> Diagnosis {
-        let root_causes = match &self.rca {
-            Some(ctx) => {
+        let root_causes = match rca {
+            Some(engine) => {
                 let t = gretel_obs::StageTimer::start(self.metrics, gretel_obs::Stage::Rca);
-                let engine = RcaEngine::new(ctx.deployment, ctx.telemetry);
-                let matched_specs: Vec<&OperationSpec> = outcome
-                    .matched
-                    .iter()
-                    .filter_map(|op| ctx.specs.get(op.index()))
-                    .collect();
-                let error_nodes: Vec<NodeId> = vec![fault.src_node, fault.dst_node];
-                let from = events.first().map(|e| e.ts).unwrap_or(0);
-                let until = events.last().map(|e| e.ts + 1).unwrap_or(1);
-                let causes = engine.analyze(&matched_specs, &error_nodes, from, until);
+                let causes = engine.analyze(&outcome.matched, &[fault.src_node, fault.dst_node]);
                 t.finish();
                 if let Some(m) = self.metrics {
                     m.count(gretel_obs::Stage::Rca, 1);
@@ -733,7 +731,7 @@ pub fn analyze_stream<'m>(
 mod tests {
     use super::*;
     use crate::fingerprint::FingerprintLibrary;
-    use gretel_model::{Catalog, HttpMethod, OpSpecId, Service, Workflows};
+    use gretel_model::{Catalog, HttpMethod, NodeId, OpSpecId, Service, Workflows};
     use gretel_sim::{
         ApiFault, FaultPlan, FaultScope, InjectedError, NoiseConfig, RunConfig, Runner,
     };

@@ -9,7 +9,7 @@
 //! operation (the root cause "may manifest upstream from the actual node
 //! where the fault arose", §5.4 — the NTP case study is exactly this).
 
-use gretel_model::{Dependency, NodeId, OperationSpec};
+use gretel_model::{Dependency, NodeId, OpSpecId, OperationSpec, Service};
 use gretel_sim::{Deployment, ResourceKind, SimTime};
 use gretel_telemetry::{ResourceEvidence, TelemetryStore};
 
@@ -43,142 +43,234 @@ pub enum CauseKind {
     },
 }
 
-/// Root cause analysis engine.
-pub struct RcaEngine<'a> {
+/// What root cause analysis has learned about one node over the window.
+#[derive(Default)]
+struct NodeVerdicts {
+    /// `FIND_ROOT_CAUSE` on this node alone.
+    causes: Option<Vec<RootCause>>,
+    /// The node's [`CauseKind::StaleTelemetry`] entry, `None` inside when
+    /// its telemetry covered the window.
+    stale: Option<Option<RootCause>>,
+}
+
+/// Root cause analysis engine over one fault window `[from, until)`.
+///
+/// Every diagnosis of a snapshot asks about the same window (the
+/// snapshot's first and last event), and each per-node verdict is a pure
+/// function of (node, window) over immutable telemetry. So the engine is
+/// built once per snapshot and computes each node's verdicts at most once:
+/// a later diagnosis that asks about the same node reads the memo. An
+/// operation reaches nodes through its [`OperationSpec::service_mask`],
+/// memoized by spec id.
+pub(crate) struct RcaEngine<'a> {
     deployment: &'a Deployment,
     telemetry: &'a TelemetryStore,
+    /// The operation specs matches resolve against, dense by id.
+    specs: &'a [OperationSpec],
+    from: SimTime,
+    until: SimTime,
+    /// Indexed by node id; grows to the highest node asked about.
+    nodes: Vec<NodeVerdicts>,
+    /// Service masks by spec id, filled as specs are expanded; empty until
+    /// the first expansion.
+    masks: Vec<Option<u32>>,
 }
 
 impl<'a> RcaEngine<'a> {
-    /// New engine over a deployment and its collected telemetry.
-    pub fn new(deployment: &'a Deployment, telemetry: &'a TelemetryStore) -> RcaEngine<'a> {
+    /// New engine over a deployment, its collected telemetry and the specs
+    /// matched operations are resolved against, for the window
+    /// `[from, until)` — the time span of the context buffer.
+    pub(crate) fn new(
+        deployment: &'a Deployment,
+        telemetry: &'a TelemetryStore,
+        specs: &'a [OperationSpec],
+        from: SimTime,
+        until: SimTime,
+    ) -> RcaEngine<'a> {
         RcaEngine {
             deployment,
             telemetry,
+            specs,
+            from,
+            until,
+            nodes: Vec::new(),
+            masks: Vec::new(),
         }
     }
 
     /// Algorithm 3 (`GET_ROOT_CAUSE`): analyze the fault window.
     ///
-    /// * `matched_ops` — the operations the detector matched;
-    /// * `error_nodes` — source/destination nodes of the error messages;
-    /// * `[from, until)` — the time span of the context buffer.
-    pub fn analyze(
-        &self,
-        matched_ops: &[&OperationSpec],
+    /// * `matched` — the operations the detector matched (ids without a
+    ///   spec are skipped);
+    /// * `error_nodes` — source/destination nodes of the error messages.
+    pub(crate) fn analyze(
+        &mut self,
+        matched: &[OpSpecId],
         error_nodes: &[NodeId],
-        from: SimTime,
-        until: SimTime,
     ) -> Vec<RootCause> {
         let mut error_nodes: Vec<NodeId> = error_nodes.to_vec();
         error_nodes.sort();
         error_nodes.dedup();
 
-        let mut causes = self.find_root_cause(&error_nodes, from, until);
+        let mut causes = self.find_root_cause(&error_nodes);
         if causes.is_empty() {
             // Expand to the remaining nodes participating in the matched
             // operations.
-            let mut remaining = self.operation_nodes(matched_ops);
+            let mut remaining = self.operation_nodes(matched);
             remaining.retain(|n| !error_nodes.contains(n));
-            causes = self.find_root_cause(&remaining, from, until);
+            causes = self.find_root_cause(&remaining);
             if causes.is_empty() {
                 // Nothing anomalous anywhere — but only trust that verdict
                 // where the telemetry actually covered the window. Nodes
                 // whose series went silent before the window are reported
                 // as stale rather than silently counted healthy.
-                let mut all = error_nodes.clone();
+                let mut all = error_nodes;
                 all.extend(remaining);
-                causes = self.staleness_report(&all, from, until);
+                causes = self.staleness_report(&all);
             }
         }
         causes
     }
 
+    fn verdicts(&mut self, node: NodeId) -> &mut NodeVerdicts {
+        let i = usize::from(node.0);
+        if self.nodes.len() <= i {
+            self.nodes.resize_with(i + 1, NodeVerdicts::default);
+        }
+        &mut self.nodes[i]
+    }
+
     /// [`CauseKind::StaleTelemetry`] entries for every listed node whose
-    /// telemetry went silent before `[from, until)`. Empty when coverage
-    /// was complete — i.e. when "no anomaly" is actually supported by data.
-    pub(crate) fn staleness_report(
-        &self,
-        nodes: &[NodeId],
-        from: SimTime,
-        until: SimTime,
-    ) -> Vec<RootCause> {
+    /// telemetry went silent before the window. Empty when coverage was
+    /// complete — i.e. when "no anomaly" is actually supported by data.
+    fn staleness_report(&mut self, nodes: &[NodeId]) -> Vec<RootCause> {
+        let (telemetry, from, until) = (self.telemetry, self.from, self.until);
         let mut out = Vec::new();
         for &node in nodes {
-            let stale_resources = self.telemetry.resource_staleness(node, from, until);
-            let stale_watchers = self.telemetry.watcher_staleness(node, from, until);
-            if stale_resources.is_empty() && stale_watchers.is_empty() {
-                continue;
-            }
-            let why = format!(
-                "telemetry on {node} stale over the fault window: {} resource series, {} watcher(s) silent — cannot rule out a root cause here",
-                stale_resources.len(),
-                stale_watchers.len()
-            );
-            out.push(RootCause {
-                node,
-                cause: CauseKind::StaleTelemetry {
-                    stale_resources,
-                    stale_watchers,
-                },
-                why,
-            });
+            let stale = self
+                .verdicts(node)
+                .stale
+                .get_or_insert_with(|| stale_on(telemetry, node, from, until));
+            out.extend(stale.iter().cloned());
         }
         out
     }
 
     /// Algorithm 3 (`FIND_ROOT_CAUSE`): anomalies in resource metadata,
     /// then failed software dependencies, on the listed nodes.
-    pub(crate) fn find_root_cause(
-        &self,
-        nodes: &[NodeId],
-        from: SimTime,
-        until: SimTime,
-    ) -> Vec<RootCause> {
+    fn find_root_cause(&mut self, nodes: &[NodeId]) -> Vec<RootCause> {
+        let (telemetry, from, until) = (self.telemetry, self.from, self.until);
         let mut out = Vec::new();
         for &node in nodes {
-            for ResourceEvidence { kind, why, .. } in
-                self.telemetry.resource_anomalies(node, from, until)
-            {
-                out.push(RootCause {
-                    node,
-                    cause: CauseKind::Resource(kind),
-                    why,
-                });
-            }
-            for dep in self.telemetry.unhealthy_deps(node, from, until) {
-                out.push(RootCause {
-                    node,
-                    cause: CauseKind::Dependency(dep),
-                    why: format!("{dep} reported down by the watcher on {node}"),
-                });
-            }
+            let causes = self
+                .verdicts(node)
+                .causes
+                .get_or_insert_with(|| causes_on(telemetry, node, from, until));
+            out.extend_from_slice(causes);
         }
         out
     }
 
-    /// Nodes hosting any service that participates in the operations.
-    pub(crate) fn operation_nodes(&self, ops: &[&OperationSpec]) -> Vec<NodeId> {
+    /// Nodes hosting any service that participates in the operations,
+    /// sorted and deduplicated.
+    fn operation_nodes(&mut self, matched: &[OpSpecId]) -> Vec<NodeId> {
+        if self.masks.is_empty() {
+            self.masks = vec![None; self.specs.len()];
+        }
+        let mut mask = 0u32;
+        for &id in matched {
+            let Some(spec) = self.specs.get(id.index()) else {
+                continue;
+            };
+            mask |= *self.masks[id.index()].get_or_insert_with(|| spec.service_mask());
+        }
         let mut nodes = Vec::new();
-        for op in ops {
-            for service in op.services() {
-                for &n in self.deployment.nodes_of(service) {
-                    if !nodes.contains(&n) {
-                        nodes.push(n);
-                    }
-                }
+        for service in Service::ALL {
+            if mask & 1 << service as u32 != 0 {
+                nodes.extend_from_slice(self.deployment.nodes_of(service));
             }
         }
         nodes.sort();
+        nodes.dedup();
         nodes
     }
+}
+
+/// `FIND_ROOT_CAUSE` on one node: its resource anomalies, then its failed
+/// software dependencies.
+fn causes_on(
+    telemetry: &TelemetryStore,
+    node: NodeId,
+    from: SimTime,
+    until: SimTime,
+) -> Vec<RootCause> {
+    let resources = telemetry
+        .resource_anomalies(node, from, until)
+        .into_iter()
+        .map(|ResourceEvidence { kind, why, .. }| RootCause {
+            node,
+            cause: CauseKind::Resource(kind),
+            why,
+        });
+    let deps = telemetry
+        .unhealthy_deps(node, from, until)
+        .into_iter()
+        .map(|dep| RootCause {
+            node,
+            cause: CauseKind::Dependency(dep),
+            why: format!("{dep} reported down by the watcher on {node}"),
+        });
+    resources.chain(deps).collect()
+}
+
+/// The [`CauseKind::StaleTelemetry`] entry for one node, if any of its
+/// telemetry went silent before `[from, until)`.
+fn stale_on(
+    telemetry: &TelemetryStore,
+    node: NodeId,
+    from: SimTime,
+    until: SimTime,
+) -> Option<RootCause> {
+    let stale_resources = telemetry.resource_staleness(node, from, until);
+    let stale_watchers = telemetry.watcher_staleness(node, from, until);
+    if stale_resources.is_empty() && stale_watchers.is_empty() {
+        return None;
+    }
+    let why = format!(
+        "telemetry on {node} stale over the fault window: {} resource series, {} watcher(s) silent — cannot rule out a root cause here",
+        stale_resources.len(),
+        stale_watchers.len()
+    );
+    Some(RootCause {
+        node,
+        cause: CauseKind::StaleTelemetry {
+            stale_resources,
+            stale_watchers,
+        },
+        why,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gretel_model::{Catalog, OpSpecId, Service, Workflows};
+    use gretel_model::{Catalog, Workflows};
     use gretel_sim::{secs, ResourceSample, WatcherSample};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// One diagnosis' analysis on an engine of its own.
+    fn analyze_fresh(
+        dep: &Deployment,
+        t: &TelemetryStore,
+        specs: &[OperationSpec],
+        matched: &[OpSpecId],
+        error_nodes: &[NodeId],
+        from: SimTime,
+        until: SimTime,
+    ) -> Vec<RootCause> {
+        RcaEngine::new(dep, t, specs, from, until).analyze(matched, error_nodes)
+    }
 
     fn telemetry_with(
         resources: Vec<ResourceSample>,
@@ -210,8 +302,15 @@ mod tests {
             value: 0.3,
         }));
         let t = telemetry_with(res, vec![]);
-        let engine = RcaEngine::new(&dep, &t);
-        let causes = engine.analyze(&[], &[NodeId(2), NodeId(0)], secs(10), secs(50));
+        let causes = analyze_fresh(
+            &dep,
+            &t,
+            &[],
+            &[],
+            &[NodeId(2), NodeId(0)],
+            secs(10),
+            secs(50),
+        );
         assert_eq!(causes.len(), 1);
         assert_eq!(causes[0].node, NodeId(2));
         assert_eq!(
@@ -228,7 +327,7 @@ mod tests {
         let cat = Catalog::openstack();
         let wf = Workflows::new(cat.clone());
         let dep = Deployment::standard();
-        let spec = wf.cinder_list_spec(OpSpecId(0));
+        let specs = [wf.cinder_list_spec(OpSpecId(0))];
 
         let watchers: Vec<WatcherSample> = (0..60)
             .map(|i| WatcherSample {
@@ -239,10 +338,17 @@ mod tests {
             })
             .collect();
         let t = telemetry_with(vec![], watchers);
-        let engine = RcaEngine::new(&dep, &t);
 
         // Error nodes: keystone/controller only — clean.
-        let causes = engine.analyze(&[&spec], &[NodeId(0)], secs(10), secs(50));
+        let causes = analyze_fresh(
+            &dep,
+            &t,
+            &specs,
+            &[OpSpecId(0)],
+            &[NodeId(0)],
+            secs(10),
+            secs(50),
+        );
         assert_eq!(causes.len(), 1);
         assert_eq!(causes[0].node, NodeId(3));
         assert_eq!(causes[0].cause, CauseKind::Dependency(Dependency::NtpAgent));
@@ -252,10 +358,7 @@ mod tests {
     fn no_anomalies_yields_empty() {
         let dep = Deployment::standard();
         let t = telemetry_with(baseline_cpu(NodeId(1), 60), vec![]);
-        let engine = RcaEngine::new(&dep, &t);
-        assert!(engine
-            .analyze(&[], &[NodeId(1)], secs(10), secs(50))
-            .is_empty());
+        assert!(analyze_fresh(&dep, &t, &[], &[], &[NodeId(1)], secs(10), secs(50)).is_empty());
     }
 
     #[test]
@@ -265,8 +368,7 @@ mod tests {
         // window starts at t=40s. Nothing anomalous is *observable*, but
         // claiming "no root cause" would rest on missing data.
         let t = telemetry_with(baseline_cpu(NodeId(1), 20), vec![]);
-        let engine = RcaEngine::new(&dep, &t);
-        let causes = engine.analyze(&[], &[NodeId(1)], secs(40), secs(50));
+        let causes = analyze_fresh(&dep, &t, &[], &[], &[NodeId(1)], secs(40), secs(50));
         assert_eq!(causes.len(), 1);
         assert_eq!(causes[0].node, NodeId(1));
         match &causes[0].cause {
@@ -281,10 +383,7 @@ mod tests {
         }
         // With live coverage of the window the verdict stays a clean empty.
         let fresh = telemetry_with(baseline_cpu(NodeId(1), 60), vec![]);
-        let engine = RcaEngine::new(&dep, &fresh);
-        assert!(engine
-            .analyze(&[], &[NodeId(1)], secs(10), secs(50))
-            .is_empty());
+        assert!(analyze_fresh(&dep, &fresh, &[], &[], &[NodeId(1)], secs(10), secs(50)).is_empty());
     }
 
     #[test]
@@ -292,10 +391,10 @@ mod tests {
         let cat = Catalog::openstack();
         let wf = Workflows::new(cat.clone());
         let dep = Deployment::standard();
-        let spec = wf.vm_create_spec(OpSpecId(0));
+        let specs = [wf.vm_create_spec(OpSpecId(0))];
         let t = telemetry_with(vec![], vec![]);
-        let engine = RcaEngine::new(&dep, &t);
-        let nodes = engine.operation_nodes(&[&spec]);
+        let mut engine = RcaEngine::new(&dep, &t, &specs, 0, 1);
+        let nodes = engine.operation_nodes(&[OpSpecId(0)]);
         // VM create touches Horizon/Nova (0), Neutron (1), Glance (2), and
         // all compute nodes.
         assert!(nodes.contains(&NodeId(0)));
@@ -330,8 +429,7 @@ mod tests {
             })
             .collect();
         let t = telemetry_with(res, watchers);
-        let engine = RcaEngine::new(&dep, &t);
-        let causes = engine.analyze(&[], &[NodeId(1)], secs(40), secs(50));
+        let causes = analyze_fresh(&dep, &t, &[], &[], &[NodeId(1)], secs(40), secs(50));
         assert_eq!(causes.len(), 2);
         assert!(causes
             .iter()
@@ -339,5 +437,66 @@ mod tests {
         assert!(causes
             .iter()
             .any(|c| matches!(c.cause, CauseKind::Dependency(_))));
+    }
+
+    #[test]
+    fn a_memoized_engine_answers_every_query_like_a_fresh_one() {
+        // One window, [40s, 50s), over telemetry that exercises all three
+        // branches: a CPU surge on node 1 (found on the error nodes), a
+        // dead NTP agent on the Cinder node 3 (found by expansion), and
+        // node 5's series falling silent at 20s while everything else
+        // reports through 60s (stale, when nothing else is found).
+        let cat = Catalog::openstack();
+        let wf = Workflows::new(cat);
+        let dep = Deployment::standard();
+        let specs = [
+            wf.cinder_list_spec(OpSpecId(0)),
+            wf.vm_create_spec(OpSpecId(1)),
+            wf.image_upload_spec(OpSpecId(2)),
+        ];
+        let mut res = Vec::new();
+        for node in 0..7u8 {
+            let until_s = if node == 5 { 20 } else { 60 };
+            res.extend((0..until_s).map(|i| ResourceSample {
+                ts: secs(i),
+                node: NodeId(node),
+                kind: ResourceKind::CpuPercent,
+                value: if node == 1 && (40..50).contains(&i) {
+                    96.0
+                } else {
+                    10.0
+                },
+            }));
+        }
+        let watchers: Vec<WatcherSample> = (0..60)
+            .map(|i| WatcherSample {
+                ts: secs(i),
+                node: NodeId(3),
+                dep: Dependency::NtpAgent,
+                healthy: i < 40,
+            })
+            .collect();
+        let t = telemetry_with(res, watchers);
+        let (from, until) = (secs(40), secs(50));
+
+        let mut memo = RcaEngine::new(&dep, &t, &specs, from, until);
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut branches = [false; 3];
+        for round in 0..300 {
+            let matched: Vec<OpSpecId> = (0..rng.gen_range(0..4))
+                .map(|_| OpSpecId(rng.gen_range(0..4)))
+                .collect();
+            let error_nodes = [NodeId(rng.gen_range(0..8)), NodeId(rng.gen_range(0..8))];
+            let want = analyze_fresh(&dep, &t, &specs, &matched, &error_nodes, from, until);
+            let got = memo.analyze(&matched, &error_nodes);
+            assert_eq!(got, want, "round {round}: {matched:?} {error_nodes:?}");
+            match want.first().map(|c| (c.node, &c.cause)) {
+                Some((_, CauseKind::StaleTelemetry { .. })) => branches[2] = true,
+                Some((node, _)) if error_nodes.contains(&node) => branches[0] = true,
+                Some(_) => branches[1] = true,
+                None => {}
+            }
+        }
+        assert_eq!(branches, [true; 3], "error nodes, expansion, stale");
     }
 }

@@ -196,25 +196,13 @@ impl OperationSpec {
     }
 
     /// The set of services participating in this operation (callers and
-    /// callees). RCA uses this to map an operation onto deployment nodes.
-    ///
-    /// Services come out in first-seen order. RCA calls this once per
-    /// candidate operation of every diagnosis, so membership is one bit per
-    /// [`Service`] variant rather than a rescan of `out` at every step.
-    pub fn services(&self) -> Vec<Service> {
+    /// callees), one bit per [`Service`] at `1 << service as u32`. RCA uses
+    /// this to map an operation onto deployment nodes.
+    pub fn service_mask(&self) -> u32 {
         const _: () = assert!(Service::ALL.len() <= u32::BITS as usize);
-        let mut seen = 0u32;
-        let mut out: Vec<Service> = Vec::new();
-        for s in &self.steps {
-            for service in [s.src, s.dst] {
-                let bit = 1u32 << service as u32;
-                if seen & bit == 0 {
-                    seen |= bit;
-                    out.push(service);
-                }
-            }
-        }
-        out
+        self.steps
+            .iter()
+            .fold(0, |mask, s| mask | 1 << s.src as u32 | 1 << s.dst as u32)
     }
 }
 
@@ -252,12 +240,11 @@ mod tests {
     }
 
     #[test]
-    fn services_deduplicate() {
-        // First-seen order, each service once.
-        assert_eq!(
-            spec().services(),
-            [Service::Horizon, Service::Nova, Service::Glance]
-        );
+    fn service_mask_sets_one_bit_per_participant() {
+        let want = [Service::Horizon, Service::Nova, Service::Glance]
+            .iter()
+            .fold(0, |mask, &s| mask | 1 << s as u32);
+        assert_eq!(spec().service_mask(), want);
     }
 
     #[test]

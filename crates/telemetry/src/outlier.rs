@@ -168,10 +168,10 @@ impl LevelShiftDetector {
                 return stats;
             }
         }
-        let base: Vec<f64> = self.baseline.iter().copied().collect();
-        let med = median_of(&base).expect("baseline non-empty");
-        let sigma = mad_sigma_of(&base)
-            .unwrap_or(0.0)
+        let mut scratch = Vec::new();
+        let base = self.baseline.iter().copied();
+        let med = median_of(base.clone(), &mut scratch).expect("baseline non-empty");
+        let sigma = mad_sigma_of(base, med, &mut scratch)
             .max(self.cfg.min_sigma_frac * med.abs())
             .max(f64::EPSILON);
         self.cached_stats = Some((med, sigma));
@@ -208,8 +208,8 @@ impl OutlierDetector for LevelShiftDetector {
         }
 
         let (base_med, sigma) = self.baseline_stats();
-        let test: Vec<f64> = self.test.iter().copied().collect();
-        let test_med = median_of(&test).expect("test non-empty");
+        let test_med =
+            median_of(self.test.iter().copied(), &mut Vec::new()).expect("test non-empty");
 
         let deviation = (test_med - base_med) / sigma;
         if deviation.abs() >= self.cfg.k_sigma {
@@ -451,10 +451,10 @@ impl Default for SpikeDetector {
 impl OutlierDetector for SpikeDetector {
     fn update(&mut self, ts: SimTime, value: f64) -> Option<Anomaly> {
         let out = if self.window.len() >= self.capacity / 2 {
-            let vals: Vec<f64> = self.window.iter().copied().collect();
-            let med = median_of(&vals).expect("window non-empty");
-            let sigma = mad_sigma_of(&vals)
-                .unwrap_or(0.0)
+            let mut scratch = Vec::new();
+            let vals = self.window.iter().copied();
+            let med = median_of(vals.clone(), &mut scratch).expect("window non-empty");
+            let sigma = mad_sigma_of(vals, med, &mut scratch)
                 .max(0.05 * med.abs())
                 .max(f64::EPSILON);
             let deviation = (value - med) / sigma;

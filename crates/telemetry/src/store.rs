@@ -6,10 +6,47 @@
 //! root cause analysis walks over (Algorithm 3: `Is_Anomalous` over
 //! resource metadata, `Is_S/W_Dependency` over watcher state).
 
-use crate::series::{mad_sigma_of, median_of, TimeSeries};
-use gretel_model::{Dependency, NodeId};
+use crate::series::{mad_sigma_of, median_of, window_of, TimeSeries};
+use gretel_model::{Dependency, NodeId, Service};
 use gretel_sim::{Execution, ResourceKind, ResourceSample, SimTime, WatcherSample};
-use std::collections::HashMap;
+
+/// Resource series per node in the dense table.
+const KINDS: usize = ResourceKind::ALL.len();
+
+/// Process watchers, one per service, ahead of the infrastructure ones.
+const PROCESSES: usize = Service::ALL.len();
+
+/// Every watchable dependency, indexed by [`dependency_slot`].
+const DEPENDENCIES: [Dependency; PROCESSES + 4] = {
+    let infra = [
+        Dependency::MySqlReachable,
+        Dependency::RabbitMqReachable,
+        Dependency::NtpAgent,
+        Dependency::Libvirt,
+    ];
+    let mut all = [Dependency::Libvirt; PROCESSES + 4];
+    let mut i = 0;
+    while i < all.len() {
+        all[i] = if i < PROCESSES {
+            Dependency::ServiceProcess(Service::ALL[i])
+        } else {
+            infra[i - PROCESSES]
+        };
+        i += 1;
+    }
+    all
+};
+
+/// Index of `dep` in [`DEPENDENCIES`].
+fn dependency_slot(dep: Dependency) -> usize {
+    match dep {
+        Dependency::ServiceProcess(s) => s as usize,
+        Dependency::MySqlReachable => PROCESSES,
+        Dependency::RabbitMqReachable => PROCESSES + 1,
+        Dependency::NtpAgent => PROCESSES + 2,
+        Dependency::Libvirt => PROCESSES + 3,
+    }
+}
 
 /// Evidence for a resource anomaly on a node.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,32 +61,95 @@ pub struct ResourceEvidence {
     pub why: String,
 }
 
-/// Queryable telemetry collected from all monitoring agents.
+/// One dependency watcher's reports from one node, in timestamp order.
+#[derive(Debug)]
+struct Watcher {
+    dep: Dependency,
+    reports: Vec<(SimTime, bool)>,
+}
+
+/// Queryable telemetry collected from all monitoring agents, laid out for
+/// the queries root cause analysis asks: everything is per node, so both
+/// tables are indexed by node id.
 #[derive(Debug, Default)]
 pub struct TelemetryStore {
-    resources: HashMap<(NodeId, ResourceKind), TimeSeries>,
-    watchers: HashMap<(NodeId, Dependency), Vec<(SimTime, bool)>>,
+    /// Resource series, dense by node × [`ResourceKind`]: slot
+    /// `node * KINDS + kind`. An empty series was never reported.
+    resources: Vec<TimeSeries>,
+    /// Each node's watchers, sorted by [`Dependency::name`] — the order
+    /// every watcher query reports in.
+    watchers: Vec<Vec<Watcher>>,
+    /// Latest timestamp of any sample — how far telemetry collection as a
+    /// whole has progressed. Mid-window staleness is judged against this:
+    /// a node is only "dead" if *other* telemetry kept arriving after it
+    /// went quiet, not when collection itself stopped (end of run).
+    horizon: SimTime,
 }
 
 impl TelemetryStore {
-    /// Build from raw sample streams.
+    /// Build from raw sample streams. Resource samples must be in
+    /// timestamp order per `(node, kind)`; watcher reports may come in any
+    /// order and are sorted by timestamp here.
     pub fn from_samples(resources: &[ResourceSample], watchers: &[WatcherSample]) -> Self {
-        let mut store = TelemetryStore::default();
+        let nodes = resources
+            .iter()
+            .map(|s| s.node)
+            .chain(watchers.iter().map(|w| w.node))
+            .max()
+            .map_or(0, |n| usize::from(n.0) + 1);
+        let resource_slot = |s: &ResourceSample| usize::from(s.node.0) * KINDS + s.kind as usize;
+        let watcher_slot =
+            |w: &WatcherSample| usize::from(w.node.0) * DEPENDENCIES.len() + dependency_slot(w.dep);
+
+        // Count first, so every series is allocated once at its final size.
+        let mut counts = vec![0usize; nodes * KINDS];
         for s in resources {
-            store
-                .resources
-                .entry((s.node, s.kind))
-                .or_default()
-                .push(s.ts, s.value);
+            counts[resource_slot(s)] += 1;
         }
+        let mut series: Vec<TimeSeries> = counts
+            .iter()
+            .map(|&n| TimeSeries::with_capacity(n))
+            .collect();
+        for s in resources {
+            series[resource_slot(s)].push(s.ts, s.value);
+        }
+
+        let mut counts = vec![0usize; nodes * DEPENDENCIES.len()];
         for w in watchers {
-            store
-                .watchers
-                .entry((w.node, w.dep))
-                .or_default()
-                .push((w.ts, w.healthy));
+            counts[watcher_slot(w)] += 1;
         }
-        store
+        let mut reports: Vec<Vec<(SimTime, bool)>> =
+            counts.iter().map(|&n| Vec::with_capacity(n)).collect();
+        for w in watchers {
+            reports[watcher_slot(w)].push((w.ts, w.healthy));
+        }
+        let mut by_name = DEPENDENCIES;
+        by_name.sort_by_cached_key(|d| d.name());
+        let per_node = reports
+            .chunks_mut(DEPENDENCIES.len())
+            .map(|node| {
+                by_name
+                    .iter()
+                    .filter_map(|&dep| {
+                        let mut reports = std::mem::take(&mut node[dependency_slot(dep)]);
+                        reports.sort_by_key(|&(t, _)| t);
+                        (!reports.is_empty()).then_some(Watcher { dep, reports })
+                    })
+                    .collect()
+            })
+            .collect();
+
+        let horizon = resources
+            .iter()
+            .map(|s| s.ts)
+            .chain(watchers.iter().map(|w| w.ts))
+            .max()
+            .unwrap_or(0);
+        TelemetryStore {
+            resources: series,
+            watchers: per_node,
+            horizon,
+        }
     }
 
     /// Build from a simulation run.
@@ -58,36 +158,44 @@ impl TelemetryStore {
     }
 
     /// The series for `(node, kind)`, if any samples exist.
-    pub(crate) fn resource_series(&self, node: NodeId, kind: ResourceKind) -> Option<&TimeSeries> {
-        self.resources.get(&(node, kind))
+    fn resource_series(&self, node: NodeId, kind: ResourceKind) -> Option<&TimeSeries> {
+        self.resources
+            .get(usize::from(node.0) * KINDS + kind as usize)
+            .filter(|s| !s.is_empty())
+    }
+
+    /// The watchers on `node`, in [`Dependency::name`] order.
+    fn watchers_on(&self, node: NodeId) -> &[Watcher] {
+        self.watchers
+            .get(usize::from(node.0))
+            .map_or(&[], Vec::as_slice)
     }
 
     /// All nodes with any telemetry.
     pub fn nodes(&self) -> Vec<NodeId> {
-        let mut nodes: Vec<NodeId> = self.resources.keys().map(|&(n, _)| n).collect();
-        nodes.extend(self.watchers.keys().map(|&(n, _)| n));
-        nodes.sort();
-        nodes.dedup();
-        nodes
+        (0..self.watchers.len())
+            .filter(|&n| {
+                !self.watchers[n].is_empty()
+                    || self.resources[n * KINDS..(n + 1) * KINDS]
+                        .iter()
+                        .any(|s| !s.is_empty())
+            })
+            .map(|n| NodeId(n as u8))
+            .collect()
     }
 
     /// Dependencies on `node` that reported unhealthy at least once inside
-    /// `[from, until)`.
+    /// `[from, until)`, in [`Dependency::name`] order.
     pub fn unhealthy_deps(&self, node: NodeId, from: SimTime, until: SimTime) -> Vec<Dependency> {
-        let mut out = Vec::new();
-        for (&(n, dep), states) in &self.watchers {
-            if n != node {
-                continue;
-            }
-            if states
-                .iter()
-                .any(|&(ts, healthy)| ts >= from && ts < until && !healthy)
-            {
-                out.push(dep);
-            }
-        }
-        out.sort_by_key(|d| d.name());
-        out
+        self.watchers_on(node)
+            .iter()
+            .filter(|w| {
+                window_of(&w.reports, from, until)
+                    .iter()
+                    .any(|&(_, healthy)| !healthy)
+            })
+            .map(|w| w.dep)
+            .collect()
     }
 
     /// Resource anomalies on `node` inside `[from, until)`.
@@ -106,15 +214,15 @@ impl TelemetryStore {
         until: SimTime,
     ) -> Vec<ResourceEvidence> {
         let mut out = Vec::new();
+        let mut scratch = Vec::new();
         for kind in ResourceKind::ALL {
             let Some(series) = self.resource_series(node, kind) else {
                 continue;
             };
-            let window: Vec<f64> = series.window(from, until).iter().map(|&(_, v)| v).collect();
-            if window.is_empty() {
+            let window = series.window(from, until).iter().map(|&(_, v)| v);
+            let Some(observed) = median_of(window, &mut scratch) else {
                 continue;
-            }
-            let observed = median_of(&window).expect("window non-empty");
+            };
 
             // Absolute guards.
             match kind {
@@ -140,15 +248,20 @@ impl TelemetryStore {
             }
 
             // Relative to the node's own history before the window.
-            let history: Vec<f64> = series.window(0, from).iter().map(|&(_, v)| v).collect();
+            let history = series.window(0, from);
             if history.len() < 10 {
                 continue;
             }
-            let base_med = median_of(&history).expect("history non-empty");
-            let sigma = mad_sigma_of(&history)
-                .unwrap_or(0.0)
-                .max(0.05 * base_med.abs())
-                .max(f64::EPSILON);
+            let history = history.iter().map(|&(_, v)| v);
+            let base_med = median_of(history.clone(), &mut scratch).expect("history non-empty");
+            // Sigma never drops below this floor, so a deviation short of six
+            // floors is short of six sigmas (division rounds monotonically in
+            // the divisor): most windows skip the MAD.
+            let floor = (0.05 * base_med.abs()).max(f64::EPSILON);
+            if ((observed - base_med) / floor).abs() < 6.0 {
+                continue;
+            }
+            let sigma = mad_sigma_of(history, base_med, &mut scratch).max(floor);
             let z = (observed - base_med) / sigma;
             if z.abs() >= 6.0 {
                 out.push(ResourceEvidence {
@@ -180,67 +293,43 @@ impl TelemetryStore {
         from: SimTime,
         until: SimTime,
     ) -> Vec<ResourceKind> {
-        let mut out = Vec::new();
-        let horizon = self.collection_horizon();
-        for kind in ResourceKind::ALL {
-            let Some(series) = self.resource_series(node, kind) else {
-                continue; // never reported: genuinely no telemetry, not stale
-            };
-            let ts: Vec<SimTime> = series.window(0, until).iter().map(|&(t, _)| t).collect();
-            if series_went_silent(&ts, from, until, horizon) {
-                out.push(kind);
-            }
-        }
-        out
+        let mut gaps = Vec::new();
+        ResourceKind::ALL
+            .into_iter()
+            .filter(|&kind| {
+                // A series never reported is genuinely absent, not stale.
+                self.resource_series(node, kind).is_some_and(|series| {
+                    let before = series.window(0, until);
+                    series_went_silent(before, from, until, self.horizon, &mut gaps)
+                })
+            })
+            .collect()
     }
 
     /// Dependency watchers on `node` that are stale over `[from, until)`:
     /// they reported before `until` but went silent (entirely before the
     /// window, or mid-window for at least three typical report intervals),
     /// so [`TelemetryStore::unhealthy_deps`] would read their silence as
-    /// health.
+    /// health. In [`Dependency::name`] order.
     pub fn watcher_staleness(
         &self,
         node: NodeId,
         from: SimTime,
         until: SimTime,
     ) -> Vec<Dependency> {
-        let mut out = Vec::new();
-        let horizon = self.collection_horizon();
-        for (&(n, dep), states) in &self.watchers {
-            if n != node {
-                continue;
-            }
-            let ts: Vec<SimTime> = states
-                .iter()
-                .map(|&(t, _)| t)
-                .filter(|&t| t < until)
-                .collect();
-            if series_went_silent(&ts, from, until, horizon) {
-                out.push(dep);
-            }
-        }
-        out.sort_by_key(|d| d.name());
-        out
-    }
-
-    /// Latest timestamp of any sample in the store — how far telemetry
-    /// collection as a whole has progressed. Mid-window staleness is
-    /// judged against this: a node is only "dead" if *other* telemetry
-    /// kept arriving after it went quiet, not when collection itself
-    /// stopped (end of run).
-    fn collection_horizon(&self) -> SimTime {
-        let res = self.resources.values().filter_map(|s| s.last_ts()).max();
-        let wat = self
-            .watchers
-            .values()
-            .filter_map(|s| s.last().map(|&(t, _)| t))
-            .max();
-        res.max(wat).unwrap_or(0)
+        let mut gaps = Vec::new();
+        self.watchers_on(node)
+            .iter()
+            .filter(|w| {
+                let before = window_of(&w.reports, 0, until);
+                series_went_silent(before, from, until, self.horizon, &mut gaps)
+            })
+            .map(|w| w.dep)
+            .collect()
     }
 }
 
-/// Whether a sample stream (timestamps before `until`, ascending) went
+/// Whether a sample stream (the points before `until`, ascending) went
 /// silent with respect to the window `[from, until)`.
 ///
 /// Two shapes count as silent:
@@ -256,27 +345,35 @@ impl TelemetryStore {
 /// first shape; an empty stream is absent, not stale. The mid-window shape
 /// is additionally bounded by `horizon` (how far collection as a whole has
 /// progressed), so a global end of collection never reads as one node
-/// dying.
-fn series_went_silent(ts: &[SimTime], from: SimTime, until: SimTime, horizon: SimTime) -> bool {
-    let Some(&last) = ts.last() else {
+/// dying. `gaps` is working space.
+fn series_went_silent<T>(
+    points: &[(SimTime, T)],
+    from: SimTime,
+    until: SimTime,
+    horizon: SimTime,
+    gaps: &mut Vec<SimTime>,
+) -> bool {
+    let Some(&(last, _)) = points.last() else {
         return false; // never reported before `until`
     };
     if last < from {
         return true; // silent across the entire window
     }
-    if ts.len() < 2 {
+    if points.len() < 2 {
         return false;
     }
-    let mut gaps: Vec<SimTime> = ts.windows(2).map(|w| w[1] - w[0]).collect();
-    gaps.sort_unstable();
-    let typical = gaps[gaps.len() / 2];
+    gaps.clear();
+    gaps.extend(points.windows(2).map(|w| w[1].0 - w[0].0));
+    // The median gap, by selection; integers have no signed zero, so this
+    // is exactly the sorted `gaps[len / 2]`.
+    let mid = gaps.len() / 2;
+    let typical = *gaps.select_nth_unstable(mid).1;
     typical > 0 && last.saturating_add(typical.saturating_mul(3)) < until.min(horizon)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gretel_model::Service;
     use gretel_sim::secs;
 
     fn store_with_cpu(node: NodeId, values: &[(SimTime, f64)]) -> TelemetryStore {
@@ -469,5 +566,89 @@ mod tests {
         ];
         let store = TelemetryStore::from_samples(&samples, &[]);
         assert_eq!(store.nodes(), vec![NodeId(1), NodeId(3)]);
+    }
+
+    #[test]
+    fn every_dependency_has_its_own_slot() {
+        for (slot, &dep) in DEPENDENCIES.iter().enumerate() {
+            assert_eq!(dependency_slot(dep), slot, "{dep:?}");
+        }
+    }
+
+    #[test]
+    fn watcher_queries_report_in_name_order() {
+        // Reports arrive interleaved and out of timestamp order; queries
+        // answer in `Dependency::name` order, over timestamp-sorted reports.
+        let deps = [
+            Dependency::RabbitMqReachable,
+            Dependency::ServiceProcess(Service::NeutronAgent),
+            Dependency::Libvirt,
+            Dependency::MySqlReachable,
+        ];
+        let mut watchers: Vec<WatcherSample> = (0..20)
+            .rev()
+            .flat_map(|i| {
+                deps.map(|dep| WatcherSample {
+                    ts: secs(i),
+                    node: NodeId(4),
+                    dep,
+                    healthy: i < 10,
+                })
+            })
+            .collect();
+        // A second node that keeps reporting moves the horizon on.
+        watchers.extend((0..40).map(|i| WatcherSample {
+            ts: secs(i),
+            node: NodeId(0),
+            dep: Dependency::NtpAgent,
+            healthy: true,
+        }));
+        let store = TelemetryStore::from_samples(&[], &watchers);
+        let mut by_name = deps.to_vec();
+        by_name.sort_by_key(|d| d.name());
+        assert_eq!(store.unhealthy_deps(NodeId(4), secs(10), secs(20)), by_name);
+        assert!(store.unhealthy_deps(NodeId(4), 0, secs(10)).is_empty());
+        assert_eq!(
+            store.watcher_staleness(NodeId(4), secs(25), secs(35)),
+            by_name
+        );
+        assert!(store
+            .watcher_staleness(NodeId(4), secs(5), secs(20))
+            .is_empty());
+    }
+
+    #[test]
+    fn inverted_windows_answer_empty() {
+        // A snapshot whose events are out of timestamp order asks about a
+        // window with `until < from`: every query answers, none panics, and
+        // no point lies inside the window.
+        let mut pts: Vec<(SimTime, f64)> = (0..60).map(|i| (secs(i), 10.0)).collect();
+        pts.extend((60..80).map(|i| (secs(i), 95.0)));
+        let samples: Vec<ResourceSample> = pts
+            .iter()
+            .map(|&(ts, value)| ResourceSample {
+                ts,
+                node: NodeId(1),
+                kind: ResourceKind::CpuPercent,
+                value,
+            })
+            .collect();
+        let watchers = [WatcherSample {
+            ts: secs(70),
+            node: NodeId(1),
+            dep: Dependency::NtpAgent,
+            healthy: false,
+        }];
+        let store = TelemetryStore::from_samples(&samples, &watchers);
+        let (from, until) = (secs(75), secs(65));
+        assert!(store.resource_anomalies(NodeId(1), from, until).is_empty());
+        assert!(store.unhealthy_deps(NodeId(1), from, until).is_empty());
+        // Staleness reads the points before `until` and, as for any window,
+        // calls a series silent when its last one precedes `from`.
+        assert_eq!(
+            store.resource_staleness(NodeId(1), from, until),
+            vec![ResourceKind::CpuPercent]
+        );
+        assert!(store.watcher_staleness(NodeId(1), from, until).is_empty());
     }
 }

@@ -41,8 +41,17 @@ scripts/pub_surface.sh
 # git-ignored files under benchmark/.
 cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
-cargo run --release --offline --locked -q --manifest-path benchmark/Cargo.toml \
-  --bin gretel-benchmark -- run --check
+check_log="$(cargo run --release --offline --locked -q --manifest-path benchmark/Cargo.toml \
+  --bin gretel-benchmark -- run --check)"
+printf '%s\n' "$check_log"
+
+# The check-size diagnosis digests are pinned: `run --check` prints one
+# `<workload>: … digest <hex>` line per workload, and a change that moves
+# any of them fails here rather than passing unnoticed.
+grep -E '^[a-z]+: .* digest [0-9a-f]+$' <<<"$check_log" |
+  sed -E 's/^([a-z]+): .* digest ([0-9a-f]+)$/\1 \2/' |
+  diff <(grep -v '^#' scripts/check_digests.txt) - ||
+  { echo "ci: a check-size digest moved: if intended, update scripts/check_digests.txt and explain the move in CHANGES.md" >&2; exit 1; }
 
 # The experiment battery: every artifact under results/ is a pure function
 # of (code, seed), so regenerate them all and require the committed copies

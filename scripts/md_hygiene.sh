@@ -10,7 +10,12 @@
 #      name of a file in the repository without its extension. A `*` or a `<name>`
 #      placeholder matches any word characters. ROADMAP.md names planned
 #      work and is exempt; a paper name that looks like an identifier is
-#      written as plain text, not code.
+#      written as plain text, not code;
+#   3. every backticked `*.rs` name in those docs is a file: a bare name
+#      must be some file's name, a path (`netcap/src/frame.rs`) the tail of
+#      some file's path;
+#   4. no doc but ROADMAP.md cites a ROADMAP item by number: the items are
+#      renumbered at every re-anchor, so a doc names the work instead.
 # (That results/*.json is exactly what the experiment table produces is a
 # unit test in crates/bench/src/lib.rs.)
 #
@@ -45,7 +50,8 @@ done
 
 # Rule 2: the words of the code, plus every file's stem.
 words="$(mktemp)"
-trap 'rm -f "$words"' EXIT
+files="$(mktemp)"
+trap 'rm -f "$words" "$files"' EXIT
 {
   find crates src tests examples benchmark/src scripts -type f \
     \( -name '*.rs' -o -name '*.sh' -o -name '*.toml' \) -not -path '*/target/*' \
@@ -70,6 +76,27 @@ for doc in "${DOCS[@]}"; do
     grep -oE '`[^`]+`' | sed -E 's/<[A-Za-z_]+>/*/g' |
     grep -oE '[A-Za-z_*][A-Za-z0-9_*]*(::[A-Za-z_*][A-Za-z0-9_*]*)*' |
     grep -E '::|_|^[A-Z][a-z0-9]+[A-Z]' | sort -u)
+done
+
+# Rules 3 and 4: every Rust file's path from the root, with a leading `/`
+# so a name matches a whole path segment.
+find . \( -name target -o -name .git \) -prune -o -type f -name '*.rs' -print |
+  sed 's#^\.##' >"$files"
+for doc in "${DOCS[@]}"; do
+  [ "$doc" = ROADMAP.md ] && continue
+  [ -f "$doc" ] || continue
+  while IFS= read -r name; do
+    if ! awk -v t="/$name" 'substr($0, length($0) - length(t) + 1) == t { found = 1; exit }
+      END { exit !found }' "$files"; then
+      echo "md_hygiene: $doc names \`$name\`, which is no file in the repository"
+      fail=1
+    fi
+  done < <(awk '/^[ \t]*```/ { fence = !fence; next } !fence' "$doc" |
+    grep -oE '`[^`]+`' | grep -oE '[A-Za-z0-9_./-]*[A-Za-z0-9_]\.rs\b' | sort -u)
+  if grep -nE 'ROADMAP (item|items) [0-9]' "$doc"; then
+    echo "md_hygiene: $doc cites ROADMAP items by number (above): name the work instead"
+    fail=1
+  fi
 done
 
 if [ "$fail" -ne 0 ]; then

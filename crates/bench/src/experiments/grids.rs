@@ -5,7 +5,7 @@
 
 use crate::precision::{mean, sweep, PrecisionParams, PrecisionResult, SEEDS};
 use crate::{Artifact, Ctx};
-use gretel_core::{Detector, Event, FaultMark, FingerprintLibrary, GretelConfig};
+use gretel_core::{Detector, Event, FaultMark, FingerprintLibrary, GretelConfig, Matching};
 use gretel_model::{ApiId, Category, Direction, HttpMethod, MessageId, NodeId, Service};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -100,6 +100,9 @@ pub(crate) fn fig7b(ctx: &Ctx) -> Vec<Artifact> {
     vec![Artifact::new("fig7b", &rows)]
 }
 
+/// A named configuration patch.
+type Policy = (&'static str, fn(&mut GretelConfig));
+
 #[derive(Serialize)]
 struct Fig7cRow {
     variant: String,
@@ -112,11 +115,15 @@ struct Fig7cRow {
 /// Fig 7c — 100 tests, 8 faults, matched with the full fingerprints and
 /// with RPC symbols pruned (the §6 optimization; paper: nearly free).
 pub(crate) fn fig7c(ctx: &Ctx) -> Vec<Artifact> {
-    let rows: Vec<Fig7cRow> = [("without RPCs (pruned)", true), ("with RPCs", false)]
+    let variants: [Policy; 2] = [
+        ("without RPCs (pruned)", |c| c.prune_rpcs = true),
+        ("with RPCs", |c| c.prune_rpcs = false),
+    ];
+    let rows: Vec<Fig7cRow> = variants
         .into_iter()
-        .map(|(variant, prune)| {
+        .map(|(variant, patch)| {
             let params = PrecisionParams {
-                prune_rpcs: Some(prune),
+                config_override: Some(patch),
                 ..Default::default()
             };
             let runs = cell(ctx, 100, 8, params);
@@ -225,9 +232,6 @@ struct PolicyRow {
     recall: f64,
 }
 
-/// A named configuration patch.
-type Policy = (&'static str, fn(&mut GretelConfig));
-
 /// Matching-policy ablation — the data behind DESIGN.md §7: θ, matched-set
 /// size and recall per policy at 8 faults.
 pub(crate) fn policy_ablation(ctx: &Ctx) -> Vec<Artifact> {
@@ -235,18 +239,11 @@ pub(crate) fn policy_ablation(ctx: &Ctx) -> Vec<Artifact> {
         // Earliest-complete, bounded literals, grace.
         ("default", |_| {}),
         // Presence matching, stop at the first θ drop.
-        ("paper-theta-drop", |c| c.scored_slack = None),
+        ("paper-theta-drop", |c| c.matching = Matching::ThetaDrop),
         // Presence matching over the whole window.
-        ("presence-full", |c| {
-            c.scored_slack = None;
-            c.grow_full = true;
-        }),
+        ("presence-full", |c| c.matching = Matching::PresenceFull),
         // Every atom (starred included) required in order.
-        ("strict", |c| {
-            c.scored_slack = None;
-            c.relaxed = false;
-            c.grow_full = true;
-        }),
+        ("strict", |c| c.matching = Matching::Strict),
         // Fingerprints not truncated at the fault.
         ("no-truncation", |c| c.truncate = false),
     ];

@@ -14,7 +14,6 @@ fn level_shift() -> LevelShiftConfig {
     LevelShiftConfig {
         baseline_window: 20,
         test_window: 4,
-        ..Default::default()
     }
 }
 
@@ -131,7 +130,7 @@ pub fn fig8b(ctx: &Ctx) -> Vec<Artifact> {
         .catalog
         .rest_expect(Service::Glance, HttpMethod::Get, "/v2/images/{id}");
 
-    let spike = || Box::new(SpikeDetector::new(30, 8.0)) as Box<dyn OutlierDetector + Send>;
+    let spike = || Box::new(SpikeDetector::default()) as Box<dyn OutlierDetector + Send>;
     let monitors = [
         ("fig8b", PerfMonitor::new(level_shift(), true)),
         (

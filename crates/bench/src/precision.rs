@@ -33,15 +33,13 @@ pub struct PrecisionParams {
     pub identical_faults: bool,
     /// RNG seed.
     pub seed: u64,
-    /// Override `prune_rpcs` (None → default true).
-    pub prune_rpcs: Option<bool>,
     /// Window over which instance starts are spread.
     pub start_window_secs: u64,
-    /// Propagate (and exploit) per-operation correlation ids — the
-    /// §5.3.1 enhancement the paper leaves to OpenStack's rollout.
+    /// Propagate per-operation correlation ids — the §5.3.1 enhancement
+    /// the paper leaves to OpenStack's rollout. The analyzer exploits
+    /// them whenever the fault message carries one.
     pub correlation_ids: bool,
-    /// Full analyzer-config override (applied after `auto`; `prune_rpcs`
-    /// still wins). For ablations.
+    /// Analyzer-config override, applied after `auto`. For ablations.
     pub config_override: Option<fn(&mut GretelConfig)>,
     /// Run on `Deployment::scaled(n)` instead of the workbench's testbed
     /// (the `scale` experiment; fingerprints stay the testbed's).
@@ -55,7 +53,6 @@ impl Default for PrecisionParams {
             faults: 1,
             identical_faults: false,
             seed: 1,
-            prune_rpcs: None,
             start_window_secs: 20,
             correlation_ids: false,
             config_override: None,
@@ -145,9 +142,6 @@ pub fn run(wb: &Workbench, params: PrecisionParams) -> PrecisionResult {
     let mut cfg = wb.config_at(p_rate(&exec));
     if let Some(f) = params.config_override {
         f(&mut cfg);
-    }
-    if let Some(p) = params.prune_rpcs {
-        cfg.prune_rpcs = p;
     }
     let mut analyzer = Analyzer::new(&wb.library, cfg);
     let diagnoses = analyze_stream(&mut analyzer, exec.messages.iter());

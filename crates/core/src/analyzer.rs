@@ -370,11 +370,17 @@ impl<'a> Analyzer<'a> {
     /// Replace this analyzer's dynamic state with
     /// [`Analyzer::export_state`] bytes. The analyzer must be configured —
     /// library, config, perf factory, RCA — the same way as the one that
-    /// exported; only the dynamic state transfers. All-or-nothing: on any
-    /// decode error the analyzer is left unchanged.
+    /// exported; only the dynamic state transfers, and a window of another
+    /// α than the configured one is `Invalid("window alpha")`.
+    /// All-or-nothing: on any error the analyzer is left unchanged.
     pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
         let mut r = Reader::new(bytes);
         let window = SlidingWindow::import_state(&mut r)?;
+        // β₀ and δ follow the configured α: a window of another size
+        // would detect with a context buffer it was not sized for.
+        if window.alpha() != self.cfg.alpha {
+            return Err(DecodeError::Invalid("window alpha").into());
+        }
         let pairer = LatencyPairer::import_state(&mut r)?;
         let perf = self.perf.decode_state(&mut r)?;
         let mut analyzed_errors = FastSet::default();
@@ -1183,6 +1189,33 @@ mod tests {
         assert!(analyzer.restore_state(&[]).is_err());
         // A failed restore leaves the analyzer usable.
         assert!(analyzer.finish().is_empty());
+    }
+
+    #[test]
+    fn restore_rejects_a_window_of_another_alpha() {
+        let (cat, dep, specs, lib) = setup();
+        let refs: Vec<&OperationSpec> = specs.iter().collect();
+        let exec = Runner::new(cat, &dep, &FaultPlan::none(), RunConfig::default()).run(&refs);
+        let analyzer = |alpha| {
+            let mut a = Analyzer::new(
+                &lib,
+                GretelConfig {
+                    alpha,
+                    ..Default::default()
+                },
+            );
+            analyze_stream(&mut a, exec.messages.iter().take(20));
+            a
+        };
+        let state = analyzer(8).export_state().unwrap();
+        let mut wide = analyzer(32);
+        let before = wide.export_state().unwrap();
+        assert_eq!(
+            wide.restore_state(&state),
+            Err(CheckpointError(DecodeError::Invalid("window alpha")))
+        );
+        assert_eq!(wide.export_state().unwrap(), before);
+        assert_eq!(wide.alpha(), 32);
     }
 
     #[test]

@@ -136,30 +136,8 @@ pub fn read_event(r: &mut Reader<'_>) -> Result<Event, DecodeError> {
 /// from [`gretel_store`], which owns the record format.
 pub use gretel_store::fnv1a;
 
-/// Service index in the stable [`Service::ALL`] order — the wire tag for
-/// services inside diagnosis records.
-fn service_index(s: Service) -> u8 {
-    Service::ALL
-        .iter()
-        .position(|&x| x == s)
-        .expect("service in ALL") as u8
-}
-
-fn read_service(r: &mut Reader<'_>) -> Result<Service, DecodeError> {
-    let i = r.u8()? as usize;
-    Service::ALL
-        .get(i)
-        .copied()
-        .ok_or(DecodeError::Invalid("service index"))
-}
-
-fn resource_index(k: ResourceKind) -> u8 {
-    ResourceKind::ALL
-        .iter()
-        .position(|&x| x == k)
-        .expect("resource in ALL") as u8
-}
-
+/// A resource kind's wire tag is its discriminant, which is its position
+/// in the stable [`ResourceKind::ALL`] order.
 fn read_resource(r: &mut Reader<'_>) -> Result<ResourceKind, DecodeError> {
     let i = r.u8()? as usize;
     ResourceKind::ALL
@@ -172,7 +150,7 @@ fn put_dependency(out: &mut Vec<u8>, d: Dependency) {
     match d {
         Dependency::ServiceProcess(s) => {
             put_u8(out, 0);
-            put_u8(out, service_index(s));
+            put_u8(out, s.index());
         }
         Dependency::MySqlReachable => put_u8(out, 1),
         Dependency::RabbitMqReachable => put_u8(out, 2),
@@ -183,7 +161,9 @@ fn put_dependency(out: &mut Vec<u8>, d: Dependency) {
 
 fn read_dependency(r: &mut Reader<'_>) -> Result<Dependency, DecodeError> {
     Ok(match r.u8()? {
-        0 => Dependency::ServiceProcess(read_service(r)?),
+        0 => Dependency::ServiceProcess(
+            Service::from_index(r.u8()?).ok_or(DecodeError::Invalid("service index"))?,
+        ),
         1 => Dependency::MySqlReachable,
         2 => Dependency::RabbitMqReachable,
         3 => Dependency::NtpAgent,
@@ -244,7 +224,7 @@ pub fn put_diagnosis(out: &mut Vec<u8>, d: &Diagnosis) {
         match &rc.cause {
             CauseKind::Resource(k) => {
                 put_u8(out, 0);
-                put_u8(out, resource_index(*k));
+                put_u8(out, *k as u8);
             }
             CauseKind::Dependency(dep) => {
                 put_u8(out, 1);
@@ -257,7 +237,7 @@ pub fn put_diagnosis(out: &mut Vec<u8>, d: &Diagnosis) {
                 put_u8(out, 2);
                 put_count(out, stale_resources.len());
                 for k in stale_resources {
-                    put_u8(out, resource_index(*k));
+                    put_u8(out, *k as u8);
                 }
                 put_count(out, stale_watchers.len());
                 for dep in stale_watchers {
@@ -491,6 +471,10 @@ mod tests {
 
     #[test]
     fn diagnosis_codec_round_trips_every_variant() {
+        // Resource tags are discriminants, in `ALL` order.
+        for (i, &k) in ResourceKind::ALL.iter().enumerate() {
+            assert_eq!(k as usize, i);
+        }
         let mk = |kind, confidence, cause| Diagnosis {
             kind,
             api: ApiId(321),

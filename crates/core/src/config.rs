@@ -5,60 +5,79 @@
 //! side. §7 empirically fixes `c1 = 0.1`, `c2 = 0.04` and `t = 1 s`; with
 //! `FPmax = 384` and `Prate ≈ 150 pps` that gives `α = 768`, `β = 80`
 //! (rounded), `δ = 30`.
+//!
+//! Only what some caller varies is a field of [`GretelConfig`]. The rest
+//! are constants: c1 and c2 as §7 fixes them, and the scored policy's
+//! bounds (DESIGN.md §7).
 
-use serde::{Deserialize, Serialize};
+/// Context-buffer start coefficient c1 (β₀ = c1·α), fixed in §7.
+const C1: f64 = 0.1;
+/// Context-buffer growth coefficient c2 (δ = c2·α), fixed in §7.
+const C2: f64 = 0.04;
+
+/// Bounded literal context: only the last `MAX_LITERALS` literals of a
+/// (truncated) fingerprint are matched. Long-running operations span more
+/// wall clock than the sliding window covers, so requiring the *entire*
+/// literal prefix would yield false negatives exactly as the paper's
+/// Limitation (1) describes; bounding the pattern to the most recent
+/// literals keeps recall under heavy concurrency.
+pub(crate) const MAX_LITERALS: usize = 8;
+/// Minimum pattern length that can *stop* the scored policy's buffer
+/// growth. Candidates with shorter truncated patterns (the offending API
+/// sits at the very start of their fingerprint) complete trivially in any
+/// buffer and must not end the search; they are reported only when
+/// nothing longer ever completes.
+pub(crate) const MIN_PATTERN: usize = 6;
+/// Growth steps the scored policy continues after the first qualifying
+/// completion, letting longer patterns (stronger evidence) overtake
+/// coincidental short completions before the match set is finalized.
+pub(crate) const GRACE_STEPS: usize = 5;
+/// The scored policy keeps the complete candidates whose matched literal
+/// suffix is within `SCORED_SLACK` of the longest.
+pub(crate) const SCORED_SLACK: usize = 2;
+
+/// How the context buffer grows and what counts as a match (§5.3.1,
+/// DESIGN.md §7). The four policies the `policy_ablation` experiment
+/// compares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Matching {
+    /// Earliest completion: rank candidates by the length of their matched
+    /// bounded literal suffix (the last 8, `MAX_LITERALS`), stop at the
+    /// first growth step where one of at least 6 literals (`MIN_PATTERN`)
+    /// completes plus 5 more steps (`GRACE_STEPS`), and keep those within
+    /// 2 literals (`SCORED_SLACK`) of the best.
+    #[default]
+    Scored,
+    /// The paper's rule: relaxed presence matching (only state-change
+    /// literals, in order), growing β until the matched set grows (θ
+    /// drops).
+    ThetaDrop,
+    /// Relaxed presence matching over the whole window, no early stop.
+    PresenceFull,
+    /// Every atom, starred ones included, required in order over the
+    /// whole window.
+    Strict,
+}
 
 /// Tunable parameters of the analyzer.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+///
+/// Correlation ids are not a setting: whenever the fault message carries
+/// one, the context buffer is restricted to the messages of the same
+/// operation (paper §5.3.1: "GRETEL can exploit these correlation
+/// identifiers to increase its precision by reducing the number of
+/// packets against which a fingerprint is matched").
+#[derive(Debug, Clone, Copy)]
 pub struct GretelConfig {
     /// Sliding window size α, in messages.
     pub alpha: usize,
-    /// Context-buffer start coefficient c1 (β₀ = c1·α).
-    pub c1: f64,
-    /// Context-buffer growth coefficient c2 (δ = c2·α).
-    pub c2: f64,
     /// Prune RPC symbols from fingerprints before matching (§6
     /// optimization; ablated in Fig 7c).
     pub prune_rpcs: bool,
     /// Truncate fingerprints at the offending API for operational faults
     /// (§5.3.1; ablation switch).
     pub truncate: bool,
-    /// Relaxed matching: only state-change literals must be present in
-    /// order; starred symbols may be missing (§5.3.1; ablation switch —
-    /// `false` requires every atom in order).
-    pub relaxed: bool,
-    /// Bounded literal context: match only the last `k` literals of the
-    /// (truncated) fingerprint. Long-running operations span more wall
-    /// clock than the sliding window covers, so requiring the *entire*
-    /// literal prefix would yield false negatives exactly as the paper's
-    /// Limitation (1) describes; bounding the pattern to the most recent
-    /// literals keeps recall under heavy concurrency. `None` disables the
-    /// bound (strictly-paper behaviour).
-    pub max_literals: Option<usize>,
-    /// Grow the context buffer to cover the whole snapshot instead of
-    /// stopping at the first θ drop (ablation of the §5.3.1 stop rule).
-    pub grow_full: bool,
-    /// Scored matching: rank candidates by the length of the matched
-    /// literal suffix and keep only those within `scored_slack` of the
-    /// best. `None` keeps the boolean presence predicate.
-    pub scored_slack: Option<usize>,
-    /// Minimum pattern length that can *stop* the context-buffer growth in
-    /// the earliest-complete policy. Candidates with shorter truncated
-    /// patterns (the offending API sits at the very start of their
-    /// fingerprint) complete trivially in any buffer and must not end the
-    /// search; they are reported only when nothing longer ever completes.
-    pub min_pattern: usize,
-    /// Growth steps to continue after the first qualifying completion,
-    /// letting longer patterns (stronger evidence) overtake coincidental
-    /// short completions before the match set is finalized.
-    pub grace_steps: usize,
-    /// Exploit deployment-propagated correlation ids when messages carry
-    /// them (paper §5.3.1: "GRETEL can exploit these correlation
-    /// identifiers to increase its precision by reducing the number of
-    /// packets against which a fingerprint is matched"). When the fault
-    /// message has an id, the context buffer is restricted to messages of
-    /// the same operation before matching.
-    pub use_correlation_ids: bool,
+    /// The matching policy (ablated by `policy_ablation`).
+    pub matching: Matching,
 }
 
 impl Default for GretelConfig {
@@ -66,17 +85,9 @@ impl Default for GretelConfig {
         // The paper's deployment values.
         GretelConfig {
             alpha: 768,
-            c1: 0.1,
-            c2: 0.04,
             prune_rpcs: true,
             truncate: true,
-            relaxed: true,
-            max_literals: Some(8),
-            grow_full: false,
-            scored_slack: Some(2),
-            min_pattern: 6,
-            grace_steps: 5,
-            use_correlation_ids: true,
+            matching: Matching::Scored,
         }
     }
 }
@@ -94,12 +105,12 @@ impl GretelConfig {
 
     /// Initial context-buffer size β₀ (≥ 2).
     pub fn beta0(&self) -> usize {
-        ((self.c1 * self.alpha as f64).round() as usize).max(2)
+        ((C1 * self.alpha as f64).round() as usize).max(2)
     }
 
     /// Context-buffer growth per side δ (≥ 1).
     pub fn delta(&self) -> usize {
-        ((self.c2 * self.alpha as f64).round() as usize).max(1)
+        ((C2 * self.alpha as f64).round() as usize).max(1)
     }
 }
 
@@ -150,11 +161,9 @@ mod tests {
     fn beta_delta_floors() {
         let c = GretelConfig {
             alpha: 4,
-            c1: 0.1,
-            c2: 0.01,
             ..GretelConfig::default()
         };
-        assert!(c.beta0() >= 2);
-        assert!(c.delta() >= 1);
+        assert_eq!(c.beta0(), 2); // 0.1 × 4 rounds to 0
+        assert_eq!(c.delta(), 1); // 0.04 × 4 rounds to 0
     }
 }

@@ -11,14 +11,16 @@
 //! 3. matches candidates against a **context buffer**: a slice of the
 //!    snapshot centred on the fault that starts at β₀ = c1·α messages and
 //!    grows by δ = c2·α per side. The default policy stops at the
-//!    earliest growth step where a substantial pattern completes (see
-//!    [`GretelConfig::scored_slack`] and DESIGN.md §7); the paper's
-//!    literal stop-on-θ-drop rule is available as an ablation
-//!    (`scored_slack: None`), where θ = (N−n)/(N−1);
+//!    earliest growth step where a substantial pattern completes
+//!    ([`Matching::Scored`], DESIGN.md §7); the paper's literal
+//!    stop-on-θ-drop rule is available as an ablation
+//!    ([`Matching::ThetaDrop`]), where θ = (N−n)/(N−1);
 //! 4. for performance faults the operation completes normally, so the
 //!    whole buffer is used and fingerprints are *not* truncated.
 
-use crate::config::{theta, GretelConfig};
+use crate::config::{
+    theta, GretelConfig, Matching, GRACE_STEPS, MAX_LITERALS, MIN_PATTERN, SCORED_SLACK,
+};
 use crate::event::Event;
 use crate::fingerprint::{CandidatePattern, FingerprintLibrary};
 use crate::matcher::PositionIndex;
@@ -200,7 +202,7 @@ impl<'a> Detector<'a> {
         let (mut shared, mut slots) = (Vec::new(), Vec::new());
         let mut patterns = Vec::new();
         for (slot, &fault_index) in anchors.iter().enumerate() {
-            if self.corr_filter(events, fault_index).is_none() && self.cfg.scored_slack.is_some() {
+            if corr_of(events, fault_index).is_none() && self.cfg.matching == Matching::Scored {
                 let center = sidx.prefix.get(fault_index).map_or(0, |&p| p as usize);
                 // Degraded-mode budget: only losses inside the anchored
                 // evidence region (positions up to the fault) can have
@@ -248,11 +250,7 @@ impl<'a> Detector<'a> {
         // mid-operation and only nearby steps are reliably inside the
         // window. RPC symbols are kept — performance faults frequently
         // *are* RPC latencies (§3.1.2), so pruning would erase the anchor.
-        let k = self
-            .cfg
-            .max_literals
-            .map(|k| (k / 2).max(2))
-            .unwrap_or(usize::MAX);
+        let k = MAX_LITERALS / 2;
         let candidates = self.lib.candidates(offending);
         let mut matched: Vec<OpSpecId> = candidates
             .iter()
@@ -275,14 +273,6 @@ impl<'a> Detector<'a> {
         }
     }
 
-    /// Apply the `max_literals` bound: keep the most recent `k` literals.
-    fn bounded<'p>(&self, lits: &'p [ApiId]) -> &'p [ApiId] {
-        match self.cfg.max_literals {
-            Some(k) if lits.len() > k => &lits[lits.len() - k..],
-            _ => lits,
-        }
-    }
-
     fn match_patterns(
         &self,
         patterns: &[CandidatePattern<'_>],
@@ -290,22 +280,18 @@ impl<'a> Detector<'a> {
         lo: usize,
         hi: usize,
     ) -> Vec<OpSpecId> {
-        let mut matched: Vec<OpSpecId> = if self.cfg.relaxed {
+        let mut matched: Vec<OpSpecId> = if self.cfg.matching == Matching::Strict {
             patterns
                 .iter()
-                .filter(|p| {
-                    index.contains_subsequence(
-                        self.bounded(p.literals(self.cfg.prune_rpcs)),
-                        lo,
-                        hi,
-                    )
-                })
+                .filter(|p| index.contains_subsequence(p.apis, lo, hi))
                 .map(|p| p.op)
                 .collect()
         } else {
             patterns
                 .iter()
-                .filter(|p| index.contains_subsequence(p.apis, lo, hi))
+                .filter(|p| {
+                    index.contains_subsequence(bounded(p.literals(self.cfg.prune_rpcs)), lo, hi)
+                })
                 .map(|p| p.op)
                 .collect()
         };
@@ -314,30 +300,19 @@ impl<'a> Detector<'a> {
         matched
     }
 
-    /// When the deployment propagates correlation ids and the fault
-    /// message carries one, the buffer is restricted to the faulty
-    /// operation's own messages — the §5.3.1 precision enhancement.
-    fn corr_filter(&self, events: &[Event], fault_index: usize) -> Option<u64> {
-        if self.cfg.use_correlation_ids {
-            events.get(fault_index).and_then(|e| e.corr)
-        } else {
-            None
-        }
-    }
-
     /// The context-buffer growth loop for one fault.
     ///
-    /// Two policies:
+    /// Two kinds of policy:
     ///
-    /// * `scored_slack = Some(slack)` (default) — **earliest completion
-    ///   with a length floor and a grace period**, computed analytically
-    ///   by [`Self::match_scored`]. The snapshot-wide buffer is searched
-    ///   for a whole group of faults at once
-    ///   ([`Self::detect_operational_group`]); only the corr-restricted
-    ///   buffer comes through here.
-    /// * `scored_slack = None` — the plain presence predicate driven by
-    ///   the paper's stop-on-θ-drop rule (§5.3.1), with `grow_full`
-    ///   optionally disabling the early stop (ablation path).
+    /// * [`Matching::Scored`] (default) — **earliest completion with a
+    ///   length floor and a grace period**, computed analytically by
+    ///   [`Self::match_scored`]. The snapshot-wide buffer is searched for a
+    ///   whole group of faults at once ([`Self::detect_operational_group`]);
+    ///   only the corr-restricted buffer comes through here.
+    /// * the presence policies — the plain presence predicate driven by
+    ///   the paper's stop-on-θ-drop rule (§5.3.1, [`Matching::ThetaDrop`]),
+    ///   or grown over the whole window ([`Matching::PresenceFull`],
+    ///   [`Matching::Strict`]) — the ablation path.
     fn match_with_context(
         &self,
         events: &[Event],
@@ -346,7 +321,7 @@ impl<'a> Detector<'a> {
         offending: ApiId,
         patterns: &[CandidatePattern<'_>],
     ) -> DetectionOutcome {
-        let corr_filter = self.corr_filter(events, fault_index);
+        let corr_filter = corr_of(events, fault_index);
         let h0 = (self.cfg.beta0() / 2).max(1);
         let delta = self.cfg.delta();
 
@@ -414,7 +389,7 @@ impl<'a> Detector<'a> {
             // index. The scored walk is anchored at the fault, so it never
             // consults positions past it.
             let index = PositionIndex::new(&filtered);
-            if self.cfg.scored_slack.is_some() {
+            if self.cfg.matching == Matching::Scored {
                 // Budget with the whole window's losses: the corr
                 // restriction hides which positions the gaps fell between.
                 let budget = sidx.lost_total() as usize;
@@ -431,10 +406,10 @@ impl<'a> Detector<'a> {
         self.match_presence(sidx.apis(), &sidx.index, center, patterns, h0, delta)
     }
 
-    /// Presence policy with the paper's θ-drop stop rule (iterative).
-    /// Deliberately not gap-widened: this is the ablation path pinned to
-    /// the paper's literal semantics, so degraded-mode matching applies to
-    /// the scored policy only.
+    /// The presence policies: the paper's θ-drop stop rule (iterative), or
+    /// the whole buffer at once. Deliberately not gap-widened: this is the
+    /// ablation path pinned to the paper's literal semantics, so
+    /// degraded-mode matching applies to the scored policy only.
     fn match_presence(
         &self,
         filtered: &[ApiId],
@@ -445,37 +420,32 @@ impl<'a> Detector<'a> {
         delta: usize,
     ) -> DetectionOutcome {
         let n_events = filtered.len();
+        let outcome = |matched: Vec<OpSpecId>, beta_used| DetectionOutcome {
+            theta: theta(matched.len(), self.lib.len()),
+            beta_used,
+            candidates: patterns.len(),
+            matched,
+            misses: 0,
+        };
+        if self.cfg.matching != Matching::ThetaDrop {
+            // No early stop: the buffer grows to the whole window.
+            return outcome(self.match_patterns(patterns, index, 0, n_events), n_events);
+        }
         let mut half = h0;
         let mut prev: Option<(Vec<OpSpecId>, usize)> = None;
         loop {
             let lo = center.saturating_sub(half);
             let hi = (center + half + 1).min(n_events);
-            let beta_used = hi - lo;
-            let covered = lo == 0 && hi == n_events;
             let matched = self.match_patterns(patterns, index, lo, hi);
-            if !self.cfg.grow_full {
-                if let Some((prev_matched, prev_beta)) = &prev {
-                    if !prev_matched.is_empty() && matched.len() > prev_matched.len() {
-                        return DetectionOutcome {
-                            theta: theta(prev_matched.len(), self.lib.len()),
-                            beta_used: *prev_beta,
-                            candidates: patterns.len(),
-                            matched: prev_matched.clone(),
-                            misses: 0,
-                        };
-                    }
+            if let Some((prev_matched, prev_beta)) = prev {
+                if !prev_matched.is_empty() && matched.len() > prev_matched.len() {
+                    return outcome(prev_matched, prev_beta);
                 }
             }
-            if covered {
-                return DetectionOutcome {
-                    theta: theta(matched.len(), self.lib.len()),
-                    beta_used,
-                    candidates: patterns.len(),
-                    matched,
-                    misses: 0,
-                };
+            if lo == 0 && hi == n_events {
+                return outcome(matched, hi - lo);
             }
-            prev = Some((matched, beta_used));
+            prev = Some((matched, hi - lo));
             half += delta;
         }
     }
@@ -490,11 +460,11 @@ impl<'a> Detector<'a> {
     /// the fault: operational faults abort, so all evidence precedes the
     /// fault — is derived by greedy backward matching over the occurrence
     /// index. The search "stops" at the first growth step where a pattern
-    /// of at least `min_pattern` literals completes, plus `grace_steps`
-    /// further increments so longer patterns can assemble; the longest
-    /// complete candidates (within `slack`) are reported. Equivalent to
-    /// growing β by δ per side and re-matching, but O(patterns · len ·
-    /// log) instead of O(patterns · β · steps).
+    /// of at least [`MIN_PATTERN`] literals completes, plus
+    /// [`GRACE_STEPS`] further increments so longer patterns can assemble;
+    /// the longest complete candidates (within [`SCORED_SLACK`]) are
+    /// reported. Equivalent to growing β by δ per side and re-matching, but
+    /// O(patterns · len · log) instead of O(patterns · β · steps).
     ///
     /// Many candidates share a bounded literal sequence, so each distinct
     /// sequence is resolved against the index once and walked once per
@@ -514,7 +484,6 @@ impl<'a> Detector<'a> {
         offending: ApiId,
         anchors: &[(usize, usize)],
     ) -> Vec<DetectionOutcome> {
-        let slack = self.cfg.scored_slack.unwrap_or(0);
         let h0 = (self.cfg.beta0() / 2).max(1);
         let delta = self.cfg.delta();
 
@@ -529,7 +498,7 @@ impl<'a> Detector<'a> {
         let mut seqs: Vec<(usize, usize)> = Vec::new();
         let mut last: Option<&[ApiId]> = None;
         for (op, lits) in patterns {
-            let pattern = self.bounded(lits);
+            let pattern = bounded(lits);
             if pattern.is_empty() {
                 continue;
             }
@@ -550,7 +519,7 @@ impl<'a> Detector<'a> {
         for &(center, miss_budget) in anchors {
             // Anchored at the fault: only positions <= center count.
             let upper = (center + 1).min(index.len());
-            let long = |l: usize| l >= self.cfg.min_pattern;
+            let long = |l: usize| l >= MIN_PATTERN;
             hits.clear();
             let walk = |hits: &mut Vec<_>, short: bool| {
                 for (s, w) in seqs.windows(2).enumerate() {
@@ -568,7 +537,7 @@ impl<'a> Detector<'a> {
                     }
                 }
             };
-            // A sequence shorter than `min_pattern` can only matter in the
+            // A sequence shorter than `MIN_PATTERN` can only matter in the
             // fallback below, so it is walked only when nothing long
             // completes.
             walk(&mut hits, false);
@@ -581,8 +550,7 @@ impl<'a> Detector<'a> {
                     // First growth step reaching h_min, plus the grace
                     // period; the longest eligible patterns win.
                     let k_first = h_min.saturating_sub(h0).div_ceil(delta.max(1));
-                    let h_stop =
-                        (h0 + (k_first + self.cfg.grace_steps) * delta).min(center.max(h0));
+                    let h_stop = (h0 + (k_first + GRACE_STEPS) * delta).min(center.max(h0));
                     let eligible =
                         |&(h, l, ..): &(usize, usize, usize, usize)| long(l) && h <= h_stop;
                     let max_len = hits
@@ -592,7 +560,7 @@ impl<'a> Detector<'a> {
                         .max();
                     let max_len = max_len.unwrap_or(0);
                     for hit @ &(_, l, misses, s) in &hits {
-                        if eligible(hit) && l + slack >= max_len {
+                        if eligible(hit) && l + SCORED_SLACK >= max_len {
                             selected.insert(carriers(s), misses);
                         }
                     }
@@ -619,6 +587,18 @@ impl<'a> Detector<'a> {
         }
         out
     }
+}
+
+/// The [`MAX_LITERALS`] bound: keep the most recent literals.
+fn bounded(lits: &[ApiId]) -> &[ApiId] {
+    &lits[lits.len().saturating_sub(MAX_LITERALS)..]
+}
+
+/// The fault message's correlation id, if it carries one: the buffer is
+/// then restricted to the faulty operation's own messages — the §5.3.1
+/// precision enhancement.
+fn corr_of(events: &[Event], fault_index: usize) -> Option<u64> {
+    events.get(fault_index).and_then(|e| e.corr)
 }
 
 /// The operations one anchor selects, deduplicated: a bit per library
@@ -790,53 +770,55 @@ mod tests {
         assert!(!out.matched.contains(&gretel_model::OpSpecId(0)));
     }
 
+    /// An operation of `MAX_LITERALS + 3` distinct state changes, learned
+    /// from one trace: longer than the literal bound, so the detector
+    /// matches only its last `MAX_LITERALS` literals.
+    fn long_operation() -> (FingerprintLibrary, Vec<ApiId>) {
+        let cat = Catalog::openstack();
+        let lits: Vec<ApiId> = (0..cat.len() as u16)
+            .map(ApiId)
+            .filter(|&a| {
+                let def = cat.get(a);
+                def.is_state_change() && !def.is_rpc() && def.noise.is_none()
+            })
+            .take(MAX_LITERALS + 3)
+            .collect();
+        let lib =
+            FingerprintLibrary::from_traces(cat.clone(), vec![(OpSpecId(0), vec![lits.clone()])]);
+        assert_eq!(lib.get(OpSpecId(0)).literals(&cat, true), lits);
+        (lib, lits)
+    }
+
+    /// A state-change request per API, in order.
+    fn requests(apis: &[ApiId]) -> Vec<Event> {
+        (0..)
+            .zip(apis)
+            .map(|(i, &api)| event(i, api, true, false))
+            .collect()
+    }
+
     #[test]
     fn gap_marker_enables_degraded_matching_across_a_hole() {
-        let (cat, lib) = library();
-        // Keep RPC literals and drop the length floor: the vm-create
-        // fingerprint's only unique mid-stream required literals are RPCs.
-        let cfg = GretelConfig {
-            alpha: 16,
-            prune_rpcs: false,
-            max_literals: None,
-            min_pattern: 3,
-            ..Default::default()
-        };
-        let detector = Detector::new(&lib, cfg);
-        let fp = lib.get(gretel_model::OpSpecId(0));
-        let spec_events: Vec<Event> = fp
-            .atoms
-            .iter()
-            .enumerate()
-            .map(|(i, a)| {
-                event(
-                    i as u64,
-                    a.api,
-                    cat.get(a.api).is_state_change(),
-                    cat.get(a.api).is_rpc(),
-                )
-            })
-            .collect();
-        let ports_post = cat.rest_expect(Service::Neutron, HttpMethod::Post, "/v2.0/ports.json");
-        let fault_index = spec_events
-            .iter()
-            .position(|e| e.api == ports_post)
-            .unwrap();
-        let mut events: Vec<Event> = spec_events[..=fault_index].to_vec();
-        // Simulate a lost frame: remove a mid-stream *required* literal
-        // (non-starred — starred atoms may be absent anyway) that occurs
-        // exactly once in the fingerprint.
-        let once = |api: gretel_model::ApiId| fp.atoms.iter().filter(|a| a.api == api).count() == 1;
-        let hole = (1..fault_index)
-            .rev()
-            .find(|&i| !fp.atoms[i].starred && once(events[i].api))
-            .expect("unique required literal");
+        let (lib, lits) = long_operation();
+        let detector = Detector::new(
+            &lib,
+            GretelConfig {
+                alpha: 16,
+                ..Default::default()
+            },
+        );
+        let offending = *lits.last().expect("non-empty");
+        let detect =
+            |events: &[Event]| detector.detect_operational(events, events.len() - 1, offending);
+        // Simulate a lost frame inside the bounded suffix (the last
+        // `MAX_LITERALS` literals, the fault among them).
+        let hole = lits.len() - MAX_LITERALS / 2;
+        let mut events = requests(&lits);
         events.remove(hole);
-        let fault_index = fault_index - 1;
 
-        // Without a gap marker there is no miss budget: the truncated
-        // fingerprint cannot be present and the match fails.
-        let out = detector.detect_operational(&events, fault_index, ports_post);
+        // Without a gap marker there is no miss budget: the bounded
+        // pattern cannot be present and the match fails.
+        let out = detect(&events);
         assert!(
             out.matched.is_empty(),
             "no marker, no widening: {:?}",
@@ -847,9 +829,17 @@ mod tests {
         // The receiver noticed the loss: the event after the hole carries a
         // gap marker, funding one miss — degraded matching bridges it.
         events[hole].gap_before = 1;
-        let out = detector.detect_operational(&events, fault_index, ports_post);
-        assert_eq!(out.matched, vec![gretel_model::OpSpecId(0)]);
+        let out = detect(&events);
+        assert_eq!(out.matched, vec![OpSpecId(0)]);
         assert!(out.misses >= 1, "bridged the hole: misses={}", out.misses);
+
+        // A hole before the bounded suffix is outside the pattern: exact
+        // matching needs no budget.
+        let mut events = requests(&lits);
+        events.remove(1);
+        let out = detect(&events);
+        assert_eq!(out.matched, vec![OpSpecId(0)]);
+        assert_eq!(out.misses, 0);
     }
 
     #[test]
@@ -1020,10 +1010,9 @@ mod tests {
         detector.match_patterns(&patterns, &index, 0, buffer.len()) == [OpSpecId(0)]
     }
 
-    fn relaxed(prune_rpcs: bool, max_literals: Option<usize>) -> GretelConfig {
+    fn pruning(prune_rpcs: bool) -> GretelConfig {
         GretelConfig {
             prune_rpcs,
-            max_literals,
             ..Default::default()
         }
     }
@@ -1032,16 +1021,16 @@ mod tests {
     fn paper_fig4_missing_starred_symbol_still_matches() {
         let fx = fig4();
         // E and F in order, no reads: matches once RPC pruning drops B.
-        assert!(fig4_matches(&fx, relaxed(true, None), &[fx.e, fx.f]));
+        assert!(fig4_matches(&fx, pruning(true), &[fx.e, fx.f]));
         // Without pruning, the RPC literal B is required too.
-        assert!(!fig4_matches(&fx, relaxed(false, None), &[fx.e, fx.f]));
-        assert!(fig4_matches(&fx, relaxed(false, None), &[fx.e, fx.b, fx.f]));
+        assert!(!fig4_matches(&fx, pruning(false), &[fx.e, fx.f]));
+        assert!(fig4_matches(&fx, pruning(false), &[fx.e, fx.b, fx.f]));
     }
 
     #[test]
     fn literal_order_violation_fails() {
         let fx = fig4();
-        assert!(!fig4_matches(&fx, relaxed(true, None), &[fx.f, fx.e]));
+        assert!(!fig4_matches(&fx, pruning(true), &[fx.f, fx.e]));
     }
 
     #[test]
@@ -1051,7 +1040,7 @@ mod tests {
             .cat
             .rest_expect(Service::Glance, HttpMethod::Get, "/v2/images");
         let buffer = [noise, fx.e, noise, noise, fx.f, noise];
-        assert!(fig4_matches(&fx, relaxed(true, None), &buffer));
+        assert!(fig4_matches(&fx, pruning(true), &buffer));
     }
 
     #[test]
@@ -1060,14 +1049,14 @@ mod tests {
         // subsequence matching skips the extras.
         let fx = fig4();
         let buffer = [fx.e, fx.e, fx.f, fx.f];
-        assert!(fig4_matches(&fx, relaxed(true, None), &buffer));
+        assert!(fig4_matches(&fx, pruning(true), &buffer));
     }
 
     #[test]
     fn strict_requires_starred_atoms_too() {
         let fx = fig4();
         let strict = GretelConfig {
-            relaxed: false,
+            matching: Matching::Strict,
             ..Default::default()
         };
         assert!(!fig4_matches(&fx, strict, &[fx.e, fx.b, fx.f]));
@@ -1076,14 +1065,35 @@ mod tests {
 
     #[test]
     fn bounded_literal_context_matches_on_suffix() {
-        let fx = fig4();
-        // Only the most recent literal (F) is in the buffer: a bound of 1
-        // reduces the pattern to [F]; unbounded it needs E too, and a bound
-        // longer than the pattern changes nothing.
-        assert!(fig4_matches(&fx, relaxed(true, Some(1)), &[fx.f]));
-        assert!(!fig4_matches(&fx, relaxed(true, None), &[fx.f]));
-        assert!(!fig4_matches(&fx, relaxed(true, Some(99)), &[fx.f]));
-        // A bound of 0 leaves the empty pattern, present in any buffer.
-        assert!(fig4_matches(&fx, relaxed(false, Some(0)), &[]));
+        let (lib, lits) = long_operation();
+        let offending = *lits.last().expect("non-empty");
+        let suffix = &lits[lits.len() - MAX_LITERALS..];
+        for matching in [
+            Matching::Scored,
+            Matching::ThetaDrop,
+            Matching::PresenceFull,
+        ] {
+            let cfg = GretelConfig {
+                alpha: 16,
+                matching,
+                ..Default::default()
+            };
+            let detector = Detector::new(&lib, cfg);
+            let detect = |apis: &[ApiId]| {
+                let events = requests(apis);
+                detector
+                    .detect_operational(&events, events.len() - 1, offending)
+                    .matched
+            };
+            // The buffer holds only the last `MAX_LITERALS` literals: the
+            // bounded pattern is complete.
+            assert_eq!(detect(suffix), [OpSpecId(0)], "{matching:?}");
+            // Any one of them missing (the fault itself stays) is a miss.
+            for gone in 0..MAX_LITERALS - 1 {
+                let mut holed = suffix.to_vec();
+                holed.remove(gone);
+                assert!(detect(&holed).is_empty(), "{matching:?} without {gone}");
+            }
+        }
     }
 }

@@ -225,8 +225,11 @@ impl FpPatterns {
     }
 }
 
-/// Literals a [`PatternTable`] orders its suffix-sorted lists by.
-const SUFFIX_KEY: usize = 8;
+/// Literals a [`PatternTable`] orders its suffix-sorted lists by: the
+/// detector's literal bound, so bounded patterns dedup in one pass.
+const SUFFIX_KEY: usize = crate::config::MAX_LITERALS;
+// One 16-bit lane per literal in a `u128` key.
+const _: () = assert!(16 * SUFFIX_KEY <= 128);
 
 /// The last [`SUFFIX_KEY`] literals of `lits`, newest first, one 16-bit
 /// lane each (id + 1; 0 where the sequence is shorter): keys compare the
@@ -260,9 +263,8 @@ struct PatternTable {
     entries: Vec<PatternEntry>,
     /// Per pruning mode, the same ranges as `(op, literals kept)`, sorted
     /// by their last [`SUFFIX_KEY`] literals, newest first. The patterns
-    /// sharing their last `k ≤ SUFFIX_KEY` literals are then adjacent, so a
-    /// detector deduplicates bounded patterns under the default
-    /// `max_literals` in one linear pass (a longer bound only dedups less).
+    /// sharing their last `k ≤ SUFFIX_KEY` literals are then adjacent, so
+    /// the detector deduplicates its bounded patterns in one linear pass.
     by_suffix: [Vec<(OpSpecId, u32)>; 2],
 }
 
@@ -628,9 +630,9 @@ impl FingerprintLibrary {
 
     /// The same candidate patterns as [`Self::candidate_patterns`], reduced
     /// to `(operation, literal sequence)` under `prune_rpcs` and ordered by
-    /// their last eight literals, newest first: for every `k ≤ 8` the
-    /// patterns whose last `k` literals agree are adjacent, so bounded
-    /// patterns deduplicate in one pass. Borrowed from the per-API table;
+    /// their last [`SUFFIX_KEY`] literals, newest first: for every
+    /// `k ≤ SUFFIX_KEY` the patterns whose last `k` literals agree are
+    /// adjacent, so bounded patterns deduplicate in one pass. Borrowed from the per-API table;
     /// nothing is allocated.
     pub(crate) fn suffix_sorted_literals(
         &self,

@@ -15,8 +15,10 @@
 //!   detects the faulty operation (Algorithm 2 — [`Detector`] over a
 //!   [`PositionIndex`]) and runs root cause analysis (Algorithm 3, yielding
 //!   [`RootCause`]s);
-//! * [`GretelConfig`] holds the paper's thresholds (α, β, δ, c1, c2) and
-//!   [`theta`] is the precision metric θ; a [`Diagnosis`] renders itself.
+//! * [`GretelConfig`] holds what a caller varies (α, RPC pruning,
+//!   truncation, the [`Matching`] policy); β and δ follow from α through
+//!   §7's fixed coefficients, and [`theta`] is the precision metric θ; a
+//!   [`Diagnosis`] renders itself.
 //!
 //! The stage-by-stage walkthrough of how these modules compose into the
 //! deployed pipeline lives in `ARCHITECTURE.md` at the repository root.
@@ -58,7 +60,7 @@ pub mod window;
 
 pub use analyzer::{analyze_stream, Analyzer, AnalyzerStats, RcaContext};
 pub use anomaly::{scan_frame, scan_message, scan_rest_error};
-pub use config::{theta, GretelConfig};
+pub use config::{theta, GretelConfig, Matching};
 pub use detect::{DetectionOutcome, Detector, SnapshotIndex};
 pub use event::{Event, FaultMark};
 pub use fingerprint::{trace_of, CharacterizationStats, Fingerprint, FingerprintLibrary};

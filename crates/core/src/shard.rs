@@ -40,8 +40,9 @@
 //! counts the merged
 //! diagnosis stream is byte-identical to the unsharded one whenever each
 //! diagnosis is a pure function of its own operation's events — which the
-//! deployment guarantees by propagating correlation ids
-//! ([`GretelConfig::use_correlation_ids`]) with operations that stop
+//! deployment guarantees by propagating correlation ids (the detector
+//! restricts a fault's buffer to its own operation whenever the fault
+//! message carries one) with operations that stop
 //! emitting after their fault (prefix-complete histories), and by sizing
 //! the window to the traffic rate ([`GretelConfig::auto`]) so an
 //! operation's events are never evicted before its fault arrives — an

@@ -10,7 +10,7 @@
 //! * maintain a robust baseline (median + MAD-sigma) over a trailing
 //!   window;
 //! * when the median of the most recent `test_window` points deviates from
-//!   the baseline median by more than `k_sigma` sigmas, raise one
+//!   the baseline median by more than `K_SIGMA` (5) sigmas, raise one
 //!   [`Anomaly`] and **re-baseline to the new level** so a sustained shift
 //!   does not alarm forever;
 //! * a spike smaller than an already-confirmed shift does not re-alarm.
@@ -93,7 +93,13 @@ fn read_some_tag(r: &mut Reader<'_>) -> Result<bool, DecodeError> {
     }
 }
 
-/// Configuration of the level-shift detector.
+/// Level-shift deviation threshold, in MAD-sigmas.
+const K_SIGMA: f64 = 5.0;
+/// Floor for a sigma estimate, as a fraction of the baseline median
+/// (guards against near-constant baselines making every blip an outlier).
+const MIN_SIGMA_FRAC: f64 = 0.05;
+
+/// Configuration of the level-shift detector: its two window lengths.
 #[derive(Debug, Clone, Copy)]
 pub struct LevelShiftConfig {
     /// Points forming the trailing baseline.
@@ -101,11 +107,6 @@ pub struct LevelShiftConfig {
     /// Consecutive recent points whose median is tested against the
     /// baseline.
     pub test_window: usize,
-    /// Deviation threshold in MAD-sigmas.
-    pub k_sigma: f64,
-    /// Floor for the sigma estimate, as a fraction of the baseline median
-    /// (guards against near-constant baselines making every blip a shift).
-    pub min_sigma_frac: f64,
 }
 
 impl Default for LevelShiftConfig {
@@ -113,8 +114,6 @@ impl Default for LevelShiftConfig {
         LevelShiftConfig {
             baseline_window: 40,
             test_window: 5,
-            k_sigma: 5.0,
-            min_sigma_frac: 0.05,
         }
     }
 }
@@ -172,7 +171,7 @@ impl LevelShiftDetector {
         let base = self.baseline.iter().copied();
         let med = median_of(base.clone(), &mut scratch).expect("baseline non-empty");
         let sigma = mad_sigma_of(base, med, &mut scratch)
-            .max(self.cfg.min_sigma_frac * med.abs())
+            .max(MIN_SIGMA_FRAC * med.abs())
             .max(f64::EPSILON);
         self.cached_stats = Some((med, sigma));
         self.staleness = 0;
@@ -212,7 +211,7 @@ impl OutlierDetector for LevelShiftDetector {
             median_of(self.test.iter().copied(), &mut Vec::new()).expect("test non-empty");
 
         let deviation = (test_med - base_med) / sigma;
-        if deviation.abs() >= self.cfg.k_sigma {
+        if deviation.abs() >= K_SIGMA {
             // Confirmed level shift: adapt — the new level becomes the
             // baseline, so the sustained shift raises exactly one alarm
             // and later smaller variations are judged against it.
@@ -422,43 +421,30 @@ mod tests {
 /// Additive-outlier (spike) detector: flags *isolated* points far from the
 /// rolling median — the complement of the LS detector, which deliberately
 /// ignores single spikes. Useful for watchdogs on metrics where any
-/// excursion matters (e.g. disk I/O stalls).
-#[derive(Debug, Clone)]
+/// excursion matters (e.g. disk I/O stalls). A point is a spike when it
+/// lies `SPIKE_K_SIGMA` (8) MAD-sigmas from the median of the last
+/// `SPIKE_WINDOW` (30) non-spike points.
+#[derive(Debug, Clone, Default)]
 pub struct SpikeDetector {
     window: VecDeque<f64>,
-    capacity: usize,
-    k_sigma: f64,
 }
 
-impl SpikeDetector {
-    /// New detector over a rolling window of `capacity` points.
-    pub fn new(capacity: usize, k_sigma: f64) -> SpikeDetector {
-        assert!(capacity >= 4);
-        SpikeDetector {
-            window: VecDeque::new(),
-            capacity,
-            k_sigma,
-        }
-    }
-}
-
-impl Default for SpikeDetector {
-    fn default() -> Self {
-        SpikeDetector::new(30, 8.0)
-    }
-}
+/// Points in a [`SpikeDetector`]'s rolling window.
+const SPIKE_WINDOW: usize = 30;
+/// A [`SpikeDetector`]'s deviation threshold, in MAD-sigmas.
+const SPIKE_K_SIGMA: f64 = 8.0;
 
 impl OutlierDetector for SpikeDetector {
     fn update(&mut self, ts: SimTime, value: f64) -> Option<Anomaly> {
-        let out = if self.window.len() >= self.capacity / 2 {
+        let out = if self.window.len() >= SPIKE_WINDOW / 2 {
             let mut scratch = Vec::new();
             let vals = self.window.iter().copied();
             let med = median_of(vals.clone(), &mut scratch).expect("window non-empty");
             let sigma = mad_sigma_of(vals, med, &mut scratch)
-                .max(0.05 * med.abs())
+                .max(MIN_SIGMA_FRAC * med.abs())
                 .max(f64::EPSILON);
             let deviation = (value - med) / sigma;
-            (deviation.abs() >= self.k_sigma).then_some(Anomaly {
+            (deviation.abs() >= SPIKE_K_SIGMA).then_some(Anomaly {
                 ts,
                 value,
                 baseline: med,
@@ -475,7 +461,7 @@ impl OutlierDetector for SpikeDetector {
         // so consecutive spikes each alarm.
         if out.is_none() {
             self.window.push_back(value);
-            if self.window.len() > self.capacity {
+            if self.window.len() > SPIKE_WINDOW {
                 self.window.pop_front();
             }
         }

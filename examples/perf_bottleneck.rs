@@ -43,7 +43,6 @@ fn main() {
     let ls = LevelShiftConfig {
         baseline_window: 20,
         test_window: 4,
-        ..Default::default()
     };
     let mut analyzer =
         gretel::core::Analyzer::with_perf_config(&library, cfg, ls, true).with_rca(RcaContext {

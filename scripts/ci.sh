@@ -18,6 +18,26 @@ cargo fmt --check "${FIRST_PARTY[@]}"
 cargo build --release --offline --locked --workspace
 cargo test -q --offline --locked --workspace
 
+# Scratch space for the steps below, removed on exit.
+STORE_ROOT="$(mktemp -d)"
+trap 'rm -rf "$STORE_ROOT"' EXIT
+
+# What the tests only compile also runs: every example, every canned
+# scenario of the CLI, and a capture -> analyze round trip. Any non-zero
+# exit fails here. Files they write (the pcap example writes to the temp
+# dir) land in the scratch space.
+RUN_DIR="$STORE_ROOT/run"
+mkdir "$RUN_DIR"
+run() { cargo run --release --offline --locked -q "$@" >/dev/null; }
+for example in examples/*.rs; do
+  TMPDIR="$RUN_DIR" run --example "$(basename "$example" .rs)"
+done
+for name in image-upload neutron-latency linuxbridge ntp no-compute mysql rabbitmq; do
+  run --bin gretel -- scenario "$name"
+done
+run --bin gretel -- capture "$RUN_DIR/capture.pcap"
+run --bin gretel -- analyze "$RUN_DIR/capture.pcap"
+
 # Lint gate: every first-party crate and every target — libs, bins,
 # tests, examples — must be clippy-clean, including clippy.toml's ban on
 # hand-rolled `from_le_bytes` decoding. vendor/* are stand-ins for
@@ -58,8 +78,6 @@ grep -E '^[a-z]+: .* digest [0-9a-f]+$' <<<"$check_log" |
 # byte for byte — a stale table cannot be committed. Every gate the
 # experiments assert (EXPERIMENTS.md) runs on the way. A store is one log
 # file: every FileStore directory the run leaves must hold exactly one.
-STORE_ROOT="$(mktemp -d)"
-trap 'rm -rf "$STORE_ROOT"' EXIT
 cp -r results "$STORE_ROOT/committed"
 cargo run --release --offline --locked -q -p gretel-bench --bin experiments -- \
   --store-dir "$STORE_ROOT/stores" >"$STORE_ROOT/experiments.log" ||

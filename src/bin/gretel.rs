@@ -196,7 +196,6 @@ fn cmd_scenario(name: &str, seed: u64) -> ExitCode {
     let ls = LevelShiftConfig {
         baseline_window: 20,
         test_window: 4,
-        ..Default::default()
     };
     let mut analyzer =
         gretel::core::Analyzer::with_perf_config(&library, GretelConfig::default(), ls, false)

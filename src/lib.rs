@@ -65,9 +65,9 @@ pub use gretel_telemetry as telemetry;
 /// | §5.1 distributed state monitoring | [`netcap::CaptureAgent`], [`telemetry`] |
 /// | §5.2 event receiver | [`core::run_service_cfg`] |
 /// | §5.3 anomaly detection (byte scans, latency pairing) | [`core::scan_message`] |
-/// | §5.3.1 sliding window α, context buffer β/δ, θ | [`core::window`], [`core::Detector`], [`core::GretelConfig`] |
+/// | §5.3.1 sliding window α, context buffer β/δ, θ | [`core::window`], [`core::Detector`], [`core::GretelConfig`], [`core::Matching`] |
 /// | Algorithm 2 (operation detection, truncation) | [`core::Detector`], [`core::Fingerprint::truncate_at_each`] |
-/// | §5.3.1 correlation ids (future work) | `GretelConfig::use_correlation_ids`, `experiments corr_ablation` |
+/// | §5.3.1 correlation ids (future work) | used whenever the fault message carries one ([`core::Detector`]); [`sim::RunConfig::correlation_ids`], `experiments corr_ablation` |
 /// | Algorithm 3 (root cause analysis) | [`core::RootCause`] |
 /// | §6 implementation (symbols, RPC pruning, dual buffer, LS) | [`model::symbol`], `GretelConfig::prune_rpcs`, [`core::window`], [`telemetry::LevelShiftDetector`] |
 /// | §7.1 characterization, Table 1, Fig 5 | [`model::TempestSuite`], `experiments table1 fig5` |

@@ -17,7 +17,6 @@ fn root_cause_found(sc: &Scenario, catalog: &std::sync::Arc<Catalog>) -> bool {
     let ls = LevelShiftConfig {
         baseline_window: 20,
         test_window: 4,
-        ..Default::default()
     };
     let mut analyzer =
         gretel::core::Analyzer::with_perf_config(&library, GretelConfig::default(), ls, false)

@@ -2,7 +2,7 @@
 
 use gretel::core::{
     theta, DetectionOutcome, Detector, Event, FaultMark, FingerprintLibrary, GretelConfig,
-    PositionIndex, SnapshotIndex,
+    Matching, PositionIndex, SnapshotIndex,
 };
 use gretel::model::{
     ApiId, Catalog, Category, Direction, MessageId, NodeId, OpSpecId, TempestSuite,
@@ -64,6 +64,14 @@ fn build_events(
     events
 }
 
+/// The scored policy's bounds, as DESIGN.md §7 states them: patterns are
+/// the last 8 literals, a completion of at least 6 stops the growth after
+/// 5 more steps, and candidates within 2 literals of the longest are kept.
+const MAX_LITERALS: usize = 8;
+const MIN_PATTERN: usize = 6;
+const GRACE_STEPS: usize = 5;
+const SCORED_SLACK: usize = 2;
+
 /// The per-pattern scored search the grouped one replaced, written against
 /// the public API: every candidate pattern walked on its own from one
 /// anchor, exact first, then with the miss budget.
@@ -87,10 +95,7 @@ fn per_pattern_scored(
     let mut hits: Vec<(usize, usize, OpSpecId, usize)> = Vec::new();
     for p in library.candidate_patterns(offending, cfg.truncate) {
         let lits = p.literals(cfg.prune_rpcs);
-        let pattern = match cfg.max_literals {
-            Some(k) if lits.len() > k => &lits[lits.len() - k..],
-            _ => lits,
-        };
+        let pattern = &lits[lits.len().saturating_sub(MAX_LITERALS)..];
         if pattern.is_empty() {
             continue;
         }
@@ -109,18 +114,19 @@ fn per_pattern_scored(
     }
     let long: Vec<_> = hits
         .iter()
-        .filter(|h| h.1 >= cfg.min_pattern)
+        .filter(|h| h.1 >= MIN_PATTERN)
         .copied()
         .collect();
     let (mut selected, beta_used): (Vec<(OpSpecId, usize)>, usize) =
         match long.iter().map(|h| h.0).min() {
             Some(h_min) => {
                 let k_first = h_min.saturating_sub(h0).div_ceil(delta.max(1));
-                let h_stop = (h0 + (k_first + cfg.grace_steps) * delta).min(center.max(h0));
+                let h_stop = (h0 + (k_first + GRACE_STEPS) * delta).min(center.max(h0));
                 let eligible: Vec<_> = long.into_iter().filter(|h| h.0 <= h_stop).collect();
                 let max_len = eligible.iter().map(|h| h.1).max().unwrap_or(0);
-                let slack = cfg.scored_slack.unwrap_or(0);
-                let kept = eligible.into_iter().filter(|h| h.1 + slack >= max_len);
+                let kept = eligible
+                    .into_iter()
+                    .filter(|h| h.1 + SCORED_SLACK >= max_len);
                 (
                     kept.map(|h| (h.2, h.3)).collect(),
                     (2 * h_stop + 1).min(buffer.len()),
@@ -147,31 +153,24 @@ fn per_pattern_scored(
 }
 
 prop_compose! {
-    /// Every policy switch the scored search reads, plus the two that route
-    /// a fault around it (correlation ids, the presence policy).
+    /// Every setting the scored search reads, and the presence policies
+    /// that route a fault around it. α sets β₀ and δ.
     fn configs()(
         truncate in any::<bool>(),
         prune_rpcs in any::<bool>(),
-        max_literals in prop_oneof![Just(None), Just(Some(1usize)), Just(Some(8usize))],
-        min_pattern in 1usize..9,
-        grace_steps in 0usize..6,
-        scored_slack in prop_oneof![4 => (0usize..4).prop_map(Some), 1 => Just(None)],
-        use_correlation_ids in any::<bool>(),
-        c1 in 0.02f64..0.2,
-        c2 in 0.01f64..0.1,
+        matching in prop_oneof![
+            4 => Just(Matching::Scored),
+            1 => Just(Matching::ThetaDrop),
+            1 => Just(Matching::PresenceFull),
+            1 => Just(Matching::Strict),
+        ],
+        alpha in 200usize..2600,
     ) -> GretelConfig {
         GretelConfig {
-            alpha: 1024,
-            c1,
-            c2,
+            alpha,
             truncate,
             prune_rpcs,
-            max_literals,
-            min_pattern,
-            grace_steps,
-            scored_slack,
-            use_correlation_ids,
-            ..GretelConfig::default()
+            matching,
         }
     }
 }
@@ -314,8 +313,7 @@ proptest! {
             for (outcome, &pos) in grouped.iter().zip(group) {
                 let single = detector.detect_operational_indexed(&events, &sidx, pos, api);
                 prop_assert_eq!(outcome, &single, "fault at {} on {}", pos, api);
-                let shared = cfg.scored_slack.is_some()
-                    && !(cfg.use_correlation_ids && events[pos].corr.is_some());
+                let shared = cfg.matching == Matching::Scored && events[pos].corr.is_none();
                 if shared {
                     let reference = per_pattern_scored(library, &cfg, &events, pos, api);
                     prop_assert_eq!(outcome, &reference, "fault at {} on {}", pos, api);

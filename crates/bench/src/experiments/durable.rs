@@ -5,7 +5,7 @@ use crate::workload::operational_runs;
 use crate::{Artifact, Ctx};
 use gretel_core::{
     run_service_durable, AnalyzerChaos, Diagnosis, DurableConfig, DurableOutcome, RecoveryConfig,
-    RecoveryStats, ServiceConfig, KILL_ATTEMPTS, MAX_ATTEMPTS,
+    RecoveryStats, ServiceConfig, KILL_ATTEMPTS, KIND_CHECKPOINT, MAX_ATTEMPTS,
 };
 use gretel_netcap::CaptureImpairment;
 use gretel_sim::CrashSchedule;
@@ -22,15 +22,24 @@ const KILL_COUNTS: [usize; 4] = [0, 1, 2, 4];
 enum Damage {
     Clean,
     /// Cut the last record in half. The newest record after a kill is
-    /// always a checkpoint (never released diagnoses — those are written
-    /// *before* the checkpoint that covers them), so a torn tail can delay
-    /// recovery but never lose output.
+    /// always a boundary record, a base or a delta (never released
+    /// diagnoses — those are written *before* the boundary record that
+    /// covers them), so a torn tail can delay recovery but never lose
+    /// output.
     TornTail,
     /// Flip one payload byte of the newest record.
     CorruptNewest,
+    /// Flip one payload byte of the newest base: the restore falls back to
+    /// the base before it and that base's chain of deltas.
+    CorruptBase,
 }
 
-const DAMAGES: [Damage; 3] = [Damage::Clean, Damage::TornTail, Damage::CorruptNewest];
+const DAMAGES: [Damage; 4] = [
+    Damage::Clean,
+    Damage::TornTail,
+    Damage::CorruptNewest,
+    Damage::CorruptBase,
+];
 
 /// Where a run's log lives between lifetimes.
 enum Backend {
@@ -46,6 +55,16 @@ fn open(dir: &Path) -> FileStore {
 /// The byte offset that cuts the last record of `log` in half.
 fn tear_at(log: &[u8]) -> usize {
     records(log).last().map_or(0, |r| (r.offset + r.end()) / 2)
+}
+
+/// The index of the record a corrupting `damage` flips a byte of: the
+/// newest record, or the newest base.
+fn corrupt_target(log: &[u8], damage: Damage) -> Option<usize> {
+    records(log)
+        .enumerate()
+        .filter(|(_, r)| damage == Damage::CorruptNewest || r.kind == KIND_CHECKPOINT)
+        .last()
+        .map(|(i, _)| i)
 }
 
 impl Backend {
@@ -87,12 +106,16 @@ impl Backend {
                     .expect("open log");
                 f.set_len(cut as u64).expect("tear log tail");
             }
-            (Backend::Mem(s), Damage::CorruptNewest) => {
-                s.corrupt_record(s.len() - 1, byte);
+            (Backend::Mem(s), corrupt) => {
+                if let Some(i) = corrupt_target(s.bytes(), corrupt) {
+                    s.corrupt_record(i, byte);
+                }
             }
-            (Backend::File(dir), Damage::CorruptNewest) => {
+            (Backend::File(dir), corrupt) => {
                 let mut s = open(dir);
-                s.corrupt_record(s.len() - 1, byte);
+                if let Some(i) = corrupt_target(s.bytes(), corrupt) {
+                    s.corrupt_record(i, byte);
+                }
             }
         }
     }
@@ -198,7 +221,8 @@ struct Output {
 /// re-invokes the service over the same log until it completes: the same
 /// `MemStore` value, or a `FileStore` directory reopened cold. Between two
 /// lifetimes the driver leaves the log alone, tears its last record
-/// mid-payload, or flips a byte of its newest record.
+/// mid-payload, flips a byte of its newest record, or flips a byte of its
+/// newest base.
 ///
 /// Gates: zero diagnoses lost, zero duplicated, every committed stream
 /// byte-identical to the oracle's, and a kill fired under each kind of

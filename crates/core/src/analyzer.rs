@@ -31,7 +31,7 @@ use crate::window::{SlidingWindow, Snapshot};
 use gretel_model::codec::{
     put_count, put_f64, put_u16, put_u32, put_u64, put_u8, DecodeError, Reader,
 };
-use gretel_model::{Message, MessageHead, MessageId, OperationSpec};
+use gretel_model::{ApiKind, Message, MessageHead, MessageId, OperationSpec, RpcStyle};
 use gretel_sim::Deployment;
 use gretel_telemetry::{Anomaly, AnomalyKind, LevelShiftConfig, TelemetryStore};
 
@@ -236,9 +236,17 @@ impl<'a> Analyzer<'a> {
         ev.gap_before = std::mem::take(&mut self.pending_gap);
 
         // 2. Latency pairing → perf detectors (noise APIs excluded: their
-        // cadence is fixed and uninteresting).
+        // cadence is fixed and uninteresting; casts never get a reply, so
+        // they would only sit in the pairer).
         let mut perf_hit: Option<PerfFault> = None;
-        if !ev.noise_api {
+        let cast = matches!(
+            def.kind,
+            ApiKind::Rpc {
+                style: RpcStyle::Cast,
+                ..
+            }
+        );
+        if !ev.noise_api && !cast {
             if let Some(obs) = self.pairer.observe(msg) {
                 if let Some(pf) = self.perf.observe(obs) {
                     self.stats.perf_faults += 1;
@@ -317,7 +325,7 @@ impl<'a> Analyzer<'a> {
 
     /// Serialize the analyzer's full ingest state — window, pairer, perf
     /// detectors, error dedup set, pending perf faults, stats, pending gap
-    /// marker, traffic graph — for a checkpoint. `None` when the
+    /// marker, traffic graph — for a base checkpoint. `None` when the
     /// perf monitor holds a detector without state export (the analyzer is
     /// then not checkpointable; see
     /// [`gretel_telemetry::OutlierDetector::export_state`]).

@@ -139,11 +139,12 @@ pub struct LatencyObs {
     pub latency_us: u64,
 }
 
-/// Pairs REST requests with responses via connection metadata and RPCs via
-/// message ids, emitting [`LatencyObs`] as responses arrive. Nothing
-/// expires an unpaired request: casts never get a reply, and neither do the
-/// requests of aborted operations, so the pairer (and every checkpoint of
-/// it) grows with the stream.
+/// Pairs REST requests with responses via connection metadata and RPC
+/// calls via message ids, emitting [`LatencyObs`] as responses arrive. The
+/// analyzer feeds it no casts: a cast never gets a reply, so it could only
+/// wait here. Nothing expires an unpaired request, and the requests of
+/// aborted operations never get a reply either, so the pairer (and every
+/// base checkpoint of it) still grows with the stream.
 #[derive(Debug, Default)]
 pub struct LatencyPairer {
     rest: FastMap<(ConnKey, ApiId), SimTime>,

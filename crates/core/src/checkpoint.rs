@@ -1,23 +1,27 @@
 //! Checkpoint, release-record and event/diagnosis byte codecs.
 //!
-//! A store-backed run ([`crate::recover::run_service_durable`])
-//! periodically serializes the analyzer's ingest state — sliding window,
-//! latency pairer, perf detectors, error dedup set — together with the
-//! receiver-side [`gretel_netcap::Resequencer`] positions into a
-//! [`gretel_store::Store`]: an append-only log of length-prefixed,
-//! checksummed records. After a crash the run restores the newest *valid*
-//! checkpoint record (corrupted records are detected by checksum and
-//! skipped, never half-applied) and the agents replay their streams from
-//! the beginning; the restored resequencers discard the already-delivered
-//! prefix as duplicates, so the diagnosis stream continues exactly where
-//! the checkpoint left it. Diagnoses travel in release records, written
-//! before they are handed downstream.
+//! A store-backed run ([`crate::recover::run_service_durable`]) ends every
+//! checkpoint interval with a boundary record in a [`gretel_store::Store`]:
+//! an append-only log of length-prefixed, checksummed records. A boundary
+//! record is a *base* ([`EngineCheckpoint`]) — the analyzer's ingest state
+//! (sliding window, latency pairer, perf detectors, error dedup set,
+//! traffic graph) — or a *delta* ([`EngineDelta`]): the messages merged
+//! since the previous boundary, as fixed-size entries. Both carry the
+//! receiver-side [`gretel_netcap::Resequencer`] positions and the next job
+//! sequence number. After a crash the run restores the newest *valid* base,
+//! replays the deltas that chain onto it (corrupt records are detected by
+//! checksum and skipped, never half-applied), and the agents replay their
+//! streams from the beginning; the restored resequencers discard the
+//! already-delivered prefix as duplicates, so the diagnosis stream
+//! continues exactly where the last applied record left it. Diagnoses
+//! travel in release records, written before they are handed downstream.
 //!
 //! The record envelope lives in `gretel-store`; this module owns the
 //! payload pieces shared across records — [`Event`], [`Diagnosis`], the
-//! release batch — and both record payloads, the release record and the
-//! [`EngineCheckpoint`]; every other state block (`window`, `anomaly`,
-//! `perf`, `graph`, `analyzer`) composes them. All of it is
+//! marked message head, the release batch — and the three record payloads:
+//! the release record, the [`EngineCheckpoint`] and the [`EngineDelta`];
+//! every other state block (`window`, `anomaly`, `perf`, `graph`,
+//! `analyzer`) composes them. All of it is
 //! explicit little-endian encoding over the one bounded reader in
 //! [`gretel_model::codec`]: a record must be readable by a *different*
 //! build than the one that wrote it, so the format is written down rather
@@ -30,7 +34,9 @@ use crate::report::{CaptureConfidence, Diagnosis, FaultKind};
 use gretel_model::codec::{
     put_bytes, put_count, put_f64, put_u16, put_u32, put_u64, put_u8, DecodeError, Reader,
 };
-use gretel_model::{ApiId, Dependency, Direction, MessageId, NodeId, OpSpecId, Service};
+use gretel_model::{
+    ApiId, ConnKey, Dependency, Direction, MessageHead, MessageId, NodeId, OpSpecId, Service,
+};
 use gretel_sim::ResourceKind;
 
 /// Why a checkpoint or release record could not be restored: the shared
@@ -75,14 +81,30 @@ pub fn put_event(out: &mut Vec<u8>, ev: &Event) {
             put_u64(out, 0);
         }
     }
-    let (tag, status) = match ev.fault {
+    put_mark(out, ev.fault);
+    put_u32(out, ev.gap_before);
+}
+
+/// Encode a [`FaultMark`]: a tag byte and the REST status (0 otherwise).
+fn put_mark(out: &mut Vec<u8>, mark: FaultMark) {
+    let (tag, status) = match mark {
         FaultMark::None => (0u8, 0u16),
         FaultMark::RestError(s) => (1, s),
         FaultMark::RpcError => (2, 0),
     };
     put_u8(out, tag);
     put_u16(out, status);
-    put_u32(out, ev.gap_before);
+}
+
+fn read_mark(r: &mut Reader<'_>) -> Result<FaultMark, DecodeError> {
+    let tag = r.u8()?;
+    let status = r.u16()?;
+    Ok(match tag {
+        0 => FaultMark::None,
+        1 => FaultMark::RestError(status),
+        2 => FaultMark::RpcError,
+        _ => return Err(DecodeError::Invalid("fault tag")),
+    })
 }
 
 /// Decode one [`Event`] written by [`put_event`].
@@ -108,14 +130,7 @@ pub fn read_event(r: &mut Reader<'_>) -> Result<Event, DecodeError> {
         1 => Some(corr_val),
         _ => return Err(DecodeError::Invalid("event correlation tag")),
     };
-    let fault_tag = r.u8()?;
-    let status = r.u16()?;
-    let fault = match fault_tag {
-        0 => FaultMark::None,
-        1 => FaultMark::RestError(status),
-        2 => FaultMark::RpcError,
-        _ => return Err(DecodeError::Invalid("event fault tag")),
-    };
+    let fault = read_mark(r)?;
     Ok(Event {
         id,
         ts,
@@ -130,6 +145,77 @@ pub fn read_event(r: &mut Reader<'_>) -> Result<Event, DecodeError> {
         fault,
         gap_before: r.u32()?,
     })
+}
+
+/// Encoded size of one [`MessageHead`] with its [`FaultMark`]
+/// ([`put_marked_head`]).
+pub(crate) const MARKED_HEAD_BYTES: usize = 52;
+
+/// Encode a message head and its scan verdict (fixed layout, 52 bytes):
+/// everything ingest reads of one captured message. A parked message and a
+/// delta entry are stored this way.
+pub fn put_marked_head(out: &mut Vec<u8>, head: &MessageHead, mark: FaultMark) {
+    put_u64(out, head.id.0);
+    put_u64(out, head.ts_us);
+    put_u8(out, head.src_node.0);
+    put_u8(out, head.dst_node.0);
+    put_u8(out, head.src_service.index());
+    put_u8(out, head.dst_service.index());
+    put_u16(out, head.api.0);
+    let flags = matches!(head.direction, Direction::Response) as u8
+        | (head.rpc_msg_id.is_some() as u8) << 1
+        | (head.correlation_id.is_some() as u8) << 2;
+    put_u8(out, flags);
+    put_u64(out, head.rpc_msg_id.unwrap_or(0));
+    put_u64(out, head.correlation_id.unwrap_or(0));
+    put_u8(out, head.conn.src.0);
+    put_u16(out, head.conn.src_port);
+    put_u8(out, head.conn.dst.0);
+    put_u16(out, head.conn.dst_port);
+    put_u32(out, head.payload_len);
+    put_mark(out, mark);
+}
+
+/// Decode one head and mark written by [`put_marked_head`].
+pub fn read_marked_head(r: &mut Reader<'_>) -> Result<(MessageHead, FaultMark), DecodeError> {
+    let id = MessageId(r.u64()?);
+    let ts_us = r.u64()?;
+    let src_node = NodeId(r.u8()?);
+    let dst_node = NodeId(r.u8()?);
+    let service = |i| Service::from_index(i).ok_or(DecodeError::Invalid("service index"));
+    let src_service = service(r.u8()?)?;
+    let dst_service = service(r.u8()?)?;
+    let api = ApiId(r.u16()?);
+    let flags = r.u8()?;
+    if flags > 0b111 {
+        return Err(DecodeError::Invalid("head flags"));
+    }
+    let rpc_msg_id = r.u64()?;
+    let correlation_id = r.u64()?;
+    let conn = ConnKey {
+        src: NodeId(r.u8()?),
+        src_port: r.u16()?,
+        dst: NodeId(r.u8()?),
+        dst_port: r.u16()?,
+    };
+    let head = MessageHead {
+        id,
+        ts_us,
+        src_node,
+        dst_node,
+        src_service,
+        dst_service,
+        api,
+        direction: match flags & 1 {
+            0 => Direction::Request,
+            _ => Direction::Response,
+        },
+        rpc_msg_id: (flags & 2 != 0).then_some(rpc_msg_id),
+        conn,
+        correlation_id: (flags & 4 != 0).then_some(correlation_id),
+        payload_len: r.u32()?,
+    };
+    Ok((head, read_mark(r)?))
 }
 
 /// FNV-1a 64-bit over a byte slice — the record checksum. Re-exported
@@ -381,27 +467,69 @@ pub fn decode_release(payload: &[u8]) -> Result<Release, CheckpointError> {
     Ok((up_to, jobs))
 }
 
-/// One capture agent's receiver-side state inside an [`EngineCheckpoint`].
+/// One capture agent's receiver-side state inside a boundary record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AgentCheckpoint {
     /// The agent's resequencer
     /// ([`gretel_netcap::Resequencer::export_state`]).
     pub resequencer: Vec<u8>,
-    /// Frames the resequencer released but the merge had not consumed
-    /// yet, as `(gap before, frame)` with the frame in
-    /// [`gretel_netcap::encode`] form (no sequence stamp). Replay brings them back only as
-    /// discarded duplicates, so they travel with the checkpoint.
+    /// Messages the resequencer released but the merge had not consumed
+    /// yet, as `(gap before, record)` with the record in
+    /// [`put_marked_head`] form. Replay brings them back only as discarded
+    /// duplicates, so they travel with the boundary record.
     pub parked: Vec<(u32, Vec<u8>)>,
 }
 
-/// The first four bytes of every [`crate::KIND_CHECKPOINT`] payload:
-/// `GCK` and the layout version. A record in any other layout (one written
-/// before the tag existed included) fails restore with its own error
-/// rather than on some later field.
-const CHECKPOINT_TAG: [u8; 4] = *b"GCK\x01";
+/// The first four bytes of every [`crate::KIND_CHECKPOINT`] and
+/// [`crate::KIND_DELTA`] payload: `GCK` and the layout version. A record in
+/// any other layout (one written before the tag existed included) fails
+/// restore with its own error rather than on some later field.
+const CHECKPOINT_TAG: [u8; 4] = *b"GCK\x02";
 
-/// The engine's [`crate::KIND_CHECKPOINT`] record as plain data: the
-/// analyzer's state ([`crate::Analyzer::export_state`]), the next job
+/// Strip the format tag off a boundary record's payload.
+fn tagged(payload: &[u8]) -> Result<Reader<'_>, DecodeError> {
+    payload
+        .strip_prefix(&CHECKPOINT_TAG[..])
+        .map(Reader::new)
+        .ok_or(DecodeError::Invalid("checkpoint format"))
+}
+
+fn put_agents(out: &mut Vec<u8>, agents: &[AgentCheckpoint]) {
+    put_count(out, agents.len());
+    for agent in agents {
+        put_bytes(out, &agent.resequencer);
+        put_count(out, agent.parked.len());
+        for (gap, record) in &agent.parked {
+            put_u32(out, *gap);
+            put_bytes(out, record);
+        }
+    }
+}
+
+/// The nested resequencer states and parked records come back as bytes;
+/// their own decoders check them.
+fn read_agents(r: &mut Reader<'_>) -> Result<Vec<AgentCheckpoint>, DecodeError> {
+    // Each agent block is at least two length prefixes, each parked record
+    // a gap and a length prefix.
+    let n = r.count(4 + 4)?;
+    let mut agents = Vec::with_capacity(n);
+    for _ in 0..n {
+        let resequencer = r.bytes()?.to_vec();
+        let n_parked = r.count(4 + 4)?;
+        let mut parked = Vec::with_capacity(n_parked);
+        for _ in 0..n_parked {
+            parked.push((r.u32()?, r.bytes()?.to_vec()));
+        }
+        agents.push(AgentCheckpoint {
+            resequencer,
+            parked,
+        });
+    }
+    Ok(agents)
+}
+
+/// The engine's [`crate::KIND_CHECKPOINT`] record, a *base*, as plain data:
+/// the analyzer's state ([`crate::Analyzer::export_state`]), the next job
 /// sequence number, and one [`AgentCheckpoint`] per capture agent.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineCheckpoint {
@@ -418,49 +546,86 @@ pub fn encode_checkpoint(ck: &EngineCheckpoint) -> Vec<u8> {
     let mut out = CHECKPOINT_TAG.to_vec();
     put_bytes(&mut out, &ck.analyzer);
     put_u64(&mut out, ck.next_seq);
-    put_count(&mut out, ck.agents.len());
-    for agent in &ck.agents {
-        put_bytes(&mut out, &agent.resequencer);
-        put_count(&mut out, agent.parked.len());
-        for (gap, frame) in &agent.parked {
-            put_u32(&mut out, *gap);
-            put_bytes(&mut out, frame);
-        }
-    }
+    put_agents(&mut out, &ck.agents);
     out
 }
 
 /// Decode a [`crate::KIND_CHECKPOINT`] record written by
 /// [`encode_checkpoint`]. A payload without this build's format tag is
-/// `Invalid("checkpoint format")`. The nested resequencer states and
-/// frames are returned as bytes; their own decoders check them.
+/// `Invalid("checkpoint format")`.
 pub fn decode_checkpoint(payload: &[u8]) -> Result<EngineCheckpoint, CheckpointError> {
-    let Some(body) = payload.strip_prefix(&CHECKPOINT_TAG[..]) else {
-        return Err(DecodeError::Invalid("checkpoint format").into());
-    };
-    let mut r = Reader::new(body);
+    let mut r = tagged(payload)?;
     let analyzer = r.bytes()?.to_vec();
     let next_seq = r.u64()?;
-    // Each agent block is at least two length prefixes, each parked frame
-    // a gap and a length prefix.
-    let n = r.count(4 + 4)?;
-    let mut agents = Vec::with_capacity(n);
-    for _ in 0..n {
-        let resequencer = r.bytes()?.to_vec();
-        let n_parked = r.count(4 + 4)?;
-        let mut parked = Vec::with_capacity(n_parked);
-        for _ in 0..n_parked {
-            parked.push((r.u32()?, r.bytes()?.to_vec()));
-        }
-        agents.push(AgentCheckpoint {
-            resequencer,
-            parked,
-        });
-    }
+    let agents = read_agents(&mut r)?;
     r.done()?;
     Ok(EngineCheckpoint {
         analyzer,
         next_seq,
+        agents,
+    })
+}
+
+/// One merged message as a delta records it: the capture gap reported
+/// before it, its head and its scan verdict — the arguments of one ingest.
+pub type DeltaEntry = (u32, MessageHead, FaultMark);
+
+/// Encoded size of one [`DeltaEntry`].
+const DELTA_ENTRY_BYTES: usize = 4 + MARKED_HEAD_BYTES;
+
+/// The engine's [`crate::KIND_DELTA`] record as plain data: the input the
+/// analyzer merged since the previous boundary. Ingest is deterministic, so
+/// replaying the entries into the analyzer that boundary left rebuilds its
+/// whole state; the record carries no analyzer state of its own.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EngineDelta {
+    /// The continuity key: the merged-message count at the previous
+    /// boundary, where the entries start. A restore applies the delta only
+    /// to an analyzer at exactly this count.
+    pub from: u64,
+    /// Sequence number the next snapshot job gets after the entries.
+    pub next_seq: u64,
+    /// Every message merged since the previous boundary, in merge order.
+    pub entries: Vec<DeltaEntry>,
+    /// Per-agent receiver state at this boundary, in agent order.
+    pub agents: Vec<AgentCheckpoint>,
+}
+
+/// Serialize one [`EngineDelta`], behind the format tag.
+pub fn encode_delta(delta: &EngineDelta) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64 + delta.entries.len() * DELTA_ENTRY_BYTES);
+    out.extend_from_slice(&CHECKPOINT_TAG);
+    put_u64(&mut out, delta.from);
+    put_u64(&mut out, delta.next_seq);
+    put_count(&mut out, delta.entries.len());
+    for (gap, head, mark) in &delta.entries {
+        put_u32(&mut out, *gap);
+        put_marked_head(&mut out, head, *mark);
+    }
+    put_agents(&mut out, &delta.agents);
+    out
+}
+
+/// Decode a [`crate::KIND_DELTA`] record written by [`encode_delta`]. A
+/// payload without this build's format tag is `Invalid("checkpoint
+/// format")`.
+pub fn decode_delta(payload: &[u8]) -> Result<EngineDelta, CheckpointError> {
+    let mut r = tagged(payload)?;
+    let from = r.u64()?;
+    let next_seq = r.u64()?;
+    let n = r.count(DELTA_ENTRY_BYTES)?;
+    let mut entries = Vec::with_capacity(n);
+    for _ in 0..n {
+        let gap = r.u32()?;
+        let (head, mark) = read_marked_head(&mut r)?;
+        entries.push((gap, head, mark));
+    }
+    let agents = read_agents(&mut r)?;
+    r.done()?;
+    Ok(EngineDelta {
+        from,
+        next_seq,
+        entries,
         agents,
     })
 }
@@ -563,6 +728,43 @@ mod tests {
             let back = read_event(&mut r).unwrap();
             r.done().unwrap();
             assert_eq!(back, ev);
+        }
+    }
+
+    /// The fixed size the delta entry bound relies on is the size written,
+    /// whichever options the head carries.
+    #[test]
+    fn marked_heads_are_fixed_size_and_round_trip() {
+        let head = MessageHead {
+            id: MessageId(9),
+            ts_us: 1_234,
+            src_node: NodeId(1),
+            dst_node: NodeId(2),
+            src_service: Service::ALL[3],
+            dst_service: Service::ALL[5],
+            api: ApiId(77),
+            direction: Direction::Response,
+            rpc_msg_id: Some(41),
+            conn: ConnKey::default(),
+            correlation_id: None,
+            payload_len: 300,
+        };
+        let bare = MessageHead {
+            direction: Direction::Request,
+            rpc_msg_id: None,
+            correlation_id: Some(7),
+            ..head
+        };
+        for (h, mark) in [
+            (head, FaultMark::RpcError),
+            (bare, FaultMark::RestError(503)),
+        ] {
+            let mut buf = Vec::new();
+            put_marked_head(&mut buf, &h, mark);
+            assert_eq!(buf.len(), MARKED_HEAD_BYTES);
+            let mut r = Reader::new(&buf);
+            assert_eq!(read_marked_head(&mut r), Ok((h, mark)));
+            r.done().unwrap();
         }
     }
 

@@ -23,10 +23,10 @@
 //! in one batch-wide pass, resequences the frames when they are
 //! sequence-stamped, k-way merges the per-agent streams on `(ts, id)` and
 //! drives the [`Analyzer`] with each message's fixed-size [`MessageHead`].
-//! A queued frame keeps its bytes as a zero-copy slice of the batch arena,
-//! which only a checkpoint reads again. Completed snapshots ship as jobs to a supervised
-//! worker [`Pool`]; results are released in job-sequence order, so the
-//! output equals inline analysis whatever the scheduling.
+//! A queued message is its head and scan verdict, nothing else: the frame's
+//! bytes are never read again. Completed snapshots ship as jobs to a
+//! supervised worker [`Pool`]; results are released in job-sequence order,
+//! so the output equals inline analysis whatever the scheduling.
 //!
 //! The engine runs with or without a [`Store`]:
 //!
@@ -34,12 +34,15 @@
 //!   shards) it never checkpoints or restores and releases every diagnosis
 //!   at end of stream;
 //! * **with** one (`run_service_durable`, the durable shards) it restores
-//!   the newest usable checkpoint, writes a checkpoint boundary every
-//!   [`RecoveryConfig::checkpoint_every`] merged messages, and honours the
-//!   kill arm. Released diagnoses travel as their
-//!   own [`KIND_DIAGNOSES`] records, written immediately *before* the
-//!   checkpoint that makes them unrepeatable — so a crash can neither lose
-//!   nor duplicate a diagnosis.
+//!   the newest valid base and the deltas that chain onto it, writes a
+//!   boundary record every [`RecoveryConfig::checkpoint_every`] merged
+//!   messages, and honours the kill arm. A boundary record is a small
+//!   [`KIND_DELTA`] — the `(gap, head, mark)` of each message merged since
+//!   the previous boundary — unless the deltas since the last base
+//!   outweigh it, when a full [`KIND_CHECKPOINT`] base is written instead.
+//!   Released diagnoses travel as their own [`KIND_DIAGNOSES`] records,
+//!   written immediately *before* the boundary record that makes them
+//!   unrepeatable — so a crash can neither lose nor duplicate a diagnosis.
 //!
 //! Whether frames are sequence-stamped is derived, never set: a store
 //! (replay dedups the re-shipped prefix by sequence number) or an
@@ -49,22 +52,24 @@
 use crate::analyzer::{Analyzer, AnalyzerStats, SnapshotAnalyzer, SnapshotJob};
 use crate::anomaly::scan_frame;
 use crate::checkpoint::{
-    decode_checkpoint, decode_release, encode_checkpoint, encode_release, AgentCheckpoint,
-    EngineCheckpoint,
+    decode_checkpoint, decode_delta, decode_release, encode_checkpoint, encode_delta,
+    encode_release, put_marked_head, read_marked_head, AgentCheckpoint, DeltaEntry,
+    EngineCheckpoint, EngineDelta, MARKED_HEAD_BYTES,
 };
 use crate::event::FaultMark;
 use crate::recover::{
-    AnalyzerChaos, RecoveryConfig, RecoveryStats, KIND_CHECKPOINT, KIND_DIAGNOSES, MAX_ATTEMPTS,
+    AnalyzerChaos, RecoveryConfig, RecoveryStats, KIND_CHECKPOINT, KIND_DELTA, KIND_DIAGNOSES,
+    MAX_ATTEMPTS,
 };
 use crate::report::Diagnosis;
 use crate::service::{ServiceConfig, ServiceError, ServiceStats, CHANNEL_CAPACITY};
 use bytes::Bytes;
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender, TrySendError};
-use gretel_model::codec::DecodeError;
+use gretel_model::codec::{DecodeError, Reader};
 use gretel_model::{Message, MessageHead, NodeId};
 use gretel_netcap::{
-    decode_one, decode_view, encode, shard_of, CaptureAgent, CaptureStats, CodecError, FrameBatch,
-    FrameBatchBuilder, Framed, Resequencer,
+    decode_view, shard_of, CaptureAgent, CaptureStats, CodecError, FrameBatch, FrameBatchBuilder,
+    Framed, Resequencer,
 };
 use gretel_obs::{PipelineMetrics, Stage, StageTimer};
 use gretel_store::{records, Record, Store};
@@ -72,34 +77,42 @@ use std::collections::{BTreeMap, VecDeque};
 use std::thread::Scope;
 use std::time::Duration;
 
-/// One frame as the receiver keeps it: parsed in place, its payload
-/// scanned, and its bytes a zero-copy slice of the batch arena it arrived in
-/// (read again only by a checkpoint).
+/// One frame as the receiver keeps it: parsed in place and its payload
+/// scanned — everything ingest reads of it.
+#[derive(Debug, Clone, Copy)]
 struct Received {
     head: MessageHead,
     mark: FaultMark,
-    frame: Bytes,
 }
 
 impl Received {
     /// Parse and scan one frame, returning its sequence number alongside.
-    fn parse(frame: Bytes) -> Result<(Received, Option<u64>), CodecError> {
-        let view = decode_view(&frame)?;
+    fn parse(frame: &[u8]) -> Result<(Received, Option<u64>), CodecError> {
+        let view = decode_view(frame)?;
         let (head, seq, mark) = (view.head, view.seq, scan_frame(&view));
-        Ok((Received { head, mark, frame }, seq))
+        Ok((Received { head, mark }, seq))
+    }
+
+    /// The fixed head+mark record a boundary stores it as.
+    fn record(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(MARKED_HEAD_BYTES);
+        put_marked_head(&mut out, &self.head, self.mark);
+        out
     }
 }
 
-/// A checkpoint stores a parked frame without its sequence stamp, as the
-/// frame of its message: the scan is a pure function of the message, so a
-/// restore recomputes identical marks.
+/// A boundary record stores a parked message as its fixed head+mark record
+/// ([`put_marked_head`]), never as a frame.
 impl Framed for Received {
     fn to_frame(&self) -> Bytes {
-        encode(&decode_one(&self.frame).expect("a received frame parsed once already"))
+        self.record().into()
     }
 
-    fn from_frame(frame: &[u8]) -> Result<Received, CodecError> {
-        Received::parse(Bytes::copy_from_slice(frame)).map(|(r, _)| r)
+    fn from_frame(record: &[u8]) -> Result<Received, CodecError> {
+        let mut r = Reader::new(record);
+        let (head, mark) = read_marked_head(&mut r)?;
+        r.done()?;
+        Ok(Received { head, mark })
     }
 }
 
@@ -134,8 +147,8 @@ impl AgentStream {
         batch: &FrameBatch,
         metrics: Option<&PipelineMetrics>,
     ) -> Result<(), ServiceError> {
-        let parsed = (0..batch.frames()).try_for_each(|i| {
-            self.parsed.push(Received::parse(batch.frame(i))?);
+        let parsed = batch.iter().try_for_each(|frame| {
+            self.parsed.push(Received::parse(frame)?);
             Ok::<_, CodecError>(())
         });
         let Some(r) = &mut self.reseq else {
@@ -277,9 +290,9 @@ fn spawn_agent<'sc, 'env>(
     rx
 }
 
-/// The receiver's half of a checkpoint: each agent's resequencer and the
-/// frames it released that the merge has not consumed yet, all as
-/// unstamped frames ([`Framed`]).
+/// The receiver's half of a boundary record: each agent's resequencer and
+/// the messages it released that the merge has not consumed yet, all as
+/// head+mark records ([`Framed`]).
 fn agent_checkpoints(streams: &[AgentStream]) -> Vec<AgentCheckpoint> {
     streams
         .iter()
@@ -289,16 +302,12 @@ fn agent_checkpoints(streams: &[AgentStream]) -> Vec<AgentCheckpoint> {
                 .as_ref()
                 .expect("store-backed runs are sequenced")
                 .export_state(),
-            parked: st
-                .ready
-                .iter()
-                .map(|(gap, r)| (*gap, r.to_frame().to_vec()))
-                .collect(),
+            parked: st.ready.iter().map(|(gap, r)| (*gap, r.record())).collect(),
         })
         .collect()
 }
 
-/// Rebuild the receiver streams a checkpoint describes. `done` is not
+/// Rebuild the receiver streams a boundary record describes. `done` is not
 /// stored: replay closes every stream again.
 fn restore_streams(
     agents: &[AgentCheckpoint],
@@ -311,12 +320,125 @@ fn restore_streams(
         .iter()
         .map(|agent| {
             let mut st = AgentStream::new(Some(Resequencer::restore_state(&agent.resequencer)?));
-            for (gap, frame) in &agent.parked {
-                st.ready.push_back((*gap, Received::from_frame(frame)?));
+            for (gap, record) in &agent.parked {
+                st.ready.push_back((*gap, Received::from_frame(record)?));
             }
             Ok(st)
         })
         .collect()
+}
+
+/// Where the durable path's record chain stands: what the next boundary
+/// writes, and what it writes it on top of.
+#[derive(Debug, Default)]
+struct Chain {
+    /// Every message merged since the last boundary, as the next delta
+    /// records it.
+    entries: Vec<DeltaEntry>,
+    /// Merged-message count at the last boundary: the next delta's
+    /// continuity key.
+    at: u64,
+    /// Payload bytes of the base the chain hangs off; `None` until there is
+    /// one, so the first boundary writes a base.
+    base_bytes: Option<usize>,
+    /// Payload bytes of the deltas after that base.
+    delta_bytes: usize,
+}
+
+impl Chain {
+    /// The boundary record for this point of the run: a delta while the
+    /// deltas since the last base weigh no more than that base, else a new
+    /// base. Either way the chain then stands at `analyzer`'s count.
+    fn boundary(
+        &mut self,
+        analyzer: &Analyzer<'_>,
+        agents: Vec<AgentCheckpoint>,
+        next_seq: u64,
+    ) -> Result<(u8, Vec<u8>), ServiceError> {
+        let from = std::mem::replace(&mut self.at, analyzer.stats().messages);
+        match self.base_bytes {
+            Some(base) if self.delta_bytes <= base => {
+                let payload = encode_delta(&EngineDelta {
+                    from,
+                    next_seq,
+                    entries: std::mem::take(&mut self.entries),
+                    agents,
+                });
+                self.delta_bytes += payload.len();
+                Ok((KIND_DELTA, payload))
+            }
+            _ => {
+                let payload = encode_checkpoint(&EngineCheckpoint {
+                    analyzer: analyzer
+                        .export_state()
+                        .ok_or(ServiceError::NotCheckpointable)?,
+                    next_seq,
+                    agents,
+                });
+                self.entries.clear();
+                self.base_bytes = Some(payload.len());
+                self.delta_bytes = 0;
+                Ok((KIND_CHECKPOINT, payload))
+            }
+        }
+    }
+}
+
+/// Restore `analyzer` from the store: the newest valid base, then every
+/// later valid delta, in log order, whose continuity key is the count the
+/// analyzer has reached. A delta is replayed through the same ingest that
+/// first ran it, so it rebuilds the whole analyzer state; the jobs it
+/// regenerates were all released before the delta was written, so they are
+/// only counted, and must land on its `next_seq`. A corrupt, torn or
+/// non-continuing delta is skipped, so a delta that a later lifetime
+/// re-wrote still chains. Returns the next job sequence number, the
+/// receiver streams of the last applied record and the chain to continue,
+/// or `None` (cold start) when no base verifies.
+fn restore(
+    store: &dyn Store,
+    analyzer: &mut Analyzer<'_>,
+    n_agents: usize,
+) -> Result<Option<(u64, Vec<AgentStream>, Chain)>, ServiceError> {
+    // Find the records by header, then checksum from the newest back: a
+    // restart pays for the records it uses, not the log.
+    let log: Vec<Record<'_>> = records(store.bytes()).collect();
+    let Some(b) = log
+        .iter()
+        .rposition(|r| r.kind == KIND_CHECKPOINT && r.valid())
+    else {
+        return Ok(None);
+    };
+    let base = decode_checkpoint(log[b].payload)?;
+    analyzer.restore_state(&base.analyzer)?;
+    let (mut next_seq, mut agents) = (base.next_seq, base.agents);
+    let mut chain = Chain {
+        at: analyzer.stats().messages,
+        base_bytes: Some(log[b].payload.len()),
+        ..Chain::default()
+    };
+    for r in log[b + 1..]
+        .iter()
+        .filter(|r| r.kind == KIND_DELTA && r.valid())
+    {
+        let delta = decode_delta(r.payload)?;
+        if delta.from != chain.at {
+            continue;
+        }
+        let mut jobs = 0u64;
+        for (gap, head, mark) in &delta.entries {
+            analyzer.note_capture_gap(*gap);
+            jobs += analyzer.ingest_head(head, *mark, None).len() as u64;
+        }
+        if next_seq.checked_add(jobs) != Some(delta.next_seq) {
+            return Err(DecodeError::Invalid("delta job count").into());
+        }
+        next_seq = delta.next_seq;
+        agents = delta.agents;
+        chain.at = analyzer.stats().messages;
+        chain.delta_bytes += r.payload.len();
+    }
+    let streams = restore_streams(&agents, n_agents)?;
+    Ok(Some((next_seq, streams, chain)))
 }
 
 /// The release watermark a restarted process must honor: the maximum
@@ -559,6 +681,8 @@ pub(crate) struct RunState<'a> {
     /// Job seqs below this have been released; replay must not re-release.
     released_watermark: u64,
     kill_point: Option<u64>,
+    /// The record chain on the store (unused without one).
+    chain: Chain,
 }
 
 impl<'a> RunState<'a> {
@@ -577,6 +701,7 @@ impl<'a> RunState<'a> {
             diagnoses: Vec::new(),
             released_watermark,
             kill_point,
+            chain: Chain::default(),
         })
     }
 }
@@ -637,8 +762,8 @@ fn commit_release(
 
 /// One checkpoint boundary on `store`: quiesce the pool, release pending
 /// diagnoses ([`KIND_DIAGNOSES`] first — a torn tail then loses at most the
-/// checkpoint, and replay regenerates nothing that was released), append
-/// the checkpoint, and sync the store.
+/// boundary record, and replay regenerates nothing that was released),
+/// append the boundary record ([`Chain::boundary`]), and sync the store.
 fn write_boundary(
     pool: &mut Pool<'_, '_>,
     analyzer: &Analyzer<'_>,
@@ -654,14 +779,10 @@ fn write_boundary(
         .as_mut()
         .expect("boundaries are only written to a store");
     let t = StageTimer::start(metrics, Stage::Checkpoint);
-    let payload = encode_checkpoint(&EngineCheckpoint {
-        analyzer: analyzer
-            .export_state()
-            .ok_or(ServiceError::NotCheckpointable)?,
-        next_seq: seq,
-        agents: agent_checkpoints(streams),
-    });
-    store.append(KIND_CHECKPOINT, &payload)?;
+    let (kind, payload) = st
+        .chain
+        .boundary(analyzer, agent_checkpoints(streams), seq)?;
+    store.append(kind, &payload)?;
     t.finish();
     if let Some(m) = metrics {
         m.count(Stage::Checkpoint, 1);
@@ -696,34 +817,20 @@ pub(crate) fn run_cycle(
         "a batch holds at least one frame"
     );
     let metrics = cfg.service.metrics.as_deref();
-    let sequenced = state.store.is_some() || cfg.service.impairment.is_some();
+    let durable = state.store.is_some();
+    let sequenced = durable || cfg.service.impairment.is_some();
     let workers = cfg.service.effective_workers();
 
     // ---- Restore --------------------------------------------------------
-    // The newest checkpoint whose checksum verifies (corrupt or torn ones
-    // fall back to an older one, or to cold replay). Find the checkpoints
-    // by header, then checksum from the newest back: a restart pays for the
-    // record it uses, not the log.
     let restored = match &state.store {
-        Some(store) => {
-            let checkpoints: Vec<Record<'_>> = records(store.bytes())
-                .filter(|r| r.kind == KIND_CHECKPOINT)
-                .collect();
-            checkpoints
-                .iter()
-                .rev()
-                .find(|r| r.valid())
-                .map(|r| decode_checkpoint(r.payload))
-                .transpose()?
-        }
+        Some(store) => restore(&**store, analyzer, nodes.len())?,
         None => None,
     };
     let (next_seq_start, mut streams) = match restored {
-        Some(ck) => {
-            let streams = restore_streams(&ck.agents, nodes.len())?;
-            analyzer.restore_state(&ck.analyzer)?;
+        Some((next_seq, streams, chain)) => {
+            state.chain = chain;
             state.stats.restores += 1;
-            (ck.next_seq, streams)
+            (next_seq, streams)
         }
         None => {
             let fresh = || sequenced.then(|| Resequencer::new(cfg.service.resequence_depth));
@@ -785,6 +892,9 @@ pub(crate) fn run_cycle(
             if gap > 0 {
                 analyzer.note_capture_gap(gap);
             }
+            if durable {
+                state.chain.entries.push((gap, r.head, r.mark));
+            }
             let t = StageTimer::start(metrics, Stage::Ingest);
             let jobs = analyzer.ingest_head(&r.head, r.mark, metrics);
             t.finish();
@@ -797,7 +907,7 @@ pub(crate) fn run_cycle(
             }
             merged += 1;
 
-            if state.store.is_some() && merged.is_multiple_of(cfg.checkpoint_every) {
+            if durable && merged.is_multiple_of(cfg.checkpoint_every) {
                 write_boundary(&mut pool, analyzer, &streams, seq, state)?;
             }
         }
@@ -982,6 +1092,168 @@ mod tests {
             alpha: 32,
             ..Default::default()
         }
+    }
+
+    /// A library, the deployment's nodes and a few hundred messages of
+    /// faulted vm-create and image-upload traffic.
+    fn chain_fixture() -> (
+        crate::fingerprint::FingerprintLibrary,
+        Vec<NodeId>,
+        Vec<Message>,
+    ) {
+        use gretel_model::{Catalog, HttpMethod, OpSpecId, OperationSpec, Service, Workflows};
+        use gretel_sim::{ApiFault, Deployment, FaultPlan, FaultScope, InjectedError, Runner};
+
+        let cat = Catalog::openstack();
+        let dep = Deployment::standard();
+        let wf = Workflows::new(cat.clone());
+        let specs = [
+            wf.vm_create_spec(OpSpecId(0)),
+            wf.image_upload_spec(OpSpecId(1)),
+        ];
+        let (lib, _) =
+            crate::fingerprint::FingerprintLibrary::characterize(cat.clone(), &specs, &dep, 2, 21);
+        let plan = FaultPlan::none().with_api_fault(ApiFault {
+            api: cat.rest_expect(Service::Neutron, HttpMethod::Post, "/v2.0/ports.json"),
+            scope: FaultScope::AllInstances,
+            occurrence: 0,
+            error: InjectedError::RestStatus {
+                status: 500,
+                reason: None,
+            },
+            abort_op: true,
+        });
+        let refs: Vec<&OperationSpec> = specs.iter().cycle().take(48).collect();
+        let exec = Runner::new(cat, &dep, &plan, Default::default()).run(&refs);
+        let nodes = dep.nodes().iter().map(|n| n.id).collect();
+        (lib, nodes, exec.messages)
+    }
+
+    const CHAIN_ALPHA: usize = 256;
+    const CHAIN_EVERY: u64 = 64;
+
+    /// The live analyzer's state after every `CHAIN_EVERY` merged messages:
+    /// an inline analyzer fed what the agents forward, in merge order.
+    fn live_states(
+        lib: &crate::fingerprint::FingerprintLibrary,
+        nodes: &[NodeId],
+        traffic: &[Message],
+    ) -> BTreeMap<u64, Vec<u8>> {
+        let mut merged: Vec<&Message> = traffic
+            .iter()
+            .filter(|m| nodes.iter().any(|&n| CaptureAgent::new(n).observes(m)))
+            .collect();
+        merged.sort_by_key(|m| (m.ts_us, m.id));
+        let mut live = Analyzer::new(lib, chain_gcfg());
+        let mut states = BTreeMap::new();
+        for (i, m) in merged.into_iter().enumerate() {
+            live.ingest(m);
+            if (i as u64 + 1).is_multiple_of(CHAIN_EVERY) {
+                states.insert(i as u64 + 1, live.export_state().unwrap());
+            }
+        }
+        states
+    }
+
+    fn chain_gcfg() -> crate::config::GretelConfig {
+        crate::config::GretelConfig {
+            alpha: CHAIN_ALPHA,
+            ..Default::default()
+        }
+    }
+
+    /// One durable lifetime over `store` with `checkpoint_every`
+    /// `CHAIN_EVERY`.
+    fn chain_lifetime(
+        fx: &(
+            crate::fingerprint::FingerprintLibrary,
+            Vec<NodeId>,
+            Vec<Message>,
+        ),
+        kill_point: Option<u64>,
+        store: &mut MemStore,
+    ) {
+        let cfg = crate::recover::DurableConfig {
+            recovery: RecoveryConfig {
+                checkpoint_every: CHAIN_EVERY,
+                ..RecoveryConfig::default()
+            },
+            kill_point,
+        };
+        crate::recover::run_service_durable(&fx.0, chain_gcfg(), &fx.1, &fx.2, &cfg, store)
+            .expect("a lifetime completes or is killed");
+    }
+
+    /// Restore a fresh analyzer from `log`: the count it reached and its
+    /// exported state.
+    fn restored(
+        lib: &crate::fingerprint::FingerprintLibrary,
+        n_agents: usize,
+        log: &[u8],
+    ) -> (u64, Vec<u8>) {
+        let mut analyzer = Analyzer::new(lib, chain_gcfg());
+        let (_, _, chain) = restore(&MemStore::from_bytes(log.to_vec()), &mut analyzer, n_agents)
+            .expect("the log restores")
+            .expect("the log holds a base");
+        (chain.at, analyzer.export_state().unwrap())
+    }
+
+    /// At every boundary of a run, the base plus the chain so far restores
+    /// an analyzer whose state is the live analyzer's, byte for byte.
+    #[test]
+    fn every_boundary_restores_the_live_state() {
+        let fx = chain_fixture();
+        let live = live_states(&fx.0, &fx.1, &fx.2);
+        let mut store = MemStore::new();
+        chain_lifetime(&fx, None, &mut store);
+        let log = store.bytes();
+        let mut kinds = Vec::new();
+        for r in records(log).filter(|r| r.kind != KIND_DIAGNOSES) {
+            kinds.push(r.kind);
+            let (at, state) = restored(&fx.0, fx.1.len(), &log[..r.end()]);
+            assert_eq!(at, CHAIN_EVERY * kinds.len() as u64, "{kinds:?}");
+            assert!(state == live[&at], "state at {at} ({kinds:?})");
+        }
+        let bases = kinds.iter().filter(|&&k| k == KIND_CHECKPOINT).count();
+        let longest = kinds
+            .split(|&k| k == KIND_CHECKPOINT)
+            .map(<[u8]>::len)
+            .max();
+        assert!(bases >= 2 && longest >= Some(2), "{kinds:?}");
+    }
+
+    /// A delta corrupted mid-chain ends the chain early; once a later
+    /// lifetime re-wrote its interval, the restore walks past the corrupt
+    /// delta and the stale one after it, to the newest boundary.
+    #[test]
+    fn a_rewritten_delta_chains_past_the_corrupt_one() {
+        let fx = chain_fixture();
+        let live = live_states(&fx.0, &fx.1, &fx.2);
+        let mut store = MemStore::new();
+        chain_lifetime(&fx, Some(5 * CHAIN_EVERY + 7), &mut store);
+        let bounds: Vec<(usize, u8)> = records(store.bytes())
+            .enumerate()
+            .filter(|(_, r)| r.kind != KIND_DIAGNOSES)
+            .map(|(i, r)| (i, r.kind))
+            .collect();
+        let n = bounds.len();
+        assert_eq!(n, 5);
+        assert!(
+            bounds[n - 2].1 == KIND_DELTA && bounds[n - 1].1 == KIND_DELTA,
+            "{bounds:?}"
+        );
+        assert!(store.corrupt_record(bounds[n - 2].0, 17));
+        let short = restored(&fx.0, fx.1.len(), store.bytes()).0;
+        assert_eq!(
+            short,
+            3 * CHAIN_EVERY,
+            "the chain ends before the corrupt delta"
+        );
+
+        chain_lifetime(&fx, Some(3 * CHAIN_EVERY + 7), &mut store);
+        let (at, state) = restored(&fx.0, fx.1.len(), store.bytes());
+        assert_eq!(at, 6 * CHAIN_EVERY, "the newest boundary");
+        assert!(state == live[&at]);
     }
 
     #[test]

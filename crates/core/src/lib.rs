@@ -70,7 +70,7 @@ pub use perf::PerfMonitor;
 pub use rca::{CauseKind, RootCause};
 pub use recover::{
     run_service_durable, AnalyzerChaos, DurableConfig, DurableOutcome, RecoveryConfig,
-    RecoveryStats, KILL_ATTEMPTS, KIND_CHECKPOINT, KIND_DIAGNOSES, MAX_ATTEMPTS,
+    RecoveryStats, KILL_ATTEMPTS, KIND_CHECKPOINT, KIND_DELTA, KIND_DIAGNOSES, MAX_ATTEMPTS,
 };
 pub use report::{CaptureConfidence, Diagnosis, FaultKind};
 pub use service::{run_service_cfg, ServiceConfig, ServiceStats};

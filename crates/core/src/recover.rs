@@ -17,24 +17,29 @@
 //!   [`CaptureConfidence::Cancelled`](crate::CaptureConfidence::Cancelled)
 //!   diagnosis.
 //! * **Checkpoint/replay** — every [`RecoveryConfig::checkpoint_every`]
-//!   merged messages the service quiesces the pool and appends the full
-//!   ingest state (analyzer window, pairer, perf detectors, traffic graph,
-//!   per-agent resequencer positions and ready queues, next job sequence
-//!   number) to a checksummed [`Store`]. After a crash the
-//!   service restores the latest valid record and the agents re-ship
-//!   their deterministic streams; the restored resequencers discard the
-//!   already-consumed prefix as duplicates, so replay resumes exactly
-//!   where the checkpoint left off. Released diagnoses travel as their
+//!   merged messages the service quiesces the pool and appends one boundary
+//!   record to a checksummed [`Store`]. The first boundary, and any boundary
+//!   whose deltas since the last base outweigh that base, writes a base
+//!   ([`KIND_CHECKPOINT`]: analyzer window, pairer, perf detectors, traffic
+//!   graph); every other boundary writes a delta ([`KIND_DELTA`]): the
+//!   messages merged since the previous boundary, about 56 bytes each. Both
+//!   carry the per-agent resequencer positions and ready queues and the next
+//!   job sequence number. After a crash the service restores the newest
+//!   valid base, replays each later valid delta that continues where the
+//!   analyzer stands through the same ingest, and the agents re-ship their
+//!   deterministic streams; the restored resequencers discard the
+//!   already-consumed prefix as duplicates, so replay resumes exactly where
+//!   the last applied record left off. Released diagnoses travel as their
 //!   own store records ([`KIND_DIAGNOSES`]), written immediately *before*
-//!   the checkpoint that makes them unrepeatable — so a crash can neither
-//!   lose nor duplicate a diagnosis.
+//!   the boundary record that makes them unrepeatable — so a crash can
+//!   neither lose nor duplicate a diagnosis.
 //! * **Durability** — [`run_service_durable`] takes any [`Store`] and one
 //!   invocation is one process lifetime. There is one crash arm,
 //!   [`DurableConfig::kill_point`]: the invocation dies with nothing
 //!   committed since the last boundary, and the driver re-invokes over the
 //!   same store — the same [`MemStore`](gretel_store::MemStore) value, or a
 //!   reopened [`FileStore`](gretel_store::FileStore) directory. The new
-//!   lifetime restores the newest valid checkpoint, re-derives the
+//!   lifetime restores the newest valid base and its chain, re-derives the
 //!   released-diagnosis watermark from the [`KIND_DIAGNOSES`] records, and
 //!   replays to byte-identical output. Store corruption is not an engine
 //!   arm at all: a driver flips or tears bytes between two lifetimes, as a
@@ -126,7 +131,8 @@ pub struct RecoveryConfig {
     /// sequence-stamped, impaired or not: replay dedups the re-shipped
     /// prefix by sequence number.
     pub service: ServiceConfig,
-    /// Checkpoint the full ingest state every this many merged messages.
+    /// End a checkpoint interval — release, boundary record, sync — every
+    /// this many merged messages.
     pub checkpoint_every: u64,
     /// Seeded analysis-plane fault injection. Its coins are pure functions
     /// of `(job, attempt)`, so replay kills and cancels exactly the jobs
@@ -155,11 +161,11 @@ pub struct RecoveryStats {
     /// Jobs cancelled — stalled by chaos or out of retries — and surfaced
     /// as `Cancelled` diagnoses.
     pub jobs_cancelled: u64,
-    /// Checkpoint records appended to the store.
+    /// Boundary records (bases and deltas) appended to the store.
     pub checkpoints_written: u64,
-    /// Times this invocation resumed from a checkpoint record: 1 when the
-    /// store held a valid one (a restart after a kill), else 0. A cold
-    /// start is not a restore.
+    /// Times this invocation resumed from a base: 1 when the store held a
+    /// valid one (a restart after a kill), else 0. A cold start is not a
+    /// restore.
     pub restores: u64,
     /// Replayed frames discarded by restored resequencers as
     /// already-consumed duplicates.
@@ -184,12 +190,15 @@ impl RecoveryStats {
     }
 }
 
-/// Store record kind: one full ingest-state checkpoint.
+/// Store record kind: a base, the full ingest state at one boundary.
 pub const KIND_CHECKPOINT: u8 = 1;
 /// Store record kind: a batch of released diagnoses plus the release
-/// watermark, written immediately before the checkpoint that makes their
-/// regeneration a suppressed duplicate.
+/// watermark, written immediately before the boundary record that makes
+/// their regeneration a suppressed duplicate.
 pub const KIND_DIAGNOSES: u8 = 2;
+/// Store record kind: a delta, the input merged since the previous
+/// boundary.
+pub const KIND_DELTA: u8 = 3;
 /// Configuration for [`run_service_durable`]: the recovery shape plus the
 /// kill arm.
 #[derive(Debug, Clone, Default)]
@@ -251,9 +260,10 @@ pub enum DurableOutcome {
 ///
 /// * **Restore** — the release watermark is re-derived from the store's
 ///   [`KIND_DIAGNOSES`] records and replay resumes from the newest valid
-///   checkpoint (corrupt or torn records simply fall back to an older
-///   checkpoint, or to cold replay). The analyzer is built fresh, *without*
-///   root cause analysis.
+///   base plus the deltas that chain onto it (a corrupt or torn delta ends
+///   the chain early unless a later lifetime re-wrote it; a corrupt base
+///   falls back to an older base and its chain, or to cold replay). The
+///   analyzer is built fresh, *without* root cause analysis.
 /// * **Kill arm** — [`DurableConfig::kill_point`] returns
 ///   [`DurableOutcome::Killed`] mid-stream with nothing committed since
 ///   the last boundary; re-invoking with the same store restarts the

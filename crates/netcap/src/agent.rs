@@ -550,13 +550,14 @@ impl CaptureImpairment {
 /// A frame stamped `u64::MAX`: `next` would have to become 2⁶⁴.
 const UNFOLLOWABLE: DecodeError = DecodeError::Invalid("sequence number cannot be followed");
 
-/// What a [`Resequencer`] can park in a checkpoint: a value that is one
-/// frame's message, stored as that message's unstamped [`frame::encode`]
-/// bytes.
+/// What a [`Resequencer`] can park in a checkpoint: a value kept of one
+/// frame, stored as bytes it can be rebuilt from. A [`Message`] is stored
+/// as its unstamped [`frame::encode`] bytes; a receiver that keeps less of
+/// a frame stores less.
 pub trait Framed: Sized {
-    /// The value as an unstamped frame.
+    /// The value as bytes, without the frame's sequence stamp.
     fn to_frame(&self) -> Bytes;
-    /// The value back from a frame [`Framed::to_frame`] wrote.
+    /// The value back from bytes [`Framed::to_frame`] wrote.
     fn from_frame(frame: &[u8]) -> Result<Self, frame::CodecError>;
 }
 
@@ -573,8 +574,8 @@ impl Framed for Message {
 /// Receiver-side per-agent sequence tracking.
 ///
 /// Consumes `(seq, item)` pairs as parsed off one agent's link — an item
-/// is whatever the receiver keeps of a frame: a [`Message`], or the frame
-/// itself — and restores sequence order where possible: out-of-order
+/// is whatever the receiver keeps of a frame: a [`Message`], or only what
+/// its analysis reads — and restores sequence order where possible: out-of-order
 /// items are parked in a bounded pending buffer, duplicates (an
 /// already-delivered or already-pending sequence number) are discarded,
 /// and once the buffer exceeds its depth the resequencer force-advances

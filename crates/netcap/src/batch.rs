@@ -7,7 +7,7 @@
 //! with an offset table, and the whole batch crosses the agent→receiver
 //! link in one send. Nothing on the way copies a frame: the arena is the
 //! `Vec` the builder encoded into, shared as `Bytes` without a copy; a
-//! frame ([`FrameBatch::frame`]) is a `Bytes` slice of it; and
+//! frame ([`FrameBatch::iter`]) is a slice of it; and
 //! [`crate::decode_view`] parses a frame where it lies.
 //!
 //! Batching never changes *what* is shipped, only the channel-operation
@@ -64,12 +64,6 @@ impl FrameBatch {
     /// Total encoded bytes across every frame (the arena length).
     pub fn byte_len(&self) -> usize {
         self.buf.len()
-    }
-
-    /// The `i`-th frame as a zero-copy slice of the shared arena.
-    pub fn frame(&self, i: usize) -> Bytes {
-        let (start, end) = self.offsets[i];
-        self.buf.slice(start as usize..end as usize)
     }
 
     /// Iterate the frames as borrowed slices, in per-agent order.
@@ -256,10 +250,14 @@ mod tests {
         let [batch] = &pack(&frames, 8)[..] else {
             panic!("one batch")
         };
-        let frame = batch.frame(1);
-        assert_eq!(frame, frames[1]);
         let borrowed = batch.iter().nth(1).expect("three frames");
-        assert_eq!(frame.as_ptr(), borrowed.as_ptr(), "a slice, not a copy");
+        assert_eq!(borrowed, &frames[1][..]);
+        let at = frames[0].len();
+        assert_eq!(
+            borrowed.as_ptr(),
+            batch.buf[at..].as_ptr(),
+            "a slice, not a copy"
+        );
     }
 
     #[test]
@@ -289,7 +287,7 @@ mod tests {
         assert!(b.push(b"xyzw").is_none());
         let flushed = b.finish().expect("partial batch flushes");
         assert_eq!(flushed.frames(), 1);
-        assert_eq!(&flushed.frame(0)[..], b"xyzw");
+        assert_eq!(flushed.iter().collect::<Vec<_>>(), [b"xyzw"]);
         assert!(b.finish().is_none(), "flush drains the builder");
         assert!(pack(&[], 8).is_empty());
     }

@@ -4,9 +4,9 @@
 //! A file offset is a log offset: the file holds exactly the bytes
 //! [`Store::bytes`] returns. Appends write whole records at the end;
 //! [`Store::sync`] is `fdatasync`. Nothing rotates, seals or compacts the
-//! file — a checkpointing writer's records are each larger than any sensible
-//! rotation threshold, so a byte-count cut only ever produced one file per
-//! checkpoint that nothing read separately (DESIGN.md §13).
+//! file: a restore reads one base record and the delta records after it,
+//! wherever they lie, so a byte-count cut would only produce files that
+//! nothing reads separately (DESIGN.md §13).
 //!
 //! **Torn-tail truncation**: a crash mid-append can leave the file ending in
 //! a structurally incomplete record. [`FileStore::open`] physically truncates

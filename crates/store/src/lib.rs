@@ -23,7 +23,7 @@
 //! and is not yielded at all.
 //!
 //! Readers never interpret payloads — kinds and payload codecs belong to
-//! the caller (`gretel-core` defines checkpoint and diagnosis-release
+//! the caller (`gretel-core` defines base, delta and diagnosis-release
 //! records on top of this).
 //!
 //! ```

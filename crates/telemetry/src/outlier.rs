@@ -271,6 +271,12 @@ impl OutlierDetector for LevelShiftDetector {
         };
         let staleness = r.u32()? as usize;
         r.done()?;
+        // A confirmed shift refills the baseline from the test window, so it
+        // can briefly hold `test_window` points when that is the larger.
+        let max_baseline = self.cfg.baseline_window.max(self.cfg.test_window);
+        if baseline.len() > max_baseline || test.len() > self.cfg.test_window {
+            return Err(DecodeError::Invalid("detector window length"));
+        }
         *self = LevelShiftDetector {
             cfg: self.cfg,
             baseline,
@@ -478,6 +484,9 @@ impl OutlierDetector for SpikeDetector {
         let mut r = Reader::new(bytes);
         let window = read_f64_seq(&mut r)?;
         r.done()?;
+        if window.len() > SPIKE_WINDOW {
+            return Err(DecodeError::Invalid("detector window length"));
+        }
         self.window = window;
         Ok(())
     }
@@ -570,5 +579,60 @@ mod more_detector_tests {
             det.import_state(&bytes),
             Err(DecodeError::Invalid("trailing bytes"))
         );
+    }
+
+    /// A level-shift state with windows longer than the importing
+    /// detector's is rejected whole: the detector keeps what it had.
+    #[test]
+    fn level_shift_import_rejects_windows_past_the_config() {
+        let mut wide = LevelShiftDetector::default(); // 40 / 5
+        for i in 0..60 {
+            wide.update(i, 25.0 + (i % 7) as f64);
+        }
+        let state = wide.export_state().unwrap();
+        let narrow = |baseline_window, test_window| {
+            let mut d = LevelShiftDetector::new(LevelShiftConfig {
+                baseline_window,
+                test_window,
+            });
+            for i in 0..30 {
+                d.update(i, 10.0);
+            }
+            d
+        };
+        // The baseline (40 points) is longer than 20; the test window
+        // (5 points) is longer than 4.
+        for (b, t) in [(20, 5), (40, 4)] {
+            let mut d = narrow(b, t);
+            let before = d.export_state();
+            assert_eq!(
+                d.import_state(&state),
+                Err(DecodeError::Invalid("detector window length")),
+                "{b}/{t}"
+            );
+            assert_eq!(d.export_state(), before, "{b}/{t}: unchanged");
+        }
+        narrow(40, 5)
+            .import_state(&state)
+            .expect("same config imports");
+    }
+
+    /// A spike window longer than `SPIKE_WINDOW` is rejected whole.
+    #[test]
+    fn spike_import_rejects_a_window_past_its_length() {
+        let mut det = SpikeDetector::default();
+        for i in 0..10 {
+            det.update(i, 10.0);
+        }
+        let before = det.export_state();
+        for (n, ok) in [(SPIKE_WINDOW, true), (SPIKE_WINDOW + 1, false)] {
+            let mut state = Vec::new();
+            put_f64_seq(&mut state, vec![25.0; n].iter());
+            let mut d = det.clone();
+            assert_eq!(d.import_state(&state).is_ok(), ok, "{n} points");
+            if !ok {
+                assert_eq!(d.export_state(), before, "{n} points: unchanged");
+            }
+        }
     }
 }

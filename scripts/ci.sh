@@ -73,6 +73,20 @@ grep -E '^[a-z]+: .* digest [0-9a-f]+$' <<<"$check_log" |
   diff <(grep -v '^#' scripts/check_digests.txt) - ||
   { echo "ci: a check-size digest moved: if intended, update scripts/check_digests.txt and explain the move in CHANGES.md" >&2; exit 1; }
 
+# The check-size runs hold 11 checkpoint boundaries or fewer, so they never
+# build a long chain of delta records. The full-size `durable` and `restart`
+# workloads do (bases with tens of deltas after them, restores that replay
+# a chain): run each once on a one-second budget. The last line is the
+# result object, which must report a correct run with no failed operation.
+mkdir "$STORE_ROOT/bench"
+for workload in durable restart; do
+  result="$(cargo run --release --offline --locked -q --manifest-path benchmark/Cargo.toml \
+    --bin gretel-benchmark -- workload --workload "$workload" --seed 42 --seconds 1 \
+    --store-dir "$STORE_ROOT/bench" | tail -n 1)"
+  { grep -q '"correct":true' <<<"$result" && grep -Eq '"failed":0[,}]' <<<"$result"; } ||
+    { echo "ci: the full-size $workload workload failed: $result" >&2; exit 1; }
+done
+
 # The experiment battery: every artifact under results/ is a pure function
 # of (code, seed), so regenerate them all and require the committed copies
 # byte for byte — a stale table cannot be committed. Every gate the

@@ -24,8 +24,9 @@
 //! side by side.
 
 use gretel::core::checkpoint::{
-    decode_checkpoint, decode_release, encode_checkpoint, encode_release, put_diagnosis, put_event,
-    read_diagnosis, read_event, AgentCheckpoint, CheckpointError, EngineCheckpoint,
+    decode_checkpoint, decode_delta, decode_release, encode_checkpoint, encode_delta,
+    encode_release, put_diagnosis, put_event, put_marked_head, read_diagnosis, read_event,
+    read_marked_head, AgentCheckpoint, CheckpointError, EngineCheckpoint, EngineDelta,
 };
 use gretel::core::{
     scan_frame, scan_message, Analyzer, CaptureConfidence, CauseKind, Diagnosis, Event, FaultKind,
@@ -36,10 +37,10 @@ use gretel::model::message::{
     render_rest_request_payload, render_rest_response_payload, render_rpc_payload,
 };
 use gretel::model::{
-    ApiId, Catalog, ConnKey, Dependency, Direction, HttpMethod, Message, MessageId, NodeId,
-    OpInstanceId, OpSpecId, ProjectId, Service, WireKind,
+    ApiId, Catalog, ConnKey, Dependency, Direction, HttpMethod, Message, MessageHead, MessageId,
+    NodeId, OpInstanceId, OpSpecId, ProjectId, Service, WireKind,
 };
-use gretel::netcap::{decode_one, decode_one_seq, decode_view, encode, encode_seq, Resequencer};
+use gretel::netcap::{decode_one_seq, decode_view, encode_seq, Resequencer};
 use gretel::sim::ResourceKind;
 use gretel::store::{records, MemStore, Store, RECORD_HEADER};
 use gretel::telemetry::{LevelShiftDetector, OutlierDetector, SpikeDetector};
@@ -290,7 +291,8 @@ fn rest_pair_msg(id: u64, ts: u64, api: ApiId, port: u16, status: Option<u16>) -
 
 /// An analyzer stopped mid-stream with every block of its state
 /// populated: a full window holding a gap-marked event, a snapshot armed
-/// by a perf fault that is still pending, unpaired REST and RPC requests,
+/// by a perf fault that is still pending, an unpaired REST request and an
+/// unpaired RPC call (a cast would never enter the pairer),
 /// a perf detector past its level shift, an error claimed by an earlier
 /// snapshot, a pending gap marker and a mined traffic graph with an error
 /// edge.
@@ -326,7 +328,7 @@ fn mid_stream_analyzer() -> Analyzer<'static> {
     let mut call = rpc_message();
     call.id = MessageId(id + 1);
     call.ts_us = ts + 30;
-    call.api = catalog().rpc_expect(Service::NovaCompute, "build_and_run_instance");
+    call.api = catalog().rpc_expect(Service::NovaCompute, "attach_volume");
     a.ingest(&call);
     a.note_capture_gap(3);
     a
@@ -348,28 +350,74 @@ fn parked_resequencer() -> Resequencer {
     r
 }
 
-/// An engine checkpoint of two agents: the first parked frames behind a
-/// gap in its resequencer and has one released message the merge has not
-/// taken yet; the second has one such message, released behind a gap.
-fn engine_checkpoint() -> EngineCheckpoint {
+/// A message's head and scan verdict as a boundary record stores it.
+fn marked(m: &Message) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_marked_head(&mut out, &m.head(), scan_message(m));
+    out
+}
+
+/// Two agents' receiver state: the first parked frames behind a gap in its
+/// resequencer and has one released message the merge has not taken yet;
+/// the second has one such message, released behind a gap.
+fn agents() -> Vec<AgentCheckpoint> {
     let mut released = Resequencer::new(4);
     released.push(Some(0), rpc_message());
+    vec![
+        AgentCheckpoint {
+            resequencer: parked_resequencer().export_state(),
+            parked: vec![(0, marked(&rest_message()))],
+        },
+        AgentCheckpoint {
+            resequencer: released.export_state(),
+            parked: vec![(3, marked(&rpc_message()))],
+        },
+    ]
+}
+
+fn engine_checkpoint() -> EngineCheckpoint {
     EngineCheckpoint {
         analyzer: fresh_analyzer()
             .export_state()
             .expect("default detectors checkpoint"),
         next_seq: 0x0102_0304,
-        agents: vec![
-            AgentCheckpoint {
-                resequencer: parked_resequencer().export_state(),
-                parked: vec![(0, encode(&rest_message()).to_vec())],
-            },
-            AgentCheckpoint {
-                resequencer: released.export_state(),
-                parked: vec![(3, encode(&rpc_message()).to_vec())],
-            },
-        ],
+        agents: agents(),
     }
+}
+
+/// A delta of three entries — a REST error response behind a gap, an RPC
+/// error, and a clean request with neither RPC id nor correlation id —
+/// over the two agents of [`agents`].
+fn engine_delta() -> EngineDelta {
+    let request = MessageHead {
+        direction: Direction::Request,
+        correlation_id: None,
+        ..rest_message().head()
+    };
+    EngineDelta {
+        from: 0x0A0B_0C0D_0E0F,
+        next_seq: 0x0102_0304,
+        entries: vec![
+            (2, rest_message().head(), scan_message(&rest_message())),
+            (0, rpc_message().head(), scan_message(&rpc_message())),
+            (0, request, FaultMark::None),
+        ],
+        agents: agents(),
+    }
+}
+
+/// Decode the agents' block and every format nested in it, as a restore
+/// does.
+fn agents_restore(agents: &[AgentCheckpoint]) -> Result<(), String> {
+    for agent in agents {
+        Resequencer::<Message>::restore_state(&agent.resequencer).map_err(err)?;
+        for (_, record) in &agent.parked {
+            let mut r = Reader::new(record);
+            read_marked_head(&mut r).map_err(err)?;
+            r.done().map_err(err)?;
+        }
+    }
+    Ok(())
 }
 
 /// Decode an engine checkpoint and every format nested in it, as a
@@ -377,13 +425,14 @@ fn engine_checkpoint() -> EngineCheckpoint {
 fn checkpoint_restore(bytes: &[u8]) -> Result<EngineCheckpoint, String> {
     let ck = decode_checkpoint(bytes).map_err(err)?;
     analyzer_restore(&ck.analyzer)?;
-    for agent in &ck.agents {
-        Resequencer::<Message>::restore_state(&agent.resequencer).map_err(err)?;
-        for (_, frame) in &agent.parked {
-            decode_one(frame).map_err(err)?;
-        }
-    }
+    agents_restore(&ck.agents)?;
     Ok(ck)
+}
+
+fn delta_restore(bytes: &[u8]) -> Result<EngineDelta, String> {
+    let delta = decode_delta(bytes).map_err(err)?;
+    agents_restore(&delta.agents)?;
+    Ok(delta)
 }
 
 fn detector_restore<D: OutlierDetector + Default>(bytes: &[u8]) -> Result<Vec<u8>, String> {
@@ -458,6 +507,7 @@ fn cases() -> Vec<Case> {
             encode_checkpoint,
             checkpoint_restore,
         ),
+        case("engine_delta", engine_delta(), encode_delta, delta_restore),
         case(
             "release_record",
             release(),
@@ -609,8 +659,14 @@ fn fixtures_cover_the_interesting_state() {
         "with the perf fault pending on it"
     );
     assert_eq!(parked_resequencer().flush().len(), 3, "frames are parked");
-    let ck = engine_checkpoint();
-    assert!(ck.agents.len() >= 2 && ck.agents.iter().all(|a| !a.parked.is_empty()));
+    let agents = agents();
+    assert!(agents.len() >= 2 && agents.iter().all(|a| !a.parked.is_empty()));
+    let marks: BTreeSet<String> = engine_delta()
+        .entries
+        .iter()
+        .map(|(_, _, mark)| format!("{mark:?}"))
+        .collect();
+    assert_eq!(marks.len(), 3, "every fault mark: {marks:?}");
     assert_eq!(fixture("event").len(), 38);
     assert_eq!(
         fixture("store_record").len(),
@@ -748,15 +804,21 @@ fn inflated_armed_count_is_an_error_and_the_analyzer_stays_usable() {
 
 /// A checkpoint record in the layout before the format tag (the tagged
 /// fixture without its first four bytes), and one whose tag names another
-/// version, fail on the tag rather than on some later field.
+/// version — the one before this layout included — fail on the tag rather
+/// than on some later field. So does a delta.
 #[test]
 fn a_checkpoint_without_this_format_tag_is_rejected() {
-    let golden = fixture("engine_checkpoint");
     let format = Err(CheckpointError(DecodeError::Invalid("checkpoint format")));
+    let golden = fixture("engine_checkpoint");
     assert_eq!(decode_checkpoint(&golden[4..]), format, "untagged layout");
-    let mut other = golden.clone();
-    other[3] ^= 0x03;
-    assert_eq!(decode_checkpoint(&other), format, "another version");
+    for version in [1u8, 3] {
+        let mut other = golden.clone();
+        other[3] = version;
+        assert_eq!(decode_checkpoint(&other), format, "version {version}");
+    }
+    let mut delta = fixture("engine_delta");
+    delta[3] = 1;
+    assert_eq!(decode_delta(&delta), format.map(|_| engine_delta()));
 }
 
 /// The seeded keyings every schedule, coin and shard assignment depends

@@ -107,9 +107,8 @@ fn parsing_a_batch_in_place_allocates_nothing() {
     let batch = batch_of_64();
     let mut marks = [FaultMark::None; 64];
     let before = allocations();
-    for (i, mark) in marks.iter_mut().enumerate() {
-        let frame = batch.frame(i);
-        let view = decode_view(&frame).expect("own frames parse");
+    for (i, (frame, mark)) in batch.iter().zip(&mut marks).enumerate() {
+        let view = decode_view(frame).expect("own frames parse");
         assert_eq!(view.seq, Some(i as u64));
         *mark = scan_frame(&view);
     }

@@ -12,11 +12,12 @@
 //! `Cancelled`, never as `Exact` — and, since the stall coin is seeded,
 //! identically across replays.
 
+use gretel::core::checkpoint::decode_delta;
 use gretel::core::store::{records, FileStore, FileStoreConfig, MemStore, Store};
 use gretel::core::{
     run_service_cfg, run_service_durable, Analyzer, AnalyzerChaos, AnalyzerStats,
     CaptureConfidence, Diagnosis, DurableConfig, DurableOutcome, GretelConfig, RecoveryConfig,
-    RecoveryStats, ServiceConfig, ServiceStats, KIND_CHECKPOINT, KIND_DIAGNOSES,
+    RecoveryStats, ServiceConfig, ServiceStats, KIND_CHECKPOINT, KIND_DELTA, KIND_DIAGNOSES,
 };
 use gretel::model::{
     Catalog, HttpMethod, Message, NodeId, OpSpecId, OperationSpec, Service, Workflows,
@@ -184,7 +185,7 @@ fn no_chaos_recoverable_equals_plain_pipeline() {
     assert!(astats.messages > 0);
     // The log holds what a restart reads and nothing else.
     let kinds: std::collections::BTreeSet<u8> = records(store.bytes()).map(|r| r.kind).collect();
-    assert_eq!(kinds, [KIND_CHECKPOINT, KIND_DIAGNOSES].into());
+    assert_eq!(kinds, [KIND_CHECKPOINT, KIND_DIAGNOSES, KIND_DELTA].into());
 }
 
 #[test]
@@ -298,9 +299,10 @@ fn corrupt_checkpoints_fall_back_and_suppress_duplicate_releases() {
     };
 
     // A lifetime killed past three boundaries; then, before the restart,
-    // every checkpoint record on the store is corrupted, so the restore
-    // finds no valid one and replays from scratch. Already-released
-    // diagnoses are regenerated — the watermark must suppress them.
+    // every boundary record on the store (base or delta) is corrupted, so
+    // the restore finds no valid base and replays from scratch.
+    // Already-released diagnoses are regenerated — the watermark must
+    // suppress them.
     let mut store = MemStore::new();
     assert!(matches!(
         lifetime(&recovery, Some(200), &mut store),
@@ -308,7 +310,7 @@ fn corrupt_checkpoints_fall_back_and_suppress_duplicate_releases() {
     ));
     let checkpoints: Vec<usize> = records(store.bytes())
         .enumerate()
-        .filter_map(|(i, r)| (r.kind == KIND_CHECKPOINT).then_some(i))
+        .filter_map(|(i, r)| (r.kind != KIND_DIAGNOSES).then_some(i))
         .collect();
     assert_eq!(checkpoints.len(), 3);
     for (n, &i) in checkpoints.iter().enumerate() {
@@ -462,6 +464,177 @@ fn kill_between_release_and_checkpoint_survives_every_torn_tail() {
     // regenerated from the older checkpoint and suppressed, not re-released.
     assert!(suppressed > 0);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Checkpoint interval of the chain arms: short enough that several deltas
+/// follow each base.
+const CHAIN_EVERY: u64 = 16;
+
+/// Record index and kind of every boundary record of `log` — bases and
+/// deltas — oldest first.
+fn boundaries(log: &[u8]) -> Vec<(usize, u8)> {
+    records(log)
+        .enumerate()
+        .filter(|(_, r)| r.kind != KIND_DIAGNOSES)
+        .map(|(i, r)| (i, r.kind))
+        .collect()
+}
+
+/// Position, within [`boundaries`], of the newest base.
+fn newest_base(bounds: &[(usize, u8)]) -> usize {
+    bounds
+        .iter()
+        .rposition(|&(_, kind)| kind == KIND_CHECKPOINT)
+        .expect("the log holds a base")
+}
+
+/// `log` with one payload byte of record `index` flipped.
+fn corrupted(log: &[u8], index: usize) -> Vec<u8> {
+    let mut store = MemStore::from_bytes(log.to_vec());
+    assert!(store.corrupt_record(index, 17));
+    store.bytes().to_vec()
+}
+
+/// A chain-recovery run on both backends in lockstep, with
+/// `checkpoint_every` [`CHAIN_EVERY`]: one lifetime per kill point, then
+/// one without, over a `MemStore` and a reopened `FileStore` directory.
+/// After the `i`-th kill, `damage(i, log)` gives the log the next lifetime
+/// opens, on both backends. Every lifetime must leave the two logs
+/// byte-equal. Returns the committed diagnoses and the summed counters.
+fn chain_run(
+    tag: &str,
+    kills: &[u64],
+    damage: impl Fn(usize, &[u8]) -> Vec<u8>,
+) -> (Vec<Diagnosis>, RecoveryStats) {
+    let recovery = RecoveryConfig {
+        checkpoint_every: CHAIN_EVERY,
+        ..RecoveryConfig::default()
+    };
+    let dir = scratch(tag);
+    let mut mem = MemStore::new();
+    let mut total = RecoveryStats::default();
+    for (i, kill) in kills.iter().copied().map(Some).chain([None]).enumerate() {
+        let mut file = FileStore::open(&dir, FileStoreConfig::default()).expect("open store");
+        let on_file = lifetime(&recovery, kill, &mut file);
+        let on_mem = lifetime(&recovery, kill, &mut mem);
+        assert_eq!(file.bytes(), mem.bytes(), "{tag}: lifetime {i}");
+        drop(file);
+        match (on_file, on_mem) {
+            (
+                DurableOutcome::Killed { recovery: rec, .. },
+                DurableOutcome::Killed {
+                    recovery: mem_rec, ..
+                },
+            ) if kill.is_some() => {
+                assert_eq!(rec, mem_rec, "{tag}: lifetime {i}");
+                total.merge(&rec);
+                let log = damage(i, mem.bytes());
+                std::fs::write(FileStore::log_path(&dir), &log).unwrap();
+                mem = MemStore::from_bytes(log);
+            }
+            (
+                DurableOutcome::Completed {
+                    diagnoses,
+                    recovery: rec,
+                    ..
+                },
+                DurableOutcome::Completed {
+                    diagnoses: mem_diagnoses,
+                    recovery: mem_rec,
+                    ..
+                },
+            ) if kill.is_none() => {
+                assert_eq!(diagnoses, mem_diagnoses, "{tag}");
+                assert_eq!(rec, mem_rec, "{tag}");
+                total.merge(&rec);
+                std::fs::remove_dir_all(&dir).ok();
+                return (diagnoses, total);
+            }
+            (a, b) => panic!("{tag}: kill {kill:?} ended as {a:?} / {b:?}"),
+        }
+    }
+    unreachable!("the last lifetime has no kill point")
+}
+
+#[test]
+fn a_kill_mid_chain_restores_the_base_and_its_deltas() {
+    let expected = reference(None);
+    let (diagnoses, rec) = chain_run("mid-chain", &[150], |_, log| {
+        let bounds = boundaries(log);
+        assert!(
+            bounds.len() - newest_base(&bounds) > 2,
+            "the kill struck two deltas past the base: {bounds:?}"
+        );
+        log.to_vec()
+    });
+    assert_eq!(diagnoses, expected, "zero lost, zero duplicated");
+    assert_eq!(rec.restores, 1);
+    assert_eq!(rec.duplicate_releases_suppressed, 0, "nothing fell back");
+}
+
+#[test]
+fn a_delta_torn_in_half_is_cut_and_its_interval_replayed() {
+    let expected = reference(None);
+    let (diagnoses, rec) = chain_run("torn-delta", &[150], |_, log| {
+        let last = records(log).last().expect("a record");
+        assert_eq!(last.kind, KIND_DELTA, "the kill left a delta newest");
+        log[..(last.offset + last.end()) / 2].to_vec()
+    });
+    assert_eq!(diagnoses, expected, "zero lost, zero duplicated");
+    assert_eq!(rec.restores, 1);
+}
+
+#[test]
+fn a_corrupt_middle_delta_rewritten_by_a_later_lifetime_chains_again() {
+    let expected = reference(None);
+    // The first kill leaves a base and at least two deltas; the one
+    // before the newest is corrupted, so the second lifetime restores short
+    // of it and writes its interval again. The third lifetime's restore
+    // must walk past the corrupt delta (and the stale one after it) to the
+    // re-written ones.
+    let corrupt_from = std::cell::Cell::new(None);
+    let (diagnoses, rec) = chain_run("corrupt-delta", &[150, 120], |i, log| {
+        let bounds = boundaries(log);
+        let base = newest_base(&bounds);
+        let deltas = &bounds[base + 1..];
+        let records: Vec<_> = records(log).collect();
+        if i == 0 {
+            assert!(deltas.len() >= 2, "{bounds:?}");
+            let (middle, _) = deltas[deltas.len() - 2];
+            let delta = decode_delta(records[middle].payload).expect("a valid delta");
+            corrupt_from.set(Some((middle, delta.from)));
+            return corrupted(log, middle);
+        }
+        let (middle, from) = corrupt_from.get().expect("set by the first kill");
+        assert!(
+            records[middle + 1..].iter().any(|r| r.kind == KIND_DELTA
+                && r.valid()
+                && decode_delta(r.payload).unwrap().from == from),
+            "the second lifetime re-wrote the corrupt delta's interval"
+        );
+        log.to_vec()
+    });
+    assert_eq!(diagnoses, expected, "zero lost, zero duplicated");
+    assert_eq!(rec.restores, 2);
+}
+
+#[test]
+fn a_corrupt_newest_base_falls_back_to_the_previous_base_and_its_chain() {
+    let expected = reference(None);
+    let (diagnoses, rec) = chain_run("corrupt-base", &[200], |_, log| {
+        let bounds = boundaries(log);
+        let bases = bounds
+            .iter()
+            .filter(|&&(_, k)| k == KIND_CHECKPOINT)
+            .count();
+        assert!(bases >= 2, "{bounds:?}");
+        corrupted(log, bounds[newest_base(&bounds)].0)
+    });
+    assert_eq!(diagnoses, expected, "zero lost, zero duplicated");
+    assert_eq!(
+        rec.restores, 1,
+        "the previous base restored, not a cold start"
+    );
 }
 
 proptest! {

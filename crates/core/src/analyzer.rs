@@ -18,7 +18,6 @@
 //! throughput experiments run).
 
 use crate::anomaly::{scan_message, LatencyPairer};
-use crate::checkpoint::CheckpointError;
 use crate::config::GretelConfig;
 use crate::detect::{Detector, SnapshotIndex};
 use crate::event::{Event, FaultMark};
@@ -28,12 +27,10 @@ use crate::perf::{PerfFault, PerfMonitor};
 use crate::rca::RcaEngine;
 use crate::report::{CaptureConfidence, Diagnosis, FaultKind};
 use crate::window::{SlidingWindow, Snapshot};
-use gretel_model::codec::{
-    put_count, put_f64, put_u16, put_u32, put_u64, put_u8, DecodeError, Reader,
-};
+use gretel_model::codec::{DecodeError, Reader, Wire};
 use gretel_model::{ApiKind, Message, MessageHead, MessageId, OperationSpec, RpcStyle};
 use gretel_sim::Deployment;
-use gretel_telemetry::{Anomaly, AnomalyKind, LevelShiftConfig, TelemetryStore};
+use gretel_telemetry::{LevelShiftConfig, TelemetryStore};
 
 /// Everything RCA needs; optional on the analyzer.
 #[derive(Clone, Copy)]
@@ -67,6 +64,17 @@ pub struct AnalyzerStats {
     /// Total frames the receiver inferred lost across those gaps.
     pub lost_frames: u64,
 }
+
+gretel_model::wire_struct!(AnalyzerStats {
+    messages: u64,
+    bytes: u64,
+    rest_errors: u64,
+    rpc_errors: u64,
+    snapshots: u64,
+    perf_faults: u64,
+    capture_gaps: u64,
+    lost_frames: u64,
+});
 
 /// The central analyzer service.
 pub struct Analyzer<'a> {
@@ -334,44 +342,16 @@ impl<'a> Analyzer<'a> {
     /// *not* serialized: restore targets an analyzer constructed the same
     /// way, and only replaces its dynamic state.
     pub fn export_state(&self) -> Option<Vec<u8>> {
+        let perf = self.perf.export_state()?;
+        let mut errors: Vec<MessageId> = self.analyzed_errors.iter().copied().collect();
+        errors.sort_unstable();
         let mut out = Vec::with_capacity(1024);
-        self.window.export_state(&mut out);
-        self.pairer.export_state(&mut out);
-        if !self.perf.export_state(&mut out) {
-            return None;
-        }
-        let mut errs: Vec<u64> = self.analyzed_errors.iter().map(|id| id.0).collect();
-        errs.sort_unstable();
-        put_count(&mut out, errs.len());
-        for e in errs {
-            put_u64(&mut out, e);
-        }
-        put_count(&mut out, self.pending_perf.len());
-        for (msg_id, pf) in &self.pending_perf {
-            put_u64(&mut out, msg_id.0);
-            put_u16(&mut out, pf.api.0);
-            put_u64(&mut out, pf.anomaly.ts);
-            put_f64(&mut out, pf.anomaly.value);
-            put_f64(&mut out, pf.anomaly.baseline);
-            put_u8(
-                &mut out,
-                matches!(pf.anomaly.kind, AnomalyKind::LevelShiftDown) as u8,
-            );
-        }
-        for v in [
-            self.stats.messages,
-            self.stats.bytes,
-            self.stats.rest_errors,
-            self.stats.rpc_errors,
-            self.stats.snapshots,
-            self.stats.perf_faults,
-            self.stats.capture_gaps,
-            self.stats.lost_frames,
-        ] {
-            put_u64(&mut out, v);
-        }
-        put_u32(&mut out, self.pending_gap);
-        self.graph.export_state(&mut out);
+        self.window.put(&mut out);
+        self.pairer.put(&mut out);
+        (perf, errors).put(&mut out);
+        self.pending_perf.put(&mut out);
+        (self.stats, self.pending_gap).put(&mut out);
+        self.graph.put(&mut out);
         Some(out)
     }
 
@@ -381,60 +361,27 @@ impl<'a> Analyzer<'a> {
     /// exported; only the dynamic state transfers, and a window of another
     /// α than the configured one is `Invalid("window alpha")`.
     /// All-or-nothing: on any error the analyzer is left unchanged.
-    pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), CheckpointError> {
+    pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), DecodeError> {
         let mut r = Reader::new(bytes);
-        let window = SlidingWindow::import_state(&mut r)?;
+        let window = SlidingWindow::read(&mut r)?;
         // β₀ and δ follow the configured α: a window of another size
         // would detect with a context buffer it was not sized for.
         if window.alpha() != self.cfg.alpha {
-            return Err(DecodeError::Invalid("window alpha").into());
+            return Err(DecodeError::Invalid("window alpha"));
         }
-        let pairer = LatencyPairer::import_state(&mut r)?;
-        let perf = self.perf.decode_state(&mut r)?;
-        let mut analyzed_errors = FastSet::default();
-        for _ in 0..r.count(8)? {
-            analyzed_errors.insert(MessageId(r.u64()?));
-        }
-        let n_perf = r.count(8 + 2 + 8 + 8 + 8 + 1)?;
-        let mut pending_perf = Vec::with_capacity(n_perf);
-        for _ in 0..n_perf {
-            let msg_id = MessageId(r.u64()?);
-            let api = gretel_model::ApiId(r.u16()?);
-            let ts = r.u64()?;
-            let value = r.f64()?;
-            let baseline = r.f64()?;
-            let kind = match r.u8()? {
-                0 => AnomalyKind::LevelShiftUp,
-                1 => AnomalyKind::LevelShiftDown,
-                _ => return Err(DecodeError::Invalid("anomaly kind").into()),
-            };
-            let anomaly = Anomaly {
-                ts,
-                value,
-                baseline,
-                kind,
-            };
-            pending_perf.push((msg_id, PerfFault { api, anomaly }));
-        }
-        let stats = AnalyzerStats {
-            messages: r.u64()?,
-            bytes: r.u64()?,
-            rest_errors: r.u64()?,
-            rpc_errors: r.u64()?,
-            snapshots: r.u64()?,
-            perf_faults: r.u64()?,
-            capture_gaps: r.u64()?,
-            lost_frames: r.u64()?,
-        };
-        let pending_gap = r.u32()?;
-        let graph = crate::graph::ServiceGraph::import_state(&mut r)?;
+        let pairer = LatencyPairer::read(&mut r)?;
+        let (perf, errors): (_, Vec<MessageId>) = Wire::read(&mut r)?;
+        let pending_perf = Wire::read(&mut r)?;
+        let (stats, pending_gap) = Wire::read(&mut r)?;
+        let graph = Wire::read(&mut r)?;
         r.done()?;
+        let perf = self.perf.decode_state(perf)?;
 
         // Everything decoded: commit.
         self.window = window;
         self.pairer = pairer;
         self.perf.install(perf);
-        self.analyzed_errors = analyzed_errors;
+        self.analyzed_errors = errors.into_iter().collect();
         self.pending_perf = pending_perf;
         self.stats = stats;
         self.pending_gap = pending_gap;
@@ -1220,7 +1167,7 @@ mod tests {
         let before = wide.export_state().unwrap();
         assert_eq!(
             wide.restore_state(&state),
-            Err(CheckpointError(DecodeError::Invalid("window alpha")))
+            Err(DecodeError::Invalid("window alpha"))
         );
         assert_eq!(wide.export_state().unwrap(), before);
         assert_eq!(wide.alpha(), 32);
@@ -1243,10 +1190,7 @@ mod tests {
         assert_eq!(state[n_perf_at..n_perf_at + 4], [0; 4]);
         let mut bad = state.clone();
         bad[n_perf_at..n_perf_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(
-            analyzer.restore_state(&bad),
-            Err(CheckpointError(DecodeError::Truncated))
-        );
+        assert_eq!(analyzer.restore_state(&bad), Err(DecodeError::Truncated));
         analyzer
             .restore_state(&state)
             .expect("the honest state still restores");

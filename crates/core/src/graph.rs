@@ -28,7 +28,7 @@
 
 use crate::rca::CauseKind;
 use crate::report::Diagnosis;
-use gretel_model::codec::{put_count, put_u64, put_u8, DecodeError, Reader};
+use gretel_model::codec::{DecodeError, Reader, Wire};
 use gretel_model::{Catalog, Direction, MessageHead, Service};
 use gretel_sim::SimTime;
 
@@ -183,48 +183,6 @@ impl ServiceGraph {
         None
     }
 
-    /// Append the graph to a checkpoint byte stream (sparse: only
-    /// observed edges).
-    pub(crate) fn export_state(&self, out: &mut Vec<u8>) {
-        let observed: Vec<(usize, &EdgeStats)> = self
-            .edges
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.observed())
-            .collect();
-        put_count(out, observed.len());
-        for (i, e) in observed {
-            put_u8(out, (i / N) as u8);
-            put_u8(out, (i % N) as u8);
-            put_u64(out, e.requests);
-            put_u64(out, e.errors);
-            put_u64(out, e.first_error_ts);
-            put_u64(out, e.last_error_ts);
-        }
-    }
-
-    /// Decode a graph previously written by [`ServiceGraph::export_state`].
-    pub(crate) fn import_state(r: &mut Reader<'_>) -> Result<ServiceGraph, DecodeError> {
-        let mut g = ServiceGraph::new();
-        let n = r.count(1 + 1 + 4 * 8)?;
-        if n > N * N {
-            return Err(DecodeError::Invalid("service graph edge count"));
-        }
-        for _ in 0..n {
-            let caller = r.u8()? as usize;
-            let callee = r.u8()? as usize;
-            if caller >= N || callee >= N {
-                return Err(DecodeError::Invalid("service graph edge index"));
-            }
-            let e = &mut g.edges[caller * N + callee];
-            e.requests = r.u64()?;
-            e.errors = r.u64()?;
-            e.first_error_ts = r.u64()?;
-            e.last_error_ts = r.u64()?;
-        }
-        Ok(g)
-    }
-
     /// Fold another graph's observations into this one.
     ///
     /// [`ServiceGraph::observe`] is additive per message — counts sum,
@@ -241,6 +199,46 @@ impl ServiceGraph {
             mine.first_error_ts = mine.first_error_ts.min(theirs.first_error_ts);
             mine.last_error_ts = mine.last_error_ts.max(theirs.last_error_ts);
         }
+    }
+}
+
+gretel_model::wire_struct!(EdgeStats {
+    requests: u64,
+    errors: u64,
+    first_error_ts: SimTime,
+    last_error_ts: SimTime,
+});
+
+/// The observed edges only, each as `(caller, callee, stats)`, in matrix
+/// order.
+impl Wire for ServiceGraph {
+    const MIN_BYTES: usize = 4;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        let observed: Vec<(u8, u8, EdgeStats)> = self
+            .edges
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.observed())
+            .map(|(i, e)| ((i / N) as u8, (i % N) as u8, *e))
+            .collect();
+        observed.put(out);
+    }
+
+    fn read(r: &mut Reader<'_>) -> Result<ServiceGraph, DecodeError> {
+        let observed = Vec::<(u8, u8, EdgeStats)>::read(r)?;
+        if observed.len() > N * N {
+            return Err(DecodeError::Invalid("service graph edge count"));
+        }
+        let mut g = ServiceGraph::new();
+        for (caller, callee, e) in observed {
+            let (caller, callee) = (caller as usize, callee as usize);
+            if caller >= N || callee >= N {
+                return Err(DecodeError::Invalid("service graph edge index"));
+            }
+            g.edges[caller * N + callee] = e;
+        }
+        Ok(g)
     }
 }
 
@@ -493,6 +491,7 @@ impl Attribution {
 mod tests {
     use super::*;
     use crate::report::{CaptureConfidence, FaultKind};
+    use gretel_model::codec::{decode, encode};
     use gretel_model::{ApiId, HttpMethod, Message, MessageId, NodeId, WireKind};
 
     fn msg(
@@ -865,12 +864,13 @@ mod tests {
             false,
             true,
         );
-        let mut bytes = Vec::new();
-        g.export_state(&mut bytes);
-        let mut r = Reader::new(&bytes);
-        let g2 = ServiceGraph::import_state(&mut r).expect("roundtrip");
-        r.done().expect("fully consumed");
-        assert_eq!(g, g2);
+        assert_eq!(decode::<ServiceGraph>(&encode(&g)), Ok(g));
+        assert_eq!(
+            encode(&ServiceGraph::new()).len(),
+            ServiceGraph::MIN_BYTES,
+            "the empty graph is the smallest"
+        );
+        assert_eq!(encode(&EdgeStats::default()).len(), EdgeStats::MIN_BYTES);
     }
 
     /// Regression: a corrupt or future-format snapshot whose edge index
@@ -884,15 +884,13 @@ mod tests {
             false,
             false,
         );
-        let mut bytes = Vec::new();
-        g.export_state(&mut bytes);
+        let bytes = encode(&g);
         // One observed edge: the caller index is the first byte after the
         // u32 edge count. 0xFF is far beyond Service::ALL.
         for idx_byte in [4usize, 5] {
             let mut bad = bytes.clone();
             bad[idx_byte] = 0xFF;
-            let mut r = Reader::new(&bad);
-            let err = ServiceGraph::import_state(&mut r).expect_err("corrupt index must fail");
+            let err = decode::<ServiceGraph>(&bad).expect_err("corrupt index must fail");
             assert_eq!(err, DecodeError::Invalid("service graph edge index"));
         }
     }
@@ -903,16 +901,13 @@ mod tests {
     fn corrupt_snapshot_edge_count_is_rejected() {
         // Backed by enough bytes to pass the reader's own count bound, so
         // the matrix bound is what rejects it.
-        let mut bytes = Vec::new();
-        put_count(&mut bytes, N * N + 1);
+        let mut bytes = encode(&((N * N + 1) as u32));
         bytes.resize(4 + (N * N + 1) * 34, 0);
-        let mut r = Reader::new(&bytes);
-        let err = ServiceGraph::import_state(&mut r).expect_err("oversized count must fail");
+        let err = decode::<ServiceGraph>(&bytes).expect_err("oversized count must fail");
         assert_eq!(err, DecodeError::Invalid("service graph edge count"));
         // Unbacked, the reader refuses it before the graph looks at it.
-        let mut r = Reader::new(&bytes[..4]);
         assert_eq!(
-            ServiceGraph::import_state(&mut r),
+            decode::<ServiceGraph>(&bytes[..4]),
             Err(DecodeError::Truncated)
         );
     }
@@ -927,12 +922,10 @@ mod tests {
             false,
             false,
         );
-        let mut bytes = Vec::new();
-        g.export_state(&mut bytes);
+        let bytes = encode(&g);
         for cut in 1..bytes.len() {
-            let mut r = Reader::new(&bytes[..bytes.len() - cut]);
             assert_eq!(
-                ServiceGraph::import_state(&mut r),
+                decode::<ServiceGraph>(&bytes[..bytes.len() - cut]),
                 Err(DecodeError::Truncated),
                 "cut {cut} bytes: truncation must be detected"
             );

@@ -10,7 +10,7 @@
 
 use crate::anomaly::LatencyObs;
 use crate::fasthash::FastMap;
-use gretel_model::codec::{put_bytes, put_count, put_u16, DecodeError, Reader};
+use gretel_model::codec::DecodeError;
 use gretel_model::ApiId;
 use gretel_telemetry::{Anomaly, LevelShiftConfig, LevelShiftDetector, OutlierDetector};
 
@@ -27,6 +27,11 @@ pub struct PerfFault {
     /// The underlying level-shift anomaly (times in µs).
     pub anomaly: Anomaly,
 }
+
+gretel_model::wire_struct!(PerfFault {
+    api: ApiId,
+    anomaly: Anomaly,
+});
 
 /// Per-API latency monitoring.
 pub struct PerfMonitor {
@@ -79,41 +84,35 @@ impl PerfMonitor {
         self.history.get(&api).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Serialize the monitor's per-API detector state for an analyzer
-    /// checkpoint. The latency history is a plotting aid for inline runs
-    /// and is not checkpointed. Returns `false`
-    /// (leaving `out` as it was) when any detector does not implement
-    /// [`OutlierDetector::export_state`]: a monitor with an opaque plug-in
-    /// detector cannot be checkpointed.
-    pub(crate) fn export_state(&self, out: &mut Vec<u8>) -> bool {
-        let start = out.len();
-        let mut dets: Vec<(&ApiId, &Box<dyn OutlierDetector + Send>)> =
-            self.detectors.iter().collect();
-        dets.sort_by_key(|(a, _)| a.0);
-        put_count(out, dets.len());
-        for (api, det) in dets {
-            let Some(state) = det.export_state() else {
-                out.truncate(start);
-                return false;
-            };
-            put_u16(out, api.0);
-            put_bytes(out, &state);
-        }
-        true
+    /// The monitor's per-API detector states, in API order, for an
+    /// analyzer checkpoint. The latency history is a plotting aid for
+    /// inline runs and is not checkpointed. `None` when any detector does
+    /// not implement [`OutlierDetector::export_state`]: a monitor with an
+    /// opaque plug-in detector cannot be checkpointed.
+    pub(crate) fn export_state(&self) -> Option<Vec<(ApiId, Vec<u8>)>> {
+        let mut states = self
+            .detectors
+            .iter()
+            .map(|(&api, det)| Some((api, det.export_state()?)))
+            .collect::<Option<Vec<_>>>()?;
+        states.sort_unstable_by_key(|&(api, _)| api.0);
+        Some(states)
     }
 
-    /// Decode [`PerfMonitor::export_state`] bytes into the per-API
-    /// detectors without touching the monitor, so a caller restoring
-    /// several blocks can validate them all before committing any.
-    /// Detectors are re-created through the monitor's own factory and fed
-    /// the serialized state, so the restoring monitor must be configured
-    /// with the same factory as the one checkpointed.
-    pub(crate) fn decode_state(&self, r: &mut Reader<'_>) -> Result<Detectors, DecodeError> {
+    /// Rebuild the per-API detectors from [`PerfMonitor::export_state`]'s
+    /// states without touching the monitor, so a caller restoring several
+    /// blocks can validate them all before committing any. Detectors are
+    /// re-created through the monitor's own factory and fed the serialized
+    /// state, so the restoring monitor must be configured with the same
+    /// factory as the one checkpointed.
+    pub(crate) fn decode_state(
+        &self,
+        states: Vec<(ApiId, Vec<u8>)>,
+    ) -> Result<Detectors, DecodeError> {
         let mut detectors = FastMap::default();
-        for _ in 0..r.count(2 + 4)? {
-            let api = ApiId(r.u16()?);
+        for (api, state) in states {
             let mut det = (self.factory)();
-            det.import_state(r.bytes()?)?;
+            det.import_state(&state)?;
             detectors.insert(api, det);
         }
         Ok(detectors)
@@ -204,17 +203,30 @@ mod tests {
             kept.observe(obs(3, i, 5.0));
             quiet.observe(obs(3, i, 5.0));
         }
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        assert!(kept.export_state(&mut a) && quiet.export_state(&mut b));
+        let (a, b) = (kept.export_state(), quiet.export_state());
         assert_eq!(a, b, "the checkpoint carries detectors only");
-        let mut r = Reader::new(&b);
-        let detectors = kept.decode_state(&mut r).expect("round trip");
-        r.done().expect("nothing after the detectors");
+        let detectors = kept.decode_state(b.clone().unwrap()).expect("round trip");
         kept.install(detectors);
         assert!(kept.history(ApiId(3)).is_empty(), "history restarts");
-        let mut c = Vec::new();
-        assert!(kept.export_state(&mut c));
-        assert_eq!(c, b);
+        assert_eq!(kept.export_state(), b);
+    }
+
+    #[test]
+    fn the_smallest_pending_perf_state_encodes_to_its_min_bytes() {
+        use gretel_model::codec::{decode, encode, Wire};
+        let fault = PerfFault {
+            api: ApiId(3),
+            anomaly: Anomaly {
+                ts: 0,
+                value: 0.0,
+                baseline: 0.0,
+                kind: gretel_telemetry::AnomalyKind::LevelShiftDown,
+            },
+        };
+        assert_eq!(encode(&fault).len(), PerfFault::MIN_BYTES);
+        assert_eq!(decode::<PerfFault>(&encode(&fault)), Ok(fault));
+        let stats = crate::AnalyzerStats::default();
+        assert_eq!(encode(&stats).len(), crate::AnalyzerStats::MIN_BYTES);
     }
 
     #[test]

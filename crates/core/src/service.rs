@@ -29,8 +29,8 @@
 //! and the shard driver.
 
 use crate::analyzer::{Analyzer, AnalyzerStats};
-use crate::checkpoint::CheckpointError;
 use crate::report::Diagnosis;
+use gretel_model::codec::DecodeError;
 use gretel_model::{Message, NodeId};
 use gretel_netcap::{CaptureImpairment, CaptureStats, CodecError};
 
@@ -47,8 +47,8 @@ pub enum ServiceError {
     /// without [`gretel_telemetry::OutlierDetector::export_state`]), so
     /// checkpointing is impossible with this configuration.
     NotCheckpointable,
-    /// A checkpoint journal failed to restore.
-    Checkpoint(CheckpointError),
+    /// A boundary or release record on the store failed to decode.
+    Checkpoint(DecodeError),
     /// The durable state store failed (oversized record or file I/O).
     Store(gretel_store::StoreError),
 }
@@ -89,14 +89,8 @@ impl From<CodecError> for ServiceError {
     }
 }
 
-impl From<gretel_model::codec::DecodeError> for ServiceError {
-    fn from(e: gretel_model::codec::DecodeError) -> ServiceError {
-        ServiceError::Checkpoint(e.into())
-    }
-}
-
-impl From<CheckpointError> for ServiceError {
-    fn from(e: CheckpointError) -> ServiceError {
+impl From<DecodeError> for ServiceError {
+    fn from(e: DecodeError) -> ServiceError {
         ServiceError::Checkpoint(e)
     }
 }

@@ -59,6 +59,7 @@ use crate::graph::{attribute_cascades, CascadeParams, ServiceGraph};
 use crate::recover::{run_durable_routed, DurableConfig, DurableOutcome, RecoveryStats};
 use crate::report::Diagnosis;
 use crate::service::{resolve_shard_workers, ServiceConfig, ServiceError, ServiceStats};
+use gretel_model::codec::{encode, Wire};
 use gretel_model::{Message, NodeId};
 use gretel_netcap::shard_of;
 use gretel_obs::{MetricsSnapshot, PipelineMetrics};
@@ -135,7 +136,7 @@ pub struct ShardedOutcome {
 pub fn encode_diagnoses(diagnoses: &[Diagnosis]) -> Vec<u8> {
     let mut out = Vec::with_capacity(diagnoses.len() * 64);
     for d in diagnoses {
-        crate::checkpoint::put_diagnosis(&mut out, d);
+        d.put(&mut out);
     }
     out
 }
@@ -148,11 +149,7 @@ pub fn encode_diagnoses(diagnoses: &[Diagnosis]) -> Vec<u8> {
 pub fn canonical_order(diagnoses: &mut Vec<Diagnosis>) {
     let mut keyed: Vec<(u64, u16, Vec<u8>, Diagnosis)> = std::mem::take(diagnoses)
         .into_iter()
-        .map(|d| {
-            let mut bytes = Vec::with_capacity(64);
-            crate::checkpoint::put_diagnosis(&mut bytes, &d);
-            (d.ts, d.api.0, bytes, d)
-        })
+        .map(|d| (d.ts, d.api.0, encode(&d), d))
         .collect();
     keyed.sort_by(|a, b| (a.0, a.1, &a.2).cmp(&(b.0, b.1, &b.2)));
     *diagnoses = keyed.into_iter().map(|(_, _, _, d)| d).collect();

@@ -8,9 +8,8 @@
 //! messages with a freeze between them — is exactly what the ring +
 //! armed-fault bookkeeping below implements.
 
-use crate::checkpoint::{put_event, read_event, EVENT_BYTES};
 use crate::event::Event;
-use gretel_model::codec::{put_count, put_u64, DecodeError, Reader};
+use gretel_model::codec::{DecodeError, Reader, Wire};
 use std::collections::VecDeque;
 
 /// A frozen snapshot around one fault.
@@ -44,6 +43,11 @@ struct Armed {
     fault: Event,
     remaining: usize,
 }
+
+gretel_model::wire_struct!(Armed {
+    fault: Event,
+    remaining: usize,
+});
 
 /// Ring of the most recent α events plus pending freezes.
 ///
@@ -160,45 +164,31 @@ impl SlidingWindow {
             fault_index,
         }
     }
+}
 
-    /// Serialize the full window state — α, ring contents, and armed
-    /// snapshots with their countdowns — for an analyzer checkpoint.
-    pub(crate) fn export_state(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.alpha as u64);
-        put_count(out, self.buf.len());
-        for ev in &self.buf {
-            put_event(out, ev);
-        }
-        put_count(out, self.armed.len());
-        for a in &self.armed {
-            put_event(out, &a.fault);
-            put_u64(out, a.remaining as u64);
-        }
+/// The full window state — α, the ring's events, and the armed snapshots
+/// with their countdowns — for an analyzer checkpoint.
+impl Wire for SlidingWindow {
+    const MIN_BYTES: usize = 8 + 4 + 4;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.alpha.put(out);
+        self.buf.put(out);
+        self.armed.put(out);
     }
 
-    /// Rebuild a window from [`SlidingWindow::export_state`] bytes.
-    pub(crate) fn import_state(r: &mut Reader<'_>) -> Result<SlidingWindow, DecodeError> {
-        let alpha = r.u64()? as usize;
+    fn read(r: &mut Reader<'_>) -> Result<SlidingWindow, DecodeError> {
+        let alpha = usize::read(r)?;
         if !(2..=(1 << 24)).contains(&alpha) {
             return Err(DecodeError::Invalid("window alpha"));
         }
-        let n = r.count(EVENT_BYTES)?;
-        if n > alpha {
+        let buf = VecDeque::<Event>::read(r)?;
+        if buf.len() > alpha {
             return Err(DecodeError::Invalid("window overfull"));
         }
-        let mut buf = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            buf.push_back(read_event(r)?);
-        }
-        let n_armed = r.count(EVENT_BYTES + 8)?;
-        let mut armed = Vec::with_capacity(n_armed);
-        for _ in 0..n_armed {
-            let fault = read_event(r)?;
-            let remaining = r.u64()? as usize;
-            if remaining == 0 {
-                return Err(DecodeError::Invalid("armed snapshot with zero countdown"));
-            }
-            armed.push(Armed { fault, remaining });
+        let armed = Vec::<Armed>::read(r)?;
+        if armed.iter().any(|a| a.remaining == 0) {
+            return Err(DecodeError::Invalid("armed snapshot with zero countdown"));
         }
         Ok(SlidingWindow { alpha, buf, armed })
     }
@@ -208,6 +198,7 @@ impl SlidingWindow {
 mod tests {
     use super::*;
     use crate::event::FaultMark;
+    use gretel_model::codec::{decode, encode};
     use gretel_model::{ApiId, Direction, MessageId, NodeId};
 
     fn ev(id: u64) -> Event {
@@ -234,15 +225,14 @@ mod tests {
             w.push(ev(i));
         }
         w.arm(ev(4));
-        let mut state = Vec::new();
-        w.export_state(&mut state);
-        assert!(SlidingWindow::import_state(&mut Reader::new(&state)).is_ok());
+        let state = encode(&w);
+        assert!(decode::<SlidingWindow>(&state).is_ok());
         // Armed-snapshot count (after α, the ring count and five events).
-        let armed_at = 8 + 4 + 5 * EVENT_BYTES;
+        let armed_at = 8 + 4 + 5 * Event::MIN_BYTES;
         let mut bad = state.clone();
         bad[armed_at..armed_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(
-            SlidingWindow::import_state(&mut Reader::new(&bad)).err(),
+            decode::<SlidingWindow>(&bad).err(),
             Some(DecodeError::Truncated)
         );
         // Ring count: α = n = 2^24 passes the α bound but nothing backs
@@ -251,9 +241,22 @@ mod tests {
         bad[..8].copy_from_slice(&(1u64 << 24).to_le_bytes());
         bad[8..12].copy_from_slice(&(1u32 << 24).to_le_bytes());
         assert_eq!(
-            SlidingWindow::import_state(&mut Reader::new(&bad)).err(),
+            decode::<SlidingWindow>(&bad).err(),
             Some(DecodeError::Truncated)
         );
+    }
+
+    #[test]
+    fn the_smallest_window_and_armed_snapshot_encode_to_their_min_bytes() {
+        assert_eq!(
+            encode(&SlidingWindow::new(2)).len(),
+            SlidingWindow::MIN_BYTES
+        );
+        let armed = Armed {
+            fault: ev(0),
+            remaining: 1,
+        };
+        assert_eq!(encode(&armed).len(), Armed::MIN_BYTES);
     }
 
     #[test]

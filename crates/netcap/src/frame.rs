@@ -38,7 +38,7 @@
 //! (pre-existing dumps) decode as "no sequence information".
 
 use bytes::Bytes;
-use gretel_model::codec::{put_u16, put_u32, put_u64, put_u8, DecodeError, Reader};
+use gretel_model::codec::{DecodeError, Reader, Wire};
 use gretel_model::{
     ApiId, ConnKey, Direction, HttpMethod, Message, MessageHead, MessageId, NodeId, OpInstanceId,
     ProjectId, Service, WireKind,
@@ -144,23 +144,23 @@ pub(crate) fn encode_into(out: &mut Vec<u8>, msg: &Message, seq: Option<u64>) {
         flags |= FLAG_PROJECT;
     }
     let prefix_at = out.len();
-    put_u32(out, 0);
-    put_u16(out, MAGIC);
-    put_u8(out, VERSION);
-    put_u8(out, flags);
-    put_u64(out, msg.id.0);
-    put_u64(out, msg.ts_us);
-    put_u8(out, msg.src_node.0);
-    put_u8(out, msg.dst_node.0);
-    put_u8(out, msg.src_service.index());
-    put_u8(out, msg.dst_service.index());
-    put_u16(out, msg.api.0);
-    put_u8(out, msg.conn.src.0);
-    put_u8(out, msg.conn.dst.0);
-    put_u16(out, msg.conn.src_port);
-    put_u16(out, msg.conn.dst_port);
+    0u32.put(out);
+    MAGIC.put(out);
+    VERSION.put(out);
+    flags.put(out);
+    msg.id.0.put(out);
+    msg.ts_us.put(out);
+    msg.src_node.0.put(out);
+    msg.dst_node.0.put(out);
+    msg.src_service.index().put(out);
+    msg.dst_service.index().put(out);
+    msg.api.0.put(out);
+    msg.conn.src.0.put(out);
+    msg.conn.dst.0.put(out);
+    msg.conn.src_port.put(out);
+    msg.conn.dst_port.put(out);
     if let Some(p) = msg.project {
-        put_u32(out, p.0);
+        p.0.put(out);
     }
     match &msg.wire {
         WireKind::Rest {
@@ -168,9 +168,9 @@ pub(crate) fn encode_into(out: &mut Vec<u8>, msg: &Message, seq: Option<u64>) {
             uri,
             status,
         } => {
-            put_u8(out, method_to_u8(*method));
-            put_u16(out, status.unwrap_or(0));
-            put_u16(out, uri.len() as u16);
+            method_to_u8(*method).put(out);
+            status.unwrap_or(0).put(out);
+            (uri.len() as u16).put(out);
             out.extend_from_slice(uri.as_bytes());
         }
         WireKind::Rpc {
@@ -178,24 +178,24 @@ pub(crate) fn encode_into(out: &mut Vec<u8>, msg: &Message, seq: Option<u64>) {
             msg_id,
             error,
         } => {
-            put_u64(out, *msg_id);
+            msg_id.put(out);
             let err = error.as_deref().unwrap_or("");
-            put_u16(out, err.len() as u16);
+            (err.len() as u16).put(out);
             out.extend_from_slice(err.as_bytes());
-            put_u16(out, method.len() as u16);
+            (method.len() as u16).put(out);
             out.extend_from_slice(method.as_bytes());
         }
     }
-    put_u32(out, msg.payload.len() as u32);
+    (msg.payload.len() as u32).put(out);
     out.extend_from_slice(&msg.payload);
     if let Some(op) = msg.truth_op {
-        put_u64(out, op.0);
+        op.0.put(out);
     }
     if let Some(corr) = msg.correlation_id {
-        put_u64(out, corr);
+        corr.put(out);
     }
     if let Some(seq) = seq {
-        put_u64(out, seq);
+        seq.put(out);
     }
     let body_len = (out.len() - prefix_at - 4) as u32;
     out[prefix_at..prefix_at + 4].copy_from_slice(&body_len.to_le_bytes());

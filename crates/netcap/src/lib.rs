@@ -28,8 +28,8 @@ mod shard;
 mod stats;
 
 pub use agent::{
-    coin, degrade, mix64, skew_clocks, CaptureAgent, CaptureImpairment, Degradation, Framed,
-    Resequencer, StallSpec,
+    coin, degrade, mix64, skew_clocks, CaptureAgent, CaptureImpairment, Degradation, Resequencer,
+    StallSpec,
 };
 pub use batch::{FrameBatch, FrameBatchBuilder};
 pub use frame::{

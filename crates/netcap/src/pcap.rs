@@ -7,7 +7,7 @@
 //! frames, not Ethernet.
 
 use crate::frame::{self, CodecError};
-use gretel_model::codec::{put_u16, put_u32, Reader};
+use gretel_model::codec::{Reader, Wire};
 use gretel_model::Message;
 use std::io::{self, Read, Write};
 
@@ -22,13 +22,13 @@ const RECORD_HEADER: usize = 16;
 /// Write a pcap global header.
 pub(crate) fn write_header<W: Write>(w: &mut W) -> io::Result<()> {
     let mut h = Vec::with_capacity(GLOBAL_HEADER);
-    put_u32(&mut h, PCAP_MAGIC);
-    put_u16(&mut h, 2); // version major
-    put_u16(&mut h, 4); // version minor
-    put_u32(&mut h, 0); // thiszone
-    put_u32(&mut h, 0); // sigfigs
-    put_u32(&mut h, 65_535); // snaplen
-    put_u32(&mut h, LINKTYPE_GRETEL);
+    PCAP_MAGIC.put(&mut h);
+    2u16.put(&mut h); // version major
+    4u16.put(&mut h); // version minor
+    0u32.put(&mut h); // thiszone
+    0u32.put(&mut h); // sigfigs
+    65_535u32.put(&mut h); // snaplen
+    LINKTYPE_GRETEL.put(&mut h);
     w.write_all(&h)
 }
 
@@ -36,10 +36,10 @@ pub(crate) fn write_header<W: Write>(w: &mut W) -> io::Result<()> {
 pub(crate) fn write_record<W: Write>(w: &mut W, msg: &Message) -> io::Result<()> {
     let data = frame::encode(msg);
     let mut h = Vec::with_capacity(RECORD_HEADER);
-    put_u32(&mut h, (msg.ts_us / 1_000_000) as u32);
-    put_u32(&mut h, (msg.ts_us % 1_000_000) as u32);
-    put_u32(&mut h, data.len() as u32); // incl_len
-    put_u32(&mut h, data.len() as u32); // orig_len
+    ((msg.ts_us / 1_000_000) as u32).put(&mut h);
+    ((msg.ts_us % 1_000_000) as u32).put(&mut h);
+    (data.len() as u32).put(&mut h); // incl_len
+    (data.len() as u32).put(&mut h); // orig_len
     w.write_all(&h)?;
     w.write_all(&data)
 }

@@ -34,6 +34,17 @@ pub struct CaptureStats {
     pub dup_discarded: u64,
 }
 
+gretel_model::wire_struct!(CaptureStats {
+    frames: u64,
+    dropped: u64,
+    duplicated: u64,
+    reordered: u64,
+    stalled: u64,
+    gaps: u64,
+    lost: u64,
+    dup_discarded: u64,
+});
+
 impl CaptureStats {
     /// Accumulate `other` into `self`, field by field.
     pub fn merge(&mut self, other: &CaptureStats) {

@@ -20,7 +20,7 @@
 //! [`OutlierDetector`] can replace the default.
 
 use crate::series::{mad_sigma_of, median_of};
-use gretel_model::codec::{put_count, put_f64, put_u32, DecodeError, Reader};
+use gretel_model::codec::{decode, encode, DecodeError, Reader, Wire};
 use gretel_sim::SimTime;
 use std::collections::VecDeque;
 
@@ -45,6 +45,17 @@ pub struct Anomaly {
     /// Shift direction.
     pub kind: AnomalyKind,
 }
+
+gretel_model::wire_struct!(enum AnomalyKind {
+    0 => LevelShiftUp,
+    1 => LevelShiftDown,
+});
+gretel_model::wire_struct!(Anomaly {
+    ts: SimTime,
+    value: f64,
+    baseline: f64,
+    kind: AnomalyKind,
+});
 
 /// Streaming outlier detection interface.
 pub trait OutlierDetector {
@@ -73,23 +84,26 @@ pub trait OutlierDetector {
     }
 }
 
-fn put_f64_seq<'a>(out: &mut Vec<u8>, vals: impl ExactSizeIterator<Item = &'a f64>) {
-    put_count(out, vals.len());
-    for &v in vals {
-        put_f64(out, v);
+/// A level-shift detector's cached baseline statistics behind a `u32`
+/// presence tag (0 = `None`, 1 = `Some`).
+struct CachedStats(Option<(f64, f64)>);
+
+impl Wire for CachedStats {
+    const MIN_BYTES: usize = 4;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        match self.0 {
+            Some(stats) => (1u32, stats).put(out),
+            None => 0u32.put(out),
+        }
     }
-}
 
-fn read_f64_seq(r: &mut Reader<'_>) -> Result<VecDeque<f64>, DecodeError> {
-    (0..r.count(8)?).map(|_| r.f64()).collect()
-}
-
-/// `u32` presence tag (0 = `None`, 1 = `Some`) ahead of an optional block.
-fn read_some_tag(r: &mut Reader<'_>) -> Result<bool, DecodeError> {
-    match r.u32()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(DecodeError::Invalid("detector option tag")),
+    fn read(r: &mut Reader<'_>) -> Result<CachedStats, DecodeError> {
+        match r.u32()? {
+            0 => Ok(CachedStats(None)),
+            1 => Ok(CachedStats(Some(Wire::read(r)?))),
+            _ => Err(DecodeError::Invalid("detector option tag")),
+        }
     }
 }
 
@@ -185,6 +199,9 @@ impl Default for LevelShiftDetector {
     }
 }
 
+/// A level-shift detector's exported state, as it reads back.
+type LevelShiftState = (VecDeque<f64>, VecDeque<f64>, CachedStats, u32);
+
 impl OutlierDetector for LevelShiftDetector {
     fn update(&mut self, ts: SimTime, value: f64) -> Option<Anomaly> {
         // Warm-up: fill the baseline first.
@@ -244,33 +261,21 @@ impl OutlierDetector for LevelShiftDetector {
         None
     }
 
+    /// The baseline, the test window, the cached statistics and their
+    /// staleness as a `u32`.
     fn export_state(&self) -> Option<Vec<u8>> {
         let mut out = Vec::new();
-        put_f64_seq(&mut out, self.baseline.iter());
-        put_f64_seq(&mut out, self.test.iter());
-        match self.cached_stats {
-            Some((med, sigma)) => {
-                put_u32(&mut out, 1);
-                put_f64(&mut out, med);
-                put_f64(&mut out, sigma);
-            }
-            None => put_u32(&mut out, 0),
-        }
-        put_u32(&mut out, self.staleness as u32);
+        self.baseline.put(&mut out);
+        self.test.put(&mut out);
+        CachedStats(self.cached_stats).put(&mut out);
+        (self.staleness as u32).put(&mut out);
         Some(out)
     }
 
     fn import_state(&mut self, bytes: &[u8]) -> Result<(), DecodeError> {
-        let mut r = Reader::new(bytes);
-        let baseline = read_f64_seq(&mut r)?;
-        let test = read_f64_seq(&mut r)?;
-        let cached_stats = if read_some_tag(&mut r)? {
-            Some((r.f64()?, r.f64()?))
-        } else {
-            None
-        };
-        let staleness = r.u32()? as usize;
-        r.done()?;
+        let (baseline, test, CachedStats(cached_stats), staleness): LevelShiftState =
+            decode(bytes)?;
+        let staleness = staleness as usize;
         // A confirmed shift refills the baseline from the test window, so it
         // can briefly hold `test_window` points when that is the larger.
         let max_baseline = self.cfg.baseline_window.max(self.cfg.test_window);
@@ -475,15 +480,11 @@ impl OutlierDetector for SpikeDetector {
     }
 
     fn export_state(&self) -> Option<Vec<u8>> {
-        let mut out = Vec::new();
-        put_f64_seq(&mut out, self.window.iter());
-        Some(out)
+        Some(encode(&self.window))
     }
 
     fn import_state(&mut self, bytes: &[u8]) -> Result<(), DecodeError> {
-        let mut r = Reader::new(bytes);
-        let window = read_f64_seq(&mut r)?;
-        r.done()?;
+        let window: VecDeque<f64> = decode(bytes)?;
         if window.len() > SPIKE_WINDOW {
             return Err(DecodeError::Invalid("detector window length"));
         }
@@ -495,6 +496,23 @@ impl OutlierDetector for SpikeDetector {
 #[cfg(test)]
 mod more_detector_tests {
     use super::*;
+
+    #[test]
+    fn the_smallest_detector_pieces_encode_to_their_min_bytes() {
+        assert_eq!(encode(&CachedStats(None)).len(), CachedStats::MIN_BYTES);
+        let anomaly = Anomaly {
+            ts: 0,
+            value: 0.0,
+            baseline: 0.0,
+            kind: AnomalyKind::LevelShiftUp,
+        };
+        assert_eq!(encode(&anomaly).len(), Anomaly::MIN_BYTES);
+        assert_eq!(decode::<Anomaly>(&encode(&anomaly)), Ok(anomaly));
+        let empty = SpikeDetector::default().export_state().unwrap();
+        assert_eq!(empty.len(), VecDeque::<f64>::MIN_BYTES);
+        let fresh = LevelShiftDetector::default().export_state().unwrap();
+        assert_eq!(fresh.len(), LevelShiftState::MIN_BYTES);
+    }
 
     #[test]
     fn spike_detector_fires_per_spike_and_ls_does_not() {
@@ -626,8 +644,7 @@ mod more_detector_tests {
         }
         let before = det.export_state();
         for (n, ok) in [(SPIKE_WINDOW, true), (SPIKE_WINDOW + 1, false)] {
-            let mut state = Vec::new();
-            put_f64_seq(&mut state, vec![25.0; n].iter());
+            let state = encode(&vec![25.0; n]);
             let mut d = det.clone();
             assert_eq!(d.import_state(&state).is_ok(), ok, "{n} points");
             if !ok {

@@ -165,6 +165,20 @@ impl Backend {
     }
 }
 
+/// Merged messages between two checkpoint boundaries of an `n_msgs`-message
+/// run: an eighth of the stream, so a run has at most 8 boundaries and one
+/// base. The `CorruptBase` arm checkpoints eight times as often, so its
+/// deltas outweigh a base and its logs hold several bases: corrupting the
+/// newest makes the restore fall back to the base before it and that
+/// base's chain of deltas.
+fn checkpoint_every(n_msgs: u64, damage: Damage) -> u64 {
+    let every = (n_msgs / 8).max(32);
+    match damage {
+        Damage::CorruptBase => every / 8,
+        _ => every,
+    }
+}
+
 /// Multiset difference between the oracle's diagnoses and a recovery
 /// run's: `(lost, duplicated)`.
 fn diff(expected: &[Diagnosis], got: &[Diagnosis]) -> (usize, usize) {
@@ -246,30 +260,6 @@ pub fn recovery(ctx: &Ctx) -> Vec<Artifact> {
         };
         let (expected, _, _) = wb.serve(run.gcfg, &run.nodes, &run.exec.messages, &service);
 
-        let recovery = RecoveryConfig {
-            service,
-            checkpoint_every: (n_msgs / 8).max(32),
-            chaos: AnalyzerChaos {
-                seed: seed ^ ((si as u64) << 8),
-                ..chaos
-            },
-        };
-        let lifetime = |store: &mut dyn Store, kill_point: Option<u64>| {
-            let cfg = DurableConfig {
-                recovery: recovery.clone(),
-                kill_point,
-            };
-            run_service_durable(
-                &wb.library,
-                run.gcfg,
-                &run.nodes,
-                &run.exec.messages,
-                &cfg,
-                store,
-            )
-            .expect("a lifetime completes or is killed")
-        };
-
         for kills in KILL_COUNTS {
             let kill_points =
                 CrashSchedule::seeded(seed ^ 0xC4A5 ^ (si as u64), kills, n_msgs).points;
@@ -278,6 +268,29 @@ pub fn recovery(ctx: &Ctx) -> Vec<Artifact> {
                 .into_iter()
                 .filter(|&d| d == Damage::Clean || kills > 0)
             {
+                let recovery = RecoveryConfig {
+                    service: service.clone(),
+                    checkpoint_every: checkpoint_every(n_msgs, damage),
+                    chaos: AnalyzerChaos {
+                        seed: seed ^ ((si as u64) << 8),
+                        ..chaos
+                    },
+                };
+                let lifetime = |store: &mut dyn Store, kill_point: Option<u64>| {
+                    let cfg = DurableConfig {
+                        recovery: recovery.clone(),
+                        kill_point,
+                    };
+                    run_service_durable(
+                        &wb.library,
+                        run.gcfg,
+                        &run.nodes,
+                        &run.exec.messages,
+                        &cfg,
+                        store,
+                    )
+                    .expect("a lifetime completes or is killed")
+                };
                 let dir = store_base.join(format!("s{si}-k{kills}-{damage:?}"));
                 std::fs::remove_dir_all(&dir).ok();
                 for mut backend in [Backend::Mem(MemStore::new()), Backend::File(dir)] {

@@ -336,51 +336,66 @@ impl<'a> Analyzer<'a> {
     /// marker, traffic graph — for a base checkpoint. `None` when the
     /// perf monitor holds a detector without state export (the analyzer is
     /// then not checkpointable; see
-    /// [`gretel_telemetry::OutlierDetector::export_state`]).
+    /// [`gretel_telemetry::OutlierDetector::put_state`]).
     ///
     /// Configuration (library, [`crate::GretelConfig`], RCA context) is
     /// *not* serialized: restore targets an analyzer constructed the same
     /// way, and only replaces its dynamic state.
     pub fn export_state(&self) -> Option<Vec<u8>> {
-        let perf = self.perf.export_state()?;
+        let mut out = Vec::new();
+        self.put_state(&mut out).then_some(out)
+    }
+
+    /// Append [`Analyzer::export_state`]'s bytes to `out`, each block
+    /// written in place; a base record is encoded this way. `false` when
+    /// the analyzer is not checkpointable, and what it appended is then to
+    /// be discarded.
+    pub(crate) fn put_state(&self, out: &mut Vec<u8>) -> bool {
+        // The window is most of the state: reserve for it, so the buffer
+        // grows at most a few times more.
+        out.reserve((self.window.len() + 1024) * Event::MIN_BYTES);
+        self.window.put_state(out);
+        self.pairer.put(out);
+        if !self.perf.put_state(out) {
+            return false;
+        }
         let mut errors: Vec<MessageId> = self.analyzed_errors.iter().copied().collect();
         errors.sort_unstable();
-        let mut out = Vec::with_capacity(1024);
-        self.window.put(&mut out);
-        self.pairer.put(&mut out);
-        (perf, errors).put(&mut out);
-        self.pending_perf.put(&mut out);
-        (self.stats, self.pending_gap).put(&mut out);
-        self.graph.put(&mut out);
-        Some(out)
+        errors.put(out);
+        self.pending_perf.put(out);
+        (self.stats, self.pending_gap).put(out);
+        self.graph.put(out);
+        true
     }
 
     /// Replace this analyzer's dynamic state with
     /// [`Analyzer::export_state`] bytes. The analyzer must be configured —
     /// library, config, perf factory, RCA — the same way as the one that
-    /// exported; only the dynamic state transfers, and a window of another
-    /// α than the configured one is `Invalid("window alpha")`.
+    /// exported; only the dynamic state transfers, into the window and
+    /// detectors this analyzer's configuration built, and a window of
+    /// another α than the configured one is `Invalid("window alpha")`.
     /// All-or-nothing: on any error the analyzer is left unchanged.
     pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), DecodeError> {
-        let mut r = Reader::new(bytes);
-        let window = SlidingWindow::read(&mut r)?;
-        // β₀ and δ follow the configured α: a window of another size
-        // would detect with a context buffer it was not sized for.
-        if window.alpha() != self.cfg.alpha {
-            return Err(DecodeError::Invalid("window alpha"));
-        }
+        self.restore_from(Reader::new(bytes))
+    }
+
+    /// [`Analyzer::restore_state`] from the state that fills the rest of
+    /// `r`.
+    pub(crate) fn restore_from(&mut self, mut r: Reader<'_>) -> Result<(), DecodeError> {
+        let mut window = SlidingWindow::new(self.cfg.alpha);
+        window.restore(&mut r)?;
         let pairer = LatencyPairer::read(&mut r)?;
-        let (perf, errors): (_, Vec<MessageId>) = Wire::read(&mut r)?;
+        let detectors = self.perf.read_detectors(&mut r)?;
+        let errors: Vec<MessageId> = Wire::read(&mut r)?;
         let pending_perf = Wire::read(&mut r)?;
         let (stats, pending_gap) = Wire::read(&mut r)?;
         let graph = Wire::read(&mut r)?;
         r.done()?;
-        let perf = self.perf.decode_state(perf)?;
 
         // Everything decoded: commit.
         self.window = window;
         self.pairer = pairer;
-        self.perf.install(perf);
+        self.perf.install(detectors);
         self.analyzed_errors = errors.into_iter().collect();
         self.pending_perf = pending_perf;
         self.stats = stats;

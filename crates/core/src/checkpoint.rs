@@ -3,9 +3,9 @@
 //! A store-backed run ([`crate::recover::run_service_durable`]) ends every
 //! checkpoint interval with a boundary record in a [`gretel_store::Store`]:
 //! an append-only log of length-prefixed, checksummed records. A boundary
-//! record is a *base* ([`EngineCheckpoint`]) — the analyzer's ingest state
+//! record is a *base* ([`encode_checkpoint`]) — the analyzer's ingest state
 //! (sliding window, latency pairer, perf detectors, error dedup set,
-//! traffic graph) — or a *delta* ([`EngineDelta`]): the messages merged
+//! traffic graph) — or a *delta* ([`encode_delta`]): the messages merged
 //! since the previous boundary, as fixed-size entries. Both carry the
 //! receiver-side [`gretel_netcap::Resequencer`] positions and the next job
 //! sequence number. After a crash the run restores the newest *valid* base,
@@ -18,21 +18,28 @@
 //!
 //! The record envelope lives in `gretel-store`. This module owns the
 //! [`Wire`] formats of the pieces shared across records — [`Event`],
-//! [`FaultMark`], [`Diagnosis`] and its parts — and of the three record
-//! payloads: the release record ([`Release`]), the [`EngineCheckpoint`] and
-//! the [`EngineDelta`]. The other state blocks (`window`, `anomaly`, `perf`,
-//! `graph`, `analyzer`) implement [`Wire`] next to their types. A record
+//! [`FaultMark`], [`Diagnosis`] and its parts — and the three record
+//! payloads, each behind a 4-byte format tag. A boundary record is one flat
+//! encoding, written in one pass: each component writes its state straight
+//! into the record buffer, and no field is a byte run holding another
+//! encoding. The configured components — the window, the perf detectors,
+//! the resequencers — have no [`Wire::read`]: they restore in place into
+//! the values the run's configuration built, and a setting the bytes carry
+//! (α, the depth, the agent count) is only checked against it. A record
 //! must be readable by a *different* build than the one that wrote it, so
 //! each format is written down, field by field, rather than derived from a
 //! memory layout. DESIGN.md §16 is the index; the golden fixtures under
 //! `tests/golden/` pin the bytes.
 
+use crate::analyzer::Analyzer;
 use crate::event::{Event, FaultMark};
 use crate::rca::{CauseKind, RootCause};
 use crate::report::{CaptureConfidence, Diagnosis, FaultKind};
-use gretel_model::codec::{decode, DecodeError, Reader, Wire};
+use gretel_model::codec::{decode, put_count, DecodeError, Reader, Wire};
 use gretel_model::{wire_struct, ApiId, Dependency, MessageHead, NodeId, OpSpecId};
+use gretel_netcap::Resequencer;
 use gretel_sim::ResourceKind;
+use std::collections::VecDeque;
 
 /// 38 bytes fixed: id, timestamp, API, direction, one byte of the three
 /// API flags, the nodes, the correlation id, the fault mark and the gap
@@ -145,127 +152,182 @@ wire_struct!(Diagnosis {
 /// `(job seq, diagnoses)` pairs.
 pub type Release = (u64, Vec<(u64, Vec<Diagnosis>)>);
 
-/// Serialize one release batch.
+/// The first four bytes of every [`crate::KIND_DIAGNOSES`] payload: `GRL`
+/// and the layout version, checked before the body.
+const RELEASE_TAG: [u8; 4] = *b"GRL\x01";
+
+/// Serialize one release batch, behind the format tag.
 pub fn encode_release(up_to: u64, jobs: &[(u64, Vec<Diagnosis>)]) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = RELEASE_TAG.to_vec();
     up_to.put(&mut out);
     jobs.put(&mut out);
     out
 }
 
-/// Decode a [`crate::KIND_DIAGNOSES`] record back into its watermark and jobs.
+/// Decode a [`crate::KIND_DIAGNOSES`] record back into its watermark and
+/// jobs. A payload without this build's format tag is
+/// `Invalid("release format")`.
 pub fn decode_release(payload: &[u8]) -> Result<Release, DecodeError> {
-    decode(payload)
+    let body = payload
+        .strip_prefix(&RELEASE_TAG[..])
+        .ok_or(DecodeError::Invalid("release format"))?;
+    decode(body)
 }
 
-/// One capture agent's receiver-side state inside a boundary record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AgentCheckpoint {
-    /// The agent's [`gretel_netcap::Resequencer`], encoded.
-    pub resequencer: Vec<u8>,
-    /// Messages the resequencer released but the merge had not consumed
-    /// yet, as `(gap before, record)` with the record a marked head: a
-    /// [`MessageHead`] and its [`FaultMark`]. Replay brings them back only
-    /// as discarded duplicates, so they travel with the boundary record.
-    pub parked: Vec<(u32, Vec<u8>)>,
+/// What the receiver keeps of a frame, and what a boundary record stores
+/// of a parked one: its head and scan verdict, 52 bytes fixed.
+pub type Marked = (MessageHead, FaultMark);
+
+/// One capture agent's receiver state, as a boundary record carries it.
+#[derive(Debug)]
+pub struct AgentState {
+    /// The agent's resequencer, built at the run's depth.
+    pub resequencer: Resequencer<Marked>,
+    /// Messages the resequencer released that the merge has not consumed
+    /// yet, as `(gap before, marked head)`: a [`DeltaEntry`]'s layout.
+    /// Replay brings them back only as discarded duplicates, so they
+    /// travel with the boundary record.
+    pub ready: VecDeque<(u32, Marked)>,
 }
 
-// The nested resequencer states and parked records stay bytes here; the
-// engine decodes them into its own item type.
-wire_struct!(AgentCheckpoint {
-    resequencer: Vec<u8>,
-    parked: Vec<(u32, Vec<u8>)>,
-});
+impl AgentState {
+    /// An agent that has received nothing, resequencing at `depth`.
+    pub fn new(depth: usize) -> AgentState {
+        AgentState {
+            resequencer: Resequencer::new(depth),
+            ready: VecDeque::new(),
+        }
+    }
+}
+
+/// Append the agents' block: their count, then per agent its
+/// resequencer's state and its ready messages.
+fn put_agents<'s>(agents: impl ExactSizeIterator<Item = &'s AgentState>, out: &mut Vec<u8>) {
+    put_count(out, agents.len());
+    for agent in agents {
+        agent.resequencer.put_state(out);
+        agent.ready.put(out);
+    }
+}
+
+/// Restore the agents' block at `r` into `agents`, built from the run's
+/// configuration: the count must be theirs, and each resequencer keeps its
+/// depth. On error the agents may be partly restored; the run then fails.
+fn restore_agents<'s>(
+    r: &mut Reader<'_>,
+    agents: impl ExactSizeIterator<Item = &'s mut AgentState>,
+) -> Result<(), DecodeError> {
+    if u32::read(r)? as usize != agents.len() {
+        return Err(DecodeError::Invalid("checkpoint agent count"));
+    }
+    for agent in agents {
+        agent.resequencer.restore(r)?;
+        agent.ready = Wire::read(r)?;
+    }
+    Ok(())
+}
 
 /// The first four bytes of every [`crate::KIND_CHECKPOINT`] and
 /// [`crate::KIND_DELTA`] payload: `GCK` and the layout version. A record in
 /// any other layout (one written before the tag existed included) fails
 /// restore with its own error rather than on some later field.
-const CHECKPOINT_TAG: [u8; 4] = *b"GCK\x02";
+const CHECKPOINT_TAG: [u8; 4] = *b"GCK\x03";
 
-/// Decode a boundary record's payload behind the format tag.
-fn untag<T: Wire>(payload: &[u8]) -> Result<T, DecodeError> {
-    let body = payload
+/// A reader over a boundary record's body, behind the format tag.
+fn untag(payload: &[u8]) -> Result<Reader<'_>, DecodeError> {
+    payload
         .strip_prefix(&CHECKPOINT_TAG[..])
-        .ok_or(DecodeError::Invalid("checkpoint format"))?;
-    decode(body)
+        .map(Reader::new)
+        .ok_or(DecodeError::Invalid("checkpoint format"))
 }
 
-/// The engine's [`crate::KIND_CHECKPOINT`] record, a *base*, as plain data:
-/// the analyzer's state ([`crate::Analyzer::export_state`]), the next job
-/// sequence number, and one [`AgentCheckpoint`] per capture agent.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EngineCheckpoint {
-    /// Analyzer state bytes.
-    pub analyzer: Vec<u8>,
-    /// Sequence number the next snapshot job gets.
-    pub next_seq: u64,
-    /// Per-agent receiver state, in agent order.
-    pub agents: Vec<AgentCheckpoint>,
-}
-
-wire_struct!(EngineCheckpoint {
-    analyzer: Vec<u8>,
+/// Write the engine's [`crate::KIND_CHECKPOINT`] record, a *base*, into
+/// `out` (replacing what it held) in one pass: the tag, the sequence number
+/// the next snapshot job gets, the agents' block, and the analyzer's state
+/// ([`crate::Analyzer::export_state`]'s bytes) to the end. `false`, and no
+/// record in `out`, when the analyzer cannot be checkpointed (a plug-in
+/// perf detector without
+/// [`gretel_telemetry::OutlierDetector::put_state`]).
+pub fn encode_checkpoint<'s>(
+    out: &mut Vec<u8>,
+    analyzer: &Analyzer<'_>,
     next_seq: u64,
-    agents: Vec<AgentCheckpoint>,
-});
-
-/// Serialize one [`EngineCheckpoint`], behind the format tag.
-pub fn encode_checkpoint(ck: &EngineCheckpoint) -> Vec<u8> {
-    let mut out = CHECKPOINT_TAG.to_vec();
-    ck.put(&mut out);
-    out
+    agents: impl ExactSizeIterator<Item = &'s AgentState>,
+) -> bool {
+    out.clear();
+    out.extend_from_slice(&CHECKPOINT_TAG);
+    next_seq.put(out);
+    put_agents(agents, out);
+    let written = analyzer.put_state(out);
+    if !written {
+        out.clear();
+    }
+    written
 }
 
-/// Decode a [`crate::KIND_CHECKPOINT`] record written by
-/// [`encode_checkpoint`]. A payload without this build's format tag is
-/// `Invalid("checkpoint format")`.
-pub fn decode_checkpoint(payload: &[u8]) -> Result<EngineCheckpoint, DecodeError> {
-    untag(payload)
+/// Restore a record written by [`encode_checkpoint`] into `analyzer` and
+/// `agents`, both built from the run's configuration, and return the next
+/// job sequence number. A payload without this build's format tag is
+/// `Invalid("checkpoint format")`; a state that does not fit the configured
+/// analyzer or agents is an error too, and no setting is read from bytes.
+pub fn restore_checkpoint<'s>(
+    payload: &[u8],
+    analyzer: &mut Analyzer<'_>,
+    agents: impl ExactSizeIterator<Item = &'s mut AgentState>,
+) -> Result<u64, DecodeError> {
+    let mut r = untag(payload)?;
+    let next_seq = u64::read(&mut r)?;
+    restore_agents(&mut r, agents)?;
+    analyzer.restore_from(r)?;
+    Ok(next_seq)
 }
 
 /// One merged message as a delta records it: the capture gap reported
 /// before it, its head and its scan verdict — the arguments of one ingest.
 pub type DeltaEntry = (u32, MessageHead, FaultMark);
 
-/// The engine's [`crate::KIND_DELTA`] record as plain data: the input the
-/// analyzer merged since the previous boundary. Ingest is deterministic, so
-/// replaying the entries into the analyzer that boundary left rebuilds its
-/// whole state; the record carries no analyzer state of its own.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EngineDelta {
-    /// The continuity key: the merged-message count at the previous
-    /// boundary, where the entries start. A restore applies the delta only
-    /// to an analyzer at exactly this count.
-    pub from: u64,
-    /// Sequence number the next snapshot job gets after the entries.
-    pub next_seq: u64,
-    /// Every message merged since the previous boundary, in merge order.
-    pub entries: Vec<DeltaEntry>,
-    /// Per-agent receiver state at this boundary, in agent order.
-    pub agents: Vec<AgentCheckpoint>,
-}
-
-wire_struct!(EngineDelta {
+/// Write the engine's [`crate::KIND_DELTA`] record into `out` (replacing
+/// what it held) in one pass: the tag; `from`, the continuity key — the merged-message count at the
+/// previous boundary, where the entries start; `next_seq`, the sequence
+/// number the next snapshot job gets after the entries; the agents' block;
+/// and to the end the entries, every message merged since the previous
+/// boundary in merge order. Ingest is deterministic, so replaying the
+/// entries into the analyzer that boundary left rebuilds its whole state;
+/// the record carries no analyzer state of its own.
+pub fn encode_delta<'s>(
+    out: &mut Vec<u8>,
     from: u64,
     next_seq: u64,
-    entries: Vec<DeltaEntry>,
-    agents: Vec<AgentCheckpoint>,
-});
-
-/// Serialize one [`EngineDelta`], behind the format tag.
-pub fn encode_delta(delta: &EngineDelta) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + delta.entries.len() * DeltaEntry::MIN_BYTES);
+    entries: &[DeltaEntry],
+    agents: impl ExactSizeIterator<Item = &'s AgentState>,
+) {
+    out.clear();
+    out.reserve(256 + entries.len() * DeltaEntry::MIN_BYTES);
     out.extend_from_slice(&CHECKPOINT_TAG);
-    delta.put(&mut out);
-    out
+    (from, next_seq).put(out);
+    put_agents(agents, out);
+    entries.put(out);
 }
 
-/// Decode a [`crate::KIND_DELTA`] record written by [`encode_delta`]. A
-/// payload without this build's format tag is `Invalid("checkpoint
-/// format")`.
-pub fn decode_delta(payload: &[u8]) -> Result<EngineDelta, DecodeError> {
-    untag(payload)
+/// Read a record written by [`encode_delta`]. A delta whose continuity key
+/// is not `at` does not continue the chain and is `Ok(None)`, its agents
+/// untouched; otherwise its agents' block restores into `agents` and its
+/// `next_seq` and entries are returned. A payload without this build's
+/// format tag is `Invalid("checkpoint format")`.
+pub fn restore_delta<'s>(
+    payload: &[u8],
+    at: u64,
+    agents: impl ExactSizeIterator<Item = &'s mut AgentState>,
+) -> Result<Option<(u64, Vec<DeltaEntry>)>, DecodeError> {
+    let mut r = untag(payload)?;
+    let (from, next_seq): (u64, u64) = Wire::read(&mut r)?;
+    if from != at {
+        return Ok(None);
+    }
+    restore_agents(&mut r, agents)?;
+    let entries = Wire::read(&mut r)?;
+    r.done()?;
+    Ok(Some((next_seq, entries)))
 }
 
 #[cfg(test)]
@@ -426,11 +488,12 @@ mod tests {
         smallest(bare.clone());
         let release: Release = (9, vec![(7, vec![bare])]);
         let job = <(u64, Vec<Diagnosis>)>::MIN_BYTES;
+        let encoded = encode_release(release.0, &release.1);
         assert_eq!(
-            encode_release(release.0, &release.1).len(),
-            Release::MIN_BYTES + job + Diagnosis::MIN_BYTES
+            encoded.len(),
+            RELEASE_TAG.len() + Release::MIN_BYTES + job + Diagnosis::MIN_BYTES
         );
-        assert_eq!(decode_release(&encode(&release)), Ok(release));
+        assert_eq!(decode_release(&encoded), Ok(release));
         smallest::<Release>((0, vec![]));
         smallest(CaptureConfidence::Exact);
         smallest(FaultKind::Operational {
@@ -443,21 +506,13 @@ mod tests {
             cause: CauseKind::Dependency(Dependency::NtpAgent),
             why: String::new(),
         });
-        smallest(AgentCheckpoint {
-            resequencer: vec![],
-            parked: vec![],
-        });
-        smallest(EngineCheckpoint {
-            analyzer: vec![],
-            next_seq: 0,
-            agents: vec![],
-        });
-        smallest(EngineDelta {
-            from: 0,
-            next_seq: 0,
-            entries: vec![],
-            agents: vec![],
-        });
+        // A delta of no entries over no agents: tag, key, next seq and two
+        // empty counts.
+        let mut empty = vec![0xFF; 9];
+        encode_delta(&mut empty, 0, 0, &[], std::iter::empty());
+        assert_eq!(empty.len(), CHECKPOINT_TAG.len() + 8 + 8 + 4 + 4);
+        let restored = restore_delta(&empty, 0, std::iter::empty());
+        assert_eq!(restored, Ok(Some((0, vec![]))));
         // A marked head is fixed-size whichever options the head carries.
         let head = MessageHead {
             id: MessageId(9),

@@ -52,10 +52,9 @@
 use crate::analyzer::{Analyzer, AnalyzerStats, SnapshotAnalyzer, SnapshotJob};
 use crate::anomaly::scan_frame;
 use crate::checkpoint::{
-    decode_checkpoint, decode_delta, decode_release, encode_checkpoint, encode_delta,
-    encode_release, AgentCheckpoint, DeltaEntry, EngineCheckpoint, EngineDelta,
+    decode_release, encode_checkpoint, encode_delta, encode_release, restore_checkpoint,
+    restore_delta, AgentState, DeltaEntry, Marked,
 };
-use crate::event::FaultMark;
 use crate::recover::{
     AnalyzerChaos, RecoveryConfig, RecoveryStats, KIND_CHECKPOINT, KIND_DELTA, KIND_DIAGNOSES,
     MAX_ATTEMPTS,
@@ -63,59 +62,41 @@ use crate::recover::{
 use crate::report::Diagnosis;
 use crate::service::{ServiceConfig, ServiceError, ServiceStats, CHANNEL_CAPACITY};
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender, TrySendError};
-use gretel_model::codec::{decode, encode, DecodeError};
-use gretel_model::{Message, MessageHead, NodeId};
+use gretel_model::codec::DecodeError;
+use gretel_model::{Message, NodeId};
 use gretel_netcap::{
     decode_view, shard_of, CaptureAgent, CaptureStats, CodecError, FrameBatch, FrameBatchBuilder,
-    Resequencer,
 };
 use gretel_obs::{PipelineMetrics, Stage, StageTimer};
 use gretel_store::{records, Record, Store};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::thread::Scope;
 use std::time::Duration;
 
-/// One frame as the receiver keeps it: parsed in place and its payload
-/// scanned — everything ingest reads of it.
-#[derive(Debug, Clone, Copy)]
-struct Received {
-    head: MessageHead,
-    mark: FaultMark,
+/// Parse and scan one frame into what the receiver keeps of it —
+/// everything ingest reads — returning its sequence number alongside.
+fn parse(frame: &[u8]) -> Result<(Marked, Option<u64>), CodecError> {
+    let view = decode_view(frame)?;
+    Ok(((view.head, scan_frame(&view)), view.seq))
 }
-
-impl Received {
-    /// Parse and scan one frame, returning its sequence number alongside.
-    fn parse(frame: &[u8]) -> Result<(Received, Option<u64>), CodecError> {
-        let view = decode_view(frame)?;
-        let (head, seq, mark) = (view.head, view.seq, scan_frame(&view));
-        Ok((Received { head, mark }, seq))
-    }
-}
-
-// A boundary record stores a parked message as this 52-byte head+mark
-// record, never as a frame.
-gretel_model::wire_struct!(Received {
-    head: MessageHead,
-    mark: FaultMark,
-});
 
 /// One agent's stream at the receiver: each batch's frames are parsed in
 /// place and scanned for failure patterns in one batch-wide pass,
 /// resequenced (when sequenced) into `(gap_before, frame)` pairs, and
-/// buffered until the k-way merge consumes them.
+/// buffered in the agent's ready queue until the k-way merge consumes them.
 struct AgentStream {
-    reseq: Option<Resequencer<Received>>,
-    ready: VecDeque<(u32, Received)>,
+    agent: AgentState,
+    sequenced: bool,
     /// Reused buffer of one batch's parsed frames and sequence numbers.
-    parsed: Vec<(Received, Option<u64>)>,
+    parsed: Vec<(Marked, Option<u64>)>,
     done: bool,
 }
 
 impl AgentStream {
-    fn new(reseq: Option<Resequencer<Received>>) -> AgentStream {
+    fn new(sequenced: bool, depth: usize) -> AgentStream {
         AgentStream {
-            reseq,
-            ready: VecDeque::new(),
+            agent: AgentState::new(depth),
+            sequenced,
             parsed: Vec::new(),
             done: false,
         }
@@ -131,21 +112,21 @@ impl AgentStream {
         metrics: Option<&PipelineMetrics>,
     ) -> Result<(), ServiceError> {
         let parsed = batch.iter().try_for_each(|frame| {
-            self.parsed.push(Received::parse(frame)?);
+            self.parsed.push(parse(frame)?);
             Ok::<_, CodecError>(())
         });
-        let Some(r) = &mut self.reseq else {
-            let frames = self.parsed.drain(..).map(|(frame, _)| (0, frame));
-            self.ready.extend(frames);
+        let AgentState { resequencer, ready } = &mut self.agent;
+        if !self.sequenced {
+            ready.extend(self.parsed.drain(..).map(|(frame, _)| (0, frame)));
             return Ok(parsed?);
-        };
+        }
         // One timing sample per batch, one counted event per frame: stage
         // latencies show the batch-level dispatch cost while event counts
         // stay per-item (see gretel-obs).
         let t = StageTimer::start(metrics, Stage::Resequence);
         let n = self.parsed.len() as u64;
         for (frame, seq) in self.parsed.drain(..) {
-            r.try_push(seq, frame, &mut self.ready)?;
+            resequencer.try_push(seq, frame, ready)?;
         }
         t.finish();
         if let Some(m) = metrics {
@@ -161,7 +142,7 @@ impl AgentStream {
         stats: &mut ServiceStats,
         metrics: Option<&PipelineMetrics>,
     ) -> Result<(), ServiceError> {
-        while self.ready.is_empty() && !self.done {
+        while self.agent.ready.is_empty() && !self.done {
             match rx.recv() {
                 Ok(batch) => {
                     stats.channel_ops += 1;
@@ -171,9 +152,8 @@ impl AgentStream {
                 }
                 Err(_) => {
                     self.done = true;
-                    if let Some(r) = &mut self.reseq {
-                        self.ready.extend(r.flush());
-                    }
+                    let flushed = self.agent.resequencer.flush();
+                    self.agent.ready.extend(flushed);
                 }
             }
         }
@@ -187,8 +167,8 @@ impl AgentStream {
 fn next_head(streams: &[AgentStream]) -> Option<usize> {
     let mut best = None;
     for (i, st) in streams.iter().enumerate() {
-        if let Some((_, r)) = st.ready.front() {
-            let key = (r.head.ts_us, r.head.id);
+        if let Some((_, (head, _))) = st.agent.ready.front() {
+            let key = (head.ts_us, head.id);
             if best.is_none_or(|(_, b)| key < b) {
                 best = Some((i, key));
             }
@@ -273,40 +253,6 @@ fn spawn_agent<'sc, 'env>(
     rx
 }
 
-/// The receiver's half of a boundary record: each agent's resequencer and
-/// the messages it released that the merge has not consumed yet, all as
-/// head+mark records.
-fn agent_checkpoints(streams: &[AgentStream]) -> Vec<AgentCheckpoint> {
-    streams
-        .iter()
-        .map(|st| AgentCheckpoint {
-            resequencer: encode(st.reseq.as_ref().expect("store-backed runs are sequenced")),
-            parked: st.ready.iter().map(|(gap, r)| (*gap, encode(r))).collect(),
-        })
-        .collect()
-}
-
-/// Rebuild the receiver streams a boundary record describes. `done` is not
-/// stored: replay closes every stream again.
-fn restore_streams(
-    agents: &[AgentCheckpoint],
-    n_agents: usize,
-) -> Result<Vec<AgentStream>, ServiceError> {
-    if agents.len() != n_agents {
-        return Err(DecodeError::Invalid("checkpoint agent count").into());
-    }
-    agents
-        .iter()
-        .map(|agent| {
-            let mut st = AgentStream::new(Some(decode(&agent.resequencer)?));
-            for (gap, record) in &agent.parked {
-                st.ready.push_back((*gap, decode(record)?));
-            }
-            Ok(st)
-        })
-        .collect()
-}
-
 /// Where the durable path's record chain stands: what the next boundary
 /// writes, and what it writes it on top of.
 #[derive(Debug, Default)]
@@ -322,62 +268,57 @@ struct Chain {
     base_bytes: Option<usize>,
     /// Payload bytes of the deltas after that base.
     delta_bytes: usize,
+    /// The last boundary record's payload. Each boundary rewrites it in
+    /// place, so a run holds one record buffer for its whole life instead
+    /// of allocating and freeing a base-sized one at every base.
+    record: Vec<u8>,
 }
 
 impl Chain {
-    /// The boundary record for this point of the run: a delta while the
-    /// deltas since the last base weigh no more than that base, else a new
-    /// base. Either way the chain then stands at `analyzer`'s count.
-    fn boundary(
-        &mut self,
-        analyzer: &Analyzer<'_>,
-        agents: Vec<AgentCheckpoint>,
-        next_seq: u64,
-    ) -> Result<(u8, Vec<u8>), ServiceError> {
+    /// Write the boundary record for this point of the run into
+    /// [`Chain::record`] and return its kind: a delta while the deltas
+    /// since the last base weigh no more than that base, else a new base.
+    /// Either way the chain then stands at `analyzer`'s count.
+    fn boundary(&mut self, analyzer: &Analyzer<'_>, streams: &[AgentStream], next_seq: u64) -> u8 {
         let from = std::mem::replace(&mut self.at, analyzer.stats().messages);
-        match self.base_bytes {
+        let agents = streams.iter().map(|st| &st.agent);
+        let kind = match self.base_bytes {
             Some(base) if self.delta_bytes <= base => {
-                let payload = encode_delta(&EngineDelta {
-                    from,
-                    next_seq,
-                    entries: std::mem::take(&mut self.entries),
-                    agents,
-                });
-                self.delta_bytes += payload.len();
-                Ok((KIND_DELTA, payload))
+                encode_delta(&mut self.record, from, next_seq, &self.entries, agents);
+                self.delta_bytes += self.record.len();
+                KIND_DELTA
             }
             _ => {
-                let payload = encode_checkpoint(&EngineCheckpoint {
-                    analyzer: analyzer
-                        .export_state()
-                        .ok_or(ServiceError::NotCheckpointable)?,
-                    next_seq,
-                    agents,
-                });
-                self.entries.clear();
-                self.base_bytes = Some(payload.len());
+                assert!(
+                    encode_checkpoint(&mut self.record, analyzer, next_seq, agents),
+                    "durable runs build Analyzer::new, whose detectors checkpoint"
+                );
+                self.base_bytes = Some(self.record.len());
                 self.delta_bytes = 0;
-                Ok((KIND_CHECKPOINT, payload))
+                KIND_CHECKPOINT
             }
-        }
+        };
+        self.entries.clear();
+        kind
     }
 }
 
-/// Restore `analyzer` from the store: the newest valid base, then every
-/// later valid delta, in log order, whose continuity key is the count the
+/// Restore `analyzer` and the receiver `streams`, both built from the run's
+/// configuration, from the store: the newest valid base, then every later
+/// valid delta, in log order, whose continuity key is the count the
 /// analyzer has reached. A delta is replayed through the same ingest that
 /// first ran it, so it rebuilds the whole analyzer state; the jobs it
 /// regenerates were all released before the delta was written, so they are
 /// only counted, and must land on its `next_seq`. A corrupt, torn or
 /// non-continuing delta is skipped, so a delta that a later lifetime
-/// re-wrote still chains. Returns the next job sequence number, the
-/// receiver streams of the last applied record and the chain to continue,
+/// re-wrote still chains. The streams end as the last applied record left
+/// them. Returns the next job sequence number and the chain to continue,
 /// or `None` (cold start) when no base verifies.
 fn restore(
     store: &dyn Store,
     analyzer: &mut Analyzer<'_>,
-    n_agents: usize,
-) -> Result<Option<(u64, Vec<AgentStream>, Chain)>, ServiceError> {
+    streams: &mut [AgentStream],
+) -> Result<Option<(u64, Chain)>, ServiceError> {
     // Find the records by header, then checksum from the newest back: a
     // restart pays for the records it uses, not the log.
     let log: Vec<Record<'_>> = records(store.bytes()).collect();
@@ -387,9 +328,8 @@ fn restore(
     else {
         return Ok(None);
     };
-    let base = decode_checkpoint(log[b].payload)?;
-    analyzer.restore_state(&base.analyzer)?;
-    let (mut next_seq, mut agents) = (base.next_seq, base.agents);
+    let agents = streams.iter_mut().map(|st| &mut st.agent);
+    let mut next_seq = restore_checkpoint(log[b].payload, analyzer, agents)?;
     let mut chain = Chain {
         at: analyzer.stats().messages,
         base_bytes: Some(log[b].payload.len()),
@@ -399,25 +339,23 @@ fn restore(
         .iter()
         .filter(|r| r.kind == KIND_DELTA && r.valid())
     {
-        let delta = decode_delta(r.payload)?;
-        if delta.from != chain.at {
+        let agents = streams.iter_mut().map(|st| &mut st.agent);
+        let Some((delta_next_seq, entries)) = restore_delta(r.payload, chain.at, agents)? else {
             continue;
-        }
+        };
         let mut jobs = 0u64;
-        for (gap, head, mark) in &delta.entries {
+        for (gap, head, mark) in &entries {
             analyzer.note_capture_gap(*gap);
             jobs += analyzer.ingest_head(head, *mark, None).len() as u64;
         }
-        if next_seq.checked_add(jobs) != Some(delta.next_seq) {
+        if next_seq.checked_add(jobs) != Some(delta_next_seq) {
             return Err(DecodeError::Invalid("delta job count").into());
         }
-        next_seq = delta.next_seq;
-        agents = delta.agents;
+        next_seq = delta_next_seq;
         chain.at = analyzer.stats().messages;
         chain.delta_bytes += r.payload.len();
     }
-    let streams = restore_streams(&agents, n_agents)?;
-    Ok(Some((next_seq, streams, chain)))
+    Ok(Some((next_seq, chain)))
 }
 
 /// The release watermark a restarted process must honor: the maximum
@@ -758,10 +696,8 @@ fn write_boundary(
         .as_mut()
         .expect("boundaries are only written to a store");
     let t = StageTimer::start(metrics, Stage::Checkpoint);
-    let (kind, payload) = st
-        .chain
-        .boundary(analyzer, agent_checkpoints(streams), seq)?;
-    store.append(kind, &payload)?;
+    let kind = st.chain.boundary(analyzer, streams, seq);
+    store.append(kind, &st.chain.record)?;
     t.finish();
     if let Some(m) = metrics {
         m.count(Stage::Checkpoint, 1);
@@ -801,26 +737,27 @@ pub(crate) fn run_cycle(
     let workers = cfg.service.effective_workers();
 
     // ---- Restore --------------------------------------------------------
+    let depth = cfg.service.resequence_depth;
+    let mut streams: Vec<AgentStream> = nodes
+        .iter()
+        .map(|_| AgentStream::new(sequenced, depth))
+        .collect();
     let restored = match &state.store {
-        Some(store) => restore(&**store, analyzer, nodes.len())?,
+        Some(store) => restore(&**store, analyzer, &mut streams)?,
         None => None,
     };
-    let (next_seq_start, mut streams) = match restored {
-        Some((next_seq, streams, chain)) => {
+    let next_seq_start = match restored {
+        Some((next_seq, chain)) => {
             state.chain = chain;
             state.stats.restores += 1;
-            (next_seq, streams)
+            next_seq
         }
-        None => {
-            let fresh = || sequenced.then(|| Resequencer::new(cfg.service.resequence_depth));
-            (0, nodes.iter().map(|_| AgentStream::new(fresh())).collect())
-        }
+        None => 0,
     };
     let dup_discarded = |streams: &[AgentStream]| -> u64 {
         streams
             .iter()
-            .filter_map(|s| s.reseq.as_ref())
-            .map(|r| r.stats().dup_discarded)
+            .map(|s| s.agent.resequencer.stats().dup_discarded)
             .sum()
     };
     let replay_base = dup_discarded(&streams);
@@ -863,7 +800,8 @@ pub(crate) fn run_cycle(
                 break;
             }
             let Some(i) = next_head(&streams) else { break };
-            let (gap, r) = streams[i]
+            let (gap, (head, mark)) = streams[i]
+                .agent
                 .ready
                 .pop_front()
                 .expect("chosen head is nonempty");
@@ -872,10 +810,10 @@ pub(crate) fn run_cycle(
                 analyzer.note_capture_gap(gap);
             }
             if durable {
-                state.chain.entries.push((gap, r.head, r.mark));
+                state.chain.entries.push((gap, head, mark));
             }
             let t = StageTimer::start(metrics, Stage::Ingest);
-            let jobs = analyzer.ingest_head(&r.head, r.mark, metrics);
+            let jobs = analyzer.ingest_head(&head, mark, metrics);
             t.finish();
             if let Some(m) = metrics {
                 m.count(Stage::Ingest, 1);
@@ -905,8 +843,13 @@ pub(crate) fn run_cycle(
                 store.sync()?;
                 state.diagnoses = read_diagnoses(&**store)?;
             }
-            for r in streams.iter().filter_map(|s| s.reseq.as_ref()) {
-                state.service_stats.capture.merge(&r.stats());
+            // An unsequenced stream's resequencer saw nothing: its stats
+            // are zero.
+            for st in &streams {
+                state
+                    .service_stats
+                    .capture
+                    .merge(&st.agent.resequencer.stats());
             }
         }
         state.stats.worker_crashes += pool.worker_crashes;
@@ -988,10 +931,10 @@ mod tests {
     /// A parked message is its fixed 52-byte head+mark record.
     #[test]
     fn a_received_message_encodes_to_its_min_bytes() {
-        use gretel_model::codec::Wire;
-        let (received, _) = Received::parse(&encode_seq(&rest_message(3), 0)).unwrap();
-        assert_eq!(encode(&received).len(), Received::MIN_BYTES);
-        assert_eq!(Received::MIN_BYTES, 52);
+        use gretel_model::codec::{encode, Wire};
+        let (received, _) = parse(&encode_seq(&rest_message(3), 0)).unwrap();
+        assert_eq!(encode(&received).len(), Marked::MIN_BYTES);
+        assert_eq!(Marked::MIN_BYTES, 52);
     }
 
     /// A batch whose middle frame is corrupt fails the stream with that
@@ -1008,14 +951,14 @@ mod tests {
             builder.push(&encode_seq(&rest_message(2), 2));
             let (tx, rx) = bounded(1);
             tx.send(builder.finish().expect("three frames")).unwrap();
-            let mut st = AgentStream::new(sequenced.then(|| Resequencer::new(4)));
+            let mut st = AgentStream::new(sequenced, 4);
             let mut stats = ServiceStats::default();
             let got = st.refill(&rx, &mut stats, None);
             assert!(
                 matches!(got, Err(ServiceError::Codec(CodecError::BadMagic(0x47FF)))),
                 "sequenced {sequenced}: {got:?}"
             );
-            let queued: Vec<u64> = st.ready.iter().map(|(_, r)| r.head.id.0).collect();
+            let queued: Vec<u64> = st.agent.ready.iter().map(|(_, (h, _))| h.id.0).collect();
             assert_eq!(queued, [0], "sequenced {sequenced}");
         }
     }
@@ -1180,7 +1123,12 @@ mod tests {
         log: &[u8],
     ) -> (u64, Vec<u8>) {
         let mut analyzer = Analyzer::new(lib, chain_gcfg());
-        let (_, _, chain) = restore(&MemStore::from_bytes(log.to_vec()), &mut analyzer, n_agents)
+        let depth = ServiceConfig::default().resequence_depth;
+        let mut streams: Vec<_> = (0..n_agents)
+            .map(|_| AgentStream::new(true, depth))
+            .collect();
+        let log = MemStore::from_bytes(log.to_vec());
+        let (_, chain) = restore(&log, &mut analyzer, &mut streams)
             .expect("the log restores")
             .expect("the log holds a base");
         (chain.at, analyzer.export_state().unwrap())

@@ -10,7 +10,7 @@
 
 use crate::anomaly::LatencyObs;
 use crate::fasthash::FastMap;
-use gretel_model::codec::DecodeError;
+use gretel_model::codec::{put_count, DecodeError, Reader, Wire};
 use gretel_model::ApiId;
 use gretel_telemetry::{Anomaly, LevelShiftConfig, LevelShiftDetector, OutlierDetector};
 
@@ -84,41 +84,41 @@ impl PerfMonitor {
         self.history.get(&api).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// The monitor's per-API detector states, in API order, for an
-    /// analyzer checkpoint. The latency history is a plotting aid for
-    /// inline runs and is not checkpointed. `None` when any detector does
-    /// not implement [`OutlierDetector::export_state`]: a monitor with an
-    /// opaque plug-in detector cannot be checkpointed.
-    pub(crate) fn export_state(&self) -> Option<Vec<(ApiId, Vec<u8>)>> {
-        let mut states = self
-            .detectors
-            .iter()
-            .map(|(&api, det)| Some((api, det.export_state()?)))
-            .collect::<Option<Vec<_>>>()?;
-        states.sort_unstable_by_key(|&(api, _)| api.0);
-        Some(states)
+    /// Append the per-API detector states for an analyzer checkpoint:
+    /// their count, then each API and its detector's state, in API order.
+    /// The latency history is a plotting aid for inline runs and is not
+    /// checkpointed. `false` when a detector does not implement
+    /// [`OutlierDetector::put_state`]: a monitor with an opaque plug-in
+    /// detector cannot be checkpointed, and what it appended is to be
+    /// discarded.
+    pub(crate) fn put_state(&self, out: &mut Vec<u8>) -> bool {
+        let mut detectors: Vec<_> = self.detectors.iter().collect();
+        detectors.sort_unstable_by_key(|(api, _)| api.0);
+        put_count(out, detectors.len());
+        detectors.into_iter().all(|(api, det)| {
+            api.put(out);
+            det.put_state(out)
+        })
     }
 
-    /// Rebuild the per-API detectors from [`PerfMonitor::export_state`]'s
-    /// states without touching the monitor, so a caller restoring several
-    /// blocks can validate them all before committing any. Detectors are
-    /// re-created through the monitor's own factory and fed the serialized
-    /// state, so the restoring monitor must be configured with the same
-    /// factory as the one checkpointed.
-    pub(crate) fn decode_state(
-        &self,
-        states: Vec<(ApiId, Vec<u8>)>,
-    ) -> Result<Detectors, DecodeError> {
+    /// Detectors built by this monitor's own factory, each restored from
+    /// its state at `r`, so every detector keeps the run's configuration.
+    /// The monitor is not touched, so a caller restoring several blocks can
+    /// validate them all before committing any ([`PerfMonitor::install`]).
+    pub(crate) fn read_detectors(&self, r: &mut Reader<'_>) -> Result<Detectors, DecodeError> {
+        // Nothing is sized by the count, and each item consumes at least
+        // its API id, so a hostile count runs out of bytes.
         let mut detectors = FastMap::default();
-        for (api, state) in states {
+        for _ in 0..u32::read(r)? {
+            let api = ApiId::read(r)?;
             let mut det = (self.factory)();
-            det.import_state(&state)?;
+            det.restore(r)?;
             detectors.insert(api, det);
         }
         Ok(detectors)
     }
 
-    /// Replace this monitor's detectors with decoded ones. The latency
+    /// Replace this monitor's detectors with restored ones. The latency
     /// history is not checkpointed, so it restarts empty.
     pub(crate) fn install(&mut self, detectors: Detectors) {
         self.detectors = detectors;
@@ -195,6 +195,12 @@ mod tests {
         assert_eq!(alarms, 100, "the spike plug-in judges every point");
     }
 
+    fn state(mon: &PerfMonitor) -> Vec<u8> {
+        let mut out = Vec::new();
+        assert!(mon.put_state(&mut out), "default detectors checkpoint");
+        out
+    }
+
     #[test]
     fn history_is_not_checkpointed() {
         let mut kept = PerfMonitor::new(LevelShiftConfig::default(), true);
@@ -203,12 +209,28 @@ mod tests {
             kept.observe(obs(3, i, 5.0));
             quiet.observe(obs(3, i, 5.0));
         }
-        let (a, b) = (kept.export_state(), quiet.export_state());
+        let (a, b) = (state(&kept), state(&quiet));
         assert_eq!(a, b, "the checkpoint carries detectors only");
-        let detectors = kept.decode_state(b.clone().unwrap()).expect("round trip");
+        let detectors = kept
+            .read_detectors(&mut Reader::new(&b))
+            .expect("round trip");
         kept.install(detectors);
         assert!(kept.history(ApiId(3)).is_empty(), "history restarts");
-        assert_eq!(kept.export_state(), b);
+        assert_eq!(state(&kept), b);
+    }
+
+    #[test]
+    fn a_plug_in_detector_without_state_is_not_checkpointable() {
+        struct Opaque;
+        impl OutlierDetector for Opaque {
+            fn update(&mut self, _: u64, _: f64) -> Option<Anomaly> {
+                None
+            }
+        }
+        let mut mon = PerfMonitor::with_factory(Box::new(|| Box::new(Opaque)), false);
+        assert!(mon.put_state(&mut Vec::new()), "no detector yet");
+        mon.observe(obs(1, 0, 5.0));
+        assert!(!mon.put_state(&mut Vec::new()));
     }
 
     #[test]

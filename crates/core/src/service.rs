@@ -43,10 +43,6 @@ pub enum ServiceError {
     /// The analysis pool disappeared while the receiver still had jobs to
     /// hand it (every worker exited or panicked unrecoverably).
     PoolDisconnected,
-    /// The analyzer's state cannot be serialized (a plug-in perf detector
-    /// without [`gretel_telemetry::OutlierDetector::export_state`]), so
-    /// checkpointing is impossible with this configuration.
-    NotCheckpointable,
     /// A boundary or release record on the store failed to decode.
     Checkpoint(DecodeError),
     /// The durable state store failed (oversized record or file I/O).
@@ -59,12 +55,6 @@ impl std::fmt::Display for ServiceError {
             ServiceError::Codec(e) => write!(f, "agent frame failed to decode: {e}"),
             ServiceError::PoolDisconnected => {
                 write!(f, "analysis pool disconnected with jobs outstanding")
-            }
-            ServiceError::NotCheckpointable => {
-                write!(
-                    f,
-                    "analyzer state is not serializable (opaque plug-in perf detector)"
-                )
             }
             ServiceError::Checkpoint(e) => write!(f, "checkpoint restore failed: {e}"),
             ServiceError::Store(e) => write!(f, "durable state store failed: {e}"),

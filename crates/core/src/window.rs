@@ -166,31 +166,35 @@ impl SlidingWindow {
     }
 }
 
-/// The full window state — α, the ring's events, and the armed snapshots
-/// with their countdowns — for an analyzer checkpoint.
-impl Wire for SlidingWindow {
-    const MIN_BYTES: usize = 8 + 4 + 4;
-
-    fn put(&self, out: &mut Vec<u8>) {
+impl SlidingWindow {
+    /// Append the window's state for an analyzer checkpoint: α as a check
+    /// value, the ring's events, and the armed snapshots with their
+    /// countdowns.
+    pub(crate) fn put_state(&self, out: &mut Vec<u8>) {
         self.alpha.put(out);
         self.buf.put(out);
         self.armed.put(out);
     }
 
-    fn read(r: &mut Reader<'_>) -> Result<SlidingWindow, DecodeError> {
-        let alpha = usize::read(r)?;
-        if !(2..=(1 << 24)).contains(&alpha) {
+    /// Replace the ring and the armed snapshots with the state `r` carries.
+    /// α stays this window's: a state written at another α is
+    /// `Invalid("window alpha")`. All-or-nothing: on any error the window
+    /// is unchanged.
+    pub(crate) fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        if u64::read(r)? != self.alpha as u64 {
             return Err(DecodeError::Invalid("window alpha"));
         }
         let buf = VecDeque::<Event>::read(r)?;
-        if buf.len() > alpha {
+        if buf.len() > self.alpha {
             return Err(DecodeError::Invalid("window overfull"));
         }
         let armed = Vec::<Armed>::read(r)?;
         if armed.iter().any(|a| a.remaining == 0) {
             return Err(DecodeError::Invalid("armed snapshot with zero countdown"));
         }
-        Ok(SlidingWindow { alpha, buf, armed })
+        self.buf = buf;
+        self.armed = armed;
+        Ok(())
     }
 }
 
@@ -198,7 +202,7 @@ impl Wire for SlidingWindow {
 mod tests {
     use super::*;
     use crate::event::FaultMark;
-    use gretel_model::codec::{decode, encode};
+    use gretel_model::codec::encode;
     use gretel_model::{ApiId, Direction, MessageId, NodeId};
 
     fn ev(id: u64) -> Event {
@@ -218,40 +222,52 @@ mod tests {
         }
     }
 
+    fn state(w: &SlidingWindow) -> Vec<u8> {
+        let mut out = Vec::new();
+        w.put_state(&mut out);
+        out
+    }
+
+    fn restored(alpha: usize, state: &[u8]) -> Result<SlidingWindow, DecodeError> {
+        let mut w = SlidingWindow::new(alpha);
+        let mut r = Reader::new(state);
+        w.restore(&mut r)?;
+        r.done()?;
+        Ok(w)
+    }
+
     #[test]
-    fn import_bounds_both_counts_by_the_bytes_that_back_them() {
+    fn restore_bounds_both_counts_and_checks_alpha() {
         let mut w = SlidingWindow::new(8);
         for i in 0..5 {
             w.push(ev(i));
         }
         w.arm(ev(4));
-        let state = encode(&w);
-        assert!(decode::<SlidingWindow>(&state).is_ok());
+        let state = state(&w);
+        assert_eq!(self::state(&restored(8, &state).unwrap()), state);
         // Armed-snapshot count (after α, the ring count and five events).
         let armed_at = 8 + 4 + 5 * Event::MIN_BYTES;
         let mut bad = state.clone();
         bad[armed_at..armed_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(
-            decode::<SlidingWindow>(&bad).err(),
-            Some(DecodeError::Truncated)
-        );
-        // Ring count: α = n = 2^24 passes the α bound but nothing backs
-        // 2^24 events, so nothing may be reserved for them.
-        let mut bad = state;
-        bad[..8].copy_from_slice(&(1u64 << 24).to_le_bytes());
-        bad[8..12].copy_from_slice(&(1u32 << 24).to_le_bytes());
-        assert_eq!(
-            decode::<SlidingWindow>(&bad).err(),
-            Some(DecodeError::Truncated)
-        );
+        assert_eq!(restored(8, &bad).err(), Some(DecodeError::Truncated));
+        // Ring count: α events promised, five backed.
+        let mut bad = state.clone();
+        bad[8..12].copy_from_slice(&8u32.to_le_bytes());
+        assert_eq!(restored(8, &bad).err(), Some(DecodeError::Truncated));
+        // α is a check value: the state restores only into a window of its
+        // α, and a failed restore leaves the window as it was.
+        let alpha = Some(DecodeError::Invalid("window alpha"));
+        assert_eq!(restored(16, &state).err(), alpha);
+        bad = state;
+        bad[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let before = self::state(&w);
+        assert_eq!(w.restore(&mut Reader::new(&bad)).err(), alpha);
+        assert_eq!(self::state(&w), before);
     }
 
     #[test]
     fn the_smallest_window_and_armed_snapshot_encode_to_their_min_bytes() {
-        assert_eq!(
-            encode(&SlidingWindow::new(2)).len(),
-            SlidingWindow::MIN_BYTES
-        );
+        assert_eq!(state(&SlidingWindow::new(2)).len(), 8 + 4 + 4);
         let armed = Armed {
             fault: ev(0),
             remaining: 1,

@@ -123,7 +123,7 @@ pub fn decode<T: Wire>(bytes: &[u8]) -> Result<T, DecodeError> {
 /// Panics if `n` does not fit in a `u32`: no format can carry it, and
 /// truncating it would write bytes that decode to a different value.
 #[inline]
-fn put_count(out: &mut Vec<u8>, n: usize) {
+pub fn put_count(out: &mut Vec<u8>, n: usize) {
     u32::try_from(n)
         .expect("sequence length fits the u32 count field")
         .put(out);

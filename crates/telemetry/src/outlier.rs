@@ -20,7 +20,7 @@
 //! [`OutlierDetector`] can replace the default.
 
 use crate::series::{mad_sigma_of, median_of};
-use gretel_model::codec::{decode, encode, DecodeError, Reader, Wire};
+use gretel_model::codec::{DecodeError, Reader, Wire};
 use gretel_sim::SimTime;
 use std::collections::VecDeque;
 
@@ -63,21 +63,21 @@ pub trait OutlierDetector {
     /// this point.
     fn update(&mut self, ts: SimTime, value: f64) -> Option<Anomaly>;
 
-    /// Serialize the detector's *dynamic* state for checkpointing (the
-    /// configuration is not included — a restored detector must be
-    /// constructed with the same configuration first). Returns `None` when
-    /// the detector does not support checkpointing; callers treat that as
-    /// "this analyzer cannot be checkpointed" rather than silently losing
-    /// state.
-    fn export_state(&self) -> Option<Vec<u8>> {
-        None
+    /// Append the detector's *dynamic* state to `out`, for a checkpoint.
+    /// The configuration is not written: a detector restores into one
+    /// built from its run's configuration. Returns `false`, writing
+    /// nothing, when the detector does not support checkpointing; callers
+    /// treat that as "this analyzer cannot be checkpointed" rather than
+    /// silently losing state.
+    fn put_state(&self, _out: &mut Vec<u8>) -> bool {
+        false
     }
 
-    /// Restore dynamic state previously produced by
-    /// [`OutlierDetector::export_state`] on an identically configured
-    /// detector. On error the detector is left untouched; a checkpoint
-    /// restore treats that as a hard error.
-    fn import_state(&mut self, _bytes: &[u8]) -> Result<(), DecodeError> {
+    /// Replace the dynamic state with the one [`OutlierDetector::put_state`]
+    /// wrote at `r`, keeping this detector's configuration. A state that
+    /// does not fit it is an error. All-or-nothing: on error the detector
+    /// is left untouched; a checkpoint restore treats that as a hard error.
+    fn restore(&mut self, _r: &mut Reader<'_>) -> Result<(), DecodeError> {
         Err(DecodeError::Invalid(
             "detector does not support state import",
         ))
@@ -263,32 +263,27 @@ impl OutlierDetector for LevelShiftDetector {
 
     /// The baseline, the test window, the cached statistics and their
     /// staleness as a `u32`.
-    fn export_state(&self) -> Option<Vec<u8>> {
-        let mut out = Vec::new();
-        self.baseline.put(&mut out);
-        self.test.put(&mut out);
-        CachedStats(self.cached_stats).put(&mut out);
-        (self.staleness as u32).put(&mut out);
-        Some(out)
+    fn put_state(&self, out: &mut Vec<u8>) -> bool {
+        self.baseline.put(out);
+        self.test.put(out);
+        CachedStats(self.cached_stats).put(out);
+        (self.staleness as u32).put(out);
+        true
     }
 
-    fn import_state(&mut self, bytes: &[u8]) -> Result<(), DecodeError> {
+    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
         let (baseline, test, CachedStats(cached_stats), staleness): LevelShiftState =
-            decode(bytes)?;
-        let staleness = staleness as usize;
+            Wire::read(r)?;
         // A confirmed shift refills the baseline from the test window, so it
         // can briefly hold `test_window` points when that is the larger.
         let max_baseline = self.cfg.baseline_window.max(self.cfg.test_window);
         if baseline.len() > max_baseline || test.len() > self.cfg.test_window {
             return Err(DecodeError::Invalid("detector window length"));
         }
-        *self = LevelShiftDetector {
-            cfg: self.cfg,
-            baseline,
-            test,
-            cached_stats,
-            staleness,
-        };
+        self.baseline = baseline;
+        self.test = test;
+        self.cached_stats = cached_stats;
+        self.staleness = staleness as usize;
         Ok(())
     }
 }
@@ -479,12 +474,13 @@ impl OutlierDetector for SpikeDetector {
         out
     }
 
-    fn export_state(&self) -> Option<Vec<u8>> {
-        Some(encode(&self.window))
+    fn put_state(&self, out: &mut Vec<u8>) -> bool {
+        self.window.put(out);
+        true
     }
 
-    fn import_state(&mut self, bytes: &[u8]) -> Result<(), DecodeError> {
-        let window: VecDeque<f64> = decode(bytes)?;
+    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), DecodeError> {
+        let window = VecDeque::<f64>::read(r)?;
         if window.len() > SPIKE_WINDOW {
             return Err(DecodeError::Invalid("detector window length"));
         }
@@ -496,6 +492,21 @@ impl OutlierDetector for SpikeDetector {
 #[cfg(test)]
 mod more_detector_tests {
     use super::*;
+    use gretel_model::codec::{decode, encode};
+
+    /// A detector's state, as a checkpoint holds it.
+    fn state_of(d: &impl OutlierDetector) -> Vec<u8> {
+        let mut out = Vec::new();
+        assert!(d.put_state(&mut out), "built-in detectors checkpoint");
+        out
+    }
+
+    /// Restore `bytes`, which must be exactly one state.
+    fn import(d: &mut impl OutlierDetector, bytes: &[u8]) -> Result<(), DecodeError> {
+        let mut r = Reader::new(bytes);
+        d.restore(&mut r)?;
+        r.done()
+    }
 
     #[test]
     fn the_smallest_detector_pieces_encode_to_their_min_bytes() {
@@ -508,9 +519,9 @@ mod more_detector_tests {
         };
         assert_eq!(encode(&anomaly).len(), Anomaly::MIN_BYTES);
         assert_eq!(decode::<Anomaly>(&encode(&anomaly)), Ok(anomaly));
-        let empty = SpikeDetector::default().export_state().unwrap();
+        let empty = state_of(&SpikeDetector::default());
         assert_eq!(empty.len(), VecDeque::<f64>::MIN_BYTES);
-        let fresh = LevelShiftDetector::default().export_state().unwrap();
+        let fresh = state_of(&LevelShiftDetector::default());
         assert_eq!(fresh.len(), LevelShiftState::MIN_BYTES);
     }
 
@@ -561,8 +572,8 @@ mod more_detector_tests {
             for i in 0..137u64 {
                 det.update(i, 25.0 + (i % 7) as f64);
             }
-            let state = det.export_state().expect("checkpointable");
-            fresh.import_state(&state).expect("state imports");
+            let state = state_of(&det);
+            import(fresh, &state).expect("state imports");
             for i in 137..400u64 {
                 let v = if i < 200 {
                     25.0 + (i % 7) as f64
@@ -582,19 +593,19 @@ mod more_detector_tests {
     #[test]
     fn detector_state_import_rejects_garbage() {
         let mut det = LevelShiftDetector::default();
-        assert!(det.import_state(&[1, 2, 3]).is_err());
-        assert!(det.import_state(&[0xFF; 64]).is_err());
+        assert!(import(&mut det, &[1, 2, 3]).is_err());
+        assert!(import(&mut det, &[0xFF; 64]).is_err());
         let mut sp = SpikeDetector::default();
-        assert!(sp.import_state(&[1, 0, 0]).is_err());
+        assert!(import(&mut sp, &[1, 0, 0]).is_err());
         // A valid export with trailing junk is rejected too.
         let mut good = LevelShiftDetector::default();
         for i in 0..50 {
             good.update(i, 10.0);
         }
-        let mut bytes = good.export_state().unwrap();
+        let mut bytes = state_of(&good);
         bytes.push(0);
         assert_eq!(
-            det.import_state(&bytes),
+            import(&mut det, &bytes),
             Err(DecodeError::Invalid("trailing bytes"))
         );
     }
@@ -607,7 +618,7 @@ mod more_detector_tests {
         for i in 0..60 {
             wide.update(i, 25.0 + (i % 7) as f64);
         }
-        let state = wide.export_state().unwrap();
+        let state = state_of(&wide);
         let narrow = |baseline_window, test_window| {
             let mut d = LevelShiftDetector::new(LevelShiftConfig {
                 baseline_window,
@@ -622,17 +633,15 @@ mod more_detector_tests {
         // (5 points) is longer than 4.
         for (b, t) in [(20, 5), (40, 4)] {
             let mut d = narrow(b, t);
-            let before = d.export_state();
+            let before = state_of(&d);
             assert_eq!(
-                d.import_state(&state),
+                import(&mut d, &state),
                 Err(DecodeError::Invalid("detector window length")),
                 "{b}/{t}"
             );
-            assert_eq!(d.export_state(), before, "{b}/{t}: unchanged");
+            assert_eq!(state_of(&d), before, "{b}/{t}: unchanged");
         }
-        narrow(40, 5)
-            .import_state(&state)
-            .expect("same config imports");
+        import(&mut narrow(40, 5), &state).expect("same config imports");
     }
 
     /// A spike window longer than `SPIKE_WINDOW` is rejected whole.
@@ -642,13 +651,13 @@ mod more_detector_tests {
         for i in 0..10 {
             det.update(i, 10.0);
         }
-        let before = det.export_state();
+        let before = state_of(&det);
         for (n, ok) in [(SPIKE_WINDOW, true), (SPIKE_WINDOW + 1, false)] {
             let state = encode(&vec![25.0; n]);
             let mut d = det.clone();
-            assert_eq!(d.import_state(&state).is_ok(), ok, "{n} points");
+            assert_eq!(import(&mut d, &state).is_ok(), ok, "{n} points");
             if !ok {
-                assert_eq!(d.export_state(), before, "{n} points: unchanged");
+                assert_eq!(state_of(&d), before, "{n} points: unchanged");
             }
         }
     }

@@ -76,15 +76,18 @@ grep -E '^[a-z]+: .* digest [0-9a-f]+$' <<<"$check_log" |
 # The check-size runs hold 11 checkpoint boundaries or fewer, so they never
 # build a long chain of delta records. The full-size `durable` and `restart`
 # workloads do (bases with tens of deltas after them, restores that replay
-# a chain): run each once on a one-second budget. The last line is the
-# result object, which must report a correct run with no failed operation.
+# a chain): run each once per seed on a one-second budget. The last line is
+# the result object, which must report a correct run with no failed
+# operation.
 mkdir "$STORE_ROOT/bench"
-for workload in durable restart; do
-  result="$(cargo run --release --offline --locked -q --manifest-path benchmark/Cargo.toml \
-    --bin gretel-benchmark -- workload --workload "$workload" --seed 42 --seconds 1 \
-    --store-dir "$STORE_ROOT/bench" | tail -n 1)"
-  { grep -q '"correct":true' <<<"$result" && grep -Eq '"failed":0[,}]' <<<"$result"; } ||
-    { echo "ci: the full-size $workload workload failed: $result" >&2; exit 1; }
+for seed in 42 7; do
+  for workload in durable restart; do
+    result="$(cargo run --release --offline --locked -q --manifest-path benchmark/Cargo.toml \
+      --bin gretel-benchmark -- workload --workload "$workload" --seed "$seed" --seconds 1 \
+      --store-dir "$STORE_ROOT/bench" | tail -n 1)"
+    { grep -q '"correct":true' <<<"$result" && grep -Eq '"failed":0[,}]' <<<"$result"; } ||
+      { echo "ci: the full-size $workload workload failed at seed $seed: $result" >&2; exit 1; }
+  done
 done
 
 # The experiment battery: every artifact under results/ is a pure function

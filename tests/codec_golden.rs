@@ -5,6 +5,9 @@
 //! `encode(value) == fixture` and `decode(fixture) == value` — so any
 //! drift in a wire, checkpoint or snapshot layout is a test failure, not
 //! a silent incompatibility with bytes already on disk.
+//! A state format has no `Wire::read`: its fixture restores into a value
+//! built from a configuration (as a restarted run builds it) and must
+//! write the fixture back.
 //!
 //! To add or deliberately change a format: run the test, copy the
 //! "actual" hex from the failure message into the fixture file, and say
@@ -24,13 +27,13 @@
 //! side by side.
 
 use gretel::core::checkpoint::{
-    decode_checkpoint, decode_delta, decode_release, encode_checkpoint, encode_delta,
-    encode_release, AgentCheckpoint, EngineCheckpoint, EngineDelta, Release,
+    decode_release, encode_checkpoint, encode_delta, encode_release, restore_checkpoint,
+    restore_delta, AgentState, DeltaEntry, Marked, Release,
 };
 use gretel::core::{
     run_service_durable, scan_frame, scan_message, Analyzer, CaptureConfidence, CauseKind,
     Diagnosis, DurableConfig, DurableOutcome, Event, FaultKind, FaultMark, FingerprintLibrary,
-    GretelConfig, RecoveryConfig, RootCause, KIND_CHECKPOINT, KIND_DIAGNOSES,
+    GretelConfig, RecoveryConfig, RootCause, ServiceConfig, KIND_CHECKPOINT, KIND_DIAGNOSES,
 };
 use gretel::model::codec::{decode, encode, DecodeError, Reader, Wire};
 use gretel::model::message::{
@@ -43,7 +46,7 @@ use gretel::model::{
 use gretel::netcap::{decode_one_seq, decode_view, encode_seq, Resequencer};
 use gretel::sim::ResourceKind;
 use gretel::store::{records, MemStore, Store, RECORD_HEADER};
-use gretel::telemetry::{LevelShiftDetector, OutlierDetector, SpikeDetector};
+use gretel::telemetry::{LevelShiftConfig, LevelShiftDetector, OutlierDetector, SpikeDetector};
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
@@ -56,7 +59,7 @@ struct Case {
     encoded: Vec<u8>,
     decode: Box<DecodeFn>,
     /// The `MIN_BYTES` of the [`Wire`] type the format is (0 for the
-    /// frame, store and whole-state formats, which are not one type).
+    /// frame, store and state formats, which are not one `Wire` type).
     min_bytes: usize,
 }
 
@@ -355,18 +358,17 @@ fn analyzer_restore(bytes: &[u8]) -> Result<Vec<u8>, String> {
     Ok(a.export_state().expect("default detectors checkpoint"))
 }
 
-/// What the engine keeps of a frame, and parks and checkpoints: a
-/// message's head and scan verdict, a 52-byte record.
-type Marked = (MessageHead, FaultMark);
-
 fn marked(m: &Message) -> Marked {
     (m.head(), scan_message(m))
 }
 
+/// The resequencing depth of every resequencer in the fixtures.
+const DEPTH: usize = 4;
+
 /// A resequencer with frames parked behind a gap, as the engine's receiver
 /// holds one.
 fn parked_resequencer() -> Resequencer<Marked> {
-    let mut r = Resequencer::new(4);
+    let mut r = Resequencer::new(DEPTH);
     let mut m = rest_message();
     for seq in [0u64, 2, 3, 5] {
         m.id = MessageId(seq);
@@ -375,86 +377,129 @@ fn parked_resequencer() -> Resequencer<Marked> {
     r
 }
 
+fn resequencer_state(r: &Resequencer<Marked>) -> Vec<u8> {
+    let mut out = Vec::new();
+    r.put_state(&mut out);
+    out
+}
+
+/// `bytes`, which must be exactly one resequencer state, restored into a
+/// fresh resequencer of `depth` and exported again.
+fn resequencer_restore(depth: usize, bytes: &[u8]) -> Result<Vec<u8>, DecodeError> {
+    let mut r = Resequencer::new(depth);
+    let mut reader = Reader::new(bytes);
+    r.restore(&mut reader)?;
+    reader.done()?;
+    Ok(resequencer_state(&r))
+}
+
 /// Two agents' receiver state: the first parked frames behind a gap in its
 /// resequencer and has one released message the merge has not taken yet;
 /// the second has one such message, released behind a gap.
-fn agents() -> Vec<AgentCheckpoint> {
-    let mut released = Resequencer::new(4);
+fn agents() -> Vec<AgentState> {
+    let mut released = Resequencer::new(DEPTH);
     released.push(Some(0), marked(&rpc_message()));
     vec![
-        AgentCheckpoint {
-            resequencer: encode(&parked_resequencer()),
-            parked: vec![(0, encode(&marked(&rest_message())))],
+        AgentState {
+            resequencer: parked_resequencer(),
+            ready: [(0, marked(&rest_message()))].into(),
         },
-        AgentCheckpoint {
-            resequencer: encode(&released),
-            parked: vec![(3, encode(&marked(&rpc_message())))],
+        AgentState {
+            resequencer: released,
+            ready: [(3, marked(&rpc_message()))].into(),
         },
     ]
 }
 
-fn engine_checkpoint() -> EngineCheckpoint {
-    EngineCheckpoint {
-        analyzer: fresh_analyzer()
-            .export_state()
-            .expect("default detectors checkpoint"),
-        next_seq: 0x0102_0304,
-        agents: agents(),
-    }
+/// Two agents as a run at `depth` builds them, before any restore.
+fn fresh_agents(depth: usize) -> Vec<AgentState> {
+    (0..2).map(|_| AgentState::new(depth)).collect()
 }
 
-/// A delta of three entries — a REST error response behind a gap, an RPC
-/// error, and a clean request with neither RPC id nor correlation id —
-/// over the two agents of [`agents`].
-fn engine_delta() -> EngineDelta {
+const NEXT_SEQ: u64 = 0x0102_0304;
+
+/// A base over `analyzer` and `agents`.
+fn base(analyzer: &Analyzer<'_>, next_seq: u64, agents: &[AgentState]) -> Vec<u8> {
+    let mut out = Vec::new();
+    assert!(
+        encode_checkpoint(&mut out, analyzer, next_seq, agents.iter()),
+        "default detectors checkpoint"
+    );
+    out
+}
+
+fn engine_checkpoint() -> Vec<u8> {
+    base(&fresh_analyzer(), NEXT_SEQ, &agents())
+}
+
+/// A base restored into a fresh analyzer of α `alpha` and two agents of
+/// `depth`, as a restore does, and written again.
+fn checkpoint_restore(alpha: usize, depth: usize, bytes: &[u8]) -> Result<Vec<u8>, DecodeError> {
+    let mut a = Analyzer::new(
+        library(),
+        GretelConfig {
+            alpha,
+            ..fresh_config()
+        },
+    );
+    let mut agents = fresh_agents(depth);
+    let next_seq = restore_checkpoint(bytes, &mut a, agents.iter_mut())?;
+    Ok(base(&a, next_seq, &agents))
+}
+
+/// The delta fixture's continuity key.
+const DELTA_FROM: u64 = 0x0A0B_0C0D_0E0F;
+
+/// A delta's three entries — a REST error response behind a gap, an RPC
+/// error, and a clean request with neither RPC id nor correlation id.
+fn delta_entries() -> Vec<DeltaEntry> {
     let request = MessageHead {
         direction: Direction::Request,
         correlation_id: None,
         ..rest_message().head()
     };
-    EngineDelta {
-        from: 0x0A0B_0C0D_0E0F,
-        next_seq: 0x0102_0304,
-        entries: vec![
-            (2, rest_message().head(), scan_message(&rest_message())),
-            (0, rpc_message().head(), scan_message(&rpc_message())),
-            (0, request, FaultMark::None),
-        ],
-        agents: agents(),
-    }
+    vec![
+        (2, rest_message().head(), scan_message(&rest_message())),
+        (0, rpc_message().head(), scan_message(&rpc_message())),
+        (0, request, FaultMark::None),
+    ]
 }
 
-/// Decode the agents' block and every format nested in it, as a restore
-/// does.
-fn agents_restore(agents: &[AgentCheckpoint]) -> Result<(), String> {
-    for agent in agents {
-        decode::<Resequencer<Marked>>(&agent.resequencer).map_err(err)?;
-        for (_, record) in &agent.parked {
-            decode::<Marked>(record).map_err(err)?;
-        }
-    }
-    Ok(())
+/// A delta from [`DELTA_FROM`] over `entries` and `agents`.
+fn delta(next_seq: u64, entries: &[DeltaEntry], agents: &[AgentState]) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_delta(&mut out, DELTA_FROM, next_seq, entries, agents.iter());
+    out
 }
 
-/// Decode an engine checkpoint and every format nested in it, as a
-/// restore does.
-fn checkpoint_restore(bytes: &[u8]) -> Result<EngineCheckpoint, String> {
-    let ck = decode_checkpoint(bytes).map_err(err)?;
-    analyzer_restore(&ck.analyzer)?;
-    agents_restore(&ck.agents)?;
-    Ok(ck)
+fn engine_delta() -> Vec<u8> {
+    delta(NEXT_SEQ, &delta_entries(), &agents())
 }
 
-fn delta_restore(bytes: &[u8]) -> Result<EngineDelta, String> {
-    let delta = decode_delta(bytes).map_err(err)?;
-    agents_restore(&delta.agents)?;
-    Ok(delta)
+/// A delta, over the two agents of [`agents`], restored into two agents of
+/// `depth` as a restore at the delta's continuity key does, and written
+/// again.
+fn delta_restore(depth: usize, bytes: &[u8]) -> Result<Vec<u8>, String> {
+    let mut agents = fresh_agents(depth);
+    let (next_seq, entries) = restore_delta(bytes, DELTA_FROM, agents.iter_mut())
+        .map_err(err)?
+        .ok_or("the delta does not continue the chain")?;
+    Ok(delta(next_seq, &entries, &agents))
 }
 
-fn detector_restore<D: OutlierDetector + Default>(bytes: &[u8]) -> Result<Vec<u8>, String> {
-    let mut d = D::default();
-    d.import_state(bytes).map_err(err)?;
-    Ok(d.export_state().expect("built-in detectors checkpoint"))
+fn detector_state(d: &impl OutlierDetector) -> Vec<u8> {
+    let mut out = Vec::new();
+    assert!(d.put_state(&mut out), "built-in detectors checkpoint");
+    out
+}
+
+/// `bytes`, which must be exactly one detector state, restored into `d`
+/// and exported again.
+fn detector_restore(mut d: impl OutlierDetector, bytes: &[u8]) -> Result<Vec<u8>, DecodeError> {
+    let mut r = Reader::new(bytes);
+    d.restore(&mut r)?;
+    r.done()?;
+    Ok(detector_state(&d))
 }
 
 fn fed<D: OutlierDetector + Default>(n: u64) -> Vec<u8> {
@@ -462,7 +507,7 @@ fn fed<D: OutlierDetector + Default>(n: u64) -> Vec<u8> {
     for i in 0..n {
         d.update(i, 25.0 + (i % 7) as f64);
     }
-    d.export_state().expect("built-in detectors checkpoint")
+    detector_state(&d)
 }
 
 fn release() -> Release {
@@ -470,8 +515,18 @@ fn release() -> Release {
     (17, vec![(15, vec![a, b]), (16, vec![]), (17, vec![c])])
 }
 
-/// The format tag ahead of a boundary record's [`Wire`] body.
+/// The format tag ahead of a record's [`Wire`] body.
 const TAG_BYTES: usize = 4;
+
+/// A case whose value is its own bytes: a state that restores into a value
+/// the run's configuration built and is written again.
+fn state_case(
+    name: &'static str,
+    bytes: Vec<u8>,
+    restore: impl Fn(&[u8]) -> Result<Vec<u8>, String> + 'static,
+) -> Case {
+    case(name, bytes, Vec::clone, restore)
+}
 
 fn cases() -> Vec<Case> {
     let mut cases = vec![
@@ -488,38 +543,24 @@ fn cases() -> Vec<Case> {
             |b| decode_one_seq(b).map_err(err),
         ),
         wire_case("event", event()),
-        case(
+        state_case(
             "analyzer_state",
             mid_stream_analyzer()
                 .export_state()
                 .expect("default detectors checkpoint"),
-            Vec::clone,
             analyzer_restore,
         ),
+        state_case(
+            "resequencer_state",
+            resequencer_state(&parked_resequencer()),
+            |b| resequencer_restore(DEPTH, b).map_err(err),
+        ),
+        state_case("engine_checkpoint", engine_checkpoint(), |b| {
+            checkpoint_restore(fresh_config().alpha, DEPTH, b).map_err(err)
+        }),
+        state_case("engine_delta", engine_delta(), |b| delta_restore(DEPTH, b)),
         Case {
-            min_bytes: Resequencer::<Marked>::MIN_BYTES,
-            ..case(
-                "resequencer_state",
-                encode(&parked_resequencer()),
-                Vec::clone,
-                |b| Ok(encode(&decode::<Resequencer<Marked>>(b).map_err(err)?)),
-            )
-        },
-        Case {
-            min_bytes: TAG_BYTES + EngineCheckpoint::MIN_BYTES,
-            ..case(
-                "engine_checkpoint",
-                engine_checkpoint(),
-                encode_checkpoint,
-                checkpoint_restore,
-            )
-        },
-        Case {
-            min_bytes: TAG_BYTES + EngineDelta::MIN_BYTES,
-            ..case("engine_delta", engine_delta(), encode_delta, delta_restore)
-        },
-        Case {
-            min_bytes: Release::MIN_BYTES,
+            min_bytes: TAG_BYTES + Release::MIN_BYTES,
             ..case(
                 "release_record",
                 release(),
@@ -546,18 +587,14 @@ fn cases() -> Vec<Case> {
                 Ok((rec.kind, rec.payload.to_vec()))
             },
         ),
-        case(
+        state_case(
             "detector_level_shift",
             fed::<LevelShiftDetector>(137),
-            Vec::clone,
-            detector_restore::<LevelShiftDetector>,
+            |b| detector_restore(LevelShiftDetector::default(), b).map_err(err),
         ),
-        case(
-            "detector_spike",
-            fed::<SpikeDetector>(137),
-            Vec::clone,
-            detector_restore::<SpikeDetector>,
-        ),
+        state_case("detector_spike", fed::<SpikeDetector>(137), |b| {
+            detector_restore(SpikeDetector::default(), b).map_err(err)
+        }),
     ];
     for (name, d) in [
         "diagnosis_operational",
@@ -659,9 +696,8 @@ fn fixtures_cover_the_interesting_state() {
     );
     assert_eq!(parked_resequencer().flush().len(), 3, "frames are parked");
     let agents = agents();
-    assert!(agents.len() >= 2 && agents.iter().all(|a| !a.parked.is_empty()));
-    let marks: BTreeSet<String> = engine_delta()
-        .entries
+    assert!(agents.len() >= 2 && agents.iter().all(|a| !a.ready.is_empty()));
+    let marks: BTreeSet<String> = delta_entries()
         .iter()
         .map(|(_, _, mark)| format!("{mark:?}"))
         .collect();
@@ -815,13 +851,29 @@ fn the_base_fixture_restores_through_the_engine() {
     store
         .append(KIND_CHECKPOINT, &fixture("engine_checkpoint"))
         .expect("append");
-    let cfg = DurableConfig {
-        recovery: RecoveryConfig::default(),
-        kill_point: None,
+    let recovery = |resequence_depth| RecoveryConfig {
+        service: ServiceConfig {
+            resequence_depth,
+            ..ServiceConfig::default()
+        },
+        ..RecoveryConfig::default()
     };
     let nodes = [NodeId(0), NodeId(1)];
-    let out = run_service_durable(library(), fresh_config(), &nodes, &[], &cfg, &mut store)
-        .expect("the base fixture restores");
+    let run = |depth, store: &mut MemStore| {
+        let cfg = DurableConfig {
+            recovery: recovery(depth),
+            kill_point: None,
+        };
+        run_service_durable(library(), fresh_config(), &nodes, &[], &cfg, store)
+    };
+    // A run at another depth does not adopt the fixture's: it refuses it.
+    let other = ServiceConfig::default().resequence_depth;
+    assert_ne!(other, DEPTH);
+    match run(other, &mut MemStore::from_bytes(store.bytes().to_vec())) {
+        Err(e) => assert!(e.to_string().contains("resequencer depth"), "{e}"),
+        Ok(_) => panic!("a base written at depth {DEPTH} restored at depth {other}"),
+    }
+    let out = run(DEPTH, &mut store).expect("the base fixture restores");
     let DurableOutcome::Completed {
         recovery, analyzer, ..
     } = out
@@ -863,21 +915,114 @@ fn inflated_armed_count_is_an_error_and_the_analyzer_stays_usable() {
 
 /// A checkpoint record in the layout before the format tag (the tagged
 /// fixture without its first four bytes), and one whose tag names another
-/// version — the one before this layout included — fail on the tag rather
-/// than on some later field. So does a delta.
+/// version — the two before this layout included — fail on the tag rather
+/// than on some later field. So does a delta, and so does a release record
+/// without its own tag or with another version of it.
 #[test]
 fn a_checkpoint_without_this_format_tag_is_rejected() {
-    let format = Err(DecodeError::Invalid("checkpoint format"));
+    let format = DecodeError::Invalid("checkpoint format");
     let golden = fixture("engine_checkpoint");
-    assert_eq!(decode_checkpoint(&golden[4..]), format, "untagged layout");
-    for version in [1u8, 3] {
+    let restore = |bytes: &[u8]| {
+        let mut agents = fresh_agents(DEPTH);
+        restore_checkpoint(bytes, &mut fresh_analyzer(), agents.iter_mut())
+    };
+    assert_eq!(restore(&golden), Ok(NEXT_SEQ));
+    assert_eq!(restore(&golden[4..]), Err(format), "untagged layout");
+    for version in [1u8, 2, 4] {
         let mut other = golden.clone();
         other[3] = version;
-        assert_eq!(decode_checkpoint(&other), format, "version {version}");
+        assert_eq!(restore(&other), Err(format), "version {version}");
     }
     let mut delta = fixture("engine_delta");
-    delta[3] = 1;
-    assert_eq!(decode_delta(&delta), format.map(|_| engine_delta()));
+    delta[3] = 2;
+    let mut agents = fresh_agents(DEPTH);
+    let got = restore_delta(&delta, DELTA_FROM, agents.iter_mut());
+    assert_eq!(got, Err(format));
+
+    let release = fixture("release_record");
+    assert_eq!(decode_release(&release), Ok(self::release()));
+    let format = Err(DecodeError::Invalid("release format"));
+    assert_eq!(decode_release(&release[4..]), format, "untagged release");
+    for version in [0u8, 2] {
+        let mut other = release.clone();
+        other[3] = version;
+        assert_eq!(decode_release(&other), format, "release version {version}");
+    }
+}
+
+/// No state adopts a setting from its bytes. Every golden state fixture is
+/// restored into values built with perturbed settings — α ×2 and ÷2, the
+/// resequencing depth ±1, each level-shift window ±1 — and each case is
+/// `Invalid`, or restores into a value that keeps the run's setting.
+#[test]
+fn a_state_restores_only_under_the_settings_that_wrote_it() {
+    let invalid = |what: &str, got: Result<Vec<u8>, DecodeError>| match got {
+        Err(DecodeError::Invalid(_)) => {}
+        other => panic!("{what}: {other:?}"),
+    };
+    let (alpha, state) = (fresh_config().alpha, fixture("analyzer_state"));
+    let base = fixture("engine_checkpoint");
+    for other in [alpha * 2, alpha / 2] {
+        let mut a = Analyzer::new(
+            library(),
+            GretelConfig {
+                alpha: other,
+                ..fresh_config()
+            },
+        );
+        let got = a.restore_state(&state).map(|()| Vec::new());
+        invalid(&format!("analyzer state at α {other}"), got);
+        assert_eq!(a.alpha(), other);
+        invalid(
+            &format!("base at α {other}"),
+            checkpoint_restore(other, DEPTH, &base),
+        );
+    }
+    let parked = fixture("resequencer_state");
+    let delta = fixture("engine_delta");
+    for depth in [DEPTH - 1, DEPTH + 1] {
+        invalid(
+            &format!("resequencer at depth {depth}"),
+            resequencer_restore(depth, &parked),
+        );
+        invalid(
+            &format!("base at depth {depth}"),
+            checkpoint_restore(alpha, depth, &base),
+        );
+        match delta_restore(depth, &delta) {
+            Err(e) => assert!(
+                e.contains("resequencer depth"),
+                "delta at depth {depth}: {e}"
+            ),
+            Ok(_) => panic!("delta restored at depth {depth}"),
+        }
+    }
+    let defaults = LevelShiftConfig::default();
+    let (b, t) = (defaults.baseline_window, defaults.test_window);
+    let detector = fixture("detector_level_shift");
+    let mut restored = 0;
+    for (baseline_window, test_window) in [(b - 1, t), (b + 1, t), (b, t - 1), (b, t + 1)] {
+        let cfg = LevelShiftConfig {
+            baseline_window,
+            test_window,
+        };
+        let what = format!("level-shift state at {cfg:?}");
+        let mut d = LevelShiftDetector::new(cfg);
+        let mut r = Reader::new(&detector);
+        match d.restore(&mut r).and_then(|()| r.done()) {
+            Err(e) => invalid(&what, Err(e)),
+            Ok(()) => {
+                assert!(format!("{d:?}").contains(&format!("{cfg:?}")), "{what}");
+                restored += 1;
+            }
+        }
+        let mut analyzer = Analyzer::with_perf_config(library(), fresh_config(), cfg, false);
+        match analyzer.restore_state(&state) {
+            Err(e) => invalid(&format!("analyzer {what}"), Err(e)),
+            Ok(()) => assert_eq!(analyzer.export_state().as_ref(), Some(&state)),
+        }
+    }
+    assert!(restored >= 1, "a wider window holds the narrower state");
 }
 
 /// The seeded keyings every schedule, coin and shard assignment depends

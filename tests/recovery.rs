@@ -12,13 +12,13 @@
 //! `Cancelled`, never as `Exact` — and, since the stall coin is seeded,
 //! identically across replays.
 
-use gretel::core::checkpoint::decode_delta;
 use gretel::core::store::{records, FileStore, FileStoreConfig, MemStore, Store};
 use gretel::core::{
     run_service_cfg, run_service_durable, Analyzer, AnalyzerChaos, AnalyzerStats,
     CaptureConfidence, Diagnosis, DurableConfig, DurableOutcome, GretelConfig, RecoveryConfig,
     RecoveryStats, ServiceConfig, ServiceStats, KIND_CHECKPOINT, KIND_DELTA, KIND_DIAGNOSES,
 };
+use gretel::model::codec::Reader;
 use gretel::model::{
     Catalog, HttpMethod, Message, NodeId, OpSpecId, OperationSpec, Service, Workflows,
 };
@@ -488,6 +488,11 @@ fn newest_base(bounds: &[(usize, u8)]) -> usize {
         .expect("the log holds a base")
 }
 
+/// A delta's continuity key: the `u64` after its 4-byte format tag.
+fn delta_from(payload: &[u8]) -> u64 {
+    Reader::new(&payload[4..]).u64().expect("a delta's key")
+}
+
 /// `log` with one payload byte of record `index` flipped.
 fn corrupted(log: &[u8], index: usize) -> Vec<u8> {
     let mut store = MemStore::from_bytes(log.to_vec());
@@ -601,21 +606,49 @@ fn a_corrupt_middle_delta_rewritten_by_a_later_lifetime_chains_again() {
         if i == 0 {
             assert!(deltas.len() >= 2, "{bounds:?}");
             let (middle, _) = deltas[deltas.len() - 2];
-            let delta = decode_delta(records[middle].payload).expect("a valid delta");
-            corrupt_from.set(Some((middle, delta.from)));
+            corrupt_from.set(Some((middle, delta_from(records[middle].payload))));
             return corrupted(log, middle);
         }
         let (middle, from) = corrupt_from.get().expect("set by the first kill");
         assert!(
-            records[middle + 1..].iter().any(|r| r.kind == KIND_DELTA
-                && r.valid()
-                && decode_delta(r.payload).unwrap().from == from),
+            records[middle + 1..]
+                .iter()
+                .any(|r| r.kind == KIND_DELTA && r.valid() && delta_from(r.payload) == from),
             "the second lifetime re-wrote the corrupt delta's interval"
         );
         log.to_vec()
     });
     assert_eq!(diagnoses, expected, "zero lost, zero duplicated");
     assert_eq!(rec.restores, 2);
+}
+
+/// A record of a kind this build does not know — one a newer build might
+/// write — sits between boundaries on both backends. Every reader filters
+/// the log by kind, so restore and the release watermark step over it: the
+/// output is the uninterrupted run's, byte for byte.
+#[test]
+fn a_record_of_an_unknown_kind_between_boundaries_is_skipped() {
+    const UNKNOWN_KIND: u8 = 9;
+    let expected = reference(None);
+    let (diagnoses, rec) = chain_run("unknown-kind", &[150], |_, log| {
+        let bounds = boundaries(log);
+        let after = bounds[newest_base(&bounds) + 1].0;
+        let mut store = MemStore::new();
+        for (i, r) in records(log).enumerate() {
+            store.append(r.kind, r.payload).expect("append");
+            if i == after {
+                store
+                    .append(UNKNOWN_KIND, b"GCK\x09 a later layout")
+                    .expect("append");
+            }
+        }
+        store.append(UNKNOWN_KIND, &[0xFF; 40]).expect("append");
+        assert_eq!(records(store.bytes()).count(), records(log).count() + 2);
+        store.bytes().to_vec()
+    });
+    assert_eq!(diagnoses, expected, "zero lost, zero duplicated");
+    assert_eq!(rec.restores, 1);
+    assert_eq!(rec.duplicate_releases_suppressed, 0, "nothing fell back");
 }
 
 #[test]

@@ -7,7 +7,6 @@ use gretel_core::{
     run_service_durable, AnalyzerChaos, Diagnosis, DurableConfig, DurableOutcome, RecoveryConfig,
     RecoveryStats, ServiceConfig, KILL_ATTEMPTS, KIND_CHECKPOINT, MAX_ATTEMPTS,
 };
-use gretel_netcap::CaptureImpairment;
 use gretel_sim::CrashSchedule;
 use gretel_store::{records, FileStore, FileStoreConfig, MemStore, Store};
 use serde::Serialize;
@@ -253,11 +252,8 @@ pub fn recovery(ctx: &Ctx) -> Vec<Artifact> {
     let mut rows = Vec::new();
     for (si, run) in operational_runs(wb, seed).iter().enumerate() {
         let n_msgs = run.exec.messages.len() as u64;
-        // Oracle: the plain sequenced pipeline, no failures.
-        let service = ServiceConfig {
-            impairment: Some(CaptureImpairment::none()),
-            ..ServiceConfig::default()
-        };
+        // Oracle: the plain pipeline, no failures.
+        let service = ServiceConfig::default();
         let (expected, _, _) = wb.serve(run.gcfg, &run.nodes, &run.exec.messages, &service);
 
         for kills in KILL_COUNTS {

@@ -5,20 +5,18 @@
 use crate::workload::{operational_runs, SuiteRun};
 use crate::{Artifact, Ctx, Workbench};
 use gretel_core::{Diagnosis, ServiceConfig};
-use gretel_netcap::CaptureImpairment;
 use gretel_obs::{MetricsSnapshot, PipelineMetrics, Stage};
 use serde::Serialize;
 use std::sync::Arc;
 
-/// One pass of the sequenced service over a scenario's traffic; returns
-/// the diagnoses and the messages merged.
+/// One pass of the service over a scenario's traffic; returns the
+/// diagnoses and the messages merged.
 fn run_arm(
     wb: &Workbench,
     run: &SuiteRun,
     metrics: Option<Arc<PipelineMetrics>>,
 ) -> (Vec<Diagnosis>, u64) {
     let cfg = ServiceConfig {
-        impairment: Some(CaptureImpairment::none()),
         metrics,
         ..ServiceConfig::default()
     };

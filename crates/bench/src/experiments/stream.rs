@@ -7,9 +7,9 @@ use crate::workload::{stream_config, synthetic_stream};
 use crate::{Artifact, Ctx};
 use gretel_core::{
     analyze_stream, canonical_order, encode_diagnoses, run_sharded, run_sharded_durable, Analyzer,
-    DurableConfig, GretelConfig, ShardedConfig,
+    GretelConfig, ShardedConfig,
 };
-use gretel_hansel::{Hansel, HanselConfig};
+use gretel_hansel::Hansel;
 use gretel_model::NodeId;
 use gretel_sim::StreamConfig;
 use gretel_store::{FileStore, FileStoreConfig, Store};
@@ -51,7 +51,7 @@ pub(crate) fn fig8c(ctx: &Ctx) -> Vec<Artifact> {
             }
             diagnoses += analyzer.finish().len();
 
-            let mut hansel = Hansel::new(HanselConfig::default());
+            let mut hansel = Hansel::new();
             let mut reports: Vec<_> = stream.iter().flat_map(|m| hansel.process(m)).collect();
             reports.extend(hansel.finish());
             let hansel_lat_us: u64 = reports.iter().map(|r| r.latency_us()).sum();
@@ -222,7 +222,6 @@ pub(crate) fn soak(ctx: &Ctx) -> Vec<Artifact> {
                 shards,
                 ..ShardedConfig::default()
             },
-            &DurableConfig::default(),
             &mut store_refs,
         )
         .expect("durable sharded soak run");

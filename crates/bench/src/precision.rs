@@ -13,7 +13,7 @@ use crate::workload::{
 use crate::{p_rate, Workbench};
 use gretel_core::{analyze_stream, Analyzer, GretelConfig};
 use gretel_model::{Category, OperationSpec};
-use gretel_sim::{secs, Deployment, NoiseConfig, RunConfig, Runner};
+use gretel_sim::{secs, Deployment, RunConfig, Runner};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -130,7 +130,6 @@ pub fn run(wb: &Workbench, params: PrecisionParams) -> PrecisionResult {
     let run_cfg = RunConfig {
         seed: params.seed,
         start_window: secs(params.start_window_secs),
-        noise: NoiseConfig::default(),
         correlation_ids: params.correlation_ids,
         ..RunConfig::default()
     };

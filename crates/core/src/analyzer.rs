@@ -21,7 +21,6 @@ use crate::anomaly::{scan_message, LatencyPairer};
 use crate::config::GretelConfig;
 use crate::detect::{Detector, SnapshotIndex};
 use crate::event::{Event, FaultMark};
-use crate::fasthash::FastSet;
 use crate::fingerprint::FingerprintLibrary;
 use crate::perf::{PerfFault, PerfMonitor};
 use crate::rca::RcaEngine;
@@ -84,7 +83,9 @@ pub struct Analyzer<'a> {
     window: SlidingWindow,
     pairer: LatencyPairer,
     perf: PerfMonitor,
-    analyzed_errors: FastSet<MessageId>,
+    /// The claim watermark: the message count when the last snapshot job
+    /// was prepared. Every error at or below it is claimed already.
+    claimed_through: u64,
     pending_perf: Vec<(MessageId, PerfFault)>,
     stats: AnalyzerStats,
     pending_gap: u32,
@@ -121,7 +122,7 @@ impl<'a> Analyzer<'a> {
             rca: None,
             pairer: LatencyPairer::new(),
             perf,
-            analyzed_errors: FastSet::default(),
+            claimed_through: 0,
             pending_perf: Vec::new(),
             stats: AnalyzerStats::default(),
             pending_gap: 0,
@@ -332,40 +333,32 @@ impl<'a> Analyzer<'a> {
     }
 
     /// Serialize the analyzer's full ingest state — window, pairer, perf
-    /// detectors, error dedup set, pending perf faults, stats, pending gap
-    /// marker, traffic graph — for a base checkpoint. `None` when the
-    /// perf monitor holds a detector without state export (the analyzer is
-    /// then not checkpointable; see
-    /// [`gretel_telemetry::OutlierDetector::put_state`]).
+    /// detectors, claim watermark, pending perf faults, stats, pending gap
+    /// marker, traffic graph — for a base checkpoint. Always `Some`: every
+    /// [`gretel_telemetry::OutlierDetector`] writes its state.
     ///
     /// Configuration (library, [`crate::GretelConfig`], RCA context) is
     /// *not* serialized: restore targets an analyzer constructed the same
     /// way, and only replaces its dynamic state.
     pub fn export_state(&self) -> Option<Vec<u8>> {
         let mut out = Vec::new();
-        self.put_state(&mut out).then_some(out)
+        self.put_state(&mut out);
+        Some(out)
     }
 
     /// Append [`Analyzer::export_state`]'s bytes to `out`, each block
-    /// written in place; a base record is encoded this way. `false` when
-    /// the analyzer is not checkpointable, and what it appended is then to
-    /// be discarded.
-    pub(crate) fn put_state(&self, out: &mut Vec<u8>) -> bool {
+    /// written in place; a base record is encoded this way.
+    pub(crate) fn put_state(&self, out: &mut Vec<u8>) {
         // The window is most of the state: reserve for it, so the buffer
         // grows at most a few times more.
         out.reserve((self.window.len() + 1024) * Event::MIN_BYTES);
         self.window.put_state(out);
         self.pairer.put(out);
-        if !self.perf.put_state(out) {
-            return false;
-        }
-        let mut errors: Vec<MessageId> = self.analyzed_errors.iter().copied().collect();
-        errors.sort_unstable();
-        errors.put(out);
+        self.perf.put_state(out);
+        self.claimed_through.put(out);
         self.pending_perf.put(out);
         (self.stats, self.pending_gap).put(out);
         self.graph.put(out);
-        true
     }
 
     /// Replace this analyzer's dynamic state with
@@ -373,8 +366,11 @@ impl<'a> Analyzer<'a> {
     /// library, config, perf factory, RCA — the same way as the one that
     /// exported; only the dynamic state transfers, into the window and
     /// detectors this analyzer's configuration built, and a window of
-    /// another α than the configured one is `Invalid("window alpha")`.
-    /// All-or-nothing: on any error the analyzer is left unchanged.
+    /// another α than the configured one is `Invalid("window alpha")`; a
+    /// claim watermark past the message count is
+    /// `Invalid("claim watermark")`, and a window holding more events than
+    /// that count `Invalid("window past message count")`. All-or-nothing:
+    /// on any error the analyzer is left unchanged.
     pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), DecodeError> {
         self.restore_from(Reader::new(bytes))
     }
@@ -386,17 +382,25 @@ impl<'a> Analyzer<'a> {
         window.restore(&mut r)?;
         let pairer = LatencyPairer::read(&mut r)?;
         let detectors = self.perf.read_detectors(&mut r)?;
-        let errors: Vec<MessageId> = Wire::read(&mut r)?;
+        let claimed_through = u64::read(&mut r)?;
         let pending_perf = Wire::read(&mut r)?;
-        let (stats, pending_gap) = Wire::read(&mut r)?;
+        let (stats, pending_gap): (AnalyzerStats, u32) = Wire::read(&mut r)?;
         let graph = Wire::read(&mut r)?;
         r.done()?;
+        if claimed_through > stats.messages {
+            return Err(DecodeError::Invalid("claim watermark"));
+        }
+        // Every windowed event was ingested, which the claim arithmetic in
+        // `prepare_job` relies on.
+        if window.len() as u64 > stats.messages {
+            return Err(DecodeError::Invalid("window past message count"));
+        }
 
         // Everything decoded: commit.
         self.window = window;
         self.pairer = pairer;
         self.perf.install(detectors);
-        self.analyzed_errors = errors.into_iter().collect();
+        self.claimed_through = claimed_through;
         self.pending_perf = pending_perf;
         self.stats = stats;
         self.pending_gap = pending_gap;
@@ -427,26 +431,37 @@ impl<'a> Analyzer<'a> {
         self.stats.snapshots += 1;
         // Performance faults folded into this snapshot.
         let perf: Vec<(MessageId, PerfFault)> = std::mem::take(&mut self.pending_perf);
-        // Claim every unanalyzed error event (the REST error that armed
-        // the snapshot plus any RPC/REST errors nearby). The dedup set is
-        // consulted exactly here — single-threaded — so analysis itself
-        // needs no shared state.
+        // Claim every unclaimed error event (the REST error that armed the
+        // snapshot plus any RPC/REST errors nearby). A snapshot holds the
+        // last `len` ingested messages, so event `i` is message
+        // `messages - len + 1 + i`; windows freeze in ingest order and each
+        // claims every unclaimed error it holds, so an error is claimed
+        // already exactly when it lies at or below the previous freeze's
+        // count. That is the rule "claim each message id once" whenever ids
+        // are unique in the ingested stream — true of the executor, of
+        // `SyntheticStream`, and after resequencing, which drops duplicates
+        // by sequence number. The watermark is read and moved exactly here
+        // — single-threaded — so analysis itself needs no shared state.
+        let first = self.stats.messages + 1 - snap.events.len() as u64;
+        let claimed = (self.claimed_through + 1).saturating_sub(first);
         let errors: Vec<usize> = snap
             .events
             .iter()
             .enumerate()
+            .skip(claimed as usize)
             .filter(|(_, ev)| ev.fault.is_error() && !ev.noise_api)
-            .filter(|(_, ev)| self.analyzed_errors.insert(ev.id))
             .map(|(idx, _)| idx)
             .collect();
+        self.claimed_through = self.stats.messages;
         SnapshotJob { snap, perf, errors }
     }
 }
 
 /// A frozen snapshot plus the receiver-side decisions that accompany it:
-/// which perf faults folded into it and which error events it claimed from
-/// the dedup set. Prepared by [`Analyzer::ingest`] on the capture thread;
-/// analyzed — statelessly, on any thread — by [`SnapshotAnalyzer`].
+/// which perf faults folded into it and which error events it claimed
+/// above the claim watermark. Prepared by [`Analyzer::ingest`] on the
+/// capture thread; analyzed — statelessly, on any thread — by
+/// [`SnapshotAnalyzer`].
 #[derive(Debug, Clone)]
 pub struct SnapshotJob {
     snap: Snapshot,
@@ -708,9 +723,7 @@ mod tests {
     use super::*;
     use crate::fingerprint::FingerprintLibrary;
     use gretel_model::{Catalog, HttpMethod, NodeId, OpSpecId, Service, Workflows};
-    use gretel_sim::{
-        ApiFault, FaultPlan, FaultScope, InjectedError, NoiseConfig, RunConfig, Runner,
-    };
+    use gretel_sim::{ApiFault, FaultPlan, FaultScope, InjectedError, RunConfig, Runner};
     use std::sync::Arc;
 
     fn setup() -> (
@@ -747,7 +760,7 @@ mod tests {
         });
         let cfg = RunConfig {
             seed: 3,
-            noise: NoiseConfig::default(),
+            noise: true,
             ..RunConfig::default()
         };
         let refs: Vec<&OperationSpec> = specs.iter().collect();
@@ -940,7 +953,7 @@ mod tests {
             RunConfig {
                 seed: 1,
                 start_window: 0,
-                noise: NoiseConfig::off(),
+                noise: false,
                 ..Default::default()
             },
         )
@@ -1032,29 +1045,31 @@ mod tests {
             },
         )
         .run(&refs);
-        let mut analyzer = Analyzer::new(
-            &lib,
-            GretelConfig {
-                alpha: 32,
-                ..Default::default()
-            },
-        );
-        // Feed the stream TWICE (e.g. an operator replaying a capture into
-        // a live analyzer): the error dedup keeps each error analyzed once.
-        let mut diagnoses = Vec::new();
-        for m in exec.messages.iter().chain(exec.messages.iter()) {
-            diagnoses.extend(analyzer.process(m));
-        }
-        diagnoses.extend(analyzer.finish());
-        let errors_on_wire = exec.messages.iter().filter(|m| m.is_rest_error()).count();
-        let operational = diagnoses
-            .iter()
-            .filter(|d| matches!(d.kind, FaultKind::Operational { .. }))
-            .count();
-        assert!(
-            operational <= errors_on_wire,
-            "{operational} <= {errors_on_wire}"
-        );
+        let gcfg = GretelConfig {
+            alpha: 32,
+            ..Default::default()
+        };
+        let mut inline = Analyzer::new(&lib, gcfg);
+        let expected = analyze_stream(&mut inline, exec.messages.iter());
+        assert!(!expected.is_empty(), "faulted run diagnoses");
+        // Every frame ships twice. The analyzer claims errors by ingest
+        // position, so duplicates must not reach it: the receiver's
+        // resequencer drops each copy by its sequence number, and every
+        // error is analyzed once, as inline.
+        let nodes: Vec<NodeId> = dep.nodes().iter().map(|n| n.id).collect();
+        let cfg = crate::ServiceConfig {
+            impairment: Some(gretel_netcap::CaptureImpairment {
+                dup_prob: 1.0,
+                ..gretel_netcap::CaptureImpairment::none()
+            }),
+            ..crate::ServiceConfig::default()
+        };
+        let mut threaded = Analyzer::new(&lib, gcfg);
+        let (diagnoses, svc, _) =
+            crate::run_service_cfg(&mut threaded, &nodes, &exec.messages, &cfg);
+        assert_eq!(diagnoses, expected);
+        assert_eq!(svc.capture.duplicated, svc.capture.frames);
+        assert_eq!(svc.capture.dup_discarded, svc.capture.duplicated);
     }
 
     #[test]
@@ -1199,9 +1214,9 @@ mod tests {
             },
         );
         let state = analyzer.export_state().unwrap();
-        // Empty state: window 8+4+4, pairer 4+4, perf 4, errors 4, then
-        // the pending-perf count.
-        let n_perf_at = 16 + 8 + 4 + 4;
+        // Empty state: window 8+4+4, pairer 4+4, perf 4, claim watermark
+        // 8, then the pending-perf count.
+        let n_perf_at = 16 + 8 + 4 + 8;
         assert_eq!(state[n_perf_at..n_perf_at + 4], [0; 4]);
         let mut bad = state.clone();
         bad[n_perf_at..n_perf_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -1209,6 +1224,132 @@ mod tests {
         analyzer
             .restore_state(&state)
             .expect("the honest state still restores");
+    }
+
+    #[test]
+    fn restore_rejects_a_state_past_its_message_count() {
+        let (cat, dep, specs, lib) = setup();
+        let refs: Vec<&OperationSpec> = specs.iter().collect();
+        let exec = Runner::new(cat, &dep, &FaultPlan::none(), RunConfig::default()).run(&refs);
+        let mut analyzer = Analyzer::new(
+            &lib,
+            GretelConfig {
+                alpha: 8,
+                ..Default::default()
+            },
+        );
+        for m in exec.messages.iter().take(40) {
+            analyzer.ingest(m);
+        }
+        let state = analyzer.export_state().unwrap();
+        // The watermark follows the window, pairer and perf blocks.
+        let mut head = Vec::new();
+        analyzer.window.put_state(&mut head);
+        analyzer.pairer.put(&mut head);
+        analyzer.perf.put_state(&mut head);
+        let at = head.len();
+        // Then an empty pending-perf list, then the stats, messages first.
+        assert_eq!(state[at + 8..at + 12], [0; 4]);
+        let messages_at = at + 12;
+        let with = |at: usize, v: u64| {
+            let mut bytes = state.clone();
+            bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            bytes
+        };
+        assert_eq!(with(at, analyzer.claimed_through), state);
+        assert_eq!(with(messages_at, 40), state);
+        let hostile = [
+            (with(at, 41), "claim watermark"),
+            (with(at, u64::MAX), "claim watermark"),
+            // The α = 8 window holds eight events.
+            (with(messages_at, 7), "window past message count"),
+        ];
+        for (bytes, why) in hostile {
+            assert_eq!(
+                analyzer.restore_state(&bytes),
+                Err(DecodeError::Invalid(why))
+            );
+            assert_eq!(analyzer.export_state().unwrap(), state, "left unchanged");
+        }
+        // A watermark at the message count claims everything ingested.
+        analyzer.restore_state(&with(at, 40)).unwrap();
+        assert_eq!(analyzer.claimed_through, 40);
+    }
+
+    /// The claim rule the watermark replaced, as a reference: each job
+    /// claims the non-noise error events whose message id no earlier job
+    /// claimed.
+    fn set_rule_claims(jobs: &[SnapshotJob]) -> Vec<Vec<usize>> {
+        let mut claimed = std::collections::HashSet::new();
+        jobs.iter()
+            .map(|job| {
+                let events = job.snap.events.iter().enumerate();
+                events
+                    .filter(|(_, ev)| ev.fault.is_error() && !ev.noise_api)
+                    .filter(|(_, ev)| claimed.insert(ev.id))
+                    .map(|(i, _)| i)
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Ingest `messages` at α `alpha`, stream end included, and check the
+    /// watermark's claims against the set rule's, job by job. Returns the
+    /// number of claimed errors.
+    fn claims_agree_with_the_set_rule<'m>(
+        lib: &FingerprintLibrary,
+        alpha: usize,
+        messages: impl IntoIterator<Item = &'m Message>,
+    ) -> usize {
+        let mut analyzer = Analyzer::new(
+            lib,
+            GretelConfig {
+                alpha,
+                ..Default::default()
+            },
+        );
+        let mut jobs = Vec::new();
+        for m in messages {
+            jobs.extend(analyzer.ingest(m));
+        }
+        jobs.extend(analyzer.finish_jobs_observed(None));
+        let reference = set_rule_claims(&jobs);
+        for (k, (job, want)) in jobs.iter().zip(&reference).enumerate() {
+            assert_eq!(&job.errors, want, "job {k} at alpha {alpha}");
+        }
+        reference.iter().map(Vec::len).sum()
+    }
+
+    #[test]
+    fn the_claim_watermark_claims_what_the_id_set_claimed() {
+        let (cat, _, _, lib) = setup();
+        let mut claims = 0;
+        for seed in 1..=20 {
+            for scenario in gretel_sim::scenario::operational_suite(&cat, seed, 6) {
+                let exec = scenario.run(cat.clone());
+                for alpha in [8, 16, 64] {
+                    claims += claims_agree_with_the_set_rule(&lib, alpha, &exec.messages);
+                }
+            }
+        }
+        assert!(claims >= 1_000, "suite traffic claims {claims} errors");
+
+        // `storm`'s density: one fault per 100 messages.
+        let specs: Vec<OperationSpec> = gretel_model::TempestSuite::generate(cat.clone(), 1)
+            .specs()
+            .iter()
+            .step_by(13)
+            .cloned()
+            .collect();
+        let cfg = gretel_sim::StreamConfig {
+            total_messages: 40_000,
+            fault_every: 100,
+            ..Default::default()
+        };
+        let stream = gretel_sim::SyntheticStream::new(cat.clone(), &specs, cfg);
+        let stream: Vec<Message> = stream.collect();
+        let claims = claims_agree_with_the_set_rule(&lib, 256, &stream);
+        assert!(claims >= 300, "storm prefix claims {claims} errors");
     }
 
     #[test]

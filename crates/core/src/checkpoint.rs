@@ -4,7 +4,7 @@
 //! checkpoint interval with a boundary record in a [`gretel_store::Store`]:
 //! an append-only log of length-prefixed, checksummed records. A boundary
 //! record is a *base* ([`encode_checkpoint`]) — the analyzer's ingest state
-//! (sliding window, latency pairer, perf detectors, error dedup set,
+//! (sliding window, latency pairer, perf detectors, claim watermark,
 //! traffic graph) — or a *delta* ([`encode_delta`]): the messages merged
 //! since the previous boundary, as fixed-size entries. Both carry the
 //! receiver-side [`gretel_netcap::Resequencer`] positions and the next job
@@ -244,25 +244,18 @@ fn untag(payload: &[u8]) -> Result<Reader<'_>, DecodeError> {
 /// Write the engine's [`crate::KIND_CHECKPOINT`] record, a *base*, into
 /// `out` (replacing what it held) in one pass: the tag, the sequence number
 /// the next snapshot job gets, the agents' block, and the analyzer's state
-/// ([`crate::Analyzer::export_state`]'s bytes) to the end. `false`, and no
-/// record in `out`, when the analyzer cannot be checkpointed (a plug-in
-/// perf detector without
-/// [`gretel_telemetry::OutlierDetector::put_state`]).
+/// ([`crate::Analyzer::export_state`]'s bytes) to the end.
 pub fn encode_checkpoint<'s>(
     out: &mut Vec<u8>,
     analyzer: &Analyzer<'_>,
     next_seq: u64,
     agents: impl ExactSizeIterator<Item = &'s AgentState>,
-) -> bool {
+) {
     out.clear();
     out.extend_from_slice(&CHECKPOINT_TAG);
     next_seq.put(out);
     put_agents(agents, out);
-    let written = analyzer.put_state(out);
-    if !written {
-        out.clear();
-    }
-    written
+    analyzer.put_state(out);
 }
 
 /// Restore a record written by [`encode_checkpoint`] into `analyzer` and

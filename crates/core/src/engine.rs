@@ -20,9 +20,9 @@
 //!
 //! The receiver thread never builds a [`Message`]: it parses each frame in
 //! place ([`decode_view`]), scans the borrowed payload for failure patterns
-//! in one batch-wide pass, resequences the frames when they are
-//! sequence-stamped, k-way merges the per-agent streams on `(ts, id)` and
-//! drives the [`Analyzer`] with each message's fixed-size [`MessageHead`].
+//! in one batch-wide pass, resequences the frames, k-way merges the
+//! per-agent streams on `(ts, id)` and drives the [`Analyzer`] with each
+//! message's fixed-size [`MessageHead`].
 //! A queued message is its head and scan verdict, nothing else: the frame's
 //! bytes are never read again. Completed snapshots ship as jobs to a
 //! supervised worker [`Pool`]; results are released in job-sequence order,
@@ -44,10 +44,12 @@
 //!   written immediately *before* the boundary record that makes them
 //!   unrepeatable — so a crash can neither lose nor duplicate a diagnosis.
 //!
-//! Whether frames are sequence-stamped is derived, never set: a store
-//! (replay dedups the re-shipped prefix by sequence number) or an
-//! impairment (the receiver must see what went missing) needs it. Stamping
-//! is an argument to the encoder, not a second capture path.
+//! Every link is sequence-stamped: each agent numbers the messages it
+//! captures and the receiver resequences each agent's frames. A store
+//! needs the numbers (replay dedups the re-shipped prefix by sequence
+//! number), an impairment needs them (the receiver must see what went
+//! missing), and a clean in-order link passes through the resequencer
+//! unchanged.
 
 use crate::analyzer::{Analyzer, AnalyzerStats, SnapshotAnalyzer, SnapshotJob};
 use crate::anomaly::scan_frame;
@@ -60,7 +62,7 @@ use crate::recover::{
     MAX_ATTEMPTS,
 };
 use crate::report::Diagnosis;
-use crate::service::{ServiceConfig, ServiceError, ServiceStats, CHANNEL_CAPACITY};
+use crate::service::{pool_width, ServiceConfig, ServiceError, ServiceStats, CHANNEL_CAPACITY};
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use gretel_model::codec::DecodeError;
 use gretel_model::{Message, NodeId};
@@ -82,21 +84,19 @@ fn parse(frame: &[u8]) -> Result<(Marked, Option<u64>), CodecError> {
 
 /// One agent's stream at the receiver: each batch's frames are parsed in
 /// place and scanned for failure patterns in one batch-wide pass,
-/// resequenced (when sequenced) into `(gap_before, frame)` pairs, and
-/// buffered in the agent's ready queue until the k-way merge consumes them.
+/// resequenced into `(gap_before, frame)` pairs, and buffered in the
+/// agent's ready queue until the k-way merge consumes them.
 struct AgentStream {
     agent: AgentState,
-    sequenced: bool,
     /// Reused buffer of one batch's parsed frames and sequence numbers.
     parsed: Vec<(Marked, Option<u64>)>,
     done: bool,
 }
 
 impl AgentStream {
-    fn new(sequenced: bool, depth: usize) -> AgentStream {
+    fn new(depth: usize) -> AgentStream {
         AgentStream {
             agent: AgentState::new(depth),
-            sequenced,
             parsed: Vec::new(),
             done: false,
         }
@@ -116,10 +116,6 @@ impl AgentStream {
             Ok::<_, CodecError>(())
         });
         let AgentState { resequencer, ready } = &mut self.agent;
-        if !self.sequenced {
-            ready.extend(self.parsed.drain(..).map(|(frame, _)| (0, frame)));
-            return Ok(parsed?);
-        }
         // One timing sample per batch, one counted event per frame: stage
         // latencies show the batch-level dispatch cost while event counts
         // stay per-item (see gretel-obs).
@@ -184,19 +180,18 @@ pub(crate) type Route = (usize, usize);
 /// The unsharded pipeline: one partition, which every message routes to.
 pub(crate) const UNSHARDED: Route = (0, 1);
 
-/// The one pack-and-ship loop: encode each `(seq, message)` straight into
-/// the arena of the batch it ships in (stamped when `sequenced`) and send
-/// every batch the moment it fills. A full link blocks the send; the loop
-/// stops early only if the receiver went away.
+/// The one pack-and-ship loop: encode each `(seq, message)`, stamped with
+/// its sequence number, straight into the arena of the batch it ships in
+/// and send every batch the moment it fills. A full link blocks the send;
+/// the loop stops early only if the receiver went away.
 fn ship_frames<'m>(
     frames: impl IntoIterator<Item = (u64, &'m Message)>,
-    sequenced: bool,
     ingest_batch: usize,
     tx: &Sender<FrameBatch>,
 ) {
     let mut builder = FrameBatchBuilder::new(ingest_batch);
     for (seq, msg) in frames {
-        if let Some(batch) = builder.encode(msg, sequenced.then_some(seq)) {
+        if let Some(batch) = builder.encode(msg, Some(seq)) {
             if tx.send(batch).is_err() {
                 return;
             }
@@ -220,7 +215,6 @@ fn spawn_agent<'sc, 'env>(
     node: NodeId,
     traffic: &'env [Message],
     cfg: &ServiceConfig,
-    sequenced: bool,
     (shard, of): Route,
     stat_tx: Sender<CaptureStats>,
 ) -> Receiver<FrameBatch> {
@@ -240,11 +234,11 @@ fn spawn_agent<'sc, 'env>(
             // sees the agent's pairs at once; it never reads a byte.
             Some(imp) => {
                 let survivors = imp.apply(node, mine.collect(), &mut capture);
-                ship_frames(survivors, sequenced, ingest_batch, &tx);
+                ship_frames(survivors, ingest_batch, &tx);
             }
             None => {
                 let counted = mine.inspect(|_| capture.frames += 1);
-                ship_frames(counted, sequenced, ingest_batch, &tx);
+                ship_frames(counted, ingest_batch, &tx);
             }
         }
         let _ = stat_tx.send(capture);
@@ -289,10 +283,7 @@ impl Chain {
                 KIND_DELTA
             }
             _ => {
-                assert!(
-                    encode_checkpoint(&mut self.record, analyzer, next_seq, agents),
-                    "durable runs build Analyzer::new, whose detectors checkpoint"
-                );
+                encode_checkpoint(&mut self.record, analyzer, next_seq, agents);
                 self.base_bytes = Some(self.record.len());
                 self.delta_bytes = 0;
                 KIND_CHECKPOINT
@@ -733,15 +724,12 @@ pub(crate) fn run_cycle(
     );
     let metrics = cfg.service.metrics.as_deref();
     let durable = state.store.is_some();
-    let sequenced = durable || cfg.service.impairment.is_some();
-    let workers = cfg.service.effective_workers();
+    let available = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let workers = pool_width(cfg.service.workers, route.1, available);
 
     // ---- Restore --------------------------------------------------------
     let depth = cfg.service.resequence_depth;
-    let mut streams: Vec<AgentStream> = nodes
-        .iter()
-        .map(|_| AgentStream::new(sequenced, depth))
-        .collect();
+    let mut streams: Vec<AgentStream> = nodes.iter().map(|_| AgentStream::new(depth)).collect();
     let restored = match &state.store {
         Some(store) => restore(&**store, analyzer, &mut streams)?,
         None => None,
@@ -772,17 +760,7 @@ pub(crate) fn run_cycle(
         let (stat_tx, stat_rx) = unbounded::<CaptureStats>();
         let rxs: Vec<Receiver<FrameBatch>> = nodes
             .iter()
-            .map(|&n| {
-                spawn_agent(
-                    scope,
-                    n,
-                    traffic,
-                    &cfg.service,
-                    sequenced,
-                    route,
-                    stat_tx.clone(),
-                )
-            })
+            .map(|&n| spawn_agent(scope, n, traffic, &cfg.service, route, stat_tx.clone()))
             .collect();
         drop(stat_tx);
 
@@ -843,8 +821,6 @@ pub(crate) fn run_cycle(
                 store.sync()?;
                 state.diagnoses = read_diagnoses(&**store)?;
             }
-            // An unsequenced stream's resequencer saw nothing: its stats
-            // are zero.
             for st in &streams {
                 state
                     .service_stats
@@ -871,7 +847,7 @@ pub(crate) fn run_cycle(
 }
 
 /// The engine without a store: `analyzer` is driven as given (it may carry
-/// RCA or an opaque perf detector — nothing is exported or restored),
+/// RCA or a plug-in perf detector — nothing is exported or restored),
 /// workers run chaos-free, and the diagnoses are released in
 /// job-sequence order at end of stream. A job whose analysis genuinely
 /// panics is retried and, past [`MAX_ATTEMPTS`] attempts, surfaced as
@@ -942,25 +918,23 @@ mod tests {
     /// receiver parses frame by frame, it does not vet the batch first.
     #[test]
     fn a_corrupt_frame_mid_batch_fails_with_its_own_error() {
-        for sequenced in [false, true] {
-            let mut bad = encode_seq(&rest_message(1), 1).to_vec();
-            bad[4] = 0xFF; // the low magic byte
-            let mut builder = FrameBatchBuilder::new(8);
-            builder.push(&encode_seq(&rest_message(0), 0));
-            builder.push(&bad);
-            builder.push(&encode_seq(&rest_message(2), 2));
-            let (tx, rx) = bounded(1);
-            tx.send(builder.finish().expect("three frames")).unwrap();
-            let mut st = AgentStream::new(sequenced, 4);
-            let mut stats = ServiceStats::default();
-            let got = st.refill(&rx, &mut stats, None);
-            assert!(
-                matches!(got, Err(ServiceError::Codec(CodecError::BadMagic(0x47FF)))),
-                "sequenced {sequenced}: {got:?}"
-            );
-            let queued: Vec<u64> = st.agent.ready.iter().map(|(_, (h, _))| h.id.0).collect();
-            assert_eq!(queued, [0], "sequenced {sequenced}");
-        }
+        let mut bad = encode_seq(&rest_message(1), 1).to_vec();
+        bad[4] = 0xFF; // the low magic byte
+        let mut builder = FrameBatchBuilder::new(8);
+        builder.push(&encode_seq(&rest_message(0), 0));
+        builder.push(&bad);
+        builder.push(&encode_seq(&rest_message(2), 2));
+        let (tx, rx) = bounded(1);
+        tx.send(builder.finish().expect("three frames")).unwrap();
+        let mut st = AgentStream::new(4);
+        let mut stats = ServiceStats::default();
+        let got = st.refill(&rx, &mut stats, None);
+        assert!(
+            matches!(got, Err(ServiceError::Codec(CodecError::BadMagic(0x47FF)))),
+            "{got:?}"
+        );
+        let queued: Vec<u64> = st.agent.ready.iter().map(|(_, (h, _))| h.id.0).collect();
+        assert_eq!(queued, [0]);
     }
 
     #[test]
@@ -1124,9 +1098,7 @@ mod tests {
     ) -> (u64, Vec<u8>) {
         let mut analyzer = Analyzer::new(lib, chain_gcfg());
         let depth = ServiceConfig::default().resequence_depth;
-        let mut streams: Vec<_> = (0..n_agents)
-            .map(|_| AgentStream::new(true, depth))
-            .collect();
+        let mut streams: Vec<_> = (0..n_agents).map(|_| AgentStream::new(depth)).collect();
         let log = MemStore::from_bytes(log.to_vec());
         let (_, chain) = restore(&log, &mut analyzer, &mut streams)
             .expect("the log restores")

@@ -69,9 +69,6 @@ impl Hasher for FastHasher {
 /// `HashMap` with the [`FastHasher`].
 pub type FastMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
-/// `HashSet` with the [`FastHasher`].
-pub type FastSet<T> = std::collections::HashSet<T, BuildHasherDefault<FastHasher>>;
-
 #[cfg(test)]
 mod tests {
     use super::*;

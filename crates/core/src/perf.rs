@@ -87,18 +87,15 @@ impl PerfMonitor {
     /// Append the per-API detector states for an analyzer checkpoint:
     /// their count, then each API and its detector's state, in API order.
     /// The latency history is a plotting aid for inline runs and is not
-    /// checkpointed. `false` when a detector does not implement
-    /// [`OutlierDetector::put_state`]: a monitor with an opaque plug-in
-    /// detector cannot be checkpointed, and what it appended is to be
-    /// discarded.
-    pub(crate) fn put_state(&self, out: &mut Vec<u8>) -> bool {
+    /// checkpointed.
+    pub(crate) fn put_state(&self, out: &mut Vec<u8>) {
         let mut detectors: Vec<_> = self.detectors.iter().collect();
         detectors.sort_unstable_by_key(|(api, _)| api.0);
         put_count(out, detectors.len());
-        detectors.into_iter().all(|(api, det)| {
+        for (api, det) in detectors {
             api.put(out);
-            det.put_state(out)
-        })
+            det.put_state(out);
+        }
     }
 
     /// Detectors built by this monitor's own factory, each restored from
@@ -197,7 +194,7 @@ mod tests {
 
     fn state(mon: &PerfMonitor) -> Vec<u8> {
         let mut out = Vec::new();
-        assert!(mon.put_state(&mut out), "default detectors checkpoint");
+        mon.put_state(&mut out);
         out
     }
 
@@ -217,20 +214,6 @@ mod tests {
         kept.install(detectors);
         assert!(kept.history(ApiId(3)).is_empty(), "history restarts");
         assert_eq!(state(&kept), b);
-    }
-
-    #[test]
-    fn a_plug_in_detector_without_state_is_not_checkpointable() {
-        struct Opaque;
-        impl OutlierDetector for Opaque {
-            fn update(&mut self, _: u64, _: f64) -> Option<Anomaly> {
-                None
-            }
-        }
-        let mut mon = PerfMonitor::with_factory(Box::new(|| Box::new(Opaque)), false);
-        assert!(mon.put_state(&mut Vec::new()), "no detector yet");
-        mon.observe(obs(1, 0, 5.0));
-        assert!(!mon.put_state(&mut Vec::new()));
     }
 
     #[test]

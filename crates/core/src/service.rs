@@ -19,14 +19,14 @@
 //! (`tests/batched_ingest.rs` holds that oracle).
 //!
 //! A full link blocks its agent until the receiver catches up, as the
-//! paper's TCP links do: the transport never drops a frame. Loss enters only
+//! paper's TCP links do: the transport never drops a frame. Every frame is
+//! sequence-stamped and resequenced at the receiver. Loss enters only
 //! through a seeded [`CaptureImpairment`], which the store-less entry point
-//! [`run_service_cfg`] applies to every agent's capture; frames are then
-//! sequence-stamped and resequenced at the receiver, which turns inferred
-//! losses into window gap markers. The loop itself lives once in the
-//! crate-private `engine` module, shared
-//! with the store-backed [`run_service_durable`](crate::run_service_durable)
-//! and the shard driver.
+//! [`run_service_cfg`] applies to every agent's capture; the resequencer
+//! turns the losses it infers into window gap markers. The loop itself
+//! lives once in the crate-private `engine` module, shared with the
+//! store-backed [`run_service_durable`](crate::run_service_durable) and the
+//! shard driver.
 
 use crate::analyzer::{Analyzer, AnalyzerStats};
 use crate::report::Diagnosis;
@@ -91,28 +91,14 @@ impl From<gretel_store::StoreError> for ServiceError {
     }
 }
 
-/// Default analysis-pool width for [`run_service_cfg`]: the machine's
-/// parallelism capped at 4 (a laptop-friendly default —
-/// [`ServiceConfig::workers`] sets any other width).
-fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(4)
-}
-
-/// The per-shard analysis-pool width for a `shards`-way sharded pipeline
-/// (see [`crate::shard`]) on a machine of `available` parallelism: the
-/// unsharded default budget, `min(available, 4)`, *divided* across the
-/// shards — N shards must not multiply the thread count N× — and never
-/// below one worker per shard.
-///
-/// # Panics
-///
-/// Panics if `shards == 0`.
-pub(crate) fn resolve_shard_workers(shards: usize, available: usize) -> usize {
-    assert!(shards > 0, "need at least one shard");
-    (available.min(4) / shards).max(1)
+/// The analysis-pool width of one of `shards` (≥ 1) pipelines (see
+/// [`crate::shard`]; an unsharded run is one) on a machine of `available`
+/// parallelism: `workers` when [`ServiceConfig::workers`] sets it, else the
+/// default budget — the parallelism capped at 4, a laptop-friendly default
+/// — *divided* across the shards, since N shards must not multiply the
+/// thread count N×. Never below one worker.
+pub(crate) fn pool_width(workers: Option<usize>, shards: usize, available: usize) -> usize {
+    workers.unwrap_or(available.min(4) / shards).max(1)
 }
 
 /// Bound of each agent→receiver link (batches; a full link blocks its
@@ -122,12 +108,12 @@ pub(crate) const CHANNEL_CAPACITY: usize = 64;
 /// Configuration for [`run_service_cfg`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Analysis-pool width; `None` uses the capped machine default (see
-    /// `ServiceConfig::effective_workers`).
+    /// Analysis-pool width; `None` uses the capped machine default,
+    /// divided across the shards of a sharded run.
     pub workers: Option<usize>,
     /// Optional seeded capture-plane impairment applied to every agent's
-    /// capture; it sequence-stamps the frames so the receiver can see what
-    /// went missing. `None` ships unsequenced frames, losslessly.
+    /// capture; the receiver sees what went missing from the sequence
+    /// numbers every frame carries. `None` ships every frame, in order.
     pub impairment: Option<CaptureImpairment>,
     /// Receiver-side resequencer depth: how many out-of-order frames to
     /// park per agent before force-advancing past a hole.
@@ -157,13 +143,6 @@ impl Default for ServiceConfig {
     }
 }
 
-impl ServiceConfig {
-    /// The analysis-pool width this configuration resolves to.
-    pub(crate) fn effective_workers(&self) -> usize {
-        self.workers.unwrap_or_else(default_workers).max(1)
-    }
-}
-
 /// Transport-level statistics from one service run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
@@ -187,10 +166,11 @@ pub struct ServiceStats {
 /// k-way merge → analyzer, with snapshot analysis on a worker pool.
 ///
 /// With `cfg.impairment == None` this is exactly the lossless pipeline:
-/// frames are unsequenced, the resequencer is bypassed, and the diagnoses
-/// are byte-identical to inline analysis. With impairment, receivers infer losses from per-agent
-/// sequence numbers, feed them to [`Analyzer::note_capture_gap`], and every
-/// diagnosis whose window spans a gap comes back tagged
+/// every frame arrives in order, the resequencer passes it straight
+/// through, and the diagnoses are byte-identical to inline analysis. With
+/// impairment, receivers infer losses from per-agent sequence numbers,
+/// feed them to [`Analyzer::note_capture_gap`], and every diagnosis whose
+/// window spans a gap comes back tagged
 /// [`crate::CaptureConfidence::Degraded`].
 ///
 /// The per-message fast path (byte scan, latency pairing, window push)
@@ -437,7 +417,6 @@ mod tests {
 
         let metrics = std::sync::Arc::new(PipelineMetrics::enabled());
         let cfg = ServiceConfig {
-            impairment: Some(CaptureImpairment::none()),
             metrics: Some(metrics.clone()),
             ..ServiceConfig::default()
         };
@@ -488,10 +467,14 @@ mod tests {
         let (expected, _, _) =
             run_service_cfg(&mut plain, &nodes, &messages, &ServiceConfig::default());
 
-        // Sequence-stamped frames + resequencer + zero-rate impairment:
-        // the extra machinery must be invisible in the output.
+        // An impairment whose rates are all zero draws its coins but never
+        // acts on them, whatever its seed: it must be invisible in the
+        // output.
         let cfg = ServiceConfig {
-            impairment: Some(CaptureImpairment::none()),
+            impairment: Some(CaptureImpairment {
+                seed: 5,
+                ..CaptureImpairment::none()
+            }),
             ..ServiceConfig::default()
         };
         let mut seq = Analyzer::new(&lib, gcfg);
@@ -538,28 +521,30 @@ mod tests {
     }
 
     #[test]
-    fn workers_knob_resolves() {
-        assert_eq!(
-            ServiceConfig {
-                workers: Some(7),
-                ..Default::default()
-            }
-            .effective_workers(),
-            7
-        );
-        assert!(ServiceConfig::default().effective_workers() >= 1);
-    }
-
-    #[test]
-    fn shard_workers_divide_the_default_budget_and_never_drop_to_zero() {
-        // Default budget on an 8-core box is min(8, 4) = 4, split 2 ways...
-        assert_eq!(resolve_shard_workers(2, 8), 2);
-        assert_eq!(resolve_shard_workers(1, 8), 4);
-        // ... and on a 2-core box the budget is 2.
-        assert_eq!(resolve_shard_workers(2, 2), 1);
+    fn the_pool_width_resolves_the_knob_and_divides_the_default_budget() {
+        // (workers, shards, available) -> width
+        let cases = [
+            // A set width is taken as given, on any machine.
+            (Some(7), 1, 2, 7),
+            (Some(7), 1, 1, 7),
+            // The default budget on an 8-core box is min(8, 4) = 4, split
+            // across the shards ...
+            (None, 2, 8, 2),
+            (None, 1, 8, 4),
+            // ... and on a 2-core box the budget is 2.
+            (None, 2, 2, 1),
+            (None, 1, 1, 1),
+        ];
+        for (workers, shards, available, width) in cases {
+            assert_eq!(
+                pool_width(workers, shards, available),
+                width,
+                "workers={workers:?} shards={shards} available={available}"
+            );
+        }
         // More shards than budget: every shard still gets one worker.
         for shards in 1..40 {
-            assert!(resolve_shard_workers(shards, 4) >= 1, "shards={shards}");
+            assert!(pool_width(None, shards, 4) >= 1, "shards={shards}");
         }
     }
 }

@@ -56,9 +56,11 @@ use crate::config::GretelConfig;
 use crate::engine::{run_plain, Route};
 use crate::fingerprint::FingerprintLibrary;
 use crate::graph::{attribute_cascades, CascadeParams, ServiceGraph};
-use crate::recover::{run_durable_routed, DurableConfig, DurableOutcome, RecoveryStats};
+use crate::recover::{
+    run_durable_routed, DurableConfig, DurableOutcome, RecoveryConfig, RecoveryStats,
+};
 use crate::report::Diagnosis;
-use crate::service::{resolve_shard_workers, ServiceConfig, ServiceError, ServiceStats};
+use crate::service::{ServiceConfig, ServiceError, ServiceStats};
 use gretel_model::codec::{encode, Wire};
 use gretel_model::{Message, NodeId};
 use gretel_netcap::shard_of;
@@ -71,10 +73,10 @@ use std::sync::Arc;
 pub struct ShardedConfig {
     /// Number of independent pipeline partitions (≥ 1).
     pub shards: usize,
-    /// Per-shard pipeline template. `workers: None` resolves via
-    /// `resolve_shard_workers`, so the default worker budget is
-    /// divided across shards instead of multiplied by them; `metrics`
-    /// must be `None` — set [`ShardedConfig::metrics`] instead.
+    /// Per-shard pipeline template. With `workers: None` the default
+    /// worker budget is divided across shards instead of multiplied by
+    /// them; `metrics` must be `None` — set [`ShardedConfig::metrics`]
+    /// instead.
     pub service: ServiceConfig,
     /// Re-run cascade attribution over the merged diagnoses and merged
     /// traffic graph after the shards drain. `None` leaves diagnoses
@@ -155,23 +157,6 @@ pub fn canonical_order(diagnoses: &mut Vec<Diagnosis>) {
     *diagnoses = keyed.into_iter().map(|(_, _, _, d)| d).collect();
 }
 
-/// The per-shard service template with the worker budget resolved: when
-/// the template leaves `workers` unset, the default worker budget is
-/// *divided* across shards ([`resolve_shard_workers`]) — N shards must not
-/// multiply the thread count N×.
-fn resolved_service(cfg: &ShardedConfig) -> ServiceConfig {
-    let mut sc = cfg.service.clone();
-    if sc.workers.is_none() {
-        sc.workers = Some(resolve_shard_workers(
-            cfg.shards,
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        ));
-    }
-    sc
-}
-
 struct ShardRun {
     diagnoses: Vec<Diagnosis>,
     graph: ServiceGraph,
@@ -182,8 +167,8 @@ struct ShardRun {
 
 /// One partition's pipeline over the whole of `traffic`, of which its
 /// agents forward what routes to `route`: the engine without a store, or —
-/// given the recovery shape and this shard's private store — the durable
-/// one.
+/// given this shard's private store — the durable one, at the default
+/// recovery shape.
 fn run_shard(
     lib: &FingerprintLibrary,
     gcfg: GretelConfig,
@@ -191,9 +176,9 @@ fn run_shard(
     traffic: &[Message],
     service: ServiceConfig,
     route: Route,
-    durable: Option<(&DurableConfig, &mut &mut (dyn Store + Send))>,
+    store: Option<&mut &mut (dyn Store + Send)>,
 ) -> Result<ShardRun, ServiceError> {
-    let Some((dcfg, store)) = durable else {
+    let Some(store) = store else {
         let mut analyzer = Analyzer::new(lib, gcfg);
         let (diagnoses, service, astats) =
             run_plain(&mut analyzer, nodes, traffic, &service, route)?;
@@ -206,8 +191,13 @@ fn run_shard(
             recovery: None,
         });
     };
-    let mut dcfg = dcfg.clone();
-    dcfg.recovery.service = service;
+    let dcfg = DurableConfig {
+        recovery: RecoveryConfig {
+            service,
+            ..RecoveryConfig::default()
+        },
+        kill_point: None,
+    };
     match run_durable_routed(lib, gcfg, nodes, traffic, &dcfg, *store, route)? {
         DurableOutcome::Completed {
             diagnoses,
@@ -222,7 +212,7 @@ fn run_shard(
             analyzer,
             recovery: Some(recovery),
         }),
-        DurableOutcome::Killed { .. } => unreachable!("kill points are rejected up front"),
+        DurableOutcome::Killed { .. } => unreachable!("shards run without a kill point"),
     }
 }
 
@@ -236,7 +226,7 @@ fn drive_shards(
     nodes: &[NodeId],
     traffic: &[Message],
     cfg: &ShardedConfig,
-    durable: Option<(&DurableConfig, &mut [&mut (dyn Store + Send)])>,
+    stores: Option<&mut [&mut (dyn Store + Send)]>,
 ) -> Result<ShardedOutcome, ServiceError> {
     assert!(cfg.shards > 0, "need at least one shard");
     assert!(
@@ -248,9 +238,8 @@ fn drive_shards(
         routed[shard_of(m.project, cfg.shards)] += 1;
     }
 
-    let mut base = resolved_service(cfg);
+    let mut base = cfg.service.clone();
     base.metrics = cfg.metrics.then(|| Arc::new(PipelineMetrics::enabled()));
-    let (dcfg, stores) = durable.unzip();
     let mut stores = stores.into_iter().flatten();
     let mut results: Vec<Option<Result<ShardRun, ServiceError>>> =
         (0..cfg.shards).map(|_| None).collect();
@@ -258,9 +247,9 @@ fn drive_shards(
         for (i, slot) in results.iter_mut().enumerate() {
             let sc = base.clone();
             let route = (i, cfg.shards);
-            let durable = dcfg.zip(stores.next());
+            let store = stores.next();
             scope.spawn(move || {
-                *slot = Some(run_shard(lib, gcfg, nodes, traffic, sc, route, durable))
+                *slot = Some(run_shard(lib, gcfg, nodes, traffic, sc, route, store))
             });
         }
     });
@@ -317,17 +306,15 @@ pub fn run_sharded(
 /// owns a private `gretel-store` backend it can crash-recover from
 /// independently.
 ///
-/// `dcfg` supplies the recovery shape (checkpoint cadence, chaos,
-/// crash points), applied identically to every shard;
-/// `dcfg.recovery.service` is ignored in favour of
-/// [`ShardedConfig::service`]. Whole-process kill modeling
-/// ([`DurableConfig::kill_point`]) is a single-pipeline concern and must
-/// be `None` here: drive one shard's store through [`run_service_durable`]
-/// directly to model kills.
+/// Every shard runs the default recovery shape ([`RecoveryConfig`]'s
+/// checkpoint cadence, no chaos) over its [`ShardedConfig::service`]
+/// template, and no kill point: whole-process kills are a single-pipeline
+/// concern, modelled by driving one store through [`run_service_durable`]
+/// directly.
 ///
 /// # Panics
 ///
-/// Panics if `stores.len() != cfg.shards` or a kill point is configured.
+/// Panics if `stores.len() != cfg.shards`.
 ///
 /// [`run_service_durable`]: crate::run_service_durable
 pub fn run_sharded_durable(
@@ -336,15 +323,10 @@ pub fn run_sharded_durable(
     nodes: &[NodeId],
     traffic: &[Message],
     cfg: &ShardedConfig,
-    dcfg: &DurableConfig,
     stores: &mut [&mut (dyn Store + Send)],
 ) -> Result<ShardedOutcome, ServiceError> {
     assert_eq!(stores.len(), cfg.shards, "one store per shard");
-    assert!(
-        dcfg.kill_point.is_none(),
-        "kill points are per-pipeline: model process kills through run_service_durable"
-    );
-    drive_shards(lib, gcfg, nodes, traffic, cfg, Some((dcfg, stores)))
+    drive_shards(lib, gcfg, nodes, traffic, cfg, Some(stores))
 }
 
 #[cfg(test)]
@@ -539,16 +521,8 @@ mod tests {
                 .iter_mut()
                 .map(|s| s as &mut (dyn Store + Send))
                 .collect();
-            let out = run_sharded_durable(
-                &lib,
-                gcfg,
-                &nodes,
-                &traffic,
-                &cfg,
-                &DurableConfig::default(),
-                &mut store_refs,
-            )
-            .expect("durable");
+            let out = run_sharded_durable(&lib, gcfg, &nodes, &traffic, &cfg, &mut store_refs)
+                .expect("durable");
             assert_eq!(
                 encode_diagnoses(&out.diagnoses),
                 encode_diagnoses(&plain.diagnoses)

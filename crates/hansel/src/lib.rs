@@ -23,23 +23,10 @@ use gretel_model::{Message, MessageId};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-/// HANSEL configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct HanselConfig {
-    /// Reporting delay for out-of-order tolerance (paper: 30 s).
-    pub bucket_window_us: u64,
-    /// Maximum chain length retained per identifier group.
-    pub max_chain: usize,
-}
-
-impl Default for HanselConfig {
-    fn default() -> Self {
-        HanselConfig {
-            bucket_window_us: 30_000_000,
-            max_chain: 4096,
-        }
-    }
-}
+/// Reporting delay for out-of-order tolerance (paper: 30 s).
+const BUCKET_WINDOW_US: u64 = 30_000_000;
+/// Maximum chain length retained per identifier group.
+const MAX_CHAIN: usize = 4096;
 
 /// A fault report: the stitched chain of messages leading to an error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,13 +92,7 @@ impl ChainSet {
         keep
     }
 
-    fn add_message(
-        &mut self,
-        msg: MessageId,
-        ts: u64,
-        tokens: &[String],
-        max_chain: usize,
-    ) -> usize {
+    fn add_message(&mut self, msg: MessageId, ts: u64, tokens: &[String]) -> usize {
         // Union the chains of all tokens; unseen tokens start fresh.
         let mut chain: Option<usize> = None;
         for t in tokens {
@@ -134,8 +115,8 @@ impl ChainSet {
         };
         let c = self.find(c);
         self.chains[c].push((msg, ts));
-        if self.chains[c].len() > max_chain {
-            let excess = self.chains[c].len() - max_chain;
+        if self.chains[c].len() > MAX_CHAIN {
+            let excess = self.chains[c].len() - MAX_CHAIN;
             self.chains[c].drain(..excess);
         }
         c
@@ -143,8 +124,8 @@ impl ChainSet {
 }
 
 /// The HANSEL analyzer.
+#[derive(Default)]
 pub struct Hansel {
-    cfg: HanselConfig,
     chains: ChainSet,
     /// Errors awaiting their bucket window: (release_ts, error id,
     /// error ts, chain id at detection time).
@@ -154,13 +135,8 @@ pub struct Hansel {
 
 impl Hansel {
     /// New analyzer.
-    pub fn new(cfg: HanselConfig) -> Hansel {
-        Hansel {
-            cfg,
-            chains: ChainSet::default(),
-            pending: Vec::new(),
-            processed: 0,
-        }
+    pub fn new() -> Hansel {
+        Hansel::default()
     }
 
     /// Messages processed so far.
@@ -185,20 +161,14 @@ impl Hansel {
         // Periodic GC: nothing older than two bucket windows can appear in
         // a future report.
         if self.processed.is_multiple_of(4096) {
-            self.expire_before(msg.ts_us.saturating_sub(2 * self.cfg.bucket_window_us));
+            self.expire_before(msg.ts_us.saturating_sub(2 * BUCKET_WINDOW_US));
         }
         let tokens = extract_identifiers(&msg.payload);
-        let chain = self
-            .chains
-            .add_message(msg.id, msg.ts_us, &tokens, self.cfg.max_chain);
+        let chain = self.chains.add_message(msg.id, msg.ts_us, &tokens);
 
         if msg.is_rest_error() || msg.is_rpc_error() {
-            self.pending.push((
-                msg.ts_us + self.cfg.bucket_window_us,
-                msg.id,
-                msg.ts_us,
-                chain,
-            ));
+            self.pending
+                .push((msg.ts_us + BUCKET_WINDOW_US, msg.id, msg.ts_us, chain));
         }
         self.release(msg.ts_us)
     }
@@ -330,16 +300,15 @@ mod tests {
 
     #[test]
     fn messages_sharing_an_id_stitch_into_one_chain() {
-        let mut h = Hansel::new(HanselConfig {
-            bucket_window_us: 1_000,
-            ..Default::default()
-        });
+        let mut h = Hansel::new();
         h.process(&msg(0, 0, "/v2.1/servers/i7a", None));
         h.process(&msg(1, 10, "/v2.0/ports/i7a", None));
         h.process(&msg(2, 20, "/v2.1/servers/i99x", None)); // unrelated op
         let reports = h.process(&msg(3, 30, "/v2.1/servers/i7a", Some(500)));
         assert!(reports.is_empty(), "bucket window not elapsed yet");
-        let reports = h.process(&msg(4, 5_000, "/v2.1/flavors", None));
+        let reports = h.process(&msg(4, 29 + BUCKET_WINDOW_US, "/v2.1/flavors", None));
+        assert!(reports.is_empty(), "one microsecond short of the window");
+        let reports = h.process(&msg(5, 30 + BUCKET_WINDOW_US, "/v2.1/flavors", None));
         assert_eq!(reports.len(), 1);
         let r = &reports[0];
         assert_eq!(r.error, MessageId(3));
@@ -349,12 +318,12 @@ mod tests {
             !r.chain.contains(&MessageId(2)),
             "unrelated op not in chain"
         );
-        assert!(r.latency_us() >= 1_000);
+        assert_eq!(r.latency_us(), BUCKET_WINDOW_US);
     }
 
     #[test]
     fn reporting_latency_is_the_bucket_window() {
-        let mut h = Hansel::new(HanselConfig::default()); // 30 s
+        let mut h = Hansel::new();
         h.process(&msg(0, 1_000_000, "/v2.1/servers/i1b", Some(500)));
         let reports = h.finish();
         assert_eq!(reports.len(), 1);
@@ -369,10 +338,7 @@ mod tests {
     fn shared_common_identifier_overlinks() {
         // The paper's criticism: common identifiers (like tenant ids) link
         // the faulty operation with unrelated successful ones.
-        let mut h = Hansel::new(HanselConfig {
-            bucket_window_us: 0,
-            ..Default::default()
-        });
+        let mut h = Hansel::new();
         h.process(&msg(0, 0, "/tenants/t5x/servers/i1a", None));
         h.process(&msg(1, 1, "/tenants/t5x/volumes/i2b", None));
         let mut reports = h.process(&msg(2, 2, "/tenants/t5x/servers/i1a", Some(500)));
@@ -388,22 +354,24 @@ mod tests {
 
     #[test]
     fn chains_are_capped() {
-        let mut h = Hansel::new(HanselConfig {
-            bucket_window_us: 0,
-            max_chain: 10,
-        });
-        for i in 0..100 {
+        let mut h = Hansel::new();
+        let n = MAX_CHAIN as u64 + 100;
+        for i in 0..n {
             h.process(&msg(i, i, "/x/shared9z/y", None));
         }
-        let mut reports = h.process(&msg(100, 100, "/x/shared9z/y", Some(500)));
+        let mut reports = h.process(&msg(n, n, "/x/shared9z/y", Some(500)));
         reports.extend(h.finish());
         assert_eq!(reports.len(), 1);
-        assert!(reports[0].chain.len() <= 11);
+        let chain = &reports[0].chain;
+        assert_eq!(chain.len(), MAX_CHAIN);
+        // The oldest entries went; the error and its newest peers stayed.
+        assert_eq!(chain.first(), Some(&MessageId(n + 1 - MAX_CHAIN as u64)));
+        assert_eq!(chain.last(), Some(&MessageId(n)));
     }
 
     #[test]
     fn every_message_pays_the_stitching_cost() {
-        let mut h = Hansel::new(HanselConfig::default());
+        let mut h = Hansel::new();
         for i in 0..50 {
             h.process(&msg(i, i, "/v2.1/servers/i5c", None));
         }
@@ -412,10 +380,7 @@ mod tests {
 
     #[test]
     fn expiry_bounds_chain_memory() {
-        let mut h = Hansel::new(HanselConfig {
-            bucket_window_us: 1_000,
-            ..Default::default()
-        });
+        let mut h = Hansel::new();
         for i in 0..5_000u64 {
             h.process(&msg(i, i * 10, "/x/shared7k/y", None));
         }
@@ -433,10 +398,7 @@ mod tests {
 
     #[test]
     fn rpc_errors_are_reported_too() {
-        let mut h = Hansel::new(HanselConfig {
-            bucket_window_us: 0,
-            ..Default::default()
-        });
+        let mut h = Hansel::new();
         let mut m = msg(0, 5, "/x", None);
         m.wire = WireKind::Rpc {
             method: "create_volume".into(),

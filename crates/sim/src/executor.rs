@@ -43,45 +43,19 @@ pub struct WatcherSample {
     pub healthy: bool,
 }
 
-/// Background-noise generation knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct NoiseConfig {
-    /// Master switch.
-    pub enabled: bool,
-    /// Heartbeat RPC period per agent (`report_state`).
-    pub heartbeat_interval: SimTime,
-    /// Status-update RPC period per compute node.
-    pub status_interval: SimTime,
-    /// Emit Keystone auth chatter at each operation start.
-    pub keystone_per_op: bool,
-    /// Probability that a successful GET is immediately repeated
-    /// (idempotent repeats the noise filter must prune).
-    pub get_repeat_prob: f64,
-}
-
-impl Default for NoiseConfig {
-    fn default() -> Self {
-        NoiseConfig {
-            enabled: true,
-            heartbeat_interval: SECOND,
-            status_interval: 10 * SECOND,
-            keystone_per_op: true,
-            get_repeat_prob: 0.10,
-        }
-    }
-}
-
-impl NoiseConfig {
-    /// Noise fully disabled — the paper's "controlled setting" used for
-    /// fingerprinting still *captures* noise; this is for tests that want
-    /// pure operation traffic.
-    pub fn off() -> NoiseConfig {
-        NoiseConfig {
-            enabled: false,
-            ..NoiseConfig::default()
-        }
-    }
-}
+/// Uniform think-time range between an instance's steps, microseconds.
+const THINK_TIME: (SimTime, SimTime) = (ms(1), ms(8));
+/// Resource/watcher polling period (paper: collectd at 1 s).
+const POLL_INTERVAL: SimTime = SECOND;
+/// Node concurrency capacity before queueing delay kicks in.
+const LOAD_CAPACITY: usize = 48;
+/// Heartbeat RPC period per agent (`report_state`).
+const HEARTBEAT_INTERVAL: SimTime = SECOND;
+/// Status-update RPC period per compute node.
+const STATUS_INTERVAL: SimTime = 10 * SECOND;
+/// Probability that a successful GET is immediately repeated (idempotent
+/// repeats the noise filter must prune).
+const GET_REPEAT_PROB: f64 = 0.10;
 
 /// Executor configuration.
 #[derive(Debug, Clone, Copy)]
@@ -90,20 +64,13 @@ pub struct RunConfig {
     /// is bit-identical.
     pub seed: u64,
     /// Instance starts are sampled uniformly in `[0, start_window]`
-    /// (closed-loop batch). Ignored when `poisson_rate` is set.
+    /// (closed-loop batch).
     pub start_window: SimTime,
-    /// Open-loop arrivals: when set, instances arrive as a Poisson
-    /// process at this rate (operations/second) instead of the uniform
-    /// start window — the shape of real tenant traffic.
-    pub poisson_rate: Option<f64>,
-    /// Uniform think-time range between steps, microseconds.
-    pub think_time: (SimTime, SimTime),
-    /// Resource/watcher polling period (paper: collectd at 1 s).
-    pub poll_interval: SimTime,
-    /// Node concurrency capacity before queueing delay kicks in.
-    pub load_capacity: usize,
-    /// Noise generation.
-    pub noise: NoiseConfig,
+    /// Background noise: agent heartbeats, compute status updates,
+    /// Keystone chatter at each operation start and idempotent GET
+    /// repeats. Off gives pure operation traffic for tests; the paper's
+    /// "controlled setting" used for fingerprinting still captures noise.
+    pub noise: bool,
     /// Propagate a correlation id on every operation message (the
     /// `correlation_id` OpenStack was introducing; paper §5.3.1 notes
     /// GRETEL can exploit it once deployed). Off by default — LIBERTY-era
@@ -120,11 +87,7 @@ impl Default for RunConfig {
         RunConfig {
             seed: 0,
             start_window: 2 * SECOND,
-            poisson_rate: None,
-            think_time: (ms(1), ms(8)),
-            poll_interval: SECOND,
-            load_capacity: 48,
-            noise: NoiseConfig::default(),
+            noise: true,
             correlation_ids: false,
             projects: 1,
         }
@@ -320,35 +283,23 @@ impl<'a> Runner<'a> {
             .map(|n| (n.id, Baseline::for_role(n.role)))
             .collect();
 
-        if let Some(rate) = self.config.poisson_rate {
-            assert!(rate > 0.0, "poisson rate must be positive");
-            // Open-loop: exponential interarrival times.
-            let mut t = 0u64;
-            for i in 0..specs.len() {
-                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-                let gap = (-u.ln() / rate * 1e6) as u64;
-                t += gap;
-                q.schedule(t, Ev::Start { inst: i });
-            }
-        } else {
-            for i in 0..specs.len() {
-                let at = if self.config.start_window == 0 {
-                    0
-                } else {
-                    rng.gen_range(0..=self.config.start_window)
-                };
-                q.schedule(at, Ev::Start { inst: i });
-            }
+        for i in 0..specs.len() {
+            let at = if self.config.start_window == 0 {
+                0
+            } else {
+                rng.gen_range(0..=self.config.start_window)
+            };
+            q.schedule(at, Ev::Start { inst: i });
         }
         q.schedule(0, Ev::Poll);
-        if self.config.noise.enabled {
+        if self.config.noise {
             for node in self.deployment.nodes() {
                 for &svc in &node.services {
                     if matches!(
                         svc,
                         Service::NovaCompute | Service::NeutronAgent | Service::Cinder
                     ) {
-                        let jitter = rng.gen_range(0..self.config.noise.heartbeat_interval);
+                        let jitter = rng.gen_range(0..HEARTBEAT_INTERVAL);
                         q.schedule(
                             jitter,
                             Ev::Heartbeat {
@@ -359,7 +310,7 @@ impl<'a> Runner<'a> {
                     }
                 }
                 if node.is_compute {
-                    let jitter = rng.gen_range(0..self.config.noise.status_interval);
+                    let jitter = rng.gen_range(0..STATUS_INTERVAL);
                     q.schedule(jitter, Ev::StatusUpdate { node: node.id });
                 }
             }
@@ -369,7 +320,7 @@ impl<'a> Runner<'a> {
             match ev {
                 Ev::Start { inst } => {
                     insts[inst].started_at = t;
-                    if self.config.noise.enabled && self.config.noise.keystone_per_op {
+                    if self.config.noise {
                         self.emit_keystone_noise(&mut st, t, inst as u64);
                     }
                     self.fire_step(specs, &mut insts, inst, t, &mut st, &mut q, &mut rng);
@@ -392,33 +343,26 @@ impl<'a> Runner<'a> {
                         });
                         st.remaining -= 1;
                     } else {
-                        let think =
-                            rng.gen_range(self.config.think_time.0..=self.config.think_time.1);
+                        let think = rng.gen_range(THINK_TIME.0..=THINK_TIME.1);
                         q.schedule(t + think, Ev::Fire { inst });
                     }
                 }
                 Ev::Poll => {
                     self.poll(&mut st, t, &mut rng, &baselines);
                     if st.remaining > 0 {
-                        q.schedule(t + self.config.poll_interval, Ev::Poll);
+                        q.schedule(t + POLL_INTERVAL, Ev::Poll);
                     }
                 }
                 Ev::Heartbeat { node, service } => {
                     self.emit_heartbeat(&mut st, t, node, service);
                     if st.remaining > 0 {
-                        q.schedule(
-                            t + self.config.noise.heartbeat_interval,
-                            Ev::Heartbeat { node, service },
-                        );
+                        q.schedule(t + HEARTBEAT_INTERVAL, Ev::Heartbeat { node, service });
                     }
                 }
                 Ev::StatusUpdate { node } => {
                     self.emit_status_update(&mut st, t, node);
                     if st.remaining > 0 {
-                        q.schedule(
-                            t + self.config.noise.status_interval,
-                            Ev::StatusUpdate { node },
-                        );
+                        q.schedule(t + STATUS_INTERVAL, Ev::StatusUpdate { node });
                     }
                 }
             }
@@ -540,8 +484,8 @@ impl<'a> Runner<'a> {
         };
         let jitter = lognormal(rng, 0.25);
         let load = *st.active.get(&dst_node).unwrap_or(&0);
-        let load_factor = if load > self.config.load_capacity {
-            1.0 + 0.8 * (load - self.config.load_capacity) as f64 / self.config.load_capacity as f64
+        let load_factor = if load > LOAD_CAPACITY {
+            1.0 + 0.8 * (load - LOAD_CAPACITY) as f64 / LOAD_CAPACITY as f64
         } else {
             1.0
         };
@@ -719,8 +663,8 @@ impl<'a> Runner<'a> {
                 // Idempotent repeat noise: the client re-GETs the same URI.
                 if p.error.is_none()
                     && method.is_idempotent_read()
-                    && self.config.noise.enabled
-                    && rng.gen_bool(self.config.noise.get_repeat_prob)
+                    && self.config.noise
+                    && rng.gen_bool(GET_REPEAT_PROB)
                 {
                     self.emit_get_repeat(st, t, &p, inst_id);
                 }
@@ -1166,7 +1110,7 @@ mod tests {
     fn quiet_config(seed: u64) -> RunConfig {
         RunConfig {
             seed,
-            noise: NoiseConfig::off(),
+            noise: false,
             ..RunConfig::default()
         }
     }
@@ -1413,36 +1357,6 @@ mod tests {
             "/v2/ia/volumes/ia"
         );
         assert_eq!(concretize("/plain", 1, 0), "/plain");
-    }
-
-    #[test]
-    fn poisson_arrivals_spread_starts_at_the_requested_rate() {
-        let (cat, dep, wf) = setup();
-        let specs: Vec<OperationSpec> = (0..40)
-            .map(|i| {
-                let mut s = wf.cinder_list_spec(gretel_model::OpSpecId(i));
-                s.id = gretel_model::OpSpecId(i);
-                s
-            })
-            .collect();
-        let refs: Vec<&OperationSpec> = specs.iter().collect();
-        let plan = FaultPlan::none();
-        let cfg = RunConfig {
-            seed: 9,
-            poisson_rate: Some(4.0),
-            noise: NoiseConfig::off(),
-            ..RunConfig::default()
-        };
-        let exec = Runner::new(cat, &dep, &plan, cfg).run(&refs);
-        // 40 arrivals at 4/s: the last start lands around 10 s (loose
-        // deterministic-seed bounds).
-        let last_start = exec.outcomes.iter().map(|o| o.started_at).max().unwrap();
-        assert!(last_start > 5 * SECOND, "last start {last_start}");
-        assert!(last_start < 25 * SECOND, "last start {last_start}");
-        // Starts are strictly ordered by instance id (cumulative process).
-        for w in exec.outcomes.windows(2) {
-            assert!(w[0].started_at <= w[1].started_at);
-        }
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub use cascade::{cascade_suite, CascadeScenario};
 pub use chaos::CrashSchedule;
 pub use deployment::Deployment;
 pub use engine::{ms, secs, splitmix64, SimTime};
-pub use executor::{Execution, NoiseConfig, RunConfig, Runner, WatcherSample};
+pub use executor::{Execution, RunConfig, Runner, WatcherSample};
 pub use faults::{ApiFault, FaultPlan, FaultScope, InjectedError};
 pub use report::{instance_timeline, summary};
 pub use resources::{ResourceKind, ResourceSample};

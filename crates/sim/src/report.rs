@@ -73,7 +73,7 @@ pub fn summary(exec: &Execution) -> String {
 mod tests {
     use super::*;
     use crate::deployment::Deployment;
-    use crate::executor::{NoiseConfig, RunConfig, Runner};
+    use crate::executor::{RunConfig, Runner};
     use crate::faults::{ApiFault, FaultPlan, FaultScope, InjectedError};
     use gretel_model::{Catalog, HttpMethod, OpSpecId, Service, Workflows};
 
@@ -89,7 +89,7 @@ mod tests {
             &FaultPlan::none(),
             RunConfig {
                 seed: 1,
-                noise: NoiseConfig::off(),
+                noise: false,
                 ..RunConfig::default()
             },
         )
@@ -131,7 +131,7 @@ mod tests {
             &plan,
             RunConfig {
                 seed: 2,
-                noise: NoiseConfig::off(),
+                noise: false,
                 ..RunConfig::default()
             },
         )

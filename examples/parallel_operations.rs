@@ -10,7 +10,7 @@
 //! stitches a chain through shared identifiers and sits on the report for
 //! its 30-second bucket window.
 
-use gretel::hansel::{Hansel, HanselConfig};
+use gretel::hansel::Hansel;
 use gretel::model::OpInstanceId;
 use gretel::prelude::*;
 
@@ -95,7 +95,7 @@ fn main() {
     );
 
     // HANSEL on the same capture.
-    let mut hansel = Hansel::new(HanselConfig::default());
+    let mut hansel = Hansel::new();
     let mut reports = Vec::new();
     for m in &exec.messages {
         reports.extend(hansel.process(m));

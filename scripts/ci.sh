@@ -76,12 +76,13 @@ grep -E '^[a-z]+: .* digest [0-9a-f]+$' <<<"$check_log" |
 # The check-size runs hold 11 checkpoint boundaries or fewer, so they never
 # build a long chain of delta records. The full-size `durable` and `restart`
 # workloads do (bases with tens of deltas after them, restores that replay
-# a chain): run each once per seed on a one-second budget. The last line is
-# the result object, which must report a correct run with no failed
-# operation.
+# a chain), and the full-size `wire` and `tenants` workloads push the whole
+# stream through the sequence-stamped, resequencing receive path: run each
+# once per seed on a one-second budget. The last line is the result object,
+# which must report a correct run with no failed operation.
 mkdir "$STORE_ROOT/bench"
 for seed in 42 7; do
-  for workload in durable restart; do
+  for workload in durable restart wire tenants; do
     result="$(cargo run --release --offline --locked -q --manifest-path benchmark/Cargo.toml \
       --bin gretel-benchmark -- workload --workload "$workload" --seed "$seed" --seconds 1 \
       --store-dir "$STORE_ROOT/bench" | tail -n 1)"

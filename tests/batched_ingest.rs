@@ -101,8 +101,7 @@ fn run_batched(cfg: &ServiceConfig) -> (Vec<Diagnosis>, ServiceStats) {
     (diags, svc)
 }
 
-/// Clean capture: every batch size — on both the legacy unsequenced path
-/// and the sequence-stamped path — reproduces the inline analyzer's
+/// Clean capture: every batch size reproduces the inline analyzer's
 /// diagnoses byte-for-byte.
 #[test]
 fn every_batch_size_matches_the_inline_oracle() {
@@ -112,18 +111,11 @@ fn every_batch_size_matches_the_inline_oracle() {
     assert!(expected.len() >= 2, "fixture produces diagnoses");
 
     for batch in BATCH_SIZES {
-        let (diags, _) = run_batched(&ServiceConfig {
-            ingest_batch: batch,
-            ..ServiceConfig::default()
-        });
-        assert_eq!(diags, expected, "unsequenced path, ingest_batch={batch}");
-
         let (diags, svc) = run_batched(&ServiceConfig {
             ingest_batch: batch,
-            impairment: Some(CaptureImpairment::none()),
             ..ServiceConfig::default()
         });
-        assert_eq!(diags, expected, "sequenced path, ingest_batch={batch}");
+        assert_eq!(diags, expected, "ingest_batch={batch}");
         assert!(svc.capture.is_clean());
     }
 }
@@ -211,7 +203,6 @@ fn crash_replay_is_batch_size_invariant() {
     let fx = fixture();
     let (expected, _) = run_batched(&ServiceConfig {
         ingest_batch: 1,
-        impairment: Some(CaptureImpairment::none()),
         ..ServiceConfig::default()
     });
 
@@ -219,7 +210,6 @@ fn crash_replay_is_batch_size_invariant() {
         let recovery = RecoveryConfig {
             service: ServiceConfig {
                 ingest_batch: batch,
-                impairment: Some(CaptureImpairment::none()),
                 ..ServiceConfig::default()
             },
             checkpoint_every: 64,

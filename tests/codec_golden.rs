@@ -421,10 +421,7 @@ const NEXT_SEQ: u64 = 0x0102_0304;
 /// A base over `analyzer` and `agents`.
 fn base(analyzer: &Analyzer<'_>, next_seq: u64, agents: &[AgentState]) -> Vec<u8> {
     let mut out = Vec::new();
-    assert!(
-        encode_checkpoint(&mut out, analyzer, next_seq, agents.iter()),
-        "default detectors checkpoint"
-    );
+    encode_checkpoint(&mut out, analyzer, next_seq, agents.iter());
     out
 }
 
@@ -489,7 +486,7 @@ fn delta_restore(depth: usize, bytes: &[u8]) -> Result<Vec<u8>, String> {
 
 fn detector_state(d: &impl OutlierDetector) -> Vec<u8> {
     let mut out = Vec::new();
-    assert!(d.put_state(&mut out), "built-in detectors checkpoint");
+    d.put_state(&mut out);
     out
 }
 

@@ -104,7 +104,7 @@ fn gcfg() -> GretelConfig {
 fn reference(impairment: Option<CaptureImpairment>) -> Vec<gretel::core::Diagnosis> {
     let fx = fixture();
     let cfg = ServiceConfig {
-        impairment: Some(impairment.unwrap_or_else(CaptureImpairment::none)),
+        impairment,
         ..ServiceConfig::default()
     };
     let mut analyzer = Analyzer::new(&fx.lib, gcfg());

@@ -99,10 +99,13 @@ fn zero_impairment_is_identical_to_the_legacy_pipeline() {
     );
     assert_eq!(legacy_diags, expected);
 
-    // Sequence-stamped pipeline with a no-op impairment: the whole
-    // loss-tolerance machinery engaged, nothing lost, same answer.
+    // An impairment whose rates are all zero: its coins are drawn but
+    // never act, whatever the seed — nothing lost, same answer.
     let cfg = ServiceConfig {
-        impairment: Some(CaptureImpairment::none()),
+        impairment: Some(CaptureImpairment {
+            seed: 3,
+            ..CaptureImpairment::none()
+        }),
         ..ServiceConfig::default()
     };
     let mut seq = Analyzer::new(&fx.lib, gcfg());

@@ -190,12 +190,12 @@ impl<'a> Analyzer<'a> {
     /// library — so the caller threads it through each call. Passing `None`
     /// is the exact fast path of [`Self::ingest`].
     ///
-    /// The scan is pure, so it can run anywhere before ingest: the threaded
-    /// receiver scans each frame's borrowed payload as it parses a
-    /// [`gretel_netcap::FrameBatch`] ([`crate::scan_frame`]) and ingests the
-    /// message's head with the mark — the counters, window pushes and
-    /// arming decisions all happen at ingest time in merge order, exactly as
-    /// if the scan had run inline. `fault` **must** equal
+    /// The scan is pure, so it can run anywhere before ingest: in the
+    /// threaded pipeline each capture agent scans the payloads it forwards,
+    /// and the receiver ingests each message's head with the mark its event
+    /// record carries — the counters, window pushes and arming decisions all
+    /// happen at ingest time in merge order, exactly as if the scan had run
+    /// inline. `fault` **must** equal
     /// `scan_message(msg)`; anything else forks the diagnosis stream from
     /// the per-message path.
     pub fn ingest_marked(
@@ -208,8 +208,8 @@ impl<'a> Analyzer<'a> {
     }
 
     /// [`Self::ingest_marked`] on a message's head: everything ingest reads
-    /// of a message, which the receiver parses out of a frame without
-    /// building the message.
+    /// of a message, which the receiver reads out of an event record
+    /// without building the message.
     #[inline]
     pub(crate) fn ingest_head(
         &mut self,

@@ -3,15 +3,15 @@
 //! GRETEL "does not parse the JSON formatted message body and simply uses
 //! regular expressions to identify error codes in the message" (§5.3).
 //! This module is that fast path: fixed byte-pattern scans over raw
-//! payloads (no allocation, no parsing), plus the request/response pairing
-//! that turns message timestamps into per-API latency observations —
-//! REST pairs by TCP connection metadata, RPC pairs by message id.
+//! payloads (no allocation, no parsing), which the capture agents run at
+//! the tap, plus the request/response pairing that turns message
+//! timestamps into per-API latency observations — REST pairs by TCP
+//! connection metadata, RPC pairs by message id.
 
 use crate::event::FaultMark;
 use crate::fasthash::FastMap;
 use gretel_model::codec::{DecodeError, Reader, Wire};
 use gretel_model::{ApiId, ConnKey, Direction, Message, MessageHead};
-use gretel_netcap::FrameView;
 use gretel_sim::SimTime;
 
 /// Scan an HTTP payload for an error status line (`HTTP/1.1 NNN` with
@@ -57,13 +57,12 @@ pub(crate) fn scan_rpc_error(payload: &[u8]) -> bool {
 /// REST payloads go through [`scan_rest_error`], RPC payloads through the
 /// SWAR `scan_rpc_error`. No state, no counters — the same message
 /// always scans to the same [`FaultMark`], so the scan can run anywhere
-/// in the pipeline (at frame parse, at ingest, or re-derived after a
+/// in the pipeline (at the capture agent, at ingest, or re-derived after a
 /// checkpoint restore) without changing the diagnosis stream.
 ///
-/// The threaded receiver runs the same scan ([`scan_frame`]) on each frame's
-/// borrowed payload as it parses a [`gretel_netcap::FrameBatch`], so the
-/// scanners stay hot in cache across the batch instead of interleaving with
-/// window and merge work per message.
+/// The threaded pipeline runs it at the tap: each capture agent scans the
+/// messages it forwards and ships the verdict in the message's event
+/// record, so the receiver never reads a payload.
 ///
 /// ```
 /// use gretel_core::{scan_message, FaultMark};
@@ -81,22 +80,12 @@ pub(crate) fn scan_rpc_error(payload: &[u8]) -> bool {
 /// msg.payload = b"HTTP/1.1 200 OK".to_vec();
 /// assert_eq!(scan_message(&msg), FaultMark::None);
 /// ```
-pub fn scan_message(msg: &Message) -> FaultMark {
-    scan_payload(msg.wire.is_rpc(), &msg.payload)
-}
-
-/// [`scan_message`] over a frame parsed in place: the same verdict, read
-/// from the payload the frame borrows.
-pub fn scan_frame(frame: &FrameView<'_>) -> FaultMark {
-    scan_payload(frame.head.rpc_msg_id.is_some(), frame.payload)
-}
-
 #[inline]
-fn scan_payload(is_rpc: bool, payload: &[u8]) -> FaultMark {
-    match is_rpc {
-        true if scan_rpc_error(payload) => FaultMark::RpcError,
+pub fn scan_message(msg: &Message) -> FaultMark {
+    match msg.wire.is_rpc() {
+        true if scan_rpc_error(&msg.payload) => FaultMark::RpcError,
         true => FaultMark::None,
-        false => scan_rest_error(payload).map_or(FaultMark::None, FaultMark::RestError),
+        false => scan_rest_error(&msg.payload).map_or(FaultMark::None, FaultMark::RestError),
     }
 }
 

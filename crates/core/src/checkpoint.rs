@@ -231,7 +231,7 @@ fn restore_agents<'s>(
 /// [`crate::KIND_DELTA`] payload: `GCK` and the layout version. A record in
 /// any other layout (one written before the tag existed included) fails
 /// restore with its own error rather than on some later field.
-const CHECKPOINT_TAG: [u8; 4] = *b"GCK\x03";
+const CHECKPOINT_TAG: [u8; 4] = *b"GCK\x04";
 
 /// A reader over a boundary record's body, behind the format tag.
 fn untag(payload: &[u8]) -> Result<Reader<'_>, DecodeError> {

@@ -59,7 +59,7 @@ mod shard;
 pub mod window;
 
 pub use analyzer::{analyze_stream, Analyzer, AnalyzerStats, RcaContext};
-pub use anomaly::{scan_frame, scan_message, scan_rest_error};
+pub use anomaly::{scan_message, scan_rest_error};
 pub use config::{theta, GretelConfig, Matching};
 pub use detect::{DetectionOutcome, Detector, SnapshotIndex};
 pub use event::{Event, FaultMark};

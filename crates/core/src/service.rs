@@ -1,26 +1,27 @@
 //! The distributed monitoring service (paper Fig 3), threaded.
 //!
 //! One capture-agent thread per node filters its egress traffic out of the
-//! stream, encodes each message once, straight into the arena of the
-//! [`FrameBatch`](gretel_netcap::FrameBatch) it ships in
-//! ([`ServiceConfig::ingest_batch`] frames per channel operation), and
-//! ships the batches over a bounded channel; the event receiver performs
-//! a k-way merge (each agent's stream is in timestamp order, like a TCP
-//! stream from Bro preserves order, §5.2), parses each frame in place in
-//! its arena, scans the whole batch's payloads for failure patterns in one
-//! tight pass, and drives the [`Analyzer`] with fixed-size message heads. This is the deployment shape
-//! the §7.4.2 overhead experiment measures.
+//! stream, scans each message it forwards for failure patterns at the tap,
+//! and ships one fixed-size event record per message — sequence number,
+//! head and scan verdict, 60 bytes — in batches of
+//! [`ServiceConfig::ingest_batch`] records per channel operation over a
+//! bounded channel, as the paper's Bro scripts forward events rather than
+//! packets. The event receiver reads each record at fixed offsets and
+//! performs a k-way merge (each agent's stream is in timestamp order, like
+//! a TCP stream from Bro preserves order, §5.2), driving the [`Analyzer`]
+//! with the message heads. This is the deployment shape the §7.4.2
+//! overhead experiment measures.
 //!
-//! Batching is a transport-granularity knob, never a semantic one: frames
-//! keep their per-agent order inside each arena, the k-way merge still
+//! Batching is a transport-granularity knob, never a semantic one: records
+//! keep their per-agent order inside each batch, the k-way merge still
 //! consumes one message at a time, and the fault scan is a pure function
 //! of each message — so the diagnosis stream is byte-identical for every
 //! `ingest_batch` value, including under impairment and crash replay
 //! (`tests/batched_ingest.rs` holds that oracle).
 //!
 //! A full link blocks its agent until the receiver catches up, as the
-//! paper's TCP links do: the transport never drops a frame. Every frame is
-//! sequence-stamped and resequenced at the receiver. Loss enters only
+//! paper's TCP links do: the transport never drops a record. Every record
+//! is sequence-stamped and resequenced at the receiver. Loss enters only
 //! through a seeded [`CaptureImpairment`], which the store-less entry point
 //! [`run_service_cfg`] applies to every agent's capture; the resequencer
 //! turns the losses it infers into window gap markers. The loop itself
@@ -37,8 +38,8 @@ use gretel_netcap::{CaptureImpairment, CaptureStats, CodecError};
 /// Why a service run could not complete (or start).
 #[derive(Debug)]
 pub enum ServiceError {
-    /// A frame on an agent link failed to decode — the capture plane is
-    /// shipping corrupt or mis-versioned frames.
+    /// An event record on an agent link failed to decode — the capture
+    /// plane is shipping corrupt records.
     Codec(CodecError),
     /// The analysis pool disappeared while the receiver still had jobs to
     /// hand it (every worker exited or panicked unrecoverably).
@@ -52,7 +53,7 @@ pub enum ServiceError {
 impl std::fmt::Display for ServiceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ServiceError::Codec(e) => write!(f, "agent frame failed to decode: {e}"),
+            ServiceError::Codec(e) => write!(f, "agent record failed to decode: {e}"),
             ServiceError::PoolDisconnected => {
                 write!(f, "analysis pool disconnected with jobs outstanding")
             }
@@ -113,16 +114,16 @@ pub struct ServiceConfig {
     pub workers: Option<usize>,
     /// Optional seeded capture-plane impairment applied to every agent's
     /// capture; the receiver sees what went missing from the sequence
-    /// numbers every frame carries. `None` ships every frame, in order.
+    /// numbers every record carries. `None` ships every record, in order.
     pub impairment: Option<CaptureImpairment>,
     /// Receiver-side resequencer depth: how many out-of-order frames to
     /// park per agent before force-advancing past a hole.
     pub resequence_depth: usize,
-    /// Frames packed per [`gretel_netcap::FrameBatch`] channel operation on each agent
-    /// link (≥ 1). `1` is the per-message shape — one frame per send;
-    /// larger values amortize channel synchronization and per-frame
-    /// allocation across the batch. Purely a transport-granularity knob:
-    /// the diagnosis stream is byte-identical for every value.
+    /// Event records per channel operation on each agent link (≥ 1). `1`
+    /// is the per-message shape — one record per send; larger values
+    /// amortize channel synchronization and allocation across the batch.
+    /// Purely a transport-granularity knob: the diagnosis stream is
+    /// byte-identical for every value.
     pub ingest_batch: usize,
     /// Optional pipeline metrics registry: per-stage event counts and busy
     /// time flow into it from every thread of the pipeline. `None` (the
@@ -146,9 +147,9 @@ impl Default for ServiceConfig {
 /// Transport-level statistics from one service run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Frames shipped agent → analyzer.
+    /// Event records shipped agent → analyzer, one per forwarded message.
     pub frames: u64,
-    /// Encoded bytes shipped.
+    /// Link bytes shipped: 60 per event record.
     pub bytes: u64,
     /// Agent→receiver channel operations (batch receives) the receiver
     /// performed. Equal to `frames` when [`ServiceConfig::ingest_batch`]
@@ -166,7 +167,7 @@ pub struct ServiceStats {
 /// k-way merge → analyzer, with snapshot analysis on a worker pool.
 ///
 /// With `cfg.impairment == None` this is exactly the lossless pipeline:
-/// every frame arrives in order, the resequencer passes it straight
+/// every record arrives in order, the resequencer passes it straight
 /// through, and the diagnoses are byte-identical to inline analysis. With
 /// impairment, receivers infer losses from per-agent sequence numbers,
 /// feed them to [`Analyzer::note_capture_gap`], and every diagnosis whose
@@ -265,7 +266,8 @@ mod tests {
             "threaded pipeline must be semantically identical"
         );
         assert!(svc.frames > 0);
-        assert!(svc.bytes > 0);
+        // One fixed-size event record per message on the link.
+        assert_eq!(svc.bytes, 60 * svc.frames);
         assert!(svc.capture.is_clean());
         // Relevance filter may drop MySQL/NTP traffic; everything relevant
         // is processed exactly once.

@@ -1,20 +1,19 @@
 //! Batched frame transport: many frames per channel operation.
 //!
-//! The per-message service shape ships one encoded frame per channel send,
-//! so at capture-point rates the pipeline pays one synchronized channel
-//! operation — and one allocation — per message. A [`FrameBatch`] amortizes
-//! both: frames are packed back-to-back into a single contiguous **arena**
-//! with an offset table, and the whole batch crosses the agent→receiver
-//! link in one send. Nothing on the way copies a frame: the arena is the
+//! A [`FrameBatch`] packs encoded frames back-to-back into a single
+//! contiguous **arena** with an offset table, so a batch of frames crosses
+//! a link in one send. Nothing on the way copies a frame: the arena is the
 //! `Vec` the builder encoded into, shared as `Bytes` without a copy; a
 //! frame ([`FrameBatch::iter`]) is a slice of it; and
 //! [`crate::decode_view`] parses a frame where it lies.
 //!
+//! No pipeline ships frames any more: the engine's agents ship fixed-size
+//! event records, scanned at the tap. The batch types remain public only
+//! because the benchmark's per-layer table still measures them.
+//!
 //! Batching never changes *what* is shipped, only the channel-operation
-//! granularity: frames keep their per-agent order inside the arena, so a
-//! receiver that parses batches in arrival order sees the byte-identical
-//! frame stream of the per-message path. A batch size of 1 *is* the
-//! per-message path, one arena per frame.
+//! granularity: frames keep their order inside the arena. A batch size of
+//! 1 is one arena per frame.
 //!
 //! ```
 //! use gretel_netcap::FrameBatchBuilder;
@@ -59,11 +58,6 @@ impl FrameBatch {
     /// Whether the batch holds no frames.
     pub fn is_empty(&self) -> bool {
         self.offsets.is_empty()
-    }
-
-    /// Total encoded bytes across every frame (the arena length).
-    pub fn byte_len(&self) -> usize {
-        self.buf.len()
     }
 
     /// Iterate the frames as borrowed slices, in per-agent order.
@@ -200,7 +194,7 @@ mod tests {
             batches.iter().map(FrameBatch::frames).collect::<Vec<_>>(),
             vec![4, 4, 2]
         );
-        let total: usize = batches.iter().map(FrameBatch::byte_len).sum();
+        let total: usize = batches.iter().map(|b| b.buf.len()).sum();
         assert_eq!(total, frames.iter().map(Bytes::len).sum::<usize>());
         let rejoined: Vec<&[u8]> = batches.iter().flat_map(FrameBatch::iter).collect();
         for (orig, got) in frames.iter().zip(rejoined) {

@@ -1,10 +1,11 @@
 //! Binary wire codec for captured messages.
 //!
-//! Monitoring agents serialize each captured [`Message`] into a
-//! length-delimited binary frame before shipping it to the analyzer
-//! (standing in for the paper's Broccoli event transport). The framing is
-//! also what gives throughput numbers their meaning: Mbps in the §7.4
-//! experiments is measured over these bytes.
+//! A frame is one whole captured [`Message`] — URI or RPC method, error
+//! string, payload and all — in a length-delimited binary layout: the
+//! capture format of [`crate::pcap`] dumps, read back by `gretel analyze`.
+//! The threaded pipeline's agents do not ship frames; they scan each
+//! message at the tap and ship a fixed-size event record instead, as the
+//! paper's Bro scripts forward events over Broccoli.
 //!
 //! Frame layout (all integers little-endian):
 //!

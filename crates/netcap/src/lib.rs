@@ -3,12 +3,15 @@
 //! The monitoring substrate standing in for the paper's Bro + Broccoli
 //! pipeline (see DESIGN.md §1):
 //!
-//! * [`encode`] / [`decode_view`] — length-delimited binary codec for
-//!   captured messages (the bytes whose volume the §7.4 throughput numbers
-//!   measure); [`decode_view`] is the one parser and allocates nothing,
-//!   [`decode_one`] copies its result into an owned message;
-//! * [`FrameBatch`] — arena-backed batches: many frames per channel
-//!   operation, shipped and sliced into frames without a copy;
+//! * [`encode`] / [`decode_view`] — the length-delimited binary frame of a
+//!   whole captured message: the capture format of [`pcap`] dumps.
+//!   [`decode_view`] is the one parser and allocates nothing,
+//!   [`decode_one`] copies its result into an owned message. The engine's
+//!   agent → receiver links do not carry frames: an agent ships one
+//!   fixed-size event record per message (`gretel-core`'s engine);
+//! * [`FrameBatch`] — arena-backed batches of frames, which no pipeline
+//!   ships any more; only the benchmark's per-layer table still measures
+//!   them;
 //! * [`CaptureAgent`] — per-node egress capture agents and relevance
 //!   filtering, plus the capture-loss machinery: seeded
 //!   [`CaptureImpairment`] injection and the receiver-side [`Resequencer`]
@@ -33,7 +36,7 @@ pub use agent::{
 };
 pub use batch::{FrameBatch, FrameBatchBuilder};
 pub use frame::{
-    decode_one, decode_one_seq, decode_view, encode, encode_seq, encoded_len, CodecError, FrameView,
+    decode_one, decode_one_seq, decode_view, encode, encode_seq, encoded_len, CodecError,
 };
 pub use shard::{partition_messages, shard_of};
 pub use stats::CaptureStats;

@@ -33,14 +33,15 @@ use std::time::{Duration, Instant};
 /// One stage of the analyzer pipeline, in stream order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
-    /// Per-message fast path on the receiver thread: byte scan, latency
-    /// pairing, window push.
+    /// Per-message fast path on the receiver thread: latency pairing and
+    /// window push, plus the byte scan on the inline path (the threaded
+    /// pipeline scans at the capture agent).
     Ingest,
-    /// Receiver-side per-frame sequence restoration (dup discard, reorder
-    /// parking, gap inference). With the batched transport this stage is
-    /// *timed* once per [`FrameBatch`](../gretel_netcap/struct.FrameBatch.html)
-    /// drained from the channel but *counted* per parsed frame — the
-    /// canonical user of the [`count`](PipelineMetrics::count) /
+    /// Receiver-side per-record read and sequence restoration (dup
+    /// discard, reorder parking, gap inference). With the batched transport
+    /// this stage is *timed* once per batch of event records drained from
+    /// the channel but *counted* per record — the canonical user of the
+    /// [`count`](PipelineMetrics::count) /
     /// [`observe`](PipelineMetrics::observe) split: events stay per item
     /// while the samples reflect the real unit of work.
     Resequence,

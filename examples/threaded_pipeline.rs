@@ -4,10 +4,11 @@
 //! cargo run --release --example threaded_pipeline
 //! ```
 //!
-//! One capture-agent thread per node encodes its egress traffic into
-//! frames; the event receiver k-way-merges the agent streams back into
-//! one ordered stream and drives the analyzer — the deployment shape the
-//! paper's Bro + Broccoli + analyzer service has.
+//! One capture-agent thread per node scans its egress traffic at the tap
+//! and ships one fixed-size event record per message; the event receiver
+//! k-way-merges the agent streams back into one ordered stream and drives
+//! the analyzer — the deployment shape the paper's Bro + Broccoli +
+//! analyzer service has.
 
 use gretel::core::{run_service_cfg, ServiceConfig};
 use gretel::model::OpInstanceId;
@@ -57,7 +58,7 @@ fn main() {
     let (diagnoses, svc, stats) = run_service_cfg(&mut analyzer, &nodes, &exec.messages, &scfg);
 
     println!(
-        "{} agents shipped {} frames ({} KB) to the analyzer; {} messages processed",
+        "{} agents shipped {} event records ({} KB) to the analyzer; {} messages processed",
         nodes.len(),
         svc.frames,
         svc.bytes / 1024,

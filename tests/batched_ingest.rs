@@ -1,13 +1,14 @@
-//! Batched zero-copy ingest oracle (DESIGN.md §12, ARCHITECTURE.md).
+//! Batched ingest oracle (DESIGN.md §9, ARCHITECTURE.md).
 //!
-//! The batched transport moves `FrameBatch`es — one arena, many frames —
-//! across the capture→analyzer channels instead of one allocation per
-//! message. Batching is a *transport* optimisation: diagnoses are a pure
-//! function of the decoded messages in merge order, and per-agent frame
-//! order is preserved inside every arena, so the committed diagnosis
-//! stream must be byte-identical for ANY batch size, under ANY capture
-//! impairment, and across crash/replay cycles. These tests pin that
-//! oracle and the channel-operation economics the fast path exists for.
+//! The batched transport moves batches of event records — one buffer,
+//! many fixed-size records — across the capture→analyzer channels instead
+//! of one allocation per message. Batching is a *transport* optimisation:
+//! diagnoses are a pure function of the messages in merge order, and
+//! per-agent record order is preserved inside every batch, so the
+//! committed diagnosis stream must be byte-identical for ANY batch size,
+//! under ANY capture impairment, and across crash/replay cycles. These
+//! tests pin that oracle and the channel-operation economics the fast
+//! path exists for.
 
 use gretel::core::store::MemStore;
 use gretel::core::{

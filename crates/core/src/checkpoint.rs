@@ -107,10 +107,6 @@ impl Wire for FaultMark {
     }
 }
 
-/// FNV-1a 64-bit over a byte slice — the record checksum. Re-exported
-/// from [`gretel_store`], which owns the record format.
-pub use gretel_store::fnv1a;
-
 wire_struct!(enum FaultKind {
     0 => Operational { status: Option<u16>, rpc: bool },
     1 => Performance { observed_ms: f64, baseline_ms: f64 },

@@ -1,4 +1,4 @@
-//! File backend: the record log as one append-only file, `log`, in the
+//! File backend: the record log as one append-only file, `log.v2`, in the
 //! store directory.
 //!
 //! A file offset is a log offset: the file holds exactly the bytes
@@ -34,7 +34,10 @@ impl Default for FileStoreConfig {
     }
 }
 
-const LOG: &str = "log";
+const LOG: &str = "log.v2";
+
+/// The log file of the previous record format (FNV-1a checksums).
+const OLD_LOG: &str = "log";
 
 /// The record log as one append-only file in a directory. See the module
 /// docs for the on-disk protocol.
@@ -62,8 +65,9 @@ pub struct FileStore {
 impl FileStore {
     /// Open (creating if needed) a store directory: read the log file into
     /// the mirror and truncate a torn tail off it. A directory that still
-    /// holds segment files of the old rotating layout is refused
-    /// ([`StoreError::OldLayout`]) rather than opened without their records.
+    /// holds segment files of the old rotating layout, or the `log` file of
+    /// the old checksum, is refused ([`StoreError::OldLayout`]) rather than
+    /// opened without their records.
     pub fn open(dir: impl AsRef<Path>, cfg: FileStoreConfig) -> Result<FileStore, StoreError> {
         let dir = dir.as_ref();
         fs::create_dir_all(dir).map_err(|e| StoreError::io("create dir", e))?;
@@ -72,7 +76,7 @@ impl FileStore {
                 .map_err(|e| StoreError::io("read dir", e))?
                 .file_name();
             let name = name.to_string_lossy();
-            if name.starts_with("seg-") || name.ends_with(".seg") {
+            if name.starts_with("seg-") || name.ends_with(".seg") || name == OLD_LOG {
                 return Err(StoreError::OldLayout {
                     file: name.into_owned(),
                 });
@@ -242,10 +246,10 @@ mod tests {
 
     #[test]
     fn old_layout_directory_is_a_typed_error() {
-        for old in ["seg-000000.seg", "current.seg", "seg-000003.tmp"] {
+        for old in ["seg-000000.seg", "current.seg", "seg-000003.tmp", "log"] {
             let dir = tmpdir("old-layout");
             fs::create_dir_all(&dir).unwrap();
-            fs::write(dir.join(old), b"committed records of the rotating layout").unwrap();
+            fs::write(dir.join(old), b"committed records of an old layout").unwrap();
             let err = FileStore::open(&dir, FileStoreConfig::default()).unwrap_err();
             assert_eq!(
                 err,

@@ -101,7 +101,8 @@ done
 # of (code, seed), so regenerate them all and require the committed copies
 # byte for byte — a stale table cannot be committed. Every gate the
 # experiments assert (EXPERIMENTS.md) runs on the way. A store is one log
-# file: every FileStore directory the run leaves must hold exactly one.
+# file: every FileStore directory the run leaves must hold exactly one, and
+# it must be `log.v2` (a stray `log` is the old checksum's format).
 cp -r results "$STORE_ROOT/committed"
 cargo run --release --offline --locked -q -p gretel-bench --bin experiments -- \
   --store-dir "$STORE_ROOT/stores" >"$STORE_ROOT/experiments.log" ||
@@ -109,9 +110,9 @@ cargo run --release --offline --locked -q -p gretel-bench --bin experiments -- \
 diff -r "$STORE_ROOT/committed" results ||
   { echo "ci: results/ is stale: commit what \`experiments\` regenerated" >&2; exit 1; }
 for d in "$STORE_ROOT"/stores/*/*/; do
-  files="$(find "$d" -mindepth 1 | wc -l)"
-  if [[ "$files" -ne 1 ]]; then
-    echo "ci: store directory $d holds $files entries, expected one log file" >&2
+  entries="$(find "$d" -mindepth 1 -printf '%f\n')"
+  if [[ "$entries" != "log.v2" ]]; then
+    echo "ci: store directory $d holds [${entries//$'\n'/ }], expected exactly log.v2" >&2
     exit 1
   fi
 done

@@ -45,7 +45,7 @@ use gretel::model::{
 };
 use gretel::netcap::{decode_one_seq, decode_view, encode_seq, Resequencer};
 use gretel::sim::ResourceKind;
-use gretel::store::{records, MemStore, Store, RECORD_HEADER};
+use gretel::store::{checksum, records, MemStore, Store, RECORD_HEADER};
 use gretel::telemetry::{LevelShiftConfig, LevelShiftDetector, OutlierDetector, SpikeDetector};
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
@@ -771,6 +771,166 @@ fn mutations(golden: &[u8], mut visit: impl FnMut(&[u8], Mutation)) -> usize {
         }
     }
     visits
+}
+
+// ---- the record checksum --------------------------------------------------
+
+/// xxHash64 with seed 0, written for reading rather than speed: every word
+/// is assembled byte by byte from an explicit index, so it shares no word
+/// load, stripe iterator or tail split with [`checksum`].
+fn reference_checksum(bytes: &[u8]) -> u64 {
+    const P1: u64 = 0x9e37_79b1_85eb_ca87;
+    const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+    const P3: u64 = 0x1656_67b1_9e37_79f9;
+    const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+    const P5: u64 = 0x27d4_eb2f_1656_67c5;
+    let le = |at: usize, n: usize| {
+        (0..n)
+            .rev()
+            .fold(0u64, |w, i| (w << 8) | u64::from(bytes[at + i]))
+    };
+    let round = |acc: u64, w: u64| {
+        acc.wrapping_add(w.wrapping_mul(P2))
+            .rotate_left(31)
+            .wrapping_mul(P1)
+    };
+    let len = bytes.len();
+    let mut at = 0;
+    let mut h = P5;
+    if len >= 32 {
+        let mut v = [P1.wrapping_add(P2), P2, 0, 0u64.wrapping_sub(P1)];
+        while at + 32 <= len {
+            for (lane, acc) in v.iter_mut().enumerate() {
+                *acc = round(*acc, le(at + 8 * lane, 8));
+            }
+            at += 32;
+        }
+        h = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        for acc in v {
+            h = (h ^ round(0, acc)).wrapping_mul(P1).wrapping_add(P4);
+        }
+    }
+    h = h.wrapping_add(len as u64);
+    while at + 8 <= len {
+        h ^= round(0, le(at, 8));
+        h = h.rotate_left(27).wrapping_mul(P1).wrapping_add(P4);
+        at += 8;
+    }
+    if at + 4 <= len {
+        h ^= le(at, 4).wrapping_mul(P1);
+        h = h.rotate_left(23).wrapping_mul(P2).wrapping_add(P3);
+        at += 4;
+    }
+    while at < len {
+        h ^= u64::from(bytes[at]).wrapping_mul(P5);
+        h = h.rotate_left(11).wrapping_mul(P1);
+        at += 1;
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
+}
+
+/// Deterministic, non-repeating payload material.
+fn noise(n: usize) -> Vec<u8> {
+    (0..n as u64)
+        .map(|i| (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 56) as u8 ^ i as u8)
+        .collect()
+}
+
+/// One record of `payload`, as a store writes it.
+fn record_bytes(payload: &[u8]) -> Vec<u8> {
+    let mut store = MemStore::new();
+    store.append(KIND_DIAGNOSES, payload).expect("append");
+    store.bytes().to_vec()
+}
+
+/// Every stripe, word, half-word and byte path of the word-at-a-time
+/// checksum, at every alignment of the slice it reads, equals the
+/// byte-by-byte reference; and the record header carries exactly that sum.
+#[test]
+fn the_record_checksum_matches_a_bytewise_reference_at_every_length_and_offset() {
+    // Published xxHash64 (seed 0) values: the reference is the real hash.
+    for (input, sum) in [
+        (&b""[..], 0xef46_db37_51d8_e999),
+        (b"a", 0xd24e_c4f1_a98c_6e5b),
+        (b"abc", 0x44bc_2cf5_ad77_0999),
+        (
+            b"Nobody inspects the spammish repetition",
+            0xfbce_a83c_8a37_8bf1,
+        ),
+    ] {
+        assert_eq!(reference_checksum(input), sum, "{input:?}");
+        assert_eq!(checksum(input), sum, "{input:?}");
+    }
+    let buf = noise(130 + 8);
+    for len in 0..=130 {
+        for off in 0..8 {
+            let payload = &buf[off..off + len];
+            let sum = checksum(payload);
+            assert_eq!(
+                sum,
+                reference_checksum(payload),
+                "length {len}, offset {off}"
+            );
+            if off == 0 {
+                let rec = record_bytes(payload);
+                assert_eq!(rec[4..12], sum.to_le_bytes(), "length {len}");
+            }
+        }
+    }
+}
+
+/// The checksum sees every one- and two-bit corruption of a 40-byte
+/// payload (one stripe plus one tail word), and a record whose payload
+/// took a one-bit flip no longer verifies.
+#[test]
+fn every_one_and_two_bit_flip_of_a_payload_changes_its_checksum() {
+    let payload = noise(40);
+    let sum = checksum(&payload);
+    let bits = payload.len() * 8;
+    let flip = |bytes: &mut [u8], bit: usize| bytes[bit / 8] ^= 1 << (bit % 8);
+    let rec = record_bytes(&payload);
+    for i in 0..bits {
+        let mut once = payload.clone();
+        flip(&mut once, i);
+        assert_ne!(checksum(&once), sum, "bit {i}");
+        let mut bad = rec.clone();
+        flip(&mut bad[RECORD_HEADER..], i);
+        assert!(!records(&bad).next().expect("a record").valid(), "bit {i}");
+        for j in i + 1..bits {
+            let mut twice = once.clone();
+            flip(&mut twice, j);
+            assert_ne!(checksum(&twice), sum, "bits {i} and {j}");
+        }
+    }
+}
+
+/// A record cut anywhere is not yielded at all; one whose length prefix
+/// was rewritten to match a shortened payload is yielded and fails its
+/// checksum.
+#[test]
+fn every_truncation_of_a_record_is_rejected() {
+    let payload = noise(40);
+    let rec = record_bytes(&payload);
+    assert_eq!(rec.len(), RECORD_HEADER + payload.len());
+    for cut in 0..rec.len() {
+        assert!(records(&rec[..cut]).next().is_none(), "cut at {cut}");
+        assert!(MemStore::from_bytes(rec[..cut].to_vec()).is_empty());
+    }
+    for keep in 0..payload.len() {
+        let mut short = rec[..RECORD_HEADER + keep].to_vec();
+        short[..4].copy_from_slice(&(keep as u32).to_le_bytes());
+        let r = records(&short).next().expect("a complete record");
+        assert_eq!(r.payload, &payload[..keep]);
+        assert!(!r.valid(), "payload cut to {keep} bytes");
+    }
 }
 
 /// A `MIN_BYTES` above some real value's encoding would refuse that value

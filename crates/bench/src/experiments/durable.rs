@@ -21,10 +21,10 @@ const KILL_COUNTS: [usize; 4] = [0, 1, 2, 4];
 enum Damage {
     Clean,
     /// Cut the last record in half. The newest record after a kill is
-    /// always a boundary record, a base or a delta (never released
-    /// diagnoses — those are written *before* the boundary record that
-    /// covers them), so a torn tail can delay recovery but never lose
-    /// output.
+    /// always a boundary record, a base or a delta, which holds the
+    /// diagnoses released at it: the restart finds them without a copy,
+    /// stands at the boundary before and releases them again, so a torn
+    /// tail can delay recovery but never lose output.
     TornTail,
     /// Flip one payload byte of the newest record.
     CorruptNewest,

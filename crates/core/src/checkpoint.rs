@@ -1,20 +1,25 @@
 //! The checkpoint and release-record formats.
 //!
 //! A store-backed run ([`crate::recover::run_service_durable`]) ends every
-//! checkpoint interval with a boundary record in a [`gretel_store::Store`]:
-//! an append-only log of length-prefixed, checksummed records. A boundary
-//! record is a *base* ([`encode_checkpoint`]) — the analyzer's ingest state
-//! (sliding window, latency pairer, perf detectors, claim watermark,
-//! traffic graph) — or a *delta* ([`encode_delta`]): the messages merged
-//! since the previous boundary, as fixed-size entries. Both carry the
-//! receiver-side [`gretel_netcap::Resequencer`] positions and the next job
-//! sequence number. After a crash the run restores the newest *valid* base,
+//! checkpoint interval with one boundary record in a
+//! [`gretel_store::Store`]: an append-only log of length-prefixed,
+//! checksummed records. A boundary record is a *base*
+//! ([`encode_checkpoint`]) — the analyzer's ingest state (sliding window,
+//! latency pairer, perf detectors, claim watermark, traffic graph) — or a
+//! *delta* ([`encode_delta`]): the messages merged since the previous
+//! boundary, as fixed-size entries. Both carry the next job sequence
+//! number, the jobs released at the boundary with their diagnoses, and the
+//! receiver-side [`gretel_netcap::Resequencer`] positions, so a boundary
+//! is self-contained: one record, under one checksum. After a crash the
+//! run reads the release of every valid record ([`open_boundary`]), stands
+//! at the newest valid base that leaves no released job without a copy,
 //! replays the deltas that chain onto it (corrupt records are detected by
 //! checksum and skipped, never half-applied), and the agents replay their
 //! streams from the beginning; the restored resequencers discard the
 //! already-delivered prefix as duplicates, so the diagnosis stream
-//! continues exactly where the last applied record left it. Diagnoses
-//! travel in release records, written before they are handed downstream.
+//! continues exactly where the last applied record left it. The jobs
+//! released at end of stream, after the last boundary, travel in one
+//! release record ([`encode_release`]).
 //!
 //! The record envelope lives in `gretel-store`. This module owns the
 //! [`Wire`] formats of the pieces shared across records — [`Event`],
@@ -144,16 +149,21 @@ wire_struct!(Diagnosis {
     attribution: None,
 });
 
-/// A release batch ([`crate::KIND_DIAGNOSES`]): the watermark and its
-/// `(job seq, diagnoses)` pairs.
-pub type Release = (u64, Vec<(u64, Vec<Diagnosis>)>);
+/// One released job: its sequence number and its diagnoses (none when the
+/// job claimed no fault).
+pub type Job = (u64, Vec<Diagnosis>);
+
+/// A release batch: the watermark and its jobs. A boundary record carries
+/// one after its next job seq, which is its watermark; a
+/// [`crate::KIND_DIAGNOSES`] record is one behind its own tag.
+pub type Release = (u64, Vec<Job>);
 
 /// The first four bytes of every [`crate::KIND_DIAGNOSES`] payload: `GRL`
 /// and the layout version, checked before the body.
 const RELEASE_TAG: [u8; 4] = *b"GRL\x01";
 
 /// Serialize one release batch, behind the format tag.
-pub fn encode_release(up_to: u64, jobs: &[(u64, Vec<Diagnosis>)]) -> Vec<u8> {
+pub fn encode_release(up_to: u64, jobs: &[Job]) -> Vec<u8> {
     let mut out = RELEASE_TAG.to_vec();
     up_to.put(&mut out);
     jobs.put(&mut out);
@@ -227,48 +237,26 @@ fn restore_agents<'s>(
 /// [`crate::KIND_DELTA`] payload: `GCK` and the layout version. A record in
 /// any other layout (one written before the tag existed included) fails
 /// restore with its own error rather than on some later field.
-const CHECKPOINT_TAG: [u8; 4] = *b"GCK\x04";
-
-/// A reader over a boundary record's body, behind the format tag.
-fn untag(payload: &[u8]) -> Result<Reader<'_>, DecodeError> {
-    payload
-        .strip_prefix(&CHECKPOINT_TAG[..])
-        .map(Reader::new)
-        .ok_or(DecodeError::Invalid("checkpoint format"))
-}
+const CHECKPOINT_TAG: [u8; 4] = *b"GCK\x05";
 
 /// Write the engine's [`crate::KIND_CHECKPOINT`] record, a *base*, into
 /// `out` (replacing what it held) in one pass: the tag, the sequence number
-/// the next snapshot job gets, the agents' block, and the analyzer's state
+/// the next snapshot job gets, the jobs released at this boundary, the
+/// agents' block, and the analyzer's state
 /// ([`crate::Analyzer::export_state`]'s bytes) to the end.
 pub fn encode_checkpoint<'s>(
     out: &mut Vec<u8>,
     analyzer: &Analyzer<'_>,
     next_seq: u64,
+    jobs: &[Job],
     agents: impl ExactSizeIterator<Item = &'s AgentState>,
 ) {
     out.clear();
     out.extend_from_slice(&CHECKPOINT_TAG);
     next_seq.put(out);
+    jobs.put(out);
     put_agents(agents, out);
     analyzer.put_state(out);
-}
-
-/// Restore a record written by [`encode_checkpoint`] into `analyzer` and
-/// `agents`, both built from the run's configuration, and return the next
-/// job sequence number. A payload without this build's format tag is
-/// `Invalid("checkpoint format")`; a state that does not fit the configured
-/// analyzer or agents is an error too, and no setting is read from bytes.
-pub fn restore_checkpoint<'s>(
-    payload: &[u8],
-    analyzer: &mut Analyzer<'_>,
-    agents: impl ExactSizeIterator<Item = &'s mut AgentState>,
-) -> Result<u64, DecodeError> {
-    let mut r = untag(payload)?;
-    let next_seq = u64::read(&mut r)?;
-    restore_agents(&mut r, agents)?;
-    analyzer.restore_from(r)?;
-    Ok(next_seq)
 }
 
 /// One merged message as a delta records it: the capture gap reported
@@ -276,17 +264,19 @@ pub fn restore_checkpoint<'s>(
 pub type DeltaEntry = (u32, MessageHead, FaultMark);
 
 /// Write the engine's [`crate::KIND_DELTA`] record into `out` (replacing
-/// what it held) in one pass: the tag; `from`, the continuity key — the merged-message count at the
-/// previous boundary, where the entries start; `next_seq`, the sequence
-/// number the next snapshot job gets after the entries; the agents' block;
-/// and to the end the entries, every message merged since the previous
-/// boundary in merge order. Ingest is deterministic, so replaying the
-/// entries into the analyzer that boundary left rebuilds its whole state;
-/// the record carries no analyzer state of its own.
+/// what it held) in one pass: the tag; `from`, the continuity key — the
+/// merged-message count at the previous boundary, where the entries start;
+/// `next_seq`, the sequence number the next snapshot job gets after the
+/// entries; the jobs released at this boundary; the agents' block; and to
+/// the end the entries, every message merged since the previous boundary
+/// in merge order. Ingest is deterministic, so replaying the entries into
+/// the analyzer that boundary left rebuilds its whole state; the record
+/// carries no analyzer state of its own.
 pub fn encode_delta<'s>(
     out: &mut Vec<u8>,
     from: u64,
     next_seq: u64,
+    jobs: &[Job],
     entries: &[DeltaEntry],
     agents: impl ExactSizeIterator<Item = &'s AgentState>,
 ) {
@@ -294,29 +284,74 @@ pub fn encode_delta<'s>(
     out.reserve(256 + entries.len() * DeltaEntry::MIN_BYTES);
     out.extend_from_slice(&CHECKPOINT_TAG);
     (from, next_seq).put(out);
+    jobs.put(out);
     put_agents(agents, out);
     entries.put(out);
 }
 
-/// Read a record written by [`encode_delta`]. A delta whose continuity key
-/// is not `at` does not continue the chain and is `Ok(None)`, its agents
-/// untouched; otherwise its agents' block restores into `agents` and its
-/// `next_seq` and entries are returned. A payload without this build's
-/// format tag is `Invalid("checkpoint format")`.
-pub fn restore_delta<'s>(
-    payload: &[u8],
-    at: u64,
-    agents: impl ExactSizeIterator<Item = &'s mut AgentState>,
-) -> Result<Option<(u64, Vec<DeltaEntry>)>, DecodeError> {
-    let mut r = untag(payload)?;
-    let (from, next_seq): (u64, u64) = Wire::read(&mut r)?;
-    if from != at {
-        return Ok(None);
+/// A boundary record read up to its agents' block: what a restore reads of
+/// every record on the log before it picks where to stand.
+#[derive(Debug)]
+pub struct Boundary<'a> {
+    /// A delta's continuity key; `None` for a base.
+    pub from: Option<u64>,
+    /// The sequence number the next snapshot job gets: the watermark of
+    /// the record's release.
+    pub next_seq: u64,
+    /// The jobs released at this boundary.
+    pub jobs: Vec<Job>,
+    /// The agents' block and what follows it.
+    state: Reader<'a>,
+}
+
+/// Read the opening of a boundary record of `kind` — a delta's continuity
+/// key, the next job seq and the released jobs — and hold the rest for
+/// [`Boundary::restore_base`] or [`Boundary::restore_delta`]. A payload
+/// without this build's format tag is `Invalid("checkpoint format")`.
+pub fn open_boundary(kind: u8, payload: &[u8]) -> Result<Boundary<'_>, DecodeError> {
+    let mut state = payload
+        .strip_prefix(&CHECKPOINT_TAG[..])
+        .map(Reader::new)
+        .ok_or(DecodeError::Invalid("checkpoint format"))?;
+    let from = match kind {
+        crate::KIND_DELTA => Some(u64::read(&mut state)?),
+        _ => None,
+    };
+    let (next_seq, jobs) = Wire::read(&mut state)?;
+    Ok(Boundary {
+        from,
+        next_seq,
+        jobs,
+        state,
+    })
+}
+
+impl Boundary<'_> {
+    /// Restore a base's state into `analyzer` and `agents`, both built
+    /// from the run's configuration. A state that does not fit them is an
+    /// error, and no setting is read from bytes.
+    pub fn restore_base<'s>(
+        mut self,
+        analyzer: &mut Analyzer<'_>,
+        agents: impl ExactSizeIterator<Item = &'s mut AgentState>,
+    ) -> Result<(), DecodeError> {
+        debug_assert!(self.from.is_none(), "a base has no continuity key");
+        restore_agents(&mut self.state, agents)?;
+        analyzer.restore_from(self.state)
     }
-    restore_agents(&mut r, agents)?;
-    let entries = Wire::read(&mut r)?;
-    r.done()?;
-    Ok(Some((next_seq, entries)))
+
+    /// Restore a delta's agents' block into `agents` and return its
+    /// entries.
+    pub fn restore_delta<'s>(
+        mut self,
+        agents: impl ExactSizeIterator<Item = &'s mut AgentState>,
+    ) -> Result<Vec<DeltaEntry>, DecodeError> {
+        debug_assert!(self.from.is_some(), "a delta has a continuity key");
+        restore_agents(&mut self.state, agents)?;
+        let entries = Wire::read(&mut self.state)?;
+        self.state.done()?;
+        Ok(entries)
+    }
 }
 
 #[cfg(test)]
@@ -495,13 +530,15 @@ mod tests {
             cause: CauseKind::Dependency(Dependency::NtpAgent),
             why: String::new(),
         });
-        // A delta of no entries over no agents: tag, key, next seq and two
-        // empty counts.
+        // A delta of no jobs and no entries over no agents: tag, key, next
+        // seq and three empty counts.
         let mut empty = vec![0xFF; 9];
-        encode_delta(&mut empty, 0, 0, &[], std::iter::empty());
-        assert_eq!(empty.len(), CHECKPOINT_TAG.len() + 8 + 8 + 4 + 4);
-        let restored = restore_delta(&empty, 0, std::iter::empty());
-        assert_eq!(restored, Ok(Some((0, vec![]))));
+        encode_delta(&mut empty, 0, 0, &[], &[], std::iter::empty());
+        assert_eq!(empty.len(), CHECKPOINT_TAG.len() + 8 + 8 + 4 + 4 + 4);
+        let opened = open_boundary(crate::KIND_DELTA, &empty).expect("opens");
+        assert_eq!((opened.from, opened.next_seq), (Some(0), 0));
+        assert!(opened.jobs.is_empty());
+        assert_eq!(opened.restore_delta(std::iter::empty()), Ok(vec![]));
         // A marked head is fixed-size whichever options the head carries.
         let head = MessageHead {
             id: MessageId(9),

@@ -33,20 +33,23 @@
 //! * **without** ([`run_plain`], i.e. `run_service_cfg` and the plain
 //!   shards) it never checkpoints or restores and releases every diagnosis
 //!   at end of stream;
-//! * **with** one (`run_service_durable`, the durable shards) it restores
-//!   the newest valid base and the deltas that chain onto it, writes a
-//!   boundary record every [`RecoveryConfig::checkpoint_every`] merged
-//!   messages, and honours the kill arm. A boundary record is a small
+//! * **with** one (`run_service_durable`, the durable shards) it writes
+//!   one boundary record every [`RecoveryConfig::checkpoint_every`] merged
+//!   messages and honours the kill arm. A boundary record is a small
 //!   [`KIND_DELTA`] — the `(gap, head, mark)` of each message merged since
 //!   the previous boundary — unless the deltas since the last base
 //!   outweigh it, when a full [`KIND_CHECKPOINT`] base is written instead.
-//!   Released diagnoses travel as their own [`KIND_DIAGNOSES`] records,
-//!   written immediately *before* the boundary record that makes them
-//!   unrepeatable — so a crash can neither lose nor duplicate a diagnosis.
-//!   Each boundary's sync, detached from the store ([`Store::flusher`]),
-//!   runs on the cycle's sync thread while the next interval merges; the
-//!   next boundary waits for it before it appends anything, so the log
-//!   reaches the disk in the same order as a sync inline would write it.
+//!   Either carries the jobs released at the boundary, so the diagnoses
+//!   and the state that makes them unrepeatable share one checksum. A
+//!   restart reads every valid record's jobs, finds `g`, the first job
+//!   that has no valid copy on the log, and restores the newest valid base
+//!   at or before `g` and the deltas that chain onto it: a damaged record
+//!   costs the replay of its interval and of every later one, and loses
+//!   nothing. The merge thread appends each boundary record, requests its
+//!   sync from the cycle's sync thread ([`Store::flusher`]) and goes on;
+//!   each sync covers everything appended before it started. The merge
+//!   thread waits for the disk only at end of stream and on a kill. The
+//!   jobs released at end of stream go in one [`KIND_DIAGNOSES`] record.
 //!
 //! Every link is sequence-stamped: each agent numbers the messages it
 //! captures and the receiver resequences each agent's records. A store
@@ -58,8 +61,8 @@
 use crate::analyzer::{Analyzer, AnalyzerStats, SnapshotAnalyzer, SnapshotJob};
 use crate::anomaly::scan_message;
 use crate::checkpoint::{
-    decode_release, encode_checkpoint, encode_delta, encode_release, restore_checkpoint,
-    restore_delta, AgentState, DeltaEntry, Marked,
+    decode_release, encode_checkpoint, encode_delta, encode_release, open_boundary, AgentState,
+    Boundary, DeltaEntry, Job, Marked,
 };
 use crate::recover::{
     AnalyzerChaos, RecoveryConfig, RecoveryStats, KIND_CHECKPOINT, KIND_DELTA, KIND_DIAGNOSES,
@@ -270,21 +273,35 @@ struct Chain {
 }
 
 impl Chain {
-    /// Write the boundary record for this point of the run into
-    /// [`Chain::record`] and return its kind: a delta while the deltas
-    /// since the last base weigh no more than that base, else a new base.
-    /// Either way the chain then stands at `analyzer`'s count.
-    fn boundary(&mut self, analyzer: &Analyzer<'_>, streams: &[AgentStream], next_seq: u64) -> u8 {
+    /// Write the boundary record for this point of the run, with the
+    /// `jobs` released at it, into [`Chain::record`] and return its kind: a
+    /// delta while the deltas since the last base weigh no more than that
+    /// base, else a new base. Either way the chain then stands at
+    /// `analyzer`'s count.
+    fn boundary(
+        &mut self,
+        analyzer: &Analyzer<'_>,
+        streams: &[AgentStream],
+        next_seq: u64,
+        jobs: &[Job],
+    ) -> u8 {
         let from = std::mem::replace(&mut self.at, analyzer.stats().messages);
         let agents = streams.iter().map(|st| &st.agent);
         let kind = match self.base_bytes {
             Some(base) if self.delta_bytes <= base => {
-                encode_delta(&mut self.record, from, next_seq, &self.entries, agents);
+                encode_delta(
+                    &mut self.record,
+                    from,
+                    next_seq,
+                    jobs,
+                    &self.entries,
+                    agents,
+                );
                 self.delta_bytes += self.record.len();
                 KIND_DELTA
             }
             _ => {
-                encode_checkpoint(&mut self.record, analyzer, next_seq, agents);
+                encode_checkpoint(&mut self.record, analyzer, next_seq, jobs, agents);
                 self.base_bytes = Some(self.record.len());
                 self.delta_bytes = 0;
                 KIND_CHECKPOINT
@@ -295,46 +312,100 @@ impl Chain {
     }
 }
 
+/// A log as a restart reads it: every record is checksummed once, and
+/// every valid one is read up to its release.
+struct LogScan<'a> {
+    /// The valid boundary records in log order, each with its payload
+    /// length.
+    bounds: Vec<(usize, Boundary<'a>)>,
+    /// The first valid copy of every released job, by job seq: a base's,
+    /// a delta's or the end-of-stream release's.
+    released: BTreeMap<u64, Vec<Diagnosis>>,
+}
+
+impl LogScan<'_> {
+    fn new(log: &[u8]) -> Result<LogScan<'_>, ServiceError> {
+        let mut scan = LogScan {
+            bounds: Vec::new(),
+            released: BTreeMap::new(),
+        };
+        for r in records(log).filter(Record::valid) {
+            let jobs = match r.kind {
+                KIND_CHECKPOINT | KIND_DELTA => {
+                    let mut b = open_boundary(r.kind, r.payload)?;
+                    let jobs = std::mem::take(&mut b.jobs);
+                    scan.bounds.push((r.payload.len(), b));
+                    jobs
+                }
+                KIND_DIAGNOSES => decode_release(r.payload)?.1,
+                _ => continue,
+            };
+            for (seq, ds) in jobs {
+                scan.released.entry(seq).or_insert(ds);
+            }
+        }
+        Ok(scan)
+    }
+
+    /// `g`, the release watermark a restarted process honours: the first
+    /// job seq of which no valid record holds a copy. Every job below it
+    /// is on the log; a job at or past it is released again if replay
+    /// regenerates it.
+    fn watermark(&self) -> u64 {
+        self.released
+            .keys()
+            .zip(0u64..)
+            .take_while(|&(&seq, i)| seq == i)
+            .count() as u64
+    }
+
+    /// Every released diagnosis, ordered by job sequence number.
+    fn diagnoses(self) -> Vec<Diagnosis> {
+        self.released.into_values().flatten().collect()
+    }
+}
+
 /// Restore `analyzer` and the receiver `streams`, both built from the run's
-/// configuration, from the store: the newest valid base, then every later
-/// valid delta, in log order, whose continuity key is the count the
-/// analyzer has reached. A delta is replayed through the same ingest that
-/// first ran it, so it rebuilds the whole analyzer state; the jobs it
-/// regenerates were all released before the delta was written, so they are
-/// only counted, and must land on its `next_seq`. A corrupt, torn or
-/// non-continuing delta is skipped, so a delta that a later lifetime
-/// re-wrote still chains. The streams end as the last applied record left
-/// them. Returns the next job sequence number and the chain to continue,
-/// or `None` (cold start) when no base verifies.
+/// configuration, from a scanned log whose release watermark is `g`. The
+/// restore stands at the newest valid base whose next job seq is at most
+/// `g`, so every job before it has a copy on the log, then applies every
+/// later valid delta, in log order, whose continuity key is the count the
+/// analyzer has reached and whose next job seq is at most `g`. A delta is
+/// replayed through the same ingest that first ran it, so it rebuilds the
+/// whole analyzer state; the jobs it regenerates were all released before
+/// it, so they are only counted, and must land on its next job seq. A
+/// corrupt, torn or non-continuing delta is skipped, so a delta that a
+/// later lifetime re-wrote still chains. The streams end as the last
+/// applied record left them. Returns the next job sequence number and the
+/// chain to continue, or `None` (cold start) when no base qualifies.
 fn restore(
-    store: &dyn Store,
+    scan: LogScan<'_>,
+    g: u64,
     analyzer: &mut Analyzer<'_>,
     streams: &mut [AgentStream],
 ) -> Result<Option<(u64, Chain)>, ServiceError> {
-    // Find the records by header, then checksum from the newest back: a
-    // restart pays for the records it uses, not the log.
-    let log: Vec<Record<'_>> = records(store.bytes()).collect();
-    let Some(b) = log
+    let Some(b) = scan
+        .bounds
         .iter()
-        .rposition(|r| r.kind == KIND_CHECKPOINT && r.valid())
+        .rposition(|(_, r)| r.from.is_none() && r.next_seq <= g)
     else {
         return Ok(None);
     };
-    let agents = streams.iter_mut().map(|st| &mut st.agent);
-    let mut next_seq = restore_checkpoint(log[b].payload, analyzer, agents)?;
+    let mut later = scan.bounds.into_iter().skip(b);
+    let (base_bytes, base) = later.next().expect("the base found above");
+    let mut next_seq = base.next_seq;
+    base.restore_base(analyzer, streams.iter_mut().map(|st| &mut st.agent))?;
     let mut chain = Chain {
         at: analyzer.stats().messages,
-        base_bytes: Some(log[b].payload.len()),
+        base_bytes: Some(base_bytes),
         ..Chain::default()
     };
-    for r in log[b + 1..]
-        .iter()
-        .filter(|r| r.kind == KIND_DELTA && r.valid())
-    {
-        let agents = streams.iter_mut().map(|st| &mut st.agent);
-        let Some((delta_next_seq, entries)) = restore_delta(r.payload, chain.at, agents)? else {
+    for (delta_bytes, delta) in later {
+        if delta.from != Some(chain.at) || delta.next_seq > g {
             continue;
-        };
+        }
+        let delta_next_seq = delta.next_seq;
+        let entries = delta.restore_delta(streams.iter_mut().map(|st| &mut st.agent))?;
         let mut jobs = 0u64;
         for (gap, head, mark) in &entries {
             analyzer.note_capture_gap(*gap);
@@ -345,35 +416,9 @@ fn restore(
         }
         next_seq = delta_next_seq;
         chain.at = analyzer.stats().messages;
-        chain.delta_bytes += r.payload.len();
+        chain.delta_bytes += delta_bytes;
     }
     Ok(Some((next_seq, chain)))
-}
-
-/// The release watermark a restarted process must honor: the maximum
-/// `up_to` over every valid [`KIND_DIAGNOSES`] record on the store.
-fn store_watermark(store: &dyn Store) -> Result<u64, ServiceError> {
-    let mut w = 0u64;
-    for payload in store.records_of(KIND_DIAGNOSES) {
-        let (up_to, _) = decode_release(payload)?;
-        w = w.max(up_to);
-    }
-    Ok(w)
-}
-
-/// Collect the run's output from the store: every released diagnosis,
-/// ordered by job sequence number. Jobs are deduplicated by sequence
-/// (first record wins) as defense in depth; the watermark protocol means
-/// duplicates never reach the store in the first place.
-fn read_diagnoses(store: &dyn Store) -> Result<Vec<Diagnosis>, ServiceError> {
-    let mut by_seq: BTreeMap<u64, Vec<Diagnosis>> = BTreeMap::new();
-    for payload in store.records_of(KIND_DIAGNOSES) {
-        let (_, jobs) = decode_release(payload)?;
-        for (seq, ds) in jobs {
-            by_seq.entry(seq).or_insert(ds);
-        }
-    }
-    Ok(by_seq.into_values().flatten().collect())
 }
 
 type JobMsg = (u64, u32, SnapshotJob);
@@ -584,34 +629,30 @@ pub(crate) struct RunState<'a> {
     pub(crate) service_stats: ServiceStats,
     /// The run's output, complete once [`run_cycle`] returns
     /// [`RunEnd::Completed`]: every released diagnosis in job-sequence
-    /// order (read back from the [`KIND_DIAGNOSES`] records when there is a
-    /// store).
+    /// order (read back from the store's records when there is one).
     pub(crate) diagnoses: Vec<Diagnosis>,
-    /// Job seqs below this have been released; replay must not re-release.
+    /// Job seqs below this have a copy on the store; replay must not
+    /// release them again.
     released_watermark: u64,
     kill_point: Option<u64>,
     /// The record chain on the store (unused without one).
     chain: Chain,
+    /// The jobs of the release being written, kept to reuse its buffer.
+    release: Vec<Job>,
 }
 
 impl<'a> RunState<'a> {
-    pub(crate) fn new(
-        store: Option<&'a mut dyn Store>,
-        kill_point: Option<u64>,
-    ) -> Result<RunState<'a>, ServiceError> {
-        let released_watermark = match &store {
-            Some(s) => store_watermark(&**s)?,
-            None => 0,
-        };
-        Ok(RunState {
+    pub(crate) fn new(store: Option<&'a mut dyn Store>, kill_point: Option<u64>) -> RunState<'a> {
+        RunState {
             store,
             stats: RecoveryStats::default(),
             service_stats: ServiceStats::default(),
             diagnoses: Vec::new(),
-            released_watermark,
+            released_watermark: 0,
             kill_point,
             chain: Chain::default(),
-        })
+            release: Vec::new(),
+        }
     }
 }
 
@@ -624,20 +665,14 @@ pub(crate) enum RunEnd {
     Killed,
 }
 
-/// Release every pending result below `up_to`, suppressing
-/// already-released duplicates: as one [`KIND_DIAGNOSES`] store record, or
-/// straight into [`RunState::diagnoses`] without a store. The record is
-/// written even when the batch is empty: the watermark it carries must
-/// survive a process restart.
-fn commit_release(
-    pool: &mut Pool<'_, '_>,
-    up_to: u64,
-    st: &mut RunState<'_>,
-) -> Result<(), ServiceError> {
+/// Take every pending result below `up_to` into [`RunState::release`], in
+/// job-sequence order, suppressing the jobs below the release watermark:
+/// their copies are on the store already.
+fn take_release(pool: &mut Pool<'_, '_>, up_to: u64, st: &mut RunState<'_>) {
     let metrics = pool.metrics;
     let t = StageTimer::start(metrics, Stage::Commit);
     let mut released = 0u64;
-    let mut jobs: Vec<(u64, Vec<Diagnosis>)> = Vec::new();
+    st.release.clear();
     while pool
         .pending
         .first_key_value()
@@ -652,28 +687,41 @@ fn commit_release(
             st.stats.jobs_cancelled += 1;
         }
         released += ds.len() as u64;
-        jobs.push((seq, ds));
-    }
-    match &mut st.store {
-        Some(store) => {
-            let payload = encode_release(up_to, &jobs);
-            store.append(KIND_DIAGNOSES, &payload)?;
-        }
-        None => st.diagnoses.extend(jobs.into_iter().flat_map(|(_, ds)| ds)),
+        st.release.push((seq, ds));
     }
     st.released_watermark = st.released_watermark.max(up_to);
     t.finish();
     if let Some(m) = metrics {
         m.count(Stage::Commit, released);
     }
+}
+
+/// The end-of-stream release of every pending result below `up_to`: one
+/// [`KIND_DIAGNOSES`] store record, written even when it holds no job, or
+/// straight into [`RunState::diagnoses`] without a store.
+fn commit_release(
+    pool: &mut Pool<'_, '_>,
+    up_to: u64,
+    st: &mut RunState<'_>,
+) -> Result<(), ServiceError> {
+    take_release(pool, up_to, st);
+    match &mut st.store {
+        Some(store) => store.append(KIND_DIAGNOSES, &encode_release(up_to, &st.release))?,
+        None => st
+            .diagnoses
+            .extend(st.release.drain(..).flat_map(|(_, ds)| ds)),
+    }
     Ok(())
 }
 
-/// Where the merge thread hands boundary syncs to the cycle's sync thread.
-/// At most one sync is in flight, and the merge thread appends nothing
-/// while it is. A mutex and a condition variable, not a channel: the sync
-/// thread must not allocate (a blocking channel receive does, and a
-/// thread's first allocation gives it an allocator arena of its own).
+/// Where the merge thread hands syncs to the cycle's sync thread. The merge
+/// thread appends a record, requests a sync and goes on; the sync thread
+/// syncs whenever one is requested, and each sync covers every record
+/// appended before it started, so the requests that arrive while one runs
+/// share the next: group commit, with no setting. A mutex and a condition
+/// variable, not a channel: the sync thread must not allocate (a blocking
+/// channel receive does, and a thread's first allocation gives it an
+/// allocator arena of its own).
 #[derive(Default)]
 struct SyncSlot {
     state: Mutex<SyncState>,
@@ -682,60 +730,73 @@ struct SyncSlot {
 
 #[derive(Default)]
 struct SyncState {
-    /// A sync was started and has not finished.
-    in_flight: bool,
-    /// The cycle is over: the sync thread exits once nothing is in flight.
+    /// A sync was requested and has not started.
+    requested: bool,
+    /// A sync is running.
+    running: bool,
+    /// The cycle is over: the sync thread exits once no sync is requested.
     closed: bool,
-    /// How the last sync failed, returned at the next wait.
+    /// How a sync failed, returned at the next request or wait.
     failed: Option<StoreError>,
+    /// Syncs completed ([`RecoveryStats::syncs`]).
+    syncs: u64,
 }
 
 impl SyncSlot {
-    /// Every update under the lock is one field store, so a poisoned lock
-    /// still guards valid state, and [`SyncThread`]'s `Drop` must not panic.
+    /// Every update under the lock is a few field stores, so a poisoned
+    /// lock still guards valid state, and [`SyncThread`]'s `Drop` must not
+    /// panic.
     fn lock(&self) -> MutexGuard<'_, SyncState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The sync thread: run each sync the merge thread starts, until the
+    /// The sync thread: run a sync whenever one is requested, until the
     /// slot closes.
     fn serve(&self, flush: &dyn Flush) {
         loop {
-            let s = self
+            let mut s = self
                 .changed
-                .wait_while(self.lock(), |s| !s.in_flight && !s.closed)
+                .wait_while(self.lock(), |s| !s.requested && !s.closed)
                 .unwrap_or_else(PoisonError::into_inner);
-            if !s.in_flight {
+            if !s.requested {
                 return;
             }
+            s.requested = false;
+            s.running = true;
             drop(s);
             let synced = flush.sync();
             let mut s = self.lock();
-            s.failed = synced.err();
-            s.in_flight = false;
+            s.running = false;
+            s.syncs += 1;
+            if let Err(e) = synced {
+                s.failed.get_or_insert(e);
+            }
             drop(s);
             self.changed.notify_all();
         }
     }
 
-    /// Start syncing everything appended so far. The previous sync must
-    /// have been waited for.
-    fn start(&self) {
+    /// Request a sync of everything appended so far, and go on. A sync
+    /// that failed since the last request is returned here.
+    fn request(&self) -> Result<(), StoreError> {
         let mut s = self.lock();
-        debug_assert!(!s.in_flight, "one sync in flight at a time");
-        s.in_flight = true;
+        if let Some(e) = s.failed.take() {
+            return Err(e);
+        }
+        s.requested = true;
         drop(s);
         self.changed.notify_all();
+        Ok(())
     }
 
-    /// Block until no sync is in flight: the log may grow again. A failed
-    /// sync is returned here.
-    fn wait(&self) -> Result<(), StoreError> {
+    /// Block until every requested sync has finished, and return how many
+    /// ran. A failed sync is returned here.
+    fn wait(&self) -> Result<u64, StoreError> {
         let mut s = self
             .changed
-            .wait_while(self.lock(), |s| s.in_flight)
+            .wait_while(self.lock(), |s| s.requested || s.running)
             .unwrap_or_else(PoisonError::into_inner);
-        s.failed.take().map_or(Ok(()), Err)
+        s.failed.take().map_or(Ok(s.syncs), Err)
     }
 }
 
@@ -751,13 +812,10 @@ impl Drop for SyncThread<'_> {
     }
 }
 
-/// One checkpoint boundary on `store`: quiesce the pool, encode the
-/// boundary record ([`Chain::boundary`]) while the previous boundary's sync
-/// may still run, wait for that sync, release pending diagnoses
-/// ([`KIND_DIAGNOSES`] first — a torn tail then loses at most the boundary
-/// record, and replay regenerates nothing that was released), append the
-/// boundary record, and start its sync on the sync thread, so the sync
-/// overlaps the next interval's merge.
+/// One checkpoint boundary on `store`: quiesce the pool, take the release
+/// of every job before `seq`, encode it into the boundary record
+/// ([`Chain::boundary`]), append that one record, and request its sync,
+/// which runs on the sync thread while the next interval merges.
 fn write_boundary(
     pool: &mut Pool<'_, '_>,
     analyzer: &Analyzer<'_>,
@@ -767,25 +825,22 @@ fn write_boundary(
     sync: &SyncSlot,
 ) -> Result<(), ServiceError> {
     pool.quiesce()?;
+    take_release(pool, seq, st);
     let metrics = pool.metrics;
     let t = StageTimer::start(metrics, Stage::Checkpoint);
-    let kind = st.chain.boundary(analyzer, streams, seq);
-    let waited = sync.wait();
-    t.finish();
-    waited?;
-    commit_release(pool, seq, st)?;
+    let kind = st.chain.boundary(analyzer, streams, seq, &st.release);
     let store = st
         .store
         .as_mut()
         .expect("boundaries are only written to a store");
-    let t = StageTimer::start(metrics, Stage::Checkpoint);
-    store.append(kind, &st.chain.record)?;
+    let appended = store.append(kind, &st.chain.record);
     t.finish();
+    appended?;
     if let Some(m) = metrics {
         m.count(Stage::Checkpoint, 1);
     }
     st.stats.checkpoints_written += 1;
-    sync.start();
+    sync.request()?;
     Ok(())
 }
 
@@ -822,7 +877,12 @@ pub(crate) fn run_cycle(
     let depth = cfg.service.resequence_depth;
     let mut streams: Vec<AgentStream> = nodes.iter().map(|_| AgentStream::new(depth)).collect();
     let restored = match &state.store {
-        Some(store) => restore(&**store, analyzer, &mut streams)?,
+        Some(store) => {
+            let scan = LogScan::new(store.bytes())?;
+            let g = scan.watermark();
+            state.released_watermark = g;
+            restore(scan, g, analyzer, &mut streams)?
+        }
         None => None,
     };
     let next_seq_start = match restored {
@@ -909,21 +969,28 @@ pub(crate) fn run_cycle(
             }
         }
 
-        if matches!(ended, RunEnd::Completed) {
+        let completed = matches!(ended, RunEnd::Completed);
+        if completed {
             for job in analyzer.finish_jobs_observed(metrics) {
                 pool.submit(seq, job)?;
                 seq += 1;
             }
             pool.quiesce()?;
             // Final release: the stream is exhausted, nothing can be
-            // regenerated — no checkpoint needed to make it safe, but the
-            // diagnoses themselves must reach the store durably, after the
-            // last boundary's sync as at every boundary.
-            sync.map_or(Ok(()), SyncSlot::wait)?;
+            // regenerated — no boundary needed to make it safe, but the
+            // diagnoses themselves must reach the store durably.
             commit_release(&mut pool, seq, state)?;
-            if let Some(store) = &mut state.store {
-                store.sync()?;
-                state.diagnoses = read_diagnoses(&**store)?;
+            sync.map_or(Ok(()), SyncSlot::request)?;
+        }
+        // The merge thread's one wait for the disk: every sync requested,
+        // the final release's or on a kill the last boundary's, ends
+        // before the lifetime does.
+        if let Some(sync) = sync {
+            state.stats.syncs = sync.wait()?;
+        }
+        if completed {
+            if let Some(store) = &state.store {
+                state.diagnoses = LogScan::new(store.bytes())?.diagnoses();
             }
             for st in &streams {
                 state
@@ -931,10 +998,6 @@ pub(crate) fn run_cycle(
                     .capture
                     .merge(&st.agent.resequencer.stats());
             }
-        }
-        if matches!(ended, RunEnd::Killed) {
-            // The last boundary's sync is the lifetime's last word on disk.
-            sync.map_or(Ok(()), SyncSlot::wait)?;
         }
         state.stats.worker_crashes += pool.worker_crashes;
         state.stats.jobs_requeued += pool.jobs_requeued;
@@ -971,7 +1034,7 @@ pub(crate) fn run_plain(
         service: cfg.clone(),
         ..RecoveryConfig::default()
     };
-    let mut state = RunState::new(None, None)?;
+    let mut state = RunState::new(None, None);
     let end = run_cycle(analyzer, nodes, traffic, &cfg, route, &mut state)?;
     debug_assert!(
         matches!(end, RunEnd::Completed),
@@ -1076,27 +1139,6 @@ mod tests {
             let ids: Vec<u64> = st.agent.ready.iter().map(|(_, (h, _))| h.id.0).collect();
             assert_eq!(ids, queued, "{want:?}");
         }
-    }
-
-    #[test]
-    fn release_records_carry_the_watermark_across_restarts() {
-        let mut store = MemStore::new();
-        assert_eq!(store_watermark(&store).unwrap(), 0);
-        store
-            .append(
-                KIND_DIAGNOSES,
-                &encode_release(3, &[(0, vec![]), (2, vec![])]),
-            )
-            .unwrap();
-        store
-            .append(KIND_DIAGNOSES, &encode_release(5, &[(4, vec![])]))
-            .unwrap();
-        // An empty release still advances the durable watermark.
-        store
-            .append(KIND_DIAGNOSES, &encode_release(9, &[]))
-            .unwrap();
-        assert_eq!(store_watermark(&store).unwrap(), 9);
-        assert!(read_diagnoses(&store).unwrap().is_empty());
     }
 
     /// The fingerprint library and the last snapshot job of a faulted
@@ -1241,8 +1283,9 @@ mod tests {
         let mut analyzer = Analyzer::new(lib, chain_gcfg());
         let depth = ServiceConfig::default().resequence_depth;
         let mut streams: Vec<_> = (0..n_agents).map(|_| AgentStream::new(depth)).collect();
-        let log = MemStore::from_bytes(log.to_vec());
-        let (_, chain) = restore(&log, &mut analyzer, &mut streams)
+        let scan = LogScan::new(log).expect("the log reads");
+        let g = scan.watermark();
+        let (_, chain) = restore(scan, g, &mut analyzer, &mut streams)
             .expect("the log restores")
             .expect("the log holds a base");
         (chain.at, analyzer.export_state().unwrap())
@@ -1306,37 +1349,77 @@ mod tests {
         assert!(state == live[&at]);
     }
 
-    /// A slow disk behind a [`MemStore`]: each detached sync holds the gate
-    /// shut for a millisecond, every append asserts that it is open, and
-    /// the sync or the append of a given boundary (1-based) can be made to
-    /// fail. A millisecond is many times what the fixture's interval takes
-    /// to merge, so an engine that appends without waiting for the sync
-    /// trips the assertion.
-    struct GateStore {
+    /// `g` is the first job without a valid copy: every job of a killed
+    /// log, until a record that holds jobs is damaged between valid ones,
+    /// then that record's first job, until a copy of its jobs lands
+    /// elsewhere on the log.
+    #[test]
+    fn a_damaged_record_puts_the_watermark_at_its_first_job() {
+        let fx = chain_fixture();
+        let mut store = MemStore::new();
+        let watermark = |store: &MemStore| LogScan::new(store.bytes()).unwrap().watermark();
+        assert_eq!(watermark(&store), 0);
+        chain_lifetime(&fx, Some(8 * CHAIN_EVERY + 7), &mut store);
+        let log = store.bytes().to_vec();
+        let opened: Vec<Boundary<'_>> = records(&log)
+            .map(|r| open_boundary(r.kind, r.payload).expect("a boundary record"))
+            .collect();
+        let newest = opened.last().expect("boundaries").next_seq;
+        assert_eq!(watermark(&store), newest);
+        let n = opened.len();
+        let (i, damaged) = opened[..n - 1]
+            .iter()
+            .enumerate()
+            .skip(1)
+            .find(|(_, b)| !b.jobs.is_empty())
+            .expect("a middle record released jobs");
+        assert!(store.corrupt_record(i, 17));
+        assert_eq!(watermark(&store), damaged.jobs[0].0);
+        let copy = encode_release(damaged.next_seq, &damaged.jobs);
+        store.append(KIND_DIAGNOSES, &copy).unwrap();
+        assert_eq!(watermark(&store), newest);
+    }
+
+    /// A slow disk behind a [`MemStore`] that keeps the order of what
+    /// reaches it: each append once it is done, each detached sync as it
+    /// starts. A sync takes a millisecond, many times what the fixture's
+    /// interval takes to merge, and the sync or the boundary append of a
+    /// given number (1-based) can be made to fail.
+    struct SlowStore {
         mem: MemStore,
-        gate: std::sync::Arc<Gate>,
+        disk: std::sync::Arc<SlowDisk>,
         fail_append_at: Option<u64>,
         boundary_appends: u64,
     }
 
+    /// What reached a [`SlowStore`]'s disk, in order.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum DiskOp {
+        Append,
+        SyncStart,
+    }
+
     #[derive(Default)]
-    struct Gate {
-        shut: std::sync::atomic::AtomicBool,
-        syncs: std::sync::atomic::AtomicU64,
+    struct SlowDisk {
+        ops: Mutex<Vec<DiskOp>>,
         fail_sync_at: Option<u64>,
     }
 
-    impl GateStore {
-        fn new(fail_sync_at: Option<u64>, fail_append_at: Option<u64>) -> GateStore {
-            GateStore {
+    impl SlowStore {
+        fn new(fail_sync_at: Option<u64>, fail_append_at: Option<u64>) -> SlowStore {
+            SlowStore {
                 mem: MemStore::new(),
-                gate: std::sync::Arc::new(Gate {
+                disk: std::sync::Arc::new(SlowDisk {
                     fail_sync_at,
-                    ..Gate::default()
+                    ..SlowDisk::default()
                 }),
                 fail_append_at,
                 boundary_appends: 0,
             }
+        }
+
+        fn ops(&self) -> Vec<DiskOp> {
+            self.disk.ops.lock().unwrap().clone()
         }
     }
 
@@ -1347,36 +1430,35 @@ mod tests {
         }
     }
 
-    struct GateFlush(std::sync::Arc<Gate>);
+    struct SlowFlush(std::sync::Arc<SlowDisk>);
 
-    impl Flush for GateFlush {
+    impl Flush for SlowFlush {
         fn sync(&self) -> Result<(), StoreError> {
-            use std::sync::atomic::Ordering::SeqCst;
-            let gate = &self.0;
-            let n = gate.syncs.fetch_add(1, SeqCst) + 1;
-            gate.shut.store(true, SeqCst);
+            let disk = &self.0;
+            let n = {
+                let mut ops = disk.ops.lock().unwrap();
+                ops.push(DiskOp::SyncStart);
+                ops.iter().filter(|&&op| op == DiskOp::SyncStart).count() as u64
+            };
             std::thread::sleep(Duration::from_millis(1));
-            gate.shut.store(false, SeqCst);
-            if gate.fail_sync_at == Some(n) {
+            if disk.fail_sync_at == Some(n) {
                 return Err(injected("sync"));
             }
             Ok(())
         }
     }
 
-    impl Store for GateStore {
+    impl Store for SlowStore {
         fn append(&mut self, kind: u8, payload: &[u8]) -> Result<(), StoreError> {
-            assert!(
-                !self.gate.shut.load(std::sync::atomic::Ordering::SeqCst),
-                "an append while a sync is in flight"
-            );
             if kind != KIND_DIAGNOSES {
                 self.boundary_appends += 1;
                 if self.fail_append_at == Some(self.boundary_appends) {
                     return Err(injected("append"));
                 }
             }
-            self.mem.append(kind, payload)
+            self.mem.append(kind, payload)?;
+            self.disk.ops.lock().unwrap().push(DiskOp::Append);
+            Ok(())
         }
 
         fn bytes(&self) -> &[u8] {
@@ -1388,17 +1470,19 @@ mod tests {
         }
 
         fn flusher(&self) -> Result<Box<dyn Flush + Send>, StoreError> {
-            Ok(Box::new(GateFlush(self.gate.clone())))
+            Ok(Box::new(SlowFlush(self.disk.clone())))
         }
     }
 
-    /// Boundary syncs on the sync thread: no append lands while one is in
-    /// flight, a clean run writes the log a plain [`MemStore`] run writes, and
-    /// a sync or an append that fails at boundary `K` ends the lifetime
-    /// with [`ServiceError::Store`] — every thread joined, nothing appended
-    /// after the failure, the log a prefix of the clean run's.
+    /// Syncs on the sync thread: the merge thread appends and goes on, and
+    /// every append is covered by a sync that started after it; a clean
+    /// run writes the log a plain [`MemStore`] run writes, and runs at least
+    /// one sync and at most one per boundary plus the final release's; a
+    /// sync or an append that fails ends the lifetime with
+    /// [`ServiceError::Store`] — every thread joined, the log a prefix of
+    /// the clean run's.
     #[test]
-    fn store_failures_end_the_lifetime_and_syncs_never_overlap_an_append() {
+    fn store_failures_end_the_lifetime_and_every_append_is_synced() {
         const K: u64 = 3;
         let fx = std::sync::Arc::new(chain_fixture());
         let mut clean = MemStore::new();
@@ -1406,45 +1490,48 @@ mod tests {
         let clean = clean.bytes().to_vec();
         let boundaries = |log: &[u8]| records(log).filter(|r| r.kind != KIND_DIAGNOSES).count();
         assert!(boundaries(&clean) > K as usize + 1);
-        // (fail the sync at, fail the append at, boundary records kept)
-        let arms = [
-            (None, None, boundaries(&clean)),
-            (Some(K), None, K as usize),
-            (None, Some(K), K as usize - 1),
-        ];
-        for (fail_sync_at, fail_append_at, kept) in arms {
+        // (fail the sync at, fail the append at)
+        for arm in [(None, None), (Some(1), None), (None, Some(K))] {
             let (tx, rx) = std::sync::mpsc::channel();
             let fx = fx.clone();
             std::thread::spawn(move || {
-                let mut store = GateStore::new(fail_sync_at, fail_append_at);
-                let got = chain_run(&fx, None, &mut store).map(|_| ());
+                let mut store = SlowStore::new(arm.0, arm.1);
+                let got = chain_run(&fx, None, &mut store);
                 let _ = tx.send((got, store));
             });
             let (got, store) = rx
                 .recv_timeout(Duration::from_secs(120))
                 .expect("the lifetime returns");
-            let arm = (fail_sync_at, fail_append_at);
             let log = store.bytes();
-            match arm {
-                (None, None) => {
-                    assert!(got.is_ok(), "{got:?}");
-                    let syncs = store.gate.syncs.load(std::sync::atomic::Ordering::SeqCst);
-                    assert_eq!(syncs, kept as u64, "one detached sync per boundary");
-                }
-                (failed_sync, _) => {
-                    let want = injected(if failed_sync.is_some() {
-                        "sync"
-                    } else {
-                        "append"
-                    });
+            assert!(clean.starts_with(log), "{arm:?}: a prefix of the clean log");
+            let ops = store.ops();
+            let syncs = ops.iter().filter(|&&op| op == DiskOp::SyncStart).count() as u64;
+            match (arm, got) {
+                ((None, None), Ok(crate::recover::DurableOutcome::Completed { recovery, .. })) => {
+                    assert_eq!(log, &clean[..]);
+                    let newest_append = ops.iter().rposition(|&op| op == DiskOp::Append);
+                    let newest_sync = ops.iter().rposition(|&op| op == DiskOp::SyncStart);
                     assert!(
-                        matches!(&got, Err(ServiceError::Store(e)) if *e == want),
-                        "{arm:?}: {got:?}"
+                        newest_sync > newest_append,
+                        "a sync started after every append: {ops:?}"
+                    );
+                    assert_eq!(recovery.syncs, syncs);
+                    assert!(
+                        (1..=recovery.checkpoints_written + 1).contains(&syncs),
+                        "{syncs} syncs for {} boundaries",
+                        recovery.checkpoints_written
                     );
                 }
+                ((Some(_), None), Err(ServiceError::Store(e))) => {
+                    assert_eq!(e, injected("sync"));
+                    assert!(boundaries(log) >= 1);
+                }
+                ((None, Some(at)), Err(ServiceError::Store(e))) => {
+                    assert_eq!(e, injected("append"));
+                    assert_eq!(boundaries(log), at as usize - 1);
+                }
+                (arm, got) => panic!("{arm:?}: {got:?}"),
             }
-            assert_eq!(boundaries(log), kept, "{arm:?}");
-            assert!(clean.starts_with(log), "{arm:?}: a prefix of the clean log");
         }
     }
 
@@ -1469,7 +1556,7 @@ mod tests {
             // Every job stalls, but one without faults has nothing to
             // cancel: it completes, and no cancellation is counted for it.
             assert_eq!(pool.pending.get(&1), Some(&(Vec::new(), false)));
-            let mut state = RunState::new(None, None).unwrap();
+            let mut state = RunState::new(None, None);
             commit_release(&mut pool, 2, &mut state).unwrap();
             assert_eq!(state.stats.jobs_cancelled, 1);
             assert_eq!(state.diagnoses, sa.cancel(&job));

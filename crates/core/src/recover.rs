@@ -24,14 +24,15 @@
 //!   graph); every other boundary writes a delta ([`KIND_DELTA`]): the
 //!   messages merged since the previous boundary, about 56 bytes each. Both
 //!   carry the per-agent resequencer positions and ready queues and the next
-//!   job sequence number. After a crash the service restores the newest
-//!   valid base, replays each later valid delta that continues where the
-//!   analyzer stands through the same ingest, and the agents re-ship their
-//!   deterministic streams; the restored resequencers discard the
-//!   already-consumed prefix as duplicates, so replay resumes exactly where
-//!   the last applied record left off. Released diagnoses travel as their
-//!   own store records ([`KIND_DIAGNOSES`]), written immediately *before*
-//!   the boundary record that makes them unrepeatable — so a crash can
+//!   job sequence number, and the jobs released at the boundary with their
+//!   diagnoses: one record, under one checksum, holds both the output and
+//!   the state that makes it unrepeatable. After a crash the service finds
+//!   `g`, the first job of which no valid record holds a copy, restores the
+//!   newest valid base at or before `g`, replays each later valid delta
+//!   that continues where the analyzer stands through the same ingest, and
+//!   the agents re-ship their deterministic streams; the restored
+//!   resequencers discard the already-consumed prefix as duplicates, and
+//!   the jobs below `g` are suppressed, so a crash or a damaged record can
 //!   neither lose nor duplicate a diagnosis.
 //! * **Durability** — [`run_service_durable`] takes any [`Store`] and one
 //!   invocation is one process lifetime. There is one crash arm,
@@ -39,9 +40,9 @@
 //!   committed since the last boundary, and the driver re-invokes over the
 //!   same store — the same [`MemStore`](gretel_store::MemStore) value, or a
 //!   reopened [`FileStore`](gretel_store::FileStore) directory. The new
-//!   lifetime restores the newest valid base and its chain, re-derives the
-//!   released-diagnosis watermark from the [`KIND_DIAGNOSES`] records, and
-//!   replays to byte-identical output. Store corruption is not an engine
+//!   lifetime re-derives the released-diagnosis watermark `g` from the
+//!   jobs every valid record holds, restores the newest valid base at or
+//!   before it and that base's chain, and replays to byte-identical output. Store corruption is not an engine
 //!   arm at all: a driver flips or tears bytes between two lifetimes, as a
 //!   bad disk would.
 //!
@@ -131,8 +132,9 @@ pub struct RecoveryConfig {
     /// sequence-stamped, impaired or not: replay dedups the re-shipped
     /// prefix by sequence number.
     pub service: ServiceConfig,
-    /// End a checkpoint interval — release, boundary record, sync — every
-    /// this many merged messages.
+    /// End a checkpoint interval — one boundary record holding the
+    /// interval's release, and a sync request — every this many merged
+    /// messages.
     pub checkpoint_every: u64,
     /// Seeded analysis-plane fault injection. Its coins are pure functions
     /// of `(job, attempt)`, so replay kills and cancels exactly the jobs
@@ -163,6 +165,11 @@ pub struct RecoveryStats {
     pub jobs_cancelled: u64,
     /// Boundary records (bases and deltas) appended to the store.
     pub checkpoints_written: u64,
+    /// Syncs the cycle's sync thread ran. Each covers every record
+    /// appended before it started, so a lifetime runs at least one (its
+    /// last record's) and at most one per boundary plus the final
+    /// release's.
+    pub syncs: u64,
     /// Times this invocation resumed from a base: 1 when the store held a
     /// valid one (a restart after a kill), else 0. A cold start is not a
     /// restore.
@@ -170,9 +177,10 @@ pub struct RecoveryStats {
     /// Replayed frames discarded by restored resequencers as
     /// already-consumed duplicates.
     pub replayed_frames: u64,
-    /// Diagnoses regenerated during replay that had already been released
-    /// (possible only when a corrupt checkpoint forces an older restore
-    /// point); suppressed so the output holds each diagnosis exactly once.
+    /// Jobs regenerated during replay that already had a copy on the store
+    /// (the restore stood short of them: a damaged record forced an older
+    /// restore point, or the store held a completed run); suppressed so
+    /// the output holds each diagnosis exactly once.
     pub duplicate_releases_suppressed: u64,
 }
 
@@ -184,6 +192,7 @@ impl RecoveryStats {
         self.jobs_requeued += other.jobs_requeued;
         self.jobs_cancelled += other.jobs_cancelled;
         self.checkpoints_written += other.checkpoints_written;
+        self.syncs += other.syncs;
         self.restores += other.restores;
         self.replayed_frames += other.replayed_frames;
         self.duplicate_releases_suppressed += other.duplicate_releases_suppressed;
@@ -192,9 +201,9 @@ impl RecoveryStats {
 
 /// Store record kind: a base, the full ingest state at one boundary.
 pub const KIND_CHECKPOINT: u8 = 1;
-/// Store record kind: a batch of released diagnoses plus the release
-/// watermark, written immediately before the boundary record that makes
-/// their regeneration a suppressed duplicate.
+/// Store record kind: the jobs released at end of stream, after the last
+/// boundary, plus the release watermark. A boundary record carries its own
+/// release.
 pub const KIND_DIAGNOSES: u8 = 2;
 /// Store record kind: a delta, the input merged since the previous
 /// boundary.
@@ -221,7 +230,8 @@ pub enum DurableOutcome {
     /// The stream fully merged; all diagnoses are committed on the store.
     Completed {
         /// Released diagnoses, ordered by job sequence (read back from
-        /// the store's [`KIND_DIAGNOSES`] records).
+        /// the releases of the store's valid records, the first copy of
+        /// each job).
         diagnoses: Vec<Diagnosis>,
         /// Transport statistics. Replay-inflated: `frames` counts every
         /// shipped frame including those re-shipped after a crash (also
@@ -258,12 +268,13 @@ pub enum DurableOutcome {
 ///
 /// One invocation models one process lifetime:
 ///
-/// * **Restore** — the release watermark is re-derived from the store's
-///   [`KIND_DIAGNOSES`] records and replay resumes from the newest valid
-///   base plus the deltas that chain onto it (a corrupt or torn delta ends
-///   the chain early unless a later lifetime re-wrote it; a corrupt base
-///   falls back to an older base and its chain, or to cold replay). The
-///   analyzer is built fresh, *without* root cause analysis.
+/// * **Restore** — the release watermark `g` is re-derived as the first
+///   job of which no valid record holds a copy, and replay resumes from
+///   the newest valid base at or before `g` plus the deltas that chain
+///   onto it (a damaged record ends the chain before its interval unless a
+///   later lifetime re-wrote it; a damaged base falls back to an older
+///   base and its chain, or to cold replay). The analyzer is built fresh,
+///   *without* root cause analysis.
 /// * **Kill arm** — [`DurableConfig::kill_point`] returns
 ///   [`DurableOutcome::Killed`] mid-stream with nothing committed since
 ///   the last boundary; re-invoking with the same store restarts the
@@ -293,7 +304,7 @@ pub(crate) fn run_durable_routed(
 ) -> Result<DurableOutcome, ServiceError> {
     assert!(cfg.recovery.checkpoint_every > 0);
     let mut analyzer = Analyzer::new(lib, gcfg);
-    let mut state = RunState::new(Some(store), cfg.kill_point)?;
+    let mut state = RunState::new(Some(store), cfg.kill_point);
     let end = run_cycle(
         &mut analyzer,
         nodes,
@@ -381,7 +392,12 @@ mod tests {
         };
         assert!(diagnoses.is_empty());
         assert_eq!(service.frames, 0);
-        assert_eq!(recovery, RecoveryStats::default());
+        // One sync, the final release's, and nothing else.
+        let synced = RecoveryStats {
+            syncs: 1,
+            ..RecoveryStats::default()
+        };
+        assert_eq!(recovery, synced);
         // The log holds what a restart reads and nothing else: here the
         // one final release record, empty, with its watermark.
         assert_eq!(store.len(), 1);

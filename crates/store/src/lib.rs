@@ -330,9 +330,10 @@ pub trait Store {
     fn sync(&mut self) -> Result<(), StoreError>;
 
     /// This store's [`Store::sync`], detached so another thread can run it
-    /// while the owner goes on with other work. Only records appended
-    /// before the detached sync starts are covered, so a caller that needs
-    /// the log's write order on disk appends nothing while one is running.
+    /// while the owner goes on appending. Each detached sync covers every
+    /// record appended before it starts; a record appended while one runs
+    /// needs a later one. Unsynced records carry no order on disk: a
+    /// power loss may keep a later one and not an earlier one.
     fn flusher(&self) -> Result<Box<dyn Flush + Send>, StoreError>;
 
     /// The payload of the newest record of `kind` whose checksum verifies.

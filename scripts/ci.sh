@@ -74,11 +74,13 @@ grep -E '^[a-z]+: .* digest [0-9a-f]+$' <<<"$check_log" |
   { echo "ci: a check-size digest moved: if intended, update scripts/check_digests.txt and explain the move in CHANGES.md" >&2; exit 1; }
 
 # The paired-run script that perf claims are measured with: one revision
-# (the checkout) against itself, one pair, one short store-backed workload.
-# Its output block must parse and hold that pair, and the exact values must
-# agree.
-scripts/pairs.sh . . --pairs 1 --workloads durable --seconds 1 |
-  jq -e '.workloads.durable.metrics.msgs_per_s.of == 1 and .workloads.durable.exact_equal' >/dev/null
+# (the checkout) against itself, one pair, the two short store-backed
+# workloads, so a restore's coverage pass over the log runs on every CI
+# run. Its output block must parse and hold that pair for each, and the
+# exact values must agree.
+scripts/pairs.sh . . --pairs 1 --workloads durable restart --seconds 1 |
+  jq -e '[.workloads.durable, .workloads.restart]
+    | all(.metrics.msgs_per_s.of == 1 and .exact_equal)' >/dev/null
 
 # The check-size runs hold 11 checkpoint boundaries or fewer, so they never
 # build a long chain of delta records. The full-size `durable` and `restart`

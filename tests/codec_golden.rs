@@ -27,13 +27,13 @@
 //! side by side.
 
 use gretel::core::checkpoint::{
-    decode_release, encode_checkpoint, encode_delta, encode_release, restore_checkpoint,
-    restore_delta, AgentState, DeltaEntry, Marked, Release,
+    decode_release, encode_checkpoint, encode_delta, encode_release, open_boundary, AgentState,
+    DeltaEntry, Job, Marked, Release,
 };
 use gretel::core::{
     run_service_durable, scan_message, Analyzer, CaptureConfidence, CauseKind, Diagnosis,
     DurableConfig, DurableOutcome, Event, FaultKind, FaultMark, FingerprintLibrary, GretelConfig,
-    RecoveryConfig, RootCause, ServiceConfig, KIND_CHECKPOINT, KIND_DIAGNOSES,
+    RecoveryConfig, RootCause, ServiceConfig, KIND_CHECKPOINT, KIND_DELTA, KIND_DIAGNOSES,
 };
 use gretel::model::codec::{decode, encode, DecodeError, Reader, Wire};
 use gretel::model::message::{
@@ -416,17 +416,27 @@ fn fresh_agents(depth: usize) -> Vec<AgentState> {
     (0..2).map(|_| AgentState::new(depth)).collect()
 }
 
-const NEXT_SEQ: u64 = 0x0102_0304;
+/// The boundary fixtures' next job seq: their jobs are every job before
+/// it, so a log that holds only the base fixture has a copy of each and a
+/// restore may stand there.
+const NEXT_SEQ: u64 = 3;
 
-/// A base over `analyzer` and `agents`.
-fn base(analyzer: &Analyzer<'_>, next_seq: u64, agents: &[AgentState]) -> Vec<u8> {
+/// The jobs the boundary fixtures release: one with a diagnosis, one that
+/// claimed nothing, one with a diagnosis of another kind.
+fn boundary_jobs() -> Vec<Job> {
+    let [a, _, c] = diagnoses();
+    vec![(0, vec![a]), (1, vec![]), (2, vec![c])]
+}
+
+/// A base over `analyzer` and `agents`, releasing `jobs`.
+fn base(analyzer: &Analyzer<'_>, next_seq: u64, jobs: &[Job], agents: &[AgentState]) -> Vec<u8> {
     let mut out = Vec::new();
-    encode_checkpoint(&mut out, analyzer, next_seq, agents.iter());
+    encode_checkpoint(&mut out, analyzer, next_seq, jobs, agents.iter());
     out
 }
 
 fn engine_checkpoint() -> Vec<u8> {
-    base(&fresh_analyzer(), NEXT_SEQ, &agents())
+    base(&fresh_analyzer(), NEXT_SEQ, &boundary_jobs(), &agents())
 }
 
 /// A base restored into a fresh analyzer of α `alpha` and two agents of
@@ -440,8 +450,10 @@ fn checkpoint_restore(alpha: usize, depth: usize, bytes: &[u8]) -> Result<Vec<u8
         },
     );
     let mut agents = fresh_agents(depth);
-    let next_seq = restore_checkpoint(bytes, &mut a, agents.iter_mut())?;
-    Ok(base(&a, next_seq, &agents))
+    let mut opened = open_boundary(KIND_CHECKPOINT, bytes)?;
+    let (next_seq, jobs) = (opened.next_seq, std::mem::take(&mut opened.jobs));
+    opened.restore_base(&mut a, agents.iter_mut())?;
+    Ok(base(&a, next_seq, &jobs, &agents))
 }
 
 /// The delta fixture's continuity key.
@@ -462,15 +474,16 @@ fn delta_entries() -> Vec<DeltaEntry> {
     ]
 }
 
-/// A delta from [`DELTA_FROM`] over `entries` and `agents`.
-fn delta(next_seq: u64, entries: &[DeltaEntry], agents: &[AgentState]) -> Vec<u8> {
+/// A delta from [`DELTA_FROM`] over `entries` and `agents`, releasing
+/// `jobs`.
+fn delta(next_seq: u64, jobs: &[Job], entries: &[DeltaEntry], agents: &[AgentState]) -> Vec<u8> {
     let mut out = Vec::new();
-    encode_delta(&mut out, DELTA_FROM, next_seq, entries, agents.iter());
+    encode_delta(&mut out, DELTA_FROM, next_seq, jobs, entries, agents.iter());
     out
 }
 
 fn engine_delta() -> Vec<u8> {
-    delta(NEXT_SEQ, &delta_entries(), &agents())
+    delta(NEXT_SEQ, &boundary_jobs(), &delta_entries(), &agents())
 }
 
 /// A delta, over the two agents of [`agents`], restored into two agents of
@@ -478,10 +491,13 @@ fn engine_delta() -> Vec<u8> {
 /// again.
 fn delta_restore(depth: usize, bytes: &[u8]) -> Result<Vec<u8>, String> {
     let mut agents = fresh_agents(depth);
-    let (next_seq, entries) = restore_delta(bytes, DELTA_FROM, agents.iter_mut())
-        .map_err(err)?
-        .ok_or("the delta does not continue the chain")?;
-    Ok(delta(next_seq, &entries, &agents))
+    let mut opened = open_boundary(KIND_DELTA, bytes).map_err(err)?;
+    if opened.from != Some(DELTA_FROM) {
+        return Err("the delta does not continue the chain".into());
+    }
+    let (next_seq, jobs) = (opened.next_seq, std::mem::take(&mut opened.jobs));
+    let entries = opened.restore_delta(agents.iter_mut()).map_err(err)?;
+    Ok(delta(next_seq, &jobs, &entries, &agents))
 }
 
 fn detector_state(d: &impl OutlierDetector) -> Vec<u8> {
@@ -1071,32 +1087,33 @@ fn inflated_armed_count_is_an_error_and_the_analyzer_stays_usable() {
 
 /// A checkpoint record in the layout before the format tag (the tagged
 /// fixture without its first four bytes), and one whose tag names another
-/// version — the three before this layout included — fail on the tag
-/// rather than on some later field. Version 3 listed the claimed errors
-/// where this layout holds one claim watermark, so read field by field a
-/// version 3 base would take a count for the watermark. A delta fails the
-/// same way, and so does a release record without its own tag or with
-/// another version of it.
+/// version — the four before this layout included — fail on the tag
+/// rather than on some later field. Version 4 carried no jobs, so read
+/// field by field a version 4 base would take its agent count for a job
+/// count. A delta fails the same way, and so does a release record without
+/// its own tag or with another version of it.
 #[test]
 fn a_checkpoint_without_this_format_tag_is_rejected() {
     let format = DecodeError::Invalid("checkpoint format");
     let golden = fixture("engine_checkpoint");
     let restore = |bytes: &[u8]| {
         let mut agents = fresh_agents(DEPTH);
-        restore_checkpoint(bytes, &mut fresh_analyzer(), agents.iter_mut())
+        let opened = open_boundary(KIND_CHECKPOINT, bytes)?;
+        let next_seq = opened.next_seq;
+        opened.restore_base(&mut fresh_analyzer(), agents.iter_mut())?;
+        Ok(next_seq)
     };
     assert_eq!(restore(&golden), Ok(NEXT_SEQ));
     assert_eq!(restore(&golden[4..]), Err(format), "untagged layout");
-    for version in [1u8, 2, 3, 5] {
+    for version in [1u8, 2, 3, 4, 6] {
         let mut other = golden.clone();
         other[3] = version;
         assert_eq!(restore(&other), Err(format), "version {version}");
     }
-    for version in [2u8, 3] {
+    for version in [2u8, 3, 4] {
         let mut delta = fixture("engine_delta");
         delta[3] = version;
-        let mut agents = fresh_agents(DEPTH);
-        let got = restore_delta(&delta, DELTA_FROM, agents.iter_mut());
+        let got = open_boundary(KIND_DELTA, &delta).map(|b| b.next_seq);
         assert_eq!(got, Err(format), "delta version {version}");
     }
 

@@ -12,7 +12,8 @@
 //! `Cancelled`, never as `Exact` — and, since the stall coin is seeded,
 //! identically across replays.
 
-use gretel::core::store::{records, FileStore, FileStoreConfig, MemStore, Store};
+use gretel::core::checkpoint::{decode_release, open_boundary};
+use gretel::core::store::{records, FileStore, FileStoreConfig, MemStore, Store, RECORD_HEADER};
 use gretel::core::{
     run_service_cfg, run_service_durable, Analyzer, AnalyzerChaos, AnalyzerStats,
     CaptureConfidence, Diagnosis, DurableConfig, DurableOutcome, GretelConfig, RecoveryConfig,
@@ -113,18 +114,33 @@ fn reference(impairment: Option<CaptureImpairment>) -> Vec<gretel::core::Diagnos
 }
 
 /// One process lifetime of the durable service over `store`.
-fn lifetime(
+fn try_lifetime(
     recovery: &RecoveryConfig,
     kill_point: Option<u64>,
     store: &mut dyn Store,
-) -> DurableOutcome {
+) -> Result<DurableOutcome, String> {
     let fx = fixture();
     let cfg = DurableConfig {
         recovery: recovery.clone(),
         kill_point,
     };
     run_service_durable(&fx.lib, gcfg(), &fx.nodes, &fx.messages, &cfg, store)
-        .expect("a lifetime completes or is killed")
+        .map_err(|e| e.to_string())
+}
+
+fn lifetime(
+    recovery: &RecoveryConfig,
+    kill_point: Option<u64>,
+    store: &mut dyn Store,
+) -> DurableOutcome {
+    try_lifetime(recovery, kill_point, store).expect("a lifetime completes or is killed")
+}
+
+/// `rec` without [`RecoveryStats::syncs`]: the counters a run's input
+/// decides. How many syncs a lifetime's appends share depends on the
+/// disk's pace.
+fn exact(rec: RecoveryStats) -> RecoveryStats {
+    RecoveryStats { syncs: 0, ..rec }
 }
 
 /// The kill driver over one `MemStore`: a lifetime per entry of `kills`,
@@ -291,7 +307,7 @@ fn stall_cancellations_replay_identically_across_crashes() {
 }
 
 #[test]
-fn corrupt_checkpoints_fall_back_and_suppress_duplicate_releases() {
+fn corrupt_boundaries_fall_back_to_a_cold_start_that_loses_nothing() {
     let expected = reference(None);
     let recovery = RecoveryConfig {
         checkpoint_every: 64,
@@ -300,21 +316,18 @@ fn corrupt_checkpoints_fall_back_and_suppress_duplicate_releases() {
 
     // A lifetime killed past three boundaries; then, before the restart,
     // every boundary record on the store (base or delta) is corrupted, so
-    // the restore finds no valid base and replays from scratch.
-    // Already-released diagnoses are regenerated — the watermark must
-    // suppress them.
+    // no job released before the kill has a valid copy and the restore
+    // finds no base to stand on: it replays from scratch, and releases
+    // every job again.
     let mut store = MemStore::new();
     assert!(matches!(
         lifetime(&recovery, Some(200), &mut store),
         DurableOutcome::Killed { .. }
     ));
-    let checkpoints: Vec<usize> = records(store.bytes())
-        .enumerate()
-        .filter_map(|(i, r)| (r.kind != KIND_DIAGNOSES).then_some(i))
-        .collect();
-    assert_eq!(checkpoints.len(), 3);
-    for (n, &i) in checkpoints.iter().enumerate() {
-        assert!(store.corrupt_record(i, 31 + n * 7919));
+    let n = records(store.bytes()).count();
+    assert_eq!(n, 3);
+    for i in 0..n {
+        assert!(store.corrupt_record(i, 31 + i * 7919));
     }
     assert!(store.latest_valid(KIND_CHECKPOINT).is_none());
 
@@ -332,10 +345,55 @@ fn corrupt_checkpoints_fall_back_and_suppress_duplicate_releases() {
     );
     assert_eq!(rec.restores, 0, "no usable checkpoint: a cold start");
     assert_eq!(rec.replayed_frames, 0, "nothing restored, nothing to dedup");
-    assert!(
-        rec.duplicate_releases_suppressed > 0,
-        "the watermark held: {rec:?}"
+    assert_eq!(
+        rec.duplicate_releases_suppressed, 0,
+        "no released job kept a copy: {rec:?}"
     );
+}
+
+/// A restart over the log of a completed run stands at its last boundary
+/// and regenerates the jobs after it, every one of which the end-of-stream
+/// release holds already: each is suppressed, and the output stays the
+/// run's.
+#[test]
+fn rerunning_a_completed_log_suppresses_every_end_of_stream_job() {
+    let expected = reference(None);
+    let recovery = RecoveryConfig {
+        checkpoint_every: 64,
+        ..RecoveryConfig::default()
+    };
+    let mut store = MemStore::new();
+    assert!(matches!(
+        lifetime(&recovery, None, &mut store),
+        DurableOutcome::Completed { .. }
+    ));
+    let last = records(store.bytes()).last().expect("a record");
+    assert_eq!(last.kind, KIND_DIAGNOSES);
+    let (_, tail_jobs) = decode_release(last.payload).expect("a release");
+    assert!(!tail_jobs.is_empty(), "the end of stream released jobs");
+    let before = store.len();
+
+    let DurableOutcome::Completed {
+        diagnoses,
+        recovery: rec,
+        ..
+    } = lifetime(&recovery, None, &mut store)
+    else {
+        panic!("no kill point configured")
+    };
+    assert_eq!(diagnoses, expected, "the rerun's output is the run's");
+    assert_eq!(rec.restores, 1);
+    assert_eq!(
+        rec.duplicate_releases_suppressed,
+        tail_jobs.len() as u64,
+        "every end-of-stream job suppressed"
+    );
+    // The rerun wrote no boundary (the tail is shorter than an interval)
+    // and one empty release.
+    assert_eq!(rec.checkpoints_written, 0);
+    assert_eq!(store.len(), before + 1);
+    let rerun = records(store.bytes()).last().expect("a record");
+    assert_eq!(decode_release(rerun.payload).expect("a release").1, vec![]);
 }
 
 /// A fresh per-test scratch directory for a `FileStore`.
@@ -392,7 +450,7 @@ fn durable_filestore_kill_restart_is_exactly_once() {
             ) => {
                 assert_eq!(diagnoses, expected, "zero diagnoses lost, zero duplicated");
                 assert_eq!(diagnoses, mem_diagnoses);
-                assert_eq!(rec, mem_rec);
+                assert_eq!(exact(rec), exact(mem_rec));
                 assert_eq!(rec.restores, 1);
                 assert!(
                     rec.replayed_frames > 0,
@@ -411,12 +469,16 @@ fn durable_filestore_kill_restart_is_exactly_once() {
 }
 
 #[test]
-fn kill_between_release_and_checkpoint_survives_every_torn_tail() {
-    // A boundary appends the released diagnoses, then the checkpoint that
-    // makes them unrepeatable. Die between the two and the release record
-    // is the log's tail, covered by no checkpoint; a crash mid-write then
-    // tears that tail anywhere. Whatever survives, the process that reopens
-    // the file commits the uninterrupted run's stream.
+fn every_cut_of_the_newest_boundary_record_restores_exactly() {
+    // A boundary appends one record that holds both the diagnoses it
+    // releases and the state that makes them unrepeatable. A crash
+    // mid-write tears that record anywhere; whatever survives, the process
+    // that reopens the file commits the uninterrupted run's stream. A torn
+    // record is cut on open, so its jobs have no copy and the restore
+    // stands at the boundary before it and releases them again. Open cuts
+    // every tear inside the record back to the same log, so the cuts are
+    // each byte of its header and of its payload's first 32 bytes (tag,
+    // next job seq, job count), its middle, and its last two.
     let expected = reference(None);
     let recovery = RecoveryConfig {
         checkpoint_every: 64,
@@ -428,23 +490,19 @@ fn kill_between_release_and_checkpoint_survives_every_torn_tail() {
         DurableOutcome::Killed { .. }
     ));
     let log = killed.bytes();
-    let release = records(log)
-        .filter(|r| r.kind == KIND_DIAGNOSES && r.payload.len() > 16)
-        .last()
-        .expect("a boundary before the kill released diagnoses");
-    assert_eq!(
-        records(&log[release.end()..]).next().map(|r| r.kind),
-        Some(KIND_CHECKPOINT)
-    );
+    let newest = records(log).last().expect("a boundary before the kill");
+    let opened = open_boundary(newest.kind, newest.payload).expect("a boundary record");
+    assert!(!opened.jobs.is_empty(), "the newest boundary released jobs");
 
-    let dir = scratch("torn-release");
+    let dir = scratch("torn-boundary");
     std::fs::create_dir_all(&dir).unwrap();
-    let mut suppressed = 0;
-    for cut in release.offset..=release.end() {
+    let (start, end) = (newest.offset, newest.end());
+    let header_and_release = start..start + RECORD_HEADER + 32;
+    for cut in header_and_release.chain([(start + end) / 2, end - 1, end]) {
         std::fs::write(FileStore::log_path(&dir), &log[..cut]).unwrap();
         let mut store = FileStore::open(&dir, FileStoreConfig::default()).expect("open torn log");
-        let torn = if cut < release.end() {
-            cut - release.offset
+        let torn = if cut < newest.end() {
+            cut - newest.offset
         } else {
             0
         };
@@ -458,26 +516,122 @@ fn kill_between_release_and_checkpoint_survives_every_torn_tail() {
             panic!("no kill point configured")
         };
         assert_eq!(diagnoses, expected, "tail cut at {cut}");
-        suppressed = rec.duplicate_releases_suppressed;
+        assert_eq!(rec.restores, 1, "tail cut at {cut}");
+        assert_eq!(rec.duplicate_releases_suppressed, 0, "tail cut at {cut}");
     }
-    // The last cut kept the whole release record: its diagnoses were
-    // regenerated from the older checkpoint and suppressed, not re-released.
-    assert!(suppressed > 0);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One way to damage a record of a killed log before the restart.
+#[derive(Debug, Clone, Copy)]
+enum Damage {
+    /// Flip one payload byte: the record stays in the log and fails its
+    /// checksum.
+    Flip,
+    /// Zero the whole record, header included, in place.
+    Zero,
+    /// Cut the log at the record's end: every later record is gone.
+    CutAtEnd,
+    /// Cut the log mid-record: it is a torn tail.
+    CutMid,
+}
+
+/// `log` with its record `index` damaged.
+fn damaged(log: &[u8], index: usize, damage: Damage) -> Vec<u8> {
+    let r = records(log).nth(index).expect("the record");
+    match damage {
+        Damage::Flip => corrupted(log, index),
+        Damage::Zero => {
+            let mut image = log.to_vec();
+            image[r.offset..r.end()].fill(0);
+            image
+        }
+        Damage::CutAtEnd => log[..r.end()].to_vec(),
+        Damage::CutMid => log[..(r.offset + r.end()) / 2].to_vec(),
+    }
+}
+
+/// The damage sweep at `checkpoint_every`: lifetimes killed at 100, 200
+/// and 300 merged messages, then every record of each killed log damaged
+/// in turn, each [`Damage`] at a time, and the image restarted on a
+/// `MemStore` and on a reopened `FileStore`. Every restart must commit the
+/// uninterrupted run's stream: a damaged record costs the replay of its
+/// interval and of every later one, and loses nothing.
+fn damage_sweep(checkpoint_every: u64) {
+    let expected = reference(None);
+    let recovery = RecoveryConfig {
+        checkpoint_every,
+        ..RecoveryConfig::default()
+    };
+    let dir = scratch(&format!("damage-sweep-{checkpoint_every}"));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut images = 0;
+    let mut failures = Vec::new();
+    for kill in [100, 200, 300] {
+        let mut killed = MemStore::new();
+        assert!(matches!(
+            lifetime(&recovery, Some(kill), &mut killed),
+            DurableOutcome::Killed { .. }
+        ));
+        let log = killed.bytes();
+        for index in 0..records(log).count() {
+            for damage in [Damage::Flip, Damage::Zero, Damage::CutAtEnd, Damage::CutMid] {
+                let image = damaged(log, index, damage);
+                std::fs::write(FileStore::log_path(&dir), &image).unwrap();
+                let mut file = FileStore::open(&dir, FileStoreConfig::default()).expect("open");
+                let mut mem = MemStore::from_bytes(image);
+                let backends: [(&str, &mut dyn Store); 2] =
+                    [("MemStore", &mut mem), ("FileStore", &mut file)];
+                for (backend, store) in backends {
+                    images += 1;
+                    let failure = match try_lifetime(&recovery, None, store) {
+                        Ok(DurableOutcome::Completed { diagnoses, .. })
+                            if diagnoses == expected =>
+                        {
+                            continue;
+                        }
+                        Ok(DurableOutcome::Completed { diagnoses, .. }) => format!(
+                            "{} diagnoses, not the run's {}",
+                            diagnoses.len(),
+                            expected.len()
+                        ),
+                        other => format!("{other:?}"),
+                    };
+                    failures.push(format!(
+                        "kill {kill}, record {index}, {damage:?}, {backend}: {failure}"
+                    ));
+                }
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(images >= 64, "{images} images");
+    assert!(
+        failures.is_empty(),
+        "{} of {images} images failed:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+}
+
+#[test]
+fn every_damaged_record_restores_exactly_at_checkpoint_every_16() {
+    damage_sweep(16);
+}
+
+#[test]
+fn every_damaged_record_restores_exactly_at_checkpoint_every_64() {
+    damage_sweep(64);
 }
 
 /// Checkpoint interval of the chain arms: short enough that several deltas
 /// follow each base.
 const CHAIN_EVERY: u64 = 16;
 
-/// Record index and kind of every boundary record of `log` — bases and
+/// Record index and kind of every record of a killed `log` — bases and
 /// deltas — oldest first.
 fn boundaries(log: &[u8]) -> Vec<(usize, u8)> {
-    records(log)
-        .enumerate()
-        .filter(|(_, r)| r.kind != KIND_DIAGNOSES)
-        .map(|(i, r)| (i, r.kind))
-        .collect()
+    records(log).map(|r| r.kind).enumerate().collect()
 }
 
 /// Position, within [`boundaries`], of the newest base.
@@ -531,7 +685,7 @@ fn chain_run(
                     recovery: mem_rec, ..
                 },
             ) if kill.is_some() => {
-                assert_eq!(rec, mem_rec, "{tag}: lifetime {i}");
+                assert_eq!(exact(rec), exact(mem_rec), "{tag}: lifetime {i}");
                 total.merge(&rec);
                 let log = damage(i, mem.bytes());
                 std::fs::write(FileStore::log_path(&dir), &log).unwrap();
@@ -550,7 +704,7 @@ fn chain_run(
                 },
             ) if kill.is_none() => {
                 assert_eq!(diagnoses, mem_diagnoses, "{tag}");
-                assert_eq!(rec, mem_rec, "{tag}");
+                assert_eq!(exact(rec), exact(mem_rec), "{tag}");
                 total.merge(&rec);
                 std::fs::remove_dir_all(&dir).ok();
                 return (diagnoses, total);
